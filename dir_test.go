@@ -328,3 +328,57 @@ func TestTrimSpace(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzedStoreCountersMatchStore: the store figures of EXPLAIN
+// ANALYZE are the store's own. The fetch window reads from goroutines
+// of its own; their counters must reach the query's statistics once —
+// not zero times, not once per worker.
+func TestAnalyzedStoreCountersMatchStore(t *testing.T) {
+	mem := NewMemStore()
+	tbl, err := OpenStore("reviews", mem, opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushBatches(t, tbl, reviewDocs(1200), 3)
+	if err := tbl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{})
+	tbl, err = OpenStore("reviews", fake, opts()) // fresh pool: every block is a store read
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Close()
+	reads0, bytes0 := fake.RangeReadCount(), fake.BytesRead()
+	_, stats, err := tbl.Query("data->>'stars'::BigInt", "data->>'business'").WhereCmp(0, Ge, 2).RunAnalyzed()
+	if err != nil {
+		t.Fatalf("RunAnalyzed: %v", err)
+	}
+	var scan *ScanStats
+	var find func(n *PlanNode)
+	find = func(n *PlanNode) {
+		if n.Scan != nil {
+			scan = n.Scan
+		}
+		for _, c := range n.Children {
+			find(c)
+		}
+	}
+	find(stats.Plan)
+	if scan == nil {
+		t.Fatalf("no scan node in plan:\n%s", stats.Plan)
+	}
+	reads, bytes := fake.RangeReadCount()-reads0, fake.BytesRead()-bytes0
+	if reads == 0 {
+		t.Fatal("cold query issued no store reads")
+	}
+	if scan.StoreRangeReads != reads || scan.StoreBytesRead != bytes {
+		t.Errorf("EXPLAIN ANALYZE: store reads=%d bytes=%d, the store saw %d reads, %d bytes",
+			scan.StoreRangeReads, scan.StoreBytesRead, reads, bytes)
+	}
+	if scan.PoolMisses != scan.BlocksRead || scan.PoolHits != 0 || scan.StorePrefetchHits != scan.BlocksRead {
+		t.Errorf("EXPLAIN ANALYZE: %d blocks read as %d misses, %d hits, %d prefetch hits; want every block one miss and one prefetch hit",
+			scan.BlocksRead, scan.PoolMisses, scan.PoolHits, scan.StorePrefetchHits)
+	}
+}

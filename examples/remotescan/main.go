@@ -100,7 +100,7 @@ func main() {
 	naive.StoreReadGap = -1
 	scan(naive, "coalescing disabled", fake.(requestCounting))
 
-	// Adjacent block reads merge into ranged requests, and the scan
-	// readahead warms the next tile while the current one is scanned.
+	// Adjacent block reads merge into ranged requests, and the scan's
+	// fetch window issues the surviving tiles' reads ahead of the workers.
 	scan(opts, "coalescing + readahead", fake.(requestCounting))
 }

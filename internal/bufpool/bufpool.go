@@ -65,6 +65,7 @@ type Pool struct {
 	mu       sync.Mutex
 	capacity int64
 	resident int64
+	inserted int64 // payload bytes ever inserted: the pool's clock
 	entries  map[Key]*entry
 	ring     []*entry // eviction sweeps this
 	flights  map[Key]*flight
@@ -90,6 +91,7 @@ type entry struct {
 	// prefetch hit. Both clear on that first Get.
 	warmed     bool
 	prefetched bool
+	putAt      int64 // Pool.inserted when Put inserted the entry
 }
 
 // tenantAcct is one tenant's resident-byte ledger within a pool.
@@ -148,8 +150,11 @@ func (p *Pool) RegisterObject(label string) uint64 {
 	return p.nextFile
 }
 
+// Capacity returns the pool's payload byte bound.
+func (p *Pool) Capacity() int64 { return p.capacity }
+
 // Contains reports whether key's payload is resident (no pin taken,
-// no hit/miss accounting). Readahead planning filters already-cached
+// no hit/miss accounting). Fetch planning filters already-cached
 // blocks through this before issuing coalesced reads.
 func (p *Pool) Contains(key Key) bool {
 	p.mu.Lock()
@@ -176,7 +181,7 @@ func (p *Pool) Put(tenant string, key Key, payload []byte, prefetched bool) bool
 		p.mu.Unlock()
 		return false
 	}
-	e := &entry{key: key, bytes: payload, tenant: tenant, ref: true, warmed: true, prefetched: prefetched}
+	e := &entry{key: key, bytes: payload, tenant: tenant, ref: true, warmed: true, prefetched: prefetched, putAt: p.inserted}
 	p.entries[key] = e
 	p.ring = append(p.ring, e)
 	p.chargeLocked(e, 1)
@@ -357,6 +362,9 @@ func (p *Pool) GetAs(tenant string, key Key, load func() ([]byte, error)) (*Hand
 func (p *Pool) chargeLocked(e *entry, sign int64) {
 	n := sign * int64(len(e.bytes))
 	p.resident += n
+	if sign > 0 {
+		p.inserted += n
+	}
 	obs.BufpoolBytes.Add(float64(n))
 	if e.tenant != "" {
 		p.acctLocked(e.tenant).resident += n
@@ -382,11 +390,22 @@ func (p *Pool) removeLocked(i int) {
 // (any tenant when ""): unpinned, preferring entries without the
 // second-chance bit; an entry passed over for its ref bit loses it,
 // so repeated pressure degrades gracefully to LRU-ish behavior.
-// Returns -1 when the tenant has nothing evictable (all pinned).
+// Recently fetched blocks nobody has read yet go last. Returns -1
+// when the tenant has nothing evictable (all pinned).
 func (p *Pool) victimLocked(tenant string) int {
-	fallback := -1
+	fallback, unread := -1, -1
 	for i, e := range p.ring {
 		if e.pins > 0 || (tenant != "" && e.tenant != tenant) {
+			continue
+		}
+		if e.warmed && p.inserted-e.putAt < p.capacity {
+			// Fetched for a scan that has not read it yet: evicting it
+			// means reading it twice, evicting a block already read costs
+			// that scan nothing. Lapses after a pool's worth of inserts
+			// (fetch planning is conservative; some blocks are never read).
+			if unread < 0 {
+				unread = i
+			}
 			continue
 		}
 		if !e.ref {
@@ -396,6 +415,9 @@ func (p *Pool) victimLocked(tenant string) int {
 		if fallback < 0 {
 			fallback = i
 		}
+	}
+	if fallback < 0 {
+		return unread
 	}
 	return fallback
 }

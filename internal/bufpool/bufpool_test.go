@@ -258,3 +258,35 @@ func BenchmarkGetHit(b *testing.B) {
 		h.Release()
 	}
 }
+
+// TestUnreadFetchedBlocksEvictLast: a block a scan fetched (Put) and
+// has not read yet outlives blocks that were already read — evicting
+// it would mean reading it twice — but only for a pool's worth of
+// inserts: a block nobody ever reads must not be immortal.
+func TestUnreadFetchedBlocksEvictLast(t *testing.T) {
+	p := New(400)
+	f := p.RegisterFile()
+	key := func(off uint64) Key { return Key{File: f, Off: off} }
+	read := func(lo, hi uint64) {
+		for off := lo; off < hi; off++ {
+			h, err := p.Get(key(off), func() ([]byte, error) { return payload(100, byte(off)), nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Release()
+		}
+	}
+	// A full pool of read blocks, one block fetched ahead, more reads:
+	// each insert evicts a block already read, not the fetched one.
+	read(10, 14)
+	p.Put("", key(1), payload(100, 1), true)
+	read(14, 16)
+	if !p.Contains(key(1)) {
+		t.Fatal("an unread fetched block was evicted ahead of blocks already read")
+	}
+	// Nobody reads it: 400 bytes of inserts later it is fair game.
+	read(16, 19)
+	if p.Contains(key(1)) {
+		t.Error("a fetched block nobody read survived more than a pool's worth of inserts")
+	}
+}

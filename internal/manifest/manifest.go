@@ -211,11 +211,25 @@ func LoadStore(s blockstore.Store) (*Manifest, error) {
 // generation, then delete every object the generation does not
 // reference — temporaries from interrupted writes and segment objects
 // whose manifest commit never happened. Objects that are neither
-// temporaries nor segment-shaped are left alone.
+// temporaries nor segment-shaped are left alone. The listing is
+// requested beside the manifest's Size+read, not after them; recovery
+// assumes no other process commits while it runs (DESIGN.md §6.9), and
+// a listing taken earlier can only name fewer objects to delete.
 func RecoverStore(s blockstore.Store) (*Manifest, int, error) {
+	var names []string
+	var listErr error
+	listed := make(chan struct{})
+	go func() {
+		defer close(listed)
+		names, listErr = s.List()
+	}()
 	m, err := LoadStore(s)
+	<-listed
 	if err != nil {
 		return nil, 0, err
+	}
+	if listErr != nil {
+		return nil, 0, listErr
 	}
 	if m == nil {
 		m = &Manifest{Version: 0, NextID: 0}
@@ -223,10 +237,6 @@ func RecoverStore(s blockstore.Store) (*Manifest, int, error) {
 	live := make(map[string]bool, len(m.Segments))
 	for _, seg := range m.Segments {
 		live[seg.File] = true
-	}
-	names, err := s.List()
-	if err != nil {
-		return nil, 0, err
 	}
 	sort.Strings(names)
 	removed := 0

@@ -2,6 +2,7 @@ package manifest
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/blockstore"
 )
@@ -74,5 +75,29 @@ func TestRecoverStoreEmpty(t *testing.T) {
 	}
 	if m.Version != 0 || m.NextID != 0 || len(m.Segments) != 0 {
 		t.Fatalf("fresh manifest = %+v", m)
+	}
+}
+
+// TestRecoverStoreRoundTrips: the listing travels beside the
+// manifest's Size and read, so recovery over a clean store costs two
+// round trips for its three requests.
+func TestRecoverStoreRoundTrips(t *testing.T) {
+	const latency = 20 * time.Millisecond
+	mem := blockstore.NewMem()
+	if err := CommitStore(mem, testManifest()); err != nil {
+		t.Fatal(err)
+	}
+	fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: latency})
+	start := time.Now()
+	m, removed, err := RecoverStore(fake)
+	d := time.Since(start)
+	if err != nil || removed != 0 || m.Version != 3 {
+		t.Fatalf("RecoverStore = %+v, removed %d, %v", m, removed, err)
+	}
+	if got := fake.Requests(); got != 3 {
+		t.Errorf("recovery issued %d requests, want 3", got)
+	}
+	if d >= 3*latency {
+		t.Errorf("recovery took %v, want two round trips (< %v)", d, 3*latency)
 	}
 }

@@ -352,7 +352,7 @@ var (
 	// requests coalescing saved.
 	StoreReadCoalesced = Default.Counter("store_read_coalesced")
 	// StorePrefetchHits counts buffer-pool hits on blocks resident
-	// because the morsel-path readahead fetched them ahead of the scan.
+	// because the scan's fetch window fetched them ahead of their worker.
 	StorePrefetchHits = Default.Counter("store_prefetch_hits")
 	// StoreRetries counts transient read failures that were retried
 	// (with backoff) rather than surfaced.

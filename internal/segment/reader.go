@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"repro/internal/blockstore"
@@ -51,7 +52,7 @@ type ReadInfo struct {
 	Retries     int
 }
 
-// FetchInfo aggregates one coalesced block fetch (FetchBlocks): the
+// FetchInfo aggregates one coalesced block fetch (Fetch): the
 // ranged read requests issued (retries included), the payload bytes
 // those requests returned (gap bytes included), blocks made resident,
 // block fetches saved by coalescing, and transient retries.
@@ -86,20 +87,31 @@ func Open(path string, pool *bufpool.Pool) (*Reader, error) {
 	return r, nil
 }
 
-// OpenStore opens the named segment object footer-first: one
-// speculative ranged read of the object's tail (covering the fixed
-// tail, usually the footer, and for small objects the header too),
-// plus at most two follow-up reads when the footer or header fall
+// OpenStore opens the named segment object footer-first: a Size probe,
+// then one speculative ranged read of the object's tail (covering the
+// fixed tail, usually the footer, and for small objects the header
+// too) beside the header-magic read when the window does not reach the
+// object's start, plus one follow-up read when the footer falls
 // outside the window. Tile metadata, zone maps, bloom filters, and
 // relation statistics are then in memory; data blocks load lazily —
 // scans fetch only the blocks their zone-map-surviving tiles touch.
 // The Reader does not own the store: closing the Reader drops its
 // cached blocks but leaves the store open.
 func OpenStore(store blockstore.Store, name string, pool *bufpool.Pool) (*Reader, error) {
+	return OpenStoreSized(store, name, pool, 0)
+}
+
+// OpenStoreSized is OpenStore without the Size probe, for callers that
+// know the object's size (the manifest records it; a writer knows what
+// it just put): one round trip. size <= 0 probes; a wrong size reads
+// the wrong tail and fails the open.
+func OpenStoreSized(store blockstore.Store, name string, pool *bufpool.Pool, size int64) (*Reader, error) {
 	start := time.Now()
-	size, err := store.Size(name)
-	if err != nil {
-		return nil, err
+	if size <= 0 {
+		var err error
+		if size, err = store.Size(name); err != nil {
+			return nil, err
+		}
 	}
 	if size < int64(len(Magic))+TailSize {
 		return nil, corruptf("%s: object of %d bytes is smaller than header plus tail", name, size)
@@ -109,9 +121,29 @@ func OpenStore(store blockstore.Store, name string, pool *bufpool.Pool) (*Reader
 		win = size
 	}
 	winOff := size - win
+	// The header magic lies inside the window for small objects;
+	// otherwise it is read beside the window, not after it.
+	var head []byte
+	var headErr error
+	headDone := make(chan struct{})
+	if winOff > 0 {
+		go func() {
+			defer close(headDone)
+			head, _, headErr = blockstore.ReadRangeRetry(store, name, 0, int64(len(Magic)), 0)
+		}()
+	} else {
+		close(headDone)
+	}
 	winBuf, _, err := blockstore.ReadRangeRetry(store, name, winOff, win, 0)
+	<-headDone
 	if err != nil {
 		return nil, fmt.Errorf("segment %s: open tail [%d,+%d): %w", name, winOff, win, err)
+	}
+	if headErr != nil {
+		return nil, fmt.Errorf("segment %s: open header [0,+%d): %w", name, len(Magic), headErr)
+	}
+	if winOff == 0 {
+		head = winBuf[:len(Magic)]
 	}
 
 	tail := winBuf[win-TailSize:]
@@ -142,16 +174,6 @@ func OpenStore(store blockstore.Store, name string, pool *bufpool.Pool) (*Reader
 		gap:      blockstore.DefaultCoalesceGap,
 	}
 
-	// Header: the version magic. Usually already inside the window.
-	var head []byte
-	if winOff == 0 {
-		head = winBuf[:len(Magic)]
-	} else {
-		head, _, err = blockstore.ReadRangeRetry(store, name, 0, int64(len(Magic)), 0)
-		if err != nil {
-			return nil, fmt.Errorf("segment %s: open header [0,+%d): %w", name, len(Magic), err)
-		}
-	}
 	switch string(head) {
 	case Magic:
 		r.version = 2
@@ -306,68 +328,93 @@ func (r *Reader) DocsT(tenant string, tileIdx int) ([][]byte, ReadInfo, error) {
 	return docs, info, nil
 }
 
-// FetchBlocks makes refs' payloads pool-resident with as few store
-// requests as possible: refs not already cached are sorted by offset,
-// adjacent refs within the coalescing gap merge into single ranged
-// reads, and each block is verified, decompressed, and inserted
-// unpinned. prefetched marks the insertions for prefetch-hit
-// accounting (the asynchronous readahead path sets it; synchronous
-// pre-scan fetches do not). Failures are not returned: a block whose
-// run failed simply stays non-resident and the demand path reports
-// the error with full context when the scan actually needs it.
-func (r *Reader) FetchBlocks(tenant string, refs []BlockRef, prefetched bool) FetchInfo {
-	var fi FetchInfo
-	if r.pool == nil || len(refs) == 0 {
-		return fi
+// FetchRun is one coalesced ranged read of a planned fetch: the byte
+// range and the blocks it carries.
+type FetchRun struct {
+	Off, Len int64
+	Blocks   []BlockRef
+}
+
+// PlanFetch turns refs into the fewest store requests that make them
+// pool-resident — refs already cached are dropped, the rest deduped,
+// sorted, and merged within the coalescing gap — and returns the
+// decompressed bytes the runs will add to the pool. No I/O; refs is
+// reordered and the runs alias it.
+func (r *Reader) PlanFetch(refs []BlockRef) (runs []FetchRun, rawBytes int64) {
+	if r.pool == nil {
+		return nil, 0
 	}
-	// Drop refs already resident, dedupe by offset, sort.
-	want := make([]BlockRef, 0, len(refs))
-	seen := make(map[uint64]bool, len(refs))
+	sortRefs(refs)
+	uniq := refs[:0]
+	var ranges []blockstore.Range
 	for _, ref := range refs {
-		if seen[ref.Off] || r.pool.Contains(bufpool.Key{File: r.fileID, Off: ref.Off}) {
+		if (len(uniq) > 0 && uniq[len(uniq)-1].Off == ref.Off) || r.pool.Contains(bufpool.Key{File: r.fileID, Off: ref.Off}) {
 			continue
 		}
-		seen[ref.Off] = true
-		want = append(want, ref)
+		uniq = append(uniq, ref)
+		ranges = append(ranges, blockstore.Range{Off: int64(ref.Off), Len: int64(ref.StoredLen)})
+		rawBytes += int64(ref.RawLen)
 	}
-	if len(want) == 0 {
+	for _, run := range blockstore.Coalesce(ranges, r.gap, 0) {
+		runs = append(runs, FetchRun{Off: run.Off, Len: run.Len, Blocks: uniq[:run.Blocks]})
+		uniq = uniq[run.Blocks:]
+	}
+	return runs, rawBytes
+}
+
+// Fetch executes planned runs, all at once: each is one ranged read
+// (with transient retries) whose blocks are verified, decompressed,
+// and inserted unpinned, marked prefetched for prefetch-hit accounting
+// when the fetch was issued ahead of the scan. Failures are not
+// returned: a block whose run failed stays non-resident and the demand
+// path reports the error with full context when the scan needs it.
+func (r *Reader) Fetch(tenant string, runs []FetchRun, prefetched bool) FetchInfo {
+	if len(runs) == 0 {
+		return FetchInfo{}
+	}
+	infos := make([]FetchInfo, len(runs))
+	var wg sync.WaitGroup
+	for i := 1; i < len(runs); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			infos[i] = r.fetchRun(tenant, runs[i], prefetched)
+		}(i)
+	}
+	fi := r.fetchRun(tenant, runs[0], prefetched)
+	wg.Wait()
+	for _, o := range infos[1:] {
+		fi.RangeReads += o.RangeReads
+		fi.BytesRead += o.BytesRead
+		fi.Blocks += o.Blocks
+		fi.Coalesced += o.Coalesced
+		fi.Retries += o.Retries
+	}
+	obs.StoreReadCoalesced.Add(fi.Coalesced)
+	return fi
+}
+
+func (r *Reader) fetchRun(tenant string, run FetchRun, prefetched bool) FetchInfo {
+	buf, retries, err := blockstore.ReadRangeRetry(r.store, r.name, run.Off, run.Len, 0)
+	fi := FetchInfo{RangeReads: int64(1 + retries), Retries: int64(retries)}
+	if err != nil {
 		return fi
 	}
-	sortRefs(want)
-	ranges := make([]blockstore.Range, len(want))
-	for i, ref := range want {
-		ranges[i] = blockstore.Range{Off: int64(ref.Off), Len: int64(ref.StoredLen)}
-	}
-	runs := blockstore.Coalesce(ranges, r.gap, 0)
-	idx := 0
-	for _, run := range runs {
-		blocks := want[idx : idx+run.Blocks]
-		idx += run.Blocks
-		buf, retries, err := blockstore.ReadRangeRetry(r.store, r.name, run.Off, run.Len, 0)
-		fi.RangeReads += int64(1 + retries)
-		fi.Retries += int64(retries)
+	fi.BytesRead = run.Len
+	fi.Coalesced = int64(len(run.Blocks) - 1)
+	for _, ref := range run.Blocks {
+		stored := buf[int64(ref.Off)-run.Off:][:ref.StoredLen]
+		if xxhash.Sum64(stored) != ref.Sum {
+			continue // demand path re-reads and reports
+		}
+		payload, err := r.decodeStored(ref, stored)
 		if err != nil {
 			continue
 		}
-		fi.BytesRead += run.Len
-		if run.Blocks > 1 {
-			fi.Coalesced += int64(run.Blocks - 1)
-		}
-		for _, ref := range blocks {
-			stored := buf[int64(ref.Off)-run.Off:][:ref.StoredLen]
-			if xxhash.Sum64(stored) != ref.Sum {
-				continue // demand path re-reads and reports
-			}
-			payload, err := r.decodeStored(ref, stored)
-			if err != nil {
-				continue
-			}
-			if r.pool.Put(tenant, bufpool.Key{File: r.fileID, Off: ref.Off}, payload, prefetched) {
-				fi.Blocks++
-			}
+		if r.pool.Put(tenant, bufpool.Key{File: r.fileID, Off: ref.Off}, payload, prefetched) {
+			fi.Blocks++
 		}
 	}
-	obs.StoreReadCoalesced.Add(fi.Coalesced)
 	return fi
 }
 

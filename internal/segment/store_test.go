@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/blockstore"
 	"repro/internal/bufpool"
@@ -34,6 +35,32 @@ func writeStoreSegment(t testing.TB, store blockstore.Store, name string) ([]*ti
 	return tiles, st
 }
 
+// writeWideStoreSegment writes a segment larger than the open's tail
+// window, so its header magic lies outside the window.
+func writeWideStoreSegment(t testing.TB, store blockstore.Store, name string) int64 {
+	t.Helper()
+	var tiles []*tile.Tile
+	for ti := 0; ti < 4; ti++ {
+		src := make([]string, 256)
+		for i := range src {
+			src[i] = fmt.Sprintf(`{"id":%d,"pad":"%x-%x-%x-%x"}`, i, (ti*256+i+1)*2654435761, (i+7)*40503, (i+3)*69069, (ti+i)*7919)
+		}
+		tiles = append(tiles, buildTile(t, src...))
+	}
+	st := stats.New(0, 0)
+	for _, tl := range tiles {
+		st.AddTile(tl)
+	}
+	size, err := WriteStore(store, name, tiles, st)
+	if err != nil {
+		t.Fatalf("WriteStore: %v", err)
+	}
+	if size <= openTailWindow {
+		t.Fatalf("wide segment is %d bytes, want more than the %d-byte tail window", size, openTailWindow)
+	}
+	return size
+}
+
 // TestOpenStoreFooterFirst verifies the speculative-tail open protocol:
 // a small segment opens in a handful of requests (size probe + tail
 // window covering header, footer, and tail), never one per block.
@@ -46,8 +73,8 @@ func TestOpenStoreFooterFirst(t *testing.T) {
 		t.Fatalf("OpenStore: %v", err)
 	}
 	defer r.Close()
-	if got := fake.Requests() - before; got > 3 {
-		t.Errorf("open took %d store requests, want <= 3", got)
+	if got := fake.Requests() - before; got != 2 {
+		t.Errorf("open took %d store requests, want 2 (size probe, tail window)", got)
 	}
 	if r.NumTiles() != len(tiles) || r.NumRows() != 128 {
 		t.Fatalf("opened %d tiles / %d rows, want %d / 128", r.NumTiles(), r.NumRows(), len(tiles))
@@ -59,6 +86,53 @@ func TestOpenStoreFooterFirst(t *testing.T) {
 	}
 	if len(docs) != 64 || info.Hit {
 		t.Fatalf("Docs = %d rows, hit=%v; want 64 cold rows", len(docs), info.Hit)
+	}
+}
+
+// TestOpenStoreRequestShape counts the open's requests and round
+// trips: with the size known (the manifest records it) the tail window
+// and the header magic go out together and nothing probes Size; the
+// un-hinted open adds the probe in front.
+func TestOpenStoreRequestShape(t *testing.T) {
+	const latency = 20 * time.Millisecond
+	mem := blockstore.NewMem()
+	writeStoreSegment(t, mem, "small")
+	smallSize, _ := mem.Size("small")
+	wideSize := writeWideStoreSegment(t, mem, "wide")
+	for _, tc := range []struct {
+		name         string
+		size         int64 // 0 = un-hinted
+		reads, sizes int64
+		roundTrips   int
+	}{
+		{"wide", wideSize, 2, 0, 1},
+		{"small", smallSize, 1, 0, 1},
+		{"wide", 0, 2, 1, 2},
+		{"small", 0, 1, 1, 2},
+	} {
+		fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: latency})
+		start := time.Now()
+		r, err := OpenStoreSized(fake, tc.name, bufpool.New(0), tc.size)
+		d := time.Since(start)
+		if err != nil {
+			t.Fatalf("%s (size %d): %v", tc.name, tc.size, err)
+		}
+		r.Close()
+		reads, sizes := fake.RangeReadCount(), fake.Requests()-fake.RangeReadCount()
+		if reads != tc.reads || sizes != tc.sizes {
+			t.Errorf("%s (size %d): %d reads, %d size probes; want %d, %d", tc.name, tc.size, reads, sizes, tc.reads, tc.sizes)
+		}
+		if limit := time.Duration(tc.roundTrips+1) * latency; d >= limit {
+			t.Errorf("%s (size %d): open took %v, want %d round trips (< %v)", tc.name, tc.size, d, tc.roundTrips, limit)
+		}
+	}
+	// A size that is not the object's reads the wrong tail: the open
+	// fails instead of trusting it.
+	if _, err := OpenStoreSized(mem, "wide", nil, wideSize-1); err == nil {
+		t.Error("open with a wrong size hint succeeded")
+	}
+	if _, err := OpenStoreSized(mem, "wide", nil, wideSize+1); err == nil {
+		t.Error("open with a size hint past the object's end succeeded")
 	}
 }
 

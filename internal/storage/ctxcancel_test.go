@@ -2,9 +2,15 @@ package storage
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/blockstore"
+	"repro/internal/expr"
+	"repro/internal/vec"
 )
 
 // --- cancellation behavior of the morsel scheduler --------------------------
@@ -88,5 +94,57 @@ func TestRunMorselsCompletesWithoutCancel(t *testing.T) {
 		if c != 1 {
 			t.Fatalf("morsel %d run %d times, want 1", i, c)
 		}
+	}
+}
+
+// --- cancellation of a store-backed scan -----------------------------------
+
+// TestFetchWindowCancel: cancelling mid-scan stops the window issuing,
+// waits out what is in flight, and leaves nothing behind — no pin, no
+// generation reference, no goroutine.
+func TestFetchWindowCancel(t *testing.T) {
+	mem, cfg := fetchTestStore(t, 12, 256, 200) // one tile per morsel at 3 workers
+	fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: 2 * time.Millisecond})
+	base := runtime.NumGoroutine()
+	dt, err := OpenDirStore("t", fake, nil, cfg, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batches := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var rows atomic.Int64
+		if batches {
+			dt.ScanBatches(ctx, padAccess, 3, func(_ int, b *vec.Batch) { rows.Add(int64(b.Len)); cancel() }, nil)
+		} else {
+			dt.ScanWithStats(ctx, padAccess, 3, func(int, []expr.Value) { rows.Add(1); cancel() }, nil)
+		}
+		cancel()
+		if n := rows.Load(); n == 0 || n >= 12*256 {
+			t.Errorf("batches=%v: cancelled scan emitted %d of %d rows", batches, n, 12*256)
+		}
+		if pinned := dt.Pool().Stats().PinnedBytes; pinned != 0 {
+			t.Errorf("batches=%v: %d bytes pinned after cancel", batches, pinned)
+		}
+		dt.mu.Lock()
+		for _, ls := range dt.segs {
+			if refs := ls.refs.Load(); refs != 1 {
+				t.Errorf("batches=%v: segment %s holds %d references after cancel, want 1", batches, ls.file, refs)
+			}
+		}
+		dt.mu.Unlock()
+	}
+	// The table still answers in full after the cancelled scans.
+	if got := len(batchMultiset(dt, idAccess, 3)); got != 12*256 {
+		t.Errorf("scan after cancel saw %d distinct rows, want %d", got, 12*256)
+	}
+	if err := dt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Close, %d before the table was opened", n, base)
 	}
 }

@@ -121,6 +121,10 @@ func (ls *liveSeg) release() {
 
 var errDirTableClosed = errors.New("storage: directory table is closed")
 
+// maxConcurrentOpens bounds the segment opens OpenDirStore has in
+// flight: tables that never compact can hold hundreds of segments.
+const maxConcurrentOpens = 32
+
 // DefaultCompactFanIn is how many same-tier segments trigger (and
 // take part in) one compaction round when no explicit fan-in is set.
 const DefaultCompactFanIn = 4
@@ -195,15 +199,32 @@ func OpenDirStore(name string, store blockstore.Store, pool *bufpool.Pool, cfg L
 		man:     man,
 		nextID:  man.NextID,
 	}
-	for _, s := range man.Segments {
-		rel, err := OpenSegmentStore(name, store, s.File, pool, cfg)
-		if err != nil {
-			for _, ls := range t.segs {
-				ls.rel.Close()
+	// Every segment opens at once — the manifest names them and their
+	// sizes — so the table costs one more round trip, not two per segment.
+	rels := make([]*segRelation, len(man.Segments))
+	errs := make([]error, len(man.Segments))
+	sem := make(chan struct{}, maxConcurrentOpens)
+	var wg sync.WaitGroup
+	for i, s := range man.Segments {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			rels[i], errs[i] = openSegmentStore(name, store, s.File, s.Bytes, pool, cfg)
+			<-sem
+		}()
+	}
+	wg.Wait()
+	for i, s := range man.Segments {
+		if errs[i] != nil {
+			for _, rel := range rels {
+				if rel != nil {
+					rel.Close()
+				}
 			}
-			return nil, fmt.Errorf("segment %s: %w", s.File, err)
+			return nil, fmt.Errorf("segment %s: %w", s.File, errs[i])
 		}
-		ls := &liveSeg{rel: rel, store: store, id: s.ID, file: s.File, rows: s.Rows, bytes: s.Bytes}
+		ls := &liveSeg{rel: rels[i], store: store, id: s.ID, file: s.File, rows: s.Rows, bytes: s.Bytes}
 		ls.refs.Store(1)
 		t.segs = append(t.segs, ls)
 	}
@@ -370,6 +391,7 @@ func newMultiSource(segs []*liveSeg, cfg scanConfig) *multiSource {
 }
 
 func (m *multiSource) numScanTiles() int      { return m.offs[len(m.rels)] }
+func (m *multiSource) Pool() *bufpool.Pool    { return m.rels[0].pool } // shared by every segment
 func (m *multiSource) scanConfig() scanConfig { return m.cfg }
 
 func (m *multiSource) openScanTile(ti int, cnt *scanCounters) scanTile {
@@ -434,10 +456,11 @@ func (t *DirTable) AppendTiles(tiles []*tile.Tile, st *stats.TableStats) error {
 	t.mu.Unlock()
 
 	file := manifest.SegmentFileName(id)
-	if _, err := segment.WriteStore(t.store, file, tiles, st); err != nil {
+	size, err := segment.WriteStore(t.store, file, tiles, st)
+	if err != nil {
 		return err
 	}
-	rel, err := OpenSegmentStore(t.name, t.store, file, t.pool, t.cfg)
+	rel, err := openSegmentStore(t.name, t.store, file, size, t.pool, t.cfg)
 	if err != nil {
 		t.store.Delete(file)
 		return err
@@ -645,7 +668,7 @@ func (t *DirTable) compactOnce() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	rel, err := OpenSegmentStore(t.name, t.store, file, t.pool, t.cfg)
+	rel, err := openSegmentStore(t.name, t.store, file, n, t.pool, t.cfg)
 	if err != nil {
 		t.store.Delete(file)
 		return false, err

@@ -44,9 +44,10 @@ type LoaderConfig struct {
 	// (0 selects blockstore.DefaultCoalesceGap; negative disables
 	// merging).
 	StoreGapBytes int64
-	// StorePrefetch enables the bounded morsel-path readahead: while a
-	// worker scans one tile, its next tile's surviving blocks are
-	// fetched asynchronously (one outstanding prefetch per worker).
+	// StorePrefetch lets store-backed scans fetch surviving tiles'
+	// blocks ahead of the workers, within a window derived from the
+	// buffer pool's size (DESIGN.md §6.9); off, a tile is fetched when
+	// a worker reaches it.
 	StorePrefetch bool
 }
 

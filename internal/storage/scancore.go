@@ -51,80 +51,10 @@ type scanConfig struct {
 	skipTiles  bool
 	maxSlots   int
 	morselRows int
-	// prefetch enables the bounded readahead on store-backed scans:
-	// while a worker scans one tile, its next tile's surviving blocks
-	// are fetched asynchronously (one outstanding fetch per worker).
+	// prefetch lets a store-backed scan's fetch window (fetchwindow.go)
+	// issue tile fetches ahead of the workers; off, every tile is
+	// fetched when a worker claims it.
 	prefetch bool
-}
-
-// preparableTile is implemented by lazy tile views that can make every
-// block the scan will touch pool-resident in one coalesced pass; tiles
-// that are already in memory simply don't implement it.
-type preparableTile interface {
-	prepare(accesses []Access, prefetched bool)
-}
-
-// prepareTile runs the synchronous pre-scan fetch on a surviving tile.
-func prepareTile(t scanTile, accesses []Access) {
-	if pt, ok := t.(preparableTile); ok {
-		pt.prepare(accesses, false)
-	}
-}
-
-// prefetcher overlaps the next tile's block fetches with the current
-// tile's scan: at most one outstanding asynchronous fetch per worker,
-// always waited out before the worker touches its next tile. The
-// prefetch goroutine gets its own counter block (worker counters are
-// plain integers, not atomics) which it flushes straight to the
-// per-scan stats when the fetch completes.
-type prefetcher struct {
-	src      scanSource
-	accesses []Access
-	cfg      scanConfig
-	st       *obs.ScanStats
-	tenant   string
-	pend     chan struct{} // non-nil while a fetch is in flight
-}
-
-func newPrefetcher(src scanSource, accesses []Access, cfg scanConfig, st *obs.ScanStats, tenant string) *prefetcher {
-	if !cfg.prefetch {
-		return nil
-	}
-	return &prefetcher{src: src, accesses: accesses, cfg: cfg, st: st, tenant: tenant}
-}
-
-// start kicks the asynchronous fetch of tile ti, if the source's tiles
-// support preparation and no fetch is already outstanding.
-func (p *prefetcher) start(ti int) {
-	if p == nil || p.pend != nil {
-		return
-	}
-	cnt := &scanCounters{tenant: p.tenant}
-	t := p.src.openScanTile(ti, cnt)
-	pt, ok := t.(preparableTile)
-	if !ok {
-		return
-	}
-	done := make(chan struct{})
-	p.pend = done
-	go func() {
-		defer close(done)
-		if !(p.cfg.skipTiles && skippableTile(t, p.accesses, p.cfg.maxSlots)) {
-			pt.prepare(p.accesses, true)
-		}
-		cnt.flush(p.st)
-	}()
-}
-
-// wait blocks until the outstanding fetch (if any) completes, so the
-// scan never races the prefetch goroutine on the buffer pool's
-// in-flight state for the same blocks.
-func (p *prefetcher) wait() {
-	if p == nil || p.pend == nil {
-		return
-	}
-	<-p.pend
-	p.pend = nil
 }
 
 // mayContainTile answers MayContainPath with the capped-slot
@@ -250,22 +180,15 @@ func scanRowsCore(ctx context.Context, src scanSource, accesses []Access, worker
 	}
 	head.flush(st)
 	morsels := buildTileMorsels(rowCounts, workers, cfg.morselRows, true)
+	fw := newFetchWindow(ctx, src, accesses, morsels, workers, st)
+	defer fw.close()
 	runMorsels(ctx, morsels, workers, func(w int, m morsel) {
 		scratch := getScanScratch(len(accesses))
 		defer putScanScratch(scratch)
 		row, res := scratch.row, scratch.res
 		cnt := scanCounters{morsels: 1, tenant: tenant}
 		defer cnt.flush(st)
-		pf := newPrefetcher(src, accesses, cfg, st, tenant)
-		defer pf.wait()
 		for ti := m.tileLo; ti < m.tileHi; ti++ {
-			// Wait out the readahead for this tile, then overlap the
-			// next tile's fetch with this tile's scan. Row-split morsels
-			// cover a single tile, so they never prefetch.
-			pf.wait()
-			if ti+1 < m.tileHi {
-				pf.start(ti + 1)
-			}
 			t := src.openScanTile(ti, &cnt)
 			lo, hi := 0, t.NumRows()
 			if !m.wholeTiles() {
@@ -279,7 +202,7 @@ func scanRowsCore(ctx context.Context, src scanSource, accesses []Access, worker
 				}
 				continue
 			}
-			prepareTile(t, accesses)
+			fw.claim(ti)
 			if lo == 0 {
 				cnt.tilesScanned++
 			}
@@ -341,6 +264,8 @@ func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, wor
 	// granularity here: tiny tiles batch together, big tiles are one
 	// morsel each (never row-split).
 	morsels := buildTileMorsels(rowCounts, workers, cfg.morselRows, false)
+	fw := newFetchWindow(ctx, src, accesses, morsels, workers, st)
+	defer fw.close()
 	runMorsels(ctx, morsels, workers, func(w int, m morsel) {
 		var (
 			batch vec.Batch
@@ -350,20 +275,14 @@ func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, wor
 		)
 		batch.Cols = make([]vec.Vector, len(accesses))
 		defer cnt.flush(st)
-		pf := newPrefetcher(src, accesses, cfg, st, tenant)
-		defer pf.wait()
 		for ti := m.tileLo; ti < m.tileHi; ti++ {
-			pf.wait()
-			if ti+1 < m.tileHi {
-				pf.start(ti + 1)
-			}
 			t := src.openScanTile(ti, &cnt)
 			if cfg.skipTiles && skippableTile(t, accesses, cfg.maxSlots) {
 				cnt.tilesSkipped++
 				continue
 			}
 			cnt.tilesScanned++
-			prepareTile(t, accesses)
+			fw.claim(ti)
 			n := t.NumRows()
 			cnt.rows += int64(n)
 			allVec := true

@@ -75,11 +75,18 @@ func OpenSegmentFile(name, path string, pool *bufpool.Pool, cfg LoaderConfig) (*
 // a disk-backed relation — the storage/compute-separated form of
 // OpenSegmentFile. The caller keeps ownership of the store.
 func OpenSegmentStore(name string, store blockstore.Store, object string, pool *bufpool.Pool, cfg LoaderConfig) (*segRelation, error) {
+	return openSegmentStore(name, store, object, 0, pool, cfg)
+}
+
+// openSegmentStore is OpenSegmentStore with the object's size when the
+// caller knows it (0 probes): the manifest records it and a writer
+// just produced it, which saves the open a round trip.
+func openSegmentStore(name string, store blockstore.Store, object string, size int64, pool *bufpool.Pool, cfg LoaderConfig) (*segRelation, error) {
 	ownPool := pool == nil
 	if ownPool {
 		pool = bufpool.New(0)
 	}
-	r, err := segment.OpenStore(store, object, pool)
+	r, err := segment.OpenStoreSized(store, object, pool, size)
 	if err != nil {
 		return nil, err
 	}
@@ -212,13 +219,13 @@ func (v *segTileView) account(info segment.ReadInfo) {
 	if info.Hit {
 		switch {
 		case info.Prefetched:
-			// First access to an async-readahead block: the prefetch
-			// pass accounted the miss; this is the readahead paying off.
+			// First access to a block the window fetched ahead: the
+			// fetch accounted the miss; this is the lookahead paying off.
 			v.cnt.prefetchHits++
 		case info.Warmed:
-			// First access to a block this scan's own pre-scan fetch
-			// inserted: the fetch accounted the miss, so counting a hit
-			// here would make every cold scan look half-cached.
+			// First access to a block the claim itself fetched: the
+			// fetch accounted the miss, so counting a hit here would
+			// make every cold scan look half-cached.
 		default:
 			v.cnt.poolHits++
 		}
@@ -230,28 +237,6 @@ func (v *segTileView) account(info segment.ReadInfo) {
 		v.cnt.rangeBytes += int64(info.StoredBytes)
 		v.cnt.retries += int64(info.Retries)
 	}
-}
-
-// prepare makes every block this scan can touch on the tile
-// pool-resident in one coalesced pass. The scan loop calls it
-// synchronously after the skip check (so a surviving tile costs one
-// or two ranged reads instead of one per block) and asynchronously
-// from the readahead path (prefetched=true) while the previous tile
-// is still scanning. Idempotent: already-resident blocks are skipped,
-// so the demand accesses that follow are pool hits.
-func (v *segTileView) prepare(accesses []Access, prefetched bool) {
-	refs := v.neededRefs(accesses)
-	if len(refs) == 0 {
-		return
-	}
-	fi := v.rel.r.FetchBlocks(v.cnt.tenant, refs, prefetched)
-	v.cnt.rangeReads += fi.RangeReads
-	v.cnt.rangeBytes += fi.BytesRead
-	v.cnt.coalesced += fi.Coalesced
-	v.cnt.retries += fi.Retries
-	v.cnt.blocksRead += fi.Blocks
-	v.cnt.blockBytes += fi.BytesRead
-	v.cnt.poolMisses += fi.Blocks
 }
 
 // neededRefs computes the conservative set of blocks the access list

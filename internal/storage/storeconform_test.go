@@ -8,6 +8,7 @@ package storage
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -61,45 +62,50 @@ func TestStoreConformanceAcrossBackends(t *testing.T) {
 	}
 	defer fsStore.Close()
 	fake := blockstore.NewFakeS3(nil, blockstore.FakeS3Config{Latency: 100 * time.Microsecond})
-	stores := []blockstore.Store{fsStore, blockstore.NewMem(), fake}
+	flaky := blockstore.NewFakeS3(nil, blockstore.FakeS3Config{})
+	// Each backend is written through one view and read back through
+	// another: the flaky one fails every third range read of a scan.
+	stores := []struct{ write, read blockstore.Store }{
+		{fsStore, fsStore},
+		{fake, fake},
+		{flaky, blockstore.NewFakeS3(flaky.Inner(), blockstore.FakeS3Config{FailEveryN: 3})},
+	}
+	memStore := blockstore.NewMem()
+	stores = append(stores, struct{ write, read blockstore.Store }{memStore, memStore})
 
-	for _, workers := range []int{1, 4} {
-		want := rowMultiset(mem, accesses, workers)
-		wantBatch := batchMultiset(mem.(BatchScanner), accesses, workers)
-		for _, store := range stores {
-			dt := storeConformTable(t, store, batches, rows)
-			label := store.Label()
-			sameMultiset(t, label+" rows", rowMultiset(dt, accesses, workers), want)
-			sameMultiset(t, label+" batches", batchMultiset(dt, accesses, workers), wantBatch)
-			if err := dt.Err(); err != nil {
-				t.Fatalf("%s: Err: %v", label, err)
-			}
-			if err := dt.Close(); err != nil {
-				t.Fatalf("%s: Close: %v", label, err)
-			}
-			// The store outlives the table: reopening serves the same
-			// committed generation (read-after-commit visibility).
-			dt2, err := OpenDirStore("t", store, nil, cfg, 4, false)
-			if err != nil {
-				t.Fatalf("reopen %s: %v", label, err)
-			}
-			sameMultiset(t, label+" reopened", rowMultiset(dt2, accesses, workers), want)
-			dt2.Close()
-			// Fresh namespace for the next workers round.
-			for _, name := range mustList(t, store) {
-				store.Delete(name)
+	for _, store := range stores {
+		dt := storeConformTable(t, store.write, batches, rows)
+		if err := dt.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", store.write.Label(), err)
+		}
+		for _, prefetch := range []bool{true, false} {
+			cfg.StorePrefetch = prefetch
+			for _, workers := range []int{1, 2, 3, 8} {
+				label := fmt.Sprintf("%s prefetch=%v workers=%d", store.read.Label(), prefetch, workers)
+				want := rowMultiset(mem, accesses, workers)
+				wantBatch := batchMultiset(mem.(BatchScanner), accesses, workers)
+				// The store outlives the table: every reopen serves the
+				// same committed generation (read-after-commit visibility)
+				// from a cold pool.
+				dt, err := OpenDirStore("t", store.read, nil, cfg, 4, false)
+				if err != nil {
+					t.Fatalf("reopen %s: %v", label, err)
+				}
+				sameMultiset(t, label+" rows", rowMultiset(dt, accesses, workers), want)
+				dt.Close()
+				if dt, err = OpenDirStore("t", store.read, nil, cfg, 4, false); err != nil {
+					t.Fatalf("reopen %s: %v", label, err)
+				}
+				sameMultiset(t, label+" batches", batchMultiset(dt, accesses, workers), wantBatch)
+				if err := dt.Err(); err != nil {
+					t.Fatalf("%s: Err: %v", label, err)
+				}
+				if err := dt.Close(); err != nil {
+					t.Fatalf("%s: Close: %v", label, err)
+				}
 			}
 		}
 	}
-}
-
-func mustList(t *testing.T, s blockstore.Store) []string {
-	t.Helper()
-	names, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return names
 }
 
 // TestStoreConformanceMidScanCompaction compacts the table while a
@@ -108,38 +114,51 @@ func mustList(t *testing.T, s blockstore.Store) []string {
 // release), so the result multiset is unaffected.
 func TestStoreConformanceMidScanCompaction(t *testing.T) {
 	const batches, rows = 6, 48
-	fake := blockstore.NewFakeS3(nil, blockstore.FakeS3Config{})
-	dt := storeConformTable(t, fake, batches, rows)
-	defer dt.Close()
-	accesses := dirTestAccesses()
-	want := scanMultiset(dt, accesses)
-
-	got := map[string]int{}
-	var mu sync.Mutex
-	var once sync.Once
-	dt.Scan(accesses, 1, func(w int, row []expr.Value) {
-		once.Do(func() {
-			// Mid-scan: fold the segments this very scan is reading.
-			if rounds, err := dt.Compact(); err != nil || rounds == 0 {
-				t.Errorf("mid-scan Compact = %d rounds, %v", rounds, err)
+	for _, prefetch := range []bool{true, false} {
+		for _, workers := range []int{1, 3} {
+			fake := blockstore.NewFakeS3(nil, blockstore.FakeS3Config{})
+			dt := storeConformTable(t, fake, batches, rows)
+			accesses := dirTestAccesses()
+			want := scanMultiset(dt, accesses)
+			// Reopen, so the scan under test starts from a cold pool.
+			dt.Close()
+			cfg := DefaultLoaderConfig()
+			cfg.Tile.TileSize = 16
+			cfg.StorePrefetch = prefetch
+			dt, err := OpenDirStore("t", fake, nil, cfg, 4, false)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-		key := ""
-		for _, v := range row {
-			key += v.String() + "|"
+
+			got := map[string]int{}
+			var mu sync.Mutex
+			var once sync.Once
+			dt.Scan(accesses, workers, func(w int, row []expr.Value) {
+				once.Do(func() {
+					// Mid-scan: fold the segments this very scan is reading.
+					if rounds, err := dt.Compact(); err != nil || rounds == 0 {
+						t.Errorf("mid-scan Compact = %d rounds, %v", rounds, err)
+					}
+				})
+				key := ""
+				for _, v := range row {
+					key += v.String() + "|"
+				}
+				mu.Lock()
+				got[key]++
+				mu.Unlock()
+			})
+			sameMultiset(t, "mid-scan compaction", got, map[string]int(want))
+			if err := dt.Err(); err != nil {
+				t.Fatalf("Err: %v", err)
+			}
+			if dt.NumSegments() >= batches {
+				t.Fatalf("NumSegments = %d after compaction, want < %d", dt.NumSegments(), batches)
+			}
+			sameMultiset(t, "post-compaction", scanMultiset(dt, accesses), want)
+			dt.Close()
 		}
-		mu.Lock()
-		got[key]++
-		mu.Unlock()
-	})
-	sameMultiset(t, "mid-scan compaction", got, map[string]int(want))
-	if err := dt.Err(); err != nil {
-		t.Fatalf("Err: %v", err)
 	}
-	if dt.NumSegments() >= batches {
-		t.Fatalf("NumSegments = %d after compaction, want < %d", dt.NumSegments(), batches)
-	}
-	sameMultiset(t, "post-compaction", scanMultiset(dt, accesses), want)
 }
 
 // TestStoreConformanceTransientFailures scans through a store that
