@@ -139,6 +139,11 @@ type QueryStats struct {
 	// deltas: exact when queries run one at a time.
 	DictKernelShortcuts int64
 	DictGroupByBatches  int64
+	// RowsBoxed counts rows boxed into SQL values during the execution
+	// window: the result rows, plus rows that entered a sort buffer or
+	// top-K heap — operators in between work on column vectors. A
+	// process-wide counter delta like the two above.
+	RowsBoxed int64
 }
 
 // String renders the summary line followed by the plan tree.
@@ -147,6 +152,9 @@ func (s QueryStats) String() string {
 	fmt.Fprintf(&sb, "wall %s  plan %s  exec %s  rows %d",
 		s.Wall.Round(time.Microsecond), s.PlanTime.Round(time.Microsecond),
 		s.ExecTime.Round(time.Microsecond), s.RowsReturned)
+	if s.Analyzed {
+		fmt.Fprintf(&sb, "  boxed=%d", s.RowsBoxed)
+	}
 	if s.DictKernelShortcuts > 0 || s.DictGroupByBatches > 0 {
 		fmt.Fprintf(&sb, "  dict_kernels=%d dict_groupby=%d",
 			s.DictKernelShortcuts, s.DictGroupByBatches)

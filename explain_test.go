@@ -2,11 +2,16 @@ package jsontiles
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
+	"repro/internal/expr"
+	"repro/internal/exprparse"
 	"repro/internal/obs"
+	"repro/internal/storage"
 )
 
 // mixedDocs interleaves two document structures so tuple reordering
@@ -401,5 +406,100 @@ func TestConcurrentLoadMetrics(t *testing.T) {
 		if ls.Parse <= 0 || ls.Extract <= 0 || ls.WriteJSONB <= 0 {
 			t.Fatalf("table %d: empty load breakdown %+v", i, ls)
 		}
+	}
+}
+
+// planRows lists a plan's operators pre-order with their row counts.
+func planRows(n *PlanNode) []string {
+	out := []string{fmt.Sprintf("%s rows=%d", n.Op, n.Rows)}
+	for _, c := range n.Children {
+		out = append(out, planRows(c)...)
+	}
+	return out
+}
+
+// TestExplainAnalyzeRowsGolden pins the per-operator row counts of a
+// join + group-by + top-K: tracing counts a batch's selected rows, so
+// every node reports what a row-at-a-time execution reported.
+func TestExplainAnalyzeRowsGolden(t *testing.T) {
+	users, err := Load("users", usersDocs(20), opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	orders, err := Load("orders", ordersDocs(400), opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := orders.Query("data->>'user'", "data->>'total'::BigInt").
+		Join(users, []string{"data->>'uid'", "data->>'plan'"}, 0, 0).
+		WhereCmp(1, Ge, 50).
+		GroupBy(3).
+		Aggregate(CountAll("n"), Sum(1, "revenue")).
+		OrderBy(0, false).Limit(1).RunAnalyzed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"Limit rows=1", "OrderBy rows=1", "GroupBy rows=2", "Project rows=200",
+		"HashJoin rows=200", "Scan rows=20", "Scan rows=200"}
+	if got := planRows(stats.Plan); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("plan rows %v, want %v\n%s", got, want, stats)
+	}
+	// Every operator ran on column batches, and the summary line says
+	// how many rows were boxed: the heap entry and the result row.
+	text := stats.String()
+	if n := strings.Count(text, "[vectorized]"); n != len(want) {
+		t.Errorf("%d of %d operators tagged [vectorized]:\n%s", n, len(want), text)
+	}
+	if stats.RowsBoxed != 2 || !strings.Contains(text, "boxed=2") {
+		t.Errorf("RowsBoxed = %d, want 2 (one heap entry, one result row):\n%s", stats.RowsBoxed, text)
+	}
+}
+
+// TestRowsBoxedOnlyAtTheResultBoundary: a Scan → HashJoin → GroupBy →
+// top-K plan over segment files boxes its result rows and the rows
+// that entered the top-K heap, nothing else — and answers the same
+// when the build side is replayed from boxed rows.
+func TestRowsBoxedOnlyAtTheResultBoundary(t *testing.T) {
+	dir := t.TempDir()
+	open := func(name string, docs [][]byte) *Table {
+		mem, err := Load(name, docs, opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name+".seg")
+		if err := mem.WriteSegment(path); err != nil {
+			t.Fatal(err)
+		}
+		seg, err := OpenSegment(name, path, opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { seg.Close() })
+		return seg
+	}
+	users, orders := open("users", usersDocs(20)), open("orders", ordersDocs(400))
+	usersScan := func() engine.Operator {
+		return engine.NewScan(users.rel, []storage.Access{exprparse.MustParse("data->>'uid'"), exprparse.MustParse("data->>'plan'")}, nil, nil)
+	}
+	run := func(build engine.Operator) (*engine.Result, int64) {
+		probe := engine.NewScan(orders.rel, []storage.Access{exprparse.MustParse("data->>'user'"), exprparse.MustParse("data->>'total'::BigInt")}, nil, nil)
+		join := engine.NewHashJoin(build, probe, []int{0}, []int{0}, engine.InnerJoin)
+		gb := engine.NewGroupBy(join, []expr.Expr{expr.NewCol(0, expr.TText)}, []string{"user"},
+			[]engine.AggSpec{{Func: engine.CountStar, Name: "n"}, {Func: engine.Sum, Arg: expr.NewCol(1, expr.TBigInt), Name: "revenue"}})
+		top := engine.NewOrderBy(gb, engine.OrderKey{E: expr.NewCol(0, expr.TText)})
+		top.Limit = 5
+		base := obs.RowsBoxed.Load()
+		res := engine.Materialize(engine.NewLimit(top, 5), 2)
+		return res, obs.RowsBoxed.Load() - base
+	}
+	// 20 groups reach the top-K in key order: the first five fill the
+	// heap, none of the rest beats its root; five rows are returned.
+	res, boxed := run(usersScan())
+	if len(res.Rows) != 5 || res.Rows[0][0].S != "u00" || res.Rows[0][1].I != 20 || boxed != 10 {
+		t.Fatalf("scan build side: %d rows, first %v, %d rows boxed (want 5 rows, 10 boxed)", len(res.Rows), res.Rows[0], boxed)
+	}
+	replayed, boxed2 := run(engine.NewValues(engine.Materialize(usersScan(), 1)))
+	if fmt.Sprint(replayed.Rows) != fmt.Sprint(res.Rows) || boxed2 != boxed {
+		t.Fatalf("Values build side: %v (%d boxed), want %v (%d boxed)", replayed.Rows, boxed2, res.Rows, boxed)
 	}
 }

@@ -65,9 +65,9 @@ func (c *Context) relational() *relationalBaseline {
 		scan := engine.NewScan(rel, []storage.Access{
 			exprparse.MustParse(`data->>'l_linenumber'::BigInt`),
 		}, nil, nil)
-		scan.Run(1, func(_ int, row []expr.Value) {
+		for _, row := range engine.Materialize(scan, 1).Rows {
 			rb.vals = append(rb.vals, row[0].I)
-		})
+		}
 		return rb
 	})
 }

@@ -1,15 +1,14 @@
 package engine
 
 import (
-	"bytes"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/vec"
-	"repro/internal/xxhash"
 )
 
 // AggFunc enumerates the aggregate functions.
@@ -34,13 +33,16 @@ type AggSpec struct {
 	Distinct bool // COUNT(DISTINCT x) style
 }
 
-// GroupBy is a hash aggregation operator: each worker radix-partitions
-// its groups by key hash into P per-worker hash tables during the
-// pipeline, and the merge phase then folds the P partitions in
-// parallel — one goroutine per partition, no shared map (morsel-driven
-// parallelism's partitioned aggregation). Output order and aggregate
-// semantics (DISTINCT, null handling, empty-input rows) are identical
-// to a serial merge.
+// GroupBy is a hash aggregation operator. Each worker groups its
+// batches into its own typed hash table (keys in column builders,
+// aggregate states in flat arrays indexed by group id); the merge
+// phase splits the groups into P partitions by key hash and folds each
+// partition's groups worker-ascending — one goroutine per partition,
+// no shared table (morsel-driven parallelism's partitioned
+// aggregation). Groups are emitted in key order (NULL first, then by
+// SQL type and value), so output does not depend on the worker count.
+// NULL keys form one group; keys of different SQL types, and floats of
+// different bit patterns, are different groups.
 type GroupBy struct {
 	In     Operator
 	Groups []expr.Expr
@@ -71,23 +73,6 @@ func aggPartitionCount(workers int) int {
 		p <<= 1
 	}
 	return p
-}
-
-// partitionOf selects the partition of a group key (P a power of two).
-func partitionOf(key []byte, p int) int {
-	if p <= 1 {
-		return 0
-	}
-	return int(xxhash.Sum64(key) & uint64(p-1))
-}
-
-// newPartTables allocates one hash table per partition.
-func newPartTables(p int) []map[string]*group {
-	out := make([]map[string]*group, p)
-	for i := range out {
-		out[i] = map[string]*group{}
-	}
-	return out
 }
 
 // NewGroupBy builds a hash aggregation.
@@ -130,692 +115,505 @@ func (a AggSpec) resultType() expr.SQLType {
 	}
 }
 
-// aggState is the running state of one aggregate for one group.
-type aggState struct {
-	count    int64
-	sumI     int64
-	sumF     float64
-	isFloat  bool
-	minmax   expr.Value
-	hasMM    bool
-	distinct map[string]bool
-}
-
-func (s *aggState) update(spec AggSpec, row []expr.Value) {
-	if spec.Func == CountStar {
-		s.count++
-		return
-	}
-	v := spec.Arg.Eval(row)
-	if v.Null {
-		return
-	}
-	if spec.Distinct {
-		if s.distinct == nil {
-			s.distinct = map[string]bool{}
-		}
-		s.distinct[v.GroupKey()] = true
-		return
-	}
-	s.updateVal(spec, v)
-}
-
-// updateVal folds one non-null argument value into the state — shared
-// by the row path and the batch path's generic (boxed-vector)
-// fallback, so both accumulate identically.
-func (s *aggState) updateVal(spec AggSpec, v expr.Value) {
-	switch spec.Func {
-	case Count:
-		s.count++
-	case Sum, Avg:
-		s.count++
-		switch v.Typ {
-		case expr.TBigInt:
-			s.sumI += v.I
-			s.sumF += float64(v.I)
-		case expr.TFloat:
-			s.isFloat = true
-			s.sumF += v.F
-		}
-	case Min, Max:
-		s.stepMinMax(spec, v)
-	}
-}
-
-// stepMinMax folds one candidate into the running min/max with the
-// row path's comparison (ties and incomparable values keep the
-// earlier candidate).
-func (s *aggState) stepMinMax(spec AggSpec, v expr.Value) {
-	if !s.hasMM {
-		s.minmax, s.hasMM = v, true
-		return
-	}
-	c, ok := expr.Compare(v, s.minmax)
-	if ok && ((spec.Func == Min && c < 0) || (spec.Func == Max && c > 0)) {
-		s.minmax = v
-	}
-}
-
-func (s *aggState) merge(spec AggSpec, o *aggState) {
-	s.count += o.count
-	s.sumI += o.sumI
-	s.sumF += o.sumF
-	s.isFloat = s.isFloat || o.isFloat
-	if o.hasMM {
-		if !s.hasMM {
-			s.minmax, s.hasMM = o.minmax, true
-		} else {
-			c, ok := expr.Compare(o.minmax, s.minmax)
-			if ok && ((spec.Func == Min && c < 0) || (spec.Func == Max && c > 0)) {
-				s.minmax = o.minmax
-			}
-		}
-	}
-	if o.distinct != nil {
-		if s.distinct == nil {
-			s.distinct = map[string]bool{}
-		}
-		for k := range o.distinct {
-			s.distinct[k] = true
-		}
-	}
-}
-
-func (s *aggState) result(spec AggSpec) expr.Value {
-	if spec.Distinct {
-		return expr.IntValue(int64(len(s.distinct)))
-	}
-	switch spec.Func {
-	case CountStar, Count:
-		return expr.IntValue(s.count)
-	case Sum:
-		if s.count == 0 {
-			return expr.NullValue()
-		}
-		if !s.isFloat && spec.resultType() == expr.TBigInt {
-			return expr.IntValue(s.sumI)
-		}
-		return expr.FloatValue(s.sumF)
-	case Avg:
-		if s.count == 0 {
-			return expr.NullValue()
-		}
-		return expr.FloatValue(s.sumF / float64(s.count))
-	default:
-		if !s.hasMM {
-			return expr.NullValue()
-		}
-		return s.minmax
-	}
-}
-
-type group struct {
-	keyVals []expr.Value
-	states  []aggState
-}
-
 // Inputs implements the plan-walking interface.
 func (g *GroupBy) Inputs() []Operator { return []Operator{g.In} }
 
-// aggSlots returns the input slot of every aggregate argument when
-// the whole spec list is vectorizable — global aggregation (the
-// caller checks Groups is empty) with no DISTINCT and every argument
-// a bare column reference (CountStar uses slot -1).
-func (g *GroupBy) aggSlots(width int) ([]int, bool) {
-	slots := make([]int, len(g.Aggs))
-	for i, a := range g.Aggs {
-		if a.Distinct {
-			return nil, false
+// aggKind is the state layout an aggregate needs.
+type aggKind uint8
+
+const (
+	aggCounts aggKind = iota // COUNT(*), COUNT(x), and every DISTINCT (counted from its set)
+	aggSums                  // SUM, AVG
+	aggMinMax                // MIN, MAX
+)
+
+// aggCol holds the running states of one aggregate, one entry per
+// group id, in the arrays its kind needs.
+type aggCol struct {
+	spec AggSpec
+	kind aggKind
+	cnt  []int64
+	sumI []int64
+	sumF []float64
+	isF  []bool       // a SUM declared BigInt met a float
+	mm   []expr.Value // MIN/MAX so far; a zero Value (TNull) is "none yet"
+}
+
+func newAggCol(spec AggSpec) aggCol {
+	spec.Distinct = spec.Distinct && spec.Func != CountStar
+	a := aggCol{spec: spec, kind: aggMinMax}
+	switch {
+	case spec.Distinct || spec.Func == CountStar || spec.Func == Count:
+		a.kind = aggCounts
+	case spec.Func == Sum || spec.Func == Avg:
+		a.kind = aggSums
+	}
+	return a
+}
+
+func extend[T any](s []T, n int) []T {
+	if len(s) >= n {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
+}
+
+// grow makes room for n groups.
+func (a *aggCol) grow(n int) {
+	switch a.kind {
+	case aggCounts:
+		a.cnt = extend(a.cnt, n)
+	case aggSums:
+		a.cnt, a.sumI, a.sumF, a.isF = extend(a.cnt, n), extend(a.sumI, n), extend(a.sumF, n), extend(a.isF, n)
+	default:
+		a.mm = extend(a.mm, n)
+	}
+}
+
+// add folds the selected rows (nil: all n) of the evaluated argument
+// (nil for COUNT(*)) into the states; gids[i] is row i's group (nil:
+// every row is group 0).
+func (a *aggCol) add(v *vec.Vector, sel []int32, n int, gids []int32) {
+	switch {
+	case a.kind == aggCounts:
+		vec.AddCounts(v, sel, n, gids, a.cnt)
+		return
+	case v.AllNull:
+		return
+	case a.kind == aggSums && v.Boxed == nil:
+		switch v.Type {
+		case expr.TBigInt:
+			vec.AddInts(v, sel, n, gids, a.cnt, a.sumI, a.sumF)
+		case expr.TFloat:
+			vec.AddFloats(v, sel, n, gids, a.cnt, a.sumF)
+		default: // timestamps, text, booleans are only counted
+			vec.AddCounts(v, sel, n, gids, a.cnt)
 		}
-		if a.Func == CountStar {
-			slots[i] = -1
+		return
+	}
+	isMin := a.spec.Func == Min
+	if a.kind == aggMinMax && gids == nil && v.Boxed == nil && (a.mm[0].Typ == expr.TNull || a.mm[0].Typ == v.Type) {
+		// Keyless MIN/MAX over a typed numeric vector: one kernel pass
+		// seeded with the running value.
+		switch cur := &a.mm[0]; {
+		case v.Ints != nil:
+			if x, ok := vec.MinMax(v, v.Ints, sel, n, isMin, cur.I, cur.Typ != expr.TNull); ok {
+				*cur = expr.Value{Typ: v.Type, I: x}
+			}
+			return
+		case v.Floats != nil:
+			if x, ok := vec.MinMax(v, v.Floats, sel, n, isMin, cur.F, cur.Typ != expr.TNull); ok {
+				*cur = expr.Value{Typ: v.Type, F: x}
+			}
+			return
+		}
+	}
+	if sel == nil {
+		sel = vec.Iota(n)
+	}
+	gid := func(i int32) int32 {
+		if gids == nil {
+			return 0
+		}
+		return gids[i]
+	}
+	if a.kind == aggSums {
+		// Boxed cells of a type other than the declared one: fold what
+		// is numeric, count the rest.
+		for _, i := range sel {
+			x, g := &v.Boxed[i], gid(i)
+			switch {
+			case x.Null:
+				continue
+			case x.Typ == expr.TBigInt:
+				a.sumI[g] += x.I
+				a.sumF[g] += float64(x.I)
+			case x.Typ == expr.TFloat:
+				a.isF[g] = true
+				a.sumF[g] += x.F
+			}
+			a.cnt[g]++
+		}
+		return
+	}
+	// MIN/MAX: a strictly better candidate replaces the running value;
+	// ties and incomparable values keep the earlier one.
+	for _, i := range sel {
+		if v.IsNull(int(i)) {
 			continue
 		}
-		col, ok := a.Arg.(*expr.Col)
-		if !ok || col.Idx < 0 || col.Idx >= width {
-			return nil, false
-		}
-		slots[i] = col.Idx
-	}
-	return slots, true
-}
-
-// runBatchAgg is the vectorized global-aggregation path: aggregate
-// kernels loop directly over each batch's typed column slices into
-// per-worker states, merged at the end exactly like the row path's
-// per-worker tables.
-func (g *GroupBy) runBatchAgg(in BatchOperator, slots []int, workers int, emit EmitFunc) {
-	// One state vector per worker; the merge is an O(workers × nAggs)
-	// fold with no keys to partition, so it stays serial by design.
-	g.lastPartitions.Store(1)
-	states := make([][]aggState, workers+1)
-	for i := range states {
-		states[i] = make([]aggState, len(g.Aggs))
-	}
-	overflow := make([]aggState, len(g.Aggs))
-	var mu sync.Mutex // guards overflow (unexpected worker ids)
-	var kernels atomic.Int64
-	in.RunBatches(workers, func(w int, b *vec.Batch) {
-		var sts []aggState
-		if w >= 0 && w < len(states) {
-			sts = states[w]
-		} else {
-			mu.Lock()
-			defer mu.Unlock()
-			sts = overflow
-		}
-		dispatched := 0
-		for ai := range g.Aggs {
-			spec := g.Aggs[ai]
-			st := &sts[ai]
-			if spec.Func == CountStar {
-				st.count += int64(b.Rows())
+		cur := &a.mm[gid(i)]
+		switch {
+		case cur.Typ == expr.TNull:
+		case v.Boxed == nil && cur.Typ == v.Type && v.Ints != nil:
+			if x := v.Ints[i]; x != cur.I && (x < cur.I) == isMin {
+				cur.I = x
+			}
+			continue
+		case v.Boxed == nil && cur.Typ == v.Type && v.Floats != nil:
+			if x := v.Floats[i]; (isMin && x < cur.F) || (!isMin && x > cur.F) {
+				cur.F = x
+			}
+			continue
+		default:
+			if c, ok := vec.CompareCellValue(v, int(i), *cur); !ok || c == 0 || (c < 0) != isMin {
 				continue
 			}
-			if updateAggFromVector(st, spec, &b.Cols[slots[ai]], b.Sel, b.Len) {
-				dispatched++
-			}
 		}
-		if dispatched > 0 {
-			kernels.Add(int64(dispatched))
-		}
-	})
-	obs.KernelDispatches.Add(kernels.Load())
-
-	final := make([]aggState, len(g.Aggs))
-	for _, sts := range append(states, overflow) {
-		for i := range g.Aggs {
-			final[i].merge(g.Aggs[i], &sts[i])
-		}
-	}
-	out := make([]expr.Value, len(g.Aggs))
-	for i := range g.Aggs {
-		out[i] = final[i].result(g.Aggs[i])
-	}
-	emit(0, out)
-}
-
-// updateAggFromVector folds a whole vector into one aggregate state,
-// using a typed kernel when the vector's backing allows (reported by
-// the return value) and a cell-boxing loop otherwise.
-func updateAggFromVector(st *aggState, spec AggSpec, v *vec.Vector, sel []int32, n int) bool {
-	if v.AllNull {
-		return false
-	}
-	if v.Boxed == nil {
-		switch spec.Func {
-		case Count:
-			st.count += vec.CountNotNull(v, sel, n)
-			return true
-		case Sum, Avg:
-			switch v.Type {
-			case expr.TBigInt:
-				r := vec.SumInts(v, sel, n)
-				st.count += r.Count
-				st.sumI += r.Sum
-				st.sumF += r.FSum
-				return true
-			case expr.TFloat:
-				r := vec.SumFloats(v, sel, n)
-				st.count += r.Count
-				st.sumF += r.Sum
-				if r.Count > 0 {
-					st.isFloat = true
-				}
-				return true
-			case expr.TTimestamp, expr.TText, expr.TBool:
-				// The row path only counts these (no numeric sum).
-				st.count += vec.CountNotNull(v, sel, n)
-				return true
-			}
-		case Min, Max:
-			switch v.Type {
-			case expr.TBigInt, expr.TTimestamp:
-				if x, ok := vec.MinMaxInts(v, sel, n, spec.Func == Min); ok {
-					val := expr.IntValue(x)
-					if v.Type == expr.TTimestamp {
-						val = expr.TimestampValue(x)
-					}
-					st.stepMinMax(spec, val)
-				}
-				return true
-			case expr.TFloat:
-				if x, ok := vec.MinMaxFloats(v, sel, n, spec.Func == Min); ok {
-					st.stepMinMax(spec, expr.FloatValue(x))
-				}
-				return true
-			case expr.TText:
-				minMaxStrs(st, spec, v, sel, n)
-				return true
-			}
-		}
-	}
-	// Generic fallback: box each selected cell, then the row-path
-	// update logic.
-	if sel != nil {
-		for _, i := range sel {
-			if x := v.Value(int(i)); !x.Null {
-				st.updateVal(spec, x)
-			}
-		}
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if x := v.Value(i); !x.Null {
-			st.updateVal(spec, x)
-		}
-	}
-	return false
-}
-
-// minMaxStrs scans a text vector for its min/max without boxing: it
-// tracks the best row index by byte comparison and boxes once at the
-// end. Strict comparisons keep the earliest row on ties, matching the
-// row path.
-func minMaxStrs(st *aggState, spec AggSpec, v *vec.Vector, sel []int32, n int) {
-	best := -1
-	step := func(i int) {
-		if v.IsNull(i) {
-			return
-		}
-		if best < 0 {
-			best = i
-			return
-		}
-		c := bytes.Compare(v.StrAt(i), v.StrAt(best))
-		if (spec.Func == Min && c < 0) || (spec.Func == Max && c > 0) {
-			best = i
-		}
-	}
-	if sel != nil {
-		for _, i := range sel {
-			step(int(i))
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			step(i)
-		}
-	}
-	if best >= 0 {
-		st.stepMinMax(spec, v.Value(best))
+		*cur = v.Value(int(i))
 	}
 }
 
-// Run implements Operator.
-func (g *GroupBy) Run(workers int, emit EmitFunc) {
-	// Global aggregation over a batch-capable input with column-slot
-	// arguments takes the all-vectorized path: no rows are ever boxed
-	// between the tile columns and the aggregate states.
-	if len(g.Groups) == 0 {
-		if in, ok := AsBatch(g.In); ok {
-			if slots, ok := g.aggSlots(len(g.In.Columns())); ok {
-				g.runBatchAgg(in, slots, workers, emit)
+// merge folds group s of o into group d.
+func (a *aggCol) merge(d int, o *aggCol, s int) {
+	switch {
+	case a.spec.Distinct:
+	case a.kind == aggCounts:
+		a.cnt[d] += o.cnt[s]
+	case a.kind == aggSums:
+		a.cnt[d] += o.cnt[s]
+		a.sumI[d] += o.sumI[s]
+		a.sumF[d] += o.sumF[s]
+		a.isF[d] = a.isF[d] || o.isF[s]
+	case o.mm[s].Typ != expr.TNull:
+		if cur := a.mm[d]; cur.Typ != expr.TNull {
+			c, ok := expr.Compare(o.mm[s], cur)
+			if !ok || (a.spec.Func == Min) != (c < 0) || c == 0 {
 				return
 			}
 		}
+		a.mm[d] = o.mm[s]
 	}
-	// Single text group key over a batch-capable input: dictionary
-	// batches aggregate into a code-indexed array (dict_groupby.go).
-	if g.tryBatchGroupBy(workers, emit) {
-		return
-	}
-	// One table set per worker id, preallocated so the per-row path
-	// is lock-free (ids are bounded by the requested parallelism);
-	// each set is radix-partitioned by key hash so the merge phase can
-	// fold partitions in parallel. Unexpected ids share a
-	// mutex-guarded overflow set.
-	P := aggPartitionCount(workers)
-	tables := make([][]map[string]*group, workers+1)
-	for i := range tables {
-		tables[i] = newPartTables(P)
-	}
-	overflow := newPartTables(P)
-	var mu sync.Mutex
-
-	g.In.Run(workers, func(w int, row []expr.Value) {
-		var parts []map[string]*group
-		if w >= 0 && w < len(tables) {
-			parts = tables[w]
-		} else {
-			mu.Lock()
-			defer mu.Unlock()
-			parts = overflow
-		}
-		var keyB []byte
-		keyVals := make([]expr.Value, len(g.Groups))
-		for i, e := range g.Groups {
-			keyVals[i] = e.Eval(row)
-			keyB = append(keyB, keyVals[i].GroupKey()...)
-			keyB = append(keyB, 0)
-		}
-		t := parts[partitionOf(keyB, P)]
-		grp, ok := t[string(keyB)]
-		if !ok {
-			grp = &group{keyVals: keyVals, states: make([]aggState, len(g.Aggs))}
-			t[string(keyB)] = grp
-		}
-		for i := range g.Aggs {
-			grp.states[i].update(g.Aggs[i], row)
-		}
-	})
-
-	g.finishPartitioned(append(tables, overflow), workers, emit)
 }
 
-// finishPartitioned merges the per-worker partition table sets and
-// emits the groups in deterministic (sorted key) order — the shared
-// tail of the row path and the dictionary batch path. Equal keys land
-// in the same partition by construction, so partitions merge
-// independently (in parallel when workers and partitions allow) and
-// the globally sorted order is the k-way merge of the per-partition
-// sorted runs. Per-key merge order stays worker-ascending, exactly
-// like the serial fold.
-func (g *GroupBy) finishPartitioned(workerParts [][]map[string]*group, workers int, emit EmitFunc) {
-	P := len(workerParts[0])
-	g.lastPartitions.Store(int64(P))
-	type partRun struct {
-		keys   []string
-		groups map[string]*group
+func (a *aggCol) result(g int) expr.Value {
+	switch {
+	case a.kind == aggCounts:
+		return expr.IntValue(a.cnt[g])
+	case a.kind == aggMinMax && a.mm[g].Typ != expr.TNull:
+		return a.mm[g]
+	case a.kind == aggMinMax || a.cnt[g] == 0:
+		return expr.NullValue()
+	case a.spec.Func == Avg:
+		return expr.FloatValue(a.sumF[g] / float64(a.cnt[g]))
+	case !a.isF[g] && a.spec.resultType() == expr.TBigInt:
+		return expr.IntValue(a.sumI[g])
 	}
-	runs := make([]partRun, P)
-	mergeOne := func(p int) {
-		merged := map[string]*group{}
-		for _, parts := range workerParts {
-			for key, grp := range parts[p] {
-				if m, ok := merged[key]; ok {
-					for i := range g.Aggs {
-						m.states[i].merge(g.Aggs[i], &grp.states[i])
-					}
-				} else {
-					merged[key] = grp
+	return expr.FloatValue(a.sumF[g])
+}
+
+// groupTable is one set of groups: the typed hash table over the key
+// columns plus the aggregate states, both indexed by group id. The
+// DISTINCT set of an aggregate is a groupTable without aggregates,
+// keyed by (group id, argument).
+type groupTable struct {
+	keys    []*vec.Builder
+	keyVecs []*vec.Vector
+	table   keyTable
+	aggs    []aggCol
+	sets    []*groupTable // per aggregate; nil unless DISTINCT
+	// Per-batch scratch of assign.
+	hashes   []uint64
+	gids     []int32
+	codeGids []int32
+}
+
+func newGroupTable(keyTypes []expr.SQLType, aggs []AggSpec) *groupTable {
+	t := &groupTable{aggs: make([]aggCol, len(aggs)), sets: make([]*groupTable, len(aggs))}
+	t.table.init(0)
+	for _, kt := range keyTypes {
+		b := vec.NewBuilder(kt)
+		t.keys, t.keyVecs = append(t.keys, b), append(t.keyVecs, &b.Vec)
+	}
+	for i, spec := range aggs {
+		t.aggs[i] = newAggCol(spec)
+		if t.aggs[i].spec.Distinct {
+			t.sets[i] = newGroupTable([]expr.SQLType{expr.TBigInt, spec.Arg.Type()}, nil)
+		}
+	}
+	if len(keyTypes) == 0 {
+		t.find(nil, 0, 0, nil) // global aggregation: one group, even over no input
+	}
+	return t
+}
+
+func (t *groupTable) groups() int { return len(t.table.hashes) }
+
+// find returns the id of the group whose key is row i of keys (hash
+// h), adding the group when it is new.
+func (t *groupTable) find(keys []*vec.Vector, i int, h uint64, eq func(i, row int) bool) int {
+	row, slot := t.table.lookup(h, i, eq)
+	if row < 0 {
+		row = t.table.add(slot, h)
+		for k, b := range t.keys {
+			b.AppendCell(keys[k], i)
+		}
+		for a := range t.aggs {
+			t.aggs[a].grow(row + 1)
+		}
+	}
+	return row
+}
+
+// maxDictCombos bounds the per-batch code → group cache of assign.
+const maxDictCombos = 4096
+
+// dictCombos returns how many code combinations the key vectors have
+// when all of them are dictionary vectors, 0 when one is not or the
+// combinations exceed maxDictCombos.
+func dictCombos(keys []*vec.Vector) int {
+	combos := 1
+	for _, v := range keys {
+		if !v.Dict || v.Boxed != nil {
+			return 0
+		}
+		if combos *= v.DictLen() + 1; combos > maxDictCombos {
+			return 0
+		}
+	}
+	return combos
+}
+
+// assign returns, for a batch of n physical rows, each selected row's
+// group id (positional; valid until the next assign). Dictionary
+// codes are one more key encoding: when every key vector is a
+// dictionary vector and there are at least two rows per code
+// combination, a row's combined code indexes a per-batch cache of
+// group ids, so the table is consulted once per combination instead
+// of once per row.
+func (t *groupTable) assign(keys []*vec.Vector, sel []int32, n int) []int32 {
+	if cap(t.gids) < n {
+		t.hashes, t.gids = make([]uint64, n), make([]int32, n)
+	}
+	hashes, gids := t.hashes[:n], t.gids[:n]
+	eq := vec.KeyEq(keys, t.keyVecs)
+	combos := dictCombos(keys)
+	if combos == 0 || 2*combos > len(sel) {
+		vec.HashKeys(keys, sel, hashes)
+		for _, i := range sel {
+			gids[i] = int32(t.find(keys, int(i), hashes[i], eq))
+		}
+		return gids
+	}
+	obs.DictGroupByFastpath.Inc()
+	t.codeGids = extend(t.codeGids[:0], combos) // group id + 1; 0 = not looked up yet
+	for _, i := range sel {
+		code := 0
+		for _, v := range keys {
+			c := v.DictLen() // the NULL code
+			if !v.IsNull(int(i)) {
+				c = int(v.CodeAt(int(i)))
+			}
+			code = code*(v.DictLen()+1) + c
+		}
+		g := t.codeGids[code]
+		if g == 0 {
+			g = int32(t.find(keys, int(i), vec.HashRow(keys, int(i)), eq)) + 1
+			t.codeGids[code] = g
+		}
+		gids[i] = g - 1
+	}
+	return gids
+}
+
+// gbWorker is one worker's grouping state.
+type gbWorker struct {
+	t          *groupTable
+	keys, args *evaluator
+	// DISTINCT: the (group id, argument) key of the set tables.
+	gid64   vec.Vector
+	setKeys []*vec.Vector
+	setSel  []int32
+}
+
+// consume groups one batch and folds it into the aggregate states.
+func (w *gbWorker) consume(b *vec.Batch) {
+	sel, n := b.Selected(), b.Len
+	var gids []int32
+	if len(w.t.keys) > 0 {
+		gids = w.t.assign(w.keys.eval(b), sel, n)
+	}
+	args := w.args.eval(b)
+	for a := range w.t.aggs {
+		col := &w.t.aggs[a]
+		v := args[a]
+		if !col.spec.Distinct {
+			col.add(v, b.Sel, n, gids) // a nil selection keeps the kernels' dense loops
+			continue
+		}
+		w.gid64.Ints = extend(w.gid64.Ints[:0], n)
+		if gids != nil {
+			for _, i := range sel {
+				w.gid64.Ints[i] = int64(gids[i])
+			}
+		}
+		w.setKeys = append(w.setKeys[:0], &w.gid64, v)
+		w.setSel = vec.NotNullSel(w.setKeys[1:], sel, w.setSel[:0])
+		w.t.sets[a].assign(w.setKeys, w.setSel, n)
+	}
+}
+
+// RunBatches implements Operator.
+func (g *GroupBy) RunBatches(workers int, emit BatchEmitFunc) {
+	keyTypes := make([]expr.SQLType, len(g.Groups))
+	for i, e := range g.Groups {
+		keyTypes[i] = e.Type()
+	}
+	argExprs := make([]expr.Expr, len(g.Aggs))
+	for i, a := range g.Aggs {
+		argExprs[i] = a.Arg
+	}
+	keys, args := compileAll(g.Groups), compileAll(argExprs)
+	ws := perWorker(workers, func() *gbWorker {
+		return &gbWorker{t: newGroupTable(keyTypes, g.Aggs), keys: newEvaluator(keys), args: newEvaluator(args),
+			gid64: vec.Vector{Type: expr.TBigInt}}
+	})
+	g.In.RunBatches(workers, func(w int, b *vec.Batch) { ws[w].consume(b) })
+
+	// One worker's table is final as it is; several are merged
+	// partition by partition (a keyless aggregation has one group,
+	// hence one partition).
+	parts := []*groupTable{ws[0].t}
+	if len(ws) > 1 {
+		P := 1
+		if len(g.Groups) > 0 {
+			P = aggPartitionCount(workers)
+		}
+		parts = make([]*groupTable, P)
+		tables := make([]*groupTable, len(ws))
+		for i, w := range ws {
+			tables[i] = w.t
+		}
+		runPartitions(P, workers, func(p int) { parts[p] = mergePartition(tables, keyTypes, g.Aggs, p, P) })
+	}
+	g.lastPartitions.Store(int64(len(parts)))
+	g.emitInKeyOrder(parts, emit)
+}
+
+// emitInKeyOrder sorts each partition's groups by key and k-way
+// merges the partitions into one output batch.
+func (g *GroupBy) emitInKeyOrder(parts []*groupTable, emit BatchEmitFunc) {
+	orders := make([][]int32, len(parts))
+	for p, t := range parts {
+		for a, set := range t.sets {
+			if set != nil { // a DISTINCT count is its set's entries per group
+				for _, gid := range set.keyVecs[0].Ints {
+					t.aggs[a].cnt[gid]++
 				}
 			}
 		}
-		keys := make([]string, 0, len(merged))
-		for k := range merged {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		runs[p] = partRun{keys: keys, groups: merged}
+		orders[p] = slices.Clone(vec.Iota(t.groups()))
+		slices.SortFunc(orders[p], func(x, y int32) int { return compareGroups(t, int(x), t, int(y)) })
 	}
-	if mergeWorkers := min(P, workers); mergeWorkers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(mergeWorkers)
-		for i := 0; i < mergeWorkers; i++ {
-			go func() {
-				defer wg.Done()
-				for {
-					p := int(next.Add(1)) - 1
-					if p >= P {
-						return
-					}
-					mergeOne(p)
-				}
-			}()
-		}
-		wg.Wait()
-		obs.AggPartitionedMerges.Inc()
-	} else {
-		for p := 0; p < P; p++ {
-			mergeOne(p)
-		}
+	cols := g.Columns()
+	out := make([]*vec.Builder, len(cols))
+	for c := range cols {
+		out[c] = vec.NewBuilder(cols[c].Type)
 	}
-
 	total := 0
-	for _, r := range runs {
-		total += len(r.keys)
-	}
-	// Global aggregation with zero groups over empty input still
-	// yields one row (SQL semantics for e.g. SELECT count(*)).
-	if len(g.Groups) == 0 && total == 0 {
-		states := make([]aggState, len(g.Aggs))
-		out := make([]expr.Value, len(g.Aggs))
-		for i := range g.Aggs {
-			out[i] = states[i].result(g.Aggs[i])
-		}
-		emit(0, out)
-		return
-	}
-
-	// K-way merge of the sorted partition runs: deterministic global
-	// key order without re-sorting the union.
-	idx := make([]int, P)
-	out := make([]expr.Value, len(g.Groups)+len(g.Aggs))
-	for n := 0; n < total; n++ {
+	for next := make([]int, len(parts)); ; total++ {
 		best := -1
-		for p := 0; p < P; p++ {
-			if idx[p] >= len(runs[p].keys) {
-				continue
-			}
-			if best < 0 || runs[p].keys[idx[p]] < runs[best].keys[idx[best]] {
+		for p, t := range parts {
+			if next[p] < len(orders[p]) && (best < 0 ||
+				compareGroups(t, int(orders[p][next[p]]), parts[best], int(orders[best][next[best]])) < 0) {
 				best = p
 			}
 		}
-		k := runs[best].keys[idx[best]]
-		idx[best]++
-		grp := runs[best].groups[k]
-		copy(out, grp.keyVals)
-		for i := range g.Aggs {
-			out[len(g.Groups)+i] = grp.states[i].result(g.Aggs[i])
+		if best < 0 {
+			break
 		}
-		emit(0, out)
+		t, r := parts[best], int(orders[best][next[best]])
+		next[best]++
+		for k, kv := range t.keyVecs {
+			out[k].AppendCell(kv, r)
+		}
+		for a := range t.aggs {
+			out[len(t.keys)+a].AppendValue(t.aggs[a].result(r))
+		}
 	}
-}
-
-// OrderKey is one ORDER BY key.
-type OrderKey struct {
-	E    expr.Expr
-	Desc bool
-}
-
-// OrderBy sorts the whole input (then usually feeds a Limit). When
-// Limit is positive the sort runs as a bounded top-K heap: only the K
-// best rows are retained while the input streams, so ORDER BY + LIMIT
-// never materializes the full input.
-type OrderBy struct {
-	In    Operator
-	Keys  []OrderKey
-	Limit int // > 0: keep only the first Limit rows of the sorted order
-}
-
-// NewOrderBy builds a sort.
-func NewOrderBy(in Operator, keys ...OrderKey) *OrderBy { return &OrderBy{In: in, Keys: keys} }
-
-// Columns implements Operator.
-func (o *OrderBy) Columns() []ColumnDesc { return o.In.Columns() }
-
-// Inputs implements the plan-walking interface.
-func (o *OrderBy) Inputs() []Operator { return []Operator{o.In} }
-
-// rowLess reports whether row a sorts strictly before row b (NULLS
-// FIRST ascending, flipped per-key by Desc).
-func (o *OrderBy) rowLess(a, b []expr.Value) bool {
-	for _, k := range o.Keys {
-		av := k.E.Eval(a)
-		bv := k.E.Eval(b)
-		if av.Null && bv.Null {
-			continue
-		}
-		if av.Null {
-			return !k.Desc // NULLS FIRST ascending
-		}
-		if bv.Null {
-			return k.Desc
-		}
-		c, ok := expr.Compare(av, bv)
-		if !ok || c == 0 {
-			continue
-		}
-		if k.Desc {
-			return c > 0
-		}
-		return c < 0
-	}
-	return false
-}
-
-// Run implements Operator.
-func (o *OrderBy) Run(workers int, emit EmitFunc) {
-	if o.Limit > 0 {
-		o.runTopK(workers, emit)
+	if total == 0 {
 		return
 	}
-	var mu sync.Mutex
-	var rows [][]expr.Value
-	o.In.Run(workers, func(w int, row []expr.Value) {
-		cp := append([]expr.Value(nil), row...)
-		mu.Lock()
-		rows = append(rows, cp)
-		mu.Unlock()
-	})
-	sort.SliceStable(rows, func(i, j int) bool { return o.rowLess(rows[i], rows[j]) })
-	for _, r := range rows {
-		emit(0, r)
+	batch := vec.Batch{Cols: make([]vec.Vector, len(out)), Len: total}
+	for c, b := range out {
+		batch.Cols[c] = b.Vec
 	}
+	emit(0, &batch)
 }
 
-// topKHeap is a max-heap of the K best rows seen so far (the root is
-// the worst retained row); a new row replaces the root only when it
-// sorts strictly before it. Memory is O(K) regardless of input size,
-// and each input row costs O(log K) comparisons.
-type topKHeap struct {
-	o    *OrderBy
-	k    int
-	rows [][]expr.Value
-}
-
-// worse reports whether rows[i] sorts after rows[j] — the max-heap
-// ordering that keeps the worst retained row at the root.
-func (h *topKHeap) worse(i, j int) bool { return h.o.rowLess(h.rows[j], h.rows[i]) }
-
-func (h *topKHeap) siftDown(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(h.rows) && h.worse(l, big) {
-			big = l
+// compareGroups orders group x of table a against group y of table b
+// by their keys.
+func compareGroups(a *groupTable, x int, b *groupTable, y int) int {
+	for k := range a.keyVecs {
+		if c := vec.CompareKeyCells(a.keyVecs[k], x, b.keyVecs[k], y); c != 0 {
+			return c
 		}
-		if r < len(h.rows) && h.worse(r, big) {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		h.rows[i], h.rows[big] = h.rows[big], h.rows[i]
-		i = big
 	}
+	return 0
 }
 
-// pushOwned folds one row the heap may retain without copying.
-func (h *topKHeap) pushOwned(row []expr.Value) {
-	if len(h.rows) < h.k {
-		h.rows = append(h.rows, row)
-		// Sift up.
-		for i := len(h.rows) - 1; i > 0; {
-			p := (i - 1) / 2
-			if !h.worse(i, p) {
-				break
+// runPartitions runs fn(0..P-1), in parallel when both P and workers
+// allow.
+func runPartitions(P, workers int, fn func(p int)) {
+	n := min(P, workers)
+	if n <= 1 {
+		for p := 0; p < P; p++ {
+			fn(p)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			for p := int(next.Add(1)) - 1; p < P; p = int(next.Add(1)) - 1 {
+				fn(p)
 			}
-			h.rows[i], h.rows[p] = h.rows[p], h.rows[i]
-			i = p
-		}
-		return
+		}()
 	}
-	if !h.o.rowLess(row, h.rows[0]) {
-		return // not better than the worst retained row
-	}
-	h.rows[0] = row
-	h.siftDown(0)
+	wg.Wait()
+	obs.AggPartitionedMerges.Inc()
 }
 
-// push folds one emitted row (whose backing slice is reused by the
-// producer, so it is copied first when it stands a chance of being
-// retained).
-func (h *topKHeap) push(row []expr.Value) {
-	if len(h.rows) >= h.k && !h.o.rowLess(row, h.rows[0]) {
-		return
-	}
-	h.pushOwned(append([]expr.Value(nil), row...))
-}
-
-// runTopK runs the bounded top-K sort with one lock-free heap per
-// worker; the per-worker heaps are then merged pairwise in parallel
-// (each worker's local top-K is a superset of its contribution to the
-// global top-K, so merging heaps loses nothing).
-func (o *OrderBy) runTopK(workers int, emit EmitFunc) {
-	if workers < 1 {
-		workers = 1
-	}
-	heaps := make([]*topKHeap, workers+1)
-	for i := range heaps {
-		heaps[i] = &topKHeap{o: o, k: o.Limit}
-	}
-	overflow := &topKHeap{o: o, k: o.Limit}
-	var mu sync.Mutex // guards overflow (unexpected worker ids)
-	o.In.Run(workers, func(w int, row []expr.Value) {
-		if w >= 0 && w < len(heaps) {
-			heaps[w].push(row)
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		overflow.push(row)
-	})
-	heaps = append(heaps, overflow)
-	// Parallel pairwise merge: each round folds the back half of the
-	// heap list into the front half concurrently.
-	for len(heaps) > 1 {
-		half := (len(heaps) + 1) / 2
-		var wg sync.WaitGroup
-		for i := 0; i+half < len(heaps); i++ {
-			wg.Add(1)
-			go func(dst, src *topKHeap) {
-				defer wg.Done()
-				for _, r := range src.rows {
-					dst.pushOwned(r)
+// mergePartition folds the groups of partition p (of P, a power of
+// two, by the top bits of the key hash) from every worker's table into
+// one table. Equal keys hash alike, so partitions merge independently;
+// within a group, states merge worker-ascending, which fixes the order
+// of float additions.
+func mergePartition(tables []*groupTable, keyTypes []expr.SQLType, aggs []AggSpec, p, P int) *groupTable {
+	shift := 64 - bits.TrailingZeros(uint(P))
+	m := newGroupTable(keyTypes, aggs)
+	for _, t := range tables {
+		eq := vec.KeyEq(t.keyVecs, m.keyVecs)
+		to := make([]int32, t.groups()) // t's group id → m's, -1 outside the partition
+		for r, h := range t.table.hashes {
+			to[r] = -1
+			if int(h>>shift) == p {
+				d := m.find(t.keyVecs, r, h, eq)
+				to[r] = int32(d)
+				for a := range m.aggs {
+					m.aggs[a].merge(d, &t.aggs[a], r)
 				}
-			}(heaps[i], heaps[i+half])
+			}
 		}
-		wg.Wait()
-		heaps = heaps[:half]
+		for a, set := range t.sets {
+			if set == nil {
+				continue
+			}
+			// The set's entries of this partition, re-keyed to the
+			// merged group ids.
+			n := set.groups()
+			gids, sel := vec.Vector{Type: expr.TBigInt, Ints: make([]int64, n)}, make([]int32, 0, n)
+			for e, gid := range set.keyVecs[0].Ints {
+				if d := to[gid]; d >= 0 {
+					gids.Ints[e] = int64(d)
+					sel = append(sel, int32(e))
+				}
+			}
+			m.sets[a].assign([]*vec.Vector{&gids, set.keyVecs[1]}, sel, n)
+		}
 	}
-	rows := heaps[0].rows
-	sort.SliceStable(rows, func(i, j int) bool { return o.rowLess(rows[i], rows[j]) })
-	for _, r := range rows {
-		emit(0, r)
-	}
-}
-
-// Limit passes through the first N rows (input must be serial —
-// place after OrderBy or GroupBy).
-type Limit struct {
-	In Operator
-	N  int
-}
-
-// NewLimit builds a limit.
-func NewLimit(in Operator, n int) *Limit { return &Limit{In: in, N: n} }
-
-// Columns implements Operator.
-func (l *Limit) Columns() []ColumnDesc { return l.In.Columns() }
-
-// Inputs implements the plan-walking interface.
-func (l *Limit) Inputs() []Operator { return []Operator{l.In} }
-
-// Run implements Operator.
-func (l *Limit) Run(workers int, emit EmitFunc) {
-	var mu sync.Mutex
-	seen := 0
-	l.In.Run(workers, func(w int, row []expr.Value) {
-		mu.Lock()
-		ok := seen < l.N
-		if ok {
-			seen++
-		}
-		mu.Unlock()
-		if ok {
-			emit(w, row)
-		}
-	})
+	return m
 }

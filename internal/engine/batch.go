@@ -1,265 +1,123 @@
-// Batch execution: operators that can emit column batches (typed
-// vectors + selection vector) instead of boxed rows, and the adapter
-// that turns batches back into rows so every row-at-a-time operator
-// keeps working unchanged on top of a vectorized input.
+// The two adapters between rows and batches. Rows enter the engine
+// through rowBatcher (inputs that cannot emit column vectors: row-only
+// storage formats, replayed results, sorted output) and leave it
+// through boxRow (Materialize, the top-K heap) — the only
+// place a cell becomes an expr.Value, counted in obs.RowsBoxed.
 package engine
 
 import (
-	"sync/atomic"
-
 	"repro/internal/expr"
 	"repro/internal/obs"
-	"repro/internal/storage"
 	"repro/internal/vec"
 )
 
-// BatchEmitFunc consumes batch-operator output. Like EmitFunc, it may
-// be called concurrently with distinct worker ids; the batch and its
-// vectors are reused between calls and must not be retained.
-type BatchEmitFunc func(worker int, b *vec.Batch)
-
-// BatchOperator is an operator that can additionally push column
-// batches. BatchCapable reports whether the batch path is actually
-// available for this instance (an operator type may implement the
-// interface while a particular plan — e.g. a scan over a format
-// without tiles — cannot vectorize); callers must check it before
-// RunBatches.
-type BatchOperator interface {
-	Operator
-	BatchCapable() bool
-	RunBatches(workers int, emit BatchEmitFunc)
-}
-
-// AsBatch returns op's batch interface when the batch path is
-// available for it.
-func AsBatch(op Operator) (BatchOperator, bool) {
-	b, ok := op.(BatchOperator)
-	if !ok || !b.BatchCapable() {
-		return nil, false
+// boxRow boxes physical row i of a batch into dst.
+func boxRow(b *vec.Batch, i int, dst []expr.Value) {
+	for c := range b.Cols {
+		dst[c] = b.Cols[c].Value(i)
 	}
-	return b, true
 }
 
-// RunRows drives op, taking the batch path with a batch→row adapter
-// when available and falling back to the row path otherwise. The
-// adapter boxes each selected row into a per-worker reused buffer, so
-// downstream row operators see exactly the rows a plain Run would
-// deliver.
-func RunRows(op Operator, workers int, emit EmitFunc) {
-	b, ok := AsBatch(op)
-	if !ok {
-		op.Run(workers, emit)
+// appendBoxedRows boxes a batch's selected rows into freshly allocated
+// rows (one allocation per batch) and appends them.
+func appendBoxedRows(rows [][]expr.Value, b *vec.Batch) [][]expr.Value {
+	width, sel := len(b.Cols), b.Selected()
+	cells := make([]expr.Value, len(sel)*width)
+	for k, i := range sel {
+		row := cells[k*width : (k+1)*width : (k+1)*width]
+		boxRow(b, int(i), row)
+		rows = append(rows, row)
+	}
+	obs.RowsBoxed.Add(int64(len(sel)))
+	return rows
+}
+
+// rowBatchSize is how many pushed rows make one boxed batch.
+const rowBatchSize = 1024
+
+// rowBatcher collects pushed rows into batches of boxed vectors.
+type rowBatcher struct {
+	cols  [][]expr.Value
+	batch vec.Batch
+}
+
+// newRowBatcher makes a batcher expecting about rows rows.
+func newRowBatcher(cols []ColumnDesc, rows int) *rowBatcher {
+	r := &rowBatcher{cols: make([][]expr.Value, len(cols))}
+	r.batch.Cols = make([]vec.Vector, len(cols))
+	for c := range cols {
+		r.cols[c] = make([]expr.Value, 0, min(max(rows, 1), rowBatchSize))
+		r.batch.Cols[c].Type = cols[c].Type
+	}
+	return r
+}
+
+func (r *rowBatcher) add(w int, row []expr.Value, emit BatchEmitFunc) {
+	for c := range r.cols {
+		r.cols[c] = append(r.cols[c], row[c])
+	}
+	if r.batch.Len++; r.batch.Len == rowBatchSize {
+		r.flush(w, emit)
+	}
+}
+
+func (r *rowBatcher) flush(w int, emit BatchEmitFunc) {
+	if r.batch.Len == 0 {
 		return
 	}
-	runBatchesAsRows(b, workers, emit)
+	for c := range r.cols {
+		r.batch.Cols[c].Boxed = r.cols[c]
+		r.cols[c] = r.cols[c][:0]
+	}
+	emit(w, &r.batch)
+	r.batch.Len = 0
 }
 
-func runBatchesAsRows(b BatchOperator, workers int, emit EmitFunc) {
-	width := len(b.Columns())
-	bufs := make([][]expr.Value, workers+1)
-	for i := range bufs {
-		bufs[i] = make([]expr.Value, width)
+// emitRows pushes materialized rows as boxed batches on worker 0.
+func emitRows(cols []ColumnDesc, rows [][]expr.Value, emit BatchEmitFunc) {
+	rb := newRowBatcher(cols, len(rows))
+	for _, row := range rows {
+		rb.add(0, row, emit)
 	}
-	b.RunBatches(workers, func(w int, bt *vec.Batch) {
-		row := bufs[0]
-		if w >= 0 && w < len(bufs) {
-			row = bufs[w]
-		} else {
-			row = make([]expr.Value, width)
-		}
-		emitBatchRows(bt, w, row, emit)
-	})
+	rb.flush(0, emit)
 }
 
-// emitBatchRows boxes every selected row of a batch into buf and
-// hands it to emit.
-func emitBatchRows(b *vec.Batch, w int, buf []expr.Value, emit EmitFunc) {
-	cols := b.Cols
-	if b.Sel != nil {
-		for _, i := range b.Sel {
-			for c := range cols {
-				buf[c] = cols[c].Value(int(i))
-			}
-			emit(w, buf)
+// compileAll compiles a list of expressions; a nil expression (the
+// argument of COUNT(*)) stays nil and evaluates to a nil vector.
+func compileAll(es []expr.Expr) []*vec.CompiledExpr {
+	out := make([]*vec.CompiledExpr, len(es))
+	for i, e := range es {
+		if e != nil {
+			out[i] = vec.CompileExpr(e)
 		}
-		return
 	}
-	for i := 0; i < b.Len; i++ {
-		for c := range cols {
-			buf[c] = cols[c].Value(i)
-		}
-		emit(w, buf)
-	}
+	return out
 }
 
-// BatchCapable implements BatchOperator: the scan vectorizes exactly
-// when the relation can emit batches (tile-backed formats).
-func (s *Scan) BatchCapable() bool {
-	_, ok := s.Rel.(storage.BatchScanner)
-	return ok
+// evaluator evaluates a list of compiled expressions for one worker.
+type evaluator struct {
+	exprs []*vec.CompiledExpr
+	sc    []*vec.Scratch
+	out   []*vec.Vector
 }
 
-// RunBatches implements BatchOperator. A compilable filter is applied
-// as a vectorized kernel tree narrowing each batch's selection
-// vector; a residual filter the compiler cannot handle is evaluated
-// row-wise over the batch (still building a selection, so downstream
-// batch consumers keep their typed vectors).
-func (s *Scan) RunBatches(workers int, emit BatchEmitFunc) {
-	bs := s.Rel.(storage.BatchScanner)
-	if s.Filter == nil {
-		bs.ScanBatches(s.ctx(), s.Accesses, workers, storage.BatchEmitFunc(emit), s.Stats)
-		return
+func newEvaluator(exprs []*vec.CompiledExpr) *evaluator {
+	ev := &evaluator{exprs: exprs, sc: make([]*vec.Scratch, len(exprs)), out: make([]*vec.Vector, len(exprs))}
+	for i, e := range exprs {
+		if e != nil {
+			ev.sc[i] = e.NewScratch()
+		}
 	}
-	if pred, ok := vec.Compile(s.Filter, len(s.Accesses)); ok {
-		type state struct {
-			sc *vec.Scratch
-			nb vec.Batch
-		}
-		states := make([]state, workers+1)
-		for i := range states {
-			states[i].sc = pred.NewScratch()
-		}
-		var kernelCalls atomic.Int64
-		defer func() { obs.KernelDispatches.Add(kernelCalls.Load()) }()
-		bs.ScanBatches(s.ctx(), s.Accesses, workers, func(w int, b *vec.Batch) {
-			var st *state
-			if w >= 0 && w < len(states) {
-				st = &states[w]
-			} else {
-				st = &state{sc: pred.NewScratch()} // unexpected id: private state
-			}
-			kernelCalls.Add(1)
-			out := pred.Sel(b, st.sc)
-			if len(out) == 0 {
-				return
-			}
-			st.nb = *b
-			st.nb.Sel = out
-			emit(w, &st.nb)
-		}, s.Stats)
-		return
-	}
-	// Residual filter outside the kernel grammar: evaluate per row over
-	// the batch, boxing into a per-worker row buffer.
-	type state struct {
-		row []expr.Value
-		sel []int32
-		nb  vec.Batch
-	}
-	states := make([]state, workers+1)
-	for i := range states {
-		states[i].row = make([]expr.Value, len(s.Accesses))
-	}
-	bs.ScanBatches(s.ctx(), s.Accesses, workers, func(w int, b *vec.Batch) {
-		var st *state
-		if w >= 0 && w < len(states) {
-			st = &states[w]
-		} else {
-			st = &state{row: make([]expr.Value, len(s.Accesses))}
-		}
-		sel := st.sel[:0]
-		for i := 0; i < b.Len; i++ {
-			for c := range b.Cols {
-				st.row[c] = b.Cols[c].Value(i)
-			}
-			if s.Filter.Eval(st.row).IsTrue() {
-				sel = append(sel, int32(i))
-			}
-		}
-		st.sel = sel
-		if len(sel) == 0 {
-			return
-		}
-		st.nb = *b
-		st.nb.Sel = sel
-		emit(w, &st.nb)
-	}, s.Stats)
+	return ev
 }
 
-// BatchCapable implements BatchOperator: a selection vectorizes when
-// its input does and its predicate compiles to kernels.
-func (s *Select) BatchCapable() bool {
-	in, ok := AsBatch(s.In)
-	if !ok {
-		return false
-	}
-	_, ok = vec.Compile(s.Pred, len(in.Columns()))
-	return ok
-}
-
-// RunBatches implements BatchOperator.
-func (s *Select) RunBatches(workers int, emit BatchEmitFunc) {
-	in, _ := AsBatch(s.In)
-	pred, _ := vec.Compile(s.Pred, len(in.Columns()))
-	type state struct {
-		sc *vec.Scratch
-		nb vec.Batch
-	}
-	states := make([]state, workers+1)
-	for i := range states {
-		states[i].sc = pred.NewScratch()
-	}
-	var kernelCalls atomic.Int64
-	defer func() { obs.KernelDispatches.Add(kernelCalls.Load()) }()
-	in.RunBatches(workers, func(w int, b *vec.Batch) {
-		var st *state
-		if w >= 0 && w < len(states) {
-			st = &states[w]
-		} else {
-			st = &state{sc: pred.NewScratch()}
-		}
-		kernelCalls.Add(1)
-		out := pred.Sel(b, st.sc)
-		if len(out) == 0 {
-			return
-		}
-		st.nb = *b
-		st.nb.Sel = out
-		emit(w, &st.nb)
-	})
-}
-
-// BatchCapable implements BatchOperator: a projection vectorizes when
-// it only permutes/duplicates input columns (every expression is a
-// bare column reference) over a batch-capable input.
-func (p *Project) BatchCapable() bool {
-	if _, ok := AsBatch(p.In); !ok {
-		return false
-	}
-	width := len(p.In.Columns())
-	for _, e := range p.Exprs {
-		col, ok := e.(*expr.Col)
-		if !ok || col.Idx < 0 || col.Idx >= width {
-			return false
+// eval returns one vector per expression, valid until the next eval
+// (column references alias the batch).
+func (ev *evaluator) eval(b *vec.Batch) []*vec.Vector {
+	for i, e := range ev.exprs {
+		if e != nil {
+			ev.out[i] = e.Eval(b, ev.sc[i])
 		}
 	}
-	return true
-}
-
-// RunBatches implements BatchOperator: column-permutation projections
-// shuffle vector headers, never touching the data.
-func (p *Project) RunBatches(workers int, emit BatchEmitFunc) {
-	in, _ := AsBatch(p.In)
-	slots := make([]int, len(p.Exprs))
-	for i, e := range p.Exprs {
-		slots[i] = e.(*expr.Col).Idx
-	}
-	type state struct{ nb vec.Batch }
-	states := make([]state, workers+1)
-	for i := range states {
-		states[i].nb.Cols = make([]vec.Vector, len(slots))
-	}
-	in.RunBatches(workers, func(w int, b *vec.Batch) {
-		var st *state
-		if w >= 0 && w < len(states) {
-			st = &states[w]
-		} else {
-			st = &state{nb: vec.Batch{Cols: make([]vec.Vector, len(slots))}}
-		}
-		for i, s := range slots {
-			st.nb.Cols[i] = b.Cols[s]
-		}
-		st.nb.Len, st.nb.Sel, st.nb.Base = b.Len, b.Sel, b.Base
-		emit(w, &st.nb)
-	})
+	return ev.out
 }

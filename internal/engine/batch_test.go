@@ -13,6 +13,7 @@ import (
 	"repro/internal/keypath"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/vec"
 )
 
 var conformanceKinds = []storage.FormatKind{
@@ -65,12 +66,12 @@ func sameRows(a, b []string) bool {
 	return true
 }
 
-// TestBatchRowConformanceAllFormats is the path-equality property the
-// batch execution tentpole must preserve: for random documents,
-// random accesses and several filter shapes, the vectorized path and
-// the row-at-a-time path (forced via storage.RowOnly) return
-// identical results on every storage format — including aggregate
-// values, bit for bit.
+// TestBatchRowConformanceAllFormats is the input-equality property of
+// the one operator path: for random documents, random accesses and
+// several filter shapes, a scan that gets column vectors and a scan
+// that gets rows (forced via storage.RowOnly, entering through the
+// rows→batches adapter) return identical results on every storage
+// format — including aggregate values, bit for bit.
 func TestBatchRowConformanceAllFormats(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 6; trial++ {
@@ -111,9 +112,8 @@ func TestBatchRowConformanceAllFormats(t *testing.T) {
 		}
 		accesses = append(accesses, storage.NewAccess(expr.TBigInt, "definitely", "absent"))
 
-		// Filters: none, a compilable comparison, a compilable AND/OR
-		// tree, and a NOT the kernel compiler rejects (row-eval
-		// residual path).
+		// Filters: none, a comparison, an AND/OR tree, and a NOT (pushed
+		// down to the leaves).
 		col0 := expr.NewCol(0, accesses[0].Type)
 		filters := []expr.Expr{
 			nil,
@@ -262,26 +262,22 @@ func TestBatchProjectPermutation(t *testing.T) {
 	proj := NewProject(scan, []expr.Expr{
 		expr.NewCol(1, expr.TBigInt), expr.NewCol(0, expr.TBigInt),
 	}, []string{"b", "a"})
-	if _, ok := AsBatch(Operator(proj)); !ok {
-		t.Fatal("column-permutation projection should be batch capable")
-	}
 	res := Materialize(proj, 2)
 	res.SortRows()
 	if len(res.Rows) != 48 || res.Rows[0][0].I != 100 || res.Rows[0][1].I != 0 {
 		t.Errorf("projected rows wrong: %v", res.Rows[0])
 	}
 
-	// An expression projection must fall off the batch path but still
-	// work through the adapter.
+	// An expression projection evaluates into a typed vector.
 	proj2 := NewProject(scan, []expr.Expr{
 		expr.NewArith(expr.Add, expr.NewCol(0, expr.TBigInt), expr.NewConst(expr.IntValue(1))),
 	}, []string{"a1"})
-	if _, ok := AsBatch(Operator(proj2)); ok {
-		t.Fatal("expression projection must not claim batch capability")
-	}
+	typed := true
+	proj2.RunBatches(1, func(_ int, b *vec.Batch) { typed = typed && b.Cols[0].Ints != nil })
 	res2 := Materialize(proj2, 2)
-	if len(res2.Rows) != 48 {
-		t.Errorf("adapter rows = %d", len(res2.Rows))
+	res2.SortRows()
+	if !typed || len(res2.Rows) != 48 || res2.Rows[0][0].I != 1 || res2.Rows[47][0].I != 48 {
+		t.Errorf("expression projection: typed=%v rows=%d", typed, len(res2.Rows))
 	}
 }
 
@@ -295,9 +291,6 @@ func TestSelectBatchPath(t *testing.T) {
 	rel := loadKind(t, storage.KindTiles, lines)
 	scan := NewScan(rel, []storage.Access{storage.NewAccess(expr.TBigInt, "a")}, nil, nil)
 	sel := NewSelect(scan, expr.NewCmp(expr.GE, expr.NewCol(0, expr.TBigInt), expr.NewConst(expr.IntValue(30))))
-	if _, ok := AsBatch(Operator(sel)); !ok {
-		t.Fatal("select over batch scan with compilable pred should vectorize")
-	}
 	if n := CountRows(sel, 2); n != 10 {
 		t.Errorf("CountRows = %d", n)
 	}

@@ -9,10 +9,9 @@ import (
 	"repro/internal/storage"
 )
 
-// Microbenchmarks comparing the row-at-a-time and vectorized
-// execution paths over the same tile-backed relation. The row path is
-// forced with storage.RowOnly; the vectorized path is what Scan takes
-// by default over tiles.
+// Microbenchmarks of the operators over one tile-backed relation, fed
+// column vectors (what Scan gets over tiles) and fed rows through the
+// rows→batches adapter (forced with storage.RowOnly).
 
 const benchRows = 50_000
 
@@ -150,4 +149,51 @@ func BenchmarkFilterGroupByRow(b *testing.B) {
 func BenchmarkFilterGroupByVec(b *testing.B) {
 	vec, _ := benchRelation(b)
 	runFilterGroupBy(b, vec)
+}
+
+// BenchmarkHashJoinBatch probes 50 K rows against a 1000-key build side
+// with one match each: the aliased-probe shape of the inner join.
+func BenchmarkHashJoinBatch(b *testing.B) {
+	rel, _ := benchRelation(b)
+	key := storage.NewAccess(expr.TBigInt, "a")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		build := NewGroupBy(NewScan(rel, []storage.Access{key}, nil, nil),
+			[]expr.Expr{expr.NewCol(0, expr.TBigInt)}, []string{"a"}, []AggSpec{{Func: CountStar, Name: "n"}})
+		join := NewHashJoin(build, NewScan(rel, benchAccesses(), nil, nil), []int{0}, []int{0}, InnerJoin)
+		if n := CountRows(join, 1); n != benchRows {
+			b.Fatalf("join rows = %d", n)
+		}
+	}
+}
+
+// BenchmarkGroupByTyped groups 50 K rows by (int, text) into 1000
+// groups with an arithmetic aggregate argument.
+func BenchmarkGroupByTyped(b *testing.B) {
+	rel, _ := benchRelation(b)
+	accs := append(benchAccesses(), storage.NewAccess(expr.TText, "s"))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		gb := NewGroupBy(NewScan(rel, accs, nil, nil),
+			[]expr.Expr{expr.NewCol(2, expr.TBigInt), expr.NewCol(3, expr.TText)}, []string{"g", "s"},
+			[]AggSpec{{Func: Sum, Name: "v", Arg: expr.NewArith(expr.Mul, expr.NewCol(1, expr.TFloat),
+				expr.NewArith(expr.Sub, expr.NewConst(expr.FloatValue(1)), expr.NewCol(1, expr.TFloat)))}})
+		if n := CountRows(gb, 1); n != 100 {
+			b.Fatalf("groups = %d", n)
+		}
+	}
+}
+
+// BenchmarkTopKBatch keeps the 100 largest of 50 K rows.
+func BenchmarkTopKBatch(b *testing.B) {
+	rel, _ := benchRelation(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		top := NewOrderBy(NewScan(rel, benchAccesses(), nil, nil),
+			OrderKey{E: expr.NewCol(1, expr.TFloat), Desc: true}, OrderKey{E: expr.NewCol(0, expr.TBigInt)})
+		top.Limit = 100
+		if n := CountRows(top, 1); n != 100 {
+			b.Fatalf("top rows = %d", n)
+		}
+	}
 }

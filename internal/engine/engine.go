@@ -1,16 +1,16 @@
 // Package engine implements the relational operators the evaluation
 // queries run on: table scans with pushed-down JSON access expressions
 // (paper §4.2), selections, projections, hash joins, hash aggregation,
-// sorting and limits. Scans parallelize morsel-style over tiles (or
-// row ranges); stateful operators keep per-worker state and merge, so
-// the scalability experiment (Figure 8) sweeps one knob.
+// sorting and limits. Operators exchange column batches (typed vectors
+// plus a selection vector); cells are boxed into expr.Value rows only
+// where a result leaves the engine. Scans parallelize morsel-style
+// over tiles (or row ranges); stateful operators keep per-worker state
+// and merge, so the scalability experiment (Figure 8) sweeps one knob.
 package engine
 
 import (
 	"context"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -24,15 +24,27 @@ type ColumnDesc struct {
 	Type expr.SQLType
 }
 
-// EmitFunc consumes operator output. Implementations may be called
-// concurrently with distinct worker ids; the row slice is reused and
-// must be copied if retained.
-type EmitFunc func(worker int, row []expr.Value)
+// BatchEmitFunc consumes operator output. It may be called
+// concurrently with distinct worker ids; the batch and its vectors are
+// reused between calls and must not be retained or written.
+type BatchEmitFunc func(worker int, b *vec.Batch)
 
-// Operator is a push-based relational operator.
+// Operator is a push-based relational operator over column batches.
+// RunBatches passes emit worker ids in [0, max(workers, 1)) — the
+// scan's contract, which every operator forwards — so consumers index
+// per-worker state without a lock.
 type Operator interface {
 	Columns() []ColumnDesc
-	Run(workers int, emit EmitFunc)
+	RunBatches(workers int, emit BatchEmitFunc)
+}
+
+// perWorker makes one T per worker id.
+func perWorker[T any](workers int, mk func() T) []T {
+	out := make([]T, max(workers, 1))
+	for i := range out {
+		out[i] = mk()
+	}
+	return out
 }
 
 // Scan reads a relation with pushed-down accesses and an optional
@@ -100,24 +112,57 @@ func (s *Scan) Columns() []ColumnDesc {
 // Inputs implements the plan-walking interface (a scan is a leaf).
 func (s *Scan) Inputs() []Operator { return nil }
 
-// Run implements Operator. Over a batch-capable relation the scan
-// takes the vectorized path (kernel-filtered column batches) and
-// adapts back to rows, so row-at-a-time consumers transparently
-// benefit; other formats scan row-wise as before.
-func (s *Scan) Run(workers int, emit EmitFunc) {
-	if s.BatchCapable() {
-		runBatchesAsRows(s, workers, emit)
+// BatchCapable reports whether the relation hands out column vectors
+// (tile-backed formats); other formats are scanned row-wise and enter
+// through the rows→batches adapter.
+func (s *Scan) BatchCapable() bool {
+	_, ok := s.Rel.(storage.BatchScanner)
+	return ok
+}
+
+// RunBatches implements Operator; the residual filter narrows each
+// batch's selection vector.
+func (s *Scan) RunBatches(workers int, emit BatchEmitFunc) {
+	if s.Filter != nil {
+		emit = filterEmit(s.Filter, len(s.Accesses), workers, emit)
+	}
+	if bs, ok := s.Rel.(storage.BatchScanner); ok {
+		bs.ScanBatches(s.ctx(), s.Accesses, workers, storage.BatchEmitFunc(emit), s.Stats)
 		return
 	}
-	if s.Filter == nil {
-		storage.ScanWith(s.ctx(), s.Rel, s.Accesses, workers, storage.EmitFunc(emit), s.Stats)
-		return
-	}
+	cols := s.Columns()
+	bats := perWorker(workers, func() *rowBatcher { return newRowBatcher(cols, rowBatchSize) })
 	storage.ScanWith(s.ctx(), s.Rel, s.Accesses, workers, func(w int, row []expr.Value) {
-		if s.Filter.Eval(row).IsTrue() {
-			emit(w, row)
-		}
+		bats[w].add(w, row, emit)
 	}, s.Stats)
+	for w, rb := range bats {
+		rb.flush(w, emit)
+	}
+}
+
+// filterEmit wraps emit so that it only sees the rows of each batch
+// for which pred is TRUE.
+func filterEmit(pred expr.Expr, width, workers int, emit BatchEmitFunc) BatchEmitFunc {
+	p, ok := vec.Compile(pred, width)
+	if !ok {
+		panic("engine: predicate reads a column outside its input")
+	}
+	type state struct {
+		sc *vec.Scratch
+		nb vec.Batch
+	}
+	states := perWorker(workers, func() state { return state{sc: p.NewScratch()} })
+	return func(w int, b *vec.Batch) {
+		st := &states[w]
+		obs.KernelDispatches.Inc()
+		out := p.Sel(b, st.sc)
+		if len(out) == 0 {
+			return
+		}
+		st.nb = *b
+		st.nb.Sel = out
+		emit(w, &st.nb)
+	}
 }
 
 // Select filters rows by a predicate.
@@ -135,13 +180,9 @@ func (s *Select) Columns() []ColumnDesc { return s.In.Columns() }
 // Inputs implements the plan-walking interface.
 func (s *Select) Inputs() []Operator { return []Operator{s.In} }
 
-// Run implements Operator.
-func (s *Select) Run(workers int, emit EmitFunc) {
-	s.In.Run(workers, func(w int, row []expr.Value) {
-		if s.Pred.Eval(row).IsTrue() {
-			emit(w, row)
-		}
-	})
+// RunBatches implements Operator.
+func (s *Select) RunBatches(workers int, emit BatchEmitFunc) {
+	s.In.RunBatches(workers, filterEmit(s.Pred, len(s.In.Columns()), workers, emit))
 }
 
 // Project computes output expressions.
@@ -172,219 +213,48 @@ func (p *Project) Columns() []ColumnDesc {
 // Inputs implements the plan-walking interface.
 func (p *Project) Inputs() []Operator { return []Operator{p.In} }
 
-// Run implements Operator.
-func (p *Project) Run(workers int, emit EmitFunc) {
-	// One output buffer per worker id, preallocated: worker ids are
-	// bounded by the requested parallelism in every operator, so the
-	// hot path is lock-free. Unexpected ids get a private buffer.
-	bufs := make([][]expr.Value, workers+1)
-	for i := range bufs {
-		bufs[i] = make([]expr.Value, len(p.Exprs))
+// RunBatches implements Operator: column references shuffle vector
+// headers, other expressions evaluate into per-worker vectors.
+func (p *Project) RunBatches(workers int, emit BatchEmitFunc) {
+	exprs := compileAll(p.Exprs)
+	type state struct {
+		ev *evaluator
+		nb vec.Batch
 	}
-	p.In.Run(workers, func(w int, row []expr.Value) {
-		var out []expr.Value
-		if w >= 0 && w < len(bufs) {
-			out = bufs[w]
-		} else {
-			out = make([]expr.Value, len(p.Exprs))
+	states := perWorker(workers, func() state { return state{ev: newEvaluator(exprs)} })
+	p.In.RunBatches(workers, func(w int, b *vec.Batch) {
+		st := &states[w]
+		st.nb = vec.Batch{Cols: st.nb.Cols[:0], Len: b.Len, Sel: b.Sel, Base: b.Base}
+		for _, v := range st.ev.eval(b) {
+			st.nb.Cols = append(st.nb.Cols, *v)
 		}
-		for i, e := range p.Exprs {
-			out[i] = e.Eval(row)
-		}
-		emit(w, out)
+		emit(w, &st.nb)
 	})
 }
 
-// JoinType selects hash-join semantics.
-type JoinType uint8
-
-// Join types. Build side is Left; probe side is Right. Inner emits
-// probe++build columns; Semi and Anti emit only probe columns; Outer
-// (left-outer over the probe side) emits probe++build with NULL build
-// columns for unmatched probes.
-const (
-	InnerJoin JoinType = iota
-	SemiJoin
-	AntiJoin
-	OuterJoin
-)
-
-// HashJoin joins Right (probe) against Left (build) on equi-keys.
-type HashJoin struct {
-	Left, Right         Operator // build, probe
-	LeftKeys, RightKeys []int    // slot indexes
-	Type                JoinType
-}
-
-// NewHashJoin builds a hash join.
-func NewHashJoin(build, probe Operator, buildKeys, probeKeys []int, jt JoinType) *HashJoin {
-	return &HashJoin{Left: build, Right: probe, LeftKeys: buildKeys, RightKeys: probeKeys, Type: jt}
-}
-
-// Columns implements Operator.
-func (j *HashJoin) Columns() []ColumnDesc {
-	probe := j.Right.Columns()
-	switch j.Type {
-	case SemiJoin, AntiJoin:
-		return probe
-	default:
-		return append(append([]ColumnDesc{}, probe...), j.Left.Columns()...)
-	}
-}
-
-// Inputs implements the plan-walking interface (build side first).
-func (j *HashJoin) Inputs() []Operator { return []Operator{j.Left, j.Right} }
-
-// Run implements Operator.
-func (j *HashJoin) Run(workers int, emit EmitFunc) {
-	// Build phase: each worker accumulates (key, row) pairs locally —
-	// no lock on the per-row path — and the hash table is assembled
-	// sequentially afterwards. Unexpected worker ids fall back to a
-	// mutex-protected overflow partition.
-	type buildEntry struct {
-		key string
-		row []expr.Value
-	}
-	parts := make([][]buildEntry, workers+1)
-	var overflowMu sync.Mutex
-	var overflow []buildEntry
-	j.Left.Run(workers, func(w int, row []expr.Value) {
-		key, ok := joinKey(row, j.LeftKeys)
-		if !ok {
-			return // NULL keys never match
-		}
-		cp := append([]expr.Value(nil), row...)
-		if w >= 0 && w < len(parts) {
-			parts[w] = append(parts[w], buildEntry{key, cp})
-			return
-		}
-		overflowMu.Lock()
-		overflow = append(overflow, buildEntry{key, cp})
-		overflowMu.Unlock()
-	})
-	total := len(overflow)
-	for _, p := range parts {
-		total += len(p)
-	}
-	table := make(map[string][][]expr.Value, total)
-	for _, p := range append(parts, overflow) {
-		for _, e := range p {
-			table[e.key] = append(table[e.key], e.row)
-		}
-	}
-
-	buildWidth := len(j.Left.Columns())
-	// Probe phase. Per-worker output buffers, preallocated (see
-	// Project.Run for the id-bound invariant).
-	type probeState struct{ out []expr.Value }
-	states := make([]probeState, workers+1)
-	getState := func(w int) *probeState {
-		if w >= 0 && w < len(states) {
-			return &states[w]
-		}
-		return &probeState{} // unexpected id: private state
-	}
-	j.Right.Run(workers, func(w int, row []expr.Value) {
-		key, ok := joinKey(row, j.RightKeys)
-		var matches [][]expr.Value
-		if ok {
-			matches = table[key]
-		}
-		switch j.Type {
-		case SemiJoin:
-			if len(matches) > 0 {
-				emit(w, row)
-			}
-		case AntiJoin:
-			if len(matches) == 0 {
-				emit(w, row)
-			}
-		case InnerJoin:
-			if len(matches) == 0 {
-				return
-			}
-			st := getState(w)
-			for _, m := range matches {
-				st.out = st.out[:0]
-				st.out = append(st.out, row...)
-				st.out = append(st.out, m...)
-				emit(w, st.out)
-			}
-		case OuterJoin:
-			st := getState(w)
-			if len(matches) == 0 {
-				st.out = st.out[:0]
-				st.out = append(st.out, row...)
-				for i := 0; i < buildWidth; i++ {
-					st.out = append(st.out, expr.NullValue())
-				}
-				emit(w, st.out)
-				return
-			}
-			for _, m := range matches {
-				st.out = st.out[:0]
-				st.out = append(st.out, row...)
-				st.out = append(st.out, m...)
-				emit(w, st.out)
-			}
-		}
-	})
-}
-
-func joinKey(row []expr.Value, keys []int) (string, bool) {
-	var sb []byte
-	for _, k := range keys {
-		if row[k].Null {
-			return "", false
-		}
-		sb = append(sb, row[k].GroupKey()...)
-		sb = append(sb, 0)
-	}
-	return string(sb), true
-}
-
-// Materialize runs an operator and collects all rows (single
-// synchronized sink) — the terminal consumer for tests, tools and
-// benchmarks.
+// Materialize runs an operator and collects all rows — the terminal
+// consumer for tests, tools and benchmarks, and the boundary where
+// cells are boxed. Rows are gathered per worker and concatenated
+// worker-ascending.
 func Materialize(op Operator, workers int) *Result {
 	res := &Result{Cols: op.Columns()}
-	var mu sync.Mutex
-	op.Run(workers, func(w int, row []expr.Value) {
-		cp := append([]expr.Value(nil), row...)
-		mu.Lock()
-		res.Rows = append(res.Rows, cp)
-		mu.Unlock()
-	})
+	parts := perWorker(workers, func() [][]expr.Value { return nil })
+	op.RunBatches(workers, func(w int, b *vec.Batch) { parts[w] = appendBoxedRows(parts[w], b) })
+	for _, rows := range parts {
+		res.Rows = append(res.Rows, rows...)
+	}
 	return res
 }
 
-// CountRows runs an operator and counts rows without materializing
-// them. Batch-capable inputs are counted a batch at a time from the
-// selection vector, never boxing a cell.
+// CountRows runs an operator and counts its rows from the selection
+// vectors, never boxing a cell.
 func CountRows(op Operator, workers int) int64 {
-	if b, ok := AsBatch(op); ok {
-		counts := make([]int64, (workers+1)*8) // one padded slot per worker
-		var overflow atomic.Int64
-		b.RunBatches(workers, func(w int, bt *vec.Batch) {
-			if w >= 0 && w <= workers {
-				counts[w*8] += int64(bt.Rows())
-				return
-			}
-			overflow.Add(int64(bt.Rows()))
-		})
-		n := overflow.Load()
-		for i := 0; i <= workers; i++ {
-			n += counts[i*8]
-		}
-		return n
-	}
-	var mu sync.Mutex
+	counts := perWorker(workers, func() paddedCount { return paddedCount{} })
+	op.RunBatches(workers, func(w int, b *vec.Batch) { counts[w].n += int64(b.Rows()) })
 	var n int64
-	op.Run(workers, func(int, []expr.Value) {
-		mu.Lock()
-		n++
-		mu.Unlock()
-	})
+	for i := range counts {
+		n += counts[i].n
+	}
 	return n
 }
 

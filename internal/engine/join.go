@@ -1,0 +1,219 @@
+package engine
+
+import (
+	"repro/internal/vec"
+)
+
+// JoinType selects hash-join semantics.
+type JoinType uint8
+
+// Join types. Build side is Left; probe side is Right. Inner emits
+// probe++build columns; Semi and Anti emit only probe columns; Outer
+// (left-outer over the probe side) emits probe++build with NULL build
+// columns for unmatched probes.
+const (
+	InnerJoin JoinType = iota
+	SemiJoin
+	AntiJoin
+	OuterJoin
+)
+
+// HashJoin joins Right (probe) against Left (build) on equi-keys. A
+// NULL key never matches, and keys match only when their SQL types do
+// (vec.KeyEq).
+type HashJoin struct {
+	Left, Right         Operator // build, probe
+	LeftKeys, RightKeys []int    // slot indexes
+	Type                JoinType
+}
+
+// NewHashJoin builds a hash join.
+func NewHashJoin(build, probe Operator, buildKeys, probeKeys []int, jt JoinType) *HashJoin {
+	return &HashJoin{Left: build, Right: probe, LeftKeys: buildKeys, RightKeys: probeKeys, Type: jt}
+}
+
+// Columns implements Operator.
+func (j *HashJoin) Columns() []ColumnDesc {
+	probe := j.Right.Columns()
+	if !j.emitsBuild() {
+		return probe
+	}
+	return append(append([]ColumnDesc{}, probe...), j.Left.Columns()...)
+}
+
+func (j *HashJoin) emitsBuild() bool { return j.Type == InnerJoin || j.Type == OuterJoin }
+
+// Inputs implements the plan-walking interface (build side first).
+func (j *HashJoin) Inputs() []Operator { return []Operator{j.Left, j.Right} }
+
+// joinBuild is the build side: its rows with non-NULL keys copied into
+// typed columns, indexed by a table over the key columns. Rows with
+// equal keys are chained through next in build order.
+type joinBuild struct {
+	cols  []*vec.Builder // every build column, or just the keys for semi/anti
+	keys  []*vec.Vector
+	table keyTable
+	next  []int32
+	dups  bool // some key occurs more than once
+}
+
+// build drains the build side into per-worker column builders (no
+// per-row copy, no lock), concatenates them worker-ascending and
+// indexes the result.
+func (j *HashJoin) build(workers int) *joinBuild {
+	desc := j.Left.Columns()
+	keep := j.LeftKeys // slots copied, in cols order
+	if j.emitsBuild() {
+		keep = make([]int, len(desc))
+		for i := range keep {
+			keep[i] = i
+		}
+	}
+	type state struct {
+		cols []*vec.Builder
+		keys []*vec.Vector
+		sel  []int32
+	}
+	states := perWorker(workers, func() state {
+		st := state{cols: make([]*vec.Builder, len(keep)), keys: make([]*vec.Vector, len(j.LeftKeys))}
+		for c, slot := range keep {
+			st.cols[c] = vec.NewBuilder(desc[slot].Type)
+		}
+		return st
+	})
+	j.Left.RunBatches(workers, func(w int, b *vec.Batch) {
+		st := &states[w]
+		for k, slot := range j.LeftKeys {
+			st.keys[k] = &b.Cols[slot]
+		}
+		st.sel = vec.NotNullSel(st.keys, b.Selected(), st.sel[:0])
+		for c, slot := range keep {
+			st.cols[c].AppendVector(&b.Cols[slot], st.sel, b.Len)
+		}
+	})
+	jb := &joinBuild{cols: states[0].cols, keys: make([]*vec.Vector, len(j.LeftKeys))}
+	for _, st := range states[1:] {
+		for c, col := range st.cols {
+			jb.cols[c].AppendVector(&col.Vec, nil, col.Len())
+		}
+	}
+	for k, slot := range j.LeftKeys {
+		if j.emitsBuild() {
+			jb.keys[k] = &jb.cols[slot].Vec
+		} else {
+			jb.keys[k] = &jb.cols[k].Vec
+		}
+	}
+	n := jb.cols[0].Len()
+	jb.table.init(n)
+	jb.table.hashes = make([]uint64, n)
+	jb.next = make([]int32, n)
+	vec.HashKeys(jb.keys, vec.Iota(n), jb.table.hashes)
+	eq := vec.KeyEq(jb.keys, jb.keys)
+	// Back to front, each row becoming its key's chain head: chains end
+	// up in build order.
+	for r := n - 1; r >= 0; r-- {
+		head, slot := jb.table.lookup(jb.table.hashes[r], r, eq)
+		jb.next[r] = int32(head)
+		jb.table.slots[slot] = int32(r + 1)
+		jb.dups = jb.dups || head >= 0
+	}
+	return jb
+}
+
+// expandChunk bounds the rows of one output batch on the multi-match
+// path.
+const expandChunk = 4096
+
+// RunBatches implements Operator. The probe side streams through: a
+// batch's keys are hashed and looked up as a whole; semi and anti
+// joins only narrow the selection vector; inner and outer joins whose
+// probe rows match at most one build row keep the probe vectors
+// aliased and gather just the build columns next to them; only a
+// batch with a multi-match row is expanded on both sides.
+func (j *HashJoin) RunBatches(workers int, emit BatchEmitFunc) {
+	jb := j.build(workers)
+	type state struct {
+		keys   []*vec.Vector
+		hashes []uint64
+		heads  []int32 // per probe row: first matching build row, or -1
+		nn     []int32
+		sel    []int32
+		pi, bi []int32 // multi-match pairs
+		gather []vec.Buf
+		out    vec.Batch
+	}
+	probeWidth := len(j.Right.Columns())
+	mayExpand := j.emitsBuild() && jb.dups
+	states := perWorker(workers, func() state {
+		return state{keys: make([]*vec.Vector, len(j.RightKeys)),
+			gather: make([]vec.Buf, probeWidth+len(jb.cols))}
+	})
+	j.Right.RunBatches(workers, func(w int, b *vec.Batch) {
+		st := &states[w]
+		sel := b.Selected()
+		for k, slot := range j.RightKeys {
+			st.keys[k] = &b.Cols[slot]
+		}
+		st.nn = vec.NotNullSel(st.keys, sel, st.nn[:0])
+		if cap(st.hashes) < b.Len {
+			st.hashes, st.heads = make([]uint64, b.Len), make([]int32, b.Len)
+		}
+		hashes, heads := st.hashes[:b.Len], st.heads[:b.Len]
+		vec.HashKeys(st.keys, st.nn, hashes)
+		for _, i := range sel {
+			heads[i] = -1
+		}
+		eq := vec.KeyEq(st.keys, jb.keys)
+		for _, i := range st.nn {
+			row, _ := jb.table.lookup(hashes[i], int(i), eq)
+			heads[i] = int32(row)
+		}
+		out, multi := st.sel[:0], false
+		for _, i := range sel {
+			switch h := heads[i]; {
+			case h >= 0 && j.Type != AntiJoin:
+				out = append(out, i)
+				multi = multi || (mayExpand && jb.next[h] >= 0)
+			case h < 0 && (j.Type == AntiJoin || j.Type == OuterJoin):
+				out = append(out, i)
+			}
+		}
+		st.sel = out
+		if len(out) == 0 {
+			return
+		}
+		if !multi {
+			st.out = vec.Batch{Cols: append(st.out.Cols[:0], b.Cols...), Len: b.Len, Sel: out, Base: b.Base}
+			if j.emitsBuild() {
+				for c, col := range jb.cols {
+					st.out.Cols = append(st.out.Cols, *st.gather[probeWidth+c].Gather(&col.Vec, heads, out))
+				}
+			}
+			emit(w, &st.out)
+			return
+		}
+		// Every (probe row, build row) pair; an unmatched outer row
+		// pairs with -1.
+		st.pi, st.bi = st.pi[:0], st.bi[:0]
+		for _, i := range out {
+			r := heads[i]
+			st.pi, st.bi = append(st.pi, i), append(st.bi, r)
+			for r >= 0 && jb.next[r] >= 0 {
+				r = jb.next[r]
+				st.pi, st.bi = append(st.pi, i), append(st.bi, r)
+			}
+		}
+		for lo := 0; lo < len(st.pi); lo += expandChunk {
+			hi := min(lo+expandChunk, len(st.pi))
+			st.out = vec.Batch{Cols: st.out.Cols[:0], Len: hi - lo, Base: b.Base}
+			for c := range b.Cols {
+				st.out.Cols = append(st.out.Cols, *st.gather[c].Gather(&b.Cols[c], st.pi[lo:hi], nil))
+			}
+			for c, col := range jb.cols {
+				st.out.Cols = append(st.out.Cols, *st.gather[probeWidth+c].Gather(&col.Vec, st.bi[lo:hi], nil))
+			}
+			emit(w, &st.out)
+		}
+	})
+}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -86,8 +87,8 @@ func skewGroupBy(r storage.Relation) *GroupBy {
 		})
 }
 
-// TestGroupByConformanceAcrossWorkers: the row-path partitioned
-// aggregation emits byte-identical sorted output for every worker
+// TestGroupByConformanceAcrossWorkers: the partitioned aggregation
+// emits byte-identical sorted output for every worker
 // count, including DISTINCT and NULL keys, and records the partition
 // fan-out.
 func TestGroupByConformanceAcrossWorkers(t *testing.T) {
@@ -154,9 +155,9 @@ func TestGlobalAggConformanceAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestBatchGroupByConformanceAcrossWorkers drives the dictionary /
-// batch aggregation path (tiles input, low-cardinality text key) and
-// checks it against the row path at every worker count.
+// TestBatchGroupByConformanceAcrossWorkers drives the dictionary-code
+// grouping (tiles input, low-cardinality text key) and checks it
+// against a row-fed input at every worker count.
 func TestBatchGroupByConformanceAcrossWorkers(t *testing.T) {
 	n := 600
 	lines := make([][]byte, n)
@@ -198,9 +199,10 @@ func TestBatchGroupByConformanceAcrossWorkers(t *testing.T) {
 	}
 	want := resultRows(Materialize(mk(jb), 1), true)
 	for _, w := range aggWorkers {
-		tg := mk(tiles)
-		if !tg.tryBatchGroupBy(w, func(int, []expr.Value) {}) {
-			t.Fatalf("workers=%d: batch group-by path did not engage", w)
+		base := obs.DictGroupByFastpath.Load()
+		Materialize(mk(tiles), w)
+		if obs.DictGroupByFastpath.Load() == base {
+			t.Fatalf("workers=%d: dictionary-code grouping did not engage", w)
 		}
 		sameRowLists(t, fmt.Sprintf("batch workers=%d", w), resultRows(Materialize(mk(tiles), w), true), want)
 	}

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/vec"
 )
@@ -12,9 +11,8 @@ import (
 // Traced wraps an operator for EXPLAIN ANALYZE: it measures the
 // operator's inclusive wall time and counts emitted rows. Plain Run
 // paths never construct Traced operators, so tracing has zero cost
-// when disabled. Row counting uses cache-line-padded per-worker slots
-// (worker ids are bounded by the requested parallelism, see
-// Project.Run), summed once after the input drains.
+// when disabled. Row counting uses cache-line-padded per-worker slots,
+// summed once after the input drains.
 type Traced struct {
 	// Label names the operator ("Scan", "HashJoin", "GroupBy", ...).
 	Label string
@@ -51,53 +49,16 @@ type paddedCount struct {
 	_ [56]byte // separate counters onto distinct cache lines
 }
 
-// Run implements Operator.
-func (t *Traced) Run(workers int, emit EmitFunc) {
-	counts := make([]paddedCount, workers+1)
-	var overflow atomic.Int64
-	start := time.Now()
-	t.In.Run(workers, func(w int, row []expr.Value) {
-		if w >= 0 && w < len(counts) {
-			counts[w].n++
-		} else {
-			overflow.Add(1)
-		}
-		emit(w, row)
-	})
-	t.wallNanos.Add(time.Since(start).Nanoseconds())
-	total := overflow.Load()
-	for i := range counts {
-		total += counts[i].n
-	}
-	t.rowCount.Add(total)
-	t.ran.Store(true)
-}
-
-// BatchCapable implements BatchOperator: tracing is transparent to
-// the batch path, so a traced plan vectorizes exactly when the
-// wrapped plan does.
-func (t *Traced) BatchCapable() bool {
-	_, ok := AsBatch(t.In)
-	return ok
-}
-
-// RunBatches implements BatchOperator, counting a whole batch's
-// selected rows per emit.
+// RunBatches implements Operator, counting each batch's selected rows.
 func (t *Traced) RunBatches(workers int, emit BatchEmitFunc) {
-	in, _ := AsBatch(t.In)
-	counts := make([]paddedCount, workers+1)
-	var overflow atomic.Int64
+	counts := perWorker(workers, func() paddedCount { return paddedCount{} })
 	start := time.Now()
-	in.RunBatches(workers, func(w int, b *vec.Batch) {
-		if w >= 0 && w < len(counts) {
-			counts[w].n += int64(b.Rows())
-		} else {
-			overflow.Add(int64(b.Rows()))
-		}
+	t.In.RunBatches(workers, func(w int, b *vec.Batch) {
+		counts[w].n += int64(b.Rows())
 		emit(w, b)
 	})
 	t.wallNanos.Add(time.Since(start).Nanoseconds())
-	total := overflow.Load()
+	var total int64
 	for i := range counts {
 		total += counts[i].n
 	}

@@ -13,9 +13,7 @@ func NewValues(res *Result) *Values { return &Values{Res: res} }
 // Columns implements Operator.
 func (v *Values) Columns() []ColumnDesc { return v.Res.Cols }
 
-// Run implements Operator.
-func (v *Values) Run(workers int, emit EmitFunc) {
-	for _, row := range v.Res.Rows {
-		emit(0, row)
-	}
+// RunBatches implements Operator: the rows enter as boxed batches.
+func (v *Values) RunBatches(workers int, emit BatchEmitFunc) {
+	emitRows(v.Res.Cols, v.Res.Rows, emit)
 }

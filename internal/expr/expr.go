@@ -122,13 +122,17 @@ func NewArith(op ArithOp, l, r Expr) *Arith { return &Arith{Op: op, L: l, R: r} 
 
 // Eval implements Expr.
 func (a *Arith) Eval(row []Value) Value {
-	l := a.L.Eval(row)
-	r := a.R.Eval(row)
+	return ArithValue(a.Op, a.L.Eval(row), a.R.Eval(row))
+}
+
+// ArithValue computes l op r on two values — shared with the
+// vectorized arithmetic kernels' cell-wise fallback so both agree.
+func ArithValue(op ArithOp, l, r Value) Value {
 	if l.Null || r.Null {
 		return NullValue()
 	}
-	if l.Typ == TBigInt && r.Typ == TBigInt && a.Op != Div {
-		switch a.Op {
+	if l.Typ == TBigInt && r.Typ == TBigInt && op != Div {
+		switch op {
 		case Add:
 			return IntValue(l.I + r.I)
 		case Sub:
@@ -142,7 +146,7 @@ func (a *Arith) Eval(row []Value) Value {
 	if !lok || !rok {
 		return NullValue()
 	}
-	switch a.Op {
+	switch op {
 	case Add:
 		return FloatValue(lf + rf)
 	case Sub:

@@ -1,9 +1,7 @@
 // Aggregate kernels: tight loops over the typed backing of a vector,
-// restricted to the selected rows. Accumulation order and arithmetic
-// mirror the row-at-a-time aggregation states exactly (integer sums
-// keep a parallel float sum accumulated per element, min/max use
-// strict comparisons and keep the first value on ties) so that both
-// execution paths produce identical results.
+// restricted to the selected rows, folding into flat per-group state
+// arrays. Integer sums keep a parallel float sum accumulated per
+// element (AVG and mixed-type SUM read it).
 package vec
 
 // IntSums holds the result of a SumInts pass.
@@ -49,130 +47,122 @@ func SumInts(v *Vector, sel []int32, n int) IntSums {
 	return r
 }
 
-// FloatSums holds the result of a SumFloats pass.
-type FloatSums struct {
-	Sum   float64
-	Count int64
+// AddInts folds the selected non-null rows of an int-backed vector
+// into per-group running states: row i belongs to group gids[i], or
+// every row to group 0 when gids is nil. Sums accumulate row by row in
+// selection order onto the running value, so a group's float sum does
+// not depend on where batch boundaries fall.
+func AddInts(v *Vector, sel []int32, n int, gids []int32, cnt, sumI []int64, sumF []float64) {
+	if gids == nil {
+		r := SumInts(v, sel, n)
+		cnt[0] += r.Count
+		sumI[0] += r.Sum
+		sumF[0] += r.FSum
+		return
+	}
+	if sel == nil {
+		sel = Iota(n)
+	}
+	for _, i := range sel {
+		if !v.IsNull(int(i)) {
+			g, x := gids[i], v.Ints[i]
+			cnt[g]++
+			sumI[g] += x
+			sumF[g] += float64(x)
+		}
+	}
 }
 
-// SumFloats sums the selected non-null rows of a float-backed vector.
-func SumFloats(v *Vector, sel []int32, n int) FloatSums {
-	var r FloatSums
-	fs := v.Floats
-	if sel != nil {
-		for _, i := range sel {
-			if !v.IsNull(int(i)) {
-				r.Sum += fs[i]
-				r.Count++
-			}
+// AddFloats is AddInts over a float-backed vector.
+func AddFloats(v *Vector, sel []int32, n int, gids []int32, cnt []int64, sumF []float64) {
+	if sel == nil && gids == nil && v.Nulls == nil {
+		s := sumF[0]
+		for _, x := range v.Floats[:n] {
+			s += x
 		}
-		return r
+		cnt[0], sumF[0] = cnt[0]+int64(n), s
+		return
 	}
-	if v.Nulls == nil {
-		for i := 0; i < n; i++ {
-			r.Sum += fs[i]
-		}
-		r.Count = int64(n)
-		return r
+	if sel == nil {
+		sel = Iota(n)
 	}
-	for i := 0; i < n; i++ {
-		if !v.IsNull(i) {
-			r.Sum += fs[i]
-			r.Count++
-		}
-	}
-	return r
-}
-
-// MinMaxInts returns the min or max of the selected non-null rows of
-// an int-backed vector; ok is false when no row qualified. Ties keep
-// the earlier value, matching the row-at-a-time comparison order.
-func MinMaxInts(v *Vector, sel []int32, n int, wantMin bool) (val int64, ok bool) {
-	ints := v.Ints
-	step := func(x int64) {
-		if !ok {
-			val, ok = x, true
-			return
-		}
-		if wantMin {
-			if x < val {
-				val = x
-			}
-		} else if x > val {
-			val = x
-		}
-	}
-	if sel != nil {
-		for _, i := range sel {
-			if !v.IsNull(int(i)) {
-				step(ints[i])
-			}
-		}
-		return val, ok
-	}
-	for i := 0; i < n; i++ {
-		if !v.IsNull(i) {
-			step(ints[i])
-		}
-	}
-	return val, ok
-}
-
-// MinMaxFloats is MinMaxInts over a float-backed vector. The strict
-// comparisons reproduce the row path's NaN behaviour (a NaN never
-// replaces the running value; a leading NaN is kept).
-func MinMaxFloats(v *Vector, sel []int32, n int, wantMin bool) (val float64, ok bool) {
-	fs := v.Floats
-	step := func(x float64) {
-		if !ok {
-			val, ok = x, true
-			return
-		}
-		if wantMin {
-			if x < val {
-				val = x
-			}
-		} else if x > val {
-			val = x
-		}
-	}
-	if sel != nil {
-		for _, i := range sel {
-			if !v.IsNull(int(i)) {
-				step(fs[i])
-			}
-		}
-		return val, ok
-	}
-	for i := 0; i < n; i++ {
-		if !v.IsNull(i) {
-			step(fs[i])
-		}
-	}
-	return val, ok
-}
-
-// CountNotNull counts the selected non-null rows of any vector.
-func CountNotNull(v *Vector, sel []int32, n int) int64 {
-	if v.AllNull {
-		return 0
-	}
-	var c int64
-	if sel != nil {
+	if gids == nil {
+		c, s := cnt[0], sumF[0]
 		for _, i := range sel {
 			if !v.IsNull(int(i)) {
 				c++
+				s += v.Floats[i]
 			}
 		}
-		return c
+		cnt[0], sumF[0] = c, s
+		return
 	}
-	if v.Boxed == nil && v.Nulls == nil {
-		return int64(n)
-	}
-	for i := 0; i < n; i++ {
-		if !v.IsNull(i) {
-			c++
+	for _, i := range sel {
+		if !v.IsNull(int(i)) {
+			g := gids[i]
+			cnt[g]++
+			sumF[g] += v.Floats[i]
 		}
 	}
-	return c
+}
+
+// AddCounts counts the selected non-null rows of v per group; a nil v
+// counts every selected row (COUNT(*)).
+func AddCounts(v *Vector, sel []int32, n int, gids []int32, cnt []int64) {
+	if v != nil && v.AllNull {
+		return
+	}
+	noNulls := v == nil || (v.Boxed == nil && v.Nulls == nil)
+	if sel == nil {
+		sel = Iota(n)
+	}
+	if gids == nil {
+		if noNulls {
+			cnt[0] += int64(len(sel))
+			return
+		}
+		for _, i := range sel {
+			if !v.IsNull(int(i)) {
+				cnt[0]++
+			}
+		}
+		return
+	}
+	for _, i := range sel {
+		if noNulls || !v.IsNull(int(i)) {
+			cnt[gids[i]]++
+		}
+	}
+}
+
+// MinMax folds the selected non-null rows of a typed numeric vector
+// (xs is its backing) into the running extreme acc — have says whether
+// there is one yet — row by row in selection order: only a strictly
+// better value replaces acc, so a leading NaN is kept and a later NaN
+// never wins, wherever the batch boundaries fall.
+func MinMax[T int64 | float64](v *Vector, xs []T, sel []int32, n int, isMin bool, acc T, have bool) (T, bool) {
+	fold := func(x T) {
+		if !have || (isMin && x < acc) || (!isMin && x > acc) {
+			acc, have = x, true
+		}
+	}
+	switch {
+	case sel != nil:
+		for _, i := range sel {
+			if !v.IsNull(int(i)) {
+				fold(xs[i])
+			}
+		}
+	case v.Nulls == nil:
+		for _, x := range xs[:n] {
+			fold(x)
+		}
+	default:
+		for i := 0; i < n; i++ {
+			if !v.IsNull(i) {
+				fold(xs[i])
+			}
+		}
+	}
+	return acc, have
 }

@@ -1,0 +1,132 @@
+package vec
+
+import "repro/internal/expr"
+
+// Builder is an append-only column that owns its data: the typed copy
+// of vector cells that must outlive the batch that delivered them —
+// join build sides, group keys, operator output. It stores cells in
+// the layout of its declared type (Ints for BigInt/Timestamp, Floats,
+// a text arena) and demotes itself to boxed values when a cell of
+// another type arrives, so it accepts any input. Vec is the live
+// vector view of the content, valid for the kernels as it grows.
+type Builder struct {
+	Vec Vector
+	n   int
+}
+
+// NewBuilder returns an empty builder for a column declared as t.
+func NewBuilder(t expr.SQLType) *Builder {
+	b := &Builder{Vec: Vector{Type: t}}
+	switch t {
+	case expr.TBigInt, expr.TTimestamp, expr.TFloat, expr.TText:
+	default:
+		b.Vec.Boxed = []expr.Value{}
+	}
+	return b
+}
+
+// Len returns the number of cells appended.
+func (b *Builder) Len() int { return b.n }
+
+// AppendNull appends SQL NULL.
+func (b *Builder) AppendNull() {
+	v := &b.Vec
+	switch {
+	case v.Boxed != nil:
+		v.Boxed = append(v.Boxed, expr.NullValue())
+		b.n++
+		return
+	case v.Type == expr.TFloat:
+		v.Floats = append(v.Floats, 0)
+	case v.Type == expr.TText:
+		v.StrOff = append(v.StrOff, uint32(len(v.StrBytes)))
+	default:
+		v.Ints = append(v.Ints, 0)
+	}
+	for len(v.Nulls) <= b.n>>6 {
+		v.Nulls = append(v.Nulls, 0)
+	}
+	v.Nulls[b.n>>6] |= 1 << (uint(b.n) & 63)
+	b.n++
+}
+
+// AppendValue appends one boxed value.
+func (b *Builder) AppendValue(x expr.Value) {
+	v := &b.Vec
+	switch {
+	case x.Null:
+		b.AppendNull()
+		return
+	case v.Boxed == nil && x.Typ != v.Type:
+		b.demote()
+		fallthrough
+	case v.Boxed != nil:
+		v.Boxed = append(v.Boxed, x)
+	case v.Type == expr.TFloat:
+		v.Floats = append(v.Floats, x.F)
+	case v.Type == expr.TText:
+		v.StrBytes = append(v.StrBytes, x.S...)
+		v.StrOff = append(v.StrOff, uint32(len(v.StrBytes)))
+	default:
+		v.Ints = append(v.Ints, x.I)
+	}
+	b.n++
+}
+
+// demote re-stores the typed content as boxed values.
+func (b *Builder) demote() {
+	boxed := make([]expr.Value, b.n, 2*b.n+8)
+	for i := range boxed {
+		boxed[i] = b.Vec.Value(i)
+	}
+	b.Vec = Vector{Type: b.Vec.Type, Boxed: boxed}
+}
+
+// AppendCell appends row i of src.
+func (b *Builder) AppendCell(src *Vector, i int) {
+	v := &b.Vec
+	switch {
+	case src.IsNull(i):
+		b.AppendNull()
+		return
+	case src.Boxed != nil || v.Boxed != nil || src.Type != v.Type:
+		b.AppendValue(src.Value(i))
+		return
+	case v.Type == expr.TFloat:
+		v.Floats = append(v.Floats, src.Floats[i])
+	case v.Type == expr.TText:
+		v.StrBytes = append(v.StrBytes, src.StrAt(i)...)
+		v.StrOff = append(v.StrOff, uint32(len(v.StrBytes)))
+	default:
+		v.Ints = append(v.Ints, src.Ints[i])
+	}
+	b.n++
+}
+
+// AppendVector appends the selected rows of src (nil sel: its first n
+// rows) in order.
+func (b *Builder) AppendVector(src *Vector, sel []int32, n int) {
+	if sel == nil {
+		sel = Iota(n)
+	}
+	v := &b.Vec
+	if src.Nulls == nil && src.Boxed == nil && !src.AllNull && v.Boxed == nil && src.Type == v.Type {
+		switch v.Type {
+		case expr.TBigInt, expr.TTimestamp:
+			for _, i := range sel {
+				v.Ints = append(v.Ints, src.Ints[i])
+			}
+			b.n += len(sel)
+			return
+		case expr.TFloat:
+			for _, i := range sel {
+				v.Floats = append(v.Floats, src.Floats[i])
+			}
+			b.n += len(sel)
+			return
+		}
+	}
+	for _, i := range sel {
+		b.AppendCell(src, int(i))
+	}
+}

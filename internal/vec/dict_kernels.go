@@ -196,7 +196,7 @@ func (p *likePred) likeDict(v *Vector, sel []int32, n int, out []int32, sc *Scra
 	}
 	mask := sc.codeMask(dl)
 	for k := 0; k < dl; k++ {
-		mask[k] = p.match(v.DictEntry(k))
+		mask[k] = p.match(v.DictEntry(k)) != p.negate
 	}
 	return selCodeMask(v, mask, sel, n, out)
 }
@@ -221,7 +221,11 @@ func (p *inPred) inDict(v *Vector, sel []int32, n int, out []int32, sc *Scratch)
 			any = true
 		}
 	}
-	if !any {
+	if p.negate {
+		for k := range mask {
+			mask[k] = !mask[k]
+		}
+	} else if !any {
 		return out
 	}
 	return selCodeMask(v, mask, sel, n, out)

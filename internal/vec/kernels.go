@@ -13,32 +13,37 @@ import (
 	"repro/internal/expr"
 )
 
-// Pred is a compiled, immutable predicate. Apply narrows sel (nil =
+// pred is a compiled, immutable predicate. apply narrows sel (nil =
 // all n rows) writing into out[:0]; out may alias sel because kernels
 // write behind their read position.
 type pred interface {
 	apply(b *Batch, sel []int32, n int, out []int32, sc *Scratch) []int32
 }
 
-// CompiledPred is a vectorizable predicate over batch column slots.
+// CompiledPred is a vectorized predicate over batch column slots.
 type CompiledPred struct {
-	root    pred
-	orPairs int
+	root                 pred
+	orPairs, bufs, width int
 }
 
-// Scratch holds the per-worker selection buffers a compiled predicate
-// needs (one result buffer plus two per OR node). A Scratch must not
-// be shared between concurrent workers.
+// Scratch holds the per-worker buffers a compiled predicate or
+// expression needs: one result selection plus two per OR node, one
+// vector buffer per value node, and the row the cell-by-cell fallbacks
+// box into. A Scratch must not be shared between concurrent workers.
 type Scratch struct {
 	main []int32
 	or   [][]int32
 	mask []bool // per-dictionary-code match table (LIKE/IN dict paths)
+	bufs []Buf
+	row  []expr.Value
+}
+
+func newScratch(orPairs, bufs, width int) *Scratch {
+	return &Scratch{or: make([][]int32, 2*orPairs), bufs: make([]Buf, bufs), row: make([]expr.Value, width)}
 }
 
 // NewScratch returns a scratch sized for the predicate.
-func (p *CompiledPred) NewScratch() *Scratch {
-	return &Scratch{or: make([][]int32, 2*p.orPairs)}
-}
+func (p *CompiledPred) NewScratch() *Scratch { return newScratch(p.orPairs, p.bufs, p.width) }
 
 func grow(buf []int32, n int) []int32 {
 	if cap(buf) < n {
@@ -60,81 +65,111 @@ func (p *CompiledPred) Sel(b *Batch, sc *Scratch) []int32 {
 	return out
 }
 
-// Compile translates an expression into a vectorized predicate. The
-// supported shapes are comparisons between a column and a constant,
-// IS [NOT] NULL, IN over constants, LIKE, bare boolean columns, AND
-// and OR. ok is false when the expression (or a referenced slot ≥
-// width) cannot be vectorized and the caller must evaluate row-wise.
+// Compile translates an expression into a vectorized predicate. Typed
+// kernels cover comparisons (column or arithmetic against a constant,
+// a column or arithmetic), IS [NOT] NULL, IN over constants, LIKE,
+// bare boolean columns, AND, OR and NOT (pushed down to the leaves by
+// De Morgan, which is exact in three-valued logic); any other shape is
+// evaluated cell by cell with expr.Eval over the slots it reads. ok is
+// false only when the expression reads a slot outside [0, width).
 func Compile(e expr.Expr, width int) (*CompiledPred, bool) {
-	c := &CompiledPred{}
-	root, ok := c.compile(e, width)
-	if !ok {
+	c := &compiler{}
+	root := c.pred(e, false)
+	if c.width > width {
 		return nil, false
 	}
-	c.root = root
-	return c, true
+	return &CompiledPred{root: root, orPairs: c.orPairs, bufs: c.bufs, width: c.width}, true
 }
 
-func (c *CompiledPred) compile(e expr.Expr, width int) (pred, bool) {
-	slotOK := func(i int) bool { return i >= 0 && i < width }
+// pred compiles e, negated when neg is set.
+func (c *compiler) pred(e expr.Expr, neg bool) pred {
 	switch x := e.(type) {
+	case *expr.Not:
+		return c.pred(x.E, !neg)
 	case *expr.And:
-		l, ok := c.compile(x.L, width)
-		if !ok {
-			return nil, false
-		}
-		r, ok := c.compile(x.R, width)
-		if !ok {
-			return nil, false
-		}
-		return &andPred{l: l, r: r}, true
+		return c.junction(x.L, x.R, !neg, neg)
 	case *expr.Or:
-		id := c.orPairs
-		c.orPairs++
-		l, ok := c.compile(x.L, width)
-		if !ok {
-			return nil, false
-		}
-		r, ok := c.compile(x.R, width)
-		if !ok {
-			return nil, false
-		}
-		return &orPred{l: l, r: r, id: id}, true
+		return c.junction(x.L, x.R, neg, neg)
 	case *expr.Cmp:
-		if col, okL := x.L.(*expr.Col); okL {
-			if k, okR := x.R.(*expr.Const); okR && slotOK(col.Idx) {
-				return &cmpPred{slot: col.Idx, op: x.Op, c: k.V}, true
-			}
+		op := x.Op
+		if neg {
+			op = negateCmp(op)
 		}
-		if k, okL := x.L.(*expr.Const); okL {
-			if col, okR := x.R.(*expr.Col); okR && slotOK(col.Idx) {
-				return &cmpPred{slot: col.Idx, op: flipCmp(x.Op), c: k.V}, true
-			}
+		l, r := x.L, x.R
+		if _, ok := l.(*expr.Const); ok {
+			l, r, op = r, l, flipCmp(op)
 		}
-		return nil, false
+		p := &cmpPred{op: op, l: c.val(l)}
+		if k, ok := r.(*expr.Const); ok {
+			p.c = &k.V
+		} else {
+			p.r = c.val(r)
+		}
+		return p
 	case *expr.IsNull:
-		if col, ok := x.E.(*expr.Col); ok && slotOK(col.Idx) {
-			return &isNullPred{slot: col.Idx, negate: x.Negate}, true
+		if col, ok := x.E.(*expr.Col); ok {
+			return &isNullPred{slot: c.slot(col.Idx), negate: x.Negate != neg}
 		}
-		return nil, false
 	case *expr.In:
-		if col, ok := x.E.(*expr.Col); ok && slotOK(col.Idx) {
-			return newInPred(col.Idx, x.List), true
+		if col, ok := x.E.(*expr.Col); ok {
+			return newInPred(c.slot(col.Idx), x.List, neg)
 		}
-		return nil, false
 	case *expr.Like:
-		if col, ok := x.E.(*expr.Col); ok && slotOK(col.Idx) {
-			return newLikePred(col.Idx, x.Pattern), true
+		if col, ok := x.E.(*expr.Col); ok {
+			return newLikePred(c.slot(col.Idx), x.Pattern, neg)
 		}
-		return nil, false
 	case *expr.Col:
-		if slotOK(x.Idx) {
-			return &boolColPred{slot: x.Idx}, true
-		}
-		return nil, false
-	default:
-		return nil, false
+		return &boolColPred{slot: c.slot(x.Idx), negate: neg}
 	}
+	if neg {
+		e = expr.NewNot(e)
+	}
+	return &rowPred{val: c.val(e)}
+}
+
+// junction compiles l AND r (and set) or l OR r over the possibly
+// negated sides.
+func (c *compiler) junction(l, r expr.Expr, and, neg bool) pred {
+	if and {
+		return &andPred{l: c.pred(l, neg), r: c.pred(r, neg)}
+	}
+	id := c.orPairs
+	c.orPairs++
+	return &orPred{l: c.pred(l, neg), r: c.pred(r, neg), id: id}
+}
+
+// negateCmp is the operator of NOT (a op b).
+func negateCmp(op expr.CmpOp) expr.CmpOp {
+	switch op {
+	case expr.EQ:
+		return expr.NE
+	case expr.NE:
+		return expr.EQ
+	case expr.LT:
+		return expr.GE
+	case expr.LE:
+		return expr.GT
+	case expr.GT:
+		return expr.LE
+	default:
+		return expr.LT
+	}
+}
+
+// rowPred is the cell-by-cell fallback: TRUE cells of the boxed value.
+type rowPred struct{ val valNode }
+
+func (p *rowPred) apply(b *Batch, sel []int32, n int, out []int32, sc *Scratch) []int32 {
+	if sel == nil {
+		sel = Iota(n)
+	}
+	v := p.val.eval(b, sel, sc)
+	for _, i := range sel {
+		if v.Value(int(i)).IsTrue() {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // flipCmp mirrors an operator across swapped operands (c op col →
@@ -218,51 +253,105 @@ func matchCmp(op expr.CmpOp, c int) bool {
 	}
 }
 
+// cmpPred compares a value expression with a constant (c set) or with
+// another value expression.
 type cmpPred struct {
-	slot int
 	op   expr.CmpOp
-	c    expr.Value
+	l, r valNode
+	c    *expr.Value
 }
 
 func (p *cmpPred) apply(b *Batch, sel []int32, n int, out []int32, sc *Scratch) []int32 {
-	v := &b.Cols[p.slot]
-	if p.c.Null || v.AllNull {
+	es := sel
+	if es == nil {
+		es = Iota(n)
+	}
+	lv := p.l.eval(b, es, sc)
+	if p.c != nil {
+		return cmpVecConst(lv, p.op, *p.c, sel, n, out)
+	}
+	return cmpVecs(lv, p.r.eval(b, es, sc), p.op, es, out)
+}
+
+func cmpVecConst(v *Vector, op expr.CmpOp, c expr.Value, sel []int32, n int, out []int32) []int32 {
+	if c.Null || v.AllNull {
 		return out // NULL comparison is never TRUE
 	}
 	if v.Boxed != nil {
-		return cmpBoxed(v, p.op, p.c, sel, n, out)
+		return cmpBoxed(v, op, c, sel, n, out)
 	}
 	switch v.Type {
 	case expr.TBigInt, expr.TTimestamp:
-		switch p.c.Typ {
+		switch c.Typ {
 		case expr.TBigInt, expr.TTimestamp:
-			if p.c.Typ == v.Type {
-				return cmpInts(v, p.op, p.c.I, sel, n, out)
+			if c.Typ == v.Type {
+				return cmpInts(v, op, c.I, sel, n, out)
 			}
 			// Cross numeric types compare as float (expr.Compare).
-			return cmpIntsAsFloat(v, p.op, float64(p.c.I), sel, n, out)
+			return cmpIntsAsFloat(v, op, float64(c.I), sel, n, out)
 		case expr.TFloat:
-			return cmpIntsAsFloat(v, p.op, p.c.F, sel, n, out)
+			return cmpIntsAsFloat(v, op, c.F, sel, n, out)
 		}
 		return out
 	case expr.TFloat:
-		cf, ok := p.c.AsFloat()
+		cf, ok := c.AsFloat()
 		if !ok {
 			return out
 		}
-		return cmpFloats(v, p.op, cf, sel, n, out)
+		return cmpFloats(v, op, cf, sel, n, out)
 	case expr.TText:
-		if p.c.Typ != expr.TText {
+		if c.Typ != expr.TText {
 			return out
 		}
-		return cmpStrs(v, p.op, p.c.S, sel, n, out)
+		return cmpStrs(v, op, c.S, sel, n, out)
 	case expr.TBool:
-		if p.c.Typ != expr.TBool {
+		if c.Typ != expr.TBool {
 			return out
 		}
-		return cmpBools(v, p.op, p.c.B, sel, n, out)
+		return cmpBools(v, op, c.B, sel, n, out)
 	}
 	return out
+}
+
+func isIntVec(v *Vector) bool {
+	return v.Boxed == nil && (v.Type == expr.TBigInt || v.Type == expr.TTimestamp)
+}
+
+func isFloatVec(v *Vector) bool { return v.Boxed == nil && v.Type == expr.TFloat }
+
+// cmpVecs keeps the selected rows where l op r is TRUE, with
+// expr.Compare's semantics: same-type integers compare exactly, mixed
+// numerics as floats, text bytewise, anything else cell by cell.
+func cmpVecs(l, r *Vector, op expr.CmpOp, sel, out []int32) []int32 {
+	if l.AllNull || r.AllNull {
+		return out
+	}
+	keep := func(cmp func(i int) (int, bool)) []int32 {
+		for _, i := range sel {
+			if l.IsNull(int(i)) || r.IsNull(int(i)) {
+				continue
+			}
+			if c, ok := cmp(int(i)); ok && matchCmp(op, c) {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	switch {
+	case isIntVec(l) && isIntVec(r) && l.Type == r.Type:
+		return keep(func(i int) (int, bool) { return cmp3Int(l.Ints[i], r.Ints[i]), true })
+	case isIntVec(l) && isIntVec(r):
+		return keep(func(i int) (int, bool) { return cmp3Float(float64(l.Ints[i]), float64(r.Ints[i])), true })
+	case isIntVec(l) && isFloatVec(r):
+		return keep(func(i int) (int, bool) { return cmp3Float(float64(l.Ints[i]), r.Floats[i]), true })
+	case isFloatVec(l) && isIntVec(r):
+		return keep(func(i int) (int, bool) { return cmp3Float(l.Floats[i], float64(r.Ints[i])), true })
+	case isFloatVec(l) && isFloatVec(r):
+		return keep(func(i int) (int, bool) { return cmp3Float(l.Floats[i], r.Floats[i]), true })
+	case l.Boxed == nil && r.Boxed == nil && l.Type == expr.TText && r.Type == expr.TText:
+		return keep(func(i int) (int, bool) { return bytes.Compare(l.StrAt(i), r.StrAt(i)), true })
+	}
+	return keep(func(i int) (int, bool) { return expr.Compare(l.Value(i), r.Value(i)) })
 }
 
 func cmpInts(v *Vector, op expr.CmpOp, c int64, sel []int32, n int, out []int32) []int32 {
@@ -296,21 +385,9 @@ func cmpInts(v *Vector, op expr.CmpOp, c int64, sel []int32, n int, out []int32)
 }
 
 func cmpIntsAsFloat(v *Vector, op expr.CmpOp, c float64, sel []int32, n int, out []int32) []int32 {
-	ints := v.Ints
-	if sel != nil {
-		for _, i := range sel {
-			if !v.IsNull(int(i)) && matchCmp(op, cmp3Float(float64(ints[i]), c)) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	for i := 0; i < n; i++ {
-		if !v.IsNull(i) && matchCmp(op, cmp3Float(float64(ints[i]), c)) {
-			out = append(out, int32(i))
-		}
-	}
-	return out
+	return selectIf(sel, n, out, func(i int) bool {
+		return !v.IsNull(i) && matchCmp(op, cmp3Float(float64(v.Ints[i]), c))
+	})
 }
 
 func cmpFloats(v *Vector, op expr.CmpOp, c float64, sel []int32, n int, out []int32) []int32 {
@@ -344,72 +421,23 @@ func cmpStrs(v *Vector, op expr.CmpOp, c string, sel []int32, n int, out []int32
 	if v.Dict {
 		return cmpStrsDict(v, op, cb, sel, n, out)
 	}
-	if sel != nil {
-		for _, i := range sel {
-			if !v.IsNull(int(i)) && matchCmp(op, bytes.Compare(v.StrAt(int(i)), cb)) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	for i := 0; i < n; i++ {
-		if !v.IsNull(i) && matchCmp(op, bytes.Compare(v.StrAt(i), cb)) {
-			out = append(out, int32(i))
-		}
-	}
-	return out
+	return selectIf(sel, n, out, func(i int) bool {
+		return !v.IsNull(i) && matchCmp(op, bytes.Compare(v.StrAt(i), cb))
+	})
 }
 
 func cmpBools(v *Vector, op expr.CmpOp, c bool, sel []int32, n int, out []int32) []int32 {
-	cmp := func(x bool) int {
-		switch {
-		case x == c:
-			return 0
-		case c:
-			return -1
-		default:
-			return 1
-		}
-	}
-	if sel != nil {
-		for _, i := range sel {
-			if !v.IsNull(int(i)) && matchCmp(op, cmp(v.Bool(int(i)))) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	for i := 0; i < n; i++ {
-		if !v.IsNull(i) && matchCmp(op, cmp(v.Bool(i))) {
-			out = append(out, int32(i))
-		}
-	}
-	return out
+	return selectIf(sel, n, out, func(i int) bool {
+		cv, _ := expr.Compare(expr.BoolValue(v.Bool(i)), expr.BoolValue(c))
+		return !v.IsNull(i) && matchCmp(op, cv)
+	})
 }
 
 func cmpBoxed(v *Vector, op expr.CmpOp, c expr.Value, sel []int32, n int, out []int32) []int32 {
-	test := func(i int) bool {
-		x := v.Boxed[i]
-		if x.Null {
-			return false
-		}
-		cv, ok := expr.Compare(x, c)
+	return selectIf(sel, n, out, func(i int) bool {
+		cv, ok := expr.Compare(v.Boxed[i], c) // not ok for NULL and incomparable types
 		return ok && matchCmp(op, cv)
-	}
-	if sel != nil {
-		for _, i := range sel {
-			if test(int(i)) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	for i := 0; i < n; i++ {
-		if test(i) {
-			out = append(out, int32(i))
-		}
-	}
-	return out
+	})
 }
 
 func cmp3Int(a, b int64) int {
@@ -441,30 +469,20 @@ type isNullPred struct {
 
 func (p *isNullPred) apply(b *Batch, sel []int32, n int, out []int32, sc *Scratch) []int32 {
 	v := &b.Cols[p.slot]
-	if sel != nil {
-		for _, i := range sel {
-			if v.IsNull(int(i)) != p.negate {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	for i := 0; i < n; i++ {
-		if v.IsNull(i) != p.negate {
-			out = append(out, int32(i))
-		}
-	}
-	return out
+	return selectIf(sel, n, out, func(i int) bool { return v.IsNull(i) != p.negate })
 }
 
+// inPred is col [NOT] IN (constants): a NULL cell is never selected,
+// any other cell when its membership differs from negate.
 type inPred struct {
-	slot int
-	list []expr.Value
-	strs [][]byte // TText constants pre-converted for byte comparison
+	slot   int
+	list   []expr.Value
+	strs   [][]byte // TText constants pre-converted for byte comparison
+	negate bool
 }
 
-func newInPred(slot int, list []expr.Value) *inPred {
-	p := &inPred{slot: slot, list: list}
+func newInPred(slot int, list []expr.Value, negate bool) *inPred {
+	p := &inPred{slot: slot, list: list, negate: negate}
 	for _, c := range list {
 		if !c.Null && c.Typ == expr.TText {
 			p.strs = append(p.strs, []byte(c.S))
@@ -478,29 +496,12 @@ func (p *inPred) apply(b *Batch, sel []int32, n int, out []int32, sc *Scratch) [
 	if v.AllNull {
 		return out
 	}
-	var test func(i int) bool
+	var member func(i int) bool // of a non-null cell
 	switch {
-	case v.Boxed != nil:
-		test = func(i int) bool {
-			x := v.Boxed[i]
-			if x.Null {
-				return false
-			}
-			for _, c := range p.list {
-				if expr.Equal(x, c) {
-					return true
-				}
-			}
-			return false
-		}
-	case v.Type == expr.TText:
-		if v.Dict {
-			return p.inDict(v, sel, n, out, sc)
-		}
-		test = func(i int) bool {
-			if v.IsNull(i) {
-				return false
-			}
+	case v.Boxed == nil && v.Type == expr.TText && v.Dict:
+		return p.inDict(v, sel, n, out, sc)
+	case v.Boxed == nil && v.Type == expr.TText:
+		member = func(i int) bool {
 			s := v.StrAt(i)
 			for _, c := range p.strs {
 				if bytes.Equal(s, c) {
@@ -510,12 +511,9 @@ func (p *inPred) apply(b *Batch, sel []int32, n int, out []int32, sc *Scratch) [
 			return false
 		}
 	default:
-		// Numeric / bool / timestamp vectors: box the cell (no
-		// allocation for these types) and reuse SQL equality.
-		test = func(i int) bool {
-			if v.IsNull(i) {
-				return false
-			}
+		// Boxed cells, and numeric / bool / timestamp vectors whose
+		// cells box without allocating: reuse SQL equality.
+		member = func(i int) bool {
 			x := v.Value(i)
 			for _, c := range p.list {
 				if expr.Equal(x, c) {
@@ -525,17 +523,17 @@ func (p *inPred) apply(b *Batch, sel []int32, n int, out []int32, sc *Scratch) [
 			return false
 		}
 	}
-	if sel != nil {
-		for _, i := range sel {
-			if test(int(i)) {
-				out = append(out, i)
-			}
-		}
-		return out
+	return selectIf(sel, n, out, func(i int) bool { return !v.IsNull(i) && member(i) != p.negate })
+}
+
+// selectIf appends the selected rows that pass test.
+func selectIf(sel []int32, n int, out []int32, test func(i int) bool) []int32 {
+	if sel == nil {
+		sel = Iota(n)
 	}
-	for i := 0; i < n; i++ {
-		if test(i) {
-			out = append(out, int32(i))
+	for _, i := range sel {
+		if test(int(i)) {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -550,15 +548,18 @@ const (
 	likeContains
 )
 
+// likePred is col [NOT] LIKE pattern over text cells; NULL and
+// non-text cells are never selected.
 type likePred struct {
 	slot    int
 	pattern string
 	kind    likeKind
 	needle  []byte // pattern with the % stripped, pre-converted
+	negate  bool
 }
 
-func newLikePred(slot int, pattern string) *likePred {
-	p := &likePred{slot: slot, pattern: pattern}
+func newLikePred(slot int, pattern string, negate bool) *likePred {
+	p := &likePred{slot: slot, pattern: pattern, negate: negate}
 	switch {
 	case strings.HasPrefix(pattern, "%") && strings.HasSuffix(pattern, "%") && len(pattern) >= 2:
 		p.kind, p.needle = likeContains, []byte(pattern[1:len(pattern)-1])
@@ -587,69 +588,48 @@ func (p *likePred) match(s []byte) bool {
 
 func (p *likePred) apply(b *Batch, sel []int32, n int, out []int32, sc *Scratch) []int32 {
 	v := &b.Cols[p.slot]
-	if v.AllNull {
-		return out
-	}
-	var test func(i int) bool
 	switch {
-	case v.Boxed != nil:
-		test = func(i int) bool {
-			x := v.Boxed[i]
-			return !x.Null && x.Typ == expr.TText && expr.MatchLike(x.S, p.pattern)
-		}
-	case v.Type == expr.TText:
-		if v.Dict {
-			return p.likeDict(v, sel, n, out, sc)
-		}
-		test = func(i int) bool {
-			return !v.IsNull(i) && p.match(v.StrAt(i))
-		}
-	default:
-		return out // non-text LIKE is NULL row-wise, never TRUE
-	}
-	if sel != nil {
-		for _, i := range sel {
-			if test(int(i)) {
-				out = append(out, i)
-			}
-		}
+	case v.AllNull:
 		return out
+	case v.Boxed != nil:
+		return selectIf(sel, n, out, func(i int) bool {
+			x := v.Boxed[i]
+			return !x.Null && x.Typ == expr.TText && expr.MatchLike(x.S, p.pattern) != p.negate
+		})
+	case v.Type != expr.TText:
+		return out // non-text LIKE is NULL row-wise, never TRUE
+	case v.Dict:
+		return p.likeDict(v, sel, n, out, sc)
 	}
-	for i := 0; i < n; i++ {
-		if test(i) {
-			out = append(out, int32(i))
-		}
-	}
-	return out
+	return selectIf(sel, n, out, func(i int) bool { return !v.IsNull(i) && p.match(v.StrAt(i)) != p.negate })
 }
 
-type boolColPred struct{ slot int }
+// boolColPred is a bare column as predicate, or NOT of it: expr.Not
+// reads any non-null cell's boolean payload, so NOT selects every
+// non-null cell that is not TRUE.
+type boolColPred struct {
+	slot   int
+	negate bool
+}
 
 func (p *boolColPred) apply(b *Batch, sel []int32, n int, out []int32, sc *Scratch) []int32 {
 	v := &b.Cols[p.slot]
 	if v.AllNull {
 		return out
 	}
-	var test func(i int) bool
-	if v.Boxed != nil {
-		test = func(i int) bool { return v.Boxed[i].IsTrue() }
-	} else if v.Type == expr.TBool {
-		test = func(i int) bool { return !v.IsNull(i) && v.Bool(i) }
-	} else {
-		return out
-	}
-	if sel != nil {
-		for _, i := range sel {
-			if test(int(i)) {
-				out = append(out, i)
-			}
+	return selectIf(sel, n, out, func(i int) bool {
+		if v.IsNull(i) {
+			return false
 		}
-		return out
-	}
-	for i := 0; i < n; i++ {
-		if test(i) {
-			out = append(out, int32(i))
+		isTrue := false
+		if v.Boxed != nil {
+			isTrue = v.Boxed[i].B
+		} else if v.Type == expr.TBool {
+			isTrue = v.Bool(i)
 		}
-	}
-	return out
+		if p.negate {
+			return !isTrue
+		}
+		return isTrue && v.cellType(i) == expr.TBool
+	})
 }

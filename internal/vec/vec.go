@@ -22,7 +22,9 @@ import (
 //   - Ints for TBigInt and TTimestamp
 //   - Floats for TFloat
 //   - Bools (a bitmap) for TBool
-//   - StrOff/StrBytes (an offset-indexed arena) for TText
+//   - StrOff/StrBytes (an offset-indexed arena) for TText; with
+//     StrIdx set, row i reads arena entry StrIdx[i] (a gather that
+//     shares its source's arena instead of copying bytes)
 //   - Boxed for anything materialized row-by-row (JSONB fallback,
 //     cast results, TJSON documents)
 //
@@ -39,6 +41,7 @@ type Vector struct {
 	Bools    []uint64
 	StrOff   []uint32
 	StrBytes []byte
+	StrIdx   []int32
 
 	Boxed []expr.Value
 
@@ -94,6 +97,9 @@ func (v *Vector) StrAt(i int) []byte {
 	if v.Dict {
 		return v.DictEntry(int(v.CodeAt(i)))
 	}
+	if v.StrIdx != nil {
+		i = int(v.StrIdx[i])
+	}
 	var start uint32
 	if i > 0 {
 		start = v.StrOff[i-1]
@@ -126,7 +132,7 @@ func (v *Vector) DictEntry(k int) []byte {
 	return v.DictBytes[start:v.DictOff[k]]
 }
 
-// Value boxes row i into an engine value — the batch→row adapter.
+// Value boxes row i into an engine value.
 func (v *Vector) Value(i int) expr.Value {
 	if v.Boxed != nil {
 		return v.Boxed[i]
@@ -173,4 +179,35 @@ func (b *Batch) Rows() int {
 		return len(b.Sel)
 	}
 	return b.Len
+}
+
+// identity is the shared identity selection [0, len): read-only.
+var identity = func() []int32 {
+	s := make([]int32, 1<<16)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}()
+
+// Iota returns the identity selection [0, n). The result is shared and
+// must not be written.
+func Iota(n int) []int32 {
+	if n <= len(identity) {
+		return identity[:n]
+	}
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}
+
+// Selected returns the batch's selection with nil spelled out as the
+// identity, for loops that want one shape.
+func (b *Batch) Selected() []int32 {
+	if b.Sel != nil {
+		return b.Sel
+	}
+	return Iota(b.Len)
 }

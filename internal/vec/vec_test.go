@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/expr"
@@ -64,20 +65,26 @@ func buildVector(r *rand.Rand, t expr.SQLType, n int, boxed bool) Vector {
 	return v
 }
 
-// randomPred builds a random vectorizable predicate over the batch's
-// column slots.
+// randomPred builds a random predicate over the batch's column slots:
+// the shapes with typed kernels (comparisons with a constant, a column
+// or arithmetic, IS NULL, IN, LIKE, bare columns, AND/OR/NOT) and a
+// CASE that only the cell-by-cell fallback evaluates.
 func randomPred(r *rand.Rand, types []expr.SQLType, depth int) expr.Expr {
 	if depth > 0 && r.Intn(3) == 0 {
 		l := randomPred(r, types, depth-1)
 		rr := randomPred(r, types, depth-1)
-		if r.Intn(2) == 0 {
+		switch r.Intn(3) {
+		case 0:
 			return expr.NewAnd(l, rr)
+		case 1:
+			return expr.NewOr(l, rr)
 		}
-		return expr.NewOr(l, rr)
+		return expr.NewNot(l)
 	}
 	slot := r.Intn(len(types))
 	col := expr.NewCol(slot, types[slot])
-	switch r.Intn(4) {
+	op := []expr.CmpOp{expr.EQ, expr.NE, expr.LT, expr.LE, expr.GT, expr.GE}[r.Intn(6)]
+	switch r.Intn(8) {
 	case 0:
 		return expr.NewIsNull(col, r.Intn(2) == 0)
 	case 1:
@@ -90,15 +97,41 @@ func randomPred(r *rand.Rand, types []expr.SQLType, depth int) expr.Expr {
 		if types[slot] == expr.TText {
 			return expr.NewLike(col, []string{"a%", "%b", "%a%", "ab", "%"}[r.Intn(5)])
 		}
-		fallthrough
-	default:
-		op := []expr.CmpOp{expr.EQ, expr.NE, expr.LT, expr.LE, expr.GT, expr.GE}[r.Intn(6)]
-		k := expr.NewConst(randConst(r, types[slot]))
-		if r.Intn(2) == 0 {
-			return expr.NewCmp(op, col, k)
-		}
-		return expr.NewCmp(op, k, col)
+	case 3:
+		other := r.Intn(len(types))
+		return expr.NewCmp(op, col, expr.NewCol(other, types[other]))
+	case 4:
+		return expr.NewCmp(op, randomValue(r, types, 2), randomValue(r, types, 2))
+	case 5:
+		return col // a bare column as predicate
+	case 6:
+		return expr.NewCase([]expr.When{{Cond: expr.NewIsNull(col, false), Result: expr.NewConst(expr.BoolValue(true))}},
+			expr.NewCmp(op, col, expr.NewConst(randConst(r, types[slot]))))
 	}
+	k := expr.NewConst(randConst(r, types[slot]))
+	if r.Intn(2) == 0 {
+		return expr.NewCmp(op, col, k)
+	}
+	return expr.NewCmp(op, k, col)
+}
+
+// randomValue builds a random value expression: columns, constants
+// (NULL included) and + - * / over them.
+func randomValue(r *rand.Rand, types []expr.SQLType, depth int) expr.Expr {
+	if depth > 0 && r.Intn(2) == 0 {
+		op := []expr.ArithOp{expr.Add, expr.Sub, expr.Mul, expr.Div}[r.Intn(4)]
+		return expr.NewArith(op, randomValue(r, types, depth-1), randomValue(r, types, depth-1))
+	}
+	switch r.Intn(6) {
+	case 0:
+		return expr.NewConst(expr.IntValue(int64(r.Intn(5) - 2)))
+	case 1:
+		return expr.NewConst(expr.FloatValue(float64(r.Intn(5)-2) / 2))
+	case 2:
+		return expr.NewConst(expr.NullValue())
+	}
+	slot := r.Intn(len(types))
+	return expr.NewCol(slot, types[slot])
 }
 
 func randConst(r *rand.Rand, t expr.SQLType) expr.Value {
@@ -179,19 +212,71 @@ func TestCompiledPredMatchesRowEval(t *testing.T) {
 	}
 }
 
-func TestCompileRejectsNonVectorizable(t *testing.T) {
+// TestCompileRejectsOnlyBadSlots: every expression shape compiles; a
+// slot outside the batch is the one thing Compile refuses.
+func TestCompileRejectsOnlyBadSlots(t *testing.T) {
 	col := expr.NewCol(0, expr.TBigInt)
-	cases := []expr.Expr{
+	ok := []expr.Expr{
 		expr.NewNot(expr.NewCmp(expr.EQ, col, expr.NewConst(expr.IntValue(1)))),
-		expr.NewCmp(expr.EQ, col, expr.NewCol(1, expr.TBigInt)), // col-col
+		expr.NewCmp(expr.EQ, col, expr.NewCol(1, expr.TBigInt)),
 		expr.NewCmp(expr.EQ,
 			expr.NewArith(expr.Add, col, expr.NewConst(expr.IntValue(1))),
 			expr.NewConst(expr.IntValue(2))),
-		expr.NewCol(5, expr.TBool), // slot out of range
 	}
-	for i, e := range cases {
+	for i, e := range ok {
+		if _, ok := Compile(e, 2); !ok {
+			t.Errorf("case %d: did not compile", i)
+		}
+	}
+	for _, e := range []expr.Expr{expr.NewCol(5, expr.TBool), expr.NewCol(-1, expr.TBool),
+		expr.NewCmp(expr.LT, col, expr.NewCol(2, expr.TBigInt))} {
 		if _, ok := Compile(e, 2); ok {
-			t.Errorf("case %d: compiled, want rejection", i)
+			t.Errorf("%v: compiled with a slot outside the batch", e)
+		}
+	}
+}
+
+// TestCompiledExprMatchesRowEval: random value expressions over random
+// batches evaluate, on every selected row, to exactly what expr.Eval
+// gives for the boxed row — value, type and NULL.
+func TestCompiledExprMatchesRowEval(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	types := []expr.SQLType{expr.TBigInt, expr.TFloat, expr.TText, expr.TBool, expr.TTimestamp}
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + r.Intn(100)
+		b := &Batch{Len: n}
+		colTypes := make([]expr.SQLType, 2+r.Intn(3))
+		for i := range colTypes {
+			colTypes[i] = types[r.Intn(len(types))]
+			if r.Intn(8) == 0 {
+				b.Cols = append(b.Cols, NullVector(colTypes[i], n))
+			} else {
+				b.Cols = append(b.Cols, buildVector(r, colTypes[i], n, r.Intn(3) == 0))
+			}
+		}
+		if r.Intn(3) == 0 {
+			b.Sel = []int32{}
+			for i := 0; i < n; i++ {
+				if r.Intn(2) == 0 {
+					b.Sel = append(b.Sel, int32(i))
+				}
+			}
+		}
+		e := randomValue(r, colTypes, 3)
+		c := CompileExpr(e)
+		sc := c.NewScratch()
+		for rep := 0; rep < 2; rep++ { // twice: the scratch is reused
+			got := c.Eval(b, sc)
+			row := make([]expr.Value, len(b.Cols))
+			for _, i := range b.Selected() {
+				for k := range b.Cols {
+					row[k] = b.Cols[k].Value(int(i))
+				}
+				want, have := e.Eval(row), got.Value(int(i))
+				if want.Null != have.Null || (!want.Null && (want.Typ != have.Typ || want.String() != have.String())) {
+					t.Fatalf("trial %d row %d: %v (%v), want %v (%v)", trial, i, have, have.Typ, want, want.Typ)
+				}
+			}
 		}
 	}
 }
@@ -204,92 +289,95 @@ func TestAggKernelsMatchManual(t *testing.T) {
 		fv := buildVector(r, expr.TFloat, n, false)
 		var sel []int32
 		if r.Intn(2) == 0 {
+			sel = []int32{}
 			for i := 0; i < n; i++ {
 				if r.Intn(2) == 0 {
 					sel = append(sel, int32(i))
 				}
 			}
-			if sel == nil {
-				sel = []int32{}
-			}
 		}
-		each := func(f func(i int)) {
-			if sel != nil {
-				for _, i := range sel {
-					f(int(i))
+		// Grouped (three groups) and global (nil group ids) folds onto
+		// non-zero running states.
+		gids := make([]int32, n)
+		for i := range gids {
+			gids[i] = int32(r.Intn(3))
+		}
+		for _, g := range [][]int32{gids, nil} {
+			cnt, sumI, sumF := []int64{1, 2, 3}, []int64{10, 20, 30}, []float64{.5, 1.5, 2.5}
+			fcnt, fsum := []int64{1, 2, 3}, []float64{.25, .5, .75}
+			star, nn := []int64{0, 0, 0}, []int64{0, 0, 0}
+			wc, wi, wf := slices.Clone(cnt), slices.Clone(sumI), slices.Clone(sumF)
+			wfc, wfs := slices.Clone(fcnt), slices.Clone(fsum)
+			wstar, wnn := []int64{0, 0, 0}, []int64{0, 0, 0}
+			s := sel
+			if s == nil {
+				s = Iota(n)
+			}
+			for _, i := range s {
+				k := 0
+				if g != nil {
+					k = int(g[i])
 				}
-			} else {
-				for i := 0; i < n; i++ {
-					f(i)
+				wstar[k]++
+				if !iv.IsNull(int(i)) {
+					wc[k]++
+					wnn[k]++
+					wi[k] += iv.Ints[i]
+					wf[k] += float64(iv.Ints[i])
+				}
+				if !fv.IsNull(int(i)) {
+					wfc[k]++
+					wfs[k] += fv.Floats[i]
 				}
 			}
-		}
-
-		is := SumInts(&iv, sel, n)
-		var wantSum int64
-		var wantF float64
-		var wantN int64
-		each(func(i int) {
-			if !iv.IsNull(i) {
-				wantSum += iv.Ints[i]
-				wantF += float64(iv.Ints[i])
-				wantN++
+			AddInts(&iv, sel, n, g, cnt, sumI, sumF)
+			AddFloats(&fv, sel, n, g, fcnt, fsum)
+			AddCounts(nil, sel, n, g, star)
+			AddCounts(&iv, sel, n, g, nn)
+			if fmt.Sprint(cnt, sumI, sumF, fcnt, fsum, star, nn) != fmt.Sprint(wc, wi, wf, wfc, wfs, wstar, wnn) {
+				t.Fatalf("trial %d grouped=%v: got %v %v %v %v %v %v %v, want %v %v %v %v %v %v %v", trial, g != nil,
+					cnt, sumI, sumF, fcnt, fsum, star, nn, wc, wi, wf, wfc, wfs, wstar, wnn)
 			}
-		})
-		if is.Sum != wantSum || is.FSum != wantF || is.Count != wantN {
-			t.Fatalf("trial %d: SumInts %+v, want %d/%g/%d", trial, is, wantSum, wantF, wantN)
 		}
-
-		fs := SumFloats(&fv, sel, n)
-		var wantFS float64
-		var wantFN int64
-		each(func(i int) {
-			if !fv.IsNull(i) {
-				wantFS += fv.Floats[i]
-				wantFN++
-			}
-		})
-		if fs.Sum != wantFS || fs.Count != wantFN {
-			t.Fatalf("trial %d: SumFloats %+v", trial, fs)
-		}
-
-		for _, wantMin := range []bool{true, false} {
-			got, ok := MinMaxInts(&iv, sel, n, wantMin)
-			var want int64
-			have := false
-			each(func(i int) {
-				if iv.IsNull(i) {
-					return
+		// MinMax, unseeded and seeded with a running value.
+		for _, isMin := range []bool{true, false} {
+			for _, have := range []bool{false, true} {
+				want, ok := int64(3), have
+				s := sel
+				if s == nil {
+					s = Iota(n)
 				}
-				x := iv.Ints[i]
-				if !have || (wantMin && x < want) || (!wantMin && x > want) {
-					want, have = x, true
+				for _, i := range s {
+					if x := iv.Ints[i]; !iv.IsNull(int(i)) && (!ok || (isMin && x < want) || (!isMin && x > want)) {
+						want, ok = x, true
+					}
 				}
-			})
-			if ok != have || (ok && got != want) {
-				t.Fatalf("trial %d: MinMaxInts(min=%v) = %d,%v want %d,%v", trial, wantMin, got, ok, want, have)
+				if got, gotOK := MinMax(&iv, iv.Ints, sel, n, isMin, 3, have); gotOK != ok || (ok && got != want) {
+					t.Fatalf("trial %d: MinMax(min=%v, seeded=%v) = %d,%v want %d,%v", trial, isMin, have, got, gotOK, want, ok)
+				}
 			}
-		}
-
-		if c := CountNotNull(&iv, sel, n); c != wantN {
-			t.Fatalf("trial %d: CountNotNull = %d want %d", trial, c, wantN)
 		}
 	}
 }
 
+// TestMinMaxFloatsNaN: a leading NaN is kept — no strict comparison
+// replaces it — and a later NaN never replaces the running value,
+// exactly what expr.Compare produces row by row; seeding the second
+// batch with the first's result makes that independent of where the
+// batch boundary falls.
 func TestMinMaxFloatsNaN(t *testing.T) {
 	nan := math.NaN()
 	v := Vector{Type: expr.TFloat, Floats: []float64{nan, 2, 1}}
-	got, ok := MinMaxFloats(&v, nil, 3, true)
-	// A leading NaN is kept: strict comparisons never replace it —
-	// exactly what the row path's expr.Compare produces.
-	if !ok || !math.IsNaN(got) {
+	if got, ok := MinMax(&v, v.Floats, nil, 3, true, 0, false); !ok || !math.IsNaN(got) {
 		t.Errorf("min = %v, %v (want leading NaN kept)", got, ok)
 	}
 	v2 := Vector{Type: expr.TFloat, Floats: []float64{2, nan, 1}}
-	got, ok = MinMaxFloats(&v2, nil, 3, true)
-	if !ok || got != 1 {
+	if got, ok := MinMax(&v2, v2.Floats, nil, 3, true, 0, false); !ok || got != 1 {
 		t.Errorf("min = %v, want 1 (NaN skipped after first)", got)
+	}
+	v3 := Vector{Type: expr.TFloat, Floats: []float64{nan, 1}}
+	if got, _ := MinMax(&v3, v3.Floats, nil, 2, true, 2, true); got != 1 {
+		t.Errorf("min seeded with 2 over [NaN 1] = %v, want 1", got)
 	}
 }
 

@@ -253,6 +253,7 @@ func TestServeDebugEndpoints(t *testing.T) {
 	metrics := get("/metrics")
 	for _, want := range []string{
 		"# TYPE queries_run counter",
+		"# TYPE rows_boxed counter",
 		"# TYPE bufpool_bytes gauge",
 		"# TYPE query_wall_seconds histogram",
 		"query_wall_seconds_bucket{le=\"+Inf\"}",

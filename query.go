@@ -358,7 +358,10 @@ func (q *Query) buildPlan(ctx context.Context, instrument bool, sp *obs.Span, sc
 		if !instrument {
 			return op
 		}
-		if sc, ok := op.(*engine.Scan); ok && sc.BatchCapable() {
+		// Every operator works on column batches; only a scan over a
+		// format without tiles gets rows and enters through the
+		// rows→batches adapter.
+		if sc, ok := op.(*engine.Scan); !ok || sc.BatchCapable() {
 			detail += " [vectorized]"
 		}
 		tr := engine.NewTraced(label, detail, est, op)
@@ -605,6 +608,7 @@ func (q *Query) run(ctx context.Context, analyze bool) (*Result, *QueryStats, er
 			PlanDigest:          digest,
 			DictKernelShortcuts: delta.Get("dict_kernel_shortcuts"),
 			DictGroupByBatches:  delta.Get("dict_groupby_fastpath"),
+			RowsBoxed:           delta.Get("rows_boxed"),
 		}
 		for _, c := range sp.Children() {
 			if c.Name() == "plan" {
