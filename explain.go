@@ -82,10 +82,14 @@ type ScanStats struct {
 	// bytes read from disk, and buffer-pool hits vs misses for the
 	// scan's block accesses. Skipped tiles and unaccessed columns
 	// never appear here — their blocks are simply never requested.
-	BlocksRead int64
-	BlockBytes int64
-	PoolHits   int64
-	PoolMisses int64
+	// BlocksDecoded counts the blocks this scan turned into a column or
+	// a document directory: the first access of a pool residency
+	// decodes, so a warm scan reports 0.
+	BlocksRead    int64
+	BlockBytes    int64
+	PoolHits      int64
+	PoolMisses    int64
+	BlocksDecoded int64
 	// Block-store traffic (zero for in-memory relations): ranged read
 	// requests issued to the store (retry attempts included), payload
 	// bytes those requests returned (coalescing gap bytes included),
@@ -299,6 +303,7 @@ func snapshotScanStats(st *obs.ScanStats) ScanStats {
 		BlockBytes:     st.BlockBytes.Load(),
 		PoolHits:       st.PoolHits.Load(),
 		PoolMisses:     st.PoolMisses.Load(),
+		BlocksDecoded:  st.BlocksDecoded.Load(),
 
 		StoreRangeReads:   st.StoreRangeReads.Load(),
 		StoreBytesRead:    st.StoreBytesRead.Load(),
@@ -370,8 +375,8 @@ func (n *PlanNode) write(sb *strings.Builder, prefix, childPrefix string) {
 					s.Batches, s.RowsVectorized, s.RowsFallback)
 			}
 			if s.PoolHits+s.PoolMisses > 0 {
-				fmt.Fprintf(sb, "; blocks=%d io=%dB pool %d hit/%d miss",
-					s.BlocksRead, s.BlockBytes, s.PoolHits, s.PoolMisses)
+				fmt.Fprintf(sb, "; blocks=%d io=%dB pool %d hit/%d miss decoded=%d",
+					s.BlocksRead, s.BlockBytes, s.PoolHits, s.PoolMisses, s.BlocksDecoded)
 			}
 			if s.StoreRangeReads > 0 {
 				fmt.Fprintf(sb, "; store reads=%d bytes=%dB coalesced=%d prefetch_hits=%d",

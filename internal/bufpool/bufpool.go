@@ -12,6 +12,12 @@
 // in payload bytes, not entry counts, because block sizes vary by
 // orders of magnitude (a tile's JSONB fallback vs. a bool column).
 //
+// A block whose reader works on a decoded form (a typed column, a
+// document directory) is decoded once per residency: Handle.Decoded
+// runs the reader's decode on the first access after a load, and the
+// entry then holds that value in place of the payload, charged what it
+// retains, for every later access until eviction or DropFile.
+//
 // Multi-tenant governance: every block is attributed to the tenant
 // whose scan loaded it (GetAs), tenants can be given byte quotas
 // (SetQuota), and eviction is usage-ranked — a tenant over its quota
@@ -77,12 +83,18 @@ type Pool struct {
 }
 
 type entry struct {
-	key    Key
-	bytes  []byte
-	tenant string // loader attribution (usage-ranked eviction)
-	pins   int32
-	ref    bool // second-chance bit: set on access, cleared by sweeps
-	dead   bool // removed from entries; awaiting ring compaction
+	key Key
+	// bytes is the decompressed payload until Handle.Decoded replaces
+	// it with decoded, under decodeMu; size is what the entry is
+	// charged for (pool lock).
+	bytes    []byte
+	decoded  any
+	size     int64
+	decodeMu sync.Mutex
+	tenant   string // loader attribution (usage-ranked eviction)
+	pins     int32
+	ref      bool // second-chance bit: set on access, cleared by sweeps
+	dead     bool // removed from entries; awaiting ring compaction
 	// warmed marks entries inserted by Put (pre-scan fetch or async
 	// readahead) and not yet hit: the first Get on one reports
 	// Handle.Warmed so scans don't double-count the block (the fetch
@@ -181,14 +193,10 @@ func (p *Pool) Put(tenant string, key Key, payload []byte, prefetched bool) bool
 		p.mu.Unlock()
 		return false
 	}
-	e := &entry{key: key, bytes: payload, tenant: tenant, ref: true, warmed: true, prefetched: prefetched, putAt: p.inserted}
+	e := &entry{key: key, bytes: payload, size: int64(len(payload)), tenant: tenant, ref: true, warmed: true, prefetched: prefetched, putAt: p.inserted}
 	p.entries[key] = e
 	p.ring = append(p.ring, e)
-	p.chargeLocked(e, 1)
-	if tenant != "" {
-		p.enforceTenantLocked(tenant)
-	}
-	p.evictLocked()
+	p.insertedLocked(e)
 	p.mu.Unlock()
 	return true
 }
@@ -251,9 +259,39 @@ type Handle struct {
 	Prefetched bool
 }
 
-// Bytes returns the cached payload. Callers must not mutate it and
-// must not retain it past Release.
-func (h *Handle) Bytes() []byte { return h.ent.bytes }
+// Bytes returns the cached payload, nil once Decoded has replaced it.
+// Callers must not mutate it and must not retain it past Release.
+func (h *Handle) Bytes() []byte {
+	h.ent.decodeMu.Lock()
+	defer h.ent.decodeMu.Unlock()
+	return h.ent.bytes
+}
+
+// Decoded returns the block's decoded form, calling decode on the
+// payload only on the first access of this residency; concurrent first
+// accesses share one decode. decode reports the bytes its value
+// retains, aliased payload memory included: the entry drops its own
+// payload reference and is charged that size from then on (bounds are
+// re-enforced at Release). The value is shared by every later Get, so
+// immutable, and may be kept past Release (it is garbage-collected,
+// never reused). A failed decode caches nothing.
+func (h *Handle) Decoded(decode func(payload []byte) (v any, retained int64, err error)) (any, error) {
+	e, p := h.ent, h.pool
+	e.decodeMu.Lock()
+	defer e.decodeMu.Unlock()
+	if e.decoded == nil {
+		v, retained, err := decode(e.bytes)
+		if err != nil {
+			return nil, err
+		}
+		p.mu.Lock() // pinned by h, so resident: re-book it where it is booked
+		obs.BufpoolPinnedBytes.Add(float64(retained - e.size))
+		p.chargeLocked(e, retained-e.size)
+		e.decoded, e.bytes, e.size = v, nil, retained
+		p.mu.Unlock()
+	}
+	return e.decoded, nil
+}
 
 // Release unpins the handle. After Release the payload may be evicted
 // at any time; using Bytes' result afterwards is a data race with the
@@ -266,7 +304,7 @@ func (h *Handle) Release() {
 	p.mu.Lock()
 	h.ent.pins--
 	if h.ent.pins == 0 {
-		obs.BufpoolPinnedBytes.Add(-float64(len(h.ent.bytes)))
+		obs.BufpoolPinnedBytes.Add(-float64(h.ent.size))
 		// A block pinned through the last insert may have carried its
 		// tenant (or the pool) over the bound; the unpin is the first
 		// moment it becomes evictable, so enforce here rather than
@@ -303,7 +341,7 @@ func (p *Pool) GetAs(tenant string, key Key, load func() ([]byte, error)) (*Hand
 		p.mu.Lock()
 		if e, ok := p.entries[key]; ok {
 			if e.pins == 0 {
-				obs.BufpoolPinnedBytes.Add(float64(len(e.bytes)))
+				obs.BufpoolPinnedBytes.Add(float64(e.size))
 			}
 			e.pins++
 			e.ref = true
@@ -341,30 +379,32 @@ func (p *Pool) GetAs(tenant string, key Key, load func() ([]byte, error)) (*Hand
 			close(f.done)
 			return nil, f.err
 		}
-		e := &entry{key: key, bytes: f.bytes, tenant: tenant, pins: 1, ref: true}
-		obs.BufpoolPinnedBytes.Add(float64(len(e.bytes)))
+		e := &entry{key: key, bytes: f.bytes, size: int64(len(f.bytes)), tenant: tenant, pins: 1, ref: true}
+		obs.BufpoolPinnedBytes.Add(float64(e.size))
 		p.entries[key] = e
 		p.ring = append(p.ring, e)
-		p.chargeLocked(e, 1)
-		if tenant != "" {
-			p.enforceTenantLocked(tenant)
-		}
-		p.evictLocked()
+		p.insertedLocked(e)
 		p.mu.Unlock()
 		close(f.done)
 		return &Handle{pool: p, ent: e}, nil
 	}
 }
 
-// chargeLocked books an entry's bytes into the pool-wide and
-// per-tenant ledgers and their metrics gauges; sign is +1 on insert,
-// -1 on eviction.
-func (p *Pool) chargeLocked(e *entry, sign int64) {
-	n := sign * int64(len(e.bytes))
-	p.resident += n
-	if sign > 0 {
-		p.inserted += n
+// insertedLocked books a newly inserted entry, advances the pool's
+// clock, and enforces the loader's quota and the global capacity.
+func (p *Pool) insertedLocked(e *entry) {
+	p.inserted += e.size
+	p.chargeLocked(e, e.size)
+	if e.tenant != "" {
+		p.enforceTenantLocked(e.tenant)
 	}
+	p.evictLocked()
+}
+
+// chargeLocked books n bytes (negative on eviction) of an entry into
+// the pool-wide and per-tenant ledgers and their metrics gauges.
+func (p *Pool) chargeLocked(e *entry, n int64) {
+	p.resident += n
 	obs.BufpoolBytes.Add(float64(n))
 	if e.tenant != "" {
 		p.acctLocked(e.tenant).resident += n
@@ -378,7 +418,7 @@ func (p *Pool) removeLocked(i int) {
 	e := p.ring[i]
 	e.dead = true
 	delete(p.entries, e.key)
-	p.chargeLocked(e, -1)
+	p.chargeLocked(e, -e.size)
 	p.evictions++
 	last := len(p.ring) - 1
 	p.ring[i] = p.ring[last]
@@ -504,7 +544,7 @@ func (p *Pool) Stats() Stats {
 	var pinned int64
 	for _, e := range p.ring {
 		if e.pins > 0 {
-			pinned += int64(len(e.bytes))
+			pinned += e.size
 		}
 	}
 	return Stats{
@@ -538,7 +578,7 @@ func (p *Pool) DropFile(file uint64) {
 	for _, e := range p.ring {
 		if e.key.File == file && e.pins == 0 {
 			delete(p.entries, e.key)
-			p.chargeLocked(e, -1)
+			p.chargeLocked(e, -e.size)
 			e.dead = true
 			continue
 		}

@@ -40,6 +40,11 @@ type Column struct {
 	codes8    []uint8
 	codes16   []uint16
 	codes32   []uint32
+
+	// shared marks a column decoded from a block payload: the segment
+	// reader hands one such column to every scan of a pool residency,
+	// so the in-place setters refuse it.
+	shared bool
 }
 
 // New returns an empty column of the given storage type.
@@ -217,20 +222,33 @@ func (c *Column) StringData() (offsets []uint32, bytes []byte) {
 	return c.strOff, c.strBytes
 }
 
-// SetInt updates row i in place (update path, §4.7).
+// SetInt updates row i in place (update path, §4.7). Like SetFloat
+// and SetNull it panics on a column Deserialize produced: those are
+// shared between concurrent scans and never updated.
 func (c *Column) SetInt(i int, v int64) {
+	c.mustBeOwned()
 	c.ints[i] = v
 	c.clearNull(i)
 }
 
 // SetFloat updates row i in place.
 func (c *Column) SetFloat(i int, v float64) {
+	c.mustBeOwned()
 	c.floats[i] = v
 	c.clearNull(i)
 }
 
 // SetNull marks row i null in place.
-func (c *Column) SetNull(i int) { c.setNull(i) }
+func (c *Column) SetNull(i int) {
+	c.mustBeOwned()
+	c.setNull(i)
+}
+
+func (c *Column) mustBeOwned() {
+	if c.shared {
+		panic("column: in-place update of a shared, deserialized column")
+	}
+}
 
 func (c *Column) clearNull(i int) {
 	w := i >> 6
@@ -351,7 +369,7 @@ func Deserialize(b []byte) (*Column, error) {
 		b = b[w*8:]
 		return ws, true
 	}
-	c := &Column{typ: typ, n: n}
+	c := &Column{typ: typ, n: n, shared: true}
 	var ok bool
 	if c.nulls, ok = words(); !ok {
 		return nil, ErrCorrupt
@@ -361,22 +379,18 @@ func Deserialize(b []byte) (*Column, error) {
 		if len(b) < n*8 {
 			return nil, ErrCorrupt
 		}
-		vals := make([]uint64, n)
-		for i := range vals {
-			vals[i] = binary.LittleEndian.Uint64(b[i*8:])
-		}
-		b = b[n*8:]
 		if typ == keypath.TypeDouble {
 			c.floats = make([]float64, n)
-			for i, v := range vals {
-				c.floats[i] = math.Float64frombits(v)
+			for i := range c.floats {
+				c.floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 			}
 		} else {
 			c.ints = make([]int64, n)
-			for i, v := range vals {
-				c.ints[i] = int64(v)
+			for i := range c.ints {
+				c.ints[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
 			}
 		}
+		b = b[n*8:]
 	case keypath.TypeBool:
 		if c.bools, ok = words(); !ok {
 			return nil, ErrCorrupt

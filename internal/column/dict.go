@@ -231,7 +231,7 @@ func deserializeCodes(b []byte) (*Column, []byte, error) {
 	if w < 0 || w > (n+63)/64 || len(b) < w*8 {
 		return nil, nil, ErrCorrupt
 	}
-	c := &Column{typ: keypath.TypeString, n: n}
+	c := &Column{typ: keypath.TypeString, n: n, shared: true}
 	if w > 0 {
 		c.nulls = make([]uint64, w)
 		for i := range c.nulls {

@@ -3,7 +3,6 @@ package jsonb
 import (
 	"encoding/binary"
 	"math"
-	"sort"
 	"strconv"
 
 	"repro/internal/float16"
@@ -203,13 +202,28 @@ func (d Doc) Len() int {
 	return c.n
 }
 
-// keyAt returns the key of object slot i. Offsets point at the end of
-// payload i, which is exactly where the length-prefixed key begins.
-func (d Doc) keyAt(c container, i int) string {
-	pos := c.slotBase + d.offset(c, i)
-	klen, n := binary.Uvarint(d.buf[pos:])
+// keyBytesAt returns the encoded key of object slot i, aliasing the
+// buffer. Offsets point at the end of payload i, which is exactly
+// where the length-prefixed key begins. Corrupt offsets or lengths
+// yield nil rather than a panic.
+func (d Doc) keyBytesAt(c container, i int) []byte {
+	off := d.offset(c, i)
+	pos := c.slotBase + off
+	if off < 0 || pos >= len(d.buf) {
+		return nil
+	}
+	klen, n := uint64(d.buf[pos]), 1
+	if klen >= 0x80 { // keys of 128+ bytes: the general varint
+		klen, n = binary.Uvarint(d.buf[pos:])
+		if n <= 0 {
+			return nil
+		}
+	}
 	pos += n
-	return string(d.buf[pos : pos+int(klen)])
+	if klen > uint64(len(d.buf)-pos) {
+		return nil
+	}
+	return d.buf[pos : pos+int(klen)]
 }
 
 // payloadAt returns a cursor to the payload of slot i. For objects,
@@ -230,7 +244,10 @@ func (d Doc) payloadAt(c container, i int, isObject bool) Doc {
 }
 
 // Get looks up key in an object using binary search over the sorted
-// keys — the O(log n) access the format is designed for. The second
+// keys — the O(log n) access the format is designed for. Keys are
+// compared against the encoded bytes in place, so a lookup (hit or
+// miss) allocates nothing. The encoder keeps keys unique (the last of
+// equal input keys wins), so at most one slot matches. The second
 // result is false when d is not an object or the key is absent.
 func (d Doc) Get(key string) (Doc, bool) {
 	c, ok := d.container()
@@ -240,11 +257,12 @@ func (d Doc) Get(key string) (Doc, bool) {
 	lo, hi := 0, c.n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		k := d.keyAt(c, mid)
+		// string(k) in a comparison does not allocate.
+		k := d.keyBytesAt(c, mid)
 		switch {
-		case k < key:
+		case string(k) < key:
 			lo = mid + 1
-		case k > key:
+		case string(k) > key:
 			hi = mid
 		default:
 			return d.payloadAt(c, mid, true), true
@@ -494,17 +512,13 @@ func (d Doc) Keys() []string {
 	}
 	keys := make([]string, c.n)
 	for i := range keys {
-		keys[i] = d.keyAt(c, i)
+		keys[i] = string(d.keyBytesAt(c, i))
 	}
 	return keys
 }
 
 // HasKey reports key presence without extracting the payload.
 func (d Doc) HasKey(key string) bool {
-	c, ok := d.container()
-	if !ok || d.buf[0]>>4 != tagObject {
-		return false
-	}
-	i := sort.Search(c.n, func(i int) bool { return d.keyAt(c, i) >= key })
-	return i < c.n && d.keyAt(c, i) == key
+	_, ok := d.Get(key)
+	return ok
 }

@@ -109,7 +109,7 @@ func (e *Encoder) measure(v jsonvalue.Value) int {
 		ow := widthForCode[codeForWidth(uint64(slots))]
 		size = 1 + cw + v.Len()*ow + slots
 	case jsonvalue.KindObject:
-		ms := v.SortedMembers()
+		ms := lastOfEqualKeys(v.SortedMembers())
 		e.sorted[idx] = ms
 		slots := 0
 		for _, m := range ms {
@@ -124,6 +124,26 @@ func (e *Encoder) measure(v jsonvalue.Value) int {
 	e.sizes[idx] = size
 	e.spans[idx] = len(e.sizes) - idx
 	return size
+}
+
+// lastOfEqualKeys drops all but the last of every run of equal keys in
+// a stably key-sorted member list: a repeated key means its last
+// occurrence (jsonvalue.Lookup's rule), and Doc.Get's binary search
+// needs unique keys to find it. Distinct keys return ms itself.
+func lastOfEqualKeys(ms []jsonvalue.Member) []jsonvalue.Member {
+	for i := 1; i < len(ms); i++ {
+		if ms[i].Key != ms[i-1].Key {
+			continue
+		}
+		out := make([]jsonvalue.Member, 0, len(ms)-1)
+		for j, m := range ms {
+			if j+1 == len(ms) || ms[j+1].Key != m.Key {
+				out = append(out, m)
+			}
+		}
+		return out
+	}
+	return ms
 }
 
 // write is the second pass. It mirrors measure's traversal exactly;

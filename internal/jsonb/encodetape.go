@@ -12,7 +12,8 @@ import (
 // but walking a jsontape.Doc instead of a jsonvalue tree, so the
 // ingest pipeline encodes documents without materializing them. The
 // output is byte-identical to Encode(node.Materialize()) — object
-// members are visited in the same stable key-sorted order, strings
+// members are visited in the same stable key-sorted order with only
+// the last of equal keys kept, strings
 // are decoded with the same escape/sanitize rules (once, during the
 // measure pass), and numeric-string detection runs on the decoded
 // bytes.
@@ -106,17 +107,32 @@ func (e *Encoder) measureTape(d *jsontape.Doc, ti int) int {
 			ms = append(ms, tapeMember{key: d.At(j).ContentBytes(), val: j + 1})
 			j = d.Skip(j + 1)
 		}
-		presorted := true
-		for k := 1; k < len(ms); k++ {
-			if bytes.Compare(ms[k-1].key, ms[k].key) > 0 {
-				presorted = false
-				break
-			}
+		// A stable sort keeps equal keys in input order, so the last of
+		// a run is the last occurrence: the one a repeated key means.
+		// Equal keys end up adjacent, and adjacent elements of a sorted
+		// order have been compared with each other, so the order check
+		// or the sort itself sees every repetition: distinct keys pay
+		// nothing for the check.
+		presorted, repeated := true, false
+		for k := 1; k < len(ms) && presorted; k++ {
+			c := bytes.Compare(ms[k-1].key, ms[k].key)
+			presorted, repeated = c <= 0, repeated || c == 0
 		}
 		if !presorted {
 			sort.SliceStable(ms, func(a, b int) bool {
-				return bytes.Compare(ms[a].key, ms[b].key) < 0
+				c := bytes.Compare(ms[a].key, ms[b].key)
+				repeated = repeated || c == 0
+				return c < 0
 			})
+		}
+		if repeated {
+			kept := ms[:0]
+			for k, m := range ms {
+				if k+1 == len(ms) || !bytes.Equal(ms[k+1].key, m.key) {
+					kept = append(kept, m)
+				}
+			}
+			ms, count = kept, len(kept)
 		}
 		e.tmem[idx] = ms
 		slots := 0

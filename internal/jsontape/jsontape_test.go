@@ -139,8 +139,8 @@ func TestMemberDecodedKeys(t *testing.T) {
 	if v, ok := root.Member("é"); !ok || v.IntVal() != 1 {
 		t.Fatal("escaped key lookup failed")
 	}
-	if v, ok := root.Member("dup"); !ok || v.IntVal() != 2 {
-		t.Fatal("duplicate key lookup should return the first member")
+	if v, ok := root.Member("dup"); !ok || v.IntVal() != 3 {
+		t.Fatal("duplicate key lookup should return the last member")
 	}
 	if v, ok := root.Member(""); !ok || v.IntVal() != 4 {
 		t.Fatal("empty key lookup failed")

@@ -46,23 +46,25 @@ func (n Node) Materialize() jsonvalue.Value {
 	return jsonvalue.Null()
 }
 
-// Member returns the value of the first member with the given key in
-// an object node, decoding keys lazily (raw bytes are compared
-// directly when the stored key needs no decoding).
+// Member returns the value of the member with the given key in an
+// object node — the last one when the key is repeated, the rule
+// jsonvalue.Lookup and the JSONB encoder follow — decoding keys lazily
+// (raw bytes are compared directly when the stored key needs no
+// decoding).
 func (n Node) Member(key string) (Node, bool) {
 	if n.Kind() != KObj {
 		return Node{}, false
 	}
+	var found Node
+	ok := false
 	j := n.i + 1
 	for k := 0; k < n.Count(); k++ {
-		kn := Node{n.d, j}
-		val := Node{n.d, j + 1}
-		if kn.keyEqual(key) {
-			return val, true
+		if (Node{n.d, j}).keyEqual(key) {
+			found, ok = Node{n.d, j + 1}, true
 		}
 		j = n.d.Skip(j + 1)
 	}
-	return Node{}, false
+	return found, ok
 }
 
 func (kn Node) keyEqual(key string) bool {

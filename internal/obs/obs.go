@@ -335,6 +335,10 @@ var (
 	SegmentBlocksRead = Default.Counter("segment_blocks_read")
 	// SegmentBytesRead counts stored (compressed) bytes read from disk.
 	SegmentBytesRead = Default.Counter("segment_bytes_read")
+	// SegmentBlocksDecoded counts block payloads turned into a column
+	// or a document directory: once per buffer-pool residency, so a
+	// warm scan adds nothing.
+	SegmentBlocksDecoded = Default.Counter("segment_blocks_decoded")
 	// BufpoolHits and BufpoolMisses count buffer-pool lookups during
 	// scans; BufpoolEvictions counts blocks evicted to stay inside the
 	// pool's capacity.

@@ -36,12 +36,14 @@ type ScanStats struct {
 	RowsFallback   atomic.Int64
 
 	// Segment I/O split (zero for in-memory relations): blocks and
-	// stored bytes read from disk, and buffer-pool hits vs misses for
-	// this scan's block accesses.
-	BlocksRead atomic.Int64
-	BlockBytes atomic.Int64
-	PoolHits   atomic.Int64
-	PoolMisses atomic.Int64
+	// stored bytes read from disk, buffer-pool hits vs misses for this
+	// scan's block accesses, and the blocks this scan had to decode
+	// (first access of a pool residency; 0 on a warm scan).
+	BlocksRead    atomic.Int64
+	BlockBytes    atomic.Int64
+	PoolHits      atomic.Int64
+	PoolMisses    atomic.Int64
+	BlocksDecoded atomic.Int64
 
 	// BlockStore split (zero when every block was pool-resident):
 	// ranged read requests this scan issued (retry attempts included),

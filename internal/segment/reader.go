@@ -19,10 +19,12 @@ import (
 )
 
 // Reader reads one open segment object through a block store. All
-// block reads flow through the buffer pool: a hit returns resident
-// decompressed bytes, a miss issues a ranged read (with transient
-// retries), verifies the checksum, decompresses, and caches the
-// payload. A Reader is safe for concurrent use.
+// block reads flow through the buffer pool: a miss issues a ranged
+// read (with transient retries), verifies the checksum, decompresses,
+// and caches the payload; the first Column or Docs access of a
+// resident block decodes it and leaves the decoded form in the pool
+// entry, so a hit returns a shared, immutable column or document
+// directory with no decode step. A Reader is safe for concurrent use.
 type Reader struct {
 	store    blockstore.Store
 	name     string // object name within the store
@@ -42,11 +44,14 @@ type Reader struct {
 // already accounted the miss; Prefetched narrows it to asynchronous
 // readahead), and — on a miss — the stored bytes fetched, the ranged
 // read requests issued (retry attempts included), and how many of
-// those were transient-failure retries.
+// those were transient-failure retries. Decoded reports that this
+// access turned the payload into its column or document directory
+// (the first access of a pool residency).
 type ReadInfo struct {
 	Hit         bool
 	Warmed      bool
 	Prefetched  bool
+	Decoded     bool
 	StoredBytes int
 	RangeReads  int
 	Retries     int
@@ -96,7 +101,8 @@ func Open(path string, pool *bufpool.Pool) (*Reader, error) {
 // relation statistics are then in memory; data blocks load lazily —
 // scans fetch only the blocks their zone-map-surviving tiles touch.
 // The Reader does not own the store: closing the Reader drops its
-// cached blocks but leaves the store open.
+// cached blocks but leaves the store open. A nil pool gives the Reader
+// a private one of the default capacity.
 func OpenStore(store blockstore.Store, name string, pool *bufpool.Pool) (*Reader, error) {
 	return OpenStoreSized(store, name, pool, 0)
 }
@@ -207,10 +213,11 @@ func OpenStoreSized(store blockstore.Store, name string, pool *bufpool.Pool, siz
 	}
 	r.tiles = ftr.tiles
 	r.stats = ftr.stats
-	r.pool = pool
-	if pool != nil {
-		r.fileID = pool.RegisterObject(store.Label() + "/" + name)
+	if pool == nil {
+		pool = bufpool.New(0) // private: every read takes the pooled path
 	}
+	r.pool = pool
+	r.fileID = pool.RegisterObject(store.Label() + "/" + name)
 	obs.SegmentOpenSeconds.ObserveSince(start)
 	return r, nil
 }
@@ -228,9 +235,7 @@ func (r *Reader) SetCoalesceGap(gap int64) {
 // Close drops this object's resident blocks from the shared pool and,
 // for path-opened readers, closes the private store.
 func (r *Reader) Close() error {
-	if r.pool != nil {
-		r.pool.DropFile(r.fileID)
-	}
+	r.pool.DropFile(r.fileID)
 	if r.ownStore {
 		return blockstore.Close(r.store)
 	}
@@ -265,11 +270,12 @@ func (r *Reader) NumRows() int {
 	return total
 }
 
-// Column reads and deserializes one extracted column. Block payloads
-// are fetched through the pool; the deserialized column copies out of
-// them, so the returned column has no ties to pool memory. A
-// dictionary column costs two block accesses (codes + dictionary),
-// reported as separate ReadInfo entries.
+// Column returns one extracted column. The column is decoded from its
+// block payload once per buffer-pool residency and then shared by every
+// caller, so it is read-only (its in-place setters panic) and costs a
+// warm scan no decode and no allocation. A dictionary column costs two
+// block accesses (codes + dictionary), reported as separate ReadInfo
+// entries.
 func (r *Reader) Column(tileIdx, colIdx int) (*column.Column, []ReadInfo, error) {
 	return r.ColumnT("", tileIdx, colIdx)
 }
@@ -277,39 +283,55 @@ func (r *Reader) Column(tileIdx, colIdx int) (*column.Column, []ReadInfo, error)
 // ColumnT is Column with the loading tenant: cache misses it causes
 // are charged against tenant's buffer-pool quota ("" = unattributed).
 func (r *Reader) ColumnT(tenant string, tileIdx, colIdx int) (*column.Column, []ReadInfo, error) {
-	cm := &r.tiles[tileIdx].Columns[colIdx]
-	payload, info, err := r.pooledBlock(tenant, cm.Block)
+	tm := &r.tiles[tileIdx]
+	cm := &tm.Columns[colIdx]
+	wrap := func(err error) error { return fmt.Errorf("tile %d column %q: %w", tileIdx, cm.Path, err) }
+	h, info, err := r.pooledBlock(tenant, cm.Block)
 	infos := []ReadInfo{info}
 	if err != nil {
-		return nil, infos, fmt.Errorf("tile %d column %q: %w", tileIdx, cm.Path, err)
+		return nil, infos, wrap(err)
 	}
-	var col *column.Column
+	defer h.Release()
+	// The dictionary block is touched on every access, decoded or not,
+	// so its pool accounting and eviction age follow the codes block's.
+	var dict []byte
 	if cm.HasDict {
-		dictPayload, dinfo, derr := r.pooledBlock(tenant, cm.Dict)
+		dh, dinfo, derr := r.pooledBlock(tenant, cm.Dict)
 		infos = append(infos, dinfo)
 		if derr != nil {
 			return nil, infos, fmt.Errorf("tile %d column %q dict: %w", tileIdx, cm.Path, derr)
 		}
-		col, err = column.DeserializeDict(payload, dictPayload)
-	} else {
-		col, err = column.Deserialize(payload)
+		dict = dh.Bytes()
+		dh.Release()
 	}
+	v, err := decoded(h, &infos[0], func(payload []byte) (any, int64, error) {
+		var col *column.Column
+		var err error
+		if cm.HasDict {
+			col, err = column.DeserializeDict(payload, dict)
+		} else {
+			col, err = column.Deserialize(payload)
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		if col.Len() != tm.Rows || col.Type() != cm.StorageType {
+			return nil, 0, corruptf("%s: block [%d,+%d) decodes to %d rows of type %d, footer says %d rows of type %d",
+				r.name, cm.Block.Off, cm.Block.StoredLen, col.Len(), col.Type(), tm.Rows, cm.StorageType)
+		}
+		return col, int64(col.SizeBytes()), nil
+	})
 	if err != nil {
-		return nil, infos, fmt.Errorf("tile %d column %q: %w", tileIdx, cm.Path, err)
+		return nil, infos, wrap(err)
 	}
-	if col.Len() != r.tiles[tileIdx].Rows || col.Type() != cm.StorageType {
-		return nil, infos, fmt.Errorf("tile %d column %q: %w", tileIdx, cm.Path,
-			corruptf("%s: block [%d,+%d) decodes to %d rows of type %d, footer says %d rows of type %d",
-				r.name, cm.Block.Off, cm.Block.StoredLen,
-				col.Len(), col.Type(), r.tiles[tileIdx].Rows, cm.StorageType))
-	}
-	return col, infos, nil
+	return v.(*column.Column), infos, nil
 }
 
-// Docs reads tile i's binary-JSON fallback documents. The returned
-// slices alias pool-cached memory: valid indefinitely (the payload is
-// immutable and garbage-collected), but each scan should re-fetch so
-// the pool sees the access.
+// Docs returns tile i's binary-JSON fallback documents: a directory of
+// slices aliasing the block payload, built once per buffer-pool
+// residency and shared by every caller. Read-only, and valid
+// indefinitely (the payload is immutable and garbage-collected), but
+// each scan should re-fetch so the pool sees the access.
 func (r *Reader) Docs(tileIdx int) ([][]byte, ReadInfo, error) {
 	return r.DocsT("", tileIdx)
 }
@@ -317,15 +339,20 @@ func (r *Reader) Docs(tileIdx int) ([][]byte, ReadInfo, error) {
 // DocsT is Docs with the loading tenant (see ColumnT).
 func (r *Reader) DocsT(tenant string, tileIdx int) ([][]byte, ReadInfo, error) {
 	tm := &r.tiles[tileIdx]
-	payload, info, err := r.pooledBlock(tenant, tm.Docs)
+	h, info, err := r.pooledBlock(tenant, tm.Docs)
 	if err != nil {
 		return nil, info, fmt.Errorf("tile %d docs: %w", tileIdx, err)
 	}
-	docs, err := decodeDocs(payload, tm.Rows)
+	defer h.Release()
+	v, err := decoded(h, &info, func(payload []byte) (any, int64, error) {
+		docs, err := decodeDocs(payload, tm.Rows)
+		// The directory aliases the payload: both stay resident.
+		return docs, int64(len(payload) + len(docs)*docDirEntryBytes), err
+	})
 	if err != nil {
 		return nil, info, fmt.Errorf("tile %d: %w", tileIdx, err)
 	}
-	return docs, info, nil
+	return v.([][]byte), info, nil
 }
 
 // FetchRun is one coalesced ranged read of a planned fetch: the byte
@@ -341,9 +368,6 @@ type FetchRun struct {
 // decompressed bytes the runs will add to the pool. No I/O; refs is
 // reordered and the runs alias it.
 func (r *Reader) PlanFetch(refs []BlockRef) (runs []FetchRun, rawBytes int64) {
-	if r.pool == nil {
-		return nil, 0
-	}
 	sortRefs(refs)
 	uniq := refs[:0]
 	var ranges []blockstore.Range
@@ -431,14 +455,24 @@ func sortRefs(refs []BlockRef) {
 	}
 }
 
-// pooledBlock fetches one block's decompressed payload through the
-// buffer pool (or directly when the reader has no pool, as during
-// Open before registration).
-func (r *Reader) pooledBlock(tenant string, ref BlockRef) ([]byte, ReadInfo, error) {
-	if r.pool == nil {
-		b, retries, err := r.readBlock(ref)
-		return b, ReadInfo{StoredBytes: int(ref.StoredLen), RangeReads: 1 + retries, Retries: retries}, err
-	}
+// docDirEntryBytes is what one document costs in a decoded docs
+// directory beyond its payload bytes: a []byte header.
+const docDirEntryBytes = 24
+
+// decoded returns a pinned block's decoded form, built by decode on
+// the first access of a pool residency; info.Decoded records that
+// decode ran.
+func decoded(h *bufpool.Handle, info *ReadInfo, decode func(payload []byte) (any, int64, error)) (any, error) {
+	return h.Decoded(func(payload []byte) (any, int64, error) {
+		info.Decoded = true
+		obs.SegmentBlocksDecoded.Add(1)
+		return decode(payload)
+	})
+}
+
+// pooledBlock pins one block in the buffer pool, loading it on a miss.
+// The caller releases the handle.
+func (r *Reader) pooledBlock(tenant string, ref BlockRef) (*bufpool.Handle, ReadInfo, error) {
 	var retries int
 	h, err := r.pool.GetAs(tenant, bufpool.Key{File: r.fileID, Off: ref.Off}, func() ([]byte, error) {
 		b, n, err := r.readBlock(ref)
@@ -454,9 +488,7 @@ func (r *Reader) pooledBlock(tenant string, ref BlockRef) ([]byte, ReadInfo, err
 		info.RangeReads = 1 + retries
 		info.Retries = retries
 	}
-	b := h.Bytes()
-	h.Release()
-	return b, info, nil
+	return h, info, nil
 }
 
 // corruptBlock builds an ErrCorrupt with the object name and byte

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,11 +10,14 @@ import (
 	"testing"
 
 	"repro/internal/blockstore"
+	"repro/internal/bufpool"
 	"repro/internal/expr"
 	"repro/internal/keypath"
 	"repro/internal/manifest"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/tile"
+	"repro/internal/vec"
 )
 
 // dirTestBatch builds one flush-worth of tiles plus statistics from
@@ -360,4 +364,98 @@ func TestDirTableEmpty(t *testing.T) {
 		t.Fatalf("reopen empty: %v", err)
 	}
 	dt2.Close()
+}
+
+// Decoded columns are shared through the pool by every scan, worker
+// and tenant: concurrent batch scans under two tenants (one with a
+// quota too small for the table) return the same rows while an append
+// and a compaction replace segments under them, and afterwards the
+// pool is inside its bounds with nothing pinned.
+func TestDirTableConcurrentScansShareDecodedColumns(t *testing.T) {
+	cfg := DefaultLoaderConfig()
+	cfg.Tile.TileSize = 16
+	pool := bufpool.New(8 << 10) // smaller than the table: eviction runs beside the scans
+	pool.SetQuota("small", 2<<10)
+	dt, err := OpenDirStore("t", blockstore.NewMem(), pool, cfg, 2, false)
+	if err != nil {
+		t.Fatalf("OpenDirStore: %v", err)
+	}
+	defer dt.Close()
+	const batches = 6
+	for b := 0; b < batches; b++ {
+		tiles, st := dirTestBatch(t, dirTestLines(b, 64))
+		if err := dt.AppendTiles(tiles, st); err != nil {
+			t.Fatalf("AppendTiles: %v", err)
+		}
+	}
+	accesses := dirTestAccesses()
+	// Rows of the batch appended mid-scan are left out, so every
+	// generation a scan can pin answers alike.
+	scan := func(tenant string, workers int) map[string]int {
+		got := map[string]int{}
+		var mu sync.Mutex
+		ctx := obs.WithTenant(context.Background(), tenant)
+		dt.ScanBatches(ctx, accesses, workers, func(_ int, b *vec.Batch) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, i := range b.Selected() {
+				if b.Cols[1].Value(int(i)).I >= batches {
+					continue
+				}
+				key := ""
+				for c := range b.Cols {
+					key += b.Cols[c].Value(int(i)).String() + "|"
+				}
+				got[key]++
+			}
+		}, nil)
+		return got
+	}
+	want := scan("", 1)
+	if len(want) != batches*64 {
+		t.Fatalf("baseline scan saw %d rows, want %d", len(want), batches*64)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			tenant := []string{"big", "small"}[g%2]
+			for round := 0; round < 6; round++ {
+				got := scan(tenant, 1+g%3)
+				if len(got) != len(want) {
+					t.Errorf("scan %d/%d (%s): %d distinct rows, want %d", g, round, tenant, len(got), len(want))
+					return
+				}
+				for k, n := range want {
+					if got[k] != n {
+						t.Errorf("scan %d/%d (%s): row %q ×%d, want ×%d", g, round, tenant, k, got[k], n)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	tiles, st := dirTestBatch(t, dirTestLines(batches, 64))
+	if err := dt.AppendTiles(tiles, st); err != nil {
+		t.Errorf("AppendTiles beside scans: %v", err)
+	}
+	if _, err := dt.Compact(); err != nil {
+		t.Errorf("Compact beside scans: %v", err)
+	}
+	wg.Wait()
+	if err := dt.Err(); err != nil {
+		t.Fatalf("Err: %v", err)
+	}
+	ps := pool.Stats()
+	if ps.Resident > pool.Capacity() || ps.PinnedBytes != 0 {
+		t.Errorf("pool after the scans: %d resident of %d, %d pinned", ps.Resident, pool.Capacity(), ps.PinnedBytes)
+	}
+	if ts := pool.TenantStats("small"); ts.Resident > ts.Quota {
+		t.Errorf("tenant small holds %d bytes over its quota of %d", ts.Resident, ts.Quota)
+	}
+	if ps.Evictions == 0 {
+		t.Error("the pool never evicted: the test did not exercise decode-after-eviction")
+	}
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"context"
+	"math/bits"
 
 	"repro/internal/expr"
 	"repro/internal/jsonb"
@@ -241,6 +242,14 @@ func scanRowsCore(ctx context.Context, src scanSource, accesses []Access, worker
 // scanBatchesCore is the shared batch scan loop: one batch per
 // surviving tile, with the same skip decisions and accounting as the
 // row scan plus the batch/vectorized-row split.
+//
+// Accesses flagged NullRejecting narrow the batch — tile skipping's
+// contract applied per row: a row NULL in one of them cannot reach the
+// result, so it is left out of the batch's selection and its remaining
+// boxed cells are never materialized (on a tile mixing document types,
+// one document lookup per row of the wrong type instead of k). Batches
+// arrive with Sel != nil whenever a row was dropped; a tile with no
+// live row emits nothing.
 func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
 	cfg := src.scanConfig()
 	nTiles := src.numScanTiles()
@@ -260,6 +269,19 @@ func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, wor
 		run += int64(rowCounts[i])
 	}
 	head.flush(st)
+	// Slots in resolution order: null-rejecting ones first.
+	order := make([]int, 0, len(accesses))
+	for ai := range accesses {
+		if accesses[ai].NullRejecting {
+			order = append(order, ai)
+		}
+	}
+	nRej := len(order)
+	for ai := range accesses {
+		if !accesses[ai].NullRejecting {
+			order = append(order, ai)
+		}
+	}
 	// Batches alias one tile's column slices, so morsels stay at tile
 	// granularity here: tiny tiles batch together, big tiles are one
 	// morsel each (never row-split).
@@ -267,13 +289,9 @@ func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, wor
 	fw := newFetchWindow(ctx, src, accesses, morsels, workers, st)
 	defer fw.close()
 	runMorsels(ctx, morsels, workers, func(w int, m morsel) {
-		var (
-			batch vec.Batch
-			boxed = make([][]expr.Value, len(accesses))
-			fbuf  = make([][]float64, len(accesses))
-			cnt   = scanCounters{morsels: 1, tenant: tenant}
-		)
-		batch.Cols = make([]vec.Vector, len(accesses))
+		sc := getScanScratch(len(accesses))
+		defer putScanScratch(sc)
+		cnt := scanCounters{morsels: 1, tenant: tenant}
 		defer cnt.flush(st)
 		for ti := m.tileLo; ti < m.tileHi; ti++ {
 			t := src.openScanTile(ti, &cnt)
@@ -283,67 +301,130 @@ func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, wor
 			}
 			cnt.tilesScanned++
 			fw.claim(ti)
-			n := t.NumRows()
-			cnt.rows += int64(n)
-			allVec := true
-			for ai := range accesses {
-				a := accesses[ai]
-				br := resolveTileAccessBatch(t, a, cfg.maxSlots)
-				switch br.kind {
-				case vkZero:
-					batch.Cols[ai] = zeroVec(br.col, a.Type)
-					cnt.hits += int64(n)
-				case vkIntToFloat:
-					buf := fbuf[ai]
-					if cap(buf) < n {
-						buf = make([]float64, n)
-					} else {
-						buf = buf[:n]
-					}
-					ints := br.col.IntSlice()
-					for i := 0; i < n; i++ {
-						buf[i] = float64(ints[i])
-					}
-					fbuf[ai] = buf
-					batch.Cols[ai] = vec.Vector{Type: expr.TFloat, Floats: buf, Nulls: br.col.NullBits()}
-					cnt.hits += int64(n)
-				case vkNullAll:
-					batch.Cols[ai] = vec.NullVector(a.Type, n)
-				default: // boxed: row-at-a-time materialization
-					allVec = false
-					vals := boxed[ai]
-					if cap(vals) < n {
-						vals = make([]expr.Value, n)
-					} else {
-						vals = vals[:n]
-					}
-					for i := 0; i < n; i++ {
-						v, needDoc, castErr := br.row.read(i)
-						if needDoc {
-							cnt.fallbacks++
-							v = docAccess(t.Raw(i), a.Path, a.Type)
-						} else if br.row.mode == modeColumn {
-							cnt.hits++
-						}
-						if castErr {
-							cnt.castErrs++
-						}
-						vals[i] = v
-					}
-					boxed[ai] = vals
-					batch.Cols[ai] = vec.Vector{Type: a.Type, Boxed: vals}
-				}
+			cnt.rows += int64(t.NumRows())
+			if !sc.fillBatch(t, accesses, order, nRej, cfg.maxSlots, &cnt) {
+				continue
 			}
 			cnt.batches++
-			if allVec {
-				cnt.rowsVec += int64(n)
-			} else {
-				cnt.rowsFallback += int64(n)
-			}
-			batch.Len = n
-			batch.Sel = nil
-			batch.Base = offs[ti]
-			emit(w, &batch)
+			sc.batch.Base = offs[ti]
+			emit(w, &sc.batch)
 		}
 	})
+}
+
+// fillBatch materializes tile t's accesses into sc.batch, resolving
+// order[:nRej] (the null-rejecting slots) first: typed columns mark
+// their NULL rows dead word-wise, boxed ones row by row, and every
+// access after that touches only rows still live. It reports false,
+// resolving nothing further, once no row is live.
+func (sc *scanScratch) fillBatch(t scanTile, accesses []Access, order []int, nRej, maxSlots int, cnt *scanCounters) bool {
+	n := t.NumRows()
+	dead := sc.dead[:0]
+	for i := 0; i < (n+63)>>6; i++ {
+		dead = append(dead, 0)
+	}
+	sc.dead = dead
+	isDead := func(i int) bool { return dead[i>>6]&(1<<(uint(i)&63)) != 0 }
+	narrowed, allVec := false, true
+	defer func() {
+		if allVec {
+			cnt.rowsVec += int64(n)
+		} else {
+			cnt.rowsFallback += int64(n)
+		}
+	}()
+	// The typed columns of the null-rejecting prefix go before its boxed
+	// accesses, so those look at as few rows as possible.
+	for _, ai := range order[:nRej] {
+		br := resolveTileAccessBatch(t, accesses[ai], maxSlots)
+		sc.bres[ai] = br
+		switch br.kind {
+		case vkNullAll:
+			return false
+		case vkZero, vkIntToFloat:
+			for w, nulls := range br.col.NullBits() {
+				dead[w] |= nulls
+				narrowed = narrowed || nulls != 0
+			}
+		}
+	}
+	for k, ai := range order {
+		a, rejecting := accesses[ai], k < nRej
+		if !rejecting {
+			sc.bres[ai] = resolveTileAccessBatch(t, a, maxSlots)
+		}
+		br := sc.bres[ai]
+		switch br.kind {
+		case vkZero:
+			sc.batch.Cols[ai] = zeroVec(br.col, a.Type)
+			cnt.hits += int64(n)
+		case vkIntToFloat:
+			buf := sc.fbuf[ai]
+			if cap(buf) < n {
+				buf = make([]float64, n)
+			}
+			buf = buf[:n]
+			for i, v := range br.col.IntSlice()[:n] {
+				buf[i] = float64(v)
+			}
+			sc.fbuf[ai] = buf
+			sc.batch.Cols[ai] = vec.Vector{Type: expr.TFloat, Floats: buf, Nulls: br.col.NullBits()}
+			cnt.hits += int64(n)
+		case vkNullAll:
+			sc.batch.Cols[ai] = vec.NullVector(a.Type, n)
+		default: // boxed: row-at-a-time materialization of the live rows
+			allVec = false
+			// len only grows: putScanScratch clears what was written.
+			vals := sc.boxed[ai]
+			if cap(vals) < n {
+				vals = make([]expr.Value, n)
+			} else if len(vals) < n {
+				vals = vals[:n]
+			}
+			sc.boxed[ai] = vals
+			live := 0
+			for i := 0; i < n; i++ {
+				if narrowed && isDead(i) {
+					continue
+				}
+				v, needDoc, castErr := br.row.read(i)
+				if needDoc {
+					cnt.fallbacks++
+					v = docAccess(t.Raw(i), a.Path, a.Type)
+				} else if br.row.mode == modeColumn {
+					cnt.hits++
+				}
+				if castErr {
+					cnt.castErrs++
+				}
+				vals[i] = v
+				if rejecting && v.Null {
+					dead[i>>6] |= 1 << (uint(i) & 63)
+					narrowed = true
+				} else {
+					live++
+				}
+			}
+			if live == 0 {
+				return false
+			}
+			sc.batch.Cols[ai] = vec.Vector{Type: a.Type, Boxed: vals[:n]}
+		}
+	}
+	sc.batch.Len, sc.batch.Sel = n, nil
+	if narrowed {
+		sel := sc.sel[:0]
+		for w, d := range dead {
+			live := ^d
+			if rem := n - w<<6; rem < 64 {
+				live &= 1<<uint(rem) - 1
+			}
+			for ; live != 0; live &= live - 1 {
+				sel = append(sel, int32(w<<6+bits.TrailingZeros64(live)))
+			}
+		}
+		sc.sel, sc.batch.Sel = sel, sel
+		return len(sel) > 0
+	}
+	return n > 0
 }

@@ -216,6 +216,9 @@ func (v *segTileView) account(info segment.ReadInfo) {
 	if v.cnt == nil {
 		return
 	}
+	if info.Decoded {
+		v.cnt.blocksDecoded++
+	}
 	if info.Hit {
 		switch {
 		case info.Prefetched:

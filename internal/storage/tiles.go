@@ -12,6 +12,7 @@ import (
 	"repro/internal/reorder"
 	"repro/internal/stats"
 	"repro/internal/tile"
+	"repro/internal/vec"
 )
 
 // tilesRelation is the paper's contribution: documents stored as JSON
@@ -213,6 +214,9 @@ type scanCounters struct {
 	batches, rowsVec, rowsFallback int64
 	// Segment-backed scans only: block I/O and buffer-pool traffic.
 	blocksRead, blockBytes, poolHits, poolMisses int64
+	// Blocks this scan decoded (counted process-wide by the reader;
+	// flush forwards to the per-scan stats only).
+	blocksDecoded int64
 	// Store-backed scans only: ranged store requests (retry attempts
 	// included), bytes those requests returned, block fetches saved by
 	// coalescing, pool hits on readahead-resident blocks, and transient
@@ -259,6 +263,7 @@ func (c *scanCounters) flush(st *obs.ScanStats) {
 	st.BlockBytes.Add(c.blockBytes)
 	st.PoolHits.Add(c.poolHits)
 	st.PoolMisses.Add(c.poolMisses)
+	st.BlocksDecoded.Add(c.blocksDecoded)
 	st.StoreRangeReads.Add(c.rangeReads)
 	st.StoreBytesRead.Add(c.rangeBytes)
 	st.StoreCoalesced.Add(c.coalesced)
@@ -266,12 +271,19 @@ func (c *scanCounters) flush(st *obs.ScanStats) {
 	st.StoreRetries.Add(c.retries)
 }
 
-// scanScratch holds a worker's reusable row buffer and per-tile
-// resolver slice, pooled across scans so repeated queries don't
-// allocate per worker per scan.
+// scanScratch holds what one morsel reuses from tile to tile — the row
+// core's row buffer and resolvers, the batch core's batch, boxed and
+// widened vectors, dead-row bitmap and selection — pooled across scans.
 type scanScratch struct {
 	row []expr.Value
 	res []colResolver
+
+	batch vec.Batch
+	bres  []batchResolver
+	boxed [][]expr.Value
+	fbuf  [][]float64
+	dead  []uint64 // bit i set: row i is NULL in a null-rejecting access
+	sel   []int32
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
@@ -279,18 +291,37 @@ var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 func getScanScratch(n int) *scanScratch {
 	s := scanScratchPool.Get().(*scanScratch)
 	if cap(s.row) < n {
-		s.row = make([]expr.Value, n)
-		s.res = make([]colResolver, n)
+		*s = scanScratch{
+			row:   make([]expr.Value, n),
+			res:   make([]colResolver, n),
+			batch: vec.Batch{Cols: make([]vec.Vector, n)},
+			bres:  make([]batchResolver, n),
+			boxed: make([][]expr.Value, n),
+			fbuf:  make([][]float64, n),
+		}
 	}
 	s.row = s.row[:n]
 	s.res = s.res[:n]
+	s.batch.Cols = s.batch.Cols[:n]
+	s.bres = s.bres[:n]
+	s.boxed = s.boxed[:n]
+	s.fbuf = s.fbuf[:n]
 	return s
 }
 
+// putScanScratch returns s to the pool holding no reference into
+// buffer-pool memory: boxed cells, vectors and resolvers alias
+// documents and columns that an eviction or a dropped segment frees.
 func putScanScratch(s *scanScratch) {
-	for i := range s.row {
-		s.row[i] = expr.Value{} // drop Doc references
+	clear(s.row)
+	clear(s.res)
+	clear(s.batch.Cols)
+	clear(s.bres)
+	for i, vals := range s.boxed {
+		clear(vals)
+		s.boxed[i] = vals[:0]
 	}
+	s.batch.Sel = nil
 	scanScratchPool.Put(s)
 }
 
