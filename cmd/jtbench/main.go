@@ -27,8 +27,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/queries, /debug/trace, and pprof on this address")
 	morselMin := flag.Float64("morsel-min-speedup", 0,
 		"CI gate: require at least this groupby speedup at 4 workers vs 1 (0 = off; skipped on <4 cores)")
-	ingestMin := flag.Float64("ingest-min-speedup", 0,
-		"CI gate: require at least this tape-vs-tree tiles load speedup in docs/sec (0 = off)")
 	blockstoreMin := flag.Float64("blockstore-min-coalesce", 0,
 		"CI gate: require at least this request-count reduction from coalesced remote reads vs one-per-block (0 = off)")
 	flag.Parse()
@@ -51,16 +49,6 @@ func main() {
 	if *morselMin > 0 {
 		ctx := bench.NewContext(opts)
 		if err := bench.MorselSmoke(os.Stdout, ctx, *morselMin); err != nil {
-			fmt.Fprintln(os.Stderr, "jtbench:", err)
-			os.Exit(1)
-		}
-		if flag.NArg() == 0 && *ingestMin <= 0 && *blockstoreMin <= 0 {
-			return
-		}
-	}
-	if *ingestMin > 0 {
-		ctx := bench.NewContext(opts)
-		if err := bench.IngestSmoke(os.Stdout, ctx, *ingestMin); err != nil {
 			fmt.Fprintln(os.Stderr, "jtbench:", err)
 			os.Exit(1)
 		}

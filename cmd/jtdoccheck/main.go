@@ -2,6 +2,9 @@
 // step, not a linter: the rules are exactly the repo's documentation
 // invariants, so a failure means a doc edit is part of the change.
 //
+//	jtdoccheck            # from the repo root
+//	jtdoccheck -root ..   # from elsewhere
+//
 // Checks:
 //
 //  1. Every instrument registered in internal/obs (Default.Counter,
@@ -9,14 +12,19 @@
 //     observability-mapping section (§7).
 //  2. Every BENCH_*.json artifact committed at the repo root is
 //     referenced in EXPERIMENTS.md.
-//
-//	jtdoccheck            # from the repo root
-//	jtdoccheck -root ..   # from elsewhere
+//  3. Every backticked `pkg.Name` or `pkg.Type.Member` in DESIGN.md
+//     and README.md names a declaration in that package's non-test
+//     .go files, where pkg is a directory under internal/ or jsontiles
+//     (the root package); other qualifiers (the standard library,
+//     variables) are not checked.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -72,6 +80,74 @@ func observabilitySection(design []byte) (string, error) {
 	return strings.Join(lines[start:], "\n"), nil
 }
 
+var (
+	codeSpanRE = regexp.MustCompile("`[^`\n]+`")
+	qualRE     = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.(\w+))?`)
+)
+
+// packageDecls returns what package pkg's non-test files declare:
+// top-level names, "Type.Member" for methods and struct/interface
+// members, and "Type." marking each type. nil: pkg is not ours.
+func packageDecls(root, pkg string) (map[string]bool, error) {
+	dir := filepath.Join(root, "internal", pkg)
+	if pkg == "jsontiles" {
+		dir = root
+	} else if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		return nil, nil
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+	decls := map[string]bool{}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl: // bodies are skipped: no local names
+				name := n.Name.Name
+				if n.Recv != nil {
+					recv := n.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					name = recv.(*ast.Ident).Name + "." + name
+				}
+				decls[name] = true
+				return false
+			case *ast.ValueSpec:
+				for _, id := range n.Names {
+					decls[id.Name] = true
+				}
+			case *ast.TypeSpec:
+				typ := n.Name.Name
+				decls[typ], decls[typ+"."] = true, true
+				ast.Inspect(n.Type, func(n ast.Node) bool {
+					if f, ok := n.(*ast.Field); ok {
+						for _, id := range f.Names {
+							decls[typ+"."+id.Name] = true
+						}
+					}
+					return true
+				})
+				return false
+			}
+			return true
+		})
+	}
+	return decls, nil
+}
+
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "jtdoccheck:", err)
+		os.Exit(1)
+	}
+}
+
 func main() {
 	root := flag.String("root", ".", "repository root")
 	flag.Parse()
@@ -80,20 +156,11 @@ func main() {
 
 	// 1. Every obs instrument appears in DESIGN.md §7.
 	names, err := obsInstruments(filepath.Join(*root, "internal", "obs"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "jtdoccheck:", err)
-		os.Exit(1)
-	}
+	check(err)
 	design, err := os.ReadFile(filepath.Join(*root, "DESIGN.md"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "jtdoccheck:", err)
-		os.Exit(1)
-	}
+	check(err)
 	section, err := observabilitySection(design)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "jtdoccheck:", err)
-		os.Exit(1)
-	}
+	check(err)
 	sorted := make([]string, 0, len(names))
 	for n := range names {
 		sorted = append(sorted, n)
@@ -108,20 +175,38 @@ func main() {
 
 	// 2. Every committed BENCH_*.json is referenced in EXPERIMENTS.md.
 	benches, err := filepath.Glob(filepath.Join(*root, "BENCH_*.json"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "jtdoccheck:", err)
-		os.Exit(1)
-	}
+	check(err)
 	experiments, err := os.ReadFile(filepath.Join(*root, "EXPERIMENTS.md"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "jtdoccheck:", err)
-		os.Exit(1)
-	}
+	check(err)
 	for _, b := range benches {
 		name := filepath.Base(b)
 		if !strings.Contains(string(experiments), name) {
 			problems = append(problems, fmt.Sprintf(
 				"%s is committed but never referenced in EXPERIMENTS.md", name))
+		}
+	}
+
+	// 3. Docs name only code that exists.
+	decls := map[string]map[string]bool{}
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		text, err := os.ReadFile(filepath.Join(*root, doc))
+		check(err)
+		for _, span := range codeSpanRE.FindAllString(string(text), -1) {
+			for _, m := range qualRE.FindAllStringSubmatch(span, -1) {
+				pkg, name := m[1], m[2]
+				d, seen := decls[pkg]
+				if !seen {
+					d, err = packageDecls(*root, pkg)
+					check(err)
+					decls[pkg] = d
+				}
+				if m[3] != "" && d[name+"."] {
+					name += "." + m[3]
+				}
+				if d != nil && !d[name] {
+					problems = append(problems, fmt.Sprintf("%s names `%s.%s`, which package %s does not declare", doc, pkg, name, pkg))
+				}
+			}
 		}
 	}
 

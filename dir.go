@@ -1,7 +1,8 @@
 package jsontiles
 
 // Multi-segment table directories: a Table can live in a directory of
-// immutable segment files catalogued by a crash-safe manifest.
+// immutable segment files catalogued by a crash-safe manifest — an FS
+// block store built at OpenDir, the one place a path becomes a store.
 // Flush appends a new segment — O(new data), never a rewrite — and a
 // size-tiered compactor folds small segments into larger ones, in the
 // background or on demand via Compact. See DESIGN.md §6 for the
@@ -10,9 +11,9 @@ package jsontiles
 import (
 	"fmt"
 
+	"repro/internal/blockstore"
 	"repro/internal/bufpool"
 	"repro/internal/storage"
-	"repro/internal/tile"
 )
 
 // OpenDir opens (or creates) a multi-segment table rooted at dir.
@@ -32,22 +33,20 @@ import (
 // With opts.Store set, the table lives on that block store instead of
 // the local filesystem and dir is ignored (see OpenStore).
 func OpenDir(name, dir string, opts Options) (*Table, error) {
-	opts = opts.withDefaults()
 	if opts.Store != nil {
 		return OpenStore(name, opts.Store, opts)
 	}
-	maybeServeDebug(opts.DebugAddr)
-	pool := bufpool.New(opts.CacheBytes)
-	fanIn := opts.CompactFanIn
-	auto := fanIn >= 0
-	if fanIn < 0 {
-		fanIn = 0 // explicit Compact still uses the default fan-in
-	}
-	dt, err := storage.OpenDirTable(name, dir, pool, opts.loaderConfig(), fanIn, auto)
+	store, err := blockstore.NewFS(dir)
 	if err != nil {
 		return nil, err
 	}
-	return &Table{name: name, opts: opts, rel: dt, metrics: &tile.Metrics{}}, nil
+	t, err := OpenStore(name, store, opts)
+	if err != nil {
+		store.Close()
+		return nil, err
+	}
+	t.store = store
+	return t, nil
 }
 
 // Compact runs size-tiered compaction to completion on a directory-

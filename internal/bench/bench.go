@@ -85,7 +85,6 @@ func Experiments() []Experiment {
 		{"dict", "Dictionary-encoded vs arena string columns: predicate and group-by fast paths (records BENCH_dict.json)", dictExp},
 		{"compact", "Multi-segment tables: incremental append vs monolithic rewrite, compaction payoff (records BENCH_compact.json)", compactExp},
 		{"service", "Query service: HTTP throughput vs client concurrency under admission control, cancellation latency (records BENCH_service.json)", serviceExp},
-		{"ingest", "On-demand ingest: structural-tape vs jsonvalue-tree loading across formats (records BENCH_ingest.json)", ingestExp},
 		{"blockstore", "Remote scans over a simulated object store: coalesced reads + readahead vs one request per block (records BENCH_blockstore.json)", blockstoreExp},
 	}
 }

@@ -48,8 +48,8 @@ func TestByID(t *testing.T) {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}
-	if len(ids) != 28 {
-		t.Errorf("%d experiments, want 28 (every table and figure + vec + morsel + seg + dict + compact + service + ingest + blockstore)", len(ids))
+	if len(ids) != 27 {
+		t.Errorf("%d experiments, want 27 (every table and figure + vec + morsel + seg + dict + compact + service + blockstore)", len(ids))
 	}
 }
 

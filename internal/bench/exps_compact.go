@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/blockstore"
 	"repro/internal/bufpool"
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -74,9 +75,24 @@ func compactExp(w io.Writer, c *Context) error {
 		return err
 	}
 	defer os.RemoveAll(root)
-
-	dt, err := storage.OpenDirTable("lineitem", filepath.Join(root, "lineitem.jt"),
-		bufpool.New(1<<30), c.loaderConfig(), 0, false)
+	// Each table is an FS store of its own under root (closed after
+	// the tables, by the first defer); the monolithic baseline writes
+	// into root itself.
+	var stores []blockstore.Store
+	defer func() {
+		for _, s := range stores {
+			blockstore.Close(s)
+		}
+	}()
+	openDir := func(name string, pool *bufpool.Pool) (*storage.DirTable, error) {
+		s, err := blockstore.NewFS(filepath.Join(root, name+".jt"))
+		if err != nil {
+			return nil, err
+		}
+		stores = append(stores, s)
+		return storage.OpenDirStore(name, s, pool, c.loaderConfig(), 0, false)
+	}
+	dt, err := openDir("lineitem", bufpool.New(1<<30))
 	if err != nil {
 		return err
 	}
@@ -86,12 +102,16 @@ func compactExp(w io.Writer, c *Context) error {
 	// scratch directory (append cost depends only on the batch, never
 	// on what the directory already holds); the real append below runs
 	// once, untimed.
-	scratch, err := storage.OpenDirTable("scratch", filepath.Join(root, "scratch.jt"),
-		bufpool.New(0), c.loaderConfig(), 0, false)
+	scratch, err := openDir("scratch", bufpool.New(0))
 	if err != nil {
 		return err
 	}
 	defer scratch.Close()
+	mono, err := blockstore.NewFS(root)
+	if err != nil {
+		return err
+	}
+	defer mono.Close()
 
 	loader, err := storage.NewLoader(storage.KindTiles, c.loaderConfig())
 	if err != nil {
@@ -134,8 +154,7 @@ func compactExp(w io.Writer, c *Context) error {
 		// Monolithic baseline: rewrite everything so far as one file.
 		full := buildBatch(cumulative)
 		rewriteD := c.timeIt(func() {
-			path := filepath.Join(root, "mono.seg")
-			if err := storage.WriteSegmentFile(path, full); err != nil {
+			if err := storage.WriteSegmentStore(mono, "mono.seg", full); err != nil {
 				panic(err)
 			}
 		})

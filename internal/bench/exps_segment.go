@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/blockstore"
 	"repro/internal/bufpool"
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -57,11 +58,16 @@ func segExp(w io.Writer, c *Context) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	segPath := filepath.Join(dir, "lineitem.seg")
-	if err := storage.WriteSegmentFile(segPath, rel); err != nil {
+	store, err := blockstore.NewFS(dir)
+	if err != nil {
 		return err
 	}
-	fi, err := os.Stat(segPath)
+	defer store.Close()
+	const object = "lineitem.seg"
+	if err := storage.WriteSegmentStore(store, object, rel); err != nil {
+		return err
+	}
+	segBytes, err := store.Size(object)
 	if err != nil {
 		return err
 	}
@@ -72,7 +78,7 @@ func segExp(w io.Writer, c *Context) error {
 
 	// The warm relation stays open across queries; its pool is big
 	// enough that nothing accessed is ever evicted.
-	warm, err := storage.OpenSegmentFile("lineitem", segPath, bufpool.New(1<<30), c.loaderConfig())
+	warm, err := storage.OpenSegmentStore("lineitem", store, object, 0, bufpool.New(1<<30), c.loaderConfig())
 	if err != nil {
 		return err
 	}
@@ -80,14 +86,14 @@ func segExp(w io.Writer, c *Context) error {
 
 	report := segReport{
 		Workload: "tpch-lineitem", Rows: rel.NumRows(), Workers: workers,
-		SegmentBytes: fi.Size(), RawJSONBytes: rawBytes,
-		SegVsRawJSON: float64(fi.Size()) / maxf(float64(rawBytes), 1),
+		SegmentBytes: segBytes, RawJSONBytes: rawBytes,
+		SegVsRawJSON: float64(segBytes) / maxf(float64(rawBytes), 1),
 	}
 	t := &table{header: []string{"query", "mem s", "cold s", "warm s", "warm/mem"}}
 	for _, q := range vecQueries() {
 		memD := c.timeIt(func() { q.run(rel, workers) })
 		coldD := c.timeIt(func() {
-			cold, err := storage.OpenSegmentFile("lineitem", segPath, bufpool.New(0), c.loaderConfig())
+			cold, err := storage.OpenSegmentStore("lineitem", store, object, 0, bufpool.New(0), c.loaderConfig())
 			if err != nil {
 				panic(err)
 			}

@@ -37,9 +37,6 @@ func NewFS(dir string) (*FS, error) {
 	return &FS{dir: dir, label: "fs:" + label, files: make(map[string]*os.File)}, nil
 }
 
-// Dir returns the backing directory path.
-func (s *FS) Dir() string { return s.dir }
-
 func (s *FS) Label() string { return s.label }
 
 // validName rejects names that would escape the store's flat

@@ -7,7 +7,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/blockstore"
@@ -82,11 +81,11 @@ func narrowRelations(t *testing.T, lines [][]byte) map[string]storage.Relation {
 		return rel
 	}
 	mem := load(lines)
-	segPath := filepath.Join(t.TempDir(), "narrow.seg")
-	if err := storage.WriteSegmentFile(segPath, mem); err != nil {
+	store := blockstore.NewMem()
+	if err := storage.WriteSegmentStore(store, "narrow.seg", mem); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := storage.OpenSegmentFile("narrow", segPath, bufpool.New(0), cfg)
+	seg, err := storage.OpenSegmentStore("narrow", store, "narrow.seg", 0, bufpool.New(0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,28 +1,26 @@
 // Package manifest implements the versioned segment catalog of a
-// multi-segment table directory. The manifest is the single commit
-// point of the store: a segment file only becomes visible — and only
-// survives recovery — once a manifest generation referencing it has
-// been atomically renamed into place. Everything else in the
-// directory (half-written temporaries, segments whose commit never
-// happened) is garbage that recovery removes on open.
+// multi-segment table. The manifest is the single commit point of the
+// store: a segment object only becomes visible — and only survives
+// recovery — once a manifest generation referencing it has been
+// atomically published. Everything else in the store (half-written
+// temporaries, segments whose commit never happened) is garbage that
+// recovery removes on open.
 //
-// On disk a manifest is one small text file:
+// A manifest is one small text object:
 //
 //	JTMAN001 <xxh64 of body, 16 hex digits>\n
 //	{ ...JSON body: version, next segment id, segment list... }
 //
 // The checksum covers the JSON body, so a torn or bit-flipped
-// manifest is detected before any field is trusted. Writes go to a
-// temporary sibling, fsync, then rename — the same protocol segment
-// files use — so a crash at any instant leaves either the previous
+// manifest is detected before any field is trusted. Commits publish
+// through the store's atomic Put — the same protocol segment objects
+// use — so a crash at any instant leaves either the previous
 // generation or the new one, never a mix.
 package manifest
 
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -46,12 +44,6 @@ const (
 
 	tmpSuffix = ".tmp"
 )
-
-// Rename is the commit step of every manifest write. Tests inject a
-// failing hook here to simulate a crash between writing a segment
-// file and publishing it — the exact window the recovery protocol
-// exists for. Production code never touches it.
-var Rename = os.Rename
 
 // Segment is one committed segment file.
 type Segment struct {
@@ -147,44 +139,10 @@ func Decode(b []byte) (*Manifest, error) {
 	return &m, nil
 }
 
-// Commit atomically publishes the manifest as dir's current
-// generation: write to a temporary sibling, fsync, rename over
-// FileName. On return with a nil error the generation is durable; on
-// any error the previous generation is untouched.
-func Commit(dir string, m *Manifest) error {
-	start := time.Now()
-	path := filepath.Join(dir, FileName)
-	tmp := path + tmpSuffix
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(m.Encode()); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	syncDir(dir)
-	obs.ManifestCommitSeconds.ObserveSince(start)
-	return nil
-}
-
 // CommitStore atomically publishes the manifest as the store's
-// current generation (the store's Put contract supplies the
-// temp+fsync+rename discipline Commit hand-rolls for paths).
+// current generation: on a nil error the generation is durable; on any
+// error the previous generation is untouched (the store's Put
+// contract).
 func CommitStore(s blockstore.Store, m *Manifest) error {
 	start := time.Now()
 	if err := s.Put(FileName, m.Encode()); err != nil {
@@ -194,8 +152,10 @@ func CommitStore(s blockstore.Store, m *Manifest) error {
 	return nil
 }
 
-// LoadStore reads the store's current manifest; a missing manifest
-// returns (nil, nil) — a fresh table (see Load).
+// LoadStore reads the store's current manifest. A missing manifest
+// returns (nil, nil): the store holds no committed generation (a fresh
+// table). A present-but-invalid manifest is an error — the store
+// refuses to guess at its contents.
 func LoadStore(s blockstore.Store) (*Manifest, error) {
 	b, err := blockstore.ReadAll(s, FileName)
 	if blockstore.IsNotExist(err) {
@@ -207,11 +167,12 @@ func LoadStore(s blockstore.Store) (*Manifest, error) {
 	return Decode(b)
 }
 
-// RecoverStore is Recover over a store: load the committed
-// generation, then delete every object the generation does not
-// reference — temporaries from interrupted writes and segment objects
-// whose manifest commit never happened. Objects that are neither
-// temporaries nor segment-shaped are left alone. The listing is
+// RecoverStore loads the store's committed generation (an empty first
+// generation when it holds none), then deletes every object the
+// generation does not reference — temporaries from interrupted writes
+// and segment objects whose manifest commit never happened — and
+// returns how many it removed. Objects that are neither temporaries
+// nor segment-shaped are left alone. The listing is
 // requested beside the manifest's Size+read, not after them; recovery
 // assumes no other process commits while it runs (DESIGN.md §6.9), and
 // a listing taken earlier can only name fewer objects to delete.
@@ -247,75 +208,6 @@ func RecoverStore(s blockstore.Store) (*Manifest, int, error) {
 			continue
 		}
 		if err := s.Delete(name); err == nil {
-			removed++
-		}
-	}
-	return m, removed, nil
-}
-
-// syncDir makes the rename itself durable (best effort — some
-// platforms cannot fsync directories).
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
-}
-
-// Load reads dir's current manifest. A missing manifest returns
-// (nil, nil): the directory holds no committed generation (a fresh
-// table). A present-but-invalid manifest is an error — the store
-// refuses to guess at its contents.
-func Load(dir string) (*Manifest, error) {
-	b, err := os.ReadFile(filepath.Join(dir, FileName))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return Decode(b)
-}
-
-// Recover loads dir's committed generation and removes everything
-// the generation does not reference: temporary files from interrupted
-// writes and segment files whose manifest commit never happened. It
-// returns the manifest (an empty first generation when the directory
-// holds none) and the number of files garbage-collected. Files that
-// are neither temporaries nor segment-shaped are left alone.
-func Recover(dir string) (*Manifest, int, error) {
-	m, err := Load(dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	if m == nil {
-		m = &Manifest{Version: 0, NextID: 0}
-	}
-	live := make(map[string]bool, len(m.Segments))
-	for _, s := range m.Segments {
-		live[s.File] = true
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	removed := 0
-	for _, name := range names {
-		orphan := strings.HasSuffix(name, tmpSuffix) ||
-			(IsSegmentFileName(name) && !live[name])
-		if !orphan {
-			continue
-		}
-		if err := os.Remove(filepath.Join(dir, name)); err == nil {
 			removed++
 		}
 	}

@@ -1,10 +1,12 @@
 package manifest
 
 import (
-	"fmt"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/blockstore"
 )
 
 func testManifest() *Manifest {
@@ -66,65 +68,78 @@ func TestDecodeRejectsInconsistentSegments(t *testing.T) {
 	}
 }
 
-func TestCommitLoad(t *testing.T) {
+// fsStore opens an FS store over a fresh temporary directory — the
+// store OpenDir builds, whose Put leaves real temporaries on a crash.
+func fsStore(t *testing.T) (*blockstore.FS, string) {
+	t.Helper()
 	dir := t.TempDir()
-	if m, err := Load(dir); err != nil || m != nil {
-		t.Fatalf("Load of empty dir = %v, %v; want nil, nil", m, err)
+	s, err := blockstore.NewFS(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := testManifest()
-	if err := Commit(dir, want); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-	got, err := Load(dir)
-	if err != nil || got == nil {
-		t.Fatalf("Load: %v, %v", got, err)
-	}
-	if got.Version != want.Version || len(got.Segments) != 2 {
-		t.Fatalf("Load = %+v, want %+v", got, want)
-	}
-	// A second commit replaces the generation atomically.
-	want.Version++
-	want.Segments = want.Segments[:1]
-	if err := Commit(dir, want); err != nil {
-		t.Fatalf("Commit 2: %v", err)
-	}
-	got, err = Load(dir)
-	if err != nil || got.Version != want.Version || len(got.Segments) != 1 {
-		t.Fatalf("Load 2 = %+v, %v", got, err)
-	}
+	t.Cleanup(func() { s.Close() })
+	return s, dir
 }
 
-func TestCommitRenameFailureKeepsOldGeneration(t *testing.T) {
-	dir := t.TempDir()
-	old := testManifest()
-	if err := Commit(dir, old); err != nil {
-		t.Fatalf("Commit: %v", err)
+func TestCommitLoad(t *testing.T) {
+	s, dir := fsStore(t)
+	if m, err := LoadStore(s); err != nil || m != nil {
+		t.Fatalf("LoadStore of empty dir = %v, %v; want nil, nil", m, err)
 	}
-	Rename = func(oldpath, newpath string) error { return fmt.Errorf("injected crash") }
-	defer func() { Rename = os.Rename }()
-	next := testManifest()
-	next.Version++
-	if err := Commit(dir, next); err == nil {
-		t.Fatal("Commit with failing rename succeeded")
+	want := testManifest()
+	if err := CommitStore(s, want); err != nil {
+		t.Fatalf("CommitStore: %v", err)
 	}
-	got, err := Load(dir)
-	if err != nil || got.Version != old.Version {
-		t.Fatalf("old generation lost: %+v, %v", got, err)
+	// A second commit replaces the generation atomically, leaving no
+	// temporary behind.
+	want.Version++
+	want.Segments = want.Segments[:1]
+	if err := CommitStore(s, want); err != nil {
+		t.Fatalf("CommitStore 2: %v", err)
+	}
+	got, err := LoadStore(s)
+	if err != nil || got.Version != want.Version || len(got.Segments) != 1 {
+		t.Fatalf("LoadStore 2 = %+v, %v", got, err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, FileName+tmpSuffix)); !os.IsNotExist(err) {
 		t.Fatalf("temporary manifest left behind: %v", err)
 	}
 }
 
+// failingPut is a store whose every Put fails: a crash before the
+// manifest object is published.
+type failingPut struct{ blockstore.Store }
+
+func (failingPut) Put(string, []byte) error { return errors.New("injected crash") }
+
+func TestCommitRenameFailureKeepsOldGeneration(t *testing.T) {
+	s := blockstore.NewMem()
+	old := testManifest()
+	if err := CommitStore(s, old); err != nil {
+		t.Fatalf("CommitStore: %v", err)
+	}
+	next := testManifest()
+	next.Version++
+	if err := CommitStore(failingPut{s}, next); err == nil {
+		t.Fatal("CommitStore with failing Put succeeded")
+	}
+	got, err := LoadStore(s)
+	if err != nil || got.Version != old.Version {
+		t.Fatalf("old generation lost: %+v, %v", got, err)
+	}
+}
+
+// TestRecover runs recovery over a real directory: orphans and the FS
+// store's own temporaries are deleted from disk, everything else stays.
 func TestRecover(t *testing.T) {
-	dir := t.TempDir()
+	s, dir := fsStore(t)
 	m := &Manifest{
 		Version:  2,
 		NextID:   3,
 		Segments: []Segment{{ID: 0, File: SegmentFileName(0), Rows: 10, Bytes: 100}},
 	}
-	if err := Commit(dir, m); err != nil {
-		t.Fatalf("Commit: %v", err)
+	if err := CommitStore(s, m); err != nil {
+		t.Fatalf("CommitStore: %v", err)
 	}
 	writeFile := func(name string) {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
@@ -136,15 +151,15 @@ func TestRecover(t *testing.T) {
 	writeFile(SegmentFileName(7) + tmpSuffix) // temporary: removed
 	writeFile("notes.txt")                    // unrelated: kept
 
-	got, removed, err := Recover(dir)
+	got, removed, err := RecoverStore(s)
 	if err != nil {
-		t.Fatalf("Recover: %v", err)
+		t.Fatalf("RecoverStore: %v", err)
 	}
 	if removed != 2 {
 		t.Fatalf("removed %d files, want 2", removed)
 	}
 	if got.Version != 2 || len(got.Segments) != 1 {
-		t.Fatalf("Recover manifest = %+v", got)
+		t.Fatalf("RecoverStore manifest = %+v", got)
 	}
 	for name, want := range map[string]bool{
 		SegmentFileName(0): true,
@@ -159,9 +174,10 @@ func TestRecover(t *testing.T) {
 }
 
 func TestRecoverEmptyDir(t *testing.T) {
-	m, removed, err := Recover(t.TempDir())
+	s, _ := fsStore(t)
+	m, removed, err := RecoverStore(s)
 	if err != nil || removed != 0 {
-		t.Fatalf("Recover: %d, %v", removed, err)
+		t.Fatalf("RecoverStore: %d, %v", removed, err)
 	}
 	if m.Version != 0 || m.NextID != 0 || len(m.Segments) != 0 {
 		t.Fatalf("fresh manifest = %+v", m)

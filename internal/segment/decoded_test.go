@@ -1,7 +1,6 @@
 package segment
 
 import (
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -9,8 +8,6 @@ import (
 	"repro/internal/column"
 	"repro/internal/keypath"
 	"repro/internal/obs"
-	"repro/internal/stats"
-	"repro/internal/tile"
 )
 
 // readAll reads every column and the documents of every tile and
@@ -39,15 +36,9 @@ func readAll(t *testing.T, r *Reader, tenant string) []*column.Column {
 // tenant, no decode counted, pool accounting as before; dropping the
 // file ends the residency.
 func TestColumnDecodedOncePerResidency(t *testing.T) {
-	tl := buildDictTile(t, 200) // a dictionary column beside plain ones
-	st := stats.New(0, 0)
-	st.AddTile(tl)
-	path := filepath.Join(t.TempDir(), "d.seg")
-	if err := WriteFile(path, []*tile.Tile{tl}, st); err != nil {
-		t.Fatal(err)
-	}
+	store := putSegment(t, buildDictTile(t, 200)) // a dictionary column beside plain ones
 	pool := bufpool.New(0)
-	r, err := Open(path, pool)
+	r, err := OpenStore(store, testSeg, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +131,9 @@ func TestColumnDecodedOncePerResidency(t *testing.T) {
 // access decodes, the answers stay right, and nothing is retained
 // beyond capacity.
 func TestColumnDecodeInTinyPool(t *testing.T) {
-	path, tiles, _ := writeTestSegment(t)
+	store, tiles, _ := writeTestSegment(t)
 	pool := bufpool.New(64)
-	r, err := Open(path, pool)
+	r, err := OpenStore(store, testSeg, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

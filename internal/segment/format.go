@@ -16,7 +16,7 @@
 // the query accesses.
 //
 //	┌──────────────────────────────────────────────────────────┐
-//	│ header magic "JTSEG001"                          8 bytes │
+//	│ header magic "JTSEG002"                          8 bytes │
 //	├──────────────────────────────────────────────────────────┤
 //	│ block 0 │ block 1 │ ...            (LZ4 or raw, no gaps) │
 //	│   per tile: one block per extracted column,              │
@@ -48,10 +48,8 @@ import (
 const (
 	// Magic opens the file; MagicFooter closes it. Both are 8 bytes so
 	// a truncated or misdirected file fails before any length field is
-	// trusted. Version 2 adds per-column dictionary blocks and string
-	// zone bounds to the footer; readers still open MagicV1 files.
+	// trusted.
 	Magic       = "JTSEG002"
-	MagicV1     = "JTSEG001"
 	MagicFooter = "JTSEGFTR"
 
 	// TailSize is the fixed-size trailer: footer offset (8), stored
@@ -98,7 +96,7 @@ type ZoneMap struct {
 	Min, Max  float64
 	NullCount uint32
 
-	// String bounds (v2, dictionary columns): the first and last entry
+	// String bounds (dictionary columns): the first and last entry
 	// of the sorted dictionary — min/max fall straight out of the
 	// dictionary order, no scan needed.
 	HasStrBounds bool
@@ -115,7 +113,7 @@ type ColumnMeta struct {
 	Block           BlockRef
 	Zone            ZoneMap
 
-	// HasDict (v2) marks a dictionary-encoded text column: Block holds
+	// HasDict marks a dictionary-encoded text column: Block holds
 	// the per-row codes (column.SerializeCodes) and Dict the sorted
 	// distinct-value arena (column.SerializeDict), each its own
 	// checksummed, pool-cached block shared per tile.
@@ -162,10 +160,8 @@ type footer struct {
 }
 
 // encodeFooter serializes tile metadata and relation statistics into
-// the (pre-compression) footer payload. version 1 reproduces the
-// legacy JTSEG001 layout byte-for-byte; version 2 appends the
-// dictionary block ref and string zone bounds to each column record.
-func encodeFooter(tiles []TileMeta, st *stats.TableStats, version int) []byte {
+// the (pre-compression) footer payload.
+func encodeFooter(tiles []TileMeta, st *stats.TableStats) []byte {
 	var out []byte
 	var tmp [8]byte
 	pu32 := func(v uint32) {
@@ -208,22 +204,20 @@ func encodeFooter(tiles []TileMeta, st *stats.TableStats, version int) []byte {
 			pu64(math.Float64bits(c.Zone.Min))
 			pu64(math.Float64bits(c.Zone.Max))
 			pu32(c.Zone.NullCount)
-			if version >= 2 {
-				if c.HasDict {
-					out = append(out, 1)
-					pref(c.Dict)
-				} else {
-					out = append(out, 0)
-				}
-				if c.Zone.HasStrBounds {
-					out = append(out, 1)
-					pu32(uint32(len(c.Zone.MinStr)))
-					out = append(out, c.Zone.MinStr...)
-					pu32(uint32(len(c.Zone.MaxStr)))
-					out = append(out, c.Zone.MaxStr...)
-				} else {
-					out = append(out, 0)
-				}
+			if c.HasDict {
+				out = append(out, 1)
+				pref(c.Dict)
+			} else {
+				out = append(out, 0)
+			}
+			if c.Zone.HasStrBounds {
+				out = append(out, 1)
+				pu32(uint32(len(c.Zone.MinStr)))
+				out = append(out, c.Zone.MinStr...)
+				pu32(uint32(len(c.Zone.MaxStr)))
+				out = append(out, c.Zone.MaxStr...)
+			} else {
+				out = append(out, 0)
 			}
 		}
 		bits := tm.seen.Bits()
@@ -241,9 +235,8 @@ func encodeFooter(tiles []TileMeta, st *stats.TableStats, version int) []byte {
 
 // decodeFooter parses a footer payload, validating every length field
 // against the remaining buffer so corrupt footers produce ErrCorrupt
-// instead of panics or unbounded allocations. version selects the
-// column-record layout (1 = legacy JTSEG001, 2 = dictionary-aware).
-func decodeFooter(b []byte, fileSize uint64, version int) (*footer, error) {
+// instead of panics or unbounded allocations.
+func decodeFooter(b []byte, fileSize uint64) (*footer, error) {
 	d := &footerDecoder{b: b}
 	nTiles := int(d.u32())
 	if d.err != nil || nTiles < 0 || nTiles > len(b) {
@@ -270,14 +263,12 @@ func decodeFooter(b []byte, fileSize uint64, version int) (*footer, error) {
 			c.Zone.Min = math.Float64frombits(d.u64())
 			c.Zone.Max = math.Float64frombits(d.u64())
 			c.Zone.NullCount = d.u32()
-			if version >= 2 {
-				if c.HasDict = d.u8() != 0; c.HasDict {
-					c.Dict = d.ref()
-				}
-				if c.Zone.HasStrBounds = d.u8() != 0; c.Zone.HasStrBounds {
-					c.Zone.MinStr = d.str()
-					c.Zone.MaxStr = d.str()
-				}
+			if c.HasDict = d.u8() != 0; c.HasDict {
+				c.Dict = d.ref()
+			}
+			if c.Zone.HasStrBounds = d.u8() != 0; c.Zone.HasStrBounds {
+				c.Zone.MinStr = d.str()
+				c.Zone.MaxStr = d.str()
 			}
 			if d.err != nil {
 				return nil, corruptf("tile %d column %d: truncated", i, j)

@@ -2,13 +2,11 @@ package segment
 
 import (
 	"encoding/binary"
-	"os"
-	"path/filepath"
 	"testing"
 
+	"repro/internal/blockstore"
 	"repro/internal/bufpool"
 	"repro/internal/keypath"
-	"repro/internal/stats"
 	"repro/internal/tile"
 )
 
@@ -18,65 +16,29 @@ import (
 // reads. Mutants that still open cleanly must also survive having
 // every block read.
 func FuzzOpenSegment(f *testing.F) {
-	// Seed with a real two-tile segment plus targeted corruptions.
-	seedPath := filepath.Join(f.TempDir(), "seed.seg")
-	st := stats.New(0, 0)
-	var tiles []*tile.Tile
-	for _, srcs := range [][]string{
-		{`{"a":1,"b":"x"}`, `{"a":2,"b":"y"}`, `{"a":3}`},
-		{`{"c":1.5,"d":true}`, `{"c":2.5}`},
-	} {
-		tl := buildTile(f, srcs...)
-		tiles = append(tiles, tl)
-		st.AddTile(tl)
+	// Seed with a real two-tile segment, a dictionary-bearing one (a
+	// low-cardinality text column), an empty one, plus targeted
+	// corruptions.
+	segBytes := func(tiles ...*tile.Tile) []byte {
+		data, err := blockstore.ReadAll(putSegment(f, tiles...), testSeg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
 	}
-	if err := WriteFile(seedPath, tiles, st); err != nil {
-		f.Fatal(err)
-	}
-	valid, err := os.ReadFile(seedPath)
-	if err != nil {
-		f.Fatal(err)
-	}
-
-	// A dictionary-bearing segment (low-cardinality text column) and a
-	// legacy v1 segment: both layouts must survive mutation.
-	dictTile := buildDictTile(f, 96)
-	dictStats := stats.New(0, 0)
-	dictStats.AddTile(dictTile)
-	dictPath := filepath.Join(f.TempDir(), "dict.seg")
-	if err := WriteFile(dictPath, []*tile.Tile{dictTile}, dictStats); err != nil {
-		f.Fatal(err)
-	}
-	validDict, err := os.ReadFile(dictPath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	v1Path := filepath.Join(f.TempDir(), "v1.seg")
-	v1f, err := os.Create(v1Path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := WriteV1(v1f, tiles, st); err != nil {
-		f.Fatal(err)
-	}
-	if err := v1f.Close(); err != nil {
-		f.Fatal(err)
-	}
-	validV1, err := os.ReadFile(v1Path)
-	if err != nil {
-		f.Fatal(err)
-	}
+	valid := segBytes(
+		buildTile(f, `{"a":1,"b":"x"}`, `{"a":2,"b":"y"}`, `{"a":3}`),
+		buildTile(f, `{"c":1.5,"d":true}`, `{"c":2.5}`))
+	validDict := segBytes(buildDictTile(f, 96))
 
 	f.Add(valid)
 	f.Add(validDict)
-	f.Add(validV1)
-	// v2 footer bytes under a v1 magic (and vice versa) must be
-	// rejected or degrade cleanly, never panic.
-	crossMagic := append([]byte(MagicV1), validDict[len(Magic):]...)
-	f.Add(crossMagic)
+	f.Add(segBytes())
+	// A valid body under the legacy JTSEG001 magic must be rejected.
+	f.Add(append([]byte("JTSEG001"), validDict[len(Magic):]...))
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
-	f.Add([]byte(MagicV1))
+	f.Add([]byte("JTSEG001"))
 	f.Add([]byte(MagicFooter))
 	// Header corruption.
 	f.Add(append([]byte("JTSEG999"), valid[8:]...))
@@ -107,12 +69,9 @@ func FuzzOpenSegment(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := filepath.Join(t.TempDir(), "fuzz.seg")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Skip()
-		}
-		pool := bufpool.New(1 << 20)
-		r, err := Open(p, pool)
+		store := blockstore.NewMem()
+		store.Put("fuzz.seg", data)
+		r, err := OpenStore(store, "fuzz.seg", bufpool.New(1<<20))
 		if err != nil {
 			return // rejected cleanly: the property we want
 		}

@@ -1,83 +1,31 @@
 package segment
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
-	"time"
 
 	"repro/internal/blockstore"
-	"repro/internal/obs"
 	"repro/internal/stats"
 )
-
-// MergeFiles writes a new segment at path holding every tile of srcs,
-// in order. Stored blocks are copied verbatim — already-compressed,
-// already-checksummed bytes move without a decompress/recompress
-// round trip, so merge cost is I/O-bound on the inputs' physical
-// size. The merged footer concatenates the sources' tile metadata
-// (with relocated block refs) and carries the merged relation
-// statistics. Returns the merged file's size in bytes.
-//
-// Like WriteFile, the output is written to a temporary sibling and
-// renamed into place, so a crashed merge never leaves a half-segment
-// under the target name.
-func MergeFiles(path string, srcs []*Reader) (int64, error) {
-	start := time.Now()
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, err
-	}
-	n, err := Merge(f, srcs)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	obs.SegmentWriteSeconds.ObserveSince(start)
-	obs.SegmentWriteBytes.Observe(float64(n))
-	return n, nil
-}
 
 // MergeStore merges srcs into the store under name (see Merge): the
 // stream is built in memory and atomically published with one Put.
 // Returns the object's size in bytes.
 func MergeStore(store blockstore.Store, name string, srcs []*Reader) (int64, error) {
-	start := time.Now()
-	var buf bytes.Buffer
-	n, err := Merge(&buf, srcs)
-	if err != nil {
-		return 0, err
-	}
-	if err := store.Put(name, buf.Bytes()); err != nil {
-		return 0, err
-	}
-	obs.SegmentWriteSeconds.ObserveSince(start)
-	obs.SegmentWriteBytes.Observe(float64(n))
-	return n, nil
+	return putStream(store, name, func(w io.Writer) error { return Merge(w, srcs) })
 }
 
 // Merge serializes the concatenation of srcs' tiles to w as one
-// version-2 segment stream, returning the bytes written. Version-1
-// sources merge cleanly into the version-2 container: block payloads
-// are identical across versions, only the footer layout differs.
-func Merge(w io.Writer, srcs []*Reader) (int64, error) {
-	bw := &blockWriter{w: bufio.NewWriterSize(w, 1<<20)}
-	if err := bw.raw([]byte(Magic)); err != nil {
-		return 0, err
+// segment stream. Stored blocks are
+// copied verbatim — already-compressed, already-checksummed bytes move
+// without a decompress/recompress round trip, so merge cost is
+// I/O-bound on the inputs' physical size. The merged footer
+// concatenates the sources' tile metadata (with relocated block refs)
+// and carries the merged relation statistics.
+func Merge(w io.Writer, srcs []*Reader) error {
+	bw, err := newBlockWriter(w)
+	if err != nil {
+		return err
 	}
 	copyBlock := func(src *Reader, ref BlockRef) (BlockRef, error) {
 		stored, err := src.readStored(ref)
@@ -99,18 +47,17 @@ func Merge(w io.Writer, srcs []*Reader) (int64, error) {
 		for ti := range src.tiles {
 			tm := src.tiles[ti] // shallow copy; seen filter is shared read-only
 			tm.Columns = append([]ColumnMeta(nil), tm.Columns...)
-			var err error
 			if tm.Docs, err = copyBlock(src, tm.Docs); err != nil {
-				return 0, fmt.Errorf("source %d tile %d docs: %w", si, ti, err)
+				return fmt.Errorf("source %d tile %d docs: %w", si, ti, err)
 			}
 			for j := range tm.Columns {
 				cm := &tm.Columns[j]
 				if cm.Block, err = copyBlock(src, cm.Block); err != nil {
-					return 0, fmt.Errorf("source %d tile %d column %q: %w", si, ti, cm.Path, err)
+					return fmt.Errorf("source %d tile %d column %q: %w", si, ti, cm.Path, err)
 				}
 				if cm.HasDict {
 					if cm.Dict, err = copyBlock(src, cm.Dict); err != nil {
-						return 0, fmt.Errorf("source %d tile %d column %q dict: %w", si, ti, cm.Path, err)
+						return fmt.Errorf("source %d tile %d column %q dict: %w", si, ti, cm.Path, err)
 					}
 				}
 			}
@@ -118,21 +65,5 @@ func Merge(w io.Writer, srcs []*Reader) (int64, error) {
 		}
 	}
 
-	footerRef, err := bw.block(encodeFooter(metas, st, 2))
-	if err != nil {
-		return 0, fmt.Errorf("footer: %w", err)
-	}
-	var tail [TailSize]byte
-	binary.LittleEndian.PutUint64(tail[0:], footerRef.Off)
-	binary.LittleEndian.PutUint32(tail[8:], footerRef.StoredLen)
-	binary.LittleEndian.PutUint32(tail[12:], footerRef.RawLen)
-	binary.LittleEndian.PutUint64(tail[16:], footerRef.Sum)
-	copy(tail[24:], MagicFooter)
-	if err := bw.raw(tail[:]); err != nil {
-		return 0, err
-	}
-	if err := bw.w.Flush(); err != nil {
-		return 0, err
-	}
-	return int64(bw.off), nil
+	return bw.finish(metas, st)
 }

@@ -2,33 +2,21 @@ package segment
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
+	"repro/internal/blockstore"
 	"repro/internal/bufpool"
 	"repro/internal/stats"
 	"repro/internal/tile"
 )
 
-// writeSegmentWith writes one segment holding the given tiles.
-func writeSegmentWith(t *testing.T, dir, name string, tiles ...*tile.Tile) string {
-	t.Helper()
-	st := stats.New(0, 0)
-	for _, tl := range tiles {
-		st.AddTile(tl)
-	}
-	path := filepath.Join(dir, name)
-	if err := WriteFile(path, tiles, st); err != nil {
-		t.Fatalf("WriteFile(%s): %v", name, err)
-	}
-	return path
-}
-
+// TestMergeFiles merges three segment objects into a fourth and checks
+// that every tile serves the same columns and documents as its source.
 func TestMergeFiles(t *testing.T) {
-	dir := t.TempDir()
+	store := blockstore.NewMem()
+	pool := bufpool.New(bufpool.DefaultCapacity)
 	var srcTiles [][]*tile.Tile
-	var paths []string
+	var readers []*Reader
 	for s := 0; s < 3; s++ {
 		var docs []string
 		for i := 0; i < 32; i++ {
@@ -36,40 +24,38 @@ func TestMergeFiles(t *testing.T) {
 				`{"seg":%d,"id":%d,"name":"n-%d-%d","price":%g}`, s, s*32+i, s, i, float64(i)*0.5))
 		}
 		tl := buildTile(t, docs...)
-		srcTiles = append(srcTiles, []*tile.Tile{tl})
-		paths = append(paths, writeSegmentWith(t, dir, fmt.Sprintf("src%d.seg", s), tl))
-	}
-
-	pool := bufpool.New(bufpool.DefaultCapacity)
-	var readers []*Reader
-	for _, p := range paths {
-		r, err := Open(p, pool)
+		st := stats.New(0, 0)
+		st.AddTile(tl)
+		name := fmt.Sprintf("src%d.seg", s)
+		if _, err := WriteStore(store, name, []*tile.Tile{tl}, st); err != nil {
+			t.Fatalf("WriteStore(%s): %v", name, err)
+		}
+		r, err := OpenStore(store, name, pool)
 		if err != nil {
-			t.Fatalf("Open(%s): %v", p, err)
+			t.Fatalf("OpenStore(%s): %v", name, err)
 		}
 		defer r.Close()
+		srcTiles = append(srcTiles, []*tile.Tile{tl})
 		readers = append(readers, r)
 	}
 
-	merged := filepath.Join(dir, "merged.seg")
-	n, err := MergeFiles(merged, readers)
+	n, err := MergeStore(store, "merged.seg", readers)
 	if err != nil {
-		t.Fatalf("MergeFiles: %v", err)
+		t.Fatalf("MergeStore: %v", err)
 	}
-	fi, err := os.Stat(merged)
+	size, err := store.Size("merged.seg")
 	if err != nil {
-		t.Fatalf("Stat: %v", err)
+		t.Fatalf("Size: %v", err)
 	}
-	if n != fi.Size() {
-		t.Errorf("MergeFiles returned %d bytes, file is %d", n, fi.Size())
+	if n != size {
+		t.Errorf("MergeStore returned %d bytes, object is %d", n, size)
 	}
 
-	mr, err := Open(merged, pool)
+	mr, err := OpenStore(store, "merged.seg", pool)
 	if err != nil {
-		t.Fatalf("Open(merged): %v", err)
+		t.Fatalf("OpenStore(merged): %v", err)
 	}
 	defer mr.Close()
-
 	if mr.NumTiles() != 3 {
 		t.Fatalf("NumTiles = %d, want 3", mr.NumTiles())
 	}
@@ -123,48 +109,5 @@ func TestMergeFiles(t *testing.T) {
 			}
 			ti++
 		}
-	}
-}
-
-func TestMergeAcceptsV1Sources(t *testing.T) {
-	dir := t.TempDir()
-	tl := buildTile(t,
-		`{"a":1,"b":"x"}`, `{"a":2,"b":"y"}`, `{"a":3}`)
-	st := stats.New(0, 0)
-	st.AddTile(tl)
-	v1path := filepath.Join(dir, "v1.seg")
-	f, err := os.Create(v1path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteV1(f, []*tile.Tile{tl}, st); err != nil {
-		t.Fatalf("WriteV1: %v", err)
-	}
-	f.Close()
-
-	pool := bufpool.New(bufpool.DefaultCapacity)
-	r1, err := Open(v1path, pool)
-	if err != nil {
-		t.Fatalf("Open v1: %v", err)
-	}
-	defer r1.Close()
-
-	merged := filepath.Join(dir, "merged.seg")
-	if _, err := MergeFiles(merged, []*Reader{r1, r1}); err != nil {
-		t.Fatalf("MergeFiles: %v", err)
-	}
-	mr, err := Open(merged, pool)
-	if err != nil {
-		t.Fatalf("Open merged: %v", err)
-	}
-	defer mr.Close()
-	if mr.Version() != 2 {
-		t.Errorf("merged version = %d, want 2", mr.Version())
-	}
-	if mr.NumRows() != 6 {
-		t.Errorf("NumRows = %d, want 6", mr.NumRows())
-	}
-	if _, _, err := mr.Column(0, 0); err != nil {
-		t.Errorf("Column: %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -28,14 +27,12 @@ import (
 type Reader struct {
 	store    blockstore.Store
 	name     string // object name within the store
-	ownStore bool   // Open created the store; Close closes it
 	fileSize uint64
 	fileID   uint64
 	pool     *bufpool.Pool
 	gap      int64 // coalescing gap threshold (readahead fetches)
 	tiles    []TileMeta
 	stats    *stats.TableStats
-	version  int // 1 = legacy JTSEG001, 2 = dictionary-aware
 }
 
 // ReadInfo reports what one logical block access cost: whether the
@@ -69,28 +66,11 @@ type FetchInfo struct {
 	Retries    int64
 }
 
-// openTailWindow is the speculative trailing read Open issues: one
+// openTailWindow is the speculative trailing read OpenStore issues: one
 // ranged read that, for most segments, covers the fixed tail and the
 // whole footer block (and, for small segments, the entire object), so
 // opening costs one or two store requests instead of three or four.
 const openTailWindow = 64 << 10
-
-// Open opens a segment file on the local filesystem — the path-based
-// compatibility wrapper over OpenStore. The returned Reader owns its
-// private FS store and closes it on Close.
-func Open(path string, pool *bufpool.Pool) (*Reader, error) {
-	store, err := blockstore.NewFS(filepath.Dir(path))
-	if err != nil {
-		return nil, err
-	}
-	r, err := OpenStore(store, filepath.Base(path), pool)
-	if err != nil {
-		blockstore.Close(store)
-		return nil, err
-	}
-	r.ownStore = true
-	return r, nil
-}
 
 // OpenStore opens the named segment object footer-first: a Size probe,
 // then one speculative ranged read of the object's tail (covering the
@@ -180,12 +160,7 @@ func OpenStoreSized(store blockstore.Store, name string, pool *bufpool.Pool, siz
 		gap:      blockstore.DefaultCoalesceGap,
 	}
 
-	switch string(head) {
-	case Magic:
-		r.version = 2
-	case MagicV1:
-		r.version = 1
-	default:
+	if string(head) != Magic {
 		return nil, corruptf("%s: bad header magic %q", name, head)
 	}
 
@@ -207,7 +182,7 @@ func OpenStoreSized(store blockstore.Store, name string, pool *bufpool.Pool, siz
 	if err != nil {
 		return nil, fmt.Errorf("footer: %w", err)
 	}
-	ftr, err := decodeFooter(footerRaw, uint64(size)-TailSize, r.version)
+	ftr, err := decodeFooter(footerRaw, uint64(size)-TailSize)
 	if err != nil {
 		return nil, fmt.Errorf("segment %s: %w", name, err)
 	}
@@ -232,13 +207,10 @@ func (r *Reader) SetCoalesceGap(gap int64) {
 	r.gap = gap
 }
 
-// Close drops this object's resident blocks from the shared pool and,
-// for path-opened readers, closes the private store.
+// Close drops this object's resident blocks from the shared pool; the
+// store stays open.
 func (r *Reader) Close() error {
 	r.pool.DropFile(r.fileID)
-	if r.ownStore {
-		return blockstore.Close(r.store)
-	}
 	return nil
 }
 
@@ -253,10 +225,6 @@ func (r *Reader) FileSize() int64 { return int64(r.fileSize) }
 
 // Tile returns the metadata of tile i. Read-only.
 func (r *Reader) Tile(i int) *TileMeta { return &r.tiles[i] }
-
-// Version returns the on-disk format version (1 = legacy JTSEG001,
-// 2 = dictionary-aware).
-func (r *Reader) Version() int { return r.version }
 
 // Stats returns the relation statistics persisted in the footer.
 func (r *Reader) Stats() *stats.TableStats { return r.stats }

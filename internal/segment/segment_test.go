@@ -1,11 +1,13 @@
 package segment
 
 import (
+	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/blockstore"
 	"repro/internal/bufpool"
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
@@ -29,37 +31,39 @@ func buildTile(t testing.TB, srcs ...string) *tile.Tile {
 	return tile.NewBuilder(cfg, nil).Build(docs)
 }
 
-// writeTestSegment builds two tiles with disjoint schemas (so tile
-// skipping has something to skip) plus relation statistics, and
-// writes them to a temp segment.
-func writeTestSegment(t testing.TB) (path string, tiles []*tile.Tile, st *stats.TableStats) {
+// testSeg names the standard test segment object.
+const testSeg = "test.seg"
+
+// writeTestSegment writes the standard two-tile test segment (see
+// writeStoreSegment) to a fresh in-memory store.
+func writeTestSegment(t testing.TB) (blockstore.Store, []*tile.Tile, *stats.TableStats) {
 	t.Helper()
-	t1src := make([]string, 0, 64)
-	t2src := make([]string, 0, 64)
-	for i := 0; i < 64; i++ {
-		t1src = append(t1src, fmt.Sprintf(
-			`{"id":%d,"price":%g,"name":"item-%d","active":%t}`, i, float64(i)*1.5+0.25, i, i%2 == 0))
-		t2src = append(t2src, fmt.Sprintf(
-			`{"user":{"id":%d},"score":%d,"extra_%d":1}`, i, i*10, i))
-	}
-	tiles = []*tile.Tile{buildTile(t, t1src...), buildTile(t, t2src...)}
-	st = stats.New(0, 0)
+	store := blockstore.NewMem()
+	tiles, st := writeStoreSegment(t, store, testSeg)
+	return store, tiles, st
+}
+
+// putSegment writes one segment of the given tiles to a fresh
+// in-memory store under testSeg.
+func putSegment(t testing.TB, tiles ...*tile.Tile) blockstore.Store {
+	t.Helper()
+	st := stats.New(0, 0)
 	for _, tl := range tiles {
 		st.AddTile(tl)
 	}
-	path = filepath.Join(t.TempDir(), "test.seg")
-	if err := WriteFile(path, tiles, st); err != nil {
-		t.Fatalf("WriteFile: %v", err)
+	store := blockstore.NewMem()
+	if _, err := WriteStore(store, testSeg, tiles, st); err != nil {
+		t.Fatalf("WriteStore: %v", err)
 	}
-	return path, tiles, st
+	return store
 }
 
 func TestRoundTrip(t *testing.T) {
-	path, tiles, st := writeTestSegment(t)
+	store, tiles, st := writeTestSegment(t)
 	pool := bufpool.New(bufpool.DefaultCapacity)
-	r, err := Open(path, pool)
+	r, err := OpenStore(store, testSeg, pool)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
 	defer r.Close()
 
@@ -156,20 +160,11 @@ func buildDictTile(t testing.TB, rows int) *tile.Tile {
 
 func TestDictColumnRoundTrip(t *testing.T) {
 	tl := buildDictTile(t, 200)
-	st := stats.New(0, 0)
-	st.AddTile(tl)
-	path := filepath.Join(t.TempDir(), "dict.seg")
-	if err := WriteFile(path, []*tile.Tile{tl}, st); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(path, bufpool.New(bufpool.DefaultCapacity))
+	r, err := OpenStore(putSegment(t, tl), testSeg, bufpool.New(bufpool.DefaultCapacity))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Version() != 2 {
-		t.Fatalf("Version = %d, want 2", r.Version())
-	}
 
 	tm := r.Tile(0)
 	dictIdx := -1
@@ -211,90 +206,26 @@ func TestDictColumnRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpenV1Segment: the reader must still open and fully scan the
-// legacy JTSEG001 layout (single arena block per column, no string
-// zone bounds).
-func TestOpenV1Segment(t *testing.T) {
-	cfg := tile.DefaultConfig()
-	cfg.DetectDates = false
-	cfg.DictThreshold = 0 // v1 files predate dictionary encoding
-	srcs := make([]string, 0, 64)
-	for i := 0; i < 64; i++ {
-		srcs = append(srcs, fmt.Sprintf(`{"id":%d,"level":"%s"}`, i, []string{"a", "b"}[i%2]))
-	}
-	docs := make([]jsonvalue.Value, len(srcs))
-	for i, s := range srcs {
-		v, err := jsontext.ParseString(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		docs[i] = v
-	}
-	tl := tile.NewBuilder(cfg, nil).Build(docs)
-	st := stats.New(0, 0)
-	st.AddTile(tl)
-
-	path := filepath.Join(t.TempDir(), "v1.seg")
-	f, err := os.Create(path)
+// TestRejectLegacyMagic: a JTSEG001 header — the pre-dictionary
+// layout, no longer read — is an ordinary bad-magic corruption that
+// names the magic it found.
+func TestRejectLegacyMagic(t *testing.T) {
+	store, _, _ := writeTestSegment(t)
+	data, err := blockstore.ReadAll(store, testSeg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteV1(f, []*tile.Tile{tl}, st); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	head := make([]byte, len(MagicV1))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(head, raw)
-	if string(head) != MagicV1 {
-		t.Fatalf("v1 file starts with %q, want %q", head, MagicV1)
-	}
-
-	r, err := Open(path, bufpool.New(0))
-	if err != nil {
-		t.Fatalf("Open v1: %v", err)
-	}
-	defer r.Close()
-	if r.Version() != 1 {
-		t.Fatalf("Version = %d, want 1", r.Version())
-	}
-	tm := r.Tile(0)
-	for ci := range tm.Columns {
-		cm := &tm.Columns[ci]
-		if cm.HasDict || cm.Zone.HasStrBounds {
-			t.Errorf("v1 column %q decoded with v2-only fields: %+v", cm.Path, cm)
-		}
-		got, infos, err := r.Column(0, ci)
-		if err != nil {
-			t.Fatalf("Column %q: %v", cm.Path, err)
-		}
-		if len(infos) != 1 {
-			t.Errorf("v1 column read reported %d blocks, want 1", len(infos))
-		}
-		want := tl.Column(ci).Col
-		for row := 0; row < want.Len(); row++ {
-			if got.IsNull(row) != want.IsNull(row) {
-				t.Fatalf("col %q row %d null mismatch", cm.Path, row)
-			}
-		}
-		if cm.Path == "level" {
-			for row := 0; row < want.Len(); row++ {
-				if got.String(row) != want.String(row) {
-					t.Fatalf("col level row %d = %q, want %q", row, got.String(row), want.String(row))
-				}
-			}
-		}
+	copy(data, "JTSEG001")
+	store.Put("v1.seg", data)
+	_, err = OpenStore(store, "v1.seg", nil)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "JTSEG001") {
+		t.Fatalf("OpenStore of a JTSEG001 header = %v, want ErrCorrupt naming the magic", err)
 	}
 }
 
 func TestMayContainPathMatchesSource(t *testing.T) {
-	path, tiles, _ := writeTestSegment(t)
-	r, err := Open(path, bufpool.New(0))
+	store, tiles, _ := writeTestSegment(t)
+	r, err := OpenStore(store, testSeg, bufpool.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,8 +247,8 @@ func TestMayContainPathMatchesSource(t *testing.T) {
 }
 
 func TestZoneMaps(t *testing.T) {
-	path, _, _ := writeTestSegment(t)
-	r, err := Open(path, bufpool.New(0))
+	store, _, _ := writeTestSegment(t)
+	r, err := OpenStore(store, testSeg, bufpool.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,9 +279,9 @@ func TestZoneMaps(t *testing.T) {
 }
 
 func TestBufpoolIntegration(t *testing.T) {
-	path, _, _ := writeTestSegment(t)
+	store, _, _ := writeTestSegment(t)
 	pool := bufpool.New(bufpool.DefaultCapacity)
-	r, err := Open(path, pool)
+	r, err := OpenStore(store, testSeg, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,8 +313,8 @@ func TestBufpoolIntegration(t *testing.T) {
 }
 
 func TestOpenNilPool(t *testing.T) {
-	path, _, _ := writeTestSegment(t)
-	r, err := Open(path, nil)
+	store, _, _ := writeTestSegment(t)
+	r, err := OpenStore(store, testSeg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,11 +325,7 @@ func TestOpenNilPool(t *testing.T) {
 }
 
 func TestEmptySegment(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.seg")
-	if err := WriteFile(path, nil, stats.New(0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(path, bufpool.New(0))
+	r, err := OpenStore(putSegment(t), testSeg, bufpool.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,34 +335,34 @@ func TestEmptySegment(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomic: a segment written to an FS store appears under
+// its name only, with no temporary left beside it.
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "seg")
-	_, tiles, st := writeTestSegment(t)
-	if err := WriteFile(path, tiles, st); err != nil {
+	store, err := blockstore.NewFS(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
+	writeStoreSegment(t, store, "seg")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
 		if e.Name() != "seg" {
-			t.Errorf("leftover file %q after WriteFile", e.Name())
+			t.Errorf("leftover file %q after WriteStore", e.Name())
 		}
 	}
 }
 
 func TestOpenErrors(t *testing.T) {
-	dir := t.TempDir()
+	store := blockstore.NewMem()
 	check := func(name string, b []byte) {
 		t.Helper()
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Open(p, nil); err == nil {
-			t.Errorf("%s: Open succeeded, want error", name)
+		store.Put(name, b)
+		if _, err := OpenStore(store, name, nil); err == nil {
+			t.Errorf("%s: OpenStore succeeded, want error", name)
 		}
 	}
 	check("empty", nil)
@@ -450,7 +377,7 @@ func TestOpenErrors(t *testing.T) {
 	// Truncate a valid segment at every eighth byte: each must error,
 	// never panic.
 	good, _, _ := writeTestSegment(t)
-	data, err := os.ReadFile(good)
+	data, err := blockstore.ReadAll(good, testSeg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,18 +387,15 @@ func TestOpenErrors(t *testing.T) {
 }
 
 func TestCorruptBlockDetected(t *testing.T) {
-	path, _, _ := writeTestSegment(t)
-	data, err := os.ReadFile(path)
+	store, _, _ := writeTestSegment(t)
+	data, err := blockstore.ReadAll(store, testSeg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Flip one byte in the first data block (just after the header).
 	data[len(Magic)+3] ^= 0xFF
-	bad := filepath.Join(t.TempDir(), "corrupt.seg")
-	if err := os.WriteFile(bad, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(bad, bufpool.New(0))
+	store.Put("corrupt.seg", data)
+	r, err := OpenStore(store, "corrupt.seg", bufpool.New(0))
 	if err != nil {
 		// The flipped byte may fall in the footer region of a small
 		// segment; detection at open is equally acceptable.

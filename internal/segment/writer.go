@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"repro/internal/blockstore"
@@ -20,51 +19,20 @@ import (
 	"repro/internal/xxhash"
 )
 
-// WriteFile serializes the tiles and relation statistics into a new
-// segment file at path. The file is written to a temporary sibling
-// and renamed into place so a crashed write never leaves a
-// half-segment under the target name.
-func WriteFile(path string, tiles []*tile.Tile, st *stats.TableStats) error {
-	start := time.Now()
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := Write(f, tiles, st); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	var size int64
-	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	obs.SegmentWriteSeconds.ObserveSince(start)
-	obs.SegmentWriteBytes.Observe(float64(size))
-	return nil
+// WriteStore serializes the tiles into the store under name: the
+// stream is built in memory and atomically published with one Put.
+// Returns the object's size in bytes.
+func WriteStore(store blockstore.Store, name string, tiles []*tile.Tile, st *stats.TableStats) (int64, error) {
+	return putStream(store, name, func(w io.Writer) error { return Write(w, tiles, st) })
 }
 
-// WriteStore serializes the tiles into the store under name: the
-// stream is built in memory and atomically published with one Put
-// (the store's equivalent of the temp+rename protocol). Returns the
-// object's size in bytes.
-func WriteStore(store blockstore.Store, name string, tiles []*tile.Tile, st *stats.TableStats) (int64, error) {
+// putStream builds one segment stream in memory and publishes it under
+// name with a single Put — the store's atomic-publish contract stands
+// in for temp file + rename.
+func putStream(store blockstore.Store, name string, write func(io.Writer) error) (int64, error) {
 	start := time.Now()
 	var buf bytes.Buffer
-	if err := Write(&buf, tiles, st); err != nil {
+	if err := write(&buf); err != nil {
 		return 0, err
 	}
 	if err := store.Put(name, buf.Bytes()); err != nil {
@@ -82,32 +50,14 @@ func WriteStore(store blockstore.Store, name string, tiles []*tile.Tile, st *sta
 // sorted dictionary — so readers fetch, checksum, and pool-cache each
 // independently.
 func Write(w io.Writer, tiles []*tile.Tile, st *stats.TableStats) error {
-	return writeVersioned(w, tiles, st, 2)
-}
-
-// WriteV1 serializes the tiles in the legacy JTSEG001 layout — the
-// fixture writer for backward-compatibility tests (real v1 files
-// predate dictionary encoding, so tiles handed here should be built
-// with it disabled).
-func WriteV1(w io.Writer, tiles []*tile.Tile, st *stats.TableStats) error {
-	return writeVersioned(w, tiles, st, 1)
-}
-
-func writeVersioned(w io.Writer, tiles []*tile.Tile, st *stats.TableStats, version int) error {
-	bw := &blockWriter{w: bufio.NewWriterSize(w, 1<<20)}
-	magic := Magic
-	if version == 1 {
-		magic = MagicV1
-	}
-	if err := bw.raw([]byte(magic)); err != nil {
+	bw, err := newBlockWriter(w)
+	if err != nil {
 		return err
 	}
-
 	metas := make([]TileMeta, len(tiles))
 	for i, t := range tiles {
 		tm := &metas[i]
 		tm.Rows = t.NumRows()
-		var err error
 		if tm.Docs, err = bw.block(encodeDocs(t)); err != nil {
 			return fmt.Errorf("tile %d docs: %w", i, err)
 		}
@@ -121,7 +71,7 @@ func writeVersioned(w io.Writer, tiles []*tile.Tile, st *stats.TableStats, versi
 			cm.StorageType = ci.StorageType
 			cm.HasTypeOutliers = ci.HasTypeOutliers
 			cm.Zone = zoneOf(ci.Col)
-			if version >= 2 && ci.Col.IsDict() {
+			if ci.Col.IsDict() {
 				cm.HasDict = true
 				if dl := ci.Col.DictLen(); dl > 0 {
 					// The dictionary is sorted: min/max are its ends.
@@ -145,13 +95,27 @@ func writeVersioned(w io.Writer, tiles []*tile.Tile, st *stats.TableStats, versi
 			tm.seen = bloom.New(1, 0.01)
 		}
 	}
+	return bw.finish(metas, st)
+}
 
-	footerRaw := encodeFooter(metas, st, version)
-	footerRef, err := bw.block(footerRaw)
+// blockWriter appends blocks sequentially, tracking the offset.
+type blockWriter struct {
+	w   *bufio.Writer
+	off uint64
+}
+
+// newBlockWriter starts a segment stream with its header magic.
+func newBlockWriter(w io.Writer) (*blockWriter, error) {
+	bw := &blockWriter{w: bufio.NewWriterSize(w, 1<<20)}
+	return bw, bw.raw([]byte(Magic))
+}
+
+// finish appends the footer block and the fixed tail, then flushes.
+func (bw *blockWriter) finish(metas []TileMeta, st *stats.TableStats) error {
+	footerRef, err := bw.block(encodeFooter(metas, st))
 	if err != nil {
 		return fmt.Errorf("footer: %w", err)
 	}
-
 	var tail [TailSize]byte
 	binary.LittleEndian.PutUint64(tail[0:], footerRef.Off)
 	binary.LittleEndian.PutUint32(tail[8:], footerRef.StoredLen)
@@ -162,12 +126,6 @@ func writeVersioned(w io.Writer, tiles []*tile.Tile, st *stats.TableStats, versi
 		return err
 	}
 	return bw.w.Flush()
-}
-
-// blockWriter appends blocks sequentially, tracking the offset.
-type blockWriter struct {
-	w   *bufio.Writer
-	off uint64
 }
 
 func (bw *blockWriter) raw(b []byte) error {

@@ -3,10 +3,8 @@ package storage
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"testing"
 
-	"repro/internal/bufpool"
 	"repro/internal/expr"
 	"repro/internal/vec"
 )
@@ -37,15 +35,7 @@ func BenchmarkWarmScanMixedTiles(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	path := filepath.Join(b.TempDir(), "mixed.seg")
-	if err := WriteSegmentFile(path, mem); err != nil {
-		b.Fatal(err)
-	}
-	rel, err := OpenSegmentFile("mixed", path, bufpool.New(0), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rel.Close()
+	rel := memSegment(b, mem, cfg)
 	accesses := []Access{
 		NewAccess(expr.TBigInt, "o_orderkey"),
 		NewAccess(expr.TBigInt, "o_custkey"),

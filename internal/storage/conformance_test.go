@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
+	"repro/internal/blockstore"
 	"repro/internal/bufpool"
 	"repro/internal/expr"
 	"repro/internal/jsonb"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
-	"repro/internal/segment"
 	"repro/internal/vec"
 )
 
@@ -112,23 +110,30 @@ func TestConformanceRandomDocsAllFormats(t *testing.T) {
 			if k != KindTiles {
 				continue
 			}
-			segPath := filepath.Join(t.TempDir(), "conf.seg")
-			if err := WriteSegmentFile(segPath, rel); err != nil {
-				t.Fatalf("trial %d segment write: %v", trial, err)
-			}
-			srel, err := OpenSegmentFile("conf", segPath, bufpool.New(0), cfg)
-			if err != nil {
-				t.Fatalf("trial %d segment open: %v", trial, err)
-			}
+			srel := memSegment(t, rel, cfg)
 			verifyConformance(t, trial, "Segment", srel, accesses, truthSet)
 			if err := srel.Err(); err != nil {
 				t.Fatalf("trial %d segment scan error: %v", trial, err)
 			}
-			if err := srel.Close(); err != nil {
-				t.Fatalf("trial %d segment close: %v", trial, err)
-			}
 		}
 	}
+}
+
+// memSegment writes a tile-backed relation as a segment object of a
+// fresh in-memory store and reopens it as a disk-backed relation,
+// closed with the test.
+func memSegment(t testing.TB, rel Relation, cfg LoaderConfig) *segRelation {
+	t.Helper()
+	store := blockstore.NewMem()
+	if err := WriteSegmentStore(store, "t.seg", rel); err != nil {
+		t.Fatalf("segment write: %v", err)
+	}
+	srel, err := OpenSegmentStore(rel.Name(), store, "t.seg", 0, bufpool.New(0), cfg)
+	if err != nil {
+		t.Fatalf("segment open: %v", err)
+	}
+	t.Cleanup(func() { srel.Close() })
+	return srel
 }
 
 // verifyConformance checks one relation's row-at-a-time scan — and,
@@ -223,8 +228,7 @@ func joinRow(cells []string) string {
 // TestConformanceDictColumns drives low-cardinality text data — the
 // workload dictionary encoding targets — through every scan path and
 // checks each against an arena-layout relation of the same documents:
-// in-memory rows and batches, a v2 segment round trip, and a legacy v1
-// segment written from dict-free tiles.
+// in-memory rows and batches and a segment round trip.
 func TestConformanceDictColumns(t *testing.T) {
 	levels := []string{"debug", "error", "info", "warn"}
 	services := []string{"api", "auth", "billing", "cache", "db", "web"}
@@ -293,46 +297,11 @@ func TestConformanceDictColumns(t *testing.T) {
 	}
 	verifyConformance(t, 0, "DictTiles", rel, accesses, truthSet)
 
-	// v2 segment round trip: dictionaries persist as separate blocks.
-	segPath := filepath.Join(t.TempDir(), "dict.seg")
-	if err := WriteSegmentFile(segPath, rel); err != nil {
-		t.Fatal(err)
-	}
-	srel, err := OpenSegmentFile("dict", segPath, bufpool.New(0), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Segment round trip: dictionaries persist as separate blocks.
+	srel := memSegment(t, rel, cfg)
 	verifyConformance(t, 0, "DictSegment", srel, accesses, truthSet)
 	if err := srel.Err(); err != nil {
 		t.Fatalf("dict segment scan error: %v", err)
-	}
-	if err := srel.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Legacy v1 segment written from the arena tiles: the reader must
-	// still serve it, and the scans must agree with the same truth.
-	v1Path := filepath.Join(t.TempDir(), "v1.seg")
-	f, err := os.Create(v1Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := segment.WriteV1(f, arenaRel.(TileIntrospector).Tiles(), arenaRel.Stats()); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	v1rel, err := OpenSegmentFile("v1", v1Path, bufpool.New(0), cfg)
-	if err != nil {
-		t.Fatalf("open v1 segment: %v", err)
-	}
-	verifyConformance(t, 0, "V1Segment", v1rel, accesses, truthSet)
-	if err := v1rel.Err(); err != nil {
-		t.Fatalf("v1 segment scan error: %v", err)
-	}
-	if err := v1rel.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

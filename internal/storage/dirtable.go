@@ -19,8 +19,8 @@ import (
 	"repro/internal/tile"
 )
 
-// DirTable is a multi-segment, disk-backed relation: a directory of
-// immutable segment files catalogued by a crash-safe manifest.
+// DirTable is a multi-segment, disk-backed relation: a block store of
+// immutable segment objects catalogued by a crash-safe manifest.
 // Appends write a new segment and commit a new manifest generation —
 // O(new data), never a table rewrite — and a size-tiered compactor
 // folds accumulated small segments into larger ones in the
@@ -34,16 +34,13 @@ import (
 // scans keep reading them; the last release closes the reader, drops
 // its pool blocks, and deletes the dead file.
 type DirTable struct {
-	name     string
-	dir      string // backing directory ("" for non-FS stores)
-	store    blockstore.Store
-	ownStore bool // OpenDirTable created the store; Close closes it
-	pool     *bufpool.Pool
-	ownPool  bool
-	cfg      LoaderConfig
-	scancfg  scanConfig
-	fanIn    int  // segments merged per compaction round (≥2)
-	auto     bool // compact in the background after appends
+	name    string
+	store   blockstore.Store
+	pool    *bufpool.Pool
+	cfg     LoaderConfig
+	scancfg scanConfig
+	fanIn   int  // segments merged per compaction round (≥2)
+	auto    bool // compact in the background after appends
 
 	// mu guards the current generation: manifest, segment list,
 	// closed flag, and segment-id allocation. nextID is the allocation
@@ -129,34 +126,17 @@ const maxConcurrentOpens = 32
 // take part in) one compaction round when no explicit fan-in is set.
 const DefaultCompactFanIn = 4
 
-// OpenDirTable opens (or creates) a multi-segment table directory.
-// Recovery runs first: temporaries and segment files the committed
-// manifest does not reference are garbage-collected, so a crash
-// between segment write and manifest rename leaves no trace beyond
-// this cleanup. fanIn sets the compaction fan-in (0 selects
+// OpenDirStore opens (or creates) a multi-segment table over a block
+// store. Recovery runs first: temporaries and segment objects the
+// committed manifest does not reference are garbage-collected, so a
+// crash between segment write and manifest commit leaves no trace
+// beyond this cleanup. fanIn sets the compaction fan-in (0 selects
 // DefaultCompactFanIn, values below 2 are raised to 2); auto enables
 // background compaction after appends. All block reads flow through
-// pool (a private default-capacity pool is created when nil).
-func OpenDirTable(name, dir string, pool *bufpool.Pool, cfg LoaderConfig, fanIn int, auto bool) (*DirTable, error) {
-	store, err := blockstore.NewFS(dir)
-	if err != nil {
-		return nil, err
-	}
-	t, err := OpenDirStore(name, store, pool, cfg, fanIn, auto)
-	if err != nil {
-		blockstore.Close(store)
-		return nil, err
-	}
-	t.dir = dir
-	t.ownStore = true
-	return t, nil
-}
-
-// OpenDirStore opens (or creates) a multi-segment table over any
-// block store — the storage/compute-separated form of OpenDirTable.
-// Catalog, recovery, appends, compaction, and scans all speak the
-// store interface; the caller keeps ownership of the store (Close
-// leaves it open).
+// pool (a private default-capacity pool is created when nil). Catalog,
+// recovery, appends, compaction, and scans all speak the store
+// interface; the caller keeps ownership of the store (Close leaves it
+// open).
 func OpenDirStore(name string, store blockstore.Store, pool *bufpool.Pool, cfg LoaderConfig, fanIn int, auto bool) (*DirTable, error) {
 	man, removed, err := manifest.RecoverStore(store)
 	if err != nil {
@@ -173,13 +153,8 @@ func OpenDirStore(name string, store blockstore.Store, pool *bufpool.Pool, cfg L
 			return nil, err
 		}
 	}
-	ownPool := pool == nil
-	if ownPool {
+	if pool == nil {
 		pool = bufpool.New(0)
-	}
-	maxSlots := cfg.Tile.MaxArraySlots
-	if maxSlots <= 0 {
-		maxSlots = keypath.DefaultMaxArraySlots
 	}
 	if fanIn == 0 {
 		fanIn = DefaultCompactFanIn
@@ -191,9 +166,8 @@ func OpenDirStore(name string, store blockstore.Store, pool *bufpool.Pool, cfg L
 		name:    name,
 		store:   store,
 		pool:    pool,
-		ownPool: ownPool,
 		cfg:     cfg,
-		scancfg: scanCfgOf(cfg, maxSlots),
+		scancfg: scanCfgOf(cfg),
 		fanIn:   fanIn,
 		auto:    auto,
 		man:     man,
@@ -210,7 +184,7 @@ func OpenDirStore(name string, store blockstore.Store, pool *bufpool.Pool, cfg L
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
-			rels[i], errs[i] = openSegmentStore(name, store, s.File, s.Bytes, pool, cfg)
+			rels[i], errs[i] = OpenSegmentStore(name, store, s.File, s.Bytes, pool, cfg)
 			<-sem
 		}()
 	}
@@ -234,7 +208,11 @@ func OpenDirStore(name string, store blockstore.Store, pool *bufpool.Pool, cfg L
 }
 
 // scanCfgOf derives the scan-core settings from a loader config.
-func scanCfgOf(cfg LoaderConfig, maxSlots int) scanConfig {
+func scanCfgOf(cfg LoaderConfig) scanConfig {
+	maxSlots := cfg.Tile.MaxArraySlots
+	if maxSlots <= 0 {
+		maxSlots = keypath.DefaultMaxArraySlots
+	}
 	return scanConfig{
 		skipTiles:  cfg.SkipTiles,
 		maxSlots:   maxSlots,
@@ -244,9 +222,6 @@ func scanCfgOf(cfg LoaderConfig, maxSlots int) scanConfig {
 }
 
 func (t *DirTable) Name() string { return t.name }
-
-// Dir returns the table directory path.
-func (t *DirTable) Dir() string { return t.dir }
 
 func (t *DirTable) NumRows() int {
 	t.mu.Lock()
@@ -258,7 +233,7 @@ func (t *DirTable) NumRows() int {
 	return total
 }
 
-// SizeBytes is the on-disk footprint of the live segment files.
+// SizeBytes is the stored footprint of the live segment objects.
 func (t *DirTable) SizeBytes() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -460,7 +435,7 @@ func (t *DirTable) AppendTiles(tiles []*tile.Tile, st *stats.TableStats) error {
 	if err != nil {
 		return err
 	}
-	rel, err := openSegmentStore(t.name, t.store, file, size, t.pool, t.cfg)
+	rel, err := OpenSegmentStore(t.name, t.store, file, size, t.pool, t.cfg)
 	if err != nil {
 		t.store.Delete(file)
 		return err
@@ -668,7 +643,7 @@ func (t *DirTable) compactOnce() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	rel, err := openSegmentStore(t.name, t.store, file, n, t.pool, t.cfg)
+	rel, err := OpenSegmentStore(t.name, t.store, file, n, t.pool, t.cfg)
 	if err != nil {
 		t.store.Delete(file)
 		return false, err
@@ -747,10 +722,9 @@ func (t *DirTable) compactOnce() (bool, error) {
 	return true, nil
 }
 
-// Close waits out background compaction, releases every live segment,
-// and (for a privately created pool) leaves its blocks to the
-// garbage collector. In-flight scans finish against their pinned
-// generation.
+// Close waits out background compaction and releases every live
+// segment; the store stays open. In-flight scans finish against their
+// pinned generation.
 func (t *DirTable) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -769,11 +743,5 @@ func (t *DirTable) Close() error {
 	}
 	obs.SegmentsLive.Add(-float64(len(segs)))
 	t.updateBacklogGauge()
-	if t.ownStore {
-		return blockstore.Close(t.store)
-	}
 	return nil
 }
-
-// Store exposes the block store backing this table.
-func (t *DirTable) Store() blockstore.Store { return t.store }

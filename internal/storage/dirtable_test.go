@@ -86,14 +86,27 @@ func sameMultiset(t *testing.T, label string, got, want map[string]int) {
 	}
 }
 
+// openDirFS opens a directory table over an FS store rooted at dir —
+// what jsontiles.OpenDir builds. The store closes with the test.
+func openDirFS(t *testing.T, dir string, cfg LoaderConfig, fanIn int, auto bool) *DirTable {
+	t.Helper()
+	store, err := blockstore.NewFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	dt, err := OpenDirStore("t", store, nil, cfg, fanIn, auto)
+	if err != nil {
+		t.Fatalf("OpenDirStore: %v", err)
+	}
+	return dt
+}
+
 func TestDirTableAppendCompactReopen(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DefaultLoaderConfig()
 	cfg.Tile.TileSize = 16
-	dt, err := OpenDirTable("t", dir, nil, cfg, 4, false)
-	if err != nil {
-		t.Fatalf("OpenDirTable: %v", err)
-	}
+	dt := openDirFS(t, dir, cfg, 4, false)
 
 	const batches, rows = 8, 48
 	var all []string
@@ -151,7 +164,7 @@ func TestDirTableAppendCompactReopen(t *testing.T) {
 
 	// Dead segment files must be gone; live ones must match the
 	// manifest exactly.
-	man, err := manifest.Load(dir)
+	man, err := manifest.LoadStore(dt.store)
 	if err != nil {
 		t.Fatalf("Load manifest: %v", err)
 	}
@@ -174,10 +187,7 @@ func TestDirTableAppendCompactReopen(t *testing.T) {
 	}
 
 	// Reopen: the compacted generation serves identical results.
-	dt2, err := OpenDirTable("t", dir, nil, cfg, 4, false)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
+	dt2 := openDirFS(t, dir, cfg, 4, false)
 	defer dt2.Close()
 	if dt2.NumSegments() != after {
 		t.Fatalf("reopened NumSegments = %d, want %d", dt2.NumSegments(), after)
@@ -189,10 +199,7 @@ func TestDirTableScansPinOldGenerationDuringCompact(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DefaultLoaderConfig()
 	cfg.Tile.TileSize = 16
-	dt, err := OpenDirTable("t", dir, nil, cfg, 2, false)
-	if err != nil {
-		t.Fatalf("OpenDirTable: %v", err)
-	}
+	dt := openDirFS(t, dir, cfg, 2, false)
 	defer dt.Close()
 
 	var all []string
@@ -239,10 +246,7 @@ func TestDirTableCrashBeforeManifestRenameRecovers(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DefaultLoaderConfig()
 	cfg.Tile.TileSize = 16
-	dt, err := OpenDirTable("t", dir, nil, cfg, 4, false)
-	if err != nil {
-		t.Fatalf("OpenDirTable: %v", err)
-	}
+	dt := openDirFS(t, dir, cfg, 4, false)
 	tiles, st := dirTestBatch(t, dirTestLines(0, 32))
 	if err := dt.AppendTiles(tiles, st); err != nil {
 		t.Fatalf("AppendTiles: %v", err)
@@ -260,7 +264,7 @@ func TestDirTableCrashBeforeManifestRenameRecovers(t *testing.T) {
 		return os.Rename(oldpath, newpath)
 	}
 	tiles2, st2 := dirTestBatch(t, dirTestLines(1, 32))
-	err = dt.AppendTiles(tiles2, st2)
+	err := dt.AppendTiles(tiles2, st2)
 	blockstore.Rename = os.Rename
 	if err == nil {
 		t.Fatal("AppendTiles succeeded despite failing rename")
@@ -278,10 +282,7 @@ func TestDirTableCrashBeforeManifestRenameRecovers(t *testing.T) {
 		t.Fatalf("%d segment files before recovery, want 2 (1 live + 1 orphan)", orphans)
 	}
 
-	dt2, err := OpenDirTable("t", dir, nil, cfg, 4, false)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
+	dt2 := openDirFS(t, dir, cfg, 4, false)
 	defer dt2.Close()
 	if dt2.NumSegments() != 1 || dt2.NumRows() != 32 {
 		t.Fatalf("recovered table: %d segments, %d rows; want 1, 32", dt2.NumSegments(), dt2.NumRows())
@@ -300,10 +301,7 @@ func TestDirTableBackgroundCompaction(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DefaultLoaderConfig()
 	cfg.Tile.TileSize = 16
-	dt, err := OpenDirTable("t", dir, nil, cfg, 2, true)
-	if err != nil {
-		t.Fatalf("OpenDirTable: %v", err)
-	}
+	dt := openDirFS(t, dir, cfg, 2, true)
 	for b := 0; b < 6; b++ {
 		tiles, st := dirTestBatch(t, dirTestLines(b, 32))
 		if err := dt.AppendTiles(tiles, st); err != nil {
@@ -315,10 +313,7 @@ func TestDirTableBackgroundCompaction(t *testing.T) {
 	if err := dt.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	dt2, err := OpenDirTable("t", dir, nil, cfg, 2, false)
-	if err != nil {
-		t.Fatalf("reopen after background compaction: %v", err)
-	}
+	dt2 := openDirFS(t, dir, cfg, 2, false)
 	defer dt2.Close()
 	if dt2.NumRows() != 6*32 {
 		t.Fatalf("NumRows = %d, want %d", dt2.NumRows(), 6*32)
@@ -344,10 +339,7 @@ func TestTierOf(t *testing.T) {
 func TestDirTableEmpty(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "tbl")
 	cfg := DefaultLoaderConfig()
-	dt, err := OpenDirTable("t", dir, nil, cfg, 0, false)
-	if err != nil {
-		t.Fatalf("OpenDirTable: %v", err)
-	}
+	dt := openDirFS(t, dir, cfg, 0, false)
 	defer dt.Close()
 	if dt.NumRows() != 0 || dt.NumSegments() != 0 {
 		t.Fatalf("empty table: %d rows, %d segments", dt.NumRows(), dt.NumSegments())
@@ -359,10 +351,7 @@ func TestDirTableEmpty(t *testing.T) {
 		t.Fatalf("Compact on empty = %d, %v", rounds, err)
 	}
 	// The empty first generation is committed: a second open sees it.
-	dt2, err := OpenDirTable("t", dir, nil, cfg, 0, false)
-	if err != nil {
-		t.Fatalf("reopen empty: %v", err)
-	}
+	dt2 := openDirFS(t, dir, cfg, 0, false)
 	dt2.Close()
 }
 

@@ -30,10 +30,6 @@ type LoaderConfig struct {
 	// DefaultMorselRows). Small inputs shrink it automatically so
 	// every worker still gets several morsels.
 	MorselRows int
-	// TreeIngest forces the boxed jsonvalue-tree ingest path instead
-	// of the default structural-tape path (DESIGN.md §6.8) — the
-	// reference for the ingest benchmark and conformance tests.
-	TreeIngest bool
 	// Metrics, when non-nil, accumulates the load-time breakdown
 	// (parse/mine/extract/JSONB/reorder nanos — Figure 16) across every
 	// load performed with this config.

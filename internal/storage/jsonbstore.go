@@ -21,24 +21,9 @@ type jsonbStore struct {
 type jsonbLoader struct{ cfg LoaderConfig }
 
 func (l jsonbLoader) Load(name string, lines [][]byte, workers int) (Relation, error) {
-	if l.cfg.TreeIngest {
-		docs, err := parseAll(lines, workers)
-		if err != nil {
-			return nil, err
-		}
-		obs.IngestDocsTreeFallback.Add(int64(len(docs)))
-		encoded := make([][]byte, len(docs))
-		morselRange(len(docs), workers, func(w, lo, hi int) {
-			var enc jsonb.Encoder
-			for i := lo; i < hi; i++ {
-				encoded[i] = enc.Encode(docs[i])
-			}
-		})
-		return &jsonbStore{name: name, docs: encoded}, nil
-	}
-	// Tape path: parse and encode per document in one pass — the tree
-	// is never materialized, and each worker reuses one pooled tape and
-	// encoder. Over-limit documents fall back individually.
+	// Parse and encode per document in one pass — the tree is never
+	// materialized, and each worker reuses one pooled tape and encoder.
+	// Over-limit documents fall back individually.
 	encoded := make([][]byte, len(lines))
 	pe := newParseErrs()
 	morselRange(len(lines), workers, func(w, lo, hi int) {

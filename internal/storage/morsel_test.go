@@ -3,12 +3,11 @@ package storage
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
-	"repro/internal/bufpool"
+	"repro/internal/blockstore"
 	"repro/internal/expr"
 	"repro/internal/vec"
 )
@@ -287,15 +286,7 @@ func TestMorselScanConformanceSkewedTiles(t *testing.T) {
 	}
 	check("memory", rel)
 
-	segPath := filepath.Join(t.TempDir(), "skewed.seg")
-	if err := WriteSegmentFile(segPath, rel); err != nil {
-		t.Fatal(err)
-	}
-	srel, err := OpenSegmentFile("skewed", segPath, bufpool.New(0), DefaultLoaderConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srel.Close()
+	srel := memSegment(t, rel, DefaultLoaderConfig())
 	check("segment", srel)
 	if err := srel.Err(); err != nil {
 		t.Fatalf("segment scan error: %v", err)
@@ -328,12 +319,11 @@ func TestMorselScanConformanceAllFormats(t *testing.T) {
 // global morsel stream; results must not depend on the worker count,
 // before or after compaction.
 func TestMorselScanConformanceDirTable(t *testing.T) {
-	dir := t.TempDir()
 	cfg := DefaultLoaderConfig()
 	cfg.Tile.TileSize = 16
-	dt, err := OpenDirTable("t", dir, nil, cfg, 4, false)
+	dt, err := OpenDirStore("t", blockstore.NewMem(), nil, cfg, 4, false)
 	if err != nil {
-		t.Fatalf("OpenDirTable: %v", err)
+		t.Fatalf("OpenDirStore: %v", err)
 	}
 	defer dt.Close()
 

@@ -24,11 +24,7 @@ type rawJSONLoader struct{ cfg LoaderConfig }
 func (l rawJSONLoader) Load(name string, lines [][]byte, workers int) (Relation, error) {
 	// Validate up front (a database rejects malformed documents at
 	// insert); store the verbatim text.
-	if l.cfg.TreeIngest {
-		if _, err := parseAll(lines, workers); err != nil {
-			return nil, err
-		}
-	} else if err := validateAll(lines, workers); err != nil {
+	if err := validateAll(lines, workers); err != nil {
 		return nil, err
 	}
 	stored := make([][]byte, len(lines))

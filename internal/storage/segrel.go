@@ -27,7 +27,6 @@ type segRelation struct {
 	name    string
 	r       *segment.Reader
 	pool    *bufpool.Pool
-	ownPool bool
 	numRows int
 	cfg     scanConfig
 
@@ -43,70 +42,36 @@ var (
 	_ TileCounter  = (*segRelation)(nil)
 )
 
-// WriteSegmentFile persists a tile-backed relation (the Tiles format)
-// as a segment file. Relations of other formats have no tiles to
-// persist and are rejected.
-func WriteSegmentFile(path string, rel Relation) error {
+// WriteSegmentStore persists a tile-backed relation (the Tiles format)
+// as the named segment object of store. Relations of other formats
+// have no tiles to persist and are rejected.
+func WriteSegmentStore(store blockstore.Store, object string, rel Relation) error {
 	ti, ok := rel.(TileIntrospector)
 	if !ok {
 		return fmt.Errorf("storage: relation %q (%T) is not tile-backed; only the Tiles format persists as a segment", rel.Name(), rel)
 	}
-	return segment.WriteFile(path, ti.Tiles(), rel.Stats())
-}
-
-// OpenSegmentFile opens a segment as a disk-backed relation. All
-// block reads flow through pool (a private default-capacity pool is
-// created when nil — pass a shared pool to bound memory across many
-// open segments). cfg supplies the scan settings (tile skipping,
-// array-slot caps); zero values take the defaults.
-func OpenSegmentFile(name, path string, pool *bufpool.Pool, cfg LoaderConfig) (*segRelation, error) {
-	ownPool := pool == nil
-	if ownPool {
-		pool = bufpool.New(0)
-	}
-	r, err := segment.Open(path, pool)
-	if err != nil {
-		return nil, err
-	}
-	return newSegRelation(name, r, pool, ownPool, cfg), nil
+	_, err := segment.WriteStore(store, object, ti.Tiles(), rel.Stats())
+	return err
 }
 
 // OpenSegmentStore opens the named segment object of a block store as
-// a disk-backed relation — the storage/compute-separated form of
-// OpenSegmentFile. The caller keeps ownership of the store.
-func OpenSegmentStore(name string, store blockstore.Store, object string, pool *bufpool.Pool, cfg LoaderConfig) (*segRelation, error) {
-	return openSegmentStore(name, store, object, 0, pool, cfg)
-}
-
-// openSegmentStore is OpenSegmentStore with the object's size when the
-// caller knows it (0 probes): the manifest records it and a writer
-// just produced it, which saves the open a round trip.
-func openSegmentStore(name string, store blockstore.Store, object string, size int64, pool *bufpool.Pool, cfg LoaderConfig) (*segRelation, error) {
-	ownPool := pool == nil
-	if ownPool {
+// a disk-backed relation; the caller keeps ownership of the store.
+// size is the object's size when the caller knows it (the manifest
+// records it, a writer just produced it), which saves the open a
+// round trip; 0 probes. All block reads flow through pool (a private
+// default-capacity pool when nil — pass a shared pool to bound memory
+// across many open segments). cfg supplies the scan settings (tile
+// skipping, array-slot caps); zero values take the defaults.
+func OpenSegmentStore(name string, store blockstore.Store, object string, size int64, pool *bufpool.Pool, cfg LoaderConfig) (*segRelation, error) {
+	if pool == nil {
 		pool = bufpool.New(0)
 	}
 	r, err := segment.OpenStoreSized(store, object, pool, size)
 	if err != nil {
 		return nil, err
 	}
-	return newSegRelation(name, r, pool, ownPool, cfg), nil
-}
-
-func newSegRelation(name string, r *segment.Reader, pool *bufpool.Pool, ownPool bool, cfg LoaderConfig) *segRelation {
 	r.SetCoalesceGap(cfg.StoreGapBytes)
-	maxSlots := cfg.Tile.MaxArraySlots
-	if maxSlots <= 0 {
-		maxSlots = keypath.DefaultMaxArraySlots
-	}
-	return &segRelation{
-		name:    name,
-		r:       r,
-		pool:    pool,
-		ownPool: ownPool,
-		numRows: r.NumRows(),
-		cfg:     scanCfgOf(cfg, maxSlots),
-	}
+	return &segRelation{name: name, r: r, pool: pool, numRows: r.NumRows(), cfg: scanCfgOf(cfg)}, nil
 }
 
 func (r *segRelation) Name() string             { return r.name }
@@ -114,10 +79,10 @@ func (r *segRelation) NumRows() int             { return r.numRows }
 func (r *segRelation) Stats() *stats.TableStats { return r.r.Stats() }
 func (r *segRelation) NumTiles() int            { return r.r.NumTiles() }
 
-// SizeBytes is the on-disk footprint of the segment file.
+// SizeBytes is the stored footprint of the segment object.
 func (r *segRelation) SizeBytes() int { return int(r.r.FileSize()) }
 
-// Close releases the underlying file and drops its cached blocks.
+// Close drops the segment's cached blocks; the store stays open.
 func (r *segRelation) Close() error { return r.r.Close() }
 
 // Pool exposes the buffer pool serving this relation (diagnostics,

@@ -115,13 +115,11 @@ const shredMaxArraySlots = 4096
 type shredLoader struct{ cfg LoaderConfig }
 
 func (l shredLoader) Load(name string, lines [][]byte, workers int) (Relation, error) {
-	if !l.cfg.TreeIngest {
-		r, err := l.loadTapes(name, lines, workers)
-		if !errors.Is(err, errTapeLimit) {
-			return r, err
-		}
-		// Some document exceeds the tape limits: retry on the tree path.
+	rel, err := l.loadTapes(name, lines, workers)
+	if !errors.Is(err, errTapeLimit) {
+		return rel, err
 	}
+	// Some document exceeds the tape limits: retry on the tree path.
 	docs, err := parseAll(lines, workers)
 	if err != nil {
 		return nil, err

@@ -3,11 +3,9 @@ package storage
 import (
 	"bytes"
 	"math/rand"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/bufpool"
 	"repro/internal/expr"
 	"repro/internal/jsongen"
 	"repro/internal/jsontape"
@@ -18,8 +16,23 @@ import (
 
 // Tape-vs-tree conformance (DESIGN.md §6.8): for every storage format
 // and several worker counts, loading through the structural-tape path
-// must produce results identical to the boxed jsonvalue-tree path
-// (LoaderConfig.TreeIngest), which is the long-standing reference.
+// must produce results identical to the boxed jsonvalue-tree path. The
+// tree reference is the real LimitError fallback, forced by shrinking
+// the tape limits: (0, 0) sends every document down it, (4, 1<<20)
+// only the documents with a string or container longer than four, so
+// one load mixes both paths.
+
+// loadLimited loads lines with the tape limits shrunk to (span, off).
+func loadLimited(t *testing.T, k FormatKind, cfg LoaderConfig, lines [][]byte, workers, span, off int) Relation {
+	t.Helper()
+	defer jsontape.SetLimitsForTesting(span, off)()
+	l, _ := NewLoader(k, cfg)
+	rel, err := l.Load("conf", lines, workers)
+	if err != nil {
+		t.Fatalf("%s w%d limits (%d, %d): %v", k, workers, span, off, err)
+	}
+	return rel
+}
 
 // tapeConfSample derives a handful of typed accesses from the
 // documents, plus one absent path.
@@ -96,25 +109,20 @@ func TestTapeMatchesTreeAllFormats(t *testing.T) {
 
 		for _, k := range allKinds() {
 			for _, workers := range []int{1, 4} {
-				treeCfg := DefaultLoaderConfig()
-				treeCfg.Tile.TileSize = 16
-				treeCfg.TreeIngest = true
-				lt, _ := NewLoader(k, treeCfg)
-				treeRel, err := lt.Load("conf", docLines, workers)
-				if err != nil {
-					t.Fatalf("trial %d %s w%d tree: %v", trial, k, workers, err)
-				}
+				cfg := DefaultLoaderConfig()
+				cfg.Tile.TileSize = 16
+				treeRel := loadLimited(t, k, cfg, docLines, workers, 0, 0)
 				truthSet := normRowMultiset(treeRel, accesses, workers)
 
-				tapeCfg := treeCfg
-				tapeCfg.TreeIngest = false
-				lp, _ := NewLoader(k, tapeCfg)
+				lp, _ := NewLoader(k, cfg)
 				tapeRel, err := lp.Load("conf", docLines, workers)
 				if err != nil {
 					t.Fatalf("trial %d %s w%d tape: %v", trial, k, workers, err)
 				}
 				// Row and batch scans against the tree-path truth.
 				verifyConformance(t, trial, string(k)+"-tape", tapeRel, accesses, truthSet)
+				mixedRel := loadLimited(t, k, cfg, docLines, workers, 4, 1<<20)
+				verifyConformance(t, trial, string(k)+"-mixed", mixedRel, accesses, truthSet)
 
 				if k != KindTiles {
 					continue
@@ -140,64 +148,18 @@ func TestTapeMatchesTreeAllFormats(t *testing.T) {
 				}
 
 				// Segment round trip of the tape-loaded relation.
-				segPath := filepath.Join(t.TempDir(), "tape.seg")
-				if err := WriteSegmentFile(segPath, tapeRel); err != nil {
-					t.Fatalf("trial %d segment write: %v", trial, err)
-				}
-				srel, err := OpenSegmentFile("conf", segPath, bufpool.New(0), tapeCfg)
-				if err != nil {
-					t.Fatalf("trial %d segment open: %v", trial, err)
-				}
+				srel := memSegment(t, tapeRel, cfg)
 				verifyConformance(t, trial, "tape-segment", srel, accesses, truthSet)
 				if err := srel.Err(); err != nil {
 					t.Fatalf("trial %d segment scan: %v", trial, err)
 				}
-				if err := srel.Close(); err != nil {
-					t.Fatalf("trial %d segment close: %v", trial, err)
-				}
 			}
 		}
 	}
-}
 
-// TestTapeLimitFallback shrinks the tape limits so every loader hits
-// LimitError and exercises its tree fallback; results must match the
-// forced-tree reference exactly.
-func TestTapeLimitFallback(t *testing.T) {
-	docLines := lines(
-		`{"id":1,"tags":["a","b","c","d","e"],"name":"x"}`,
-		`{"id":2,"tags":[1,2,3],"name":"y"}`,
-		`{"id":3,"nested":{"deep":{"list":[true,false,null,1,2,3,4]}}}`,
-	)
-	accesses := []Access{
-		NewAccess(expr.TBigInt, "id"),
-		NewAccess(expr.TText, "name"),
-		NewAccess(expr.TText, "tags"),
-	}
-
-	treeCfg := DefaultLoaderConfig()
-	treeCfg.TreeIngest = true
-
-	restore := jsontape.SetLimitsForTesting(4, 1<<20)
-	defer restore()
-	for _, k := range allKinds() {
-		lt, _ := NewLoader(k, treeCfg)
-		treeRel, err := lt.Load("lim", docLines, 2)
-		if err != nil {
-			t.Fatalf("%s tree: %v", k, err)
-		}
-		truthSet := normRowMultiset(treeRel, accesses, 2)
-
-		lp, _ := NewLoader(k, DefaultLoaderConfig())
-		tapeRel, err := lp.Load("lim", docLines, 2)
-		if err != nil {
-			t.Fatalf("%s tape-with-limits: %v", k, err)
-		}
-		verifyConformance(t, 0, string(k)+"-limited", tapeRel, accesses, truthSet)
-	}
-
-	// ValidateDoc must also survive the limit through its fallback.
-	if err := ValidateDoc(docLines[0]); err != nil {
+	// ValidateDoc takes the same fallback past the limits.
+	defer jsontape.SetLimitsForTesting(0, 0)()
+	if err := ValidateDoc([]byte(`{"id":1,"tags":["a","b"]}`)); err != nil {
 		t.Fatalf("ValidateDoc under limits: %v", err)
 	}
 	if err := ValidateDoc([]byte(`{"bad":`)); err == nil {
@@ -207,7 +169,8 @@ func TestTapeLimitFallback(t *testing.T) {
 
 // TestParseErrorDeterminism locks the reported load error to the
 // lowest failing document index — with its byte offset — regardless of
-// format or worker count.
+// format, worker count, or ingest path (tape, or every document forced
+// onto the tree fallback).
 func TestParseErrorDeterminism(t *testing.T) {
 	docLines := make([][]byte, 64)
 	for i := range docLines {
@@ -222,10 +185,13 @@ func TestParseErrorDeterminism(t *testing.T) {
 	for _, k := range allKinds() {
 		for _, workers := range []int{1, 2, 8} {
 			for _, treeIngest := range []bool{false, true} {
-				cfg := DefaultLoaderConfig()
-				cfg.TreeIngest = treeIngest
-				l, _ := NewLoader(k, cfg)
+				restore := func() {}
+				if treeIngest {
+					restore = jsontape.SetLimitsForTesting(0, 0)
+				}
+				l, _ := NewLoader(k, DefaultLoaderConfig())
 				_, err := l.Load("bad", docLines, workers)
+				restore()
 				if err == nil {
 					t.Fatalf("%s w%d tree=%v: expected error", k, workers, treeIngest)
 				}

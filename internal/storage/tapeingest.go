@@ -12,8 +12,6 @@ import (
 	"repro/internal/jsontape"
 	"repro/internal/jsonvalue"
 	"repro/internal/obs"
-	"repro/internal/reorder"
-	"repro/internal/stats"
 	"repro/internal/tile"
 )
 
@@ -22,8 +20,8 @@ import (
 // encoding pass, materializing jsonvalue trees only for documents the
 // tape cannot represent (LimitError: ≥4 GiB documents or ≥2^28-element
 // spans) — the boxed fallback path, counted by ingest_docs_tree_fallback.
-// Setting LoaderConfig.TreeIngest forces the fallback everywhere, which
-// the ingest benchmark and the conformance suite use as the reference.
+// The input alone selects it; tests force it by shrinking the limits
+// (jsontape.SetLimitsForTesting).
 
 // errTapeLimit signals that some document exceeded the tape encoding
 // limits; whole-input loaders retry on the tree path.
@@ -162,110 +160,53 @@ func ValidateDoc(line []byte) error {
 }
 
 // BuildTilesFromLines parses and ingests raw JSON lines into a Tiles
-// relation. The default path is tape-driven and morsel-parallel with
-// partition granularity: each worker parses a partition's lines into
-// pooled tapes, reorders them (§3.2), and builds its tiles directly
-// from the tapes — documents are never materialized as trees. A
-// partition containing an over-limit document falls back to the tree
-// path for that partition only. With cfg.TreeIngest the whole load
-// uses the tree path (parseAll + BuildTiles).
+// relation, tape-driven and morsel-parallel with partition
+// granularity: each worker parses a partition's lines into pooled
+// tapes, reorders them (§3.2), and builds its tiles directly from the
+// tapes — documents are never materialized as trees. A partition
+// containing an over-limit document falls back to the tree path for
+// that partition only.
 func BuildTilesFromLines(name string, lines [][]byte, cfg LoaderConfig, workers int, metrics *tile.Metrics) (Relation, error) {
-	if metrics == nil {
-		metrics = cfg.Metrics
-	}
-	if cfg.TreeIngest {
-		start := time.Now()
-		docs, err := parseAll(lines, workers)
-		if err != nil {
-			return nil, err
-		}
-		if metrics != nil {
-			metrics.ParseNanos.Add(time.Since(start).Nanoseconds())
-		}
-		obs.DocsLoaded.Add(int64(len(docs)))
-		return BuildTiles(name, docs, cfg, workers, metrics), nil
-	}
-
-	tcfg := cfg.Tile
-	if tcfg.TileSize <= 0 {
-		tcfg = tile.DefaultConfig()
-	}
-	partDocs := tcfg.TileSize * tcfg.PartitionSize
-	if partDocs <= 0 {
-		partDocs = tcfg.TileSize
-	}
-	numParts := (len(lines) + partDocs - 1) / partDocs
-
-	r := &tilesRelation{name: name, cfg: cfg, numRows: len(lines),
-		stats: stats.New(0, 0), metrics: metrics}
-	partTiles := make([][]*tile.Tile, numParts)
 	pe := newParseErrs()
-
-	morselRangeSized(numParts, workers, 1, func(w, lo, hi int) {
-		builder := tile.NewBuilder(tcfg, metrics)
+	r := buildPartitions(name, len(lines), cfg, workers, metrics, func(pb *partBuilder, lo, hi int) []*tile.Tile {
+		if pe.failedBefore(lo) {
+			return nil
+		}
+		part := lines[lo:hi]
 		batch := tapeBatchPool.Get().(*tapeBatch)
 		defer tapeBatchPool.Put(batch)
-		for p := lo; p < hi; p++ {
-			dlo := p * partDocs
-			dhi := dlo + partDocs
-			if dhi > len(lines) {
-				dhi = len(lines)
-			}
-			if pe.failedBefore(dlo) {
-				continue
-			}
-			part := lines[dlo:dhi]
 
-			start := time.Now()
-			tapes := batch.prep(len(part))
-			limited := false
-			failed := false
-			var tapeBytes int64
-			for i, line := range part {
-				if err := jsontape.Parse(line, tapes[i]); err != nil {
-					if jsontape.IsLimit(err) {
-						limited = true
-					} else {
-						pe.record(dlo+i, err)
-						failed = true
-					}
-					break
+		start := time.Now()
+		tapes := batch.prep(len(part))
+		limited := false
+		failed := false
+		var tapeBytes int64
+		for i, line := range part {
+			if err := jsontape.Parse(line, tapes[i]); err != nil {
+				if jsontape.IsLimit(err) {
+					limited = true
+				} else {
+					pe.record(lo+i, err)
+					failed = true
 				}
-				tapeBytes += int64(8 * len(tapes[i].Tape))
+				break
 			}
-			if metrics != nil {
-				metrics.ParseNanos.Add(time.Since(start).Nanoseconds())
-			}
-			obs.IngestTapeBytes.Add(tapeBytes)
-			if failed {
-				continue
-			}
-			if limited {
-				partTiles[p] = buildPartitionTree(builder, part, dlo, tcfg, cfg, metrics, pe)
-				continue
-			}
-			if cfg.Reorder && tcfg.PartitionSize > 1 {
-				reorder.PartitionTapes(tapes, tcfg, metrics)
-			}
-			var tiles []*tile.Tile
-			for tlo := 0; tlo < len(tapes); tlo += tcfg.TileSize {
-				thi := tlo + tcfg.TileSize
-				if thi > len(tapes) {
-					thi = len(tapes)
-				}
-				tiles = append(tiles, builder.BuildTape(tapes[tlo:thi]))
-			}
-			partTiles[p] = tiles
+			tapeBytes += int64(8 * len(tapes[i].Tape))
 		}
+		if pb.metrics != nil {
+			pb.metrics.ParseNanos.Add(time.Since(start).Nanoseconds())
+		}
+		obs.IngestTapeBytes.Add(tapeBytes)
+		switch {
+		case failed:
+			return nil
+		case limited:
+			return buildPartitionTree(pb, part, lo, pe)
+		}
+		return pb.tapes(tapes)
 	})
 	if err := pe.get(); err != nil {
 		return nil, err
-	}
-	for _, pt := range partTiles {
-		for _, t := range pt {
-			r.tiles = append(r.tiles, t)
-			r.stats.AddTile(t)
-		}
 	}
 	obs.DocsLoaded.Add(int64(len(lines)))
 	return r, nil
@@ -276,8 +217,7 @@ func BuildTilesFromLines(name string, lines [][]byte, cfg LoaderConfig, workers 
 // partition holds an over-limit document) and build through the boxed
 // path. The partition's global line offset keeps error indexes
 // deterministic.
-func buildPartitionTree(builder *tile.Builder, part [][]byte, dlo int,
-	tcfg tile.Config, cfg LoaderConfig, metrics *tile.Metrics, pe *parseErrs) []*tile.Tile {
+func buildPartitionTree(pb *partBuilder, part [][]byte, dlo int, pe *parseErrs) []*tile.Tile {
 	start := time.Now()
 	docs := make([]jsonvalue.Value, len(part))
 	for i, line := range part {
@@ -288,70 +228,8 @@ func buildPartitionTree(builder *tile.Builder, part [][]byte, dlo int,
 		}
 		docs[i] = v
 	}
-	if metrics != nil {
-		metrics.ParseNanos.Add(time.Since(start).Nanoseconds())
+	if pb.metrics != nil {
+		pb.metrics.ParseNanos.Add(time.Since(start).Nanoseconds())
 	}
-	if cfg.Reorder && tcfg.PartitionSize > 1 {
-		reorder.Partition(docs, tcfg, metrics)
-	}
-	var tiles []*tile.Tile
-	for tlo := 0; tlo < len(docs); tlo += tcfg.TileSize {
-		thi := tlo + tcfg.TileSize
-		if thi > len(docs) {
-			thi = len(docs)
-		}
-		tiles = append(tiles, builder.Build(docs[tlo:thi]))
-	}
-	return tiles
-}
-
-// buildTilesFromTapes builds a Tiles relation from already-parsed
-// resident tapes (the Tiles-* main relation path).
-func buildTilesFromTapes(name string, tapes []*jsontape.Doc, cfg LoaderConfig, workers int, metrics *tile.Metrics) *tilesRelation {
-	if metrics == nil {
-		metrics = cfg.Metrics
-	}
-	tcfg := cfg.Tile
-	if tcfg.TileSize <= 0 {
-		tcfg = tile.DefaultConfig()
-	}
-	partDocs := tcfg.TileSize * tcfg.PartitionSize
-	if partDocs <= 0 {
-		partDocs = tcfg.TileSize
-	}
-	numParts := (len(tapes) + partDocs - 1) / partDocs
-
-	r := &tilesRelation{name: name, cfg: cfg, numRows: len(tapes),
-		stats: stats.New(0, 0), metrics: metrics}
-	partTiles := make([][]*tile.Tile, numParts)
-	morselRangeSized(numParts, workers, 1, func(w, lo, hi int) {
-		builder := tile.NewBuilder(tcfg, metrics)
-		for p := lo; p < hi; p++ {
-			dlo := p * partDocs
-			dhi := dlo + partDocs
-			if dhi > len(tapes) {
-				dhi = len(tapes)
-			}
-			part := tapes[dlo:dhi]
-			if cfg.Reorder && tcfg.PartitionSize > 1 {
-				reorder.PartitionTapes(part, tcfg, metrics)
-			}
-			var tiles []*tile.Tile
-			for tlo := 0; tlo < len(part); tlo += tcfg.TileSize {
-				thi := tlo + tcfg.TileSize
-				if thi > len(part) {
-					thi = len(part)
-				}
-				tiles = append(tiles, builder.BuildTape(part[tlo:thi]))
-			}
-			partTiles[p] = tiles
-		}
-	})
-	for _, pt := range partTiles {
-		for _, t := range pt {
-			r.tiles = append(r.tiles, t)
-			r.stats.AddTile(t)
-		}
-	}
-	return r
+	return pb.trees(docs)
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/expr"
+	"repro/internal/jsontape"
 	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
 	"repro/internal/obs"
@@ -51,9 +52,31 @@ func (l tilesLoader) Load(name string, lines [][]byte, workers int) (Relation, e
 }
 
 // BuildTiles constructs a Tiles relation from parsed documents.
-// Partitions are fully independent (§3.2: "Each thread is dedicated to
-// a disjoint subset of the data"), so they are processed in parallel.
 func BuildTiles(name string, docs []jsonvalue.Value, cfg LoaderConfig, workers int, metrics *tile.Metrics) Relation {
+	return buildPartitions(name, len(docs), cfg, workers, metrics, func(pb *partBuilder, lo, hi int) []*tile.Tile {
+		return pb.trees(docs[lo:hi])
+	})
+}
+
+// partBuilder is what one partition's body of buildPartitions works
+// with: its own tile builder plus the settings every body applies.
+type partBuilder struct {
+	*tile.Builder
+	tcfg    tile.Config
+	reorder bool // cfg.Reorder && PartitionSize > 1
+	metrics *tile.Metrics
+}
+
+// buildPartitions is the one partition → tiles loop of every Tiles
+// build. The n documents are cut into partitions of TileSize ×
+// PartitionSize and the partitions are fully independent (§3.2: "Each
+// thread is dedicated to a disjoint subset of the data"), so each is
+// one morsel: a partition is already thousands of documents, so unit
+// granularity gives the queue its work stealing without splitting the
+// reorder/extraction scope. body builds documents [lo, hi) into tiles
+// (nil when it fails); the tiles are concatenated in partition order.
+func buildPartitions(name string, n int, cfg LoaderConfig, workers int, metrics *tile.Metrics,
+	body func(pb *partBuilder, lo, hi int) []*tile.Tile) *tilesRelation {
 	if metrics == nil {
 		metrics = cfg.Metrics
 	}
@@ -65,38 +88,14 @@ func BuildTiles(name string, docs []jsonvalue.Value, cfg LoaderConfig, workers i
 	if partDocs <= 0 {
 		partDocs = tcfg.TileSize
 	}
-	numParts := (len(docs) + partDocs - 1) / partDocs
-
-	r := &tilesRelation{name: name, cfg: cfg, numRows: len(docs),
-		stats: stats.New(0, 0), metrics: metrics}
-	partTiles := make([][]*tile.Tile, numParts)
-
-	// One morsel per partition: a partition is already thousands of
-	// documents, so unit granularity gives the queue its work stealing
-	// without splitting the reorder/extraction scope.
-	morselRangeSized(numParts, workers, 1, func(w, lo, hi int) {
-		builder := tile.NewBuilder(tcfg, metrics)
-		for p := lo; p < hi; p++ {
-			dlo := p * partDocs
-			dhi := dlo + partDocs
-			if dhi > len(docs) {
-				dhi = len(docs)
-			}
-			part := docs[dlo:dhi]
-			if cfg.Reorder && tcfg.PartitionSize > 1 {
-				reorder.Partition(part, tcfg, metrics)
-			}
-			var tiles []*tile.Tile
-			for tlo := 0; tlo < len(part); tlo += tcfg.TileSize {
-				thi := tlo + tcfg.TileSize
-				if thi > len(part) {
-					thi = len(part)
-				}
-				tiles = append(tiles, builder.Build(part[tlo:thi]))
-			}
-			partTiles[p] = tiles
-		}
+	partTiles := make([][]*tile.Tile, (n+partDocs-1)/partDocs)
+	morselRangeSized(len(partTiles), workers, 1, func(w, p, _ int) {
+		pb := &partBuilder{Builder: tile.NewBuilder(tcfg, metrics), tcfg: tcfg,
+			reorder: cfg.Reorder && tcfg.PartitionSize > 1, metrics: metrics}
+		lo := p * partDocs
+		partTiles[p] = body(pb, lo, min(lo+partDocs, n))
 	})
+	r := &tilesRelation{name: name, cfg: cfg, numRows: n, stats: stats.New(0, 0), metrics: metrics}
 	for _, pt := range partTiles {
 		for _, t := range pt {
 			r.tiles = append(r.tiles, t)
@@ -104,6 +103,32 @@ func BuildTiles(name string, docs []jsonvalue.Value, cfg LoaderConfig, workers i
 		}
 	}
 	return r
+}
+
+// trees reorders one partition of documents (§3.2) and cuts it into
+// tiles.
+func (pb *partBuilder) trees(docs []jsonvalue.Value) []*tile.Tile {
+	if pb.reorder {
+		reorder.Partition(docs, pb.tcfg, pb.metrics)
+	}
+	return cutTiles(docs, pb.tcfg.TileSize, pb.Build)
+}
+
+// tapes is trees for a partition of parsed tapes.
+func (pb *partBuilder) tapes(docs []*jsontape.Doc) []*tile.Tile {
+	if pb.reorder {
+		reorder.PartitionTapes(docs, pb.tcfg, pb.metrics)
+	}
+	return cutTiles(docs, pb.tcfg.TileSize, pb.BuildTape)
+}
+
+// cutTiles builds a partition's documents into tiles of size rows.
+func cutTiles[D any](docs []D, size int, build func([]D) *tile.Tile) []*tile.Tile {
+	var tiles []*tile.Tile
+	for lo := 0; lo < len(docs); lo += size {
+		tiles = append(tiles, build(docs[lo:min(lo+size, len(docs))]))
+	}
+	return tiles
 }
 
 func (r *tilesRelation) Name() string             { return r.name }
@@ -337,16 +362,7 @@ func (r *tilesRelation) ScanWithStats(ctx context.Context, accesses []Access, wo
 // views — no lazy I/O, no per-scan state.
 func (r *tilesRelation) numScanTiles() int                             { return len(r.tiles) }
 func (r *tilesRelation) openScanTile(ti int, _ *scanCounters) scanTile { return r.tiles[ti] }
-func (r *tilesRelation) scanConfig() scanConfig {
-	return scanConfig{skipTiles: r.cfg.SkipTiles, maxSlots: r.maxSlots(), morselRows: r.cfg.MorselRows}
-}
-
-func (r *tilesRelation) maxSlots() int {
-	if ms := r.cfg.Tile.MaxArraySlots; ms > 0 {
-		return ms
-	}
-	return keypath.DefaultMaxArraySlots
-}
+func (r *tilesRelation) scanConfig() scanConfig                        { return scanCfgOf(r.cfg) }
 
 // cappedPrefix reports whether the path indexes an array slot at or
 // beyond the collection cap — such paths can exist in documents while

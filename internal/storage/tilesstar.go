@@ -8,6 +8,7 @@ import (
 	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
 	"repro/internal/obs"
+	"repro/internal/tile"
 )
 
 // TilesStar is the §6.3 "Tiles-*" configuration: JSON tiles for the
@@ -39,19 +40,17 @@ const (
 func BuildTilesStar(name string, lines [][]byte, cfg LoaderConfig, workers int,
 	idPath keypath.Path, arrayPaths ...keypath.Path) (*TilesStar, error) {
 
-	if !cfg.TreeIngest {
-		star, err := buildTilesStarTapes(name, lines, cfg, workers, idPath, arrayPaths...)
-		if !errors.Is(err, errTapeLimit) {
-			return star, err
-		}
-		// Some document exceeds the tape limits: retry on the tree path.
+	star, err := buildTilesStarTapes(name, lines, cfg, workers, idPath, arrayPaths...)
+	if !errors.Is(err, errTapeLimit) {
+		return star, err
 	}
+	// Some document exceeds the tape limits: retry on the tree path.
 	docs, err := parseAll(lines, workers)
 	if err != nil {
 		return nil, err
 	}
 	obs.IngestDocsTreeFallback.Add(int64(len(docs)))
-	star := &TilesStar{Sides: map[string]Relation{}}
+	star = &TilesStar{Sides: map[string]Relation{}}
 	star.Main = BuildTiles(name, docs, cfg, workers, nil)
 
 	for _, ap := range arrayPaths {
@@ -89,7 +88,9 @@ func buildTilesStarTapes(name string, lines [][]byte, cfg LoaderConfig, workers 
 	}
 	obs.IngestDocsTape.Add(int64(len(tapes)))
 	star := &TilesStar{Sides: map[string]Relation{}}
-	star.Main = buildTilesFromTapes(name, tapes, cfg, workers, nil)
+	star.Main = buildPartitions(name, len(tapes), cfg, workers, nil, func(pb *partBuilder, lo, hi int) []*tile.Tile {
+		return pb.tapes(tapes[lo:hi])
+	})
 
 	for _, ap := range arrayPaths {
 		var sideDocs []jsonvalue.Value

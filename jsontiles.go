@@ -180,6 +180,7 @@ type Table struct {
 	rel     storage.Relation
 	pending [][]byte
 	metrics *tile.Metrics
+	store   BlockStore // built here from a path (OpenSegment, OpenDir); Close closes it
 }
 
 // Load parses and ingests a batch of JSON documents (one document per

@@ -8,7 +8,10 @@ package jsontiles
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 
+	"repro/internal/blockstore"
 	"repro/internal/bufpool"
 	"repro/internal/storage"
 	"repro/internal/tile"
@@ -27,7 +30,12 @@ func (t *Table) WriteSegment(path string) error {
 	if t.rel == nil {
 		return fmt.Errorf("jsontiles: table %q has no data to persist", t.name)
 	}
-	return storage.WriteSegmentFile(path, t.rel)
+	store, err := blockstore.NewFS(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer store.Close()
+	return storage.WriteSegmentStore(store, filepath.Base(path), t.rel)
 }
 
 // OpenSegment opens a segment file as a disk-backed table. Opening
@@ -35,7 +43,8 @@ func (t *Table) WriteSegment(path string) error {
 // materialize just the tiles that survive skipping and the columns
 // they access, block by block, through a buffer pool bounded by
 // opts.CacheBytes. Query semantics are identical to the in-memory
-// table the segment was written from.
+// table the segment was written from. A missing file fails with an
+// error satisfying errors.Is(err, fs.ErrNotExist).
 //
 // The returned table holds an open file handle; call Close when done.
 //
@@ -44,30 +53,51 @@ func (t *Table) WriteSegment(path string) error {
 func OpenSegment(name, path string, opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	maybeServeDebug(opts.DebugAddr)
-	pool := bufpool.New(opts.CacheBytes)
-	var (
-		rel storage.Relation
-		err error
-	)
-	if opts.Store != nil {
-		rel, err = storage.OpenSegmentStore(name, opts.Store, path, pool, opts.loaderConfig())
-	} else {
-		rel, err = storage.OpenSegmentFile(name, path, pool, opts.loaderConfig())
+	store, object, size := opts.Store, path, int64(0)
+	var own BlockStore
+	if store == nil {
+		// Stat first: the FS store creates its directory, and a failed
+		// open must leave nothing behind.
+		fi, err := os.Stat(path)
+		if err != nil {
+			return nil, err
+		}
+		fsStore, err := blockstore.NewFS(filepath.Dir(path))
+		if err != nil {
+			return nil, err
+		}
+		store, object, size, own = fsStore, filepath.Base(path), fi.Size(), fsStore
 	}
+	rel, err := storage.OpenSegmentStore(name, store, object, size, bufpool.New(opts.CacheBytes), opts.loaderConfig())
 	if err != nil {
+		closeStore(own)
 		return nil, err
 	}
-	return &Table{name: name, opts: opts, rel: rel, metrics: &tile.Metrics{}}, nil
+	return &Table{name: name, opts: opts, rel: rel, metrics: &tile.Metrics{}, store: own}, nil
 }
 
-// Close releases resources held by a disk-backed table (the segment
-// file handle and its cached blocks). In-memory tables have nothing
-// to release; Close is a no-op for them.
+// Close releases resources held by a disk-backed table (its cached
+// blocks and, for a table opened from a filesystem path, the store's
+// file handles). In-memory tables have nothing to release; Close is a
+// no-op for them.
 func (t *Table) Close() error {
+	var err error
 	if c, ok := t.rel.(interface{ Close() error }); ok {
-		return c.Close()
+		err = c.Close()
 	}
-	return nil
+	if cerr := closeStore(t.store); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// closeStore closes a store this package built from a path (nil: the
+// caller's store, or none).
+func closeStore(s BlockStore) error {
+	if s == nil {
+		return nil
+	}
+	return blockstore.Close(s)
 }
 
 // ScanErr returns the first block-level error any query on a

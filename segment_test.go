@@ -6,6 +6,8 @@ package jsontiles
 // block I/O, and repeated queries hit the buffer pool.
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -222,6 +224,19 @@ func TestOpenSegmentErrors(t *testing.T) {
 	}
 	if _, err := OpenSegment("x", junk, opts()); err == nil {
 		t.Error("opening junk should fail")
+	}
+}
+
+// Opening a missing segment fails with fs.ErrNotExist and creates
+// nothing along the missing path.
+func TestOpenSegmentMissingCreatesNothing(t *testing.T) {
+	root := t.TempDir()
+	_, err := OpenSegment("t", filepath.Join(root, "no", "such", "dir", "t.seg"), opts())
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("OpenSegment of a missing path = %v, want fs.ErrNotExist", err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "no")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the failed open left %s behind (stat: %v)", filepath.Join(root, "no"), err)
 	}
 }
 

@@ -74,7 +74,7 @@ func OpenStore(name string, store BlockStore, opts Options) (*Table, error) {
 	fanIn := opts.CompactFanIn
 	auto := fanIn >= 0
 	if fanIn < 0 {
-		fanIn = 0
+		fanIn = 0 // explicit Compact still uses the default fan-in
 	}
 	dt, err := storage.OpenDirStore(name, store, pool, opts.loaderConfig(), fanIn, auto)
 	if err != nil {
