@@ -25,10 +25,6 @@ func main() {
 	flag.IntVar(&opts.Repeats, "repeats", opts.Repeats, "timed repetitions per measurement (median reported)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/queries, /debug/trace, and pprof on this address")
-	morselMin := flag.Float64("morsel-min-speedup", 0,
-		"CI gate: require at least this groupby speedup at 4 workers vs 1 (0 = off; skipped on <4 cores)")
-	blockstoreMin := flag.Float64("blockstore-min-coalesce", 0,
-		"CI gate: require at least this request-count reduction from coalesced remote reads vs one-per-block (0 = off)")
 	flag.Parse()
 
 	if *debugAddr != "" {
@@ -45,26 +41,6 @@ func main() {
 			fmt.Printf("%-7s %s\n", e.ID, e.Title)
 		}
 		return
-	}
-	if *morselMin > 0 {
-		ctx := bench.NewContext(opts)
-		if err := bench.MorselSmoke(os.Stdout, ctx, *morselMin); err != nil {
-			fmt.Fprintln(os.Stderr, "jtbench:", err)
-			os.Exit(1)
-		}
-		if flag.NArg() == 0 && *blockstoreMin <= 0 {
-			return
-		}
-	}
-	if *blockstoreMin > 0 {
-		ctx := bench.NewContext(opts)
-		if err := bench.BlockstoreSmoke(os.Stdout, ctx, *blockstoreMin); err != nil {
-			fmt.Fprintln(os.Stderr, "jtbench:", err)
-			os.Exit(1)
-		}
-		if flag.NArg() == 0 {
-			return
-		}
 	}
 
 	ids := flag.Args()

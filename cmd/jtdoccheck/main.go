@@ -10,8 +10,9 @@
 //  1. Every instrument registered in internal/obs (Default.Counter,
 //     Default.Gauge, Default.Histogram) is documented in DESIGN.md's
 //     observability-mapping section (§7).
-//  2. Every BENCH_*.json artifact committed at the repo root is
-//     referenced in EXPERIMENTS.md.
+//  2. Every `jtbench <id>` command written in README.md, DESIGN.md or
+//     EXPERIMENTS.md (inline code or a fenced block) names an
+//     experiment of bench.Experiments(), or "all".
 //  3. Every backticked `pkg.Name` or `pkg.Type.Member` in DESIGN.md
 //     and README.md names a declaration in that package's non-test
 //     .go files, where pkg is a directory under internal/ or jsontiles
@@ -30,6 +31,8 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+
+	"repro/internal/bench"
 )
 
 var instrumentRE = regexp.MustCompile(`Default\.(Counter|Gauge|Histogram)\("([a-z0-9_]+)"`)
@@ -141,6 +144,24 @@ func packageDecls(root, pkg string) (map[string]bool, error) {
 	return decls, nil
 }
 
+var (
+	// jtbenchRE matches a jtbench command line: flags with their
+	// values, then the experiment ids (group 1).
+	jtbenchRE = regexp.MustCompile(`jtbench(?:[ \t]+-[\w-]+(?:[ \t]+[\d.:]+)?)*((?:[ \t]+[a-z][a-z0-9]*\b)+)`)
+	fenceRE   = regexp.MustCompile("(?s)```.*?```")
+	spanRE    = regexp.MustCompile("`[^`]+`") // may wrap lines, unlike codeSpanRE
+)
+
+// codeText returns a markdown document's code: every fenced block and
+// every inline code span, the latter joined onto one line.
+func codeText(doc string) []string {
+	code := fenceRE.FindAllString(doc, -1)
+	for _, span := range spanRE.FindAllString(fenceRE.ReplaceAllString(doc, ""), -1) {
+		code = append(code, strings.ReplaceAll(span, "\n", " "))
+	}
+	return code
+}
+
 func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "jtdoccheck:", err)
@@ -173,16 +194,20 @@ func main() {
 		}
 	}
 
-	// 2. Every committed BENCH_*.json is referenced in EXPERIMENTS.md.
-	benches, err := filepath.Glob(filepath.Join(*root, "BENCH_*.json"))
-	check(err)
-	experiments, err := os.ReadFile(filepath.Join(*root, "EXPERIMENTS.md"))
-	check(err)
-	for _, b := range benches {
-		name := filepath.Base(b)
-		if !strings.Contains(string(experiments), name) {
-			problems = append(problems, fmt.Sprintf(
-				"%s is committed but never referenced in EXPERIMENTS.md", name))
+	// 2. Every jtbench command in the docs names a real experiment.
+	commands := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(filepath.Join(*root, doc))
+		check(err)
+		for _, code := range codeText(string(text)) {
+			for _, m := range jtbenchRE.FindAllStringSubmatch(code, -1) {
+				commands++
+				for _, id := range strings.Fields(m[1]) {
+					if _, ok := bench.ByID(id); !ok && id != "all" {
+						problems = append(problems, fmt.Sprintf("%s runs `jtbench %s`, which is not an experiment (see jtbench -list)", doc, id))
+					}
+				}
+			}
 		}
 	}
 
@@ -217,6 +242,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "jtdoccheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Printf("jtdoccheck: %d instruments documented, %d bench artifacts referenced\n",
-		len(names), len(benches))
+	fmt.Printf("jtdoccheck: %d instruments documented, %d jtbench commands checked\n",
+		len(names), commands)
 }

@@ -40,7 +40,6 @@ func main() {
 	slowMS := flag.Int("slow-ms", 0, "log queries slower than this many milliseconds as JSON lines on stderr")
 	store := flag.String("store", "fs", "with -dir/-seg: block store serving the bytes: fs (direct filesystem), fakes3 (simulated object store over the same files)")
 	storeLatency := flag.Duration("store-latency", 0, "with -store fakes3: simulated per-request round trip")
-	storeGap := flag.Int64("store-gap", 0, "coalescing gap in bytes for store reads (0 = default 32KiB, negative disables merging)")
 	url := flag.String("url", "", "query a running jtserve instead of local data, e.g. http://localhost:8080 (uses -table, -tenant)")
 	table := flag.String("table", "input", "with -url: table name on the server")
 	tenant := flag.String("tenant", "", "with -url: tenant identity sent in X-JT-Tenant")
@@ -72,7 +71,6 @@ func main() {
 	if *slowMS > 0 {
 		opts.SlowQueryThreshold = time.Duration(*slowMS) * time.Millisecond
 	}
-	opts.StoreReadGap = *storeGap
 	var tbl *jsontiles.Table
 	var err error
 	switch {

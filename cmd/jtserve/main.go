@@ -69,7 +69,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight queries before cancelling them")
 	store := flag.String("store", "fs", "block store serving each -dir: fs (direct filesystem), fakes3 (simulated object store over the same files)")
 	storeLatency := flag.Duration("store-latency", 0, "with -store fakes3: simulated per-request round trip")
-	storeGap := flag.Int64("store-gap", 0, "coalescing gap in bytes for store reads (0 = default 32KiB, negative disables merging)")
 	flag.Parse()
 
 	if len(dirs) == 0 {
@@ -94,7 +93,6 @@ func main() {
 		DefaultTimeout: *timeout,
 	})
 
-	opts.StoreReadGap = *storeGap
 	var tables []*jsontiles.Table
 	for _, dir := range dirs {
 		name := strings.TrimSuffix(filepath.Base(dir), ".jt")

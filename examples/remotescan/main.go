@@ -1,10 +1,11 @@
 // Remote scan: storage/compute separation over a simulated object
 // store. A multi-segment table is written through a BlockStore, then
-// scanned through a latency-injecting fake S3 — first with read
-// coalescing disabled (every block is its own round trip), then with
-// the default coalescing and readahead, printing the request counts
-// the store actually served. EXPLAIN ANALYZE shows the same numbers
-// per scan: `store reads=… bytes=… coalesced=… prefetch_hits=…`.
+// scanned through a latency-injecting fake S3 — first cold, where
+// adjacent block reads merge into ranged requests that the scan's fetch
+// window issues ahead of the workers, then warm, where the buffer pool
+// serves every block — printing the request counts the store actually
+// served. EXPLAIN ANALYZE shows the same numbers per scan:
+// `store reads=… bytes=… coalesced=… prefetch_hits=…`.
 package main
 
 import (
@@ -51,13 +52,7 @@ func load(opts jsontiles.Options) *jsontiles.Table {
 	return tbl
 }
 
-func scan(opts jsontiles.Options, label string, counters requestCounting) {
-	tbl, err := jsontiles.OpenDir("tweets", "", opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer tbl.Close()
-
+func scan(tbl *jsontiles.Table, label string, counters requestCounting) {
 	before := counters.RangeReadCount()
 	start := time.Now()
 	res, qs, err := tbl.Query(
@@ -95,12 +90,15 @@ func main() {
 	opts.Store = fake
 	load(opts).Close()
 
-	// One round trip per block: coalescing disabled.
-	naive := opts
-	naive.StoreReadGap = -1
-	scan(naive, "coalescing disabled", fake.(requestCounting))
-
-	// Adjacent block reads merge into ranged requests, and the scan's
-	// fetch window issues the surviving tiles' reads ahead of the workers.
-	scan(opts, "coalescing + readahead", fake.(requestCounting))
+	tbl, err := jsontiles.OpenDir("tweets", "", opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer tbl.Close()
+	// Cold: adjacent block reads merge into ranged requests, and the
+	// scan's fetch window issues the surviving tiles' reads ahead of the
+	// workers.
+	scan(tbl, "cold (coalesced reads + fetch window)", fake.(requestCounting))
+	// Warm: the same blocks are resident in the buffer pool.
+	scan(tbl, "warm (buffer pool)", fake.(requestCounting))
 }

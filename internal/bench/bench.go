@@ -31,10 +31,6 @@ type Options struct {
 	// Repeats is the number of timed repetitions per measurement; the
 	// median is reported.
 	Repeats int
-	// OutDir is where experiments that record baseline artifacts
-	// (e.g. BENCH_vectorized.json) write them. Empty means the
-	// current directory.
-	OutDir string
 }
 
 // DefaultOptions is sized for a laptop-class machine.
@@ -79,13 +75,6 @@ func Experiments() []Experiment {
 		{"fig18", "Figure 18: (de)serialization slowdown vs JSONB", fig18},
 		{"fig19", "Figure 19: storage size relative to JSON text", fig19},
 		{"fig20", "Figure 20: random accesses/sec on nested documents", fig20},
-		{"vec", "Vectorized vs row-at-a-time execution over tiles (records BENCH_vectorized.json)", vecExp},
-		{"morsel", "Morsel-driven worker sweep on skewed tiles: scan/filter/groupby/join (records BENCH_morsel.json)", morselExp},
-		{"seg", "Segment persistence: cold-open vs warm buffer pool vs in-memory (records BENCH_segment.json)", segExp},
-		{"dict", "Dictionary-encoded vs arena string columns: predicate and group-by fast paths (records BENCH_dict.json)", dictExp},
-		{"compact", "Multi-segment tables: incremental append vs monolithic rewrite, compaction payoff (records BENCH_compact.json)", compactExp},
-		{"service", "Query service: HTTP throughput vs client concurrency under admission control, cancellation latency (records BENCH_service.json)", serviceExp},
-		{"blockstore", "Remote scans over a simulated object store: coalesced reads + readahead vs one request per block (records BENCH_blockstore.json)", blockstoreExp},
 	}
 }
 

@@ -12,7 +12,7 @@ func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow: runs every experiment")
 	}
-	ctx := NewContext(Options{Scale: 0.001, Workers: 2, Repeats: 1, OutDir: t.TempDir()})
+	ctx := NewContext(Options{Scale: 0.001, Workers: 2, Repeats: 1})
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -48,8 +48,8 @@ func TestByID(t *testing.T) {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}
-	if len(ids) != 27 {
-		t.Errorf("%d experiments, want 27 (every table and figure + vec + morsel + seg + dict + compact + service + blockstore)", len(ids))
+	if len(ids) != 20 {
+		t.Errorf("%d experiments, want 20 (every table and figure of §6)", len(ids))
 	}
 }
 

@@ -12,10 +12,11 @@ type Run struct {
 	Blocks   int
 }
 
-// DefaultCoalesceGap is the gap threshold when callers pass 0: two
-// block refs whose dead space is under 32 KiB merge into one ranged
-// read. On an object store a request costs far more than 32 KiB of
-// discarded payload; on local disk the readahead window absorbs it.
+// DefaultCoalesceGap is the gap threshold segment reads coalesce
+// within: two block refs whose dead space is under 32 KiB merge into
+// one ranged read. On an object store a request costs far more than
+// 32 KiB of discarded payload; on local disk the readahead window
+// absorbs it.
 const DefaultCoalesceGap = 32 << 10
 
 // MaxCoalescedRun bounds one merged read (8 MiB) so coalescing a long

@@ -7,106 +7,101 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/storage"
-	"repro/internal/tile"
 )
 
 // Microbenchmarks comparing dictionary-encoded and arena string
-// columns over the same documents: predicate kernels evaluated in code
-// space vs per-row byte comparisons, and the code-indexed GROUP BY vs
-// per-row hashing.
+// columns in one corpus, whose data picks the layouts: "level" has 4
+// values (NDV/rows far below the dictionary threshold, so it is
+// dictionary-encoded) and "host" has 2000 (above it in every tile, so
+// it keeps the arena). Predicate kernels evaluate in code space vs per
+// row byte comparisons; the code-indexed GROUP BY vs per-row hashing.
 
-const dictBenchRows = 50_000
-
-var (
-	dictBenchOnce  sync.Once
-	dictBenchRel   storage.Relation
-	arenaBenchRel  storage.Relation
-	dictBenchLines [][]byte
+const (
+	dictBenchRows  = 50_000
+	dictBenchHosts = 2000
 )
 
-func dictBenchRelations(b *testing.B) (dict, arena storage.Relation) {
+var (
+	dictBenchOnce sync.Once
+	dictBenchRel  storage.Relation
+)
+
+func dictBenchRelation(b *testing.B) storage.Relation {
 	b.Helper()
 	dictBenchOnce.Do(func() {
 		levels := []string{"debug", "error", "info", "warn"}
-		dictBenchLines = make([][]byte, dictBenchRows)
-		for i := range dictBenchLines {
-			dictBenchLines[i] = []byte(fmt.Sprintf(
-				`{"level":"%s","latency":%d}`, levels[(i*7)%4], i%1000))
+		lines := make([][]byte, dictBenchRows)
+		for i := range lines {
+			lines[i] = []byte(fmt.Sprintf(`{"level":"%s","host":"h%04d","latency":%d}`,
+				levels[(i*7)%4], i%dictBenchHosts, i%1000))
 		}
-		load := func(threshold float64) storage.Relation {
-			cfg := storage.DefaultLoaderConfig()
-			cfg.Tile.DictThreshold = threshold
-			l, err := storage.NewLoader(storage.KindTiles, cfg)
-			if err != nil {
-				panic(err)
-			}
-			rel, err := l.Load("bench", dictBenchLines, 4)
-			if err != nil {
-				panic(err)
-			}
-			return rel
+		l, err := storage.NewLoader(storage.KindTiles, storage.DefaultLoaderConfig())
+		if err != nil {
+			panic(err)
 		}
-		dictBenchRel = load(tile.DefaultConfig().DictThreshold)
-		arenaBenchRel = load(0)
+		if dictBenchRel, err = l.Load("bench", lines, 4); err != nil {
+			panic(err)
+		}
+		for _, tl := range dictBenchRel.(storage.TileIntrospector).Tiles() {
+			for col, wantDict := range map[string]bool{"level": true, "host": false} {
+				for _, ci := range tl.ColumnsForPath(storage.NewAccess(expr.TText, col).PathEnc) {
+					if tl.Column(ci).Col.IsDict() != wantDict {
+						panic(fmt.Sprintf("column %q: dictionary layout %v, want %v", col, !wantDict, wantDict))
+					}
+				}
+			}
+		}
 	})
-	return dictBenchRel, arenaBenchRel
+	return dictBenchRel
 }
 
-func dictBenchAccesses() []storage.Access {
+// dictBenchAccesses reads the dictionary column "level" or the arena
+// column "host", plus latency.
+func dictBenchAccesses(col string) []storage.Access {
 	return []storage.Access{
-		storage.NewAccess(expr.TText, "level"),
+		storage.NewAccess(expr.TText, col),
 		storage.NewAccess(expr.TBigInt, "latency"),
 	}
 }
 
-func runDictFilter(b *testing.B, rel storage.Relation) {
+func runDictFilter(b *testing.B, col, value string) {
 	b.Helper()
+	rel := dictBenchRelation(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	f := expr.NewCmp(expr.EQ, expr.NewCol(0, expr.TText),
-		expr.NewConst(expr.TextValue("error")))
+		expr.NewConst(expr.TextValue(value)))
 	for i := 0; i < b.N; i++ {
-		n := CountRows(NewScan(rel, dictBenchAccesses(), nil, f), 1)
+		n := CountRows(NewScan(rel, dictBenchAccesses(col), nil, f), 1)
 		if n == 0 {
 			b.Fatal("empty filter result")
 		}
 	}
 }
 
-func BenchmarkStrFilterArena(b *testing.B) {
-	_, arena := dictBenchRelations(b)
-	runDictFilter(b, arena)
-}
+func BenchmarkStrFilterArena(b *testing.B) { runDictFilter(b, "host", "h0007") }
 
-func BenchmarkStrFilterDict(b *testing.B) {
-	dict, _ := dictBenchRelations(b)
-	runDictFilter(b, dict)
-}
+func BenchmarkStrFilterDict(b *testing.B) { runDictFilter(b, "level", "error") }
 
-func runDictGroupBy(b *testing.B, rel storage.Relation) {
+func runDictGroupBy(b *testing.B, col string, groups int) {
 	b.Helper()
+	rel := dictBenchRelation(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gb := NewGroupBy(NewScan(rel, dictBenchAccesses(), nil, nil),
-			[]expr.Expr{expr.NewCol(0, expr.TText)}, []string{"level"},
+		gb := NewGroupBy(NewScan(rel, dictBenchAccesses(col), nil, nil),
+			[]expr.Expr{expr.NewCol(0, expr.TText)}, []string{col},
 			[]AggSpec{
 				{Func: CountStar, Name: "n"},
 				{Func: Sum, Arg: expr.NewCol(1, expr.TBigInt), Name: "lat"},
 			})
 		res := Materialize(gb, 1)
-		if len(res.Rows) != 4 {
-			b.Fatalf("groups = %d", len(res.Rows))
+		if len(res.Rows) != groups {
+			b.Fatalf("groups = %d, want %d", len(res.Rows), groups)
 		}
 	}
 }
 
-func BenchmarkStrGroupByArena(b *testing.B) {
-	_, arena := dictBenchRelations(b)
-	runDictGroupBy(b, arena)
-}
+func BenchmarkStrGroupByArena(b *testing.B) { runDictGroupBy(b, "host", dictBenchHosts) }
 
-func BenchmarkStrGroupByDict(b *testing.B) {
-	dict, _ := dictBenchRelations(b)
-	runDictGroupBy(b, dict)
-}
+func BenchmarkStrGroupByDict(b *testing.B) { runDictGroupBy(b, "level", 4) }

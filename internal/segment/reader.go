@@ -30,7 +30,6 @@ type Reader struct {
 	fileSize uint64
 	fileID   uint64
 	pool     *bufpool.Pool
-	gap      int64 // coalescing gap threshold (readahead fetches)
 	tiles    []TileMeta
 	stats    *stats.TableStats
 }
@@ -157,7 +156,6 @@ func OpenStoreSized(store blockstore.Store, name string, pool *bufpool.Pool, siz
 		store:    store,
 		name:     name,
 		fileSize: uint64(size),
-		gap:      blockstore.DefaultCoalesceGap,
 	}
 
 	if string(head) != Magic {
@@ -195,16 +193,6 @@ func OpenStoreSized(store blockstore.Store, name string, pool *bufpool.Pool, siz
 	r.fileID = pool.RegisterObject(store.Label() + "/" + name)
 	obs.SegmentOpenSeconds.ObserveSince(start)
 	return r, nil
-}
-
-// SetCoalesceGap tunes the readahead coalescing gap threshold: block
-// refs whose dead space is at most gap bytes merge into one ranged
-// read. 0 restores the default; negative disables merging.
-func (r *Reader) SetCoalesceGap(gap int64) {
-	if gap == 0 {
-		gap = blockstore.DefaultCoalesceGap
-	}
-	r.gap = gap
 }
 
 // Close drops this object's resident blocks from the shared pool; the
@@ -347,7 +335,7 @@ func (r *Reader) PlanFetch(refs []BlockRef) (runs []FetchRun, rawBytes int64) {
 		ranges = append(ranges, blockstore.Range{Off: int64(ref.Off), Len: int64(ref.StoredLen)})
 		rawBytes += int64(ref.RawLen)
 	}
-	for _, run := range blockstore.Coalesce(ranges, r.gap, 0) {
+	for _, run := range blockstore.Coalesce(ranges, blockstore.DefaultCoalesceGap, 0) {
 		runs = append(runs, FetchRun{Off: run.Off, Len: run.Len, Blocks: uniq[:run.Blocks]})
 		uniq = uniq[run.Blocks:]
 	}

@@ -1,71 +1,20 @@
 package storage
 
-import (
-	"context"
+import "repro/internal/stats"
 
-	"repro/internal/obs"
-	"repro/internal/stats"
-)
-
-// Concat combines two relations of the same logical table — the
-// incremental-insert path appends freshly materialized partitions to
-// the existing tiles. Two Tiles relations merge natively (tiles are
-// independent chunks; statistics re-aggregate); other combinations
-// scan both inputs in sequence.
+// Concat appends b's tiles to a's — the in-memory incremental-insert
+// path appends freshly materialized partitions to the existing tiles.
+// Both must be in-memory Tiles relations (tiles are independent
+// chunks; statistics re-aggregate). Directory tables append through
+// DirTable.AppendTiles; a single segment is immutable.
 func Concat(name string, a, b Relation) Relation {
-	ta, okA := a.(*tilesRelation)
-	tb, okB := b.(*tilesRelation)
-	if okA && okB {
-		merged := &tilesRelation{name: name, cfg: ta.cfg,
-			numRows: ta.numRows + tb.numRows, stats: stats.New(0, 0)}
-		merged.tiles = append(merged.tiles, ta.tiles...)
-		merged.tiles = append(merged.tiles, tb.tiles...)
-		for _, t := range merged.tiles {
-			merged.stats.AddTile(t)
-		}
-		return merged
+	ta, tb := a.(*tilesRelation), b.(*tilesRelation)
+	merged := &tilesRelation{name: name, cfg: ta.cfg,
+		numRows: ta.numRows + tb.numRows, stats: stats.New(0, 0)}
+	merged.tiles = append(merged.tiles, ta.tiles...)
+	merged.tiles = append(merged.tiles, tb.tiles...)
+	for _, t := range merged.tiles {
+		merged.stats.AddTile(t)
 	}
-	return &concatRelation{name: name, parts: []Relation{a, b}}
-}
-
-type concatRelation struct {
-	name  string
-	parts []Relation
-}
-
-func (r *concatRelation) Name() string { return r.name }
-
-func (r *concatRelation) NumRows() int {
-	n := 0
-	for _, p := range r.parts {
-		n += p.NumRows()
-	}
-	return n
-}
-
-func (r *concatRelation) SizeBytes() int {
-	n := 0
-	for _, p := range r.parts {
-		n += p.SizeBytes()
-	}
-	return n
-}
-
-func (r *concatRelation) Stats() *stats.TableStats { return nil }
-
-func (r *concatRelation) Scan(accesses []Access, workers int, emit EmitFunc) {
-	for _, p := range r.parts {
-		p.Scan(accesses, workers, emit)
-	}
-}
-
-// ScanWithStats implements StatsScanner by delegating to each part, so
-// counters aggregate across the concatenated segments.
-func (r *concatRelation) ScanWithStats(ctx context.Context, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
-	for _, p := range r.parts {
-		if ctx.Err() != nil {
-			return
-		}
-		ScanWith(ctx, p, accesses, workers, emit, st)
-	}
+	return merged
 }

@@ -225,10 +225,13 @@ func joinRow(cells []string) string {
 	return out
 }
 
-// TestConformanceDictColumns drives low-cardinality text data — the
-// workload dictionary encoding targets — through every scan path and
-// checks each against an arena-layout relation of the same documents:
-// in-memory rows and batches and a segment round trip.
+// TestConformanceDictColumns drives text columns of both layouts
+// through every scan path: in one corpus "level" and "service" have a
+// handful of values (NDV/rows under the dictionary threshold) and
+// "msg" is unique per document (above it), so the data picks a
+// dictionary for the first two and the arena for the third. In-memory
+// rows and batches and a segment round trip must each answer exactly
+// like the raw-JSON relation of the same documents.
 func TestConformanceDictColumns(t *testing.T) {
 	levels := []string{"debug", "error", "info", "warn"}
 	services := []string{"api", "auth", "billing", "cache", "db", "web"}
@@ -252,30 +255,20 @@ func TestConformanceDictColumns(t *testing.T) {
 		NewAccess(expr.TText, "msg"),
 	}
 
-	// Arena relation (dictionary disabled) supplies the ground truth.
-	arenaCfg := DefaultLoaderConfig()
-	arenaCfg.Tile.TileSize = 64
-	arenaCfg.Tile.DictThreshold = 0
-	la, _ := NewLoader(KindTiles, arenaCfg)
-	arenaRel, err := la.Load("arena", docLines, 2)
+	// The raw-JSON relation supplies the ground truth.
+	lj, _ := NewLoader(KindJSON, DefaultLoaderConfig())
+	jsonRel, err := lj.Load("json", docLines, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	truthSet := map[string]int{}
-	arenaRel.Scan(accesses, 1, func(w int, row []expr.Value) {
+	jsonRel.Scan(accesses, 1, func(w int, row []expr.Value) {
 		cells := make([]string, len(row))
 		for i, v := range row {
 			cells[i] = normalizeCell(v.String())
 		}
 		truthSet[joinRow(cells)]++
 	})
-	for _, tl := range arenaRel.(TileIntrospector).Tiles() {
-		for _, ci := range tl.Columns() {
-			if ci.Col.IsDict() {
-				t.Fatalf("arena relation built a dict column at %q with DictThreshold 0", ci.Path)
-			}
-		}
-	}
 
 	cfg := DefaultLoaderConfig()
 	cfg.Tile.TileSize = 64
@@ -284,16 +277,21 @@ func TestConformanceDictColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dictCols := 0
+	wantDict := map[string]bool{"level": true, "service": true, "msg": false}
+	layouts := map[bool]int{}
 	for _, tl := range rel.(TileIntrospector).Tiles() {
-		for _, ci := range tl.Columns() {
-			if ci.Col.IsDict() {
-				dictCols++
+		for col, want := range wantDict {
+			for _, ci := range tl.ColumnsForPath(NewAccess(expr.TText, col).PathEnc) {
+				isDict := tl.Column(ci).Col.IsDict()
+				if isDict != want {
+					t.Errorf("column %s: dictionary layout %v, want %v", col, isDict, want)
+				}
+				layouts[isDict]++
 			}
 		}
 	}
-	if dictCols == 0 {
-		t.Fatal("no dictionary columns built on a low-cardinality workload")
+	if layouts[true] == 0 || layouts[false] == 0 {
+		t.Fatalf("text columns by layout (dict: true) = %v, want both layouts", layouts)
 	}
 	verifyConformance(t, 0, "DictTiles", rel, accesses, truthSet)
 
@@ -302,39 +300,6 @@ func TestConformanceDictColumns(t *testing.T) {
 	verifyConformance(t, 0, "DictSegment", srel, accesses, truthSet)
 	if err := srel.Err(); err != nil {
 		t.Fatalf("dict segment scan error: %v", err)
-	}
-}
-
-func TestConcatGenericPath(t *testing.T) {
-	// Mixing formats exercises the generic concat relation.
-	a := lines(`{"x":1}`, `{"x":2}`)
-	b := lines(`{"x":3}`)
-	lj, _ := NewLoader(KindJSONB, DefaultLoaderConfig())
-	relA, err := lj.Load("a", a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lt, _ := NewLoader(KindTiles, DefaultLoaderConfig())
-	relB, err := lt.Load("b", b, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := Concat("ab", relA, relB)
-	if cc.NumRows() != 3 {
-		t.Fatalf("rows = %d", cc.NumRows())
-	}
-	if cc.SizeBytes() <= 0 {
-		t.Error("size")
-	}
-	if cc.Stats() != nil {
-		t.Error("generic concat should report no stats")
-	}
-	if cc.Name() != "ab" {
-		t.Error("name")
-	}
-	rows := collectScan(cc, []Access{NewAccess(expr.TBigInt, "x")}, 2)
-	if len(rows) != 3 || rows[0] != "1" || rows[2] != "3" {
-		t.Errorf("rows = %v", rows)
 	}
 }
 

@@ -213,12 +213,7 @@ func scanCfgOf(cfg LoaderConfig) scanConfig {
 	if maxSlots <= 0 {
 		maxSlots = keypath.DefaultMaxArraySlots
 	}
-	return scanConfig{
-		skipTiles:  cfg.SkipTiles,
-		maxSlots:   maxSlots,
-		morselRows: cfg.MorselRows,
-		prefetch:   cfg.StorePrefetch,
-	}
+	return scanConfig{skipTiles: cfg.SkipTiles, maxSlots: maxSlots}
 }
 
 func (t *DirTable) Name() string { return t.name }

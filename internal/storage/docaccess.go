@@ -18,43 +18,23 @@ type LoaderConfig struct {
 	// Tile holds the JSON tiles extraction settings (also reused for
 	// array-slot bounds by Sinew and Shredded so path spaces match).
 	Tile tile.Config
-	// SinewThreshold is Sinew's global column-extraction threshold
-	// (the original paper's 60 % when zero).
-	SinewThreshold float64
 	// Reorder enables partition reordering for the Tiles format.
 	Reorder bool
 	// SkipTiles enables tile skipping (§4.8); the fig14 "no Skip"
 	// ablation turns it off.
 	SkipTiles bool
-	// MorselRows is the target rows per scan morsel (0 selects
-	// DefaultMorselRows). Small inputs shrink it automatically so
-	// every worker still gets several morsels.
-	MorselRows int
 	// Metrics, when non-nil, accumulates the load-time breakdown
 	// (parse/mine/extract/JSONB/reorder nanos — Figure 16) across every
 	// load performed with this config.
 	Metrics *tile.Metrics
-	// StoreGapBytes is the block-read coalescing gap threshold for
-	// store-backed scans: adjacent surviving block refs whose dead
-	// space is at most this many bytes merge into one ranged read
-	// (0 selects blockstore.DefaultCoalesceGap; negative disables
-	// merging).
-	StoreGapBytes int64
-	// StorePrefetch lets store-backed scans fetch surviving tiles'
-	// blocks ahead of the workers, within a window derived from the
-	// buffer pool's size (DESIGN.md §6.9); off, a tile is fetched when
-	// a worker reaches it.
-	StorePrefetch bool
 }
 
 // DefaultLoaderConfig mirrors the paper's evaluation defaults.
 func DefaultLoaderConfig() LoaderConfig {
 	return LoaderConfig{
-		Tile:           tile.DefaultConfig(),
-		SinewThreshold: 0.6,
-		Reorder:        true,
-		SkipTiles:      true,
-		StorePrefetch:  true,
+		Tile:      tile.DefaultConfig(),
+		Reorder:   true,
+		SkipTiles: true,
 	}
 }
 

@@ -19,9 +19,9 @@ import (
 // twice), yet tiles too big for that still go one per worker (floor),
 // so no worker finds the store idle. A worker claims each tile before
 // scanning it and blocks only on that tile's fetch; a tile the window
-// has not reached — full window, a worker running ahead, StorePrefetch
-// off — is fetched by the claim itself. Either way a tile is fetched
-// once, however many row-split morsels share it.
+// has not reached — full window, a worker running ahead — is fetched
+// by the claim itself. Either way a tile is fetched once, however many
+// row-split morsels share it.
 type fetchWindow struct {
 	ctx      context.Context
 	src      scanSource
@@ -79,12 +79,10 @@ func newFetchWindow(ctx context.Context, src scanSource, accesses []Access, mors
 		fetches: make([]*tileFetch, src.numScanTiles()),
 		planCnt: scanCounters{tenant: tenant},
 	}
-	if fw.cfg.prefetch {
-		fw.order = fetchOrder(morsels, fw.floor)
-		fw.advance()
-		if fw.aheadTiles == 0 && fw.next == len(fw.order) {
-			return nil
-		}
+	fw.order = fetchOrder(morsels, fw.floor)
+	fw.advance()
+	if fw.aheadTiles == 0 && fw.next == len(fw.order) {
+		return nil
 	}
 	return fw
 }

@@ -94,69 +94,62 @@ func TestFetchOrder(t *testing.T) {
 // morsels is fetched once, however many workers hold a piece of it.
 // Before the window, every sub-morsel ran its own pre-scan fetch, and
 // two workers arriving together both issued the same ranged reads.
+// Adaptive sizing does the cutting: at 2 and 8 workers one 2048-row
+// tile is at least twice the shrunk morsel target.
 func TestFetchWindowRowSplitReadsOnce(t *testing.T) {
-	mem, cfg := fetchTestStore(t, 1, 2048, 40)
-	cfg.MorselRows = 256 // 8 sub-morsels of the one tile
-	for _, prefetch := range []bool{true, false} {
-		cfg.StorePrefetch = prefetch
-		var want int64
-		for _, workers := range []int{1, 2, 8} {
-			fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: 2 * time.Millisecond})
-			dt, err := OpenDirStore("t", fake, nil, cfg, 4, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := fake.RangeReadCount()
-			var rows atomic.Int64
-			dt.ScanWithStats(context.Background(), padAccess, workers, func(int, []expr.Value) { rows.Add(1) }, nil)
-			reads := fake.RangeReadCount() - before
-			if err := dt.Err(); err != nil || rows.Load() != 2048 {
-				t.Fatalf("prefetch=%v workers=%d: %d rows, err %v", prefetch, workers, rows.Load(), err)
-			}
-			dt.Close()
-			if workers == 1 {
-				want = reads
-			} else if reads != want {
-				t.Errorf("prefetch=%v workers=%d: %d range reads, want %d (one per planned run)", prefetch, workers, reads, want)
-			}
+	const tileRows = 2048
+	mem, cfg := fetchTestStore(t, 1, tileRows, 40)
+	var want int64
+	for _, workers := range []int{1, 2, 8} {
+		if pieces := len(buildTileMorsels([]int{tileRows}, workers, DefaultMorselRows, true)); workers > 1 && pieces < 2 {
+			t.Fatalf("workers=%d: tile cut into %d morsels, want row-split sub-morsels", workers, pieces)
+		}
+		fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: 2 * time.Millisecond})
+		dt, err := OpenDirStore("t", fake, nil, cfg, 4, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := fake.RangeReadCount()
+		var rows atomic.Int64
+		dt.ScanWithStats(context.Background(), padAccess, workers, func(int, []expr.Value) { rows.Add(1) }, nil)
+		reads := fake.RangeReadCount() - before
+		if err := dt.Err(); err != nil || rows.Load() != tileRows {
+			t.Fatalf("workers=%d: %d rows, err %v", workers, rows.Load(), err)
+		}
+		dt.Close()
+		if workers == 1 {
+			want = reads
+		} else if reads != want {
+			t.Errorf("workers=%d: %d range reads, want %d (one per planned run)", workers, reads, want)
 		}
 	}
 }
 
 // TestFetchWindowOneRoundTrip: a column-only scan plans a few KiB per
-// tile, so the whole scan fits the window and costs one round trip;
-// with StorePrefetch off each worker pays one per tile.
+// tile, so the whole scan fits the window and costs one round trip
+// rather than one per tile and worker.
 func TestFetchWindowOneRoundTrip(t *testing.T) {
 	const latency = 20 * time.Millisecond
 	mem, cfg := fetchTestStore(t, 8, 64, 40)
-	scan := func(prefetch bool) (time.Duration, int64) {
-		cfg.StorePrefetch = prefetch
-		fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: latency})
-		dt, err := OpenDirStore("t", fake, nil, cfg, 4, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer dt.Close()
-		before := fake.RangeReadCount()
-		var rows atomic.Int64
-		start := time.Now()
-		dt.ScanBatches(context.Background(), idAccess, 2, func(_ int, b *vec.Batch) { rows.Add(int64(b.Len)) }, nil)
-		d := time.Since(start)
-		if err := dt.Err(); err != nil || rows.Load() != 8*64 {
-			t.Fatalf("prefetch=%v: %d rows, err %v", prefetch, rows.Load(), err)
-		}
-		return d, fake.RangeReadCount() - before
+	fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: latency})
+	dt, err := OpenDirStore("t", fake, nil, cfg, 4, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	on, onReads := scan(true)
-	off, offReads := scan(false)
-	if onReads != 8 || offReads != 8 {
-		t.Errorf("range reads on/off = %d/%d, want 8/8 (one per tile)", onReads, offReads)
+	defer dt.Close()
+	before := fake.RangeReadCount()
+	var rows atomic.Int64
+	start := time.Now()
+	dt.ScanBatches(context.Background(), idAccess, 2, func(_ int, b *vec.Batch) { rows.Add(int64(b.Len)) }, nil)
+	d := time.Since(start)
+	if err := dt.Err(); err != nil || rows.Load() != 8*64 {
+		t.Fatalf("%d rows, err %v", rows.Load(), err)
 	}
-	if on >= 3*latency {
-		t.Errorf("scan with the window took %v, want < %v", on, 3*latency)
+	if reads := fake.RangeReadCount() - before; reads != 8 {
+		t.Errorf("range reads = %d, want 8 (one per tile)", reads)
 	}
-	if off < 4*latency {
-		t.Errorf("scan without the window took %v, want >= %v", off, 4*latency)
+	if d >= 3*latency {
+		t.Errorf("scan took %v, want < %v", d, 3*latency)
 	}
 }
 
@@ -193,80 +186,144 @@ func TestOpenDirStoreThreeRoundTrips(t *testing.T) {
 
 // TestFetchWindowPoolPressure: on pools far smaller than the scan —
 // 1 MiB, and one smaller than a single tile's need — the window makes
-// progress and never reads more than fetching at claim time does.
+// progress, answers like a roomy pool, leaves nothing pinned, and on
+// the smallest pool leaves blocks to be fetched by their claim rather
+// than ahead.
 func TestFetchWindowPoolPressure(t *testing.T) {
 	mem, cfg := fetchTestStore(t, 6, 1024, 300) // ~350 KiB of documents per tile
+	dt, err := OpenDirStore("t", mem, nil, cfg, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := batchMultiset(dt, padAccess, 1)
+	dt.Close()
 	for _, poolBytes := range []int64{1 << 20, 128 << 10} {
 		for _, workers := range []int{1, 2, 8} {
-			var reads [2]int64
-			var rows [2]map[string]int
-			for i, prefetch := range []bool{false, true} {
-				cfg.StorePrefetch = prefetch
-				fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: 200 * time.Microsecond})
-				dt, err := OpenDirStore("t", fake, bufpool.New(poolBytes), cfg, 4, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				before := fake.RangeReadCount()
-				rows[i] = batchMultiset(dt, padAccess, workers)
-				reads[i] = fake.RangeReadCount() - before
-				if err := dt.Err(); err != nil {
-					t.Fatalf("pool=%d workers=%d prefetch=%v: %v", poolBytes, workers, prefetch, err)
-				}
-				if pinned := dt.Pool().Stats().PinnedBytes; pinned != 0 {
-					t.Errorf("pool=%d workers=%d prefetch=%v: %d bytes still pinned", poolBytes, workers, prefetch, pinned)
-				}
-				dt.Close()
+			label := fmt.Sprintf("pool=%d workers=%d", poolBytes, workers)
+			fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: 200 * time.Microsecond})
+			dt, err := OpenDirStore("t", fake, bufpool.New(poolBytes), cfg, 4, false)
+			if err != nil {
+				t.Fatal(err)
 			}
-			sameMultiset(t, fmt.Sprintf("pool=%d workers=%d", poolBytes, workers), rows[1], rows[0])
-			if reads[1] > reads[0] {
-				t.Errorf("pool=%d workers=%d: %d range reads with the window, %d without", poolBytes, workers, reads[1], reads[0])
+			var st obs.ScanStats
+			got := batchMultisetStats(dt, padAccess, workers, &st)
+			if err := dt.Err(); err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
+			sameMultiset(t, label, got, want)
+			if pinned := dt.Pool().Stats().PinnedBytes; pinned != 0 {
+				t.Errorf("%s: %d bytes still pinned", label, pinned)
+			}
+			if hits, blocks := st.StorePrefetchHits.Load(), st.BlocksRead.Load(); poolBytes == 128<<10 && hits >= blocks {
+				t.Errorf("%s: %d of %d blocks fetched ahead, want some fetched by their claim", label, hits, blocks)
+			}
+			dt.Close()
 		}
 	}
 }
 
 // TestFetchWindowAccounting: the per-scan statistics agree with what
 // the store saw — the fetch goroutines' counters reach them exactly
-// once — a block fetched ahead is one pool miss and one prefetch hit
-// (never also a pool hit), and request totals do not depend on whether
-// the window is on.
+// once — and a block fetched ahead is one pool miss and one prefetch
+// hit (never also a pool hit).
 func TestFetchWindowAccounting(t *testing.T) {
 	mem, cfg := fetchTestStore(t, 6, 256, 60)
-	var sts [2]obs.ScanStats
-	for i, prefetch := range []bool{false, true} {
-		cfg.StorePrefetch = prefetch
-		fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: 200 * time.Microsecond})
-		dt, err := OpenDirStore("t", fake, nil, cfg, 4, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reads0, bytes0 := fake.RangeReadCount(), fake.BytesRead()
-		st := &sts[i]
-		dt.ScanBatches(context.Background(), padAccess, 3, func(int, *vec.Batch) {}, st)
-		if got, want := st.StoreRangeReads.Load(), fake.RangeReadCount()-reads0; got != want {
-			t.Errorf("prefetch=%v: stats count %d range reads, the store %d", prefetch, got, want)
-		}
-		if got, want := st.StoreBytesRead.Load(), fake.BytesRead()-bytes0; got != want {
-			t.Errorf("prefetch=%v: stats count %d bytes read, the store %d", prefetch, got, want)
-		}
-		if st.PoolMisses.Load() != st.BlocksRead.Load() || st.PoolHits.Load() != 0 {
-			t.Errorf("prefetch=%v: cold scan of %d blocks counted %d misses, %d hits",
-				prefetch, st.BlocksRead.Load(), st.PoolMisses.Load(), st.PoolHits.Load())
-		}
-		dt.Close()
+	fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: 200 * time.Microsecond})
+	dt, err := OpenDirStore("t", fake, nil, cfg, 4, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	off, on := &sts[0], &sts[1]
-	if off.StorePrefetchHits.Load() != 0 {
-		t.Errorf("prefetch off: %d prefetch hits", off.StorePrefetchHits.Load())
+	defer dt.Close()
+	reads0, bytes0 := fake.RangeReadCount(), fake.BytesRead()
+	var st obs.ScanStats
+	dt.ScanBatches(context.Background(), padAccess, 3, func(int, *vec.Batch) {}, &st)
+	if got, want := st.StoreRangeReads.Load(), fake.RangeReadCount()-reads0; got != want {
+		t.Errorf("stats count %d range reads, the store %d", got, want)
+	}
+	if got, want := st.StoreBytesRead.Load(), fake.BytesRead()-bytes0; got != want {
+		t.Errorf("stats count %d bytes read, the store %d", got, want)
+	}
+	if st.PoolMisses.Load() != st.BlocksRead.Load() || st.PoolHits.Load() != 0 {
+		t.Errorf("cold scan of %d blocks counted %d misses, %d hits",
+			st.BlocksRead.Load(), st.PoolMisses.Load(), st.PoolHits.Load())
 	}
 	// Everything fits the default pool, so the window fetches every
 	// tile ahead of its claim.
-	if got, want := on.StorePrefetchHits.Load(), on.BlocksRead.Load(); got != want {
-		t.Errorf("prefetch on: %d prefetch hits for %d blocks fetched", got, want)
+	if got, want := st.StorePrefetchHits.Load(), st.BlocksRead.Load(); got != want {
+		t.Errorf("%d prefetch hits for %d blocks fetched", got, want)
 	}
-	if on.StoreRangeReads.Load() != off.StoreRangeReads.Load() || on.StoreCoalesced.Load() != off.StoreCoalesced.Load() {
-		t.Errorf("range reads / coalesced on = %d/%d, off = %d/%d; want equal",
-			on.StoreRangeReads.Load(), on.StoreCoalesced.Load(), off.StoreRangeReads.Load(), off.StoreCoalesced.Load())
+}
+
+// TestRemoteScanCoalescesReads: a geo-filtered scan of an evolving-
+// schema table on the object-store fake — four segments of 1000
+// documents, geo tags only in the odd ones, so tile skipping drops
+// half the table — needs at least three blocks per store request. The
+// blocks read are what one request per block would cost, so this is
+// the request reduction coalescing buys; the scan's own count must be
+// exactly what the store served.
+func TestRemoteScanCoalescesReads(t *testing.T) {
+	const segs, docs = 4, 1000
+	fake := blockstore.NewFakeS3(nil, blockstore.FakeS3Config{})
+	cfg := DefaultLoaderConfig()
+	dt, err := OpenDirStore("t", fake, nil, cfg, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seg := 0; seg < segs; seg++ {
+		lines := make([][]byte, docs)
+		for i := range lines {
+			id := seg*docs + i
+			geo := ""
+			if seg%2 == 1 {
+				geo = fmt.Sprintf(`,"geo":{"lat":%g,"lon":%g}`, float64(id%180), float64(id%360))
+			}
+			lines[i] = []byte(fmt.Sprintf(`{"id":%d,"text":"tweet-%d","user":{"id":%d},"replies":%d,"retweets":%d,"favorites":%d%s}`,
+				id, id, id%97, id%13, id%7, id%29, geo))
+		}
+		l, _ := NewLoader(KindTiles, cfg)
+		rel, err := l.Load("t", lines, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dt.AppendTiles(rel.(TileIntrospector).Tiles(), rel.Stats()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dt.Close()
+
+	geo := NewAccessPath(expr.TFloat, keypath.NewPath("geo", "lat"))
+	geo.NullRejecting = true
+	accesses := []Access{
+		NewAccessPath(expr.TBigInt, keypath.NewPath("id")),
+		NewAccessPath(expr.TBigInt, keypath.NewPath("user", "id")),
+		NewAccessPath(expr.TBigInt, keypath.NewPath("replies")),
+		NewAccessPath(expr.TBigInt, keypath.NewPath("retweets")),
+		NewAccessPath(expr.TBigInt, keypath.NewPath("favorites")),
+		NewAccessPath(expr.TText, keypath.NewPath("text")),
+		geo,
+	}
+	for _, workers := range []int{1, 4} {
+		dt, err := OpenDirStore("t", fake, nil, cfg, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := fake.Requests()
+		var st obs.ScanStats
+		dt.ScanWithStats(context.Background(), accesses, workers, func(int, []expr.Value) {}, &st)
+		requests := fake.Requests() - before
+		if err := dt.Err(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		dt.Close()
+		if got, want := st.RowsScanned.Load(), int64(segs/2*docs); got != want {
+			t.Errorf("workers=%d: %d rows scanned, want %d (the geo-tagged segments)", workers, got, want)
+		}
+		reads, blocks := st.StoreRangeReads.Load(), st.BlocksRead.Load()
+		if reads != requests {
+			t.Errorf("workers=%d: stats count %d range reads, the store served %d requests", workers, reads, requests)
+		}
+		if reads == 0 || blocks < 3*reads {
+			t.Errorf("workers=%d: %d blocks in %d range reads, want at least 3 blocks per read", workers, blocks, reads)
+		}
 	}
 }

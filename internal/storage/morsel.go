@@ -29,17 +29,17 @@ import (
 //     spawning its own `workers` goroutines. A saturated pool just
 //     means fewer helpers — the inline drain always makes progress.
 
-// DefaultMorselRows is the target number of rows per morsel when the
-// caller does not configure one (Options.MorselRows). The paper-style
-// sweet spot is 16–64K rows: large enough that per-morsel setup
-// (tile access resolution, scratch checkout) is amortized, small
-// enough that a scan produces several morsels per worker.
+// DefaultMorselRows is the target number of rows per morsel; small
+// inputs shrink it (morselSizeFor). The paper-style sweet spot is
+// 16–64K rows: large enough that per-morsel setup (tile access
+// resolution, scratch checkout) is amortized, small enough that a
+// scan produces several morsels per worker.
 const DefaultMorselRows = 32 << 10
 
-// minMorselRows floors the adaptive morsel size so tiny inputs are
+// minRowsPerMorsel floors the adaptive morsel size so tiny inputs are
 // not shredded into per-row morsels whose scheduling overhead would
 // dominate the work.
-const minMorselRows = 256
+const minRowsPerMorsel = 256
 
 // morselsPerWorker is how many morsels per worker the adaptive sizing
 // aims for at minimum — enough queue slack to absorb skew without a
@@ -61,20 +61,17 @@ type morsel struct {
 func (m morsel) wholeTiles() bool { return m.rowHi < 0 }
 
 // morselSizeFor adapts the target morsel size to the input: aim for
-// `target` rows, but shrink (down to minMorselRows) when the input is
+// `target` rows, but shrink (down to minRowsPerMorsel) when the input is
 // so small that target-sized morsels would not give every worker
 // morselsPerWorker pulls.
 func morselSizeFor(n, workers, target int) int {
-	if target <= 0 {
-		target = DefaultMorselRows
-	}
 	if workers > 1 {
 		if per := n / (workers * morselsPerWorker); per < target {
 			target = per
 		}
 	}
-	if target < minMorselRows {
-		target = minMorselRows
+	if target < minRowsPerMorsel {
+		target = minRowsPerMorsel
 	}
 	return target
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/blockstore"
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/vec"
 )
 
@@ -54,11 +55,9 @@ func TestMorselSizeFor(t *testing.T) {
 		// Small input shrinks the morsel so each worker gets ~4 pulls.
 		{32 << 10, 8, DefaultMorselRows, 32 << 10 / (8 * morselsPerWorker)},
 		// ...but never below the floor.
-		{1000, 8, DefaultMorselRows, minMorselRows},
+		{1000, 8, DefaultMorselRows, minRowsPerMorsel},
 		// Serial execution keeps the target (no point shrinking).
 		{1000, 1, DefaultMorselRows, DefaultMorselRows},
-		// target <= 0 falls back to the default.
-		{1 << 20, 1, 0, DefaultMorselRows},
 	}
 	for _, c := range cases {
 		if got := morselSizeFor(c.n, c.workers, c.target); got != c.want {
@@ -233,6 +232,12 @@ func rowMultiset(rel Relation, accesses []Access, workers int) map[string]int {
 
 // batchMultiset collects a batch scan as the same multiset.
 func batchMultiset(bs BatchScanner, accesses []Access, workers int) map[string]int {
+	return batchMultisetStats(bs, accesses, workers, nil)
+}
+
+// batchMultisetStats is batchMultiset recording the scan's statistics
+// into st.
+func batchMultisetStats(bs BatchScanner, accesses []Access, workers int, st *obs.ScanStats) map[string]int {
 	got := map[string]int{}
 	var mu sync.Mutex
 	bs.ScanBatches(context.Background(), accesses, workers, func(w int, b *vec.Batch) {
@@ -258,7 +263,7 @@ func batchMultiset(bs BatchScanner, accesses []Access, workers int) map[string]i
 			got[k]++
 		}
 		mu.Unlock()
-	}, nil)
+	}, st)
 	return got
 }
 

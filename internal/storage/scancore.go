@@ -49,13 +49,8 @@ type scanSource interface {
 }
 
 type scanConfig struct {
-	skipTiles  bool
-	maxSlots   int
-	morselRows int
-	// prefetch lets a store-backed scan's fetch window (fetchwindow.go)
-	// issue tile fetches ahead of the workers; off, every tile is
-	// fetched when a worker claims it.
-	prefetch bool
+	skipTiles bool
+	maxSlots  int
 }
 
 // mayContainTile answers MayContainPath with the capped-slot
@@ -180,7 +175,7 @@ func scanRowsCore(ctx context.Context, src scanSource, accesses []Access, worker
 		rowCounts[i] = src.openScanTile(i, &head).NumRows()
 	}
 	head.flush(st)
-	morsels := buildTileMorsels(rowCounts, workers, cfg.morselRows, true)
+	morsels := buildTileMorsels(rowCounts, workers, DefaultMorselRows, true)
 	fw := newFetchWindow(ctx, src, accesses, morsels, workers, st)
 	defer fw.close()
 	runMorsels(ctx, morsels, workers, func(w int, m morsel) {
@@ -285,7 +280,7 @@ func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, wor
 	// Batches alias one tile's column slices, so morsels stay at tile
 	// granularity here: tiny tiles batch together, big tiles are one
 	// morsel each (never row-split).
-	morsels := buildTileMorsels(rowCounts, workers, cfg.morselRows, false)
+	morsels := buildTileMorsels(rowCounts, workers, DefaultMorselRows, false)
 	fw := newFetchWindow(ctx, src, accesses, morsels, workers, st)
 	defer fw.close()
 	runMorsels(ctx, morsels, workers, func(w int, m morsel) {

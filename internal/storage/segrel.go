@@ -70,7 +70,6 @@ func OpenSegmentStore(name string, store blockstore.Store, object string, size i
 	if err != nil {
 		return nil, err
 	}
-	r.SetCoalesceGap(cfg.StoreGapBytes)
 	return &segRelation{name: name, r: r, pool: pool, numRows: r.NumRows(), cfg: scanCfgOf(cfg)}, nil
 }
 

@@ -31,6 +31,10 @@ type sinew struct {
 	raw     [][]byte
 }
 
+// sinewThreshold is Sinew's global column-extraction threshold: the
+// original paper's 60 %.
+const sinewThreshold = 0.6
+
 type sinewColumn struct {
 	path            string
 	minedType       keypath.ValueType
@@ -51,10 +55,6 @@ func (l sinewLoader) Load(name string, lines [][]byte, workers int) (Relation, e
 		return nil, err
 	}
 	obs.IngestDocsTreeFallback.Add(int64(len(docs)))
-	threshold := l.cfg.SinewThreshold
-	if threshold <= 0 {
-		threshold = 0.6
-	}
 	maxSlots := l.cfg.Tile.MaxArraySlots
 
 	// Global frequency pass. Deliberately single-threaded: the paper
@@ -70,7 +70,7 @@ func (l sinewLoader) Load(name string, lines [][]byte, workers int) (Relation, e
 			}
 		})
 	}
-	need := int(math.Ceil(threshold * float64(len(docs))))
+	need := int(math.Ceil(sinewThreshold * float64(len(docs))))
 	if need < 1 {
 		need = 1
 	}
@@ -237,10 +237,6 @@ func (l sinewLoader) loadTapes(name string, lines [][]byte, workers int) (Relati
 		return nil, err
 	}
 	obs.IngestDocsTape.Add(int64(len(tapes)))
-	threshold := l.cfg.SinewThreshold
-	if threshold <= 0 {
-		threshold = 0.6
-	}
 	maxSlots := l.cfg.Tile.MaxArraySlots
 
 	// Global frequency pass over a shared dictionary: AddBytes avoids
@@ -259,7 +255,7 @@ func (l sinewLoader) loadTapes(name string, lines [][]byte, workers int) (Relati
 			}
 		})
 	}
-	need := int(math.Ceil(threshold * float64(len(tapes))))
+	need := int(math.Ceil(sinewThreshold * float64(len(tapes))))
 	if need < 1 {
 		need = 1
 	}

@@ -78,31 +78,28 @@ func TestStoreConformanceAcrossBackends(t *testing.T) {
 		if err := dt.Close(); err != nil {
 			t.Fatalf("%s: Close: %v", store.write.Label(), err)
 		}
-		for _, prefetch := range []bool{true, false} {
-			cfg.StorePrefetch = prefetch
-			for _, workers := range []int{1, 2, 3, 8} {
-				label := fmt.Sprintf("%s prefetch=%v workers=%d", store.read.Label(), prefetch, workers)
-				want := rowMultiset(mem, accesses, workers)
-				wantBatch := batchMultiset(mem.(BatchScanner), accesses, workers)
-				// The store outlives the table: every reopen serves the
-				// same committed generation (read-after-commit visibility)
-				// from a cold pool.
-				dt, err := OpenDirStore("t", store.read, nil, cfg, 4, false)
-				if err != nil {
-					t.Fatalf("reopen %s: %v", label, err)
-				}
-				sameMultiset(t, label+" rows", rowMultiset(dt, accesses, workers), want)
-				dt.Close()
-				if dt, err = OpenDirStore("t", store.read, nil, cfg, 4, false); err != nil {
-					t.Fatalf("reopen %s: %v", label, err)
-				}
-				sameMultiset(t, label+" batches", batchMultiset(dt, accesses, workers), wantBatch)
-				if err := dt.Err(); err != nil {
-					t.Fatalf("%s: Err: %v", label, err)
-				}
-				if err := dt.Close(); err != nil {
-					t.Fatalf("%s: Close: %v", label, err)
-				}
+		for _, workers := range []int{1, 2, 3, 8} {
+			label := fmt.Sprintf("%s workers=%d", store.read.Label(), workers)
+			want := rowMultiset(mem, accesses, workers)
+			wantBatch := batchMultiset(mem.(BatchScanner), accesses, workers)
+			// The store outlives the table: every reopen serves the
+			// same committed generation (read-after-commit visibility)
+			// from a cold pool.
+			dt, err := OpenDirStore("t", store.read, nil, cfg, 4, false)
+			if err != nil {
+				t.Fatalf("reopen %s: %v", label, err)
+			}
+			sameMultiset(t, label+" rows", rowMultiset(dt, accesses, workers), want)
+			dt.Close()
+			if dt, err = OpenDirStore("t", store.read, nil, cfg, 4, false); err != nil {
+				t.Fatalf("reopen %s: %v", label, err)
+			}
+			sameMultiset(t, label+" batches", batchMultiset(dt, accesses, workers), wantBatch)
+			if err := dt.Err(); err != nil {
+				t.Fatalf("%s: Err: %v", label, err)
+			}
+			if err := dt.Close(); err != nil {
+				t.Fatalf("%s: Close: %v", label, err)
 			}
 		}
 	}
@@ -114,50 +111,47 @@ func TestStoreConformanceAcrossBackends(t *testing.T) {
 // release), so the result multiset is unaffected.
 func TestStoreConformanceMidScanCompaction(t *testing.T) {
 	const batches, rows = 6, 48
-	for _, prefetch := range []bool{true, false} {
-		for _, workers := range []int{1, 3} {
-			fake := blockstore.NewFakeS3(nil, blockstore.FakeS3Config{})
-			dt := storeConformTable(t, fake, batches, rows)
-			accesses := dirTestAccesses()
-			want := scanMultiset(dt, accesses)
-			// Reopen, so the scan under test starts from a cold pool.
-			dt.Close()
-			cfg := DefaultLoaderConfig()
-			cfg.Tile.TileSize = 16
-			cfg.StorePrefetch = prefetch
-			dt, err := OpenDirStore("t", fake, nil, cfg, 4, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			got := map[string]int{}
-			var mu sync.Mutex
-			var once sync.Once
-			dt.Scan(accesses, workers, func(w int, row []expr.Value) {
-				once.Do(func() {
-					// Mid-scan: fold the segments this very scan is reading.
-					if rounds, err := dt.Compact(); err != nil || rounds == 0 {
-						t.Errorf("mid-scan Compact = %d rounds, %v", rounds, err)
-					}
-				})
-				key := ""
-				for _, v := range row {
-					key += v.String() + "|"
-				}
-				mu.Lock()
-				got[key]++
-				mu.Unlock()
-			})
-			sameMultiset(t, "mid-scan compaction", got, map[string]int(want))
-			if err := dt.Err(); err != nil {
-				t.Fatalf("Err: %v", err)
-			}
-			if dt.NumSegments() >= batches {
-				t.Fatalf("NumSegments = %d after compaction, want < %d", dt.NumSegments(), batches)
-			}
-			sameMultiset(t, "post-compaction", scanMultiset(dt, accesses), want)
-			dt.Close()
+	for _, workers := range []int{1, 3} {
+		fake := blockstore.NewFakeS3(nil, blockstore.FakeS3Config{})
+		dt := storeConformTable(t, fake, batches, rows)
+		accesses := dirTestAccesses()
+		want := scanMultiset(dt, accesses)
+		// Reopen, so the scan under test starts from a cold pool.
+		dt.Close()
+		cfg := DefaultLoaderConfig()
+		cfg.Tile.TileSize = 16
+		dt, err := OpenDirStore("t", fake, nil, cfg, 4, false)
+		if err != nil {
+			t.Fatal(err)
 		}
+
+		got := map[string]int{}
+		var mu sync.Mutex
+		var once sync.Once
+		dt.Scan(accesses, workers, func(w int, row []expr.Value) {
+			once.Do(func() {
+				// Mid-scan: fold the segments this very scan is reading.
+				if rounds, err := dt.Compact(); err != nil || rounds == 0 {
+					t.Errorf("mid-scan Compact = %d rounds, %v", rounds, err)
+				}
+			})
+			key := ""
+			for _, v := range row {
+				key += v.String() + "|"
+			}
+			mu.Lock()
+			got[key]++
+			mu.Unlock()
+		})
+		sameMultiset(t, "mid-scan compaction", got, map[string]int(want))
+		if err := dt.Err(); err != nil {
+			t.Fatalf("Err: %v", err)
+		}
+		if dt.NumSegments() >= batches {
+			t.Fatalf("NumSegments = %d after compaction, want < %d", dt.NumSegments(), batches)
+		}
+		sameMultiset(t, "post-compaction", scanMultiset(dt, accesses), want)
+		dt.Close()
 	}
 }
 

@@ -254,15 +254,8 @@ func (b *Builder) materializeTape(tapes []*jsontape.Doc, dict *keypath.Dict,
 				}
 			}
 		}
-		if info.StorageType == keypath.TypeString && b.Config.DictThreshold > 0 {
-			nonNull := col.Len() - col.NullCount()
-			ndvCap := int(math.Ceil(b.Config.DictThreshold * float64(nonNull)))
-			if ndvCap < 1 {
-				ndvCap = 1
-			}
-			if sketch.Estimate() <= float64(ndvCap) && col.DictEncode(ndvCap) {
-				obs.DictColumnsBuilt.Inc()
-			}
+		if info.StorageType == keypath.TypeString {
+			maybeDictEncode(col, sketch)
 		}
 		idx := len(t.columns)
 		info.Col = col

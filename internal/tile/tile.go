@@ -45,12 +45,24 @@ type Config struct {
 	// DetectDates enables timestamp extraction for date-like string
 	// columns (§4.9). The fig14 "no Date" ablation turns it off.
 	DetectDates bool
-	// DictThreshold enables dictionary encoding for extracted text
-	// columns whose HLL-estimated NDV/rows ratio is at or below the
-	// threshold (the sorted dictionary turns string predicates and
-	// group-bys into integer-code work). Zero or negative disables
-	// dictionary encoding, so zero-value Configs keep the arena layout.
-	DictThreshold float64
+}
+
+// dictThreshold is the NDV/rows ratio at or below which an extracted
+// text column takes the dictionary layout (the sorted dictionary turns
+// string predicates and group-bys into integer-code work); columns
+// above it keep the arena layout.
+const dictThreshold = 0.5
+
+// maybeDictEncode switches a low-cardinality text column to the
+// dictionary layout: the per-path HLL sketch (§4.6) estimates NDV for
+// free, and DictEncode re-checks the exact count so an HLL undershoot
+// falls back losslessly to the arena.
+func maybeDictEncode(col *column.Column, sketch *hll.Sketch) {
+	nonNull := col.Len() - col.NullCount()
+	ndvCap := max(int(math.Ceil(dictThreshold*float64(nonNull))), 1)
+	if sketch.Estimate() <= float64(ndvCap) && col.DictEncode(ndvCap) {
+		obs.DictColumnsBuilt.Inc()
+	}
 }
 
 // DefaultConfig returns the paper's recommended settings.
@@ -60,7 +72,6 @@ func DefaultConfig() Config {
 		PartitionSize: 8,
 		Threshold:     0.6,
 		DetectDates:   true,
-		DictThreshold: 0.5,
 	}
 }
 
@@ -410,19 +421,8 @@ func (b *Builder) materialize(docs []jsonvalue.Value, dict *keypath.Dict, maxima
 				}
 			}
 		}
-		// Low-cardinality text columns switch to the dictionary layout:
-		// the per-path HLL sketch (§4.6) estimates NDV for free, and
-		// DictEncode re-checks the exact count so an HLL undershoot
-		// falls back losslessly to the arena.
-		if info.StorageType == keypath.TypeString && b.Config.DictThreshold > 0 {
-			nonNull := col.Len() - col.NullCount()
-			ndvCap := int(math.Ceil(b.Config.DictThreshold * float64(nonNull)))
-			if ndvCap < 1 {
-				ndvCap = 1
-			}
-			if sketch.Estimate() <= float64(ndvCap) && col.DictEncode(ndvCap) {
-				obs.DictColumnsBuilt.Inc()
-			}
+		if info.StorageType == keypath.TypeString {
+			maybeDictEncode(col, sketch)
 		}
 		idx := len(t.columns)
 		info.Col = col

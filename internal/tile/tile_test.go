@@ -328,7 +328,7 @@ func TestUpdateOutlierTriggersRecompute(t *testing.T) {
 }
 
 func TestMinSupport(t *testing.T) {
-	cfg := Config{Threshold: 0.6}
+	cfg := DefaultConfig() // Threshold 0.6
 	tests := []struct{ n, want int }{
 		{4, 3}, {1024, 615}, {0, 1}, {1, 1},
 	}

@@ -62,11 +62,6 @@ type Options struct {
 	DetectDates bool
 	// Workers bounds loading and query parallelism (0 = all CPUs).
 	Workers int
-	// MorselRows is the target number of rows per scan morsel — the
-	// unit of work parallel scans pull from the shared queue (0 = the
-	// 32K default). Smaller morsels balance skew better; larger ones
-	// amortize per-morsel setup. Small tables shrink it automatically.
-	MorselRows int
 	// CacheBytes bounds the buffer pool of tables opened from segment
 	// files (OpenSegment) or table directories (OpenDir): decompressed
 	// block bytes kept resident across queries. 0 means the 64 MiB
@@ -106,11 +101,6 @@ type Options struct {
 	// it. The caller keeps ownership — Close leaves the store open.
 	// See DESIGN.md §6.9 for the storage contract.
 	Store BlockStore
-	// StoreReadGap tunes block-read coalescing on store-backed scans:
-	// adjacent surviving blocks whose dead gap is at most this many
-	// bytes merge into one ranged read. 0 selects the 32 KiB default;
-	// a negative value disables coalescing (one request per block).
-	StoreReadGap int64
 }
 
 // withDefaults substitutes DefaultOptions for the tile-layout fields
@@ -123,7 +113,6 @@ func (o Options) withDefaults() Options {
 	}
 	def := DefaultOptions()
 	def.Workers = o.Workers
-	def.MorselRows = o.MorselRows
 	def.CacheBytes = o.CacheBytes
 	def.CompactFanIn = o.CompactFanIn
 	def.OnQueryDone = o.OnQueryDone
@@ -131,7 +120,6 @@ func (o Options) withDefaults() Options {
 	def.SlowQueryLog = o.SlowQueryLog
 	def.DebugAddr = o.DebugAddr
 	def.Store = o.Store
-	def.StoreReadGap = o.StoreReadGap
 	return def
 }
 
@@ -161,8 +149,6 @@ func (o Options) loaderConfig() storage.LoaderConfig {
 	cfg.Tile.DetectDates = o.DetectDates
 	cfg.Reorder = o.Reorder
 	cfg.SkipTiles = o.SkipTiles
-	cfg.MorselRows = o.MorselRows
-	cfg.StoreGapBytes = o.StoreReadGap
 	return cfg
 }
 
@@ -248,8 +234,16 @@ func New(name string, opts Options) *Table {
 // (§3.2: "A new tile is created whenever the number of newly-inserted
 // tuples reaches the tile size"). The document is validated now but
 // parsed into columns only at materialization time, by the structural
-// tape path (DESIGN.md §6.8).
+// tape path (DESIGN.md §6.8). A table opened with OpenSegment is a
+// read-only view of one immutable segment and rejects inserts; tables
+// that grow live in a directory (OpenDir), which takes inserts and
+// whole in-memory tables (AppendTable).
 func (t *Table) Insert(doc []byte) error {
+	switch t.rel.(type) {
+	case *storage.DirTable, storage.TileIntrospector:
+	default:
+		return fmt.Errorf("jsontiles: table %q was opened with OpenSegment and is read-only; append through a directory table instead (OpenDir, then Insert or AppendTable)", t.name)
+	}
 	if err := storage.ValidateDoc(doc); err != nil {
 		return err
 	}
@@ -264,7 +258,8 @@ func (t *Table) Insert(doc []byte) error {
 // table the new tiles are concatenated onto the relation; on a
 // directory-backed table (OpenDir) they are persisted as one new
 // segment and committed to the manifest — work proportional to the
-// pending documents, independent of table size.
+// pending documents, independent of table size. A segment-opened
+// table never has pending documents: Insert rejects them.
 func (t *Table) Flush() error {
 	if len(t.pending) == 0 {
 		return nil

@@ -172,6 +172,43 @@ func TestSegmentWriteFlushesPending(t *testing.T) {
 	}
 }
 
+// A table opened with OpenSegment is a read-only view of one immutable
+// file: Insert fails naming the directory-table way to append, and the
+// table keeps answering from its segment, vectorized and with tile
+// skipping, exactly as before the attempt.
+func TestOpenSegmentIsReadOnly(t *testing.T) {
+	o := opts()
+	mem, err := Load("reviews", reviewDocs(3000), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := writeReopen(t, mem, o)
+	err = seg.Insert(reviewDocs(1)[0])
+	if err == nil || !strings.Contains(err.Error(), "OpenDir") || !strings.Contains(err.Error(), "AppendTable") {
+		t.Fatalf("Insert on a segment-opened table = %v, want a read-only error naming OpenDir and AppendTable", err)
+	}
+	if err := seg.Flush(); err != nil {
+		t.Fatalf("Flush with nothing pending = %v", err)
+	}
+	if seg.NumRows() != 3000 {
+		t.Fatalf("rows = %d, want 3000", seg.NumRows())
+	}
+	res, qs, err := seg.Query("data->>'stars'::BigInt").WhereNotNull(0).RunAnalyzed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mem.Query("data->>'stars'::BigInt").WhereNotNull(0).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumRows() != want.NumRows() {
+		t.Fatalf("rows = %d, want %d", res.NumRows(), want.NumRows())
+	}
+	if plan := qs.Plan.String(); !strings.Contains(plan, "[vectorized]") || !strings.Contains(plan, "skipped") {
+		t.Fatalf("plan lost the segment scan:\n%s", plan)
+	}
+}
+
 func TestSegmentCorruptBlockDegradesToScanErr(t *testing.T) {
 	o := opts()
 	mem, err := Load("reviews", reviewDocs(256), o)
