@@ -14,7 +14,10 @@
 // itemsets are produced first, exactly as the paper prescribes).
 package fpgrowth
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Itemset is a set of item ids frequent in the mined database.
 type Itemset struct {
@@ -31,6 +34,20 @@ type Miner struct {
 	// Budget is the paper's u — an upper bound on the number of
 	// itemsets the miner may generate. Zero selects DefaultBudget.
 	Budget int
+	// Work accumulates what every Mine and MineMaximal call on this
+	// Miner did.
+	Work Work
+}
+
+// Work counts mining effort in units that do not depend on the host,
+// so a change in algorithmic cost shows without timing noise.
+type Work struct {
+	// FPNodes counts FP-tree node updates: one per item of every path
+	// inserted into an FP-tree, conditional trees included.
+	FPNodes int64
+	// SubsetTests counts itemset-against-itemset containment or
+	// overlap tests.
+	SubsetTests int64
 }
 
 // DefaultBudget bounds itemset generation when the caller does not
@@ -69,6 +86,62 @@ type fpTree struct {
 	root    *fpNode
 	headers []headerEntry // ascending total count (mining order)
 	index   map[int32]int // item -> headers position
+	work    *Work
+}
+
+// Distinct collapses transactions that hold the same set of items. It
+// returns the distinct sets in order of first occurrence, each sorted
+// ascending without duplicates; weights[k], the number of transactions
+// holding sets[k]; and of[i], the index of transaction i's set. A
+// transaction that is already sorted and duplicate-free is returned as
+// is, not copied.
+func Distinct(transactions [][]int32) (sets [][]int32, weights []int, of []int32) {
+	of = make([]int32, len(transactions))
+	byHash := map[uint64][]int32{} // hash → the sets with that hash
+	for i, tx := range transactions {
+		if !isSet(tx) {
+			tx = slices.Clone(tx)
+			slices.Sort(tx)
+			tx = slices.Compact(tx)
+		}
+		h := hashItems(tx)
+		k := int32(-1)
+		for _, j := range byHash[h] {
+			if slices.Equal(sets[j], tx) {
+				k = j
+				break
+			}
+		}
+		if k < 0 {
+			k = int32(len(sets))
+			byHash[h] = append(byHash[h], k)
+			sets = append(sets, tx)
+			weights = append(weights, 0)
+		}
+		weights[k]++
+		of[i] = k
+	}
+	return sets, weights, of
+}
+
+// isSet reports whether items is strictly ascending.
+func isSet(items []int32) bool {
+	for i := 1; i < len(items); i++ {
+		if items[i] <= items[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// hashItems is FNV-1a over the item ids; Distinct checks every hash
+// match for equality, so collisions cost time, never correctness.
+func hashItems(items []int32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, it := range items {
+		h = (h ^ uint64(uint32(it))) * 1099511628211
+	}
+	return h
 }
 
 // Mine returns all frequent itemsets of the transaction database,
@@ -85,15 +158,27 @@ func (m *Miner) Mine(transactions [][]int32) []Itemset {
 		budget = DefaultBudget
 	}
 
-	// Pass 1: global item frequencies.
+	tree, nFrequent := m.buildTree(transactions)
+	if nFrequent == 0 {
+		return nil
+	}
+	// Depth bound from Eq. 1.
+	st := &mineState{minSupport: m.MinSupport, budget: budget, maxK: maxItemsetSize(nFrequent, budget)}
+	st.mine(tree, nil)
+
+	sort.Slice(st.out, func(i, j int) bool { return lessItemset(st.out[i], st.out[j]) })
+	return st.out
+}
+
+// buildTree builds the FP-tree of the transactions' frequent items and
+// returns it with the number of frequent items.
+func (m *Miner) buildTree(transactions [][]int32) (*fpTree, int) {
+	// Pass 1: global item frequencies, once per distinct transaction.
+	sets, weights, _ := Distinct(transactions)
 	freq := map[int32]int{}
-	for _, tx := range transactions {
-		seen := map[int32]bool{}
-		for _, it := range tx {
-			if !seen[it] {
-				seen[it] = true
-				freq[it]++
-			}
+	for k, set := range sets {
+		for _, it := range set {
+			freq[it] += weights[k]
 		}
 	}
 	var frequentItems []int32
@@ -103,14 +188,12 @@ func (m *Miner) Mine(transactions [][]int32) []Itemset {
 		}
 	}
 	if len(frequentItems) == 0 {
-		return nil
+		return nil, 0
 	}
-	// Depth bound from Eq. 1.
-	maxK := maxItemsetSize(len(frequentItems), budget)
 
 	// Insertion order: descending frequency, ties by ascending item id
 	// (deterministic trees regardless of map iteration order).
-	rank := make(map[int32]int, len(frequentItems))
+	rank := make(map[int32]int32, len(frequentItems))
 	sort.Slice(frequentItems, func(i, j int) bool {
 		fi, fj := freq[frequentItems[i]], freq[frequentItems[j]]
 		if fi != fj {
@@ -119,36 +202,42 @@ func (m *Miner) Mine(transactions [][]int32) []Itemset {
 		return frequentItems[i] < frequentItems[j]
 	})
 	for pos, it := range frequentItems {
-		rank[it] = pos
+		rank[it] = int32(pos)
 	}
 
-	// Pass 2: build the FP-tree.
-	tree := newTree()
-	scratch := make([]int32, 0, 16)
-	for _, tx := range transactions {
-		scratch = scratch[:0]
-		for _, it := range tx {
-			if _, ok := rank[it]; ok {
-				scratch = append(scratch, it)
+	// Pass 2: build the FP-tree, each distinct path once with its
+	// weight. Repeats of a path create no nodes, so inserting in order
+	// of first occurrence builds the tree — child order and header
+	// chains included — that inserting every transaction singly builds.
+	tree := newTree(&m.Work)
+	path := make([]int32, 0, 16)
+	for k, set := range sets {
+		path = path[:0]
+		for _, it := range set {
+			if r, ok := rank[it]; ok {
+				path = append(path, r)
 			}
 		}
-		if len(scratch) == 0 {
+		if len(path) == 0 {
 			continue
 		}
-		sort.Slice(scratch, func(i, j int) bool { return rank[scratch[i]] < rank[scratch[j]] })
-		scratch = dedupSorted(scratch)
-		tree.insert(scratch, 1)
+		slices.Sort(path)
+		for i, r := range path {
+			path[i] = frequentItems[r]
+		}
+		tree.insert(path, weights[k])
 	}
-
-	st := &mineState{minSupport: m.MinSupport, budget: budget, maxK: maxK}
-	st.mine(tree, nil)
-
-	sort.Slice(st.out, func(i, j int) bool { return lessItemset(st.out[i], st.out[j]) })
-	return st.out
+	return tree, len(frequentItems)
 }
 
-func newTree() *fpTree {
-	return &fpTree{root: &fpNode{item: -1}, index: map[int32]int{}}
+// MineMaximal is Maximal(m.Mine(transactions)), with Maximal's subset
+// tests counted in m.Work.
+func (m *Miner) MineMaximal(transactions [][]int32) []Itemset {
+	return maximal(m.Mine(transactions), &m.Work)
+}
+
+func newTree(work *Work) *fpTree {
+	return &fpTree{root: &fpNode{item: -1}, index: map[int32]int{}, work: work}
 }
 
 // insert adds one (pattern-ordered, deduplicated) transaction path,
@@ -172,6 +261,7 @@ func (t *fpTree) insert(items []int32, count int) {
 		next.count += count
 		cur = next
 	}
+	t.work.FPNodes += int64(len(items))
 	for _, it := range items {
 		t.headers[t.index[it]].count += count
 	}
@@ -207,8 +297,8 @@ func (s *mineState) emit(items []int32, count int) bool {
 		return false
 	}
 	s.generated++
-	sorted := append([]int32(nil), items...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(items)
+	slices.Sort(sorted)
 	s.out = append(s.out, Itemset{Items: sorted, Count: count})
 	return true
 }
@@ -246,7 +336,7 @@ func (s *mineState) mine(t *fpTree, suffix []int32) {
 		}
 		// Conditional pattern base: prefix paths of every node
 		// carrying h.item.
-		cond := newTree()
+		cond := newTree(t.work)
 		var prefix []int32
 		for node := h.head; node != nil; node = node.nextLink {
 			prefix = prefix[:0]
@@ -257,9 +347,7 @@ func (s *mineState) mine(t *fpTree, suffix []int32) {
 				continue
 			}
 			// prefix is leaf→root; reverse to root→leaf insertion order.
-			for i, j := 0, len(prefix)-1; i < j; i, j = i+1, j-1 {
-				prefix[i], prefix[j] = prefix[j], prefix[i]
-			}
+			slices.Reverse(prefix)
 			cond.insert(prefix, node.count)
 		}
 		if len(cond.headers) > 0 {
@@ -280,10 +368,7 @@ func (s *mineState) minePath(path []*fpNode, suffix []int32) {
 			nodes = append(nodes, n)
 		}
 	}
-	maxChoose := s.maxK - len(suffix)
-	if maxChoose > len(nodes) {
-		maxChoose = len(nodes)
-	}
+	maxChoose := min(s.maxK-len(suffix), len(nodes))
 	idx := make([]int, 0, maxChoose)
 	var rec func(start int)
 	rec = func(start int) {
@@ -334,7 +419,7 @@ func (t *fpTree) prune(minSupport int) {
 	}
 	// Rebuild the tree with only kept items.
 	old := *t
-	*t = *newTree()
+	*t = *newTree(old.work)
 	var walk func(n *fpNode, path []int32)
 	walk = func(n *fpNode, path []int32) {
 		if n.item >= 0 && keep[n.item] {
@@ -379,19 +464,30 @@ func maxItemsetSize(n, u int) int {
 // frequent set — the tile extractor materializes the union of maximal
 // itemsets (§3.1 step 3).
 func Maximal(sets []Itemset) []Itemset {
+	return maximal(sets, &Work{})
+}
+
+// maximal visits sets largest first and tests each only against the
+// maximal sets already found that are strictly larger. That suffices:
+// a set inside a non-maximal superset is also inside the maximal set
+// containing that superset, which is larger still and visited earlier.
+func maximal(sets []Itemset, work *Work) []Itemset {
+	bySize := slices.Clone(sets)
+	slices.SortStableFunc(bySize, func(a, b Itemset) int { return len(b.Items) - len(a.Items) })
 	var out []Itemset
-	for i, a := range sets {
-		maximal := true
-		for j, b := range sets {
-			if i == j || len(a.Items) >= len(b.Items) {
-				continue
+	for _, a := range bySize {
+		isMax := true
+		for _, b := range out {
+			if len(b.Items) <= len(a.Items) {
+				break
 			}
+			work.SubsetTests++
 			if isSubset(a.Items, b.Items) {
-				maximal = false
+				isMax = false
 				break
 			}
 		}
-		if maximal {
+		if isMax {
 			out = append(out, a)
 		}
 	}
@@ -404,7 +500,7 @@ func Maximal(sets []Itemset) []Itemset {
 		if out[i].Count != out[j].Count {
 			return out[i].Count > out[j].Count
 		}
-		return lessItems(out[i].Items, out[j].Items)
+		return slices.Compare(out[i].Items, out[j].Items) < 0
 	})
 	return out
 }
@@ -457,35 +553,9 @@ func Overlap(items, tx []int32) int {
 	return n
 }
 
-func dedupSorted(s []int32) []int32 {
-	if len(s) < 2 {
-		return s
-	}
-	w := 1
-	for i := 1; i < len(s); i++ {
-		if s[i] != s[w-1] {
-			s[w] = s[i]
-			w++
-		}
-	}
-	return s[:w]
-}
-
 func lessItemset(a, b Itemset) bool {
 	if len(a.Items) != len(b.Items) {
 		return len(a.Items) < len(b.Items)
 	}
-	return lessItems(a.Items, b.Items)
-}
-
-func lessItems(a, b []int32) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
+	return slices.Compare(a.Items, b.Items) < 0
 }

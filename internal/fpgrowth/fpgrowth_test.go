@@ -3,6 +3,7 @@ package fpgrowth
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -30,7 +31,7 @@ func bruteForce(transactions [][]int32, minSupport, maxK int) []Itemset {
 		for _, tx := range transactions {
 			sorted := append([]int32(nil), tx...)
 			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			if isSubset(set, dedupSorted(sorted)) {
+			if isSubset(set, slices.Compact(sorted)) {
 				n++
 			}
 		}
@@ -291,7 +292,7 @@ func TestQuickCountsAreExact(t *testing.T) {
 			for _, txi := range tx {
 				sorted := append([]int32(nil), txi...)
 				sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-				if isSubset(s.Items, dedupSorted(sorted)) {
+				if isSubset(s.Items, slices.Compact(sorted)) {
 					actual++
 				}
 			}

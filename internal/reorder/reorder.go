@@ -25,6 +25,7 @@ package reorder
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -51,6 +52,18 @@ type Result struct {
 // the call they are permuted so that tiles (consecutive TileSize
 // runs) cluster tuples of equal frequent structure.
 func Partition(docs []jsonvalue.Value, cfg tile.Config, m *tile.Metrics) Result {
+	return partition(docs, cfg, m, tile.CollectTransactions)
+}
+
+// PartitionTapes is Partition over parsed tape documents. Transactions
+// come straight from the tapes, so the permutation matches Partition
+// over the materialized trees.
+func PartitionTapes(tapes []*jsontape.Doc, cfg tile.Config, m *tile.Metrics) Result {
+	return partition(tapes, cfg, m, tile.CollectTapeTransactions)
+}
+
+func partition[D any](docs []D, cfg tile.Config, m *tile.Metrics,
+	collect func([]D, int, *keypath.Dict) [][]int32) Result {
 	start := time.Now()
 	defer func() {
 		if m != nil {
@@ -60,125 +73,74 @@ func Partition(docs []jsonvalue.Value, cfg tile.Config, m *tile.Metrics) Result 
 	if len(docs) == 0 || cfg.PartitionSize <= 1 {
 		return Result{}
 	}
-	tileSize := effectiveTileSize(cfg)
+	tileSize := cfg.TileSize
+	if tileSize <= 0 {
+		tileSize = tile.DefaultConfig().TileSize
+	}
 	if len(docs) <= tileSize {
 		return Result{} // a single tile: nothing to redistribute
 	}
 
-	dict := keypath.NewDict()
-	txs := tile.CollectTransactions(docs, cfg.MaxArraySlots, dict)
-	order, res := computeOrder(txs, cfg, tileSize)
+	order, res, work := computeOrder(collect(docs, cfg.MaxArraySlots, keypath.NewDict()), cfg, tileSize)
+	m.AddWork(work)
 	if order == nil {
 		return res
 	}
-
-	// Apply the permutation.
-	newDocs := make([]jsonvalue.Value, len(docs))
+	permuted := make([]D, len(docs))
 	for newPos, oldPos := range order {
-		newDocs[newPos] = docs[oldPos]
+		permuted[newPos] = docs[oldPos]
 		if newPos != oldPos {
 			res.Moved++
 		}
 	}
-	copy(docs, newDocs)
+	copy(docs, permuted)
 	return res
-}
-
-// PartitionTapes is the tape-ingest analogue of Partition: it reorders
-// parsed tape documents in place using transactions collected straight
-// from the tapes, with the identical clustering algorithm — the
-// resulting permutation matches Partition over the materialized trees.
-func PartitionTapes(tapes []*jsontape.Doc, cfg tile.Config, m *tile.Metrics) Result {
-	start := time.Now()
-	defer func() {
-		if m != nil {
-			m.ReorderNanos.Add(time.Since(start).Nanoseconds())
-		}
-	}()
-	if len(tapes) == 0 || cfg.PartitionSize <= 1 {
-		return Result{}
-	}
-	tileSize := effectiveTileSize(cfg)
-	if len(tapes) <= tileSize {
-		return Result{} // a single tile: nothing to redistribute
-	}
-
-	dict := keypath.NewDict()
-	txs := tile.CollectTapeTransactions(tapes, cfg.MaxArraySlots, dict)
-	order, res := computeOrder(txs, cfg, tileSize)
-	if order == nil {
-		return res
-	}
-
-	newTapes := make([]*jsontape.Doc, len(tapes))
-	for newPos, oldPos := range order {
-		newTapes[newPos] = tapes[oldPos]
-		if newPos != oldPos {
-			res.Moved++
-		}
-	}
-	copy(tapes, newTapes)
-	return res
-}
-
-func effectiveTileSize(cfg tile.Config) int {
-	if cfg.TileSize > 0 {
-		return cfg.TileSize
-	}
-	return tile.DefaultConfig().TileSize
 }
 
 // computeOrder runs steps 1-4 over the collected transactions and
-// returns the tuple permutation (nil when nothing survives filtering)
-// plus the partial Result (Moved is filled in by the caller).
-func computeOrder(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result) {
+// returns the tuple permutation (nil when nothing survives filtering),
+// the partial Result (Moved is filled in by the caller) and the work
+// it did.
+func computeOrder(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result, fpgrowth.Work) {
 	// Step 1: per-tile mining with the reduced threshold.
 	reduced := cfg.Threshold / float64(cfg.PartitionSize)
-	var candidates []fpgrowth.Itemset
+	miner := fpgrowth.Miner{Budget: cfg.Budget}
+	var candidates [][]int32
 	for lo := 0; lo < len(txs); lo += tileSize {
-		hi := lo + tileSize
-		if hi > len(txs) {
-			hi = len(txs)
+		hi := min(lo+tileSize, len(txs))
+		miner.MinSupport = max(int(math.Ceil(reduced*float64(hi-lo))), 1)
+		for _, s := range miner.MineMaximal(txs[lo:hi]) {
+			candidates = append(candidates, s.Items)
 		}
-		support := int(math.Ceil(reduced * float64(hi-lo)))
-		if support < 1 {
-			support = 1
-		}
-		miner := fpgrowth.Miner{MinSupport: support, Budget: cfg.Budget}
-		sets := miner.Mine(txs[lo:hi])
-		candidates = append(candidates, fpgrowth.Maximal(sets)...)
 	}
+
+	// Steps 2 and 3 are functions of a transaction's item set, so they
+	// run once per distinct set, weighted by the tuples that hold it.
+	sets, weights, setOf := fpgrowth.Distinct(txs)
 
 	// Step 2: exchange and filter. Deduplicate the candidates, then
 	// count each one's exact partition-wide frequency; survivors need
 	// threshold × tileSize matches.
-	seen := map[string]bool{}
-	var unique []fpgrowth.Itemset
-	for _, s := range candidates {
-		k := itemsKey(s.Items)
-		if !seen[k] {
-			seen[k] = true
-			unique = append(unique, s)
-		}
-	}
+	unique, _, _ := fpgrowth.Distinct(candidates)
 	need := int(math.Ceil(cfg.Threshold * float64(tileSize)))
 	var survivors []fpgrowth.Itemset
-	for _, s := range unique {
+	for _, items := range unique {
 		count := 0
-		for _, tx := range txs {
-			if containsAll(tx, s.Items) {
-				count++
+		for k, tx := range sets {
+			if fpgrowth.Overlap(items, tx) == len(items) {
+				count += weights[k]
 			}
 		}
+		miner.Work.SubsetTests += int64(len(sets))
 		if count >= need {
-			s.Count = count
-			survivors = append(survivors, s)
+			survivors = append(survivors, fpgrowth.Itemset{Items: items, Count: count})
 		}
 	}
 	if len(survivors) == 0 {
-		return nil, Result{}
+		return nil, Result{}, miner.Work
 	}
-	// Deterministic survivor order: size desc, count desc, items asc.
+	// Deterministic survivor order: size desc, count desc, encoded
+	// items asc.
 	sort.Slice(survivors, func(i, j int) bool {
 		a, b := survivors[i], survivors[j]
 		if len(a.Items) != len(b.Items) {
@@ -187,39 +149,30 @@ func computeOrder(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result) 
 		if a.Count != b.Count {
 			return a.Count > b.Count
 		}
-		return itemsKey(a.Items) < itemsKey(b.Items)
+		return lessEncoded(a.Items, b.Items)
 	})
 
-	// Step 3: match each tuple to its best itemset.
-	matchOf := make([]int, len(txs)) // survivor index, -1 = unmatched
-	matched := 0
-	for i, tx := range txs {
-		matchOf[i] = -1
+	// Step 3: match each distinct set to its best itemset (most items
+	// in common, then largest, then minimal item-id sum); every tuple
+	// takes its set's match.
+	sums := make([]int64, len(survivors))
+	for si, s := range survivors {
+		sums[si] = itemSum(s.Items)
+	}
+	setMatch := make([]int, len(sets)) // survivor index, -1 = unmatched
+	for k, tx := range sets {
+		setMatch[k] = -1
 		bestOverlap, bestSize := 0, 0
 		bestSum := int64(math.MaxInt64)
 		for si, s := range survivors {
 			ov := fpgrowth.Overlap(s.Items, tx)
-			if ov == 0 {
-				continue
-			}
-			sum := itemSum(s.Items)
-			better := false
-			switch {
-			case ov > bestOverlap:
-				better = true
-			case ov == bestOverlap && len(s.Items) > bestSize:
-				better = true
-			case ov == bestOverlap && len(s.Items) == bestSize && sum < bestSum:
-				better = true
-			}
-			if better {
-				bestOverlap, bestSize, bestSum = ov, len(s.Items), sum
-				matchOf[i] = si
+			if ov > bestOverlap || ov > 0 && ov == bestOverlap &&
+				(len(s.Items) > bestSize || len(s.Items) == bestSize && sums[si] < bestSum) {
+				bestOverlap, bestSize, bestSum = ov, len(s.Items), sums[si]
+				setMatch[k] = si
 			}
 		}
-		if matchOf[i] >= 0 {
-			matched++
-		}
+		miner.Work.SubsetTests += int64(len(survivors))
 	}
 
 	// Step 4+5: group tuples by matched itemset and map groups to
@@ -233,37 +186,29 @@ func computeOrder(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result) 
 	// kept (stable clustering preserves existing locality).
 	groups := make([][]int, len(survivors))
 	var unmatched []int
-	for i, si := range matchOf {
-		if si < 0 {
+	for i, k := range setOf {
+		if si := setMatch[k]; si < 0 {
 			unmatched = append(unmatched, i)
 		} else {
 			groups[si] = append(groups[si], i)
 		}
 	}
-	groupIdx := make([]int, 0, len(groups))
-	for gi := range groups {
-		if len(groups[gi]) > 0 {
-			groupIdx = append(groupIdx, gi)
-		}
-	}
+	matched := len(txs) - len(unmatched)
 	// Largest groups first; unmatched tuples act as the very smallest
 	// "group" and are consumed as filler from the end of the list.
-	sort.SliceStable(groupIdx, func(a, b int) bool {
-		return len(groups[groupIdx[a]]) > len(groups[groupIdx[b]])
-	})
-	pools := make([][]int, 0, len(groupIdx)+1)
-	for _, gi := range groupIdx {
-		pools = append(pools, groups[gi])
+	var pools [][]int
+	for _, g := range groups {
+		if len(g) > 0 {
+			pools = append(pools, g)
+		}
 	}
+	sort.SliceStable(pools, func(a, b int) bool { return len(pools[a]) > len(pools[b]) })
 	pools = append(pools, unmatched)
 
 	order := make([]int, 0, len(txs))
 	head, tail := 0, len(pools)-1
 	for len(order) < len(txs) {
-		space := tileSize
-		if remaining := len(txs) - len(order); remaining < space {
-			space = remaining
-		}
+		space := min(tileSize, len(txs)-len(order))
 		// Anchor: the largest remaining group.
 		for head <= tail && len(pools[head]) == 0 {
 			head++
@@ -271,10 +216,7 @@ func computeOrder(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result) 
 		if head > tail {
 			break
 		}
-		take := space
-		if take > len(pools[head]) {
-			take = len(pools[head])
-		}
+		take := min(space, len(pools[head]))
 		order = append(order, pools[head][:take]...)
 		pools[head] = pools[head][take:]
 		space -= take
@@ -286,11 +228,8 @@ func computeOrder(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result) 
 			if tail < head {
 				break
 			}
-			t := space
 			pool := pools[tail]
-			if t > len(pool) {
-				t = len(pool)
-			}
+			t := min(space, len(pool))
 			// Take from the pool's end: its head stays contiguous for
 			// its own anchor tile later.
 			order = append(order, pool[len(pool)-t:]...)
@@ -299,15 +238,20 @@ func computeOrder(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result) 
 		}
 	}
 
-	return order, Result{SurvivingItemsets: len(survivors), Matched: matched}
+	return order, Result{SurvivingItemsets: len(survivors), Matched: matched}, miner.Work
 }
 
-func itemsKey(items []int32) string {
-	b := make([]byte, 0, len(items)*4)
-	for _, it := range items {
-		b = append(b, byte(it), byte(it>>8), byte(it>>16), byte(it>>24))
+// lessEncoded orders equal-length item lists as their little-endian
+// byte encodings compare. It is the survivors' last tie-break, and so
+// part of the permutation — and of the segment bytes — a partition
+// gets.
+func lessEncoded(a, b []int32) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return bits.ReverseBytes32(uint32(a[i])) < bits.ReverseBytes32(uint32(b[i]))
+		}
 	}
-	return string(b)
+	return false
 }
 
 func itemSum(items []int32) int64 {
@@ -316,20 +260,4 @@ func itemSum(items []int32) int64 {
 		total += int64(it)
 	}
 	return total
-}
-
-// containsAll reports whether the sorted transaction contains every
-// item of the sorted itemset.
-func containsAll(tx, items []int32) bool {
-	i := 0
-	for _, x := range items {
-		for i < len(tx) && tx[i] < x {
-			i++
-		}
-		if i >= len(tx) || tx[i] != x {
-			return false
-		}
-		i++
-	}
-	return true
 }

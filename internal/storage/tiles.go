@@ -59,11 +59,11 @@ func BuildTiles(name string, docs []jsonvalue.Value, cfg LoaderConfig, workers i
 }
 
 // partBuilder is what one partition's body of buildPartitions works
-// with: its own tile builder plus the settings every body applies.
+// with: the settings every body applies.
 type partBuilder struct {
-	*tile.Builder
 	tcfg    tile.Config
 	reorder bool // cfg.Reorder && PartitionSize > 1
+	workers int
 	metrics *tile.Metrics
 }
 
@@ -90,8 +90,8 @@ func buildPartitions(name string, n int, cfg LoaderConfig, workers int, metrics 
 	}
 	partTiles := make([][]*tile.Tile, (n+partDocs-1)/partDocs)
 	morselRangeSized(len(partTiles), workers, 1, func(w, p, _ int) {
-		pb := &partBuilder{Builder: tile.NewBuilder(tcfg, metrics), tcfg: tcfg,
-			reorder: cfg.Reorder && tcfg.PartitionSize > 1, metrics: metrics}
+		pb := &partBuilder{tcfg: tcfg, reorder: cfg.Reorder && tcfg.PartitionSize > 1,
+			workers: workers, metrics: metrics}
 		lo := p * partDocs
 		partTiles[p] = body(pb, lo, min(lo+partDocs, n))
 	})
@@ -111,7 +111,7 @@ func (pb *partBuilder) trees(docs []jsonvalue.Value) []*tile.Tile {
 	if pb.reorder {
 		reorder.Partition(docs, pb.tcfg, pb.metrics)
 	}
-	return cutTiles(docs, pb.tcfg.TileSize, pb.Build)
+	return cutTiles(pb, docs, (*tile.Builder).Build)
 }
 
 // tapes is trees for a partition of parsed tapes.
@@ -119,15 +119,21 @@ func (pb *partBuilder) tapes(docs []*jsontape.Doc) []*tile.Tile {
 	if pb.reorder {
 		reorder.PartitionTapes(docs, pb.tcfg, pb.metrics)
 	}
-	return cutTiles(docs, pb.tcfg.TileSize, pb.BuildTape)
+	return cutTiles(pb, docs, (*tile.Builder).BuildTape)
 }
 
-// cutTiles builds a partition's documents into tiles of size rows.
-func cutTiles[D any](docs []D, size int, build func([]D) *tile.Tile) []*tile.Tile {
-	var tiles []*tile.Tile
-	for lo := 0; lo < len(docs); lo += size {
-		tiles = append(tiles, build(docs[lo:min(lo+size, len(docs))]))
-	}
+// cutTiles builds a partition's documents into tiles of TileSize rows.
+// Once reordered, the tiles of a partition are independent, so each is
+// one morsel with its own builder: a flush of one partition still uses
+// every worker. Helpers come from the shared pool, and one that has not
+// started by the time the inline drain empties the queue does nothing,
+// so a flush beside busy queries runs serially instead of competing.
+func cutTiles[D any](pb *partBuilder, docs []D, build func(*tile.Builder, []D) *tile.Tile) []*tile.Tile {
+	size := pb.tcfg.TileSize
+	tiles := make([]*tile.Tile, (len(docs)+size-1)/size)
+	morselRangeSized(len(tiles), pb.workers, 1, func(_, i, _ int) {
+		tiles[i] = build(tile.NewBuilder(pb.tcfg, pb.metrics), docs[i*size:min((i+1)*size, len(docs))])
+	})
 	return tiles
 }
 

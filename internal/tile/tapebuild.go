@@ -2,6 +2,7 @@ package tile
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/bloom"
@@ -29,13 +30,19 @@ import (
 // one sorted item-id list per document over a shared dictionary. The
 // partition reorderer uses it to cluster tapes before tile building.
 func CollectTapeTransactions(tapes []*jsontape.Doc, maxSlots int, dict *keypath.Dict) [][]int32 {
-	txs := make([][]int32, len(tapes))
+	var flat []int32
+	end := make([]int, len(tapes))
 	for i, d := range tapes {
-		var tx []int32
 		keypath.CollectTape(d, maxSlots, func(pathEnc []byte, t keypath.ValueType, n jsontape.Node) {
-			tx = append(tx, dict.AddBytes(pathEnc, t))
+			flat = append(flat, dict.AddBytes(pathEnc, t))
 		})
-		txs[i] = sortDedup(tx)
+		end[i] = len(flat)
+	}
+	txs := make([][]int32, len(tapes))
+	lo := 0
+	for i, hi := range end {
+		txs[i] = sortDedup(flat[lo:hi:hi])
+		lo = hi
 	}
 	return txs
 }
@@ -72,22 +79,21 @@ func (b *Builder) BuildTape(tapes []*jsontape.Doc) *Tile {
 		b.Metrics.SubtreesSkipped.Add(int64(skipped))
 	}
 
-	// Transactions are sorted-deduped copies: the flat run keeps the
-	// original leaf order for the extraction pass.
+	// Transactions are sorted-deduped runs of one copy: the flat run
+	// keeps the original leaf order for the extraction pass.
+	sorted := slices.Clone(ids)
 	txs := make([][]int32, len(tapes))
 	lo := int32(0)
-	for i := range tapes {
-		hi := docEnd[i]
-		tx := make([]int32, hi-lo)
-		copy(tx, ids[lo:hi])
-		txs[i] = sortDedup(tx)
+	for i, hi := range docEnd {
+		txs[i] = sortDedup(sorted[lo:hi:hi])
 		lo = hi
 	}
 	miner := fpgrowth.Miner{MinSupport: b.Config.MinSupport(len(tapes)), Budget: b.Config.Budget}
-	maximal := fpgrowth.Maximal(miner.Mine(txs))
+	maximal := miner.MineMaximal(txs)
 	if b.Metrics != nil {
 		b.Metrics.MineNanos.Add(time.Since(start).Nanoseconds())
 	}
+	b.Metrics.AddWork(miner.Work)
 	return b.materializeTape(tapes, dict, maximal, ids, nodes, docEnd)
 }
 

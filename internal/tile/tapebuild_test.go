@@ -127,3 +127,30 @@ func TestCollectTapeTransactionsMatchesTree(t *testing.T) {
 		t.Fatalf("transactions differ")
 	}
 }
+
+// TestBuildCountsWorkOncePerDistinctDocument: a tile of one repeated
+// three-path document mines one 3-node FP-tree path and tests the six
+// smaller subsets of that path once each against the full set, however
+// many copies the tile holds.
+func TestBuildCountsWorkOncePerDistinctDocument(t *testing.T) {
+	const doc = `{"a":1,"b":"x","c":true}`
+	for _, n := range []int{1, 1000} {
+		docs := make([]jsonvalue.Value, n)
+		tapes := make([]*jsontape.Doc, n)
+		for i := range docs {
+			docs[i], _ = jsontext.Parse([]byte(doc))
+			tapes[i] = &jsontape.Doc{}
+			if err := jsontape.Parse([]byte(doc), tapes[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var mTree, mTape Metrics
+		NewBuilder(DefaultConfig(), &mTree).Build(docs)
+		NewBuilder(DefaultConfig(), &mTape).BuildTape(tapes)
+		for name, m := range map[string]*Metrics{"Build": &mTree, "BuildTape": &mTape} {
+			if got := m.Snapshot(); got.FPNodes != 3 || got.SubsetTests != 6 {
+				t.Errorf("%s of %d copies: FPNodes=%d SubsetTests=%d, want 3 and 6", name, n, got.FPNodes, got.SubsetTests)
+			}
+		}
+	}
+}

@@ -102,6 +102,20 @@ type Metrics struct {
 	DocsTape        atomic.Int64
 	DocsTree        atomic.Int64
 	SubtreesSkipped atomic.Int64
+	// Deterministic work counts of mining and reordering (see
+	// fpgrowth.Work): FP-tree node updates, and itemset containment or
+	// overlap tests.
+	FPNodes     atomic.Int64
+	SubsetTests atomic.Int64
+}
+
+// AddWork accumulates a miner's work counts; m may be nil.
+func (m *Metrics) AddWork(w fpgrowth.Work) {
+	if m == nil {
+		return
+	}
+	m.FPNodes.Add(w.FPNodes)
+	m.SubsetTests.Add(w.SubsetTests)
 }
 
 // MetricsSnapshot is a point-in-time copy of Metrics, comparable and
@@ -116,6 +130,8 @@ type MetricsSnapshot struct {
 	DocsTape        int64
 	DocsTree        int64
 	SubtreesSkipped int64
+	FPNodes         int64
+	SubsetTests     int64
 }
 
 // Snapshot copies the current counter values.
@@ -133,6 +149,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		DocsTape:        m.DocsTape.Load(),
 		DocsTree:        m.DocsTree.Load(),
 		SubtreesSkipped: m.SubtreesSkipped.Load(),
+		FPNodes:         m.FPNodes.Load(),
+		SubsetTests:     m.SubsetTests.Load(),
 	}
 }
 
@@ -148,6 +166,8 @@ func (s MetricsSnapshot) Sub(base MetricsSnapshot) MetricsSnapshot {
 		DocsTape:        s.DocsTape - base.DocsTape,
 		DocsTree:        s.DocsTree - base.DocsTree,
 		SubtreesSkipped: s.SubtreesSkipped - base.SubtreesSkipped,
+		FPNodes:         s.FPNodes - base.FPNodes,
+		SubsetTests:     s.SubsetTests - base.SubsetTests,
 	}
 }
 
@@ -288,11 +308,11 @@ func (b *Builder) Build(docs []jsonvalue.Value) *Tile {
 	start := time.Now()
 	txs := CollectTransactions(docs, b.Config.MaxArraySlots, dict)
 	miner := fpgrowth.Miner{MinSupport: b.Config.MinSupport(len(docs)), Budget: b.Config.Budget}
-	sets := miner.Mine(txs)
-	maximal := fpgrowth.Maximal(sets)
+	maximal := miner.MineMaximal(txs)
 	if b.Metrics != nil {
 		b.Metrics.MineNanos.Add(time.Since(start).Nanoseconds())
 	}
+	b.Metrics.AddWork(miner.Work)
 	return b.materialize(docs, dict, maximal)
 }
 
