@@ -1,8 +1,12 @@
 package jsontiles
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
+	"repro/internal/blockstore"
+	"repro/internal/jsontape"
 	"repro/internal/tile"
 	"repro/internal/workload/tpch"
 	"repro/internal/workload/twitter"
@@ -74,6 +78,94 @@ func BenchmarkFlush(b *testing.B) {
 			b.ReportMetric(float64(m.FPNodes)/docs, "fpnodes/doc")
 			b.ReportMetric(float64(m.SubsetTests)/docs, "subsettests/doc")
 		})
+	}
+}
+
+// TestFlushSegmentBytes pins the exact segment a flush of each corpus
+// writes, at one worker and at four: parsing, reordering, mining, tile
+// building and block encoding may move between goroutines or change
+// how often they run, but never what they produce.
+func TestFlushSegmentBytes(t *testing.T) {
+	want := map[string]struct {
+		size int
+		sum  string
+	}{
+		"twitter": {337989, "3884feef80908c323e87c183029766b3347036143ee815f80255ca5c17c1959f"},
+		"tpch":    {312412, "8c0a1960a5987796dcafa995b1a1a616de5191a967e5700a1bf5f0cba525e306"},
+		"yelp":    {178426, "b8d440b90aafba9b46481b2804ebaa6ebc4d64c16e70fd99e98d9ba76b78407a"},
+	}
+	for _, c := range flushCorpora() {
+		for _, workers := range []int{1, 4} {
+			store := blockstore.NewMem()
+			opts := DefaultOptions()
+			opts.Workers = workers
+			tbl, err := OpenStore("flush", store, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range c.lines {
+				if err := tbl.Insert(l); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tbl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			seg, err := blockstore.ReadAll(store, "seg-000000.seg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl.Close()
+			sum := sha256.Sum256(seg)
+			if w := want[c.name]; len(seg) != w.size || hex.EncodeToString(sum[:]) != w.sum {
+				t.Errorf("%s workers=%d: segment of %d B with SHA-256 %x, want %d B with %s",
+					c.name, workers, len(seg), sum, w.size, w.sum)
+			}
+		}
+	}
+}
+
+// TestInsertParsesOnce: Insert parses each document into its tape and
+// Flush builds from those tapes, so all parse time is on the clock by
+// the last Insert and Flush adds none; every document counts as a tape
+// document. Past the tape limits Insert still accepts the document and
+// its partition builds from trees; a malformed document is rejected.
+func TestInsertParsesOnce(t *testing.T) {
+	lines := flushCorpora()[0].lines[:300]
+	tbl := New("p", DefaultOptions())
+	for _, l := range lines {
+		if err := tbl.Insert(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inserted := tbl.LoadStats()
+	if inserted.Parse == 0 || inserted.DocsTape != 0 {
+		t.Fatalf("after Insert: parse %v, %d tape documents; want parse > 0 and none built", inserted.Parse, inserted.DocsTape)
+	}
+	if err := tbl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if flushed := tbl.LoadStats(); flushed.Parse != inserted.Parse || flushed.DocsTape != int64(len(lines)) || flushed.DocsTree != 0 {
+		t.Errorf("after Flush: parse %v (was %v), %d tape / %d tree documents; want parse unchanged, %d / 0",
+			flushed.Parse, inserted.Parse, flushed.DocsTape, flushed.DocsTree, len(lines))
+	}
+
+	defer jsontape.SetLimitsForTesting(0, 0)()
+	over := New("o", DefaultOptions())
+	for _, l := range lines {
+		if err := over.Insert(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := over.Insert([]byte(`{"bad":`)); err == nil {
+		t.Error("Insert accepted a malformed document past the tape limits")
+	}
+	if err := over.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if s := over.LoadStats(); s.DocsTree != int64(len(lines)) || s.DocsTape != 0 || over.NumRows() != len(lines) {
+		t.Errorf("past the tape limits: %d tree / %d tape documents, %d rows; want %d / 0, %d",
+			s.DocsTree, s.DocsTape, over.NumRows(), len(lines), len(lines))
 	}
 }
 

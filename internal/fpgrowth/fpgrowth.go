@@ -15,8 +15,8 @@
 package fpgrowth
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 )
 
 // Itemset is a set of item ids frequent in the mined database.
@@ -166,7 +166,7 @@ func (m *Miner) Mine(transactions [][]int32) []Itemset {
 	st := &mineState{minSupport: m.MinSupport, budget: budget, maxK: maxItemsetSize(nFrequent, budget)}
 	st.mine(tree, nil)
 
-	sort.Slice(st.out, func(i, j int) bool { return lessItemset(st.out[i], st.out[j]) })
+	slices.SortFunc(st.out, compareItemsets)
 	return st.out
 }
 
@@ -194,12 +194,11 @@ func (m *Miner) buildTree(transactions [][]int32) (*fpTree, int) {
 	// Insertion order: descending frequency, ties by ascending item id
 	// (deterministic trees regardless of map iteration order).
 	rank := make(map[int32]int32, len(frequentItems))
-	sort.Slice(frequentItems, func(i, j int) bool {
-		fi, fj := freq[frequentItems[i]], freq[frequentItems[j]]
-		if fi != fj {
-			return fi > fj
+	slices.SortFunc(frequentItems, func(a, b int32) int {
+		if fa, fb := freq[a], freq[b]; fa != fb {
+			return cmp.Compare(fb, fa)
 		}
-		return frequentItems[i] < frequentItems[j]
+		return cmp.Compare(a, b)
 	})
 	for pos, it := range frequentItems {
 		rank[it] = int32(pos)
@@ -317,11 +316,11 @@ func (s *mineState) mine(t *fpTree, suffix []int32) {
 	}
 
 	headers := append([]headerEntry(nil), t.headers...)
-	sort.Slice(headers, func(i, j int) bool {
-		if headers[i].count != headers[j].count {
-			return headers[i].count < headers[j].count
+	slices.SortFunc(headers, func(a, b headerEntry) int {
+		if a.count != b.count {
+			return cmp.Compare(a.count, b.count)
 		}
-		return headers[i].item < headers[j].item
+		return cmp.Compare(a.item, b.item)
 	})
 	for _, h := range headers {
 		if h.count < s.minSupport {
@@ -493,14 +492,14 @@ func maximal(sets []Itemset, work *Work) []Itemset {
 	}
 	// Largest, most frequent first: the extraction step unions in
 	// this order.
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i].Items) != len(out[j].Items) {
-			return len(out[i].Items) > len(out[j].Items)
+	slices.SortFunc(out, func(a, b Itemset) int {
+		if len(a.Items) != len(b.Items) {
+			return cmp.Compare(len(b.Items), len(a.Items))
 		}
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
 		}
-		return slices.Compare(out[i].Items, out[j].Items) < 0
+		return slices.Compare(a.Items, b.Items)
 	})
 	return out
 }
@@ -537,25 +536,11 @@ func (s Itemset) Contains(item int32) bool {
 	return false
 }
 
-// Overlap counts how many of the sorted items appear in the sorted
-// transaction — used by reordering to match tuples to itemsets.
-func Overlap(items, tx []int32) int {
-	i, n := 0, 0
-	for _, x := range items {
-		for i < len(tx) && tx[i] < x {
-			i++
-		}
-		if i < len(tx) && tx[i] == x {
-			n++
-			i++
-		}
-	}
-	return n
-}
-
-func lessItemset(a, b Itemset) bool {
+// compareItemsets orders itemsets by ascending size, then
+// lexicographically by items: a total order over distinct itemsets.
+func compareItemsets(a, b Itemset) int {
 	if len(a.Items) != len(b.Items) {
-		return len(a.Items) < len(b.Items)
+		return cmp.Compare(len(a.Items), len(b.Items))
 	}
-	return slices.Compare(a.Items, b.Items) < 0
+	return slices.Compare(a.Items, b.Items)
 }

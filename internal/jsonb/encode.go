@@ -22,9 +22,11 @@ type Encoder struct {
 	cursor  int                  // node cursor for the write pass
 	buf     []byte
 	// Tape-driven encoding scratch (EncodeTape): decoded string
-	// content and sorted members per pre-order record.
-	tstr [][]byte
-	tmem [][]tapeMember
+	// content and sorted members per pre-order record, the members of
+	// every object carved from one arena.
+	tstr   [][]byte
+	tmem   [][]tapeMember
+	marena []tapeMember
 }
 
 type numericInfo struct {

@@ -3,7 +3,7 @@ package jsonb
 import (
 	"bytes"
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"repro/internal/jsontape"
 )
@@ -33,6 +33,7 @@ func (e *Encoder) EncodeTape(d *jsontape.Doc) []byte {
 	e.numeric = e.numeric[:0]
 	e.tstr = e.tstr[:0]
 	e.tmem = e.tmem[:0]
+	e.marena = e.marena[:0]
 	total := e.measureTape(d, 0)
 	if cap(e.buf) < total {
 		e.buf = make([]byte, total)
@@ -101,12 +102,16 @@ func (e *Encoder) measureTape(d *jsontape.Doc, ti int) int {
 		size = 1 + cw + count*ow + slots
 	case jsontape.KObj:
 		count := n.Count()
-		ms := make([]tapeMember, 0, count)
+		// The members are carved from the encoder's arena. Measuring the
+		// children below appends past them; if that regrows the arena,
+		// ms keeps the old backing array, which nothing writes again.
+		lo := len(e.marena)
 		j := ti + 1
 		for k := 0; k < count; k++ {
-			ms = append(ms, tapeMember{key: d.At(j).ContentBytes(), val: j + 1})
+			e.marena = append(e.marena, tapeMember{key: d.At(j).ContentBytes(), val: j + 1})
 			j = d.Skip(j + 1)
 		}
+		ms := e.marena[lo:len(e.marena):len(e.marena)]
 		// A stable sort keeps equal keys in input order, so the last of
 		// a run is the last occurrence: the one a repeated key means.
 		// Equal keys end up adjacent, and adjacent elements of a sorted
@@ -119,10 +124,10 @@ func (e *Encoder) measureTape(d *jsontape.Doc, ti int) int {
 			presorted, repeated = c <= 0, repeated || c == 0
 		}
 		if !presorted {
-			sort.SliceStable(ms, func(a, b int) bool {
-				c := bytes.Compare(ms[a].key, ms[b].key)
+			slices.SortStableFunc(ms, func(a, b tapeMember) int {
+				c := bytes.Compare(a.key, b.key)
 				repeated = repeated || c == 0
-				return c < 0
+				return c
 			})
 		}
 		if repeated {

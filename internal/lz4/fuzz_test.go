@@ -6,7 +6,8 @@ import (
 )
 
 // FuzzRoundTrip: compress→decompress must be the identity for any
-// input, within the documented bound.
+// input, within the documented bound, and the pooled table — reused
+// from earlier inputs — must compress exactly as a fresh one.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("a"))
@@ -14,6 +15,9 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"id":1,"status":"shipped","status":"shipped"}`))
 	f.Fuzz(func(t *testing.T, src []byte) {
 		comp := Compress(nil, src)
+		if !bytes.Equal(comp, freshCompress(nil, src)) {
+			t.Fatal("pooled table output differs from a fresh table")
+		}
 		if len(comp) > CompressBound(len(src)) {
 			t.Fatalf("compressed %d exceeds bound %d", len(comp), CompressBound(len(src)))
 		}

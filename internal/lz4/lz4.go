@@ -22,6 +22,8 @@ package lz4
 import (
 	"encoding/binary"
 	"errors"
+	"math"
+	"sync"
 
 	"repro/internal/obs"
 )
@@ -80,8 +82,25 @@ func hash4(u uint32) uint32 {
 	return (u * 2654435761) >> (32 - hashLog)
 }
 
+// hashTable is the compressor's match-candidate table, reused across
+// calls through tablePool instead of allocated (and zeroed) per block.
+// An entry holds base + position + 1 of the last position that hashed
+// to its bucket, so every entry written before the current call is at
+// most base: the candidate it decodes to is negative and is rejected
+// exactly like an empty (zero) entry. After each call base moves past
+// the call's positions, which invalidates the whole table without
+// touching it; only when base would overflow int32 is the table zeroed
+// and base reset to 0.
+type hashTable struct {
+	entries [1 << hashLog]int32
+	base    int32
+}
+
+var tablePool = sync.Pool{New: func() any { return new(hashTable) }}
+
 // Compress appends the LZ4 block encoding of src to dst and returns
-// the extended slice. An empty src yields an empty block.
+// the extended slice. An empty src yields an empty block. The output
+// depends only on src.
 func Compress(dst, src []byte) []byte {
 	if len(src) == 0 {
 		return dst
@@ -89,15 +108,27 @@ func Compress(dst, src []byte) []byte {
 	if len(src) < mfLimit+minMatch {
 		return emitLastLiterals(dst, src)
 	}
-	var table [1 << hashLog]int32 // candidate position + 1 per hash bucket
+	t := tablePool.Get().(*hashTable)
+	dst = t.compress(dst, src)
+	tablePool.Put(t)
+	return dst
+}
+
+func (t *hashTable) compress(dst, src []byte) []byte {
+	if len(src) >= math.MaxInt32-int(t.base) {
+		clear(t.entries[:])
+		t.base = 0
+	}
+	table, base := &t.entries, int(t.base)
+	t.base += int32(len(src))
 	anchor := 0
 	pos := 0
 	limit := len(src) - mfLimit
 	for pos < limit {
 		seq := binary.LittleEndian.Uint32(src[pos:])
 		h := hash4(seq)
-		cand := int(table[h]) - 1
-		table[h] = int32(pos) + 1
+		cand := int(table[h]) - base - 1
+		table[h] = int32(base + pos + 1)
 		if cand < 0 || pos-cand > maxOffset ||
 			binary.LittleEndian.Uint32(src[cand:]) != seq {
 			pos++
@@ -126,7 +157,7 @@ func Compress(dst, src []byte) []byte {
 			// Prime the table with an interior position to improve
 			// the next search, as the reference implementation does.
 			mid := pos - 2
-			table[hash4(binary.LittleEndian.Uint32(src[mid:]))] = int32(mid) + 1
+			table[hash4(binary.LittleEndian.Uint32(src[mid:]))] = int32(base + mid + 1)
 		}
 	}
 	return emitLastLiterals(dst, src[anchor:])

@@ -2,6 +2,8 @@ package lz4
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -186,5 +188,95 @@ func TestStructuredDataCompresses(t *testing.T) {
 	comp := roundTrip(t, src)
 	if float64(len(comp)) > 0.6*float64(len(src)) {
 		t.Errorf("only compressed %d -> %d", len(src), len(comp))
+	}
+}
+
+// freshCompress is the compressor as it was before the table was
+// pooled: a zeroed table per call, entries holding position + 1. The
+// pooled compressor must reproduce its output byte for byte.
+func freshCompress(dst, src []byte) []byte {
+	if len(src) == 0 {
+		return dst
+	}
+	if len(src) < mfLimit+minMatch {
+		return emitLastLiterals(dst, src)
+	}
+	var table [1 << hashLog]int32
+	anchor, pos, limit := 0, 0, len(src)-mfLimit
+	for pos < limit {
+		seq := binary.LittleEndian.Uint32(src[pos:])
+		h := hash4(seq)
+		cand := int(table[h]) - 1
+		table[h] = int32(pos) + 1
+		if cand < 0 || pos-cand > maxOffset || binary.LittleEndian.Uint32(src[cand:]) != seq {
+			pos++
+			continue
+		}
+		matchEnd, candEnd, hardEnd := pos+minMatch, cand+minMatch, len(src)-lastLiterals
+		for matchEnd < hardEnd && src[matchEnd] == src[candEnd] {
+			matchEnd++
+			candEnd++
+		}
+		for pos > anchor && cand > 0 && src[pos-1] == src[cand-1] {
+			pos--
+			cand--
+		}
+		dst = emitSequence(dst, src[anchor:pos], pos-cand, matchEnd-pos)
+		pos = matchEnd
+		anchor = pos
+		if pos < limit && pos >= 2 {
+			mid := pos - 2
+			table[hash4(binary.LittleEndian.Uint32(src[mid:]))] = int32(mid) + 1
+		}
+	}
+	return emitLastLiterals(dst, src[anchor:])
+}
+
+// mixedInputs returns inputs of many sizes and shapes, several sharing
+// content so that stale table entries of one call would find real
+// matches in the next if they were not rejected.
+func mixedInputs() [][]byte {
+	r := rand.New(rand.NewSource(11))
+	var out [][]byte
+	for _, n := range []int{16, 17, 100, 4096, 70000, 300, 1 << 17, 20, 5000} {
+		random := make([]byte, n)
+		r.Read(random)
+		text := []byte(strings.Repeat(`{"id":42,"status":"shipped","tags":["a","b"]}`, n/40+1)[:n])
+		out = append(out, random, text, bytes.Repeat(random[:n/4+1], 4)[:n])
+	}
+	return out
+}
+
+// TestReusedTableMatchesFreshTable: one table carried through a
+// sequence of mixed-size inputs produces exactly what a fresh table per
+// input produces, including across the reset that keeps base inside
+// int32.
+func TestReusedTableMatchesFreshTable(t *testing.T) {
+	for _, start := range []int32{0, math.MaxInt32 - 1<<16, math.MaxInt32 - 40} {
+		tbl := &hashTable{base: start}
+		if start != 0 {
+			// Stale entries a wrap must not resurrect.
+			for i := range tbl.entries {
+				tbl.entries[i] = start - int32(i%7)
+			}
+		}
+		wrapped := false
+		for i, src := range mixedInputs() {
+			before := tbl.base
+			got := tbl.compress([]byte("prefix"), src)
+			wrapped = wrapped || tbl.base < before
+			if want := freshCompress([]byte("prefix"), src); !bytes.Equal(got, want) {
+				t.Fatalf("base %d, input %d (%d B): reused table output differs from a fresh table", start, i, len(src))
+			}
+		}
+		if start != 0 && !wrapped {
+			t.Errorf("base %d: the sequence never reset the table", start)
+		}
+	}
+	// The pooled entry point agrees as well.
+	for i, src := range mixedInputs() {
+		if !bytes.Equal(Compress(nil, src), freshCompress(nil, src)) {
+			t.Fatalf("input %d: Compress differs from a fresh table", i)
+		}
 	}
 }

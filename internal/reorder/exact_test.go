@@ -9,13 +9,19 @@ import (
 	"testing"
 
 	"repro/internal/fpgrowth"
+	"repro/internal/jsongen"
+	"repro/internal/jsontape"
+	"repro/internal/jsontext"
+	"repro/internal/jsonvalue"
+	"repro/internal/keypath"
 	"repro/internal/tile"
 )
 
-// perTupleOrder is the reordering algorithm evaluated tuple by tuple:
-// step 2 counts every candidate against every transaction, step 3
-// scores every tuple against every survivor. computeOrder must return
-// exactly its permutation and Result.
+// perTupleOrder is the reordering algorithm evaluated tuple by tuple,
+// serially, with sorted-list merges for containment and overlap: step
+// 2 counts every candidate against every transaction, step 3 scores
+// every tuple against every survivor. computeOrder must return exactly
+// its permutation and Result at any worker count.
 func perTupleOrder(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result) {
 	itemsKey := func(items []int32) string {
 		b := make([]byte, 0, len(items)*4)
@@ -23,6 +29,19 @@ func perTupleOrder(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result)
 			b = append(b, byte(it), byte(it>>8), byte(it>>16), byte(it>>24))
 		}
 		return string(b)
+	}
+	overlap := func(items, tx []int32) int {
+		i, n := 0, 0
+		for _, x := range items {
+			for i < len(tx) && tx[i] < x {
+				i++
+			}
+			if i < len(tx) && tx[i] == x {
+				n++
+				i++
+			}
+		}
+		return n
 	}
 	containsAll := func(tx, items []int32) bool {
 		i := 0
@@ -88,7 +107,7 @@ func perTupleOrder(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result)
 		bestOverlap, bestSize := 0, 0
 		bestSum := int64(math.MaxInt64)
 		for si, s := range survivors {
-			ov := fpgrowth.Overlap(s.Items, tx)
+			ov := overlap(s.Items, tx)
 			if ov == 0 {
 				continue
 			}
@@ -191,11 +210,19 @@ func TestComputeOrderMatchesPerTuple(t *testing.T) {
 		c.Budget = []int{0, 64, 512}[r.Intn(3)]
 		txs := randomPartition(r, c.TileSize+1+r.Intn(c.TileSize*(c.PartitionSize-1)))
 
-		gotOrder, gotRes, _ := computeOrder(txs, c, c.TileSize)
 		wantOrder, wantRes := perTupleOrder(txs, c, c.TileSize)
-		if !reflect.DeepEqual(gotOrder, wantOrder) || gotRes != wantRes {
-			t.Fatalf("trial %d (tile %d × %d, threshold %v, budget %d, %d tuples): got %+v %v\nwant %+v %v",
-				trial, c.TileSize, c.PartitionSize, c.Threshold, c.Budget, len(txs), gotRes, gotOrder, wantRes, wantOrder)
+		var serialWork fpgrowth.Work
+		for _, workers := range []int{1, 3} {
+			gotOrder, gotRes, work := computeOrder(txs, c, c.TileSize, workers)
+			if !reflect.DeepEqual(gotOrder, wantOrder) || gotRes != wantRes {
+				t.Fatalf("trial %d workers %d (tile %d × %d, threshold %v, budget %d, %d tuples): got %+v %v\nwant %+v %v",
+					trial, workers, c.TileSize, c.PartitionSize, c.Threshold, c.Budget, len(txs), gotRes, gotOrder, wantRes, wantOrder)
+			}
+			if workers == 1 {
+				serialWork = work
+			} else if work != serialWork {
+				t.Fatalf("trial %d: work %+v at %d workers, %+v serially", trial, work, workers, serialWork)
+			}
 		}
 	}
 }
@@ -227,4 +254,41 @@ func TestWorkPerDistinctTransaction(t *testing.T) {
 	if fpNodes[0] == 0 || fpNodes[0] != fpNodes[1] {
 		t.Errorf("FP-tree nodes at 10 and 40 tuples per tile: %v, want equal and nonzero", fpNodes)
 	}
+}
+
+// TestCollectTilesMatchesOneDictionary: collecting tile by tile over
+// dictionaries of their own, then renumbering, yields the transactions
+// one dictionary over the whole partition yields, for trees and for
+// tapes, at any worker count.
+func TestCollectTilesMatchesOneDictionary(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + r.Intn(300)
+		docs := make([]jsonvalue.Value, n)
+		tapes := make([]*jsontape.Doc, n)
+		for i := range docs {
+			docs[i] = jsongen.RandomObject(r, 3)
+			tapes[i] = new(jsontape.Doc)
+			if err := jsontape.Parse(jsontext.Serialize(docs[i]), tapes[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tileSize := 1 + r.Intn(64)
+		wantTrees := tile.CollectTransactions(docs, 4, keypath.NewDict())
+		wantTapes := tile.CollectTapeTransactions(tapes, 4, keypath.NewDict())
+		for _, workers := range []int{1, 3} {
+			if got := collectTiles(docs, tileSize, 4, workers, tile.CollectTransactions); !sameTxs(got, wantTrees) {
+				t.Fatalf("trial %d (%d docs, tile %d, workers %d): trees differ", trial, n, tileSize, workers)
+			}
+			if got := collectTiles(tapes, tileSize, 4, workers, tile.CollectTapeTransactions); !sameTxs(got, wantTapes) {
+				t.Fatalf("trial %d (%d docs, tile %d, workers %d): tapes differ", trial, n, tileSize, workers)
+			}
+		}
+	}
+}
+
+// sameTxs compares transactions by their items: an empty transaction
+// may be nil or not.
+func sameTxs(a, b [][]int32) bool {
+	return slices.EqualFunc(a, b, func(x, y []int32) bool { return slices.Equal(x, y) })
 }

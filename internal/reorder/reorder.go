@@ -24,15 +24,18 @@
 package reorder
 
 import (
+	"cmp"
+	"context"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/fpgrowth"
 	"repro/internal/jsontape"
 	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
+	"repro/internal/sched"
 	"repro/internal/tile"
 )
 
@@ -52,17 +55,25 @@ type Result struct {
 // the call they are permuted so that tiles (consecutive TileSize
 // runs) cluster tuples of equal frequent structure.
 func Partition(docs []jsonvalue.Value, cfg tile.Config, m *tile.Metrics) Result {
-	return partition(docs, cfg, m, tile.CollectTransactions)
+	return partition(docs, cfg, m, 1, tile.CollectTransactions)
 }
 
 // PartitionTapes is Partition over parsed tape documents. Transactions
 // come straight from the tapes, so the permutation matches Partition
 // over the materialized trees.
 func PartitionTapes(tapes []*jsontape.Doc, cfg tile.Config, m *tile.Metrics) Result {
-	return partition(tapes, cfg, m, tile.CollectTapeTransactions)
+	return PartitionTapesWorkers(tapes, cfg, m, 1)
 }
 
-func partition[D any](docs []D, cfg tile.Config, m *tile.Metrics,
+// PartitionTapesWorkers is PartitionTapes with the per-tile work —
+// collecting transactions and the step-1 mines — run as one morsel per
+// tile on up to `workers` participants (sched.For). The permutation,
+// the Result and the work counts do not depend on workers.
+func PartitionTapesWorkers(tapes []*jsontape.Doc, cfg tile.Config, m *tile.Metrics, workers int) Result {
+	return partition(tapes, cfg, m, workers, tile.CollectTapeTransactions)
+}
+
+func partition[D any](docs []D, cfg tile.Config, m *tile.Metrics, workers int,
 	collect func([]D, int, *keypath.Dict) [][]int32) Result {
 	start := time.Now()
 	defer func() {
@@ -81,7 +92,8 @@ func partition[D any](docs []D, cfg tile.Config, m *tile.Metrics,
 		return Result{} // a single tile: nothing to redistribute
 	}
 
-	order, res, work := computeOrder(collect(docs, cfg.MaxArraySlots, keypath.NewDict()), cfg, tileSize)
+	txs := collectTiles(docs, tileSize, cfg.MaxArraySlots, workers, collect)
+	order, res, work := computeOrder(txs, cfg, tileSize, workers)
 	m.AddWork(work)
 	if order == nil {
 		return res
@@ -97,82 +109,136 @@ func partition[D any](docs []D, cfg tile.Config, m *tile.Metrics,
 	return res
 }
 
+// collectTiles is collect over the whole partition with one dictionary,
+// done one tile per morsel: each tile collects over a dictionary of its
+// own, and the items are then renumbered as the partition dictionary
+// numbers them — in order of first occurrence, so merging the tile
+// dictionaries in tile order assigns the same ids — and each
+// transaction is sorted again.
+func collectTiles[D any](docs []D, tileSize, maxSlots, workers int,
+	collect func([]D, int, *keypath.Dict) [][]int32) [][]int32 {
+	nTiles := (len(docs) + tileSize - 1) / tileSize
+	bounds := func(k int) (int, int) { return k * tileSize, min((k+1)*tileSize, len(docs)) }
+	txs := make([][]int32, len(docs))
+	dicts := make([]*keypath.Dict, nTiles)
+	sched.For(context.Background(), nTiles, workers, func(_, k int) {
+		lo, hi := bounds(k)
+		dicts[k] = keypath.NewDict()
+		copy(txs[lo:hi], collect(docs[lo:hi], maxSlots, dicts[k]))
+	})
+	partDict := keypath.NewDict()
+	ids := make([][]int32, nTiles) // tile-local id → partition id
+	for k, d := range dicts {
+		ids[k] = make([]int32, d.Len())
+		for local, it := range d.Items() {
+			ids[k][local] = partDict.Add(it.Path, it.Type)
+		}
+	}
+	sched.For(context.Background(), nTiles, workers, func(_, k int) {
+		lo, hi := bounds(k)
+		for _, tx := range txs[lo:hi] {
+			for j, local := range tx {
+				tx[j] = ids[k][local]
+			}
+			slices.Sort(tx)
+		}
+	})
+	return txs
+}
+
 // computeOrder runs steps 1-4 over the collected transactions and
 // returns the tuple permutation (nil when nothing survives filtering),
 // the partial Result (Moved is filled in by the caller) and the work
-// it did.
-func computeOrder(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result, fpgrowth.Work) {
+// it did. Step 1 mines each tile in its own morsel on up to `workers`
+// participants; the rest is serial.
+func computeOrder(txs [][]int32, cfg tile.Config, tileSize, workers int) ([]int, Result, fpgrowth.Work) {
 	// Step 1: per-tile mining with the reduced threshold.
 	reduced := cfg.Threshold / float64(cfg.PartitionSize)
-	miner := fpgrowth.Miner{Budget: cfg.Budget}
+	nTiles := (len(txs) + tileSize - 1) / tileSize
+	perTile := make([][]fpgrowth.Itemset, nTiles)
+	works := make([]fpgrowth.Work, nTiles)
+	sched.For(context.Background(), nTiles, workers, func(_, k int) {
+		lo, hi := k*tileSize, min((k+1)*tileSize, len(txs))
+		miner := fpgrowth.Miner{MinSupport: max(int(math.Ceil(reduced*float64(hi-lo))), 1), Budget: cfg.Budget}
+		perTile[k] = miner.MineMaximal(txs[lo:hi])
+		works[k] = miner.Work
+	})
+	var work fpgrowth.Work
 	var candidates [][]int32
-	for lo := 0; lo < len(txs); lo += tileSize {
-		hi := min(lo+tileSize, len(txs))
-		miner.MinSupport = max(int(math.Ceil(reduced*float64(hi-lo))), 1)
-		for _, s := range miner.MineMaximal(txs[lo:hi]) {
+	for k, sets := range perTile {
+		work.FPNodes += works[k].FPNodes
+		work.SubsetTests += works[k].SubsetTests
+		for _, s := range sets {
 			candidates = append(candidates, s.Items)
 		}
 	}
 
 	// Steps 2 and 3 are functions of a transaction's item set, so they
 	// run once per distinct set, weighted by the tuples that hold it.
+	// Sets and itemsets are bitsets over the partition's item ids:
+	// containment and overlap are a word-wise AND and a popcount.
 	sets, weights, setOf := fpgrowth.Distinct(txs)
+	nItems := 0
+	for _, set := range sets {
+		if len(set) > 0 {
+			nItems = max(nItems, int(set[len(set)-1])+1)
+		}
+	}
+	setBits := newBitsets(sets, nItems)
 
 	// Step 2: exchange and filter. Deduplicate the candidates, then
 	// count each one's exact partition-wide frequency; survivors need
 	// threshold × tileSize matches.
 	unique, _, _ := fpgrowth.Distinct(candidates)
+	candBits := newBitsets(unique, nItems)
 	need := int(math.Ceil(cfg.Threshold * float64(tileSize)))
-	var survivors []fpgrowth.Itemset
-	for _, items := range unique {
+	var survivors []survivor
+	for c, items := range unique {
+		cb := candBits.row(c)
 		count := 0
-		for k, tx := range sets {
-			if fpgrowth.Overlap(items, tx) == len(items) {
+		for k := range sets {
+			if containsAll(setBits.row(k), cb) {
 				count += weights[k]
 			}
 		}
-		miner.Work.SubsetTests += int64(len(sets))
+		work.SubsetTests += int64(len(sets))
 		if count >= need {
-			survivors = append(survivors, fpgrowth.Itemset{Items: items, Count: count})
+			survivors = append(survivors, survivor{items: items, count: count, bits: cb, sum: itemSum(items)})
 		}
 	}
 	if len(survivors) == 0 {
-		return nil, Result{}, miner.Work
+		return nil, Result{}, work
 	}
 	// Deterministic survivor order: size desc, count desc, encoded
 	// items asc.
-	sort.Slice(survivors, func(i, j int) bool {
-		a, b := survivors[i], survivors[j]
-		if len(a.Items) != len(b.Items) {
-			return len(a.Items) > len(b.Items)
+	slices.SortFunc(survivors, func(a, b survivor) int {
+		if len(a.items) != len(b.items) {
+			return cmp.Compare(len(b.items), len(a.items))
 		}
-		if a.Count != b.Count {
-			return a.Count > b.Count
+		if a.count != b.count {
+			return cmp.Compare(b.count, a.count)
 		}
-		return lessEncoded(a.Items, b.Items)
+		return compareEncoded(a.items, b.items)
 	})
 
 	// Step 3: match each distinct set to its best itemset (most items
 	// in common, then largest, then minimal item-id sum); every tuple
 	// takes its set's match.
-	sums := make([]int64, len(survivors))
-	for si, s := range survivors {
-		sums[si] = itemSum(s.Items)
-	}
 	setMatch := make([]int, len(sets)) // survivor index, -1 = unmatched
-	for k, tx := range sets {
+	for k := range sets {
+		tb := setBits.row(k)
 		setMatch[k] = -1
 		bestOverlap, bestSize := 0, 0
 		bestSum := int64(math.MaxInt64)
 		for si, s := range survivors {
-			ov := fpgrowth.Overlap(s.Items, tx)
+			ov := overlap(s.bits, tb)
 			if ov > bestOverlap || ov > 0 && ov == bestOverlap &&
-				(len(s.Items) > bestSize || len(s.Items) == bestSize && sums[si] < bestSum) {
-				bestOverlap, bestSize, bestSum = ov, len(s.Items), sums[si]
+				(len(s.items) > bestSize || len(s.items) == bestSize && s.sum < bestSum) {
+				bestOverlap, bestSize, bestSum = ov, len(s.items), s.sum
 				setMatch[k] = si
 			}
 		}
-		miner.Work.SubsetTests += int64(len(survivors))
+		work.SubsetTests += int64(len(survivors))
 	}
 
 	// Step 4+5: group tuples by matched itemset and map groups to
@@ -202,7 +268,7 @@ func computeOrder(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result, 
 			pools = append(pools, g)
 		}
 	}
-	sort.SliceStable(pools, func(a, b int) bool { return len(pools[a]) > len(pools[b]) })
+	slices.SortStableFunc(pools, func(a, b []int) int { return cmp.Compare(len(b), len(a)) })
 	pools = append(pools, unmatched)
 
 	order := make([]int, 0, len(txs))
@@ -238,20 +304,68 @@ func computeOrder(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result, 
 		}
 	}
 
-	return order, Result{SurvivingItemsets: len(survivors), Matched: matched}, miner.Work
+	return order, Result{SurvivingItemsets: len(survivors), Matched: matched}, work
 }
 
-// lessEncoded orders equal-length item lists as their little-endian
-// byte encodings compare. It is the survivors' last tie-break, and so
-// part of the permutation — and of the segment bytes — a partition
-// gets.
-func lessEncoded(a, b []int32) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return bits.ReverseBytes32(uint32(a[i])) < bits.ReverseBytes32(uint32(b[i]))
+// survivor is a step-2 itemset with its partition-wide count, its
+// bitset and its item-id sum (step 3's last tie-break).
+type survivor struct {
+	items []int32
+	count int
+	bits  []uint64
+	sum   int64
+}
+
+// bitsets holds one fixed-width bitset over item ids per item set.
+type bitsets struct {
+	words int
+	bits  []uint64
+}
+
+func newBitsets(sets [][]int32, nItems int) bitsets {
+	b := bitsets{words: (nItems + 63) / 64}
+	b.bits = make([]uint64, len(sets)*b.words)
+	for i, set := range sets {
+		row := b.row(i)
+		for _, it := range set {
+			row[it/64] |= 1 << (it % 64)
 		}
 	}
-	return false
+	return b
+}
+
+func (b bitsets) row(i int) []uint64 { return b.bits[i*b.words : (i+1)*b.words] }
+
+// containsAll reports sub ⊆ set.
+func containsAll(set, sub []uint64) bool {
+	for i, w := range sub {
+		if w&^set[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// overlap counts the items two sets share.
+func overlap(a, b []uint64) int {
+	n := 0
+	for i, w := range a {
+		n += bits.OnesCount64(w & b[i])
+	}
+	return n
+}
+
+// compareEncoded orders equal-length item lists as their
+// little-endian byte encodings compare. It is the survivors' last
+// tie-break, and so part of the permutation — and of the segment bytes
+// — a partition gets.
+func compareEncoded(a, b []int32) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return cmp.Compare(bits.ReverseBytes32(uint32(a[i])), bits.ReverseBytes32(uint32(b[i])))
+		}
+	}
+	return 0
 }
 
 func itemSum(items []int32) int64 {

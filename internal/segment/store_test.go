@@ -202,3 +202,46 @@ func max64(a, b int64) int64 {
 	}
 	return b
 }
+
+// TestEncodeIndependentOfWorkers: tiles encode as morsels into buffers
+// of their own, yet the stream — dictionary blocks, raw-stored
+// incompressible blocks and the footer included — is the same whether
+// one worker or several encode it, and it opens.
+func TestEncodeIndependentOfWorkers(t *testing.T) {
+	var tiles []*tile.Tile
+	for ti := 0; ti < 5; ti++ {
+		src := make([]string, 200)
+		for i := range src {
+			src[i] = fmt.Sprintf(`{"id":%d,"status":"s%d","pad":"%x","n":%d.5}`,
+				i, (i+ti)%3, (ti*200+i+1)*2654435761, i*ti)
+		}
+		tiles = append(tiles, buildTile(t, src...))
+	}
+	st := stats.New(0, 0)
+	for _, tl := range tiles {
+		st.AddTile(tl)
+	}
+	serial := encode(tiles, st, 1)
+	for _, workers := range []int{2, 8} {
+		if got := encode(tiles, st, workers); string(got) != string(serial) {
+			t.Fatalf("workers=%d: %d-byte stream differs from the serial %d bytes", workers, len(got), len(serial))
+		}
+	}
+	store := blockstore.NewMem()
+	if err := store.Put("s", serial); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenStore(store, "s", nil)
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	defer r.Close()
+	if r.NumTiles() != len(tiles) {
+		t.Fatalf("%d tiles, want %d", r.NumTiles(), len(tiles))
+	}
+	for ti := range tiles {
+		if _, _, err := r.Docs(ti); err != nil {
+			t.Fatalf("tile %d docs: %v", ti, err)
+		}
+	}
+}

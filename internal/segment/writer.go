@@ -1,11 +1,9 @@
 package segment
 
 import (
-	"bufio"
-	"bytes"
+	"context"
 	"encoding/binary"
-	"fmt"
-	"io"
+	"runtime"
 	"time"
 
 	"repro/internal/blockstore"
@@ -14,6 +12,7 @@ import (
 	"repro/internal/keypath"
 	"repro/internal/lz4"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/tile"
 	"repro/internal/xxhash"
@@ -23,135 +22,152 @@ import (
 // stream is built in memory and atomically published with one Put.
 // Returns the object's size in bytes.
 func WriteStore(store blockstore.Store, name string, tiles []*tile.Tile, st *stats.TableStats) (int64, error) {
-	return putStream(store, name, func(w io.Writer) error { return Write(w, tiles, st) })
+	return putStream(store, name, func() ([]byte, error) { return encode(tiles, st, runtime.GOMAXPROCS(0)), nil })
 }
 
 // putStream builds one segment stream in memory and publishes it under
 // name with a single Put — the store's atomic-publish contract stands
 // in for temp file + rename.
-func putStream(store blockstore.Store, name string, write func(io.Writer) error) (int64, error) {
+func putStream(store blockstore.Store, name string, build func() ([]byte, error)) (int64, error) {
 	start := time.Now()
-	var buf bytes.Buffer
-	if err := write(&buf); err != nil {
+	seg, err := build()
+	if err != nil {
 		return 0, err
 	}
-	if err := store.Put(name, buf.Bytes()); err != nil {
+	if err := store.Put(name, seg); err != nil {
 		return 0, err
 	}
 	obs.SegmentWriteSeconds.ObserveSince(start)
-	obs.SegmentWriteBytes.Observe(float64(buf.Len()))
-	return int64(buf.Len()), nil
+	obs.SegmentWriteBytes.Observe(float64(len(seg)))
+	return int64(len(seg)), nil
 }
 
-// Write serializes the tiles and statistics as one segment stream:
-// header, data blocks, footer, tail. Blocks are LZ4-compressed unless
-// compression does not help, in which case they are stored raw.
-// Dictionary-encoded text columns become two blocks — codes and the
-// sorted dictionary — so readers fetch, checksum, and pool-cache each
-// independently.
-func Write(w io.Writer, tiles []*tile.Tile, st *stats.TableStats) error {
-	bw, err := newBlockWriter(w)
-	if err != nil {
-		return err
-	}
+// encode serializes the tiles and statistics as one segment stream:
+// header, data blocks, footer, tail. Each tile is one morsel on up to
+// `workers` participants (sched.For): its docs, column and dictionary
+// blocks are serialized, compressed and checksummed into a buffer of
+// its own, with offsets relative to that buffer. The writer then only
+// shifts the offsets, concatenates the buffers in tile order and adds
+// the footer, so the stream does not depend on how the morsels ran.
+func encode(tiles []*tile.Tile, st *stats.TableStats, workers int) []byte {
+	parts := make([]blockWriter, len(tiles))
 	metas := make([]TileMeta, len(tiles))
-	for i, t := range tiles {
-		tm := &metas[i]
-		tm.Rows = t.NumRows()
-		if tm.Docs, err = bw.block(encodeDocs(t)); err != nil {
-			return fmt.Errorf("tile %d docs: %w", i, err)
-		}
-		cols := t.Columns()
-		tm.Columns = make([]ColumnMeta, len(cols))
-		for j := range cols {
-			ci := &cols[j]
-			cm := &tm.Columns[j]
-			cm.Path = ci.Path
-			cm.MinedType = ci.MinedType
-			cm.StorageType = ci.StorageType
-			cm.HasTypeOutliers = ci.HasTypeOutliers
-			cm.Zone = zoneOf(ci.Col)
-			if ci.Col.IsDict() {
-				cm.HasDict = true
-				if dl := ci.Col.DictLen(); dl > 0 {
-					// The dictionary is sorted: min/max are its ends.
-					cm.Zone.HasStrBounds = true
-					cm.Zone.MinStr = ci.Col.DictEntryString(0)
-					cm.Zone.MaxStr = ci.Col.DictEntryString(dl - 1)
-				}
-				if cm.Block, err = bw.block(ci.Col.SerializeCodes()); err != nil {
-					return fmt.Errorf("tile %d column %q codes: %w", i, ci.Path, err)
-				}
-				if cm.Dict, err = bw.block(ci.Col.SerializeDict()); err != nil {
-					return fmt.Errorf("tile %d column %q dict: %w", i, ci.Path, err)
-				}
-				continue
-			}
-			if cm.Block, err = bw.block(ci.Col.Serialize()); err != nil {
-				return fmt.Errorf("tile %d column %q: %w", i, ci.Path, err)
-			}
-		}
-		if tm.seen = t.SeenFilter(); tm.seen == nil {
-			tm.seen = bloom.New(1, 0.01)
-		}
+	sched.For(context.Background(), len(tiles), workers, func(_, i int) {
+		metas[i] = parts[i].tile(tiles[i])
+	})
+	data := 0
+	for i := range parts {
+		metas[i].shift(uint64(len(Magic) + data))
+		data += len(parts[i].buf)
 	}
-	return bw.finish(metas, st)
+	footer := blockWriter{base: uint64(len(Magic) + data)}
+	tail := footer.footer(metas, st)
+	out := make([]byte, 0, len(Magic)+data+len(footer.buf)+len(tail))
+	out = append(out, Magic...)
+	for i := range parts {
+		out = append(out, parts[i].buf...)
+	}
+	out = append(out, footer.buf...)
+	return append(out, tail...)
 }
 
-// blockWriter appends blocks sequentially, tracking the offset.
+// blockWriter appends compressed, checksummed blocks to an in-memory
+// buffer. Block offsets are base plus the position in buf.
 type blockWriter struct {
-	w   *bufio.Writer
-	off uint64
+	base uint64
+	buf  []byte
 }
 
-// newBlockWriter starts a segment stream with its header magic.
-func newBlockWriter(w io.Writer) (*blockWriter, error) {
-	bw := &blockWriter{w: bufio.NewWriterSize(w, 1<<20)}
-	return bw, bw.raw([]byte(Magic))
-}
-
-// finish appends the footer block and the fixed tail, then flushes.
-func (bw *blockWriter) finish(metas []TileMeta, st *stats.TableStats) error {
-	footerRef, err := bw.block(encodeFooter(metas, st))
-	if err != nil {
-		return fmt.Errorf("footer: %w", err)
+// tile encodes one tile's blocks — documents first, then each column's
+// block (a dictionary column's codes, then its dictionary) — and
+// returns the tile's metadata. Dictionary-encoded text columns become
+// two blocks so readers fetch, checksum, and pool-cache each
+// independently. buf is sized once from the payloads.
+func (bw *blockWriter) tile(t *tile.Tile) TileMeta {
+	cols := t.Columns()
+	payloads := make([][]byte, 0, 1+2*len(cols))
+	payloads = append(payloads, encodeDocs(t))
+	for j := range cols {
+		if c := cols[j].Col; c.IsDict() {
+			payloads = append(payloads, c.SerializeCodes(), c.SerializeDict())
+		} else {
+			payloads = append(payloads, c.Serialize())
+		}
 	}
-	var tail [TailSize]byte
-	binary.LittleEndian.PutUint64(tail[0:], footerRef.Off)
-	binary.LittleEndian.PutUint32(tail[8:], footerRef.StoredLen)
-	binary.LittleEndian.PutUint32(tail[12:], footerRef.RawLen)
-	binary.LittleEndian.PutUint64(tail[16:], footerRef.Sum)
+	size := 0
+	for _, p := range payloads {
+		size += lz4.CompressBound(len(p))
+	}
+	bw.buf = make([]byte, 0, size)
+
+	tm := TileMeta{Rows: t.NumRows(), Docs: bw.block(payloads[0]), Columns: make([]ColumnMeta, len(cols))}
+	payloads = payloads[1:]
+	for j := range cols {
+		ci := &cols[j]
+		cm := &tm.Columns[j]
+		cm.Path = ci.Path
+		cm.MinedType = ci.MinedType
+		cm.StorageType = ci.StorageType
+		cm.HasTypeOutliers = ci.HasTypeOutliers
+		cm.Zone = zoneOf(ci.Col)
+		cm.Block, payloads = bw.block(payloads[0]), payloads[1:]
+		if ci.Col.IsDict() {
+			cm.HasDict = true
+			if dl := ci.Col.DictLen(); dl > 0 {
+				// The dictionary is sorted: min/max are its ends.
+				cm.Zone.HasStrBounds = true
+				cm.Zone.MinStr = ci.Col.DictEntryString(0)
+				cm.Zone.MaxStr = ci.Col.DictEntryString(dl - 1)
+			}
+			cm.Dict, payloads = bw.block(payloads[0]), payloads[1:]
+		}
+	}
+	if tm.seen = t.SeenFilter(); tm.seen == nil {
+		tm.seen = bloom.New(1, 0.01)
+	}
+	return tm
+}
+
+// shift moves every block ref of the tile by off bytes.
+func (tm *TileMeta) shift(off uint64) {
+	tm.Docs.Off += off
+	for j := range tm.Columns {
+		cm := &tm.Columns[j]
+		cm.Block.Off += off
+		if cm.HasDict {
+			cm.Dict.Off += off
+		}
+	}
+}
+
+// footer appends the footer block and returns the fixed tail that
+// follows it.
+func (bw *blockWriter) footer(metas []TileMeta, st *stats.TableStats) []byte {
+	ref := bw.block(encodeFooter(metas, st))
+	tail := make([]byte, TailSize)
+	binary.LittleEndian.PutUint64(tail[0:], ref.Off)
+	binary.LittleEndian.PutUint32(tail[8:], ref.StoredLen)
+	binary.LittleEndian.PutUint32(tail[12:], ref.RawLen)
+	binary.LittleEndian.PutUint64(tail[16:], ref.Sum)
 	copy(tail[24:], MagicFooter)
-	if err := bw.raw(tail[:]); err != nil {
-		return err
-	}
-	return bw.w.Flush()
-}
-
-func (bw *blockWriter) raw(b []byte) error {
-	n, err := bw.w.Write(b)
-	bw.off += uint64(n)
-	return err
+	return tail
 }
 
 // block compresses, checksums, and appends one payload, returning its
 // ref. Incompressible payloads are stored raw: spending a failed
 // compression attempt at write time is cheap, skipping a futile
 // decompression on every future read is not.
-func (bw *blockWriter) block(payload []byte) (BlockRef, error) {
-	ref := BlockRef{Off: bw.off, RawLen: uint32(len(payload))}
-	stored := payload
-	ref.Codec = codecRaw
-	if c := lz4.Compress(nil, payload); len(c) < len(payload) {
-		stored = c
-		ref.Codec = codecLZ4
+func (bw *blockWriter) block(payload []byte) BlockRef {
+	at := len(bw.buf)
+	ref := BlockRef{Off: bw.base + uint64(at), RawLen: uint32(len(payload)), Codec: codecLZ4}
+	if bw.buf = lz4.Compress(bw.buf, payload); len(bw.buf)-at >= len(payload) {
+		bw.buf = append(bw.buf[:at], payload...)
+		ref.Codec = codecRaw
 	}
+	stored := bw.buf[at:]
 	ref.StoredLen = uint32(len(stored))
 	ref.Sum = xxhash.Sum64(stored)
-	if err := bw.raw(stored); err != nil {
-		return BlockRef{}, err
-	}
-	return ref, nil
+	return ref
 }
 
 // encodeDocs flattens a tile's binary-JSON fallback documents into

@@ -2,8 +2,6 @@ package storage
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -76,52 +74,11 @@ func morselSizeFor(n, workers, target int) int {
 	return target
 }
 
-// drainGate coordinates the inline drain with pool helpers: helpers
-// register on start and are refused once the drain is closed, so
-// runMorsels waits only for helpers that actually began working — a
-// helper still queued behind other scans' tasks when the queue runs
-// dry becomes a no-op instead of a latency tax.
-type drainGate struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	active int
-	closed bool
-}
-
-func (g *drainGate) enter() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return false
-	}
-	g.active++
-	return true
-}
-
-func (g *drainGate) exit() {
-	g.mu.Lock()
-	g.active--
-	if g.active == 0 {
-		g.cond.Broadcast()
-	}
-	g.mu.Unlock()
-}
-
-// closeAndWait refuses new helpers and waits out the active ones.
-func (g *drainGate) closeAndWait() {
-	g.mu.Lock()
-	g.closed = true
-	for g.active > 0 {
-		g.cond.Wait()
-	}
-	g.mu.Unlock()
-}
-
 // runMorsels drives fn over the morsel queue with up to `workers`
-// participants: the calling goroutine plus helpers borrowed from the
-// shared scheduler pool. Worker ids passed to fn are dense in
-// [0, workers). ctx is checked before every morsel claim, bounding
-// cancellation latency to one morsel per participant. The
+// participants through sched.For: the calling goroutine plus helpers
+// borrowed from the shared scheduler pool. Worker ids passed to fn are
+// dense in [0, workers). ctx is checked before every morsel claim,
+// bounding cancellation latency to one morsel per participant. The
 // morsels_dispatched / morsel_queue_waits counters and the per-scan
 // worker-skew histogram are maintained here, once per queue drain.
 func runMorsels(ctx context.Context, morsels []morsel, workers int, fn func(worker int, m morsel)) {
@@ -129,71 +86,34 @@ func runMorsels(ctx context.Context, morsels []morsel, workers int, fn func(work
 	if n == 0 || ctx.Err() != nil {
 		return
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(workers, 1)
 	obs.MorselsDispatched.Add(int64(n))
 	if workers > n {
 		// Surplus workers would pull from an already-dry queue.
 		obs.MorselQueueWaits.Add(int64(workers - n))
 		workers = n
 	}
+	// counts[w] is written only by worker w's goroutine and read after
+	// sched.For has waited every participant out.
+	counts := make([]int64, workers)
+	participants := sched.For(ctx, n, workers, func(w, i int) {
+		fn(w, morsels[i])
+		counts[w]++
+	})
 	if workers == 1 {
-		for _, m := range morsels {
-			if ctx.Err() != nil {
-				return
-			}
-			fn(0, m)
-		}
 		return
 	}
-	var next atomic.Int64
-	counts := make([]atomic.Int64, workers)
-	drain := func(w int) {
-		var got int64
-		for ctx.Err() == nil {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				break
-			}
-			fn(w, morsels[i])
-			got++
-		}
-		if got == 0 {
-			obs.MorselQueueWaits.Inc()
-		}
-		counts[w].Store(got)
-	}
-	gate := &drainGate{}
-	gate.cond = sync.NewCond(&gate.mu)
-	participants := 1
-	for w := 1; w < workers; w++ {
-		w := w
-		ok := sched.Shared.TrySubmit(func() {
-			// A helper arriving after the drain closed does nothing:
-			// its morsels were already claimed by the others.
-			if !gate.enter() {
-				obs.SchedHelpersLate.Inc()
-				return
-			}
-			defer gate.exit()
-			drain(w)
-		})
-		if !ok {
-			break // pool saturated: run with fewer helpers
-		}
-		participants++
-	}
-	drain(0)
-	gate.closeAndWait()
 	var maxGot, total int64
-	for w := 0; w < participants; w++ {
-		c := counts[w].Load()
-		total += c
-		if c > maxGot {
-			maxGot = c
+	busy := 0
+	for _, c := range counts {
+		if c > 0 {
+			busy++
 		}
+		total += c
+		maxGot = max(maxGot, c)
 	}
+	// Participants that drained but found the queue already dry.
+	obs.MorselQueueWaits.Add(int64(participants - busy))
 	if total > 0 {
 		// max/mean morsels per participant: 1.0 = perfectly balanced.
 		obs.MorselWorkerSkew.Observe(float64(maxGot) * float64(participants) / float64(total))

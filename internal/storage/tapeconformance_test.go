@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
+	"repro/internal/tile"
 )
 
 // Tape-vs-tree conformance (DESIGN.md §6.8): for every storage format
@@ -156,14 +158,67 @@ func TestTapeMatchesTreeAllFormats(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// ValidateDoc takes the same fallback past the limits.
-	defer jsontape.SetLimitsForTesting(0, 0)()
-	if err := ValidateDoc([]byte(`{"id":1,"tags":["a","b"]}`)); err != nil {
-		t.Fatalf("ValidateDoc under limits: %v", err)
+// TestParsedBatchTreeFallback: the insert path (a ParsedBatch filled one
+// document at a time, then built) takes the same tree fallback past the
+// tape limits as a whole-input load — only for the partitions holding an
+// over-limit document — still rejects malformed documents, and builds
+// the same tiles as BuildTilesFromLines.
+func TestParsedBatchTreeFallback(t *testing.T) {
+	lines := make([][]byte, 100)
+	for i := range lines {
+		lines[i] = []byte(fmt.Sprintf(`{"id":%d,"t":"x%d"}`, i, i%3))
 	}
-	if err := ValidateDoc([]byte(`{"bad":`)); err == nil {
-		t.Fatal("ValidateDoc accepted malformed input")
+	lines[70] = []byte(`{"id":1,"tags":["a","b","c","d","e"]}`)
+	cfg := DefaultLoaderConfig()
+	cfg.Tile.TileSize, cfg.Tile.PartitionSize = 16, 2
+
+	// Only document 70 exceeds these limits: its partition, [64, 96),
+	// builds from trees and every other from tapes.
+	defer jsontape.SetLimitsForTesting(4, 1<<20)()
+	for _, l := range lines {
+		if err := jsontape.Parse(l, new(jsontape.Doc)); jsontape.IsLimit(err) != bytes.Equal(l, lines[70]) {
+			t.Fatalf("%s: limit error %v", l, err)
+		}
+	}
+	var m tile.Metrics
+	var b ParsedBatch
+	for _, l := range lines {
+		if err := b.Add(l, &m); err != nil {
+			t.Fatalf("Add: %v", err)
+		}
+	}
+	if err := b.Add([]byte(`{"bad":`), &m); err == nil {
+		t.Fatal("Add accepted malformed input")
+	}
+	if b.Len() != len(lines) {
+		t.Fatalf("batch holds %d documents, want %d", b.Len(), len(lines))
+	}
+	fromBatch, err := BuildTilesFromBatch("b", &b, cfg, 2, &m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := m.Snapshot(); s.DocsTree != 32 || s.DocsTape != 68 || s.ParseNanos == 0 {
+		t.Errorf("%d tree / %d tape documents, parse %d ns; want 32 / 68, parse > 0", s.DocsTree, s.DocsTape, s.ParseNanos)
+	}
+	if b.Len() != 0 {
+		t.Errorf("batch holds %d documents after the build", b.Len())
+	}
+	fromLines, err := BuildTilesFromLines("l", lines, cfg, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, c := fromBatch.(TileIntrospector).Tiles(), fromLines.(TileIntrospector).Tiles()
+	if len(a) != len(c) {
+		t.Fatalf("%d tiles from the batch, %d from the lines", len(a), len(c))
+	}
+	for ti := range a {
+		for i := 0; i < a[ti].NumRows(); i++ {
+			if !bytes.Equal(a[ti].RawBytes(i), c[ti].RawBytes(i)) {
+				t.Fatalf("tile %d row %d differs", ti, i)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,28 +38,35 @@ type ingestScratch struct {
 
 var ingestScratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 
-// tapeBatch pools a partition's worth of tape documents: grow keeps
-// previously-allocated tape buffers so a worker re-parses partition
-// after partition without reallocating.
+// tapeBatch pools a partition's worth of tape documents: a reused
+// batch keeps its tape buffers, so partition after partition parses
+// without reallocating them.
 type tapeBatch struct {
 	docs []jsontape.Doc
-	ptrs []*jsontape.Doc
+	refs []*jsontape.Doc
 }
 
 var tapeBatchPool = sync.Pool{New: func() any { return new(tapeBatch) }}
 
-// prep returns n tape-document pointers backed by the batch's reusable
-// storage. The ptrs slice is rebuilt each call (reordering permutes
-// it) but the docs — and their tape buffers — persist.
-func (b *tapeBatch) prep(n int) []*jsontape.Doc {
-	for len(b.docs) < n {
+// doc returns the batch's i-th document, growing the batch by one when
+// i is its length. Growth may move the documents, so the pointer is
+// only good until the next call; ptrs hands out lasting ones.
+func (b *tapeBatch) doc(i int) *jsontape.Doc {
+	if i == len(b.docs) {
 		b.docs = append(b.docs, jsontape.Doc{})
 	}
-	b.ptrs = b.ptrs[:0]
+	return &b.docs[i]
+}
+
+// ptrs returns pointers to the first n documents. The slice is rebuilt
+// each call (reordering permutes it) but the docs — and their tape
+// buffers — persist.
+func (b *tapeBatch) ptrs(n int) []*jsontape.Doc {
+	b.refs = b.refs[:0]
 	for i := 0; i < n; i++ {
-		b.ptrs = append(b.ptrs, &b.docs[i])
+		b.refs = append(b.refs, &b.docs[i])
 	}
-	return b.ptrs
+	return b.refs
 }
 
 // parseErrs collects parse failures from parallel workers and always
@@ -146,24 +154,103 @@ func parseAllTapes(lines [][]byte, workers int) ([]*jsontape.Doc, error) {
 	return tapes, nil
 }
 
-// ValidateDoc checks that line is one well-formed JSON document, using
-// the tape parser with tree fallback past its limits — the insert-time
-// validation of the public API.
-func ValidateDoc(line []byte) error {
-	s := ingestScratchPool.Get().(*ingestScratch)
-	err := jsontape.Parse(line, &s.doc)
-	ingestScratchPool.Put(s)
-	if jsontape.IsLimit(err) {
-		_, err = parseDoc(line)
+// ParsedBatch holds documents parsed into structural tapes ahead of
+// tile building, each parsed exactly once: Table.Insert adds documents
+// as they arrive, so Flush builds from their tapes (BuildTilesFromBatch)
+// without parsing again, and BuildTilesFromLines parses each partition
+// into one before building it. The zero value is an empty batch.
+type ParsedBatch struct {
+	lines [][]byte
+	tb    *tapeBatch // from tapeBatchPool once the first document arrives
+	// limited lists, ascending, the documents beyond the tape limits;
+	// a partition holding one builds through the tree path.
+	limited []int
+}
+
+// Len returns the number of documents in the batch.
+func (b *ParsedBatch) Len() int { return len(b.lines) }
+
+// Add parses line into the batch's next tape, timing the parse into m
+// (nil-safe). A malformed document returns its syntax error and is not
+// added. A document beyond the tape limits is checked by the tree
+// parser instead and, when well-formed, added for the tree fallback.
+// The batch keeps line, which must not change until the batch is
+// built.
+func (b *ParsedBatch) Add(line []byte, m *tile.Metrics) error {
+	start := time.Now()
+	if b.tb == nil {
+		b.tb = tapeBatchPool.Get().(*tapeBatch)
 	}
-	return err
+	d := b.tb.doc(len(b.lines))
+	err := jsontape.Parse(line, d)
+	switch {
+	case err == nil:
+		obs.IngestTapeBytes.Add(int64(8 * len(d.Tape)))
+	case jsontape.IsLimit(err):
+		if _, err = parseDoc(line); err == nil {
+			b.limited = append(b.limited, len(b.lines))
+		}
+	}
+	if m != nil {
+		m.ParseNanos.Add(time.Since(start).Nanoseconds())
+	}
+	if err != nil {
+		return err
+	}
+	b.lines = append(b.lines, line)
+	return nil
+}
+
+// reset empties the batch and returns its tapes to the pool.
+func (b *ParsedBatch) reset() {
+	if b.tb != nil {
+		tapeBatchPool.Put(b.tb)
+	}
+	*b = ParsedBatch{}
+}
+
+// tapes returns the batch's tape documents in insertion order. The
+// slice is the batch's own: partitions reorder their ranges of it.
+func (b *ParsedBatch) tapes() []*jsontape.Doc {
+	if b.tb == nil {
+		return nil
+	}
+	return b.tb.ptrs(b.Len())
+}
+
+// build builds the batch's documents [lo, hi) — one partition — into
+// tiles: from their tapes, or from trees when one of them lies beyond
+// the tape limits. dlo is the batch's offset among the documents pe
+// reports on.
+func (b *ParsedBatch) build(pb *partBuilder, tapes []*jsontape.Doc, lo, hi, dlo int, pe *parseErrs) []*tile.Tile {
+	if i, _ := slices.BinarySearch(b.limited, lo); i < len(b.limited) && b.limited[i] < hi {
+		return buildPartitionTree(pb, b.lines[lo:hi], dlo+lo, pe)
+	}
+	return pb.tapes(tapes[lo:hi])
+}
+
+// BuildTilesFromBatch builds the batch's documents into a Tiles
+// relation exactly as BuildTilesFromLines builds the same lines, and
+// empties the batch.
+func BuildTilesFromBatch(name string, b *ParsedBatch, cfg LoaderConfig, workers int, metrics *tile.Metrics) (Relation, error) {
+	defer b.reset()
+	pe := newParseErrs()
+	tapes := b.tapes()
+	r := buildPartitions(name, b.Len(), cfg, workers, metrics, func(pb *partBuilder, lo, hi int) []*tile.Tile {
+		return b.build(pb, tapes, lo, hi, 0, pe)
+	})
+	if err := pe.get(); err != nil {
+		return nil, err
+	}
+	obs.DocsLoaded.Add(int64(b.Len()))
+	return r, nil
 }
 
 // BuildTilesFromLines parses and ingests raw JSON lines into a Tiles
 // relation, tape-driven and morsel-parallel with partition
-// granularity: each worker parses a partition's lines into pooled
-// tapes, reorders them (§3.2), and builds its tiles directly from the
-// tapes — documents are never materialized as trees. A partition
+// granularity: each worker parses a partition's lines into a
+// ParsedBatch, reorders the tapes (§3.2), and builds its tiles directly
+// from them — documents are never materialized as trees. A partition
 // containing an over-limit document falls back to the tree path for
 // that partition only.
 func BuildTilesFromLines(name string, lines [][]byte, cfg LoaderConfig, workers int, metrics *tile.Metrics) (Relation, error) {
@@ -172,38 +259,15 @@ func BuildTilesFromLines(name string, lines [][]byte, cfg LoaderConfig, workers 
 		if pe.failedBefore(lo) {
 			return nil
 		}
-		part := lines[lo:hi]
-		batch := tapeBatchPool.Get().(*tapeBatch)
-		defer tapeBatchPool.Put(batch)
-
-		start := time.Now()
-		tapes := batch.prep(len(part))
-		limited := false
-		failed := false
-		var tapeBytes int64
-		for i, line := range part {
-			if err := jsontape.Parse(line, tapes[i]); err != nil {
-				if jsontape.IsLimit(err) {
-					limited = true
-				} else {
-					pe.record(lo+i, err)
-					failed = true
-				}
-				break
+		var b ParsedBatch
+		defer b.reset()
+		for i, line := range lines[lo:hi] {
+			if err := b.Add(line, pb.metrics); err != nil {
+				pe.record(lo+i, err)
+				return nil
 			}
-			tapeBytes += int64(8 * len(tapes[i].Tape))
 		}
-		if pb.metrics != nil {
-			pb.metrics.ParseNanos.Add(time.Since(start).Nanoseconds())
-		}
-		obs.IngestTapeBytes.Add(tapeBytes)
-		switch {
-		case failed:
-			return nil
-		case limited:
-			return buildPartitionTree(pb, part, lo, pe)
-		}
-		return pb.tapes(tapes)
+		return b.build(pb, b.tapes(), 0, b.Len(), lo, pe)
 	})
 	if err := pe.get(); err != nil {
 		return nil, err

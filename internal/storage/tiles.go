@@ -117,7 +117,7 @@ func (pb *partBuilder) trees(docs []jsonvalue.Value) []*tile.Tile {
 // tapes is trees for a partition of parsed tapes.
 func (pb *partBuilder) tapes(docs []*jsontape.Doc) []*tile.Tile {
 	if pb.reorder {
-		reorder.PartitionTapes(docs, pb.tcfg, pb.metrics)
+		reorder.PartitionTapesWorkers(docs, pb.tcfg, pb.metrics, pb.workers)
 	}
 	return cutTiles(pb, docs, (*tile.Builder).BuildTape)
 }

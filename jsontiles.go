@@ -164,7 +164,7 @@ type Table struct {
 	name    string
 	opts    Options
 	rel     storage.Relation
-	pending [][]byte
+	pending storage.ParsedBatch
 	metrics *tile.Metrics
 	store   BlockStore // built here from a path (OpenSegment, OpenDir); Close closes it
 }
@@ -232,23 +232,22 @@ func New(name string, opts Options) *Table {
 // Insert buffers one JSON document. A new tile partition is
 // materialized whenever TileSize × PartitionSize documents accumulate
 // (§3.2: "A new tile is created whenever the number of newly-inserted
-// tuples reaches the tile size"). The document is validated now but
-// parsed into columns only at materialization time, by the structural
-// tape path (DESIGN.md §6.8). A table opened with OpenSegment is a
-// read-only view of one immutable segment and rejects inserts; tables
-// that grow live in a directory (OpenDir), which takes inserts and
-// whole in-memory tables (AppendTable).
+// tuples reaches the tile size"). The document is parsed now, once,
+// into the structural tape (DESIGN.md §6.8) its tile is later built
+// from; a malformed document is rejected. A table opened with
+// OpenSegment is a read-only view of one immutable segment and rejects
+// inserts; tables that grow live in a directory (OpenDir), which takes
+// inserts and whole in-memory tables (AppendTable).
 func (t *Table) Insert(doc []byte) error {
 	switch t.rel.(type) {
 	case *storage.DirTable, storage.TileIntrospector:
 	default:
 		return fmt.Errorf("jsontiles: table %q was opened with OpenSegment and is read-only; append through a directory table instead (OpenDir, then Insert or AppendTable)", t.name)
 	}
-	if err := storage.ValidateDoc(doc); err != nil {
+	if err := t.pending.Add(append([]byte(nil), doc...), t.metrics); err != nil {
 		return err
 	}
-	t.pending = append(t.pending, append([]byte(nil), doc...))
-	if len(t.pending) >= t.opts.TileSize*t.opts.PartitionSize {
+	if t.pending.Len() >= t.opts.TileSize*t.opts.PartitionSize {
 		return t.Flush()
 	}
 	return nil
@@ -261,12 +260,10 @@ func (t *Table) Insert(doc []byte) error {
 // pending documents, independent of table size. A segment-opened
 // table never has pending documents: Insert rejects them.
 func (t *Table) Flush() error {
-	if len(t.pending) == 0 {
+	if t.pending.Len() == 0 {
 		return nil
 	}
-	lines := t.pending
-	t.pending = nil
-	newRel, err := storage.BuildTilesFromLines(t.name, lines, t.opts.loaderConfig(), t.opts.workers(), t.metrics)
+	newRel, err := storage.BuildTilesFromBatch(t.name, &t.pending, t.opts.loaderConfig(), t.opts.workers(), t.metrics)
 	if err != nil {
 		return err
 	}
