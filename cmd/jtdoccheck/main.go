@@ -17,7 +17,10 @@
 //     and README.md names a declaration in that package's non-test
 //     .go files, where pkg is a directory under internal/ or jsontiles
 //     (the root package); other qualifiers (the standard library,
-//     variables) are not checked.
+//     variables) are not checked. A bare backticked `TestX`,
+//     `BenchmarkX` or `FuzzX` names a function of some _test.go file,
+//     and a bare lower-camelCase `name` (`scanBatchesCore`) a top-level
+//     declaration, method or struct field of some non-test file.
 package main
 
 import (
@@ -26,6 +29,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -86,6 +90,8 @@ func observabilitySection(design []byte) (string, error) {
 var (
 	codeSpanRE = regexp.MustCompile("`[^`\n]+`")
 	qualRE     = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.(\w+))?`)
+	testNameRE = regexp.MustCompile("^`(?:Test|Benchmark|Fuzz)[A-Z_]\\w*`$")
+	camelRE    = regexp.MustCompile("^`[a-z][a-z0-9]*[A-Z]\\w*(?:\\(\\))?`$")
 )
 
 // packageDecls returns what package pkg's non-test files declare:
@@ -104,44 +110,87 @@ func packageDecls(root, pkg string) (map[string]bool, error) {
 		if strings.HasSuffix(f, "_test.go") {
 			continue
 		}
-		file, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.SkipObjectResolution)
-		if err != nil {
+		if err := fileDecls(f, decls); err != nil {
 			return nil, err
 		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl: // bodies are skipped: no local names
-				name := n.Name.Name
-				if n.Recv != nil {
-					recv := n.Recv.List[0].Type
-					if star, ok := recv.(*ast.StarExpr); ok {
-						recv = star.X
-					}
-					name = recv.(*ast.Ident).Name + "." + name
-				}
-				decls[name] = true
-				return false
-			case *ast.ValueSpec:
-				for _, id := range n.Names {
-					decls[id.Name] = true
-				}
-			case *ast.TypeSpec:
-				typ := n.Name.Name
-				decls[typ], decls[typ+"."] = true, true
-				ast.Inspect(n.Type, func(n ast.Node) bool {
-					if f, ok := n.(*ast.Field); ok {
-						for _, id := range f.Names {
-							decls[typ+"."+id.Name] = true
-						}
-					}
-					return true
-				})
-				return false
-			}
-			return true
-		})
 	}
 	return decls, nil
+}
+
+// fileDecls adds what the Go file f declares to decls, keyed as
+// packageDecls describes.
+func fileDecls(f string, decls map[string]bool) error {
+	file, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.SkipObjectResolution)
+	if err != nil {
+		return err
+	}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl: // bodies are skipped: no local names
+			name := n.Name.Name
+			if n.Recv != nil {
+				recv := n.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				name = recv.(*ast.Ident).Name + "." + name
+			}
+			decls[name] = true
+			return false
+		case *ast.ValueSpec:
+			for _, id := range n.Names {
+				decls[id.Name] = true
+			}
+		case *ast.TypeSpec:
+			typ := n.Name.Name
+			decls[typ], decls[typ+"."] = true, true
+			ast.Inspect(n.Type, func(n ast.Node) bool {
+				if f, ok := n.(*ast.Field); ok {
+					for _, id := range f.Names {
+						decls[typ+"."+id.Name] = true
+					}
+				}
+				return true
+			})
+			return false
+		}
+		return true
+	})
+	return nil
+}
+
+// repoNames walks the Go files under root, skipping dot directories:
+// names holds every declaration, method and field name of the non-test
+// files, tests every function name of the _test.go files.
+func repoNames(root string) (names, tests map[string]bool, err error) {
+	decls, tests := map[string]bool{}, map[string]bool{}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		case !strings.HasSuffix(path, "_test.go"):
+			return fileDecls(path, decls)
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				tests[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	names = map[string]bool{}
+	for d := range decls {
+		names[d[strings.LastIndex(d, ".")+1:]] = true
+	}
+	return names, tests, err
 }
 
 var (
@@ -213,10 +262,19 @@ func main() {
 
 	// 3. Docs name only code that exists.
 	decls := map[string]map[string]bool{}
+	declared, tests, err := repoNames(*root)
+	check(err)
 	for _, doc := range []string{"DESIGN.md", "README.md"} {
 		text, err := os.ReadFile(filepath.Join(*root, doc))
 		check(err)
 		for _, span := range codeSpanRE.FindAllString(string(text), -1) {
+			name := strings.TrimSuffix(strings.Trim(span, "`"), "()")
+			switch {
+			case testNameRE.MatchString(span) && !tests[name]:
+				problems = append(problems, fmt.Sprintf("%s names %s, which no _test.go file declares", doc, span))
+			case camelRE.MatchString(span) && !declared[name]:
+				problems = append(problems, fmt.Sprintf("%s names %s, which no non-test .go file declares", doc, span))
+			}
 			for _, m := range qualRE.FindAllStringSubmatch(span, -1) {
 				pkg, name := m[1], m[2]
 				d, seen := decls[pkg]

@@ -10,18 +10,16 @@ import (
 )
 
 // Microbenchmarks of the operators over one tile-backed relation, fed
-// column vectors (what Scan gets over tiles) and fed rows through the
-// rows→batches adapter (forced with storage.RowOnly).
+// column vectors.
 
 const benchRows = 50_000
 
 var (
-	benchOnce   sync.Once
-	benchTiles  storage.Relation
-	benchRowRel storage.Relation
+	benchOnce  sync.Once
+	benchTiles storage.Relation
 )
 
-func benchRelation(b *testing.B) (vec, row storage.Relation) {
+func benchRelation(b *testing.B) storage.Relation {
 	b.Helper()
 	benchOnce.Do(func() {
 		lines := make([][]byte, benchRows)
@@ -37,9 +35,8 @@ func benchRelation(b *testing.B) (vec, row storage.Relation) {
 		if err != nil {
 			panic(err)
 		}
-		benchRowRel = storage.RowOnly(benchTiles)
 	})
-	return benchTiles, benchRowRel
+	return benchTiles
 }
 
 func benchAccesses() []storage.Access {
@@ -65,14 +62,8 @@ func runScanFilter(b *testing.B, rel storage.Relation) {
 	}
 }
 
-func BenchmarkScanFilterRow(b *testing.B) {
-	_, row := benchRelation(b)
-	runScanFilter(b, row)
-}
-
 func BenchmarkScanFilterVec(b *testing.B) {
-	vec, _ := benchRelation(b)
-	runScanFilter(b, vec)
+	runScanFilter(b, benchRelation(b))
 }
 
 func runScanSum(b *testing.B, rel storage.Relation) {
@@ -90,14 +81,8 @@ func runScanSum(b *testing.B, rel storage.Relation) {
 	}
 }
 
-func BenchmarkScanSumRow(b *testing.B) {
-	_, row := benchRelation(b)
-	runScanSum(b, row)
-}
-
 func BenchmarkScanSumVec(b *testing.B) {
-	vec, _ := benchRelation(b)
-	runScanSum(b, vec)
+	runScanSum(b, benchRelation(b))
 }
 
 func runFilterAgg(b *testing.B, rel storage.Relation) {
@@ -117,14 +102,8 @@ func runFilterAgg(b *testing.B, rel storage.Relation) {
 	}
 }
 
-func BenchmarkScanFilterAggRow(b *testing.B) {
-	_, row := benchRelation(b)
-	runFilterAgg(b, row)
-}
-
 func BenchmarkScanFilterAggVec(b *testing.B) {
-	vec, _ := benchRelation(b)
-	runFilterAgg(b, vec)
+	runFilterAgg(b, benchRelation(b))
 }
 
 func runFilterGroupBy(b *testing.B, rel storage.Relation) {
@@ -141,20 +120,14 @@ func runFilterGroupBy(b *testing.B, rel storage.Relation) {
 	}
 }
 
-func BenchmarkFilterGroupByRow(b *testing.B) {
-	_, row := benchRelation(b)
-	runFilterGroupBy(b, row)
-}
-
 func BenchmarkFilterGroupByVec(b *testing.B) {
-	vec, _ := benchRelation(b)
-	runFilterGroupBy(b, vec)
+	runFilterGroupBy(b, benchRelation(b))
 }
 
 // BenchmarkHashJoinBatch probes 50 K rows against a 1000-key build side
 // with one match each: the aliased-probe shape of the inner join.
 func BenchmarkHashJoinBatch(b *testing.B) {
-	rel, _ := benchRelation(b)
+	rel := benchRelation(b)
 	key := storage.NewAccess(expr.TBigInt, "a")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -170,7 +143,7 @@ func BenchmarkHashJoinBatch(b *testing.B) {
 // BenchmarkGroupByTyped groups 50 K rows by (int, text) into 1000
 // groups with an arithmetic aggregate argument.
 func BenchmarkGroupByTyped(b *testing.B) {
-	rel, _ := benchRelation(b)
+	rel := benchRelation(b)
 	accs := append(benchAccesses(), storage.NewAccess(expr.TText, "s"))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -186,7 +159,7 @@ func BenchmarkGroupByTyped(b *testing.B) {
 
 // BenchmarkTopKBatch keeps the 100 largest of 50 K rows.
 func BenchmarkTopKBatch(b *testing.B) {
-	rel, _ := benchRelation(b)
+	rel := benchRelation(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		top := NewOrderBy(NewScan(rel, benchAccesses(), nil, nil),

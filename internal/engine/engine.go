@@ -132,7 +132,7 @@ func (s *Scan) RunBatches(workers int, emit BatchEmitFunc) {
 	}
 	cols := s.Columns()
 	bats := perWorker(workers, func() *rowBatcher { return newRowBatcher(cols, rowBatchSize) })
-	storage.ScanWith(s.ctx(), s.Rel, s.Accesses, workers, func(w int, row []expr.Value) {
+	s.Rel.ScanWithStats(s.ctx(), s.Accesses, workers, func(w int, row []expr.Value) {
 		bats[w].add(w, row, emit)
 	}, s.Stats)
 	for w, rb := range bats {

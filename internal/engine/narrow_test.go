@@ -1,7 +1,9 @@
 // Differential test of the scan core's null-rejection narrowing: the
-// batch core drops the rows a NullRejecting access proves dead and
-// skips their remaining boxed cells; the row core (storage.RowOnly)
-// still emits every row and is the oracle. Same plan, same answer.
+// tile scan drops the rows a NullRejecting access proves dead and skips
+// their remaining boxed cells. The oracle is the same plan over raw
+// JSON (storage.KindJSON), which evaluates every access on a freshly
+// parsed value tree and shares no code with the tile scan. Same plan,
+// same answer.
 package engine
 
 import (
@@ -110,7 +112,31 @@ func countsOf(st *obs.ScanStats) scanCounts {
 	return scanCounts{st.RowsScanned.Load(), st.TilesScanned.Load(), st.TilesSkipped.Load(), st.JSONBFallbacks.Load()}
 }
 
-func TestNullRejectionNarrowingMatchesRowCore(t *testing.T) {
+// checkNarrowed runs a plan over rel at every worker count: each run
+// must return want, count every tile of rel as scanned or skipped, and
+// count exactly what the one-worker run counts.
+func checkNarrowed(t *testing.T, label string, rel storage.Relation, want []string, plan func() (Operator, *obs.ScanStats)) {
+	t.Helper()
+	tiles := int64(rel.(storage.TileCounter).NumTiles())
+	var serial scanCounts
+	for _, workers := range []int{1, 2, 3, 8} {
+		op, st := plan()
+		if got := rowMultiset(Materialize(op, workers)); !sameRows(got, want) {
+			t.Fatalf("%s, %d workers: %d rows, %d over raw JSON", label, workers, len(got), len(want))
+		}
+		got := countsOf(st)
+		if got.scanned+got.skipped != tiles {
+			t.Fatalf("%s, %d workers: %d tiles scanned + %d skipped, the relation has %d", label, workers, got.scanned, got.skipped, tiles)
+		}
+		if workers == 1 {
+			serial = got
+		} else if got != serial {
+			t.Fatalf("%s: %d workers counted %+v, 1 worker %+v", label, workers, got, serial)
+		}
+	}
+}
+
+func TestNullRejectionNarrowingMatchesJSON(t *testing.T) {
 	col := func(i int) expr.Expr { return expr.NewCol(i, narrowAccesses()[i].Type) }
 	gt := func(i int, v expr.Value) expr.Expr { return expr.NewCmp(expr.GT, col(i), expr.NewConst(v)) }
 	filters := []struct {
@@ -148,36 +174,20 @@ func TestNullRejectionNarrowingMatchesRowCore(t *testing.T) {
 		return op, scan.Stats
 	}
 
-	narrowedSomething := false
 	for trial, shapes := range []int{2, 3, 4} {
 		lines := narrowDocs(rand.New(rand.NewSource(int64(100+trial))), 420, shapes)
-		for relName, rel := range narrowRelations(t, lines) {
-			for _, f := range filters {
-				for flagged := 0; flagged < 1<<len(narrowAccesses()); flagged++ {
-					oracleOp, oracleStats := plan(storage.RowOnly(rel), f.pred, flagged)
-					want := rowMultiset(Materialize(oracleOp, 1))
-					wantCounts := countsOf(oracleStats)
-					for _, workers := range []int{1, 2, 3, 8} {
-						label := fmt.Sprintf("%d shapes, %s, filter %s, flags %06b, %d workers", shapes, relName, f.name, flagged, workers)
-						op, st := plan(rel, f.pred, flagged)
-						if got := rowMultiset(Materialize(op, workers)); !sameRows(got, want) {
-							t.Fatalf("%s: %d rows from the batch core, %d from the row core", label, len(got), len(want))
-						}
-						got := countsOf(st)
-						if got.rows != wantCounts.rows || got.scanned != wantCounts.scanned || got.skipped != wantCounts.skipped {
-							t.Fatalf("%s: batch core counted %+v, row core %+v", label, got, wantCounts)
-						}
-						if got.fallbacks > wantCounts.fallbacks {
-							t.Fatalf("%s: %d fallbacks in the batch core, %d in the row core", label, got.fallbacks, wantCounts.fallbacks)
-						}
-						narrowedSomething = narrowedSomething || got.fallbacks < wantCounts.fallbacks
-					}
+		jsonRel := loadKind(t, storage.KindJSON, lines)
+		rels := narrowRelations(t, lines)
+		for _, f := range filters {
+			for flagged := 0; flagged < 1<<len(narrowAccesses()); flagged++ {
+				oracle, _ := plan(jsonRel, f.pred, flagged)
+				want := rowMultiset(Materialize(oracle, 1))
+				for relName, rel := range rels {
+					label := fmt.Sprintf("%d shapes, %s, filter %s, flags %06b", shapes, relName, f.name, flagged)
+					checkNarrowed(t, label, rel, want, func() (Operator, *obs.ScanStats) { return plan(rel, f.pred, flagged) })
 				}
 			}
 		}
-	}
-	if !narrowedSomething {
-		t.Error("no case resolved fewer fallback cells than the row core: the narrowing never engaged")
 	}
 }
 
@@ -185,28 +195,20 @@ func TestNullRejectionNarrowingMatchesRowCore(t *testing.T) {
 // operator that drops the NULL keys the scans no longer deliver.
 func TestNullRejectionNarrowingUnderInnerJoin(t *testing.T) {
 	lines := narrowDocs(rand.New(rand.NewSource(7)), 420, 4)
+	plan := func(rel storage.Relation) (Operator, *obs.ScanStats) {
+		build := NewScan(rel, []storage.Access{storage.NewAccess(expr.TBigInt, "a"), storage.NewAccess(expr.TText, "s")}, nil, nil)
+		probe := NewScan(rel, narrowAccesses(), nil, nil)
+		build.MarkNullRejecting(0)
+		probe.MarkNullRejecting(0)
+		probe.Stats = &obs.ScanStats{}
+		return NewHashJoin(build, probe, []int{0}, []int{0}, InnerJoin), probe.Stats
+	}
+	oracle, _ := plan(loadKind(t, storage.KindJSON, lines))
+	want := rowMultiset(Materialize(oracle, 1))
+	if len(want) == 0 {
+		t.Fatal("the join returns nothing: the test compares nothing")
+	}
 	for relName, rel := range narrowRelations(t, lines) {
-		plan := func(rel storage.Relation) (Operator, *obs.ScanStats) {
-			build := NewScan(rel, []storage.Access{storage.NewAccess(expr.TBigInt, "a"), storage.NewAccess(expr.TText, "s")}, nil, nil)
-			probe := NewScan(rel, narrowAccesses(), nil, nil)
-			build.MarkNullRejecting(0)
-			probe.MarkNullRejecting(0)
-			probe.Stats = &obs.ScanStats{}
-			return NewHashJoin(build, probe, []int{0}, []int{0}, InnerJoin), probe.Stats
-		}
-		oracleOp, oracleStats := plan(storage.RowOnly(rel))
-		want := rowMultiset(Materialize(oracleOp, 1))
-		if len(want) == 0 {
-			t.Fatal("the join returns nothing: the test compares nothing")
-		}
-		for _, workers := range []int{1, 2, 3, 8} {
-			op, st := plan(rel)
-			if got := rowMultiset(Materialize(op, workers)); !sameRows(got, want) {
-				t.Fatalf("%s, %d workers: %d joined rows from the batch core, %d from the row core", relName, workers, len(got), len(want))
-			}
-			if got, want := countsOf(st), countsOf(oracleStats); got.rows != want.rows || got.scanned != want.scanned || got.skipped != want.skipped || got.fallbacks >= want.fallbacks {
-				t.Fatalf("%s, %d workers: batch core counted %+v, row core %+v", relName, workers, got, want)
-			}
-		}
+		checkNarrowed(t, relName, rel, want, func() (Operator, *obs.ScanStats) { return plan(rel) })
 	}
 }

@@ -157,7 +157,7 @@ func verifyConformance(t *testing.T, trial int, label string, rel Relation, acce
 	got := map[string]int{}
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
-	rel.Scan(accesses, 2, func(w int, row []expr.Value) {
+	rel.ScanWithStats(context.Background(), accesses, 2, func(w int, row []expr.Value) {
 		cells := make([]string, len(row))
 		for i, v := range row {
 			cells[i] = normalizeCell(v.String())
@@ -166,7 +166,7 @@ func verifyConformance(t *testing.T, trial int, label string, rel Relation, acce
 		<-mu
 		got[key]++
 		mu <- struct{}{}
-	})
+	}, nil)
 	compare("rows", got)
 
 	bs, ok := rel.(BatchScanner)
@@ -262,13 +262,13 @@ func TestConformanceDictColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	truthSet := map[string]int{}
-	jsonRel.Scan(accesses, 1, func(w int, row []expr.Value) {
+	jsonRel.ScanWithStats(context.Background(), accesses, 1, func(w int, row []expr.Value) {
 		cells := make([]string, len(row))
 		for i, v := range row {
 			cells[i] = normalizeCell(v.String())
 		}
 		truthSet[joinRow(cells)]++
-	})
+	}, nil)
 
 	cfg := DefaultLoaderConfig()
 	cfg.Tile.TileSize = 64

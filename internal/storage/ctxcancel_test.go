@@ -23,7 +23,7 @@ func TestRunMorselsCancelBounded(t *testing.T) {
 	const n = 100
 	morsels := make([]morsel, n)
 	for i := range morsels {
-		morsels[i] = morsel{tileLo: i, tileHi: i + 1}
+		morsels[i] = morsel{lo: i, hi: i + 1}
 	}
 	workers := 4
 	ctx, cancel := context.WithCancel(context.Background())
@@ -48,7 +48,7 @@ func TestRunMorselsPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	morsels := []morsel{{tileLo: 0, tileHi: 1}, {tileLo: 1, tileHi: 2}}
+	morsels := []morsel{{0, 1}, {1, 2}}
 	runMorsels(ctx, morsels, 4, func(w int, m morsel) { ran.Add(1) })
 	if got := ran.Load(); got != 0 {
 		t.Fatalf("pre-cancelled context ran %d morsels, want 0", got)
@@ -81,13 +81,13 @@ func TestRunMorselsCompletesWithoutCancel(t *testing.T) {
 	const n = 257
 	morsels := make([]morsel, n)
 	for i := range morsels {
-		morsels[i] = morsel{tileLo: i, tileHi: i + 1}
+		morsels[i] = morsel{lo: i, hi: i + 1}
 	}
 	seen := make([]int32, n)
 	var mu sync.Mutex
 	runMorsels(context.Background(), morsels, 3, func(w int, m morsel) {
 		mu.Lock()
-		seen[m.tileLo]++
+		seen[m.lo]++
 		mu.Unlock()
 	})
 	for i, c := range seen {

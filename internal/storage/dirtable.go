@@ -65,8 +65,7 @@ type DirTable struct {
 
 	statsMu     sync.Mutex
 	statsCache  *stats.TableStats
-	evictionsMu sync.Mutex
-	lastEvict   int64
+	evictions   atomic.Int64 // pool evictions already forwarded to the registry
 	backlogMu   sync.Mutex
 	lastBacklog int64
 
@@ -369,41 +368,23 @@ func (m *multiSource) openScanTile(ti int, cnt *scanCounters) scanTile {
 	return m.rels[i].openScanTile(ti-m.offs[i], cnt)
 }
 
-func (t *DirTable) Scan(accesses []Access, workers int, emit EmitFunc) {
-	t.ScanWithStats(context.Background(), accesses, workers, emit, nil)
-}
-
-// ScanWithStats runs the shared row-scan core over the pinned union
-// of live segments. A cancelled ctx stops the scan within one morsel;
-// the deferred release drops the segment pins either way, so
-// compaction is never blocked by abandoned queries.
+// ScanWithStats implements StatsScanner by boxing the rows of the
+// batch scan.
 func (t *DirTable) ScanWithStats(ctx context.Context, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
-	segs := t.snapshot()
-	defer releaseSegs(segs)
-	scanRowsCore(ctx, newMultiSource(segs, t.scancfg), accesses, workers, emit, st)
-	t.flushPoolCounters()
+	scanRows(ctx, t, accesses, workers, emit, st)
 }
 
 // ScanBatches runs the shared batch-scan core over the pinned union
-// of live segments.
+// of live segments. A cancelled ctx stops the scan within one morsel;
+// the deferred release drops the segment pins either way, so
+// compaction is never blocked by abandoned queries. The pool's
+// eviction delta is forwarded here, not per segment, which would
+// multiply-count a pool every segment shares.
 func (t *DirTable) ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
 	segs := t.snapshot()
 	defer releaseSegs(segs)
 	scanBatchesCore(ctx, newMultiSource(segs, t.scancfg), accesses, workers, emit, st)
-	t.flushPoolCounters()
-}
-
-// flushPoolCounters forwards the shared pool's eviction delta to the
-// registry once per scan (per-segment flushing would multiply-count
-// a pool shared by every segment).
-func (t *DirTable) flushPoolCounters() {
-	ps := t.pool.Stats()
-	t.evictionsMu.Lock()
-	delta := ps.Evictions - t.lastEvict
-	t.lastEvict = ps.Evictions
-	t.evictionsMu.Unlock()
-	obs.BufpoolEvictions.Add(delta)
-	updateHitRatioGauge()
+	flushPoolCounters(t.pool, &t.evictions)
 }
 
 // AppendTiles persists the tiles (with their relation statistics) as

@@ -62,7 +62,7 @@ func dirTestAccesses() []Access {
 func scanMultiset(rel Relation, accesses []Access) map[string]int {
 	got := map[string]int{}
 	var mu sync.Mutex
-	rel.Scan(accesses, 2, func(w int, row []expr.Value) {
+	rel.ScanWithStats(context.Background(), accesses, 2, func(w int, row []expr.Value) {
 		key := ""
 		for _, v := range row {
 			key += v.String() + "|"
@@ -70,7 +70,7 @@ func scanMultiset(rel Relation, accesses []Access) map[string]int {
 		mu.Lock()
 		got[key]++
 		mu.Unlock()
-	})
+	}, nil)
 	return got
 }
 

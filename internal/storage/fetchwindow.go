@@ -20,8 +20,7 @@ import (
 // so no worker finds the store idle. A worker claims each tile before
 // scanning it and blocks only on that tile's fetch; a tile the window
 // has not reached — full window, a worker running ahead — is fetched
-// by the claim itself. Either way a tile is fetched once, however many
-// row-split morsels share it.
+// by the claim itself. Either way a tile is fetched once.
 type fetchWindow struct {
 	ctx      context.Context
 	src      scanSource
@@ -41,14 +40,13 @@ type fetchWindow struct {
 	wg         sync.WaitGroup // fetch goroutines in flight
 }
 
-// tileFetch is one tile's fetch: issued once, waited on by every claim
-// of the tile.
+// tileFetch is one tile's fetch: issued once, by the window or by the
+// tile's claim, and waited on by that claim.
 type tileFetch struct {
 	done  chan struct{} // closed when the runs are resident (or failed)
 	r     *segment.Reader
 	runs  []segment.FetchRun
 	bytes int64 // planned decompressed bytes
-	ahead bool  // issued by the window and not yet claimed
 }
 
 // nothingToFetch marks a tile claimed with every block resident.
@@ -90,8 +88,7 @@ func newFetchWindow(ctx context.Context, src scanSource, accesses []Access, mors
 // fetchOrder lists the morsels' tiles in the order workers will want
 // them: morsels are claimed in index order by `workers` participants
 // that each walk their morsel front to back, so within every group of
-// `workers` consecutive morsels the tiles are wanted round-robin. A
-// tile shared by row-split morsels repeats; advance skips repeats.
+// `workers` consecutive morsels the tiles are wanted round-robin.
 func fetchOrder(morsels []morsel, workers int) []int {
 	var order []int
 	for g := 0; g < len(morsels); g += workers {
@@ -99,7 +96,7 @@ func fetchOrder(morsels []morsel, workers int) []int {
 		for j, more := 0, true; more; j++ {
 			more = false
 			for _, m := range group {
-				if ti := m.tileLo + j; ti < m.tileHi {
+				if ti := m.lo + j; ti < m.hi {
 					order = append(order, ti)
 					more = true
 				}
@@ -141,7 +138,6 @@ func (fw *fetchWindow) advance() {
 		if (total > fw.budget || fw.aheadTiles >= maxAheadTiles) && (fw.aheadTiles >= fw.floor || total > 2*fw.budget) {
 			return
 		}
-		f.ahead = true
 		fw.aheadBytes, fw.aheadTiles = total, fw.aheadTiles+1
 		fw.fetches[ti] = f
 		fw.wg.Add(1)
@@ -168,16 +164,17 @@ func (fw *fetchWindow) run(f *tileFetch, ahead bool) {
 
 // claim makes tile ti's blocks resident before its worker scans it: it
 // waits for the fetch the window issued, or performs the fetch itself
-// when the window has not reached the tile. Only then does the tile
-// stop counting against the window — released while still loading, it
-// would let the window run a whole pool ahead of the first block used.
+// when the window has not reached the tile. Only then does a tile the
+// window fetched stop counting against it — released while still
+// loading, it would let the window run a whole pool ahead of the first
+// block used. Every tile is claimed at most once.
 func (fw *fetchWindow) claim(ti int) {
 	if fw == nil {
 		return
 	}
 	fw.mu.Lock()
 	f := fw.fetches[ti]
-	mine := f == nil
+	mine := f == nil // else the window fetched it ahead
 	if mine {
 		if f = fw.plan(ti); f == nil {
 			f = nothingToFetch
@@ -193,8 +190,7 @@ func (fw *fetchWindow) claim(ti int) {
 		<-f.done
 	}
 	fw.mu.Lock()
-	if f.ahead {
-		f.ahead = false
+	if !mine {
 		fw.aheadBytes -= f.bytes
 		fw.aheadTiles--
 	}

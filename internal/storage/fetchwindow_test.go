@@ -72,55 +72,17 @@ var (
 )
 
 func TestFetchOrder(t *testing.T) {
-	whole := func(lo, hi int) morsel { return morsel{tileLo: lo, tileHi: hi, rowHi: -1} }
-	split := func(ti, lo, hi int) morsel { return morsel{tileLo: ti, tileHi: ti + 1, rowLo: lo, rowHi: hi} }
 	for _, tc := range []struct {
 		morsels []morsel
 		workers int
 		want    []int
 	}{
-		{[]morsel{whole(0, 1), whole(1, 2), whole(2, 3)}, 2, []int{0, 1, 2}},
-		{[]morsel{whole(0, 3), whole(3, 5), whole(5, 6)}, 2, []int{0, 3, 1, 4, 2, 5}},
-		{[]morsel{whole(0, 3), whole(3, 5), whole(5, 6)}, 1, []int{0, 1, 2, 3, 4, 5}},
-		{[]morsel{split(0, 0, 10), split(0, 10, 20), whole(1, 3)}, 2, []int{0, 0, 1, 2}},
+		{[]morsel{{0, 1}, {1, 2}, {2, 3}}, 2, []int{0, 1, 2}},
+		{[]morsel{{0, 3}, {3, 5}, {5, 6}}, 2, []int{0, 3, 1, 4, 2, 5}},
+		{[]morsel{{0, 3}, {3, 5}, {5, 6}}, 1, []int{0, 1, 2, 3, 4, 5}},
 	} {
 		if got := fetchOrder(tc.morsels, tc.workers); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("fetchOrder(%v, %d) = %v, want %v", tc.morsels, tc.workers, got, tc.want)
-		}
-	}
-}
-
-// TestFetchWindowRowSplitReadsOnce: a tile cut into k row-range
-// morsels is fetched once, however many workers hold a piece of it.
-// Before the window, every sub-morsel ran its own pre-scan fetch, and
-// two workers arriving together both issued the same ranged reads.
-// Adaptive sizing does the cutting: at 2 and 8 workers one 2048-row
-// tile is at least twice the shrunk morsel target.
-func TestFetchWindowRowSplitReadsOnce(t *testing.T) {
-	const tileRows = 2048
-	mem, cfg := fetchTestStore(t, 1, tileRows, 40)
-	var want int64
-	for _, workers := range []int{1, 2, 8} {
-		if pieces := len(buildTileMorsels([]int{tileRows}, workers, DefaultMorselRows, true)); workers > 1 && pieces < 2 {
-			t.Fatalf("workers=%d: tile cut into %d morsels, want row-split sub-morsels", workers, pieces)
-		}
-		fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: 2 * time.Millisecond})
-		dt, err := OpenDirStore("t", fake, nil, cfg, 4, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := fake.RangeReadCount()
-		var rows atomic.Int64
-		dt.ScanWithStats(context.Background(), padAccess, workers, func(int, []expr.Value) { rows.Add(1) }, nil)
-		reads := fake.RangeReadCount() - before
-		if err := dt.Err(); err != nil || rows.Load() != tileRows {
-			t.Fatalf("workers=%d: %d rows, err %v", workers, rows.Load(), err)
-		}
-		dt.Close()
-		if workers == 1 {
-			want = reads
-		} else if reads != want {
-			t.Errorf("workers=%d: %d range reads, want %d (one per planned run)", workers, reads, want)
 		}
 	}
 }

@@ -78,10 +78,6 @@ func (r *jsonbStore) SizeBytes() int {
 	return total
 }
 
-func (r *jsonbStore) Scan(accesses []Access, workers int, emit EmitFunc) {
-	r.ScanWithStats(context.Background(), accesses, workers, emit, nil)
-}
-
 // ScanWithStats implements StatsScanner. Every access traverses the
 // per-document binary JSON, so they all count as fallbacks — the
 // baseline the tiles column-hit ratio is compared against.

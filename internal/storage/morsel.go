@@ -44,19 +44,9 @@ const minRowsPerMorsel = 256
 // worker idling behind one outsized chunk.
 const morselsPerWorker = 4
 
-// morsel is one unit of schedulable scan work. For tile sources it
-// covers the tile range [tileLo, tileHi); when rowHi >= 0 it instead
-// covers rows [rowLo, rowHi) of the single tile tileLo (an oversized
-// tile split into row ranges). Flat (tile-less) sources use only
-// [rowLo, rowHi) as an item range.
-type morsel struct {
-	tileLo, tileHi int
-	rowLo, rowHi   int
-}
-
-// wholeTiles reports whether the morsel covers whole tiles (no row
-// split).
-func (m morsel) wholeTiles() bool { return m.rowHi < 0 }
+// morsel is one unit of schedulable work: the tiles [lo, hi) of a tile
+// source, or the items [lo, hi) of a flat one.
+type morsel struct{ lo, hi int }
 
 // morselSizeFor adapts the target morsel size to the input: aim for
 // `target` rows, but shrink (down to minRowsPerMorsel) when the input is
@@ -141,41 +131,28 @@ func morselRangeCtx(ctx context.Context, n, workers int, fn func(worker, lo, hi 
 		if hi > n {
 			hi = n
 		}
-		ms = append(ms, morsel{rowLo: lo, rowHi: hi})
+		ms = append(ms, morsel{lo: lo, hi: hi})
 	}
-	runMorsels(ctx, ms, workers, func(w int, m morsel) { fn(w, m.rowLo, m.rowHi) })
+	runMorsels(ctx, ms, workers, func(w int, m morsel) { fn(w, m.lo, m.hi) })
 }
 
-// morselRangeSized is morselRange with an explicit morsel size — size
-// 1 makes every item its own morsel (coarse units such as tile
-// partitions, where one item is already thousands of documents).
-// Load-path ranges have no per-request context; they run under
-// Background.
-func morselRangeSized(n, workers, size int, fn func(worker, lo, hi int)) {
-	if n <= 0 {
-		return
+// morselEach is the per-item parallel-for: every item of [0, n) is its
+// own morsel, for coarse units such as tile partitions, where one item
+// is already thousands of documents. Load-path loops have no
+// per-request context; they run under Background.
+func morselEach(n, workers int, fn func(worker, i int)) {
+	ms := make([]morsel, n)
+	for i := range ms {
+		ms[i] = morsel{lo: i, hi: i + 1}
 	}
-	if size < 1 {
-		size = 1
-	}
-	ms := make([]morsel, 0, (n+size-1)/size)
-	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		ms = append(ms, morsel{rowLo: lo, rowHi: hi})
-	}
-	runMorsels(context.Background(), ms, workers, func(w int, m morsel) { fn(w, m.rowLo, m.rowHi) })
+	runMorsels(context.Background(), ms, workers, func(w int, m morsel) { fn(w, m.lo) })
 }
 
-// buildTileMorsels cuts a tile sequence into morsels of ~size rows:
-// consecutive tiny tiles are batched into one morsel, and — when
-// split is set (row path) — a tile of at least twice the target is
-// cut into row-range morsels so one giant tile cannot serialize the
-// scan. The batch path keeps tile granularity (a batch aliases one
-// tile's column slices), so it passes split=false.
-func buildTileMorsels(rowCounts []int, workers, target int, split bool) []morsel {
+// buildTileMorsels cuts a tile sequence into morsels of ~target rows:
+// consecutive tiny tiles are batched into one morsel, and a big tile
+// is a morsel of its own. A tile is never split, because a batch
+// aliases one tile's column slices.
+func buildTileMorsels(rowCounts []int, workers, target int) []morsel {
 	total := 0
 	for _, r := range rowCounts {
 		total += r
@@ -183,32 +160,14 @@ func buildTileMorsels(rowCounts []int, workers, target int, split bool) []morsel
 	size := morselSizeFor(total, workers, target)
 	ms := make([]morsel, 0, workers*morselsPerWorker)
 	runLo, runRows := 0, 0
-	flush := func(hi int) {
-		if runLo < hi {
-			ms = append(ms, morsel{tileLo: runLo, tileHi: hi, rowLo: 0, rowHi: -1})
-		}
-	}
 	for ti, r := range rowCounts {
-		if split && r >= 2*size {
-			flush(ti)
-			parts := (r + size - 1) / size
-			per := (r + parts - 1) / parts
-			for lo := 0; lo < r; lo += per {
-				hi := lo + per
-				if hi > r {
-					hi = r
-				}
-				ms = append(ms, morsel{tileLo: ti, tileHi: ti + 1, rowLo: lo, rowHi: hi})
-			}
-			runLo, runRows = ti+1, 0
-			continue
-		}
-		runRows += r
-		if runRows >= size {
-			flush(ti + 1)
+		if runRows += r; runRows >= size {
+			ms = append(ms, morsel{lo: runLo, hi: ti + 1})
 			runLo, runRows = ti+1, 0
 		}
 	}
-	flush(len(rowCounts))
+	if runLo < len(rowCounts) {
+		ms = append(ms, morsel{lo: runLo, hi: len(rowCounts)})
+	}
 	return ms
 }

@@ -3,7 +3,6 @@ package storage
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -66,36 +65,18 @@ func TestMorselSizeFor(t *testing.T) {
 	}
 }
 
-// coveredRows replays a morsel list over the given per-tile row
-// counts and returns how often each (tile, row) was covered.
-func coveredRows(rowCounts []int, ms []morsel) [][]int {
-	cover := make([][]int, len(rowCounts))
-	for i, r := range rowCounts {
-		cover[i] = make([]int, r)
-	}
-	for _, m := range ms {
-		if m.wholeTiles() {
-			for ti := m.tileLo; ti < m.tileHi; ti++ {
-				for i := range cover[ti] {
-					cover[ti][i]++
-				}
-			}
-			continue
-		}
-		for i := m.rowLo; i < m.rowHi; i++ {
-			cover[m.tileLo][i]++
-		}
-	}
-	return cover
-}
-
+// checkCoverage fails unless the morsels cover every tile exactly once.
 func checkCoverage(t *testing.T, label string, rowCounts []int, ms []morsel) {
 	t.Helper()
-	for ti, rows := range coveredRows(rowCounts, ms) {
-		for i, c := range rows {
-			if c != 1 {
-				t.Fatalf("%s: tile %d row %d covered %d times", label, ti, i, c)
-			}
+	cover := make([]int, len(rowCounts))
+	for _, m := range ms {
+		for ti := m.lo; ti < m.hi; ti++ {
+			cover[ti]++
+		}
+	}
+	for ti, c := range cover {
+		if c != 1 {
+			t.Fatalf("%s: tile %d covered %d times", label, ti, c)
 		}
 	}
 }
@@ -107,64 +88,28 @@ func TestBuildTileMorselsBatchesTinyTiles(t *testing.T) {
 	for i := range rowCounts {
 		rowCounts[i] = 8
 	}
-	ms := buildTileMorsels(rowCounts, 1, 128, true)
+	ms := buildTileMorsels(rowCounts, 1, 128)
 	checkCoverage(t, "tiny tiles", rowCounts, ms)
 	if len(ms) >= 16 {
 		t.Fatalf("tiny tiles produced %d morsels, want batched (< 16)", len(ms))
 	}
-	for _, m := range ms {
-		if !m.wholeTiles() {
-			t.Fatalf("tiny tiles produced a row-split morsel %+v", m)
-		}
-	}
 }
 
-func TestBuildTileMorselsSplitsHugeTile(t *testing.T) {
-	// One 10000-row tile among small ones, 512-row target: the big
-	// tile is cut into row ranges so it cannot serialize the scan.
+func TestBuildTileMorselsCoversHugeTile(t *testing.T) {
+	// One 10000-row tile among small ones, 512-row target: the big tile
+	// stays whole (a batch aliases one tile's columns) and is covered
+	// once.
 	rowCounts := []int{100, 10000, 100}
-	ms := buildTileMorsels(rowCounts, 4, 512, true)
-	checkCoverage(t, "split", rowCounts, ms)
-	splits := 0
-	for _, m := range ms {
-		if !m.wholeTiles() {
-			if m.tileLo != 1 || m.tileHi != 2 {
-				t.Fatalf("row split on tile range [%d,%d), want tile 1", m.tileLo, m.tileHi)
-			}
-			splits++
-		}
-	}
-	if splits < 2 {
-		t.Fatalf("huge tile split into %d row morsels, want >= 2", splits)
-	}
-
-	// The batch path must never row-split (batches alias tile memory).
-	for _, m := range buildTileMorsels(rowCounts, 4, 512, false) {
-		if !m.wholeTiles() {
-			t.Fatalf("split=false produced row morsel %+v", m)
-		}
-	}
-	checkCoverage(t, "no-split", rowCounts, buildTileMorsels(rowCounts, 4, 512, false))
+	checkCoverage(t, "huge tile", rowCounts, buildTileMorsels(rowCounts, 4, 512))
 }
 
 func TestBuildTileMorselsEmptyAndZeroTiles(t *testing.T) {
-	if ms := buildTileMorsels(nil, 4, 512, true); len(ms) != 0 {
+	if ms := buildTileMorsels(nil, 4, 512); len(ms) != 0 {
 		t.Fatalf("no tiles produced %d morsels", len(ms))
 	}
-	// Zero-row tiles ride along in whole-tile runs without producing
-	// empty standalone morsels.
+	// Zero-row tiles ride along in whole-tile runs.
 	rowCounts := []int{0, 5, 0, 0, 7, 0}
-	ms := buildTileMorsels(rowCounts, 2, 4, true)
-	checkCoverage(t, "zero tiles", rowCounts, ms)
-	tilesCovered := make([]bool, len(rowCounts))
-	for _, m := range ms {
-		for ti := m.tileLo; ti < m.tileHi; ti++ {
-			tilesCovered[ti] = true
-		}
-	}
-	if !reflect.DeepEqual(tilesCovered, []bool{true, true, true, true, true, true}) {
-		t.Fatalf("tiles covered = %v", tilesCovered)
-	}
+	checkCoverage(t, "zero tiles", rowCounts, buildTileMorsels(rowCounts, 2, 4))
 }
 
 // --- cross-worker scan conformance ------------------------------------------
@@ -218,7 +163,7 @@ func skewedAccesses() []Access {
 func rowMultiset(rel Relation, accesses []Access, workers int) map[string]int {
 	got := map[string]int{}
 	var mu sync.Mutex
-	rel.Scan(accesses, workers, func(w int, row []expr.Value) {
+	rel.ScanWithStats(context.Background(), accesses, workers, func(w int, row []expr.Value) {
 		key := ""
 		for _, v := range row {
 			key += v.String() + "\x1f"
@@ -226,7 +171,7 @@ func rowMultiset(rel Relation, accesses []Access, workers int) map[string]int {
 		mu.Lock()
 		got[key]++
 		mu.Unlock()
-	})
+	}, nil)
 	return got
 }
 

@@ -46,10 +46,6 @@ func (r *rawJSON) SizeBytes() int {
 	return total
 }
 
-func (r *rawJSON) Scan(accesses []Access, workers int, emit EmitFunc) {
-	r.ScanWithStats(context.Background(), accesses, workers, emit, nil)
-}
-
 // ScanWithStats implements StatsScanner (rows only; the text format
 // re-parses every document, there is nothing columnar to hit).
 func (r *rawJSON) ScanWithStats(ctx context.Context, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {

@@ -55,13 +55,13 @@ func (r colResolver) read(i int) (v expr.Value, needDoc, castErr bool) {
 	}
 }
 
-// resolveColumn decides how a column with the given mined and storage
-// types serves a desired SQL type, implementing the matching rules of
-// §4.5: exact matches read directly, numeric pairs use a cheap cast,
-// Text requests render — except from Timestamp columns, which must
-// never serve Text (§4.9; the original string is not reconstructible),
-// and JSON requests always take the document.
-func resolveColumn(col *column.Column, mined, storage keypath.ValueType, hasOutliers bool, want expr.SQLType) colResolver {
+// resolveColumn decides how a column of the given storage type serves
+// a desired SQL type, implementing the matching rules of §4.5: exact
+// matches read directly, numeric pairs use a cheap cast, Text requests
+// render — except from Timestamp columns, which must never serve Text
+// (§4.9; the original string is not reconstructible), and JSON
+// requests always take the document.
+func resolveColumn(col *column.Column, storage keypath.ValueType, hasOutliers bool, want expr.SQLType) colResolver {
 	r := colResolver{mode: modeColumn, col: col, fallbackOnNull: hasOutliers}
 	switch storage {
 	case keypath.TypeBigInt:
@@ -152,6 +152,5 @@ func resolveColumn(col *column.Column, mined, storage keypath.ValueType, hasOutl
 	default:
 		return colResolver{mode: modeFallback}
 	}
-	_ = mined
 	return r
 }

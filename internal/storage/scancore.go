@@ -12,15 +12,16 @@ import (
 	"repro/internal/vec"
 )
 
-// The scan core: the row and batch scan loops shared by the in-memory
-// tiles relation and the disk-backed segment relation. Both formats
-// present their tiles through the scanTile view, so skip decisions,
-// per-tile access resolution (§4.5), and the column-hit vs
-// binary-JSON-fallback split behave identically — a query over a
-// reopened segment returns byte-identical results to the in-memory
-// path, with lazy block I/O as the only difference.
+// The scan core: the one tile scan loop shared by the in-memory tiles
+// relation and the disk-backed segment relation, and the adapter that
+// serves their row scans from it. Both formats present their tiles
+// through the scanTile view, so skip decisions, per-tile access
+// resolution (§4.5), and the column-hit vs binary-JSON-fallback split
+// behave identically — a query over a reopened segment returns
+// byte-identical results to the in-memory path, with lazy block I/O as
+// the only difference.
 
-// scanTile is one tile as the scan loops see it. *tile.Tile satisfies
+// scanTile is one tile as the scan loop sees it. *tile.Tile satisfies
 // it directly; the segment relation implements it with a lazy view
 // that fetches column and document blocks through the buffer pool on
 // first access, so unaccessed columns and skipped tiles cost no I/O.
@@ -98,7 +99,7 @@ func resolveTileAccess(t scanTile, a Access, maxSlots int) colResolver {
 	var fallbackish *colResolver
 	for _, ci := range cols {
 		info := t.Column(ci)
-		rv := resolveColumn(info.Col, info.MinedType, info.StorageType, info.HasTypeOutliers, a.Type)
+		rv := resolveColumn(info.Col, info.StorageType, info.HasTypeOutliers, a.Type)
 		if rv.mode == modeColumn {
 			// A column serves directly, but other same-path columns
 			// (different mined type) would hold the remaining values;
@@ -159,84 +160,29 @@ func resolveTileAccessBatch(t scanTile, a Access, maxSlots int) batchResolver {
 	return batchResolver{kind: vkBoxed, row: rv}
 }
 
-// scanRowsCore is the shared row-at-a-time scan loop (§4.8 skipping,
-// §4.5 per-tile resolution, §4.5/§5 column-hit vs fallback split).
-func scanRowsCore(ctx context.Context, src scanSource, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
-	cfg := src.scanConfig()
-	nTiles := src.numScanTiles()
-	if nTiles == 0 {
-		return
+// scanRows is the row scan (StatsScanner) of a tile-backed relation:
+// it runs the relation's batch scan and boxes each selected row of
+// each batch into the worker's row buffer. Rows the batch core narrows
+// away, NULL in a NullRejecting access, are therefore not emitted.
+func scanRows(ctx context.Context, bs BatchScanner, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
+	rows := make([][]expr.Value, max(workers, 1))
+	for w := range rows {
+		rows[w] = make([]expr.Value, len(accesses))
 	}
-	tenant := obs.TenantFrom(ctx)
-	// Row counts come from tile metadata: no I/O.
-	head := scanCounters{tenant: tenant}
-	rowCounts := make([]int, nTiles)
-	for i := range rowCounts {
-		rowCounts[i] = src.openScanTile(i, &head).NumRows()
-	}
-	head.flush(st)
-	morsels := buildTileMorsels(rowCounts, workers, DefaultMorselRows, true)
-	fw := newFetchWindow(ctx, src, accesses, morsels, workers, st)
-	defer fw.close()
-	runMorsels(ctx, morsels, workers, func(w int, m morsel) {
-		scratch := getScanScratch(len(accesses))
-		defer putScanScratch(scratch)
-		row, res := scratch.row, scratch.res
-		cnt := scanCounters{morsels: 1, tenant: tenant}
-		defer cnt.flush(st)
-		for ti := m.tileLo; ti < m.tileHi; ti++ {
-			t := src.openScanTile(ti, &cnt)
-			lo, hi := 0, t.NumRows()
-			if !m.wholeTiles() {
-				lo, hi = m.rowLo, m.rowHi
+	bs.ScanBatches(ctx, accesses, workers, func(w int, b *vec.Batch) {
+		row := rows[w]
+		for _, i := range b.Selected() {
+			for c := range row {
+				row[c] = b.Cols[c].Value(int(i))
 			}
-			// Tile-level counters fire once per tile: the sub-morsel
-			// starting at row 0 accounts for the whole tile.
-			if cfg.skipTiles && skippableTile(t, accesses, cfg.maxSlots) {
-				if lo == 0 {
-					cnt.tilesSkipped++
-				}
-				continue
-			}
-			fw.claim(ti)
-			if lo == 0 {
-				cnt.tilesScanned++
-			}
-			// Per-tile access resolution, computed once and reused for
-			// every tuple of the morsel (§4.5).
-			for ai, a := range accesses {
-				res[ai] = resolveTileAccess(t, a, cfg.maxSlots)
-			}
-			cnt.rows += int64(hi - lo)
-			for i := lo; i < hi; i++ {
-				var d jsonb.Doc
-				haveDoc := false
-				for ai := range accesses {
-					v, needDoc, castErr := res[ai].read(i)
-					if needDoc {
-						cnt.fallbacks++
-						if !haveDoc {
-							d = t.Raw(i)
-							haveDoc = true
-						}
-						v = docAccess(d, accesses[ai].Path, accesses[ai].Type)
-					} else if res[ai].mode == modeColumn {
-						cnt.hits++
-					}
-					if castErr {
-						cnt.castErrs++
-					}
-					row[ai] = v
-				}
-				emit(w, row)
-			}
+			emit(w, row)
 		}
-	})
+	}, st)
 }
 
-// scanBatchesCore is the shared batch scan loop: one batch per
-// surviving tile, with the same skip decisions and accounting as the
-// row scan plus the batch/vectorized-row split.
+// scanBatchesCore is the shared tile scan loop: one batch per
+// surviving tile (§4.8 skipping, §4.5 per-tile resolution, §4.5/§5
+// column-hit vs fallback split, and the batch/vectorized-row split).
 //
 // Accesses flagged NullRejecting narrow the batch — tile skipping's
 // contract applied per row: a row NULL in one of them cannot reach the
@@ -277,10 +223,7 @@ func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, wor
 			order = append(order, ai)
 		}
 	}
-	// Batches alias one tile's column slices, so morsels stay at tile
-	// granularity here: tiny tiles batch together, big tiles are one
-	// morsel each (never row-split).
-	morsels := buildTileMorsels(rowCounts, workers, DefaultMorselRows, false)
+	morsels := buildTileMorsels(rowCounts, workers, DefaultMorselRows)
 	fw := newFetchWindow(ctx, src, accesses, morsels, workers, st)
 	defer fw.close()
 	runMorsels(ctx, morsels, workers, func(w int, m morsel) {
@@ -288,7 +231,7 @@ func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, wor
 		defer putScanScratch(sc)
 		cnt := scanCounters{morsels: 1, tenant: tenant}
 		defer cnt.flush(st)
-		for ti := m.tileLo; ti < m.tileHi; ti++ {
+		for ti := m.lo; ti < m.hi; ti++ {
 			t := src.openScanTile(ti, &cnt)
 			if cfg.skipTiles && skippableTile(t, accesses, cfg.maxSlots) {
 				cnt.tilesSkipped++

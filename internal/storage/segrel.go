@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/blockstore"
 	"repro/internal/bufpool"
@@ -30,9 +31,9 @@ type segRelation struct {
 	numRows int
 	cfg     scanConfig
 
-	mu            sync.Mutex
-	err           error // first degraded-scan error (corrupt block served as NULLs)
-	lastEvictions int64 // pool evictions already forwarded to the registry
+	mu        sync.Mutex
+	err       error        // first degraded-scan error (corrupt block served as NULLs)
+	evictions atomic.Int64 // pool evictions already forwarded to the registry
 }
 
 var (
@@ -107,34 +108,26 @@ func (r *segRelation) recordErr(err error) {
 	r.mu.Unlock()
 }
 
-func (r *segRelation) Scan(accesses []Access, workers int, emit EmitFunc) {
-	r.ScanWithStats(context.Background(), accesses, workers, emit, nil)
-}
-
-// ScanWithStats runs the shared row-scan core over lazy tile views.
+// ScanWithStats implements StatsScanner by boxing the rows of the
+// batch scan.
 func (r *segRelation) ScanWithStats(ctx context.Context, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
-	scanRowsCore(ctx, r, accesses, workers, emit, st)
-	r.flushPoolCounters(st)
+	scanRows(ctx, r, accesses, workers, emit, st)
 }
 
 // ScanBatches runs the shared batch-scan core over lazy tile views.
 func (r *segRelation) ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
 	scanBatchesCore(ctx, r, accesses, workers, emit, st)
-	r.flushPoolCounters(st)
+	flushPoolCounters(r.pool, &r.evictions)
 }
 
-// flushPoolCounters forwards pool-wide eviction counts to the global
-// registry (evictions are a pool property, not a per-scan one, so
-// they are snapshotted rather than accumulated per worker).
-func (r *segRelation) flushPoolCounters(_ *obs.ScanStats) {
-	ps := r.pool.Stats()
-	// The registry counter tracks the high-water total across all
-	// pools; add only the delta since the last flush.
-	r.mu.Lock()
-	delta := ps.Evictions - r.lastEvictions
-	r.lastEvictions = ps.Evictions
-	r.mu.Unlock()
-	obs.BufpoolEvictions.Add(delta)
+// flushPoolCounters forwards pool's eviction count to the global
+// registry once per scan: evictions are a pool property, not a
+// per-scan one, so they are snapshotted rather than accumulated per
+// worker, and the registry, which totals all pools, gets only the
+// delta since *forwarded.
+func flushPoolCounters(pool *bufpool.Pool, forwarded *atomic.Int64) {
+	n := pool.Stats().Evictions
+	obs.BufpoolEvictions.Add(n - forwarded.Swap(n))
 	updateHitRatioGauge()
 }
 

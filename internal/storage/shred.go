@@ -224,10 +224,6 @@ func (r *shredded) SizeBytes() int {
 // high-cardinality arrays).
 func (r *shredded) NumColumns() int { return len(r.cols) }
 
-func (r *shredded) Scan(accesses []Access, workers int, emit EmitFunc) {
-	r.ScanWithStats(context.Background(), accesses, workers, emit, nil)
-}
-
 // ScanWithStats implements StatsScanner (rows only: the shredded
 // format has neither tiles nor a binary-JSON fallback — record
 // reassembly is its cost model, not fallback counts).

@@ -178,10 +178,6 @@ func (r *sinew) ExtractedPaths() []string {
 	return out
 }
 
-func (r *sinew) Scan(accesses []Access, workers int, emit EmitFunc) {
-	r.ScanWithStats(context.Background(), accesses, workers, emit, nil)
-}
-
 // ScanWithStats implements StatsScanner; Sinew's global schema has no
 // tiles, but the column-hit vs fallback split is still the interesting
 // signal (accesses missing from the single schema always fall back).
@@ -190,8 +186,7 @@ func (r *sinew) ScanWithStats(ctx context.Context, accesses []Access, workers in
 	res := make([]colResolver, len(accesses))
 	for i, a := range accesses {
 		if ci, ok := r.byPath[a.PathEnc]; ok {
-			res[i] = resolveColumn(r.cols[ci].col, r.cols[ci].minedType, r.cols[ci].minedType,
-				r.cols[ci].hasTypeOutliers, a.Type)
+			res[i] = resolveColumn(r.cols[ci].col, r.cols[ci].minedType, r.cols[ci].hasTypeOutliers, a.Type)
 		} else {
 			res[i] = colResolver{mode: modeFallback}
 		}

@@ -41,7 +41,9 @@ type Access struct {
 	Type expr.SQLType
 	// NullRejecting marks accesses whose NULL makes the row's
 	// predicate not-TRUE; a tile guaranteed to lack the path can then
-	// be skipped wholesale (§4.8).
+	// be skipped wholesale (§4.8). The promise holds per row too: a
+	// scan of a tile-backed relation, row or batch, may omit any row
+	// whose flagged access is NULL.
 	NullRejecting bool
 }
 
@@ -67,8 +69,8 @@ type Relation interface {
 	Name() string
 	// NumRows is the tuple count.
 	NumRows() int
-	// Scan evaluates the access expressions for every tuple.
-	Scan(accesses []Access, workers int, emit EmitFunc)
+	// StatsScanner evaluates the access expressions for every tuple.
+	StatsScanner
 	// SizeBytes is the storage footprint.
 	SizeBytes() int
 	// Stats returns relation statistics, or nil when the format keeps
@@ -76,31 +78,12 @@ type Relation interface {
 	Stats() *stats.TableStats
 }
 
-// StatsScanner is implemented by relations that report per-scan
-// observability counters (tiles scanned/skipped, rows, column hits vs
-// binary-JSON fallbacks). Scanning with a nil *obs.ScanStats is
-// equivalent to Scan.
+// StatsScanner is the row scan of every Relation: it emits one row of
+// access values per tuple, stops at the next morsel claim once ctx is
+// cancelled, and records per-scan counters (tiles scanned/skipped,
+// rows, column hits vs binary-JSON fallbacks) into st when non-nil.
 type StatsScanner interface {
 	ScanWithStats(ctx context.Context, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats)
-}
-
-// ScanWith scans rel, routing per-scan counters into st when non-nil
-// and threading ctx (cancellation, tenant identity) into relations
-// that support it. Relations without native stats support still
-// report rows scanned.
-func ScanWith(ctx context.Context, rel Relation, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
-	if ss, ok := rel.(StatsScanner); ok {
-		ss.ScanWithStats(ctx, accesses, workers, emit, st)
-		return
-	}
-	if st == nil {
-		rel.Scan(accesses, workers, emit)
-		return
-	}
-	rel.Scan(accesses, workers, func(w int, row []expr.Value) {
-		st.RowsScanned.Add(1)
-		emit(w, row)
-	})
 }
 
 // BatchEmitFunc receives batch-scan output. Implementations may call
@@ -116,31 +99,6 @@ type BatchEmitFunc func(worker int, b *vec.Batch)
 // complete (never a subset of the accesses).
 type BatchScanner interface {
 	ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats)
-}
-
-// RowOnly wraps rel so that it no longer advertises batch scanning —
-// benchmarking and conformance-testing the row-at-a-time path against
-// the vectorized one. Per-scan stats keep working.
-func RowOnly(rel Relation) Relation { return rowOnlyRel{rel: rel} }
-
-type rowOnlyRel struct{ rel Relation }
-
-func (r rowOnlyRel) Name() string             { return r.rel.Name() }
-func (r rowOnlyRel) NumRows() int             { return r.rel.NumRows() }
-func (r rowOnlyRel) SizeBytes() int           { return r.rel.SizeBytes() }
-func (r rowOnlyRel) Stats() *stats.TableStats { return r.rel.Stats() }
-func (r rowOnlyRel) Scan(accesses []Access, workers int, emit EmitFunc) {
-	r.rel.Scan(accesses, workers, emit)
-}
-
-// ScanWithStats delegates to the wrapped relation's stats-aware row
-// scan (RowOnly hides only the batch capability).
-func (r rowOnlyRel) ScanWithStats(ctx context.Context, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
-	if ss, ok := r.rel.(StatsScanner); ok {
-		ss.ScanWithStats(ctx, accesses, workers, emit, st)
-		return
-	}
-	ScanWith(ctx, r.rel, accesses, workers, emit, st)
 }
 
 // TileCounter is implemented by relations that know their tile count

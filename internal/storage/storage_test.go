@@ -1,12 +1,14 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/expr"
 	"repro/internal/keypath"
+	"repro/internal/obs"
 )
 
 func lines(srcs ...string) [][]byte {
@@ -43,10 +45,16 @@ func loadAll(t *testing.T, data [][]byte) map[FormatKind]Relation {
 
 // collectScan materializes a scan's output rows as strings, sorted.
 func collectScan(rel Relation, accesses []Access, workers int) []string {
+	return collectScanStats(rel, accesses, workers, nil)
+}
+
+// collectScanStats is collectScan recording the scan's statistics into
+// st.
+func collectScanStats(rel Relation, accesses []Access, workers int, st *obs.ScanStats) []string {
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
 	var rows []string
-	rel.Scan(accesses, workers, func(w int, row []expr.Value) {
+	rel.ScanWithStats(context.Background(), accesses, workers, func(w int, row []expr.Value) {
 		var s string
 		for i, v := range row {
 			if i > 0 {
@@ -57,7 +65,7 @@ func collectScan(rel Relation, accesses []Access, workers int) []string {
 		<-mu
 		rows = append(rows, s)
 		mu <- struct{}{}
-	})
+	}, st)
 	sortStrings(rows)
 	return rows
 }
@@ -254,24 +262,70 @@ func TestTileSkipping(t *testing.T) {
 		}
 		acc := []Access{NewAccess(expr.TBigInt, "b")}
 		acc[0].NullRejecting = true
-		rows := collectScan(rel, acc, 1)
+		var st obs.ScanStats
+		rows := collectScanStats(rel, acc, 1, &st)
 		// With skipping the first tile is not scanned at all; without,
-		// its rows surface as NULLs. Both are correct *given that* a
-		// null-rejecting consumer drops NULLs; emulate it:
-		nonNull := 0
+		// it is scanned, and its rows, NULL in the null-rejecting
+		// access, are narrowed away. Either way only the 8 "b" rows
+		// come out.
 		for _, r := range rows {
-			if r != "NULL" {
-				nonNull++
+			if r == "NULL" {
+				t.Errorf("skip=%v: a NULL row survived the null-rejecting access", skip)
 			}
 		}
-		if nonNull != 8 {
-			t.Errorf("skip=%v: %d non-null rows, want 8", skip, nonNull)
+		if len(rows) != 8 {
+			t.Errorf("skip=%v: %d rows emitted, want 8", skip, len(rows))
 		}
-		if skip && len(rows) != 8 {
-			t.Errorf("skipping did not skip: %d rows emitted", len(rows))
+		scanned, skipped := st.TilesScanned.Load(), st.TilesSkipped.Load()
+		if skip && (scanned != 1 || skipped != 1) {
+			t.Errorf("skipping did not skip: %d tiles scanned, %d skipped", scanned, skipped)
 		}
-		if !skip && len(rows) != 16 {
-			t.Errorf("no-skip emitted %d rows", len(rows))
+		if !skip && (scanned != 2 || skipped != 0) {
+			t.Errorf("no-skip: %d tiles scanned, %d skipped", scanned, skipped)
+		}
+	}
+}
+
+// TestNarrowingResolvesLiveRowsOnly pins that narrowing engages: in a
+// tile mixing two document shapes, a flagged typed access is NULL on k
+// of n rows, so a boxed access resolves only the n−k live rows from
+// binary JSON, and all n when the flag is off.
+func TestNarrowingResolvesLiveRowsOnly(t *testing.T) {
+	const n, k = 32, 8
+	var data [][]byte
+	for i := 0; i < n; i++ {
+		doc := fmt.Sprintf(`{"a":%d,"o":{"x":%d}}`, i, i)
+		if i%(n/k) == 0 {
+			doc = fmt.Sprintf(`{"b":"v%d","o":{"y":%d}}`, i, i)
+		}
+		data = append(data, []byte(doc))
+	}
+	cfg := DefaultLoaderConfig()
+	cfg.Tile.TileSize = n
+	cfg.Reorder = false
+	l, _ := NewLoader(KindTiles, cfg)
+	rel, err := l.Load("t", data, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAccess(expr.TBigInt, "a")
+	tiles := rel.(TileIntrospector).Tiles()
+	if len(tiles) != 1 || len(tiles[0].ColumnsForPath(a.PathEnc)) != 1 {
+		t.Fatalf("want one tile with one column for a, got %d tiles", len(tiles))
+	}
+	for _, flagged := range []bool{true, false} {
+		a.NullRejecting = flagged
+		var st obs.ScanStats
+		rows := collectScanStats(rel, []Access{a, NewAccess(expr.TJSON, "o")}, 1, &st)
+		want := n
+		if flagged {
+			want = n - k
+		}
+		if got := st.JSONBFallbacks.Load(); got != int64(want) {
+			t.Errorf("flagged=%v: %d jsonb_fallbacks, want %d", flagged, got, want)
+		}
+		if len(rows) != want {
+			t.Errorf("flagged=%v: %d rows, want %d", flagged, len(rows), want)
 		}
 	}
 }
@@ -361,9 +415,9 @@ func TestJSONAccessOperator(t *testing.T) {
 	rels := loadAll(t, data)
 	for kind, rel := range rels {
 		var got string
-		rel.Scan([]Access{NewAccess(expr.TJSON, "user")}, 1, func(w int, row []expr.Value) {
+		rel.ScanWithStats(context.Background(), []Access{NewAccess(expr.TJSON, "user")}, 1, func(w int, row []expr.Value) {
 			got = row[0].String()
-		})
+		}, nil)
 		if got != `{"id":7,"name":"bo"}` {
 			t.Errorf("%s -> returned %s", kind, got)
 		}

@@ -128,7 +128,7 @@ func TestStoreConformanceMidScanCompaction(t *testing.T) {
 		got := map[string]int{}
 		var mu sync.Mutex
 		var once sync.Once
-		dt.Scan(accesses, workers, func(w int, row []expr.Value) {
+		dt.ScanWithStats(context.Background(), accesses, workers, func(w int, row []expr.Value) {
 			once.Do(func() {
 				// Mid-scan: fold the segments this very scan is reading.
 				if rounds, err := dt.Compact(); err != nil || rounds == 0 {
@@ -142,7 +142,7 @@ func TestStoreConformanceMidScanCompaction(t *testing.T) {
 			mu.Lock()
 			got[key]++
 			mu.Unlock()
-		})
+		}, nil)
 		sameMultiset(t, "mid-scan compaction", got, map[string]int(want))
 		if err := dt.Err(); err != nil {
 			t.Fatalf("Err: %v", err)

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -84,7 +85,7 @@ func normRowMultiset(rel Relation, accesses []Access, workers int) map[string]in
 	got := map[string]int{}
 	mu := make(chan struct{}, 1)
 	mu <- struct{}{}
-	rel.Scan(accesses, workers, func(w int, row []expr.Value) {
+	rel.ScanWithStats(context.Background(), accesses, workers, func(w int, row []expr.Value) {
 		cells := make([]string, len(row))
 		for i, v := range row {
 			cells[i] = normalizeCell(v.String())
@@ -93,7 +94,7 @@ func normRowMultiset(rel Relation, accesses []Access, workers int) map[string]in
 		<-mu
 		got[key]++
 		mu <- struct{}{}
-	})
+	}, nil)
 	return got
 }
 

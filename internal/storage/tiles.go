@@ -30,7 +30,7 @@ type tilesRelation struct {
 }
 
 var (
-	_ StatsScanner     = (*tilesRelation)(nil)
+	_ Relation         = (*tilesRelation)(nil)
 	_ TileIntrospector = (*tilesRelation)(nil)
 )
 
@@ -89,7 +89,7 @@ func buildPartitions(name string, n int, cfg LoaderConfig, workers int, metrics 
 		partDocs = tcfg.TileSize
 	}
 	partTiles := make([][]*tile.Tile, (n+partDocs-1)/partDocs)
-	morselRangeSized(len(partTiles), workers, 1, func(w, p, _ int) {
+	morselEach(len(partTiles), workers, func(_, p int) {
 		pb := &partBuilder{tcfg: tcfg, reorder: cfg.Reorder && tcfg.PartitionSize > 1,
 			workers: workers, metrics: metrics}
 		lo := p * partDocs
@@ -131,7 +131,7 @@ func (pb *partBuilder) tapes(docs []*jsontape.Doc) []*tile.Tile {
 func cutTiles[D any](pb *partBuilder, docs []D, build func(*tile.Builder, []D) *tile.Tile) []*tile.Tile {
 	size := pb.tcfg.TileSize
 	tiles := make([]*tile.Tile, (len(docs)+size-1)/size)
-	morselRangeSized(len(tiles), pb.workers, 1, func(_, i, _ int) {
+	morselEach(len(tiles), pb.workers, func(_, i int) {
 		tiles[i] = build(tile.NewBuilder(pb.tcfg, pb.metrics), docs[i*size:min((i+1)*size, len(docs))])
 	})
 	return tiles
@@ -228,10 +228,6 @@ func (r *tilesRelation) RawSizeBytes() int {
 	return total
 }
 
-func (r *tilesRelation) Scan(accesses []Access, workers int, emit EmitFunc) {
-	r.ScanWithStats(context.Background(), accesses, workers, emit, nil)
-}
-
 // scanCounters batches per-worker observability counts so the per-row
 // path touches only local integers; they are flushed with a handful of
 // atomic adds per worker chunk.
@@ -241,7 +237,7 @@ type scanCounters struct {
 	// morsels processed (flushed to per-scan stats only; the global
 	// morsels_dispatched counter is maintained by the queue runner).
 	morsels int64
-	// Batch path only.
+	// Tile scans only.
 	batches, rowsVec, rowsFallback int64
 	// Segment-backed scans only: block I/O and buffer-pool traffic.
 	blocksRead, blockBytes, poolHits, poolMisses int64
@@ -302,13 +298,10 @@ func (c *scanCounters) flush(st *obs.ScanStats) {
 	st.StoreRetries.Add(c.retries)
 }
 
-// scanScratch holds what one morsel reuses from tile to tile — the row
-// core's row buffer and resolvers, the batch core's batch, boxed and
-// widened vectors, dead-row bitmap and selection — pooled across scans.
+// scanScratch holds what one morsel reuses from tile to tile — the
+// batch, boxed and widened vectors, dead-row bitmap and selection —
+// pooled across scans.
 type scanScratch struct {
-	row []expr.Value
-	res []colResolver
-
 	batch vec.Batch
 	bres  []batchResolver
 	boxed [][]expr.Value
@@ -321,18 +314,14 @@ var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
 func getScanScratch(n int) *scanScratch {
 	s := scanScratchPool.Get().(*scanScratch)
-	if cap(s.row) < n {
+	if cap(s.bres) < n {
 		*s = scanScratch{
-			row:   make([]expr.Value, n),
-			res:   make([]colResolver, n),
 			batch: vec.Batch{Cols: make([]vec.Vector, n)},
 			bres:  make([]batchResolver, n),
 			boxed: make([][]expr.Value, n),
 			fbuf:  make([][]float64, n),
 		}
 	}
-	s.row = s.row[:n]
-	s.res = s.res[:n]
 	s.batch.Cols = s.batch.Cols[:n]
 	s.bres = s.bres[:n]
 	s.boxed = s.boxed[:n]
@@ -344,8 +333,6 @@ func getScanScratch(n int) *scanScratch {
 // buffer-pool memory: boxed cells, vectors and resolvers alias
 // documents and columns that an eviction or a dropped segment frees.
 func putScanScratch(s *scanScratch) {
-	clear(s.row)
-	clear(s.res)
 	clear(s.batch.Cols)
 	clear(s.bres)
 	for i, vals := range s.boxed {
@@ -356,12 +343,10 @@ func putScanScratch(s *scanScratch) {
 	scanScratchPool.Put(s)
 }
 
-// ScanWithStats implements StatsScanner via the shared scan core: the
-// per-tile skip decisions (§4.8) and the column-hit vs
-// binary-JSON-fallback split (§4.5/§5) are the key observability
-// signals of the format.
+// ScanWithStats implements StatsScanner by boxing the rows of the
+// batch scan.
 func (r *tilesRelation) ScanWithStats(ctx context.Context, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
-	scanRowsCore(ctx, r, accesses, workers, emit, st)
+	scanRows(ctx, r, accesses, workers, emit, st)
 }
 
 // scanSource implementation: in-memory tiles are their own scan

@@ -17,9 +17,9 @@ import (
 // a typed copy (still no boxing); provably-absent paths become
 // all-NULL vectors; everything else — binary-JSON fallbacks, renders,
 // type-outlier columns — is materialized cell-by-cell into a boxed
-// vector by the same resolver logic the row scan uses, so both paths
-// agree bit-for-bit. The loop itself lives in the scan core
-// (scancore.go), shared with the disk-backed segment relation.
+// vector through the per-row colResolver. The loop itself lives in the
+// scan core (scancore.go), shared with the disk-backed segment
+// relation.
 
 type vecKind uint8
 
@@ -62,9 +62,7 @@ func zeroVec(c *column.Column, t expr.SQLType) vec.Vector {
 var _ BatchScanner = (*tilesRelation)(nil)
 
 // ScanBatches implements BatchScanner via the shared scan core: one
-// batch per surviving tile, with the same skip decisions and
-// observability accounting as the row scan plus the
-// batch/vectorized-row split.
+// batch per surviving tile.
 func (r *tilesRelation) ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
 	scanBatchesCore(ctx, r, accesses, workers, emit, st)
 }
