@@ -59,8 +59,9 @@ func flushOnce(tb testing.TB, lines [][]byte) tile.MetricsSnapshot {
 
 // BenchmarkFlush pushes one append batch of each generator through
 // OpenStore and Insert…Flush: throughput, allocations, and the
-// deterministic work counts of mining and reordering per document,
-// which compare across hosts where the timings do not.
+// deterministic work counts per document, which compare across hosts
+// where the timings do not — FP-tree nodes and subset tests of mining
+// and reordering, and tape walks, which must be one per document.
 func BenchmarkFlush(b *testing.B) {
 	for _, c := range flushCorpora() {
 		b.Run(c.name, func(b *testing.B) {
@@ -77,6 +78,7 @@ func BenchmarkFlush(b *testing.B) {
 			docs := float64(len(c.lines))
 			b.ReportMetric(float64(m.FPNodes)/docs, "fpnodes/doc")
 			b.ReportMetric(float64(m.SubsetTests)/docs, "subsettests/doc")
+			b.ReportMetric(float64(m.TapeWalks)/docs, "walks/doc")
 		})
 	}
 }
@@ -171,12 +173,13 @@ func TestInsertParsesOnce(t *testing.T) {
 
 // TestFlushWorkIsDeterministic: a flush builds its tiles on several
 // workers, yet the work counts — like the segment bytes — do not
-// depend on scheduling.
+// depend on scheduling. Reordering hands its walks to the tile builds,
+// so each document is walked once.
 func TestFlushWorkIsDeterministic(t *testing.T) {
 	for _, c := range flushCorpora() {
 		first := flushOnce(t, c.lines)
-		if first.FPNodes == 0 || first.SubsetTests == 0 || first.TilesBuilt != 2 {
-			t.Errorf("%s: FPNodes=%d SubsetTests=%d TilesBuilt=%d", c.name, first.FPNodes, first.SubsetTests, first.TilesBuilt)
+		if first.FPNodes == 0 || first.SubsetTests == 0 || first.TilesBuilt != 2 || first.TapeWalks != int64(len(c.lines)) {
+			t.Errorf("%s: FPNodes=%d SubsetTests=%d TilesBuilt=%d TapeWalks=%d", c.name, first.FPNodes, first.SubsetTests, first.TilesBuilt, first.TapeWalks)
 		}
 		if again := flushOnce(t, c.lines); again.FPNodes != first.FPNodes || again.SubsetTests != first.SubsetTests {
 			t.Errorf("%s: work %d/%d then %d/%d", c.name, first.FPNodes, first.SubsetTests, again.FPNodes, again.SubsetTests)

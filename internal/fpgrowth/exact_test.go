@@ -2,6 +2,7 @@ package fpgrowth
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -225,12 +226,25 @@ func TestMineInvariantUnderDuplication(t *testing.T) {
 	}
 }
 
+// Maximal, on any family, and the closed-family filter MineMaximal
+// uses, on Mine's output, both return the all-pairs maximal sets.
 func TestMaximalMatchesAllPairs(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	check := func(name string, sets []Itemset) {
 		t.Helper()
 		if got, want := Maximal(sets), allPairsMaximal(sets); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: Maximal(%v)\n= %v\nwant %v", name, sets, got, want)
+		}
+	}
+	checkMined := func(name string, m Miner, txs [][]int32) {
+		t.Helper()
+		sets := m.Mine(txs)
+		check(name, sets)
+		if got, want := maximalClosed(sets, &Work{}), allPairsMaximal(sets); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: maximalClosed(%v)\n= %v\nwant %v", name, sets, got, want)
+		}
+		if got, want := m.MineMaximal(txs), allPairsMaximal(sets); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: MineMaximal = %v\nwant %v", name, got, want)
 		}
 	}
 	for trial := 0; trial < 300; trial++ {
@@ -259,24 +273,26 @@ func TestMaximalMatchesAllPairs(t *testing.T) {
 		// Mined families, budget-truncated and cut at maxK.
 		txs := randomTransactions(r, 1+r.Intn(100))
 		m := Miner{MinSupport: 1 + r.Intn(len(txs)/3+1), Budget: 1 + r.Intn(300)}
-		check(fmt.Sprintf("mined %d", trial), m.Mine(txs))
+		checkMined(fmt.Sprintf("mined %d", trial), m, txs)
 	}
 	// One distinct transaction of 14 items: the budget cuts the
 	// powerset at maxK, so every set of the largest mined size is
-	// maximal.
+	// maximal. Budget 13 leaves maxK = 1 with more items frequent than
+	// the budget, so Mine stops at 13 single items.
 	one := make([][]int32, 50)
 	for i := range one {
 		one[i] = []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
 	}
-	for _, budget := range []int{14, 105, 500, 2516, DefaultBudget} {
-		check(fmt.Sprintf("one transaction, budget %d", budget), (&Miner{MinSupport: 30, Budget: budget}).Mine(one))
+	for _, budget := range []int{13, 14, 105, 500, 2516, DefaultBudget} {
+		checkMined(fmt.Sprintf("one transaction, budget %d", budget), Miner{MinSupport: 30, Budget: budget}, one)
 	}
 }
 
 // Work counts repeat exactly and do not grow with duplicate
 // transactions: one distinct 3-item transaction is one 3-node path,
-// mined as a single path (no conditional trees), and each of the six
-// smaller of its seven subsets takes one test against the full set.
+// mined as a single path (no conditional trees). The maximal filter
+// probes each of the three 2-sets for its 2 one-smaller subsets and
+// the 3-set for its 3: 9 probes, and no pairwise test.
 func TestWorkCounts(t *testing.T) {
 	for _, copies := range []int{1, 100} {
 		txs := make([][]int32, copies)
@@ -287,8 +303,99 @@ func TestWorkCounts(t *testing.T) {
 		if got := m.MineMaximal(txs); len(got) != 1 || len(got[0].Items) != 3 {
 			t.Fatalf("%d copies: maximal = %v", copies, got)
 		}
-		if m.Work != (Work{FPNodes: 3, SubsetTests: 6}) {
-			t.Errorf("%d copies: work = %+v, want {FPNodes:3 SubsetTests:6}", copies, m.Work)
+		if m.Work != (Work{FPNodes: 3, SubsetTests: 9}) {
+			t.Errorf("%d copies: work = %+v, want {FPNodes:3 SubsetTests:9}", copies, m.Work)
 		}
 	}
+}
+
+// flatten lays transactions out as the flat runs FrequentItems reads
+// and returns the number of distinct items.
+func flatten(txs [][]int32) (items, ends []int32, nItems int) {
+	for _, tx := range txs {
+		for _, it := range tx {
+			items = append(items, it)
+			nItems = max(nItems, int(it)+1)
+		}
+		ends = append(ends, int32(len(items)))
+	}
+	return items, ends, nItems
+}
+
+// topItems is the budget rule written out: the items of support at
+// least minSupport, the budget most frequent of them when there are
+// more, ties to the smaller id.
+func topItems(txs [][]int32, minSupport, budget int) map[int32]bool {
+	support := map[int32]int{}
+	for _, tx := range txs {
+		seen := map[int32]bool{}
+		for _, it := range tx {
+			if !seen[it] {
+				seen[it] = true
+				support[it]++
+			}
+		}
+	}
+	var frequent []int32
+	for it, c := range support {
+		if c >= minSupport {
+			frequent = append(frequent, it)
+		}
+	}
+	sort.Slice(frequent, func(i, j int) bool {
+		a, b := frequent[i], frequent[j]
+		return support[a] > support[b] || support[a] == support[b] && a < b
+	})
+	out := map[int32]bool{}
+	for _, it := range frequent[:min(budget, len(frequent))] {
+		out[it] = true
+	}
+	return out
+}
+
+// FuzzExtractionIsFrequentItems: on random transaction databases, with
+// the budget below and above the number of frequent items, the tile's
+// extraction set — FrequentItems — is the union of MineMaximal's sets
+// whenever at most Budget items are frequent, and the top-Budget rule
+// otherwise. The seeds run as a property test under go test.
+func FuzzExtractionIsFrequentItems(f *testing.F) {
+	for seed := int64(0); seed < 64; seed++ {
+		f.Add(seed, uint8(seed*37), int8(seed%11)-6)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, supportPick uint8, budgetDelta int8) {
+		r := rand.New(rand.NewSource(seed))
+		txs := randomTransactions(r, 1+r.Intn(200))
+		for i := range txs {
+			if r.Intn(3) == 0 {
+				txs[i] = scramble(r, txs[i])
+			}
+		}
+		minSupport := 1 + int(supportPick)%(len(txs)/2+1)
+		nFrequent := len(topItems(txs, minSupport, math.MaxInt))
+		budget := max(nFrequent+int(budgetDelta), 1)
+		items, ends, nItems := flatten(txs)
+		got := map[int32]bool{}
+		for it, ok := range FrequentItems(items, ends, nItems, minSupport, budget) {
+			if ok {
+				got[int32(it)] = true
+			}
+		}
+
+		want := topItems(txs, minSupport, budget)
+		if nFrequent <= budget {
+			union := map[int32]bool{}
+			m := Miner{MinSupport: minSupport, Budget: budget}
+			for _, s := range m.MineMaximal(txs) {
+				for _, it := range s.Items {
+					union[it] = true
+				}
+			}
+			if !reflect.DeepEqual(union, want) {
+				t.Fatalf("support %d, budget %d: the union of the maximal sets %v is not the frequent items %v", minSupport, budget, union, want)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("support %d, budget %d, %d frequent: FrequentItems = %v, want %v", minSupport, budget, nFrequent, got, want)
+		}
+	})
 }

@@ -45,8 +45,9 @@ type Work struct {
 	// FPNodes counts FP-tree node updates: one per item of every path
 	// inserted into an FP-tree, conditional trees included.
 	FPNodes int64
-	// SubsetTests counts itemset-against-itemset containment or
-	// overlap tests.
+	// SubsetTests counts itemset containment or overlap tests: a test
+	// of one itemset against another, or a probe of MineMaximal's
+	// filter for one one-smaller subset among the mined sets.
 	SubsetTests int64
 }
 
@@ -150,6 +151,13 @@ func hashItems(items []int32) uint64 {
 // come out deterministically ordered: ascending size, then
 // lexicographically by items.
 func (m *Miner) Mine(transactions [][]int32) []Itemset {
+	out := m.mine(transactions)
+	slices.SortFunc(out, compareItemsets)
+	return out
+}
+
+// mine is Mine without the final sort.
+func (m *Miner) mine(transactions [][]int32) []Itemset {
 	if m.MinSupport < 1 {
 		return nil
 	}
@@ -157,7 +165,6 @@ func (m *Miner) Mine(transactions [][]int32) []Itemset {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-
 	tree, nFrequent := m.buildTree(transactions)
 	if nFrequent == 0 {
 		return nil
@@ -165,8 +172,6 @@ func (m *Miner) Mine(transactions [][]int32) []Itemset {
 	// Depth bound from Eq. 1.
 	st := &mineState{minSupport: m.MinSupport, budget: budget, maxK: maxItemsetSize(nFrequent, budget)}
 	st.mine(tree, nil)
-
-	slices.SortFunc(st.out, compareItemsets)
 	return st.out
 }
 
@@ -229,10 +234,11 @@ func (m *Miner) buildTree(transactions [][]int32) (*fpTree, int) {
 	return tree, len(frequentItems)
 }
 
-// MineMaximal is Maximal(m.Mine(transactions)), with Maximal's subset
-// tests counted in m.Work.
+// MineMaximal is Maximal(m.Mine(transactions)). Mine's output is closed
+// under subsets, so the filter is maximalClosed, whose probes are
+// counted in m.Work.
 func (m *Miner) MineMaximal(transactions [][]int32) []Itemset {
-	return maximal(m.Mine(transactions), &m.Work)
+	return maximalClosed(m.mine(transactions), &m.Work)
 }
 
 func newTree(work *Work) *fpTree {
@@ -289,14 +295,22 @@ type mineState struct {
 	maxK       int
 	generated  int
 	out        []Itemset
+	// arena holds the items of every emitted set. A set is a capped
+	// slice of it, so a later append never writes into an earlier set,
+	// and one that regrows the arena leaves the earlier sets on the old
+	// backing array, which nothing writes again.
+	arena []int32
 }
 
+// emit copies items into the arena, so callers may reuse their buffer.
 func (s *mineState) emit(items []int32, count int) bool {
 	if s.generated >= s.budget {
 		return false
 	}
 	s.generated++
-	sorted := slices.Clone(items)
+	lo := len(s.arena)
+	s.arena = append(s.arena, items...)
+	sorted := s.arena[lo:len(s.arena):len(s.arena)]
 	slices.Sort(sorted)
 	s.out = append(s.out, Itemset{Items: sorted, Count: count})
 	return true
@@ -369,12 +383,14 @@ func (s *mineState) minePath(path []*fpNode, suffix []int32) {
 	}
 	maxChoose := min(s.maxK-len(suffix), len(nodes))
 	idx := make([]int, 0, maxChoose)
+	items := make([]int32, len(suffix), len(suffix)+maxChoose)
+	copy(items, suffix)
 	var rec func(start int)
 	rec = func(start int) {
 		if len(idx) > 0 {
 			// Support of a combination is the count of its deepest
 			// (last, since path order is root→leaf) node.
-			items := append([]int32(nil), suffix...)
+			items = items[:len(suffix)]
 			minCount := nodes[idx[0]].count
 			for _, i := range idx {
 				items = append(items, nodes[i].item)
@@ -460,17 +476,12 @@ func maxItemsetSize(n, u int) int {
 }
 
 // Maximal filters sets to those not strictly contained in another
-// frequent set — the tile extractor materializes the union of maximal
-// itemsets (§3.1 step 3).
+// set of the family (§3.1 step 3). It visits sets largest first and
+// tests each only against the maximal sets already found that are
+// strictly larger. That suffices: a set inside a non-maximal superset
+// is also inside the maximal set containing that superset, which is
+// larger still and visited earlier.
 func Maximal(sets []Itemset) []Itemset {
-	return maximal(sets, &Work{})
-}
-
-// maximal visits sets largest first and tests each only against the
-// maximal sets already found that are strictly larger. That suffices:
-// a set inside a non-maximal superset is also inside the maximal set
-// containing that superset, which is larger still and visited earlier.
-func maximal(sets []Itemset, work *Work) []Itemset {
 	bySize := slices.Clone(sets)
 	slices.SortStableFunc(bySize, func(a, b Itemset) int { return len(b.Items) - len(a.Items) })
 	var out []Itemset
@@ -480,7 +491,6 @@ func maximal(sets []Itemset, work *Work) []Itemset {
 			if len(b.Items) <= len(a.Items) {
 				break
 			}
-			work.SubsetTests++
 			if isSubset(a.Items, b.Items) {
 				isMax = false
 				break
@@ -490,8 +500,131 @@ func maximal(sets []Itemset, work *Work) []Itemset {
 			out = append(out, a)
 		}
 	}
-	// Largest, most frequent first: the extraction step unions in
-	// this order.
+	sortMaximal(out)
+	return out
+}
+
+// maximalClosed is Maximal for a family of distinct sets that holds
+// every non-empty subset of each of its sets. Mine's output is such a
+// family: it emits every frequent itemset of at most maxK items unless
+// the budget stops it, and Eq. 1 picks maxK so that at most u such sets
+// exist, except when maxK is 1 — and a family of single items has no
+// subsets to miss. In such a family a set s is not maximal iff some
+// member t strictly contains it, and then s plus any item of t \ s is a
+// member too. So s is not maximal iff it is a one-smaller subset of a
+// member, and marking those subsets costs one probe per item of every
+// set instead of a test per pair. The hash of a set is the sum of its
+// items' hashes, so a subset's hash is its set's minus one item's; each
+// hash match is checked item by item.
+func maximalClosed(sets []Itemset, work *Work) []Itemset {
+	hashes := make([]uint64, len(sets))
+	head := make(map[uint64]int32, len(sets)) // hash → 1 + the last set with it
+	next := make([]int32, len(sets))          // 1 + the previous set with the same hash
+	for i, s := range sets {
+		h := uint64(0)
+		for _, it := range s.Items {
+			h += mixItem(it)
+		}
+		hashes[i] = h
+		next[i] = head[h]
+		head[h] = int32(i + 1)
+	}
+	covered := make([]bool, len(sets))
+	for i, s := range sets {
+		if len(s.Items) < 2 {
+			continue
+		}
+		work.SubsetTests += int64(len(s.Items))
+		for j, it := range s.Items {
+			for k := head[hashes[i]-mixItem(it)]; k > 0; k = next[k-1] {
+				if sub := sets[k-1].Items; len(sub) == len(s.Items)-1 && equalWithout(sub, s.Items, j) {
+					covered[k-1] = true
+					break
+				}
+			}
+		}
+	}
+	var out []Itemset
+	for i, s := range sets {
+		if !covered[i] {
+			out = append(out, s)
+		}
+	}
+	sortMaximal(out)
+	return out
+}
+
+// mixItem is the splitmix64 finalizer of an item id: a set's hash is
+// the sum over its items.
+func mixItem(it int32) uint64 {
+	x := uint64(uint32(it)) + 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// equalWithout reports whether sub equals set with its j-th item
+// removed.
+func equalWithout(sub, set []int32, j int) bool {
+	return slices.Equal(sub[:j], set[:j]) && slices.Equal(sub[j:], set[j+1:])
+}
+
+// FrequentItems returns the extraction set of a tile (§3.1): the union
+// of the maximal itemsets that MineMaximal finds. That union is the set
+// of frequent single items — every frequent item is a frequent 1-itemset
+// inside some maximal one, and every item of a frequent itemset is
+// frequent — so counting support per item finds it without a tree.
+// Mining can only differ when more than the budget u of items are
+// frequent: Eq. 1 then cuts mining to single items and the budget to u
+// of them, and FrequentItems keeps the u most frequent, ties to the
+// smaller id.
+//
+// The database is held as flat runs: transaction i is
+// items[ends[i-1]:ends[i]] (ends[-1] = 0), may repeat items, and every
+// item is below nItems. The result is indexed by item.
+func FrequentItems(items, ends []int32, nItems, minSupport, budget int) []bool {
+	out := make([]bool, nItems)
+	if minSupport < 1 {
+		return out // as Mine, which finds nothing below support 1
+	}
+	if budget <= 0 {
+		budget = DefaultBudget
+	}
+	support := make([]int32, nItems)
+	stamp := make([]int32, nItems) // 1 + the last transaction that counted the item
+	lo := int32(0)
+	for i, hi := range ends {
+		for _, it := range items[lo:hi] {
+			if stamp[it] != int32(i+1) {
+				stamp[it] = int32(i + 1)
+				support[it]++
+			}
+		}
+		lo = hi
+	}
+	var frequent []int32
+	for it, c := range support {
+		if int(c) >= minSupport {
+			frequent = append(frequent, int32(it))
+		}
+	}
+	if len(frequent) > budget {
+		slices.SortFunc(frequent, func(a, b int32) int {
+			if support[a] != support[b] {
+				return cmp.Compare(support[b], support[a])
+			}
+			return cmp.Compare(a, b)
+		})
+		frequent = frequent[:budget]
+	}
+	for _, it := range frequent {
+		out[it] = true
+	}
+	return out
+}
+
+// sortMaximal orders maximal sets largest, then most frequent first.
+func sortMaximal(out []Itemset) {
 	slices.SortFunc(out, func(a, b Itemset) int {
 		if len(a.Items) != len(b.Items) {
 			return cmp.Compare(len(b.Items), len(a.Items))
@@ -501,7 +634,6 @@ func maximal(sets []Itemset, work *Work) []Itemset {
 		}
 		return slices.Compare(a.Items, b.Items)
 	})
-	return out
 }
 
 // isSubset reports a ⊆ b for sorted slices.

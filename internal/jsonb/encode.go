@@ -23,10 +23,13 @@ type Encoder struct {
 	buf     []byte
 	// Tape-driven encoding scratch (EncodeTape): decoded string
 	// content and sorted members per pre-order record, the members of
-	// every object carved from one arena.
+	// every object carved from one arena, the member order of each
+	// object shape seen (memberOrder) and a copy buffer to apply it.
 	tstr   [][]byte
 	tmem   [][]tapeMember
 	marena []tapeMember
+	shapes map[uint64]*memberShape
+	mcopy  []tapeMember
 }
 
 type numericInfo struct {

@@ -112,32 +112,20 @@ func (e *Encoder) measureTape(d *jsontape.Doc, ti int) int {
 			j = d.Skip(j + 1)
 		}
 		ms := e.marena[lo:len(e.marena):len(e.marena)]
-		// A stable sort keeps equal keys in input order, so the last of
-		// a run is the last occurrence: the one a repeated key means.
-		// Equal keys end up adjacent, and adjacent elements of a sorted
-		// order have been compared with each other, so the order check
-		// or the sort itself sees every repetition: distinct keys pay
-		// nothing for the check.
-		presorted, repeated := true, false
-		for k := 1; k < len(ms) && presorted; k++ {
-			c := bytes.Compare(ms[k-1].key, ms[k].key)
-			presorted, repeated = c <= 0, repeated || c == 0
+		// Members go in key order, the last of equal keys kept. Keys in
+		// strictly ascending order are that already; any other object
+		// takes the order of its shape.
+		ascending := true
+		for k := 1; k < len(ms) && ascending; k++ {
+			ascending = bytes.Compare(ms[k-1].key, ms[k].key) < 0
 		}
-		if !presorted {
-			slices.SortStableFunc(ms, func(a, b tapeMember) int {
-				c := bytes.Compare(a.key, b.key)
-				repeated = repeated || c == 0
-				return c
-			})
-		}
-		if repeated {
-			kept := ms[:0]
-			for k, m := range ms {
-				if k+1 == len(ms) || !bytes.Equal(ms[k+1].key, m.key) {
-					kept = append(kept, m)
-				}
+		if !ascending {
+			e.mcopy = append(e.mcopy[:0], ms...)
+			order := e.memberOrder(ms)
+			for k, p := range order {
+				ms[k] = e.mcopy[p]
 			}
-			ms, count = kept, len(kept)
+			ms, count = ms[:len(order)], len(order)
 		}
 		e.tmem[idx] = ms
 		slots := 0
@@ -152,6 +140,95 @@ func (e *Encoder) measureTape(d *jsontape.Doc, ti int) int {
 	e.sizes[idx] = size
 	e.spans[idx] = len(e.sizes) - idx
 	return size
+}
+
+// maxShapes bounds the object shapes one encoder remembers.
+const maxShapes = 64
+
+// memberShape is the member order of one object shape: its keys in
+// input order, and the input positions of the members to encode.
+type memberShape struct {
+	keys  [][]byte
+	order []int32
+}
+
+// shapeHash hashes an object's key sequence. It is a variable so a test
+// can force collisions.
+var shapeHash = hashKeys
+
+// hashKeys is FNV-1a over each key's length and its bytes, eight at a
+// time where it can.
+func hashKeys(ms []tapeMember) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, m := range ms {
+		k := m.key
+		h = (h ^ uint64(len(k))) * prime
+		for ; len(k) >= 8; k = k[8:] {
+			h = (h ^ binary.LittleEndian.Uint64(k)) * prime
+		}
+		for _, c := range k {
+			h = (h ^ uint64(c)) * prime
+		}
+	}
+	return h
+}
+
+// memberOrder returns the input positions of the members to encode: in
+// key order, with the last of equal keys kept. A stable sort keeps
+// equal keys in input order, so the last of a run is the last
+// occurrence — the one a repeated key means. The documents of a
+// collection repeat a few shapes, so the order is remembered per key
+// sequence, for up to maxShapes sequences: an object whose keys hash
+// like a remembered shape's and equal them one by one sorts nothing.
+func (e *Encoder) memberOrder(ms []tapeMember) []int32 {
+	h := shapeHash(ms)
+	s, seen := e.shapes[h]
+	if seen && s.matches(ms) {
+		return s.order
+	}
+	order := make([]int32, len(ms))
+	for k := range order {
+		order[k] = int32(k)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return bytes.Compare(ms[a].key, ms[b].key) })
+	kept := order[:0]
+	for k, p := range order {
+		if k+1 == len(order) || !bytes.Equal(ms[order[k+1]].key, ms[p].key) {
+			kept = append(kept, p)
+		}
+	}
+	if !seen && len(e.shapes) < maxShapes {
+		// The keys may alias the document, so the shape keeps a copy.
+		n := 0
+		for _, m := range ms {
+			n += len(m.key)
+		}
+		buf := make([]byte, 0, n)
+		keys := make([][]byte, len(ms))
+		for k, m := range ms {
+			buf = append(buf, m.key...)
+			keys[k] = buf[len(buf)-len(m.key):]
+		}
+		if e.shapes == nil {
+			e.shapes = map[uint64]*memberShape{}
+		}
+		e.shapes[h] = &memberShape{keys: keys, order: kept}
+	}
+	return kept
+}
+
+// matches reports whether the object's keys are the shape's.
+func (s *memberShape) matches(ms []tapeMember) bool {
+	if len(ms) != len(s.keys) {
+		return false
+	}
+	for k, m := range ms {
+		if !bytes.Equal(m.key, s.keys[k]) {
+			return false
+		}
+	}
+	return true
 }
 
 // writeTape mirrors write, consuming the memoized records in the same

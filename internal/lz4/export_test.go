@@ -1,0 +1,5 @@
+package lz4
+
+// ByteLoopCompress is the reference compressor, for tests outside the
+// package.
+var ByteLoopCompress = freshCompress

@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/obs"
@@ -135,22 +136,32 @@ func (t *hashTable) compress(dst, src []byte) []byte {
 			continue
 		}
 		// Extend the match forward; it must stop short of the final
-		// literal region.
+		// literal region. While eight bytes fit, compare a word at a
+		// time: the lowest set bit of the XOR of two little-endian
+		// words lies in the first byte that differs.
+		offset := pos - cand
 		matchEnd := pos + minMatch
-		candEnd := cand + minMatch
 		hardEnd := len(src) - lastLiterals
-		for matchEnd < hardEnd && src[matchEnd] == src[candEnd] {
-			matchEnd++
-			candEnd++
+		for matchEnd < hardEnd {
+			if matchEnd+8 > hardEnd {
+				if src[matchEnd] != src[matchEnd-offset] {
+					break
+				}
+				matchEnd++
+				continue
+			}
+			if x := binary.LittleEndian.Uint64(src[matchEnd:]) ^ binary.LittleEndian.Uint64(src[matchEnd-offset:]); x != 0 {
+				matchEnd += bits.TrailingZeros64(x) / 8
+				break
+			}
+			matchEnd += 8
 		}
 		// Extend the match backwards over pending literals.
 		for pos > anchor && cand > 0 && src[pos-1] == src[cand-1] {
 			pos--
 			cand--
 		}
-		matchLen := matchEnd - pos
-		offset := pos - cand
-		dst = emitSequence(dst, src[anchor:pos], offset, matchLen)
+		dst = emitSequence(dst, src[anchor:pos], offset, matchEnd-pos)
 		pos = matchEnd
 		anchor = pos
 		if pos < limit && pos >= 2 {

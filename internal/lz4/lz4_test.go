@@ -191,9 +191,10 @@ func TestStructuredDataCompresses(t *testing.T) {
 	}
 }
 
-// freshCompress is the compressor as it was before the table was
-// pooled: a zeroed table per call, entries holding position + 1. The
-// pooled compressor must reproduce its output byte for byte.
+// freshCompress is the reference compressor: a zeroed table per call,
+// entries holding position + 1, and matches extended one byte at a
+// time. The pooled compressor, which extends a word at a time, must
+// reproduce its output byte for byte.
 func freshCompress(dst, src []byte) []byte {
 	if len(src) == 0 {
 		return dst
@@ -277,6 +278,37 @@ func TestReusedTableMatchesFreshTable(t *testing.T) {
 	for i, src := range mixedInputs() {
 		if !bytes.Equal(Compress(nil, src), freshCompress(nil, src)) {
 			t.Fatalf("input %d: Compress differs from a fresh table", i)
+		}
+	}
+}
+
+// TestWordMatchExtensionMatchesByteLoop: extending matches a word at a
+// time finds the same match ends as the byte loop — on random inputs
+// whose matches end at every offset within a word and run into the
+// final literals. JSONB blocks are checked in TestCompressJSONBBlocks.
+func TestWordMatchExtensionMatchesByteLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 2000; trial++ {
+		// Copies of a few random snippets, each copy cut at a random
+		// length and sometimes mutated, over a small alphabet.
+		var src []byte
+		snippets := make([][]byte, 1+r.Intn(4))
+		for i := range snippets {
+			snippets[i] = make([]byte, 1+r.Intn(40))
+			for j := range snippets[i] {
+				snippets[i][j] = byte('a' + r.Intn(1+r.Intn(4)))
+			}
+		}
+		for n := r.Intn(300); len(src) < n; {
+			s := snippets[r.Intn(len(snippets))]
+			s = s[:1+r.Intn(len(s))]
+			src = append(src, s...)
+			if r.Intn(3) == 0 {
+				src[r.Intn(len(src))] ^= byte(1 + r.Intn(255))
+			}
+		}
+		if got, want := Compress(nil, src), freshCompress(nil, src); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d (%d B %q): word-at-a-time output differs from the byte loop", trial, len(src), src)
 		}
 	}
 }

@@ -259,8 +259,16 @@ func TestWorkPerDistinctTransaction(t *testing.T) {
 // TestCollectTilesMatchesOneDictionary: collecting tile by tile over
 // dictionaries of their own, then renumbering, yields the transactions
 // one dictionary over the whole partition yields, for trees and for
-// tapes, at any worker count.
+// tapes' walks, at any worker count.
 func TestCollectTilesMatchesOneDictionary(t *testing.T) {
+	trees := func(_ int, docs []jsonvalue.Value) ([][]int32, []keypath.Item) {
+		dict := keypath.NewDict()
+		return tile.CollectTransactions(docs, 4, dict), dict.Items()
+	}
+	walks := func(_ int, tapes []*jsontape.Doc) ([][]int32, []keypath.Item) {
+		w := tile.WalkTapes(tapes, 4, nil)
+		return w.Transactions(), w.Items
+	}
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + r.Intn(300)
@@ -277,10 +285,10 @@ func TestCollectTilesMatchesOneDictionary(t *testing.T) {
 		wantTrees := tile.CollectTransactions(docs, 4, keypath.NewDict())
 		wantTapes := tile.CollectTapeTransactions(tapes, 4, keypath.NewDict())
 		for _, workers := range []int{1, 3} {
-			if got := collectTiles(docs, tileSize, 4, workers, tile.CollectTransactions); !sameTxs(got, wantTrees) {
+			if got := collectTiles(docs, tileSize, workers, trees); !sameTxs(got, wantTrees) {
 				t.Fatalf("trial %d (%d docs, tile %d, workers %d): trees differ", trial, n, tileSize, workers)
 			}
-			if got := collectTiles(tapes, tileSize, 4, workers, tile.CollectTapeTransactions); !sameTxs(got, wantTapes) {
+			if got := collectTiles(tapes, tileSize, workers, walks); !sameTxs(got, wantTapes) {
 				t.Fatalf("trial %d (%d docs, tile %d, workers %d): tapes differ", trial, n, tileSize, workers)
 			}
 		}

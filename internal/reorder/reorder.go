@@ -19,8 +19,11 @@
 //  5. move tuples to their assigned tiles (we apply the computed
 //     permutation directly — the in-place swap schedule of the paper
 //     is an artifact of paged storage and yields the same layout)
-//  6. the caller re-mines each reordered tile with the original
-//     threshold to find the final extraction columns (tile.Builder.Build)
+//  6. the caller extracts each reordered tile's frequent items at the
+//     original threshold — the union of its maximal itemsets, found by
+//     counting, not mining (fpgrowth.FrequentItems). PartitionTapesWorkers
+//     hands the tile builds the walks steps 1–3 collected from
+//     (Walks), so each document is walked once.
 package reorder
 
 import (
@@ -55,26 +58,83 @@ type Result struct {
 // the call they are permuted so that tiles (consecutive TileSize
 // runs) cluster tuples of equal frequent structure.
 func Partition(docs []jsonvalue.Value, cfg tile.Config, m *tile.Metrics) Result {
-	return partition(docs, cfg, m, 1, tile.CollectTransactions)
+	res, _ := partition(docs, cfg, m, 1, func(_ int, docs []jsonvalue.Value) ([][]int32, []keypath.Item) {
+		dict := keypath.NewDict()
+		return tile.CollectTransactions(docs, cfg.MaxArraySlots, dict), dict.Items()
+	})
+	return res
 }
 
 // PartitionTapes is Partition over parsed tape documents. Transactions
 // come straight from the tapes, so the permutation matches Partition
 // over the materialized trees.
 func PartitionTapes(tapes []*jsontape.Doc, cfg tile.Config, m *tile.Metrics) Result {
-	return PartitionTapesWorkers(tapes, cfg, m, 1)
+	res, _ := PartitionTapesWorkers(tapes, cfg, m, 1)
+	return res
 }
 
 // PartitionTapesWorkers is PartitionTapes with the per-tile work —
-// collecting transactions and the step-1 mines — run as one morsel per
+// walking the documents and the step-1 mines — run as one morsel per
 // tile on up to `workers` participants (sched.For). The permutation,
-// the Result and the work counts do not depend on workers.
-func PartitionTapesWorkers(tapes []*jsontape.Doc, cfg tile.Config, m *tile.Metrics, workers int) Result {
-	return partition(tapes, cfg, m, workers, tile.CollectTapeTransactions)
+// the Result and the work counts do not depend on workers. The walks
+// come back for the tile builds; they are nil when the partition was
+// not walked (a single tile, or PartitionSize ≤ 1).
+func PartitionTapesWorkers(tapes []*jsontape.Doc, cfg tile.Config, m *tile.Metrics, workers int) (Result, *Walks) {
+	w := &Walks{tileSize: tileSizeOf(cfg)}
+	w.src = make([]*tile.Walk, (len(tapes)+w.tileSize-1)/w.tileSize)
+	res, order := partition(tapes, cfg, m, workers, func(k int, docs []*jsontape.Doc) ([][]int32, []keypath.Item) {
+		w.src[k] = tile.WalkTapes(docs, cfg.MaxArraySlots, m)
+		return w.src[k].Transactions(), w.src[k].Items
+	})
+	if len(w.src) == 0 || w.src[0] == nil {
+		return res, nil
+	}
+	w.order = order
+	return res, w
 }
 
+// Walks hands a reordered partition's walks to its tile builds: Tile(k)
+// is the walk of the documents the permutation put in tile k.
+type Walks struct {
+	src      []*tile.Walk // the walk of each tile before reordering
+	order    []int        // the permutation; nil when nothing moved
+	tileSize int
+}
+
+// Tile returns tile k's walk: the tile's own walk when the permutation
+// left its documents in place, else their runs regrouped from the
+// walks that hold them (tile.Regroup). A nil Walks returns nil.
+func (w *Walks) Tile(k int) *tile.Walk {
+	if w == nil {
+		return nil
+	}
+	if w.order == nil {
+		return w.src[k]
+	}
+	lo := k * w.tileSize
+	hi := lo + len(w.src[k].DocEnd)
+	for p := lo; p < hi; p++ {
+		if w.order[p] != p {
+			return tile.Regroup(w.src, w.tileSize, w.order[lo:hi])
+		}
+	}
+	return w.src[k]
+}
+
+func tileSizeOf(cfg tile.Config) int {
+	if cfg.TileSize <= 0 {
+		return tile.DefaultConfig().TileSize
+	}
+	return cfg.TileSize
+}
+
+// partition runs steps 1–5 over docs and returns the permutation it
+// applied (nil when it moved nothing). collect(k, tile) collects tile
+// k's transactions over a dictionary of its own and returns them with
+// that dictionary's items; it runs once per tile, in a morsel of its
+// own.
 func partition[D any](docs []D, cfg tile.Config, m *tile.Metrics, workers int,
-	collect func([]D, int, *keypath.Dict) [][]int32) Result {
+	collect func(k int, tile []D) ([][]int32, []keypath.Item)) (Result, []int) {
 	start := time.Now()
 	defer func() {
 		if m != nil {
@@ -82,21 +142,18 @@ func partition[D any](docs []D, cfg tile.Config, m *tile.Metrics, workers int,
 		}
 	}()
 	if len(docs) == 0 || cfg.PartitionSize <= 1 {
-		return Result{}
+		return Result{}, nil
 	}
-	tileSize := cfg.TileSize
-	if tileSize <= 0 {
-		tileSize = tile.DefaultConfig().TileSize
-	}
+	tileSize := tileSizeOf(cfg)
 	if len(docs) <= tileSize {
-		return Result{} // a single tile: nothing to redistribute
+		return Result{}, nil // a single tile: nothing to redistribute
 	}
 
-	txs := collectTiles(docs, tileSize, cfg.MaxArraySlots, workers, collect)
+	txs := collectTiles(docs, tileSize, workers, collect)
 	order, res, work := computeOrder(txs, cfg, tileSize, workers)
 	m.AddWork(work)
 	if order == nil {
-		return res
+		return res, nil
 	}
 	permuted := make([]D, len(docs))
 	for newPos, oldPos := range order {
@@ -106,7 +163,7 @@ func partition[D any](docs []D, cfg tile.Config, m *tile.Metrics, workers int,
 		}
 	}
 	copy(docs, permuted)
-	return res
+	return res, order
 }
 
 // collectTiles is collect over the whole partition with one dictionary,
@@ -114,23 +171,24 @@ func partition[D any](docs []D, cfg tile.Config, m *tile.Metrics, workers int,
 // own, and the items are then renumbered as the partition dictionary
 // numbers them — in order of first occurrence, so merging the tile
 // dictionaries in tile order assigns the same ids — and each
-// transaction is sorted again.
-func collectTiles[D any](docs []D, tileSize, maxSlots, workers int,
-	collect func([]D, int, *keypath.Dict) [][]int32) [][]int32 {
+// transaction is sorted.
+func collectTiles[D any](docs []D, tileSize, workers int,
+	collect func(k int, tile []D) ([][]int32, []keypath.Item)) [][]int32 {
 	nTiles := (len(docs) + tileSize - 1) / tileSize
 	bounds := func(k int) (int, int) { return k * tileSize, min((k+1)*tileSize, len(docs)) }
 	txs := make([][]int32, len(docs))
-	dicts := make([]*keypath.Dict, nTiles)
+	items := make([][]keypath.Item, nTiles)
 	sched.For(context.Background(), nTiles, workers, func(_, k int) {
 		lo, hi := bounds(k)
-		dicts[k] = keypath.NewDict()
-		copy(txs[lo:hi], collect(docs[lo:hi], maxSlots, dicts[k]))
+		var tileTxs [][]int32
+		tileTxs, items[k] = collect(k, docs[lo:hi])
+		copy(txs[lo:hi], tileTxs)
 	})
 	partDict := keypath.NewDict()
 	ids := make([][]int32, nTiles) // tile-local id → partition id
-	for k, d := range dicts {
-		ids[k] = make([]int32, d.Len())
-		for local, it := range d.Items() {
+	for k, tileItems := range items {
+		ids[k] = make([]int32, len(tileItems))
+		for local, it := range tileItems {
 			ids[k][local] = partDict.Add(it.Path, it.Type)
 		}
 	}

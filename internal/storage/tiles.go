@@ -111,28 +111,37 @@ func (pb *partBuilder) trees(docs []jsonvalue.Value) []*tile.Tile {
 	if pb.reorder {
 		reorder.Partition(docs, pb.tcfg, pb.metrics)
 	}
-	return cutTiles(pb, docs, (*tile.Builder).Build)
+	return cutTiles(pb, docs, func(b *tile.Builder, _ int, docs []jsonvalue.Value) *tile.Tile { return b.Build(docs) })
 }
 
-// tapes is trees for a partition of parsed tapes.
+// tapes is trees for a partition of parsed tapes. Reordering walks
+// every document and hands the walks on, so each tile builds from its
+// documents' walk instead of walking them again.
 func (pb *partBuilder) tapes(docs []*jsontape.Doc) []*tile.Tile {
+	var walks *reorder.Walks
 	if pb.reorder {
-		reorder.PartitionTapesWorkers(docs, pb.tcfg, pb.metrics, pb.workers)
+		_, walks = reorder.PartitionTapesWorkers(docs, pb.tcfg, pb.metrics, pb.workers)
 	}
-	return cutTiles(pb, docs, (*tile.Builder).BuildTape)
+	return cutTiles(pb, docs, func(b *tile.Builder, k int, docs []*jsontape.Doc) *tile.Tile {
+		if w := walks.Tile(k); w != nil {
+			return b.BuildWalk(docs, w)
+		}
+		return b.BuildTape(docs)
+	})
 }
 
-// cutTiles builds a partition's documents into tiles of TileSize rows.
-// Once reordered, the tiles of a partition are independent, so each is
-// one morsel with its own builder: a flush of one partition still uses
-// every worker. Helpers come from the shared pool, and one that has not
-// started by the time the inline drain empties the queue does nothing,
-// so a flush beside busy queries runs serially instead of competing.
-func cutTiles[D any](pb *partBuilder, docs []D, build func(*tile.Builder, []D) *tile.Tile) []*tile.Tile {
+// cutTiles builds a partition's documents into tiles of TileSize rows;
+// build gets tile k's documents. Once reordered, the tiles of a
+// partition are independent, so each is one morsel with its own
+// builder: a flush of one partition still uses every worker. Helpers
+// come from the shared pool, and one that has not started by the time
+// the inline drain empties the queue does nothing, so a flush beside
+// busy queries runs serially instead of competing.
+func cutTiles[D any](pb *partBuilder, docs []D, build func(b *tile.Builder, k int, docs []D) *tile.Tile) []*tile.Tile {
 	size := pb.tcfg.TileSize
 	tiles := make([]*tile.Tile, (len(docs)+size-1)/size)
 	morselEach(len(tiles), pb.workers, func(_, i int) {
-		tiles[i] = build(tile.NewBuilder(pb.tcfg, pb.metrics), docs[i*size:min((i+1)*size, len(docs))])
+		tiles[i] = build(tile.NewBuilder(pb.tcfg, pb.metrics), i, docs[i*size:min((i+1)*size, len(docs))])
 	})
 	return tiles
 }

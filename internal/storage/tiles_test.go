@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/jsontape"
@@ -11,8 +12,9 @@ import (
 )
 
 // TestParallelTileBuildsKeepOrder: the tiles of a partition build on
-// several workers, yet come out exactly as a serial reorder-then-cut
-// builds them, tile by tile and row by row.
+// several workers from the walks the reorder hands over, yet come out
+// exactly as a serial reorder-then-cut that walks each tile afresh
+// builds them, tile by tile, column by column and row by row.
 func TestParallelTileBuildsKeepOrder(t *testing.T) {
 	var data [][]byte
 	for i := 0; i < 2*4*16+21; i++ { // two full partitions and a partial one
@@ -53,8 +55,8 @@ func TestParallelTileBuildsKeepOrder(t *testing.T) {
 		t.Fatalf("%d tiles, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].NumRows() != want[i].NumRows() || len(got[i].Columns()) != len(want[i].Columns()) {
-			t.Fatalf("tile %d: %d rows / %d columns, want %d / %d", i,
+		if got[i].NumRows() != want[i].NumRows() || !reflect.DeepEqual(got[i].Columns(), want[i].Columns()) {
+			t.Fatalf("tile %d: %d rows / %d columns, want %d / %d, or the columns differ", i,
 				got[i].NumRows(), len(got[i].Columns()), want[i].NumRows(), len(want[i].Columns()))
 		}
 		for r := 0; r < want[i].NumRows(); r++ {

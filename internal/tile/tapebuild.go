@@ -2,7 +2,6 @@ package tile
 
 import (
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/bloom"
@@ -16,19 +15,20 @@ import (
 	"repro/internal/obs"
 )
 
-// Tape-driven tile construction: the same mining and extraction as
-// Build, but consuming structural tapes (DESIGN.md §6.8). Where the
-// tree path walks every document twice (once for transactions, once
-// for leaves) over boxed jsonvalue nodes, BuildTape walks each tape
-// once, recording (dictionary id, tape node) pairs; columns then
-// decode scalar payloads lazily, straight from the document bytes.
-// The resulting tile is byte-identical to Build over the materialized
-// trees: same dictionary ids, same transactions, same column order
-// and contents, and EncodeTape matches Encode byte for byte.
+// Tape-driven tile construction: the same extraction as Build, but
+// consuming structural tapes (DESIGN.md §6.8). Where the tree path
+// walks every document twice (once for items, once for leaves) over
+// boxed jsonvalue nodes, a tape build walks each tape once, recording
+// (dictionary id, tape node) pairs; columns then decode scalar
+// payloads lazily, straight from the document bytes. The resulting
+// tile is byte-identical to Build over the materialized trees: same
+// dictionary ids, same extraction set, same column order and contents,
+// and EncodeTape matches Encode byte for byte.
 
 // CollectTapeTransactions is the tape analogue of CollectTransactions:
 // one sorted item-id list per document over a shared dictionary. The
-// partition reorderer uses it to cluster tapes before tile building.
+// partition reorderer gets the same lists from its tiles' walks
+// (Walk.Transactions, renumbered to one partition dictionary).
 func CollectTapeTransactions(tapes []*jsontape.Doc, maxSlots int, dict *keypath.Dict) [][]int32 {
 	var flat []int32
 	end := make([]int, len(tapes))
@@ -47,65 +47,148 @@ func CollectTapeTransactions(tapes []*jsontape.Doc, maxSlots int, dict *keypath.
 	return txs
 }
 
-// BuildTape materializes one tile from parsed tapes. It mirrors Build
-// exactly but walks each document once: the walk yields both the
-// mining transaction and the leaf nodes the extraction pass decodes.
+// Walk is the structural walk of a run of tape documents: every leaf
+// keypath.CollectTape reports, in walk order, as the id of its
+// (path, type) item and its tape node. Leaves of document i are
+// IDs[DocEnd[i-1]:DocEnd[i]] (DocEnd[-1] = 0); ids number Items in
+// order of first occurrence, as a fresh keypath.Dict would.
+type Walk struct {
+	Items  []keypath.Item
+	IDs    []int32
+	Nodes  []jsontape.Node
+	DocEnd []int32
+}
+
+// WalkTapes walks each document once, counting the walks and the
+// subtrees the array-slot cap skipped in m (which may be nil).
+func WalkTapes(tapes []*jsontape.Doc, maxSlots int, m *Metrics) *Walk {
+	// A leaf takes at least two tape words unless it is an array
+	// element, so half the words is a close first capacity.
+	words := 0
+	for _, d := range tapes {
+		words += len(d.Tape)
+	}
+	dict := keypath.NewDict()
+	w := &Walk{
+		IDs:    make([]int32, 0, words/2),
+		Nodes:  make([]jsontape.Node, 0, words/2),
+		DocEnd: make([]int32, len(tapes)),
+	}
+	skipped := 0
+	for i, d := range tapes {
+		skipped += keypath.CollectTape(d, maxSlots, func(pathEnc []byte, t keypath.ValueType, n jsontape.Node) {
+			w.IDs = append(w.IDs, dict.AddBytes(pathEnc, t))
+			w.Nodes = append(w.Nodes, n)
+		})
+		w.DocEnd[i] = int32(len(w.IDs))
+	}
+	w.Items = dict.Items()
+	obs.IngestSubtreesSkipped.Add(int64(skipped))
+	if m != nil {
+		m.SubtreesSkipped.Add(int64(skipped))
+		m.TapeWalks.Add(int64(len(tapes)))
+	}
+	return w
+}
+
+// Transactions returns each document's set of item ids, in order of
+// first occurrence within the document.
+func (w *Walk) Transactions() [][]int32 {
+	flat := make([]int32, 0, len(w.IDs))
+	stamp := make([]int32, len(w.Items)) // 1 + the last document that took the item
+	txs := make([][]int32, len(w.DocEnd))
+	lo := int32(0)
+	for i, hi := range w.DocEnd {
+		start := len(flat)
+		for _, id := range w.IDs[lo:hi] {
+			if stamp[id] != int32(i+1) {
+				stamp[id] = int32(i + 1)
+				flat = append(flat, id)
+			}
+		}
+		txs[i] = flat[start:len(flat):len(flat)]
+		lo = hi
+	}
+	return txs
+}
+
+// Regroup returns the walk of the documents at positions, where
+// position p is document p%tileSize of walks[p/tileSize]. The leaves
+// keep their walk order and the items are numbered afresh in order of
+// first occurrence, so the result is what walking those documents in
+// that order yields.
+func Regroup(walks []*Walk, tileSize int, positions []int) *Walk {
+	docRun := func(p int) (*Walk, int32, int32) {
+		w, i := walks[p/tileSize], p%tileSize
+		lo := int32(0)
+		if i > 0 {
+			lo = w.DocEnd[i-1]
+		}
+		return w, lo, w.DocEnd[i]
+	}
+	n := int32(0)
+	for _, p := range positions {
+		_, lo, hi := docRun(p)
+		n += hi - lo
+	}
+	out := &Walk{IDs: make([]int32, 0, n), Nodes: make([]jsontape.Node, 0, n), DocEnd: make([]int32, len(positions))}
+	dict := keypath.NewDict()
+	remap := make([][]int32, len(walks)) // per source walk: its id → the new id, -1 until seen
+	for j, p := range positions {
+		w, lo, hi := docRun(p)
+		r := remap[p/tileSize]
+		if r == nil {
+			r = make([]int32, len(w.Items))
+			for i := range r {
+				r[i] = -1
+			}
+			remap[p/tileSize] = r
+		}
+		for _, id := range w.IDs[lo:hi] {
+			if r[id] < 0 {
+				r[id] = dict.Add(w.Items[id].Path, w.Items[id].Type)
+			}
+			out.IDs = append(out.IDs, r[id])
+		}
+		out.Nodes = append(out.Nodes, w.Nodes[lo:hi]...)
+		out.DocEnd[j] = int32(len(out.IDs))
+	}
+	out.Items = dict.Items()
+	return out
+}
+
+// BuildTape materializes one tile from parsed tapes: one walk per
+// document, then BuildWalk.
 func (b *Builder) BuildTape(tapes []*jsontape.Doc) *Tile {
+	start := time.Now()
+	w := WalkTapes(tapes, b.Config.MaxArraySlots, b.Metrics)
+	if b.Metrics != nil {
+		b.Metrics.MineNanos.Add(time.Since(start).Nanoseconds())
+	}
+	return b.BuildWalk(tapes, w)
+}
+
+// BuildWalk materializes one tile from parsed tapes and their walk
+// (WalkTapes over these tapes, or a Regroup of walks in this order).
+// The extraction set is the tile's frequent items
+// (fpgrowth.FrequentItems): no tree is mined, and the walk's leaves
+// feed the extraction pass.
+func (b *Builder) BuildWalk(tapes []*jsontape.Doc, w *Walk) *Tile {
 	obs.IngestDocsTape.Add(int64(len(tapes)))
 	if b.Metrics != nil {
 		b.Metrics.DocsTape.Add(int64(len(tapes)))
 	}
-
 	start := time.Now()
-	// Single walk per document: flat (id, node) pairs plus per-doc end
-	// offsets. Leaf order within a document matches the tree walk, so
-	// last-occurrence-wins semantics carry over unchanged.
-	dict := keypath.NewDict()
-	var (
-		ids     []int32
-		nodes   []jsontape.Node
-		docEnd  = make([]int32, len(tapes))
-		skipped int
-	)
-	for i, d := range tapes {
-		skipped += keypath.CollectTape(d, b.Config.MaxArraySlots, func(pathEnc []byte, t keypath.ValueType, n jsontape.Node) {
-			ids = append(ids, dict.AddBytes(pathEnc, t))
-			nodes = append(nodes, n)
-		})
-		docEnd[i] = int32(len(ids))
-	}
-	obs.IngestSubtreesSkipped.Add(int64(skipped))
-	if b.Metrics != nil {
-		b.Metrics.SubtreesSkipped.Add(int64(skipped))
-	}
-
-	// Transactions are sorted-deduped runs of one copy: the flat run
-	// keeps the original leaf order for the extraction pass.
-	sorted := slices.Clone(ids)
-	txs := make([][]int32, len(tapes))
-	lo := int32(0)
-	for i, hi := range docEnd {
-		txs[i] = sortDedup(sorted[lo:hi:hi])
-		lo = hi
-	}
-	miner := fpgrowth.Miner{MinSupport: b.Config.MinSupport(len(tapes)), Budget: b.Config.Budget}
-	maximal := miner.MineMaximal(txs)
+	extracted := fpgrowth.FrequentItems(w.IDs, w.DocEnd, len(w.Items), b.Config.MinSupport(len(tapes)), b.Config.Budget)
 	if b.Metrics != nil {
 		b.Metrics.MineNanos.Add(time.Since(start).Nanoseconds())
 	}
-	b.Metrics.AddWork(miner.Work)
-	return b.materializeTape(tapes, dict, maximal, ids, nodes, docEnd)
+	return b.materializeTape(tapes, w, extracted)
 }
 
-func (b *Builder) materializeTape(tapes []*jsontape.Doc, dict *keypath.Dict,
-	maximal []fpgrowth.Itemset, ids []int32, nodes []jsontape.Node, docEnd []int32) *Tile {
+func (b *Builder) materializeTape(tapes []*jsontape.Doc, w *Walk, extracted []bool) *Tile {
 	start := time.Now()
-	extractedIDs := map[int32]bool{}
-	for _, s := range maximal {
-		for _, id := range s.Items {
-			extractedIDs[id] = true
-		}
-	}
+	items, ids, nodes, docEnd := w.Items, w.IDs, w.Nodes, w.DocEnd
 
 	t := &Tile{
 		numRows:    len(tapes),
@@ -117,17 +200,21 @@ func (b *Builder) materializeTape(tapes []*jsontape.Doc, dict *keypath.Dict,
 	}
 
 	var orderedIDs []int32
-	for id := int32(0); id < int32(dict.Len()); id++ {
-		if extractedIDs[id] && isExtractableType(dict.Item(id).Type) {
-			orderedIDs = append(orderedIDs, id)
+	for id, item := range items {
+		if extracted[id] && isExtractableType(item.Type) {
+			orderedIDs = append(orderedIDs, int32(id))
 		}
 	}
 
 	// Path frequency counts every non-null leaf occurrence, exactly as
-	// the tree walk does.
+	// the tree walk does: per item, then per path.
+	leaves := make([]int, len(items))
 	for _, id := range ids {
-		if item := dict.Item(id); item.Type != keypath.TypeNull {
-			t.pathFreq[item.Path]++
+		leaves[id]++
+	}
+	for id, item := range items {
+		if item.Type != keypath.TypeNull {
+			t.pathFreq[item.Path] += leaves[id]
 		}
 	}
 
@@ -135,7 +222,7 @@ func (b *Builder) materializeTape(tapes []*jsontape.Doc, dict *keypath.Dict,
 	// access to ->'user' on a tile holding user.id must neither skip
 	// nor return NULL-for-all). The dictionary already dedups paths.
 	seenPaths := map[string]bool{}
-	for _, item := range dict.Items() {
+	for _, item := range items {
 		if seenPaths[item.Path] {
 			continue
 		}
@@ -160,15 +247,15 @@ func (b *Builder) materializeTape(tapes []*jsontape.Doc, dict *keypath.Dict,
 	// filled by a forward scan so later occurrences overwrite earlier.
 	extGroup := map[string]int32{}
 	for _, id := range orderedIDs {
-		path := dict.Item(id).Path
+		path := items[id].Path
 		if _, ok := extGroup[path]; !ok {
 			extGroup[path] = int32(len(extGroup))
 		}
 	}
 	G := len(extGroup)
-	extOfID := make([]int32, dict.Len())
-	for id := 0; id < dict.Len(); id++ {
-		if g, ok := extGroup[dict.Item(int32(id)).Path]; ok {
+	extOfID := make([]int32, len(items))
+	for id, item := range items {
+		if g, ok := extGroup[item.Path]; ok {
 			extOfID[id] = g
 		} else {
 			extOfID[id] = -1
@@ -190,7 +277,7 @@ func (b *Builder) materializeTape(tapes []*jsontape.Doc, dict *keypath.Dict,
 	}
 
 	for _, id := range orderedIDs {
-		item := dict.Item(id)
+		item := items[id]
 		g := int(extGroup[item.Path])
 		info := ColumnInfo{Path: item.Path, MinedType: item.Type, StorageType: item.Type}
 
@@ -220,7 +307,7 @@ func (b *Builder) materializeTape(tapes []*jsontape.Doc, dict *keypath.Dict,
 			}
 			if ids[li] != id {
 				col.AppendNull()
-				if dict.Item(ids[li]).Type != keypath.TypeNull {
+				if items[ids[li]].Type != keypath.TypeNull {
 					info.HasTypeOutliers = true
 				}
 				continue

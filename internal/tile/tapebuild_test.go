@@ -3,7 +3,9 @@ package tile
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/jsontape"
@@ -128,10 +130,11 @@ func TestCollectTapeTransactionsMatchesTree(t *testing.T) {
 	}
 }
 
-// TestBuildCountsWorkOncePerDistinctDocument: a tile of one repeated
-// three-path document mines one 3-node FP-tree path and tests the six
-// smaller subsets of that path once each against the full set, however
-// many copies the tile holds.
+// TestBuildCountsWorkOncePerDistinctDocument: a tile build counts
+// items instead of mining, so a tile of one repeated three-path
+// document, however many copies it holds, costs no FP-tree node and no
+// subset test — and still extracts all three paths. Each tape is
+// walked once.
 func TestBuildCountsWorkOncePerDistinctDocument(t *testing.T) {
 	const doc = `{"a":1,"b":"x","c":true}`
 	for _, n := range []int{1, 1000} {
@@ -145,12 +148,69 @@ func TestBuildCountsWorkOncePerDistinctDocument(t *testing.T) {
 			}
 		}
 		var mTree, mTape Metrics
-		NewBuilder(DefaultConfig(), &mTree).Build(docs)
-		NewBuilder(DefaultConfig(), &mTape).BuildTape(tapes)
+		tiles := map[string]*Tile{
+			"Build":     NewBuilder(DefaultConfig(), &mTree).Build(docs),
+			"BuildTape": NewBuilder(DefaultConfig(), &mTape).BuildTape(tapes),
+		}
 		for name, m := range map[string]*Metrics{"Build": &mTree, "BuildTape": &mTape} {
-			if got := m.Snapshot(); got.FPNodes != 3 || got.SubsetTests != 6 {
-				t.Errorf("%s of %d copies: FPNodes=%d SubsetTests=%d, want 3 and 6", name, n, got.FPNodes, got.SubsetTests)
+			if got := m.Snapshot(); got.FPNodes != 0 || got.SubsetTests != 0 || len(tiles[name].Columns()) != 3 {
+				t.Errorf("%s of %d copies: FPNodes=%d SubsetTests=%d, %d columns; want 0, 0, 3",
+					name, n, got.FPNodes, got.SubsetTests, len(tiles[name].Columns()))
 			}
+		}
+		if got := mTape.TapeWalks.Load(); got != int64(n) {
+			t.Errorf("BuildTape of %d copies walked %d documents", n, got)
+		}
+	}
+}
+
+// TestWalkTransactionsAreSets: a walk's transactions hold each
+// document's items once, numbered as a fresh dictionary numbers them.
+func TestWalkTransactionsAreSets(t *testing.T) {
+	_, tapes := tapeCorpus(t)
+	for _, src := range []string{`{"a":1,"a":2,"b":[1,2],"c":{"a":3}}`, `{"b":[3],"a":[1,1,1],"a":null}`} {
+		d := &jsontape.Doc{}
+		if err := jsontape.Parse([]byte(src), d); err != nil {
+			t.Fatal(err)
+		}
+		tapes = append(tapes, d)
+	}
+	want := CollectTapeTransactions(tapes, 2, keypath.NewDict())
+	for i, tx := range WalkTapes(tapes, 2, nil).Transactions() {
+		got := slices.Clone(tx)
+		slices.Sort(got)
+		if !slices.Equal(got, want[i]) {
+			t.Errorf("document %d: walk transaction %v, want the set %v", i, tx, want[i])
+		}
+	}
+}
+
+// TestRegroupMatchesFreshWalk: regrouping tiles' walks by a permutation
+// yields the walk of the permuted documents — items numbered in the
+// same order, the same leaves — and so the same tile.
+func TestRegroupMatchesFreshWalk(t *testing.T) {
+	_, tapes := tapeCorpus(t)
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 30; trial++ {
+		tileSize := 1 + r.Intn(len(tapes))
+		var walks []*Walk
+		for lo := 0; lo < len(tapes); lo += tileSize {
+			walks = append(walks, WalkTapes(tapes[lo:min(lo+tileSize, len(tapes))], 2, nil))
+		}
+		positions := r.Perm(len(tapes))[:1+r.Intn(len(tapes))]
+		permuted := make([]*jsontape.Doc, len(positions))
+		for j, p := range positions {
+			permuted[j] = tapes[p]
+		}
+		got, want := Regroup(walks, tileSize, positions), WalkTapes(permuted, 2, nil)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (tile %d, %d positions): regrouped walk differs from a fresh walk", trial, tileSize, len(positions))
+		}
+		cfg := DefaultConfig()
+		cfg.MaxArraySlots = 2
+		a, b := NewBuilder(cfg, nil).BuildWalk(permuted, got), NewBuilder(cfg, nil).BuildTape(permuted)
+		if !reflect.DeepEqual(a.Columns(), b.Columns()) || !reflect.DeepEqual(a.PathFrequencies(), b.PathFrequencies()) {
+			t.Fatalf("trial %d: the tile built from the regrouped walk differs", trial)
 		}
 	}
 }

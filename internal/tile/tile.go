@@ -102,6 +102,10 @@ type Metrics struct {
 	DocsTape        atomic.Int64
 	DocsTree        atomic.Int64
 	SubtreesSkipped atomic.Int64
+	// TapeWalks counts tape documents walked for their key paths
+	// (WalkTapes): once per document when reordering hands its walks
+	// to the tile builds.
+	TapeWalks atomic.Int64
 	// Deterministic work counts of mining and reordering (see
 	// fpgrowth.Work): FP-tree node updates, and itemset containment or
 	// overlap tests.
@@ -130,6 +134,7 @@ type MetricsSnapshot struct {
 	DocsTape        int64
 	DocsTree        int64
 	SubtreesSkipped int64
+	TapeWalks       int64
 	FPNodes         int64
 	SubsetTests     int64
 }
@@ -149,6 +154,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		DocsTape:        m.DocsTape.Load(),
 		DocsTree:        m.DocsTree.Load(),
 		SubtreesSkipped: m.SubtreesSkipped.Load(),
+		TapeWalks:       m.TapeWalks.Load(),
 		FPNodes:         m.FPNodes.Load(),
 		SubsetTests:     m.SubsetTests.Load(),
 	}
@@ -166,6 +172,7 @@ func (s MetricsSnapshot) Sub(base MetricsSnapshot) MetricsSnapshot {
 		DocsTape:        s.DocsTape - base.DocsTape,
 		DocsTree:        s.DocsTree - base.DocsTree,
 		SubtreesSkipped: s.SubtreesSkipped - base.SubtreesSkipped,
+		TapeWalks:       s.TapeWalks - base.TapeWalks,
 		FPNodes:         s.FPNodes - base.FPNodes,
 		SubsetTests:     s.SubsetTests - base.SubsetTests,
 	}
@@ -293,10 +300,11 @@ func sortDedup(s []int32) []int32 {
 	return s[:w]
 }
 
-// Build materializes one tile from docs: collect key paths, mine
-// frequent itemsets at the extraction threshold, extract the union of
-// the maximal itemsets as typed columns (§3.1), and encode every
-// document into binary JSON for the fallback path.
+// Build materializes one tile from docs: collect key paths, extract
+// the union of the maximal frequent itemsets at the extraction
+// threshold as typed columns (§3.1) — that union is the tile's
+// frequent items (fpgrowth.FrequentItems), so nothing is mined — and
+// encode every document into binary JSON for the fallback path.
 func (b *Builder) Build(docs []jsonvalue.Value) *Tile {
 	// Tree-based builds are the boxed fallback path; BuildTape is the
 	// tape-driven hot path.
@@ -306,26 +314,23 @@ func (b *Builder) Build(docs []jsonvalue.Value) *Tile {
 	}
 	dict := keypath.NewDict()
 	start := time.Now()
-	txs := CollectTransactions(docs, b.Config.MaxArraySlots, dict)
-	miner := fpgrowth.Miner{MinSupport: b.Config.MinSupport(len(docs)), Budget: b.Config.Budget}
-	maximal := miner.MineMaximal(txs)
+	var ids []int32
+	ends := make([]int32, len(docs))
+	for i, d := range docs {
+		keypath.Collect(d, b.Config.MaxArraySlots, func(p keypath.Path, t keypath.ValueType, _ jsonvalue.Value) {
+			ids = append(ids, dict.Add(p.Encode(), t))
+		})
+		ends[i] = int32(len(ids))
+	}
+	extracted := fpgrowth.FrequentItems(ids, ends, dict.Len(), b.Config.MinSupport(len(docs)), b.Config.Budget)
 	if b.Metrics != nil {
 		b.Metrics.MineNanos.Add(time.Since(start).Nanoseconds())
 	}
-	b.Metrics.AddWork(miner.Work)
-	return b.materialize(docs, dict, maximal)
+	return b.materialize(docs, dict, extracted)
 }
 
-func (b *Builder) materialize(docs []jsonvalue.Value, dict *keypath.Dict, maximal []fpgrowth.Itemset) *Tile {
+func (b *Builder) materialize(docs []jsonvalue.Value, dict *keypath.Dict, extracted []bool) *Tile {
 	start := time.Now()
-	// Union of the maximal itemsets = the extracted items (§3.1 step 3).
-	extractedIDs := map[int32]bool{}
-	for _, s := range maximal {
-		for _, id := range s.Items {
-			extractedIDs[id] = true
-		}
-	}
-
 	t := &Tile{
 		numRows:    len(docs),
 		byItem:     map[keypath.Item]int{},
@@ -338,7 +343,7 @@ func (b *Builder) materialize(docs []jsonvalue.Value, dict *keypath.Dict, maxima
 	// Deterministic column order: dictionary id order.
 	var orderedIDs []int32
 	for id := int32(0); id < int32(dict.Len()); id++ {
-		if extractedIDs[id] && isExtractableType(dict.Item(id).Type) {
+		if extracted[id] && isExtractableType(dict.Item(id).Type) {
 			orderedIDs = append(orderedIDs, id)
 		}
 	}
