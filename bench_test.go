@@ -22,6 +22,7 @@ import (
 	"repro/internal/exprparse"
 	"repro/internal/fpgrowth"
 	"repro/internal/jsonb"
+	"repro/internal/jsontape"
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
 	"repro/internal/storage"
@@ -569,13 +570,17 @@ func BenchmarkAblationReorder(b *testing.B) {
 // BenchmarkAblationMiningBudget — the Eq. 1 budget's effect on tile
 // build time for wide documents.
 func BenchmarkAblationMiningBudget(b *testing.B) {
-	var docs []jsonvalue.Value
+	var docs []*jsontape.Doc
 	for i := 0; i < 1024; i++ {
 		var ms []jsonvalue.Member
 		for k := 0; k < 24; k++ { // 24 co-occurring keys: 2^24 potential itemsets
 			ms = append(ms, jsonvalue.M(fmt.Sprintf("k%02d", k), jsonvalue.Int(int64(i))))
 		}
-		docs = append(docs, jsonvalue.Object(ms...))
+		d := new(jsontape.Doc)
+		if err := jsontape.Parse(jsontext.Serialize(jsonvalue.Object(ms...)), d); err != nil {
+			b.Fatal(err)
+		}
+		docs = append(docs, d)
 	}
 	for _, budget := range []int{256, 4096, 65536} {
 		b.Run(fmt.Sprintf("budget=%d", budget), func(b *testing.B) {
@@ -583,7 +588,7 @@ func BenchmarkAblationMiningBudget(b *testing.B) {
 			cfg.Budget = budget
 			builder := tile.NewBuilder(cfg, nil)
 			for i := 0; i < b.N; i++ {
-				builder.Build(docs)
+				builder.BuildTape(docs)
 			}
 		})
 	}

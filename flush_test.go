@@ -1,12 +1,15 @@
 package jsontiles
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"testing"
 
 	"repro/internal/blockstore"
 	"repro/internal/jsontape"
+	"repro/internal/storage"
 	"repro/internal/tile"
 	"repro/internal/workload/tpch"
 	"repro/internal/workload/twitter"
@@ -130,8 +133,9 @@ func TestFlushSegmentBytes(t *testing.T) {
 // TestInsertParsesOnce: Insert parses each document into its tape and
 // Flush builds from those tapes, so all parse time is on the clock by
 // the last Insert and Flush adds none; every document counts as a tape
-// document. Past the tape limits Insert still accepts the document and
-// its partition builds from trees; a malformed document is rejected.
+// document. A document past the tape limits is rejected at Insert and
+// at Update with the parser's error naming the limit, like a malformed
+// one, and changes nothing.
 func TestInsertParsesOnce(t *testing.T) {
 	lines := flushCorpora()[0].lines[:300]
 	tbl := New("p", DefaultOptions())
@@ -147,27 +151,30 @@ func TestInsertParsesOnce(t *testing.T) {
 	if err := tbl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if flushed := tbl.LoadStats(); flushed.Parse != inserted.Parse || flushed.DocsTape != int64(len(lines)) || flushed.DocsTree != 0 {
-		t.Errorf("after Flush: parse %v (was %v), %d tape / %d tree documents; want parse unchanged, %d / 0",
-			flushed.Parse, inserted.Parse, flushed.DocsTape, flushed.DocsTree, len(lines))
+	if flushed := tbl.LoadStats(); flushed.Parse != inserted.Parse || flushed.DocsTape != int64(len(lines)) {
+		t.Errorf("after Flush: parse %v (was %v), %d tape documents; want parse unchanged, %d",
+			flushed.Parse, inserted.Parse, flushed.DocsTape, len(lines))
 	}
 
-	defer jsontape.SetLimitsForTesting(0, 0)()
-	over := New("o", DefaultOptions())
-	for _, l := range lines {
-		if err := over.Insert(l); err != nil {
-			t.Fatal(err)
-		}
+	row0 := slices.Clone(tbl.rel.(storage.TileIntrospector).Tiles()[0].RawBytes(0))
+	defer jsontape.SetLimitsForTesting(4, 1<<20)()
+	over := []byte(`{"tags":[1,2,3,4,5]}`)
+	const want = "jsontape: container size exceeds tape limits"
+	if err := tbl.Insert(over); err == nil || err.Error() != want {
+		t.Errorf("Insert past the tape limits: error %v, want %q", err, want)
 	}
-	if err := over.Insert([]byte(`{"bad":`)); err == nil {
-		t.Error("Insert accepted a malformed document past the tape limits")
+	if _, err := tbl.Update(0, over); err == nil || err.Error() != want {
+		t.Errorf("Update past the tape limits: error %v, want %q", err, want)
 	}
-	if err := over.Flush(); err != nil {
+	if err := tbl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s := over.LoadStats(); s.DocsTree != int64(len(lines)) || s.DocsTape != 0 || over.NumRows() != len(lines) {
-		t.Errorf("past the tape limits: %d tree / %d tape documents, %d rows; want %d / 0, %d",
-			s.DocsTree, s.DocsTape, over.NumRows(), len(lines), len(lines))
+	if s := tbl.LoadStats(); s.DocsTape != int64(len(lines)) || tbl.NumRows() != len(lines) {
+		t.Errorf("after the rejected documents: %d tape documents, %d rows; want %d, %d",
+			s.DocsTape, tbl.NumRows(), len(lines), len(lines))
+	}
+	if got := tbl.rel.(storage.TileIntrospector).Tiles()[0].RawBytes(0); !bytes.Equal(got, row0) {
+		t.Error("the rejected Update changed row 0")
 	}
 }
 

@@ -17,11 +17,9 @@ import (
 	"repro/internal/vec"
 )
 
-// conformanceKinds are the formats checked against raw JSON. Shredded
-// is not one: its record reassembly drops null-valued keys from the
-// containers a TText access renders.
+// conformanceKinds are the formats checked against raw JSON.
 var conformanceKinds = []storage.FormatKind{
-	storage.KindJSONB, storage.KindSinew, storage.KindTiles,
+	storage.KindJSONB, storage.KindSinew, storage.KindTiles, storage.KindShredded,
 }
 
 // loadKind loads lines in the given format. Tiles keep the input order

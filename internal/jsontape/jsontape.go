@@ -13,7 +13,8 @@
 // this), and lazily decoded values are byte-for-byte identical to the
 // tree parser's. Inputs that exceed the tape's packed-word limits
 // (offsets ≥ 4 GiB, spans or container counts ≥ 2^28) return a
-// *LimitError so callers can fall back to the tree parser.
+// *LimitError, which ingest reports like a syntax error: the tape is
+// the only parser on the write side.
 //
 // Tape layout: one word per node, packed as
 //

@@ -8,8 +8,8 @@ import (
 
 // Materialize builds the jsonvalue tree for the subtree rooted at
 // this node. The result is identical to what jsontext.Parse would
-// have produced for the same input — the tape path's correctness
-// oracle, and the boxed fallback for heterogeneous outlier documents.
+// have produced for the same input: the tree an updated document
+// (tile.Tile.Update) and a Tiles-* side document are built from.
 func (n Node) Materialize() jsonvalue.Value {
 	switch n.Kind() {
 	case KNull:

@@ -11,8 +11,8 @@ import (
 
 // LimitError reports input that exceeds the tape's packed-word limits
 // (byte offsets ≥ 4 GiB, string/number spans or container counts
-// ≥ 2^28). Such documents are still valid JSON — callers fall back to
-// the tree parser, which has no encoding limits.
+// ≥ 2^28). Such a document may be valid JSON, but ingest rejects it
+// like a malformed one; What names the limit.
 type LimitError struct{ What string }
 
 func (e *LimitError) Error() string {
@@ -31,8 +31,8 @@ var (
 )
 
 // SetLimitsForTesting shrinks the tape encoding limits so tests can
-// exercise the LimitError fallback path without gigabyte inputs. The
-// returned func restores the real limits.
+// reach a LimitError without gigabyte inputs. The returned func
+// restores the real limits.
 func SetLimitsForTesting(span, off int) (restore func()) {
 	oldSpan, oldOff := maxSpan, maxOff
 	maxSpan, maxOff = span, off

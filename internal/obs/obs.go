@@ -293,11 +293,6 @@ var (
 	// IngestDocsTape counts documents ingested through the structural
 	// tape without materializing a jsonvalue tree.
 	IngestDocsTape = Default.Counter("ingest_docs_tape")
-	// IngestDocsTreeFallback counts documents ingested through the
-	// boxed jsonvalue-tree path — tape-limit fallbacks, tree-mode
-	// loads, tile recomputation, and synthesized star-schema side
-	// documents.
-	IngestDocsTreeFallback = Default.Counter("ingest_docs_tree_fallback")
 	// IngestSubtreesSkipped counts subtrees the ingest walks skipped
 	// via the tape (array elements past the slot cap).
 	IngestSubtreesSkipped = Default.Counter("ingest_subtrees_skipped")

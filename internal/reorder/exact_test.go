@@ -12,7 +12,6 @@ import (
 	"repro/internal/jsongen"
 	"repro/internal/jsontape"
 	"repro/internal/jsontext"
-	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
 	"repro/internal/tile"
 )
@@ -242,7 +241,7 @@ func TestWorkPerDistinctTransaction(t *testing.T) {
 	for _, tileSize := range []int{10, 40} {
 		var m tile.Metrics
 		docs := interleave(mkDocs(2*tileSize, 0), mkDocs(2*tileSize, 1))
-		res := Partition(docs, cfg(tileSize, 4), &m)
+		res := PartitionTapes(docs, cfg(tileSize, 4), &m)
 		if res.SurvivingItemsets != 2 || res.Matched != len(docs) {
 			t.Fatalf("tile %d: %+v", tileSize, res)
 		}
@@ -258,13 +257,8 @@ func TestWorkPerDistinctTransaction(t *testing.T) {
 
 // TestCollectTilesMatchesOneDictionary: collecting tile by tile over
 // dictionaries of their own, then renumbering, yields the transactions
-// one dictionary over the whole partition yields, for trees and for
-// tapes' walks, at any worker count.
+// one dictionary over the whole partition yields, at any worker count.
 func TestCollectTilesMatchesOneDictionary(t *testing.T) {
-	trees := func(_ int, docs []jsonvalue.Value) ([][]int32, []keypath.Item) {
-		dict := keypath.NewDict()
-		return tile.CollectTransactions(docs, 4, dict), dict.Items()
-	}
 	walks := func(_ int, tapes []*jsontape.Doc) ([][]int32, []keypath.Item) {
 		w := tile.WalkTapes(tapes, 4, nil)
 		return w.Transactions(), w.Items
@@ -272,22 +266,13 @@ func TestCollectTilesMatchesOneDictionary(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + r.Intn(300)
-		docs := make([]jsonvalue.Value, n)
 		tapes := make([]*jsontape.Doc, n)
-		for i := range docs {
-			docs[i] = jsongen.RandomObject(r, 3)
-			tapes[i] = new(jsontape.Doc)
-			if err := jsontape.Parse(jsontext.Serialize(docs[i]), tapes[i]); err != nil {
-				t.Fatal(err)
-			}
+		for i := range tapes {
+			tapes[i] = parse(string(jsontext.Serialize(jsongen.RandomObject(r, 3))))
 		}
 		tileSize := 1 + r.Intn(64)
-		wantTrees := tile.CollectTransactions(docs, 4, keypath.NewDict())
 		wantTapes := tile.CollectTapeTransactions(tapes, 4, keypath.NewDict())
 		for _, workers := range []int{1, 3} {
-			if got := collectTiles(docs, tileSize, workers, trees); !sameTxs(got, wantTrees) {
-				t.Fatalf("trial %d (%d docs, tile %d, workers %d): trees differ", trial, n, tileSize, workers)
-			}
 			if got := collectTiles(tapes, tileSize, workers, walks); !sameTxs(got, wantTapes) {
 				t.Fatalf("trial %d (%d docs, tile %d, workers %d): tapes differ", trial, n, tileSize, workers)
 			}

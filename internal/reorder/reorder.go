@@ -36,7 +36,6 @@ import (
 
 	"repro/internal/fpgrowth"
 	"repro/internal/jsontape"
-	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
 	"repro/internal/sched"
 	"repro/internal/tile"
@@ -53,21 +52,10 @@ type Result struct {
 	Moved int
 }
 
-// Partition reorders one partition's documents in place. docs holds
-// up to PartitionSize × TileSize documents in insertion order; after
-// the call they are permuted so that tiles (consecutive TileSize
-// runs) cluster tuples of equal frequent structure.
-func Partition(docs []jsonvalue.Value, cfg tile.Config, m *tile.Metrics) Result {
-	res, _ := partition(docs, cfg, m, 1, func(_ int, docs []jsonvalue.Value) ([][]int32, []keypath.Item) {
-		dict := keypath.NewDict()
-		return tile.CollectTransactions(docs, cfg.MaxArraySlots, dict), dict.Items()
-	})
-	return res
-}
-
-// PartitionTapes is Partition over parsed tape documents. Transactions
-// come straight from the tapes, so the permutation matches Partition
-// over the materialized trees.
+// PartitionTapes reorders one partition's parsed documents in place.
+// tapes holds up to PartitionSize × TileSize documents in insertion
+// order; after the call they are permuted so that tiles (consecutive
+// TileSize runs) cluster tuples of equal frequent structure.
 func PartitionTapes(tapes []*jsontape.Doc, cfg tile.Config, m *tile.Metrics) Result {
 	res, _ := PartitionTapesWorkers(tapes, cfg, m, 1)
 	return res
@@ -133,8 +121,8 @@ func tileSizeOf(cfg tile.Config) int {
 // k's transactions over a dictionary of its own and returns them with
 // that dictionary's items; it runs once per tile, in a morsel of its
 // own.
-func partition[D any](docs []D, cfg tile.Config, m *tile.Metrics, workers int,
-	collect func(k int, tile []D) ([][]int32, []keypath.Item)) (Result, []int) {
+func partition(docs []*jsontape.Doc, cfg tile.Config, m *tile.Metrics, workers int,
+	collect func(k int, tile []*jsontape.Doc) ([][]int32, []keypath.Item)) (Result, []int) {
 	start := time.Now()
 	defer func() {
 		if m != nil {
@@ -155,7 +143,7 @@ func partition[D any](docs []D, cfg tile.Config, m *tile.Metrics, workers int,
 	if order == nil {
 		return res, nil
 	}
-	permuted := make([]D, len(docs))
+	permuted := make([]*jsontape.Doc, len(docs))
 	for newPos, oldPos := range order {
 		permuted[newPos] = docs[oldPos]
 		if newPos != oldPos {
@@ -172,8 +160,8 @@ func partition[D any](docs []D, cfg tile.Config, m *tile.Metrics, workers int,
 // numbers them — in order of first occurrence, so merging the tile
 // dictionaries in tile order assigns the same ids — and each
 // transaction is sorted.
-func collectTiles[D any](docs []D, tileSize, workers int,
-	collect func(k int, tile []D) ([][]int32, []keypath.Item)) [][]int32 {
+func collectTiles(docs []*jsontape.Doc, tileSize, workers int,
+	collect func(k int, tile []*jsontape.Doc) ([][]int32, []keypath.Item)) [][]int32 {
 	nTiles := (len(docs) + tileSize - 1) / tileSize
 	bounds := func(k int) (int, int) { return k * tileSize, min((k+1)*tileSize, len(docs)) }
 	txs := make([][]int32, len(docs))

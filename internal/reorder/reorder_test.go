@@ -5,30 +5,33 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/jsontext"
-	"repro/internal/jsonvalue"
+	"repro/internal/jsontape"
 	"repro/internal/keypath"
 	"repro/internal/tile"
 )
 
+// parse parses one document into a tape.
+func parse(src string) *jsontape.Doc {
+	d := new(jsontape.Doc)
+	if err := jsontape.Parse([]byte(src), d); err != nil {
+		panic(err)
+	}
+	return d
+}
+
 // mkDocs builds n docs of the given structure id. Structures are
 // disjoint (no shared key paths), like Figure 4's patterns.
-func mkDocs(n, structure int) []jsonvalue.Value {
-	out := make([]jsonvalue.Value, n)
+func mkDocs(n, structure int) []*jsontape.Doc {
+	out := make([]*jsontape.Doc, n)
 	for i := 0; i < n; i++ {
-		src := fmt.Sprintf(`{"s%d_a":%d, "s%d_b":"v%d", "s%d_c":%d}`,
-			structure, i, structure, i, structure, i%7)
-		v, err := jsontext.ParseString(src)
-		if err != nil {
-			panic(err)
-		}
-		out[i] = v
+		out[i] = parse(fmt.Sprintf(`{"s%d_a":%d, "s%d_b":"v%d", "s%d_c":%d}`,
+			structure, i, structure, i, structure, i%7))
 	}
 	return out
 }
 
-func interleave(groups ...[]jsonvalue.Value) []jsonvalue.Value {
-	var out []jsonvalue.Value
+func interleave(groups ...[]*jsontape.Doc) []*jsontape.Doc {
+	var out []*jsontape.Doc
 	for i := 0; ; i++ {
 		appended := false
 		for _, g := range groups {
@@ -53,7 +56,7 @@ func cfg(tileSize, partSize int) tile.Config {
 
 // extractionQuality builds tiles from docs and returns the fraction of
 // (doc, own-structure-path) pairs served by a materialized column.
-func extractionQuality(t *testing.T, docs []jsonvalue.Value, c tile.Config) float64 {
+func extractionQuality(t *testing.T, docs []*jsontape.Doc, c tile.Config) float64 {
 	t.Helper()
 	b := tile.NewBuilder(c, nil)
 	totalCols := 0
@@ -63,7 +66,7 @@ func extractionQuality(t *testing.T, docs []jsonvalue.Value, c tile.Config) floa
 		if hi > len(docs) {
 			hi = len(docs)
 		}
-		tl := b.Build(docs[lo:hi])
+		tl := b.BuildTape(docs[lo:hi])
 		totalCols += len(tl.Columns())
 		tiles++
 	}
@@ -75,18 +78,18 @@ func TestFigure4Scenario(t *testing.T) {
 	// each structure is 25% per tile — below the 60% threshold, so no
 	// tile can extract anything. After reordering, tiles are pure.
 	const tileSize = 40
-	groups := [][]jsonvalue.Value{
+	groups := [][]*jsontape.Doc{
 		mkDocs(40, 0), mkDocs(40, 1), mkDocs(40, 2), mkDocs(40, 3),
 	}
 	docs := interleave(groups...)
 	c := cfg(tileSize, 4)
 
-	before := extractionQuality(t, append([]jsonvalue.Value(nil), docs...), c)
+	before := extractionQuality(t, append([]*jsontape.Doc(nil), docs...), c)
 	if before != 0 {
 		t.Fatalf("before reordering, %f columns/tile extracted; scenario broken", before)
 	}
 
-	res := Partition(docs, c, nil)
+	res := PartitionTapes(docs, c, nil)
 	if res.SurvivingItemsets == 0 {
 		t.Fatal("no itemsets survived")
 	}
@@ -104,15 +107,16 @@ func TestReorderingClustersStructures(t *testing.T) {
 	const tileSize = 10
 	docs := interleave(mkDocs(20, 0), mkDocs(20, 1))
 	c := cfg(tileSize, 4)
-	Partition(docs, c, nil)
+	PartitionTapes(docs, c, nil)
 	// Every tile must now be homogeneous: all docs in a tile share
 	// their first key's structure prefix.
+	firstKey := func(d *jsontape.Doc) string { return d.Root().Materialize().Members()[0].Key }
 	for lo := 0; lo < len(docs); lo += tileSize {
-		first := docs[lo].Members()[0].Key
+		first := firstKey(docs[lo])
 		for i := lo; i < lo+tileSize && i < len(docs); i++ {
-			if docs[i].Members()[0].Key != first {
+			if firstKey(docs[i]) != first {
 				t.Fatalf("tile starting at %d mixes structures (%s vs %s)",
-					lo, first, docs[i].Members()[0].Key)
+					lo, first, firstKey(docs[i]))
 			}
 		}
 	}
@@ -122,8 +126,8 @@ func TestNoReorderingNeeded(t *testing.T) {
 	// Already-clustered docs must not lose extraction quality.
 	docs := append(mkDocs(40, 0), mkDocs(40, 1)...)
 	c := cfg(40, 2)
-	before := extractionQuality(t, append([]jsonvalue.Value(nil), docs...), c)
-	Partition(docs, c, nil)
+	before := extractionQuality(t, append([]*jsontape.Doc(nil), docs...), c)
+	PartitionTapes(docs, c, nil)
 	after := extractionQuality(t, docs, c)
 	if after < before {
 		t.Errorf("reordering degraded quality: %.1f -> %.1f", before, after)
@@ -132,18 +136,18 @@ func TestNoReorderingNeeded(t *testing.T) {
 
 func TestPermutationPreservesMultiset(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	var docs []jsonvalue.Value
+	var docs []*jsontape.Doc
 	for i := 0; i < 100; i++ {
 		docs = append(docs, mkDocs(1, r.Intn(5))...)
 	}
 	idSet := map[string]int{}
 	for _, d := range docs {
-		idSet[jsontext.SerializeString(d)]++
+		idSet[string(d.Data)]++
 	}
-	Partition(docs, cfg(10, 8), nil)
+	PartitionTapes(docs, cfg(10, 8), nil)
 	after := map[string]int{}
 	for _, d := range docs {
-		after[jsontext.SerializeString(d)]++
+		after[string(d.Data)]++
 	}
 	if len(idSet) != len(after) {
 		t.Fatal("document multiset changed")
@@ -158,18 +162,18 @@ func TestPermutationPreservesMultiset(t *testing.T) {
 func TestEdgeCases(t *testing.T) {
 	c := cfg(10, 8)
 	// Empty.
-	if res := Partition(nil, c, nil); res.Moved != 0 {
+	if res := PartitionTapes(nil, c, nil); res.Moved != 0 {
 		t.Error("empty partition moved tuples")
 	}
 	// Single tile: no redistribution possible.
 	docs := mkDocs(5, 0)
-	if res := Partition(docs, c, nil); res.Moved != 0 {
+	if res := PartitionTapes(docs, c, nil); res.Moved != 0 {
 		t.Error("single-tile partition moved tuples")
 	}
 	// Partition size 1 disables reordering.
 	docs2 := interleave(mkDocs(20, 0), mkDocs(20, 1))
 	c1 := cfg(10, 1)
-	if res := Partition(docs2, c1, nil); res.Moved != 0 {
+	if res := PartitionTapes(docs2, c1, nil); res.Moved != 0 {
 		t.Error("partitionSize=1 still reordered")
 	}
 }
@@ -177,24 +181,17 @@ func TestEdgeCases(t *testing.T) {
 func TestHackerNewsFigure3(t *testing.T) {
 	// Figure 3: news items of different document types arriving
 	// interleaved (story, poll, pollop, comment).
-	mk := func(src string) jsonvalue.Value {
-		v, err := jsontext.ParseString(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	var docs []jsonvalue.Value
+	var docs []*jsontape.Doc
 	for i := 0; i < 40; i++ {
 		docs = append(docs,
-			mk(fmt.Sprintf(`{"id":%d,"date":"1/11","type":"story","score":3,"desc":2,"title":"t","url":"u"}`, i*4)),
-			mk(fmt.Sprintf(`{"id":%d,"date":"1/12","type":"poll","score":5,"desc":2,"title":"t"}`, i*4+1)),
-			mk(fmt.Sprintf(`{"id":%d,"date":"1/13","type":"pollop","score":6,"poll":2,"title":"t"}`, i*4+2)),
-			mk(fmt.Sprintf(`{"id":%d,"date":"1/14","type":"comment","parent":4,"text":"x"}`, i*4+3)),
+			parse(fmt.Sprintf(`{"id":%d,"date":"1/11","type":"story","score":3,"desc":2,"title":"t","url":"u"}`, i*4)),
+			parse(fmt.Sprintf(`{"id":%d,"date":"1/12","type":"poll","score":5,"desc":2,"title":"t"}`, i*4+1)),
+			parse(fmt.Sprintf(`{"id":%d,"date":"1/13","type":"pollop","score":6,"poll":2,"title":"t"}`, i*4+2)),
+			parse(fmt.Sprintf(`{"id":%d,"date":"1/14","type":"comment","parent":4,"text":"x"}`, i*4+3)),
 		)
 	}
 	c := cfg(40, 4)
-	res := Partition(docs, c, nil)
+	res := PartitionTapes(docs, c, nil)
 	if res.SurvivingItemsets == 0 {
 		t.Fatal("no itemsets survived on news items")
 	}
@@ -209,7 +206,7 @@ func TestHackerNewsFigure3(t *testing.T) {
 func TestMetricsReorderTime(t *testing.T) {
 	var m tile.Metrics
 	docs := interleave(mkDocs(20, 0), mkDocs(20, 1))
-	Partition(docs, cfg(10, 4), &m)
+	PartitionTapes(docs, cfg(10, 4), &m)
 	if m.ReorderNanos.Load() <= 0 {
 		t.Error("reorder time not recorded")
 	}
@@ -219,25 +216,21 @@ func TestSharedKeyPathsAcrossStructures(t *testing.T) {
 	// Structures share "id" and "type" but differ otherwise (the
 	// realistic combined-log case). Reordering must still cluster, and
 	// the shared paths stay extractable everywhere.
-	mk := func(i, s int) jsonvalue.Value {
-		var src string
+	mk := func(i, s int) *jsontape.Doc {
 		if s == 0 {
-			src = fmt.Sprintf(`{"id":%d,"type":"a","payload":%d}`, i, i)
-		} else {
-			src = fmt.Sprintf(`{"id":%d,"type":"b","msg":"m%d","level":%d}`, i, i, i%3)
+			return parse(fmt.Sprintf(`{"id":%d,"type":"a","payload":%d}`, i, i))
 		}
-		v, _ := jsontext.ParseString(src)
-		return v
+		return parse(fmt.Sprintf(`{"id":%d,"type":"b","msg":"m%d","level":%d}`, i, i, i%3))
 	}
-	var docs []jsonvalue.Value
+	var docs []*jsontape.Doc
 	for i := 0; i < 80; i++ {
 		docs = append(docs, mk(i, i%2))
 	}
 	c := cfg(20, 4)
-	Partition(docs, c, nil)
+	PartitionTapes(docs, c, nil)
 	b := tile.NewBuilder(c, nil)
 	for lo := 0; lo < len(docs); lo += c.TileSize {
-		tl := b.Build(docs[lo : lo+c.TileSize])
+		tl := b.BuildTape(docs[lo : lo+c.TileSize])
 		if tl.FindColumn("id", keypath.TypeBigInt) < 0 {
 			t.Errorf("tile at %d lost shared path id", lo)
 		}

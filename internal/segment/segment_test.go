@@ -9,8 +9,7 @@ import (
 
 	"repro/internal/blockstore"
 	"repro/internal/bufpool"
-	"repro/internal/jsontext"
-	"repro/internal/jsonvalue"
+	"repro/internal/jsontape"
 	"repro/internal/keypath"
 	"repro/internal/stats"
 	"repro/internal/tile"
@@ -18,17 +17,16 @@ import (
 
 func buildTile(t testing.TB, srcs ...string) *tile.Tile {
 	t.Helper()
-	docs := make([]jsonvalue.Value, len(srcs))
+	docs := make([]*jsontape.Doc, len(srcs))
 	for i, s := range srcs {
-		v, err := jsontext.ParseString(s)
-		if err != nil {
+		docs[i] = new(jsontape.Doc)
+		if err := jsontape.Parse([]byte(s), docs[i]); err != nil {
 			t.Fatal(err)
 		}
-		docs[i] = v
 	}
 	cfg := tile.DefaultConfig()
 	cfg.DetectDates = false
-	return tile.NewBuilder(cfg, nil).Build(docs)
+	return tile.NewBuilder(cfg, nil).BuildTape(docs)
 }
 
 // testSeg names the standard test segment object.

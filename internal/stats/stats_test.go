@@ -4,24 +4,22 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/jsontext"
-	"repro/internal/jsonvalue"
+	"repro/internal/jsontape"
 	"repro/internal/tile"
 )
 
 func buildTile(t *testing.T, srcs ...string) *tile.Tile {
 	t.Helper()
-	docs := make([]jsonvalue.Value, len(srcs))
+	docs := make([]*jsontape.Doc, len(srcs))
 	for i, s := range srcs {
-		v, err := jsontext.ParseString(s)
-		if err != nil {
+		docs[i] = new(jsontape.Doc)
+		if err := jsontape.Parse([]byte(s), docs[i]); err != nil {
 			t.Fatal(err)
 		}
-		docs[i] = v
 	}
 	cfg := tile.DefaultConfig()
 	cfg.DetectDates = false
-	return tile.NewBuilder(cfg, nil).Build(docs)
+	return tile.NewBuilder(cfg, nil).BuildTape(docs)
 }
 
 func TestAddTileAggregates(t *testing.T) {

@@ -9,7 +9,7 @@ import "repro/internal/stats"
 // DirTable.AppendTiles; a single segment is immutable.
 func Concat(name string, a, b Relation) Relation {
 	ta, tb := a.(*tilesRelation), b.(*tilesRelation)
-	merged := &tilesRelation{name: name, cfg: ta.cfg,
+	merged := &tilesRelation{name: name, cfg: ta.cfg, metrics: ta.metrics,
 		numRows: ta.numRows + tb.numRows, stats: stats.New(0, 0)}
 	merged.tiles = append(merged.tiles, ta.tiles...)
 	merged.tiles = append(merged.tiles, tb.tiles...)

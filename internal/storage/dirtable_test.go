@@ -28,13 +28,12 @@ func dirTestBatch(t *testing.T, lines []string) ([]*tile.Tile, *stats.TableStats
 	for i, l := range lines {
 		raw[i] = []byte(l)
 	}
-	docs, err := parseAll(raw, 2)
-	if err != nil {
-		t.Fatalf("parseAll: %v", err)
-	}
 	cfg := DefaultLoaderConfig()
 	cfg.Tile.TileSize = 16
-	rel := BuildTiles("batch", docs, cfg, 2, nil)
+	rel, err := BuildTilesFromLines("batch", raw, cfg, 2, nil)
+	if err != nil {
+		t.Fatalf("BuildTilesFromLines: %v", err)
+	}
 	return rel.(TileIntrospector).Tiles(), rel.Stats()
 }
 
@@ -133,11 +132,10 @@ func TestDirTableAppendCompactReopen(t *testing.T) {
 	for i, l := range all {
 		raw[i] = []byte(l)
 	}
-	docs, err := parseAll(raw, 2)
+	mem, err := BuildTilesFromLines("mem", raw, cfg, 2, nil)
 	if err != nil {
-		t.Fatalf("parseAll: %v", err)
+		t.Fatalf("BuildTilesFromLines: %v", err)
 	}
-	mem := BuildTiles("mem", docs, cfg, 2, nil)
 	accesses := dirTestAccesses()
 	want := scanMultiset(mem, accesses)
 

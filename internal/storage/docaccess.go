@@ -38,10 +38,6 @@ func DefaultLoaderConfig() LoaderConfig {
 	}
 }
 
-func parseDoc(line []byte) (jsonvalue.Value, error) {
-	return jsontext.Parse(line)
-}
-
 // docAccess traverses a binary JSON document along the path and
 // converts the result to the desired SQL type — the optimized typed
 // access expressions of §4.5/§5.4.

@@ -42,51 +42,43 @@ func TestRepeatedKeyLastOccurrenceWins(t *testing.T) {
 		}
 		cfg := DefaultLoaderConfig()
 		cfg.Tile.TileSize = 128
-		for _, tree := range []bool{false, true} {
-			func() {
-				if tree {
-					// Every document takes the tree fallback.
-					defer jsontape.SetLimitsForTesting(0, 0)()
+		for _, k := range []FormatKind{KindTiles, KindJSONB, KindJSON} {
+			l, _ := NewLoader(k, cfg)
+			rel, err := l.Load("dup", lines, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k == KindTiles {
+				extracted := len(rel.(TileIntrospector).Tiles()[0].ColumnsForPath(a.PathEnc)) > 0
+				if extracted != (dups == 90) {
+					t.Fatalf("%d duplicates: column extracted = %v", dups, extracted)
 				}
-				for _, k := range []FormatKind{KindTiles, KindJSONB, KindJSON} {
-					l, _ := NewLoader(k, cfg)
-					rel, err := l.Load("dup", lines, 2)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if k == KindTiles {
-						extracted := len(rel.(TileIntrospector).Tiles()[0].ColumnsForPath(a.PathEnc)) > 0
-						if extracted != (dups == 90) {
-							t.Fatalf("%d duplicates: column extracted = %v", dups, extracted)
-						}
-					}
-					for _, workers := range []int{1, 4} {
-						label := fmt.Sprintf("%s tree=%v dups=%d workers=%d", k, tree, dups, workers)
-						check := func(path string, v expr.Value) {
-							if !v.Null && v.I != 3 {
-								t.Errorf("%s %s: a = %v, want 3", label, path, v)
-							}
-						}
-						var rows atomic.Int64
-						rel.ScanWithStats(context.Background(), []Access{a}, workers, func(_ int, row []expr.Value) {
-							check("rows", row[0])
-							if !row[0].Null {
-								rows.Add(1)
-							}
-						}, nil)
-						if rows.Load() != int64(dups) {
-							t.Errorf("%s rows: %d non-NULL cells, want %d", label, rows.Load(), dups)
-						}
-						if bs, ok := rel.(BatchScanner); ok {
-							bs.ScanBatches(context.Background(), []Access{a}, workers, func(_ int, b *vec.Batch) {
-								for _, i := range b.Selected() {
-									check("batches", b.Cols[0].Value(int(i)))
-								}
-							}, nil)
-						}
+			}
+			for _, workers := range []int{1, 4} {
+				label := fmt.Sprintf("%s dups=%d workers=%d", k, dups, workers)
+				check := func(path string, v expr.Value) {
+					if !v.Null && v.I != 3 {
+						t.Errorf("%s %s: a = %v, want 3", label, path, v)
 					}
 				}
-			}()
+				var rows atomic.Int64
+				rel.ScanWithStats(context.Background(), []Access{a}, workers, func(_ int, row []expr.Value) {
+					check("rows", row[0])
+					if !row[0].Null {
+						rows.Add(1)
+					}
+				}, nil)
+				if rows.Load() != int64(dups) {
+					t.Errorf("%s rows: %d non-NULL cells, want %d", label, rows.Load(), dups)
+				}
+				if bs, ok := rel.(BatchScanner); ok {
+					bs.ScanBatches(context.Background(), []Access{a}, workers, func(_ int, b *vec.Batch) {
+						for _, i := range b.Selected() {
+							check("batches", b.Cols[0].Value(int(i)))
+						}
+					}, nil)
+				}
+			}
 		}
 	}
 }

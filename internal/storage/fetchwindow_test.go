@@ -46,11 +46,10 @@ func fetchTestStore(t *testing.T, nTiles, tileRows, pad int) (blockstore.Store, 
 	for i, l := range lines {
 		raw[i] = []byte(l)
 	}
-	docs, err := parseAll(raw, 2)
+	rel, err := BuildTilesFromLines("t", raw, cfg, 2, nil)
 	if err != nil {
-		t.Fatalf("parseAll: %v", err)
+		t.Fatalf("BuildTilesFromLines: %v", err)
 	}
-	rel := BuildTiles("t", docs, cfg, 2, nil)
 	mem := blockstore.NewMem()
 	dt, err := OpenDirStore("t", mem, nil, cfg, 4, false)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/jsonb"
-	"repro/internal/jsontape"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -23,44 +22,11 @@ type jsonbLoader struct{ cfg LoaderConfig }
 func (l jsonbLoader) Load(name string, lines [][]byte, workers int) (Relation, error) {
 	// Parse and encode per document in one pass — the tree is never
 	// materialized, and each worker reuses one pooled tape and encoder.
-	// Over-limit documents fall back individually.
 	encoded := make([][]byte, len(lines))
-	pe := newParseErrs()
-	morselRange(len(lines), workers, func(w, lo, hi int) {
-		if pe.failedBefore(lo) {
-			return
-		}
-		s := ingestScratchPool.Get().(*ingestScratch)
-		defer ingestScratchPool.Put(s)
-		var tapeDocs, treeDocs, tapeBytes int64
-		defer func() {
-			obs.IngestDocsTape.Add(tapeDocs)
-			obs.IngestDocsTreeFallback.Add(treeDocs)
-			obs.IngestTapeBytes.Add(tapeBytes)
-		}()
-		for i := lo; i < hi; i++ {
-			err := jsontape.Parse(lines[i], &s.doc)
-			if err == nil {
-				tapeDocs++
-				tapeBytes += int64(8 * len(s.doc.Tape))
-				encoded[i] = s.enc.EncodeTape(&s.doc)
-				continue
-			}
-			if jsontape.IsLimit(err) {
-				v, terr := parseDoc(lines[i])
-				if terr != nil {
-					pe.record(i, terr)
-					return
-				}
-				treeDocs++
-				encoded[i] = s.enc.Encode(v)
-				continue
-			}
-			pe.record(i, err)
-			return
-		}
+	err := parseEach(lines, workers, func(i int, s *ingestScratch) {
+		encoded[i] = s.enc.EncodeTape(&s.doc)
 	})
-	if err := pe.get(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return &jsonbStore{name: name, docs: encoded}, nil

@@ -279,11 +279,10 @@ func TestMorselScanConformanceDirTable(t *testing.T) {
 
 	appendBatch := func(start, n int) {
 		t.Helper()
-		docs, err := parseAll(skewedDocs(start, n), 2)
+		rel, err := BuildTilesFromLines("batch", skewedDocs(start, n), cfg, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel := BuildTiles("batch", docs, cfg, 2, nil)
 		if err := dt.AppendTiles(rel.(*tilesRelation).Tiles(), rel.Stats()); err != nil {
 			t.Fatalf("AppendTiles: %v", err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/expr"
-	"repro/internal/jsontape"
 	"repro/internal/jsontext"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -24,7 +23,7 @@ type rawJSONLoader struct{ cfg LoaderConfig }
 func (l rawJSONLoader) Load(name string, lines [][]byte, workers int) (Relation, error) {
 	// Validate up front (a database rejects malformed documents at
 	// insert); store the verbatim text.
-	if err := validateAll(lines, workers); err != nil {
+	if err := parseEach(lines, workers, nil); err != nil {
 		return nil, err
 	}
 	stored := make([][]byte, len(lines))
@@ -65,43 +64,4 @@ func (r *rawJSON) ScanWithStats(ctx context.Context, accesses []Access, workers 
 			emit(w, row)
 		}
 	})
-}
-
-// validateAll checks every line with the tape parser (no tree is
-// built), falling back per document past the tape limits. Errors
-// report the lowest failing index, like parseAll.
-func validateAll(lines [][]byte, workers int) error {
-	pe := newParseErrs()
-	morselRange(len(lines), workers, func(w, lo, hi int) {
-		if pe.failedBefore(lo) {
-			return
-		}
-		s := ingestScratchPool.Get().(*ingestScratch)
-		defer ingestScratchPool.Put(s)
-		var tapeDocs, treeDocs, tapeBytes int64
-		defer func() {
-			obs.IngestDocsTape.Add(tapeDocs)
-			obs.IngestDocsTreeFallback.Add(treeDocs)
-			obs.IngestTapeBytes.Add(tapeBytes)
-		}()
-		for i := lo; i < hi; i++ {
-			err := jsontape.Parse(lines[i], &s.doc)
-			if err == nil {
-				tapeDocs++
-				tapeBytes += int64(8 * len(s.doc.Tape))
-				continue
-			}
-			if jsontape.IsLimit(err) {
-				treeDocs++
-				if _, terr := parseDoc(lines[i]); terr != nil {
-					pe.record(i, terr)
-					return
-				}
-				continue
-			}
-			pe.record(i, err)
-			return
-		}
-	})
-	return pe.get()
 }

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"context"
-	"errors"
 	"sort"
 
 	"repro/internal/expr"
@@ -47,23 +46,7 @@ type sparseColumn struct {
 	bls  []bool
 }
 
-func (c *sparseColumn) appendVal(row int, v jsonvalue.Value) {
-	c.rows = append(c.rows, int32(row))
-	switch c.item.Type {
-	case keypath.TypeBigInt:
-		c.ints = append(c.ints, v.IntVal())
-	case keypath.TypeDouble:
-		c.flts = append(c.flts, v.FloatVal())
-	case keypath.TypeString:
-		c.strs = append(c.strs, v.StringVal())
-	case keypath.TypeBool:
-		c.bls = append(c.bls, v.BoolVal())
-	case keypath.TypeObject, keypath.TypeArray:
-		// Empty containers: presence only, no payload.
-	}
-}
-
-// appendTape is appendVal decoding straight from a tape node.
+// appendTape appends row's value, decoded straight from a tape node.
 func (c *sparseColumn) appendTape(row int, n jsontape.Node) {
 	c.rows = append(c.rows, int32(row))
 	switch c.item.Type {
@@ -75,8 +58,8 @@ func (c *sparseColumn) appendTape(row int, n jsontape.Node) {
 		c.strs = append(c.strs, n.StringVal())
 	case keypath.TypeBool:
 		c.bls = append(c.bls, n.BoolVal())
-	case keypath.TypeObject, keypath.TypeArray:
-		// Empty containers: presence only, no payload.
+	case keypath.TypeNull, keypath.TypeObject, keypath.TypeArray:
+		// Nulls and empty containers: presence only, no payload.
 	}
 }
 
@@ -114,47 +97,12 @@ const shredMaxArraySlots = 4096
 
 type shredLoader struct{ cfg LoaderConfig }
 
+// Load shreds the documents: stripes are appended straight from tape
+// nodes. A shared dictionary maps (path, type) items to column indexes
+// so the per-leaf path string is allocated only on a column's first
+// appearance. A null leaf is a presence-only stripe, so reassembly
+// renders it.
 func (l shredLoader) Load(name string, lines [][]byte, workers int) (Relation, error) {
-	rel, err := l.loadTapes(name, lines, workers)
-	if !errors.Is(err, errTapeLimit) {
-		return rel, err
-	}
-	// Some document exceeds the tape limits: retry on the tree path.
-	docs, err := parseAll(lines, workers)
-	if err != nil {
-		return nil, err
-	}
-	obs.IngestDocsTreeFallback.Add(int64(len(docs)))
-	r := &shredded{
-		name:    name,
-		numRows: len(docs),
-		byItem:  map[keypath.Item]int{},
-		byPath:  map[string][]int{},
-	}
-	for i, d := range docs {
-		keypath.Collect(d, shredMaxArraySlots, func(p keypath.Path, t keypath.ValueType, v jsonvalue.Value) {
-			if t == keypath.TypeNull {
-				return
-			}
-			it := keypath.Item{Path: p.Encode(), Type: t}
-			ci, ok := r.byItem[it]
-			if !ok {
-				ci = len(r.cols)
-				r.byItem[it] = ci
-				r.cols = append(r.cols, &sparseColumn{item: it})
-				r.byPath[it.Path] = append(r.byPath[it.Path], ci)
-			}
-			r.cols[ci].appendVal(i, v)
-		})
-	}
-	return finishShredded(r)
-}
-
-// loadTapes is the tape-driven shredded load: stripes are appended
-// straight from tape nodes. A shared dictionary maps (path, type)
-// items to column indexes so the per-leaf path string is allocated
-// only on a column's first appearance.
-func (l shredLoader) loadTapes(name string, lines [][]byte, workers int) (Relation, error) {
 	tapes, err := parseAllTapes(lines, workers)
 	if err != nil {
 		return nil, err
@@ -170,9 +118,6 @@ func (l shredLoader) loadTapes(name string, lines [][]byte, workers int) (Relati
 	var colOfID []int32
 	for i, d := range tapes {
 		keypath.CollectTape(d, shredMaxArraySlots, func(pathEnc []byte, t keypath.ValueType, n jsontape.Node) {
-			if t == keypath.TypeNull {
-				return
-			}
 			id := dict.AddBytes(pathEnc, t)
 			for int(id) >= len(colOfID) {
 				colOfID = append(colOfID, -1)

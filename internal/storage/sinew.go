@@ -2,7 +2,6 @@ package storage
 
 import (
 	"context"
-	"errors"
 	"math"
 	"sort"
 
@@ -10,7 +9,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/jsonb"
 	"repro/internal/jsontape"
-	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -43,107 +41,6 @@ type sinewColumn struct {
 }
 
 type sinewLoader struct{ cfg LoaderConfig }
-
-func (l sinewLoader) Load(name string, lines [][]byte, workers int) (Relation, error) {
-	rel, err := l.loadTapes(name, lines, workers)
-	if !errors.Is(err, errTapeLimit) {
-		return rel, err
-	}
-	// Some document exceeds the tape limits: retry on the tree path.
-	docs, err := parseAll(lines, workers)
-	if err != nil {
-		return nil, err
-	}
-	obs.IngestDocsTreeFallback.Add(int64(len(docs)))
-	maxSlots := l.cfg.Tile.MaxArraySlots
-
-	// Global frequency pass. Deliberately single-threaded: the paper
-	// attributes Sinew's loading drop to "the single-threaded
-	// frequency algorithm and the materialization of the detected
-	// columns" (§6.8).
-	freq := map[keypath.Item]int{}
-	for _, d := range docs {
-		keypath.Collect(d, maxSlots, func(p keypath.Path, t keypath.ValueType, v jsonvalue.Value) {
-			switch t {
-			case keypath.TypeBool, keypath.TypeBigInt, keypath.TypeDouble, keypath.TypeString:
-				freq[keypath.Item{Path: p.Encode(), Type: t}]++
-			}
-		})
-	}
-	need := int(math.Ceil(sinewThreshold * float64(len(docs))))
-	if need < 1 {
-		need = 1
-	}
-	// Pick extracted items; when several types of one path qualify
-	// (possible only with thresholds < 50 %) keep the most frequent.
-	bestForPath := map[string]keypath.Item{}
-	for it, c := range freq {
-		if c < need {
-			continue
-		}
-		if prev, ok := bestForPath[it.Path]; !ok || freq[prev] < c ||
-			(freq[prev] == c && it.Type < prev.Type) {
-			bestForPath[it.Path] = it
-		}
-	}
-	var items []keypath.Item
-	for _, it := range bestForPath {
-		items = append(items, it)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].Path < items[j].Path })
-
-	r := &sinew{name: name, numRows: len(docs), byPath: map[string]int{}}
-	for _, it := range items {
-		r.byPath[it.Path] = len(r.cols)
-		r.cols = append(r.cols, sinewColumn{
-			path:      it.Path,
-			minedType: it.Type,
-			col:       column.New(it.Type),
-		})
-	}
-
-	// Materialize (single pass over the documents, all columns at once).
-	for _, d := range docs {
-		leaves := map[string]jsonvalue.Value{}
-		types := map[string]keypath.ValueType{}
-		keypath.Collect(d, maxSlots, func(p keypath.Path, t keypath.ValueType, v jsonvalue.Value) {
-			enc := p.Encode()
-			leaves[enc] = v
-			types[enc] = t
-		})
-		for ci := range r.cols {
-			sc := &r.cols[ci]
-			v, present := leaves[sc.path]
-			if !present || types[sc.path] != sc.minedType {
-				sc.col.AppendNull()
-				if present && types[sc.path] != keypath.TypeNull {
-					sc.hasTypeOutliers = true
-				}
-				continue
-			}
-			switch sc.minedType {
-			case keypath.TypeBigInt:
-				sc.col.AppendInt(v.IntVal())
-			case keypath.TypeDouble:
-				sc.col.AppendFloat(v.FloatVal())
-			case keypath.TypeBool:
-				sc.col.AppendBool(v.BoolVal())
-			case keypath.TypeString:
-				sc.col.AppendString(v.StringVal())
-			}
-		}
-	}
-
-	// Binary JSON fallback storage (parallel, like the JSONB format).
-	r.raw = make([][]byte, len(docs))
-	morselRange(len(docs), workers, func(w, lo, hi int) {
-		var enc jsonb.Encoder
-		for i := lo; i < hi; i++ {
-			r.raw[i] = enc.Encode(docs[i])
-		}
-	})
-	return r, nil
-}
 
 func (r *sinew) Name() string             { return r.name }
 func (r *sinew) NumRows() int             { return r.numRows }
@@ -221,12 +118,13 @@ func (r *sinew) ScanWithStats(ctx context.Context, accesses []Access, workers in
 	})
 }
 
-// loadTapes is the tape-driven Sinew load: the global frequency pass
-// and the column materialization walk tapes (the deliberately
-// single-threaded part matching the paper), and the binary JSON
-// fallback encodes tapes in parallel. The result is identical to the
-// tree path column for column and byte for byte.
-func (l sinewLoader) loadTapes(name string, lines [][]byte, workers int) (Relation, error) {
+// Load builds the Sinew relation: the global frequency pass and the
+// column materialization walk tapes (the deliberately single-threaded
+// part: the paper attributes Sinew's loading drop to "the
+// single-threaded frequency algorithm and the materialization of the
+// detected columns", §6.8), and the binary JSON fallback encodes tapes
+// in parallel.
+func (l sinewLoader) Load(name string, lines [][]byte, workers int) (Relation, error) {
 	tapes, err := parseAllTapes(lines, workers)
 	if err != nil {
 		return nil, err
@@ -234,8 +132,8 @@ func (l sinewLoader) loadTapes(name string, lines [][]byte, workers int) (Relati
 	obs.IngestDocsTape.Add(int64(len(tapes)))
 	maxSlots := l.cfg.Tile.MaxArraySlots
 
-	// Global frequency pass over a shared dictionary: AddBytes avoids
-	// the per-leaf path allocation of the map-of-Item tree pass.
+	// Global frequency pass over a shared dictionary: AddBytes avoids a
+	// path allocation per leaf.
 	dict := keypath.NewDict()
 	var counts []int
 	for _, d := range tapes {
@@ -254,6 +152,8 @@ func (l sinewLoader) loadTapes(name string, lines [][]byte, workers int) (Relati
 	if need < 1 {
 		need = 1
 	}
+	// Pick extracted items; when several types of one path qualify
+	// (possible only with thresholds < 50 %) keep the most frequent.
 	bestForPath := map[string]keypath.Item{}
 	freqOf := func(it keypath.Item) int {
 		if id, ok := dict.Get(it.Path, it.Type); ok {
@@ -288,10 +188,10 @@ func (l sinewLoader) loadTapes(name string, lines [][]byte, workers int) (Relati
 		})
 	}
 
-	// Materialize. The tree path gathers a per-document leaves map with
-	// last-occurrence-wins; here a generation-stamped per-column slot
-	// does the same without the map: the walk overwrites the slot on
-	// every occurrence of the column's path, whatever the type.
+	// Materialize. A document's value for a path is its last
+	// occurrence: a generation-stamped per-column slot holds it, and the
+	// walk overwrites the slot on every occurrence of the column's path,
+	// whatever the type.
 	nCols := len(r.cols)
 	stamp := make([]int, nCols)
 	for i := range stamp {

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"repro/internal/expr"
-	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -160,31 +159,4 @@ func NewLoader(kind FormatKind, cfg LoaderConfig) (Loader, error) {
 	default:
 		return nil, fmt.Errorf("storage: unknown format %q", kind)
 	}
-}
-
-// parseAll parses JSON lines into documents in parallel (morsels of
-// lines pulled from a shared queue — see morsel.go). On malformed
-// input it reports the lowest failing document index regardless of
-// worker count or morsel scheduling, with the byte offset carried by
-// the wrapped syntax error.
-func parseAll(lines [][]byte, workers int) ([]jsonvalue.Value, error) {
-	docs := make([]jsonvalue.Value, len(lines))
-	pe := newParseErrs()
-	morselRange(len(lines), workers, func(w, lo, hi int) {
-		if pe.failedBefore(lo) {
-			return
-		}
-		for i := lo; i < hi; i++ {
-			v, err := parseDoc(lines[i])
-			if err != nil {
-				pe.record(i, err)
-				return
-			}
-			docs[i] = v
-		}
-	})
-	if err := pe.get(); err != nil {
-		return nil, err
-	}
-	return docs, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/jsontext"
 	"repro/internal/keypath"
 	"repro/internal/obs"
 )
@@ -383,6 +384,23 @@ func TestShreddedColumnExplosionAndReassembly(t *testing.T) {
 	tags := doc.Get("tags")
 	if tags.Len() != 2 || tags.Elem(1).Get("t").StringVal() != "b" {
 		t.Errorf("reassembled tags = %#v", tags)
+	}
+}
+
+// TestShreddedReassemblesNullKeys: a null-valued key is a presence-only
+// stripe, so reassembly renders it where raw JSON does.
+func TestShreddedReassemblesNullKeys(t *testing.T) {
+	l, _ := NewLoader(KindShredded, DefaultLoaderConfig())
+	rel, err := l.Load("sh", lines(`{"a":null,"b":{"c":null,"d":1}}`), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := jsontext.SerializeString(rel.(*shredded).Reassemble(0)); got != `{"a":null,"b":{"c":null,"d":1}}` {
+		t.Errorf("reassembled %s", got)
+	}
+	rows := collectScan(rel, []Access{NewAccess(expr.TText, "b")}, 1)
+	if !reflect.DeepEqual(rows, []string{`{"c":null,"d":1}`}) {
+		t.Errorf("b rows = %v", rows)
 	}
 }
 

@@ -47,13 +47,12 @@ func TestStoreConformanceAcrossBackends(t *testing.T) {
 	for i, l := range all {
 		raw[i] = []byte(l)
 	}
-	docs, err := parseAll(raw, 2)
-	if err != nil {
-		t.Fatalf("parseAll: %v", err)
-	}
 	cfg := DefaultLoaderConfig()
 	cfg.Tile.TileSize = 16
-	mem := BuildTiles("mem", docs, cfg, 2, nil)
+	mem, err := BuildTilesFromLines("mem", raw, cfg, 2, nil)
+	if err != nil {
+		t.Fatalf("BuildTilesFromLines: %v", err)
+	}
 	accesses := dirTestAccesses()
 
 	fsStore, err := blockstore.NewFS(t.TempDir())

@@ -14,28 +14,12 @@ import (
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
-	"repro/internal/tile"
 )
 
-// Tape-vs-tree conformance (DESIGN.md §6.8): for every storage format
-// and several worker counts, loading through the structural-tape path
-// must produce results identical to the boxed jsonvalue-tree path. The
-// tree reference is the real LimitError fallback, forced by shrinking
-// the tape limits: (0, 0) sends every document down it, (4, 1<<20)
-// only the documents with a string or container longer than four, so
-// one load mixes both paths.
-
-// loadLimited loads lines with the tape limits shrunk to (span, off).
-func loadLimited(t *testing.T, k FormatKind, cfg LoaderConfig, lines [][]byte, workers, span, off int) Relation {
-	t.Helper()
-	defer jsontape.SetLimitsForTesting(span, off)()
-	l, _ := NewLoader(k, cfg)
-	rel, err := l.Load("conf", lines, workers)
-	if err != nil {
-		t.Fatalf("%s w%d limits (%d, %d): %v", k, workers, span, off, err)
-	}
-	return rel
-}
+// Format conformance (DESIGN.md §6.8): for every storage format and
+// several worker counts, the tape-built relation answers exactly what
+// the raw-JSON format, which re-parses each document per access,
+// answers.
 
 // tapeConfSample derives a handful of typed accesses from the
 // documents, plus one absent path.
@@ -109,50 +93,30 @@ func TestTapeMatchesTreeAllFormats(t *testing.T) {
 			docLines[i] = jsontext.Serialize(docs[i])
 		}
 		accesses := tapeConfSample(r, docs)
+		cfg := DefaultLoaderConfig()
+		cfg.Tile.TileSize = 16
+		jl, _ := NewLoader(KindJSON, cfg)
+		jsonRel, err := jl.Load("conf", docLines, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		truthSet := normRowMultiset(jsonRel, accesses, 1)
 
 		for _, k := range allKinds() {
 			for _, workers := range []int{1, 4} {
-				cfg := DefaultLoaderConfig()
-				cfg.Tile.TileSize = 16
-				treeRel := loadLimited(t, k, cfg, docLines, workers, 0, 0)
-				truthSet := normRowMultiset(treeRel, accesses, workers)
-
-				lp, _ := NewLoader(k, cfg)
-				tapeRel, err := lp.Load("conf", docLines, workers)
+				l, _ := NewLoader(k, cfg)
+				rel, err := l.Load("conf", docLines, workers)
 				if err != nil {
-					t.Fatalf("trial %d %s w%d tape: %v", trial, k, workers, err)
+					t.Fatalf("trial %d %s w%d: %v", trial, k, workers, err)
 				}
-				// Row and batch scans against the tree-path truth.
-				verifyConformance(t, trial, string(k)+"-tape", tapeRel, accesses, truthSet)
-				mixedRel := loadLimited(t, k, cfg, docLines, workers, 4, 1<<20)
-				verifyConformance(t, trial, string(k)+"-mixed", mixedRel, accesses, truthSet)
-
+				// Row and batch scans against the raw-JSON truth.
+				verifyConformance(t, trial, string(k), rel, accesses, truthSet)
 				if k != KindTiles {
 					continue
 				}
-				// The tile layouts must agree byte for byte: same tile
-				// boundaries and the same JSONB raw storage per row.
-				treeTiles := treeRel.(TileIntrospector).Tiles()
-				tapeTiles := tapeRel.(TileIntrospector).Tiles()
-				if len(treeTiles) != len(tapeTiles) {
-					t.Fatalf("trial %d w%d: %d tree tiles vs %d tape tiles",
-						trial, workers, len(treeTiles), len(tapeTiles))
-				}
-				for ti := range treeTiles {
-					a, b := treeTiles[ti], tapeTiles[ti]
-					if a.NumRows() != b.NumRows() {
-						t.Fatalf("trial %d tile %d rows differ", trial, ti)
-					}
-					for i := 0; i < a.NumRows(); i++ {
-						if !bytes.Equal(a.RawBytes(i), b.RawBytes(i)) {
-							t.Fatalf("trial %d tile %d raw doc %d differs", trial, ti, i)
-						}
-					}
-				}
-
-				// Segment round trip of the tape-loaded relation.
-				srel := memSegment(t, tapeRel, cfg)
-				verifyConformance(t, trial, "tape-segment", srel, accesses, truthSet)
+				// Segment round trip of the tile relation.
+				srel := memSegment(t, rel, cfg)
+				verifyConformance(t, trial, "segment", srel, accesses, truthSet)
 				if err := srel.Err(); err != nil {
 					t.Fatalf("trial %d segment scan: %v", trial, err)
 				}
@@ -161,107 +125,109 @@ func TestTapeMatchesTreeAllFormats(t *testing.T) {
 	}
 }
 
-// TestParsedBatchTreeFallback: the insert path (a ParsedBatch filled one
-// document at a time, then built) takes the same tree fallback past the
-// tape limits as a whole-input load — only for the partitions holding an
-// over-limit document — still rejects malformed documents, and builds
-// the same tiles as BuildTilesFromLines.
-func TestParsedBatchTreeFallback(t *testing.T) {
+// TestOverLimitIsIngestError: a document past the tape limits is an
+// ingest error naming the limit, exactly like a syntax error.
+// ParsedBatch.Add rejects it and adds nothing — the batch builds the
+// tiles of the documents it accepted — and every format's Load and
+// BuildTilesStar fail on the lowest over-limit document at any worker
+// count.
+func TestOverLimitIsIngestError(t *testing.T) {
 	lines := make([][]byte, 100)
 	for i := range lines {
 		lines[i] = []byte(fmt.Sprintf(`{"id":%d,"t":"x%d"}`, i, i%3))
 	}
-	lines[70] = []byte(`{"id":1,"tags":["a","b","c","d","e"]}`)
+	over := []byte(`{"id":1,"tags":["a","b","c","d","e"]}`)
+	lines[33], lines[70] = over, over
 	cfg := DefaultLoaderConfig()
 	cfg.Tile.TileSize, cfg.Tile.PartitionSize = 16, 2
 
-	// Only document 70 exceeds these limits: its partition, [64, 96),
-	// builds from trees and every other from tapes.
+	// Only the five-element array exceeds these limits.
 	defer jsontape.SetLimitsForTesting(4, 1<<20)()
-	for _, l := range lines {
-		if err := jsontape.Parse(l, new(jsontape.Doc)); jsontape.IsLimit(err) != bytes.Equal(l, lines[70]) {
-			t.Fatalf("%s: limit error %v", l, err)
-		}
-	}
-	var m tile.Metrics
 	var b ParsedBatch
-	for _, l := range lines {
-		if err := b.Add(l, &m); err != nil {
-			t.Fatalf("Add: %v", err)
+	var accepted [][]byte
+	for i, l := range lines {
+		err := b.Add(l, nil)
+		if jsontape.IsLimit(err) != bytes.Equal(l, over) || err != nil && !jsontape.IsLimit(err) {
+			t.Fatalf("Add of document %d: %v", i, err)
+		}
+		if err == nil {
+			accepted = append(accepted, l)
 		}
 	}
-	if err := b.Add([]byte(`{"bad":`), &m); err == nil {
-		t.Fatal("Add accepted malformed input")
+	if b.Len() != len(lines)-2 {
+		t.Fatalf("batch holds %d documents, want %d", b.Len(), len(lines)-2)
 	}
-	if b.Len() != len(lines) {
-		t.Fatalf("batch holds %d documents, want %d", b.Len(), len(lines))
-	}
-	fromBatch, err := BuildTilesFromBatch("b", &b, cfg, 2, &m)
+	fromBatch := BuildTilesFromBatch("b", &b, cfg, 2, nil)
+	fromLines, err := BuildTilesFromLines("l", accepted, cfg, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := m.Snapshot(); s.DocsTree != 32 || s.DocsTape != 68 || s.ParseNanos == 0 {
-		t.Errorf("%d tree / %d tape documents, parse %d ns; want 32 / 68, parse > 0", s.DocsTree, s.DocsTape, s.ParseNanos)
+	x, y := fromBatch.(TileIntrospector).Tiles(), fromLines.(TileIntrospector).Tiles()
+	if len(x) != len(y) {
+		t.Fatalf("%d tiles from the batch, %d from the lines", len(x), len(y))
 	}
-	if b.Len() != 0 {
-		t.Errorf("batch holds %d documents after the build", b.Len())
-	}
-	fromLines, err := BuildTilesFromLines("l", lines, cfg, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, c := fromBatch.(TileIntrospector).Tiles(), fromLines.(TileIntrospector).Tiles()
-	if len(a) != len(c) {
-		t.Fatalf("%d tiles from the batch, %d from the lines", len(a), len(c))
-	}
-	for ti := range a {
-		for i := 0; i < a[ti].NumRows(); i++ {
-			if !bytes.Equal(a[ti].RawBytes(i), c[ti].RawBytes(i)) {
+	for ti := range x {
+		for i := 0; i < x[ti].NumRows(); i++ {
+			if !bytes.Equal(x[ti].RawBytes(i), y[ti].RawBytes(i)) {
 				t.Fatalf("tile %d row %d differs", ti, i)
 			}
+		}
+	}
+
+	const want = "document 33: jsontape: container size exceeds tape limits"
+	for _, workers := range []int{1, 2, 8} {
+		for _, k := range allKinds() {
+			l, _ := NewLoader(k, cfg)
+			if _, err := l.Load("over", lines, workers); err == nil || err.Error() != want || !jsontape.IsLimit(err) {
+				t.Errorf("%s w%d: error %v, want %q", k, workers, err, want)
+			}
+		}
+		_, err := BuildTilesStar("over", lines, cfg, workers, keypath.NewPath("id"), keypath.NewPath("tags"))
+		if err == nil || err.Error() != want {
+			t.Errorf("BuildTilesStar w%d: error %v, want %q", workers, err, want)
 		}
 	}
 }
 
 // TestParseErrorDeterminism locks the reported load error to the
-// lowest failing document index — with its byte offset — regardless of
-// format, worker count, or ingest path (tape, or every document forced
-// onto the tree fallback).
+// lowest failing document index regardless of format or worker count:
+// with the tape limits shrunk, the over-limit document 9 ahead of the
+// syntax errors at 17 and 41, named with its limit; with the real
+// limits, document 17 with its byte offset.
 func TestParseErrorDeterminism(t *testing.T) {
 	docLines := make([][]byte, 64)
 	for i := range docLines {
 		docLines[i] = []byte(`{"ok":true}`)
 	}
-	// Failures at 9, 17, and 41: index 9 must always win.
-	docLines[41] = []byte(`{"x":}`)
-	docLines[9] = []byte(`{"key": tru}`)
+	docLines[9] = []byte(`{"tags":[1,2,3,4,5]}`)
 	docLines[17] = []byte(`[1,2,`)
+	docLines[41] = []byte(`{"x":}`)
 
-	var want string
-	for _, k := range allKinds() {
-		for _, workers := range []int{1, 2, 8} {
-			for _, treeIngest := range []bool{false, true} {
+	for _, limited := range []bool{true, false} {
+		var want string
+		for _, k := range allKinds() {
+			for _, workers := range []int{1, 2, 8} {
 				restore := func() {}
-				if treeIngest {
-					restore = jsontape.SetLimitsForTesting(0, 0)
+				if limited {
+					restore = jsontape.SetLimitsForTesting(4, 1<<20)
 				}
 				l, _ := NewLoader(k, DefaultLoaderConfig())
 				_, err := l.Load("bad", docLines, workers)
 				restore()
 				if err == nil {
-					t.Fatalf("%s w%d tree=%v: expected error", k, workers, treeIngest)
+					t.Fatalf("%s w%d limited=%v: expected error", k, workers, limited)
 				}
 				msg := err.Error()
-				if !strings.Contains(msg, "document 9") {
-					t.Fatalf("%s w%d tree=%v: error %q does not report document 9", k, workers, treeIngest, msg)
+				if limited && msg != "document 9: jsontape: container size exceeds tape limits" {
+					t.Fatalf("%s w%d: error %q does not name document 9 and its limit", k, workers, msg)
 				}
-				if !strings.Contains(msg, "offset") {
-					t.Fatalf("%s w%d tree=%v: error %q has no byte offset", k, workers, treeIngest, msg)
+				if !limited && (!strings.Contains(msg, "document 17") || !strings.Contains(msg, "offset")) {
+					t.Fatalf("%s w%d: error %q does not report document 17 with a byte offset", k, workers, msg)
 				}
 				if want == "" {
 					want = msg
 				} else if msg != want {
-					t.Fatalf("%s w%d tree=%v: error %q differs from %q", k, workers, treeIngest, msg, want)
+					t.Fatalf("%s w%d limited=%v: error %q differs from %q", k, workers, limited, msg, want)
 				}
 			}
 		}

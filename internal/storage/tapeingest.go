@@ -1,32 +1,24 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/jsonb"
 	"repro/internal/jsontape"
-	"repro/internal/jsonvalue"
 	"repro/internal/obs"
 	"repro/internal/tile"
 )
 
 // On-demand ingest (DESIGN.md §6.8): every loader parses documents
 // into structural tapes and feeds them straight to its extraction or
-// encoding pass, materializing jsonvalue trees only for documents the
-// tape cannot represent (LimitError: ≥4 GiB documents or ≥2^28-element
-// spans) — the boxed fallback path, counted by ingest_docs_tree_fallback.
-// The input alone selects it; tests force it by shrinking the limits
-// (jsontape.SetLimitsForTesting).
-
-// errTapeLimit signals that some document exceeded the tape encoding
-// limits; whole-input loaders retry on the tree path.
-var errTapeLimit = errors.New("storage: document exceeds tape limits")
+// encoding pass. A document the tape cannot represent (a
+// *jsontape.LimitError: ≥ 4 GiB of text, or a string, number or
+// container span ≥ 2^28) is an ingest error, reported like a syntax
+// error: the load fails naming the lowest failing document.
 
 // ingestScratch pools one worker's tape document and JSONB encoder so
 // repeated loads reuse the tape and encoder buffers (like
@@ -72,8 +64,9 @@ func (b *tapeBatch) ptrs(n int) []*jsontape.Doc {
 // parseErrs collects parse failures from parallel workers and always
 // reports the lowest failing document index, so the error a caller
 // sees does not depend on worker count or morsel scheduling. The
-// wrapped *jsontext.SyntaxError carries the byte offset within the
-// document.
+// wrapped error is a *jsontext.SyntaxError, which carries the byte
+// offset within the document, or a *jsontape.LimitError naming the
+// limit.
 type parseErrs struct {
 	min atomic.Int64 // lowest failing index seen so far
 	mu  sync.Mutex
@@ -117,16 +110,13 @@ func (p *parseErrs) get() error {
 	return fmt.Errorf("document %d: %w", p.idx, p.err)
 }
 
-// parseAllTapes parses every line into a resident tape in parallel.
-// It returns errTapeLimit when any document exceeds the tape limits
-// (the caller retries on the tree path) and otherwise the lowest-index
-// parse error, exactly like parseAll.
+// parseAllTapes parses every line into a resident tape in parallel
+// and returns the lowest-index parse error, if any.
 func parseAllTapes(lines [][]byte, workers int) ([]*jsontape.Doc, error) {
 	tapes := make([]*jsontape.Doc, len(lines))
 	pe := newParseErrs()
-	var limited atomic.Bool
 	morselRange(len(lines), workers, func(w, lo, hi int) {
-		if pe.failedBefore(lo) || limited.Load() {
+		if pe.failedBefore(lo) {
 			return
 		}
 		var tapeBytes int64
@@ -134,11 +124,7 @@ func parseAllTapes(lines [][]byte, workers int) ([]*jsontape.Doc, error) {
 		for i := lo; i < hi; i++ {
 			d := new(jsontape.Doc)
 			if err := jsontape.Parse(lines[i], d); err != nil {
-				if jsontape.IsLimit(err) {
-					limited.Store(true)
-				} else {
-					pe.record(i, err)
-				}
+				pe.record(i, err)
 				return
 			}
 			tapeBytes += int64(8 * len(d.Tape))
@@ -148,10 +134,39 @@ func parseAllTapes(lines [][]byte, workers int) ([]*jsontape.Doc, error) {
 	if err := pe.get(); err != nil {
 		return nil, err
 	}
-	if limited.Load() {
-		return nil, errTapeLimit
-	}
 	return tapes, nil
+}
+
+// parseEach parses every line into a worker's pooled tape,
+// morsel-parallel, and hands it to fn (when non-nil) before the
+// worker's next line reuses the tape and encoder. It returns the
+// lowest-index parse error.
+func parseEach(lines [][]byte, workers int, fn func(i int, s *ingestScratch)) error {
+	pe := newParseErrs()
+	morselRange(len(lines), workers, func(w, lo, hi int) {
+		if pe.failedBefore(lo) {
+			return
+		}
+		s := ingestScratchPool.Get().(*ingestScratch)
+		defer ingestScratchPool.Put(s)
+		var tapeDocs, tapeBytes int64
+		defer func() {
+			obs.IngestDocsTape.Add(tapeDocs)
+			obs.IngestTapeBytes.Add(tapeBytes)
+		}()
+		for i := lo; i < hi; i++ {
+			if err := jsontape.Parse(lines[i], &s.doc); err != nil {
+				pe.record(i, err)
+				return
+			}
+			tapeDocs++
+			tapeBytes += int64(8 * len(s.doc.Tape))
+			if fn != nil {
+				fn(i, s)
+			}
+		}
+	})
+	return pe.get()
 }
 
 // ParsedBatch holds documents parsed into structural tapes ahead of
@@ -162,18 +177,14 @@ func parseAllTapes(lines [][]byte, workers int) ([]*jsontape.Doc, error) {
 type ParsedBatch struct {
 	lines [][]byte
 	tb    *tapeBatch // from tapeBatchPool once the first document arrives
-	// limited lists, ascending, the documents beyond the tape limits;
-	// a partition holding one builds through the tree path.
-	limited []int
 }
 
 // Len returns the number of documents in the batch.
 func (b *ParsedBatch) Len() int { return len(b.lines) }
 
 // Add parses line into the batch's next tape, timing the parse into m
-// (nil-safe). A malformed document returns its syntax error and is not
-// added. A document beyond the tape limits is checked by the tree
-// parser instead and, when well-formed, added for the tree fallback.
+// (nil-safe). A malformed document returns its syntax error, and one
+// beyond the tape limits its *jsontape.LimitError; neither is added.
 // The batch keeps line, which must not change until the batch is
 // built.
 func (b *ParsedBatch) Add(line []byte, m *tile.Metrics) error {
@@ -183,20 +194,13 @@ func (b *ParsedBatch) Add(line []byte, m *tile.Metrics) error {
 	}
 	d := b.tb.doc(len(b.lines))
 	err := jsontape.Parse(line, d)
-	switch {
-	case err == nil:
-		obs.IngestTapeBytes.Add(int64(8 * len(d.Tape)))
-	case jsontape.IsLimit(err):
-		if _, err = parseDoc(line); err == nil {
-			b.limited = append(b.limited, len(b.lines))
-		}
-	}
 	if m != nil {
 		m.ParseNanos.Add(time.Since(start).Nanoseconds())
 	}
 	if err != nil {
 		return err
 	}
+	obs.IngestTapeBytes.Add(int64(8 * len(d.Tape)))
 	b.lines = append(b.lines, line)
 	return nil
 }
@@ -218,41 +222,26 @@ func (b *ParsedBatch) tapes() []*jsontape.Doc {
 	return b.tb.ptrs(b.Len())
 }
 
-// build builds the batch's documents [lo, hi) — one partition — into
-// tiles: from their tapes, or from trees when one of them lies beyond
-// the tape limits. dlo is the batch's offset among the documents pe
-// reports on.
-func (b *ParsedBatch) build(pb *partBuilder, tapes []*jsontape.Doc, lo, hi, dlo int, pe *parseErrs) []*tile.Tile {
-	if i, _ := slices.BinarySearch(b.limited, lo); i < len(b.limited) && b.limited[i] < hi {
-		return buildPartitionTree(pb, b.lines[lo:hi], dlo+lo, pe)
-	}
-	return pb.tapes(tapes[lo:hi])
-}
-
 // BuildTilesFromBatch builds the batch's documents into a Tiles
 // relation exactly as BuildTilesFromLines builds the same lines, and
 // empties the batch.
-func BuildTilesFromBatch(name string, b *ParsedBatch, cfg LoaderConfig, workers int, metrics *tile.Metrics) (Relation, error) {
+func BuildTilesFromBatch(name string, b *ParsedBatch, cfg LoaderConfig, workers int, metrics *tile.Metrics) Relation {
 	defer b.reset()
-	pe := newParseErrs()
 	tapes := b.tapes()
 	r := buildPartitions(name, b.Len(), cfg, workers, metrics, func(pb *partBuilder, lo, hi int) []*tile.Tile {
-		return b.build(pb, tapes, lo, hi, 0, pe)
+		return pb.tapes(tapes[lo:hi])
 	})
-	if err := pe.get(); err != nil {
-		return nil, err
-	}
 	obs.DocsLoaded.Add(int64(b.Len()))
-	return r, nil
+	return r
 }
 
 // BuildTilesFromLines parses and ingests raw JSON lines into a Tiles
 // relation, tape-driven and morsel-parallel with partition
 // granularity: each worker parses a partition's lines into a
 // ParsedBatch, reorders the tapes (§3.2), and builds its tiles directly
-// from them — documents are never materialized as trees. A partition
-// containing an over-limit document falls back to the tree path for
-// that partition only.
+// from them — documents are never materialized as trees. A malformed
+// or over-limit document fails the load; the error names the lowest
+// failing document.
 func BuildTilesFromLines(name string, lines [][]byte, cfg LoaderConfig, workers int, metrics *tile.Metrics) (Relation, error) {
 	pe := newParseErrs()
 	r := buildPartitions(name, len(lines), cfg, workers, metrics, func(pb *partBuilder, lo, hi int) []*tile.Tile {
@@ -267,33 +256,11 @@ func BuildTilesFromLines(name string, lines [][]byte, cfg LoaderConfig, workers 
 				return nil
 			}
 		}
-		return b.build(pb, b.tapes(), 0, b.Len(), lo, pe)
+		return pb.tapes(b.tapes())
 	})
 	if err := pe.get(); err != nil {
 		return nil, err
 	}
 	obs.DocsLoaded.Add(int64(len(lines)))
 	return r, nil
-}
-
-// buildPartitionTree is the per-partition tree fallback of
-// BuildTilesFromLines: parse the partition's lines into trees (the
-// partition holds an over-limit document) and build through the boxed
-// path. The partition's global line offset keeps error indexes
-// deterministic.
-func buildPartitionTree(pb *partBuilder, part [][]byte, dlo int, pe *parseErrs) []*tile.Tile {
-	start := time.Now()
-	docs := make([]jsonvalue.Value, len(part))
-	for i, line := range part {
-		v, err := parseDoc(line)
-		if err != nil {
-			pe.record(dlo+i, err)
-			return nil
-		}
-		docs[i] = v
-	}
-	if pb.metrics != nil {
-		pb.metrics.ParseNanos.Add(time.Since(start).Nanoseconds())
-	}
-	return pb.trees(docs)
 }

@@ -51,13 +51,6 @@ func (l tilesLoader) Load(name string, lines [][]byte, workers int) (Relation, e
 	return BuildTilesFromLines(name, lines, l.cfg, workers, l.cfg.Metrics)
 }
 
-// BuildTiles constructs a Tiles relation from parsed documents.
-func BuildTiles(name string, docs []jsonvalue.Value, cfg LoaderConfig, workers int, metrics *tile.Metrics) Relation {
-	return buildPartitions(name, len(docs), cfg, workers, metrics, func(pb *partBuilder, lo, hi int) []*tile.Tile {
-		return pb.trees(docs[lo:hi])
-	})
-}
-
 // partBuilder is what one partition's body of buildPartitions works
 // with: the settings every body applies.
 type partBuilder struct {
@@ -105,43 +98,31 @@ func buildPartitions(name string, n int, cfg LoaderConfig, workers int, metrics 
 	return r
 }
 
-// trees reorders one partition of documents (§3.2) and cuts it into
-// tiles.
-func (pb *partBuilder) trees(docs []jsonvalue.Value) []*tile.Tile {
-	if pb.reorder {
-		reorder.Partition(docs, pb.tcfg, pb.metrics)
-	}
-	return cutTiles(pb, docs, func(b *tile.Builder, _ int, docs []jsonvalue.Value) *tile.Tile { return b.Build(docs) })
-}
-
-// tapes is trees for a partition of parsed tapes. Reordering walks
-// every document and hands the walks on, so each tile builds from its
-// documents' walk instead of walking them again.
+// tapes reorders one partition of parsed documents (§3.2) and cuts it
+// into tiles. Reordering walks every document and hands the walks on,
+// so each tile builds from its documents' walk instead of walking them
+// again.
 func (pb *partBuilder) tapes(docs []*jsontape.Doc) []*tile.Tile {
 	var walks *reorder.Walks
 	if pb.reorder {
 		_, walks = reorder.PartitionTapesWorkers(docs, pb.tcfg, pb.metrics, pb.workers)
 	}
-	return cutTiles(pb, docs, func(b *tile.Builder, k int, docs []*jsontape.Doc) *tile.Tile {
-		if w := walks.Tile(k); w != nil {
-			return b.BuildWalk(docs, w)
-		}
-		return b.BuildTape(docs)
-	})
-}
-
-// cutTiles builds a partition's documents into tiles of TileSize rows;
-// build gets tile k's documents. Once reordered, the tiles of a
-// partition are independent, so each is one morsel with its own
-// builder: a flush of one partition still uses every worker. Helpers
-// come from the shared pool, and one that has not started by the time
-// the inline drain empties the queue does nothing, so a flush beside
-// busy queries runs serially instead of competing.
-func cutTiles[D any](pb *partBuilder, docs []D, build func(b *tile.Builder, k int, docs []D) *tile.Tile) []*tile.Tile {
+	// Once reordered, the tiles of a partition are independent, so each
+	// is one morsel with its own builder: a flush of one partition still
+	// uses every worker. Helpers come from the shared pool, and one that
+	// has not started by the time the inline drain empties the queue
+	// does nothing, so a flush beside busy queries runs serially instead
+	// of competing.
 	size := pb.tcfg.TileSize
 	tiles := make([]*tile.Tile, (len(docs)+size-1)/size)
-	morselEach(len(tiles), pb.workers, func(_, i int) {
-		tiles[i] = build(tile.NewBuilder(pb.tcfg, pb.metrics), i, docs[i*size:min((i+1)*size, len(docs))])
+	morselEach(len(tiles), pb.workers, func(_, k int) {
+		b := tile.NewBuilder(pb.tcfg, pb.metrics)
+		part := docs[k*size : min((k+1)*size, len(docs))]
+		if w := walks.Tile(k); w != nil {
+			tiles[k] = b.BuildWalk(part, w)
+		} else {
+			tiles[k] = b.BuildTape(part)
+		}
 	})
 	return tiles
 }
@@ -216,8 +197,10 @@ func (r *tilesRelation) RecomputeTiles() int {
 		if !t.NeedsRecompute() {
 			continue
 		}
-		r.tiles[i] = builder.Build(t.Documents())
-		recomputed++
+		if nt, ok := rebuildTile(builder, t); ok {
+			r.tiles[i] = nt
+			recomputed++
+		}
 	}
 	if recomputed > 0 {
 		r.stats = stats.New(0, 0)
@@ -226,6 +209,29 @@ func (r *tilesRelation) RecomputeTiles() int {
 		}
 	}
 	return recomputed
+}
+
+// rebuildTile builds a tile afresh from t's own documents: each row's
+// binary JSON rendered back to text and parsed into a tape. A row whose
+// text the tape cannot hold fails the rebuild (ok is false); t then
+// stays as it is, and still answers correctly from its binary JSON.
+func rebuildTile(b *tile.Builder, t *tile.Tile) (_ *tile.Tile, ok bool) {
+	var text []byte
+	ends := make([]int, t.NumRows())
+	for i := range ends {
+		text = t.Raw(i).AppendJSON(text)
+		ends[i] = len(text)
+	}
+	tapes := make([]*jsontape.Doc, len(ends))
+	lo := 0
+	for i, hi := range ends {
+		tapes[i] = new(jsontape.Doc)
+		if jsontape.Parse(text[lo:hi], tapes[i]) != nil {
+			return nil, false
+		}
+		lo = hi
+	}
+	return b.BuildTape(tapes), true
 }
 
 // RawSizeBytes returns the binary JSON bytes.

@@ -1,10 +1,10 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/jsontape"
+	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
 	"repro/internal/obs"
@@ -40,48 +40,6 @@ const (
 func BuildTilesStar(name string, lines [][]byte, cfg LoaderConfig, workers int,
 	idPath keypath.Path, arrayPaths ...keypath.Path) (*TilesStar, error) {
 
-	star, err := buildTilesStarTapes(name, lines, cfg, workers, idPath, arrayPaths...)
-	if !errors.Is(err, errTapeLimit) {
-		return star, err
-	}
-	// Some document exceeds the tape limits: retry on the tree path.
-	docs, err := parseAll(lines, workers)
-	if err != nil {
-		return nil, err
-	}
-	obs.IngestDocsTreeFallback.Add(int64(len(docs)))
-	star = &TilesStar{Sides: map[string]Relation{}}
-	star.Main = BuildTiles(name, docs, cfg, workers, nil)
-
-	for _, ap := range arrayPaths {
-		var sideDocs []jsonvalue.Value
-		for _, d := range docs {
-			parent, ok := keypath.Lookup(d, idPath)
-			if !ok {
-				continue
-			}
-			arr, ok := keypath.Lookup(d, ap)
-			if !ok || arr.Kind() != jsonvalue.KindArray {
-				continue
-			}
-			for i := 0; i < arr.Len(); i++ {
-				el := arr.Elem(i)
-				sideDocs = append(sideDocs, sideDoc(parent, i, el))
-			}
-		}
-		enc := ap.Encode()
-		star.Sides[enc] = BuildTiles(fmt.Sprintf("%s[%s]", name, enc), sideDocs, cfg, workers, nil)
-	}
-	return star, nil
-}
-
-// buildTilesStarTapes is the tape-driven Tiles-* load: the main
-// relation builds straight from the resident tapes, while side
-// documents — small synthesized objects — materialize only the parent
-// id and the extracted array elements.
-func buildTilesStarTapes(name string, lines [][]byte, cfg LoaderConfig, workers int,
-	idPath keypath.Path, arrayPaths ...keypath.Path) (*TilesStar, error) {
-
 	tapes, err := parseAllTapes(lines, workers)
 	if err != nil {
 		return nil, err
@@ -92,8 +50,11 @@ func buildTilesStarTapes(name string, lines [][]byte, cfg LoaderConfig, workers 
 		return pb.tapes(tapes[lo:hi])
 	})
 
+	// Side documents are small synthesized objects: each materializes
+	// only the parent id and one array element, and is serialized for
+	// the same tape build as the main relation.
 	for _, ap := range arrayPaths {
-		var sideDocs []jsonvalue.Value
+		var sideLines [][]byte
 		for _, d := range tapes {
 			pn, ok := keypath.LookupTape(d, idPath)
 			if !ok {
@@ -106,11 +67,15 @@ func buildTilesStarTapes(name string, lines [][]byte, cfg LoaderConfig, workers 
 			parent := pn.Materialize()
 			for i := 0; i < an.Count(); i++ {
 				el, _ := an.Elem(i)
-				sideDocs = append(sideDocs, sideDoc(parent, i, el.Materialize()))
+				sideLines = append(sideLines, jsontext.Serialize(sideDoc(parent, i, el.Materialize())))
 			}
 		}
 		enc := ap.Encode()
-		star.Sides[enc] = BuildTiles(fmt.Sprintf("%s[%s]", name, enc), sideDocs, cfg, workers, nil)
+		side, err := BuildTilesFromLines(fmt.Sprintf("%s[%s]", name, enc), sideLines, cfg, workers, nil)
+		if err != nil {
+			return nil, err
+		}
+		star.Sides[enc] = side
 	}
 	return star, nil
 }

@@ -15,20 +15,18 @@ import (
 	"repro/internal/obs"
 )
 
-// Tape-driven tile construction: the same extraction as Build, but
-// consuming structural tapes (DESIGN.md §6.8). Where the tree path
-// walks every document twice (once for items, once for leaves) over
-// boxed jsonvalue nodes, a tape build walks each tape once, recording
-// (dictionary id, tape node) pairs; columns then decode scalar
-// payloads lazily, straight from the document bytes. The resulting
-// tile is byte-identical to Build over the materialized trees: same
-// dictionary ids, same extraction set, same column order and contents,
-// and EncodeTape matches Encode byte for byte.
+// Tile construction consumes structural tapes (DESIGN.md §6.8): a
+// build walks each tape once, recording (dictionary id, tape node)
+// pairs, and columns then decode scalar payloads lazily, straight from
+// the document bytes. A tile is what the paper's extraction makes of
+// the parsed documents: dictionary ids in order of first occurrence,
+// the frequent items extracted in that order, the last occurrence of a
+// repeated key winning, and EncodeTape storing each document.
 
-// CollectTapeTransactions is the tape analogue of CollectTransactions:
-// one sorted item-id list per document over a shared dictionary. The
-// partition reorderer gets the same lists from its tiles' walks
-// (Walk.Transactions, renumbered to one partition dictionary).
+// CollectTapeTransactions returns one sorted item-id list per document
+// over a shared dictionary. The partition reorderer gets the same lists
+// from its tiles' walks (Walk.Transactions, renumbered to one partition
+// dictionary).
 func CollectTapeTransactions(tapes []*jsontape.Doc, maxSlots int, dict *keypath.Dict) [][]int32 {
 	var flat []int32
 	end := make([]int, len(tapes))
@@ -206,8 +204,8 @@ func (b *Builder) materializeTape(tapes []*jsontape.Doc, w *Walk, extracted []bo
 		}
 	}
 
-	// Path frequency counts every non-null leaf occurrence, exactly as
-	// the tree walk does: per item, then per path.
+	// Path frequency counts every non-null leaf occurrence: per item,
+	// then per path.
 	leaves := make([]int, len(items))
 	for _, id := range ids {
 		leaves[id]++
@@ -240,11 +238,10 @@ func (b *Builder) materializeTape(tapes []*jsontape.Doc, w *Walk, extracted []bo
 		}
 	}
 
-	// The tree path gathers per-document leaves into a map keyed by
-	// path with last-occurrence-wins. The tape equivalent is a dense
-	// docs × extracted-path matrix of flat-run indexes: one column per
-	// extracted PATH (all types share it, exactly like the map slot),
-	// filled by a forward scan so later occurrences overwrite earlier.
+	// A document's value for a path is its last occurrence. A dense
+	// docs × extracted-path matrix of flat-run indexes holds it: one
+	// column per extracted PATH (all types share it), filled by a
+	// forward scan so later occurrences overwrite earlier.
 	extGroup := map[string]int32{}
 	for _, id := range orderedIDs {
 		path := items[id].Path

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/dates"
+	"repro/internal/jsonb"
 	"repro/internal/jsontape"
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
@@ -16,8 +18,9 @@ import (
 
 // tapeCorpus is a mixed corpus exercising every identity-relevant
 // feature: frequent paths above and below the threshold, type
-// outliers, nulls, date-like strings, duplicate keys, escaped keys,
-// arrays past the slot cap, and empty containers.
+// outliers, nulls, date-like strings, duplicate keys (also of
+// extracted paths), escaped keys, arrays past the slot cap, and empty
+// containers.
 func tapeCorpus(t *testing.T) (docs []jsonvalue.Value, tapes []*jsontape.Doc) {
 	var lines []string
 	for i := 0; i < 40; i++ {
@@ -30,6 +33,7 @@ func tapeCorpus(t *testing.T) (docs []jsonvalue.Value, tapes []*jsontape.Doc) {
 		`{"id":"oops","name":null,"score":7,"active":1,"when":"not a date"}`,
 		`{"id":99,"extra":{"deep":{"leaf":true}},"empty":{},"ar":[]}`,
 		`{"dup":1,"dup":"two","a.b":3,"c\\d":4,"":5}`,
+		`{"id":101,"name":"first","id":102,"name":7}`,
 		`{"big":[0,1,2,3,4,5,6,7,8,9,10,11],"id":100}`,
 	)
 	for _, ln := range lines {
@@ -47,86 +51,175 @@ func tapeCorpus(t *testing.T) (docs []jsonvalue.Value, tapes []*jsontape.Doc) {
 	return docs, tapes
 }
 
-// TestBuildTapeMatchesBuild locks the tape build to the tree build:
-// identical header, columns (bytes), statistics, and raw storage.
+// oracle is what the paper's extraction makes of a tile of documents,
+// worked out from their jsontext trees alone: the dictionary items in
+// order of first occurrence, each document's set of item ids, the
+// extracted items (frequent and extractable, in dictionary order),
+// each document's value per path (its last occurrence), the non-null
+// leaves per path, every seen path with its prefixes, and each
+// document's JSONB.
+type oracle struct {
+	items     []keypath.Item
+	txs       [][]int32
+	extracted []keypath.Item
+	last      []map[string]jsonvalue.Value
+	freq      map[string]int
+	seen      map[string]bool
+	raw       [][]byte
+}
+
+func treeOracle(docs []jsonvalue.Value, cfg Config) oracle {
+	o := oracle{freq: map[string]int{}, seen: map[string]bool{}}
+	dict := keypath.NewDict()
+	var support []int
+	for _, d := range docs {
+		var tx []int32
+		last := map[string]jsonvalue.Value{}
+		keypath.Collect(d, cfg.MaxArraySlots, func(p keypath.Path, vt keypath.ValueType, v jsonvalue.Value) {
+			id := dict.Add(p.Encode(), vt)
+			if int(id) == len(support) {
+				support = append(support, 0)
+			}
+			if !slices.Contains(tx, id) {
+				tx = append(tx, id)
+				support[id]++
+			}
+			last[p.Encode()] = v
+			if vt != keypath.TypeNull {
+				o.freq[p.Encode()]++
+			}
+			for n := 1; n <= len(p.Segs); n++ {
+				o.seen[keypath.Path{Segs: p.Segs[:n]}.Encode()] = true
+			}
+		})
+		slices.Sort(tx)
+		o.txs = append(o.txs, tx)
+		o.last = append(o.last, last)
+		o.raw = append(o.raw, jsonb.Encode(d))
+	}
+	o.items = dict.Items()
+	for id, it := range o.items {
+		if support[id] >= cfg.MinSupport(len(docs)) && isExtractableType(it.Type) {
+			o.extracted = append(o.extracted, it)
+		}
+	}
+	return o
+}
+
+// checkAgainstOracle compares a tile of docs with the oracle: the
+// extracted columns and every cell, type outliers, path frequencies,
+// seen-path membership and the raw bytes.
+func checkAgainstOracle(t *testing.T, tl *Tile, o oracle) {
+	t.Helper()
+	if tl.NumRows() != len(o.raw) {
+		t.Fatalf("%d rows, want %d", tl.NumRows(), len(o.raw))
+	}
+	cols := tl.Columns()
+	if len(cols) != len(o.extracted) {
+		t.Fatalf("%d columns, want %d: %v", len(cols), len(o.extracted), o.extracted)
+	}
+	for ci, c := range cols {
+		it := o.extracted[ci]
+		if c.Path != it.Path || c.MinedType != it.Type {
+			t.Fatalf("column %d is %s %v, want %s %v", ci, c.Path, c.MinedType, it.Path, it.Type)
+		}
+		if c.StorageType != c.MinedType && (c.MinedType != keypath.TypeString || c.StorageType != keypath.TypeTimestamp) {
+			t.Errorf("column %s: storage type %v for mined %v", c.Path, c.StorageType, c.MinedType)
+		}
+		outliers := false
+		for i, last := range o.last {
+			v, ok := last[it.Path]
+			vt := keypath.TypeOf(v)
+			if ok && vt != it.Type && vt != keypath.TypeNull {
+				outliers = true
+			}
+			var want any // nil: NULL
+			if ok && vt == it.Type {
+				switch c.StorageType {
+				case keypath.TypeBigInt:
+					want = v.IntVal()
+				case keypath.TypeDouble:
+					want = v.FloatVal()
+				case keypath.TypeBool:
+					want = v.BoolVal()
+				case keypath.TypeString:
+					want = v.StringVal()
+				case keypath.TypeTimestamp:
+					if ts, ok := dates.Parse(v.StringVal()); ok {
+						want = ts
+					} else {
+						outliers = true
+					}
+				}
+			}
+			var got any
+			if !c.Col.IsNull(i) {
+				switch c.StorageType {
+				case keypath.TypeBigInt, keypath.TypeTimestamp:
+					got = c.Col.Int(i)
+				case keypath.TypeDouble:
+					got = c.Col.Float(i)
+				case keypath.TypeBool:
+					got = c.Col.Bool(i)
+				case keypath.TypeString:
+					got = c.Col.String(i)
+				}
+			}
+			if got != want {
+				t.Errorf("column %s row %d: %v, want %v", c.Path, i, got, want)
+			}
+		}
+		if c.HasTypeOutliers != outliers {
+			t.Errorf("column %s: HasTypeOutliers %v, want %v", c.Path, c.HasTypeOutliers, outliers)
+		}
+	}
+	if !reflect.DeepEqual(tl.PathFrequencies(), o.freq) {
+		t.Errorf("path frequencies %v, want %v", tl.PathFrequencies(), o.freq)
+	}
+	for p := range o.seen {
+		if !tl.MayContainPath(p) {
+			t.Errorf("seen path %q reported absent", p)
+		}
+	}
+	for i, raw := range o.raw {
+		if !bytes.Equal(tl.RawBytes(i), raw) {
+			t.Errorf("raw doc %d differs", i)
+		}
+	}
+}
+
+// TestBuildTapeMatchesBuild checks the tape build against the oracle:
+// columns cell by cell, statistics, header and raw storage.
 func TestBuildTapeMatchesBuild(t *testing.T) {
 	docs, tapes := tapeCorpus(t)
 	cfg := DefaultConfig()
 	cfg.TileSize = len(docs)
 	cfg.MaxArraySlots = 2
 
-	var mTree, mTape Metrics
-	tree := NewBuilder(cfg, &mTree).Build(docs)
-	tape := NewBuilder(cfg, &mTape).BuildTape(tapes)
-
-	if tree.NumRows() != tape.NumRows() {
-		t.Fatalf("numRows: tree %d tape %d", tree.NumRows(), tape.NumRows())
+	var m Metrics
+	checkAgainstOracle(t, NewBuilder(cfg, &m).BuildTape(tapes), treeOracle(docs, cfg))
+	if m.DocsTape.Load() != int64(len(tapes)) {
+		t.Errorf("DocsTape=%d, want %d", m.DocsTape.Load(), len(tapes))
 	}
-	tc, pc := tree.Columns(), tape.Columns()
-	if len(tc) != len(pc) {
-		t.Fatalf("column count: tree %d tape %d", len(tc), len(pc))
-	}
-	for i := range tc {
-		a, b := tc[i], pc[i]
-		if a.Path != b.Path || a.MinedType != b.MinedType || a.StorageType != b.StorageType ||
-			a.HasTypeOutliers != b.HasTypeOutliers {
-			t.Errorf("column %d header differs: tree %+v tape %+v", i, a, b)
-		}
-		if !bytes.Equal(a.Col.Serialize(), b.Col.Serialize()) {
-			t.Errorf("column %d (%s) bytes differ", i, a.Path)
-		}
-	}
-	if !reflect.DeepEqual(tree.PathFrequencies(), tape.PathFrequencies()) {
-		t.Errorf("pathFreq differs:\n tree %v\n tape %v", tree.PathFrequencies(), tape.PathFrequencies())
-	}
-	for p, s := range tree.Sketches() {
-		o := tape.Sketch(p)
-		if o == nil || o.Estimate() != s.Estimate() {
-			t.Errorf("sketch %q differs", p)
-		}
-	}
-	for p, h := range tree.Histograms() {
-		o := tape.Histogram(p)
-		if o == nil || o.Total() != h.Total() || o.Min() != h.Min() || o.Max() != h.Max() {
-			t.Errorf("histogram %q differs", p)
-		}
-	}
-	if !reflect.DeepEqual(tree.SeenFilter().Bits(), tape.SeenFilter().Bits()) {
-		t.Errorf("seen-paths bloom filter differs")
-	}
-	for i := 0; i < tree.NumRows(); i++ {
-		if !bytes.Equal(tree.RawBytes(i), tape.RawBytes(i)) {
-			t.Errorf("raw doc %d differs", i)
-		}
-	}
-	if mTape.DocsTape.Load() != int64(len(tapes)) || mTape.DocsTree.Load() != 0 {
-		t.Errorf("tape metrics: DocsTape=%d DocsTree=%d", mTape.DocsTape.Load(), mTape.DocsTree.Load())
-	}
-	if mTree.DocsTree.Load() != int64(len(docs)) || mTree.DocsTape.Load() != 0 {
-		t.Errorf("tree metrics: DocsTape=%d DocsTree=%d", mTree.DocsTape.Load(), mTree.DocsTree.Load())
-	}
-	if mTape.SubtreesSkipped.Load() == 0 {
+	if m.SubtreesSkipped.Load() == 0 {
 		t.Errorf("expected skipped subtrees with MaxArraySlots=2")
 	}
 }
 
 // TestCollectTapeTransactionsMatchesTree checks the shared-dictionary
-// transactions agree id for id.
+// transactions against the oracle, id for id.
 func TestCollectTapeTransactionsMatchesTree(t *testing.T) {
 	docs, tapes := tapeCorpus(t)
-	dictTree, dictTape := keypath.NewDict(), keypath.NewDict()
-	txTree := CollectTransactions(docs, 2, dictTree)
-	txTape := CollectTapeTransactions(tapes, 2, dictTape)
-	if dictTree.Len() != dictTape.Len() {
-		t.Fatalf("dict length: tree %d tape %d", dictTree.Len(), dictTape.Len())
+	cfg := DefaultConfig()
+	cfg.MaxArraySlots = 2
+	o := treeOracle(docs, cfg)
+	dict := keypath.NewDict()
+	txs := CollectTapeTransactions(tapes, 2, dict)
+	if !slices.Equal(dict.Items(), o.items) {
+		t.Fatalf("dictionary %v, want %v", dict.Items(), o.items)
 	}
-	for id := int32(0); id < int32(dictTree.Len()); id++ {
-		if dictTree.Item(id) != dictTape.Item(id) {
-			t.Fatalf("dict item %d: tree %+v tape %+v", id, dictTree.Item(id), dictTape.Item(id))
-		}
-	}
-	if !reflect.DeepEqual(txTree, txTape) {
-		t.Fatalf("transactions differ")
+	if !reflect.DeepEqual(txs, o.txs) {
+		t.Fatalf("transactions %v, want %v", txs, o.txs)
 	}
 }
 
@@ -138,27 +231,20 @@ func TestCollectTapeTransactionsMatchesTree(t *testing.T) {
 func TestBuildCountsWorkOncePerDistinctDocument(t *testing.T) {
 	const doc = `{"a":1,"b":"x","c":true}`
 	for _, n := range []int{1, 1000} {
-		docs := make([]jsonvalue.Value, n)
 		tapes := make([]*jsontape.Doc, n)
-		for i := range docs {
-			docs[i], _ = jsontext.Parse([]byte(doc))
+		for i := range tapes {
 			tapes[i] = &jsontape.Doc{}
 			if err := jsontape.Parse([]byte(doc), tapes[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		var mTree, mTape Metrics
-		tiles := map[string]*Tile{
-			"Build":     NewBuilder(DefaultConfig(), &mTree).Build(docs),
-			"BuildTape": NewBuilder(DefaultConfig(), &mTape).BuildTape(tapes),
+		var m Metrics
+		tl := NewBuilder(DefaultConfig(), &m).BuildTape(tapes)
+		if got := m.Snapshot(); got.FPNodes != 0 || got.SubsetTests != 0 || len(tl.Columns()) != 3 {
+			t.Errorf("%d copies: FPNodes=%d SubsetTests=%d, %d columns; want 0, 0, 3",
+				n, got.FPNodes, got.SubsetTests, len(tl.Columns()))
 		}
-		for name, m := range map[string]*Metrics{"Build": &mTree, "BuildTape": &mTape} {
-			if got := m.Snapshot(); got.FPNodes != 0 || got.SubsetTests != 0 || len(tiles[name].Columns()) != 3 {
-				t.Errorf("%s of %d copies: FPNodes=%d SubsetTests=%d, %d columns; want 0, 0, 3",
-					name, n, got.FPNodes, got.SubsetTests, len(tiles[name].Columns()))
-			}
-		}
-		if got := mTape.TapeWalks.Load(); got != int64(n) {
+		if got := m.TapeWalks.Load(); got != int64(n) {
 			t.Errorf("BuildTape of %d copies walked %d documents", n, got)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bloom"
 	"repro/internal/column"
@@ -97,10 +96,8 @@ type Metrics struct {
 	ReorderNanos    atomic.Int64
 	TilesBuilt      atomic.Int64
 	// On-demand ingest accounting (DESIGN.md §6.8): documents built
-	// from the structural tape vs the boxed jsonvalue-tree fallback,
-	// and subtrees the tape walks skipped.
+	// from the structural tape, and subtrees the tape walks skipped.
 	DocsTape        atomic.Int64
-	DocsTree        atomic.Int64
 	SubtreesSkipped atomic.Int64
 	// TapeWalks counts tape documents walked for their key paths
 	// (WalkTapes): once per document when reordering hands its walks
@@ -132,7 +129,6 @@ type MetricsSnapshot struct {
 	ReorderNanos    int64
 	TilesBuilt      int64
 	DocsTape        int64
-	DocsTree        int64
 	SubtreesSkipped int64
 	TapeWalks       int64
 	FPNodes         int64
@@ -152,7 +148,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		ReorderNanos:    m.ReorderNanos.Load(),
 		TilesBuilt:      m.TilesBuilt.Load(),
 		DocsTape:        m.DocsTape.Load(),
-		DocsTree:        m.DocsTree.Load(),
 		SubtreesSkipped: m.SubtreesSkipped.Load(),
 		TapeWalks:       m.TapeWalks.Load(),
 		FPNodes:         m.FPNodes.Load(),
@@ -170,7 +165,6 @@ func (s MetricsSnapshot) Sub(base MetricsSnapshot) MetricsSnapshot {
 		ReorderNanos:    s.ReorderNanos - base.ReorderNanos,
 		TilesBuilt:      s.TilesBuilt - base.TilesBuilt,
 		DocsTape:        s.DocsTape - base.DocsTape,
-		DocsTree:        s.DocsTree - base.DocsTree,
 		SubtreesSkipped: s.SubtreesSkipped - base.SubtreesSkipped,
 		TapeWalks:       s.TapeWalks - base.TapeWalks,
 		FPNodes:         s.FPNodes - base.FPNodes,
@@ -182,9 +176,9 @@ func (s MetricsSnapshot) Sub(base MetricsSnapshot) MetricsSnapshot {
 func (s MetricsSnapshot) String() string {
 	ms := func(n int64) float64 { return float64(n) / 1e6 }
 	return fmt.Sprintf(
-		"parse %.1fms  mine %.1fms  extract %.1fms  jsonb %.1fms  reorder %.1fms  (%d tiles, %d tape / %d tree docs)",
+		"parse %.1fms  mine %.1fms  extract %.1fms  jsonb %.1fms  reorder %.1fms  (%d tiles, %d tape docs)",
 		ms(s.ParseNanos), ms(s.MineNanos), ms(s.ExtractNanos),
-		ms(s.WriteJSONBNanos), ms(s.ReorderNanos), s.TilesBuilt, s.DocsTape, s.DocsTree)
+		ms(s.WriteJSONBNanos), ms(s.ReorderNanos), s.TilesBuilt, s.DocsTape)
 }
 
 // ColumnInfo describes one extracted column in the tile header.
@@ -252,22 +246,6 @@ func NewBuilder(cfg Config, m *Metrics) *Builder {
 	return &Builder{Config: cfg, Metrics: m}
 }
 
-// CollectTransactions turns documents into itemset transactions over a
-// shared dictionary — one sorted item-id list per document. The same
-// routine serves tile building and partition reordering.
-func CollectTransactions(docs []jsonvalue.Value, maxSlots int, dict *keypath.Dict) [][]int32 {
-	txs := make([][]int32, len(docs))
-	for i, d := range docs {
-		var tx []int32
-		keypath.Collect(d, maxSlots, func(p keypath.Path, t keypath.ValueType, v jsonvalue.Value) {
-			tx = append(tx, dict.Add(p.Encode(), t))
-		})
-		tx = sortDedup(tx)
-		txs[i] = tx
-	}
-	return txs
-}
-
 // isExtractableType reports whether a mined item type can become a
 // typed column. Nulls and empty containers only mark presence.
 func isExtractableType(t keypath.ValueType) bool {
@@ -298,191 +276,6 @@ func sortDedup(s []int32) []int32 {
 		}
 	}
 	return s[:w]
-}
-
-// Build materializes one tile from docs: collect key paths, extract
-// the union of the maximal frequent itemsets at the extraction
-// threshold as typed columns (§3.1) — that union is the tile's
-// frequent items (fpgrowth.FrequentItems), so nothing is mined — and
-// encode every document into binary JSON for the fallback path.
-func (b *Builder) Build(docs []jsonvalue.Value) *Tile {
-	// Tree-based builds are the boxed fallback path; BuildTape is the
-	// tape-driven hot path.
-	obs.IngestDocsTreeFallback.Add(int64(len(docs)))
-	if b.Metrics != nil {
-		b.Metrics.DocsTree.Add(int64(len(docs)))
-	}
-	dict := keypath.NewDict()
-	start := time.Now()
-	var ids []int32
-	ends := make([]int32, len(docs))
-	for i, d := range docs {
-		keypath.Collect(d, b.Config.MaxArraySlots, func(p keypath.Path, t keypath.ValueType, _ jsonvalue.Value) {
-			ids = append(ids, dict.Add(p.Encode(), t))
-		})
-		ends[i] = int32(len(ids))
-	}
-	extracted := fpgrowth.FrequentItems(ids, ends, dict.Len(), b.Config.MinSupport(len(docs)), b.Config.Budget)
-	if b.Metrics != nil {
-		b.Metrics.MineNanos.Add(time.Since(start).Nanoseconds())
-	}
-	return b.materialize(docs, dict, extracted)
-}
-
-func (b *Builder) materialize(docs []jsonvalue.Value, dict *keypath.Dict, extracted []bool) *Tile {
-	start := time.Now()
-	t := &Tile{
-		numRows:    len(docs),
-		byItem:     map[keypath.Item]int{},
-		byPath:     map[string][]int{},
-		pathFreq:   map[string]int{},
-		sketches:   map[string]*hll.Sketch{},
-		histograms: map[string]*hist.Histogram{},
-	}
-
-	// Deterministic column order: dictionary id order.
-	var orderedIDs []int32
-	for id := int32(0); id < int32(dict.Len()); id++ {
-		if extracted[id] && isExtractableType(dict.Item(id).Type) {
-			orderedIDs = append(orderedIDs, id)
-		}
-	}
-
-	// Per-document path values, gathered in a single walk per doc.
-	type docLeaf struct {
-		t keypath.ValueType
-		v jsonvalue.Value
-	}
-	leaves := make([]map[string]docLeaf, len(docs))
-	seenPaths := map[string]bool{}
-	for i, d := range docs {
-		m := map[string]docLeaf{}
-		keypath.Collect(d, b.Config.MaxArraySlots, func(p keypath.Path, vt keypath.ValueType, v jsonvalue.Value) {
-			enc := p.Encode()
-			m[enc] = docLeaf{t: vt, v: v}
-			if !seenPaths[enc] {
-				seenPaths[enc] = true
-				// Every prefix is a reachable path too: an access to
-				// ->'user' on a tile holding user.id must neither skip
-				// nor return NULL-for-all.
-				for n := len(p.Segs) - 1; n >= 1; n-- {
-					prefix := keypath.Path{Segs: p.Segs[:n]}.Encode()
-					if seenPaths[prefix] {
-						break
-					}
-					seenPaths[prefix] = true
-				}
-			}
-			if vt != keypath.TypeNull {
-				t.pathFreq[enc]++
-			}
-		})
-		leaves[i] = m
-	}
-
-	for _, id := range orderedIDs {
-		item := dict.Item(id)
-		info := ColumnInfo{Path: item.Path, MinedType: item.Type, StorageType: item.Type}
-
-		// Date detection (§4.9): sample the string values first.
-		if item.Type == keypath.TypeString && b.Config.DetectDates {
-			var sample []string
-			for i := range docs {
-				if lf, ok := leaves[i][item.Path]; ok && lf.t == keypath.TypeString {
-					sample = append(sample, lf.v.StringVal())
-					if len(sample) >= 64 {
-						break
-					}
-				}
-			}
-			if dates.DetectColumn(sample, 64) {
-				info.StorageType = keypath.TypeTimestamp
-			}
-		}
-
-		col := column.New(info.StorageType)
-		sketch := hll.New()
-		var numeric []float64
-		for i := range docs {
-			lf, present := leaves[i][item.Path]
-			if !present {
-				col.AppendNull()
-				continue
-			}
-			if lf.t != item.Type {
-				col.AppendNull()
-				if lf.t != keypath.TypeNull {
-					info.HasTypeOutliers = true
-				}
-				continue
-			}
-			switch info.StorageType {
-			case keypath.TypeBigInt:
-				col.AppendInt(lf.v.IntVal())
-				sketch.AddInt64(lf.v.IntVal())
-				numeric = append(numeric, float64(lf.v.IntVal()))
-			case keypath.TypeDouble:
-				col.AppendFloat(lf.v.FloatVal())
-				sketch.AddHash(hll.HashUint64(math.Float64bits(lf.v.FloatVal())))
-				numeric = append(numeric, lf.v.FloatVal())
-			case keypath.TypeBool:
-				col.AppendBool(lf.v.BoolVal())
-				if lf.v.BoolVal() {
-					sketch.AddInt64(1)
-				} else {
-					sketch.AddInt64(0)
-				}
-			case keypath.TypeString:
-				col.AppendString(lf.v.StringVal())
-				sketch.AddString(lf.v.StringVal())
-			case keypath.TypeTimestamp:
-				if ts, ok := dates.Parse(lf.v.StringVal()); ok {
-					col.AppendInt(ts)
-					sketch.AddInt64(ts)
-					numeric = append(numeric, float64(ts))
-				} else {
-					col.AppendNull()
-					info.HasTypeOutliers = true
-				}
-			}
-		}
-		if info.StorageType == keypath.TypeString {
-			maybeDictEncode(col, sketch)
-		}
-		idx := len(t.columns)
-		info.Col = col
-		t.columns = append(t.columns, info)
-		t.byItem[keypath.Item{Path: item.Path, Type: item.Type}] = idx
-		t.byPath[item.Path] = append(t.byPath[item.Path], idx)
-		t.sketches[item.Path] = sketch
-		if len(numeric) > 0 {
-			t.histograms[item.Path] = hist.FromValues(numeric)
-		}
-	}
-
-	// Header bloom filter over the paths seen but not extracted (§4.4).
-	t.notExtracted = bloom.New(len(seenPaths)+8, 0.01)
-	for p := range seenPaths {
-		if _, ok := t.byPath[p]; !ok {
-			t.notExtracted.Add(p)
-		}
-	}
-	if b.Metrics != nil {
-		b.Metrics.ExtractNanos.Add(time.Since(start).Nanoseconds())
-	}
-
-	// Binary JSON for every tuple (the fallback and outlier storage).
-	start = time.Now()
-	t.raw = make([][]byte, len(docs))
-	for i, d := range docs {
-		t.raw[i] = b.enc.Encode(d)
-	}
-	if b.Metrics != nil {
-		b.Metrics.WriteJSONBNanos.Add(time.Since(start).Nanoseconds())
-		b.Metrics.TilesBuilt.Add(1)
-	}
-	obs.TilesBuilt.Inc()
-	return t
 }
 
 // NumRows returns the tuple count.
@@ -661,17 +454,6 @@ func (t *Tile) Update(i int, doc jsonvalue.Value, enc *jsonb.Encoder, maxSlots i
 // schema").
 func (t *Tile) NeedsRecompute() bool {
 	return t.outliers > t.numRows/2
-}
-
-// Documents decodes the tile's current contents from the binary JSON
-// column — the input for recomputation. Object key order reflects the
-// binary format (sorted), which does not affect extraction.
-func (t *Tile) Documents() []jsonvalue.Value {
-	docs := make([]jsonvalue.Value, t.numRows)
-	for i := range docs {
-		docs[i] = t.Raw(i).Decode()
-	}
-	return docs
 }
 
 // OutlierCount returns the number of update-introduced outliers.

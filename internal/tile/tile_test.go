@@ -5,27 +5,37 @@ import (
 	"testing"
 
 	"repro/internal/jsonb"
+	"repro/internal/jsontape"
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
 )
 
-func docs(t *testing.T, srcs ...string) []jsonvalue.Value {
+func docs(t *testing.T, srcs ...string) []*jsontape.Doc {
 	t.Helper()
-	out := make([]jsonvalue.Value, len(srcs))
+	out := make([]*jsontape.Doc, len(srcs))
 	for i, s := range srcs {
-		v, err := jsontext.ParseString(s)
-		if err != nil {
+		out[i] = new(jsontape.Doc)
+		if err := jsontape.Parse([]byte(s), out[i]); err != nil {
 			t.Fatalf("doc %d: %v", i, err)
 		}
-		out[i] = v
 	}
 	return out
 }
 
+// value parses one document into a tree, the form Update takes.
+func value(t *testing.T, src string) jsonvalue.Value {
+	t.Helper()
+	v, err := jsontext.ParseString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 // figure2Tile2 is the paper's running example: tile #2 of Figure 2,
 // tile size 4, extraction threshold 60%.
-func figure2Tile2(t *testing.T) []jsonvalue.Value {
+func figure2Tile2(t *testing.T) []*jsontape.Doc {
 	return docs(t,
 		`{"id":5, "create": "1/10", "text": "b", "user": {"id": 7}, "replies": 3, "geo": {"lat": 1.9}}`,
 		`{"id":6, "create": "1/11", "text": "c", "user": {"id": 1}, "replies": 2, "geo": null}`,
@@ -34,10 +44,9 @@ func figure2Tile2(t *testing.T) []jsonvalue.Value {
 	)
 }
 
-func build(t *testing.T, cfg Config, ds []jsonvalue.Value) *Tile {
+func build(t *testing.T, cfg Config, ds []*jsontape.Doc) *Tile {
 	t.Helper()
-	b := NewBuilder(cfg, nil)
-	return b.Build(ds)
+	return NewBuilder(cfg, nil).BuildTape(ds)
 }
 
 func TestPaperFigure2Extraction(t *testing.T) {
@@ -278,7 +287,7 @@ func TestUpdate(t *testing.T) {
 	ds := docs(t, `{"a":1,"b":1.5}`, `{"a":2,"b":2.5}`, `{"a":3,"b":3.5}`)
 	tl := build(t, cfg, ds)
 
-	nd := docs(t, `{"a":42,"newkey":"x"}`)[0]
+	nd := value(t, `{"a":42,"newkey":"x"}`)
 	var enc jsonb.Encoder
 	outlier := tl.Update(1, nd, &enc, 0)
 	if outlier {
@@ -315,7 +324,7 @@ func TestUpdateOutlierTriggersRecompute(t *testing.T) {
 	}
 	var enc jsonb.Encoder
 	for i := 0; i < 3; i++ {
-		if !tl.Update(i, docs(t, `{"z":true}`)[0], &enc, 0) {
+		if !tl.Update(i, value(t, `{"z":true}`), &enc, 0) {
 			t.Fatalf("update %d not flagged outlier", i)
 		}
 	}
@@ -342,7 +351,7 @@ func TestMinSupport(t *testing.T) {
 func TestMetricsAccumulate(t *testing.T) {
 	var m Metrics
 	b := NewBuilder(DefaultConfig(), &m)
-	b.Build(figure2Tile2(t))
+	b.BuildTape(figure2Tile2(t))
 	if m.TilesBuilt.Load() != 1 {
 		t.Errorf("tiles built = %d", m.TilesBuilt.Load())
 	}

@@ -34,7 +34,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/jsontext"
+	"repro/internal/jsontape"
 	"repro/internal/jsonvalue"
 	"repro/internal/storage"
 	"repro/internal/tile"
@@ -226,7 +226,8 @@ func New(name string, opts Options) *Table {
 	opts = opts.withDefaults()
 	maybeServeDebug(opts.DebugAddr)
 	m := &tile.Metrics{}
-	return &Table{name: name, opts: opts, rel: storage.BuildTiles(name, nil, opts.loaderConfig(), 1, m), metrics: m}
+	rel, _ := storage.BuildTilesFromLines(name, nil, opts.loaderConfig(), 1, m) // no documents, no error
+	return &Table{name: name, opts: opts, rel: rel, metrics: m}
 }
 
 // Insert buffers one JSON document. A new tile partition is
@@ -234,7 +235,8 @@ func New(name string, opts Options) *Table {
 // (§3.2: "A new tile is created whenever the number of newly-inserted
 // tuples reaches the tile size"). The document is parsed now, once,
 // into the structural tape (DESIGN.md §6.8) its tile is later built
-// from; a malformed document is rejected. A table opened with
+// from; a malformed document, or one past the tape limits, is rejected
+// with the parser's error. A table opened with
 // OpenSegment is a read-only view of one immutable segment and rejects
 // inserts; tables that grow live in a directory (OpenDir), which takes
 // inserts and whole in-memory tables (AppendTable).
@@ -263,10 +265,7 @@ func (t *Table) Flush() error {
 	if t.pending.Len() == 0 {
 		return nil
 	}
-	newRel, err := storage.BuildTilesFromBatch(t.name, &t.pending, t.opts.loaderConfig(), t.opts.workers(), t.metrics)
-	if err != nil {
-		return err
-	}
+	newRel := storage.BuildTilesFromBatch(t.name, &t.pending, t.opts.loaderConfig(), t.opts.workers(), t.metrics)
 	if dt, ok := t.rel.(*storage.DirTable); ok {
 		ti := newRel.(storage.TileIntrospector)
 		return dt.AppendTiles(ti.Tiles(), newRel.Stats())
@@ -295,10 +294,12 @@ func (t *Table) NumRows() int {
 // extracted keys are updated in the columns, removed keys become
 // nulls, and new key paths register in the tile header. It reports
 // whether the containing tile accumulated so many structural outliers
-// that re-materialization is advisable.
+// that re-materialization is advisable. The document is parsed like an
+// inserted one: a malformed document, or one past the tape limits, is
+// rejected with the parser's error.
 func (t *Table) Update(i int, doc []byte) (recomputeAdvised bool, err error) {
-	v, err := jsontext.Parse(doc)
-	if err != nil {
+	var d jsontape.Doc
+	if err := jsontape.Parse(doc, &d); err != nil {
 		return false, err
 	}
 	up, ok := t.rel.(interface {
@@ -307,7 +308,7 @@ func (t *Table) Update(i int, doc []byte) (recomputeAdvised bool, err error) {
 	if !ok {
 		return false, fmt.Errorf("jsontiles: table does not support updates")
 	}
-	return up.UpdateRow(i, v)
+	return up.UpdateRow(i, d.Root().Materialize())
 }
 
 // Recompute re-materializes tiles whose documents drifted away from
@@ -331,10 +332,9 @@ type LoadStats struct {
 	Parse, Mine, Extract, WriteJSONB, Reorder time.Duration
 	// TilesBuilt is the number of tiles materialized.
 	TilesBuilt int64
-	// DocsTape counts documents ingested on the structural-tape path;
-	// DocsTree counts documents that fell back to the boxed
-	// jsonvalue-tree path (DESIGN.md §6.8).
-	DocsTape, DocsTree int64
+	// DocsTape counts documents built into tiles from their structural
+	// tapes (DESIGN.md §6.8).
+	DocsTape int64
 	// SubtreesSkipped counts array subtrees skipped (not walked) during
 	// extraction because they lay beyond the MaxArraySlots cap.
 	SubtreesSkipped int64
@@ -342,10 +342,10 @@ type LoadStats struct {
 
 // String renders the breakdown on one line.
 func (s LoadStats) String() string {
-	return fmt.Sprintf("parse %s  mine %s  extract %s  jsonb %s  reorder %s  (%d tiles, %d tape / %d tree docs)",
+	return fmt.Sprintf("parse %s  mine %s  extract %s  jsonb %s  reorder %s  (%d tiles, %d tape docs)",
 		s.Parse.Round(time.Microsecond), s.Mine.Round(time.Microsecond),
 		s.Extract.Round(time.Microsecond), s.WriteJSONB.Round(time.Microsecond),
-		s.Reorder.Round(time.Microsecond), s.TilesBuilt, s.DocsTape, s.DocsTree)
+		s.Reorder.Round(time.Microsecond), s.TilesBuilt, s.DocsTape)
 }
 
 // LoadStats reports the table's cumulative load-time breakdown.
@@ -359,7 +359,6 @@ func (t *Table) LoadStats() LoadStats {
 		Reorder:         time.Duration(snap.ReorderNanos),
 		TilesBuilt:      snap.TilesBuilt,
 		DocsTape:        snap.DocsTape,
-		DocsTree:        snap.DocsTree,
 		SubtreesSkipped: snap.SubtreesSkipped,
 	}
 }

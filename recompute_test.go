@@ -84,3 +84,36 @@ func TestRecomputeAfterDrift(t *testing.T) {
 		t.Errorf("stats PathCount(new_key) = %d", got)
 	}
 }
+
+// TestRecomputeCountedAfterFlushes: a table grown by two flushes keeps
+// its load metrics, so recomputing a drifted tile of the second flush
+// counts in LoadStats as it does after Load.
+func TestRecomputeCountedAfterFlushes(t *testing.T) {
+	o := DefaultOptions()
+	o.TileSize = 32
+	o.PartitionSize = 1
+	o.Workers = 2
+	tbl := New("drift", o)
+	for i := 0; i < 64; i++ {
+		if err := tbl.Insert([]byte(fmt.Sprintf(`{"old_key":%d}`, i))); err != nil {
+			t.Fatal(err)
+		}
+		if i%32 == 31 {
+			if err := tbl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 32; i < 52; i++ {
+		if _, err := tbl.Update(i, []byte(fmt.Sprintf(`{"new_key":"v%d"}`, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	built := tbl.LoadStats().TilesBuilt
+	if n := tbl.Recompute(); n != 1 {
+		t.Fatalf("recomputed %d tiles, want 1", n)
+	}
+	if got := tbl.LoadStats().TilesBuilt; got != built+1 {
+		t.Errorf("TilesBuilt %d after the recompute, want %d", got, built+1)
+	}
+}
