@@ -78,6 +78,10 @@ type ScanStats struct {
 	Batches        int64
 	RowsVectorized int64
 	RowsFallback   int64
+	// RowsNarrowed counts scanned rows the scan dropped inside each tile,
+	// before resolving their remaining accesses: rows a conjunct of the
+	// filter on one access, or a null-rejecting access's NULL, rules out.
+	RowsNarrowed int64
 	// Segment I/O (zero for in-memory relations): blocks and stored
 	// bytes read from disk, and buffer-pool hits vs misses for the
 	// scan's block accesses. Skipped tiles and unaccessed columns
@@ -299,6 +303,7 @@ func snapshotScanStats(st *obs.ScanStats) ScanStats {
 		Batches:        st.Batches.Load(),
 		RowsVectorized: st.RowsVectorized.Load(),
 		RowsFallback:   st.RowsFallback.Load(),
+		RowsNarrowed:   st.RowsNarrowed.Load(),
 		BlocksRead:     st.BlocksRead.Load(),
 		BlockBytes:     st.BlockBytes.Load(),
 		PoolHits:       st.PoolHits.Load(),
@@ -370,9 +375,9 @@ func (n *PlanNode) write(sb *strings.Builder, prefix, childPrefix string) {
 			if s.CastErrors > 0 {
 				fmt.Fprintf(sb, " cast_errors=%d", s.CastErrors)
 			}
-			if s.Batches > 0 {
-				fmt.Fprintf(sb, "; batches=%d vec=%d rowfb=%d",
-					s.Batches, s.RowsVectorized, s.RowsFallback)
+			if s.Batches > 0 || s.RowsNarrowed > 0 {
+				fmt.Fprintf(sb, "; batches=%d vec=%d rowfb=%d narrowed=%d",
+					s.Batches, s.RowsVectorized, s.RowsFallback, s.RowsNarrowed)
 			}
 			if s.PoolHits+s.PoolMisses > 0 {
 				fmt.Fprintf(sb, "; blocks=%d io=%dB pool %d hit/%d miss decoded=%d",

@@ -250,8 +250,13 @@ func TestExplainAnalyzeBatchCounters(t *testing.T) {
 		t.Fatalf("vec %d + fallback %d != scanned %d",
 			s.RowsVectorized, s.RowsFallback, s.RowsScanned)
 	}
+	// The filter is one conjunct on one access, so the scan core drops
+	// every row it rejects: nothing is left for a filter above the scan.
+	if s.RowsNarrowed == 0 || s.RowsNarrowed != s.RowsScanned-scan.Rows {
+		t.Fatalf("narrowed %d, scanned %d, emitted %d", s.RowsNarrowed, s.RowsScanned, scan.Rows)
+	}
 	out := stats.String()
-	for _, want := range []string{"batches=", "vec=", "[vectorized]"} {
+	for _, want := range []string{"batches=", "vec=", "narrowed=", "[vectorized]"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("analyzed plan misses %q:\n%s", want, out)
 		}

@@ -48,12 +48,16 @@ func perWorker[T any](workers int, mk func() T) []T {
 }
 
 // Scan reads a relation with pushed-down accesses and an optional
-// residual filter over the access slots.
+// filter over the access slots.
 type Scan struct {
 	Rel      storage.Relation
 	Accesses []storage.Access
 	Names    []string
 	Filter   expr.Expr
+	// residual is the conjunction of Filter's conjuncts that NewScan
+	// did not hand to a single access: what a batch scan, which
+	// applies the accesses' own filters, leaves to filterEmit.
+	residual expr.Expr
 	// Stats, when non-nil, receives the relation's per-scan counters
 	// (tiles scanned/skipped, column hits, fallbacks) — set by the
 	// EXPLAIN ANALYZE path, nil on plain runs.
@@ -73,18 +77,60 @@ func (s *Scan) ctx() context.Context {
 	return context.Background()
 }
 
-// NewScan builds a scan and derives the null-rejection flags for tile
-// skipping (§4.8) from the filter.
+// NewScan builds a scan over its own copy of the accesses, derives the
+// null-rejection flags for tile skipping (§4.8) from the filter, and
+// hands every top-level conjunct that reads exactly one access slot to
+// that access as its Filter, so that a tile scan narrows on it before
+// resolving the row's other accesses.
 func NewScan(rel storage.Relation, accesses []storage.Access, names []string, filter expr.Expr) *Scan {
-	s := &Scan{Rel: rel, Accesses: accesses, Names: names, Filter: filter}
-	if filter != nil {
-		for slot := range expr.NullRejectedSlots(filter) {
-			if slot >= 0 && slot < len(s.Accesses) {
-				s.Accesses[slot].NullRejecting = true
-			}
+	s := &Scan{Rel: rel, Accesses: append([]storage.Access(nil), accesses...), Names: names, Filter: filter}
+	for i := range s.Accesses {
+		s.Accesses[i].Filter = nil
+	}
+	if filter == nil {
+		return s
+	}
+	for slot := range expr.NullRejectedSlots(filter) {
+		if slot >= 0 && slot < len(s.Accesses) {
+			s.Accesses[slot].NullRejecting = true
+		}
+	}
+	for _, c := range conjuncts(filter, nil) {
+		if slot, ok := singleSlot(c); ok && slot < len(s.Accesses) {
+			s.Accesses[slot].Filter = and(s.Accesses[slot].Filter, c)
+		} else {
+			s.residual = and(s.residual, c)
 		}
 	}
 	return s
+}
+
+// conjuncts appends the top-level conjuncts of e to dst, left to right.
+func conjuncts(e expr.Expr, dst []expr.Expr) []expr.Expr {
+	if a, ok := e.(*expr.And); ok {
+		return conjuncts(a.R, conjuncts(a.L, dst))
+	}
+	return append(dst, e)
+}
+
+// singleSlot reports the one slot e reads, if it reads exactly one.
+func singleSlot(e expr.Expr) (int, bool) {
+	slots := expr.AllSlots(e)
+	if len(slots) != 1 {
+		return 0, false
+	}
+	for s := range slots {
+		return s, s >= 0
+	}
+	return 0, false
+}
+
+// and is l AND r, where a nil side is TRUE.
+func and(l, r expr.Expr) expr.Expr {
+	if l == nil {
+		return r
+	}
+	return expr.NewAnd(l, r)
 }
 
 // MarkNullRejecting flags an access slot whose NULL cannot survive an
@@ -120,15 +166,19 @@ func (s *Scan) BatchCapable() bool {
 	return ok
 }
 
-// RunBatches implements Operator; the residual filter narrows each
-// batch's selection vector.
+// RunBatches implements Operator. A batch scan applies the accesses'
+// filters itself, so only the residual filter narrows its batches'
+// selection vectors here; a row scan gets the whole filter.
 func (s *Scan) RunBatches(workers int, emit BatchEmitFunc) {
-	if s.Filter != nil {
-		emit = filterEmit(s.Filter, len(s.Accesses), workers, emit)
-	}
 	if bs, ok := s.Rel.(storage.BatchScanner); ok {
+		if s.residual != nil {
+			emit = filterEmit(s.residual, len(s.Accesses), workers, emit)
+		}
 		bs.ScanBatches(s.ctx(), s.Accesses, workers, storage.BatchEmitFunc(emit), s.Stats)
 		return
+	}
+	if s.Filter != nil {
+		emit = filterEmit(s.Filter, len(s.Accesses), workers, emit)
 	}
 	cols := s.Columns()
 	bats := perWorker(workers, func() *rowBatcher { return newRowBatcher(cols, rowBatchSize) })

@@ -1,0 +1,250 @@
+package engine
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/expr"
+	"repro/internal/jsongen"
+	"repro/internal/jsontext"
+	"repro/internal/jsonvalue"
+	"repro/internal/keypath"
+	"repro/internal/storage"
+)
+
+// FuzzConjunctNarrowing draws filters of one to four conjuncts, each
+// reading one access (IS [NOT] NULL, comparisons, IN, LIKE, NOT, OR
+// within the slot) and now and then one reading two, over random
+// documents, and compares the tile scan, which narrows on the one-slot
+// conjuncts, with the same plan over raw JSON. `go test` runs the
+// seeds; `go test -run '^$' -fuzz FuzzConjunctNarrowing ./internal/engine`
+// digs.
+func FuzzConjunctNarrowing(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+		r := rand.New(rand.NewSource(seed))
+		lines, docs := fuzzDocs(r, 24+r.Intn(100))
+		accs := fuzzAccesses(r, docs)
+		jsonRel := loadKind(t, storage.KindJSON, lines)
+		tilesRel := loadKind(t, storage.KindTiles, lines)
+
+		// Constants come from the values each access takes, so that
+		// comparisons and IN lists select some rows and not others.
+		seen := make([][]expr.Value, len(accs))
+		for _, row := range Materialize(NewScan(jsonRel, accs, nil, nil), 1).Rows {
+			for s, v := range row {
+				if !v.Null && accs[s].Type != expr.TJSON {
+					seen[s] = append(seen[s], v)
+				}
+			}
+		}
+		g := conjunctGen{r: r, accs: accs, seen: seen}
+		var filter expr.Expr
+		for range 1 + int(shape%4) {
+			filter = and(filter, g.conjunct())
+		}
+
+		want := rowMultiset(Materialize(NewScan(jsonRel, accs, nil, filter), 1))
+		for _, workers := range []int{1, 3} {
+			if got := rowMultiset(Materialize(NewScan(tilesRel, accs, nil, filter), workers)); !sameRows(got, want) {
+				t.Fatalf("seed %d, %d workers, filter %s: %d rows, %d over raw JSON\n got: %q\nwant: %q",
+					seed, workers, exprString(filter), len(got), len(want), got, want)
+			}
+		}
+	})
+}
+
+// fuzzDocs generates random objects, most of which also carry a few
+// fields of stable type, so that tiles extract columns for some paths
+// and serve the rest from binary JSON.
+func fuzzDocs(r *rand.Rand, n int) ([][]byte, []jsonvalue.Value) {
+	cats := []string{"red", "green", "blue", "great food", "great"}
+	lines := make([][]byte, n)
+	docs := make([]jsonvalue.Value, n)
+	for i := range lines {
+		body := jsontext.Serialize(jsongen.RandomObject(r, 3))
+		var extra []string
+		if r.Intn(5) != 0 {
+			extra = append(extra, fmt.Sprintf(`"n":%d`, r.Intn(20)-5))
+		}
+		if r.Intn(3) != 0 {
+			extra = append(extra, fmt.Sprintf(`"ts":"2021-%02d-%02d 08:30:00"`, 1+r.Intn(12), 1+r.Intn(28)))
+		}
+		if r.Intn(4) != 0 {
+			extra = append(extra, fmt.Sprintf(`"cat":%q`, cats[r.Intn(len(cats))]))
+		}
+		if len(extra) > 0 {
+			sep := ","
+			if bytes.Equal(body, []byte("{}")) {
+				sep = ""
+			}
+			body = []byte("{" + joinFields(extra) + sep + string(body[1:]))
+		}
+		v, err := jsontext.Parse(body)
+		if err != nil {
+			panic(err)
+		}
+		lines[i], docs[i] = body, v
+	}
+	return lines, docs
+}
+
+func joinFields(fs []string) string {
+	out := fs[0]
+	for _, f := range fs[1:] {
+		out += "," + f
+	}
+	return out
+}
+
+// fuzzAccesses reads the stable fields under several types — "ts" as
+// text always takes the document where a tile mined it as a timestamp
+// (§4.9) — plus up to three paths of the random part at the type first
+// seen there. A path is read as text only where every document holds a
+// string or nothing: the text of a number or a container is the input
+// text in raw JSON and a rendering in binary JSON, so comparing it with
+// a constant tells the formats apart, not the scans.
+func fuzzAccesses(r *rand.Rand, docs []jsonvalue.Value) []storage.Access {
+	accs := []storage.Access{
+		storage.NewAccess(expr.TBigInt, "n"),
+		storage.NewAccess(expr.TFloat, "n"),
+		storage.NewAccess(expr.TText, "ts"),
+		storage.NewAccess(expr.TTimestamp, "ts"),
+		storage.NewAccess(expr.TText, "cat"),
+	}
+	onlyStrings := func(p keypath.Path) bool {
+		for _, d := range docs {
+			if v, ok := keypath.Lookup(d, p); ok && v.Kind() != jsonvalue.KindString && v.Kind() != jsonvalue.KindNull {
+				return false
+			}
+		}
+		return true
+	}
+	seen := map[string]bool{"n": true, "ts": true, "cat": true}
+	for _, d := range docs[:min(len(docs), 4+r.Intn(8))] {
+		keypath.Collect(d, 4, func(p keypath.Path, vt keypath.ValueType, _ jsonvalue.Value) {
+			enc := p.Encode()
+			if seen[enc] || len(accs) >= 8 {
+				return
+			}
+			seen[enc] = true
+			var st expr.SQLType
+			switch vt {
+			case keypath.TypeBigInt:
+				st = expr.TBigInt
+			case keypath.TypeDouble:
+				st = expr.TFloat
+			case keypath.TypeBool:
+				st = expr.TBool
+			case keypath.TypeString:
+				if !onlyStrings(p) {
+					return
+				}
+				st = expr.TText
+			default:
+				return
+			}
+			accs = append(accs, storage.NewAccessPath(st, p))
+		})
+	}
+	return accs
+}
+
+// conjunctGen draws predicates over the accesses.
+type conjunctGen struct {
+	r    *rand.Rand
+	accs []storage.Access
+	seen [][]expr.Value
+}
+
+// conjunct returns a predicate over one random slot, or, one time in
+// six, an OR over two.
+func (g *conjunctGen) conjunct() expr.Expr {
+	s := g.r.Intn(len(g.accs))
+	if g.r.Intn(6) == 0 {
+		return expr.NewOr(g.pred(s, 1), g.pred(g.r.Intn(len(g.accs)), 1))
+	}
+	return g.pred(s, 2)
+}
+
+// pred returns a predicate over slot s, nesting NOT and OR up to depth.
+func (g *conjunctGen) pred(s, depth int) expr.Expr {
+	c := expr.NewCol(s, g.accs[s].Type)
+	ops := []expr.CmpOp{expr.EQ, expr.NE, expr.LT, expr.LE, expr.GT, expr.GE}
+	switch k := g.r.Intn(8); {
+	case k == 0:
+		return expr.NewIsNull(c, g.r.Intn(2) == 0)
+	case k <= 2:
+		return expr.NewCmp(ops[g.r.Intn(len(ops))], c, expr.NewConst(g.constant(s)))
+	case k == 3:
+		return expr.NewIn(c, g.constant(s), g.constant(s), g.constant(s))
+	case k == 4:
+		return expr.NewLike(c, g.pattern(s))
+	case k == 5 && depth > 0:
+		return expr.NewNot(g.pred(s, depth-1))
+	case k == 6 && depth > 0:
+		return expr.NewOr(g.pred(s, depth-1), g.pred(s, depth-1))
+	}
+	return expr.NewIsNull(c, true)
+}
+
+// constant is mostly a value slot s takes, else one of another type.
+func (g *conjunctGen) constant(s int) expr.Value {
+	if vals := g.seen[s]; len(vals) > 0 && g.r.Intn(5) != 0 {
+		return vals[g.r.Intn(len(vals))]
+	}
+	others := []expr.Value{expr.IntValue(int64(g.r.Intn(10))), expr.FloatValue(g.r.Float64() * 10),
+		expr.TextValue("red"), expr.BoolValue(g.r.Intn(2) == 0), expr.NullValue()}
+	return others[g.r.Intn(len(others))]
+}
+
+// pattern is a prefix, suffix, containment or exact LIKE pattern cut
+// from a text value slot s takes.
+func (g *conjunctGen) pattern(s int) string {
+	text := "gre"
+	if vals := g.seen[s]; len(vals) > 0 {
+		text = vals[g.r.Intn(len(vals))].String()
+	}
+	cut := text[:g.r.Intn(len(text)+1)]
+	switch g.r.Intn(4) {
+	case 0:
+		return cut + "%"
+	case 1:
+		return "%" + text[len(cut):]
+	case 2:
+		return "%" + cut + "%"
+	}
+	return text
+}
+
+// exprString renders a predicate for failure messages.
+func exprString(e expr.Expr) string {
+	switch x := e.(type) {
+	case *expr.And:
+		return "(" + exprString(x.L) + " AND " + exprString(x.R) + ")"
+	case *expr.Or:
+		return "(" + exprString(x.L) + " OR " + exprString(x.R) + ")"
+	case *expr.Not:
+		return "NOT " + exprString(x.E)
+	case *expr.IsNull:
+		if x.Negate {
+			return exprString(x.E) + " IS NOT NULL"
+		}
+		return exprString(x.E) + " IS NULL"
+	case *expr.Cmp:
+		return exprString(x.L) + fmt.Sprintf(" op%d ", x.Op) + exprString(x.R)
+	case *expr.In:
+		return fmt.Sprintf("%s IN %v", exprString(x.E), x.List)
+	case *expr.Like:
+		return fmt.Sprintf("%s LIKE %q", exprString(x.E), x.Pattern)
+	case *expr.Col:
+		return fmt.Sprintf("$%d", x.Idx)
+	case *expr.Const:
+		return fmt.Sprintf("%q", x.V.String())
+	}
+	return fmt.Sprintf("%T", e)
+}

@@ -313,6 +313,10 @@ var (
 	// least one access had to be materialized cell-by-cell (binary
 	// JSON fallback, type outliers, renders).
 	RowsBatchFallback = Default.Counter("rows_batch_fallback")
+	// RowsNarrowed counts scanned rows the scan core dropped before
+	// emitting their tile's batch: rows an access's pushed conjunct, or
+	// the implicit IS NOT NULL of a null-rejecting access, did not keep.
+	RowsNarrowed = Default.Counter("rows_narrowed")
 	// KernelDispatches counts invocations of vectorized predicate or
 	// aggregate kernels (one per batch per compiled kernel tree).
 	KernelDispatches = Default.Counter("kernel_dispatches")

@@ -34,6 +34,9 @@ type ScanStats struct {
 	Batches        atomic.Int64
 	RowsVectorized atomic.Int64
 	RowsFallback   atomic.Int64
+	// RowsNarrowed counts scanned rows the scan core dropped before
+	// emitting their batch (EXPLAIN ANALYZE `narrowed=`).
+	RowsNarrowed atomic.Int64
 
 	// Segment I/O split (zero for in-memory relations): blocks and
 	// stored bytes read from disk, buffer-pool hits vs misses for this

@@ -134,7 +134,7 @@ func plan(q Query, trace func(a, b *component, est float64)) (engine.Operator, *
 
 	comps := map[string]*component{}
 	for _, t := range q.Tables {
-		scan := engine.NewScan(t.Rel, append([]storage.Access(nil), t.Accesses...), t.Names, t.Filter)
+		scan := engine.NewScan(t.Rel, t.Accesses, t.Names, t.Filter)
 		for slot := range rejecting[t.Alias] {
 			scan.MarkNullRejecting(slot)
 		}

@@ -359,9 +359,15 @@ func newMultiSource(segs []*liveSeg, cfg scanConfig) *multiSource {
 	return m
 }
 
-func (m *multiSource) numScanTiles() int      { return m.offs[len(m.rels)] }
 func (m *multiSource) Pool() *bufpool.Pool    { return m.rels[0].pool } // shared by every segment
 func (m *multiSource) scanConfig() scanConfig { return m.cfg }
+
+func (m *multiSource) appendTileRows(dst []int) []int {
+	for _, r := range m.rels {
+		dst = r.appendTileRows(dst)
+	}
+	return dst
+}
 
 func (m *multiSource) openScanTile(ti int, cnt *scanCounters) scanTile {
 	i := sort.Search(len(m.rels), func(i int) bool { return m.offs[i+1] > ti })

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"strconv"
 	"strings"
 
@@ -99,8 +100,11 @@ func docValue(cur jsonb.Doc, want expr.SQLType) expr.Value {
 			f, _ := cur.Float64()
 			return expr.FloatValue(f)
 		case jsonb.KindString:
-			if m, sc, ok := cur.NumericString(); ok {
-				return expr.FloatValue(scaleDecimal(m, sc))
+			if m, sc, ok := cur.NumericString(); ok && sc <= 22 && m > -1<<53 && m < 1<<53 {
+				// Both operands are exact, so the one division rounds the
+				// decimal as parsing its text would; dividing by 10 once
+				// per digit rounds at every step.
+				return expr.FloatValue(float64(m) / math.Pow10(int(sc)))
 			}
 			s, _ := cur.String()
 			if f, err := strconv.ParseFloat(strings.TrimSpace(s), 64); err == nil {
@@ -126,14 +130,6 @@ func docValue(cur jsonb.Doc, want expr.SQLType) expr.Value {
 		return expr.NullValue()
 	}
 	return expr.NullValue()
-}
-
-func scaleDecimal(mantissa int64, scale uint8) float64 {
-	f := float64(mantissa)
-	for ; scale > 0; scale-- {
-		f /= 10
-	}
-	return f
 }
 
 func parseIntText(s string) expr.Value {

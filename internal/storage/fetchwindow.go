@@ -60,8 +60,8 @@ const maxAheadTiles = 64
 // newFetchWindow returns the scan's window, or nil — on which claim
 // and close are no-ops — when the scan will not touch the store: the
 // source is in memory, or every block of every surviving tile is
-// already resident.
-func newFetchWindow(ctx context.Context, src scanSource, accesses []Access, morsels []morsel, workers int, st *obs.ScanStats) *fetchWindow {
+// already resident. nTiles is the source's tile count.
+func newFetchWindow(ctx context.Context, src scanSource, accesses []Access, morsels []morsel, nTiles, workers int, st *obs.ScanStats) *fetchWindow {
 	pooled, ok := src.(interface{ Pool() *bufpool.Pool })
 	if !ok {
 		return nil
@@ -74,7 +74,7 @@ func newFetchWindow(ctx context.Context, src scanSource, accesses []Access, mors
 	fw := &fetchWindow{
 		ctx: ctx, src: src, accesses: accesses, cfg: src.scanConfig(), st: st,
 		budget: limit / 2, floor: max(workers, 1),
-		fetches: make([]*tileFetch, src.numScanTiles()),
+		fetches: make([]*tileFetch, nTiles),
 		planCnt: scanCounters{tenant: tenant},
 	}
 	fw.order = fetchOrder(morsels, fw.floor)

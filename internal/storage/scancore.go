@@ -2,7 +2,6 @@ package storage
 
 import (
 	"context"
-	"math/bits"
 
 	"repro/internal/expr"
 	"repro/internal/jsonb"
@@ -40,11 +39,12 @@ type scanTile interface {
 
 var _ scanTile = (*tile.Tile)(nil)
 
-// scanSource is a relation the scan core can drive: a tile count and
-// a per-scan view of each tile. openScanTile receives the worker's
-// counter block so lazily loading views can account block I/O.
+// scanSource is a relation the scan core can drive: its tiles' row
+// counts, read from metadata, and a per-scan view of each tile.
+// openScanTile receives the worker's counter block so lazily loading
+// views can account block I/O.
 type scanSource interface {
-	numScanTiles() int
+	appendTileRows(dst []int) []int
 	openScanTile(ti int, cnt *scanCounters) scanTile
 	scanConfig() scanConfig
 }
@@ -163,7 +163,7 @@ func resolveTileAccessBatch(t scanTile, a Access, maxSlots int) batchResolver {
 // scanRows is the row scan (StatsScanner) of a tile-backed relation:
 // it runs the relation's batch scan and boxes each selected row of
 // each batch into the worker's row buffer. Rows the batch core narrows
-// away, NULL in a NullRejecting access, are therefore not emitted.
+// away are therefore not emitted.
 func scanRows(ctx context.Context, bs BatchScanner, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
 	rows := make([][]expr.Value, max(workers, 1))
 	for w := range rows {
@@ -180,55 +180,63 @@ func scanRows(ctx context.Context, bs BatchScanner, accesses []Access, workers i
 	}, st)
 }
 
+// planNarrowing compiles, once per scan, the predicate each access
+// narrows a tile's rows with (nil: it does not narrow): its Filter,
+// or, for a NullRejecting access without one, IS NOT NULL.
+func planNarrowing(accesses []Access) []*vec.CompiledPred {
+	preds := make([]*vec.CompiledPred, len(accesses))
+	for ai, a := range accesses {
+		f := a.Filter
+		if f == nil && a.NullRejecting {
+			f = expr.NewIsNull(expr.NewCol(ai, a.Type), true)
+		}
+		if f == nil {
+			continue
+		}
+		p, ok := vec.Compile(f, len(accesses))
+		if !ok {
+			panic("storage: an access filter reads a column outside the scan")
+		}
+		preds[ai] = p
+	}
+	return preds
+}
+
 // scanBatchesCore is the shared tile scan loop: one batch per
 // surviving tile (§4.8 skipping, §4.5 per-tile resolution, §4.5/§5
 // column-hit vs fallback split, and the batch/vectorized-row split).
 //
-// Accesses flagged NullRejecting narrow the batch — tile skipping's
-// contract applied per row: a row NULL in one of them cannot reach the
+// Accesses with a Filter, or flagged NullRejecting, narrow the batch
+// (fillBatch): a row their predicate does not keep cannot reach the
 // result, so it is left out of the batch's selection and its remaining
-// boxed cells are never materialized (on a tile mixing document types,
-// one document lookup per row of the wrong type instead of k). Batches
-// arrive with Sel != nil whenever a row was dropped; a tile with no
-// live row emits nothing.
+// boxed cells are never materialized. Batches arrive with Sel != nil
+// whenever a row was dropped; a tile with no live row emits nothing.
 func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
 	cfg := src.scanConfig()
-	nTiles := src.numScanTiles()
-	if nTiles == 0 {
+	rowCounts := src.appendTileRows(nil)
+	if len(rowCounts) == 0 {
 		return
 	}
 	tenant := obs.TenantFrom(ctx)
 	// Global row id of each tile's first row (Base of its batch).
-	// Row counts come from metadata, so this loop performs no I/O.
-	offs := make([]int64, nTiles)
-	rowCounts := make([]int, nTiles)
+	offs := make([]int64, len(rowCounts))
 	var run int64
-	head := scanCounters{tenant: tenant}
-	for i := 0; i < nTiles; i++ {
+	for i, n := range rowCounts {
 		offs[i] = run
-		rowCounts[i] = src.openScanTile(i, &head).NumRows()
-		run += int64(rowCounts[i])
+		run += int64(n)
 	}
-	head.flush(st)
-	// Slots in resolution order: null-rejecting ones first.
-	order := make([]int, 0, len(accesses))
-	for ai := range accesses {
-		if accesses[ai].NullRejecting {
-			order = append(order, ai)
-		}
-	}
-	nRej := len(order)
-	for ai := range accesses {
-		if !accesses[ai].NullRejecting {
-			order = append(order, ai)
-		}
-	}
+	preds := planNarrowing(accesses)
 	morsels := buildTileMorsels(rowCounts, workers, DefaultMorselRows)
-	fw := newFetchWindow(ctx, src, accesses, morsels, workers, st)
+	fw := newFetchWindow(ctx, src, accesses, morsels, len(rowCounts), workers, st)
 	defer fw.close()
 	runMorsels(ctx, morsels, workers, func(w int, m morsel) {
 		sc := getScanScratch(len(accesses))
 		defer putScanScratch(sc)
+		for _, p := range preds {
+			if p != nil {
+				sc.ps = p.Fit(sc.ps)
+			}
+		}
 		cnt := scanCounters{morsels: 1, tenant: tenant}
 		defer cnt.flush(st)
 		for ti := m.lo; ti < m.hi; ti++ {
@@ -240,7 +248,7 @@ func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, wor
 			cnt.tilesScanned++
 			fw.claim(ti)
 			cnt.rows += int64(t.NumRows())
-			if !sc.fillBatch(t, accesses, order, nRej, cfg.maxSlots, &cnt) {
+			if !sc.fillBatch(t, accesses, preds, cfg.maxSlots, &cnt) {
 				continue
 			}
 			cnt.batches++
@@ -250,119 +258,128 @@ func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, wor
 	})
 }
 
-// fillBatch materializes tile t's accesses into sc.batch, resolving
-// order[:nRej] (the null-rejecting slots) first: typed columns mark
-// their NULL rows dead word-wise, boxed ones row by row, and every
-// access after that touches only rows still live. It reports false,
-// resolving nothing further, once no row is live.
-func (sc *scanScratch) fillBatch(t scanTile, accesses []Access, order []int, nRej, maxSlots int, cnt *scanCounters) bool {
+// fillBatch materializes tile t's accesses into sc.batch, narrowing as
+// it goes. The narrowing accesses are resolved first; those a column
+// serves (zero-copy, cast-to-float, all-NULL) fill at once and run
+// their predicate over the live rows. Then each boxed narrowing access
+// fills the rows still live and narrows them, and last every other
+// access fills the rows left. It reports false, resolving nothing
+// further, once no row is live.
+func (sc *scanScratch) fillBatch(t scanTile, accesses []Access, preds []*vec.CompiledPred, maxSlots int, cnt *scanCounters) (live bool) {
 	n := t.NumRows()
-	dead := sc.dead[:0]
-	for i := 0; i < (n+63)>>6; i++ {
-		dead = append(dead, 0)
-	}
-	sc.dead = dead
-	isDead := func(i int) bool { return dead[i>>6]&(1<<(uint(i)&63)) != 0 }
-	narrowed, allVec := false, true
+	sc.batch.Len, sc.batch.Sel = n, nil
+	allVec := true
 	defer func() {
+		kept := 0
+		if live {
+			kept = sc.batch.Rows()
+		}
+		cnt.narrowed += int64(n - kept)
 		if allVec {
 			cnt.rowsVec += int64(n)
 		} else {
 			cnt.rowsFallback += int64(n)
 		}
 	}()
-	// The typed columns of the null-rejecting prefix go before its boxed
-	// accesses, so those look at as few rows as possible.
-	for _, ai := range order[:nRej] {
+	for ai, p := range preds {
+		if p == nil {
+			continue
+		}
 		br := resolveTileAccessBatch(t, accesses[ai], maxSlots)
 		sc.bres[ai] = br
-		switch br.kind {
-		case vkNullAll:
-			return false
-		case vkZero, vkIntToFloat:
-			for w, nulls := range br.col.NullBits() {
-				dead[w] |= nulls
-				narrowed = narrowed || nulls != 0
-			}
-		}
-	}
-	for k, ai := range order {
-		a, rejecting := accesses[ai], k < nRej
-		if !rejecting {
-			sc.bres[ai] = resolveTileAccessBatch(t, a, maxSlots)
-		}
-		br := sc.bres[ai]
-		switch br.kind {
-		case vkZero:
-			sc.batch.Cols[ai] = zeroVec(br.col, a.Type)
-			cnt.hits += int64(n)
-		case vkIntToFloat:
-			buf := sc.fbuf[ai]
-			if cap(buf) < n {
-				buf = make([]float64, n)
-			}
-			buf = buf[:n]
-			for i, v := range br.col.IntSlice()[:n] {
-				buf[i] = float64(v)
-			}
-			sc.fbuf[ai] = buf
-			sc.batch.Cols[ai] = vec.Vector{Type: expr.TFloat, Floats: buf, Nulls: br.col.NullBits()}
-			cnt.hits += int64(n)
-		case vkNullAll:
-			sc.batch.Cols[ai] = vec.NullVector(a.Type, n)
-		default: // boxed: row-at-a-time materialization of the live rows
+		if br.kind == vkBoxed {
 			allVec = false
-			// len only grows: putScanScratch clears what was written.
-			vals := sc.boxed[ai]
-			if cap(vals) < n {
-				vals = make([]expr.Value, n)
-			} else if len(vals) < n {
-				vals = vals[:n]
-			}
-			sc.boxed[ai] = vals
-			live := 0
-			for i := 0; i < n; i++ {
-				if narrowed && isDead(i) {
-					continue
-				}
-				v, needDoc, castErr := br.row.read(i)
-				if needDoc {
-					cnt.fallbacks++
-					v = docAccess(t.Raw(i), a.Path, a.Type)
-				} else if br.row.mode == modeColumn {
-					cnt.hits++
-				}
-				if castErr {
-					cnt.castErrs++
-				}
-				vals[i] = v
-				if rejecting && v.Null {
-					dead[i>>6] |= 1 << (uint(i) & 63)
-					narrowed = true
-				} else {
-					live++
-				}
-			}
-			if live == 0 {
-				return false
-			}
-			sc.batch.Cols[ai] = vec.Vector{Type: a.Type, Boxed: vals[:n]}
+			continue
+		}
+		sc.fillColumn(ai, accesses[ai].Type, br, cnt)
+		if !sc.narrow(p, cnt) {
+			return false
 		}
 	}
-	sc.batch.Len, sc.batch.Sel = n, nil
-	if narrowed {
-		sel := sc.sel[:0]
-		for w, d := range dead {
-			live := ^d
-			if rem := n - w<<6; rem < 64 {
-				live &= 1<<uint(rem) - 1
-			}
-			for ; live != 0; live &= live - 1 {
-				sel = append(sel, int32(w<<6+bits.TrailingZeros64(live)))
-			}
+	for ai, p := range preds {
+		if p == nil || sc.bres[ai].kind != vkBoxed {
+			continue
 		}
-		sc.sel, sc.batch.Sel = sel, sel
-		return len(sel) > 0
+		sc.fillBoxed(t, ai, accesses[ai], sc.bres[ai].row, cnt)
+		if !sc.narrow(p, cnt) {
+			return false
+		}
+	}
+	for ai, p := range preds {
+		if p != nil {
+			continue
+		}
+		switch br := resolveTileAccessBatch(t, accesses[ai], maxSlots); br.kind {
+		case vkBoxed:
+			allVec = false
+			sc.fillBoxed(t, ai, accesses[ai], br.row, cnt)
+		default:
+			sc.fillColumn(ai, accesses[ai].Type, br, cnt)
+		}
 	}
 	return n > 0
+}
+
+// narrow keeps the live rows p selects; false once none is left. The
+// selection lives in the predicates' scratch: the next narrow writes
+// the smaller one over it, as kernels may.
+func (sc *scanScratch) narrow(p *vec.CompiledPred, cnt *scanCounters) bool {
+	cnt.kernels++
+	out := p.Sel(&sc.batch, sc.ps)
+	if len(out) < sc.batch.Rows() {
+		sc.batch.Sel = out
+	}
+	return len(out) > 0
+}
+
+// fillColumn sets access ai's vector from the column that serves it.
+func (sc *scanScratch) fillColumn(ai int, typ expr.SQLType, br batchResolver, cnt *scanCounters) {
+	n := sc.batch.Len
+	switch br.kind {
+	case vkZero:
+		sc.batch.Cols[ai] = zeroVec(br.col, typ)
+		cnt.hits += int64(n)
+	case vkIntToFloat:
+		buf := sc.fbuf[ai]
+		if cap(buf) < n {
+			buf = make([]float64, n)
+		}
+		buf = buf[:n]
+		for i, v := range br.col.IntSlice()[:n] {
+			buf[i] = float64(v)
+		}
+		sc.fbuf[ai] = buf
+		sc.batch.Cols[ai] = vec.Vector{Type: expr.TFloat, Floats: buf, Nulls: br.col.NullBits()}
+		cnt.hits += int64(n)
+	case vkNullAll:
+		sc.batch.Cols[ai] = vec.NullVector(typ, n)
+	}
+}
+
+// fillBoxed resolves access a row at a time for the live rows, into
+// the boxed vector of slot ai.
+func (sc *scanScratch) fillBoxed(t scanTile, ai int, a Access, rv colResolver, cnt *scanCounters) {
+	n := sc.batch.Len
+	// len only grows: putScanScratch clears what was written.
+	vals := sc.boxed[ai]
+	if cap(vals) < n {
+		vals = make([]expr.Value, n)
+	} else if len(vals) < n {
+		vals = vals[:n]
+	}
+	sc.boxed[ai] = vals
+	for _, i := range sc.batch.Selected() {
+		v, needDoc, castErr := rv.read(int(i))
+		if needDoc {
+			cnt.fallbacks++
+			v = docAccess(t.Raw(int(i)), a.Path, a.Type)
+		} else if rv.mode == modeColumn {
+			cnt.hits++
+		}
+		if castErr {
+			cnt.castErrs++
+		}
+		vals[i] = v
+	}
+	sc.batch.Cols[ai] = vec.Vector{Type: a.Type, Boxed: vals[:n]}
 }

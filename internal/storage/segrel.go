@@ -141,8 +141,14 @@ func updateHitRatioGauge() {
 }
 
 // scanSource implementation.
-func (r *segRelation) numScanTiles() int      { return r.r.NumTiles() }
 func (r *segRelation) scanConfig() scanConfig { return r.cfg }
+
+func (r *segRelation) appendTileRows(dst []int) []int {
+	for ti := range r.r.NumTiles() {
+		dst = append(dst, r.r.Tile(ti).Rows)
+	}
+	return dst
+}
 
 func (r *segRelation) openScanTile(ti int, cnt *scanCounters) scanTile {
 	return &segTileView{rel: r, ti: ti, meta: r.r.Tile(ti), cnt: cnt}

@@ -44,6 +44,12 @@ type Access struct {
 	// scan of a tile-backed relation, row or batch, may omit any row
 	// whose flagged access is NULL.
 	NullRejecting bool
+	// Filter, when non-nil, is a predicate that reads this access alone,
+	// as column i of the scan's row where i is the access's position in
+	// the list: the scan filter's conjuncts on that one slot. A scan of a
+	// tile-backed relation, row or batch, emits only rows for which
+	// every access's Filter is TRUE; other formats ignore it.
+	Filter expr.Expr
 }
 
 // NewAccess builds an access from dotted segments.
@@ -95,7 +101,8 @@ type BatchEmitFunc func(worker int, b *vec.Batch)
 // the vectorized fast path. Accesses a tile serves from a
 // materialized column are handed out as zero-copy slices; everything
 // else is materialized into boxed vectors, so batch scans are always
-// complete (never a subset of the accesses).
+// complete (never a subset of the accesses). A batch scan applies every
+// access's Filter before it emits a row.
 type BatchScanner interface {
 	ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats)
 }

@@ -331,6 +331,74 @@ func TestNarrowingResolvesLiveRowsOnly(t *testing.T) {
 	}
 }
 
+// TestConjunctNarrowingResolvesLiveRowsOnly pins that an access's
+// Filter narrows before any fallback cell is read: over a column that
+// every row of the tile has, `a IS NULL` leaves no row, so the two
+// document-served accesses (a JSON read and the text read of a path
+// mined as a timestamp, §4.9) resolve nothing, and `a < k` leaves k
+// rows, so they resolve k cells each.
+func TestConjunctNarrowingResolvesLiveRowsOnly(t *testing.T) {
+	const n, k = 32, 5
+	var data [][]byte
+	for i := 0; i < n; i++ {
+		data = append(data, []byte(fmt.Sprintf(`{"a":%d,"d":"2020-01-%02d 10:00:00","o":{"x":%d}}`, i, 1+i%28, i)))
+	}
+	cfg := DefaultLoaderConfig()
+	cfg.Tile.TileSize = n
+	cfg.Reorder = false
+	l, _ := NewLoader(KindTiles, cfg)
+	rel, err := l.Load("t", data, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAccess(expr.TBigInt, "a")
+	tl := rel.(TileIntrospector).Tiles()[0]
+	if cols := tl.ColumnsForPath(a.PathEnc); len(cols) != 1 || tl.Column(cols[0]).Col.NullBits() != nil {
+		t.Fatal("want one null-free column for a")
+	}
+	if cols := tl.ColumnsForPath("d"); len(cols) != 1 || tl.Column(cols[0]).StorageType != keypath.TypeTimestamp {
+		t.Fatal("want d mined as a timestamp")
+	}
+	aCol := expr.NewCol(0, expr.TBigInt)
+	for _, c := range []struct {
+		name   string
+		filter expr.Expr
+		rows   int
+	}{
+		{"none", nil, n},
+		{"a IS NULL", expr.NewIsNull(aCol, false), 0},
+		{"a < k", expr.NewCmp(expr.LT, aCol, expr.NewConst(expr.IntValue(k))), k},
+	} {
+		a.Filter = c.filter
+		var st obs.ScanStats
+		rows := collectScanStats(rel, []Access{a, NewAccess(expr.TText, "d"), NewAccess(expr.TJSON, "o")}, 1, &st)
+		if len(rows) != c.rows {
+			t.Errorf("%s: %d rows, want %d", c.name, len(rows), c.rows)
+		}
+		if got := st.JSONBFallbacks.Load(); got != int64(2*c.rows) {
+			t.Errorf("%s: %d jsonb_fallbacks, want %d", c.name, got, 2*c.rows)
+		}
+		if got := st.RowsNarrowed.Load(); got != int64(n-c.rows) {
+			t.Errorf("%s: %d rows narrowed, want %d", c.name, got, n-c.rows)
+		}
+	}
+}
+
+// TestNumericStringReadsAsFloatExactly: binary JSON stores "19.99" as
+// the decimal (1999, 2); read as a float it must be the float nearest
+// 19.99, as parsing the text gives, not 1999 / 10 / 10.
+func TestNumericStringReadsAsFloatExactly(t *testing.T) {
+	l, _ := NewLoader(KindJSONB, DefaultLoaderConfig())
+	rel, err := l.Load("j", lines(`{"p":"19.99"}`, `{"p":"-0.001"}`, `{"p":"100.00"}`), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := collectScan(rel, []Access{NewAccess(expr.TFloat, "p")}, 1)
+	if want := []string{"-0.001", "100", "19.99"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("got %v, want %v", got, want)
+	}
+}
+
 func TestSinewGlobalExtraction(t *testing.T) {
 	// "a" in 100%, "b" in 75%, "c" in 25%: threshold 60% extracts a, b.
 	data := lines(

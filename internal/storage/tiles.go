@@ -252,8 +252,9 @@ type scanCounters struct {
 	// morsels processed (flushed to per-scan stats only; the global
 	// morsels_dispatched counter is maintained by the queue runner).
 	morsels int64
-	// Tile scans only.
-	batches, rowsVec, rowsFallback int64
+	// Tile scans only: batches, the vectorized/fallback row split, rows
+	// the scan core narrowed away and narrowing predicate runs.
+	batches, rowsVec, rowsFallback, narrowed, kernels int64
 	// Segment-backed scans only: block I/O and buffer-pool traffic.
 	blocksRead, blockBytes, poolHits, poolMisses int64
 	// Blocks this scan decoded (counted process-wide by the reader;
@@ -281,6 +282,8 @@ func (c *scanCounters) flush(st *obs.ScanStats) {
 	obs.BatchesEmitted.Add(c.batches)
 	obs.RowsVectorized.Add(c.rowsVec)
 	obs.RowsBatchFallback.Add(c.rowsFallback)
+	obs.RowsNarrowed.Add(c.narrowed)
+	obs.KernelDispatches.Add(c.kernels)
 	obs.SegmentBlocksRead.Add(c.blocksRead)
 	obs.SegmentBytesRead.Add(c.blockBytes)
 	obs.BufpoolHits.Add(c.poolHits)
@@ -301,6 +304,7 @@ func (c *scanCounters) flush(st *obs.ScanStats) {
 	st.Batches.Add(c.batches)
 	st.RowsVectorized.Add(c.rowsVec)
 	st.RowsFallback.Add(c.rowsFallback)
+	st.RowsNarrowed.Add(c.narrowed)
 	st.BlocksRead.Add(c.blocksRead)
 	st.BlockBytes.Add(c.blockBytes)
 	st.PoolHits.Add(c.poolHits)
@@ -314,34 +318,36 @@ func (c *scanCounters) flush(st *obs.ScanStats) {
 }
 
 // scanScratch holds what one morsel reuses from tile to tile — the
-// batch, boxed and widened vectors, dead-row bitmap and selection —
-// pooled across scans.
+// batch, boxed and widened vectors, and the narrowing predicates'
+// scratch, which holds the live-row selection — pooled across scans.
 type scanScratch struct {
 	batch vec.Batch
 	bres  []batchResolver
 	boxed [][]expr.Value
 	fbuf  [][]float64
-	dead  []uint64 // bit i set: row i is NULL in a null-rejecting access
-	sel   []int32
+	ps    *vec.Scratch
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
+// getScanScratch returns a pooled scratch for n accesses. A scratch
+// sized for fewer grows in place, keeping every slot's buffers.
 func getScanScratch(n int) *scanScratch {
 	s := scanScratchPool.Get().(*scanScratch)
-	if cap(s.bres) < n {
-		*s = scanScratch{
-			batch: vec.Batch{Cols: make([]vec.Vector, n)},
-			bres:  make([]batchResolver, n),
-			boxed: make([][]expr.Value, n),
-			fbuf:  make([][]float64, n),
-		}
-	}
-	s.batch.Cols = s.batch.Cols[:n]
-	s.bres = s.bres[:n]
-	s.boxed = s.boxed[:n]
-	s.fbuf = s.fbuf[:n]
+	s.batch.Cols = resize(s.batch.Cols, n)
+	s.bres = resize(s.bres, n)
+	s.boxed = resize(s.boxed, n)
+	s.fbuf = resize(s.fbuf, n)
 	return s
+}
+
+// resize returns s with length n, keeping the elements past its length
+// that its capacity still holds.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 // putScanScratch returns s to the pool holding no reference into
@@ -355,6 +361,9 @@ func putScanScratch(s *scanScratch) {
 		s.boxed[i] = vals[:0]
 	}
 	s.batch.Sel = nil
+	if s.ps != nil {
+		s.ps.Release()
+	}
 	scanScratchPool.Put(s)
 }
 
@@ -366,9 +375,15 @@ func (r *tilesRelation) ScanWithStats(ctx context.Context, accesses []Access, wo
 
 // scanSource implementation: in-memory tiles are their own scan
 // views — no lazy I/O, no per-scan state.
-func (r *tilesRelation) numScanTiles() int                             { return len(r.tiles) }
 func (r *tilesRelation) openScanTile(ti int, _ *scanCounters) scanTile { return r.tiles[ti] }
 func (r *tilesRelation) scanConfig() scanConfig                        { return scanCfgOf(r.cfg) }
+
+func (r *tilesRelation) appendTileRows(dst []int) []int {
+	for _, t := range r.tiles {
+		dst = append(dst, t.NumRows())
+	}
+	return dst
+}
 
 // cappedPrefix reports whether the path indexes an array slot at or
 // beyond the collection cap — such paths can exist in documents while

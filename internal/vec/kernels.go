@@ -8,6 +8,7 @@ package vec
 
 import (
 	"bytes"
+	"math/bits"
 	"strings"
 
 	"repro/internal/expr"
@@ -44,6 +45,37 @@ func newScratch(orPairs, bufs, width int) *Scratch {
 
 // NewScratch returns a scratch sized for the predicate.
 func (p *CompiledPred) NewScratch() *Scratch { return newScratch(p.orPairs, p.bufs, p.width) }
+
+// Fit returns sc grown where the predicate needs more than it holds (a
+// new scratch when sc is nil), so that one worker's scratch serves
+// several predicates in turn.
+func (p *CompiledPred) Fit(sc *Scratch) *Scratch {
+	if sc == nil {
+		return p.NewScratch()
+	}
+	if n := 2 * p.orPairs; len(sc.or) < n {
+		sc.or = append(sc.or, make([][]int32, n-len(sc.or))...)
+	}
+	if len(sc.bufs) < p.bufs {
+		sc.bufs = append(sc.bufs, make([]Buf, p.bufs-len(sc.bufs))...)
+	}
+	if len(sc.row) < p.width {
+		sc.row = append(sc.row, make([]expr.Value, p.width-len(sc.row))...)
+	}
+	return sc
+}
+
+// Release drops every cell and vector the scratch still references, as
+// they may alias storage the caller is about to free, and keeps its
+// buffers for reuse.
+func (sc *Scratch) Release() {
+	clear(sc.row)
+	for i := range sc.bufs {
+		b := &sc.bufs[i]
+		clear(b.boxed[:cap(b.boxed)])
+		b.out = Vector{}
+	}
+}
 
 func grow(buf []int32, n int) []int32 {
 	if cap(buf) < n {
@@ -285,7 +317,7 @@ func cmpVecConst(v *Vector, op expr.CmpOp, c expr.Value, sel []int32, n int, out
 		switch c.Typ {
 		case expr.TBigInt, expr.TTimestamp:
 			if c.Typ == v.Type {
-				return cmpInts(v, op, c.I, sel, n, out)
+				return cmpNums(v, v.Ints, op, c.I, sel, n, out)
 			}
 			// Cross numeric types compare as float (expr.Compare).
 			return cmpIntsAsFloat(v, op, float64(c.I), sel, n, out)
@@ -298,7 +330,7 @@ func cmpVecConst(v *Vector, op expr.CmpOp, c expr.Value, sel []int32, n int, out
 		if !ok {
 			return out
 		}
-		return cmpFloats(v, op, cf, sel, n, out)
+		return cmpNums(v, v.Floats, op, cf, sel, n, out)
 	case expr.TText:
 		if c.Typ != expr.TText {
 			return out
@@ -354,31 +386,60 @@ func cmpVecs(l, r *Vector, op expr.CmpOp, sel, out []int32) []int32 {
 	return keep(func(i int) (int, bool) { return expr.Compare(l.Value(i), r.Value(i)) })
 }
 
-func cmpInts(v *Vector, op expr.CmpOp, c int64, sel []int32, n int, out []int32) []int32 {
-	ints := v.Ints
-	if sel != nil {
+// cmpNums keeps the selected rows whose cell op c is TRUE. NULL rows go
+// first; each operator then has a loop of its own that spells out
+// matchCmp over cmp3Int / cmp3Float (NaN compares equal to anything),
+// so a cell costs one or two comparisons and no dispatch.
+func cmpNums[T int64 | float64](v *Vector, vals []T, op expr.CmpOp, c T, sel []int32, n int, out []int32) []int32 {
+	if sel == nil {
+		sel = Iota(n)
+	}
+	if v.Nulls != nil {
+		// Writes trail reads, so out may be sel.
+		live := out[:0]
 		for _, i := range sel {
 			if !v.IsNull(int(i)) {
-				x := ints[i]
-				if matchCmp(op, cmp3Int(x, c)) {
-					out = append(out, i)
-				}
+				live = append(live, i)
 			}
 		}
-		return out
+		sel, out = live, live[:0]
 	}
-	if v.Nulls == nil {
-		// Dense, null-free inner loop — the common extracted-column case.
-		for i := 0; i < n; i++ {
-			if matchCmp(op, cmp3Int(ints[i], c)) {
-				out = append(out, int32(i))
+	switch op {
+	case expr.EQ:
+		for _, i := range sel {
+			if x := vals[i]; !(x < c) && !(x > c) {
+				out = append(out, i)
 			}
 		}
-		return out
-	}
-	for i := 0; i < n; i++ {
-		if !v.IsNull(i) && matchCmp(op, cmp3Int(ints[i], c)) {
-			out = append(out, int32(i))
+	case expr.NE:
+		for _, i := range sel {
+			if x := vals[i]; x < c || x > c {
+				out = append(out, i)
+			}
+		}
+	case expr.LT:
+		for _, i := range sel {
+			if vals[i] < c {
+				out = append(out, i)
+			}
+		}
+	case expr.LE:
+		for _, i := range sel {
+			if !(vals[i] > c) {
+				out = append(out, i)
+			}
+		}
+	case expr.GT:
+		for _, i := range sel {
+			if vals[i] > c {
+				out = append(out, i)
+			}
+		}
+	default:
+		for _, i := range sel {
+			if !(vals[i] < c) {
+				out = append(out, i)
+			}
 		}
 	}
 	return out
@@ -388,32 +449,6 @@ func cmpIntsAsFloat(v *Vector, op expr.CmpOp, c float64, sel []int32, n int, out
 	return selectIf(sel, n, out, func(i int) bool {
 		return !v.IsNull(i) && matchCmp(op, cmp3Float(float64(v.Ints[i]), c))
 	})
-}
-
-func cmpFloats(v *Vector, op expr.CmpOp, c float64, sel []int32, n int, out []int32) []int32 {
-	fs := v.Floats
-	if sel != nil {
-		for _, i := range sel {
-			if !v.IsNull(int(i)) && matchCmp(op, cmp3Float(fs[i], c)) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	if v.Nulls == nil {
-		for i := 0; i < n; i++ {
-			if matchCmp(op, cmp3Float(fs[i], c)) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for i := 0; i < n; i++ {
-		if !v.IsNull(i) && matchCmp(op, cmp3Float(fs[i], c)) {
-			out = append(out, int32(i))
-		}
-	}
-	return out
 }
 
 func cmpStrs(v *Vector, op expr.CmpOp, c string, sel []int32, n int, out []int32) []int32 {
@@ -469,7 +504,32 @@ type isNullPred struct {
 
 func (p *isNullPred) apply(b *Batch, sel []int32, n int, out []int32, sc *Scratch) []int32 {
 	v := &b.Cols[p.slot]
-	return selectIf(sel, n, out, func(i int) bool { return v.IsNull(i) != p.negate })
+	if sel != nil || v.Boxed != nil || v.AllNull {
+		return selectIf(sel, n, out, func(i int) bool { return v.IsNull(i) != p.negate })
+	}
+	// A typed vector over every row: read the null bitmap a word at a
+	// time.
+	all := Iota(n)
+	for w := 0; w<<6 < n; w++ {
+		var keep uint64
+		if w < len(v.Nulls) {
+			keep = v.Nulls[w]
+		}
+		if p.negate {
+			keep = ^keep
+		}
+		if rem := n - w<<6; rem < 64 {
+			keep &= 1<<uint(rem) - 1
+		}
+		if keep == ^uint64(0) {
+			out = append(out, all[w<<6:w<<6+64]...)
+			continue
+		}
+		for ; keep != 0; keep &= keep - 1 {
+			out = append(out, int32(w<<6+bits.TrailingZeros64(keep)))
+		}
+	}
+	return out
 }
 
 // inPred is col [NOT] IN (constants): a NULL cell is never selected,

@@ -26,6 +26,9 @@ func buildVector(r *rand.Rand, t expr.SQLType, n int, boxed bool) Vector {
 			vals[i] = expr.TimestampValue(int64(r.Intn(1000)))
 		case expr.TFloat:
 			vals[i] = expr.FloatValue(float64(r.Intn(21)-10) / 2)
+			if r.Intn(10) == 0 {
+				vals[i] = expr.FloatValue(math.NaN()) // compares equal to anything
+			}
 		case expr.TBool:
 			vals[i] = expr.BoolValue(r.Intn(2) == 0)
 		case expr.TText:
@@ -166,7 +169,11 @@ func TestCompiledPredMatchesRowEval(t *testing.T) {
 		colTypes := make([]expr.SQLType, 2+r.Intn(3))
 		for i := range colTypes {
 			colTypes[i] = types[r.Intn(len(types))]
-			b.Cols = append(b.Cols, buildVector(r, colTypes[i], n, r.Intn(3) == 0))
+			v := buildVector(r, colTypes[i], n, r.Intn(3) == 0)
+			if r.Intn(3) == 0 {
+				v.Nulls = nil // a null-free column: its NULL rows read as zero values
+			}
+			b.Cols = append(b.Cols, v)
 		}
 		if r.Intn(4) == 0 {
 			// Random ascending input selection.
