@@ -101,24 +101,30 @@ func joinFields(fs []string) string {
 	return out
 }
 
-// fuzzAccesses reads the stable fields under several types — "ts" as
-// text always takes the document where a tile mined it as a timestamp
-// (§4.9) — plus up to three paths of the random part at the type first
-// seen there. A path is read as text only where every document holds a
-// string or nothing: the text of a number or a container is the input
-// text in raw JSON and a rendering in binary JSON, so comparing it with
-// a constant tells the formats apart, not the scans.
+// fuzzAccesses reads the stable fields under several types — "n" as
+// BigInt, Float, Bool and Text, "cat" as Text, Float and BigInt (NULL
+// but for the cast), "ts" as Timestamp and as Text, which takes the
+// document where a tile mined it as a timestamp (§4.9) — plus up to
+// three paths of the random part at the type first seen there. A path
+// is read as text only where no document holds a container: raw JSON
+// renders a container's keys in input order and binary JSON sorted, so
+// comparing that text with a constant tells the formats apart, not the
+// scans. The text of a number is the same in both.
 func fuzzAccesses(r *rand.Rand, docs []jsonvalue.Value) []storage.Access {
 	accs := []storage.Access{
 		storage.NewAccess(expr.TBigInt, "n"),
 		storage.NewAccess(expr.TFloat, "n"),
+		storage.NewAccess(expr.TBool, "n"),
+		storage.NewAccess(expr.TText, "n"),
 		storage.NewAccess(expr.TText, "ts"),
 		storage.NewAccess(expr.TTimestamp, "ts"),
 		storage.NewAccess(expr.TText, "cat"),
+		storage.NewAccess(expr.TFloat, "cat"),
+		storage.NewAccess(expr.TBigInt, "cat"),
 	}
-	onlyStrings := func(p keypath.Path) bool {
+	noContainers := func(p keypath.Path) bool {
 		for _, d := range docs {
-			if v, ok := keypath.Lookup(d, p); ok && v.Kind() != jsonvalue.KindString && v.Kind() != jsonvalue.KindNull {
+			if v, ok := keypath.Lookup(d, p); ok && (v.Kind() == jsonvalue.KindObject || v.Kind() == jsonvalue.KindArray) {
 				return false
 			}
 		}
@@ -128,7 +134,7 @@ func fuzzAccesses(r *rand.Rand, docs []jsonvalue.Value) []storage.Access {
 	for _, d := range docs[:min(len(docs), 4+r.Intn(8))] {
 		keypath.Collect(d, 4, func(p keypath.Path, vt keypath.ValueType, _ jsonvalue.Value) {
 			enc := p.Encode()
-			if seen[enc] || len(accs) >= 8 {
+			if seen[enc] || len(accs) >= 12 {
 				return
 			}
 			seen[enc] = true
@@ -141,7 +147,7 @@ func fuzzAccesses(r *rand.Rand, docs []jsonvalue.Value) []storage.Access {
 			case keypath.TypeBool:
 				st = expr.TBool
 			case keypath.TypeString:
-				if !onlyStrings(p) {
+				if !noContainers(p) {
 					return
 				}
 				st = expr.TText

@@ -2,10 +2,7 @@ package storage
 
 import (
 	"math"
-	"strconv"
-	"strings"
 
-	"repro/internal/dates"
 	"repro/internal/expr"
 	"repro/internal/jsonb"
 	"repro/internal/jsontext"
@@ -39,10 +36,43 @@ func DefaultLoaderConfig() LoaderConfig {
 	}
 }
 
-// docAccess traverses a binary JSON document along the path and
-// converts the result to the desired SQL type — the optimized typed
+// castJSON converts one JSON value to want. It is the one meaning of
+// ->>'p'::T, in every format and whether a column or a document serves
+// the cell; DESIGN.md §5 tabulates it and TestCastsAgreeAcrossFormats
+// pins it. v is the non-NULL value as JSON holds it: BigInt or Float
+// for a number, Text for a string, Bool for a boolean, Text holding its
+// JSON text for an object or array, and Timestamp for a cell of a
+// timestamp column, which only ::Timestamp reads. Where want has a
+// value for v, it is expr.CastValue's; otherwise the cell is NULL and
+// counts as a cast error.
+func castJSON(v expr.Value, want expr.SQLType, cnt *scanCounters) expr.Value {
+	if v.Typ == want {
+		return v
+	}
+	var ok bool
+	switch want {
+	case expr.TText:
+		ok = v.Typ != expr.TTimestamp
+	case expr.TBigInt:
+		ok = v.Typ == expr.TFloat || v.Typ == expr.TBool || v.Typ == expr.TText
+	case expr.TFloat:
+		ok = v.Typ == expr.TBigInt || v.Typ == expr.TText
+	case expr.TBool, expr.TTimestamp:
+		ok = v.Typ == expr.TText
+	}
+	out := expr.NullValue()
+	if ok {
+		out = expr.CastValue(v, want)
+	}
+	if out.Null {
+		cnt.castErrs++
+	}
+	return out
+}
+
+// docAccess reads path from a binary JSON document as want — the typed
 // access expressions of §4.5/§5.4.
-func docAccess(d jsonb.Doc, path keypath.Path, want expr.SQLType) expr.Value {
+func docAccess(d jsonb.Doc, path keypath.Path, want expr.SQLType, cnt *scanCounters) expr.Value {
 	cur := d
 	for _, seg := range path.Segs {
 		var ok bool
@@ -55,167 +85,76 @@ func docAccess(d jsonb.Doc, path keypath.Path, want expr.SQLType) expr.Value {
 			return expr.NullValue() // absent key or parent: SQL NULL
 		}
 	}
-	return docValue(cur, want)
-}
-
-// docValue converts a positioned binary JSON value to the desired SQL
-// type.
-func docValue(cur jsonb.Doc, want expr.SQLType) expr.Value {
-	if cur.IsNull() {
+	switch {
+	case cur.IsNull():
 		return expr.NullValue()
-	}
-	switch want {
-	case expr.TJSON:
+	case want == expr.TJSON:
 		return expr.JSONValue(cur)
-	case expr.TText:
-		return expr.TextValue(cur.AsText())
-	case expr.TBigInt:
-		switch cur.Kind() {
-		case jsonb.KindInt:
-			i, _ := cur.Int64()
-			return expr.IntValue(i)
-		case jsonb.KindFloat:
-			f, _ := cur.Float64()
-			return expr.IntValue(int64(f))
-		case jsonb.KindString:
-			if m, sc, ok := cur.NumericString(); ok && sc == 0 {
-				return expr.IntValue(m) // typed numeric string: no parse
-			}
-			s, _ := cur.String()
-			return parseIntText(s)
-		case jsonb.KindBool:
-			b, _ := cur.Bool()
-			if b {
-				return expr.IntValue(1)
-			}
-			return expr.IntValue(0)
-		}
-		return expr.NullValue()
-	case expr.TFloat:
-		switch cur.Kind() {
-		case jsonb.KindInt:
-			i, _ := cur.Int64()
-			return expr.FloatValue(float64(i))
-		case jsonb.KindFloat:
-			f, _ := cur.Float64()
-			return expr.FloatValue(f)
-		case jsonb.KindString:
-			if m, sc, ok := cur.NumericString(); ok && sc <= 22 && m > -1<<53 && m < 1<<53 {
-				// Both operands are exact, so the one division rounds the
-				// decimal as parsing its text would; dividing by 10 once
-				// per digit rounds at every step.
+	}
+	var v expr.Value
+	switch cur.Kind() {
+	case jsonb.KindInt:
+		i, _ := cur.Int64()
+		v = expr.IntValue(i)
+	case jsonb.KindFloat:
+		f, _ := cur.Float64()
+		v = expr.FloatValue(f)
+	case jsonb.KindBool:
+		b, _ := cur.Bool()
+		v = expr.BoolValue(b)
+	case jsonb.KindString:
+		// A numeric string's typed payload casts without a parse, to the
+		// value parsing its text gives. For ::Float both operands are
+		// exact, so the one division rounds the decimal as parsing does;
+		// dividing by 10 once per digit rounds at every step.
+		if m, sc, ok := cur.NumericString(); ok {
+			switch {
+			case want == expr.TBigInt && sc == 0:
+				return expr.IntValue(m)
+			case want == expr.TFloat && sc <= 22 && m > -1<<53 && m < 1<<53:
 				return expr.FloatValue(float64(m) / math.Pow10(int(sc)))
 			}
-			s, _ := cur.String()
-			if f, err := strconv.ParseFloat(strings.TrimSpace(s), 64); err == nil {
-				return expr.FloatValue(f)
-			}
-			return expr.NullValue()
 		}
-		return expr.NullValue()
-	case expr.TBool:
-		if b, ok := cur.Bool(); ok {
-			return expr.BoolValue(b)
-		}
-		if s, ok := cur.String(); ok {
-			return expr.CastValue(expr.TextValue(s), expr.TBool)
-		}
-		return expr.NullValue()
-	case expr.TTimestamp:
-		if s, ok := cur.String(); ok {
-			if m, ok := dates.Parse(s); ok {
-				return expr.TimestampValue(m)
-			}
-		}
-		return expr.NullValue()
+		s, _ := cur.String()
+		v = expr.TextValue(s)
+	default:
+		v = expr.TextValue(cur.AsText())
 	}
-	return expr.NullValue()
+	return castJSON(v, want, cnt)
 }
 
-func parseIntText(s string) expr.Value {
-	s = strings.TrimSpace(s)
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return expr.IntValue(i)
-	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return expr.IntValue(int64(f))
-	}
-	return expr.NullValue()
-}
-
-// valueAccess is docAccess over a parsed value tree (the raw-JSON
-// format's per-tuple path).
-func valueAccess(doc jsonvalue.Value, path keypath.Path, want expr.SQLType) expr.Value {
+// treeAccess is docAccess over a parsed value tree: raw JSON's read,
+// the oracle every conformance test compares with.
+func treeAccess(doc jsonvalue.Value, path keypath.Path, want expr.SQLType, cnt *scanCounters) expr.Value {
 	v, ok := keypath.Lookup(doc, path)
 	if !ok {
 		return expr.NullValue()
 	}
-	return treeValue(v, want)
+	return treeValue(v, want, cnt)
 }
 
-func treeValue(v jsonvalue.Value, want expr.SQLType) expr.Value {
-	if v.IsNull() {
+// treeValue reads one value of a parsed tree as want.
+func treeValue(v jsonvalue.Value, want expr.SQLType, cnt *scanCounters) expr.Value {
+	switch {
+	case v.IsNull():
 		return expr.NullValue()
-	}
-	switch want {
-	case expr.TJSON:
-		// The raw format has no binary form; encode on demand (this is
-		// exactly the cost the format pays in the paper).
+	case want == expr.TJSON:
+		// The tree has no binary form; encode on demand (this is exactly
+		// the cost the raw format pays in the paper).
 		return expr.JSONValue(jsonb.NewDoc(jsonb.Encode(v)))
-	case expr.TText:
-		switch v.Kind() {
-		case jsonvalue.KindString:
-			return expr.TextValue(v.StringVal())
-		case jsonvalue.KindObject, jsonvalue.KindArray:
-			return expr.TextValue(jsontext.SerializeString(v))
-		case jsonvalue.KindBool:
-			if v.BoolVal() {
-				return expr.TextValue("true")
-			}
-			return expr.TextValue("false")
-		case jsonvalue.KindInt:
-			return expr.TextValue(strconv.FormatInt(v.IntVal(), 10))
-		case jsonvalue.KindFloat:
-			return expr.TextValue(strconv.FormatFloat(v.FloatVal(), 'g', -1, 64))
-		}
-	case expr.TBigInt:
-		switch v.Kind() {
-		case jsonvalue.KindInt:
-			return expr.IntValue(v.IntVal())
-		case jsonvalue.KindFloat:
-			return expr.IntValue(int64(v.FloatVal()))
-		case jsonvalue.KindString:
-			return parseIntText(v.StringVal())
-		case jsonvalue.KindBool:
-			if v.BoolVal() {
-				return expr.IntValue(1)
-			}
-			return expr.IntValue(0)
-		}
-	case expr.TFloat:
-		switch v.Kind() {
-		case jsonvalue.KindInt:
-			return expr.FloatValue(float64(v.IntVal()))
-		case jsonvalue.KindFloat:
-			return expr.FloatValue(v.FloatVal())
-		case jsonvalue.KindString:
-			if f, err := strconv.ParseFloat(strings.TrimSpace(v.StringVal()), 64); err == nil {
-				return expr.FloatValue(f)
-			}
-		}
-	case expr.TBool:
-		switch v.Kind() {
-		case jsonvalue.KindBool:
-			return expr.BoolValue(v.BoolVal())
-		case jsonvalue.KindString:
-			return expr.CastValue(expr.TextValue(v.StringVal()), expr.TBool)
-		}
-	case expr.TTimestamp:
-		if v.Kind() == jsonvalue.KindString {
-			if m, ok := dates.Parse(v.StringVal()); ok {
-				return expr.TimestampValue(m)
-			}
-		}
 	}
-	return expr.NullValue()
+	var nat expr.Value
+	switch v.Kind() {
+	case jsonvalue.KindInt:
+		nat = expr.IntValue(v.IntVal())
+	case jsonvalue.KindFloat:
+		nat = expr.FloatValue(v.FloatVal())
+	case jsonvalue.KindBool:
+		nat = expr.BoolValue(v.BoolVal())
+	case jsonvalue.KindString:
+		nat = expr.TextValue(v.StringVal())
+	default:
+		nat = expr.TextValue(jsontext.SerializeString(v)) // raw JSON keeps input key order
+	}
+	return castJSON(nat, want, cnt)
 }

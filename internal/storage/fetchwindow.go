@@ -106,14 +106,32 @@ func fetchOrder(morsels []morsel, workers int) []int {
 	return order
 }
 
-// plan computes tile ti's fetch from metadata and pool lookups; nil
-// means the tile is skipped or fully resident.
+// plan computes tile ti's fetch from metadata and pool lookups: the
+// blocks the accesses' plans may read (planAccess), so the scan reads
+// no block the window did not fetch and the window fetches none the
+// scan will not read. nil means the tile is skipped or fully resident.
 func (fw *fetchWindow) plan(ti int) *tileFetch {
 	t, ok := fw.src.openScanTile(ti, &fw.planCnt).(*segTileView)
 	if !ok || (fw.cfg.skipTiles && skippableTile(t, fw.accesses, fw.cfg.maxSlots)) {
 		return nil
 	}
-	runs, bytes := t.rel.r.PlanFetch(t.neededRefs(fw.accesses))
+	var refs []segment.BlockRef
+	docs := false
+	for _, a := range fw.accesses {
+		p := planAccess(t, a, fw.cfg.maxSlots)
+		docs = docs || p.readsDocs()
+		if p.readsColumn() {
+			cm := &t.meta.Columns[p.col]
+			refs = append(refs, cm.Block)
+			if cm.HasDict {
+				refs = append(refs, cm.Dict)
+			}
+		}
+	}
+	if docs {
+		refs = append(refs, t.meta.Docs)
+	}
+	runs, bytes := t.rel.r.PlanFetch(refs)
 	if len(runs) == 0 {
 		return nil
 	}

@@ -215,6 +215,56 @@ func TestFetchWindowAccounting(t *testing.T) {
 	}
 }
 
+// TestColdScanReadsOnlyPlannedBlocks: a text read of a path mined as a
+// timestamp takes the document (§4.9), so a cold scan of it fetches and
+// decodes each tile's documents and no timestamp column, and every
+// block it reads was fetched by the window — none is a demand miss the
+// window did not plan.
+func TestColdScanReadsOnlyPlannedBlocks(t *testing.T) {
+	const tiles, rows = 4, 64
+	raw := make([][]byte, tiles*rows)
+	for i := range raw {
+		raw[i] = []byte(fmt.Sprintf(`{"id":%d,"date":"2020-01-%02d 10:00:00"}`, i, 1+i%28))
+	}
+	cfg := DefaultLoaderConfig()
+	cfg.Tile.TileSize = rows
+	rel, err := BuildTilesFromLines("t", raw, cfg, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tl := range rel.(TileIntrospector).Tiles() {
+		if cols := tl.ColumnsForPath("date"); len(cols) != 1 || tl.Column(cols[0]).StorageType != keypath.TypeTimestamp {
+			t.Fatal("want date mined as a timestamp in every tile")
+		}
+	}
+	mem := blockstore.NewMem()
+	dt, err := OpenDirStore("t", mem, nil, cfg, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dt.AppendTiles(rel.(TileIntrospector).Tiles(), rel.Stats()); err != nil {
+		t.Fatal(err)
+	}
+	dt.Close()
+
+	fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: 200 * time.Microsecond})
+	dt, err = OpenDirStore("t", fake, nil, cfg, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dt.Close()
+	var st obs.ScanStats
+	got := collectScanStats(dt, []Access{NewAccess(expr.TText, "date")}, 1, &st)
+	if err := dt.Err(); err != nil || len(got) != tiles*rows || got[0] != "2020-01-01 10:00:00" {
+		t.Fatalf("%d rows, first %q, err %v", len(got), got[0], err)
+	}
+	read, decoded, ahead := st.BlocksRead.Load(), st.BlocksDecoded.Load(), st.StorePrefetchHits.Load()
+	if read != tiles || decoded != tiles || ahead != tiles {
+		t.Errorf("read %d blocks, decoded %d, %d fetched ahead; want each tile's documents alone (%d), all fetched ahead",
+			read, decoded, ahead, tiles)
+	}
+}
+
 // TestRemoteScanCoalescesReads: a geo-filtered scan of an evolving-
 // schema table on the object-store fake — four segments of 1000
 // documents, geo tags only in the odd ones, so tile skipping drops

@@ -57,7 +57,7 @@ func (r *jsonbStore) ScanWithStats(ctx context.Context, accesses []Access, worke
 		for i := lo; i < hi; i++ {
 			d := jsonb.NewDoc(r.docs[i])
 			for ai, a := range accesses {
-				row[ai] = docAccess(d, a.Path, a.Type)
+				row[ai] = docAccess(d, a.Path, a.Type, &cnt)
 			}
 			emit(w, row)
 		}

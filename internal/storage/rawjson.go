@@ -59,7 +59,7 @@ func (r *rawJSON) ScanWithStats(ctx context.Context, accesses []Access, workers 
 				continue // unreachable: validated at load
 			}
 			for ai, a := range accesses {
-				row[ai] = valueAccess(doc, a.Path, a.Type)
+				row[ai] = treeAccess(doc, a.Path, a.Type, &cnt)
 			}
 			emit(w, row)
 		}

@@ -1,156 +1,132 @@
 package storage
 
 import (
-	"strconv"
-
 	"repro/internal/column"
-	"repro/internal/dates"
 	"repro/internal/expr"
 	"repro/internal/keypath"
 )
 
-// Access resolution (§4.5): computing how to serve an access is done
-// once per tile (or once per relation for global schemas), cached, and
-// reused for every tuple.
+// Access planning (§4.5): how a tile serves an access is decided once
+// per tile from its metadata alone, before any block is read, and
+// reused for every row. The scan core fills from the plan, the fetch
+// window fetches exactly the blocks it names, and Sinew plans against
+// its global schema as against one tile.
 
-type resolveMode uint8
+// serveKind is where an access's values come from on one tile.
+type serveKind uint8
 
 const (
-	// modeNullAll: the path provably never occurs — every access is
-	// NULL without touching any data (and the tile may be skippable).
-	modeNullAll resolveMode = iota
-	// modeFallback: always traverse the binary JSON document.
-	modeFallback
-	// modeColumn: serve from the materialized column; NULL entries
-	// either mean NULL or divert to the document (type outliers).
-	modeColumn
+	// serveNull: the tile provably lacks the path; every row is NULL
+	// and no block is read.
+	serveNull serveKind = iota
+	// serveZero: the column's own vector, zero-copy.
+	serveZero
+	// serveWiden: a BigInt column read as ::Float, widened into a typed
+	// vector.
+	serveWiden
+	// serveCast: the column, cell by cell through castJSON.
+	serveCast
+	// serveDoc: every row reads its binary JSON document.
+	serveDoc
 )
 
-type colResolver struct {
-	mode           resolveMode
-	col            *column.Column
-	convert        func(c *column.Column, i int) expr.Value
-	fallbackOnNull bool
+// accessPlan is how one tile serves one access.
+type accessPlan struct {
+	serve serveKind
+	col   int // the serving column, for serveZero, serveWiden and serveCast
+	// docOnNull (serveCast only): a NULL in the column may stand for a
+	// value the column could not hold — a type outlier, or a row another
+	// column of the path holds — so a NULL row reads the document.
+	docOnNull bool
 }
 
-// read returns the value for row i, or needDoc=true when the caller
-// must perform a document access instead. castErr reports a stored
-// non-null value the requested cast could not convert (e.g. a text
-// column accessed as ::BigInt with a non-numeric string).
-func (r colResolver) read(i int) (v expr.Value, needDoc, castErr bool) {
-	switch r.mode {
-	case modeNullAll:
-		return expr.NullValue(), false, false
-	case modeFallback:
-		return expr.Value{}, true, false
-	default:
-		if r.col.IsNull(i) {
-			if r.fallbackOnNull {
-				return expr.Value{}, true, false
-			}
-			return expr.NullValue(), false, false
-		}
-		v = r.convert(r.col, i)
-		return v, false, v.Null
+// vector reports whether the plan fills a typed or all-NULL vector
+// without a per-row step.
+func (p accessPlan) vector() bool { return p.serve <= serveWiden }
+
+// readsColumn and readsDocs name the blocks the plan may read.
+func (p accessPlan) readsColumn() bool { return p.serve >= serveZero && p.serve <= serveCast }
+func (p accessPlan) readsDocs() bool   { return p.serve == serveDoc || p.docOnNull }
+
+// planAccess decides how tile t serves access a. A column serves every
+// type but ::JSON, except that a timestamp column serves only
+// ::Timestamp: the original text of a date is in the document alone
+// (§4.9). Of several columns for the path the first that serves is
+// taken, and its NULLs divert to the document, where the rows another
+// column holds are. It reads tile metadata only: which columns hold
+// the path, their storage types and outlier flags, and whether the
+// path may occur at all.
+func planAccess(t scanTile, a Access, maxSlots int) accessPlan {
+	var cols []int
+	if _, capped := cappedPrefix(a.Path, maxSlots); !capped && a.Type != expr.TJSON {
+		cols = t.ColumnsForPath(a.PathEnc)
 	}
+	for _, ci := range cols {
+		storage, outliers := t.ColumnType(ci)
+		if storage == keypath.TypeTimestamp && a.Type != expr.TTimestamp {
+			continue
+		}
+		p := accessPlan{serve: serveCast, col: ci, docOnNull: outliers || len(cols) > 1}
+		switch {
+		case p.docOnNull:
+		case sqlTypeOf(storage) == a.Type:
+			p.serve = serveZero
+		case storage == keypath.TypeBigInt && a.Type == expr.TFloat:
+			p.serve = serveWiden
+		}
+		return p
+	}
+	if !mayContainTile(t, a, maxSlots) {
+		return accessPlan{serve: serveNull}
+	}
+	return accessPlan{serve: serveDoc}
 }
 
-// resolveColumn decides how a column of the given storage type serves
-// a desired SQL type, implementing the matching rules of §4.5: exact
-// matches read directly, numeric pairs use a cheap cast, Text requests
-// render — except from Timestamp columns, which must never serve Text
-// (§4.9; the original string is not reconstructible), and JSON
-// requests always take the document.
-func resolveColumn(col *column.Column, storage keypath.ValueType, hasOutliers bool, want expr.SQLType) colResolver {
-	r := colResolver{mode: modeColumn, col: col, fallbackOnNull: hasOutliers}
-	switch storage {
+// cell returns row i of access a under plan p, where col is the plan's
+// column, loaded (nil when the plan reads none).
+func (p accessPlan) cell(t scanTile, col *column.Column, i int, a Access, cnt *scanCounters) expr.Value {
+	switch {
+	case p.serve == serveNull:
+		return expr.NullValue()
+	case p.serve == serveDoc, p.docOnNull && col.IsNull(i):
+		cnt.fallbacks++
+		return docAccess(t.Raw(i), a.Path, a.Type, cnt)
+	}
+	cnt.hits++
+	if col.IsNull(i) {
+		return expr.NullValue()
+	}
+	return castJSON(columnValue(col, i), a.Type, cnt)
+}
+
+// sqlTypeOf is the SQL type a column of storage type t holds its
+// values as.
+func sqlTypeOf(t keypath.ValueType) expr.SQLType {
+	switch t {
 	case keypath.TypeBigInt:
-		switch want {
-		case expr.TBigInt:
-			r.convert = func(c *column.Column, i int) expr.Value { return expr.IntValue(c.Int(i)) }
-		case expr.TFloat:
-			r.convert = func(c *column.Column, i int) expr.Value { return expr.FloatValue(float64(c.Int(i))) }
-		case expr.TText:
-			r.convert = func(c *column.Column, i int) expr.Value {
-				return expr.TextValue(strconv.FormatInt(c.Int(i), 10))
-			}
-		case expr.TBool:
-			r.convert = func(c *column.Column, i int) expr.Value { return expr.BoolValue(c.Int(i) != 0) }
-		default:
-			return colResolver{mode: modeFallback}
-		}
+		return expr.TBigInt
 	case keypath.TypeDouble:
-		switch want {
-		case expr.TFloat:
-			r.convert = func(c *column.Column, i int) expr.Value { return expr.FloatValue(c.Float(i)) }
-		case expr.TBigInt:
-			r.convert = func(c *column.Column, i int) expr.Value { return expr.IntValue(int64(c.Float(i))) }
-		case expr.TText:
-			r.convert = func(c *column.Column, i int) expr.Value {
-				return expr.TextValue(strconv.FormatFloat(c.Float(i), 'g', -1, 64))
-			}
-		default:
-			return colResolver{mode: modeFallback}
-		}
-	case keypath.TypeString:
-		switch want {
-		case expr.TText:
-			r.convert = func(c *column.Column, i int) expr.Value { return expr.TextValue(c.String(i)) }
-		case expr.TBigInt:
-			r.convert = func(c *column.Column, i int) expr.Value { return parseIntText(c.String(i)) }
-		case expr.TFloat:
-			r.convert = func(c *column.Column, i int) expr.Value {
-				if f, err := strconv.ParseFloat(c.String(i), 64); err == nil {
-					return expr.FloatValue(f)
-				}
-				return expr.NullValue()
-			}
-		case expr.TTimestamp:
-			r.convert = func(c *column.Column, i int) expr.Value {
-				if m, ok := dates.Parse(c.String(i)); ok {
-					return expr.TimestampValue(m)
-				}
-				return expr.NullValue()
-			}
-		case expr.TBool:
-			r.convert = func(c *column.Column, i int) expr.Value {
-				return expr.CastValue(expr.TextValue(c.String(i)), expr.TBool)
-			}
-		default:
-			return colResolver{mode: modeFallback}
-		}
+		return expr.TFloat
 	case keypath.TypeBool:
-		switch want {
-		case expr.TBool:
-			r.convert = func(c *column.Column, i int) expr.Value { return expr.BoolValue(c.Bool(i)) }
-		case expr.TText:
-			r.convert = func(c *column.Column, i int) expr.Value {
-				if c.Bool(i) {
-					return expr.TextValue("true")
-				}
-				return expr.TextValue("false")
-			}
-		case expr.TBigInt:
-			r.convert = func(c *column.Column, i int) expr.Value {
-				if c.Bool(i) {
-					return expr.IntValue(1)
-				}
-				return expr.IntValue(0)
-			}
-		default:
-			return colResolver{mode: modeFallback}
-		}
+		return expr.TBool
 	case keypath.TypeTimestamp:
-		switch want {
-		case expr.TTimestamp:
-			r.convert = func(c *column.Column, i int) expr.Value { return expr.TimestampValue(c.Int(i)) }
-		default:
-			// Includes TText: extracted timestamps cannot recreate the
-			// exact input string — always take the document (§4.9).
-			return colResolver{mode: modeFallback}
-		}
-	default:
-		return colResolver{mode: modeFallback}
+		return expr.TTimestamp
 	}
-	return r
+	return expr.TText
+}
+
+// columnValue is the non-NULL cell i of c as the value JSON held: the
+// input castJSON takes.
+func columnValue(c *column.Column, i int) expr.Value {
+	switch c.Type() {
+	case keypath.TypeBigInt:
+		return expr.IntValue(c.Int(i))
+	case keypath.TypeDouble:
+		return expr.FloatValue(c.Float(i))
+	case keypath.TypeBool:
+		return expr.BoolValue(c.Bool(i))
+	case keypath.TypeTimestamp:
+		return expr.TimestampValue(c.Int(i))
+	}
+	return expr.TextValue(c.String(i))
 }

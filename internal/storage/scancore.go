@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 
+	"repro/internal/column"
 	"repro/internal/expr"
 	"repro/internal/jsonb"
 	"repro/internal/keypath"
@@ -14,11 +15,11 @@ import (
 // The scan core: the one tile scan loop shared by the in-memory tiles
 // relation and the disk-backed segment relation, and the adapter that
 // serves their row scans from it. Both formats present their tiles
-// through the scanTile view, so skip decisions, per-tile access
-// resolution (§4.5), and the column-hit vs binary-JSON-fallback split
-// behave identically — a query over a reopened segment returns
-// byte-identical results to the in-memory path, with lazy block I/O as
-// the only difference.
+// through the scanTile view, so skip decisions, per-tile access plans
+// (§4.5), and the column-hit vs binary-JSON-fallback split behave
+// identically — a query over a reopened segment returns byte-identical
+// results to the in-memory path, with lazy block I/O as the only
+// difference.
 
 // scanTile is one tile as the scan loop sees it. *tile.Tile satisfies
 // it directly; the segment relation implements it with a lazy view
@@ -26,12 +27,14 @@ import (
 // first access, so unaccessed columns and skipped tiles cost no I/O.
 type scanTile interface {
 	NumRows() int
-	// MayContainPath must answer from tile metadata alone (skip
-	// decisions happen before any data access).
+	// MayContainPath, ColumnsForPath and ColumnType answer from tile
+	// metadata alone: skip decisions and access plans happen before any
+	// data access.
 	MayContainPath(path string) bool
 	ColumnsForPath(path string) []int
-	// Column may perform lazy I/O; it is only called for columns whose
-	// path some access resolved to.
+	ColumnType(idx int) (storage keypath.ValueType, hasOutliers bool)
+	// Column may perform lazy I/O; it is only called for the column an
+	// access plan chose.
 	Column(idx int) *tile.ColumnInfo
 	// Raw may lazily load the tile's fallback documents.
 	Raw(i int) jsonb.Doc
@@ -77,89 +80,6 @@ func skippableTile(t scanTile, accesses []Access, maxSlots int) bool {
 	return false
 }
 
-// resolveTileAccess computes how the tile serves one access (§4.5),
-// once per tile, reused for every tuple.
-func resolveTileAccess(t scanTile, a Access, maxSlots int) colResolver {
-	if a.Type == expr.TJSON {
-		// The -> operator returns documents; serve from binary JSON.
-		if !mayContainTile(t, a, maxSlots) {
-			return colResolver{mode: modeNullAll}
-		}
-		return colResolver{mode: modeFallback}
-	}
-	if _, capped := cappedPrefix(a.Path, maxSlots); capped {
-		if !mayContainTile(t, a, maxSlots) {
-			return colResolver{mode: modeNullAll}
-		}
-		return colResolver{mode: modeFallback}
-	}
-	cols := t.ColumnsForPath(a.PathEnc)
-	// Prefer a column that serves the type directly; fall back to any
-	// column, then to the document.
-	var fallbackish *colResolver
-	for _, ci := range cols {
-		info := t.Column(ci)
-		rv := resolveColumn(info.Col, info.StorageType, info.HasTypeOutliers, a.Type)
-		if rv.mode == modeColumn {
-			// A column serves directly, but other same-path columns
-			// (different mined type) would hold the remaining values;
-			// with >1 columns stay safe and fall back on null.
-			if len(cols) > 1 {
-				rv.fallbackOnNull = true
-			}
-			return rv
-		}
-		f := rv
-		fallbackish = &f
-	}
-	if fallbackish != nil {
-		return *fallbackish
-	}
-	if !mayContainTile(t, a, maxSlots) {
-		return colResolver{mode: modeNullAll}
-	}
-	return colResolver{mode: modeFallback}
-}
-
-// resolveTileAccessBatch decides how an access is served in batch
-// form (see tiles_batch.go for the vector kinds).
-func resolveTileAccessBatch(t scanTile, a Access, maxSlots int) batchResolver {
-	rv := resolveTileAccess(t, a, maxSlots)
-	switch rv.mode {
-	case modeNullAll:
-		return batchResolver{kind: vkNullAll}
-	case modeColumn:
-		if !rv.fallbackOnNull {
-			switch rv.col.Type() {
-			case keypath.TypeBigInt:
-				switch a.Type {
-				case expr.TBigInt:
-					return batchResolver{kind: vkZero, col: rv.col}
-				case expr.TFloat:
-					return batchResolver{kind: vkIntToFloat, col: rv.col}
-				}
-			case keypath.TypeDouble:
-				if a.Type == expr.TFloat {
-					return batchResolver{kind: vkZero, col: rv.col}
-				}
-			case keypath.TypeString:
-				if a.Type == expr.TText {
-					return batchResolver{kind: vkZero, col: rv.col}
-				}
-			case keypath.TypeBool:
-				if a.Type == expr.TBool {
-					return batchResolver{kind: vkZero, col: rv.col}
-				}
-			case keypath.TypeTimestamp:
-				if a.Type == expr.TTimestamp {
-					return batchResolver{kind: vkZero, col: rv.col}
-				}
-			}
-		}
-	}
-	return batchResolver{kind: vkBoxed, row: rv}
-}
-
 // scanRows is the row scan (StatsScanner) of a tile-backed relation:
 // it runs the relation's batch scan and boxes each selected row of
 // each batch into the worker's row buffer. Rows the batch core narrows
@@ -203,7 +123,7 @@ func planNarrowing(accesses []Access) []*vec.CompiledPred {
 }
 
 // scanBatchesCore is the shared tile scan loop: one batch per
-// surviving tile (§4.8 skipping, §4.5 per-tile resolution, §4.5/§5
+// surviving tile (§4.8 skipping, §4.5 per-tile access plans, §4.5/§5
 // column-hit vs fallback split, and the batch/vectorized-row split).
 //
 // Accesses with a Filter, or flagged NullRejecting, narrow the batch
@@ -259,11 +179,11 @@ func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, wor
 }
 
 // fillBatch materializes tile t's accesses into sc.batch, narrowing as
-// it goes. The narrowing accesses are resolved first; those a column
-// serves (zero-copy, cast-to-float, all-NULL) fill at once and run
-// their predicate over the live rows. Then each boxed narrowing access
-// fills the rows still live and narrows them, and last every other
-// access fills the rows left. It reports false, resolving nothing
+// it goes. The narrowing accesses are planned first; those the plan
+// fills as a vector (zero-copy, widened, all-NULL) fill at once and run
+// their predicate over the live rows. Then each cell-by-cell narrowing
+// access fills the rows still live and narrows them, and last every
+// other access fills the rows left. It reports false, planning nothing
 // further, once no row is live.
 func (sc *scanScratch) fillBatch(t scanTile, accesses []Access, preds []*vec.CompiledPred, maxSlots int, cnt *scanCounters) (live bool) {
 	n := t.NumRows()
@@ -285,22 +205,22 @@ func (sc *scanScratch) fillBatch(t scanTile, accesses []Access, preds []*vec.Com
 		if p == nil {
 			continue
 		}
-		br := resolveTileAccessBatch(t, accesses[ai], maxSlots)
-		sc.bres[ai] = br
-		if br.kind == vkBoxed {
+		plan := planAccess(t, accesses[ai], maxSlots)
+		sc.plans[ai] = plan
+		if !plan.vector() {
 			allVec = false
 			continue
 		}
-		sc.fillColumn(ai, accesses[ai].Type, br, cnt)
+		sc.fillVector(t, ai, accesses[ai].Type, plan, cnt)
 		if !sc.narrow(p, cnt) {
 			return false
 		}
 	}
 	for ai, p := range preds {
-		if p == nil || sc.bres[ai].kind != vkBoxed {
+		if p == nil || sc.plans[ai].vector() {
 			continue
 		}
-		sc.fillBoxed(t, ai, accesses[ai], sc.bres[ai].row, cnt)
+		sc.fillBoxed(t, ai, accesses[ai], sc.plans[ai], cnt)
 		if !sc.narrow(p, cnt) {
 			return false
 		}
@@ -309,12 +229,11 @@ func (sc *scanScratch) fillBatch(t scanTile, accesses []Access, preds []*vec.Com
 		if p != nil {
 			continue
 		}
-		switch br := resolveTileAccessBatch(t, accesses[ai], maxSlots); br.kind {
-		case vkBoxed:
+		if plan := planAccess(t, accesses[ai], maxSlots); plan.vector() {
+			sc.fillVector(t, ai, accesses[ai].Type, plan, cnt)
+		} else {
 			allVec = false
-			sc.fillBoxed(t, ai, accesses[ai], br.row, cnt)
-		default:
-			sc.fillColumn(ai, accesses[ai].Type, br, cnt)
+			sc.fillBoxed(t, ai, accesses[ai], plan, cnt)
 		}
 	}
 	return n > 0
@@ -332,33 +251,35 @@ func (sc *scanScratch) narrow(p *vec.CompiledPred, cnt *scanCounters) bool {
 	return len(out) > 0
 }
 
-// fillColumn sets access ai's vector from the column that serves it.
-func (sc *scanScratch) fillColumn(ai int, typ expr.SQLType, br batchResolver, cnt *scanCounters) {
+// fillVector sets access ai's vector as a vector plan says: all NULL,
+// the column itself, or the column widened to Float.
+func (sc *scanScratch) fillVector(t scanTile, ai int, typ expr.SQLType, p accessPlan, cnt *scanCounters) {
 	n := sc.batch.Len
-	switch br.kind {
-	case vkZero:
-		sc.batch.Cols[ai] = zeroVec(br.col, typ)
-		cnt.hits += int64(n)
-	case vkIntToFloat:
-		buf := sc.fbuf[ai]
-		if cap(buf) < n {
-			buf = make([]float64, n)
-		}
-		buf = buf[:n]
-		for i, v := range br.col.IntSlice()[:n] {
-			buf[i] = float64(v)
-		}
-		sc.fbuf[ai] = buf
-		sc.batch.Cols[ai] = vec.Vector{Type: expr.TFloat, Floats: buf, Nulls: br.col.NullBits()}
-		cnt.hits += int64(n)
-	case vkNullAll:
+	if p.serve == serveNull {
 		sc.batch.Cols[ai] = vec.NullVector(typ, n)
+		return
 	}
+	col := t.Column(p.col).Col
+	cnt.hits += int64(n)
+	if p.serve == serveZero {
+		sc.batch.Cols[ai] = zeroVec(col, typ)
+		return
+	}
+	buf := sc.fbuf[ai]
+	if cap(buf) < n {
+		buf = make([]float64, n)
+	}
+	buf = buf[:n]
+	for i, v := range col.IntSlice()[:n] {
+		buf[i] = float64(v)
+	}
+	sc.fbuf[ai] = buf
+	sc.batch.Cols[ai] = vec.Vector{Type: expr.TFloat, Floats: buf, Nulls: col.NullBits()}
 }
 
-// fillBoxed resolves access a row at a time for the live rows, into
-// the boxed vector of slot ai.
-func (sc *scanScratch) fillBoxed(t scanTile, ai int, a Access, rv colResolver, cnt *scanCounters) {
+// fillBoxed reads access a cell by cell for the live rows, into the
+// boxed vector of slot ai.
+func (sc *scanScratch) fillBoxed(t scanTile, ai int, a Access, p accessPlan, cnt *scanCounters) {
 	n := sc.batch.Len
 	// len only grows: putScanScratch clears what was written.
 	vals := sc.boxed[ai]
@@ -368,18 +289,12 @@ func (sc *scanScratch) fillBoxed(t scanTile, ai int, a Access, rv colResolver, c
 		vals = vals[:n]
 	}
 	sc.boxed[ai] = vals
+	var col *column.Column
+	if p.readsColumn() {
+		col = t.Column(p.col).Col
+	}
 	for _, i := range sc.batch.Selected() {
-		v, needDoc, castErr := rv.read(int(i))
-		if needDoc {
-			cnt.fallbacks++
-			v = docAccess(t.Raw(int(i)), a.Path, a.Type)
-		} else if rv.mode == modeColumn {
-			cnt.hits++
-		}
-		if castErr {
-			cnt.castErrs++
-		}
-		vals[i] = v
+		vals[i] = p.cell(t, col, int(i), a, cnt)
 	}
 	sc.batch.Cols[ai] = vec.Vector{Type: a.Type, Boxed: vals[:n]}
 }

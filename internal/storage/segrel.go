@@ -9,7 +9,6 @@ import (
 	"repro/internal/blockstore"
 	"repro/internal/bufpool"
 	"repro/internal/column"
-	"repro/internal/expr"
 	"repro/internal/jsonb"
 	"repro/internal/keypath"
 	"repro/internal/obs"
@@ -21,7 +20,7 @@ import (
 // segRelation is the disk-backed counterpart of tilesRelation: a
 // relation whose tiles live in a segment file and whose scans
 // materialize only the blocks they touch, through the buffer pool.
-// Tile skipping, access resolution, and result values are identical
+// Tile skipping, access plans, and result values are identical
 // to the in-memory relation (both run the shared scan core); the
 // difference is purely physical — lazy, cached, checksummed I/O.
 type segRelation struct {
@@ -155,7 +154,7 @@ func (r *segRelation) openScanTile(ti int, cnt *scanCounters) scanTile {
 }
 
 // segTileView is a per-scan lazy view of one tile. Metadata queries
-// (row count, skip checks, column resolution) answer from the footer;
+// (row count, skip checks, access plans) answer from the footer;
 // column data and fallback documents load through the buffer pool on
 // first access and stay cached in the view for the rest of the scan.
 // Views are per-worker and never shared, so no locking.
@@ -174,6 +173,10 @@ type segTileView struct {
 func (v *segTileView) NumRows() int                     { return v.meta.Rows }
 func (v *segTileView) MayContainPath(path string) bool  { return v.meta.MayContainPath(path) }
 func (v *segTileView) ColumnsForPath(path string) []int { return v.meta.ColumnsForPath(path) }
+
+func (v *segTileView) ColumnType(idx int) (keypath.ValueType, bool) {
+	return v.meta.Columns[idx].StorageType, v.meta.Columns[idx].HasTypeOutliers
+}
 
 func (v *segTileView) account(info segment.ReadInfo) {
 	if v.cnt == nil {
@@ -203,48 +206,6 @@ func (v *segTileView) account(info segment.ReadInfo) {
 		v.cnt.rangeBytes += int64(info.StoredBytes)
 		v.cnt.retries += int64(info.Retries)
 	}
-}
-
-// neededRefs computes the conservative set of blocks the access list
-// can touch on this tile, mirroring resolveTileAccess's decision tree
-// from metadata alone: column (and dictionary) blocks for every column
-// a path resolves to, plus the fallback documents whenever any access
-// may read them (JSON-typed accesses, capped array paths, paths with
-// no extracted column, and ambiguous multi-column paths).
-func (v *segTileView) neededRefs(accesses []Access) []segment.BlockRef {
-	maxSlots := v.rel.cfg.maxSlots
-	var refs []segment.BlockRef
-	needDocs := false
-	for _, a := range accesses {
-		if a.Type == expr.TJSON {
-			needDocs = needDocs || mayContainTile(v, a, maxSlots)
-			continue
-		}
-		if _, capped := cappedPrefix(a.Path, maxSlots); capped {
-			needDocs = needDocs || mayContainTile(v, a, maxSlots)
-			continue
-		}
-		cols := v.meta.ColumnsForPath(a.PathEnc)
-		if len(cols) == 0 {
-			needDocs = needDocs || mayContainTile(v, a, maxSlots)
-			continue
-		}
-		if len(cols) > 1 {
-			// Ambiguous typing falls back on per-row NULLs.
-			needDocs = true
-		}
-		for _, ci := range cols {
-			cm := &v.meta.Columns[ci]
-			refs = append(refs, cm.Block)
-			if cm.HasDict {
-				refs = append(refs, cm.Dict)
-			}
-		}
-	}
-	if needDocs {
-		refs = append(refs, v.meta.Docs)
-	}
-	return refs
 }
 
 // Column lazily materializes one extracted column. A block that

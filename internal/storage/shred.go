@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/expr"
-	"repro/internal/jsonb"
 	"repro/internal/jsontape"
 	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
@@ -61,13 +60,6 @@ func (c *sparseColumn) appendTape(row int, n jsontape.Node) {
 	case keypath.TypeNull, keypath.TypeObject, keypath.TypeArray:
 		// Nulls and empty containers: presence only, no payload.
 	}
-}
-
-// value converts the stored payload to the desired SQL type through
-// the same conversion matrix every other format uses (treeValue), so
-// e.g. a Float access on a Bool value is NULL everywhere.
-func (c *sparseColumn) value(pos int, want expr.SQLType) expr.Value {
-	return treeValue(c.jsonValue(pos), want)
 }
 
 func (c *sparseColumn) jsonValue(pos int) jsonvalue.Value {
@@ -211,7 +203,7 @@ func (r *shredded) ScanWithStats(ctx context.Context, accesses []Access, workers
 		for i := lo; i < hi; i++ {
 			for ai, a := range accesses {
 				if reassemble[ai] {
-					row[ai] = r.reassembleAccess(i, a)
+					row[ai] = r.reassembleAccess(i, a, &cnt)
 					continue
 				}
 				v := expr.NullValue()
@@ -222,13 +214,13 @@ func (r *shredded) ScanWithStats(ctx context.Context, accesses []Access, workers
 						cs.pos[k]++
 					}
 					if cs.pos[k] < len(c.rows) && int(c.rows[cs.pos[k]]) == i {
-						v = c.value(cs.pos[k], a.Type)
+						v = treeValue(c.jsonValue(cs.pos[k]), a.Type, &cnt)
 						hit = true
 						break
 					}
 				}
 				if !hit && prefixed[ai] {
-					v = r.reassembleAccess(i, a)
+					v = r.reassembleAccess(i, a, &cnt)
 				}
 				row[ai] = v
 			}
@@ -240,16 +232,8 @@ func (r *shredded) ScanWithStats(ctx context.Context, accesses []Access, workers
 // reassembleAccess rebuilds the sub-document rooted at the access path
 // for row i from the stripes — Dremel record assembly, paid on every
 // -> access and on container-valued ->> accesses.
-func (r *shredded) reassembleAccess(i int, a Access) expr.Value {
-	doc := r.Reassemble(i)
-	v, ok := keypath.Lookup(doc, a.Path)
-	if !ok || v.IsNull() {
-		return expr.NullValue()
-	}
-	if a.Type == expr.TJSON {
-		return expr.JSONValue(jsonb.NewDoc(jsonb.Encode(v)))
-	}
-	return treeValue(v, a.Type)
+func (r *shredded) reassembleAccess(i int, a Access, cnt *scanCounters) expr.Value {
+	return treeAccess(r.Reassemble(i), a.Path, a.Type, cnt)
 }
 
 // hasPrefix reports whether any striped path lies strictly below p.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/keypath"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/tile"
 )
 
 // sinew implements the Sinew [57] baseline: one global schema,
@@ -22,22 +23,35 @@ import (
 // column's (or whose key fell under the threshold) are answered from
 // the per-document binary JSON.
 type sinew struct {
-	name    string
-	numRows int
-	cols    []sinewColumn
-	byPath  map[string]int
-	raw     [][]byte
+	name     string
+	numRows  int
+	maxSlots int
+	cols     []tile.ColumnInfo // StorageType is the mined type: no dates
+	byPath   map[string]int
+	raw      [][]byte
 }
 
 // sinewThreshold is Sinew's global column-extraction threshold: the
 // original paper's 60 %.
 const sinewThreshold = 0.6
 
-type sinewColumn struct {
-	path            string
-	minedType       keypath.ValueType
-	col             *column.Column
-	hasTypeOutliers bool
+// The global schema is one tile holding every row, with no seen-path
+// filter, so the scan plans its accesses as the tile scan core would.
+var _ scanTile = (*sinew)(nil)
+
+func (r *sinew) MayContainPath(string) bool      { return true }
+func (r *sinew) Column(idx int) *tile.ColumnInfo { return &r.cols[idx] }
+func (r *sinew) Raw(i int) jsonb.Doc             { return jsonb.NewDoc(r.raw[i]) }
+
+func (r *sinew) ColumnsForPath(path string) []int {
+	if ci, ok := r.byPath[path]; ok {
+		return []int{ci}
+	}
+	return nil
+}
+
+func (r *sinew) ColumnType(idx int) (keypath.ValueType, bool) {
+	return r.cols[idx].StorageType, r.cols[idx].HasTypeOutliers
 }
 
 type sinewLoader struct{ cfg LoaderConfig }
@@ -49,7 +63,7 @@ func (r *sinew) Stats() *stats.TableStats { return nil }
 func (r *sinew) SizeBytes() int {
 	total := 0
 	for _, c := range r.cols {
-		total += c.col.SizeBytes()
+		total += c.Col.SizeBytes()
 	}
 	for _, d := range r.raw {
 		total += len(d)
@@ -61,7 +75,7 @@ func (r *sinew) SizeBytes() int {
 func (r *sinew) ColumnSizeBytes() int {
 	total := 0
 	for _, c := range r.cols {
-		total += c.col.SizeBytes()
+		total += c.Col.SizeBytes()
 	}
 	return total
 }
@@ -70,7 +84,7 @@ func (r *sinew) ColumnSizeBytes() int {
 func (r *sinew) ExtractedPaths() []string {
 	out := make([]string, len(r.cols))
 	for i, c := range r.cols {
-		out[i] = c.path
+		out[i] = c.Path
 	}
 	return out
 }
@@ -79,13 +93,12 @@ func (r *sinew) ExtractedPaths() []string {
 // tiles, but the column-hit vs fallback split is still the interesting
 // signal (accesses missing from the single schema always fall back).
 func (r *sinew) ScanWithStats(ctx context.Context, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
-	// Resolve each access once against the single global schema.
-	res := make([]colResolver, len(accesses))
+	plans := make([]accessPlan, len(accesses))
+	cols := make([]*column.Column, len(accesses))
 	for i, a := range accesses {
-		if ci, ok := r.byPath[a.PathEnc]; ok {
-			res[i] = resolveColumn(r.cols[ci].col, r.cols[ci].minedType, r.cols[ci].hasTypeOutliers, a.Type)
-		} else {
-			res[i] = colResolver{mode: modeFallback}
+		plans[i] = planAccess(r, a, r.maxSlots)
+		if plans[i].readsColumn() {
+			cols[i] = r.cols[plans[i].col].Col
 		}
 	}
 	morselRangeCtx(ctx, r.numRows, workers, func(w, lo, hi int) {
@@ -94,24 +107,8 @@ func (r *sinew) ScanWithStats(ctx context.Context, accesses []Access, workers in
 		defer cnt.flush(st)
 		cnt.rows = int64(hi - lo)
 		for i := lo; i < hi; i++ {
-			var d jsonb.Doc
-			haveDoc := false
-			for ai := range accesses {
-				v, needDoc, castErr := res[ai].read(i)
-				if needDoc {
-					cnt.fallbacks++
-					if !haveDoc {
-						d = jsonb.NewDoc(r.raw[i])
-						haveDoc = true
-					}
-					v = docAccess(d, accesses[ai].Path, accesses[ai].Type)
-				} else if res[ai].mode == modeColumn {
-					cnt.hits++
-				}
-				if castErr {
-					cnt.castErrs++
-				}
-				row[ai] = v
+			for ai, a := range accesses {
+				row[ai] = plans[ai].cell(r, cols[ai], i, a, &cnt)
 			}
 			emit(w, row)
 		}
@@ -178,13 +175,14 @@ func (l sinewLoader) Load(name string, lines [][]byte, workers int) (Relation, e
 	}
 	sort.Slice(items, func(i, j int) bool { return items[i].Path < items[j].Path })
 
-	r := &sinew{name: name, numRows: len(tapes), byPath: map[string]int{}}
+	r := &sinew{name: name, numRows: len(tapes), maxSlots: scanCfgOf(l.cfg).maxSlots, byPath: map[string]int{}}
 	for _, it := range items {
 		r.byPath[it.Path] = len(r.cols)
-		r.cols = append(r.cols, sinewColumn{
-			path:      it.Path,
-			minedType: it.Type,
-			col:       column.New(it.Type),
+		r.cols = append(r.cols, tile.ColumnInfo{
+			Path:        it.Path,
+			MinedType:   it.Type,
+			StorageType: it.Type,
+			Col:         column.New(it.Type),
 		})
 	}
 
@@ -212,26 +210,26 @@ func (l sinewLoader) Load(name string, lines [][]byte, workers int) (Relation, e
 		for ci := range r.cols {
 			sc := &r.cols[ci]
 			if stamp[ci] != di {
-				sc.col.AppendNull()
+				sc.Col.AppendNull()
 				continue
 			}
-			if lastType[ci] != sc.minedType {
-				sc.col.AppendNull()
+			if lastType[ci] != sc.MinedType {
+				sc.Col.AppendNull()
 				if lastType[ci] != keypath.TypeNull {
-					sc.hasTypeOutliers = true
+					sc.HasTypeOutliers = true
 				}
 				continue
 			}
 			n := lastNode[ci]
-			switch sc.minedType {
+			switch sc.MinedType {
 			case keypath.TypeBigInt:
-				sc.col.AppendInt(n.IntVal())
+				sc.Col.AppendInt(n.IntVal())
 			case keypath.TypeDouble:
-				sc.col.AppendFloat(n.FloatVal())
+				sc.Col.AppendFloat(n.FloatVal())
 			case keypath.TypeBool:
-				sc.col.AppendBool(n.BoolVal())
+				sc.Col.AppendBool(n.BoolVal())
 			case keypath.TypeString:
-				sc.col.AppendString(n.StringVal())
+				sc.Col.AppendString(n.StringVal())
 			}
 		}
 	}

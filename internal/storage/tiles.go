@@ -18,7 +18,7 @@ import (
 
 // tilesRelation is the paper's contribution: documents stored as JSON
 // tiles with local column extraction, partition reordering during
-// load, relation-level statistics, per-tile access resolution, and
+// load, relation-level statistics, per-tile access plans, and
 // tile skipping.
 type tilesRelation struct {
 	name    string
@@ -318,11 +318,12 @@ func (c *scanCounters) flush(st *obs.ScanStats) {
 }
 
 // scanScratch holds what one morsel reuses from tile to tile — the
-// batch, boxed and widened vectors, and the narrowing predicates'
-// scratch, which holds the live-row selection — pooled across scans.
+// batch, the narrowing accesses' plans, boxed and widened vectors, and
+// the narrowing predicates' scratch, which holds the live-row
+// selection — pooled across scans.
 type scanScratch struct {
 	batch vec.Batch
-	bres  []batchResolver
+	plans []accessPlan
 	boxed [][]expr.Value
 	fbuf  [][]float64
 	ps    *vec.Scratch
@@ -335,7 +336,7 @@ var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 func getScanScratch(n int) *scanScratch {
 	s := scanScratchPool.Get().(*scanScratch)
 	s.batch.Cols = resize(s.batch.Cols, n)
-	s.bres = resize(s.bres, n)
+	s.plans = resize(s.plans, n)
 	s.boxed = resize(s.boxed, n)
 	s.fbuf = resize(s.fbuf, n)
 	return s
@@ -351,11 +352,10 @@ func resize[T any](s []T, n int) []T {
 }
 
 // putScanScratch returns s to the pool holding no reference into
-// buffer-pool memory: boxed cells, vectors and resolvers alias
-// documents and columns that an eviction or a dropped segment frees.
+// buffer-pool memory: boxed cells and vectors alias documents and
+// columns that an eviction or a dropped segment frees.
 func putScanScratch(s *scanScratch) {
 	clear(s.batch.Cols)
-	clear(s.bres)
 	for i, vals := range s.boxed {
 		clear(vals)
 		s.boxed[i] = vals[:0]

@@ -10,31 +10,12 @@ import (
 	"repro/internal/vec"
 )
 
-// Batch scanning over JSON tiles: each tile becomes one column batch.
-// Accesses served by a materialized column whose storage type matches
-// the requested SQL type are handed out as zero-copy slices of the
-// tile's column data; a BigInt column accessed as Float is widened in
-// a typed copy (still no boxing); provably-absent paths become
-// all-NULL vectors; everything else — binary-JSON fallbacks, renders,
-// type-outlier columns — is materialized cell-by-cell into a boxed
-// vector through the per-row colResolver. The loop itself lives in the
-// scan core (scancore.go), shared with the disk-backed segment
-// relation.
-
-type vecKind uint8
-
-const (
-	vkBoxed vecKind = iota
-	vkZero
-	vkIntToFloat
-	vkNullAll
-)
-
-type batchResolver struct {
-	kind vecKind
-	col  *column.Column
-	row  colResolver // boxed path: the row-at-a-time resolver
-}
+// Batch scanning over JSON tiles: each tile becomes one column batch,
+// each access filled as its plan (resolve.go) says — a zero-copy slice
+// of the tile's column, a BigInt column widened to Float in a typed
+// copy, an all-NULL vector, or a boxed vector filled cell by cell from
+// the column or the binary JSON. The loop itself lives in the scan core
+// (scancore.go), shared with the disk-backed segment relation.
 
 // zeroVec wraps a tile column's backing slices into a vector without
 // copying.

@@ -305,6 +305,11 @@ func (t *Tile) ColumnsForPath(path string) []int { return t.byPath[path] }
 // Column returns the descriptor at index idx.
 func (t *Tile) Column(idx int) *ColumnInfo { return &t.columns[idx] }
 
+// ColumnType returns the storage type and outlier flag of column idx.
+func (t *Tile) ColumnType(idx int) (storage keypath.ValueType, hasOutliers bool) {
+	return t.columns[idx].StorageType, t.columns[idx].HasTypeOutliers
+}
+
 // MayContainPath reports whether any tuple might carry the path: true
 // when the path is extracted or the seen-paths bloom filter matches.
 // False guarantees every access to the path yields null, which is
