@@ -82,6 +82,10 @@ type ScanStats struct {
 	// before resolving their remaining accesses: rows a conjunct of the
 	// filter on one access, or a null-rejecting access's NULL, rules out.
 	RowsNarrowed int64
+	// DocWalks counts rows whose binary JSON the scan walked once for
+	// all of the accesses their tile serves from documents; each such
+	// cell counts one JSONBFallback.
+	DocWalks int64
 	// Segment I/O (zero for in-memory relations): blocks and stored
 	// bytes read from disk, and buffer-pool hits vs misses for the
 	// scan's block accesses. Skipped tiles and unaccessed columns
@@ -304,6 +308,7 @@ func snapshotScanStats(st *obs.ScanStats) ScanStats {
 		RowsVectorized: st.RowsVectorized.Load(),
 		RowsFallback:   st.RowsFallback.Load(),
 		RowsNarrowed:   st.RowsNarrowed.Load(),
+		DocWalks:       st.DocWalks.Load(),
 		BlocksRead:     st.BlocksRead.Load(),
 		BlockBytes:     st.BlockBytes.Load(),
 		PoolHits:       st.PoolHits.Load(),
@@ -372,6 +377,9 @@ func (n *PlanNode) write(sb *strings.Builder, prefix, childPrefix string) {
 					s.TilesScanned, s.NumTiles, s.TilesSkipped, 100*s.SkipRatio())
 			}
 			fmt.Fprintf(sb, "; hits=%d fallbacks=%d", s.ColumnHits, s.JSONBFallbacks)
+			if s.DocWalks > 0 {
+				fmt.Fprintf(sb, " walks=%d", s.DocWalks)
+			}
 			if s.CastErrors > 0 {
 				fmt.Fprintf(sb, " cast_errors=%d", s.CastErrors)
 			}

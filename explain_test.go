@@ -263,6 +263,32 @@ func TestExplainAnalyzeBatchCounters(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeDocWalks pins the document-walk accounting: a text
+// read of a date, which a tile serves from its documents (§4.9), walks
+// each scanned row's binary JSON once, and reads the two other
+// document-served paths in the same walk, one JSONB fallback per cell.
+func TestExplainAnalyzeDocWalks(t *testing.T) {
+	tbl, err := Load("reviews", reviewDocs(600), opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := tbl.Query("data->>'date'", "data->'date'", "data->>'stars'::BigInt", "data->>'missing'").
+		RunAnalyzed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := stats.Plan.Find("Scan")
+	if scan == nil || scan.Scan == nil {
+		t.Fatalf("no scan stats:\n%s", stats.Plan)
+	}
+	if s := scan.Scan; s.DocWalks != s.RowsScanned || s.JSONBFallbacks != 2*s.RowsScanned {
+		t.Fatalf("walks %d, fallbacks %d, scanned %d", s.DocWalks, s.JSONBFallbacks, s.RowsScanned)
+	}
+	if out := stats.String(); !strings.Contains(out, " walks=600") {
+		t.Fatalf("analyzed plan misses walks=600:\n%s", out)
+	}
+}
+
 // TestExplainAnalyzeDictCounters pins the dictionary fast-path
 // accounting: a string-equality filter plus a low-cardinality GROUP BY
 // over dictionary-encoded columns must report code-space kernel

@@ -317,6 +317,9 @@ var (
 	// emitting their tile's batch: rows an access's pushed conjunct, or
 	// the implicit IS NOT NULL of a null-rejecting access, did not keep.
 	RowsNarrowed = Default.Counter("rows_narrowed")
+	// DocWalks counts rows whose binary JSON a tile scan walked once to
+	// fill every access the tile serves from documents.
+	DocWalks = Default.Counter("doc_walks")
 	// KernelDispatches counts invocations of vectorized predicate or
 	// aggregate kernels (one per batch per compiled kernel tree).
 	KernelDispatches = Default.Counter("kernel_dispatches")

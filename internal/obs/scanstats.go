@@ -37,6 +37,9 @@ type ScanStats struct {
 	// RowsNarrowed counts scanned rows the scan core dropped before
 	// emitting their batch (EXPLAIN ANALYZE `narrowed=`).
 	RowsNarrowed atomic.Int64
+	// DocWalks counts rows whose binary JSON one walk read for every
+	// document-served access of their tile (EXPLAIN ANALYZE `walks=`).
+	DocWalks atomic.Int64
 
 	// Segment I/O split (zero for in-memory relations): blocks and
 	// stored bytes read from disk, buffer-pool hits vs misses for this

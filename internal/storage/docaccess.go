@@ -71,20 +71,31 @@ func castJSON(v expr.Value, want expr.SQLType, cnt *scanCounters) expr.Value {
 }
 
 // docAccess reads path from a binary JSON document as want — the typed
-// access expressions of §4.5/§5.4.
+// access expressions of §4.5/§5.4. A tile scan reads its
+// document-served accesses with one walk per row instead (docWalk); both
+// navigate with docStep and convert with docValue.
 func docAccess(d jsonb.Doc, path keypath.Path, want expr.SQLType, cnt *scanCounters) expr.Value {
 	cur := d
 	for _, seg := range path.Segs {
 		var ok bool
-		if seg.IsIndex {
-			cur, ok = cur.Index(seg.Index)
-		} else {
-			cur, ok = cur.Get(seg.Key)
-		}
-		if !ok {
+		if cur, ok = docStep(cur, seg); !ok {
 			return expr.NullValue() // absent key or parent: SQL NULL
 		}
 	}
+	return docValue(cur, want, cnt)
+}
+
+// docStep follows one path step: an object's key, or an array's slot.
+// It fails on a value of the other kind, JSON null included.
+func docStep(d jsonb.Doc, seg keypath.Segment) (jsonb.Doc, bool) {
+	if seg.IsIndex {
+		return d.Index(seg.Index)
+	}
+	return d.Get(seg.Key)
+}
+
+// docValue reads the value a path reached as want.
+func docValue(cur jsonb.Doc, want expr.SQLType, cnt *scanCounters) expr.Value {
 	switch {
 	case cur.IsNull():
 		return expr.NullValue()

@@ -22,14 +22,13 @@ import (
 // has not reached — full window, a worker running ahead — is fetched
 // by the claim itself. Either way a tile is fetched once.
 type fetchWindow struct {
-	ctx      context.Context
-	src      scanSource
-	accesses []Access
-	cfg      scanConfig
-	st       *obs.ScanStats
-	order    []int // tiles in the order workers will want them
-	budget   int64
-	floor    int
+	ctx    context.Context
+	src    scanSource
+	sp     *scanPlan
+	st     *obs.ScanStats
+	order  []int // tiles in the order workers will want them
+	budget int64
+	floor  int
 
 	mu         sync.Mutex
 	next       int          // order[next:] is not yet looked at
@@ -61,7 +60,7 @@ const maxAheadTiles = 64
 // and close are no-ops — when the scan will not touch the store: the
 // source is in memory, or every block of every surviving tile is
 // already resident. nTiles is the source's tile count.
-func newFetchWindow(ctx context.Context, src scanSource, accesses []Access, morsels []morsel, nTiles, workers int, st *obs.ScanStats) *fetchWindow {
+func newFetchWindow(ctx context.Context, src scanSource, sp *scanPlan, morsels []morsel, nTiles, workers int, st *obs.ScanStats) *fetchWindow {
 	pooled, ok := src.(interface{ Pool() *bufpool.Pool })
 	if !ok {
 		return nil
@@ -72,7 +71,7 @@ func newFetchWindow(ctx context.Context, src scanSource, accesses []Access, mors
 		limit = q
 	}
 	fw := &fetchWindow{
-		ctx: ctx, src: src, accesses: accesses, cfg: src.scanConfig(), st: st,
+		ctx: ctx, src: src, sp: sp, st: st,
 		budget: limit / 2, floor: max(workers, 1),
 		fetches: make([]*tileFetch, nTiles),
 		planCnt: scanCounters{tenant: tenant},
@@ -112,13 +111,13 @@ func fetchOrder(morsels []morsel, workers int) []int {
 // scan will not read. nil means the tile is skipped or fully resident.
 func (fw *fetchWindow) plan(ti int) *tileFetch {
 	t, ok := fw.src.openScanTile(ti, &fw.planCnt).(*segTileView)
-	if !ok || (fw.cfg.skipTiles && skippableTile(t, fw.accesses, fw.cfg.maxSlots)) {
+	if !ok || fw.sp.skippable(t) {
 		return nil
 	}
 	var refs []segment.BlockRef
 	docs := false
-	for _, a := range fw.accesses {
-		p := planAccess(t, a, fw.cfg.maxSlots)
+	for ai := range fw.sp.accesses {
+		p := fw.sp.plan(t, ai)
 		docs = docs || p.readsDocs()
 		if p.readsColumn() {
 			cm := &t.meta.Columns[p.col]

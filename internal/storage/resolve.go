@@ -48,17 +48,42 @@ func (p accessPlan) vector() bool { return p.serve <= serveWiden }
 func (p accessPlan) readsColumn() bool { return p.serve >= serveZero && p.serve <= serveCast }
 func (p accessPlan) readsDocs() bool   { return p.serve == serveDoc || p.docOnNull }
 
-// planAccess decides how tile t serves access a. A column serves every
-// type but ::JSON, except that a timestamp column serves only
-// ::Timestamp: the original text of a date is in the document alone
-// (§4.9). Of several columns for the path the first that serves is
-// taken, and its NULLs divert to the document, where the rows another
-// column holds are. It reads tile metadata only: which columns hold
-// the path, their storage types and outlier flags, and whether the
+// headerPath is the path tile headers answer for about one access: its
+// own, or, for a path that indexes an array slot at or beyond the
+// collection cap (capped), the prefix naming the array itself. A capped
+// path can occur in documents while no header lists it and no column
+// holds it, so only its prefix's absence proves anything.
+type headerPath struct {
+	enc    string
+	capped bool
+}
+
+// headerPaths computes each access's header path, once per scan.
+func headerPaths(accesses []Access, maxSlots int) []headerPath {
+	hs := make([]headerPath, len(accesses))
+	for ai, a := range accesses {
+		hs[ai] = headerPath{enc: a.PathEnc}
+		for i, seg := range a.Path.Segs {
+			if seg.IsIndex && seg.Index >= maxSlots {
+				hs[ai] = headerPath{enc: keypath.Path{Segs: a.Path.Segs[:i]}.Encode(), capped: true}
+				break
+			}
+		}
+	}
+	return hs
+}
+
+// planAccess decides how tile t serves access a, whose header path is
+// h. A column serves every type but ::JSON, except that a timestamp
+// column serves only ::Timestamp: the original text of a date is in the
+// document alone (§4.9). Of several columns for the path the first that
+// serves is taken, and its NULLs divert to the document, where the rows
+// another column holds are. It reads tile metadata only: which columns
+// hold the path, their storage types and outlier flags, and whether the
 // path may occur at all.
-func planAccess(t scanTile, a Access, maxSlots int) accessPlan {
+func planAccess(t scanTile, a Access, h headerPath) accessPlan {
 	var cols []int
-	if _, capped := cappedPrefix(a.Path, maxSlots); !capped && a.Type != expr.TJSON {
+	if !h.capped && a.Type != expr.TJSON {
 		cols = t.ColumnsForPath(a.PathEnc)
 	}
 	for _, ci := range cols {
@@ -76,7 +101,7 @@ func planAccess(t scanTile, a Access, maxSlots int) accessPlan {
 		}
 		return p
 	}
-	if !mayContainTile(t, a, maxSlots) {
+	if !t.MayContainPath(h.enc) {
 		return accessPlan{serve: serveNull}
 	}
 	return accessPlan{serve: serveDoc}

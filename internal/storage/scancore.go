@@ -57,29 +57,6 @@ type scanConfig struct {
 	maxSlots  int
 }
 
-// mayContainTile answers MayContainPath with the capped-slot
-// correction: paths indexing an array slot at or beyond the
-// collection cap are invisible to tile headers, so only their prefix
-// (the array itself) can be consulted.
-func mayContainTile(t scanTile, a Access, maxSlots int) bool {
-	if prefix, capped := cappedPrefix(a.Path, maxSlots); capped {
-		return t.MayContainPath(prefix)
-	}
-	return t.MayContainPath(a.PathEnc)
-}
-
-// skippableTile reports whether the tile provably contains no tuple
-// that can satisfy the query: some null-rejecting access targets a
-// path absent from the whole tile (§4.8). Metadata-only.
-func skippableTile(t scanTile, accesses []Access, maxSlots int) bool {
-	for _, a := range accesses {
-		if a.NullRejecting && !mayContainTile(t, a, maxSlots) {
-			return true
-		}
-	}
-	return false
-}
-
 // scanRows is the row scan (StatsScanner) of a tile-backed relation:
 // it runs the relation's batch scan and boxes each selected row of
 // each batch into the worker's row buffer. Rows the batch core narrows
@@ -100,11 +77,23 @@ func scanRows(ctx context.Context, bs BatchScanner, accesses []Access, workers i
 	}, st)
 }
 
-// planNarrowing compiles, once per scan, the predicate each access
-// narrows a tile's rows with (nil: it does not narrow): its Filter,
-// or, for a NullRejecting access without one, IS NOT NULL.
-func planNarrowing(accesses []Access) []*vec.CompiledPred {
-	preds := make([]*vec.CompiledPred, len(accesses))
+// scanPlan is what a tile scan compiles once from its accesses and
+// shares, read-only, among its workers: each access's header path, the
+// predicate each narrowing access narrows a tile's rows with, and the
+// path trie of the accesses fillBatch fills after narrowing.
+type scanPlan struct {
+	accesses []Access
+	cfg      scanConfig
+	headers  []headerPath
+	// preds[ai] is access ai's Filter, or, for a NullRejecting access
+	// without one, IS NOT NULL; nil when it does not narrow.
+	preds []*vec.CompiledPred
+	trie  pathTrie
+}
+
+func newScanPlan(accesses []Access, cfg scanConfig) *scanPlan {
+	sp := &scanPlan{accesses: accesses, cfg: cfg, headers: headerPaths(accesses, cfg.maxSlots),
+		preds: make([]*vec.CompiledPred, len(accesses))}
 	for ai, a := range accesses {
 		f := a.Filter
 		if f == nil && a.NullRejecting {
@@ -117,9 +106,31 @@ func planNarrowing(accesses []Access) []*vec.CompiledPred {
 		if !ok {
 			panic("storage: an access filter reads a column outside the scan")
 		}
-		preds[ai] = p
+		sp.preds[ai] = p
 	}
-	return preds
+	sp.trie = compilePathTrie(accesses, func(ai int) bool { return sp.preds[ai] == nil })
+	return sp
+}
+
+// plan is how tile t serves access ai.
+func (sp *scanPlan) plan(t scanTile, ai int) accessPlan {
+	return planAccess(t, sp.accesses[ai], sp.headers[ai])
+}
+
+// skippable reports whether the scan may skip tile t: it provably
+// contains no tuple that can satisfy the query, as some null-rejecting
+// access targets a path absent from the whole tile (§4.8).
+// Metadata-only.
+func (sp *scanPlan) skippable(t scanTile) bool {
+	if !sp.cfg.skipTiles {
+		return false
+	}
+	for ai, a := range sp.accesses {
+		if a.NullRejecting && !t.MayContainPath(sp.headers[ai].enc) {
+			return true
+		}
+	}
+	return false
 }
 
 // scanBatchesCore is the shared tile scan loop: one batch per
@@ -132,7 +143,6 @@ func planNarrowing(accesses []Access) []*vec.CompiledPred {
 // boxed cells are never materialized. Batches arrive with Sel != nil
 // whenever a row was dropped; a tile with no live row emits nothing.
 func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
-	cfg := src.scanConfig()
 	rowCounts := src.appendTileRows(nil)
 	if len(rowCounts) == 0 {
 		return
@@ -145,14 +155,14 @@ func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, wor
 		offs[i] = run
 		run += int64(n)
 	}
-	preds := planNarrowing(accesses)
+	sp := newScanPlan(accesses, src.scanConfig())
 	morsels := buildTileMorsels(rowCounts, workers, DefaultMorselRows)
-	fw := newFetchWindow(ctx, src, accesses, morsels, len(rowCounts), workers, st)
+	fw := newFetchWindow(ctx, src, sp, morsels, len(rowCounts), workers, st)
 	defer fw.close()
 	runMorsels(ctx, morsels, workers, func(w int, m morsel) {
 		sc := getScanScratch(len(accesses))
 		defer putScanScratch(sc)
-		for _, p := range preds {
+		for _, p := range sp.preds {
 			if p != nil {
 				sc.ps = p.Fit(sc.ps)
 			}
@@ -161,14 +171,14 @@ func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, wor
 		defer cnt.flush(st)
 		for ti := m.lo; ti < m.hi; ti++ {
 			t := src.openScanTile(ti, &cnt)
-			if cfg.skipTiles && skippableTile(t, accesses, cfg.maxSlots) {
+			if sp.skippable(t) {
 				cnt.tilesSkipped++
 				continue
 			}
 			cnt.tilesScanned++
 			fw.claim(ti)
 			cnt.rows += int64(t.NumRows())
-			if !sc.fillBatch(t, accesses, preds, cfg.maxSlots, &cnt) {
+			if !sc.fillBatch(t, sp, &cnt) {
 				continue
 			}
 			cnt.batches++
@@ -182,10 +192,11 @@ func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, wor
 // it goes. The narrowing accesses are planned first; those the plan
 // fills as a vector (zero-copy, widened, all-NULL) fill at once and run
 // their predicate over the live rows. Then each cell-by-cell narrowing
-// access fills the rows still live and narrows them, and last every
-// other access fills the rows left. It reports false, planning nothing
-// further, once no row is live.
-func (sc *scanScratch) fillBatch(t scanTile, accesses []Access, preds []*vec.CompiledPred, maxSlots int, cnt *scanCounters) (live bool) {
+// access fills the rows still live and narrows them. Last every other
+// access fills the rows left: a vector at once, a column cell by cell,
+// and all those the documents serve in one walk per row (walkDocs). It
+// reports false, planning nothing further, once no row is live.
+func (sc *scanScratch) fillBatch(t scanTile, sp *scanPlan, cnt *scanCounters) (live bool) {
 	n := t.NumRows()
 	sc.batch.Len, sc.batch.Sel = n, nil
 	allVec := true
@@ -201,42 +212,68 @@ func (sc *scanScratch) fillBatch(t scanTile, accesses []Access, preds []*vec.Com
 			cnt.rowsFallback += int64(n)
 		}
 	}()
-	for ai, p := range preds {
+	for ai, p := range sp.preds {
 		if p == nil {
 			continue
 		}
-		plan := planAccess(t, accesses[ai], maxSlots)
+		plan := sp.plan(t, ai)
 		sc.plans[ai] = plan
 		if !plan.vector() {
 			allVec = false
 			continue
 		}
-		sc.fillVector(t, ai, accesses[ai].Type, plan, cnt)
+		sc.fillVector(t, ai, sp.accesses[ai].Type, plan, cnt)
 		if !sc.narrow(p, cnt) {
 			return false
 		}
 	}
-	for ai, p := range preds {
+	for ai, p := range sp.preds {
 		if p == nil || sc.plans[ai].vector() {
 			continue
 		}
-		sc.fillBoxed(t, ai, accesses[ai], sc.plans[ai], cnt)
+		sc.fillBoxed(t, ai, sp.accesses[ai], sc.plans[ai], cnt)
 		if !sc.narrow(p, cnt) {
 			return false
 		}
 	}
-	for ai, p := range preds {
+	walk := false
+	for ai, p := range sp.preds {
 		if p != nil {
 			continue
 		}
-		if plan := planAccess(t, accesses[ai], maxSlots); plan.vector() {
-			sc.fillVector(t, ai, accesses[ai].Type, plan, cnt)
-		} else {
+		plan := sp.plan(t, ai)
+		sc.plans[ai] = plan
+		switch {
+		case plan.vector():
+			sc.fillVector(t, ai, sp.accesses[ai].Type, plan, cnt)
+		case plan.serve == serveDoc:
+			allVec, walk = false, true
+			sc.batch.Cols[ai] = vec.Vector{Type: sp.accesses[ai].Type, Boxed: sc.boxedBuf(ai)}
+		default:
 			allVec = false
-			sc.fillBoxed(t, ai, accesses[ai], plan, cnt)
+			sc.fillBoxed(t, ai, sp.accesses[ai], plan, cnt)
 		}
 	}
+	if walk {
+		sc.walkDocs(t, sp, cnt)
+	}
 	return n > 0
+}
+
+// walkDocs fills, for every live row, the accesses the stage above
+// planned serveDoc, reading the row's document once (docWalk). Each
+// such cell counts one JSONB fallback, as a looked-up cell does.
+func (sc *scanScratch) walkDocs(t scanTile, sp *scanPlan, cnt *scanCounters) {
+	w := &sc.walk
+	if !w.activate(&sp.trie, sc.plans, sp.accesses, sc.boxed) {
+		return
+	}
+	rows := sc.batch.Selected()
+	for _, i := range rows {
+		w.row(t.Raw(int(i)), int(i), cnt)
+	}
+	cnt.docWalks += int64(len(rows))
+	cnt.fallbacks += int64(len(rows) * len(w.cells))
 }
 
 // narrow keeps the live rows p selects; false once none is left. The
@@ -280,15 +317,7 @@ func (sc *scanScratch) fillVector(t scanTile, ai int, typ expr.SQLType, p access
 // fillBoxed reads access a cell by cell for the live rows, into the
 // boxed vector of slot ai.
 func (sc *scanScratch) fillBoxed(t scanTile, ai int, a Access, p accessPlan, cnt *scanCounters) {
-	n := sc.batch.Len
-	// len only grows: putScanScratch clears what was written.
-	vals := sc.boxed[ai]
-	if cap(vals) < n {
-		vals = make([]expr.Value, n)
-	} else if len(vals) < n {
-		vals = vals[:n]
-	}
-	sc.boxed[ai] = vals
+	vals := sc.boxedBuf(ai)
 	var col *column.Column
 	if p.readsColumn() {
 		col = t.Column(p.col).Col
@@ -296,5 +325,19 @@ func (sc *scanScratch) fillBoxed(t scanTile, ai int, a Access, p accessPlan, cnt
 	for _, i := range sc.batch.Selected() {
 		vals[i] = p.cell(t, col, int(i), a, cnt)
 	}
-	sc.batch.Cols[ai] = vec.Vector{Type: a.Type, Boxed: vals[:n]}
+	sc.batch.Cols[ai] = vec.Vector{Type: a.Type, Boxed: vals}
+}
+
+// boxedBuf returns slot ai's boxed buffer, sized to the batch. Its
+// length only grows: putScanScratch clears what was written.
+func (sc *scanScratch) boxedBuf(ai int) []expr.Value {
+	n := sc.batch.Len
+	vals := sc.boxed[ai]
+	if cap(vals) < n {
+		vals = make([]expr.Value, n)
+	} else if len(vals) < n {
+		vals = vals[:n]
+	}
+	sc.boxed[ai] = vals
+	return vals[:n]
 }

@@ -95,8 +95,9 @@ func (r *sinew) ExtractedPaths() []string {
 func (r *sinew) ScanWithStats(ctx context.Context, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
 	plans := make([]accessPlan, len(accesses))
 	cols := make([]*column.Column, len(accesses))
+	headers := headerPaths(accesses, r.maxSlots)
 	for i, a := range accesses {
-		plans[i] = planAccess(r, a, r.maxSlots)
+		plans[i] = planAccess(r, a, headers[i])
 		if plans[i].readsColumn() {
 			cols[i] = r.cols[plans[i].col].Col
 		}
