@@ -21,6 +21,8 @@
 //     `BenchmarkX` or `FuzzX` names a function of some _test.go file,
 //     and a bare lower-camelCase `name` (`scanBatchesCore`) a top-level
 //     declaration, method or struct field of some non-test file.
+//  4. Every backticked file path in README.md, DESIGN.md or
+//     EXPERIMENTS.md exists (see missingPath for what counts as one).
 package main
 
 import (
@@ -211,6 +213,32 @@ func codeText(doc string) []string {
 	return code
 }
 
+// pathRE matches a span that may cite a repository path: slash-
+// separated names (group 1), a trailing slash and a `:line` optional.
+var pathRE = regexp.MustCompile(`^([\w.-]+(?:/[\w.-]+)*)/?(?::\d[\d, –-]*)?$`)
+
+// missingPath reports whether span cites a missing path (rule 4): a
+// known file type or a path under a top-level directory, found from
+// the root, from internal/, or for a bare name among the repo's files.
+func missingPath(root string, files map[string]bool, span string) bool {
+	m := pathRE.FindStringSubmatch(strings.TrimSuffix(strings.Trim(span, "`"), "/..."))
+	if m == nil {
+		return false
+	}
+	first, _, nested := strings.Cut(m[1], "/")
+	fi, err := os.Stat(filepath.Join(root, first))
+	ext := filepath.Ext(m[1])
+	if (ext == "" || !strings.Contains(".go.md.json.txt.sh.yml.", ext+".")) && (!nested || err != nil || !fi.IsDir()) {
+		return false // neither a known file type nor under a top-level directory
+	}
+	for _, dir := range []string{root, filepath.Join(root, "internal")} {
+		if _, err := os.Stat(filepath.Join(dir, m[1])); err == nil {
+			return false
+		}
+	}
+	return nested || !files[m[1]]
+}
+
 func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "jtdoccheck:", err)
@@ -289,6 +317,26 @@ func main() {
 				if d != nil && !d[name] {
 					problems = append(problems, fmt.Sprintf("%s names `%s.%s`, which package %s does not declare", doc, pkg, name, pkg))
 				}
+			}
+		}
+	}
+
+	// 4. Docs cite only files that exist.
+	files := map[string]bool{}
+	check(filepath.WalkDir(*root, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != *root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		} else if err == nil {
+			files[d.Name()] = true
+		}
+		return err
+	}))
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(filepath.Join(*root, doc))
+		check(err)
+		for _, span := range codeSpanRE.FindAllString(fenceRE.ReplaceAllString(string(text), ""), -1) {
+			if missingPath(*root, files, span) {
+				problems = append(problems, fmt.Sprintf("%s cites %s, which does not exist", doc, span))
 			}
 		}
 	}

@@ -476,13 +476,14 @@ func TestExplainAnalyzeRowsGolden(t *testing.T) {
 		t.Fatalf("plan rows %v, want %v\n%s", got, want, stats)
 	}
 	// Every operator ran on column batches, and the summary line says
-	// how many rows were boxed: the heap entry and the result row.
+	// how many rows were boxed: the heap entry. The result row stays in
+	// column vectors.
 	text := stats.String()
 	if n := strings.Count(text, "[vectorized]"); n != len(want) {
 		t.Errorf("%d of %d operators tagged [vectorized]:\n%s", n, len(want), text)
 	}
-	if stats.RowsBoxed != 2 || !strings.Contains(text, "boxed=2") {
-		t.Errorf("RowsBoxed = %d, want 2 (one heap entry, one result row):\n%s", stats.RowsBoxed, text)
+	if stats.RowsBoxed != 1 || !strings.Contains(text, "boxed=1") {
+		t.Errorf("RowsBoxed = %d, want 1 (one heap entry):\n%s", stats.RowsBoxed, text)
 	}
 }
 

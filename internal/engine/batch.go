@@ -1,8 +1,9 @@
 // The two adapters between rows and batches. Rows enter the engine
 // through rowBatcher (inputs that cannot emit column vectors: row-only
-// storage formats, replayed results, sorted output) and leave it
-// through boxRow (Materialize, the top-K heap) — the only
-// place a cell becomes an expr.Value, counted in obs.RowsBoxed.
+// storage formats, replayed results, sorted output); boxRow boxes the
+// rows entering a sort buffer or the top-K heap. Results leave the
+// engine as columns (collect.go), boxed only by Collected.Box. Both
+// count their rows in obs.RowsBoxed.
 package engine
 
 import (

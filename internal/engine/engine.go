@@ -2,10 +2,11 @@
 // queries run on: table scans with pushed-down JSON access expressions
 // (paper §4.2), selections, projections, hash joins, hash aggregation,
 // sorting and limits. Operators exchange column batches (typed vectors
-// plus a selection vector); cells are boxed into expr.Value rows only
-// where a result leaves the engine. Scans parallelize morsel-style
-// over tiles (or row ranges); stateful operators keep per-worker state
-// and merge, so the scalability experiment (Figure 8) sweeps one knob.
+// plus a selection vector); a result is collected as column vectors
+// (Collect) and boxed into expr.Value rows only on request (Box).
+// Scans parallelize morsel-style over tiles (or row ranges); stateful
+// operators keep per-worker state and merge, so the scalability
+// experiment (Figure 8) sweeps one knob.
 package engine
 
 import (
@@ -282,18 +283,10 @@ func (p *Project) RunBatches(workers int, emit BatchEmitFunc) {
 	})
 }
 
-// Materialize runs an operator and collects all rows — the terminal
-// consumer for tests, tools and benchmarks, and the boundary where
-// cells are boxed. Rows are gathered per worker and concatenated
-// worker-ascending.
+// Materialize runs an operator and boxes all its rows — the terminal
+// consumer for tests, tools and benchmarks: Collect, then Box.
 func Materialize(op Operator, workers int) *Result {
-	res := &Result{Cols: op.Columns()}
-	parts := perWorker(workers, func() [][]expr.Value { return nil })
-	op.RunBatches(workers, func(w int, b *vec.Batch) { parts[w] = appendBoxedRows(parts[w], b) })
-	for _, rows := range parts {
-		res.Rows = append(res.Rows, rows...)
-	}
-	return res
+	return Collect(op, workers).Box()
 }
 
 // CountRows runs an operator and counts its rows from the selection
@@ -315,23 +308,13 @@ type Result struct {
 }
 
 // SortRows orders the result deterministically by every column (tests
-// compare results across formats).
+// compare results across formats); Collected.SortedOrder gives the
+// same order without boxing.
 func (r *Result) SortRows() {
 	sort.Slice(r.Rows, func(i, j int) bool {
 		for c := range r.Rows[i] {
-			a, b := r.Rows[i][c], r.Rows[j][c]
-			if a.Null != b.Null {
-				return a.Null
-			}
-			if a.Null {
-				continue
-			}
-			if cv, ok := expr.Compare(a, b); ok && cv != 0 {
-				return cv < 0
-			}
-			as, bs := a.String(), b.String()
-			if as != bs {
-				return as < bs
+			if o := valueOrder(r.Rows[i][c], r.Rows[j][c]); o != 0 {
+				return o < 0
 			}
 		}
 		return false

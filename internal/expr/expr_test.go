@@ -246,18 +246,3 @@ func TestNullRejectedSlots(t *testing.T) {
 		}
 	}
 }
-
-func TestGroupKeyDistinguishesTypesAndNull(t *testing.T) {
-	vals := []Value{
-		NullValue(), BoolValue(true), BoolValue(false),
-		IntValue(1), FloatValue(1), TextValue("1"), TimestampValue(1),
-	}
-	seen := map[string]int{}
-	for i, v := range vals {
-		k := v.GroupKey()
-		if j, dup := seen[k]; dup {
-			t.Errorf("values %d and %d share key %q", i, j, k)
-		}
-		seen[k] = i
-	}
-}

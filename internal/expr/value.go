@@ -176,48 +176,3 @@ func Equal(a, b Value) bool {
 	c, ok := Compare(a, b)
 	return ok && c == 0
 }
-
-// GroupKey renders a value as a hashable group-by / join key. NULLs
-// map to a distinct marker (SQL GROUP BY treats NULLs as one group;
-// joins never match on NULL — callers filter those before keying).
-func (v Value) GroupKey() string {
-	if v.Null {
-		return "\x00N"
-	}
-	switch v.Typ {
-	case TBool:
-		if v.B {
-			return "\x01t"
-		}
-		return "\x01f"
-	case TBigInt:
-		return "\x02" + strconv.FormatInt(v.I, 10)
-	case TFloat:
-		return "\x03" + strconv.FormatFloat(v.F, 'b', -1, 64)
-	case TText:
-		return "\x04" + v.S
-	case TTimestamp:
-		return "\x05" + strconv.FormatInt(v.I, 10)
-	case TJSON:
-		return "\x06" + v.Doc.JSON()
-	}
-	return "\x00N"
-}
-
-// NumericGroupKey returns an int64 key for numeric values so hot
-// aggregation paths avoid string keys; ok is false for other types.
-func (v Value) NumericGroupKey() (int64, bool) {
-	if v.Null {
-		return 0, false
-	}
-	switch v.Typ {
-	case TBigInt, TTimestamp:
-		return v.I, true
-	case TBool:
-		if v.B {
-			return 1, true
-		}
-		return 0, true
-	}
-	return 0, false
-}

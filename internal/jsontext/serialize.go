@@ -82,36 +82,58 @@ func AppendFloat(dst []byte, f float64) []byte {
 
 const hexDigits = "0123456789abcdef"
 
-// AppendQuoted appends s as a quoted, escaped JSON string.
-func AppendQuoted(dst []byte, s string) []byte {
+// AppendQuoted appends s as a quoted, escaped JSON string; invalid
+// UTF-8 becomes \ufffd, so the output is always valid JSON text.
+func AppendQuoted(dst []byte, s string) []byte { return appendQuoted(dst, s, false) }
+
+// AppendQuotedHTML appends s exactly as encoding/json writes it, with
+// '<', '>', '&', U+2028 and U+2029 escaped as well.
+func AppendQuotedHTML[S []byte | string](dst []byte, s S) []byte { return appendQuoted(dst, s, true) }
+
+// quoteSafe flags the bytes appendQuoted copies verbatim: bit 1
+// without HTML escaping, bit 2 with it.
+var quoteSafe = func() (t [256]uint8) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = 3
+	}
+	t['"'], t['\\'], t['<'], t['>'], t['&'] = 0, 0, 1, 1, 1
+	return t
+}()
+
+func appendQuoted[S []byte | string](dst []byte, s S, html bool) []byte {
+	mask := uint8(1)
+	if html {
+		mask = 2
+	}
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		c := s[i]
-		if c >= 0x20 && c != '"' && c != '\\' && c < utf8.RuneSelf {
+		if quoteSafe[c]&mask != 0 {
 			i++
 			continue
 		}
 		if c >= utf8.RuneSelf {
-			// Validate UTF-8; invalid sequences are replaced so the
-			// output is always valid JSON text.
-			r, size := utf8.DecodeRuneInString(s[i:])
-			if r == utf8.RuneError && size == 1 {
+			r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
+			switch {
+			case r == utf8.RuneError && size == 1:
 				dst = append(dst, s[start:i]...)
 				dst = append(dst, "\\ufffd"...)
-				i++
-				start = i
+			case html && (r == '\u2028' || r == '\u2029'):
+				dst = append(dst, s[start:i]...)
+				dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+			default:
+				i += size
 				continue
 			}
 			i += size
+			start = i
 			continue
 		}
 		dst = append(dst, s[start:i]...)
 		switch c {
-		case '"':
-			dst = append(dst, '\\', '"')
-		case '\\':
-			dst = append(dst, '\\', '\\')
+		case '"', '\\':
+			dst = append(dst, '\\', c)
 		case '\b':
 			dst = append(dst, '\\', 'b')
 		case '\f':

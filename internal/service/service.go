@@ -29,12 +29,15 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	jsontiles "repro"
+	"repro/internal/jsontext"
 	"repro/internal/obs"
+	"repro/internal/vec"
 )
 
 // Config parameterizes a Server. Zero values select the defaults.
@@ -345,45 +348,43 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	streamResult(w, res, stats, time.Since(start))
 }
 
-// responseHeader is the first NDJSON line of a result stream.
-type responseHeader struct {
-	Columns []string `json:"columns"`
-}
-
-// responseTrailer is the last NDJSON line.
-type responseTrailer struct {
-	Rows   int     `json:"rows"`
-	WallMS float64 `json:"wall_ms"`
-	Plan   string  `json:"plan,omitempty"`
-}
-
 // streamResult writes the result as NDJSON: a columns header, one
-// JSON array per row, and a trailer with the row count and wall time.
-// The engine materializes results before any byte is written (see
-// DESIGN §6.7), so streaming here bounds response memory on the HTTP
-// side, not in the engine.
+// JSON array per row, and a trailer with the row count, wall time and,
+// when analyzed, the plan. Rows are encoded straight from the result's
+// column vectors (Result.AppendJSONRow) into one buffer, written out
+// every 32 KiB. The engine collects the whole result first (DESIGN
+// §6.7), so this bounds response memory on the HTTP side only.
 func streamResult(w http.ResponseWriter, res *jsontiles.Result, stats *jsontiles.QueryStats, wall time.Duration) {
+	const chunk = 32 << 10
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.Encode(responseHeader{Columns: res.Columns()})
+	buf := append(make([]byte, 0, chunk+chunk/4), `{"columns":[`...)
+	for i, c := range res.Columns() {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = jsontext.AppendQuotedHTML(buf, c)
+	}
+	buf = append(buf, "]}\n"...)
 	n := res.NumRows()
 	for i := 0; i < n; i++ {
-		row := res.Row(i)
-		vals := make([]any, len(row))
-		for j, v := range row {
-			vals[j] = v.Any()
-		}
-		enc.Encode(vals)
-		if flusher != nil && i%1024 == 1023 {
-			flusher.Flush()
+		buf = append(res.AppendJSONRow(buf, i), '\n')
+		if len(buf) >= chunk {
+			w.Write(buf)
+			buf = buf[:0]
+			if flusher != nil {
+				flusher.Flush()
+			}
 		}
 	}
-	tr := responseTrailer{Rows: n, WallMS: float64(wall) / float64(time.Millisecond)}
+	buf = append(buf, `{"rows":`...)
+	buf = strconv.AppendInt(buf, int64(n), 10)
+	buf = append(buf, `,"wall_ms":`...)
+	buf = vec.AppendJSONFloat(buf, float64(wall)/float64(time.Millisecond))
 	if stats != nil && stats.Plan != nil {
-		tr.Plan = stats.Plan.String()
+		buf = jsontext.AppendQuotedHTML(append(buf, `,"plan":`...), stats.Plan.String())
 	}
-	enc.Encode(tr)
+	w.Write(append(buf, "}\n"...))
 	if flusher != nil {
 		flusher.Flush()
 	}

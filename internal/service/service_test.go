@@ -142,6 +142,37 @@ func TestQueryEndpointMatchesLibrary(t *testing.T) {
 	}
 }
 
+// TestNonFiniteFloatsAreServed: NaN and ±Inf cells reach the client
+// as the strings PostgreSQL's to_json gives them, every row streamed
+// and counted, and the library's Value.Any agrees.
+func TestNonFiniteFloatsAreServed(t *testing.T) {
+	docs := [][]byte{[]byte(`{"x":"NaN"}`), []byte(`{"x":"1.5"}`), []byte(`{"x":"Inf"}`), []byte(`{"x":"-Inf"}`)}
+	tbl, err := jsontiles.Load("floats", docs, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+	s.Register("floats", tbl)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	status, _, body := postQuery(t, ts.URL, "", `{"table": "floats", "select": ["data->>'x'::Float"]}`)
+	if status != http.StatusOK {
+		t.Fatalf("status %d:\n%s", status, body)
+	}
+	_, trailer, rows := ndjsonRows(t, body)
+	want := []string{`["-Infinity"]`, `[1.5]`, `["Infinity"]`, `["NaN"]`}
+	if strings.Join(rows, "\n") != strings.Join(want, "\n") || !strings.HasPrefix(trailer, `{"rows":4,`) {
+		t.Fatalf("rows %q, trailer %s; want rows %q and a trailer counting 4", rows, trailer, want)
+	}
+	res, err := tbl.Query("data->>'x'::Float").Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := libraryRows(t, res); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("library rows %q, want %q", got, want)
+	}
+}
+
 func TestQueryEndpointErrors(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 	cases := []struct {

@@ -109,6 +109,7 @@ func (b *Builder) AppendVector(src *Vector, sel []int32, n int) {
 	if sel == nil {
 		sel = Iota(n)
 	}
+	b.grow(src, sel)
 	v := &b.Vec
 	if src.Nulls == nil && src.Boxed == nil && !src.AllNull && v.Boxed == nil && src.Type == v.Type {
 		switch v.Type {
@@ -129,4 +130,39 @@ func (b *Builder) AppendVector(src *Vector, sel []int32, n int) {
 	for _, i := range sel {
 		b.AppendCell(src, int(i))
 	}
+}
+
+// grow makes room for the selected rows of src, at least doubling
+// what is full, so a column appended batch by batch copies each cell a
+// constant number of times. Text from a plain arena reserves the bytes
+// between the first and last selected entries: the exact count for a
+// dense selection.
+func (b *Builder) grow(src *Vector, sel []int32) {
+	text := 0
+	if n := len(sel); n > 0 && src.Type == expr.TText && src.Boxed == nil && !src.AllNull && !src.Dict && src.StrIdx == nil {
+		text = int(src.StrOff[sel[n-1]])
+		if sel[0] > 0 {
+			text -= int(src.StrOff[sel[0]-1])
+		}
+	}
+	switch v, n := &b.Vec, len(sel); {
+	case v.Boxed != nil:
+		v.Boxed = reserve(v.Boxed, n)
+	case v.Type == expr.TFloat:
+		v.Floats = reserve(v.Floats, n)
+	case v.Type == expr.TText:
+		v.StrOff = reserve(v.StrOff, n)
+		v.StrBytes = reserve(v.StrBytes, text)
+	default:
+		v.Ints = reserve(v.Ints, n)
+	}
+}
+
+// reserve returns s with room for n more elements, at least doubling
+// its capacity when it grows.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+max(n, cap(s))), s...)
 }

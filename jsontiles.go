@@ -33,7 +33,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/jsontape"
 	"repro/internal/jsonvalue"
 	"repro/internal/storage"
@@ -361,9 +360,4 @@ func (t *Table) LoadStats() LoadStats {
 		DocsTape:        snap.DocsTape,
 		SubtreesSkipped: snap.SubtreesSkipped,
 	}
-}
-
-// materialize is a helper shared with Query.Run.
-func materialize(op engine.Operator, workers int) *engine.Result {
-	return engine.Materialize(op, workers)
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/storage"
+	"repro/internal/vec"
 )
 
 // Query is a fluent query over one or more tables. Build it from
@@ -560,7 +561,7 @@ func (q *Query) run(ctx context.Context, analyze bool) (*Result, *QueryStats, er
 		base = obs.Default.Snapshot()
 	}
 	esp := sp.Child("execute")
-	res := materialize(root, workers)
+	res := engine.Collect(root, workers)
 	esp.End()
 	if cerr := ctx.Err(); cerr != nil {
 		// The scans stopped at a morsel boundary; the partial result is
@@ -574,21 +575,22 @@ func (q *Query) run(ctx context.Context, analyze bool) (*Result, *QueryStats, er
 		}
 		return nil, nil, fmt.Errorf("jsontiles: query cancelled: %w", cerr)
 	}
+	order := vec.Iota(res.Len)
 	if q.aggs == nil && len(q.orderBy) == 0 {
-		res.SortRows() // deterministic output for plain scans
+		order = res.SortedOrder() // deterministic output for plain scans
 	}
 	sp.End()
 	qh.Finish()
 	obs.QueriesRun.Inc()
-	obs.RowsEmitted.Add(int64(len(res.Rows)))
+	obs.RowsEmitted.Add(int64(res.Len))
 	if tenant != "" {
 		tc := obs.Tenants.Get(tenant)
 		tc.Queries.Inc()
-		tc.RowsReturned.Add(int64(len(res.Rows)))
+		tc.RowsReturned.Add(int64(res.Len))
 	}
 	obs.QueryWallSeconds.ObserveDuration(sp.Duration())
 	obs.QueryExecSeconds.ObserveDuration(esp.Duration())
-	obs.QueryRowsReturned.Observe(float64(len(res.Rows)))
+	obs.QueryRowsReturned.Observe(float64(res.Len))
 	obs.Traces.Add(obs.QueryTrace{ID: qh.ID, Digest: digest, Root: sp})
 
 	var stats *QueryStats
@@ -602,7 +604,7 @@ func (q *Query) run(ctx context.Context, analyze bool) (*Result, *QueryStats, er
 			Plan:                planNode(root, instrument),
 			Wall:                sp.Duration(),
 			ExecTime:            esp.Duration(),
-			RowsReturned:        int64(len(res.Rows)),
+			RowsReturned:        int64(res.Len),
 			Analyzed:            instrument,
 			QueryID:             qh.ID,
 			PlanDigest:          digest,
@@ -627,7 +629,7 @@ func (q *Query) run(ctx context.Context, analyze bool) (*Result, *QueryStats, er
 			obs.QueryPlanSeconds.ObserveDuration(c.Duration())
 		}
 	}
-	return newResult(res), stats, nil
+	return &Result{data: res, order: order}, stats, nil
 }
 
 func (q *Query) colRefAfterProject(col int, projExprs []expr.Expr) expr.Expr {

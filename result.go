@@ -8,52 +8,65 @@ import (
 	"repro/internal/dates"
 	"repro/internal/engine"
 	"repro/internal/expr"
+	"repro/internal/vec"
 )
 
-// Result is a materialized query result.
+// Result is a materialized query result, kept as the column vectors
+// the engine collected: Row, Value and String box the cells they
+// return, AppendJSONRow encodes a row straight from the vectors.
 type Result struct {
-	cols []engine.ColumnDesc
-	rows [][]expr.Value
-}
-
-func newResult(r *engine.Result) *Result {
-	return &Result{cols: r.Cols, rows: r.Rows}
+	data  *engine.Collected
+	order []int32 // result row i is collected row order[i]
 }
 
 // Columns returns the output column names.
 func (r *Result) Columns() []string {
-	out := make([]string, len(r.cols))
-	for i, c := range r.cols {
+	out := make([]string, len(r.data.Cols))
+	for i, c := range r.data.Cols {
 		out[i] = c.Name
 	}
 	return out
 }
 
 // NumRows returns the row count.
-func (r *Result) NumRows() int { return len(r.rows) }
+func (r *Result) NumRows() int { return r.data.Len }
 
 // Row returns the values of row i.
 func (r *Result) Row(i int) []Value {
-	out := make([]Value, len(r.rows[i]))
-	for j, v := range r.rows[i] {
-		out[j] = Value{v: v}
+	out := make([]Value, len(r.data.Vecs))
+	for j := range out {
+		out[j] = r.Value(i, j)
 	}
 	return out
 }
 
 // Value returns the single cell (i, j).
-func (r *Result) Value(i, j int) Value { return Value{v: r.rows[i][j]} }
+func (r *Result) Value(i, j int) Value { return Value{v: r.data.Vecs[j].Value(int(r.order[i]))} }
+
+// AppendJSONRow appends row i as a JSON array: the bytes encoding/json
+// writes for the row's Any values, without a trailing newline.
+func (r *Result) AppendJSONRow(dst []byte, i int) []byte {
+	dst = append(dst, '[')
+	for j := range r.data.Vecs {
+		if j > 0 {
+			dst = append(dst, ',')
+		}
+		dst = vec.AppendJSON(dst, &r.data.Vecs[j], int(r.order[i]))
+	}
+	return append(dst, ']')
+}
 
 // String renders the result as an aligned text table.
 func (r *Result) String() string {
 	var sb strings.Builder
-	widths := make([]int, len(r.cols))
-	cells := make([][]string, len(r.rows)+1)
+	widths := make([]int, len(r.data.Cols))
+	cells := make([][]string, r.NumRows()+1)
 	cells[0] = r.Columns()
 	for i, c := range cells[0] {
 		widths[i] = len(c)
 	}
-	for i, row := range r.rows {
+	for i := 0; i < r.NumRows(); i++ {
+		row := r.Row(i)
 		line := make([]string, len(row))
 		for j, v := range row {
 			line[j] = v.String()
@@ -123,26 +136,7 @@ func (v Value) Time() time.Time {
 func (v Value) String() string { return v.v.String() }
 
 // Any returns the value as a plain Go type suitable for
-// encoding/json: nil for NULL, int64, float64, string, bool, an
-// RFC 3339 string for timestamps, and the rendered text for JSON
-// documents. The query service streams results through this.
-func (v Value) Any() any {
-	if v.v.Null {
-		return nil
-	}
-	switch v.v.Typ {
-	case expr.TBigInt:
-		return v.v.I
-	case expr.TFloat:
-		return v.v.F
-	case expr.TText:
-		return v.v.S
-	case expr.TBool:
-		return v.v.B
-	case expr.TTimestamp:
-		return dates.ToTime(v.v.I).UTC().Format(time.RFC3339Nano)
-	case expr.TJSON:
-		return v.v.String()
-	}
-	return v.v.String()
-}
+// encoding/json (see vec.AnyValue; NaN and ±Inf are the strings "NaN",
+// "Infinity" and "-Infinity"), which renders it byte for byte as
+// Result.AppendJSONRow renders the cell.
+func (v Value) Any() any { return vec.AnyValue(v.v) }
