@@ -72,8 +72,9 @@ func castJSON(v expr.Value, want expr.SQLType, cnt *scanCounters) expr.Value {
 
 // docAccess reads path from a binary JSON document as want — the typed
 // access expressions of §4.5/§5.4. A tile scan reads its
-// document-served accesses with one walk per row instead (docWalk); both
-// navigate with docStep and convert with docValue.
+// document-served accesses with one walk per row instead (docWalk),
+// which visits them in path order and looks a shared prefix up once;
+// both navigate with docStep and convert with docValue.
 func docAccess(d jsonb.Doc, path keypath.Path, want expr.SQLType, cnt *scanCounters) expr.Value {
 	cur := d
 	for _, seg := range path.Segs {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,7 +70,7 @@ func slotAccessList(n int, field string, typ expr.SQLType) []Access {
 }
 
 // walkAccessSets are the access lists the walk is checked with, each a
-// trie of a different shape.
+// different shape of shared path prefixes.
 func walkAccessSets() map[string][]Access {
 	sets := map[string][]Access{
 		// 14 slots under one prefix: 8 and up are past the slot cap, 12
@@ -285,8 +286,8 @@ func TestPlanCappedAccessAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestPutScanScratchDropsWalkDocs: a tile walking fewer steps than the
-// one before it leaves the earlier cursors past the walk's length, and
+// TestPutScanScratchDropsWalkDocs: a tile walking shallower paths than
+// the one before it leaves the earlier cursors past the walk's length, and
 // returning the scratch to the pool must clear those too, since they
 // alias documents the buffer pool may free.
 func TestPutScanScratchDropsWalkDocs(t *testing.T) {
@@ -305,9 +306,10 @@ func TestPutScanScratchDropsWalkDocs(t *testing.T) {
 	for ai := range boxed {
 		boxed[ai] = make([]expr.Value, 1)
 	}
-	tr := compilePathTrie(accs, func(int) bool { return true })
+	tr := sortWalkPaths(accs, func(int) bool { return true })
 	s := new(scanScratch)
 	var cnt scanCounters
+	var cursors []int
 	for _, served := range []int{len(accs), 1} {
 		plans := make([]accessPlan, len(accs))
 		for ai := len(accs) - served; ai < len(accs); ai++ {
@@ -317,9 +319,10 @@ func TestPutScanScratchDropsWalkDocs(t *testing.T) {
 			t.Fatalf("%d document-served accesses, no step active", served)
 		}
 		s.walk.row(d, 0, &cnt)
+		cursors = append(cursors, len(s.walk.docs))
 	}
-	if len(s.walk.docs) >= 7 {
-		t.Fatalf("second tile walks %d steps, want fewer than the first's 7", len(s.walk.docs))
+	if cursors[1] >= cursors[0] {
+		t.Fatalf("second tile walks with %d cursors, want fewer than the first's %d", cursors[1], cursors[0])
 	}
 	putScanScratch(s)
 	for i, c := range s.walk.docs[:cap(s.walk.docs)] {
@@ -329,7 +332,100 @@ func TestPutScanScratchDropsWalkDocs(t *testing.T) {
 	}
 }
 
-// FuzzDocWalk walks one random document with a random trie — leaf paths
+// TestDocWalkSharedPrefixes pins the orders of paths the walk must get
+// right, each case under every mask of document-served accesses: every
+// cell, and the cast errors, equal docAccess's. The accesses are listed
+// out of path order, and the sort must group them by prefix.
+func TestDocWalkSharedPrefixes(t *testing.T) {
+	cases := []struct {
+		name     string
+		docs     []string
+		accesses []Access
+	}{
+		{"path prefix of the next", []string{`{"a":{"b":{"c":"x"},"d":1}}`, `{"a":{"b":5}}`, `{"a":{"d":"2"}}`, `{}`},
+			[]Access{NewAccess(expr.TText, "a", "b", "c"), NewAccess(expr.TBigInt, "a", "b"),
+				NewAccess(expr.TBigInt, "a", "d"), NewAccess(expr.TJSON, "a")}},
+		{"key and slot siblings", []string{`{"m":{"t":"w","u":3}}`, `{"m":["p","q"]}`, `{"m":[{"t":"z"}]}`},
+			[]Access{NewAccessPath(expr.TText, keypath.NewPath("m").Slot(1)), NewAccess(expr.TText, "m", "t"),
+				NewAccessPath(expr.TText, keypath.NewPath("m").Slot(0).Child("t")), NewAccess(expr.TBigInt, "m", "u"),
+				NewAccessPath(expr.TText, keypath.NewPath("m").Slot(0))}},
+		{"missing step", []string{`{"x":{"v":1}}`, `{"x":{"y":{"z":2,"w":"s"},"v":"7"}}`, `{"y":3}`},
+			[]Access{NewAccess(expr.TBigInt, "y"), NewAccess(expr.TText, "x", "y", "w"), NewAccess(expr.TBigInt, "x", "v"),
+				NewAccess(expr.TBigInt, "x", "y", "z"), NewAccess(expr.TJSON, "x", "y"), NewAccess(expr.TJSON, "x")}},
+		{"one path, several types", []string{`{"n":"12"}`, `{"n":1.5}`, `{"n":"abc"}`, `{"n":true}`, `{"n":{"k":1}}`, `{"n":"2020-01-02T03:04:05Z"}`},
+			[]Access{NewAccess(expr.TText, "n"), NewAccess(expr.TBigInt, "n"), NewAccess(expr.TFloat, "n"),
+				NewAccess(expr.TBool, "n"), NewAccess(expr.TTimestamp, "n"), NewAccess(expr.TJSON, "n"), NewAccess(expr.TBigInt, "n")}},
+		{"not an object", []string{`{"o":null}`, `{"o":[{"k":1}]}`, `{"o":3}`, `{"o":"s"}`, `{"o":{"k":{"j":"v"}}}`},
+			[]Access{NewAccess(expr.TText, "o", "k", "j"), NewAccessPath(expr.TBigInt, keypath.NewPath("o").Slot(0).Child("k")),
+				NewAccess(expr.TJSON, "o", "k"), NewAccess(expr.TText, "o"), NewAccess(expr.TBigInt, "p", "k")}},
+	}
+	sentinel := expr.TextValue("untouched")
+	for _, tc := range cases {
+		docs := make([]jsonb.Doc, len(tc.docs))
+		for i, text := range tc.docs {
+			v, err := jsontext.Parse([]byte(text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs[i] = jsonb.NewDoc(jsonb.Encode(v))
+		}
+		accs := tc.accesses
+		tr := sortWalkPaths(accs, func(int) bool { return true })
+		// Path order keeps the paths under each prefix together: two
+		// paths share the fewest steps any path between them shares with
+		// its predecessor, so the walk looks each prefix up once.
+		for i := range tr.order {
+			for j := i + 1; j < len(tr.order); j++ {
+				p, q := accs[tr.order[i]].Path.Segs, accs[tr.order[j]].Path.Segs
+				n := 0
+				for n < len(p) && n < len(q) && p[n] == q[n] {
+					n++
+				}
+				if m := slices.Min(tr.shared[i+1 : j+1]); m != n {
+					t.Fatalf("%s: %s and %s share %d steps, the walk %d", tc.name, accs[tr.order[i]].Path.Display(), accs[tr.order[j]].Path.Display(), n, m)
+				}
+			}
+		}
+		var w docWalk // reused from mask to mask, as from tile to tile
+		for mask := 0; mask < 1<<len(accs); mask++ {
+			plans := make([]accessPlan, len(accs))
+			boxed := make([][]expr.Value, len(accs))
+			for ai := range accs {
+				if mask>>ai&1 == 1 {
+					plans[ai].serve = serveDoc
+				}
+				boxed[ai] = make([]expr.Value, len(docs))
+				for i := range docs {
+					boxed[ai][i] = sentinel
+				}
+			}
+			if w.activate(&tr, plans, accs, boxed) != (mask != 0) {
+				t.Fatalf("%s mask %b: activate reports %v", tc.name, mask, mask == 0)
+			}
+			if mask == 0 {
+				continue
+			}
+			var walked, looked scanCounters
+			for i, d := range docs {
+				w.row(d, i, &walked)
+				for ai, a := range accs {
+					want := sentinel
+					if plans[ai].serve == serveDoc {
+						want = docAccess(d, a.Path, a.Type, &looked)
+					}
+					if got := boxed[ai][i]; !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s mask %b, %s %s::%s: walk %v, docAccess %v", tc.name, mask, tc.docs[i], a.Path.Display(), a.Type, got, want)
+					}
+				}
+			}
+			if walked.castErrs != looked.castErrs {
+				t.Fatalf("%s mask %b: walk counted %d cast errors, docAccess %d", tc.name, mask, walked.castErrs, looked.castErrs)
+			}
+		}
+	}
+}
+
+// FuzzDocWalk walks one random document with random accesses — leaf paths
 // of the document, their prefixes, slots past the array's end, a key
 // step on an array and an index step on an object, one path under
 // several types — with a random subset of the accesses document-served,
@@ -356,7 +452,7 @@ func FuzzDocWalk(f *testing.F) {
 		for ai := range boxed {
 			boxed[ai] = []expr.Value{sentinel, sentinel}
 		}
-		tr := compilePathTrie(accs, func(int) bool { return true })
+		tr := sortWalkPaths(accs, func(int) bool { return true })
 		var w docWalk
 		if !w.activate(&tr, plans, accs, boxed) {
 			for ai := range plans {

@@ -80,7 +80,8 @@ func scanRows(ctx context.Context, bs BatchScanner, accesses []Access, workers i
 // scanPlan is what a tile scan compiles once from its accesses and
 // shares, read-only, among its workers: each access's header path, the
 // predicate each narrowing access narrows a tile's rows with, and the
-// path trie of the accesses fillBatch fills after narrowing.
+// accesses fillBatch fills after narrowing, sorted by path for the
+// document walk.
 type scanPlan struct {
 	accesses []Access
 	cfg      scanConfig
@@ -88,7 +89,8 @@ type scanPlan struct {
 	// preds[ai] is access ai's Filter, or, for a NullRejecting access
 	// without one, IS NOT NULL; nil when it does not narrow.
 	preds []*vec.CompiledPred
-	trie  pathTrie
+	// paths holds the accesses no predicate narrows in path order.
+	paths walkPaths
 }
 
 func newScanPlan(accesses []Access, cfg scanConfig) *scanPlan {
@@ -108,7 +110,7 @@ func newScanPlan(accesses []Access, cfg scanConfig) *scanPlan {
 		}
 		sp.preds[ai] = p
 	}
-	sp.trie = compilePathTrie(accesses, func(ai int) bool { return sp.preds[ai] == nil })
+	sp.paths = sortWalkPaths(accesses, func(ai int) bool { return sp.preds[ai] == nil })
 	return sp
 }
 
@@ -265,7 +267,7 @@ func (sc *scanScratch) fillBatch(t scanTile, sp *scanPlan, cnt *scanCounters) (l
 // such cell counts one JSONB fallback, as a looked-up cell does.
 func (sc *scanScratch) walkDocs(t scanTile, sp *scanPlan, cnt *scanCounters) {
 	w := &sc.walk
-	if !w.activate(&sp.trie, sc.plans, sp.accesses, sc.boxed) {
+	if !w.activate(&sp.paths, sc.plans, sp.accesses, sc.boxed) {
 		return
 	}
 	rows := sc.batch.Selected()
