@@ -1,9 +1,10 @@
 // The two adapters between rows and batches. Rows enter the engine
-// through rowBatcher (inputs that cannot emit column vectors: row-only
-// storage formats, replayed results, sorted output); boxRow boxes the
-// rows entering a sort buffer or the top-K heap. Results leave the
-// engine as columns (collect.go), boxed only by Collected.Box. Both
-// count their rows in obs.RowsBoxed.
+// through rowBatcher (inputs that hold rows, not column vectors: Values
+// replaying materialized rows, and OrderBy's sorted output); boxRow
+// boxes the rows entering a sort buffer or the top-K heap. Every
+// storage scan emits batches itself. Results leave the engine as
+// columns (collect.go), boxed only by Collected.Box. Both count their
+// rows in obs.RowsBoxed.
 package engine
 
 import (
@@ -36,7 +37,8 @@ func appendBoxedRows(rows [][]expr.Value, b *vec.Batch) [][]expr.Value {
 // rowBatchSize is how many pushed rows make one boxed batch.
 const rowBatchSize = 1024
 
-// rowBatcher collects pushed rows into batches of boxed vectors.
+// rowBatcher collects pushed rows into batches of boxed vectors: the
+// way Values and OrderBy emit the rows they hold.
 type rowBatcher struct {
 	cols  [][]expr.Value
 	batch vec.Batch

@@ -54,10 +54,10 @@ type Scan struct {
 	Rel      storage.Relation
 	Accesses []storage.Access
 	Names    []string
-	Filter   expr.Expr
-	// residual is the conjunction of Filter's conjuncts that NewScan
-	// did not hand to a single access: what a batch scan, which
-	// applies the accesses' own filters, leaves to filterEmit.
+	// residual is the conjunction of the filter's conjuncts that
+	// NewScan did not hand to a single access: what the relation's
+	// scan, which applies the accesses' own filters, leaves to
+	// filterEmit.
 	residual expr.Expr
 	// Stats, when non-nil, receives the relation's per-scan counters
 	// (tiles scanned/skipped, column hits, fallbacks) — set by the
@@ -81,10 +81,11 @@ func (s *Scan) ctx() context.Context {
 // NewScan builds a scan over its own copy of the accesses, derives the
 // null-rejection flags for tile skipping (§4.8) from the filter, and
 // hands every top-level conjunct that reads exactly one access slot to
-// that access as its Filter, so that a tile scan narrows on it before
-// resolving the row's other accesses.
+// that access as its Filter, so that the relation's scan narrows on it
+// (a tile scan before resolving the row's other accesses). The other
+// conjuncts form the residual filter.
 func NewScan(rel storage.Relation, accesses []storage.Access, names []string, filter expr.Expr) *Scan {
-	s := &Scan{Rel: rel, Accesses: append([]storage.Access(nil), accesses...), Names: names, Filter: filter}
+	s := &Scan{Rel: rel, Accesses: append([]storage.Access(nil), accesses...), Names: names}
 	for i := range s.Accesses {
 		s.Accesses[i].Filter = nil
 	}
@@ -128,8 +129,11 @@ func singleSlot(e expr.Expr) (int, bool) {
 
 // and is l AND r, where a nil side is TRUE.
 func and(l, r expr.Expr) expr.Expr {
-	if l == nil {
+	switch {
+	case l == nil:
 		return r
+	case r == nil:
+		return l
 	}
 	return expr.NewAnd(l, r)
 }
@@ -159,36 +163,14 @@ func (s *Scan) Columns() []ColumnDesc {
 // Inputs implements the plan-walking interface (a scan is a leaf).
 func (s *Scan) Inputs() []Operator { return nil }
 
-// BatchCapable reports whether the relation hands out column vectors
-// (tile-backed formats); other formats are scanned row-wise and enter
-// through the rows→batches adapter.
-func (s *Scan) BatchCapable() bool {
-	_, ok := s.Rel.(storage.BatchScanner)
-	return ok
-}
-
-// RunBatches implements Operator. A batch scan applies the accesses'
-// filters itself, so only the residual filter narrows its batches'
-// selection vectors here; a row scan gets the whole filter.
+// RunBatches implements Operator. The relation's scan applies the
+// accesses' filters itself, so only the residual filter narrows its
+// batches' selection vectors here.
 func (s *Scan) RunBatches(workers int, emit BatchEmitFunc) {
-	if bs, ok := s.Rel.(storage.BatchScanner); ok {
-		if s.residual != nil {
-			emit = filterEmit(s.residual, len(s.Accesses), workers, emit)
-		}
-		bs.ScanBatches(s.ctx(), s.Accesses, workers, storage.BatchEmitFunc(emit), s.Stats)
-		return
+	if s.residual != nil {
+		emit = filterEmit(s.residual, len(s.Accesses), workers, emit)
 	}
-	if s.Filter != nil {
-		emit = filterEmit(s.Filter, len(s.Accesses), workers, emit)
-	}
-	cols := s.Columns()
-	bats := perWorker(workers, func() *rowBatcher { return newRowBatcher(cols, rowBatchSize) })
-	s.Rel.ScanWithStats(s.ctx(), s.Accesses, workers, func(w int, row []expr.Value) {
-		bats[w].add(w, row, emit)
-	}, s.Stats)
-	for w, rb := range bats {
-		rb.flush(w, emit)
-	}
+	s.Rel.ScanBatches(s.ctx(), s.Accesses, workers, storage.BatchEmitFunc(emit), s.Stats)
 }
 
 // filterEmit wraps emit so that it only sees the rows of each batch

@@ -17,9 +17,10 @@ import (
 // FuzzConjunctNarrowing draws filters of one to four conjuncts, each
 // reading one access (IS [NOT] NULL, comparisons, IN, LIKE, NOT, OR
 // within the slot) and now and then one reading two, over random
-// documents, and compares the tile scan, which narrows on the one-slot
-// conjuncts, with the same plan over raw JSON. `go test` runs the
-// seeds; `go test -run '^$' -fuzz FuzzConjunctNarrowing ./internal/engine`
+// documents, and compares the scan of every conformanceKinds format,
+// which narrows on the one-slot conjuncts, with a Select over an
+// unfiltered scan of raw JSON. `go test` runs the seeds;
+// `go test -run '^$' -fuzz FuzzConjunctNarrowing ./internal/engine`
 // digs.
 func FuzzConjunctNarrowing(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
@@ -30,7 +31,6 @@ func FuzzConjunctNarrowing(f *testing.F) {
 		lines, docs := fuzzDocs(r, 24+r.Intn(100))
 		accs := fuzzAccesses(r, docs)
 		jsonRel := loadKind(t, storage.KindJSON, lines)
-		tilesRel := loadKind(t, storage.KindTiles, lines)
 
 		// Constants come from the values each access takes, so that
 		// comparisons and IN lists select some rows and not others.
@@ -48,11 +48,14 @@ func FuzzConjunctNarrowing(f *testing.F) {
 			filter = and(filter, g.conjunct())
 		}
 
-		want := rowMultiset(Materialize(NewScan(jsonRel, accs, nil, filter), 1))
-		for _, workers := range []int{1, 3} {
-			if got := rowMultiset(Materialize(NewScan(tilesRel, accs, nil, filter), workers)); !sameRows(got, want) {
-				t.Fatalf("seed %d, %d workers, filter %s: %d rows, %d over raw JSON\n got: %q\nwant: %q",
-					seed, workers, exprString(filter), len(got), len(want), got, want)
+		want := rowMultiset(Materialize(reference(jsonRel, accs, filter), 1))
+		for _, kind := range conformanceKinds {
+			rel := loadKind(t, kind, lines)
+			for _, workers := range []int{1, 3} {
+				if got := rowMultiset(Materialize(NewScan(rel, accs, nil, filter), workers)); !sameRows(got, want) {
+					t.Fatalf("seed %d, %s, %d workers, filter %s: %d rows, %d over raw JSON\n got: %q\nwant: %q",
+						seed, kind, workers, exprString(filter), len(got), len(want), got, want)
+				}
 			}
 		}
 	})

@@ -1,9 +1,10 @@
 // Differential tests of the scan core's narrowing: the tile scan drops
 // the rows a NullRejecting access proves dead, or a conjunct on one
 // access rules out, and skips their remaining boxed cells. The oracle
-// is the same plan over raw JSON (storage.KindJSON), which evaluates
-// every access on a freshly parsed value tree and shares no code with
-// the tile scan. Same plan, same answer.
+// is the same filter applied by a Select over an unfiltered, unflagged
+// scan of raw JSON (storage.KindJSON), which evaluates every access on
+// a freshly parsed value tree and shares no narrowing code with the
+// tile scan. Same query, same answer.
 package engine
 
 import (
@@ -154,27 +155,32 @@ func TestNullRejectionNarrowingMatchesJSON(t *testing.T) {
 		{"a > 3 OR b > 0.5", expr.NewOr(gt(1, expr.IntValue(3)), gt(3, expr.FloatValue(0.5)))},
 		{"a IS NULL", expr.NewIsNull(col(1), false)}, // narrows on its conjunct, never on a flag
 	}
-	// plan builds Scan(filter) → Select(every flagged slot IS NOT NULL):
-	// the Select is the operator above the scan that makes the flags
-	// true, which is the contract MarkNullRejecting states.
+	// above is every flagged slot IS NOT NULL, or nil.
+	above := func(flagged int) expr.Expr {
+		var e expr.Expr
+		for s := range narrowAccesses() {
+			if flagged&(1<<s) != 0 {
+				e = and(e, expr.NewIsNull(col(s), true))
+			}
+		}
+		return e
+	}
+	// plan builds Scan(filter) → Select(above): the Select is the
+	// operator above the scan that makes the flags true, which is the
+	// contract MarkNullRejecting states. The flags belong to the plan
+	// under test; the oracle is Select(filter AND above) over a plain
+	// scan.
 	plan := func(rel storage.Relation, pred expr.Expr, flagged int) (Operator, *obs.ScanStats) {
 		scan := NewScan(rel, narrowAccesses(), nil, pred)
 		scan.Stats = &obs.ScanStats{}
 		var op Operator = scan
-		var above expr.Expr
 		for s := range scan.Accesses {
-			if flagged&(1<<s) == 0 {
-				continue
+			if flagged&(1<<s) != 0 {
+				scan.MarkNullRejecting(s)
 			}
-			scan.MarkNullRejecting(s)
-			notNull := expr.Expr(expr.NewIsNull(col(s), true))
-			if above != nil {
-				notNull = expr.NewAnd(above, notNull)
-			}
-			above = notNull
 		}
-		if above != nil {
-			op = NewSelect(op, above)
+		if a := above(flagged); a != nil {
+			op = NewSelect(op, a)
 		}
 		return op, scan.Stats
 	}
@@ -185,8 +191,7 @@ func TestNullRejectionNarrowingMatchesJSON(t *testing.T) {
 		rels := narrowRelations(t, lines)
 		for _, f := range filters {
 			for flagged := 0; flagged < 1<<len(narrowAccesses()); flagged++ {
-				oracle, _ := plan(jsonRel, f.pred, flagged)
-				want := rowMultiset(Materialize(oracle, 1))
+				want := rowMultiset(Materialize(reference(jsonRel, narrowAccesses(), and(f.pred, above(flagged))), 1))
 				for relName, rel := range rels {
 					label := fmt.Sprintf("%d shapes, %s, filter %s, flags %06b", shapes, relName, f.name, flagged)
 					checkNarrowed(t, label, rel, want, func() (Operator, *obs.ScanStats) { return plan(rel, f.pred, flagged) })
@@ -290,8 +295,7 @@ func TestConjunctNarrowingMatchesJSON(t *testing.T) {
 			}
 		}
 		for _, fl := range filters {
-			oracle, _ := plan(jsonRel, fl.pred)
-			want := rowMultiset(Materialize(oracle, 1))
+			want := rowMultiset(Materialize(reference(jsonRel, conjunctAccesses(), fl.pred), 1))
 			for relName, rel := range rels {
 				label := fmt.Sprintf("%d shapes, %s, filter %s", shapes, relName, fl.name)
 				c := checkNarrowed(t, label, rel, want, func() (Operator, *obs.ScanStats) { return plan(rel, fl.pred) })

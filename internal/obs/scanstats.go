@@ -29,8 +29,9 @@ type ScanStats struct {
 
 	// Batch-execution split: batches emitted by this scan, rows whose
 	// accesses were all served from typed vectors, and rows that
-	// needed at least one materialized (boxed) cell. Zero for scans
-	// taking the row-at-a-time path.
+	// needed at least one materialized (boxed) cell. The split is
+	// counted by tile scans only: formats without tiles emit boxed
+	// batches and count Batches alone.
 	Batches        atomic.Int64
 	RowsVectorized atomic.Int64
 	RowsFallback   atomic.Int64

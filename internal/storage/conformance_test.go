@@ -157,7 +157,7 @@ func verifyConformance(t *testing.T, trial int, label string, rel Relation, acce
 	got := map[string]int{}
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
-	rel.ScanWithStats(context.Background(), accesses, 2, func(w int, row []expr.Value) {
+	scanRows(context.Background(), rel, accesses, 2, func(w int, row []expr.Value) {
 		cells := make([]string, len(row))
 		for i, v := range row {
 			cells[i] = normalizeCell(v.String())
@@ -262,7 +262,7 @@ func TestConformanceDictColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	truthSet := map[string]int{}
-	jsonRel.ScanWithStats(context.Background(), accesses, 1, func(w int, row []expr.Value) {
+	scanRows(context.Background(), jsonRel, accesses, 1, func(w int, row []expr.Value) {
 		cells := make([]string, len(row))
 		for i, v := range row {
 			cells[i] = normalizeCell(v.String())

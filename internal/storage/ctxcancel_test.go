@@ -65,7 +65,7 @@ func TestRunMorselsPreCancelled(t *testing.T) {
 func TestMorselRangeCtxCancelSerial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls int
-	morselRangeCtx(ctx, 10*DefaultMorselRows, 1, func(w, lo, hi int) {
+	morselRange(ctx, 10*DefaultMorselRows, 1, func(w, lo, hi int) {
 		calls++
 		cancel()
 	})

@@ -42,19 +42,18 @@ type DirTable struct {
 	fanIn   int  // segments merged per compaction round (≥2)
 	auto    bool // compact in the background after appends
 
-	// mu guards the current generation: manifest, segment list,
-	// closed flag, and segment-id allocation. nextID is the allocation
-	// watermark — kept outside the manifest object because t.man is
-	// swapped wholesale on commit, and a reservation taken between a
-	// commit's clone and its swap must survive the swap.
-	mu     sync.Mutex
-	man    *manifest.Manifest
-	segs   []*liveSeg
-	nextID uint64
-	closed bool
+	// mu guards the current generation: its manifest version, its
+	// segment list (the manifest's, in order), the closed flag, and
+	// segment-id allocation. nextID is the allocation watermark, which
+	// every commit writes as the manifest's NextID.
+	mu      sync.Mutex
+	version uint64
+	segs    []*liveSeg
+	nextID  uint64
+	closed  bool
 
 	// writeMu serializes manifest commits (append and compaction
-	// publish steps). Held only around clone-commit-swap, never
+	// publish steps). Held only around copy-commit-swap, never
 	// during segment file writes.
 	writeMu sync.Mutex
 
@@ -76,7 +75,6 @@ type DirTable struct {
 var (
 	_ Relation       = (*DirTable)(nil)
 	_ StatsScanner   = (*DirTable)(nil)
-	_ BatchScanner   = (*DirTable)(nil)
 	_ TileCounter    = (*DirTable)(nil)
 	_ SegmentCounter = (*DirTable)(nil)
 )
@@ -169,7 +167,7 @@ func OpenDirStore(name string, store blockstore.Store, pool *bufpool.Pool, cfg L
 		scancfg: scanCfgOf(cfg),
 		fanIn:   fanIn,
 		auto:    auto,
-		man:     man,
+		version: man.Version,
 		nextID:  man.NextID,
 	}
 	// Every segment opens at once — the manifest names them and their
@@ -261,7 +259,7 @@ func (t *DirTable) NumSegments() int {
 func (t *DirTable) Generation() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.man.Version
+	return t.version
 }
 
 // Pool exposes the buffer pool serving this table.
@@ -375,7 +373,8 @@ func (m *multiSource) openScanTile(ti int, cnt *scanCounters) scanTile {
 }
 
 // ScanWithStats implements StatsScanner by boxing the rows of the
-// batch scan.
+// batch scan. Its only caller is benchmark/wrap.go, whose traced
+// relation wrapper requires it.
 func (t *DirTable) ScanWithStats(ctx context.Context, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
 	scanRows(ctx, t, accesses, workers, emit, st)
 }
@@ -425,14 +424,8 @@ func (t *DirTable) AppendTiles(tiles []*tile.Tile, st *stats.TableStats) error {
 	ls := &liveSeg{rel: rel, store: t.store, id: id, file: file, rows: rel.NumRows(), bytes: int64(rel.SizeBytes())}
 	ls.refs.Store(1)
 
-	entry := manifest.Segment{ID: id, File: file, Rows: ls.rows, Bytes: ls.bytes}
-	if err := t.commitGeneration(func(man *manifest.Manifest) {
-		if id >= man.NextID {
-			man.NextID = id + 1
-		}
-		man.Segments = append(man.Segments, entry)
-	}, func() {
-		t.segs = append(t.segs, ls)
+	if err := t.commitGeneration(func(segs []*liveSeg) []*liveSeg {
+		return append(segs, ls)
 	}); err != nil {
 		// Crash-equivalent state: the segment file exists but no
 		// generation references it. Recovery on the next open removes
@@ -473,11 +466,13 @@ func (t *DirTable) updateBacklogGauge() {
 	obs.CompactionBacklog.Add(float64(delta))
 }
 
-// commitGeneration clones the current manifest, applies edit, commits
-// it durably, and on success applies swap to the in-memory segment
-// list — all under the commit lock so generations are totally
-// ordered.
-func (t *DirTable) commitGeneration(edit func(*manifest.Manifest), swap func()) error {
+// commitGeneration applies edit to a copy of the current segment
+// list, commits the manifest listing the result durably, and on
+// success swaps the list in — all under the commit lock so generations
+// are totally ordered. The committed NextID is the live allocation
+// watermark, so ids reserved by in-flight writers are never reusable
+// after a crash, even before their own commits land.
+func (t *DirTable) commitGeneration(edit func([]*liveSeg) []*liveSeg) error {
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
 	t.mu.Lock()
@@ -485,23 +480,18 @@ func (t *DirTable) commitGeneration(edit func(*manifest.Manifest), swap func()) 
 		t.mu.Unlock()
 		return errDirTableClosed
 	}
-	man := &manifest.Manifest{
-		Version: t.man.Version,
-		// The committed NextID is the live allocation watermark, so ids
-		// reserved by in-flight writers are never reusable after a
-		// crash, even before their own commits land.
-		NextID:   t.nextID,
-		Segments: append([]manifest.Segment(nil), t.man.Segments...),
-	}
+	segs := append([]*liveSeg(nil), t.segs...)
+	man := &manifest.Manifest{Version: t.version + 1, NextID: t.nextID}
 	t.mu.Unlock()
-	man.Version++
-	edit(man)
+	segs = edit(segs)
+	for _, ls := range segs {
+		man.Segments = append(man.Segments, manifest.Segment{ID: ls.id, File: ls.file, Rows: ls.rows, Bytes: ls.bytes})
+	}
 	if err := manifest.CommitStore(t.store, man); err != nil {
 		return err
 	}
 	t.mu.Lock()
-	t.man = man
-	swap()
+	t.version, t.segs = man.Version, segs
 	t.mu.Unlock()
 	return nil
 }
@@ -637,50 +627,22 @@ func (t *DirTable) compactOnce() (bool, error) {
 	for _, ls := range group {
 		dead[ls] = true
 	}
-	entry := manifest.Segment{ID: id, File: file, Rows: merged.rows, Bytes: merged.bytes}
-	if err := t.commitGeneration(func(man *manifest.Manifest) {
-		if id >= man.NextID {
-			man.NextID = id + 1
-		}
-		deadFiles := make(map[string]bool, len(group))
-		for _, ls := range group {
-			deadFiles[manifest.SegmentFileName(ls.id)] = true
-		}
-		kept := man.Segments[:0]
+	if err := t.commitGeneration(func(segs []*liveSeg) []*liveSeg {
+		// The merged segment takes the slot of the first dead source,
+		// preserving rough scan order.
+		kept := segs[:0]
 		inserted := false
-		for _, s := range man.Segments {
-			if deadFiles[s.File] {
-				// The merged segment takes the slot of the first dead
-				// source, preserving rough scan order.
-				if !inserted {
-					kept = append(kept, entry)
-					inserted = true
-				}
-				continue
+		for _, ls := range segs {
+			if !dead[ls] {
+				kept = append(kept, ls)
+			} else if !inserted {
+				kept, inserted = append(kept, merged), true
 			}
-			kept = append(kept, s)
 		}
 		if !inserted {
-			kept = append(kept, entry)
+			kept = append(kept, merged)
 		}
-		man.Segments = kept
-	}, func() {
-		segs := t.segs[:0]
-		inserted := false
-		for _, ls := range t.segs {
-			if dead[ls] {
-				if !inserted {
-					segs = append(segs, merged)
-					inserted = true
-				}
-				continue
-			}
-			segs = append(segs, ls)
-		}
-		if !inserted {
-			segs = append(segs, merged)
-		}
-		t.segs = segs
+		return kept
 	}); err != nil {
 		// Failed publish: drop the merged output (it is unreferenced)
 		// and keep serving the sources.

@@ -61,7 +61,7 @@ func dirTestAccesses() []Access {
 func scanMultiset(rel Relation, accesses []Access) map[string]int {
 	got := map[string]int{}
 	var mu sync.Mutex
-	rel.ScanWithStats(context.Background(), accesses, 2, func(w int, row []expr.Value) {
+	scanRows(context.Background(), rel, accesses, 2, func(w int, row []expr.Value) {
 		key := ""
 		for _, v := range row {
 			key += v.String() + "|"

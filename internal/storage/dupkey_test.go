@@ -62,7 +62,7 @@ func TestRepeatedKeyLastOccurrenceWins(t *testing.T) {
 					}
 				}
 				var rows atomic.Int64
-				rel.ScanWithStats(context.Background(), []Access{a}, workers, func(_ int, row []expr.Value) {
+				scanRows(context.Background(), rel, []Access{a}, workers, func(_ int, row []expr.Value) {
 					check("rows", row[0])
 					if !row[0].Null {
 						rows.Add(1)

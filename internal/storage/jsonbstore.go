@@ -44,22 +44,17 @@ func (r *jsonbStore) SizeBytes() int {
 	return total
 }
 
-// ScanWithStats implements StatsScanner. Every access traverses the
+// ScanBatches implements BatchScanner. Every access traverses the
 // per-document binary JSON, so they all count as fallbacks — the
 // baseline the tiles column-hit ratio is compared against.
-func (r *jsonbStore) ScanWithStats(ctx context.Context, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
-	morselRangeCtx(ctx, len(r.docs), workers, func(w, lo, hi int) {
-		cnt := scanCounters{morsels: 1}
-		defer cnt.flush(st)
-		cnt.rows = int64(hi - lo)
-		cnt.fallbacks = int64(hi-lo) * int64(len(accesses))
-		row := make([]expr.Value, len(accesses))
+func (r *jsonbStore) ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
+	scanCells(ctx, len(r.docs), accesses, workers, emit, st, func(lo, hi int, cols [][]expr.Value, cnt *scanCounters) {
+		cnt.fallbacks += int64(hi-lo) * int64(len(accesses))
 		for i := lo; i < hi; i++ {
 			d := jsonb.NewDoc(r.docs[i])
 			for ai, a := range accesses {
-				row[ai] = docAccess(d, a.Path, a.Type, &cnt)
+				cols[ai][i-lo] = docAccess(d, a.Path, a.Type, cnt)
 			}
-			emit(w, row)
 		}
 	})
 }

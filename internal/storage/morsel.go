@@ -112,15 +112,10 @@ func runMorsels(ctx context.Context, morsels []morsel, workers int, fn func(work
 
 // morselRange is the drop-in replacement for static range splitting
 // over n uniform items: fn(worker, lo, hi) is invoked once per morsel
-// of adaptively-sized item ranges that workers pull dynamically.
-func morselRange(n, workers int, fn func(worker, lo, hi int)) {
-	morselRangeCtx(context.Background(), n, workers, fn)
-}
-
-// morselRangeCtx is morselRange with a per-request context: scan-path
-// ranges over flat (tile-less) sources thread the query context here
-// so cancellation stops them at the next morsel claim.
-func morselRangeCtx(ctx context.Context, n, workers int, fn func(worker, lo, hi int)) {
+// of adaptively-sized item ranges that workers pull dynamically. Scans
+// of formats without tiles pass the query context, so cancellation
+// stops them at the next morsel claim; load paths pass Background.
+func morselRange(ctx context.Context, n, workers int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}

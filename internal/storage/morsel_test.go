@@ -23,7 +23,7 @@ func TestMorselRangeCoversAll(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 8, 17} {
 			seen := make([]int32, n)
 			var mu sync.Mutex
-			morselRange(n, workers, func(w, lo, hi int) {
+			morselRange(context.Background(), n, workers, func(w, lo, hi int) {
 				if w < 0 || w >= workers {
 					t.Errorf("n=%d workers=%d: worker id %d out of range", n, workers, w)
 				}
@@ -163,7 +163,7 @@ func skewedAccesses() []Access {
 func rowMultiset(rel Relation, accesses []Access, workers int) map[string]int {
 	got := map[string]int{}
 	var mu sync.Mutex
-	rel.ScanWithStats(context.Background(), accesses, workers, func(w int, row []expr.Value) {
+	scanRows(context.Background(), rel, accesses, workers, func(w int, row []expr.Value) {
 		key := ""
 		for _, v := range row {
 			key += v.String() + "\x1f"

@@ -45,23 +45,17 @@ func (r *rawJSON) SizeBytes() int {
 	return total
 }
 
-// ScanWithStats implements StatsScanner (rows only; the text format
-// re-parses every document, there is nothing columnar to hit).
-func (r *rawJSON) ScanWithStats(ctx context.Context, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
-	morselRangeCtx(ctx, len(r.lines), workers, func(w, lo, hi int) {
-		cnt := scanCounters{morsels: 1}
-		defer cnt.flush(st)
-		cnt.rows = int64(hi - lo)
-		row := make([]expr.Value, len(accesses))
+// ScanBatches implements BatchScanner with boxed cells only: the text
+// format re-parses every document, there is nothing columnar to hit.
+func (r *rawJSON) ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
+	scanCells(ctx, len(r.lines), accesses, workers, emit, st, func(lo, hi int, cols [][]expr.Value, cnt *scanCounters) {
 		for i := lo; i < hi; i++ {
-			doc, err := jsontext.Parse(r.lines[i])
-			if err != nil {
-				continue // unreachable: validated at load
-			}
+			// Validated at load; were it not, the NULL an error returns
+			// reads NULL at every path.
+			doc, _ := jsontext.Parse(r.lines[i])
 			for ai, a := range accesses {
-				row[ai] = treeAccess(doc, a.Path, a.Type, &cnt)
+				cols[ai][i-lo] = treeAccess(doc, a.Path, a.Type, cnt)
 			}
-			emit(w, row)
 		}
 	})
 }

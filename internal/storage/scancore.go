@@ -13,13 +13,14 @@ import (
 )
 
 // The scan core: the one tile scan loop shared by the in-memory tiles
-// relation and the disk-backed segment relation, and the adapter that
-// serves their row scans from it. Both formats present their tiles
-// through the scanTile view, so skip decisions, per-tile access plans
-// (§4.5), and the column-hit vs binary-JSON-fallback split behave
-// identically — a query over a reopened segment returns byte-identical
-// results to the in-memory path, with lazy block I/O as the only
-// difference.
+// relation and the disk-backed segment relation, and the batch loop of
+// the formats without tiles (scanCells). Both tile formats present
+// their tiles through the scanTile view, so skip decisions, per-tile
+// access plans (§4.5), and the column-hit vs binary-JSON-fallback split
+// behave identically — a query over a reopened segment returns
+// byte-identical results to the in-memory path, with lazy block I/O as
+// the only difference. Every format narrows its batches with the same
+// per-access predicates (accessPreds).
 
 // scanTile is one tile as the scan loop sees it. *tile.Tile satisfies
 // it directly; the segment relation implements it with a lazy view
@@ -57,10 +58,10 @@ type scanConfig struct {
 	maxSlots  int
 }
 
-// scanRows is the row scan (StatsScanner) of a tile-backed relation:
-// it runs the relation's batch scan and boxes each selected row of
-// each batch into the worker's row buffer. Rows the batch core narrows
-// away are therefore not emitted.
+// scanRows is a row scan (StatsScanner) over a batch scan: it boxes
+// each selected row of each batch into the worker's row buffer, so rows
+// the scan narrows away are not emitted. Its only caller is
+// DirTable.ScanWithStats, which benchmark/wrap.go requires.
 func scanRows(ctx context.Context, bs BatchScanner, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
 	rows := make([][]expr.Value, max(workers, 1))
 	for w := range rows {
@@ -95,7 +96,16 @@ type scanPlan struct {
 
 func newScanPlan(accesses []Access, cfg scanConfig) *scanPlan {
 	sp := &scanPlan{accesses: accesses, cfg: cfg, headers: headerPaths(accesses, cfg.maxSlots),
-		preds: make([]*vec.CompiledPred, len(accesses))}
+		preds: accessPreds(accesses)}
+	sp.paths = sortWalkPaths(accesses, func(ai int) bool { return sp.preds[ai] == nil })
+	return sp
+}
+
+// accessPreds compiles the predicate each access narrows a batch with:
+// its Filter, or, for a NullRejecting access without one, IS NOT NULL;
+// nil when it does not narrow.
+func accessPreds(accesses []Access) []*vec.CompiledPred {
+	preds := make([]*vec.CompiledPred, len(accesses))
 	for ai, a := range accesses {
 		f := a.Filter
 		if f == nil && a.NullRejecting {
@@ -108,10 +118,58 @@ func newScanPlan(accesses []Access, cfg scanConfig) *scanPlan {
 		if !ok {
 			panic("storage: an access filter reads a column outside the scan")
 		}
-		sp.preds[ai] = p
+		preds[ai] = p
 	}
-	sp.paths = sortWalkPaths(accesses, func(ai int) bool { return sp.preds[ai] == nil })
-	return sp
+	return preds
+}
+
+// cellBatchRows is the most rows a scanCells batch holds.
+const cellBatchRows = 1024
+
+// cellFill writes rows [lo, hi) of every access into cols: cols[ai][k]
+// is access ai's cell of row lo+k.
+type cellFill func(lo, hi int, cols [][]expr.Value, cnt *scanCounters)
+
+// scanCells is the batch scan of a format without tiles: it cuts the
+// rows [0, n) into morsels and each morsel into batches of at most
+// cellBatchRows rows, has fill write every access's boxed cells, then
+// narrows the batch by the accesses' predicates (accessPreds), as the
+// tile scan does. A batch with no live row is not emitted.
+func scanCells(ctx context.Context, n int, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats, fill cellFill) {
+	preds := accessPreds(accesses)
+	morselRange(ctx, n, workers, func(w, lo, hi int) {
+		sc := getScanScratch(len(accesses))
+		defer putScanScratch(sc)
+		for _, p := range preds {
+			if p != nil {
+				sc.ps = p.Fit(sc.ps)
+			}
+		}
+		cnt := scanCounters{morsels: 1, rows: int64(hi - lo)}
+		defer cnt.flush(st)
+		cols := make([][]expr.Value, len(accesses))
+		for blo := lo; blo < hi; blo += cellBatchRows {
+			b := &sc.batch
+			b.Len, b.Sel, b.Base = min(cellBatchRows, hi-blo), nil, int64(blo)
+			for ai, a := range accesses {
+				cols[ai] = sc.boxedBuf(ai)
+				b.Cols[ai] = vec.Vector{Type: a.Type, Boxed: cols[ai]}
+			}
+			fill(blo, blo+b.Len, cols, &cnt)
+			for _, p := range preds {
+				if p != nil && !sc.narrow(p, &cnt) {
+					break
+				}
+			}
+			kept := b.Rows()
+			cnt.narrowed += int64(b.Len - kept)
+			if kept == 0 {
+				continue
+			}
+			cnt.batches++
+			emit(w, b)
+		}
+	})
 }
 
 // plan is how tile t serves access ai.

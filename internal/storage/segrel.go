@@ -36,10 +36,8 @@ type segRelation struct {
 }
 
 var (
-	_ Relation     = (*segRelation)(nil)
-	_ StatsScanner = (*segRelation)(nil)
-	_ BatchScanner = (*segRelation)(nil)
-	_ TileCounter  = (*segRelation)(nil)
+	_ Relation    = (*segRelation)(nil)
+	_ TileCounter = (*segRelation)(nil)
 )
 
 // WriteSegmentStore persists a tile-backed relation (the Tiles format)
@@ -105,12 +103,6 @@ func (r *segRelation) recordErr(err error) {
 		r.err = err
 	}
 	r.mu.Unlock()
-}
-
-// ScanWithStats implements StatsScanner by boxing the rows of the
-// batch scan.
-func (r *segRelation) ScanWithStats(ctx context.Context, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
-	scanRows(ctx, r, accesses, workers, emit, st)
 }
 
 // ScanBatches runs the shared batch-scan core over lazy tile views.

@@ -161,70 +161,65 @@ func (r *shredded) SizeBytes() int {
 // high-cardinality arrays).
 func (r *shredded) NumColumns() int { return len(r.cols) }
 
-// ScanWithStats implements StatsScanner (rows only: the shredded
-// format has neither tiles nor a binary-JSON fallback — record
-// reassembly is its cost model, not fallback counts).
-func (r *shredded) ScanWithStats(ctx context.Context, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
-	morselRangeCtx(ctx, r.numRows, workers, func(w, lo, hi int) {
-		cnt := scanCounters{morsels: 1}
-		defer cnt.flush(st)
-		cnt.rows = int64(hi - lo)
-		row := make([]expr.Value, len(accesses))
-		// Per-access cursor into the sparse columns: the def-level
-		// walk of record shredding.
-		type cursorSet struct {
-			cols []*sparseColumn
-			pos  []int
+// ScanBatches implements BatchScanner with boxed cells only: the
+// shredded format has neither tiles nor a binary-JSON fallback — record
+// reassembly is its cost model, not fallback counts.
+func (r *shredded) ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
+	// Per access: whether every row reassembles, the stripes holding
+	// its path, and whether a row they miss may hold a container there.
+	reassemble := make([]bool, len(accesses))
+	prefixed := make([]bool, len(accesses))
+	stripes := make([][]*sparseColumn, len(accesses))
+	for ai, a := range accesses {
+		if a.Type == expr.TJSON {
+			reassemble[ai] = true
+			continue
 		}
-		cursors := make([]cursorSet, len(accesses))
-		reassemble := make([]bool, len(accesses))
-		prefixed := make([]bool, len(accesses))
+		// A path with striped descendants names a non-empty container
+		// in at least some rows: those rows need record re-assembly
+		// (Dremel's record-assembly cost) even when a direct column
+		// exists for rows where the path is scalar.
+		prefixed[ai] = r.hasPrefix(a.Path)
+		if len(r.byPath[a.PathEnc]) == 0 && prefixed[ai] {
+			reassemble[ai] = true
+			continue
+		}
+		for _, ci := range r.byPath[a.PathEnc] {
+			stripes[ai] = append(stripes[ai], r.cols[ci])
+		}
+	}
+	scanCells(ctx, r.numRows, accesses, workers, emit, st, func(lo, hi int, cols [][]expr.Value, cnt *scanCounters) {
 		for ai, a := range accesses {
-			if a.Type == expr.TJSON {
-				reassemble[ai] = true
-				continue
-			}
-			// A path with striped descendants names a non-empty
-			// container in at least some rows: those rows need record
-			// re-assembly (Dremel's record-assembly cost) even when a
-			// direct column exists for rows where the path is scalar.
-			prefixed[ai] = r.hasPrefix(a.Path)
-			if len(r.byPath[a.PathEnc]) == 0 && prefixed[ai] {
-				reassemble[ai] = true
-				continue
-			}
-			for _, ci := range r.byPath[a.PathEnc] {
-				c := r.cols[ci]
-				pos := sort.Search(len(c.rows), func(k int) bool { return int(c.rows[k]) >= lo })
-				cursors[ai].cols = append(cursors[ai].cols, c)
-				cursors[ai].pos = append(cursors[ai].pos, pos)
-			}
-		}
-		for i := lo; i < hi; i++ {
-			for ai, a := range accesses {
-				if reassemble[ai] {
-					row[ai] = r.reassembleAccess(i, a, &cnt)
-					continue
+			out := cols[ai]
+			if reassemble[ai] {
+				for i := lo; i < hi; i++ {
+					out[i-lo] = r.reassembleAccess(i, a, cnt)
 				}
-				v := expr.NullValue()
-				hit := false
-				cs := &cursors[ai]
-				for k, c := range cs.cols {
-					for cs.pos[k] < len(c.rows) && int(c.rows[cs.pos[k]]) < i {
-						cs.pos[k]++
+				continue
+			}
+			// Per-stripe cursors from the batch's first row: the
+			// def-level walk of record shredding.
+			cs := stripes[ai]
+			pos := make([]int, len(cs))
+			for k, c := range cs {
+				pos[k] = sort.Search(len(c.rows), func(j int) bool { return int(c.rows[j]) >= lo })
+			}
+			for i := lo; i < hi; i++ {
+				v, hit := expr.NullValue(), false
+				for k, c := range cs {
+					for pos[k] < len(c.rows) && int(c.rows[pos[k]]) < i {
+						pos[k]++
 					}
-					if cs.pos[k] < len(c.rows) && int(c.rows[cs.pos[k]]) == i {
-						v = treeValue(c.jsonValue(cs.pos[k]), a.Type, &cnt)
-						hit = true
+					if pos[k] < len(c.rows) && int(c.rows[pos[k]]) == i {
+						v, hit = treeValue(c.jsonValue(pos[k]), a.Type, cnt), true
 						break
 					}
 				}
 				if !hit && prefixed[ai] {
-					v = r.reassembleAccess(i, a, &cnt)
+					v = r.reassembleAccess(i, a, cnt)
 				}
-				row[ai] = v
+				out[i-lo] = v
 			}
-			emit(w, row)
 		}
 	})
 }

@@ -89,10 +89,10 @@ func (r *sinew) ExtractedPaths() []string {
 	return out
 }
 
-// ScanWithStats implements StatsScanner; Sinew's global schema has no
+// ScanBatches implements BatchScanner; Sinew's global schema has no
 // tiles, but the column-hit vs fallback split is still the interesting
 // signal (accesses missing from the single schema always fall back).
-func (r *sinew) ScanWithStats(ctx context.Context, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
+func (r *sinew) ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
 	plans := make([]accessPlan, len(accesses))
 	cols := make([]*column.Column, len(accesses))
 	headers := headerPaths(accesses, r.maxSlots)
@@ -102,16 +102,11 @@ func (r *sinew) ScanWithStats(ctx context.Context, accesses []Access, workers in
 			cols[i] = r.cols[plans[i].col].Col
 		}
 	}
-	morselRangeCtx(ctx, r.numRows, workers, func(w, lo, hi int) {
-		row := make([]expr.Value, len(accesses))
-		cnt := scanCounters{morsels: 1}
-		defer cnt.flush(st)
-		cnt.rows = int64(hi - lo)
-		for i := lo; i < hi; i++ {
-			for ai, a := range accesses {
-				row[ai] = plans[ai].cell(r, cols[ai], i, a, &cnt)
+	scanCells(ctx, r.numRows, accesses, workers, emit, st, func(lo, hi int, out [][]expr.Value, cnt *scanCounters) {
+		for ai, a := range accesses {
+			for i := lo; i < hi; i++ {
+				out[ai][i-lo] = plans[ai].cell(r, cols[ai], i, a, cnt)
 			}
-			emit(w, row)
 		}
 	})
 }
@@ -237,7 +232,7 @@ func (l sinewLoader) Load(name string, lines [][]byte, workers int) (Relation, e
 
 	// Binary JSON fallback storage (parallel, like the JSONB format).
 	r.raw = make([][]byte, len(tapes))
-	morselRange(len(tapes), workers, func(w, lo, hi int) {
+	morselRange(context.Background(), len(tapes), workers, func(w, lo, hi int) {
 		s := ingestScratchPool.Get().(*ingestScratch)
 		defer ingestScratchPool.Put(s)
 		for i := lo; i < hi; i++ {

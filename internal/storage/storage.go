@@ -2,15 +2,19 @@
 // paper's evaluation behind one Relation interface, all sharing the
 // same engine and expression layer so that — exactly as in the paper's
 // internal comparison — measured differences isolate the storage
-// design:
+// design. Every format hands the engine column batches through the one
+// scan, ScanBatches:
 //
 //	JSON      raw text, full parse per tuple access        (§6 "JSON")
 //	JSONB     per-document binary JSON (§5)                (§6 "JSONB")
 //	Sinew     global single-schema column extraction [57]  (§6 "Sinew")
 //	Tiles     JSON tiles (this paper)                      (§6 "Tiles")
-//	Tiles-*   tiles + high-cardinality array relations     (§6.3)
 //	Shredded  Dremel-style full shredding with definition
 //	          levels — the Parquet stand-in               (§6 "Spark/Parquet")
+//
+// Tiles-* (§6.3, TilesStar) is not a Relation of its own: it is a Tiles
+// relation plus one Tiles relation per high-cardinality array, joined
+// back by the query.
 package storage
 
 import (
@@ -40,15 +44,14 @@ type Access struct {
 	Type expr.SQLType
 	// NullRejecting marks accesses whose NULL makes the row's
 	// predicate not-TRUE; a tile guaranteed to lack the path can then
-	// be skipped wholesale (§4.8). The promise holds per row too: a
-	// scan of a tile-backed relation, row or batch, may omit any row
-	// whose flagged access is NULL.
+	// be skipped wholesale (§4.8). The promise holds per row too: any
+	// scan may omit a row whose flagged access is NULL.
 	NullRejecting bool
 	// Filter, when non-nil, is a predicate that reads this access alone,
 	// as column i of the scan's row where i is the access's position in
-	// the list: the scan filter's conjuncts on that one slot. A scan of a
-	// tile-backed relation, row or batch, emits only rows for which
-	// every access's Filter is TRUE; other formats ignore it.
+	// the list: the scan filter's conjuncts on that one slot. Every scan
+	// applies it before it emits a row: it emits only rows for which
+	// every access's Filter is TRUE.
 	Filter expr.Expr
 }
 
@@ -63,19 +66,14 @@ func NewAccessPath(t expr.SQLType, p keypath.Path) Access {
 	return Access{Path: p, PathEnc: p.Encode(), Type: t}
 }
 
-// EmitFunc receives scan output. Implementations may call it from
-// `workers` goroutines concurrently, identified by worker id; the row
-// slice is reused between calls and must not be retained.
-type EmitFunc func(worker int, row []expr.Value)
-
 // Relation is a stored JSON collection in some format.
 type Relation interface {
 	// Name identifies the relation (diagnostics).
 	Name() string
 	// NumRows is the tuple count.
 	NumRows() int
-	// StatsScanner evaluates the access expressions for every tuple.
-	StatsScanner
+	// BatchScanner evaluates the access expressions for every tuple.
+	BatchScanner
 	// SizeBytes is the storage footprint.
 	SizeBytes() int
 	// Stats returns relation statistics, or nil when the format keeps
@@ -83,29 +81,35 @@ type Relation interface {
 	Stats() *stats.TableStats
 }
 
-// StatsScanner is the row scan of every Relation: it emits one row of
-// access values per tuple, stops at the next morsel claim once ctx is
-// cancelled, and records per-scan counters (tiles scanned/skipped,
-// rows, column hits vs binary-JSON fallbacks) into st when non-nil.
-type StatsScanner interface {
-	ScanWithStats(ctx context.Context, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats)
-}
-
 // BatchEmitFunc receives batch-scan output. Implementations may call
 // it from `workers` goroutines concurrently; the batch and its
 // vectors are reused between calls and must not be retained.
 type BatchEmitFunc func(worker int, b *vec.Batch)
 
-// BatchScanner is implemented by relations that can emit column
-// batches (typed vectors + selection vector) instead of boxed rows —
-// the vectorized fast path. Accesses a tile serves from a
+// BatchScanner is the scan of every Relation: it emits column batches
+// (typed vectors + selection vector) of every access's values, stops at
+// the next morsel claim once ctx is cancelled, and records per-scan
+// counters (tiles scanned/skipped, rows, column hits vs binary-JSON
+// fallbacks) into st when non-nil. Accesses a tile serves from a
 // materialized column are handed out as zero-copy slices; everything
 // else is materialized into boxed vectors, so batch scans are always
-// complete (never a subset of the accesses). A batch scan applies every
+// complete (never a subset of the accesses). A scan applies every
 // access's Filter before it emits a row.
 type BatchScanner interface {
 	ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats)
 }
+
+// StatsScanner is a row scan: one row of access values per tuple.
+// Only DirTable implements it, for benchmark/wrap.go, whose traced
+// relation wrapper requires it; no product code calls it.
+type StatsScanner interface {
+	ScanWithStats(ctx context.Context, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats)
+}
+
+// EmitFunc receives row-scan output (StatsScanner). Implementations may
+// call it from `workers` goroutines concurrently, identified by worker
+// id; the row slice is reused between calls and must not be retained.
+type EmitFunc func(worker int, row []expr.Value)
 
 // TileCounter is implemented by relations that know their tile count
 // without materializing tiles — EXPLAIN ANALYZE uses it for the skip

@@ -55,7 +55,7 @@ func collectScanStats(rel Relation, accesses []Access, workers int, st *obs.Scan
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
 	var rows []string
-	rel.ScanWithStats(context.Background(), accesses, workers, func(w int, row []expr.Value) {
+	scanRows(context.Background(), rel, accesses, workers, func(w int, row []expr.Value) {
 		var s string
 		for i, v := range row {
 			if i > 0 {
@@ -336,7 +336,8 @@ func TestNarrowingResolvesLiveRowsOnly(t *testing.T) {
 // every row of the tile has, `a IS NULL` leaves no row, so the two
 // document-served accesses (a JSON read and the text read of a path
 // mined as a timestamp, §4.9) resolve nothing, and `a < k` leaves k
-// rows, so they resolve k cells each.
+// rows, so they resolve k cells each. Every format applies the Filter:
+// each returns the same rows and narrows the same count, in batches.
 func TestConjunctNarrowingResolvesLiveRowsOnly(t *testing.T) {
 	const n, k = 32, 5
 	var data [][]byte
@@ -346,13 +347,17 @@ func TestConjunctNarrowingResolvesLiveRowsOnly(t *testing.T) {
 	cfg := DefaultLoaderConfig()
 	cfg.Tile.TileSize = n
 	cfg.Reorder = false
-	l, _ := NewLoader(KindTiles, cfg)
-	rel, err := l.Load("t", data, 1)
-	if err != nil {
-		t.Fatal(err)
+	rels := map[FormatKind]Relation{}
+	for _, kind := range allKinds() {
+		l, _ := NewLoader(kind, cfg)
+		rel, err := l.Load("t", data, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels[kind] = rel
 	}
 	a := NewAccess(expr.TBigInt, "a")
-	tl := rel.(TileIntrospector).Tiles()[0]
+	tl := rels[KindTiles].(TileIntrospector).Tiles()[0]
 	if cols := tl.ColumnsForPath(a.PathEnc); len(cols) != 1 || tl.Column(cols[0]).Col.NullBits() != nil {
 		t.Fatal("want one null-free column for a")
 	}
@@ -370,16 +375,27 @@ func TestConjunctNarrowingResolvesLiveRowsOnly(t *testing.T) {
 		{"a < k", expr.NewCmp(expr.LT, aCol, expr.NewConst(expr.IntValue(k))), k},
 	} {
 		a.Filter = c.filter
-		var st obs.ScanStats
-		rows := collectScanStats(rel, []Access{a, NewAccess(expr.TText, "d"), NewAccess(expr.TJSON, "o")}, 1, &st)
-		if len(rows) != c.rows {
-			t.Errorf("%s: %d rows, want %d", c.name, len(rows), c.rows)
+		rows := map[FormatKind][]string{}
+		for _, kind := range allKinds() {
+			var st obs.ScanStats
+			rows[kind] = collectScanStats(rels[kind], []Access{a, NewAccess(expr.TText, "d"), NewAccess(expr.TJSON, "o")}, 1, &st)
+			if len(rows[kind]) != c.rows {
+				t.Errorf("%s, %s: %d rows, want %d", kind, c.name, len(rows[kind]), c.rows)
+			}
+			if got := st.JSONBFallbacks.Load(); kind == KindTiles && got != int64(2*c.rows) {
+				t.Errorf("%s: %d jsonb_fallbacks, want %d", c.name, got, 2*c.rows)
+			}
+			if got := st.RowsNarrowed.Load(); got != int64(n-c.rows) {
+				t.Errorf("%s, %s: %d rows narrowed, want %d", kind, c.name, got, n-c.rows)
+			}
+			if c.rows > 0 && st.Batches.Load() == 0 {
+				t.Errorf("%s, %s: no batch counted", kind, c.name)
+			}
 		}
-		if got := st.JSONBFallbacks.Load(); got != int64(2*c.rows) {
-			t.Errorf("%s: %d jsonb_fallbacks, want %d", c.name, got, 2*c.rows)
-		}
-		if got := st.RowsNarrowed.Load(); got != int64(n-c.rows) {
-			t.Errorf("%s: %d rows narrowed, want %d", c.name, got, n-c.rows)
+		for kind, got := range rows {
+			if !reflect.DeepEqual(got, rows[KindTiles]) {
+				t.Errorf("%s, %s: rows %q, Tiles returns %q", kind, c.name, got, rows[KindTiles])
+			}
 		}
 	}
 }
@@ -501,7 +517,7 @@ func TestJSONAccessOperator(t *testing.T) {
 	rels := loadAll(t, data)
 	for kind, rel := range rels {
 		var got string
-		rel.ScanWithStats(context.Background(), []Access{NewAccess(expr.TJSON, "user")}, 1, func(w int, row []expr.Value) {
+		scanRows(context.Background(), rel, []Access{NewAccess(expr.TJSON, "user")}, 1, func(w int, row []expr.Value) {
 			got = row[0].String()
 		}, nil)
 		if got != `{"id":7,"name":"bo"}` {

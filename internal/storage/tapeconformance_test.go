@@ -69,7 +69,7 @@ func normRowMultiset(rel Relation, accesses []Access, workers int) map[string]in
 	got := map[string]int{}
 	mu := make(chan struct{}, 1)
 	mu <- struct{}{}
-	rel.ScanWithStats(context.Background(), accesses, workers, func(w int, row []expr.Value) {
+	scanRows(context.Background(), rel, accesses, workers, func(w int, row []expr.Value) {
 		cells := make([]string, len(row))
 		for i, v := range row {
 			cells[i] = normalizeCell(v.String())

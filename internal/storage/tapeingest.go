@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"context"
+
 	"fmt"
 	"math"
 	"sync"
@@ -115,7 +117,7 @@ func (p *parseErrs) get() error {
 func parseAllTapes(lines [][]byte, workers int) ([]*jsontape.Doc, error) {
 	tapes := make([]*jsontape.Doc, len(lines))
 	pe := newParseErrs()
-	morselRange(len(lines), workers, func(w, lo, hi int) {
+	morselRange(context.Background(), len(lines), workers, func(w, lo, hi int) {
 		if pe.failedBefore(lo) {
 			return
 		}
@@ -143,7 +145,7 @@ func parseAllTapes(lines [][]byte, workers int) ([]*jsontape.Doc, error) {
 // lowest-index parse error.
 func parseEach(lines [][]byte, workers int, fn func(i int, s *ingestScratch)) error {
 	pe := newParseErrs()
-	morselRange(len(lines), workers, func(w, lo, hi int) {
+	morselRange(context.Background(), len(lines), workers, func(w, lo, hi int) {
 		if pe.failedBefore(lo) {
 			return
 		}

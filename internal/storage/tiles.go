@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -371,12 +370,6 @@ func putScanScratch(s *scanScratch) {
 		s.ps.Release()
 	}
 	scanScratchPool.Put(s)
-}
-
-// ScanWithStats implements StatsScanner by boxing the rows of the
-// batch scan.
-func (r *tilesRelation) ScanWithStats(ctx context.Context, accesses []Access, workers int, emit EmitFunc, st *obs.ScanStats) {
-	scanRows(ctx, r, accesses, workers, emit, st)
 }
 
 // scanSource implementation: in-memory tiles are their own scan

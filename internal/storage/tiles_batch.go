@@ -40,8 +40,6 @@ func zeroVec(c *column.Column, t expr.SQLType) vec.Vector {
 	return v
 }
 
-var _ BatchScanner = (*tilesRelation)(nil)
-
 // ScanBatches implements BatchScanner via the shared scan core: one
 // batch per surviving tile.
 func (r *tilesRelation) ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {

@@ -359,13 +359,9 @@ func (q *Query) buildPlan(ctx context.Context, instrument bool, sp *obs.Span, sc
 		if !instrument {
 			return op
 		}
-		// Every operator works on column batches; only a scan over a
-		// format without tiles gets rows and enters through the
-		// rows→batches adapter.
-		if sc, ok := op.(*engine.Scan); !ok || sc.BatchCapable() {
-			detail += " [vectorized]"
-		}
-		tr := engine.NewTraced(label, detail, est, op)
+		// Every operator, scans of every format included, works on
+		// column batches.
+		tr := engine.NewTraced(label, detail+" [vectorized]", est, op)
 		tr.ScanStats = st
 		return tr
 	}
