@@ -152,9 +152,9 @@ type QueryStats struct {
 	DictKernelShortcuts int64
 	DictGroupByBatches  int64
 	// RowsBoxed counts rows boxed into SQL values during the execution
-	// window: the result rows, plus rows that entered a sort buffer or
-	// top-K heap — operators in between work on column vectors. A
-	// process-wide counter delta like the two above.
+	// window. Only engine.Materialize boxes rows; a query's operators
+	// and its result stay in column vectors, so a query run alone reads
+	// 0. A process-wide counter delta like the two above.
 	RowsBoxed int64
 }
 

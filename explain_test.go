@@ -476,21 +476,21 @@ func TestExplainAnalyzeRowsGolden(t *testing.T) {
 		t.Fatalf("plan rows %v, want %v\n%s", got, want, stats)
 	}
 	// Every operator ran on column batches, and the summary line says
-	// how many rows were boxed: the heap entry. The result row stays in
-	// column vectors.
+	// how many rows were boxed: none. The top-K buffers and the result
+	// row stay in column vectors.
 	text := stats.String()
 	if n := strings.Count(text, "[vectorized]"); n != len(want) {
 		t.Errorf("%d of %d operators tagged [vectorized]:\n%s", n, len(want), text)
 	}
-	if stats.RowsBoxed != 1 || !strings.Contains(text, "boxed=1") {
-		t.Errorf("RowsBoxed = %d, want 1 (one heap entry):\n%s", stats.RowsBoxed, text)
+	if stats.RowsBoxed != 0 || !strings.Contains(text, "boxed=0") {
+		t.Errorf("RowsBoxed = %d, want 0:\n%s", stats.RowsBoxed, text)
 	}
 }
 
 // TestRowsBoxedOnlyAtTheResultBoundary: a Scan → HashJoin → GroupBy →
-// top-K plan over segment files boxes its result rows and the rows
-// that entered the top-K heap, nothing else — and answers the same
-// when the build side is replayed from boxed rows.
+// top-K plan over segment files boxes its result rows, nothing else
+// (the top-K keeps column vectors) — and answers the same when the
+// build side is replayed from boxed rows.
 func TestRowsBoxedOnlyAtTheResultBoundary(t *testing.T) {
 	dir := t.TempDir()
 	open := func(name string, docs [][]byte) *Table {
@@ -524,11 +524,11 @@ func TestRowsBoxedOnlyAtTheResultBoundary(t *testing.T) {
 		res := engine.Materialize(engine.NewLimit(top, 5), 2)
 		return res, obs.RowsBoxed.Load() - base
 	}
-	// 20 groups reach the top-K in key order: the first five fill the
-	// heap, none of the rest beats its root; five rows are returned.
+	// 20 groups reach the top-K; only the five rows returned are boxed,
+	// by Materialize.
 	res, boxed := run(usersScan())
-	if len(res.Rows) != 5 || res.Rows[0][0].S != "u00" || res.Rows[0][1].I != 20 || boxed != 10 {
-		t.Fatalf("scan build side: %d rows, first %v, %d rows boxed (want 5 rows, 10 boxed)", len(res.Rows), res.Rows[0], boxed)
+	if len(res.Rows) != 5 || res.Rows[0][0].S != "u00" || res.Rows[0][1].I != 20 || boxed != 5 {
+		t.Fatalf("scan build side: %d rows, first %v, %d rows boxed (want 5 rows, 5 boxed)", len(res.Rows), res.Rows[0], boxed)
 	}
 	replayed, boxed2 := run(engine.NewValues(engine.Materialize(usersScan(), 1)))
 	if fmt.Sprint(replayed.Rows) != fmt.Sprint(res.Rows) || boxed2 != boxed {

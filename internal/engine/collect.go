@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"math"
 	"slices"
 	"strings"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/vec"
 )
 
@@ -49,9 +51,19 @@ func Collect(op Operator, workers int) *Collected {
 	return out
 }
 
-// Box boxes every row (counted in obs.RowsBoxed).
+// Box boxes every row (counted in obs.RowsBoxed): the one place the
+// engine turns column vectors into rows.
 func (c *Collected) Box() *Result {
-	return &Result{Cols: c.Cols, Rows: appendBoxedRows(nil, &vec.Batch{Cols: c.Vecs, Len: c.Len})}
+	w := len(c.Vecs)
+	rows, cells := make([][]expr.Value, c.Len), make([]expr.Value, c.Len*w)
+	for i := range rows {
+		rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+		for k := range c.Vecs {
+			rows[i][k] = c.Vecs[k].Value(i)
+		}
+	}
+	obs.RowsBoxed.Add(int64(c.Len))
+	return &Result{Cols: c.Cols, Rows: rows}
 }
 
 // SortedOrder returns the permutation that lists the rows as SortRows
@@ -59,25 +71,35 @@ func (c *Collected) Box() *Result {
 // sort.Slice's), so even ties that render differently (1, "1") agree.
 func (c *Collected) SortedOrder() []int32 {
 	perm := slices.Clone(vec.Iota(c.Len))
-	cols := make([]func(a, b int) int, len(c.Vecs))
-	for k := range c.Vecs {
-		cols[k] = cellOrder(&c.Vecs[k], c.Len)
-	}
-	slices.SortFunc(perm, func(a, b int32) int {
-		o := 0
-		for k := 0; o == 0 && k < len(cols); k++ {
-			o = cols[k](int(a), int(b))
-		}
-		return o
-	})
+	slices.SortFunc(perm, rowOrder(c.Vecs, nil, c.Len))
 	return perm
 }
 
-// cellOrder returns valueOrder over the n rows of v; typed text is
-// compared in place, first by its leading eight bytes.
+// rowOrder compares two of the n rows of cols by cellOrder, column by
+// column, flipped where desc is true.
+func rowOrder(cols []vec.Vector, desc []bool, n int) func(a, b int32) int {
+	ords := make([]func(a, b int) int, len(cols))
+	for k := range cols {
+		ords[k] = cellOrder(&cols[k], n)
+	}
+	return func(a, b int32) int {
+		for k, ord := range ords {
+			if o := ord(int(a), int(b)); o != 0 {
+				if k < len(desc) && desc[k] {
+					return -o
+				}
+				return o
+			}
+		}
+		return 0
+	}
+}
+
+// cellOrder returns cellsOrder over the n rows of v; typed text is
+// compared first by its leading eight bytes.
 func cellOrder(v *vec.Vector, n int) func(a, b int) int {
 	if v.Boxed != nil || v.AllNull || v.Type != expr.TText {
-		return func(a, b int) int { return valueOrder(v.Value(a), v.Value(b)) }
+		return func(a, b int) int { return cellsOrder(v, a, v, b) }
 	}
 	prefix := make([]uint64, n)
 	for i := range prefix {
@@ -88,18 +110,47 @@ func cellOrder(v *vec.Vector, n int) func(a, b int) int {
 		prefix[i] = binary.BigEndian.Uint64(head[:])
 	}
 	return func(a, b int) int {
-		if an, bn := v.IsNull(a), v.IsNull(b); an || bn {
-			return valueOrder(expr.Value{Null: an}, expr.Value{Null: bn}) // decided by the NULLs
-		}
-		if x, y := prefix[a], prefix[b]; x != y {
+		if x, y := prefix[a], prefix[b]; x != y && !v.IsNull(a) && !v.IsNull(b) {
 			return cmp.Compare(x, y)
 		}
-		return bytes.Compare(v.StrAt(a), v.StrAt(b))
+		return cellsOrder(v, a, v, b)
 	}
 }
 
+// cellsOrder is valueOrder of row i of a and row j of b, compared in
+// place where both are typed alike.
+func cellsOrder(a *vec.Vector, i int, b *vec.Vector, j int) int {
+	if an, bn := a.IsNull(i), b.IsNull(j); an || bn {
+		return valueOrder(expr.Value{Null: an}, expr.Value{Null: bn}) // decided by the NULLs
+	}
+	if a.Boxed == nil && b.Boxed == nil && a.Type == b.Type {
+		switch a.Type {
+		case expr.TText:
+			return bytes.Compare(a.StrAt(i), b.StrAt(j))
+		case expr.TBigInt, expr.TTimestamp:
+			return cmp.Compare(a.Ints[i], b.Ints[j])
+		case expr.TFloat:
+			return floatOrder(a.Floats[i], b.Floats[j])
+		}
+	}
+	return valueOrder(a.Value(i), b.Value(j))
+}
+
+// floatOrder is valueOrder of two floats: by value, ties by their
+// rendering, which puts -0 before 0 and NaN after every number.
+func floatOrder(x, y float64) int {
+	switch {
+	case x != x || y != y:
+		return cmp.Compare(y, x) // cmp.Compare puts NaN first; flipped, last
+	case x == y:
+		return cmp.Compare(math.Float64bits(y)>>63, math.Float64bits(x)>>63)
+	}
+	return cmp.Compare(x, y)
+}
+
 // valueOrder is SortRows's order of two cells: NULL first, then
-// expr.Compare, then the rendered text.
+// expr.Compare, then the rendered text. It is the engine's one order
+// of cells: ORDER BY and deterministic plain-scan output use it too.
 func valueOrder(a, b expr.Value) int {
 	switch {
 	case a.Null && b.Null:

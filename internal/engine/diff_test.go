@@ -575,30 +575,63 @@ func TestMinMaxFloatsNaN(t *testing.T) {
 	}
 }
 
+// refOrder is the reference order of two cells, written over boxed
+// values: NULL first, then expr.Compare, then the rendered text.
+func refOrder(a, b expr.Value) int {
+	switch {
+	case a.Null && b.Null:
+		return 0
+	case a.Null:
+		return -1
+	case b.Null:
+		return 1
+	}
+	if c, ok := expr.Compare(a, b); ok && c != 0 {
+		return c
+	}
+	return strings.Compare(a.String(), b.String())
+}
+
+// refSort stably sorts boxed rows by refOrder of each key, flipped for
+// a descending key.
+func refSort(rows [][]expr.Value, keys []OrderKey) [][]expr.Value {
+	out := append([][]expr.Value{}, rows...)
+	sort.SliceStable(out, func(i, j int) bool {
+		for _, k := range keys {
+			if c := refOrder(k.E.Eval(out[i]), k.E.Eval(out[j])); c != 0 {
+				return (c < 0) != k.Desc
+			}
+		}
+		return false
+	})
+	return out
+}
+
 func TestTopKMatchesFullSort(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 40; trial++ {
-		// Two sort keys that tie and carry NULLs, then a unique id so
-		// the order is total.
-		types := []expr.SQLType{[]expr.SQLType{expr.TBigInt, expr.TText, expr.TTimestamp, expr.TFloat}[trial%4], expr.TText, expr.TBigInt}
-		src := randSource(r, types, 0, 1+r.Intn(300), 2)
+		// Three sort keys that tie and carry NULLs, among them a Float
+		// key with NaN and -0, then a unique id so the order is total.
+		types := []expr.SQLType{[]expr.SQLType{expr.TBigInt, expr.TText, expr.TTimestamp, expr.TFloat}[trial%4], expr.TFloat, expr.TText, expr.TBigInt}
+		src := randSource(r, types, 3, 1+r.Intn(300), 3)
 		keys := []OrderKey{
 			{E: expr.NewCol(0, types[0]), Desc: r.Intn(2) == 0},
-			{E: expr.NewCol(1, expr.TText), Desc: r.Intn(2) == 0},
-			{E: expr.NewCol(2, expr.TBigInt)},
+			{E: expr.NewCol(1, expr.TFloat), Desc: r.Intn(2) == 0},
+			{E: expr.NewCol(2, expr.TText), Desc: r.Intn(2) == 0},
+			{E: expr.NewCol(3, expr.TBigInt)},
 		}
-		ob := NewOrderBy(src, keys...)
-		want := append([][]expr.Value{}, src.rows...)
-		sort.SliceStable(want, func(i, j int) bool { return ob.rowLess(want[i], want[j]) })
-		for _, k := range []int{0, 1, 5, 1000} {
+		want := refSort(src.rows, keys)
+		// K, 2K-1 and 2K+1 cut each worker's buffer more than once.
+		k := 1 + r.Intn(6)
+		for _, limit := range []int{0, 1, k, 2*k - 1, 2*k + 1, 1000} {
 			cut := want
-			if k > 0 && len(cut) > k {
-				cut = cut[:k]
+			if limit > 0 && len(cut) > limit {
+				cut = cut[:limit]
 			}
 			for _, w := range diffWorkers {
 				top := NewOrderBy(src, keys...)
-				top.Limit = k
-				sameSequence(t, fmt.Sprintf("trial %d k %d workers %d", trial, k, w), rowIDs(Materialize(top, w).Rows), rowIDs(cut))
+				top.Limit = limit
+				sameSequence(t, fmt.Sprintf("trial %d limit %d workers %d", trial, limit, w), rowIDs(Materialize(top, w).Rows), rowIDs(cut))
 			}
 		}
 	}

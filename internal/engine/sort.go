@@ -1,11 +1,10 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/expr"
-	"repro/internal/obs"
 	"repro/internal/vec"
 )
 
@@ -15,10 +14,11 @@ type OrderKey struct {
 	Desc bool
 }
 
-// OrderBy sorts the whole input (then usually feeds a Limit). When
-// Limit is positive the sort runs as a bounded top-K heap: only the K
-// best rows are retained while the input streams, so ORDER BY + LIMIT
-// never materializes the full input.
+// OrderBy sorts its input by the keys in the engine's cell order
+// (valueOrder: NULL first, NaN after every number), each key flipped by
+// Desc; rows that tie keep their input order, worker-ascending. When
+// Limit is positive it keeps only the first Limit rows of that order,
+// and each worker's buffer stays O(Limit) while the input streams.
 type OrderBy struct {
 	In    Operator
 	Keys  []OrderKey
@@ -34,149 +34,134 @@ func (o *OrderBy) Columns() []ColumnDesc { return o.In.Columns() }
 // Inputs implements the plan-walking interface.
 func (o *OrderBy) Inputs() []Operator { return []Operator{o.In} }
 
-// order reports how one key decides between two rows (NULLS FIRST
-// ascending, flipped by Desc): negative the left row sorts first,
-// positive the right row, 0 undecided. c compares the two values when
-// neither is NULL (0 for equal or incomparable).
-func (k OrderKey) order(lNull, rNull bool, c int) int {
-	switch {
-	case lNull && rNull:
-		c = 0
-	case lNull:
-		c = -1
-	case rNull:
-		c = 1
-	}
-	if k.Desc {
-		c = -c
-	}
-	return c
+// sortBuf is one worker's share of the rows being sorted, copied into
+// column builders: the input columns, then any computed keys.
+type sortBuf struct {
+	cols  []*vec.Builder
+	keys  []int // the column of each key
+	desc  []bool
+	n     int
+	limit int     // > 0: cut back to limit rows whenever 2*limit are held
+	last  int     // after a cut, the row of the limit-th kept row; -1 before
+	sel   []int32 // rows of the current batch still to append
 }
 
-// rowLess reports whether row a sorts strictly before row b.
-func (o *OrderBy) rowLess(a, b []expr.Value) bool {
-	for _, k := range o.Keys {
-		av, bv := k.E.Eval(a), k.E.Eval(b)
-		c, _ := expr.Compare(av, bv) // 0 when either is NULL
-		if c = k.order(av.Null, bv.Null, c); c != 0 {
-			return c < 0
+func newSortBuf(cols []ColumnDesc, keys []int, desc []bool, limit int) *sortBuf {
+	s := &sortBuf{keys: keys, desc: desc, limit: limit, last: -1}
+	for _, c := range cols {
+		s.cols = append(s.cols, vec.NewBuilder(c.Type))
+	}
+	return s
+}
+
+// add appends a batch's rows, cutting as soon as 2*limit rows are held.
+// Once the buffer has been cut, a row is kept only if it sorts strictly
+// before the last kept row: one typed comparison per losing row.
+func (s *sortBuf) add(b *vec.Batch) {
+	for _, i := range b.Selected() {
+		if s.last >= 0 && !s.before(b, int(i)) {
+			continue
+		}
+		s.sel = append(s.sel, i)
+		if s.limit > 0 && s.n+len(s.sel) == 2*s.limit {
+			s.flush(b)
+			s.cut()
+		}
+	}
+	s.flush(b)
+}
+
+// flush appends the rows of b listed in sel.
+func (s *sortBuf) flush(b *vec.Batch) {
+	if len(s.sel) == 0 {
+		return
+	}
+	for c, bl := range s.cols {
+		bl.AppendVector(&b.Cols[c], s.sel, b.Len)
+	}
+	s.n += len(s.sel)
+	s.sel = s.sel[:0]
+}
+
+// before reports whether row i of b sorts strictly before the last
+// kept row.
+func (s *sortBuf) before(b *vec.Batch, i int) bool {
+	for k, col := range s.keys {
+		if c := cellsOrder(&b.Cols[col], i, &s.cols[col].Vec, s.last); c != 0 {
+			return (c < 0) != s.desc[k]
 		}
 	}
 	return false
 }
 
-// topKHeap is a max-heap of the K best rows seen so far (the root is
-// the worst retained row); a new row replaces the root only when it
-// sorts strictly before it. Memory is O(K) regardless of input size.
-// rootKeys caches the root's key values, which candidate rows are
-// compared against on their typed vectors — a row is boxed only when
-// it enters the heap.
-type topKHeap struct {
-	o        *OrderBy
-	rows     [][]expr.Value
-	rootKeys []expr.Value
+// order returns the buffer's rows in sorted order; ties keep row order.
+func (s *sortBuf) order() []int32 {
+	keys := make([]vec.Vector, len(s.keys))
+	for k, col := range s.keys {
+		keys[k] = s.cols[col].Vec
+	}
+	perm := slices.Clone(vec.Iota(s.n))
+	slices.SortStableFunc(perm, rowOrder(keys, s.desc, s.n))
+	return perm
 }
 
-// worse reports whether rows[i] sorts after rows[j] — the max-heap
-// ordering that keeps the worst retained row at the root.
-func (h *topKHeap) worse(i, j int) bool { return h.o.rowLess(h.rows[j], h.rows[i]) }
-
-// push adds a boxed row the heap may retain; the caller has checked
-// that it beats the root when the heap is full.
-func (h *topKHeap) push(row []expr.Value) {
-	if len(h.rows) < h.o.Limit {
-		h.rows = append(h.rows, row)
-		for i := len(h.rows) - 1; i > 0; { // sift up
-			p := (i - 1) / 2
-			if !h.worse(i, p) {
-				break
-			}
-			h.rows[i], h.rows[p] = h.rows[p], h.rows[i]
-			i = p
-		}
-	} else {
-		h.rows[0] = row
-		for i := 0; ; { // sift down
-			l, r, big := 2*i+1, 2*i+2, i
-			if l < len(h.rows) && h.worse(l, big) {
-				big = l
-			}
-			if r < len(h.rows) && h.worse(r, big) {
-				big = r
-			}
-			if big == i {
-				break
-			}
-			h.rows[i], h.rows[big] = h.rows[big], h.rows[i]
-			i = big
-		}
+// cut keeps the first limit rows of the sorted order, in that order.
+func (s *sortBuf) cut() {
+	perm := s.order()[:s.limit]
+	for c, b := range s.cols {
+		s.cols[c] = vec.NewBuilder(b.Vec.Type)
+		s.cols[c].AppendVector(&b.Vec, perm, 0)
 	}
-	for k, key := range h.o.Keys {
-		h.rootKeys[k] = key.E.Eval(h.rows[0])
-	}
+	s.n, s.last = s.limit, s.limit-1
 }
 
-// beatsRoot reports whether row i of the evaluated key vectors sorts
-// strictly before the heap's root.
-func (h *topKHeap) beatsRoot(keys []*vec.Vector, i int) bool {
-	for k, key := range h.o.Keys {
-		v, root := keys[k], h.rootKeys[k]
-		null, c := v.IsNull(i), 0
-		if !null && !root.Null {
-			c, _ = vec.CompareCellValue(v, i, root)
-		}
-		if c = key.order(null, root.Null, c); c != 0 {
-			return c < 0
-		}
-	}
-	return false
-}
-
-// RunBatches implements Operator. Rows are collected per worker —
-// every row, or with a Limit each worker's K best (a superset of its
-// share of the global top K) — then concatenated worker-ascending,
-// stably sorted and cut.
+// RunBatches implements Operator. Computed keys are projected after
+// the input columns, each worker buffers its rows (with a Limit, a
+// superset of its share of the global top K), and the buffers are
+// concatenated worker-ascending, sorted, cut, and gathered into one
+// batch.
 func (o *OrderBy) RunBatches(workers int, emit BatchEmitFunc) {
-	width := len(o.Columns())
-	keyExprs := make([]expr.Expr, len(o.Keys))
-	for i, k := range o.Keys {
-		keyExprs[i] = k.E
+	cols := o.In.Columns()
+	exprs := make([]expr.Expr, len(cols))
+	for i, c := range cols {
+		exprs[i] = expr.NewCol(i, c.Type)
 	}
-	keys := compileAll(keyExprs)
-	type state struct {
-		heap topKHeap
-		ev   *evaluator
-	}
-	states := perWorker(workers, func() state {
-		return state{heap: topKHeap{o: o, rootKeys: make([]expr.Value, len(keys))}, ev: newEvaluator(keys)}
-	})
-	o.In.RunBatches(workers, func(w int, b *vec.Batch) {
-		h := &states[w].heap
-		if o.Limit <= 0 {
-			h.rows = appendBoxedRows(h.rows, b)
-			return
+	keys, desc := make([]int, len(o.Keys)), make([]bool, len(o.Keys))
+	for k, key := range o.Keys {
+		if c, ok := key.E.(*expr.Col); ok && c.Idx < len(cols) {
+			keys[k] = c.Idx
+		} else {
+			keys[k], exprs = len(exprs), append(exprs, key.E)
 		}
-		kv := states[w].ev.eval(b)
-		boxed := 0
-		for _, i := range b.Selected() {
-			if len(h.rows) < o.Limit || h.beatsRoot(kv, int(i)) {
-				row := make([]expr.Value, width)
-				boxRow(b, int(i), row)
-				h.push(row)
-				boxed++
-			}
+		desc[k] = key.Desc
+	}
+	in := o.In
+	if len(exprs) > len(cols) {
+		in = NewProject(o.In, exprs, nil)
+	}
+	inCols := in.Columns()
+	bufs := perWorker(workers, func() *sortBuf { return newSortBuf(inCols, keys, desc, o.Limit) })
+	in.RunBatches(workers, func(w int, b *vec.Batch) { bufs[w].add(b) })
+	all := bufs[0]
+	for _, s := range bufs[1:] {
+		for c, b := range s.cols {
+			all.cols[c].AppendVector(&b.Vec, nil, s.n)
 		}
-		obs.RowsBoxed.Add(int64(boxed))
-	})
-	var rows [][]expr.Value
-	for i := range states {
-		rows = append(rows, states[i].heap.rows...)
+		all.n += s.n
 	}
-	sort.SliceStable(rows, func(i, j int) bool { return o.rowLess(rows[i], rows[j]) })
-	if o.Limit > 0 && len(rows) > o.Limit {
-		rows = rows[:o.Limit]
+	perm := all.order()
+	if o.Limit > 0 && len(perm) > o.Limit {
+		perm = perm[:o.Limit]
 	}
-	emitRows(o.Columns(), rows, emit)
+	if len(perm) == 0 {
+		return
+	}
+	out := vec.Batch{Len: len(perm), Cols: make([]vec.Vector, len(cols))}
+	gather := make([]vec.Buf, len(cols))
+	for c := range out.Cols {
+		out.Cols[c] = *gather[c].Gather(&all.cols[c].Vec, perm, nil)
+	}
+	emit(0, &out)
 }
 
 // Limit passes through the first N rows it is handed. A batch that

@@ -1,5 +1,10 @@
 package engine
 
+import (
+	"repro/internal/expr"
+	"repro/internal/vec"
+)
+
 // Values replays a materialized result as an operator — the bridge
 // for multi-phase queries (scalar subqueries, HAVING over a prior
 // aggregation joined back, TPC-H Q2/Q11/Q15/Q17/Q18/Q22).
@@ -13,7 +18,20 @@ func NewValues(res *Result) *Values { return &Values{Res: res} }
 // Columns implements Operator.
 func (v *Values) Columns() []ColumnDesc { return v.Res.Cols }
 
-// RunBatches implements Operator: the rows enter as boxed batches.
+// RunBatches implements Operator: the rows enter as one batch of boxed
+// vectors on worker 0.
 func (v *Values) RunBatches(workers int, emit BatchEmitFunc) {
-	emitRows(v.Res.Cols, v.Res.Rows, emit)
+	rows := v.Res.Rows
+	if len(rows) == 0 {
+		return
+	}
+	b := vec.Batch{Len: len(rows)}
+	for c, col := range v.Res.Cols {
+		cells := make([]expr.Value, len(rows))
+		for i, row := range rows {
+			cells[i] = row[c]
+		}
+		b.Cols = append(b.Cols, vec.Vector{Type: col.Type, Boxed: cells})
+	}
+	emit(0, &b)
 }

@@ -323,10 +323,9 @@ var (
 	// KernelDispatches counts invocations of vectorized predicate or
 	// aggregate kernels (one per batch per compiled kernel tree).
 	KernelDispatches = Default.Counter("kernel_dispatches")
-	// RowsBoxed counts rows whose cells were boxed into expr.Value —
-	// result rows leaving the engine (Materialize) and rows
-	// entering a sort buffer or top-K heap; operators in between work
-	// on column vectors.
+	// RowsBoxed counts rows whose cells were boxed into expr.Value:
+	// result rows leaving the engine through Materialize. Operators
+	// work on column vectors.
 	RowsBoxed = Default.Counter("rows_boxed")
 )
 

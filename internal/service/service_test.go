@@ -12,6 +12,7 @@ import (
 	"time"
 
 	jsontiles "repro"
+	"repro/internal/obs"
 )
 
 // testDocs builds n small review documents.
@@ -138,6 +139,27 @@ func TestQueryEndpointMatchesLibrary(t *testing.T) {
 	for i := range want {
 		if rows[i] != want[i] {
 			t.Fatalf("row %d differs:\nhttp:    %s\nlibrary: %s", i, rows[i], want[i])
+		}
+	}
+}
+
+// TestOrderedQueriesBoxNoRows: a served ORDER BY, with or without a
+// LIMIT and over scanned or grouped rows, is sorted and encoded from
+// column vectors; no row is boxed.
+func TestOrderedQueriesBoxNoRows(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	for _, env := range []string{
+		`{"table":"reviews","select":["data->>'business'","data->>'useful'::BigInt"],"order_by":[{"col":1,"desc":true},{"col":0}]}`,
+		`{"table":"reviews","select":["data->>'business'","data->>'useful'::BigInt"],"order_by":[{"col":1,"desc":true}],"limit":7}`,
+		`{"table":"reviews","select":["data->>'business'"],"group_by":[0],"aggs":[{"fn":"count","name":"n"}],"order_by":[{"col":1}],"limit":3}`,
+	} {
+		base := obs.RowsBoxed.Load()
+		status, _, body := postQuery(t, ts.URL, "", env)
+		if status != http.StatusOK {
+			t.Fatalf("status %d:\n%s", status, body)
+		}
+		if boxed := obs.RowsBoxed.Load() - base; boxed != 0 {
+			t.Errorf("%s: %d rows boxed, want 0", env, boxed)
 		}
 	}
 }

@@ -134,16 +134,17 @@ func (b *Builder) AppendVector(src *Vector, sel []int32, n int) {
 
 // grow makes room for the selected rows of src, at least doubling
 // what is full, so a column appended batch by batch copies each cell a
-// constant number of times. Text from a plain arena reserves the bytes
-// between the first and last selected entries: the exact count for a
-// dense selection.
+// constant number of times. Text from a plain arena reserves the
+// selection's share of the bytes between its first and last entries:
+// the exact count for a dense selection.
 func (b *Builder) grow(src *Vector, sel []int32) {
 	text := 0
-	if n := len(sel); n > 0 && src.Type == expr.TText && src.Boxed == nil && !src.AllNull && !src.Dict && src.StrIdx == nil {
+	if n := len(sel); n > 0 && sel[n-1] >= sel[0] && src.Type == expr.TText && src.Boxed == nil && !src.AllNull && !src.Dict && src.StrIdx == nil {
 		text = int(src.StrOff[sel[n-1]])
 		if sel[0] > 0 {
 			text -= int(src.StrOff[sel[0]-1])
 		}
+		text = text * n / int(sel[n-1]-sel[0]+1)
 	}
 	switch v, n := &b.Vec, len(sel); {
 	case v.Boxed != nil:

@@ -94,3 +94,44 @@ func TestPlainScanOrderMatchesSortRows(t *testing.T) {
 		}
 	}
 }
+
+// TestOrderByNaNKey: ORDER BY over a Float key holding NaN and NULL
+// sorts NULL first and NaN after every number (ascending; descending
+// reverses both), as PostgreSQL does, in the full sort and in top-K,
+// at one and three workers. Neither sort boxes a row.
+func TestOrderByNaNKey(t *testing.T) {
+	all := docs(`{"x":"3"}`, `{"x":"NaN"}`, `{"x":"1"}`, `{}`, `{"x":"2"}`)
+	for _, workers := range []int{1, 3} {
+		o := opts()
+		o.Workers = workers
+		tbl, err := Load("nan", all, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			desc  bool
+			limit int
+			want  string
+		}{
+			{false, -1, "[NULL 1 2 3 NaN]"},
+			{true, -1, "[NaN 3 2 1 NULL]"},
+			{false, 3, "[NULL 1 2]"},
+			{true, 3, "[NaN 3 2]"},
+		} {
+			res, stats, err := tbl.Query("data->>'x'::Float").OrderBy(0, c.desc).Limit(c.limit).RunAnalyzed()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.RowsBoxed != 0 {
+				t.Errorf("workers %d, desc %v, limit %d: %d rows boxed, want 0", workers, c.desc, c.limit, stats.RowsBoxed)
+			}
+			var got []string
+			for i := 0; i < res.NumRows(); i++ {
+				got = append(got, res.Value(i, 0).String())
+			}
+			if fmt.Sprint(got) != c.want {
+				t.Errorf("workers %d, desc %v, limit %d: %v, want %s", workers, c.desc, c.limit, got, c.want)
+			}
+		}
+	}
+}

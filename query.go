@@ -450,8 +450,8 @@ func (q *Query) buildPlan(ctx context.Context, instrument bool, sp *obs.Span, sc
 	}
 
 	// Ordering and limit over the final schema. ORDER BY + LIMIT fuses
-	// into a bounded top-K heap: the sort never materializes more than
-	// K rows (the Limit node above it then trims nothing).
+	// into a bounded top-K: no worker holds more than 2K rows (the
+	// Limit node above it then trims nothing).
 	if len(q.orderBy) > 0 {
 		cols := root.Columns()
 		keys := make([]engine.OrderKey, len(q.orderBy))
