@@ -113,10 +113,10 @@ func TestWarmQueryDecodesNothing(t *testing.T) {
 		t.Fatalf("Compact = %d, %v; want one merge round", merged, err)
 	}
 	fresh := numeric()
-	if fresh.BlocksRead == 0 || fresh.BlocksDecoded != fresh.BlocksRead || fresh.PoolHits == 0 ||
+	if fresh.PoolMisses == 0 || fresh.BlocksDecoded != fresh.PoolMisses || fresh.PoolHits == 0 ||
 		fresh.PoolHits+fresh.PoolMisses != before6.PoolHits {
 		t.Errorf("first query after Compact: decoded=%d, blocks read=%d, pool %d hit/%d miss; want decoded = read, and the %d blocks of a warm scan split between them",
-			fresh.BlocksDecoded, fresh.BlocksRead, fresh.PoolHits, fresh.PoolMisses, before6.PoolHits)
+			fresh.BlocksDecoded, fresh.PoolMisses, fresh.PoolHits, fresh.PoolMisses, before6.PoolHits)
 	}
 	if again := numeric(); again.BlocksDecoded != 0 || again.PoolMisses != 0 {
 		t.Errorf("second query after Compact: decoded=%d, %d pool misses; want 0", again.BlocksDecoded, again.PoolMisses)

@@ -44,7 +44,9 @@ type PlanNode struct {
 	AggPartitions int64
 }
 
-// ScanStats are the storage-level counters of one table scan.
+// ScanStats are the storage-level counters of one table scan: the
+// relation's shape at plan time and the counts the scan added up
+// (obs.ScanCounts documents each).
 type ScanStats struct {
 	// Table is the scanned relation's name.
 	Table string
@@ -54,69 +56,7 @@ type ScanStats struct {
 	// SegmentsLive is the number of live segment files backing the
 	// relation at plan time (0 for in-memory and single-file tables).
 	SegmentsLive int64
-	// Morsels is the number of work units the morsel scheduler cut the
-	// scan into (what parallel workers pulled from the shared queue).
-	Morsels      int64
-	TilesScanned int64
-	// TilesSkipped counts tiles pruned without reading any tuple
-	// (§4.8).
-	TilesSkipped int64
-	RowsScanned  int64
-	// ColumnHits counts accesses served from a materialized column;
-	// JSONBFallbacks counts accesses that fell back to the per-tuple
-	// binary JSON (§4.5/§5).
-	ColumnHits     int64
-	JSONBFallbacks int64
-	// CastErrors counts stored non-null values a requested cast could
-	// not convert.
-	CastErrors int64
-	// Batches counts column batches emitted when the scan took the
-	// vectorized path (0 on the row-at-a-time path). RowsVectorized
-	// counts rows whose every access came from a typed column vector;
-	// RowsFallback counts rows that needed at least one cell
-	// materialized from binary JSON.
-	Batches        int64
-	RowsVectorized int64
-	RowsFallback   int64
-	// RowsNarrowed counts scanned rows the scan dropped inside each tile,
-	// before resolving their remaining accesses: rows a conjunct of the
-	// filter on one access, or a null-rejecting access's NULL, rules out.
-	RowsNarrowed int64
-	// DocWalks counts rows whose binary JSON the scan walked once for
-	// all of the accesses their tile serves from documents; each such
-	// cell counts one JSONBFallback.
-	DocWalks int64
-	// Segment I/O (zero for in-memory relations): blocks and stored
-	// bytes read from disk, and buffer-pool hits vs misses for the
-	// scan's block accesses. Skipped tiles and unaccessed columns
-	// never appear here — their blocks are simply never requested.
-	// BlocksDecoded counts the blocks this scan turned into a column or
-	// a document directory: the first access of a pool residency
-	// decodes, so a warm scan reports 0.
-	BlocksRead    int64
-	BlockBytes    int64
-	PoolHits      int64
-	PoolMisses    int64
-	BlocksDecoded int64
-	// Block-store traffic (zero for in-memory relations): ranged read
-	// requests issued to the store (retry attempts included), payload
-	// bytes those requests returned (coalescing gap bytes included),
-	// block fetches saved by coalescing adjacent reads, pool hits on
-	// readahead-resident blocks, and transient-failure retries.
-	StoreRangeReads   int64
-	StoreBytesRead    int64
-	StoreCoalesced    int64
-	StorePrefetchHits int64
-	StoreRetries      int64
-}
-
-// SkipRatio is the fraction of tiles skipped.
-func (s ScanStats) SkipRatio() float64 {
-	total := s.TilesScanned + s.TilesSkipped
-	if total == 0 {
-		return 0
-	}
-	return float64(s.TilesSkipped) / float64(total)
+	obs.ScanCounts
 }
 
 // QueryStats summarizes one query execution; Options.OnQueryDone
@@ -242,7 +182,8 @@ func planNode(op engine.Operator, analyzed bool) *PlanNode {
 				n.AggPartitions = gb.Partitions()
 			}
 			if tr.ScanStats != nil {
-				s := snapshotScanStats(tr.ScanStats)
+				st := tr.ScanStats
+				s := ScanStats{NumTiles: st.NumTiles, SegmentsLive: st.SegmentsLive, ScanCounts: st.Counts()}
 				if sc, ok := tr.In.(*engine.Scan); ok {
 					s.Table = sc.Rel.Name()
 				}
@@ -290,36 +231,6 @@ func describeOperator(op engine.Operator) *PlanNode {
 		return &PlanNode{Op: "Limit", Detail: fmt.Sprintf("%d", x.N), EstRows: -1}
 	default:
 		return &PlanNode{Op: fmt.Sprintf("%T", op), EstRows: -1}
-	}
-}
-
-func snapshotScanStats(st *obs.ScanStats) ScanStats {
-	return ScanStats{
-		NumTiles:       st.NumTiles,
-		SegmentsLive:   st.SegmentsLive,
-		Morsels:        st.Morsels.Load(),
-		TilesScanned:   st.TilesScanned.Load(),
-		TilesSkipped:   st.TilesSkipped.Load(),
-		RowsScanned:    st.RowsScanned.Load(),
-		ColumnHits:     st.ColumnHits.Load(),
-		JSONBFallbacks: st.JSONBFallbacks.Load(),
-		CastErrors:     st.CastErrors.Load(),
-		Batches:        st.Batches.Load(),
-		RowsVectorized: st.RowsVectorized.Load(),
-		RowsFallback:   st.RowsFallback.Load(),
-		RowsNarrowed:   st.RowsNarrowed.Load(),
-		DocWalks:       st.DocWalks.Load(),
-		BlocksRead:     st.BlocksRead.Load(),
-		BlockBytes:     st.BlockBytes.Load(),
-		PoolHits:       st.PoolHits.Load(),
-		PoolMisses:     st.PoolMisses.Load(),
-		BlocksDecoded:  st.BlocksDecoded.Load(),
-
-		StoreRangeReads:   st.StoreRangeReads.Load(),
-		StoreBytesRead:    st.StoreBytesRead.Load(),
-		StoreCoalesced:    st.StoreCoalesced.Load(),
-		StorePrefetchHits: st.StorePrefetchHits.Load(),
-		StoreRetries:      st.StoreRetries.Load(),
 	}
 }
 
@@ -389,7 +300,7 @@ func (n *PlanNode) write(sb *strings.Builder, prefix, childPrefix string) {
 			}
 			if s.PoolHits+s.PoolMisses > 0 {
 				fmt.Fprintf(sb, "; blocks=%d io=%dB pool %d hit/%d miss decoded=%d",
-					s.BlocksRead, s.BlockBytes, s.PoolHits, s.PoolMisses, s.BlocksDecoded)
+					s.PoolMisses, s.StoreBytesRead, s.PoolHits, s.PoolMisses, s.BlocksDecoded)
 			}
 			if s.StoreRangeReads > 0 {
 				fmt.Fprintf(sb, "; store reads=%d bytes=%dB coalesced=%d prefetch_hits=%d",

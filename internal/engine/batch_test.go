@@ -221,18 +221,18 @@ func TestBatchMixedFastPathAndFallbackTiles(t *testing.T) {
 	if got, want := rowMultiset(vecRes), rowMultiset(jsonRes); !sameRows(got, want) {
 		t.Fatalf("mixed tiles: %v, raw JSON %v", got, want)
 	}
-	if st.Batches.Load() == 0 {
+	c := st.Counts()
+	if c.Batches == 0 {
 		t.Error("no batches recorded")
 	}
-	if st.RowsVectorized.Load() == 0 {
-		t.Errorf("no vectorized rows (int tiles should fast-path); stats %+v", st)
+	if c.RowsVectorized == 0 {
+		t.Errorf("no vectorized rows (int tiles should fast-path); stats %+v", c)
 	}
-	if st.RowsFallback.Load() == 0 {
-		t.Errorf("no fallback rows (string tiles must materialize); stats %+v", st)
+	if c.RowsFallback == 0 {
+		t.Errorf("no fallback rows (string tiles must materialize); stats %+v", c)
 	}
-	if st.RowsVectorized.Load()+st.RowsFallback.Load() != st.RowsScanned.Load() {
-		t.Errorf("vec(%d)+fallback(%d) != scanned(%d)",
-			st.RowsVectorized.Load(), st.RowsFallback.Load(), st.RowsScanned.Load())
+	if c.RowsVectorized+c.RowsFallback != c.RowsScanned {
+		t.Errorf("vec(%d)+fallback(%d) != scanned(%d)", c.RowsVectorized, c.RowsFallback, c.RowsScanned)
 	}
 }
 
@@ -267,10 +267,10 @@ func TestBatchAggregateUsesVectorizedPath(t *testing.T) {
 	if res.Rows[0][0].I != 40 || res.Rows[0][1].I != 780 || res.Rows[0][2].F != 800 {
 		t.Errorf("agg row = %v", res.Rows[0])
 	}
-	if st.RowsFallback.Load() != 0 {
-		t.Errorf("expected pure fast path, got %d fallback rows", st.RowsFallback.Load())
+	if st.Counts().RowsFallback != 0 {
+		t.Errorf("expected pure fast path, got %d fallback rows", st.Counts().RowsFallback)
 	}
-	if st.RowsVectorized.Load() == 0 {
+	if st.Counts().RowsVectorized == 0 {
 		t.Error("no vectorized rows")
 	}
 	if obs.KernelDispatches.Load() == base {

@@ -113,8 +113,8 @@ func narrowRelations(t *testing.T, lines [][]byte) map[string]storage.Relation {
 type scanCounts struct{ rows, scanned, skipped, fallbacks, narrowed int64 }
 
 func countsOf(st *obs.ScanStats) scanCounts {
-	return scanCounts{st.RowsScanned.Load(), st.TilesScanned.Load(), st.TilesSkipped.Load(),
-		st.JSONBFallbacks.Load(), st.RowsNarrowed.Load()}
+	c := st.Counts()
+	return scanCounts{c.RowsScanned, c.TilesScanned, c.TilesSkipped, c.JSONBFallbacks, c.RowsNarrowed}
 }
 
 // checkNarrowed runs a plan over rel at every worker count: each run
@@ -351,7 +351,7 @@ func TestNewScanPushesSingleSlotConjuncts(t *testing.T) {
 	if CountRows(scan, 1) == 0 {
 		t.Fatal("the filter keeps no row: nothing reaches a filter above the scan")
 	}
-	if got, scanned := obs.KernelDispatches.Load()-base, scan.Stats.TilesScanned.Load(); got != 2*scanned {
+	if got, scanned := obs.KernelDispatches.Load()-base, scan.Stats.Counts().TilesScanned; got != 2*scanned {
 		t.Errorf("%d kernel dispatches over %d scanned tiles, want 2 per tile", got, scanned)
 	}
 }

@@ -149,45 +149,6 @@ type HistSnapshot struct {
 	Sum    float64   `json:"sum"`
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear
-// interpolation within the containing bucket. Values beyond the last
-// bound report the last bound.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Counts) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	cum := int64(0)
-	for i, c := range s.Counts {
-		prev := cum
-		cum += c
-		if float64(cum) < rank || c == 0 {
-			continue
-		}
-		if i >= len(s.Bounds) {
-			// +Inf bucket: no upper bound to interpolate toward.
-			if len(s.Bounds) == 0 {
-				return 0
-			}
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		hi := s.Bounds[i]
-		frac := (rank - float64(prev)) / float64(c)
-		return lo + (hi-lo)*frac
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
 // Diff returns s minus base, bucket by bucket — the distribution of
 // observations recorded between the two snapshots. An empty base
 // passes s through.

@@ -91,23 +91,6 @@ func TestHistogramMergeRejectsDifferentBounds(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]float64{10, 20, 30, 40})
-	for v := 1.0; v <= 40; v++ {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	if p50 := s.Quantile(0.5); p50 < 10 || p50 > 20 {
-		t.Fatalf("p50 = %v, want within (10, 20]", p50)
-	}
-	if p99 := s.Quantile(0.99); p99 < 30 || p99 > 40 {
-		t.Fatalf("p99 = %v, want within (30, 40]", p99)
-	}
-	if q := (HistSnapshot{}).Quantile(0.5); q != 0 {
-		t.Fatalf("empty quantile = %v", q)
-	}
-}
-
 func TestHistogramSnapshotDiff(t *testing.T) {
 	h := NewHistogram([]float64{1, 10})
 	h.Observe(0.5)
@@ -142,9 +125,7 @@ func TestGaugeSetAddLoad(t *testing.T) {
 func TestQueryRegistryLifecycle(t *testing.T) {
 	r := NewQueryRegistry()
 	st := &ScanStats{}
-	st.RowsScanned.Add(7)
-	st.TilesScanned.Add(2)
-	st.BlockBytes.Add(1024)
+	st.Add(&ScanCounts{RowsScanned: 7, TilesScanned: 2, StoreBytesRead: 1024})
 	h := r.Begin("abcd", []string{"events"}, []*ScanStats{st})
 	if r.NumLive() != 1 {
 		t.Fatalf("live = %d, want 1", r.NumLive())

@@ -183,14 +183,10 @@ func TestNilSpanSafe(t *testing.T) {
 }
 
 func TestScanStatsSkipRatio(t *testing.T) {
-	var s *ScanStats
-	if s.SkipRatio() != 0 {
-		t.Fatal("nil stats skip ratio")
+	if (ScanCounts{}).SkipRatio() != 0 {
+		t.Fatal("empty counts skip ratio")
 	}
-	s = &ScanStats{NumTiles: 10}
-	s.TilesScanned.Add(6)
-	s.TilesSkipped.Add(4)
-	if got := s.SkipRatio(); got != 0.4 {
+	if got := (ScanCounts{TilesScanned: 6, TilesSkipped: 4}).SkipRatio(); got != 0.4 {
 		t.Fatalf("skip ratio = %v, want 0.4", got)
 	}
 }

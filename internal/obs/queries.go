@@ -26,16 +26,17 @@ type QueryHandle struct {
 }
 
 // Progress sums the handle's scan counters: rows and tiles scanned so
-// far, tiles skipped, and stored bytes read from disk.
+// far, tiles skipped, and stored bytes read from the store.
 func (h *QueryHandle) Progress() (rows, tilesScanned, tilesSkipped, bytes int64) {
 	if h == nil {
 		return
 	}
 	for _, st := range h.scans {
-		rows += st.RowsScanned.Load()
-		tilesScanned += st.TilesScanned.Load()
-		tilesSkipped += st.TilesSkipped.Load()
-		bytes += st.BlockBytes.Load()
+		c := st.Counts()
+		rows += c.RowsScanned
+		tilesScanned += c.TilesScanned
+		tilesSkipped += c.TilesSkipped
+		bytes += c.StoreBytesRead
 	}
 	return
 }

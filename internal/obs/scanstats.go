@@ -1,77 +1,157 @@
 package obs
 
-import "sync/atomic"
+import "sync"
 
-// ScanStats collects the counters of one relation scan for EXPLAIN
-// ANALYZE. Relations batch their updates per tile (or per worker
-// chunk), so the atomic adds are off the per-row path. NumTiles is set
-// by the planner before the scan starts and read only after it ends.
+// ScanCounts are the counters of one relation scan, declared once:
+// each scan worker and each store fetch counts into a ScanCounts of its
+// own (plain integers, so the per-row path touches no shared memory),
+// the scan's ScanStats sums them, and EXPLAIN ANALYZE renders the sum.
+type ScanCounts struct {
+	// Morsels is the number of work units the scan was cut into for
+	// the morsel scheduler (EXPLAIN ANALYZE `morsels=`).
+	Morsels int64
+
+	// TilesScanned + TilesSkipped is the relation's tile count (0 for
+	// formats without tiles); TilesSkipped counts tiles pruned without
+	// reading any tuple (§4.8).
+	TilesScanned int64
+	TilesSkipped int64
+	RowsScanned  int64
+	// ColumnHits counts accesses served from a materialized column;
+	// JSONBFallbacks counts accesses that fell back to the per-tuple
+	// binary JSON (§4.5/§5).
+	ColumnHits     int64
+	JSONBFallbacks int64
+	// CastErrors counts stored non-null values a requested cast could
+	// not convert.
+	CastErrors int64
+
+	// Batches counts the column batches the scan emitted.
+	// RowsVectorized counts rows whose every access came from a typed
+	// column vector; RowsFallback counts rows that needed at least one
+	// cell materialized from binary JSON. The split is counted by tile
+	// scans only: formats without tiles count Batches alone.
+	Batches        int64
+	RowsVectorized int64
+	RowsFallback   int64
+	// RowsNarrowed counts scanned rows the scan dropped before emitting
+	// their batch: rows a conjunct of the filter on one access, or a
+	// null-rejecting access's NULL, rules out.
+	RowsNarrowed int64
+	// DocWalks counts rows whose binary JSON the scan walked once for
+	// all of the accesses their tile serves from documents; each such
+	// cell counts one JSONBFallback.
+	DocWalks int64
+
+	// Segment I/O (zero for in-memory relations): buffer-pool hits vs
+	// misses for the scan's block accesses, each miss one block read
+	// from the store, and the blocks this scan turned into a column or
+	// a document directory (the first access of a pool residency
+	// decodes, so a warm scan reports 0). Skipped tiles and unaccessed
+	// columns never appear here: their blocks are never requested.
+	PoolHits      int64
+	PoolMisses    int64
+	BlocksDecoded int64
+
+	// Block-store traffic (zero when every block was pool-resident):
+	// ranged read requests issued (retry attempts included), payload
+	// bytes those requests returned (coalescing gap bytes included),
+	// block fetches saved by coalescing adjacent reads, pool hits on
+	// readahead-resident blocks, and transient-failure retries.
+	StoreRangeReads   int64
+	StoreBytesRead    int64
+	StoreCoalesced    int64
+	StorePrefetchHits int64
+	StoreRetries      int64
+}
+
+// Add adds o into c, field by field.
+func (c *ScanCounts) Add(o *ScanCounts) {
+	c.Morsels += o.Morsels
+	c.TilesScanned += o.TilesScanned
+	c.TilesSkipped += o.TilesSkipped
+	c.RowsScanned += o.RowsScanned
+	c.ColumnHits += o.ColumnHits
+	c.JSONBFallbacks += o.JSONBFallbacks
+	c.CastErrors += o.CastErrors
+	c.Batches += o.Batches
+	c.RowsVectorized += o.RowsVectorized
+	c.RowsFallback += o.RowsFallback
+	c.RowsNarrowed += o.RowsNarrowed
+	c.DocWalks += o.DocWalks
+	c.PoolHits += o.PoolHits
+	c.PoolMisses += o.PoolMisses
+	c.BlocksDecoded += o.BlocksDecoded
+	c.StoreRangeReads += o.StoreRangeReads
+	c.StoreBytesRead += o.StoreBytesRead
+	c.StoreCoalesced += o.StoreCoalesced
+	c.StorePrefetchHits += o.StorePrefetchHits
+	c.StoreRetries += o.StoreRetries
+}
+
+// forward adds the counts that have a process-wide series into
+// Default. The rest are counted process-wide where they happen: morsels
+// by the queue runner, decodes by the segment reader, and store traffic
+// at the store layer, so forwarding those would double-count.
+func (c *ScanCounts) forward() {
+	TilesScanned.Add(c.TilesScanned)
+	TilesSkipped.Add(c.TilesSkipped)
+	RowsScanned.Add(c.RowsScanned)
+	ColumnHits.Add(c.ColumnHits)
+	JSONBFallbacks.Add(c.JSONBFallbacks)
+	CastErrors.Add(c.CastErrors)
+	BatchesEmitted.Add(c.Batches)
+	RowsVectorized.Add(c.RowsVectorized)
+	RowsBatchFallback.Add(c.RowsFallback)
+	RowsNarrowed.Add(c.RowsNarrowed)
+	DocWalks.Add(c.DocWalks)
+	SegmentBlocksRead.Add(c.PoolMisses)
+	SegmentBytesRead.Add(c.StoreBytesRead)
+	BufpoolHits.Add(c.PoolHits)
+	BufpoolMisses.Add(c.PoolMisses)
+}
+
+// SkipRatio returns the fraction of tiles skipped of those considered.
+func (c ScanCounts) SkipRatio() float64 {
+	total := c.TilesScanned + c.TilesSkipped
+	if total == 0 {
+		return 0
+	}
+	return float64(c.TilesSkipped) / float64(total)
+}
+
+// ScanStats is the sink of one relation scan's counts, for EXPLAIN
+// ANALYZE and the live-query registry. NumTiles and SegmentsLive are
+// set by the planner before the scan starts and read only after it
+// ends; the counts arrive through Add once per morsel or store fetch,
+// so the lock is off the per-row path.
 type ScanStats struct {
 	// NumTiles is the total tile count of the scanned relation (0 for
 	// formats without tiles).
 	NumTiles int64
-
 	// SegmentsLive is the number of live segments backing the scanned
-	// relation (0 for single-file and in-memory formats). Set by the
-	// planner alongside NumTiles.
+	// relation (0 for single-file and in-memory formats).
 	SegmentsLive int64
 
-	// Morsels is the number of work units the scan was cut into for
-	// the morsel scheduler (EXPLAIN ANALYZE `morsels=`).
-	Morsels atomic.Int64
-
-	TilesScanned   atomic.Int64
-	TilesSkipped   atomic.Int64
-	RowsScanned    atomic.Int64
-	ColumnHits     atomic.Int64
-	JSONBFallbacks atomic.Int64
-	CastErrors     atomic.Int64
-
-	// Batch-execution split: batches emitted by this scan, rows whose
-	// accesses were all served from typed vectors, and rows that
-	// needed at least one materialized (boxed) cell. The split is
-	// counted by tile scans only: formats without tiles emit boxed
-	// batches and count Batches alone.
-	Batches        atomic.Int64
-	RowsVectorized atomic.Int64
-	RowsFallback   atomic.Int64
-	// RowsNarrowed counts scanned rows the scan core dropped before
-	// emitting their batch (EXPLAIN ANALYZE `narrowed=`).
-	RowsNarrowed atomic.Int64
-	// DocWalks counts rows whose binary JSON one walk read for every
-	// document-served access of their tile (EXPLAIN ANALYZE `walks=`).
-	DocWalks atomic.Int64
-
-	// Segment I/O split (zero for in-memory relations): blocks and
-	// stored bytes read from disk, buffer-pool hits vs misses for this
-	// scan's block accesses, and the blocks this scan had to decode
-	// (first access of a pool residency; 0 on a warm scan).
-	BlocksRead    atomic.Int64
-	BlockBytes    atomic.Int64
-	PoolHits      atomic.Int64
-	PoolMisses    atomic.Int64
-	BlocksDecoded atomic.Int64
-
-	// BlockStore split (zero when every block was pool-resident):
-	// ranged read requests this scan issued (retry attempts included),
-	// payload bytes those requests returned (coalescing gap bytes
-	// included), block fetches saved by coalescing, pool hits on
-	// readahead-resident blocks, and transient-failure retries.
-	StoreRangeReads   atomic.Int64
-	StoreBytesRead    atomic.Int64
-	StoreCoalesced    atomic.Int64
-	StorePrefetchHits atomic.Int64
-	StoreRetries      atomic.Int64
+	mu     sync.Mutex
+	counts ScanCounts
 }
 
-// SkipRatio returns the fraction of tiles skipped of those considered.
-func (s *ScanStats) SkipRatio() float64 {
+// Add forwards c to the process-wide series and, on a non-nil s, adds
+// it to the scan's counts.
+func (s *ScanStats) Add(c *ScanCounts) {
+	c.forward()
 	if s == nil {
-		return 0
+		return
 	}
-	total := s.TilesScanned.Load() + s.TilesSkipped.Load()
-	if total == 0 {
-		return 0
-	}
-	return float64(s.TilesSkipped.Load()) / float64(total)
+	s.mu.Lock()
+	s.counts.Add(c)
+	s.mu.Unlock()
+}
+
+// Counts returns the counts added so far.
+func (s *ScanStats) Counts() ScanCounts {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.counts
 }

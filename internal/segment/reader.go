@@ -53,18 +53,6 @@ type ReadInfo struct {
 	Retries     int
 }
 
-// FetchInfo aggregates one coalesced block fetch (Fetch): the
-// ranged read requests issued (retries included), the payload bytes
-// those requests returned (gap bytes included), blocks made resident,
-// block fetches saved by coalescing, and transient retries.
-type FetchInfo struct {
-	RangeReads int64
-	BytesRead  int64
-	Blocks     int64
-	Coalesced  int64
-	Retries    int64
-}
-
 // openTailWindow is the speculative trailing read OpenStore issues: one
 // ranged read that, for most segments, covers the fixed tail and the
 // whole footer block (and, for small segments, the entire object), so
@@ -348,11 +336,14 @@ func (r *Reader) PlanFetch(refs []BlockRef) (runs []FetchRun, rawBytes int64) {
 // when the fetch was issued ahead of the scan. Failures are not
 // returned: a block whose run failed stays non-resident and the demand
 // path reports the error with full context when the scan needs it.
-func (r *Reader) Fetch(tenant string, runs []FetchRun, prefetched bool) FetchInfo {
+// The fetch's counts are its store traffic (ranged reads with retries,
+// bytes returned, blocks saved by coalescing) and, as pool misses, the
+// blocks it made resident.
+func (r *Reader) Fetch(tenant string, runs []FetchRun, prefetched bool) obs.ScanCounts {
 	if len(runs) == 0 {
-		return FetchInfo{}
+		return obs.ScanCounts{}
 	}
-	infos := make([]FetchInfo, len(runs))
+	infos := make([]obs.ScanCounts, len(runs))
 	var wg sync.WaitGroup
 	for i := 1; i < len(runs); i++ {
 		wg.Add(1)
@@ -363,25 +354,21 @@ func (r *Reader) Fetch(tenant string, runs []FetchRun, prefetched bool) FetchInf
 	}
 	fi := r.fetchRun(tenant, runs[0], prefetched)
 	wg.Wait()
-	for _, o := range infos[1:] {
-		fi.RangeReads += o.RangeReads
-		fi.BytesRead += o.BytesRead
-		fi.Blocks += o.Blocks
-		fi.Coalesced += o.Coalesced
-		fi.Retries += o.Retries
+	for i := range infos[1:] {
+		fi.Add(&infos[1+i])
 	}
-	obs.StoreReadCoalesced.Add(fi.Coalesced)
+	obs.StoreReadCoalesced.Add(fi.StoreCoalesced)
 	return fi
 }
 
-func (r *Reader) fetchRun(tenant string, run FetchRun, prefetched bool) FetchInfo {
+func (r *Reader) fetchRun(tenant string, run FetchRun, prefetched bool) obs.ScanCounts {
 	buf, retries, err := blockstore.ReadRangeRetry(r.store, r.name, run.Off, run.Len, 0)
-	fi := FetchInfo{RangeReads: int64(1 + retries), Retries: int64(retries)}
+	fi := obs.ScanCounts{StoreRangeReads: int64(1 + retries), StoreRetries: int64(retries)}
 	if err != nil {
 		return fi
 	}
-	fi.BytesRead = run.Len
-	fi.Coalesced = int64(len(run.Blocks) - 1)
+	fi.StoreBytesRead = run.Len
+	fi.StoreCoalesced = int64(len(run.Blocks) - 1)
 	for _, ref := range run.Blocks {
 		stored := buf[int64(ref.Off)-run.Off:][:ref.StoredLen]
 		if xxhash.Sum64(stored) != ref.Sum {
@@ -392,7 +379,7 @@ func (r *Reader) fetchRun(tenant string, run FetchRun, prefetched bool) FetchInf
 			continue
 		}
 		if r.pool.Put(tenant, bufpool.Key{File: r.fileID, Off: ref.Off}, payload, prefetched) {
-			fi.Blocks++
+			fi.PoolMisses++
 		}
 	}
 	return fi

@@ -107,7 +107,7 @@ func TestCastsAgreeAcrossFormats(t *testing.T) {
 				break
 			}
 		}
-		if got := jsonSt.CastErrors.Load(); got != wantErrs {
+		if got := jsonSt.Counts().CastErrors; got != wantErrs {
 			t.Errorf("%s: JSON counted %d cast errors, want %d", text, got, wantErrs)
 		}
 
@@ -126,7 +126,7 @@ func TestCastsAgreeAcrossFormats(t *testing.T) {
 			if got := collectScanStats(rel, accs, 2, &st); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s %s: got %v\nwant %v", text, label, dedup(got), dedup(want))
 			}
-			if got := st.CastErrors.Load(); got != wantErrs {
+			if got := st.Counts().CastErrors; got != wantErrs {
 				t.Errorf("%s %s: counted %d cast errors, want %d", text, label, got, wantErrs)
 			}
 		}

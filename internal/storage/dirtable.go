@@ -255,13 +255,6 @@ func (t *DirTable) NumSegments() int {
 	return len(t.segs)
 }
 
-// Generation returns the committed manifest version.
-func (t *DirTable) Generation() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.version
-}
-
 // Pool exposes the buffer pool serving this table.
 func (t *DirTable) Pool() *bufpool.Pool { return t.pool }
 

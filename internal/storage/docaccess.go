@@ -65,7 +65,7 @@ func castJSON(v expr.Value, want expr.SQLType, cnt *scanCounters) expr.Value {
 		out = expr.CastValue(v, want)
 	}
 	if out.Null {
-		cnt.castErrs++
+		cnt.CastErrors++
 	}
 	return out
 }

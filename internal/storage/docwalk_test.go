@@ -125,8 +125,8 @@ func perCellCounts(tiles []*tile.Tile, accesses []Access, cfg LoaderConfig) (fal
 		if doc {
 			walks += int64(t.NumRows())
 		}
-		fallbacks += cnt.fallbacks
-		castErrs += cnt.castErrs
+		fallbacks += cnt.JSONBFallbacks
+		castErrs += cnt.CastErrors
 	}
 	return fallbacks, castErrs, walks
 }
@@ -170,8 +170,8 @@ func TestDocWalkMatchesJSON(t *testing.T) {
 		if walks == 0 {
 			t.Fatalf("%s: no tile serves an access from its documents", name)
 		}
-		if castErrs != jsonSt.CastErrors.Load() {
-			t.Fatalf("%s: per-cell read counts %d cast errors, raw JSON %d", name, castErrs, jsonSt.CastErrors.Load())
+		if castErrs != jsonSt.Counts().CastErrors {
+			t.Fatalf("%s: per-cell read counts %d cast errors, raw JSON %d", name, castErrs, jsonSt.Counts().CastErrors)
 		}
 		for label, rel := range rels {
 			for _, workers := range []int{1, 3} {
@@ -180,13 +180,13 @@ func TestDocWalkMatchesJSON(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s %s workers=%d:\n got %v\nwant %v", name, label, workers, dedup(got), dedup(want))
 				}
-				if g := st.JSONBFallbacks.Load(); g != fallbacks {
+				if g := st.Counts().JSONBFallbacks; g != fallbacks {
 					t.Errorf("%s %s workers=%d: %d JSONB fallbacks, want %d", name, label, workers, g, fallbacks)
 				}
-				if g := st.CastErrors.Load(); g != castErrs {
+				if g := st.Counts().CastErrors; g != castErrs {
 					t.Errorf("%s %s workers=%d: %d cast errors, want %d", name, label, workers, g, castErrs)
 				}
-				if g := st.DocWalks.Load(); g != walks {
+				if g := st.Counts().DocWalks; g != walks {
 					t.Errorf("%s %s workers=%d: %d document walks, want %d", name, label, workers, g, walks)
 				}
 			}
@@ -246,10 +246,10 @@ func TestSlotProbeWalksEachRowOnce(t *testing.T) {
 	}
 	var st obs.ScanStats
 	rel.(BatchScanner).ScanBatches(context.Background(), accs, 2, func(int, *vec.Batch) {}, &st)
-	if g := st.DocWalks.Load(); g != walks {
+	if g := st.Counts().DocWalks; g != walks {
 		t.Errorf("%d document walks, want %d", g, walks)
 	}
-	if g := st.JSONBFallbacks.Load(); g != fallbacks {
+	if g := st.Counts().JSONBFallbacks; g != fallbacks {
 		t.Errorf("%d JSONB fallbacks, want %d", g, fallbacks)
 	}
 }
@@ -418,8 +418,8 @@ func TestDocWalkSharedPrefixes(t *testing.T) {
 					}
 				}
 			}
-			if walked.castErrs != looked.castErrs {
-				t.Fatalf("%s mask %b: walk counted %d cast errors, docAccess %d", tc.name, mask, walked.castErrs, looked.castErrs)
+			if walked.CastErrors != looked.CastErrors {
+				t.Fatalf("%s mask %b: walk counted %d cast errors, docAccess %d", tc.name, mask, walked.CastErrors, looked.CastErrors)
 			}
 		}
 	}
@@ -476,8 +476,8 @@ func FuzzDocWalk(f *testing.F) {
 				}
 			}
 		}
-		if walked.castErrs != looked.castErrs {
-			t.Fatalf("walk counted %d cast errors, docAccess %d", walked.castErrs, looked.castErrs)
+		if walked.CastErrors != looked.CastErrors {
+			t.Fatalf("walk counted %d cast errors, docAccess %d", walked.CastErrors, looked.CastErrors)
 		}
 	})
 }

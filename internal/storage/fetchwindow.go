@@ -172,10 +172,8 @@ func (fw *fetchWindow) advance() {
 // counters are plain integers), flushed to the scan's stats once.
 func (fw *fetchWindow) run(f *tileFetch, ahead bool) {
 	defer close(f.done)
-	cnt := scanCounters{tenant: fw.planCnt.tenant}
-	fi := f.r.Fetch(cnt.tenant, f.runs, ahead)
-	cnt.rangeReads, cnt.rangeBytes, cnt.coalesced, cnt.retries = fi.RangeReads, fi.BytesRead, fi.Coalesced, fi.Retries
-	cnt.blocksRead, cnt.blockBytes, cnt.poolMisses = fi.Blocks, fi.BytesRead, fi.Blocks
+	tenant := fw.planCnt.tenant
+	cnt := scanCounters{ScanCounts: f.r.Fetch(tenant, f.runs, ahead), tenant: tenant}
 	cnt.flush(fw.st)
 }
 

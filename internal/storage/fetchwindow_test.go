@@ -175,8 +175,8 @@ func TestFetchWindowPoolPressure(t *testing.T) {
 			if pinned := dt.Pool().Stats().PinnedBytes; pinned != 0 {
 				t.Errorf("%s: %d bytes still pinned", label, pinned)
 			}
-			if hits, blocks := st.StorePrefetchHits.Load(), st.BlocksRead.Load(); poolBytes == 128<<10 && hits >= blocks {
-				t.Errorf("%s: %d of %d blocks fetched ahead, want some fetched by their claim", label, hits, blocks)
+			if c := st.Counts(); poolBytes == 128<<10 && c.StorePrefetchHits >= c.PoolMisses {
+				t.Errorf("%s: %d of %d blocks fetched ahead, want some fetched by their claim", label, c.StorePrefetchHits, c.PoolMisses)
 			}
 			dt.Close()
 		}
@@ -198,19 +198,19 @@ func TestFetchWindowAccounting(t *testing.T) {
 	reads0, bytes0 := fake.RangeReadCount(), fake.BytesRead()
 	var st obs.ScanStats
 	dt.ScanBatches(context.Background(), padAccess, 3, func(int, *vec.Batch) {}, &st)
-	if got, want := st.StoreRangeReads.Load(), fake.RangeReadCount()-reads0; got != want {
+	c := st.Counts()
+	if got, want := c.StoreRangeReads, fake.RangeReadCount()-reads0; got != want {
 		t.Errorf("stats count %d range reads, the store %d", got, want)
 	}
-	if got, want := st.StoreBytesRead.Load(), fake.BytesRead()-bytes0; got != want {
+	if got, want := c.StoreBytesRead, fake.BytesRead()-bytes0; got != want {
 		t.Errorf("stats count %d bytes read, the store %d", got, want)
 	}
-	if st.PoolMisses.Load() != st.BlocksRead.Load() || st.PoolHits.Load() != 0 {
-		t.Errorf("cold scan of %d blocks counted %d misses, %d hits",
-			st.BlocksRead.Load(), st.PoolMisses.Load(), st.PoolHits.Load())
+	if c.PoolHits != 0 {
+		t.Errorf("cold scan of %d blocks counted %d hits", c.PoolMisses, c.PoolHits)
 	}
 	// Everything fits the default pool, so the window fetches every
 	// tile ahead of its claim.
-	if got, want := st.StorePrefetchHits.Load(), st.BlocksRead.Load(); got != want {
+	if got, want := c.StorePrefetchHits, c.PoolMisses; got != want {
 		t.Errorf("%d prefetch hits for %d blocks fetched", got, want)
 	}
 }
@@ -258,7 +258,8 @@ func TestColdScanReadsOnlyPlannedBlocks(t *testing.T) {
 	if err := dt.Err(); err != nil || len(got) != tiles*rows || got[0] != "2020-01-01 10:00:00" {
 		t.Fatalf("%d rows, first %q, err %v", len(got), got[0], err)
 	}
-	read, decoded, ahead := st.BlocksRead.Load(), st.BlocksDecoded.Load(), st.StorePrefetchHits.Load()
+	c := st.Counts()
+	read, decoded, ahead := c.PoolMisses, c.BlocksDecoded, c.StorePrefetchHits
 	if read != tiles || decoded != tiles || ahead != tiles {
 		t.Errorf("read %d blocks, decoded %d, %d fetched ahead; want each tile's documents alone (%d), all fetched ahead",
 			read, decoded, ahead, tiles)
@@ -326,10 +327,11 @@ func TestRemoteScanCoalescesReads(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		dt.Close()
-		if got, want := st.RowsScanned.Load(), int64(segs/2*docs); got != want {
+		c := st.Counts()
+		if got, want := c.RowsScanned, int64(segs/2*docs); got != want {
 			t.Errorf("workers=%d: %d rows scanned, want %d (the geo-tagged segments)", workers, got, want)
 		}
-		reads, blocks := st.StoreRangeReads.Load(), st.BlocksRead.Load()
+		reads, blocks := c.StoreRangeReads, c.PoolMisses
 		if reads != requests {
 			t.Errorf("workers=%d: stats count %d range reads, the store served %d requests", workers, reads, requests)
 		}

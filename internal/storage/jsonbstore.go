@@ -49,7 +49,7 @@ func (r *jsonbStore) SizeBytes() int {
 // baseline the tiles column-hit ratio is compared against.
 func (r *jsonbStore) ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
 	scanCells(ctx, len(r.docs), accesses, workers, emit, st, func(lo, hi int, cols [][]expr.Value, cnt *scanCounters) {
-		cnt.fallbacks += int64(hi-lo) * int64(len(accesses))
+		cnt.JSONBFallbacks += int64(hi-lo) * int64(len(accesses))
 		for i := lo; i < hi; i++ {
 			d := jsonb.NewDoc(r.docs[i])
 			for ai, a := range accesses {

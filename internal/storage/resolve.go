@@ -114,10 +114,10 @@ func (p accessPlan) cell(t scanTile, col *column.Column, i int, a Access, cnt *s
 	case p.serve == serveNull:
 		return expr.NullValue()
 	case p.serve == serveDoc, p.docOnNull && col.IsNull(i):
-		cnt.fallbacks++
+		cnt.JSONBFallbacks++
 		return docAccess(t.Raw(i), a.Path, a.Type, cnt)
 	}
-	cnt.hits++
+	cnt.ColumnHits++
 	if col.IsNull(i) {
 		return expr.NullValue()
 	}

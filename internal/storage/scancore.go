@@ -145,7 +145,7 @@ func scanCells(ctx context.Context, n int, accesses []Access, workers int, emit 
 				sc.ps = p.Fit(sc.ps)
 			}
 		}
-		cnt := scanCounters{morsels: 1, rows: int64(hi - lo)}
+		cnt := scanCounters{ScanCounts: obs.ScanCounts{Morsels: 1, RowsScanned: int64(hi - lo)}}
 		defer cnt.flush(st)
 		cols := make([][]expr.Value, len(accesses))
 		for blo := lo; blo < hi; blo += cellBatchRows {
@@ -157,16 +157,16 @@ func scanCells(ctx context.Context, n int, accesses []Access, workers int, emit 
 			}
 			fill(blo, blo+b.Len, cols, &cnt)
 			for _, p := range preds {
-				if p != nil && !sc.narrow(p, &cnt) {
+				if p != nil && !sc.narrow(p) {
 					break
 				}
 			}
 			kept := b.Rows()
-			cnt.narrowed += int64(b.Len - kept)
+			cnt.RowsNarrowed += int64(b.Len - kept)
 			if kept == 0 {
 				continue
 			}
-			cnt.batches++
+			cnt.Batches++
 			emit(w, b)
 		}
 	})
@@ -227,21 +227,21 @@ func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, wor
 				sc.ps = p.Fit(sc.ps)
 			}
 		}
-		cnt := scanCounters{morsels: 1, tenant: tenant}
+		cnt := scanCounters{ScanCounts: obs.ScanCounts{Morsels: 1}, tenant: tenant}
 		defer cnt.flush(st)
 		for ti := m.lo; ti < m.hi; ti++ {
 			t := src.openScanTile(ti, &cnt)
 			if sp.skippable(t) {
-				cnt.tilesSkipped++
+				cnt.TilesSkipped++
 				continue
 			}
-			cnt.tilesScanned++
+			cnt.TilesScanned++
 			fw.claim(ti)
-			cnt.rows += int64(t.NumRows())
+			cnt.RowsScanned += int64(t.NumRows())
 			if !sc.fillBatch(t, sp, &cnt) {
 				continue
 			}
-			cnt.batches++
+			cnt.Batches++
 			sc.batch.Base = offs[ti]
 			emit(w, &sc.batch)
 		}
@@ -265,11 +265,11 @@ func (sc *scanScratch) fillBatch(t scanTile, sp *scanPlan, cnt *scanCounters) (l
 		if live {
 			kept = sc.batch.Rows()
 		}
-		cnt.narrowed += int64(n - kept)
+		cnt.RowsNarrowed += int64(n - kept)
 		if allVec {
-			cnt.rowsVec += int64(n)
+			cnt.RowsVectorized += int64(n)
 		} else {
-			cnt.rowsFallback += int64(n)
+			cnt.RowsFallback += int64(n)
 		}
 	}()
 	for ai, p := range sp.preds {
@@ -283,7 +283,7 @@ func (sc *scanScratch) fillBatch(t scanTile, sp *scanPlan, cnt *scanCounters) (l
 			continue
 		}
 		sc.fillVector(t, ai, sp.accesses[ai].Type, plan, cnt)
-		if !sc.narrow(p, cnt) {
+		if !sc.narrow(p) {
 			return false
 		}
 	}
@@ -292,7 +292,7 @@ func (sc *scanScratch) fillBatch(t scanTile, sp *scanPlan, cnt *scanCounters) (l
 			continue
 		}
 		sc.fillBoxed(t, ai, sp.accesses[ai], sc.plans[ai], cnt)
-		if !sc.narrow(p, cnt) {
+		if !sc.narrow(p) {
 			return false
 		}
 	}
@@ -332,15 +332,15 @@ func (sc *scanScratch) walkDocs(t scanTile, sp *scanPlan, cnt *scanCounters) {
 	for _, i := range rows {
 		w.row(t.Raw(int(i)), int(i), cnt)
 	}
-	cnt.docWalks += int64(len(rows))
-	cnt.fallbacks += int64(len(rows) * len(w.cells))
+	cnt.DocWalks += int64(len(rows))
+	cnt.JSONBFallbacks += int64(len(rows) * len(w.cells))
 }
 
 // narrow keeps the live rows p selects; false once none is left. The
 // selection lives in the predicates' scratch: the next narrow writes
 // the smaller one over it, as kernels may.
-func (sc *scanScratch) narrow(p *vec.CompiledPred, cnt *scanCounters) bool {
-	cnt.kernels++
+func (sc *scanScratch) narrow(p *vec.CompiledPred) bool {
+	obs.KernelDispatches.Inc()
 	out := p.Sel(&sc.batch, sc.ps)
 	if len(out) < sc.batch.Rows() {
 		sc.batch.Sel = out
@@ -357,7 +357,7 @@ func (sc *scanScratch) fillVector(t scanTile, ai int, typ expr.SQLType, p access
 		return
 	}
 	col := t.Column(p.col).Col
-	cnt.hits += int64(n)
+	cnt.ColumnHits += int64(n)
 	if p.serve == serveZero {
 		sc.batch.Cols[ai] = zeroVec(col, typ)
 		return

@@ -175,28 +175,26 @@ func (v *segTileView) account(info segment.ReadInfo) {
 		return
 	}
 	if info.Decoded {
-		v.cnt.blocksDecoded++
+		v.cnt.BlocksDecoded++
 	}
 	if info.Hit {
 		switch {
 		case info.Prefetched:
 			// First access to a block the window fetched ahead: the
 			// fetch accounted the miss; this is the lookahead paying off.
-			v.cnt.prefetchHits++
+			v.cnt.StorePrefetchHits++
 		case info.Warmed:
 			// First access to a block the claim itself fetched: the
 			// fetch accounted the miss, so counting a hit here would
 			// make every cold scan look half-cached.
 		default:
-			v.cnt.poolHits++
+			v.cnt.PoolHits++
 		}
 	} else {
-		v.cnt.poolMisses++
-		v.cnt.blocksRead++
-		v.cnt.blockBytes += int64(info.StoredBytes)
-		v.cnt.rangeReads += int64(info.RangeReads)
-		v.cnt.rangeBytes += int64(info.StoredBytes)
-		v.cnt.retries += int64(info.Retries)
+		v.cnt.PoolMisses++
+		v.cnt.StoreRangeReads += int64(info.RangeReads)
+		v.cnt.StoreBytesRead += int64(info.StoredBytes)
+		v.cnt.StoreRetries += int64(info.Retries)
 	}
 }
 

@@ -277,7 +277,7 @@ func TestTileSkipping(t *testing.T) {
 		if len(rows) != 8 {
 			t.Errorf("skip=%v: %d rows emitted, want 8", skip, len(rows))
 		}
-		scanned, skipped := st.TilesScanned.Load(), st.TilesSkipped.Load()
+		scanned, skipped := st.Counts().TilesScanned, st.Counts().TilesSkipped
 		if skip && (scanned != 1 || skipped != 1) {
 			t.Errorf("skipping did not skip: %d tiles scanned, %d skipped", scanned, skipped)
 		}
@@ -322,7 +322,7 @@ func TestNarrowingResolvesLiveRowsOnly(t *testing.T) {
 		if flagged {
 			want = n - k
 		}
-		if got := st.JSONBFallbacks.Load(); got != int64(want) {
+		if got := st.Counts().JSONBFallbacks; got != int64(want) {
 			t.Errorf("flagged=%v: %d jsonb_fallbacks, want %d", flagged, got, want)
 		}
 		if len(rows) != want {
@@ -382,13 +382,13 @@ func TestConjunctNarrowingResolvesLiveRowsOnly(t *testing.T) {
 			if len(rows[kind]) != c.rows {
 				t.Errorf("%s, %s: %d rows, want %d", kind, c.name, len(rows[kind]), c.rows)
 			}
-			if got := st.JSONBFallbacks.Load(); kind == KindTiles && got != int64(2*c.rows) {
+			if got := st.Counts().JSONBFallbacks; kind == KindTiles && got != int64(2*c.rows) {
 				t.Errorf("%s: %d jsonb_fallbacks, want %d", c.name, got, 2*c.rows)
 			}
-			if got := st.RowsNarrowed.Load(); got != int64(n-c.rows) {
+			if got := st.Counts().RowsNarrowed; got != int64(n-c.rows) {
 				t.Errorf("%s, %s: %d rows narrowed, want %d", kind, c.name, got, n-c.rows)
 			}
-			if c.rows > 0 && st.Batches.Load() == 0 {
+			if c.rows > 0 && st.Counts().Batches == 0 {
 				t.Errorf("%s, %s: no batch counted", kind, c.name)
 			}
 		}

@@ -194,12 +194,12 @@ func TestStoreConformanceTransientFailures(t *testing.T) {
 		if err := dt2.Err(); err != nil {
 			t.Fatalf("workers=%d: scan degraded despite retries: %v", workers, err)
 		}
-		if st.StoreRetries.Load() == 0 {
+		if st.Counts().StoreRetries == 0 {
 			t.Errorf("workers=%d: no retries recorded under FailEveryN=4", workers)
 		}
-		if st.StoreRangeReads.Load() <= st.StoreRetries.Load() {
+		if st.Counts().StoreRangeReads <= st.Counts().StoreRetries {
 			t.Errorf("workers=%d: range reads %d not above retries %d",
-				workers, st.StoreRangeReads.Load(), st.StoreRetries.Load())
+				workers, st.Counts().StoreRangeReads, st.Counts().StoreRetries)
 		}
 		if err := dt2.Close(); err != nil {
 			t.Fatalf("workers=%d: Close: %v", workers, err)

@@ -241,83 +241,20 @@ func (r *tilesRelation) RawSizeBytes() int {
 	return total
 }
 
-// scanCounters batches per-worker observability counts so the per-row
-// path touches only local integers; they are flushed with a handful of
-// atomic adds per worker chunk.
+// scanCounters are one scan worker's (or one store fetch's) counts:
+// plain integers on the per-row path, added to the scan's stats once
+// per morsel or fetch. tenant attributes the scan's buffer-pool charges
+// and byte accounting to the query's tenant ("" for library calls).
 type scanCounters struct {
-	tilesScanned, tilesSkipped      int64
-	rows, hits, fallbacks, castErrs int64
-	// docWalks counts rows whose binary JSON one walk read for every
-	// document-served access of their tile (tile scans only).
-	docWalks int64
-	// morsels processed (flushed to per-scan stats only; the global
-	// morsels_dispatched counter is maintained by the queue runner).
-	morsels int64
-	// Tile scans only: batches, the vectorized/fallback row split, rows
-	// the scan core narrowed away and narrowing predicate runs.
-	batches, rowsVec, rowsFallback, narrowed, kernels int64
-	// Segment-backed scans only: block I/O and buffer-pool traffic.
-	blocksRead, blockBytes, poolHits, poolMisses int64
-	// Blocks this scan decoded (counted process-wide by the reader;
-	// flush forwards to the per-scan stats only).
-	blocksDecoded int64
-	// Store-backed scans only: ranged store requests (retry attempts
-	// included), bytes those requests returned, block fetches saved by
-	// coalescing, pool hits on readahead-resident blocks, and transient
-	// retries. The matching process-wide counters are incremented at
-	// the store layer, so flush forwards these to the per-scan stats
-	// only — adding them globally here would double-count.
-	rangeReads, rangeBytes, coalesced, prefetchHits, retries int64
-	// tenant attributes the scan's buffer-pool charges and byte
-	// accounting to the query's tenant ("" for library calls).
+	obs.ScanCounts
 	tenant string
 }
 
 func (c *scanCounters) flush(st *obs.ScanStats) {
-	obs.TilesScanned.Add(c.tilesScanned)
-	obs.TilesSkipped.Add(c.tilesSkipped)
-	obs.RowsScanned.Add(c.rows)
-	obs.ColumnHits.Add(c.hits)
-	obs.JSONBFallbacks.Add(c.fallbacks)
-	obs.DocWalks.Add(c.docWalks)
-	obs.CastErrors.Add(c.castErrs)
-	obs.BatchesEmitted.Add(c.batches)
-	obs.RowsVectorized.Add(c.rowsVec)
-	obs.RowsBatchFallback.Add(c.rowsFallback)
-	obs.RowsNarrowed.Add(c.narrowed)
-	obs.KernelDispatches.Add(c.kernels)
-	obs.SegmentBlocksRead.Add(c.blocksRead)
-	obs.SegmentBytesRead.Add(c.blockBytes)
-	obs.BufpoolHits.Add(c.poolHits)
-	obs.BufpoolMisses.Add(c.poolMisses)
-	if c.tenant != "" && c.blockBytes > 0 {
-		obs.Tenants.Get(c.tenant).BytesScanned.Add(c.blockBytes)
+	st.Add(&c.ScanCounts)
+	if c.tenant != "" && c.StoreBytesRead > 0 {
+		obs.Tenants.Get(c.tenant).BytesScanned.Add(c.StoreBytesRead)
 	}
-	if st == nil {
-		return
-	}
-	st.Morsels.Add(c.morsels)
-	st.TilesScanned.Add(c.tilesScanned)
-	st.TilesSkipped.Add(c.tilesSkipped)
-	st.RowsScanned.Add(c.rows)
-	st.ColumnHits.Add(c.hits)
-	st.JSONBFallbacks.Add(c.fallbacks)
-	st.DocWalks.Add(c.docWalks)
-	st.CastErrors.Add(c.castErrs)
-	st.Batches.Add(c.batches)
-	st.RowsVectorized.Add(c.rowsVec)
-	st.RowsFallback.Add(c.rowsFallback)
-	st.RowsNarrowed.Add(c.narrowed)
-	st.BlocksRead.Add(c.blocksRead)
-	st.BlockBytes.Add(c.blockBytes)
-	st.PoolHits.Add(c.poolHits)
-	st.PoolMisses.Add(c.poolMisses)
-	st.BlocksDecoded.Add(c.blocksDecoded)
-	st.StoreRangeReads.Add(c.rangeReads)
-	st.StoreBytesRead.Add(c.rangeBytes)
-	st.StoreCoalesced.Add(c.coalesced)
-	st.StorePrefetchHits.Add(c.prefetchHits)
-	st.StoreRetries.Add(c.retries)
 }
 
 // scanScratch holds what one morsel reuses from tile to tile — the

@@ -2,6 +2,7 @@ package jsontiles
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blockstore"
 	"repro/internal/obs"
 )
 
@@ -371,5 +373,85 @@ func TestMetricsSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if back.Hist("query_wall_seconds").Count != 1 {
 		t.Fatalf("round-tripped wall histogram count = %d, want 1", back.Hist("query_wall_seconds").Count)
+	}
+}
+
+// TestScanCountsMatchProcessSeries: every process-wide series a scan
+// forwards moves by exactly the scan's own EXPLAIN ANALYZE figure, on a
+// cold and on a warm run, and the tenant's scanned bytes by the scan's
+// store bytes. kernel_dispatches is left out: the engine's filters
+// count into it too.
+func TestScanCountsMatchProcessSeries(t *testing.T) {
+	mem := NewMemStore()
+	tbl, err := OpenStore("notes", mem, dirOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A rare text key stays in the documents: reading it walks them,
+	// and casting its text to BigInt fails.
+	all := make([][]byte, 1200)
+	for i := range all {
+		note := ""
+		if i%10 == 3 { // stars 4: past the filter
+			note = fmt.Sprintf(`,"note":"n%d"`, i)
+		}
+		all[i] = []byte(fmt.Sprintf(`{"id":%d,"stars":%d%s}`, i, 1+i%5, note))
+	}
+	flushBatches(t, tbl, all, 3)
+	if err := tbl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{})
+	tbl, err = OpenStore("notes", fake, dirOpts()) // fresh pool: the first run misses
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Close()
+
+	series := []struct {
+		name string
+		scan func(*ScanStats) int64
+	}{
+		{"tiles_scanned", func(s *ScanStats) int64 { return s.TilesScanned }},
+		{"tiles_skipped", func(s *ScanStats) int64 { return s.TilesSkipped }},
+		{"rows_scanned", func(s *ScanStats) int64 { return s.RowsScanned }},
+		{"column_hits", func(s *ScanStats) int64 { return s.ColumnHits }},
+		{"jsonb_fallbacks", func(s *ScanStats) int64 { return s.JSONBFallbacks }},
+		{"doc_walks", func(s *ScanStats) int64 { return s.DocWalks }},
+		{"cast_errors", func(s *ScanStats) int64 { return s.CastErrors }},
+		{"batches_emitted", func(s *ScanStats) int64 { return s.Batches }},
+		{"rows_vectorized", func(s *ScanStats) int64 { return s.RowsVectorized }},
+		{"rows_batch_fallback", func(s *ScanStats) int64 { return s.RowsFallback }},
+		{"rows_narrowed", func(s *ScanStats) int64 { return s.RowsNarrowed }},
+		{"segment_blocks_read", func(s *ScanStats) int64 { return s.PoolMisses }},
+		{"segment_bytes_read", func(s *ScanStats) int64 { return s.StoreBytesRead }},
+		{"bufpool_hits", func(s *ScanStats) int64 { return s.PoolHits }},
+		{"bufpool_misses", func(s *ScanStats) int64 { return s.PoolMisses }},
+	}
+	const tenant = "scan-counts-tenant"
+	ctx := obs.WithTenant(context.Background(), tenant)
+	scanned := &obs.Tenants.Get(tenant).BytesScanned
+	var total obs.ScanCounts
+	for _, run := range []string{"cold", "warm"} {
+		base, bytes0 := obs.Default.Snapshot(), scanned.Load()
+		_, stats, err := tbl.Query("data->>'stars'::BigInt", "data->>'note'::BigInt").WhereCmp(0, Ge, 3).RunAnalyzedContext(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", run, err)
+		}
+		scan := scanNode(t, stats)
+		d := obs.Default.Snapshot().Diff(base)
+		for _, s := range series {
+			if got, want := d.Get(s.name), s.scan(scan); got != want {
+				t.Errorf("%s: %s moved by %d, the scan counts %d", run, s.name, got, want)
+			}
+		}
+		if got := scanned.Load() - bytes0; got != scan.StoreBytesRead {
+			t.Errorf("%s: tenant bytes scanned moved by %d, the scan read %d store bytes", run, got, scan.StoreBytesRead)
+		}
+		total.Add(&scan.ScanCounts)
+	}
+	if total.ColumnHits == 0 || total.PoolHits == 0 || total.PoolMisses == 0 || total.DocWalks == 0 ||
+		total.JSONBFallbacks == 0 || total.CastErrors == 0 || total.RowsNarrowed == 0 {
+		t.Errorf("want every checked figure exercised, got %+v", total)
 	}
 }

@@ -324,8 +324,8 @@ type planScans struct {
 }
 
 // buildPlan assembles the operator tree. Scans always receive
-// per-scan statistics (they feed the live-query registry and cost a
-// few batched atomic adds per tile). With instrument set, every
+// per-scan statistics (they feed the live-query registry and cost one
+// locked add per morsel). With instrument set, every
 // constructed operator is additionally wrapped in an engine.Traced
 // node measuring wall time and row counts — the plain Run path
 // constructs no wrappers and pays nothing beyond the scan counters.

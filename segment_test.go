@@ -115,23 +115,17 @@ func TestSegmentLazyBlockIO(t *testing.T) {
 	if s.NumTiles != numTiles || s.TilesScanned != numTiles {
 		t.Fatalf("tiles: %+v, want %d scanned", s, numTiles)
 	}
-	if s.BlocksRead != numTiles {
-		t.Errorf("cold scan read %d blocks, want %d (one column per tile)", s.BlocksRead, numTiles)
-	}
 	if s.PoolMisses != numTiles || s.PoolHits != 0 {
-		t.Errorf("cold scan pool %d hit/%d miss, want 0/%d", s.PoolHits, s.PoolMisses, numTiles)
+		t.Errorf("cold scan pool %d hit/%d miss, want 0/%d (one column block read per tile)", s.PoolHits, s.PoolMisses, numTiles)
 	}
-	if s.BlockBytes <= 0 {
-		t.Errorf("cold scan BlockBytes = %d", s.BlockBytes)
+	if s.StoreBytesRead <= 0 {
+		t.Errorf("cold scan StoreBytesRead = %d", s.StoreBytesRead)
 	}
 
 	// Warm repeat: same blocks, now from the pool — zero disk reads.
 	s = scanStats(seg.Query("data->>'stars'::BigInt").Aggregate(Sum(0, "s")))
 	if s.PoolHits != numTiles || s.PoolMisses != 0 {
 		t.Errorf("warm scan pool %d hit/%d miss, want %d/0", s.PoolHits, s.PoolMisses, numTiles)
-	}
-	if s.BlocksRead != 0 {
-		t.Errorf("warm scan read %d blocks, want 0", s.BlocksRead)
 	}
 
 	// A null-rejecting filter on an absent path skips every tile from
@@ -140,7 +134,7 @@ func TestSegmentLazyBlockIO(t *testing.T) {
 	if s.TilesSkipped != numTiles {
 		t.Fatalf("skipped %d tiles, want %d", s.TilesSkipped, numTiles)
 	}
-	if s.BlocksRead != 0 || s.PoolHits != 0 || s.PoolMisses != 0 {
+	if s.PoolHits != 0 || s.PoolMisses != 0 {
 		t.Errorf("skipped scan touched blocks: %+v", s)
 	}
 
