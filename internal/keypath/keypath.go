@@ -236,6 +236,36 @@ func (p Path) Display() string {
 	return sb.String()
 }
 
+// Prefixes calls fn with each proper prefix of the encoded path p, the
+// Encode form of its first n segments, longest first, and stops when fn
+// returns false. A prefix ends before an unescaped '.' or '[' and after
+// an unescaped ']'; it shares p's bytes.
+func Prefixes[S ~string | ~[]byte](p S, fn func(prefix S) bool) {
+	var buf [16]int
+	ends := buf[:0]
+	for i := 0; i < len(p); i++ {
+		switch p[i] {
+		case '\\':
+			i++ // the escaped byte is part of a key
+		case '.':
+			ends = append(ends, i)
+		case '[':
+			if i > 0 {
+				ends = append(ends, i)
+			}
+		case ']':
+			if i+1 < len(p) && p[i+1] != '[' {
+				ends = append(ends, i+1)
+			}
+		}
+	}
+	for k := len(ends) - 1; k >= 0; k-- {
+		if !fn(p[:ends[k]]) {
+			return
+		}
+	}
+}
+
 // Lookup follows the path through a document.
 func Lookup(doc jsonvalue.Value, p Path) (jsonvalue.Value, bool) {
 	cur := doc

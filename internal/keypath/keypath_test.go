@@ -109,6 +109,39 @@ func TestQuickEncodeInjective(t *testing.T) {
 	}
 }
 
+// TestPrefixesMatchSegments pins Prefixes to the encodings of a path's
+// leading segments, over string and []byte, and its early stop.
+func TestPrefixesMatchSegments(t *testing.T) {
+	keys := []string{"a", "id", "a.b", `x\`, "", "e", "[", "]", "[0]", `\e`}
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		p := Path{}
+		for n := 1 + r.Intn(5); n > 0; n-- {
+			if r.Intn(3) == 0 {
+				p = p.Slot(r.Intn(12))
+			} else {
+				p = p.Child(keys[r.Intn(len(keys))])
+			}
+		}
+		var want []string
+		for n := len(p.Segs) - 1; n >= 1; n-- {
+			want = append(want, Path{Segs: p.Segs[:n]}.Encode())
+		}
+		enc := p.Encode()
+		var got, gotBytes []string
+		Prefixes(enc, func(s string) bool { got = append(got, s); return true })
+		Prefixes([]byte(enc), func(b []byte) bool { gotBytes = append(gotBytes, string(b)); return true })
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotBytes, want) {
+			t.Fatalf("Prefixes(%q) = %q / %q, want %q", enc, got, gotBytes, want)
+		}
+	}
+	calls := 0
+	Prefixes("a.b.c[1]", func(string) bool { calls++; return false })
+	if calls != 1 {
+		t.Errorf("Prefixes went on after false: %d calls", calls)
+	}
+}
+
 func doc(t *testing.T, s string) jsonvalue.Value {
 	t.Helper()
 	v, err := jsontext.ParseString(s)

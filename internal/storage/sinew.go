@@ -195,6 +195,14 @@ func (l sinewLoader) Load(name string, lines [][]byte, workers int) (Relation, e
 	lastNode := make([]jsontape.Node, nCols)
 	for di, d := range tapes {
 		keypath.CollectTape(d, maxSlots, func(pathEnc []byte, t keypath.ValueType, n jsontape.Node) {
+			// A container at a column's path is not a leaf: flag the
+			// column so its NULL falls back to the document.
+			keypath.Prefixes(pathEnc, func(prefix []byte) bool {
+				if ci, ok := r.byPath[string(prefix)]; ok {
+					r.cols[ci].HasTypeOutliers = true
+				}
+				return true
+			})
 			ci, ok := r.byPath[string(pathEnc)]
 			if !ok {
 				return

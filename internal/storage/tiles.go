@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/jsontape"
-	"repro/internal/jsonvalue"
 	"repro/internal/obs"
 	"repro/internal/reorder"
 	"repro/internal/stats"
@@ -166,13 +165,13 @@ func (r *tilesRelation) CompressedColumnSizeBytes() int {
 
 // UpdateRow replaces the document at global row index i in place
 // (§4.7) and reports whether the tile now wants recomputation.
-func (r *tilesRelation) UpdateRow(i int, doc jsonvalue.Value) (needsRecompute bool, err error) {
+func (r *tilesRelation) UpdateRow(i int, d *jsontape.Doc) (needsRecompute bool, err error) {
 	if i < 0 || i >= r.numRows {
 		return false, fmt.Errorf("storage: row %d out of range (%d rows)", i, r.numRows)
 	}
 	for _, t := range r.tiles {
 		if i < t.NumRows() {
-			t.Update(i, doc, nil, r.cfg.Tile.MaxArraySlots)
+			t.Update(i, d, r.cfg.Tile.MaxArraySlots)
 			return t.NeedsRecompute(), nil
 		}
 		i -= t.NumRows()

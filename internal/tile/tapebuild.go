@@ -218,24 +218,21 @@ func (b *Builder) materializeTape(tapes []*jsontape.Doc, w *Walk, extracted []bo
 
 	// Seen paths = every collected path plus its proper prefixes (an
 	// access to ->'user' on a tile holding user.id must neither skip
-	// nor return NULL-for-all). The dictionary already dedups paths.
-	seenPaths := map[string]bool{}
+	// nor return NULL-for-all), each marked whether some document holds
+	// a container there. The dictionary already dedups paths, and the
+	// prefixes of a container are containers.
+	seen := map[string]bool{}
 	for _, item := range items {
-		if seenPaths[item.Path] {
-			continue
+		if _, ok := seen[item.Path]; !ok {
+			seen[item.Path] = false
 		}
-		seenPaths[item.Path] = true
-		p, err := keypath.ParsePath(item.Path)
-		if err != nil {
-			continue
-		}
-		for n := len(p.Segs) - 1; n >= 1; n-- {
-			prefix := keypath.Path{Segs: p.Segs[:n]}.Encode()
-			if seenPaths[prefix] {
-				break
+		keypath.Prefixes(item.Path, func(prefix string) bool {
+			if seen[prefix] {
+				return false
 			}
-			seenPaths[prefix] = true
-		}
+			seen[prefix] = true
+			return true
+		})
 	}
 
 	// A document's value for a path is its last occurrence. A dense
@@ -358,11 +355,9 @@ func (b *Builder) materializeTape(tapes []*jsontape.Doc, w *Walk, extracted []bo
 		}
 	}
 
-	t.notExtracted = bloom.New(len(seenPaths)+8, 0.01)
-	for p := range seenPaths {
-		if _, ok := t.byPath[p]; !ok {
-			t.notExtracted.Add(p)
-		}
+	t.notExtracted = bloom.New(len(seen)+8, 0.01)
+	for p, asContainer := range seen {
+		t.see(p, asContainer)
 	}
 	if b.Metrics != nil {
 		b.Metrics.ExtractNanos.Add(time.Since(start).Nanoseconds())

@@ -19,8 +19,8 @@ import (
 // tapeCorpus is a mixed corpus exercising every identity-relevant
 // feature: frequent paths above and below the threshold, type
 // outliers, nulls, date-like strings, duplicate keys (also of
-// extracted paths), escaped keys, arrays past the slot cap, and empty
-// containers.
+// extracted paths), escaped keys, arrays past the slot cap, empty
+// containers, and a container at an extracted path.
 func tapeCorpus(t *testing.T) (docs []jsonvalue.Value, tapes []*jsontape.Doc) {
 	var lines []string
 	for i := 0; i < 40; i++ {
@@ -35,6 +35,7 @@ func tapeCorpus(t *testing.T) (docs []jsonvalue.Value, tapes []*jsontape.Doc) {
 		`{"dup":1,"dup":"two","a.b":3,"c\\d":4,"":5}`,
 		`{"id":101,"name":"first","id":102,"name":7}`,
 		`{"big":[0,1,2,3,4,5,6,7,8,9,10,11],"id":100}`,
+		`{"id":103,"tags":[{"v":1}]}`,
 	)
 	for _, ln := range lines {
 		v, err := jsontext.Parse([]byte(ln))
@@ -56,8 +57,8 @@ func tapeCorpus(t *testing.T) (docs []jsonvalue.Value, tapes []*jsontape.Doc) {
 // order of first occurrence, each document's set of item ids, the
 // extracted items (frequent and extractable, in dictionary order),
 // each document's value per path (its last occurrence), the non-null
-// leaves per path, every seen path with its prefixes, and each
-// document's JSONB.
+// leaves per path, every seen path with its prefixes (true where some
+// document holds a container there), and each document's JSONB.
 type oracle struct {
 	items     []keypath.Item
 	txs       [][]int32
@@ -89,7 +90,8 @@ func treeOracle(docs []jsonvalue.Value, cfg Config) oracle {
 				o.freq[p.Encode()]++
 			}
 			for n := 1; n <= len(p.Segs); n++ {
-				o.seen[keypath.Path{Segs: p.Segs[:n]}.Encode()] = true
+				enc := keypath.Path{Segs: p.Segs[:n]}.Encode()
+				o.seen[enc] = o.seen[enc] || n < len(p.Segs)
 			}
 		})
 		slices.Sort(tx)
@@ -126,7 +128,7 @@ func checkAgainstOracle(t *testing.T, tl *Tile, o oracle) {
 		if c.StorageType != c.MinedType && (c.MinedType != keypath.TypeString || c.StorageType != keypath.TypeTimestamp) {
 			t.Errorf("column %s: storage type %v for mined %v", c.Path, c.StorageType, c.MinedType)
 		}
-		outliers := false
+		outliers := o.seen[it.Path] // a container at the path
 		for i, last := range o.last {
 			v, ok := last[it.Path]
 			vt := keypath.TypeOf(v)

@@ -18,7 +18,7 @@ import (
 	"repro/internal/hist"
 	"repro/internal/hll"
 	"repro/internal/jsonb"
-	"repro/internal/jsonvalue"
+	"repro/internal/jsontape"
 	"repro/internal/keypath"
 	"repro/internal/obs"
 )
@@ -383,36 +383,43 @@ func (t *Tile) RawSizeBytes() int {
 	return total
 }
 
-// Update replaces the document of row i (§4.7). Extracted columns are
-// updated in place; keys the new document lacks become nulls; new key
+// see records a key path a document holds, the step builds and
+// updates share: a path no column extracts goes into the seen filter,
+// and a container at an extracted path flags the path's columns, so
+// their NULLs fall back to the document.
+func (t *Tile) see(path string, asContainer bool) {
+	cols, extracted := t.byPath[path]
+	if !extracted {
+		t.notExtracted.Add(path)
+	} else if asContainer {
+		for _, ci := range cols {
+			t.columns[ci].HasTypeOutliers = true
+		}
+	}
+}
+
+// Update replaces the document of row i with the parsed document d
+// (§4.7). Extracted columns are updated in place; keys the new document lacks become nulls; new key
 // paths are added to the header bloom filter so skipping stays
 // correct. It returns whether the new document was an outlier (no
 // overlap with the extracted schema).
-func (t *Tile) Update(i int, doc jsonvalue.Value, enc *jsonb.Encoder, maxSlots int) bool {
-	if enc == nil {
-		enc = &jsonb.Encoder{}
-	}
-	t.raw[i] = enc.Encode(doc)
+func (t *Tile) Update(i int, d *jsontape.Doc, maxSlots int) bool {
+	var enc jsonb.Encoder
+	t.raw[i] = enc.EncodeTape(d)
 
-	leaves := map[string]struct {
+	type leaf struct {
 		t keypath.ValueType
-		v jsonvalue.Value
-	}{}
-	keypath.Collect(doc, maxSlots, func(p keypath.Path, vt keypath.ValueType, v jsonvalue.Value) {
-		enc := p.Encode()
-		leaves[enc] = struct {
-			t keypath.ValueType
-			v jsonvalue.Value
-		}{vt, v}
-		if _, extracted := t.byPath[enc]; !extracted {
-			t.notExtracted.Add(enc)
-		}
-		for n := len(p.Segs) - 1; n >= 1; n-- {
-			prefix := keypath.Path{Segs: p.Segs[:n]}.Encode()
-			if _, extracted := t.byPath[prefix]; !extracted {
-				t.notExtracted.Add(prefix)
-			}
-		}
+		n jsontape.Node
+	}
+	leaves := map[string]leaf{} // the last occurrence of a path wins
+	keypath.CollectTape(d, maxSlots, func(pathEnc []byte, vt keypath.ValueType, n jsontape.Node) {
+		path := string(pathEnc)
+		leaves[path] = leaf{vt, n}
+		t.see(path, false)
+		keypath.Prefixes(path, func(prefix string) bool {
+			t.see(prefix, true)
+			return true
+		})
 	})
 
 	overlap := 0
@@ -429,11 +436,11 @@ func (t *Tile) Update(i int, doc jsonvalue.Value, enc *jsonb.Encoder, maxSlots i
 		overlap++
 		switch info.StorageType {
 		case keypath.TypeBigInt:
-			info.Col.SetInt(i, lf.v.IntVal())
+			info.Col.SetInt(i, lf.n.IntVal())
 		case keypath.TypeDouble:
-			info.Col.SetFloat(i, lf.v.FloatVal())
+			info.Col.SetFloat(i, lf.n.FloatVal())
 		case keypath.TypeTimestamp:
-			if ts, ok := dates.Parse(lf.v.StringVal()); ok {
+			if ts, ok := dates.Parse(lf.n.StringVal()); ok {
 				info.Col.SetInt(i, ts)
 			} else {
 				info.Col.SetNull(i)

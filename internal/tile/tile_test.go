@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/jsonb"
 	"repro/internal/jsontape"
-	"repro/internal/jsontext"
-	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
 )
 
@@ -21,16 +18,6 @@ func docs(t *testing.T, srcs ...string) []*jsontape.Doc {
 		}
 	}
 	return out
-}
-
-// value parses one document into a tree, the form Update takes.
-func value(t *testing.T, src string) jsonvalue.Value {
-	t.Helper()
-	v, err := jsontext.ParseString(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
 }
 
 // figure2Tile2 is the paper's running example: tile #2 of Figure 2,
@@ -287,9 +274,7 @@ func TestUpdate(t *testing.T) {
 	ds := docs(t, `{"a":1,"b":1.5}`, `{"a":2,"b":2.5}`, `{"a":3,"b":3.5}`)
 	tl := build(t, cfg, ds)
 
-	nd := value(t, `{"a":42,"newkey":"x"}`)
-	var enc jsonb.Encoder
-	outlier := tl.Update(1, nd, &enc, 0)
+	outlier := tl.Update(1, docs(t, `{"a":42,"newkey":"x"}`)[0], 0)
 	if outlier {
 		t.Error("doc sharing `a` flagged as outlier")
 	}
@@ -312,6 +297,15 @@ func TestUpdate(t *testing.T) {
 	} else if s, _ := v.String(); s != "x" {
 		t.Errorf("newkey = %q", s)
 	}
+	// A container at an extracted path is no leaf: its NULL must fall
+	// back to the document.
+	if tl.Column(ai).HasTypeOutliers {
+		t.Fatal("a flagged before any container")
+	}
+	tl.Update(2, docs(t, `{"a":{"x":1},"b":3.5}`)[0], 0)
+	if !tl.Column(ai).Col.IsNull(2) || !tl.Column(ai).HasTypeOutliers {
+		t.Error("container at a: want a NULL cell in a column flagged for outliers")
+	}
 }
 
 func TestUpdateOutlierTriggersRecompute(t *testing.T) {
@@ -322,9 +316,8 @@ func TestUpdateOutlierTriggersRecompute(t *testing.T) {
 	if tl.NeedsRecompute() {
 		t.Fatal("fresh tile needs recompute")
 	}
-	var enc jsonb.Encoder
 	for i := 0; i < 3; i++ {
-		if !tl.Update(i, value(t, `{"z":true}`), &enc, 0) {
+		if !tl.Update(i, docs(t, `{"z":true}`)[0], 0) {
 			t.Fatalf("update %d not flagged outlier", i)
 		}
 	}

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/jsontape"
-	"repro/internal/jsonvalue"
 	"repro/internal/storage"
 	"repro/internal/tile"
 )
@@ -302,12 +301,12 @@ func (t *Table) Update(i int, doc []byte) (recomputeAdvised bool, err error) {
 		return false, err
 	}
 	up, ok := t.rel.(interface {
-		UpdateRow(int, jsonvalue.Value) (bool, error)
+		UpdateRow(int, *jsontape.Doc) (bool, error)
 	})
 	if !ok {
 		return false, fmt.Errorf("jsontiles: table does not support updates")
 	}
-	return up.UpdateRow(i, d.Root().Materialize())
+	return up.UpdateRow(i, &d)
 }
 
 // Recompute re-materializes tiles whose documents drifted away from
