@@ -117,20 +117,24 @@ func (d Doc) Float64() (float64, bool) {
 // String returns the string payload, reconstructing the exact text of
 // numeric strings.
 func (d Doc) String() (string, bool) {
-	if len(d.buf) == 0 {
-		return "", false
+	if b, ok := d.StringBytes(); ok {
+		return string(b), true
 	}
-	switch d.buf[0] >> 4 {
-	case tagString:
-		n := int(d.readIntNibble())
-		start := intNibbleSize(d.buf)
-		return string(d.buf[start : start+n]), true
-	case tagNumStr:
-		m := d.readIntNibble()
-		scale := d.buf[intNibbleSize(d.buf)]
+	if m, scale, ok := d.NumericString(); ok {
 		return formatNumeric(m, scale), true
 	}
 	return "", false
+}
+
+// StringBytes returns the payload of a plain string without copying: a
+// view into the document that callers must not retain or mutate. It
+// reports false for a numeric string, whose text String rebuilds.
+func (d Doc) StringBytes() ([]byte, bool) {
+	if len(d.buf) == 0 || d.buf[0]>>4 != tagString {
+		return nil, false
+	}
+	start := intNibbleSize(d.buf)
+	return d.buf[start : start+int(d.readIntNibble())], true
 }
 
 // NumericString returns the typed (mantissa, scale) payload of a

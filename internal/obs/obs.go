@@ -306,12 +306,13 @@ var (
 	// BatchesEmitted counts column batches produced by batch scans.
 	BatchesEmitted = Default.Counter("batches_emitted")
 	// RowsVectorized counts rows delivered in batches whose every
-	// access was served from a typed column vector (zero-copy or
-	// cheap-cast) — no per-cell boxing.
+	// access was served as a whole vector (zero-copy, widened or
+	// all-NULL), with no per-row step.
 	RowsVectorized = Default.Counter("rows_vectorized")
 	// RowsBatchFallback counts rows delivered in batches where at
-	// least one access had to be materialized cell-by-cell (binary
-	// JSON fallback, type outliers, renders).
+	// least one access was resolved row by row (binary JSON fallback,
+	// type outliers, casts), into a typed vector or, for ::JSON, a
+	// boxed one.
 	RowsBatchFallback = Default.Counter("rows_batch_fallback")
 	// RowsNarrowed counts scanned rows the scan core dropped before
 	// emitting their tile's batch: rows an access's pushed conjunct, or

@@ -27,9 +27,10 @@ type ScanCounts struct {
 	CastErrors int64
 
 	// Batches counts the column batches the scan emitted.
-	// RowsVectorized counts rows whose every access came from a typed
-	// column vector; RowsFallback counts rows that needed at least one
-	// cell materialized from binary JSON. The split is counted by tile
+	// RowsVectorized counts rows whose every access came as a whole
+	// vector; RowsFallback counts rows with at least one access
+	// resolved per row: from binary JSON or cell by cell from a
+	// column. The split is counted by tile
 	// scans only: formats without tiles count Batches alone.
 	Batches        int64
 	RowsVectorized int64

@@ -9,6 +9,7 @@ import (
 	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
 	"repro/internal/tile"
+	"repro/internal/vec"
 )
 
 // LoaderConfig parameterizes format construction.
@@ -74,16 +75,24 @@ func castJSON(v expr.Value, want expr.SQLType, cnt *scanCounters) expr.Value {
 // access expressions of §4.5/§5.4. A tile scan reads its
 // document-served accesses with one walk per row instead (docWalk),
 // which visits them in path order and looks a shared prefix up once;
-// both navigate with docStep and convert with docValue.
+// both navigate with docStep, and docPut writes what docValue reads.
 func docAccess(d jsonb.Doc, path keypath.Path, want expr.SQLType, cnt *scanCounters) expr.Value {
-	cur := d
-	for _, seg := range path.Segs {
-		var ok bool
-		if cur, ok = docStep(cur, seg); !ok {
-			return expr.NullValue() // absent key or parent: SQL NULL
-		}
+	cur, ok := docLookup(d, path.Segs)
+	if !ok {
+		return expr.NullValue() // absent key or parent: SQL NULL
 	}
 	return docValue(cur, want, cnt)
+}
+
+// docLookup follows path down from d; false when a step is absent.
+func docLookup(d jsonb.Doc, path []keypath.Segment) (jsonb.Doc, bool) {
+	for _, seg := range path {
+		var ok bool
+		if d, ok = docStep(d, seg); !ok {
+			return d, false
+		}
+	}
+	return d, true
 }
 
 // docStep follows one path step: an object's key, or an array's slot.
@@ -93,6 +102,36 @@ func docStep(d jsonb.Doc, seg keypath.Segment) (jsonb.Doc, bool) {
 		return d.Index(seg.Index)
 	}
 	return d.Get(seg.Key)
+}
+
+// docPut writes the value a path reached, read as want, into row i of
+// w: docValue's cell without boxing it. A number, a boolean or a plain
+// string read as its own type goes straight in, the string's bytes
+// copied from the document; any other value converts through docValue.
+func docPut(w *vec.Writer, i int, cur jsonb.Doc, want expr.SQLType, cnt *scanCounters) {
+	switch want {
+	case expr.TBigInt:
+		if x, ok := cur.Int64(); ok {
+			w.Int(i, x)
+			return
+		}
+	case expr.TFloat:
+		if x, ok := cur.Float64(); ok {
+			w.Float(i, x)
+			return
+		}
+	case expr.TBool:
+		if x, ok := cur.Bool(); ok {
+			w.Bool(i, x)
+			return
+		}
+	case expr.TText:
+		if s, ok := cur.StringBytes(); ok {
+			w.Text(i, s)
+			return
+		}
+	}
+	w.Value(i, docValue(cur, want, cnt))
 }
 
 // docValue reads the value a path reached as want.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/jsonb"
 	"repro/internal/keypath"
+	"repro/internal/vec"
 )
 
 // One walk per document: stage 3 of fillBatch fills every access a tile
@@ -17,9 +18,12 @@ import (
 // path order, so each looks up only the steps past the prefix it shares
 // with the one before it: entities.hashtags[0..23].text look entities
 // and hashtags up once. A key or slot the document lacks makes every
-// following access that shares it NULL without another lookup. Each
-// cell converts through docValue, as docAccess does, so a walked cell
-// and a looked-up cell cannot differ.
+// following access that shares it NULL without another lookup, and as
+// JSON arrays are dense, a missing slot does the same for the later
+// slots of its array. Each cell is written into its access's typed
+// vector through docPut, as docAccess reads it through docValue, so a
+// walked cell and a looked-up cell cannot differ; a NULL cell is not
+// written at all, since the vector starts all NULL.
 
 // walkPaths is a scan's walked accesses in path order, sorted once per
 // scan and shared read-only by its workers: shared[k] is the number of
@@ -72,23 +76,23 @@ type docWalk struct {
 	docs  []jsonb.Doc
 }
 
-// walkCell is one document-served access: the boxed vector the walk
-// fills, the type it reads, its path, and the number of leading steps
-// that path shares with the cell before.
+// walkCell is one document-served access: the writer of the vector the
+// walk fills, the type it reads, its path, and the number of leading
+// steps that path shares with the cell before.
 type walkCell struct {
-	vals   []expr.Value
+	out    *vec.Writer
 	want   expr.SQLType
 	path   []keypath.Segment
 	shared int
 }
 
 // activate fits the walk to a tile on which plans[ai].serve == serveDoc
-// marks the accesses the documents serve; access ai fills boxed[ai]. In
+// marks the accesses the documents serve; access ai fills out[ai]. In
 // path order, two paths share the fewest steps any path between them
 // shares with its predecessor, so a kept cell takes the running minimum
 // of shared since the last kept one. It reports false when no access is
 // served from documents.
-func (w *docWalk) activate(wp *walkPaths, plans []accessPlan, accesses []Access, boxed [][]expr.Value) bool {
+func (w *docWalk) activate(wp *walkPaths, plans []accessPlan, accesses []Access, out []vec.Writer) bool {
 	w.cells = w.cells[:0]
 	depth, shared := 0, 0
 	for k, ai := range wp.order {
@@ -97,7 +101,7 @@ func (w *docWalk) activate(wp *walkPaths, plans []accessPlan, accesses []Access,
 			continue
 		}
 		path := accesses[ai].Path.Segs
-		w.cells = append(w.cells, walkCell{vals: boxed[ai], want: accesses[ai].Type, path: path, shared: shared})
+		w.cells = append(w.cells, walkCell{out: &out[ai], want: accesses[ai].Type, path: path, shared: shared})
 		depth = max(depth, len(path))
 		shared = math.MaxInt
 	}
@@ -106,19 +110,23 @@ func (w *docWalk) activate(wp *walkPaths, plans []accessPlan, accesses []Access,
 }
 
 // row walks document d of row i, writing each cell's value of row i.
-// reached counts the steps of the previous cell's path the walk found.
-// A cell sharing more steps than that shares the one that failed, and is
-// NULL without a lookup; any other looks up only the steps past its
+// reached counts the steps of the previous cell's path the walk found,
+// and gap is that count when the step that failed was a slot. A cell
+// sharing more steps than reached shares the one that failed; one
+// sharing exactly gap steps whose next step is a slot indexes the same
+// array past the slot it lacks (path order puts the array's own path
+// before its slots, so that cell has a step at gap). Either is NULL
+// without a lookup; any other cell looks up only the steps past its
 // shared prefix.
 func (w *docWalk) row(d jsonb.Doc, i int, cnt *scanCounters) {
 	w.docs[0] = d
-	reached := 0
+	reached, gap := 0, -1
 	for k := range w.cells {
 		c := &w.cells[k]
-		if c.shared > reached {
-			c.vals[i] = expr.NullValue()
+		if c.shared > reached || c.shared == gap && c.path[gap].IsIndex {
 			continue
 		}
+		gap = -1
 		for reached = c.shared; reached < len(c.path); reached++ {
 			next, ok := docStep(w.docs[reached], c.path[reached])
 			if !ok {
@@ -126,10 +134,11 @@ func (w *docWalk) row(d jsonb.Doc, i int, cnt *scanCounters) {
 			}
 			w.docs[reached+1] = next
 		}
-		if reached < len(c.path) {
-			c.vals[i] = expr.NullValue()
-			continue
+		switch {
+		case reached == len(c.path):
+			docPut(c.out, i, w.docs[reached], c.want, cnt)
+		case c.path[reached].IsIndex:
+			gap = reached
 		}
-		c.vals[i] = docValue(w.docs[reached], c.want, cnt)
 	}
 }

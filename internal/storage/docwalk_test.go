@@ -289,33 +289,31 @@ func TestPlanCappedAccessAllocatesNothing(t *testing.T) {
 // TestPutScanScratchDropsWalkDocs: a tile walking shallower paths than
 // the one before it leaves the earlier cursors past the walk's length, and
 // returning the scratch to the pool must clear those too, since they
-// alias documents the buffer pool may free.
+// alias documents the buffer pool may free; so do the ::JSON cells the
+// walk wrote.
 func TestPutScanScratchDropsWalkDocs(t *testing.T) {
 	accs := []Access{
 		NewAccess(expr.TBigInt, "a", "b", "c"),
 		NewAccess(expr.TBigInt, "a", "b", "d"),
 		NewAccess(expr.TBigInt, "a", "e"),
-		NewAccess(expr.TBigInt, "x"),
+		NewAccess(expr.TJSON, "x"),
 	}
-	doc, err := jsontext.Parse([]byte(`{"a":{"b":{"c":1,"d":2},"e":3},"x":4}`))
+	doc, err := jsontext.Parse([]byte(`{"a":{"b":{"c":1,"d":2},"e":3},"x":[4]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := jsonb.NewDoc(jsonb.Encode(doc))
-	boxed := make([][]expr.Value, len(accs))
-	for ai := range boxed {
-		boxed[ai] = make([]expr.Value, 1)
-	}
 	tr := sortWalkPaths(accs, func(int) bool { return true })
-	s := new(scanScratch)
+	s := getScanScratch(len(accs))
 	var cnt scanCounters
 	var cursors []int
 	for _, served := range []int{len(accs), 1} {
 		plans := make([]accessPlan, len(accs))
 		for ai := len(accs) - served; ai < len(accs); ai++ {
 			plans[ai].serve = serveDoc
+			s.cells[ai].Reset(accs[ai].Type, 1)
 		}
-		if !s.walk.activate(&tr, plans, accs, boxed) {
+		if !s.walk.activate(&tr, plans, accs, s.cells) {
 			t.Fatalf("%d document-served accesses, no step active", served)
 		}
 		s.walk.row(d, 0, &cnt)
@@ -324,18 +322,25 @@ func TestPutScanScratchDropsWalkDocs(t *testing.T) {
 	if cursors[1] >= cursors[0] {
 		t.Fatalf("second tile walks with %d cursors, want fewer than the first's %d", cursors[1], cursors[0])
 	}
+	if v := s.cells[3].Vector(); v.Boxed == nil || v.Boxed[0].Null {
+		t.Fatalf("x::JSON walked into %+v, want its document", v)
+	}
 	putScanScratch(s)
 	for i, c := range s.walk.docs[:cap(s.walk.docs)] {
 		if !reflect.DeepEqual(c, jsonb.Doc{}) {
 			t.Errorf("pooled walk cursor %d still holds a document", i)
 		}
 	}
+	if v := s.cells[3].Vector(); v.Boxed != nil {
+		t.Errorf("pooled writer still holds ::JSON cells %v", v.Boxed)
+	}
 }
 
 // TestDocWalkSharedPrefixes pins the orders of paths the walk must get
 // right, each case under every mask of document-served accesses: every
-// cell, and the cast errors, equal docAccess's. The accesses are listed
-// out of path order, and the sort must group them by prefix.
+// cell, and the cast errors, equal docAccess's (checkWalkedCells). The
+// accesses are listed out of path order, and the sort must group them
+// by prefix.
 func TestDocWalkSharedPrefixes(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -358,8 +363,14 @@ func TestDocWalkSharedPrefixes(t *testing.T) {
 		{"not an object", []string{`{"o":null}`, `{"o":[{"k":1}]}`, `{"o":3}`, `{"o":"s"}`, `{"o":{"k":{"j":"v"}}}`},
 			[]Access{NewAccess(expr.TText, "o", "k", "j"), NewAccessPath(expr.TBigInt, keypath.NewPath("o").Slot(0).Child("k")),
 				NewAccess(expr.TJSON, "o", "k"), NewAccess(expr.TText, "o"), NewAccess(expr.TBigInt, "p", "k")}},
+		// Dense arrays: a missing slot makes the later slots of its array
+		// NULL without a lookup, and only those.
+		{"dense arrays", []string{`{"a":[1]}`, `{"a":[]}`, `{"a":{}}`, `{"a":null}`, `{"a":[[7,8],{"x":"one"},2,[9]]}`,
+			`{"a":[{"x":1},{"x":2},3,{"y":"z"}]}`, `{"a":[[1],[2]]}`, `{"a":[[[5]],[{"x":6}],[],[[0],"w"]]}`},
+			[]Access{NewAccessPath(expr.TText, keypath.NewPath("a").Slot(3).Child("y")), NewAccessPath(expr.TText, keypath.NewPath("a").Slot(0)),
+				NewAccessPath(expr.TBigInt, keypath.NewPath("a").Slot(3).Slot(0)), NewAccessPath(expr.TBigInt, keypath.NewPath("a").Slot(1).Child("x")),
+				NewAccessPath(expr.TJSON, keypath.NewPath("a").Slot(3))}},
 	}
-	sentinel := expr.TextValue("untouched")
 	for _, tc := range cases {
 		docs := make([]jsonb.Doc, len(tc.docs))
 		for i, text := range tc.docs {
@@ -387,41 +398,56 @@ func TestDocWalkSharedPrefixes(t *testing.T) {
 			}
 		}
 		var w docWalk // reused from mask to mask, as from tile to tile
+		out := make([]vec.Writer, len(accs))
 		for mask := 0; mask < 1<<len(accs); mask++ {
 			plans := make([]accessPlan, len(accs))
-			boxed := make([][]expr.Value, len(accs))
 			for ai := range accs {
 				if mask>>ai&1 == 1 {
 					plans[ai].serve = serveDoc
 				}
-				boxed[ai] = make([]expr.Value, len(docs))
-				for i := range docs {
-					boxed[ai][i] = sentinel
-				}
 			}
-			if w.activate(&tr, plans, accs, boxed) != (mask != 0) {
+			if w.activate(&tr, plans, accs, out) != (mask != 0) {
 				t.Fatalf("%s mask %b: activate reports %v", tc.name, mask, mask == 0)
 			}
 			if mask == 0 {
 				continue
 			}
-			var walked, looked scanCounters
-			for i, d := range docs {
-				w.row(d, i, &walked)
-				for ai, a := range accs {
-					want := sentinel
-					if plans[ai].serve == serveDoc {
-						want = docAccess(d, a.Path, a.Type, &looked)
-					}
-					if got := boxed[ai][i]; !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s mask %b, %s %s::%s: walk %v, docAccess %v", tc.name, mask, tc.docs[i], a.Path.Display(), a.Type, got, want)
-					}
-				}
+			checkWalkedCells(t, fmt.Sprintf("%s mask %b", tc.name, mask), &w, out, plans, accs, docs)
+		}
+	}
+}
+
+// checkWalkedCells walks docs, row i being docs[i], into writers reset
+// for them, and checks every cell against docAccess: a document-served
+// access holds docAccess's value in a typed vector, boxed for ::JSON
+// alone, and any other is still all NULL. The walk counts the cast
+// errors docAccess does.
+func checkWalkedCells(t *testing.T, label string, w *docWalk, out []vec.Writer, plans []accessPlan, accs []Access, docs []jsonb.Doc) {
+	t.Helper()
+	for ai, a := range accs {
+		out[ai].Reset(a.Type, len(docs))
+	}
+	var walked, looked scanCounters
+	for i, d := range docs {
+		w.row(d, i, &walked)
+	}
+	for ai, a := range accs {
+		v := out[ai].Vector()
+		if (v.Boxed != nil) != (a.Type == expr.TJSON) {
+			t.Fatalf("%s, %s::%s: boxed %v", label, a.Path.Display(), a.Type, v.Boxed != nil)
+		}
+		for i, d := range docs {
+			want := expr.NullValue()
+			if plans[ai].serve == serveDoc {
+				want = docAccess(d, a.Path, a.Type, &looked)
 			}
-			if walked.CastErrors != looked.CastErrors {
-				t.Fatalf("%s mask %b: walk counted %d cast errors, docAccess %d", tc.name, mask, walked.CastErrors, looked.CastErrors)
+			if got := v.Value(i); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, doc %d %s::%s: walk %v, docAccess %v", label, i, a.Path.Display(), a.Type, got, want)
 			}
 		}
+	}
+	if walked.CastErrors != looked.CastErrors {
+		t.Fatalf("%s: walk counted %d cast errors, docAccess %d", label, walked.CastErrors, looked.CastErrors)
 	}
 }
 
@@ -429,7 +455,8 @@ func TestDocWalkSharedPrefixes(t *testing.T) {
 // of the document, their prefixes, slots past the array's end, a key
 // step on an array and an index step on an object, one path under
 // several types — with a random subset of the accesses document-served,
-// and compares every cell, and the cast errors, with docAccess. `go
+// and compares every typed cell, and the cast errors, with docAccess
+// (checkWalkedCells). `go
 // test` runs the seeds; `go test -run '^$' -fuzz FuzzDocWalk
 // ./internal/storage` digs.
 func FuzzDocWalk(f *testing.F) {
@@ -447,14 +474,10 @@ func FuzzDocWalk(f *testing.F) {
 				plans[ai].serve = serveDoc
 			}
 		}
-		sentinel := expr.TextValue("untouched")
-		boxed := make([][]expr.Value, len(accs))
-		for ai := range boxed {
-			boxed[ai] = []expr.Value{sentinel, sentinel}
-		}
+		out := make([]vec.Writer, len(accs))
 		tr := sortWalkPaths(accs, func(int) bool { return true })
 		var w docWalk
-		if !w.activate(&tr, plans, accs, boxed) {
+		if !w.activate(&tr, plans, accs, out) {
 			for ai := range plans {
 				if plans[ai].serve == serveDoc {
 					t.Fatalf("no step active, yet access %d is document-served", ai)
@@ -462,23 +485,11 @@ func FuzzDocWalk(f *testing.F) {
 			}
 			return
 		}
-		var walked, looked scanCounters
+		encoded := make([]jsonb.Doc, len(docs))
 		for i, doc := range docs {
-			d := jsonb.NewDoc(jsonb.Encode(doc))
-			w.row(d, i, &walked)
-			for ai, a := range accs {
-				want := sentinel
-				if plans[ai].serve == serveDoc {
-					want = docAccess(d, a.Path, a.Type, &looked)
-				}
-				if got := boxed[ai][i]; !reflect.DeepEqual(got, want) {
-					t.Fatalf("doc %d %s::%s: walk %v, docAccess %v", i, a.Path.Display(), a.Type, got, want)
-				}
-			}
+			encoded[i] = jsonb.NewDoc(jsonb.Encode(doc))
 		}
-		if walked.CastErrors != looked.CastErrors {
-			t.Fatalf("walk counted %d cast errors, docAccess %d", walked.CastErrors, looked.CastErrors)
-		}
+		checkWalkedCells(t, "fuzz", &w, out, plans, accs, encoded)
 	})
 }
 
@@ -530,9 +541,11 @@ func fuzzWalkAccesses(r *rand.Rand, doc jsonvalue.Value) []Access {
 	return accs
 }
 
-// BenchmarkSlotProbeScan scans tweets for 24 hashtag slots and the id:
-// the document walk serves the slots past the cap, and those no tile
-// extracted, in one descent per row.
+// BenchmarkSlotProbeScan scans tweets for 24 hashtag slots and the id,
+// and keeps the rows where any slot is one hashtag: the document walk
+// serves the slots past the cap, and those no tile extracted, in one
+// descent per row, and the OR of 24 text equalities runs over every
+// batch, as the engine's filter would.
 func BenchmarkSlotProbeScan(b *testing.B) {
 	cfg := DefaultLoaderConfig()
 	l, _ := NewLoader(KindTiles, cfg)
@@ -541,11 +554,32 @@ func BenchmarkSlotProbeScan(b *testing.B) {
 		b.Fatal(err)
 	}
 	accs := slotProbeAccesses()
+	var anySlot expr.Expr
+	for j := 0; j < 24; j++ {
+		eq := expr.NewCmp(expr.EQ, expr.NewCol(j, expr.TText), expr.NewConst(expr.TextValue("tag3")))
+		if anySlot == nil {
+			anySlot = eq
+		} else {
+			anySlot = expr.NewOr(anySlot, eq)
+		}
+	}
+	pred, ok := vec.Compile(anySlot, len(accs))
+	if !ok {
+		b.Fatal("the hashtag predicate does not compile")
+	}
+	ps := pred.NewScratch()
 	bs := rel.(BatchScanner)
+	scan := func() (matched int) {
+		bs.ScanBatches(context.Background(), accs, 1, func(_ int, bt *vec.Batch) { matched += len(pred.Sel(bt, ps)) }, nil)
+		return matched
+	}
+	if scan() == 0 {
+		b.Fatal("no tweet carries the hashtag")
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bs.ScanBatches(context.Background(), accs, 1, func(int, *vec.Batch) {}, nil)
+		scan()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rel.NumRows()), "ns/row")
 }

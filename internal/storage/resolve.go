@@ -4,6 +4,7 @@ import (
 	"repro/internal/column"
 	"repro/internal/expr"
 	"repro/internal/keypath"
+	"repro/internal/vec"
 )
 
 // Access planning (§4.5): how a tile serves an access is decided once
@@ -122,6 +123,28 @@ func (p accessPlan) cell(t scanTile, col *column.Column, i int, a Access, cnt *s
 		return expr.NullValue()
 	}
 	return castJSON(columnValue(col, i), a.Type, cnt)
+}
+
+// put writes row i of access a under a plan that is not a vector plan
+// into w: cell's value, typed. A text column read as text copies its
+// bytes; any other cell converts through castJSON.
+func (p accessPlan) put(w *vec.Writer, t scanTile, col *column.Column, i int, a Access, cnt *scanCounters) {
+	switch {
+	case p.serve == serveDoc, p.docOnNull && col.IsNull(i):
+		cnt.JSONBFallbacks++
+		if cur, ok := docLookup(t.Raw(i), a.Path.Segs); ok {
+			docPut(w, i, cur, a.Type, cnt)
+		}
+		return
+	}
+	cnt.ColumnHits++
+	switch {
+	case col.IsNull(i):
+	case col.Type() == keypath.TypeString && a.Type == expr.TText:
+		w.Text(i, col.StringBytes(i))
+	default:
+		w.Value(i, castJSON(columnValue(col, i), a.Type, cnt))
+	}
 }
 
 // sqlTypeOf is the SQL type a column of storage type t holds its

@@ -200,7 +200,7 @@ func (sp *scanPlan) skippable(t scanTile) bool {
 // Accesses with a Filter, or flagged NullRejecting, narrow the batch
 // (fillBatch): a row their predicate does not keep cannot reach the
 // result, so it is left out of the batch's selection and its remaining
-// boxed cells are never materialized. Batches arrive with Sel != nil
+// per-row cells are never resolved. Batches arrive with Sel != nil
 // whenever a row was dropped; a tile with no live row emits nothing.
 func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
 	rowCounts := src.appendTileRows(nil)
@@ -291,7 +291,7 @@ func (sc *scanScratch) fillBatch(t scanTile, sp *scanPlan, cnt *scanCounters) (l
 		if p == nil || sc.plans[ai].vector() {
 			continue
 		}
-		sc.fillBoxed(t, ai, sp.accesses[ai], sc.plans[ai], cnt)
+		sc.fillCells(t, ai, sp.accesses[ai], sc.plans[ai], cnt)
 		if !sc.narrow(p) {
 			return false
 		}
@@ -308,14 +308,19 @@ func (sc *scanScratch) fillBatch(t scanTile, sp *scanPlan, cnt *scanCounters) (l
 			sc.fillVector(t, ai, sp.accesses[ai].Type, plan, cnt)
 		case plan.serve == serveDoc:
 			allVec, walk = false, true
-			sc.batch.Cols[ai] = vec.Vector{Type: sp.accesses[ai].Type, Boxed: sc.boxedBuf(ai)}
+			sc.cells[ai].Reset(sp.accesses[ai].Type, n)
 		default:
 			allVec = false
-			sc.fillBoxed(t, ai, sp.accesses[ai], plan, cnt)
+			sc.fillCells(t, ai, sp.accesses[ai], plan, cnt)
 		}
 	}
 	if walk {
 		sc.walkDocs(t, sp, cnt)
+		for ai, p := range sp.preds {
+			if p == nil && sc.plans[ai].serve == serveDoc {
+				sc.batch.Cols[ai] = sc.cells[ai].Vector()
+			}
+		}
 	}
 	return n > 0
 }
@@ -325,7 +330,7 @@ func (sc *scanScratch) fillBatch(t scanTile, sp *scanPlan, cnt *scanCounters) (l
 // such cell counts one JSONB fallback, as a looked-up cell does.
 func (sc *scanScratch) walkDocs(t scanTile, sp *scanPlan, cnt *scanCounters) {
 	w := &sc.walk
-	if !w.activate(&sp.paths, sc.plans, sp.accesses, sc.boxed) {
+	if !w.activate(&sp.paths, sc.plans, sp.accesses, sc.cells) {
 		return
 	}
 	rows := sc.batch.Selected()
@@ -374,18 +379,19 @@ func (sc *scanScratch) fillVector(t scanTile, ai int, typ expr.SQLType, p access
 	sc.batch.Cols[ai] = vec.Vector{Type: expr.TFloat, Floats: buf, Nulls: col.NullBits()}
 }
 
-// fillBoxed reads access a cell by cell for the live rows, into the
-// boxed vector of slot ai.
-func (sc *scanScratch) fillBoxed(t scanTile, ai int, a Access, p accessPlan, cnt *scanCounters) {
-	vals := sc.boxedBuf(ai)
+// fillCells reads access a cell by cell for the live rows, into the
+// typed vector of slot ai (boxed for ::JSON alone).
+func (sc *scanScratch) fillCells(t scanTile, ai int, a Access, p accessPlan, cnt *scanCounters) {
+	w := &sc.cells[ai]
+	w.Reset(a.Type, sc.batch.Len)
 	var col *column.Column
 	if p.readsColumn() {
 		col = t.Column(p.col).Col
 	}
 	for _, i := range sc.batch.Selected() {
-		vals[i] = p.cell(t, col, int(i), a, cnt)
+		p.put(w, t, col, int(i), a, cnt)
 	}
-	sc.batch.Cols[ai] = vec.Vector{Type: a.Type, Boxed: vals}
+	sc.batch.Cols[ai] = w.Vector()
 }
 
 // boxedBuf returns slot ai's boxed buffer, sized to the batch. Its

@@ -257,12 +257,14 @@ func (c *scanCounters) flush(st *obs.ScanStats) {
 }
 
 // scanScratch holds what one morsel reuses from tile to tile — the
-// batch, the accesses' plans, boxed and widened vectors, the narrowing
+// batch, the accesses' plans, the writers of the vectors resolved per
+// row, widened vectors, scanCells' boxed vectors, the narrowing
 // predicates' scratch, which holds the live-row selection, and the
 // document walk's state — pooled across scans.
 type scanScratch struct {
 	batch vec.Batch
 	plans []accessPlan
+	cells []vec.Writer
 	boxed [][]expr.Value
 	fbuf  [][]float64
 	ps    *vec.Scratch
@@ -277,6 +279,7 @@ func getScanScratch(n int) *scanScratch {
 	s := scanScratchPool.Get().(*scanScratch)
 	s.batch.Cols = resize(s.batch.Cols, n)
 	s.plans = resize(s.plans, n)
+	s.cells = resize(s.cells, n)
 	s.boxed = resize(s.boxed, n)
 	s.fbuf = resize(s.fbuf, n)
 	return s
@@ -292,10 +295,16 @@ func resize[T any](s []T, n int) []T {
 }
 
 // putScanScratch returns s to the pool holding no reference into
-// buffer-pool memory: boxed cells, vectors and the walk's cursors alias
-// documents and columns that an eviction or a dropped segment frees.
+// buffer-pool memory: vectors, boxed cells — scanCells' and the ::JSON
+// documents of the writers — and the walk's cursors alias documents and
+// columns that an eviction or a dropped segment frees. The writers'
+// typed cells are copies, which the next scan reuses.
 func putScanScratch(s *scanScratch) {
 	clear(s.batch.Cols)
+	cells := s.cells[:cap(s.cells)]
+	for i := range cells {
+		cells[i].Release()
+	}
 	for i, vals := range s.boxed {
 		clear(vals)
 		s.boxed[i] = vals[:0]

@@ -13,8 +13,8 @@ import (
 // Batch scanning over JSON tiles: each tile becomes one column batch,
 // each access filled as its plan (resolve.go) says — a zero-copy slice
 // of the tile's column, a BigInt column widened to Float in a typed
-// copy, an all-NULL vector, or a boxed vector filled cell by cell from
-// the column or the binary JSON. The loop itself lives in the scan core
+// copy, an all-NULL vector, or a typed vector filled cell by cell from
+// the column or the binary JSON (boxed for ::JSON alone). The loop itself lives in the scan core
 // (scancore.go), shared with the disk-backed segment relation.
 
 // zeroVec wraps a tile column's backing slices into a vector without

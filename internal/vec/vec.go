@@ -6,9 +6,9 @@
 //
 // The layout mirrors the JSON-tiles storage (paper §4): a tile's
 // materialized columns are flat typed slices, so a scan can hand them
-// to the engine zero-copy; accesses the tile cannot serve from a
-// column are materialized into a boxed vector by the per-row fallback
-// path. Downstream operators filter by narrowing the selection vector
+// to the engine zero-copy; accesses the tile cannot serve whole from a
+// column are resolved row by row and written straight into typed
+// vectors by a Writer, boxed only for ::JSON documents. Downstream operators filter by narrowing the selection vector
 // and aggregate by looping directly over the typed slices — the
 // batch-at-a-time design of vectorized analytics engines.
 package vec
@@ -25,8 +25,8 @@ import (
 //   - StrOff/StrBytes (an offset-indexed arena) for TText; with
 //     StrIdx set, row i reads arena entry StrIdx[i] (a gather that
 //     shares its source's arena instead of copying bytes)
-//   - Boxed for anything materialized row-by-row (JSONB fallback,
-//     cast results, TJSON documents)
+//   - Boxed for TJSON documents, and for values an expression or a
+//     format without tiles computes cell by cell
 //
 // AllNull marks a vector whose every row is NULL without any backing
 // (the path provably never occurs in the tile). Nulls is a bitmap
