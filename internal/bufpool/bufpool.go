@@ -1,16 +1,16 @@
 // Package bufpool implements the buffer pool that every segment block
 // read flows through. The paper's host system (Umbra) manages tile
 // blocks through its buffer manager; this package is the equivalent
-// for the standalone engine: a capacity-bounded cache of decompressed
-// block bytes with second-chance eviction, refcount pinning, and
-// singleflight loading so concurrent scans of the same block pay for
-// one disk read + decompression, not N.
+// for the standalone engine: a capacity-bounded cache of block bytes
+// with second-chance eviction, refcount pinning, and singleflight
+// loading so concurrent scans of the same block pay for one read and
+// one decode, not N.
 //
-// The pool caches *decompressed* payloads. Checksum verification and
-// LZ4 decompression happen inside the load function on a miss; a hit
-// returns bytes that are immediately scannable. Capacity is accounted
-// in payload bytes, not entry counts, because block sizes vary by
-// orders of magnitude (a tile's JSONB fallback vs. a bool column).
+// The pool caches the payload its loader returns — for segment blocks,
+// the checksum-verified stored bytes, still LZ4-compressed. Capacity
+// is accounted in payload bytes, not entry counts, because block
+// sizes vary by orders of magnitude (a tile's JSONB fallback vs. a
+// bool column).
 //
 // A block whose reader works on a decoded form (a typed column, a
 // document directory) is decoded once per residency: Handle.Decoded
@@ -84,7 +84,7 @@ type Pool struct {
 
 type entry struct {
 	key Key
-	// bytes is the decompressed payload until Handle.Decoded replaces
+	// bytes is the loaded payload until Handle.Decoded replaces
 	// it with decoded, under decodeMu; size is what the entry is
 	// charged for (pool lock).
 	bytes    []byte

@@ -465,8 +465,9 @@ var (
 	// QueriesActive is the number of queries currently executing
 	// (mirrors the live-query registry's size).
 	QueriesActive = Default.Gauge("queries_active")
-	// BufpoolBytes is the total decompressed payload bytes resident
-	// across every buffer pool in the process.
+	// BufpoolBytes is the bytes resident across every buffer pool in
+	// the process: stored bytes until a block's first decode, then what
+	// its decoded form retains.
 	BufpoolBytes = Default.Gauge("bufpool_bytes")
 	// BufpoolPinnedBytes is the payload bytes currently pinned by
 	// outstanding handles across every pool. With no scan in flight it

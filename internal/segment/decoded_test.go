@@ -1,13 +1,19 @@
 package segment
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/blockstore"
 	"repro/internal/bufpool"
 	"repro/internal/column"
 	"repro/internal/keypath"
 	"repro/internal/obs"
+	"repro/internal/xxhash"
 )
 
 // readAll reads every column and the documents of every tile and
@@ -124,6 +130,150 @@ func TestColumnDecodedOncePerResidency(t *testing.T) {
 	}
 	if got := obs.SegmentBlocksDecoded.Load() - base; got != decodedBlocks {
 		t.Errorf("pass after DropFile decoded %d blocks, want %d", got, decodedBlocks)
+	}
+
+	// A block fetched ahead stays compressed until its first use: the
+	// pool books its stored bytes, then what its decoded form retains,
+	// the same as a demand load ends with.
+	pool.DropFile(r.fileID)
+	refs := tileRefs(r.Tile(0))
+	var stored int64
+	for _, ref := range refs {
+		stored += int64(ref.StoredLen)
+	}
+	runs, planned := r.PlanFetch(refs)
+	if planned != stored {
+		t.Errorf("PlanFetch planned %d bytes, the blocks store %d", planned, stored)
+	}
+	if fi := r.Fetch("", runs, true); fi.PoolMisses != blocks {
+		t.Fatalf("fetch inserted %d blocks, want %d", fi.PoolMisses, blocks)
+	}
+	if got := pool.Stats().Resident; got != stored {
+		t.Errorf("resident after fetch = %d, want the %d stored bytes", got, stored)
+	}
+	base = obs.SegmentBlocksDecoded.Load()
+	readAll(t, r, "")
+	if got := obs.SegmentBlocksDecoded.Load() - base; got != decodedBlocks {
+		t.Errorf("pass after fetch decoded %d blocks, want %d", got, decodedBlocks)
+	}
+	if got := pool.Stats().Resident; got != resident || got == stored {
+		t.Errorf("resident after decoding the fetched blocks = %d, want %d (stored %d)", got, resident, stored)
+	}
+}
+
+// tileRefs lists every block of a tile: documents, column codes and
+// dictionaries.
+func tileRefs(tm *TileMeta) []BlockRef {
+	refs := []BlockRef{tm.Docs}
+	for _, cm := range tm.Columns {
+		refs = append(refs, cm.Block)
+		if cm.HasDict {
+			refs = append(refs, cm.Dict)
+		}
+	}
+	return refs
+}
+
+// badLZ4Segment returns the bytes of a one-tile dictionary segment
+// whose documents block and dictionary block hold LZ4 streams that do
+// not decode, under checksums that match them: corruption only a
+// decompression can see. It also returns the dictionary column's index.
+func badLZ4Segment(t testing.TB) ([]byte, int) {
+	t.Helper()
+	store := putSegment(t, buildDictTile(t, 200))
+	r, err := OpenStore(store, testSeg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	data, err := blockstore.ReadAll(store, testSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := &r.tiles[0]
+	dictCol := -1
+	bad := []*BlockRef{&tm.Docs}
+	for ci := range tm.Columns {
+		if tm.Columns[ci].HasDict {
+			dictCol = ci
+			bad = append(bad, &tm.Columns[ci].Dict)
+		}
+	}
+	if dictCol < 0 {
+		t.Fatal("no dictionary column")
+	}
+	for _, ref := range bad {
+		stored := data[ref.Off:][:ref.StoredLen]
+		for i := range stored {
+			stored[i] = 0xFF // a literal run longer than the stream
+		}
+		ref.Codec, ref.Sum = codecLZ4, xxhash.Sum64(stored)
+	}
+	footerOff := binary.LittleEndian.Uint64(data[len(data)-TailSize:])
+	bw := blockWriter{base: footerOff}
+	tail := bw.footer(r.tiles, r.stats)
+	return append(append(data[:footerOff:footerOff], bw.buf...), tail...), dictCol
+}
+
+// TestCorruptLZ4BlockFailsAtDecode: a block whose checksum matches but
+// whose LZ4 stream does not decode is cached as stored, so the error
+// comes from its first decode, on the demand path and after a fetch
+// alike. It names the object and the block's range, nothing decoded is
+// cached (a second read fails the same way, from the resident stored
+// bytes), and nothing stays pinned.
+func TestCorruptLZ4BlockFailsAtDecode(t *testing.T) {
+	data, dictCol := badLZ4Segment(t)
+	store := blockstore.NewMem()
+	store.Put(testSeg, data)
+	pool := bufpool.New(0)
+	r, err := OpenStore(store, testSeg, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	tm := r.Tile(0)
+	reads := []struct {
+		name string
+		ref  BlockRef
+		read func() (hit bool, err error)
+	}{
+		{"docs", tm.Docs, func() (bool, error) {
+			_, info, err := r.Docs(0)
+			return info.Hit, err
+		}},
+		{"dict", tm.Columns[dictCol].Dict, func() (bool, error) {
+			_, infos, err := r.Column(0, dictCol)
+			return len(infos) == 2 && infos[1].Hit, err
+		}},
+	}
+	for _, fetched := range []bool{false, true} {
+		pool.DropFile(r.fileID)
+		if fetched {
+			runs, _ := r.PlanFetch(tileRefs(tm))
+			r.Fetch("", runs, true)
+		}
+		for _, rd := range reads {
+			label := fmt.Sprintf("%s fetched=%v", rd.name, fetched)
+			want := fmt.Sprintf("%s: block [%d,+%d): lz4", testSeg, rd.ref.Off, rd.ref.StoredLen)
+			var first string
+			for attempt := 0; attempt < 2; attempt++ {
+				hit, err := rd.read()
+				if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s read %d: err %v, want ErrCorrupt naming %q", label, attempt, err, want)
+				}
+				if attempt == 0 {
+					first = err.Error()
+				} else if err.Error() != first {
+					t.Errorf("%s: second read failed with %q, first with %q", label, err, first)
+				}
+				if wantHit := fetched || attempt > 0; hit != wantHit {
+					t.Errorf("%s read %d: hit %v, want %v", label, attempt, hit, wantHit)
+				}
+			}
+		}
+		if pinned := pool.Stats().PinnedBytes; pinned != 0 {
+			t.Errorf("fetched=%v: %d bytes still pinned", fetched, pinned)
+		}
 	}
 }
 

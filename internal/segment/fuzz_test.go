@@ -2,6 +2,8 @@ package segment
 
 import (
 	"encoding/binary"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/blockstore"
@@ -14,7 +16,8 @@ import (
 // headers, footers, block lengths, checksums, truncations — must
 // yield errors, never panics, unbounded allocations, or out-of-range
 // reads. Mutants that still open cleanly must also survive having
-// every block read.
+// every block read, and a block read through the fetch path must give
+// the same value or error as the demand path.
 func FuzzOpenSegment(f *testing.F) {
 	// Seed with a real two-tile segment, a dictionary-bearing one (a
 	// low-cardinality text column), an empty one, plus targeted
@@ -67,6 +70,9 @@ func FuzzOpenSegment(f *testing.F) {
 	f.Add(valid[:len(Magic)])
 	f.Add(valid[:len(valid)-TailSize])
 	f.Add(valid[:len(valid)/2])
+	// Blocks whose checksums match but whose LZ4 streams do not decode.
+	badLZ4, _ := badLZ4Segment(f)
+	f.Add(badLZ4)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		store := blockstore.NewMem()
@@ -76,19 +82,37 @@ func FuzzOpenSegment(f *testing.F) {
 			return // rejected cleanly: the property we want
 		}
 		defer r.Close()
+		fr, err := OpenStore(store, "fuzz.seg", bufpool.New(1<<20))
+		if err != nil {
+			t.Fatalf("second open: %v", err)
+		}
+		defer fr.Close()
 		// The footer decoded; every declared block must now be readable
-		// or fail with an error (checksum, decode) — never a panic.
+		// or fail with an error (checksum, decompression, decode) — never
+		// a panic. fr reads each tile after fetching its blocks.
 		for ti := 0; ti < r.NumTiles(); ti++ {
 			tm := r.Tile(ti)
 			_ = tm.MayContainPath("a")
 			_ = tm.MayContainPath("nope")
-			if docs, _, err := r.Docs(ti); err == nil {
+			runs, _ := fr.PlanFetch(tileRefs(tm))
+			fr.Fetch("", runs, false)
+			docs, _, err := r.Docs(ti)
+			fdocs, _, ferr := fr.Docs(ti)
+			sameOutcome(t, fmt.Sprintf("tile %d docs", ti), docs, err, fdocs, ferr)
+			if err == nil {
 				for _, d := range docs {
 					_ = len(d)
 				}
 			}
 			for ci := range tm.Columns {
-				if col, _, err := r.Column(ti, ci); err == nil {
+				col, _, err := r.Column(ti, ci)
+				fcol, _, ferr := fr.Column(ti, ci)
+				var v, fv []byte
+				if err == nil && ferr == nil {
+					v, fv = col.Serialize(), fcol.Serialize()
+				}
+				sameOutcome(t, fmt.Sprintf("tile %d column %d", ti, ci), v, err, fv, ferr)
+				if err == nil {
 					for row := 0; row < col.Len(); row++ {
 						if col.IsNull(row) {
 							continue
@@ -103,4 +127,13 @@ func FuzzOpenSegment(f *testing.F) {
 		_ = r.Stats().RowCount()
 		_ = r.NumRows()
 	})
+}
+
+// sameOutcome fails t unless a demand read and a fetched read of the
+// same block agree: the same error, or equal values.
+func sameOutcome(t *testing.T, label string, v any, err error, fv any, ferr error) {
+	t.Helper()
+	if fmt.Sprint(err) != fmt.Sprint(ferr) || !reflect.DeepEqual(v, fv) {
+		t.Fatalf("%s: demand read gave %v, fetched read %v", label, err, ferr)
+	}
 }

@@ -19,9 +19,9 @@ import (
 
 // Reader reads one open segment object through a block store. All
 // block reads flow through the buffer pool: a miss issues a ranged
-// read (with transient retries), verifies the checksum, decompresses,
-// and caches the payload; the first Column or Docs access of a
-// resident block decodes it and leaves the decoded form in the pool
+// read (with transient retries), verifies the checksum, and caches the
+// stored bytes; the first Column or Docs access of a resident block
+// decompresses and decodes it and leaves the decoded form in the pool
 // entry, so a hit returns a shared, immutable column or document
 // directory with no decode step. A Reader is safe for concurrent use.
 type Reader struct {
@@ -164,7 +164,7 @@ func OpenStoreSized(store blockstore.Store, name string, pool *bufpool.Pool, siz
 			return nil, fmt.Errorf("footer: %w", err)
 		}
 	}
-	footerRaw, err := r.decodeStored(footerRef, footerStored)
+	footerRaw, err := r.decompress(footerRef, footerStored)
 	if err != nil {
 		return nil, fmt.Errorf("footer: %w", err)
 	}
@@ -238,17 +238,25 @@ func (r *Reader) ColumnT(tenant string, tileIdx, colIdx int) (*column.Column, []
 	defer h.Release()
 	// The dictionary block is touched on every access, decoded or not,
 	// so its pool accounting and eviction age follow the codes block's.
+	// It decodes to its raw bytes, which is no column decode.
 	var dict []byte
 	if cm.HasDict {
 		dh, dinfo, derr := r.pooledBlock(tenant, cm.Dict)
 		infos = append(infos, dinfo)
+		if derr == nil {
+			var dv any
+			dv, derr = dh.Decoded(func(stored []byte) (any, int64, error) {
+				raw, err := r.decompress(cm.Dict, stored)
+				return raw, int64(len(raw)), err
+			})
+			dh.Release()
+			dict, _ = dv.([]byte)
+		}
 		if derr != nil {
 			return nil, infos, fmt.Errorf("tile %d column %q dict: %w", tileIdx, cm.Path, derr)
 		}
-		dict = dh.Bytes()
-		dh.Release()
 	}
-	v, err := decoded(h, &infos[0], func(payload []byte) (any, int64, error) {
+	v, err := r.decoded(h, cm.Block, &infos[0], func(payload []byte) (any, int64, error) {
 		var col *column.Column
 		var err error
 		if cm.HasDict {
@@ -288,7 +296,7 @@ func (r *Reader) DocsT(tenant string, tileIdx int) ([][]byte, ReadInfo, error) {
 		return nil, info, fmt.Errorf("tile %d docs: %w", tileIdx, err)
 	}
 	defer h.Release()
-	v, err := decoded(h, &info, func(payload []byte) (any, int64, error) {
+	v, err := r.decoded(h, tm.Docs, &info, func(payload []byte) (any, int64, error) {
 		docs, err := decodeDocs(payload, tm.Rows)
 		// The directory aliases the payload: both stay resident.
 		return docs, int64(len(payload) + len(docs)*docDirEntryBytes), err
@@ -309,9 +317,9 @@ type FetchRun struct {
 // PlanFetch turns refs into the fewest store requests that make them
 // pool-resident — refs already cached are dropped, the rest deduped,
 // sorted, and merged within the coalescing gap — and returns the
-// decompressed bytes the runs will add to the pool. No I/O; refs is
+// stored bytes the runs will add to the pool. No I/O; refs is
 // reordered and the runs alias it.
-func (r *Reader) PlanFetch(refs []BlockRef) (runs []FetchRun, rawBytes int64) {
+func (r *Reader) PlanFetch(refs []BlockRef) (runs []FetchRun, storedBytes int64) {
 	sortRefs(refs)
 	uniq := refs[:0]
 	var ranges []blockstore.Range
@@ -321,19 +329,20 @@ func (r *Reader) PlanFetch(refs []BlockRef) (runs []FetchRun, rawBytes int64) {
 		}
 		uniq = append(uniq, ref)
 		ranges = append(ranges, blockstore.Range{Off: int64(ref.Off), Len: int64(ref.StoredLen)})
-		rawBytes += int64(ref.RawLen)
+		storedBytes += int64(ref.StoredLen)
 	}
 	for _, run := range blockstore.Coalesce(ranges, blockstore.DefaultCoalesceGap, 0) {
 		runs = append(runs, FetchRun{Off: run.Off, Len: run.Len, Blocks: uniq[:run.Blocks]})
 		uniq = uniq[run.Blocks:]
 	}
-	return runs, rawBytes
+	return runs, storedBytes
 }
 
 // Fetch executes planned runs, all at once: each is one ranged read
-// (with transient retries) whose blocks are verified, decompressed,
-// and inserted unpinned, marked prefetched for prefetch-hit accounting
-// when the fetch was issued ahead of the scan. Failures are not
+// (with transient retries) whose blocks are checksum-verified and
+// inserted unpinned, still compressed (the first access decodes),
+// marked prefetched for prefetch-hit accounting when the fetch was
+// issued ahead of the scan. Failures are not
 // returned: a block whose run failed stays non-resident and the demand
 // path reports the error with full context when the scan needs it.
 // The fetch's counts are its store traffic (ranged reads with retries,
@@ -374,11 +383,7 @@ func (r *Reader) fetchRun(tenant string, run FetchRun, prefetched bool) obs.Scan
 		if xxhash.Sum64(stored) != ref.Sum {
 			continue // demand path re-reads and reports
 		}
-		payload, err := r.decodeStored(ref, stored)
-		if err != nil {
-			continue
-		}
-		if r.pool.Put(tenant, bufpool.Key{File: r.fileID, Off: ref.Off}, payload, prefetched) {
+		if r.pool.Put(tenant, bufpool.Key{File: r.fileID, Off: ref.Off}, stored, prefetched) {
 			fi.PoolMisses++
 		}
 	}
@@ -402,24 +407,27 @@ func sortRefs(refs []BlockRef) {
 // directory beyond its payload bytes: a []byte header.
 const docDirEntryBytes = 24
 
-// decoded returns a pinned block's decoded form, built by decode on
-// the first access of a pool residency; info.Decoded records that
-// decode ran.
-func decoded(h *bufpool.Handle, info *ReadInfo, decode func(payload []byte) (any, int64, error)) (any, error) {
-	return h.Decoded(func(payload []byte) (any, int64, error) {
+// decoded returns a pinned block's decoded form, built on the first
+// access of a pool residency by decompressing ref's stored bytes and
+// running decode on the payload; info.Decoded records that decode ran.
+func (r *Reader) decoded(h *bufpool.Handle, ref BlockRef, info *ReadInfo, decode func(payload []byte) (any, int64, error)) (any, error) {
+	return h.Decoded(func(stored []byte) (any, int64, error) {
 		info.Decoded = true
 		obs.SegmentBlocksDecoded.Add(1)
+		payload, err := r.decompress(ref, stored)
+		if err != nil {
+			return nil, 0, err
+		}
 		return decode(payload)
 	})
 }
 
-// pooledBlock pins one block in the buffer pool, loading it on a miss.
-// The caller releases the handle.
+// pooledBlock pins one block in the buffer pool, loading its verified
+// stored bytes on a miss. The caller releases the handle.
 func (r *Reader) pooledBlock(tenant string, ref BlockRef) (*bufpool.Handle, ReadInfo, error) {
 	var retries int
-	h, err := r.pool.GetAs(tenant, bufpool.Key{File: r.fileID, Off: ref.Off}, func() ([]byte, error) {
-		b, n, err := r.readBlock(ref)
-		retries = n
+	h, err := r.pool.GetAs(tenant, bufpool.Key{File: r.fileID, Off: ref.Off}, func() (b []byte, err error) {
+		b, retries, err = r.readStoredRetry(ref)
 		return b, err
 	})
 	if err != nil {
@@ -464,8 +472,8 @@ func (r *Reader) readStoredRetry(ref BlockRef) ([]byte, int, error) {
 	return stored, retries, nil
 }
 
-// decodeStored decompresses one verified stored block.
-func (r *Reader) decodeStored(ref BlockRef, stored []byte) ([]byte, error) {
+// decompress returns one verified stored block's raw bytes.
+func (r *Reader) decompress(ref BlockRef, stored []byte) ([]byte, error) {
 	if ref.Codec == codecRaw {
 		return stored, nil
 	}
@@ -474,15 +482,4 @@ func (r *Reader) decodeStored(ref BlockRef, stored []byte) ([]byte, error) {
 		return nil, r.corruptBlock(ref, "lz4: %v", err)
 	}
 	return raw, nil
-}
-
-// readBlock reads, verifies, and decompresses one block, reporting
-// the transient retries taken.
-func (r *Reader) readBlock(ref BlockRef) ([]byte, int, error) {
-	stored, retries, err := r.readStoredRetry(ref)
-	if err != nil {
-		return nil, retries, err
-	}
-	raw, err := r.decodeStored(ref, stored)
-	return raw, retries, err
 }

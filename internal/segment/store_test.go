@@ -173,10 +173,10 @@ func TestOpenStoreErrorContext(t *testing.T) {
 	defer r.Close()
 	ref := r.Tile(0).Docs
 	fake.FailNextReads(1000)
-	_, _, err = r.readBlock(ref)
+	_, _, err = r.readStoredRetry(ref)
 	fake.FailNextReads(-1000)
 	if err == nil {
-		t.Fatal("readBlock succeeded against an always-failing store")
+		t.Fatal("readStoredRetry succeeded against an always-failing store")
 	}
 	msg = err.Error()
 	wantRange = fmt.Sprintf("[%d,+%d)", ref.Off, ref.StoredLen)
@@ -187,9 +187,9 @@ func TestOpenStoreErrorContext(t *testing.T) {
 	// Transient failures below the retry budget are invisible to the
 	// caller — the block arrives, with the retries reported.
 	fake.FailNextReads(2)
-	b, retries, err := r.readBlock(ref)
+	b, retries, err := r.readStoredRetry(ref)
 	if err != nil || len(b) == 0 {
-		t.Fatalf("readBlock after 2 transient failures: %v", err)
+		t.Fatalf("readStoredRetry after 2 transient failures: %v", err)
 	}
 	if retries != 2 {
 		t.Errorf("retries = %d, want 2", retries)

@@ -13,22 +13,21 @@ import (
 // scans (DESIGN.md §6.9). Every store request of a scan is known from
 // tile metadata once the footers are in memory, so the window issues
 // each surviving tile's coalesced fetch ahead of the workers, in the
-// order they will want the tiles, within two bounds: the planned
-// decompressed bytes of tiles fetched but not yet claimed stay within
-// budget (half the pool; more gets blocks evicted before use and read
-// twice), yet tiles too big for that still go one per worker (floor),
-// so no worker finds the store idle. A worker claims each tile before
-// scanning it and blocks only on that tile's fetch; a tile the window
-// has not reached — full window, a worker running ahead — is fetched
-// by the claim itself. Either way a tile is fetched once.
+// order they will want the tiles, while the stored bytes of tiles
+// fetched but not yet claimed fit the pool (or the tenant's smaller
+// quota): fetched blocks stay compressed until their first decode, so
+// within that budget none is evicted before use and read twice. A
+// worker claims each tile before scanning it and blocks only on that
+// tile's fetch; a tile the window has not reached — full window, a
+// worker running ahead — is fetched by the claim itself. Either way a
+// tile is fetched once.
 type fetchWindow struct {
 	ctx    context.Context
 	src    scanSource
 	sp     *scanPlan
 	st     *obs.ScanStats
 	order  []int // tiles in the order workers will want them
-	budget int64
-	floor  int
+	budget int64 // stored bytes the fetched-but-unclaimed tiles may plan
 
 	mu         sync.Mutex
 	next       int          // order[next:] is not yet looked at
@@ -45,7 +44,7 @@ type tileFetch struct {
 	done  chan struct{} // closed when the runs are resident (or failed)
 	r     *segment.Reader
 	runs  []segment.FetchRun
-	bytes int64 // planned decompressed bytes
+	bytes int64 // planned stored bytes
 }
 
 // nothingToFetch marks a tile claimed with every block resident.
@@ -72,11 +71,11 @@ func newFetchWindow(ctx context.Context, src scanSource, sp *scanPlan, morsels [
 	}
 	fw := &fetchWindow{
 		ctx: ctx, src: src, sp: sp, st: st,
-		budget: limit / 2, floor: max(workers, 1),
+		budget:  limit,
 		fetches: make([]*tileFetch, nTiles),
 		planCnt: scanCounters{tenant: tenant},
 	}
-	fw.order = fetchOrder(morsels, fw.floor)
+	fw.order = fetchOrder(morsels, max(workers, 1))
 	fw.advance()
 	if fw.aheadTiles == 0 && fw.next == len(fw.order) {
 		return nil
@@ -149,10 +148,8 @@ func (fw *fetchWindow) advance() {
 		if f == nil {
 			continue
 		}
-		// The floor holds only for tiles the whole pool can take: past
-		// that, fetching ahead does nothing but evict.
 		total := fw.aheadBytes + f.bytes
-		if (total > fw.budget || fw.aheadTiles >= maxAheadTiles) && (fw.aheadTiles >= fw.floor || total > 2*fw.budget) {
+		if total > fw.budget || fw.aheadTiles >= maxAheadTiles {
 			return
 		}
 		fw.aheadBytes, fw.aheadTiles = total, fw.aheadTiles+1

@@ -183,6 +183,61 @@ func TestFetchWindowPoolPressure(t *testing.T) {
 	}
 }
 
+// TestFetchWindowBudgetsStoredBytes: fetched blocks stay compressed
+// until their first decode, so the window budgets their stored bytes.
+// On a pool smaller than the table's decompressed documents but larger
+// than their stored bytes, every tile is fetched ahead in one wave and
+// no block is read twice.
+func TestFetchWindowBudgetsStoredBytes(t *testing.T) {
+	const latency = 20 * time.Millisecond
+	mem, cfg := fetchTestStore(t, 6, 64, 300)
+	roomy, err := OpenDirStore("t", mem, nil, cfg, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored, raw int64
+	for _, ls := range roomy.snapshot() {
+		for ti := 0; ti < ls.rel.r.NumTiles(); ti++ {
+			d := ls.rel.r.Tile(ti).Docs
+			stored, raw = stored+int64(d.StoredLen), raw+int64(d.RawLen)
+		}
+	}
+	var roomySt obs.ScanStats
+	want := batchMultisetStats(roomy, padAccess, 2, &roomySt)
+	roomy.Close()
+	poolBytes := (stored + raw) / 2
+	if stored >= poolBytes || raw <= poolBytes {
+		t.Fatalf("documents store %d bytes, decompress to %d: want a pool between them", stored, raw)
+	}
+
+	fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: latency})
+	dt, err := OpenDirStore("t", fake, bufpool.New(poolBytes), cfg, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dt.Close()
+	reads0 := fake.RangeReadCount()
+	var st obs.ScanStats
+	start := time.Now()
+	got := batchMultisetStats(dt, padAccess, 2, &st)
+	d := time.Since(start)
+	if err := dt.Err(); err != nil {
+		t.Fatal(err)
+	}
+	sameMultiset(t, "stored-byte budget", got, want)
+	c := st.Counts()
+	if c.StorePrefetchHits != c.PoolMisses {
+		t.Errorf("%d of %d blocks fetched ahead, want all", c.StorePrefetchHits, c.PoolMisses)
+	}
+	planned := roomySt.Counts().StoreRangeReads
+	if reads := fake.RangeReadCount() - reads0; reads != planned || c.StoreRangeReads != planned {
+		t.Errorf("store served %d range reads, the scan counted %d, want the %d planned runs", reads, c.StoreRangeReads, planned)
+	}
+	if d >= 3*latency {
+		t.Errorf("scan took %v, want < %v (one fetch wave)", d, 3*latency)
+	}
+}
+
 // TestFetchWindowAccounting: the per-scan statistics agree with what
 // the store saw — the fetch goroutines' counters reach them exactly
 // once — and a block fetched ahead is one pool miss and one prefetch

@@ -61,8 +61,9 @@ type Options struct {
 	// Workers bounds loading and query parallelism (0 = all CPUs).
 	Workers int
 	// CacheBytes bounds the buffer pool of tables opened from segment
-	// files (OpenSegment) or table directories (OpenDir): decompressed
-	// block bytes kept resident across queries. 0 means the 64 MiB
+	// files (OpenSegment) or table directories (OpenDir): blocks kept
+	// resident across queries, compressed until their first decode and
+	// decoded afterwards. 0 means the 64 MiB
 	// default; in-memory tables ignore it.
 	CacheBytes int64
 	// CompactFanIn is how many same-size-tier segments a directory-
