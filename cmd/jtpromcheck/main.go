@@ -6,8 +6,9 @@
 // It verifies that every sample belongs to a metric announced by a
 // "# TYPE" line, that histogram series are complete (_bucket with a
 // +Inf bound, _sum, _count), that bucket counts are cumulative
-// (non-decreasing) with the +Inf bucket equal to _count, and that
-// counter and histogram-count samples are not negative.
+// (non-decreasing) with the +Inf bucket equal to _count, that
+// counter and histogram-count samples are not negative, and that label
+// values are valid UTF-8 using only the format's three escapes.
 package main
 
 import (
@@ -15,9 +16,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 func main() {
@@ -212,25 +215,41 @@ func parseSample(line string) (sample, error) {
 			return sample{}, fmt.Errorf("unclosed label set in %q", line)
 		}
 		s.name = head[:i]
-		labels := head[i+1 : len(head)-1]
-		for _, kv := range strings.Split(labels, ",") {
-			eq := strings.IndexByte(kv, '=')
-			if eq < 0 {
-				return sample{}, fmt.Errorf("malformed label %q in %q", kv, line)
-			}
-			key := strings.TrimSpace(kv[:eq])
-			val := strings.TrimSpace(kv[eq+1:])
-			uq, err := strconv.Unquote(val)
-			if err != nil {
-				return sample{}, fmt.Errorf("label %s not quoted in %q", key, line)
-			}
-			if key == "le" {
-				s.le = uq
-			}
+		labels, err := parseLabels(head[i+1 : len(head)-1])
+		if err != nil {
+			return sample{}, fmt.Errorf("%v in %q", err, line)
 		}
+		s.le = labels["le"]
 	}
 	if s.name == "" {
 		return sample{}, fmt.Errorf("empty metric name in %q", line)
 	}
 	return s, nil
+}
+
+// labelRE matches the first label of a label set as the text format
+// defines it: name="value", where the value escapes only a backslash,
+// a double quote and a newline (\\, \" and \n), followed by a comma
+// unless it ends the set. A comma or a brace inside the quotes is part
+// of the value.
+var labelRE = regexp.MustCompile(`^\s*([a-zA-Z_][a-zA-Z0-9_]*)\s*=\s*"((?:[^"\\]|\\[\\"n])*)"\s*(?:,|$)`)
+
+var labelUnescaper = strings.NewReplacer(`\\`, `\`, `\"`, `"`, `\n`, "\n")
+
+// parseLabels parses the inside of a label set into its values, which
+// must be valid UTF-8.
+func parseLabels(s string) (map[string]string, error) {
+	labels := map[string]string{}
+	for s = strings.TrimSpace(s); s != ""; s = strings.TrimSpace(s) {
+		m := labelRE.FindStringSubmatch(s)
+		if m == nil {
+			return nil, fmt.Errorf(`malformed label in %q (a value is quoted and escapes only \\, \" and \n)`, s)
+		}
+		if !utf8.ValidString(m[2]) {
+			return nil, fmt.Errorf("label %s is not valid UTF-8", m[1])
+		}
+		labels[m[1]] = labelUnescaper.Replace(m[2])
+		s = s[len(m[0]):]
+	}
+	return labels, nil
 }

@@ -78,3 +78,39 @@ func TestCheckRejectsNegativeCounter(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestCheckRejectsOtherEscapes: Go's %q escapes (\t, \x..) are not
+// label escapes; a parser of the text format rejects the whole scrape.
+func TestCheckRejectsOtherEscapes(t *testing.T) {
+	for _, label := range []string{`a\tb`, `c\xffd`, `e\u00e9`} {
+		in := "# TYPE c counter\nc{tenant=\"" + label + "\"} 1\n"
+		_, err := check(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "escape") {
+			t.Errorf("%s: err = %v", label, err)
+		}
+	}
+	if _, err := check(strings.NewReader("# TYPE c counter\nc{tenant=\"a\xffb\"} 1\n")); err == nil ||
+		!strings.Contains(err.Error(), "UTF-8") {
+		t.Errorf("invalid UTF-8: err = %v", err)
+	}
+}
+
+// TestCheckAcceptsLabelSyntax: a comma or a brace inside quotes is part
+// of the value, a raw tab needs no escape, and the three escapes
+// decode.
+func TestCheckAcceptsLabelSyntax(t *testing.T) {
+	in := "# TYPE h histogram\n" +
+		"h_bucket{tenant=\"a,b}\tc\",le=\"1\"} 1\n" +
+		"h_bucket{tenant=\"q\\\"\\\\\\n\",le=\"+Inf\"} 2\n" +
+		"h_sum 3\nh_count 2\n"
+	if _, err := check(strings.NewReader(in)); err != nil {
+		t.Fatalf("rejected: %v\n%s", err, in)
+	}
+	labels, err := parseLabels(`tenant="a,b", le="q\"\\\n",`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if labels["tenant"] != "a,b" || labels["le"] != "q\"\\\n" {
+		t.Fatalf("labels = %q", labels)
+	}
+}

@@ -2,7 +2,7 @@ package jsontiles
 
 // The debug HTTP surface: a process-wide server exposing the metric
 // registry in Prometheus text exposition format, the live-query
-// registry as JSON, recent query span trees as Chrome trace-event
+// registry as JSON, recent query timelines as Chrome trace-event
 // JSON, and net/http/pprof. Started explicitly with ServeDebug or
 // implicitly through Options.DebugAddr.
 
@@ -35,9 +35,10 @@ var debugSrv struct {
 //	                  format
 //	/debug/queries  — the in-flight queries as a JSON array (id, plan
 //	                  digest, tables, elapsed, rows/tiles/bytes so far)
-//	/debug/trace    — the last N finished queries' operator span trees
-//	                  as Chrome trace-event JSON (load in
-//	                  chrome://tracing or Perfetto); ?last=N, default 16
+//	/debug/trace    — the last N finished queries' timelines (query,
+//	                  plan for multi-table queries, execute) as Chrome
+//	                  trace-event JSON (load in chrome://tracing or
+//	                  Perfetto); ?last=N, default 16
 //	/debug/pprof/…  — the standard net/http/pprof handlers
 //
 // The server is process-wide and started at most once: subsequent

@@ -59,9 +59,10 @@ type ScanStats struct {
 	obs.ScanCounts
 }
 
-// QueryStats summarizes one query execution; Options.OnQueryDone
-// receives it after every Run/RunAnalyzed (e.g. for slow-query
-// logging).
+// QueryStats summarizes one query execution from the query's own plan
+// and timeline: RunAnalyzed returns it, the slow-query log reads it,
+// and Options.OnQueryDone receives it after every Run/RunAnalyzed.
+// Other queries running at the same time do not change it.
 type QueryStats struct {
 	// Tenant is the identity the query ran under (obs.WithTenant);
 	// empty for direct library calls.
@@ -70,7 +71,9 @@ type QueryStats struct {
 	// when Analyzed is set (RunAnalyzed).
 	Plan *PlanNode
 	// Wall is the end-to-end query time, PlanTime the optimizer's
-	// share, ExecTime the operator execution and materialization.
+	// share (0 for a one-table query), ExecTime the operator execution
+	// and materialization; the query's obs.QueryTrace in the trace ring
+	// holds the same three.
 	Wall     time.Duration
 	PlanTime time.Duration
 	ExecTime time.Duration
@@ -84,18 +87,13 @@ type QueryStats struct {
 	// and trace-ring entries of the same query template.
 	QueryID    uint64
 	PlanDigest string
-	// DictKernelShortcuts counts predicate kernels that evaluated in
-	// dictionary code space during this query's execution window;
-	// DictGroupByBatches counts batches aggregated through the
-	// code-indexed GROUP BY fast path. Both are process-wide counter
-	// deltas: exact when queries run one at a time.
+	// DictKernelShortcuts counts the predicate kernels this query's
+	// scans evaluated in dictionary code space, summed over its scan
+	// nodes; DictGroupByBatches counts the batches its GroupBy grouped
+	// through the code-indexed fast path. Both are the query's own
+	// counts, exact however many queries run beside it.
 	DictKernelShortcuts int64
 	DictGroupByBatches  int64
-	// RowsBoxed counts rows boxed into SQL values during the execution
-	// window. Only engine.Materialize boxes rows; a query's operators
-	// and its result stay in column vectors, so a query run alone reads
-	// 0. A process-wide counter delta like the two above.
-	RowsBoxed int64
 }
 
 // String renders the summary line followed by the plan tree.
@@ -104,9 +102,6 @@ func (s QueryStats) String() string {
 	fmt.Fprintf(&sb, "wall %s  plan %s  exec %s  rows %d",
 		s.Wall.Round(time.Microsecond), s.PlanTime.Round(time.Microsecond),
 		s.ExecTime.Round(time.Microsecond), s.RowsReturned)
-	if s.Analyzed {
-		fmt.Fprintf(&sb, "  boxed=%d", s.RowsBoxed)
-	}
 	if s.DictKernelShortcuts > 0 || s.DictGroupByBatches > 0 {
 		fmt.Fprintf(&sb, "  dict_kernels=%d dict_groupby=%d",
 			s.DictKernelShortcuts, s.DictGroupByBatches)
@@ -122,7 +117,7 @@ func (s QueryStats) String() string {
 // order, cardinality estimates, pushed-down filters — without
 // executing it.
 func (q *Query) Explain() (*PlanNode, error) {
-	root, err := q.buildPlan(context.Background(), true, nil, nil)
+	root, err := q.buildPlan(context.Background(), true, &planRecord{})
 	if err != nil {
 		return nil, err
 	}

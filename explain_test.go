@@ -324,15 +324,99 @@ func TestExplainAnalyzeDictCounters(t *testing.T) {
 	if stats.DictGroupByBatches == 0 {
 		t.Fatalf("low-cardinality GROUP BY reported no dict batches: %+v", stats)
 	}
+	// Run alone, the query moves the process series by exactly its own
+	// counts.
 	d := obs.Default.Snapshot().Diff(base)
-	if d.Get("dict_kernel_shortcuts") == 0 || d.Get("dict_groupby_fastpath") == 0 {
-		t.Fatalf("registry deltas missing dict counters: %v", d)
+	if got := d.Get("dict_kernel_shortcuts"); got != stats.DictKernelShortcuts {
+		t.Fatalf("dict_kernel_shortcuts moved by %d, the query counts %d", got, stats.DictKernelShortcuts)
+	}
+	if got := d.Get("dict_groupby_fastpath"); got != stats.DictGroupByBatches {
+		t.Fatalf("dict_groupby_fastpath moved by %d, the query counts %d", got, stats.DictGroupByBatches)
 	}
 	rendered := stats.String()
 	for _, want := range []string{"dict_kernels=", "dict_groupby="} {
 		if !strings.Contains(rendered, want) {
 			t.Fatalf("stats.String() misses %q:\n%s", want, rendered)
 		}
+	}
+}
+
+// TestQueryStatsExactUnderConcurrency: a query's dictionary counts and
+// its scan's hits and rows are its own. Three dictionary queries (=,
+// LIKE, IN, each grouped) report the same figures when thirty runs of
+// them overlap as when each runs alone.
+func TestQueryStatsExactUnderConcurrency(t *testing.T) {
+	var all [][]byte
+	levels := []string{"debug", "error", "info", "warn"}
+	services := []string{"api", "db", "web"}
+	for i := 0; i < 2000; i++ {
+		all = append(all, []byte(fmt.Sprintf(`{"level":"%s","service":"%s","latency":%d}`,
+			levels[i%4], services[i%3], i%100)))
+	}
+	tbl, err := Load("logs", all, opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []func() *Query{
+		func() *Query {
+			return tbl.Query("data->>'level'", "data->>'service'").WhereCmp(0, Eq, "error").
+				GroupBy(1).Aggregate(CountAll("n"))
+		},
+		func() *Query {
+			return tbl.Query("data->>'level'", "data->>'service'").WhereLike(0, "%r%").
+				GroupBy(1).Aggregate(CountAll("n"))
+		},
+		func() *Query {
+			return tbl.Query("data->>'level'", "data->>'service'", "data->>'latency'::BigInt").WhereIn(1, "db", "web").
+				GroupBy(1).Aggregate(Sum(2, "total"))
+		},
+	}
+	type figures struct{ shortcuts, groupBatches, hits, rows int64 }
+	measure := func(q int) (figures, error) {
+		_, stats, err := queries[q]().RunAnalyzed()
+		if err != nil {
+			return figures{}, err
+		}
+		scan := stats.Plan.Find("Scan")
+		if scan == nil || scan.Scan == nil {
+			return figures{}, fmt.Errorf("query %d: no scan stats", q)
+		}
+		return figures{stats.DictKernelShortcuts, stats.DictGroupByBatches, scan.Scan.ColumnHits, scan.Scan.RowsScanned}, nil
+	}
+	alone := make([]figures, len(queries))
+	for q := range queries {
+		f, err := measure(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.shortcuts == 0 || f.groupBatches == 0 {
+			t.Fatalf("query %d alone: %+v, want dictionary kernels and grouping", q, f)
+		}
+		alone[q] = f
+	}
+	const goroutines, runs = 6, 5
+	errs := make(chan error, goroutines*runs)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < runs; r++ {
+				q := (g + r) % len(queries)
+				f, err := measure(q)
+				if err == nil && f != alone[q] {
+					err = fmt.Errorf("query %d concurrently: %+v, alone %+v", q, f, alone[q])
+				}
+				if err != nil {
+					errs <- err
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
@@ -461,6 +545,7 @@ func TestExplainAnalyzeRowsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	boxed := obs.RowsBoxed.Load()
 	_, stats, err := orders.Query("data->>'user'", "data->>'total'::BigInt").
 		Join(users, []string{"data->>'uid'", "data->>'plan'"}, 0, 0).
 		WhereCmp(1, Ge, 50).
@@ -475,15 +560,14 @@ func TestExplainAnalyzeRowsGolden(t *testing.T) {
 	if got := planRows(stats.Plan); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("plan rows %v, want %v\n%s", got, want, stats)
 	}
-	// Every operator ran on column batches, and the summary line says
-	// how many rows were boxed: none. The top-K buffers and the result
-	// row stay in column vectors.
+	// Every operator ran on column batches, and no row was boxed: the
+	// top-K buffers and the result row stay in column vectors.
 	text := stats.String()
 	if n := strings.Count(text, "[vectorized]"); n != len(want) {
 		t.Errorf("%d of %d operators tagged [vectorized]:\n%s", n, len(want), text)
 	}
-	if stats.RowsBoxed != 0 || !strings.Contains(text, "boxed=0") {
-		t.Errorf("RowsBoxed = %d, want 0:\n%s", stats.RowsBoxed, text)
+	if n := obs.RowsBoxed.Load() - boxed; n != 0 {
+		t.Errorf("%d rows boxed, want 0:\n%s", n, text)
 	}
 }
 

@@ -50,14 +50,20 @@ type GroupBy struct {
 	Aggs   []AggSpec
 
 	// lastPartitions records the partition fan-out of the most recent
-	// run's merge phase (EXPLAIN ANALYZE `agg_partitions=`).
-	lastPartitions atomic.Int64
+	// run's merge phase (EXPLAIN ANALYZE `agg_partitions=`);
+	// lastDictBatches the batches that run grouped by dictionary code.
+	lastPartitions  atomic.Int64
+	lastDictBatches atomic.Int64
 }
 
 // Partitions reports the hash-partition fan-out of the last
 // execution's merge phase: 0 before any run, 1 for a serial merge
 // (workers <= 1 or the global-aggregation kernel path).
 func (g *GroupBy) Partitions() int64 { return g.lastPartitions.Load() }
+
+// DictBatches reports how many batches the last execution grouped
+// through the code-indexed fast path (0 before any run).
+func (g *GroupBy) DictBatches() int64 { return g.lastDictBatches.Load() }
 
 // aggPartitionCount picks the merge fan-out: 1 keeps the serial merge
 // at workers <= 1; otherwise the next power of two >= 2×workers so
@@ -316,6 +322,8 @@ type groupTable struct {
 	hashes   []uint64
 	gids     []int32
 	codeGids []int32
+	// dictBatches counts the batches assign grouped by code.
+	dictBatches int64
 }
 
 func newGroupTable(keyTypes []expr.SQLType, aggs []AggSpec) *groupTable {
@@ -395,7 +403,7 @@ func (t *groupTable) assign(keys []*vec.Vector, sel []int32, n int) []int32 {
 		}
 		return gids
 	}
-	obs.DictGroupByFastpath.Inc()
+	t.dictBatches++
 	t.codeGids = extend(t.codeGids[:0], combos) // group id + 1; 0 = not looked up yet
 	for _, i := range sel {
 		code := 0
@@ -469,6 +477,12 @@ func (g *GroupBy) RunBatches(workers int, emit BatchEmitFunc) {
 			gid64: vec.Vector{Type: expr.TBigInt}}
 	})
 	g.In.RunBatches(workers, func(w int, b *vec.Batch) { ws[w].consume(b) })
+	var dict int64
+	for _, w := range ws {
+		dict += w.t.dictBatches
+	}
+	g.lastDictBatches.Store(dict)
+	obs.DictGroupByFastpath.Add(dict)
 
 	// One worker's table is final as it is; several are merged
 	// partition by partition (a keyless aggregation has one group,

@@ -60,8 +60,9 @@ type Scan struct {
 	// filterEmit.
 	residual expr.Expr
 	// Stats, when non-nil, receives the relation's per-scan counters
-	// (tiles scanned/skipped, column hits, fallbacks) — set by the
-	// EXPLAIN ANALYZE path, nil on plain runs.
+	// (tiles scanned/skipped, column hits, fallbacks) and the
+	// dictionary shortcuts of the residual filter. Query plans always
+	// set it; nil counts into the process-wide series alone.
 	Stats *obs.ScanStats
 	// Ctx, when non-nil, is the per-query context: cancellation stops
 	// the scan at the next morsel claim, and the tenant identity it
@@ -167,15 +168,21 @@ func (s *Scan) Inputs() []Operator { return nil }
 // accesses' filters itself, so only the residual filter narrows its
 // batches' selection vectors here.
 func (s *Scan) RunBatches(workers int, emit BatchEmitFunc) {
+	var shortcuts func() int64
 	if s.residual != nil {
-		emit = filterEmit(s.residual, len(s.Accesses), workers, emit)
+		emit, shortcuts = filterEmit(s.residual, len(s.Accesses), workers, emit)
 	}
 	s.Rel.ScanBatches(s.ctx(), s.Accesses, workers, storage.BatchEmitFunc(emit), s.Stats)
+	if shortcuts != nil {
+		s.Stats.Add(&obs.ScanCounts{DictKernelShortcuts: shortcuts()})
+	}
 }
 
 // filterEmit wraps emit so that it only sees the rows of each batch
-// for which pred is TRUE.
-func filterEmit(pred expr.Expr, width, workers int, emit BatchEmitFunc) BatchEmitFunc {
+// for which pred is TRUE. shortcuts, called once the input has run,
+// returns how many of the filter's kernels ran in dictionary code
+// space.
+func filterEmit(pred expr.Expr, width, workers int, emit BatchEmitFunc) (filtered BatchEmitFunc, shortcuts func() int64) {
 	p, ok := vec.Compile(pred, width)
 	if !ok {
 		panic("engine: predicate reads a column outside its input")
@@ -185,7 +192,7 @@ func filterEmit(pred expr.Expr, width, workers int, emit BatchEmitFunc) BatchEmi
 		nb vec.Batch
 	}
 	states := perWorker(workers, func() state { return state{sc: p.NewScratch()} })
-	return func(w int, b *vec.Batch) {
+	filtered = func(w int, b *vec.Batch) {
 		st := &states[w]
 		obs.KernelDispatches.Inc()
 		out := p.Sel(b, st.sc)
@@ -196,6 +203,14 @@ func filterEmit(pred expr.Expr, width, workers int, emit BatchEmitFunc) BatchEmi
 		st.nb.Sel = out
 		emit(w, &st.nb)
 	}
+	shortcuts = func() int64 {
+		var n int64
+		for _, st := range states {
+			n += st.sc.TakeDictShortcuts()
+		}
+		return n
+	}
+	return filtered, shortcuts
 }
 
 // Select filters rows by a predicate.
@@ -215,7 +230,9 @@ func (s *Select) Inputs() []Operator { return []Operator{s.In} }
 
 // RunBatches implements Operator.
 func (s *Select) RunBatches(workers int, emit BatchEmitFunc) {
-	s.In.RunBatches(workers, filterEmit(s.Pred, len(s.In.Columns()), workers, emit))
+	filtered, shortcuts := filterEmit(s.Pred, len(s.In.Columns()), workers, emit)
+	s.In.RunBatches(workers, filtered)
+	obs.DictKernelShortcuts.Add(shortcuts())
 }
 
 // Project computes output expressions.

@@ -200,11 +200,55 @@ func TestBatchGroupByConformanceAcrossWorkers(t *testing.T) {
 	want := resultRows(Materialize(mk(jb), 1), true)
 	for _, w := range aggWorkers {
 		base := obs.DictGroupByFastpath.Load()
-		Materialize(mk(tiles), w)
-		if obs.DictGroupByFastpath.Load() == base {
-			t.Fatalf("workers=%d: dictionary-code grouping did not engage", w)
+		gb := mk(tiles)
+		Materialize(gb, w)
+		if n := gb.DictBatches(); n == 0 || obs.DictGroupByFastpath.Load()-base != n {
+			t.Fatalf("workers=%d: %d batches grouped by code, the process series moved by %d",
+				w, n, obs.DictGroupByFastpath.Load()-base)
 		}
 		sameRowLists(t, fmt.Sprintf("batch workers=%d", w), resultRows(Materialize(mk(tiles), w), true), want)
+	}
+}
+
+// TestFilterDictShortcutsReachTheirSink: a filter over two slots stays
+// above the relation's scan; its code-space kernels count into the
+// scan's own statistics, and a Select forwards its count to the process
+// series alone.
+func TestFilterDictShortcutsReachTheirSink(t *testing.T) {
+	lines := make([][]byte, 600)
+	for i := range lines {
+		lines[i] = []byte(fmt.Sprintf(`{"lvl":"L%d","v":%d}`, i%5, i%7))
+	}
+	cfg := storage.DefaultLoaderConfig()
+	cfg.Tile.TileSize = 64
+	l, err := storage.NewLoader(storage.KindTiles, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiles, err := l.Load("dict", lines, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lvl, v := storage.NewAccess(expr.TText, "lvl"), storage.NewAccess(expr.TBigInt, "v")
+	pred := expr.NewOr(
+		expr.NewCmp(expr.EQ, expr.NewCol(0, expr.TText), expr.NewConst(expr.TextValue("L1"))),
+		expr.NewCmp(expr.EQ, expr.NewCol(1, expr.TBigInt), expr.NewConst(expr.IntValue(3))))
+	for _, w := range aggWorkers {
+		base := obs.DictKernelShortcuts.Load()
+		scan := scanAll(tiles, pred, lvl, v)
+		scan.Stats = &obs.ScanStats{}
+		scanned := Materialize(scan, w)
+		n := scan.Stats.Counts().DictKernelShortcuts
+		if n == 0 || obs.DictKernelShortcuts.Load()-base != n {
+			t.Fatalf("workers=%d: the scan counts %d shortcuts, the process series moved by %d",
+				w, n, obs.DictKernelShortcuts.Load()-base)
+		}
+		base = obs.DictKernelShortcuts.Load()
+		selected := Materialize(NewSelect(scanAll(tiles, nil, lvl, v), pred), w)
+		if got := obs.DictKernelShortcuts.Load() - base; got != n {
+			t.Fatalf("workers=%d: the Select moved the process series by %d, the scan's filter by %d", w, got, n)
+		}
+		sameRowLists(t, fmt.Sprintf("workers=%d", w), resultRows(selected, false), resultRows(scanned, false))
 	}
 }
 

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -164,19 +166,55 @@ func TestTraceRingEvictsOldest(t *testing.T) {
 	}
 }
 
+// TestWriteChromeTrace: a query's events are "query <digest>", "plan"
+// and "execute", on the query's thread, with execute inside query; a
+// trace without plan time has no plan event.
 func TestWriteChromeTrace(t *testing.T) {
-	root := StartSpan("query")
-	child := root.Child("execute")
-	child.End()
-	root.End()
+	start := time.UnixMicro(1_000_000)
+	traces := []QueryTrace{
+		{ID: 7, Digest: "beef", Start: start, Wall: 900 * time.Microsecond,
+			Plan: 100 * time.Microsecond, ExecOffset: 150 * time.Microsecond, Exec: 700 * time.Microsecond},
+		{ID: 8, Digest: "cafe", Start: start, Wall: 500 * time.Microsecond,
+			ExecOffset: 20 * time.Microsecond, Exec: 400 * time.Microsecond},
+	}
 	var sb strings.Builder
-	if err := WriteChromeTrace(&sb, []QueryTrace{{ID: 7, Digest: "beef", Root: root}}); err != nil {
+	if err := WriteChromeTrace(&sb, traces); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{`"traceEvents"`, `"query beef"`, `"execute"`, `"ph":"X"`, `"tid":7`} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("trace %q missing %q", out, want)
+	var out struct {
+		TraceEvents []struct {
+			Name string
+			Ph   string
+			Tid  uint64
+			Ts   int64
+			Dur  int64
 		}
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &out); err != nil {
+		t.Fatalf("not JSON: %v\n%s", err, sb.String())
+	}
+	type span struct{ ts, dur int64 }
+	events := map[string]span{}
+	var names []string
+	for _, e := range out.TraceEvents {
+		if e.Ph != "X" {
+			t.Errorf("event %s has phase %q, want X", e.Name, e.Ph)
+		}
+		key := fmt.Sprintf("%d %s", e.Tid, e.Name)
+		names = append(names, key)
+		events[key] = span{e.Ts, e.Dur}
+	}
+	want := []string{"7 query beef", "7 plan", "7 execute", "8 query cafe", "8 execute"}
+	if fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("events %v, want %v", names, want)
+	}
+	for _, id := range []string{"7 query beef", "8 query cafe"} {
+		q, e := events[id], events[id[:1]+" execute"]
+		if e.ts < q.ts || e.ts+e.dur > q.ts+q.dur {
+			t.Errorf("%s: execute [%d, +%d] lies outside query [%d, +%d]", id, e.ts, e.dur, q.ts, q.dur)
+		}
+	}
+	if p := events["7 plan"]; p.ts != start.UnixMicro() || p.dur != 100 {
+		t.Errorf("plan event = %+v, want it at the query start for 100us", p)
 	}
 }

@@ -1,11 +1,10 @@
 // Package obs is the observability layer of the engine: atomic
 // counters, gauges, and histograms aggregated in a process-wide
-// Registry, a nil-safe span tracer for wall-time breakdowns, a
-// live-query registry for in-flight progress, and the per-scan
-// statistics the query path fills for EXPLAIN ANALYZE. Everything
-// here is designed to stay off the hot path: counters are batched per
-// tile or chunk before one atomic add, histograms are two atomic adds
-// and a CAS, and a nil *Span makes the whole tracing API a no-op.
+// Registry, a ring of recent query timelines, a live-query registry
+// for in-flight progress, and the per-scan statistics the query path
+// fills for EXPLAIN ANALYZE. Everything here is designed to stay off
+// the hot path: counters are batched per tile or chunk before one
+// atomic add, and histograms are two atomic adds and a CAS.
 package obs
 
 import (
@@ -377,10 +376,12 @@ var (
 	DictColumnsBuilt = Default.Counter("dict_columns_built")
 	// DictKernelShortcuts counts predicate-kernel invocations that
 	// evaluated Cmp/LIKE/IN in code space — once per dictionary entry
-	// instead of once per row.
+	// instead of once per row. Scans forward theirs (ScanCounts); an
+	// engine Select adds its own once per run.
 	DictKernelShortcuts = Default.Counter("dict_kernel_shortcuts")
 	// DictGroupByFastpath counts batches aggregated through the
-	// array-indexed (code-keyed) GROUP BY fast path.
+	// array-indexed (code-keyed) GROUP BY fast path; each GroupBy adds
+	// its count once per run.
 	DictGroupByFastpath = Default.Counter("dict_groupby_fastpath")
 )
 

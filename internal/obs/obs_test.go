@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -145,40 +144,6 @@ func TestRegistryConcurrentMixed(t *testing.T) {
 	}
 	if got := r.Histogram("h", nil).Snapshot().Count; got != n {
 		t.Fatalf("histogram count = %d, want %d", got, n)
-	}
-}
-
-func TestSpanTree(t *testing.T) {
-	root := StartSpan("query")
-	plan := root.Child("plan")
-	plan.End()
-	exec := root.Child("execute")
-	exec.SetDuration(5 * time.Millisecond)
-	root.End()
-
-	kids := root.Children()
-	if len(kids) != 2 || kids[0].Name() != "plan" || kids[1].Name() != "execute" {
-		t.Fatalf("children = %v", kids)
-	}
-	if exec.Duration() != 5*time.Millisecond {
-		t.Fatalf("synthetic duration = %v", exec.Duration())
-	}
-	out := root.String()
-	if !strings.Contains(out, "query:") || !strings.Contains(out, "  plan:") {
-		t.Fatalf("render = %q", out)
-	}
-}
-
-func TestNilSpanSafe(t *testing.T) {
-	var s *Span
-	c := s.Child("x")
-	if c != nil {
-		t.Fatal("nil span child should be nil")
-	}
-	c.End()
-	c.SetDuration(time.Second)
-	if s.Duration() != 0 || s.String() != "" || s.Children() != nil {
-		t.Fatal("nil span should be inert")
 	}
 }
 

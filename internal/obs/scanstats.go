@@ -43,6 +43,10 @@ type ScanCounts struct {
 	// all of the accesses their tile serves from documents; each such
 	// cell counts one JSONBFallback.
 	DocWalks int64
+	// DictKernelShortcuts counts the predicate kernels the scan's own
+	// filters, and a residual filter above it, evaluated in dictionary
+	// code space.
+	DictKernelShortcuts int64
 
 	// Segment I/O (zero for in-memory relations): buffer-pool hits vs
 	// misses for the scan's block accesses, each miss one block read
@@ -80,6 +84,7 @@ func (c *ScanCounts) Add(o *ScanCounts) {
 	c.RowsFallback += o.RowsFallback
 	c.RowsNarrowed += o.RowsNarrowed
 	c.DocWalks += o.DocWalks
+	c.DictKernelShortcuts += o.DictKernelShortcuts
 	c.PoolHits += o.PoolHits
 	c.PoolMisses += o.PoolMisses
 	c.BlocksDecoded += o.BlocksDecoded
@@ -106,6 +111,7 @@ func (c *ScanCounts) forward() {
 	RowsBatchFallback.Add(c.RowsFallback)
 	RowsNarrowed.Add(c.RowsNarrowed)
 	DocWalks.Add(c.DocWalks)
+	DictKernelShortcuts.Add(c.DictKernelShortcuts)
 	SegmentBlocksRead.Add(c.PoolMisses)
 	SegmentBytesRead.Add(c.StoreBytesRead)
 	BufpoolHits.Add(c.PoolHits)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -128,8 +129,10 @@ func (r *TenantRegistry) WriteTo(w io.Writer) (int64, error) {
 		return 0, nil
 	}
 	blocks := make([]*TenantCounters, len(names))
+	labels := make([]string, len(names))
 	for i, name := range names {
 		blocks[i] = r.Get(name)
+		labels[i] = quoteLabel(name)
 	}
 	var total int64
 	for _, m := range tenantMetrics {
@@ -138,8 +141,8 @@ func (r *TenantRegistry) WriteTo(w io.Writer) (int64, error) {
 		if err != nil {
 			return total, err
 		}
-		for i, name := range names {
-			n, err := fmt.Fprintf(w, "%s{tenant=%q} %s\n", m.name, name, formatFloat(m.value(blocks[i])))
+		for i, label := range labels {
+			n, err := fmt.Fprintf(w, "%s{tenant=%s} %s\n", m.name, label, formatFloat(m.value(blocks[i])))
 			total += int64(n)
 			if err != nil {
 				return total, err
@@ -147,6 +150,18 @@ func (r *TenantRegistry) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return total, nil
+}
+
+// labelEscaper escapes the three characters the text exposition format
+// escapes in a label value; it admits no other escape.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// quoteLabel quotes a label value for the text exposition format. A
+// tenant name comes from a request header, so it may hold any byte:
+// invalid UTF-8 becomes U+FFFD, and everything else but the three
+// escaped characters passes through as it is.
+func quoteLabel(v string) string {
+	return `"` + labelEscaper.Replace(strings.ToValidUTF8(v, "\uFFFD")) + `"`
 }
 
 // WriteAllMetrics exports the default registry followed by the

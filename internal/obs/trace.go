@@ -3,16 +3,23 @@ package obs
 import (
 	"fmt"
 	"io"
-	"strings"
 	"sync"
+	"time"
 )
 
-// QueryTrace is one completed query's span tree, retained in the
-// trace ring for post-hoc inspection (/debug/trace).
+// QueryTrace is one completed query's timeline, retained in the trace
+// ring for post-hoc inspection (/debug/trace): the query runs from
+// Start for Wall; its plan search (multi-table queries only, 0
+// otherwise) starts with it and takes Plan; its execution starts
+// ExecOffset after Start and takes Exec.
 type QueryTrace struct {
-	ID     uint64
-	Digest string
-	Root   *Span
+	ID         uint64
+	Digest     string
+	Start      time.Time
+	Wall       time.Duration
+	Plan       time.Duration
+	Exec       time.Duration
+	ExecOffset time.Duration
 }
 
 // TraceRing is a fixed-capacity ring buffer of recent query traces.
@@ -65,55 +72,29 @@ func (t *TraceRing) Last(n int) []QueryTrace {
 }
 
 // WriteChromeTrace exports the traces as Chrome trace-event JSON (the
-// format chrome://tracing and Perfetto load): one complete ("X")
-// event per span, query id as the thread id, timestamps in
-// microseconds since the Unix epoch.
+// format chrome://tracing and Perfetto load): per query one complete
+// ("X") event named "query <digest>", then "plan" when the query
+// planned, then "execute", with the query id as the thread id and
+// timestamps in microseconds since the Unix epoch.
 func WriteChromeTrace(w io.Writer, traces []QueryTrace) error {
-	if _, err := io.WriteString(w, "{\"traceEvents\":["); err != nil {
-		return err
+	_, err := io.WriteString(w, "{\"traceEvents\":[")
+	sep := ""
+	event := func(qt QueryTrace, name string, offset, dur time.Duration) {
+		if err == nil {
+			_, err = fmt.Fprintf(w, `%s{"name":%q,"ph":"X","pid":1,"tid":%d,"ts":%d,"dur":%d,"args":{"query_id":%d}}`,
+				sep, name, qt.ID, qt.Start.Add(offset).UnixMicro(), dur.Microseconds(), qt.ID)
+			sep = ","
+		}
 	}
-	first := true
 	for _, qt := range traces {
-		if err := writeChromeSpan(w, qt, qt.Root, &first); err != nil {
-			return err
+		event(qt, "query "+qt.Digest, 0, qt.Wall)
+		if qt.Plan > 0 {
+			event(qt, "plan", 0, qt.Plan)
 		}
+		event(qt, "execute", qt.ExecOffset, qt.Exec)
 	}
-	_, err := io.WriteString(w, "]}\n")
+	if err == nil {
+		_, err = io.WriteString(w, "]}\n")
+	}
 	return err
-}
-
-func writeChromeSpan(w io.Writer, qt QueryTrace, s *Span, first *bool) error {
-	if s == nil {
-		return nil
-	}
-	sep := ","
-	if *first {
-		sep = ""
-		*first = false
-	}
-	name := s.Name()
-	if s == qt.Root && qt.Digest != "" {
-		name = fmt.Sprintf("%s %s", name, qt.Digest)
-	}
-	_, err := fmt.Fprintf(w, `%s{"name":%q,"ph":"X","pid":1,"tid":%d,"ts":%d,"dur":%d,"args":{"query_id":%d}}`,
-		sep, escapeName(name), qt.ID,
-		s.StartTime().UnixMicro(), s.Duration().Microseconds(), qt.ID)
-	if err != nil {
-		return err
-	}
-	for _, c := range s.Children() {
-		if err := writeChromeSpan(w, qt, c, first); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func escapeName(s string) string {
-	return strings.Map(func(r rune) rune {
-		if r < 0x20 {
-			return ' '
-		}
-		return r
-	}, s)
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	jsontiles "repro"
 	"repro/internal/obs"
@@ -385,6 +386,66 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// TestMetricsTenantLabelsRoundTrip: tenant names come from a request
+// header, so they may hold a tab, a quote, a backslash or bytes that are
+// not UTF-8. /metrics must still be valid text exposition format: each
+// name reads back, with the format's three escapes undone, as itself
+// (invalid UTF-8 as U+FFFD).
+func TestMetricsTenantLabelsRoundTrip(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	tenants := []string{"a\tb", "c\xffd", `q"\z`}
+	for _, tenant := range tenants {
+		if st, _, body := postQuery(t, ts.URL, tenant, `{"table": "reviews", "select": ["data->>'review_id'"], "limit": 1}`); st != http.StatusOK {
+			t.Fatalf("tenant %q: status %d: %s", tenant, st, body)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	var got []string
+	const prefix = `tenant_queries_total{tenant="`
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		var name strings.Builder
+		rest := line[len(prefix):]
+		for i := 0; i < len(rest) && rest[i] != '"'; i++ {
+			c := rest[i]
+			if c == '\\' {
+				i++
+				switch rest[i] {
+				case '\\', '"':
+					c = rest[i]
+				case 'n':
+					c = '\n'
+				default:
+					t.Fatalf("label escape \\%c is not in the text format: %q", rest[i], line)
+				}
+			}
+			name.WriteByte(c)
+		}
+		if !utf8.ValidString(name.String()) {
+			t.Fatalf("label is not UTF-8: %q", line)
+		}
+		got = append(got, name.String())
+	}
+	for _, tenant := range tenants {
+		want := strings.ToValidUTF8(tenant, "\uFFFD")
+		found := false
+		for _, g := range got {
+			found = found || g == want
+		}
+		if !found {
+			t.Errorf("tenant %q does not read back as %q from /metrics (read %q)", tenant, want, got)
 		}
 	}
 }

@@ -304,7 +304,7 @@ func TestPutScanScratchDropsWalkDocs(t *testing.T) {
 	}
 	d := jsonb.NewDoc(jsonb.Encode(doc))
 	tr := sortWalkPaths(accs, func(int) bool { return true })
-	s := getScanScratch(len(accs))
+	s := getScanScratch(len(accs), nil)
 	var cnt scanCounters
 	var cursors []int
 	for _, served := range []int{len(accs), 1} {

@@ -138,15 +138,9 @@ type cellFill func(lo, hi int, cols [][]expr.Value, cnt *scanCounters)
 func scanCells(ctx context.Context, n int, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats, fill cellFill) {
 	preds := accessPreds(accesses)
 	morselRange(ctx, n, workers, func(w, lo, hi int) {
-		sc := getScanScratch(len(accesses))
-		defer putScanScratch(sc)
-		for _, p := range preds {
-			if p != nil {
-				sc.ps = p.Fit(sc.ps)
-			}
-		}
+		sc := getScanScratch(len(accesses), preds)
 		cnt := scanCounters{ScanCounts: obs.ScanCounts{Morsels: 1, RowsScanned: int64(hi - lo)}}
-		defer cnt.flush(st)
+		defer sc.finish(&cnt, st)
 		cols := make([][]expr.Value, len(accesses))
 		for blo := lo; blo < hi; blo += cellBatchRows {
 			b := &sc.batch
@@ -220,15 +214,9 @@ func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, wor
 	fw := newFetchWindow(ctx, src, sp, morsels, len(rowCounts), workers, st)
 	defer fw.close()
 	runMorsels(ctx, morsels, workers, func(w int, m morsel) {
-		sc := getScanScratch(len(accesses))
-		defer putScanScratch(sc)
-		for _, p := range sp.preds {
-			if p != nil {
-				sc.ps = p.Fit(sc.ps)
-			}
-		}
+		sc := getScanScratch(len(accesses), sp.preds)
 		cnt := scanCounters{ScanCounts: obs.ScanCounts{Morsels: 1}, tenant: tenant}
-		defer cnt.flush(st)
+		defer sc.finish(&cnt, st)
 		for ti := m.lo; ti < m.hi; ti++ {
 			t := src.openScanTile(ti, &cnt)
 			if sp.skippable(t) {

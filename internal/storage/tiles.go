@@ -273,16 +273,31 @@ type scanScratch struct {
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-// getScanScratch returns a pooled scratch for n accesses. A scratch
-// sized for fewer grows in place, keeping every slot's buffers.
-func getScanScratch(n int) *scanScratch {
+// getScanScratch returns a pooled scratch for n accesses, its
+// predicate scratch fitted to preds. A scratch sized for fewer grows in
+// place, keeping every slot's buffers.
+func getScanScratch(n int, preds []*vec.CompiledPred) *scanScratch {
 	s := scanScratchPool.Get().(*scanScratch)
 	s.batch.Cols = resize(s.batch.Cols, n)
 	s.plans = resize(s.plans, n)
 	s.cells = resize(s.cells, n)
 	s.boxed = resize(s.boxed, n)
 	s.fbuf = resize(s.fbuf, n)
+	for _, p := range preds {
+		if p != nil {
+			s.ps = p.Fit(s.ps)
+		}
+	}
 	return s
+}
+
+// finish ends a morsel: it adds the dictionary shortcuts the
+// predicates took to cnt, flushes cnt into st, and returns s to the
+// pool.
+func (s *scanScratch) finish(cnt *scanCounters, st *obs.ScanStats) {
+	cnt.DictKernelShortcuts += s.ps.TakeDictShortcuts()
+	cnt.flush(st)
+	putScanScratch(s)
 }
 
 // resize returns s with length n, keeping the elements past its length

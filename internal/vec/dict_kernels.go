@@ -11,12 +11,11 @@ import (
 	"sort"
 
 	"repro/internal/expr"
-	"repro/internal/obs"
 )
 
 // cmpStrsDict narrows sel by `col op const` on a dictionary vector.
-func cmpStrsDict(v *Vector, op expr.CmpOp, cb []byte, sel []int32, n int, out []int32) []int32 {
-	obs.DictKernelShortcuts.Inc()
+func cmpStrsDict(v *Vector, op expr.CmpOp, cb []byte, sel []int32, n int, out []int32, sc *Scratch) []int32 {
+	sc.dictShortcuts++
 	dl := v.DictLen()
 	if dl == 0 {
 		return out // every row is null
@@ -189,7 +188,7 @@ func (sc *Scratch) codeMask(dl int) []bool {
 // likeDict evaluates the LIKE pattern once per dictionary entry and
 // filters rows on the resulting per-code mask.
 func (p *likePred) likeDict(v *Vector, sel []int32, n int, out []int32, sc *Scratch) []int32 {
-	obs.DictKernelShortcuts.Inc()
+	sc.dictShortcuts++
 	dl := v.DictLen()
 	if dl == 0 {
 		return out
@@ -204,7 +203,7 @@ func (p *likePred) likeDict(v *Vector, sel []int32, n int, out []int32, sc *Scra
 // inDict binary-searches each IN constant in the dictionary and
 // filters rows on the resulting per-code mask.
 func (p *inPred) inDict(v *Vector, sel []int32, n int, out []int32, sc *Scratch) []int32 {
-	obs.DictKernelShortcuts.Inc()
+	sc.dictShortcuts++
 	dl := v.DictLen()
 	if dl == 0 {
 		return out

@@ -30,13 +30,17 @@ type CompiledPred struct {
 // Scratch holds the per-worker buffers a compiled predicate or
 // expression needs: one result selection plus two per OR node, one
 // vector buffer per value node, and the row the cell-by-cell fallbacks
-// box into. A Scratch must not be shared between concurrent workers.
+// box into. It also counts the predicate kernels that ran in
+// dictionary code space (TakeDictShortcuts). A Scratch must not be
+// shared between concurrent workers.
 type Scratch struct {
 	main []int32
 	or   [][]int32
 	mask []bool // per-dictionary-code match table (LIKE/IN dict paths)
 	bufs []Buf
 	row  []expr.Value
+
+	dictShortcuts int64
 }
 
 func newScratch(orPairs, bufs, width int) *Scratch {
@@ -75,6 +79,18 @@ func (sc *Scratch) Release() {
 		clear(b.boxed[:cap(b.boxed)])
 		b.out = Vector{}
 	}
+}
+
+// TakeDictShortcuts returns how many predicate kernels evaluated in
+// dictionary code space since the last call, and resets the count. A
+// nil scratch ran none.
+func (sc *Scratch) TakeDictShortcuts() int64 {
+	if sc == nil {
+		return 0
+	}
+	n := sc.dictShortcuts
+	sc.dictShortcuts = 0
+	return n
 }
 
 func grow(buf []int32, n int) []int32 {
@@ -300,12 +316,12 @@ func (p *cmpPred) apply(b *Batch, sel []int32, n int, out []int32, sc *Scratch) 
 	}
 	lv := p.l.eval(b, es, sc)
 	if p.c != nil {
-		return cmpVecConst(lv, p.op, *p.c, sel, n, out)
+		return cmpVecConst(lv, p.op, *p.c, sel, n, out, sc)
 	}
 	return cmpVecs(lv, p.r.eval(b, es, sc), p.op, es, out)
 }
 
-func cmpVecConst(v *Vector, op expr.CmpOp, c expr.Value, sel []int32, n int, out []int32) []int32 {
+func cmpVecConst(v *Vector, op expr.CmpOp, c expr.Value, sel []int32, n int, out []int32, sc *Scratch) []int32 {
 	if c.Null || v.AllNull {
 		return out // NULL comparison is never TRUE
 	}
@@ -335,7 +351,7 @@ func cmpVecConst(v *Vector, op expr.CmpOp, c expr.Value, sel []int32, n int, out
 		if c.Typ != expr.TText {
 			return out
 		}
-		return cmpStrs(v, op, c.S, sel, n, out)
+		return cmpStrs(v, op, c.S, sel, n, out, sc)
 	case expr.TBool:
 		if c.Typ != expr.TBool {
 			return out
@@ -451,10 +467,10 @@ func cmpIntsAsFloat(v *Vector, op expr.CmpOp, c float64, sel []int32, n int, out
 	})
 }
 
-func cmpStrs(v *Vector, op expr.CmpOp, c string, sel []int32, n int, out []int32) []int32 {
+func cmpStrs(v *Vector, op expr.CmpOp, c string, sel []int32, n int, out []int32, sc *Scratch) []int32 {
 	cb := []byte(c)
 	if v.Dict {
-		return cmpStrsDict(v, op, cb, sel, n, out)
+		return cmpStrsDict(v, op, cb, sel, n, out, sc)
 	}
 	return selectIf(sel, n, out, func(i int) bool {
 		return !v.IsNull(i) && matchCmp(op, bytes.Compare(v.StrAt(i), cb))

@@ -404,3 +404,47 @@ func TestBatchRowsAndNullVector(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchCountsDictShortcuts: =, LIKE and IN on a dictionary vector
+// each count one code-space kernel into the scratch; a plain text
+// vector counts none; TakeDictShortcuts returns the count and resets
+// it.
+func TestScratchCountsDictShortcuts(t *testing.T) {
+	dict := Vector{Type: expr.TText, Dict: true, DictBytes: []byte("ab"), DictOff: []uint32{1, 2}, Codes8: []uint8{0, 1, 1, 0}}
+	b := NewBuilder(expr.TText)
+	for _, s := range []string{"a", "b", "b", "a"} {
+		b.AppendValue(expr.TextValue(s))
+	}
+	col := expr.NewCol(0, expr.TText)
+	preds := []expr.Expr{
+		expr.NewCmp(expr.EQ, col, expr.NewConst(expr.TextValue("b"))),
+		expr.NewLike(col, "b%"),
+		expr.NewIn(col, expr.TextValue("b"), expr.TextValue("c")),
+	}
+	var sc *Scratch
+	if sc.TakeDictShortcuts() != 0 {
+		t.Fatal("a nil scratch reports shortcuts")
+	}
+	for _, v := range []Vector{dict, b.Vec} {
+		for _, e := range preds {
+			p, ok := Compile(e, 1)
+			if !ok {
+				t.Fatal("compile")
+			}
+			sc = p.Fit(sc)
+			if got := p.Sel(&Batch{Cols: []Vector{v}, Len: 4}, sc); fmt.Sprint(got) != "[1 2]" {
+				t.Fatalf("dict %v: %s selects %v, want [1 2]", v.Dict, e, got)
+			}
+		}
+		want := int64(0)
+		if v.Dict {
+			want = int64(len(preds))
+		}
+		if got := sc.TakeDictShortcuts(); got != want {
+			t.Fatalf("dict %v: %d shortcuts, want %d", v.Dict, got, want)
+		}
+	}
+	if sc.TakeDictShortcuts() != 0 {
+		t.Fatal("TakeDictShortcuts did not reset the count")
+	}
+}

@@ -388,14 +388,15 @@ func TestScanCountsMatchProcessSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A rare text key stays in the documents: reading it walks them,
-	// and casting its text to BigInt fails.
+	// and casting its text to BigInt fails. A three-valued text key is
+	// dictionary-encoded: its IN filter runs in code space.
 	all := make([][]byte, 1200)
 	for i := range all {
 		note := ""
 		if i%10 == 3 { // stars 4: past the filter
 			note = fmt.Sprintf(`,"note":"n%d"`, i)
 		}
-		all[i] = []byte(fmt.Sprintf(`{"id":%d,"stars":%d%s}`, i, 1+i%5, note))
+		all[i] = []byte(fmt.Sprintf(`{"id":%d,"stars":%d,"kind":"k%d"%s}`, i, 1+i%5, i%3, note))
 	}
 	flushBatches(t, tbl, all, 3)
 	if err := tbl.Close(); err != nil {
@@ -427,6 +428,7 @@ func TestScanCountsMatchProcessSeries(t *testing.T) {
 		{"segment_bytes_read", func(s *ScanStats) int64 { return s.StoreBytesRead }},
 		{"bufpool_hits", func(s *ScanStats) int64 { return s.PoolHits }},
 		{"bufpool_misses", func(s *ScanStats) int64 { return s.PoolMisses }},
+		{"dict_kernel_shortcuts", func(s *ScanStats) int64 { return s.DictKernelShortcuts }},
 	}
 	const tenant = "scan-counts-tenant"
 	ctx := obs.WithTenant(context.Background(), tenant)
@@ -434,7 +436,8 @@ func TestScanCountsMatchProcessSeries(t *testing.T) {
 	var total obs.ScanCounts
 	for _, run := range []string{"cold", "warm"} {
 		base, bytes0 := obs.Default.Snapshot(), scanned.Load()
-		_, stats, err := tbl.Query("data->>'stars'::BigInt", "data->>'note'::BigInt").WhereCmp(0, Ge, 3).RunAnalyzedContext(ctx)
+		_, stats, err := tbl.Query("data->>'stars'::BigInt", "data->>'note'::BigInt", "data->>'kind'").
+			WhereCmp(0, Ge, 3).WhereIn(2, "k0", "k2").RunAnalyzedContext(ctx)
 		if err != nil {
 			t.Fatalf("%s: %v", run, err)
 		}
@@ -451,7 +454,7 @@ func TestScanCountsMatchProcessSeries(t *testing.T) {
 		total.Add(&scan.ScanCounts)
 	}
 	if total.ColumnHits == 0 || total.PoolHits == 0 || total.PoolMisses == 0 || total.DocWalks == 0 ||
-		total.JSONBFallbacks == 0 || total.CastErrors == 0 || total.RowsNarrowed == 0 {
+		total.JSONBFallbacks == 0 || total.CastErrors == 0 || total.RowsNarrowed == 0 || total.DictKernelShortcuts == 0 {
 		t.Errorf("want every checked figure exercised, got %+v", total)
 	}
 }

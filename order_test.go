@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/exprparse"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -73,7 +74,8 @@ func TestPlainScanOrderMatchesSortRows(t *testing.T) {
 			}
 			want := engine.Materialize(engine.NewScan(tbl.rel, accs, nil, nil), workers)
 			want.SortRows()
-			res, stats, err := tbl.Query(exprs...).RunAnalyzed()
+			boxed := obs.RowsBoxed.Load()
+			res, _, err := tbl.Query(exprs...).RunAnalyzed()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,8 +90,8 @@ func TestPlainScanOrderMatchesSortRows(t *testing.T) {
 					}
 				}
 			}
-			if stats.RowsBoxed != 0 {
-				t.Errorf("%s: plain scan boxed %d rows, want 0", name, stats.RowsBoxed)
+			if n := obs.RowsBoxed.Load() - boxed; n != 0 {
+				t.Errorf("%s: plain scan boxed %d rows, want 0", name, n)
 			}
 		}
 	}
@@ -118,12 +120,13 @@ func TestOrderByNaNKey(t *testing.T) {
 			{false, 3, "[NULL 1 2]"},
 			{true, 3, "[NaN 3 2]"},
 		} {
-			res, stats, err := tbl.Query("data->>'x'::Float").OrderBy(0, c.desc).Limit(c.limit).RunAnalyzed()
+			boxed := obs.RowsBoxed.Load()
+			res, _, err := tbl.Query("data->>'x'::Float").OrderBy(0, c.desc).Limit(c.limit).RunAnalyzed()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stats.RowsBoxed != 0 {
-				t.Errorf("workers %d, desc %v, limit %d: %d rows boxed, want 0", workers, c.desc, c.limit, stats.RowsBoxed)
+			if n := obs.RowsBoxed.Load() - boxed; n != 0 {
+				t.Errorf("workers %d, desc %v, limit %d: %d rows boxed, want 0", workers, c.desc, c.limit, n)
 			}
 			var got []string
 			for i := 0; i < res.NumRows(); i++ {

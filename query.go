@@ -315,12 +315,16 @@ func (q *Query) RunContext(ctx context.Context) (*Result, error) {
 	return res, err
 }
 
-// planScans collects what the live-query registry needs from plan
-// construction: every scan's per-scan statistics (progress is read
-// from them while the query runs) and the scanned table names.
-type planScans struct {
-	stats  []*obs.ScanStats
-	tables []string
+// planRecord collects what a query's record needs from plan
+// construction: every scan's per-scan statistics (the live-query
+// registry reads progress from them while the query runs), the scanned
+// table names, the GroupBy nodes, and the optimizer's plan search time
+// (0 for one table).
+type planRecord struct {
+	stats    []*obs.ScanStats
+	tables   []string
+	groupBys []*engine.GroupBy
+	plan     time.Duration
 }
 
 // buildPlan assembles the operator tree. Scans always receive
@@ -329,9 +333,7 @@ type planScans struct {
 // constructed operator is additionally wrapped in an engine.Traced
 // node measuring wall time and row counts — the plain Run path
 // constructs no wrappers and pays nothing beyond the scan counters.
-// sp (may be nil) receives a child span for the optimizer's plan
-// search.
-func (q *Query) buildPlan(ctx context.Context, instrument bool, sp *obs.Span, scans *planScans) (engine.Operator, error) {
+func (q *Query) buildPlan(ctx context.Context, instrument bool, rec *planRecord) (engine.Operator, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
@@ -341,20 +343,21 @@ func (q *Query) buildPlan(ctx context.Context, instrument bool, sp *obs.Span, sc
 
 	wrap := func(op engine.Operator, label, detail string, est float64) engine.Operator {
 		var st *obs.ScanStats
-		if sc, ok := op.(*engine.Scan); ok {
-			sc.Ctx = ctx
+		switch x := op.(type) {
+		case *engine.Scan:
+			x.Ctx = ctx
 			st = &obs.ScanStats{}
-			if tc, ok := sc.Rel.(storage.TileCounter); ok {
+			if tc, ok := x.Rel.(storage.TileCounter); ok {
 				st.NumTiles = int64(tc.NumTiles())
 			}
-			if nc, ok := sc.Rel.(storage.SegmentCounter); ok {
+			if nc, ok := x.Rel.(storage.SegmentCounter); ok {
 				st.SegmentsLive = int64(nc.NumSegments())
 			}
-			sc.Stats = st
-			if scans != nil {
-				scans.stats = append(scans.stats, st)
-				scans.tables = append(scans.tables, sc.Rel.Name())
-			}
+			x.Stats = st
+			rec.stats = append(rec.stats, st)
+			rec.tables = append(rec.tables, x.Rel.Name())
+		case *engine.GroupBy:
+			rec.groupBys = append(rec.groupBys, x)
 		}
 		if !instrument {
 			return op
@@ -398,9 +401,9 @@ func (q *Query) buildPlan(ctx context.Context, instrument bool, sp *obs.Span, sc
 		slotOf = func(global int) int { return global }
 	} else {
 		oq := optimizer.Query{Tables: specs, Joins: q.joins, Instrument: wrap}
-		psp := sp.Child("plan")
+		start := time.Now()
 		op, m, err := optimizer.Plan(oq)
-		psp.End()
+		rec.plan = time.Since(start)
 		if err != nil {
 			return nil, err
 		}
@@ -529,7 +532,9 @@ func (q *Query) effectiveWorkers() int {
 // run executes the query, optionally with per-operator analysis.
 // Every execution — analyzed or not — registers in the live-query
 // registry, folds its wall/plan/exec times into the latency
-// histograms, and leaves its span tree in the trace ring.
+// histograms, and leaves its timeline in the trace ring. The
+// QueryStats it builds for RunAnalyzed, the slow-query log and
+// OnQueryDone read only this query's plan and timeline.
 func (q *Query) run(ctx context.Context, analyze bool) (*Result, *QueryStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -540,29 +545,23 @@ func (q *Query) run(ctx context.Context, analyze bool) (*Result, *QueryStats, er
 	// operator breakdown, so a configured threshold instruments the
 	// plan exactly like RunAnalyzed does.
 	instrument := analyze || slowThr > 0
-	sp := obs.StartSpan("query")
-	scans := &planScans{}
-	root, err := q.buildPlan(ctx, instrument, sp, scans)
+	start := time.Now()
+	rec := &planRecord{}
+	root, err := q.buildPlan(ctx, instrument, rec)
 	if err != nil {
 		return nil, nil, err
 	}
 	digest := planDigest(root)
-	qh := obs.Queries.Begin(digest, scans.tables, scans.stats)
+	qh := obs.Queries.Begin(digest, rec.tables, rec.stats)
 	defer qh.Finish()
 	workers := q.effectiveWorkers()
 
-	var base obs.Snapshot
-	needStats := instrument || hook != nil
-	if needStats {
-		base = obs.Default.Snapshot()
-	}
-	esp := sp.Child("execute")
+	execStart := time.Now()
 	res := engine.Collect(root, workers)
-	esp.End()
+	exec := time.Since(execStart)
 	if cerr := ctx.Err(); cerr != nil {
 		// The scans stopped at a morsel boundary; the partial result is
 		// discarded rather than returned as a silent subset.
-		sp.End()
 		obs.QueriesCancelled.Inc()
 		if tenant != "" {
 			tc := obs.Tenants.Get(tenant)
@@ -575,7 +574,8 @@ func (q *Query) run(ctx context.Context, analyze bool) (*Result, *QueryStats, er
 	if q.aggs == nil && len(q.orderBy) == 0 {
 		order = res.SortedOrder() // deterministic output for plain scans
 	}
-	sp.End()
+	tr := obs.QueryTrace{ID: qh.ID, Digest: digest, Start: start, Wall: time.Since(start),
+		Plan: rec.plan, Exec: exec, ExecOffset: execStart.Sub(start)}
 	qh.Finish()
 	obs.QueriesRun.Inc()
 	obs.RowsEmitted.Add(int64(res.Len))
@@ -584,48 +584,42 @@ func (q *Query) run(ctx context.Context, analyze bool) (*Result, *QueryStats, er
 		tc.Queries.Inc()
 		tc.RowsReturned.Add(int64(res.Len))
 	}
-	obs.QueryWallSeconds.ObserveDuration(sp.Duration())
-	obs.QueryExecSeconds.ObserveDuration(esp.Duration())
+	obs.QueryWallSeconds.ObserveDuration(tr.Wall)
+	if tr.Plan > 0 {
+		obs.QueryPlanSeconds.ObserveDuration(tr.Plan)
+	}
+	obs.QueryExecSeconds.ObserveDuration(tr.Exec)
 	obs.QueryRowsReturned.Observe(float64(res.Len))
-	obs.Traces.Add(obs.QueryTrace{ID: qh.ID, Digest: digest, Root: sp})
+	obs.Traces.Add(tr)
+	result := &Result{data: res, order: order}
+	if !instrument && hook == nil {
+		return result, nil, nil
+	}
 
-	var stats *QueryStats
-	if needStats {
-		// Process-wide counter deltas across the execution window. With
-		// concurrent queries the deltas include their work too — they
-		// are attribution hints, not exact per-query accounting.
-		delta := obs.Default.Snapshot().Diff(base)
-		stats = &QueryStats{
-			Tenant:              tenant,
-			Plan:                planNode(root, instrument),
-			Wall:                sp.Duration(),
-			ExecTime:            esp.Duration(),
-			RowsReturned:        int64(res.Len),
-			Analyzed:            instrument,
-			QueryID:             qh.ID,
-			PlanDigest:          digest,
-			DictKernelShortcuts: delta.Get("dict_kernel_shortcuts"),
-			DictGroupByBatches:  delta.Get("dict_groupby_fastpath"),
-			RowsBoxed:           delta.Get("rows_boxed"),
-		}
-		for _, c := range sp.Children() {
-			if c.Name() == "plan" {
-				stats.PlanTime = c.Duration()
-			}
-		}
-		if slowThr > 0 && stats.Wall >= slowThr {
-			writeSlowQueryLog(slowLog, stats)
-		}
-		if hook != nil {
-			hook(*stats)
-		}
+	stats := &QueryStats{
+		Tenant:       tenant,
+		Plan:         planNode(root, instrument),
+		Wall:         tr.Wall,
+		PlanTime:     tr.Plan,
+		ExecTime:     tr.Exec,
+		RowsReturned: int64(res.Len),
+		Analyzed:     instrument,
+		QueryID:      qh.ID,
+		PlanDigest:   digest,
 	}
-	for _, c := range sp.Children() {
-		if c.Name() == "plan" {
-			obs.QueryPlanSeconds.ObserveDuration(c.Duration())
-		}
+	for _, st := range rec.stats {
+		stats.DictKernelShortcuts += st.Counts().DictKernelShortcuts
 	}
-	return &Result{data: res, order: order}, stats, nil
+	for _, gb := range rec.groupBys {
+		stats.DictGroupByBatches += gb.DictBatches()
+	}
+	if slowThr > 0 && stats.Wall >= slowThr {
+		writeSlowQueryLog(slowLog, stats)
+	}
+	if hook != nil {
+		hook(*stats)
+	}
+	return result, stats, nil
 }
 
 func (q *Query) colRefAfterProject(col int, projExprs []expr.Expr) expr.Expr {
