@@ -156,10 +156,6 @@ func main() {
 		fmt.Print(res)
 		fmt.Printf("(%d rows)\n", res.NumRows())
 	}
-	if err := tbl.ScanErr(); err != nil {
-		fmt.Fprintln(os.Stderr, "jtquery: degraded read:", err)
-		os.Exit(1)
-	}
 	if *metrics {
 		fmt.Println()
 		if _, err := obs.Default.WriteTo(os.Stdout); err != nil {

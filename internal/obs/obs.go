@@ -430,6 +430,9 @@ var (
 	// QueriesCancelled counts queries that ended with a context
 	// cancellation or deadline instead of a result.
 	QueriesCancelled = Default.Counter("queries_cancelled")
+	// QueriesFailed counts queries that ended with ErrUnreadable: a
+	// scan read a block that failed its checksum or decode.
+	QueriesFailed = Default.Counter("queries_failed")
 )
 
 // SkewBuckets is the layout for load-imbalance ratios (1.0 = perfectly

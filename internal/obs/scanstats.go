@@ -127,11 +127,11 @@ func (c ScanCounts) SkipRatio() float64 {
 	return float64(c.TilesSkipped) / float64(total)
 }
 
-// ScanStats is the sink of one relation scan's counts, for EXPLAIN
-// ANALYZE and the live-query registry. NumTiles and SegmentsLive are
-// set by the planner before the scan starts and read only after it
-// ends; the counts arrive through Add once per morsel or store fetch,
-// so the lock is off the per-row path.
+// ScanStats is the sink of one relation scan's counts and error, for
+// EXPLAIN ANALYZE, the live-query registry and Query.run. NumTiles and
+// SegmentsLive are set by the planner before the scan starts and read
+// only after it ends; the counts arrive through Add once per morsel or
+// store fetch, so the lock is off the per-row path.
 type ScanStats struct {
 	// NumTiles is the total tile count of the scanned relation (0 for
 	// formats without tiles).
@@ -142,6 +142,7 @@ type ScanStats struct {
 
 	mu     sync.Mutex
 	counts ScanCounts
+	err    error
 }
 
 // Add forwards c to the process-wide series and, on a non-nil s, adds
@@ -154,6 +155,23 @@ func (s *ScanStats) Add(c *ScanCounts) {
 	s.mu.Lock()
 	s.counts.Add(c)
 	s.mu.Unlock()
+}
+
+// Fail records the error that stopped the scan; a nil s drops it.
+func (s *ScanStats) Fail(err error) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.err = err
+	s.mu.Unlock()
+}
+
+// Err returns the error that stopped the scan (nil: it read every block).
+func (s *ScanStats) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
 }
 
 // Counts returns the counts added so far.

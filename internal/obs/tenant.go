@@ -40,8 +40,8 @@ func TenantFrom(ctx context.Context) string {
 
 // TenantCounters is one tenant's instrument block.
 type TenantCounters struct {
-	// Queries counts completed queries; Cancelled the subset that
-	// ended on context cancellation or deadline.
+	// Queries counts finished queries, failed ones included; Cancelled
+	// the subset that ended on context cancellation or deadline.
 	Queries   Counter
 	Cancelled Counter
 	// RowsReturned totals final result rows; BytesScanned the stored

@@ -340,6 +340,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// Client went away or the server is shutting down; the
 			// status is best-effort (the client may never read it).
 			writeError(w, http.StatusServiceUnavailable, err.Error())
+		case errors.Is(err, jsontiles.ErrUnreadable):
+			writeError(w, http.StatusInternalServerError, err.Error())
 		default:
 			writeError(w, http.StatusBadRequest, err.Error())
 		}

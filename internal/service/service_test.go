@@ -7,13 +7,19 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 	"unicode/utf8"
 
 	jsontiles "repro"
+	"repro/internal/blockstore"
+	"repro/internal/bufpool"
+	"repro/internal/keypath"
 	"repro/internal/obs"
+	"repro/internal/segment"
 )
 
 // testDocs builds n small review documents.
@@ -228,6 +234,62 @@ func TestQueryEndpointErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /query = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestUnreadableBlockAnswers500: a query that reads a block failing
+// its checksum answers 500 with no row lines, and a clean table on the
+// same server still answers 200.
+func TestUnreadableBlockAnswers500(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{})
+	mem, err := jsontiles.Load("bad", testDocs(400), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "bad.seg")
+	if err := mem.WriteSegment(path); err != nil {
+		t.Fatal(err)
+	}
+	fsStore, err := blockstore.NewFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := segment.OpenStore(fsStore, "bad.seg", bufpool.New(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := r.Tile(1)
+	ref := tm.Columns[tm.ColumnsForPath(keypath.NewPath("stars").Encode())[0]].Block
+	r.Close()
+	blockstore.Close(fsStore)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[ref.Off] ^= 0xFF
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := jsontiles.OpenSegment("bad", path, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	s.Register("bad", seg)
+
+	status, _, body := postQuery(t, ts.URL, "", `{"table": "bad", "select": ["data->>'stars'::BigInt"]}`)
+	if status != http.StatusInternalServerError || !strings.Contains(body, "unreadable") {
+		t.Errorf("corrupt table: status %d, want 500 naming the unreadable block:\n%s", status, body)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+		if !strings.HasPrefix(line, `{"error"`) {
+			t.Errorf("corrupt table: response holds a line other than the error: %s", line)
+		}
+	}
+	status, _, body = postQuery(t, ts.URL, "", `{"table": "reviews", "select": ["data->>'stars'::BigInt"]}`)
+	if _, _, rows := ndjsonRows(t, body); status != http.StatusOK || len(rows) != 400 {
+		t.Errorf("clean table: status %d with %d rows, want 200 with 400", status, len(rows))
 	}
 }
 

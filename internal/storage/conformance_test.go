@@ -14,6 +14,7 @@ import (
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
+	"repro/internal/obs"
 	"repro/internal/vec"
 )
 
@@ -112,7 +113,9 @@ func TestConformanceRandomDocsAllFormats(t *testing.T) {
 			}
 			srel := memSegment(t, rel, cfg)
 			verifyConformance(t, trial, "Segment", srel, accesses, truthSet)
-			if err := srel.Err(); err != nil {
+			var st obs.ScanStats
+			batchMultisetStats(srel, accesses, 2, &st)
+			if err := st.Err(); err != nil {
 				t.Fatalf("trial %d segment scan error: %v", trial, err)
 			}
 		}
@@ -298,7 +301,9 @@ func TestConformanceDictColumns(t *testing.T) {
 	// Segment round trip: dictionaries persist as separate blocks.
 	srel := memSegment(t, rel, cfg)
 	verifyConformance(t, 0, "DictSegment", srel, accesses, truthSet)
-	if err := srel.Err(); err != nil {
+	var st obs.ScanStats
+	batchMultisetStats(srel, accesses, 2, &st)
+	if err := st.Err(); err != nil {
 		t.Fatalf("dict segment scan error: %v", err)
 	}
 }

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -9,7 +11,10 @@ import (
 	"time"
 
 	"repro/internal/blockstore"
+	"repro/internal/bufpool"
 	"repro/internal/expr"
+	"repro/internal/obs"
+	"repro/internal/segment"
 	"repro/internal/vec"
 )
 
@@ -146,5 +151,72 @@ func TestFetchWindowCancel(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > base {
 		t.Errorf("%d goroutines after Close, %d before the table was opened", n, base)
+	}
+}
+
+// --- a block that fails its read stops the scan ----------------------------
+
+// TestScanFaultStopsTheScan: a column block that fails its checksum
+// stops the scan the way cancellation does. The error reaches the
+// scan's sink, and a directory table's Err. At one worker the scan
+// ends at the tile that faulted, after the fetch window served the
+// tiles before it, and claims no further morsel (tiles 32–39 are the
+// second morsel).
+func TestScanFaultStopsTheScan(t *testing.T) {
+	const nTiles, tileRows, bad = 40, 1024, 5
+	mem, cfg := fetchTestStore(t, nTiles, tileRows, 8)
+	built, err := OpenDirStore("t", mem, nil, cfg, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := built.segs[0].file
+	tm := built.segs[0].rel.r.Tile(bad)
+	ref := tm.Columns[tm.ColumnsForPath(idAccess[0].PathEnc)[0]].Block
+	built.Close()
+	size, err := mem.Size(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := mem.ReadRange(file, 0, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = append([]byte(nil), raw...)
+	raw[ref.Off] ^= 0xFF
+	if err := mem.Put(file, raw); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 4} {
+		seg, err := OpenSegmentStore("t", mem, file, 0, bufpool.New(0), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dt, err := OpenDirStore("t", blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: time.Millisecond}), nil, cfg, 4, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rel := range []BatchScanner{seg, dt} {
+			label := fmt.Sprintf("%T workers=%d", rel, workers)
+			var st obs.ScanStats
+			var rows atomic.Int64
+			rel.ScanBatches(context.Background(), idAccess, workers, func(_ int, b *vec.Batch) { rows.Add(int64(b.Rows())) }, &st)
+			if err := st.Err(); !errors.Is(err, segment.ErrCorrupt) {
+				t.Errorf("%s: sink error %v, want a corrupt block", label, err)
+			}
+			if n := rows.Load(); n > (nTiles-1)*tileRows {
+				t.Errorf("%s: %d rows emitted, want at most %d (the faulting tile emits none)", label, n, (nTiles-1)*tileRows)
+			}
+			c := st.Counts()
+			if workers == 1 && (c.TilesScanned != bad+1 || c.StorePrefetchHits == 0) {
+				t.Errorf("%s: %d tiles scanned, %d prefetch hits; want %d, and the window ahead of the fault",
+					label, c.TilesScanned, c.StorePrefetchHits, bad+1)
+			}
+		}
+		if err := dt.Err(); !errors.Is(err, segment.ErrCorrupt) {
+			t.Errorf("workers=%d: DirTable.Err = %v, want the scan's error", workers, err)
+		}
+		seg.Close()
+		dt.Close()
 	}
 }

@@ -282,23 +282,13 @@ func (t *DirTable) invalidateStats() {
 	t.statsMu.Unlock()
 }
 
-// Err returns the first degraded-scan error any live segment
-// recorded, or the table's own first error.
+// Err returns the table's first recorded error: a scan stopped by a
+// block that failed its read, or a background compaction that failed.
+// A query reports its own scans' errors; Err is the sticky record.
 func (t *DirTable) Err() error {
 	t.errMu.Lock()
-	err := t.err
-	t.errMu.Unlock()
-	if err != nil {
-		return err
-	}
-	segs := t.snapshot()
-	defer releaseSegs(segs)
-	for _, ls := range segs {
-		if err := ls.rel.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	defer t.errMu.Unlock()
+	return t.err
 }
 
 func (t *DirTable) recordErr(err error) {
@@ -373,15 +363,17 @@ func (t *DirTable) ScanWithStats(ctx context.Context, accesses []Access, workers
 }
 
 // ScanBatches runs the shared batch-scan core over the pinned union
-// of live segments. A cancelled ctx stops the scan within one morsel;
-// the deferred release drops the segment pins either way, so
-// compaction is never blocked by abandoned queries. The pool's
-// eviction delta is forwarded here, not per segment, which would
-// multiply-count a pool every segment shares.
+// of live segments. A cancelled ctx or an unreadable block (recorded
+// for Err) stops the scan within one morsel; the deferred release drops
+// the segment pins either way, so compaction is never blocked by
+// abandoned queries. The pool's eviction delta is forwarded here, not
+// per segment, which would multiply-count a pool every segment shares.
 func (t *DirTable) ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
 	segs := t.snapshot()
 	defer releaseSegs(segs)
-	scanBatchesCore(ctx, newMultiSource(segs, t.scancfg), accesses, workers, emit, st)
+	if err := scanBatchesCore(ctx, newMultiSource(segs, t.scancfg), accesses, workers, emit, st); err != nil {
+		t.recordErr(err)
+	}
 	flushPoolCounters(t.pool, &t.evictions)
 }
 

@@ -238,7 +238,9 @@ func TestMorselScanConformanceSkewedTiles(t *testing.T) {
 
 	srel := memSegment(t, rel, DefaultLoaderConfig())
 	check("segment", srel)
-	if err := srel.Err(); err != nil {
+	var st obs.ScanStats
+	batchMultisetStats(srel, accesses, 2, &st)
+	if err := st.Err(); err != nil {
 		t.Fatalf("segment scan error: %v", err)
 	}
 }

@@ -196,10 +196,14 @@ func (sp *scanPlan) skippable(t scanTile) bool {
 // result, so it is left out of the batch's selection and its remaining
 // per-row cells are never resolved. Batches arrive with Sel != nil
 // whenever a row was dropped; a tile with no live row emits nothing.
-func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
+//
+// A block a view cannot read (scanFault) stops the scan as a cancelled
+// ctx does; the error goes on st and is returned (nil when the caller
+// cancelled ctx: it knows why the scan stopped).
+func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) error {
 	rowCounts := src.appendTileRows(nil)
 	if len(rowCounts) == 0 {
-		return
+		return nil
 	}
 	tenant := obs.TenantFrom(ctx)
 	// Global row id of each tile's first row (Base of its batch).
@@ -211,12 +215,23 @@ func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, wor
 	}
 	sp := newScanPlan(accesses, src.scanConfig())
 	morsels := buildTileMorsels(rowCounts, workers, DefaultMorselRows)
-	fw := newFetchWindow(ctx, src, sp, morsels, len(rowCounts), workers, st)
+	sctx, stop := context.WithCancelCause(ctx)
+	defer stop(nil)
+	fw := newFetchWindow(sctx, src, sp, morsels, len(rowCounts), workers, st)
 	defer fw.close()
-	runMorsels(ctx, morsels, workers, func(w int, m morsel) {
+	runMorsels(sctx, morsels, workers, func(w int, m morsel) {
 		sc := getScanScratch(len(accesses), sp.preds)
 		cnt := scanCounters{ScanCounts: obs.ScanCounts{Morsels: 1}, tenant: tenant}
 		defer sc.finish(&cnt, st)
+		defer func() {
+			if r := recover(); r != nil {
+				f, ok := r.(scanFault)
+				if !ok {
+					panic(r)
+				}
+				stop(f.err)
+			}
+		}()
 		for ti := m.lo; ti < m.hi; ti++ {
 			t := src.openScanTile(ti, &cnt)
 			if sp.skippable(t) {
@@ -234,6 +249,11 @@ func scanBatchesCore(ctx context.Context, src scanSource, accesses []Access, wor
 			emit(w, &sc.batch)
 		}
 	})
+	if err := context.Cause(sctx); err != nil && ctx.Err() == nil {
+		st.Fail(err)
+		return err
+	}
+	return nil
 }
 
 // fillBatch materializes tile t's accesses into sc.batch, narrowing as

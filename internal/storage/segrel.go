@@ -3,12 +3,10 @@ package storage
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/blockstore"
 	"repro/internal/bufpool"
-	"repro/internal/column"
 	"repro/internal/jsonb"
 	"repro/internal/keypath"
 	"repro/internal/obs"
@@ -30,8 +28,6 @@ type segRelation struct {
 	numRows int
 	cfg     scanConfig
 
-	mu        sync.Mutex
-	err       error        // first degraded-scan error (corrupt block served as NULLs)
 	evictions atomic.Int64 // pool evictions already forwarded to the registry
 }
 
@@ -86,28 +82,10 @@ func (r *segRelation) Close() error { return r.r.Close() }
 // EXPLAIN ANALYZE cache summaries).
 func (r *segRelation) Pool() *bufpool.Pool { return r.pool }
 
-// Err returns the first block-level error any scan encountered.
-// Scans degrade corrupt or unreadable blocks to NULL values rather
-// than panicking mid-query; callers that must distinguish "NULL
-// because absent" from "NULL because unreadable" check Err after the
-// scan.
-func (r *segRelation) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
-
-func (r *segRelation) recordErr(err error) {
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = err
-	}
-	r.mu.Unlock()
-}
-
 // ScanBatches runs the shared batch-scan core over lazy tile views.
+// A block that fails its read stops the scan; the error is on st.
 func (r *segRelation) ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
-	scanBatchesCore(ctx, r, accesses, workers, emit, st)
+	_ = scanBatchesCore(ctx, r, accesses, workers, emit, st)
 	flushPoolCounters(r.pool, &r.evictions)
 }
 
@@ -198,10 +176,12 @@ func (v *segTileView) account(info segment.ReadInfo) {
 	}
 }
 
-// Column lazily materializes one extracted column. A block that
-// fails its checksum or decode degrades to an all-NULL column of the
-// declared type — the scan completes with NULLs instead of crashing
-// mid-query — and the error is recorded on the relation.
+// scanFault carries a block read error from a view to the scan core's
+// morsel loop, which stops the scan: a view fabricates no cell (§4.5).
+type scanFault struct{ err error }
+
+// Column lazily materializes one extracted column. A block that fails
+// its checksum or decode faults the scan (scanFault).
 func (v *segTileView) Column(idx int) *tile.ColumnInfo {
 	if v.cols == nil {
 		v.cols = make([]tile.ColumnInfo, len(v.meta.Columns))
@@ -215,8 +195,7 @@ func (v *segTileView) Column(idx int) *tile.ColumnInfo {
 			v.account(info)
 		}
 		if err != nil {
-			v.rel.recordErr(err)
-			col = nullColumn(cm.StorageType, v.meta.Rows)
+			panic(scanFault{err})
 		}
 		v.cols[idx] = tile.ColumnInfo{
 			Path:            cm.Path,
@@ -230,26 +209,15 @@ func (v *segTileView) Column(idx int) *tile.ColumnInfo {
 }
 
 // Raw lazily loads the tile's fallback documents; an unreadable docs
-// block degrades every fallback access to NULL (empty document).
+// block faults the scan (scanFault).
 func (v *segTileView) Raw(i int) jsonb.Doc {
 	if !v.docsOK {
-		v.docsOK = true
 		docs, info, err := v.rel.r.DocsT(v.cnt.tenant, v.ti)
 		v.account(info)
 		if err != nil {
-			v.rel.recordErr(err)
-			docs = make([][]byte, v.meta.Rows)
+			panic(scanFault{err})
 		}
-		v.docs = docs
+		v.docs, v.docsOK = docs, true
 	}
 	return jsonb.NewDoc(v.docs[i])
-}
-
-// nullColumn builds an all-NULL column of n rows (degraded reads).
-func nullColumn(t keypath.ValueType, n int) *column.Column {
-	c := column.New(t)
-	for i := 0; i < n; i++ {
-		c.AppendNull()
-	}
-	return c
 }

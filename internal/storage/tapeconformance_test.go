@@ -14,6 +14,7 @@ import (
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
+	"repro/internal/obs"
 )
 
 // Format conformance (DESIGN.md §6.8): for every storage format and
@@ -117,7 +118,9 @@ func TestTapeMatchesTreeAllFormats(t *testing.T) {
 				// Segment round trip of the tile relation.
 				srel := memSegment(t, rel, cfg)
 				verifyConformance(t, trial, "segment", srel, accesses, truthSet)
-				if err := srel.Err(); err != nil {
+				var st obs.ScanStats
+				batchMultisetStats(srel, accesses, workers, &st)
+				if err := st.Err(); err != nil {
 					t.Fatalf("trial %d segment scan: %v", trial, err)
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/blockstore"
 	"repro/internal/obs"
+	"repro/internal/segment"
 )
 
 // syncBuffer is an io.Writer safe for the process-wide slow-query
@@ -456,5 +458,25 @@ func TestScanCountsMatchProcessSeries(t *testing.T) {
 	if total.ColumnHits == 0 || total.PoolHits == 0 || total.PoolMisses == 0 || total.DocWalks == 0 ||
 		total.JSONBFallbacks == 0 || total.CastErrors == 0 || total.RowsNarrowed == 0 || total.DictKernelShortcuts == 0 {
 		t.Errorf("want every checked figure exercised, got %+v", total)
+	}
+
+	// A query that reads an unreadable block counts once as failed,
+	// not as run, and once in its tenant's query total.
+	loaded, err := Load("notes", all, opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := corruptSegment(t, loaded, opts(), func(tm *segment.TileMeta) segment.BlockRef { return tm.Docs })
+	queries := &obs.Tenants.Get(tenant).Queries
+	base, queries0 := obs.Default.Snapshot(), queries.Load()
+	if _, err := bad.Query("data->>'note'::BigInt").RunContext(ctx); !errors.Is(err, ErrUnreadable) {
+		t.Fatalf("faulted query: %v, want ErrUnreadable", err)
+	}
+	d := obs.Default.Snapshot().Diff(base)
+	if failed, run := d.Get("queries_failed"), d.Get("queries_run"); failed != 1 || run != 0 {
+		t.Errorf("faulted query moved queries_failed by %d and queries_run by %d, want 1 and 0", failed, run)
+	}
+	if got := queries.Load() - queries0; got != 1 {
+		t.Errorf("faulted query moved the tenant's queries by %d, want 1", got)
 	}
 }

@@ -2,6 +2,7 @@ package jsontiles
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -16,6 +17,10 @@ import (
 	"repro/internal/storage"
 	"repro/internal/vec"
 )
+
+// ErrUnreadable reports a query that read a block failing its checksum
+// or decode: it returns no result, as an unread cell is not NULL (§4.5).
+var ErrUnreadable = errors.New("jsontiles: unreadable block")
 
 // Query is a fluent query over one or more tables. Build it from
 // Table.Query, refine with Where*/Join/GroupBy/Aggregate/OrderBy/Limit
@@ -569,6 +574,15 @@ func (q *Query) run(ctx context.Context, analyze bool) (*Result, *QueryStats, er
 			tc.Cancelled.Inc()
 		}
 		return nil, nil, fmt.Errorf("jsontiles: query cancelled: %w", cerr)
+	}
+	for _, st := range rec.stats {
+		if err := st.Err(); err != nil {
+			obs.QueriesFailed.Inc()
+			if tenant != "" {
+				obs.Tenants.Get(tenant).Queries.Inc()
+			}
+			return nil, nil, fmt.Errorf("%w: %w", ErrUnreadable, err)
+		}
 	}
 	order := vec.Iota(res.Len)
 	if q.aggs == nil && len(q.orderBy) == 0 {

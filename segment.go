@@ -100,11 +100,10 @@ func closeStore(s BlockStore) error {
 	return blockstore.Close(s)
 }
 
-// ScanErr returns the first block-level error any query on a
-// disk-backed table encountered. Scans degrade unreadable blocks to
-// NULL values rather than failing mid-query; callers that must
-// distinguish "NULL because absent" from "NULL because unreadable"
-// check ScanErr after querying. Always nil for in-memory tables.
+// ScanErr returns a directory table's first recorded error: a scan
+// stopped by a block that failed its read, or a failed background
+// compaction. A query that reads such a block fails on its own with
+// ErrUnreadable. Always nil for in-memory and single-segment tables.
 func (t *Table) ScanErr() error {
 	if e, ok := t.rel.(interface{ Err() error }); ok {
 		return e.Err()

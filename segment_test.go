@@ -6,12 +6,18 @@ package jsontiles
 // block I/O, and repeated queries hit the buffer pool.
 
 import (
+	"context"
 	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/blockstore"
+	"repro/internal/bufpool"
+	"repro/internal/keypath"
+	"repro/internal/segment"
 )
 
 func writeReopen(t *testing.T, tbl *Table, o Options) *Table {
@@ -203,45 +209,82 @@ func TestOpenSegmentIsReadOnly(t *testing.T) {
 	}
 }
 
-func TestSegmentCorruptBlockDegradesToScanErr(t *testing.T) {
+// corruptSegment writes mem as a segment file, flips one byte of the
+// block pick chooses from tile 1's footer record, and reopens the file.
+func corruptSegment(t *testing.T, mem *Table, o Options, pick func(*segment.TileMeta) segment.BlockRef) *Table {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.seg")
+	if err := mem.WriteSegment(path); err != nil {
+		t.Fatal(err)
+	}
+	fsStore, err := blockstore.NewFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := segment.OpenStore(fsStore, "t.seg", bufpool.New(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := pick(r.Tile(1))
+	r.Close()
+	blockstore.Close(fsStore)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[ref.Off] ^= 0xFF
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := OpenSegment(mem.Name(), path, o)
+	if err != nil {
+		t.Fatalf("open after data-block corruption should succeed: %v", err)
+	}
+	t.Cleanup(func() { seg.Close() })
+	return seg
+}
+
+// TestSegmentCorruptBlockFailsTheQuery: a query that reads a block
+// failing its checksum returns ErrUnreadable and no result, whether
+// the block is a column or the documents; a query over an untouched
+// column still answers in full.
+func TestSegmentCorruptBlockFailsTheQuery(t *testing.T) {
 	o := opts()
 	mem, err := Load("reviews", reviewDocs(256), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "t.seg")
-	if err := mem.WriteSegment(path); err != nil {
-		t.Fatal(err)
-	}
-	// Flip one byte inside the first data block (right after the
-	// 8-byte header magic). Open still succeeds — the footer is intact
-	// — but whichever access needs that block gets NULLs plus a
-	// recorded scan error instead of a crash.
-	raw, err := os.ReadFile(path)
+	want, err := mem.Query("data->>'review_id'").Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[8] ^= 0xFF
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	seg, err := OpenSegment("reviews", path, o)
-	if err != nil {
-		t.Fatalf("open after data-block corruption should succeed: %v", err)
-	}
-	defer seg.Close()
-
-	// Touch every column and the document fallback so the corrupt
-	// block is certainly accessed.
-	res, err := seg.Query("data->>'review_id'", "data->>'stars'::BigInt", "data->'stars'").Run()
-	if err != nil {
-		t.Fatalf("query should degrade, not fail: %v", err)
-	}
-	if res.NumRows() != 256 {
-		t.Fatalf("rows = %d, want 256", res.NumRows())
-	}
-	if seg.ScanErr() == nil {
-		t.Fatal("ScanErr = nil, want the corrupt-block error")
+	stars := keypath.NewPath("stars").Encode()
+	for _, c := range []struct {
+		name, sel string
+		pick      func(*segment.TileMeta) segment.BlockRef
+	}{
+		{"column", "data->>'stars'::BigInt", func(tm *segment.TileMeta) segment.BlockRef {
+			return tm.Columns[tm.ColumnsForPath(stars)[0]].Block
+		}},
+		{"docs", "data->'stars'", func(tm *segment.TileMeta) segment.BlockRef { return tm.Docs }},
+	} {
+		seg := corruptSegment(t, mem, o, c.pick)
+		res, err := seg.Query(c.sel).Run()
+		if !errors.Is(err, ErrUnreadable) || res != nil {
+			t.Errorf("%s: Run = %v, %v; want no result and ErrUnreadable", c.name, res, err)
+		}
+		res, err = seg.Query(c.sel).RunContext(context.Background())
+		if !errors.Is(err, ErrUnreadable) || res != nil {
+			t.Errorf("%s: RunContext = %v, %v; want no result and ErrUnreadable", c.name, res, err)
+		}
+		got, err := seg.Query("data->>'review_id'").Run()
+		if err != nil {
+			t.Fatalf("%s: query over an untouched column: %v", c.name, err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: query over an untouched column answered\n%s\nwant\n%s", c.name, got, want)
+		}
 	}
 }
 
