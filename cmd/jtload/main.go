@@ -4,7 +4,6 @@
 //
 //	jtgen -workload twitter | jtload
 //	jtload -f tweets.jsonl -tilesize 1024
-//	jtload -f tweets.jsonl -o tweets.seg    # persist to a segment file
 //	jtload -f tweets.jsonl -dir tweets.jt   # append to a table directory
 package main
 
@@ -23,7 +22,6 @@ func main() {
 	partSize := flag.Int("partsize", 8, "tiles per reordering partition")
 	threshold := flag.Float64("threshold", 0.6, "extraction threshold")
 	noReorder := flag.Bool("no-reorder", false, "disable partition reordering")
-	out := flag.String("o", "", "write the loaded table to a segment file at this path")
 	dir := flag.String("dir", "", "append the input to a multi-segment table directory (created if absent)")
 	compact := flag.Bool("compact", false, "with -dir: compact the table after appending")
 	store := flag.String("store", "fs", "with -dir: block store backing the table: fs (direct filesystem), mem (in-process, lost on exit), fakes3 (simulated object store over -dir)")
@@ -78,28 +76,10 @@ func main() {
 	fmt.Printf("LZ4 tile columns:   %d bytes (+%.1f%%)\n", info.CompressedTileColumnBytes,
 		pct(info.CompressedTileColumnBytes, info.BinaryJSONBytes))
 
-	if *out != "" {
-		if err := tbl.WriteSegment(*out); err != nil {
-			fmt.Fprintln(os.Stderr, "jtload:", err)
-			os.Exit(1)
-		}
-		fi, err := os.Stat(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "jtload:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("segment:            %s (%d bytes)\n", *out, fi.Size())
-	}
-
 	if *dir != "" {
 		dopts := opts
 		dopts.CompactFanIn = -1 // compaction only on request below
-		dopts.Store, err = storeFor(*store, *dir, *storeLatency)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "jtload:", err)
-			os.Exit(1)
-		}
-		dt, err := jsontiles.OpenDir("input", *dir, dopts)
+		dt, err := openTable("input", *dir, *store, *storeLatency, dopts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "jtload:", err)
 			os.Exit(1)
@@ -140,22 +120,23 @@ func main() {
 	}
 }
 
-// storeFor builds the BlockStore selected by -store, rooted at dir.
-// "fs" returns nil — the table uses the direct filesystem path. The
-// fakes3 store persists through an FS store over dir, so tables loaded
-// through it reopen in later processes (jtquery/jtserve -store fakes3).
-func storeFor(kind, dir string, latency time.Duration) (jsontiles.BlockStore, error) {
+// openTable opens the table directory dir on the block store selected
+// by -store: fs opens the directory itself (OpenDir); mem and fakes3
+// open a store (OpenStore). The fakes3 store persists through an FS
+// store over dir, so tables loaded through it reopen in later
+// processes (jtquery/jtserve -store fakes3).
+func openTable(name, dir, kind string, latency time.Duration, opts jsontiles.Options) (*jsontiles.Table, error) {
 	switch kind {
 	case "", "fs":
-		return nil, nil
+		return jsontiles.OpenDir(name, dir, opts)
 	case "mem":
-		return jsontiles.NewMemStore(), nil
+		return jsontiles.OpenStore(name, jsontiles.NewMemStore(), opts)
 	case "fakes3":
 		inner, err := jsontiles.NewFSStore(dir)
 		if err != nil {
 			return nil, err
 		}
-		return jsontiles.NewFakeS3Store(inner, jsontiles.FakeS3Options{Latency: latency}), nil
+		return jsontiles.OpenStore(name, jsontiles.NewFakeS3Store(inner, jsontiles.FakeS3Options{Latency: latency}), opts)
 	}
 	return nil, fmt.Errorf("unknown -store %q (want fs, mem, or fakes3)", kind)
 }

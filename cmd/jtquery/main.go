@@ -4,7 +4,6 @@
 //	jtgen -workload twitter | jtquery "data->'user'->>'screen_name'" "data->>'retweet_count'::BigInt"
 //	jtquery -f reviews.jsonl -where-not-null 0 -limit 10 "data->>'stars'::BigInt"
 //	jtquery -f reviews.jsonl -analyze -where-not-null 0 "data->>'stars'::BigInt"
-//	jtquery -seg reviews.seg "data->>'stars'::BigInt"   # query a segment file
 //	jtquery -dir reviews.jt "data->>'stars'::BigInt"    # query a table directory
 package main
 
@@ -17,7 +16,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"time"
 
 	jsontiles "repro"
@@ -26,7 +24,6 @@ import (
 
 func main() {
 	file := flag.String("f", "-", "input file ('-' = stdin)")
-	seg := flag.String("seg", "", "query a segment file written by 'jtload -o' instead of loading JSON")
 	dir := flag.String("dir", "", "query a multi-segment table directory written by 'jtload -dir'")
 	limit := flag.Int("limit", 20, "max rows to print (0 = all)")
 	notNull := flag.Int("where-not-null", -1, "keep rows where this select column is not null")
@@ -38,7 +35,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/queries, /debug/trace, and pprof on this address")
 	serve := flag.Bool("serve", false, "with -debug-addr: keep re-running the query so the debug endpoints stay observable (ctrl-c to stop)")
 	slowMS := flag.Int("slow-ms", 0, "log queries slower than this many milliseconds as JSON lines on stderr")
-	store := flag.String("store", "fs", "with -dir/-seg: block store serving the bytes: fs (direct filesystem), fakes3 (simulated object store over the same files)")
+	store := flag.String("store", "fs", "with -dir: block store serving the bytes: fs (direct filesystem), fakes3 (simulated object store over the same files)")
 	storeLatency := flag.Duration("store-latency", 0, "with -store fakes3: simulated per-request round trip")
 	url := flag.String("url", "", "query a running jtserve instead of local data, e.g. http://localhost:8080 (uses -table, -tenant)")
 	table := flag.String("table", "input", "with -url: table name on the server")
@@ -73,39 +70,15 @@ func main() {
 	}
 	var tbl *jsontiles.Table
 	var err error
-	switch {
-	case *dir != "":
+	if *dir != "" {
 		opts.CompactFanIn = -1 // read-only use: no background compaction
-		opts.Store, err = storeFor(*store, *dir, *storeLatency)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "jtquery:", err)
-			os.Exit(1)
-		}
-		tbl, err = jsontiles.OpenDir("input", *dir, opts)
+		tbl, err = openTable("input", *dir, *store, *storeLatency, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "jtquery:", err)
 			os.Exit(1)
 		}
 		defer tbl.Close()
-	case *seg != "":
-		// With a store, the segment object lives under its directory
-		// and is addressed by base name.
-		object := *seg
-		opts.Store, err = storeFor(*store, filepath.Dir(*seg), *storeLatency)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "jtquery:", err)
-			os.Exit(1)
-		}
-		if opts.Store != nil {
-			object = filepath.Base(*seg)
-		}
-		tbl, err = jsontiles.OpenSegment("input", object, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "jtquery:", err)
-			os.Exit(1)
-		}
-		defer tbl.Close()
-	default:
+	} else {
 		in := os.Stdin
 		if *file != "-" {
 			f, err := os.Open(*file)
@@ -177,21 +150,22 @@ func main() {
 	}
 }
 
-// storeFor builds the BlockStore selected by -store, rooted at dir;
-// "fs" returns nil (the direct filesystem path). fakes3 persists
-// through an FS store over dir, so data written by `jtload -store
-// fakes3` is queryable here. A mem store would always be empty in a
-// fresh process, so jtquery does not offer it.
-func storeFor(kind, dir string, latency time.Duration) (jsontiles.BlockStore, error) {
+// openTable opens the table directory dir on the block store selected
+// by -store: fs opens the directory itself (OpenDir); fakes3 serves the
+// same files through a simulated object store (OpenStore), so data
+// written by `jtload -store fakes3` is queryable here. A mem store
+// would always be empty in a fresh process, so jtquery does not offer
+// it.
+func openTable(name, dir, kind string, latency time.Duration, opts jsontiles.Options) (*jsontiles.Table, error) {
 	switch kind {
 	case "", "fs":
-		return nil, nil
+		return jsontiles.OpenDir(name, dir, opts)
 	case "fakes3":
 		inner, err := jsontiles.NewFSStore(dir)
 		if err != nil {
 			return nil, err
 		}
-		return jsontiles.NewFakeS3Store(inner, jsontiles.FakeS3Options{Latency: latency}), nil
+		return jsontiles.OpenStore(name, jsontiles.NewFakeS3Store(inner, jsontiles.FakeS3Options{Latency: latency}), opts)
 	}
 	return nil, fmt.Errorf("unknown -store %q (want fs or fakes3)", kind)
 }

@@ -96,14 +96,7 @@ func main() {
 	var tables []*jsontiles.Table
 	for _, dir := range dirs {
 		name := strings.TrimSuffix(filepath.Base(dir), ".jt")
-		topts := opts
-		st, err := storeFor(*store, dir, *storeLatency)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jtserve: open %s: %v\n", dir, err)
-			os.Exit(1)
-		}
-		topts.Store = st
-		tbl, err := jsontiles.OpenDir(name, dir, topts)
+		tbl, err := openTable(name, dir, *store, *storeLatency, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "jtserve: open %s: %v\n", dir, err)
 			os.Exit(1)
@@ -153,21 +146,22 @@ func main() {
 	fmt.Fprintln(os.Stderr, "jtserve: bye")
 }
 
-// storeFor builds the BlockStore selected by -store, rooted at dir;
-// "fs" returns nil (the direct filesystem path). fakes3 persists
-// through an FS store over dir, so directories loaded by `jtload
-// -store fakes3` serve unchanged — with the simulated object-store
-// round trips showing up in scan latency and /metrics store counters.
-func storeFor(kind, dir string, latency time.Duration) (jsontiles.BlockStore, error) {
+// openTable opens the table directory dir on the block store selected
+// by -store: fs opens the directory itself (OpenDir); fakes3 serves the
+// same files through a simulated object store (OpenStore), so
+// directories loaded by `jtload -store fakes3` serve unchanged — with
+// the simulated round trips showing up in scan latency and /metrics
+// store counters.
+func openTable(name, dir, kind string, latency time.Duration, opts jsontiles.Options) (*jsontiles.Table, error) {
 	switch kind {
 	case "", "fs":
-		return nil, nil
+		return jsontiles.OpenDir(name, dir, opts)
 	case "fakes3":
 		inner, err := jsontiles.NewFSStore(dir)
 		if err != nil {
 			return nil, err
 		}
-		return jsontiles.NewFakeS3Store(inner, jsontiles.FakeS3Options{Latency: latency}), nil
+		return jsontiles.OpenStore(name, jsontiles.NewFakeS3Store(inner, jsontiles.FakeS3Options{Latency: latency}), opts)
 	}
 	return nil, fmt.Errorf("unknown -store %q (want fs or fakes3)", kind)
 }

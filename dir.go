@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"repro/internal/blockstore"
-	"repro/internal/bufpool"
 	"repro/internal/storage"
 )
 
@@ -29,13 +28,7 @@ import (
 // The returned table holds open file handles; call Close when done.
 // Concurrent queries during Flush, Compact, and Close are safe — each
 // query pins the segment generation it started with.
-//
-// With opts.Store set, the table lives on that block store instead of
-// the local filesystem and dir is ignored (see OpenStore).
 func OpenDir(name, dir string, opts Options) (*Table, error) {
-	if opts.Store != nil {
-		return OpenStore(name, opts.Store, opts)
-	}
 	store, err := blockstore.NewFS(dir)
 	if err != nil {
 		return nil, err
@@ -66,13 +59,11 @@ func (t *Table) Compact() (int, error) {
 // running under the named tenant (obs.WithTenant) may keep resident
 // in this table's pool. Exceeding the quota evicts the tenant's own
 // unpinned blocks first, so one tenant's working set cannot push out
-// everyone else's. Quota 0 removes the cap. A no-op for table kinds
-// without a buffer pool (in-memory tables).
+// everyone else's. Quota 0 removes the cap. A no-op for in-memory
+// tables, which have no buffer pool.
 func (t *Table) SetTenantQuota(tenant string, quota int64) {
-	if pp, ok := t.rel.(interface{ Pool() *bufpool.Pool }); ok {
-		if p := pp.Pool(); p != nil {
-			p.SetQuota(tenant, quota)
-		}
+	if dt, ok := t.rel.(*storage.DirTable); ok {
+		dt.Pool().SetQuota(tenant, quota)
 	}
 }
 
@@ -118,4 +109,31 @@ func (t *Table) AppendTable(src *Table) error {
 		return fmt.Errorf("jsontiles: AppendTable source %q is not tile-backed", src.name)
 	}
 	return dt.AppendTiles(ti.Tiles(), src.rel.Stats())
+}
+
+// Close releases resources held by a persisted table: its cached
+// blocks and, for a table OpenDir opened, the store's file handles.
+// In-memory tables have nothing to release; Close is a no-op for them.
+func (t *Table) Close() error {
+	var err error
+	if dt, ok := t.rel.(*storage.DirTable); ok {
+		err = dt.Close()
+	}
+	if t.store != nil {
+		if cerr := blockstore.Close(t.store); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// ScanErr returns a persisted table's first recorded error: a scan
+// stopped by a block that failed its read, or a failed background
+// compaction. A query that reads such a block fails on its own with
+// ErrUnreadable. Always nil for in-memory tables.
+func (t *Table) ScanErr() error {
+	if dt, ok := t.rel.(*storage.DirTable); ok {
+		return dt.Err()
+	}
+	return nil
 }

@@ -72,10 +72,11 @@ func ExampleTable_Insert() {
 	// rows=10 matching=3
 }
 
-// ExampleTable_WriteSegment persists a table to a single segment file
-// and reopens it as a disk-backed table whose queries read only the
-// blocks they touch.
-func ExampleTable_WriteSegment() {
+// ExampleTable_AppendTable loads a table in memory, appends it to a
+// table directory as one segment, and reopens the directory — as a
+// later process would — as a disk-backed table whose queries read only
+// the blocks they touch.
+func ExampleTable_AppendTable() {
 	dir, err := os.MkdirTemp("", "jsontiles-example")
 	if err != nil {
 		log.Fatal(err)
@@ -87,21 +88,28 @@ func ExampleTable_WriteSegment() {
 		[]byte(`{"sku":"b-2","qty":5}`),
 		[]byte(`{"sku":"c-3","qty":2}`),
 	}
-	tbl, err := jsontiles.Load("inventory", docs, jsontiles.DefaultOptions())
+	mem, err := jsontiles.Load("inventory", docs, jsontiles.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	path := filepath.Join(dir, "inventory.seg")
-	if err := tbl.WriteSegment(path); err != nil {
+	path := filepath.Join(dir, "inventory.jt")
+	tbl, err := jsontiles.OpenDir("inventory", path, jsontiles.DefaultOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := tbl.AppendTable(mem); err != nil {
+		log.Fatal(err)
+	}
+	if err := tbl.Close(); err != nil {
 		log.Fatal(err)
 	}
 
-	seg, err := jsontiles.OpenSegment("inventory", path, jsontiles.DefaultOptions())
+	tbl, err = jsontiles.OpenDir("inventory", path, jsontiles.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer seg.Close()
-	res, err := seg.Query("data->>'sku'", "data->>'qty'::BigInt").
+	defer tbl.Close()
+	res, err := tbl.Query("data->>'sku'", "data->>'qty'::BigInt").
 		OrderBy(1, true).
 		Run()
 	if err != nil {
@@ -116,18 +124,17 @@ func ExampleTable_WriteSegment() {
 	// c-3 qty=2
 }
 
-// ExampleOpenDir_blockStore runs the same multi-segment table over a
-// BlockStore instead of a directory path — storage/compute separation.
+// ExampleOpenStore runs the same multi-segment table over a BlockStore
+// instead of a directory path — storage/compute separation.
 // The store here is in-memory; swapping in NewFSStore or a fake (or
 // real) object store changes nothing else. Closing and reopening the
 // table demonstrates read-after-commit visibility: the store, not the
 // Table, owns the bytes.
-func ExampleOpenDir_blockStore() {
+func ExampleOpenStore() {
 	store := jsontiles.NewMemStore()
 
 	opts := jsontiles.DefaultOptions()
-	opts.Store = store
-	tbl, err := jsontiles.OpenDir("orders", "", opts)
+	tbl, err := jsontiles.OpenStore("orders", store, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -146,7 +153,7 @@ func ExampleOpenDir_blockStore() {
 
 	// Reopen from the same store: the committed generation is all that
 	// is needed — no local files anywhere.
-	tbl, err = jsontiles.OpenDir("orders", "", opts)
+	tbl, err = jsontiles.OpenStore("orders", store, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,8 +24,8 @@ type requestCounting interface {
 	BytesRead() int64
 }
 
-func load(opts jsontiles.Options) *jsontiles.Table {
-	tbl, err := jsontiles.OpenDir("tweets", "", opts)
+func load(store jsontiles.BlockStore, opts jsontiles.Options) *jsontiles.Table {
+	tbl, err := jsontiles.OpenStore("tweets", store, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,10 +84,9 @@ func main() {
 	})
 
 	opts := jsontiles.DefaultOptions()
-	opts.Store = fake
-	load(opts).Close()
+	load(fake, opts).Close()
 
-	tbl, err := jsontiles.OpenDir("tweets", "", opts)
+	tbl, err := jsontiles.OpenStore("tweets", fake, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package jsontiles
 
 import (
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -572,25 +571,16 @@ func TestExplainAnalyzeRowsGolden(t *testing.T) {
 }
 
 // TestRowsBoxedOnlyAtTheResultBoundary: a Scan → HashJoin → GroupBy →
-// top-K plan over segment files boxes its result rows, nothing else
+// top-K plan over persisted tables boxes its result rows, nothing else
 // (the top-K keeps column vectors) — and answers the same when the
 // build side is replayed from boxed rows.
 func TestRowsBoxedOnlyAtTheResultBoundary(t *testing.T) {
-	dir := t.TempDir()
 	open := func(name string, docs [][]byte) *Table {
 		mem, err := Load(name, docs, opts())
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(dir, name+".seg")
-		if err := mem.WriteSegment(path); err != nil {
-			t.Fatal(err)
-		}
-		seg, err := OpenSegment(name, path, opts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { seg.Close() })
+		seg, _ := persist(t, mem, opts())
 		return seg
 	}
 	users, orders := open("users", usersDocs(20)), open("orders", ordersDocs(400))

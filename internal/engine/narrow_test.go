@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/blockstore"
-	"repro/internal/bufpool"
 	"repro/internal/dates"
 	"repro/internal/expr"
 	"repro/internal/keypath"
@@ -72,8 +71,8 @@ func narrowAccesses() []storage.Access {
 	}
 }
 
-// narrowRelations loads the same documents as in-memory tiles, as one
-// segment file, and as a multi-segment DirTable.
+// narrowRelations loads the same documents as in-memory tiles, as a
+// one-segment DirTable, and as a multi-segment DirTable.
 func narrowRelations(t *testing.T, lines [][]byte) map[string]storage.Relation {
 	t.Helper()
 	cfg := storage.DefaultLoaderConfig()
@@ -87,27 +86,28 @@ func narrowRelations(t *testing.T, lines [][]byte) map[string]storage.Relation {
 		return rel
 	}
 	mem := load(lines)
-	store := blockstore.NewMem()
-	if err := storage.WriteSegmentStore(store, "narrow.seg", mem); err != nil {
-		t.Fatal(err)
-	}
-	seg, err := storage.OpenSegmentStore("narrow", store, "narrow.seg", 0, bufpool.New(0), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { seg.Close() })
-	dir, err := storage.OpenDirStore("narrow", blockstore.NewMem(), bufpool.New(0), cfg, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dir.Close() })
+	var parts []storage.Relation
 	for lo := 0; lo < len(lines); lo += 150 {
-		part := load(lines[lo:min(lo+150, len(lines))])
-		if err := dir.AppendTiles(part.(storage.TileIntrospector).Tiles(), part.Stats()); err != nil {
+		parts = append(parts, load(lines[lo:min(lo+150, len(lines))]))
+	}
+	return map[string]storage.Relation{"tiles": mem, "segment": memDir(t, cfg, mem), "dirtable": memDir(t, cfg, parts...)}
+}
+
+// memDir opens a DirTable on a fresh in-memory store and appends each
+// tile-backed relation to it as one segment; it closes with the test.
+func memDir(t *testing.T, cfg storage.LoaderConfig, rels ...storage.Relation) *storage.DirTable {
+	t.Helper()
+	dt, err := storage.OpenDirStore(rels[0].Name(), blockstore.NewMem(), nil, cfg, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dt.Close() })
+	for _, rel := range rels {
+		if err := dt.AppendTiles(rel.(storage.TileIntrospector).Tiles(), rel.Stats()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return map[string]storage.Relation{"tiles": mem, "segment": seg, "dirtable": dir}
+	return dt
 }
 
 type scanCounts struct{ rows, scanned, skipped, fallbacks, narrowed int64 }

@@ -119,9 +119,5 @@ func mix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// HashString exposes the sketch's string hash so callers hashing other
-// payload shapes (e.g. float bit patterns) stay consistent.
-func HashString(v string) uint64 { return hashString(v) }
-
 // HashUint64 hashes an integer payload.
 func HashUint64(v uint64) uint64 { return mix(v ^ 0xA24BAED4963EE407) }

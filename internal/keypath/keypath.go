@@ -118,9 +118,6 @@ func (p Path) Slot(i int) Path {
 	return Path{Segs: segs}
 }
 
-// Depth returns the nesting level (number of segments).
-func (p Path) Depth() int { return len(p.Segs) }
-
 // Encode renders the canonical string form: array slots as "[i]",
 // object keys separated from a *preceding key segment* by '.' (no dot
 // after an index segment or at the start). '.', '[', ']' and '\'

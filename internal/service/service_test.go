@@ -7,17 +7,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 	"unicode/utf8"
 
 	jsontiles "repro"
-	"repro/internal/blockstore"
 	"repro/internal/bufpool"
 	"repro/internal/keypath"
+	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/segment"
 )
@@ -238,59 +236,82 @@ func TestQueryEndpointErrors(t *testing.T) {
 }
 
 // TestUnreadableBlockAnswers500: a query that reads a block failing
-// its checksum answers 500 with no row lines, and a clean table on the
-// same server still answers 200.
+// its checksum, a column or the documents, answers 500 with no row
+// lines, and a clean table on the same server still answers 200.
 func TestUnreadableBlockAnswers500(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{})
 	mem, err := jsontiles.Load("bad", testDocs(400), testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.seg")
-	if err := mem.WriteSegment(path); err != nil {
-		t.Fatal(err)
-	}
-	fsStore, err := blockstore.NewFS(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := segment.OpenStore(fsStore, "bad.seg", bufpool.New(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm := r.Tile(1)
-	ref := tm.Columns[tm.ColumnsForPath(keypath.NewPath("stars").Encode())[0]].Block
-	r.Close()
-	blockstore.Close(fsStore)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[ref.Off] ^= 0xFF
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	seg, err := jsontiles.OpenSegment("bad", path, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg.Close()
-	s.Register("bad", seg)
-
-	status, _, body := postQuery(t, ts.URL, "", `{"table": "bad", "select": ["data->>'stars'::BigInt"]}`)
-	if status != http.StatusInternalServerError || !strings.Contains(body, "unreadable") {
-		t.Errorf("corrupt table: status %d, want 500 naming the unreadable block:\n%s", status, body)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
-		if !strings.HasPrefix(line, `{"error"`) {
-			t.Errorf("corrupt table: response holds a line other than the error: %s", line)
+	stars := keypath.NewPath("stars").Encode()
+	for _, c := range []struct {
+		name, sel string
+		pick      func(*segment.TileMeta) segment.BlockRef
+	}{
+		{"column", "data->>'stars'::BigInt", func(tm *segment.TileMeta) segment.BlockRef {
+			return tm.Columns[tm.ColumnsForPath(stars)[0]].Block
+		}},
+		{"docs", "data->'stars'", func(tm *segment.TileMeta) segment.BlockRef { return tm.Docs }},
+	} {
+		bad := corruptTable(t, mem, c.pick)
+		s.Register("bad", bad)
+		status, _, body := postQuery(t, ts.URL, "", fmt.Sprintf(`{"table": "bad", "select": [%q]}`, c.sel))
+		if status != http.StatusInternalServerError || !strings.Contains(body, "unreadable") {
+			t.Errorf("%s: corrupt table: status %d, want 500 naming the unreadable block:\n%s", c.name, status, body)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+			if !strings.HasPrefix(line, `{"error"`) {
+				t.Errorf("%s: corrupt table: response holds a line other than the error: %s", c.name, line)
+			}
 		}
 	}
-	status, _, body = postQuery(t, ts.URL, "", `{"table": "reviews", "select": ["data->>'stars'::BigInt"]}`)
+	status, _, body := postQuery(t, ts.URL, "", `{"table": "reviews", "select": ["data->>'stars'::BigInt"]}`)
 	if _, _, rows := ndjsonRows(t, body); status != http.StatusOK || len(rows) != 400 {
 		t.Errorf("clean table: status %d with %d rows, want 200 with 400", status, len(rows))
 	}
+}
+
+// corruptTable appends mem, as one segment, to a table in a fresh
+// MemStore, flips one byte of the block pick chooses from tile 1's
+// footer record, and reopens the table; it closes with the test.
+func corruptTable(t *testing.T, mem *jsontiles.Table, pick func(*segment.TileMeta) segment.BlockRef) *jsontiles.Table {
+	t.Helper()
+	store := jsontiles.NewMemStore()
+	w, err := jsontiles.OpenStore(mem.Name(), store, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendTable(mem); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	file := manifest.SegmentFileName(0)
+	r, err := segment.OpenStore(store, file, bufpool.New(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := pick(r.Tile(1))
+	r.Close()
+	size, err := store.Size(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := store.ReadRange(file, 0, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = append([]byte(nil), raw...)
+	raw[ref.Off] ^= 0xFF
+	if err := store.Put(file, raw); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := jsontiles.OpenStore(mem.Name(), store, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bad.Close() })
+	return bad
 }
 
 // TestAdmissionRejections drives the queue deterministically by

@@ -35,7 +35,7 @@ func BenchmarkWarmScanMixedTiles(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rel := memSegment(b, mem, cfg)
+	rel := memDir(b, cfg, mem)
 	accesses := []Access{
 		NewAccess(expr.TBigInt, "o_orderkey"),
 		NewAccess(expr.TBigInt, "o_custkey"),

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/blockstore"
 	"repro/internal/expr"
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
@@ -51,8 +50,8 @@ func castCorpus(text string) ([][]byte, LoaderConfig) {
 }
 
 // castRelations loads docs in every format the cast test compares with
-// raw JSON, keyed by label: each loader's format, the Tiles relation
-// reopened as a segment, and as a DirTable.
+// raw JSON, keyed by label: each loader's format and the Tiles relation
+// persisted as a DirTable.
 func castRelations(t *testing.T, docs [][]byte, cfg LoaderConfig) map[string]Relation {
 	t.Helper()
 	rels := map[string]Relation{}
@@ -64,17 +63,7 @@ func castRelations(t *testing.T, docs [][]byte, cfg LoaderConfig) map[string]Rel
 		}
 		rels[string(k)] = rel
 	}
-	tiles := rels[string(KindTiles)]
-	rels["Segment"] = memSegment(t, tiles, cfg)
-	dt, err := OpenDirStore("dir", blockstore.NewMem(), nil, cfg, 4, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dt.Close() })
-	if err := dt.AppendTiles(tiles.(TileIntrospector).Tiles(), tiles.Stats()); err != nil {
-		t.Fatal(err)
-	}
-	rels["DirTable"] = dt
+	rels["DirTable"] = memDir(t, cfg, rels[string(KindTiles)])
 	return rels
 }
 

@@ -6,7 +6,7 @@ import "repro/internal/stats"
 // path appends freshly materialized partitions to the existing tiles.
 // Both must be in-memory Tiles relations (tiles are independent
 // chunks; statistics re-aggregate). Directory tables append through
-// DirTable.AppendTiles; a single segment is immutable.
+// DirTable.AppendTiles.
 func Concat(name string, a, b Relation) Relation {
 	ta, tb := a.(*tilesRelation), b.(*tilesRelation)
 	merged := &tilesRelation{name: name, cfg: ta.cfg, metrics: ta.metrics,

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/blockstore"
-	"repro/internal/bufpool"
 	"repro/internal/expr"
 	"repro/internal/jsonb"
 	"repro/internal/jsongen"
@@ -105,38 +104,49 @@ func TestConformanceRandomDocsAllFormats(t *testing.T) {
 			}
 			verifyConformance(t, trial, string(k), rel, accesses, truthSet)
 
-			// The Tiles relation additionally round-trips through a
-			// segment file: the reopened disk-backed relation must pass
-			// the identical row and batch checks.
+			// The Tiles format additionally persists as a directory
+			// table of two segments of unequal tile counts, so the
+			// scan's tile offsets across segments are checked too: the
+			// table must pass the identical row and batch checks.
 			if k != KindTiles {
 				continue
 			}
-			srel := memSegment(t, rel, cfg)
-			verifyConformance(t, trial, "Segment", srel, accesses, truthSet)
+			split := nDocs/4 + 1
+			head, err := l.Load("conf", lines[:split], 2)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			tail, err := l.Load("conf", lines[split:], 2)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			dt := memDir(t, cfg, head, tail)
+			verifyConformance(t, trial, "DirTable", dt, accesses, truthSet)
 			var st obs.ScanStats
-			batchMultisetStats(srel, accesses, 2, &st)
+			batchMultisetStats(dt, accesses, 2, &st)
 			if err := st.Err(); err != nil {
-				t.Fatalf("trial %d segment scan error: %v", trial, err)
+				t.Fatalf("trial %d directory table scan error: %v", trial, err)
 			}
 		}
 	}
 }
 
-// memSegment writes a tile-backed relation as a segment object of a
-// fresh in-memory store and reopens it as a disk-backed relation,
-// closed with the test.
-func memSegment(t testing.TB, rel Relation, cfg LoaderConfig) *segRelation {
+// memDir opens a directory table on a fresh in-memory store and
+// appends each tile-backed relation to it as one segment, in order.
+// The table never compacts and closes with the test.
+func memDir(t testing.TB, cfg LoaderConfig, rels ...Relation) *DirTable {
 	t.Helper()
-	store := blockstore.NewMem()
-	if err := WriteSegmentStore(store, "t.seg", rel); err != nil {
-		t.Fatalf("segment write: %v", err)
-	}
-	srel, err := OpenSegmentStore(rel.Name(), store, "t.seg", 0, bufpool.New(0), cfg)
+	dt, err := OpenDirStore(rels[0].Name(), blockstore.NewMem(), nil, cfg, 0, false)
 	if err != nil {
-		t.Fatalf("segment open: %v", err)
+		t.Fatalf("directory table open: %v", err)
 	}
-	t.Cleanup(func() { srel.Close() })
-	return srel
+	t.Cleanup(func() { dt.Close() })
+	for _, rel := range rels {
+		if err := dt.AppendTiles(rel.(TileIntrospector).Tiles(), rel.Stats()); err != nil {
+			t.Fatalf("segment append: %v", err)
+		}
+	}
+	return dt
 }
 
 // verifyConformance checks one relation's row-at-a-time scan — and,
@@ -298,13 +308,13 @@ func TestConformanceDictColumns(t *testing.T) {
 	}
 	verifyConformance(t, 0, "DictTiles", rel, accesses, truthSet)
 
-	// Segment round trip: dictionaries persist as separate blocks.
-	srel := memSegment(t, rel, cfg)
-	verifyConformance(t, 0, "DictSegment", srel, accesses, truthSet)
+	// Persisted round trip: dictionaries persist as separate blocks.
+	dt := memDir(t, cfg, rel)
+	verifyConformance(t, 0, "DictDirTable", dt, accesses, truthSet)
 	var st obs.ScanStats
-	batchMultisetStats(srel, accesses, 2, &st)
+	batchMultisetStats(dt, accesses, 2, &st)
 	if err := st.Err(); err != nil {
-		t.Fatalf("dict segment scan error: %v", err)
+		t.Fatalf("dict directory table scan error: %v", err)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/blockstore"
-	"repro/internal/bufpool"
 	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/segment"
@@ -170,7 +169,7 @@ func TestScanFaultStopsTheScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	file := built.segs[0].file
-	tm := built.segs[0].rel.r.Tile(bad)
+	tm := built.segs[0].r.Tile(bad)
 	ref := tm.Columns[tm.ColumnsForPath(idAccess[0].PathEnc)[0]].Block
 	built.Close()
 	size, err := mem.Size(file)
@@ -188,19 +187,19 @@ func TestScanFaultStopsTheScan(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		seg, err := OpenSegmentStore("t", mem, file, 0, bufpool.New(0), cfg)
+		local, err := OpenDirStore("t", mem, nil, cfg, 4, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dt, err := OpenDirStore("t", blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: time.Millisecond}), nil, cfg, 4, false)
+		remote, err := OpenDirStore("t", blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: time.Millisecond}), nil, cfg, 4, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rel := range []BatchScanner{seg, dt} {
-			label := fmt.Sprintf("%T workers=%d", rel, workers)
+		for i, dt := range []*DirTable{local, remote} {
+			label := fmt.Sprintf("%s workers=%d", []string{"local", "remote"}[i], workers)
 			var st obs.ScanStats
 			var rows atomic.Int64
-			rel.ScanBatches(context.Background(), idAccess, workers, func(_ int, b *vec.Batch) { rows.Add(int64(b.Rows())) }, &st)
+			dt.ScanBatches(context.Background(), idAccess, workers, func(_ int, b *vec.Batch) { rows.Add(int64(b.Rows())) }, &st)
 			if err := st.Err(); !errors.Is(err, segment.ErrCorrupt) {
 				t.Errorf("%s: sink error %v, want a corrupt block", label, err)
 			}
@@ -212,11 +211,11 @@ func TestScanFaultStopsTheScan(t *testing.T) {
 				t.Errorf("%s: %d tiles scanned, %d prefetch hits; want %d, and the window ahead of the fault",
 					label, c.TilesScanned, c.StorePrefetchHits, bad+1)
 			}
+			if err := dt.Err(); !errors.Is(err, segment.ErrCorrupt) {
+				t.Errorf("%s: DirTable.Err = %v, want the scan's error", label, err)
+			}
 		}
-		if err := dt.Err(); !errors.Is(err, segment.ErrCorrupt) {
-			t.Errorf("workers=%d: DirTable.Err = %v, want the scan's error", workers, err)
-		}
-		seg.Close()
-		dt.Close()
+		local.Close()
+		remote.Close()
 	}
 }

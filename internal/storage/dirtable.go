@@ -25,8 +25,7 @@ import (
 // O(new data), never a table rewrite — and a size-tiered compactor
 // folds accumulated small segments into larger ones in the
 // background. Queries scan the union of the live segments through
-// the shared scan core, so per-segment zone-map and bloom skipping
-// work exactly as they do for a single segment.
+// the shared scan core, with per-segment zone-map and bloom skipping.
 //
 // Concurrency follows an epoch scheme: every scan pins the segment
 // list it starts with (per-segment refcounts), so compaction can
@@ -37,7 +36,6 @@ type DirTable struct {
 	name    string
 	store   blockstore.Store
 	pool    *bufpool.Pool
-	cfg     LoaderConfig
 	scancfg scanConfig
 	fanIn   int  // segments merged per compaction round (≥2)
 	auto    bool // compact in the background after appends
@@ -73,18 +71,10 @@ type DirTable struct {
 }
 
 var (
-	_ Relation       = (*DirTable)(nil)
-	_ StatsScanner   = (*DirTable)(nil)
-	_ TileCounter    = (*DirTable)(nil)
-	_ SegmentCounter = (*DirTable)(nil)
+	_ Relation     = (*DirTable)(nil)
+	_ StatsScanner = (*DirTable)(nil)
+	_ TileCounter  = (*DirTable)(nil)
 )
-
-// SegmentCounter is implemented by relations backed by a set of live
-// segment files; the planner surfaces the count as EXPLAIN ANALYZE's
-// segments_live figure.
-type SegmentCounter interface {
-	NumSegments() int
-}
 
 // liveSeg is one open segment of some table generation. refs counts
 // the table's own membership (1 while the segment is in the current
@@ -92,7 +82,7 @@ type SegmentCounter interface {
 // that drops refs to zero closes the reader and, if the segment was
 // compacted away, deletes its object.
 type liveSeg struct {
-	rel   *segRelation
+	r     *segment.Reader
 	store blockstore.Store
 	id    uint64
 	file  string // object name within the store
@@ -106,7 +96,7 @@ func (ls *liveSeg) retain() { ls.refs.Add(1) }
 
 func (ls *liveSeg) release() {
 	if ls.refs.Add(-1) == 0 {
-		ls.rel.Close()
+		ls.r.Close()
 		if ls.drop.Load() {
 			ls.store.Delete(ls.file)
 		}
@@ -163,7 +153,6 @@ func OpenDirStore(name string, store blockstore.Store, pool *bufpool.Pool, cfg L
 		name:    name,
 		store:   store,
 		pool:    pool,
-		cfg:     cfg,
 		scancfg: scanCfgOf(cfg),
 		fanIn:   fanIn,
 		auto:    auto,
@@ -172,7 +161,7 @@ func OpenDirStore(name string, store blockstore.Store, pool *bufpool.Pool, cfg L
 	}
 	// Every segment opens at once — the manifest names them and their
 	// sizes — so the table costs one more round trip, not two per segment.
-	rels := make([]*segRelation, len(man.Segments))
+	readers := make([]*segment.Reader, len(man.Segments))
 	errs := make([]error, len(man.Segments))
 	sem := make(chan struct{}, maxConcurrentOpens)
 	var wg sync.WaitGroup
@@ -181,21 +170,21 @@ func OpenDirStore(name string, store blockstore.Store, pool *bufpool.Pool, cfg L
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
-			rels[i], errs[i] = OpenSegmentStore(name, store, s.File, s.Bytes, pool, cfg)
+			readers[i], errs[i] = segment.OpenStoreSized(store, s.File, pool, s.Bytes)
 			<-sem
 		}()
 	}
 	wg.Wait()
 	for i, s := range man.Segments {
 		if errs[i] != nil {
-			for _, rel := range rels {
-				if rel != nil {
-					rel.Close()
+			for _, r := range readers {
+				if r != nil {
+					r.Close()
 				}
 			}
 			return nil, fmt.Errorf("segment %s: %w", s.File, errs[i])
 		}
-		ls := &liveSeg{rel: rels[i], store: store, id: s.ID, file: s.File, rows: s.Rows, bytes: s.Bytes}
+		ls := &liveSeg{r: readers[i], store: store, id: s.ID, file: s.File, rows: s.Rows, bytes: s.Bytes}
 		ls.refs.Store(1)
 		t.segs = append(t.segs, ls)
 	}
@@ -242,7 +231,7 @@ func (t *DirTable) NumTiles() int {
 	defer releaseSegs(segs)
 	total := 0
 	for _, ls := range segs {
-		total += ls.rel.NumTiles()
+		total += ls.r.NumTiles()
 	}
 	return total
 }
@@ -268,7 +257,7 @@ func (t *DirTable) Stats() *stats.TableStats {
 		merged := stats.New(0, 0)
 		segs := t.snapshot()
 		for _, ls := range segs {
-			merged.Merge(ls.rel.Stats())
+			merged.Merge(ls.r.Stats())
 		}
 		releaseSegs(segs)
 		t.statsCache = merged
@@ -322,37 +311,42 @@ func releaseSegs(segs []*liveSeg) {
 // segments: tile indexes are globalized across segments, so tile
 // parallelism and skip accounting span the whole table.
 type multiSource struct {
-	rels []*segRelation
-	offs []int // offs[i] = first global tile index of segment i; offs[len] = total
-	cfg  scanConfig
+	readers []*segment.Reader
+	offs    []int // offs[i] = first global tile index of segment i; offs[len] = total
+	pool    *bufpool.Pool
+	cfg     scanConfig
 }
 
-func newMultiSource(segs []*liveSeg, cfg scanConfig) *multiSource {
+func (t *DirTable) newMultiSource(segs []*liveSeg) *multiSource {
 	m := &multiSource{
-		rels: make([]*segRelation, len(segs)),
-		offs: make([]int, len(segs)+1),
-		cfg:  cfg,
+		readers: make([]*segment.Reader, len(segs)),
+		offs:    make([]int, len(segs)+1),
+		pool:    t.pool,
+		cfg:     t.scancfg,
 	}
 	for i, ls := range segs {
-		m.rels[i] = ls.rel
-		m.offs[i+1] = m.offs[i] + ls.rel.NumTiles()
+		m.readers[i] = ls.r
+		m.offs[i+1] = m.offs[i] + ls.r.NumTiles()
 	}
 	return m
 }
 
-func (m *multiSource) Pool() *bufpool.Pool    { return m.rels[0].pool } // shared by every segment
+func (m *multiSource) Pool() *bufpool.Pool    { return m.pool }
 func (m *multiSource) scanConfig() scanConfig { return m.cfg }
 
 func (m *multiSource) appendTileRows(dst []int) []int {
-	for _, r := range m.rels {
-		dst = r.appendTileRows(dst)
+	for _, r := range m.readers {
+		for ti := range r.NumTiles() {
+			dst = append(dst, r.Tile(ti).Rows)
+		}
 	}
 	return dst
 }
 
 func (m *multiSource) openScanTile(ti int, cnt *scanCounters) scanTile {
-	i := sort.Search(len(m.rels), func(i int) bool { return m.offs[i+1] > ti })
-	return m.rels[i].openScanTile(ti-m.offs[i], cnt)
+	i := sort.Search(len(m.readers), func(i int) bool { return m.offs[i+1] > ti })
+	ti -= m.offs[i]
+	return &segTileView{r: m.readers[i], ti: ti, meta: m.readers[i].Tile(ti), cnt: cnt}
 }
 
 // ScanWithStats implements StatsScanner by boxing the rows of the
@@ -371,7 +365,7 @@ func (t *DirTable) ScanWithStats(ctx context.Context, accesses []Access, workers
 func (t *DirTable) ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
 	segs := t.snapshot()
 	defer releaseSegs(segs)
-	if err := scanBatchesCore(ctx, newMultiSource(segs, t.scancfg), accesses, workers, emit, st); err != nil {
+	if err := scanBatchesCore(ctx, t.newMultiSource(segs), accesses, workers, emit, st); err != nil {
 		t.recordErr(err)
 	}
 	flushPoolCounters(t.pool, &t.evictions)
@@ -401,12 +395,12 @@ func (t *DirTable) AppendTiles(tiles []*tile.Tile, st *stats.TableStats) error {
 	if err != nil {
 		return err
 	}
-	rel, err := OpenSegmentStore(t.name, t.store, file, size, t.pool, t.cfg)
+	r, err := segment.OpenStoreSized(t.store, file, t.pool, size)
 	if err != nil {
 		t.store.Delete(file)
 		return err
 	}
-	ls := &liveSeg{rel: rel, store: t.store, id: id, file: file, rows: rel.NumRows(), bytes: int64(rel.SizeBytes())}
+	ls := &liveSeg{r: r, store: t.store, id: id, file: file, rows: r.NumRows(), bytes: size}
 	ls.refs.Store(1)
 
 	if err := t.commitGeneration(func(segs []*liveSeg) []*liveSeg {
@@ -415,7 +409,7 @@ func (t *DirTable) AppendTiles(tiles []*tile.Tile, st *stats.TableStats) error {
 		// Crash-equivalent state: the segment file exists but no
 		// generation references it. Recovery on the next open removes
 		// it; the current generation stays live and consistent.
-		rel.Close()
+		r.Close()
 		return err
 	}
 	obs.SegmentsLive.Add(1)
@@ -593,19 +587,19 @@ func (t *DirTable) compactOnce() (bool, error) {
 
 	readers := make([]*segment.Reader, len(group))
 	for i, ls := range group {
-		readers[i] = ls.rel.r
+		readers[i] = ls.r
 	}
 	file := manifest.SegmentFileName(id)
 	n, err := segment.MergeStore(t.store, file, readers)
 	if err != nil {
 		return false, err
 	}
-	rel, err := OpenSegmentStore(t.name, t.store, file, n, t.pool, t.cfg)
+	r, err := segment.OpenStoreSized(t.store, file, t.pool, n)
 	if err != nil {
 		t.store.Delete(file)
 		return false, err
 	}
-	merged := &liveSeg{rel: rel, store: t.store, id: id, file: file, rows: rel.NumRows(), bytes: int64(rel.SizeBytes())}
+	merged := &liveSeg{r: r, store: t.store, id: id, file: file, rows: r.NumRows(), bytes: n}
 	merged.refs.Store(1)
 
 	dead := make(map[*liveSeg]bool, len(group))
@@ -631,7 +625,7 @@ func (t *DirTable) compactOnce() (bool, error) {
 	}); err != nil {
 		// Failed publish: drop the merged output (it is unreferenced)
 		// and keep serving the sources.
-		rel.Close()
+		r.Close()
 		t.store.Delete(file)
 		return false, err
 	}

@@ -161,7 +161,7 @@ func TestDocWalkMatchesJSON(t *testing.T) {
 	if err := dt.AppendTiles(tiles, tilesRel.Stats()); err != nil {
 		t.Fatal(err)
 	}
-	rels := map[string]Relation{"tiles": tilesRel, "segment": memSegment(t, tilesRel, cfg), "dir": dt}
+	rels := map[string]Relation{"tiles": tilesRel, "dir": dt}
 
 	for name, accs := range walkAccessSets() {
 		var jsonSt obs.ScanStats

@@ -129,11 +129,11 @@ func (fw *fetchWindow) plan(ti int) *tileFetch {
 	if docs {
 		refs = append(refs, t.meta.Docs)
 	}
-	runs, bytes := t.rel.r.PlanFetch(refs)
+	runs, bytes := t.r.PlanFetch(refs)
 	if len(runs) == 0 {
 		return nil
 	}
-	return &tileFetch{done: make(chan struct{}), r: t.rel.r, runs: runs, bytes: bytes}
+	return &tileFetch{done: make(chan struct{}), r: t.r, runs: runs, bytes: bytes}
 }
 
 // advance issues fetches along the order until the window is full.

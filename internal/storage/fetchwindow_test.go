@@ -197,8 +197,8 @@ func TestFetchWindowBudgetsStoredBytes(t *testing.T) {
 	}
 	var stored, raw int64
 	for _, ls := range roomy.snapshot() {
-		for ti := 0; ti < ls.rel.r.NumTiles(); ti++ {
-			d := ls.rel.r.Tile(ti).Docs
+		for ti := 0; ti < ls.r.NumTiles(); ti++ {
+			d := ls.r.Tile(ti).Docs
 			stored, raw = stored+int64(d.StoredLen), raw+int64(d.RawLen)
 		}
 	}

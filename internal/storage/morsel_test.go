@@ -215,7 +215,7 @@ func batchMultisetStats(bs BatchScanner, accesses []Access, workers int, st *obs
 var conformanceWorkers = []int{1, 2, 3, 8}
 
 // TestMorselScanConformanceSkewedTiles: the skewed relation — and its
-// segment-file round trip — returns the identical row multiset for
+// directory-table round trip — returns the identical row multiset for
 // every worker count, on both the row and batch scan paths.
 func TestMorselScanConformanceSkewedTiles(t *testing.T) {
 	rel := skewedTilesRel(t)
@@ -236,12 +236,12 @@ func TestMorselScanConformanceSkewedTiles(t *testing.T) {
 	}
 	check("memory", rel)
 
-	srel := memSegment(t, rel, DefaultLoaderConfig())
-	check("segment", srel)
+	dt := memDir(t, DefaultLoaderConfig(), rel)
+	check("dir", dt)
 	var st obs.ScanStats
-	batchMultisetStats(srel, accesses, 2, &st)
+	batchMultisetStats(dt, accesses, 2, &st)
 	if err := st.Err(); err != nil {
-		t.Fatalf("segment scan error: %v", err)
+		t.Fatalf("directory table scan error: %v", err)
 	}
 }
 

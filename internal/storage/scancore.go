@@ -13,17 +13,17 @@ import (
 )
 
 // The scan core: the one tile scan loop shared by the in-memory tiles
-// relation and the disk-backed segment relation, and the batch loop of
+// relation and the disk-backed directory table, and the batch loop of
 // the formats without tiles (scanCells). Both tile formats present
 // their tiles through the scanTile view, so skip decisions, per-tile
 // access plans (§4.5), and the column-hit vs binary-JSON-fallback split
-// behave identically — a query over a reopened segment returns
+// behave identically — a query over a reopened table returns
 // byte-identical results to the in-memory path, with lazy block I/O as
 // the only difference. Every format narrows its batches with the same
 // per-access predicates (accessPreds).
 
 // scanTile is one tile as the scan loop sees it. *tile.Tile satisfies
-// it directly; the segment relation implements it with a lazy view
+// it directly; the directory table implements it with a lazy view
 // that fetches column and document blocks through the buffer pool on
 // first access, so unaccessed columns and skipped tiles cost no I/O.
 type scanTile interface {

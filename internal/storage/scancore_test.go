@@ -74,7 +74,7 @@ func TestTileScanFillsTypedVectors(t *testing.T) {
 	if err := dt.AppendTiles(tiles, tilesRel.Stats()); err != nil {
 		t.Fatal(err)
 	}
-	rels := map[string]Relation{"tiles": tilesRel, "segment": memSegment(t, tilesRel, cfg), "dir": dt}
+	rels := map[string]Relation{"tiles": tilesRel, "dir": dt}
 
 	types := []expr.SQLType{expr.TBigInt, expr.TFloat, expr.TText, expr.TBool, expr.TTimestamp, expr.TJSON}
 	kinds := []string{"document", "cast", "cast with docOnNull", "capped slot"}

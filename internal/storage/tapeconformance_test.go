@@ -115,13 +115,13 @@ func TestTapeMatchesTreeAllFormats(t *testing.T) {
 				if k != KindTiles {
 					continue
 				}
-				// Segment round trip of the tile relation.
-				srel := memSegment(t, rel, cfg)
-				verifyConformance(t, trial, "segment", srel, accesses, truthSet)
+				// Directory-table round trip of the tile relation.
+				dt := memDir(t, cfg, rel)
+				verifyConformance(t, trial, "dir", dt, accesses, truthSet)
 				var st obs.ScanStats
-				batchMultisetStats(srel, accesses, workers, &st)
+				batchMultisetStats(dt, accesses, workers, &st)
 				if err := st.Err(); err != nil {
-					t.Fatalf("trial %d segment scan: %v", trial, err)
+					t.Fatalf("trial %d directory table scan: %v", trial, err)
 				}
 			}
 		}

@@ -15,7 +15,7 @@ import (
 // of the tile's column, a BigInt column widened to Float in a typed
 // copy, an all-NULL vector, or a typed vector filled cell by cell from
 // the column or the binary JSON (boxed for ::JSON alone). The loop itself lives in the scan core
-// (scancore.go), shared with the disk-backed segment relation.
+// (scancore.go), shared with the disk-backed directory table.
 
 // zeroVec wraps a tile column's backing slices into a vector without
 // copying.

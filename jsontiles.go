@@ -60,10 +60,9 @@ type Options struct {
 	DetectDates bool
 	// Workers bounds loading and query parallelism (0 = all CPUs).
 	Workers int
-	// CacheBytes bounds the buffer pool of tables opened from segment
-	// files (OpenSegment) or table directories (OpenDir): blocks kept
-	// resident across queries, compressed until their first decode and
-	// decoded afterwards. 0 means the 64 MiB
+	// CacheBytes bounds the buffer pool of persisted tables (OpenDir,
+	// OpenStore): blocks kept resident across queries, compressed until
+	// their first decode and decoded afterwards. 0 means the 64 MiB
 	// default; in-memory tables ignore it.
 	CacheBytes int64
 	// CompactFanIn is how many same-size-tier segments a directory-
@@ -93,13 +92,6 @@ type Options struct {
 	// /metrics, /debug/queries, /debug/trace, and net/http/pprof.
 	// Equivalent to calling ServeDebug directly.
 	DebugAddr string
-	// Store, when non-nil, backs OpenDir and OpenSegment with this
-	// block store instead of the local filesystem: OpenDir treats it
-	// as the table's object namespace (the dir argument is ignored),
-	// OpenSegment treats its path argument as an object name within
-	// it. The caller keeps ownership — Close leaves the store open.
-	// See DESIGN.md §6.9 for the storage contract.
-	Store BlockStore
 }
 
 // withDefaults substitutes DefaultOptions for the tile-layout fields
@@ -118,7 +110,6 @@ func (o Options) withDefaults() Options {
 	def.SlowQueryThreshold = o.SlowQueryThreshold
 	def.SlowQueryLog = o.SlowQueryLog
 	def.DebugAddr = o.DebugAddr
-	def.Store = o.Store
 	return def
 }
 
@@ -165,7 +156,7 @@ type Table struct {
 	rel     storage.Relation
 	pending storage.ParsedBatch
 	metrics *tile.Metrics
-	store   BlockStore // built here from a path (OpenSegment, OpenDir); Close closes it
+	store   BlockStore // built here from a path (OpenDir); Close closes it
 }
 
 // Load parses and ingests a batch of JSON documents (one document per
@@ -235,16 +226,8 @@ func New(name string, opts Options) *Table {
 // tuples reaches the tile size"). The document is parsed now, once,
 // into the structural tape (DESIGN.md §6.8) its tile is later built
 // from; a malformed document, or one past the tape limits, is rejected
-// with the parser's error. A table opened with
-// OpenSegment is a read-only view of one immutable segment and rejects
-// inserts; tables that grow live in a directory (OpenDir), which takes
-// inserts and whole in-memory tables (AppendTable).
+// with the parser's error.
 func (t *Table) Insert(doc []byte) error {
-	switch t.rel.(type) {
-	case *storage.DirTable, storage.TileIntrospector:
-	default:
-		return fmt.Errorf("jsontiles: table %q was opened with OpenSegment and is read-only; append through a directory table instead (OpenDir, then Insert or AppendTable)", t.name)
-	}
 	if err := t.pending.Add(append([]byte(nil), doc...), t.metrics); err != nil {
 		return err
 	}
@@ -258,8 +241,7 @@ func (t *Table) Insert(doc []byte) error {
 // table the new tiles are concatenated onto the relation; on a
 // directory-backed table (OpenDir) they are persisted as one new
 // segment and committed to the manifest — work proportional to the
-// pending documents, independent of table size. A segment-opened
-// table never has pending documents: Insert rejects them.
+// pending documents, independent of table size.
 func (t *Table) Flush() error {
 	if t.pending.Len() == 0 {
 		return nil

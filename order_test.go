@@ -3,7 +3,6 @@ package jsontiles
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/engine"
@@ -37,7 +36,7 @@ func orderDocs(n int) [][]byte {
 // TestPlainScanOrderMatchesSortRows: a plain scan's result — collected
 // as column vectors and ordered by a permutation — lists the rows in
 // the order engine.Materialize + SortRows gives them, row for row, over
-// in-memory tiles, a segment file and a directory table behind a
+// in-memory tiles, a one-segment table and a directory table behind a
 // simulated object store, at one and three workers. Such a query boxes
 // no row.
 func TestPlainScanOrderMatchesSortRows(t *testing.T) {
@@ -50,15 +49,7 @@ func TestPlainScanOrderMatchesSortRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(t.TempDir(), "order.seg")
-		if err := mem.WriteSegment(path); err != nil {
-			t.Fatal(err)
-		}
-		seg, err := OpenSegment("seg", path, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer seg.Close()
+		seg, _ := persist(t, mem, o)
 		dir, err := OpenStore("dir", NewFakeS3Store(nil, FakeS3Options{}), o)
 		if err != nil {
 			t.Fatal(err)
@@ -66,8 +57,8 @@ func TestPlainScanOrderMatchesSortRows(t *testing.T) {
 		defer dir.Close()
 		flushBatches(t, dir, all, 3)
 
-		for _, tbl := range []*Table{mem, seg, dir} {
-			name := fmt.Sprintf("%s/workers=%d", tbl.Name(), workers)
+		for i, tbl := range []*Table{mem, seg, dir} {
+			name := fmt.Sprintf("%s/workers=%d", []string{"mem", "seg", "dir"}[i], workers)
 			accs := make([]storage.Access, len(exprs))
 			for i, e := range exprs {
 				accs[i] = exprparse.MustParse(e)

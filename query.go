@@ -355,8 +355,8 @@ func (q *Query) buildPlan(ctx context.Context, instrument bool, rec *planRecord)
 			if tc, ok := x.Rel.(storage.TileCounter); ok {
 				st.NumTiles = int64(tc.NumTiles())
 			}
-			if nc, ok := x.Rel.(storage.SegmentCounter); ok {
-				st.SegmentsLive = int64(nc.NumSegments())
+			if dt, ok := x.Rel.(*storage.DirTable); ok {
+				st.SegmentsLive = int64(dt.NumSegments())
 			}
 			x.Stats = st
 			rec.stats = append(rec.stats, st)

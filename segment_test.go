@@ -1,37 +1,46 @@
 package jsontiles
 
-// End-to-end acceptance tests for segment persistence: a reopened
-// segment answers queries byte-identically to the in-memory table it
-// was written from, skipped tiles and unaccessed columns incur zero
-// block I/O, and repeated queries hit the buffer pool.
+// End-to-end acceptance tests for segment persistence: an in-memory
+// table appended to a store-backed table and reopened answers queries
+// byte-identically to the table it was written from, skipped tiles and
+// unaccessed columns incur zero block I/O, and repeated queries hit
+// the buffer pool.
 
 import (
 	"context"
 	"errors"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/blockstore"
 	"repro/internal/bufpool"
 	"repro/internal/keypath"
+	"repro/internal/manifest"
 	"repro/internal/segment"
 )
 
-func writeReopen(t *testing.T, tbl *Table, o Options) *Table {
+// persist appends mem, as one segment, to a new table in a fresh
+// MemStore and returns the table reopened from that store, as a later
+// process would open it, along with the store. The reopened table
+// closes with the test.
+func persist(t testing.TB, mem *Table, o Options) (*Table, BlockStore) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "t.seg")
-	if err := tbl.WriteSegment(path); err != nil {
-		t.Fatal(err)
-	}
-	seg, err := OpenSegment(tbl.Name(), path, o)
+	store := NewMemStore()
+	w, err := OpenStore(mem.Name(), store, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { seg.Close() })
-	return seg
+	if err := w.AppendTable(mem); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := OpenStore(mem.Name(), store, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tbl.Close() })
+	return tbl, store
 }
 
 func TestSegmentRoundTripIdenticalResults(t *testing.T) {
@@ -40,7 +49,7 @@ func TestSegmentRoundTripIdenticalResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := writeReopen(t, mem, o)
+	seg, _ := persist(t, mem, o)
 	if seg.NumRows() != mem.NumRows() {
 		t.Fatalf("rows: segment %d, memory %d", seg.NumRows(), mem.NumRows())
 	}
@@ -98,7 +107,7 @@ func TestSegmentLazyBlockIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := writeReopen(t, mem, o)
+	seg, _ := persist(t, mem, o)
 
 	scanStats := func(q *Query) *ScanStats {
 		t.Helper()
@@ -166,78 +175,40 @@ func TestSegmentWriteFlushesPending(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seg := writeReopen(t, tbl, o)
+	seg, _ := persist(t, tbl, o)
 	if seg.NumRows() != 100 {
 		t.Fatalf("rows = %d, want 100 (pending inserts must be flushed)", seg.NumRows())
 	}
 }
 
-// A table opened with OpenSegment is a read-only view of one immutable
-// file: Insert fails naming the directory-table way to append, and the
-// table keeps answering from its segment, vectorized and with tile
-// skipping, exactly as before the attempt.
-func TestOpenSegmentIsReadOnly(t *testing.T) {
-	o := opts()
-	mem, err := Load("reviews", reviewDocs(3000), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg := writeReopen(t, mem, o)
-	err = seg.Insert(reviewDocs(1)[0])
-	if err == nil || !strings.Contains(err.Error(), "OpenDir") || !strings.Contains(err.Error(), "AppendTable") {
-		t.Fatalf("Insert on a segment-opened table = %v, want a read-only error naming OpenDir and AppendTable", err)
-	}
-	if err := seg.Flush(); err != nil {
-		t.Fatalf("Flush with nothing pending = %v", err)
-	}
-	if seg.NumRows() != 3000 {
-		t.Fatalf("rows = %d, want 3000", seg.NumRows())
-	}
-	res, qs, err := seg.Query("data->>'stars'::BigInt").WhereNotNull(0).RunAnalyzed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := mem.Query("data->>'stars'::BigInt").WhereNotNull(0).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumRows() != want.NumRows() {
-		t.Fatalf("rows = %d, want %d", res.NumRows(), want.NumRows())
-	}
-	if plan := qs.Plan.String(); !strings.Contains(plan, "[vectorized]") || !strings.Contains(plan, "skipped") {
-		t.Fatalf("plan lost the segment scan:\n%s", plan)
-	}
-}
-
-// corruptSegment writes mem as a segment file, flips one byte of the
-// block pick chooses from tile 1's footer record, and reopens the file.
+// corruptSegment persists mem as a one-segment table, flips one byte
+// of the block pick chooses from tile 1's footer record in the segment
+// object, and reopens the table.
 func corruptSegment(t *testing.T, mem *Table, o Options, pick func(*segment.TileMeta) segment.BlockRef) *Table {
 	t.Helper()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.seg")
-	if err := mem.WriteSegment(path); err != nil {
-		t.Fatal(err)
-	}
-	fsStore, err := blockstore.NewFS(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := segment.OpenStore(fsStore, "t.seg", bufpool.New(0))
+	tbl, store := persist(t, mem, o)
+	tbl.Close()
+	file := manifest.SegmentFileName(0)
+	r, err := segment.OpenStore(store, file, bufpool.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := pick(r.Tile(1))
 	r.Close()
-	blockstore.Close(fsStore)
-	raw, err := os.ReadFile(path)
+	size, err := store.Size(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[ref.Off] ^= 0xFF
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	raw, err := store.ReadRange(file, 0, size)
+	if err != nil {
 		t.Fatal(err)
 	}
-	seg, err := OpenSegment(mem.Name(), path, o)
+	raw = append([]byte(nil), raw...)
+	raw[ref.Off] ^= 0xFF
+	if err := store.Put(file, raw); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := OpenStore(mem.Name(), store, o)
 	if err != nil {
 		t.Fatalf("open after data-block corruption should succeed: %v", err)
 	}
@@ -288,29 +259,25 @@ func TestSegmentCorruptBlockFailsTheQuery(t *testing.T) {
 	}
 }
 
-func TestOpenSegmentErrors(t *testing.T) {
-	if _, err := OpenSegment("x", filepath.Join(t.TempDir(), "missing.seg"), opts()); err == nil {
-		t.Error("opening a missing file should fail")
-	}
-	junk := filepath.Join(t.TempDir(), "junk.seg")
-	if err := os.WriteFile(junk, []byte("this is not a segment file at all"), 0o644); err != nil {
+// TestOpenStoreJunkSegment: a manifest naming a segment object that
+// holds junk fails the open with an error naming that segment.
+func TestOpenStoreJunkSegment(t *testing.T) {
+	mem, err := Load("reviews", reviewDocs(100), opts())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSegment("x", junk, opts()); err == nil {
-		t.Error("opening junk should fail")
+	_, store := persist(t, mem, opts())
+	file := manifest.SegmentFileName(0)
+	if err := store.Put(file, []byte("this is not a segment file at all")); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// Opening a missing segment fails with fs.ErrNotExist and creates
-// nothing along the missing path.
-func TestOpenSegmentMissingCreatesNothing(t *testing.T) {
-	root := t.TempDir()
-	_, err := OpenSegment("t", filepath.Join(root, "no", "such", "dir", "t.seg"), opts())
-	if !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("OpenSegment of a missing path = %v, want fs.ErrNotExist", err)
+	tbl, err := OpenStore("reviews", store, opts())
+	if err == nil {
+		tbl.Close()
+		t.Fatal("opening a table whose segment holds junk should fail")
 	}
-	if _, err := os.Stat(filepath.Join(root, "no")); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("the failed open left %s behind (stat: %v)", filepath.Join(root, "no"), err)
+	if !strings.Contains(err.Error(), "segment "+file+":") {
+		t.Errorf("open error %q does not name segment %s", err, file)
 	}
 }
 
