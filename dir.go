@@ -17,7 +17,7 @@ import (
 
 // OpenDir opens (or creates) a multi-segment table rooted at dir.
 // The directory holds one segment file per flush plus a MANIFEST
-// cataloguing the live segments; recovery runs on open, removing
+// cataloguing the live segments; the table's first write removes
 // half-written temporaries and segment files whose manifest commit
 // never happened (a crash between segment write and manifest rename
 // leaves exactly such a file). Queries scan the union of live

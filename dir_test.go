@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/blockstore"
 	"repro/internal/manifest"
+	"repro/internal/obs"
 )
 
 func dirOpts() Options {
@@ -225,21 +226,31 @@ func TestDirCrashRecoveryEndToEnd(t *testing.T) {
 			t.Fatalf("query %d differs after recovery:\npre-crash:\n%s\nrecovered:\n%s", i, want[i], got[i])
 		}
 	}
-	if files := segFiles(); len(files) != 2 {
-		t.Fatalf("segment files after recovery = %v, want the 2 live ones", files)
+	// The open reads only the manifest: it deletes nothing.
+	if files := segFiles(); len(files) != 3 {
+		t.Fatalf("segment files after reopen = %v, want 2 live + 1 orphan", files)
 	}
 
-	// The lost batch can simply be flushed again.
+	// The lost batch can simply be flushed again. The first flush
+	// collects the orphan before it writes: its segment takes the
+	// orphan's id, allocated but never committed.
 	for _, d := range all[200:] {
 		if err := tbl2.Insert(d); err != nil {
 			t.Fatal(err)
 		}
 	}
+	recoveries := obs.ManifestRecoveries.Load()
 	if err := tbl2.Flush(); err != nil {
 		t.Fatalf("re-flush after recovery: %v", err)
 	}
 	if tbl2.NumRows() != 400 {
 		t.Fatalf("NumRows after re-flush = %d, want 400", tbl2.NumRows())
+	}
+	if got := obs.ManifestRecoveries.Load() - recoveries; got != 1 {
+		t.Errorf("manifest_recoveries rose by %d over the first commit, want 1", got)
+	}
+	if files := segFiles(); len(files) != 3 {
+		t.Fatalf("segment files after the first commit = %v, want the 3 live ones", files)
 	}
 }
 

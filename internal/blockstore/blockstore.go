@@ -15,7 +15,7 @@
 //     nil error means the object survives a crash.
 //   - Read-after-commit visibility: an object is readable by name the
 //     moment Put returns. Nothing is promised about objects whose Put
-//     never returned — recovery deletes them.
+//     never returned — the writer's orphan collection deletes them.
 //   - ReadRange(name, off, n) returns exactly n bytes or an error; a
 //     range past the object's end is a short read, reported as an
 //     error wrapping io.ErrUnexpectedEOF with the name and range.
@@ -77,8 +77,8 @@ func countRead(n int64) {
 
 // Rename is the atomic-commit step of FS.Put. Tests inject a failing
 // hook here to simulate a crash between writing an object's temporary
-// and publishing it — the window the manifest recovery protocol
-// exists for. Production code never touches it.
+// and publishing it — the window orphan collection exists for.
+// Production code never touches it.
 var Rename = os.Rename
 
 // DefaultReadAttempts bounds ReadRangeRetry: the initial read plus up

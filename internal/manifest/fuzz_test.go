@@ -16,6 +16,11 @@ func FuzzManifest(f *testing.F) {
 	enc := testManifest().Encode()
 	f.Add(enc[:len(enc)-3])
 	f.Add(append([]byte("JTMAN001 0000000000000000\n"), []byte("{}")...))
+	// Entries carrying a tile index, beside one written before indexes.
+	withIndex := testManifest()
+	withIndex.Segments[0].Index = bytes.Repeat([]byte{0xA5, 0x00, 0x7F}, 40)
+	f.Add(withIndex.Encode())
+	f.Add((&Manifest{Version: 2, NextID: 1, Segments: []Segment{{File: SegmentFileName(0), Index: []byte{}}}}).Encode())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)

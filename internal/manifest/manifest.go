@@ -1,10 +1,10 @@
 // Package manifest implements the versioned segment catalog of a
 // multi-segment table. The manifest is the single commit point of the
 // store: a segment object only becomes visible — and only survives
-// recovery — once a manifest generation referencing it has been
-// atomically published. Everything else in the store (half-written
+// orphan collection — once a manifest generation referencing it has
+// been atomically published. Everything else in the store (half-written
 // temporaries, segments whose commit never happened) is garbage that
-// recovery removes on open.
+// the store's writer collects before its first segment write.
 //
 // A manifest is one small text object:
 //
@@ -56,6 +56,9 @@ type Segment struct {
 	// planning-time summaries need no file access.
 	Rows  int   `json:"rows"`
 	Bytes int64 `json:"bytes"`
+	// Index is the segment's tile index (segment.Reader.Index), opaque
+	// here; manifests written before tile indexes have none.
+	Index []byte `json:"index,omitempty"`
 }
 
 // Manifest is one committed generation of a table directory: which
@@ -76,7 +79,7 @@ func SegmentFileName(id uint64) string {
 }
 
 // IsSegmentFileName reports whether name looks like a segment file —
-// the shape recovery considers for orphan collection.
+// the shape CollectOrphans considers.
 func IsSegmentFileName(name string) bool {
 	return strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segSuffix)
 }
@@ -167,33 +170,17 @@ func LoadStore(s blockstore.Store) (*Manifest, error) {
 	return Decode(b)
 }
 
-// RecoverStore loads the store's committed generation (an empty first
-// generation when it holds none), then deletes every object the
-// generation does not reference — temporaries from interrupted writes
-// and segment objects whose manifest commit never happened — and
-// returns how many it removed. Objects that are neither temporaries
-// nor segment-shaped are left alone. The listing is
-// requested beside the manifest's Size+read, not after them; recovery
-// assumes no other process commits while it runs (DESIGN.md §6.9), and
-// a listing taken earlier can only name fewer objects to delete.
-func RecoverStore(s blockstore.Store) (*Manifest, int, error) {
-	var names []string
-	var listErr error
-	listed := make(chan struct{})
-	go func() {
-		defer close(listed)
-		names, listErr = s.List()
-	}()
-	m, err := LoadStore(s)
-	<-listed
+// CollectOrphans deletes every object of the store that generation m
+// does not reference — temporaries from interrupted writes and segment
+// objects whose manifest commit never happened — and returns how many
+// it removed. Objects that are neither temporaries nor segment-shaped
+// are left alone. Only the store's one writer may collect, before it
+// puts a segment of its own (DESIGN.md §6.9): an uncommitted segment
+// is indistinguishable from an orphan.
+func CollectOrphans(s blockstore.Store, m *Manifest) (int, error) {
+	names, err := s.List()
 	if err != nil {
-		return nil, 0, err
-	}
-	if listErr != nil {
-		return nil, 0, listErr
-	}
-	if m == nil {
-		m = &Manifest{Version: 0, NextID: 0}
+		return 0, err
 	}
 	live := make(map[string]bool, len(m.Segments))
 	for _, seg := range m.Segments {
@@ -211,5 +198,5 @@ func RecoverStore(s blockstore.Store) (*Manifest, int, error) {
 			removed++
 		}
 	}
-	return m, removed, nil
+	return removed, nil
 }

@@ -49,12 +49,12 @@ func TestRecoverStore(t *testing.T) {
 	s.Put("seg-000002.seg.tmp", []byte("torn"))
 	s.Put("notes.txt", []byte("keep"))
 
-	m, removed, err := RecoverStore(s)
+	removed, err := CollectOrphans(s, testManifest())
 	if err != nil {
-		t.Fatalf("RecoverStore: %v", err)
+		t.Fatalf("CollectOrphans: %v", err)
 	}
-	if m.Version != 3 || removed != 2 {
-		t.Fatalf("RecoverStore = version %d, removed %d; want 3, 2", m.Version, removed)
+	if removed != 2 {
+		t.Fatalf("CollectOrphans removed %d; want 2", removed)
 	}
 	names, _ := s.List()
 	want := []string{FileName, "notes.txt", SegmentFileName(1)}
@@ -69,35 +69,31 @@ func TestRecoverStore(t *testing.T) {
 }
 
 func TestRecoverStoreEmpty(t *testing.T) {
-	m, removed, err := RecoverStore(blockstore.NewMem())
-	if err != nil || removed != 0 {
-		t.Fatalf("RecoverStore: %d, %v", removed, err)
-	}
-	if m.Version != 0 || m.NextID != 0 || len(m.Segments) != 0 {
-		t.Fatalf("fresh manifest = %+v", m)
+	if removed, err := CollectOrphans(blockstore.NewMem(), &Manifest{}); err != nil || removed != 0 {
+		t.Fatalf("CollectOrphans: %d, %v", removed, err)
 	}
 }
 
-// TestRecoverStoreRoundTrips: the listing travels beside the
-// manifest's Size and read, so recovery over a clean store costs two
-// round trips for its three requests.
+// TestRecoverStoreRoundTrips: collecting over a clean store is one
+// List — it does not read the manifest, which its caller holds.
 func TestRecoverStoreRoundTrips(t *testing.T) {
 	const latency = 20 * time.Millisecond
 	mem := blockstore.NewMem()
 	if err := CommitStore(mem, testManifest()); err != nil {
 		t.Fatal(err)
 	}
+	mem.Put(SegmentFileName(1), []byte("live"))
 	fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: latency})
 	start := time.Now()
-	m, removed, err := RecoverStore(fake)
+	removed, err := CollectOrphans(fake, testManifest())
 	d := time.Since(start)
-	if err != nil || removed != 0 || m.Version != 3 {
-		t.Fatalf("RecoverStore = %+v, removed %d, %v", m, removed, err)
+	if err != nil || removed != 0 {
+		t.Fatalf("CollectOrphans = removed %d, %v", removed, err)
 	}
-	if got := fake.Requests(); got != 3 {
-		t.Errorf("recovery issued %d requests, want 3", got)
+	if got := fake.Requests(); got != 1 {
+		t.Errorf("collection issued %d requests, want 1", got)
 	}
-	if d >= 3*latency {
-		t.Errorf("recovery took %v, want two round trips (< %v)", d, 3*latency)
+	if d >= 2*latency {
+		t.Errorf("collection took %v, want one round trip (< %v)", d, 2*latency)
 	}
 }

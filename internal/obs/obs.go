@@ -454,9 +454,9 @@ var (
 	// files written by compaction — the write amplification spent to
 	// keep segment counts bounded.
 	CompactionBytesRewritten = Default.Counter("compaction_bytes_rewritten")
-	// ManifestRecoveries counts table-directory opens that had to
+	// ManifestRecoveries counts writers' first commits that had to
 	// garbage-collect leftovers of an interrupted commit (orphaned
-	// segments or half-written manifests).
+	// segments or half-written temporaries).
 	ManifestRecoveries = Default.Counter("manifest_recoveries")
 )
 
@@ -503,10 +503,8 @@ var (
 	// CompactionSeconds is the duration distribution of compaction
 	// rounds (merge + manifest publish).
 	CompactionSeconds = Default.Histogram("compaction_seconds", DurationBuckets)
-	// SegmentWriteSeconds and SegmentOpenSeconds time segment-file
-	// writes (flush, merge) and metadata-only opens.
+	// SegmentWriteSeconds times segment-file writes (flush, merge).
 	SegmentWriteSeconds = Default.Histogram("segment_write_seconds", DurationBuckets)
-	SegmentOpenSeconds  = Default.Histogram("segment_open_seconds", DurationBuckets)
 	// SegmentWriteBytes is the size distribution of written segments.
 	SegmentWriteBytes = Default.Histogram("segment_write_bytes", SizeBuckets)
 	// ManifestCommitSeconds times durable manifest commits

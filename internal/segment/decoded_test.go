@@ -211,7 +211,7 @@ func badLZ4Segment(t testing.TB) ([]byte, int) {
 	}
 	footerOff := binary.LittleEndian.Uint64(data[len(data)-TailSize:])
 	bw := blockWriter{base: footerOff}
-	tail := bw.footer(r.tiles, r.stats)
+	tail, _ := bw.footer(r.tiles, r.stats)
 	return append(append(data[:footerOff:footerOff], bw.buf...), tail...), dictCol
 }
 

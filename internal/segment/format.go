@@ -10,8 +10,8 @@
 // allows for an efficient scan... the metadata is stored separately
 // from the data"): everything a query needs *before* touching data —
 // tile skipping, column resolution, optimizer statistics — lives in
-// the footer, so opening a segment reads the header, the fixed-size
-// tail, and one footer block. Data blocks are then fetched lazily,
+// the footer, and its tile part also travels as the tile index a
+// table's manifest carries (OpenIndexed). Data blocks are fetched lazily,
 // only for the tiles that survive skipping and only for the columns
 // the query accesses.
 //
@@ -34,6 +34,7 @@
 package segment
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -153,71 +154,45 @@ func (tm *TileMeta) buildIndex() {
 	}
 }
 
-// footer is the decoded footer payload.
-type footer struct {
-	tiles []TileMeta
-	stats *stats.TableStats
-}
-
-// encodeFooter serializes tile metadata and relation statistics into
-// the (pre-compression) footer payload.
-func encodeFooter(tiles []TileMeta, st *stats.TableStats) []byte {
+// encodeTiles serializes tile metadata. The footer payload is these
+// bytes then the length-prefixed relation statistics; a segment's tile
+// index (Reader.Index) is the footer's block ref then these bytes.
+func encodeTiles(tiles []TileMeta) []byte {
 	var out []byte
-	var tmp [8]byte
-	pu32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(tmp[:4], v)
-		out = append(out, tmp[:4]...)
-	}
-	pu64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		out = append(out, tmp[:]...)
-	}
-	pref := func(r BlockRef) {
-		pu64(r.Off)
-		pu32(r.StoredLen)
-		pu32(r.RawLen)
-		out = append(out, r.Codec)
-		pu64(r.Sum)
+	pu32 := func(v uint32) { out = binary.LittleEndian.AppendUint32(out, v) }
+	pu64 := func(v uint64) { out = binary.LittleEndian.AppendUint64(out, v) }
+	flag := func(b bool) {
+		if b {
+			out = append(out, 1)
+		} else {
+			out = append(out, 0)
+		}
 	}
 
 	pu32(uint32(len(tiles)))
 	for i := range tiles {
 		tm := &tiles[i]
 		pu32(uint32(tm.Rows))
-		pref(tm.Docs)
+		out = appendRef(out, tm.Docs)
 		pu32(uint32(len(tm.Columns)))
 		for _, c := range tm.Columns {
 			pu32(uint32(len(c.Path)))
 			out = append(out, c.Path...)
 			out = append(out, byte(c.MinedType), byte(c.StorageType))
-			if c.HasTypeOutliers {
-				out = append(out, 1)
-			} else {
-				out = append(out, 0)
-			}
-			pref(c.Block)
-			if c.Zone.HasBounds {
-				out = append(out, 1)
-			} else {
-				out = append(out, 0)
-			}
+			flag(c.HasTypeOutliers)
+			out = appendRef(out, c.Block)
+			flag(c.Zone.HasBounds)
 			pu64(math.Float64bits(c.Zone.Min))
 			pu64(math.Float64bits(c.Zone.Max))
 			pu32(c.Zone.NullCount)
-			if c.HasDict {
-				out = append(out, 1)
-				pref(c.Dict)
-			} else {
-				out = append(out, 0)
+			if flag(c.HasDict); c.HasDict {
+				out = appendRef(out, c.Dict)
 			}
-			if c.Zone.HasStrBounds {
-				out = append(out, 1)
+			if flag(c.Zone.HasStrBounds); c.Zone.HasStrBounds {
 				pu32(uint32(len(c.Zone.MinStr)))
 				out = append(out, c.Zone.MinStr...)
 				pu32(uint32(len(c.Zone.MaxStr)))
 				out = append(out, c.Zone.MaxStr...)
-			} else {
-				out = append(out, 0)
 			}
 		}
 		bits := tm.seen.Bits()
@@ -227,22 +202,26 @@ func encodeFooter(tiles []TileMeta, st *stats.TableStats) []byte {
 			pu64(w)
 		}
 	}
-	sb := st.MarshalBinary()
-	pu32(uint32(len(sb)))
-	out = append(out, sb...)
 	return out
 }
 
-// decodeFooter parses a footer payload, validating every length field
-// against the remaining buffer so corrupt footers produce ErrCorrupt
+func appendRef(out []byte, r BlockRef) []byte {
+	out = binary.LittleEndian.AppendUint64(out, r.Off)
+	out = binary.LittleEndian.AppendUint32(out, r.StoredLen)
+	out = binary.LittleEndian.AppendUint32(out, r.RawLen)
+	out = append(out, r.Codec)
+	return binary.LittleEndian.AppendUint64(out, r.Sum)
+}
+
+// decodeTiles parses tile metadata, validating every length field
+// against the remaining buffer so corrupt metadata produces ErrCorrupt
 // instead of panics or unbounded allocations.
-func decodeFooter(b []byte, fileSize uint64) (*footer, error) {
-	d := &footerDecoder{b: b}
+func decodeTiles(d *footerDecoder, fileSize uint64) ([]TileMeta, error) {
 	nTiles := int(d.u32())
-	if d.err != nil || nTiles < 0 || nTiles > len(b) {
+	if d.err != nil || nTiles < 0 || nTiles > len(d.b) {
 		return nil, corruptf("implausible tile count %d", nTiles)
 	}
-	f := &footer{tiles: make([]TileMeta, 0, min(nTiles, 4096))}
+	tiles := make([]TileMeta, 0, min(nTiles, 4096))
 	for i := 0; i < nTiles; i++ {
 		var tm TileMeta
 		tm.Rows = int(d.u32())
@@ -300,21 +279,54 @@ func decodeFooter(b []byte, fileSize uint64) (*footer, error) {
 			return nil, fmt.Errorf("tile %d docs: %w", i, err)
 		}
 		tm.buildIndex()
-		f.tiles = append(f.tiles, tm)
+		tiles = append(tiles, tm)
 	}
+	return tiles, nil
+}
+
+// decodeIndex parses a tile index for an object of size bytes: the
+// footer's ref, which must lie between the header and the tail, then
+// the tile metadata, whose blocks must lie before the tail.
+func decodeIndex(b []byte, size int64) (BlockRef, []TileMeta, error) {
+	if size < int64(len(Magic))+TailSize {
+		return BlockRef{}, nil, corruptf("object of %d bytes is smaller than header plus tail", size)
+	}
+	d := &footerDecoder{b: b}
+	footer := d.ref() // a truncated ref fails decodeTiles if not checkRef
+	if err := checkRef(footer, uint64(size)-TailSize); err != nil {
+		return BlockRef{}, nil, fmt.Errorf("footer: %w", err)
+	}
+	tiles, err := decodeTiles(d, uint64(size)-TailSize)
+	if err != nil {
+		return BlockRef{}, nil, err
+	}
+	if len(d.b) != 0 {
+		return BlockRef{}, nil, corruptf("%d trailing tile-index bytes", len(d.b))
+	}
+	return footer, tiles, nil
+}
+
+// decodeStats parses the relation statistics that follow the tile
+// metadata in a footer payload, after checking that the payload opens
+// with exactly that metadata (the tile index a Reader was built from
+// must describe the segment it reads).
+func decodeStats(footer, tiles []byte) (*stats.TableStats, error) {
+	if !bytes.HasPrefix(footer, tiles) {
+		return nil, corruptf("footer does not match the tile index")
+	}
+	d := &footerDecoder{b: footer[len(tiles):]}
 	sb := d.bytes(int(d.u32()))
 	if d.err != nil {
 		return nil, corruptf("truncated statistics")
+	}
+	if len(d.b) != 0 {
+		return nil, corruptf("%d trailing footer bytes", len(d.b))
 	}
 	st, err := stats.UnmarshalBinary(sb)
 	if err != nil {
 		return nil, fmt.Errorf("%w: statistics: %v", ErrCorrupt, err)
 	}
-	f.stats = st
-	if len(d.b) != 0 {
-		return nil, corruptf("%d trailing footer bytes", len(d.b))
-	}
-	return f, nil
+	return st, nil
 }
 
 // checkRef rejects block refs that point outside the file or declare

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -124,8 +125,79 @@ func FuzzOpenSegment(f *testing.F) {
 				}
 			}
 		}
-		_ = r.Stats().RowCount()
+		st, _ := r.Stats()
+		_ = st.RowCount()
 		_ = r.NumRows()
+		// The index the open kept rebuilds the same tiles.
+		ir, err := OpenIndexed(store, "fuzz.seg", nil, r.FileSize(), r.Index())
+		if err != nil {
+			t.Fatalf("OpenIndexed over the open's own index: %v", err)
+		}
+		defer ir.Close()
+		if !reflect.DeepEqual(ir.tiles, r.tiles) {
+			t.Fatal("index-built tiles differ from the footer's")
+		}
+	})
+}
+
+// FuzzTileIndex: arbitrary bytes offered as a segment's tile index —
+// the manifest carries them, so they are as untrusted as the segment —
+// fail OpenIndexed with ErrCorrupt, never with a panic or an unbounded
+// allocation; an index that decodes has every block and the statistics
+// read or fail with an error.
+func FuzzTileIndex(f *testing.F) {
+	store := putSegment(f,
+		buildTile(f, `{"a":1,"b":"x"}`, `{"a":2,"b":"y"}`, `{"a":3}`),
+		buildDictTile(f, 96))
+	size, err := store.Size(testSeg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	indexOf := func(s blockstore.Store) []byte {
+		r, err := OpenStore(s, testSeg, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		defer r.Close()
+		return r.Index()
+	}
+	valid := indexOf(store)
+	f.Add(valid)
+	f.Add([]byte{})
+	f.Add(valid[:blockRefSize])
+	f.Add(valid[:len(valid)/2])
+	f.Add(valid[:len(valid)-1])
+	f.Add(append(append([]byte(nil), valid...), 0))
+	// Another segment's index: its refs fit this object, but neither its
+	// blocks' checksums nor its footer's tile metadata match.
+	f.Add(indexOf(putSegment(f, buildTile(f, `{"c":1.5,"d":true}`, `{"c":2.5}`))))
+	// The footer ref, the tile count, and the first tile's row count
+	// corrupted.
+	for _, at := range []int{0, blockRefSize, blockRefSize + 4} {
+		bad := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(bad[at:], 0xFFFFFFF0)
+		f.Add(bad)
+	}
+
+	f.Fuzz(func(t *testing.T, index []byte) {
+		r, err := OpenIndexed(store, testSeg, bufpool.New(1<<20), size, index)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("rejected with %v, want ErrCorrupt", err)
+			}
+			return
+		}
+		defer r.Close()
+		for ti := 0; ti < r.NumTiles(); ti++ {
+			_ = r.Tile(ti).MayContainPath("a")
+			r.Docs(ti)
+			for ci := range r.Tile(ti).Columns {
+				r.Column(ti, ci)
+			}
+		}
+		if st, err := r.Stats(); err == nil {
+			_ = st.RowCount()
+		}
 	})
 }
 

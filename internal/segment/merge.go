@@ -2,14 +2,17 @@ package segment
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/blockstore"
+	"repro/internal/bufpool"
 	"repro/internal/stats"
 )
 
 // MergeStore merges srcs into the store under name: the stream is
-// built in memory and atomically published with one Put. Returns the
-// object's size in bytes.
+// built in memory and atomically published with one Put. Returns a
+// Reader over the merged object, built as Write's is; pool is as for
+// OpenStore.
 //
 // The merged stream is the concatenation of srcs' tiles. Stored blocks
 // are copied verbatim — already-compressed, already-checksummed bytes
@@ -17,11 +20,8 @@ import (
 // I/O-bound on the inputs' physical size. The merged footer
 // concatenates the sources' tile metadata (with relocated block refs)
 // and carries the merged relation statistics.
-func MergeStore(store blockstore.Store, name string, srcs []*Reader) (int64, error) {
-	return putStream(store, name, func() ([]byte, error) { return merge(srcs) })
-}
-
-func merge(srcs []*Reader) ([]byte, error) {
+func MergeStore(store blockstore.Store, name string, srcs []*Reader, pool *bufpool.Pool) (*Reader, error) {
+	start := time.Now()
 	// The merged object is about as large as its sources together:
 	// the same data blocks, one header and tail fewer per extra source.
 	size := 0
@@ -42,9 +42,12 @@ func merge(srcs []*Reader) ([]byte, error) {
 
 	st := stats.New(0, 0)
 	var metas []TileMeta
-	var err error
 	for si, src := range srcs {
-		st.Merge(src.Stats())
+		sst, err := src.Stats()
+		if err != nil {
+			return nil, fmt.Errorf("source %d: %w", si, err)
+		}
+		st.Merge(sst)
 		for ti := range src.tiles {
 			tm := src.tiles[ti] // shallow copy; seen filter is shared read-only
 			tm.Columns = append([]ColumnMeta(nil), tm.Columns...)
@@ -66,6 +69,6 @@ func merge(srcs []*Reader) ([]byte, error) {
 		}
 	}
 
-	tail := bw.footer(metas, st)
-	return append(bw.buf, tail...), nil
+	tail, index := bw.footer(metas, st)
+	return publish(store, name, append(bw.buf, tail...), index, st, pool, start)
 }

@@ -1,7 +1,9 @@
 package segment
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/blockstore"
@@ -39,33 +41,41 @@ func TestMergeFiles(t *testing.T) {
 		readers = append(readers, r)
 	}
 
-	n, err := MergeStore(store, "merged.seg", readers)
+	mr, err := MergeStore(store, "merged.seg", readers, pool)
 	if err != nil {
 		t.Fatalf("MergeStore: %v", err)
 	}
+	defer mr.Close()
 	size, err := store.Size("merged.seg")
 	if err != nil {
 		t.Fatalf("Size: %v", err)
 	}
-	if n != size {
-		t.Errorf("MergeStore returned %d bytes, object is %d", n, size)
+	if mr.FileSize() != size {
+		t.Errorf("merged Reader reports %d bytes, object is %d", mr.FileSize(), size)
 	}
-
-	mr, err := OpenStore(store, "merged.seg", pool)
+	// The Reader MergeStore returns is the one a footer-first open builds.
+	or, err := OpenStore(store, "merged.seg", pool)
 	if err != nil {
 		t.Fatalf("OpenStore(merged): %v", err)
 	}
-	defer mr.Close()
+	defer or.Close()
+	if !reflect.DeepEqual(or.tiles, mr.tiles) || !bytes.Equal(or.Index(), mr.Index()) {
+		t.Error("merged Reader's tile metadata differs from a reopen's")
+	}
 	if mr.NumTiles() != 3 {
 		t.Fatalf("NumTiles = %d, want 3", mr.NumTiles())
 	}
 	if mr.NumRows() != 96 {
 		t.Fatalf("NumRows = %d, want 96", mr.NumRows())
 	}
-	if got := mr.Stats().RowCount(); got != 96 {
+	mst, err := mr.Stats()
+	if err != nil {
+		t.Fatalf("Stats: %v", err)
+	}
+	if got := mst.RowCount(); got != 96 {
 		t.Errorf("stats rows = %d, want 96", got)
 	}
-	if got := mr.Stats().PathCount("id"); got != 96 {
+	if got := mst.PathCount("id"); got != 96 {
 		t.Errorf("stats PathCount(id) = %d, want 96", got)
 	}
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/blockstore"
 	"repro/internal/bufpool"
@@ -31,7 +30,11 @@ type Reader struct {
 	fileID   uint64
 	pool     *bufpool.Pool
 	tiles    []TileMeta
-	stats    *stats.TableStats
+	footer   BlockRef // the footer block, read for statistics only
+	index    []byte   // the footer's ref and tile metadata (Index)
+
+	statsMu sync.Mutex
+	stats   *stats.TableStats // loaded on first use
 }
 
 // ReadInfo reports what one logical block access cost: whether the
@@ -55,44 +58,28 @@ type ReadInfo struct {
 
 // openTailWindow is the speculative trailing read OpenStore issues: one
 // ranged read that, for most segments, covers the fixed tail and the
-// whole footer block (and, for small segments, the entire object), so
-// opening costs one or two store requests instead of three or four.
+// whole footer block (and, for small segments, the entire object).
 const openTailWindow = 64 << 10
 
-// OpenStore opens the named segment object footer-first: a Size probe,
-// then one speculative ranged read of the object's tail (covering the
-// fixed tail, usually the footer, and for small objects the header
-// too) beside the header-magic read when the window does not reach the
-// object's start, plus one follow-up read when the footer falls
-// outside the window. Tile metadata, zone maps, bloom filters, and
-// relation statistics are then in memory; data blocks load lazily —
-// scans fetch only the blocks their zone-map-surviving tiles touch.
-// The Reader does not own the store: closing the Reader drops its
-// cached blocks but leaves the store open. A nil pool gives the Reader
-// a private one of the default capacity.
+// OpenStore opens the named segment object footer-first, for a caller
+// without its tile index: a Size probe, then one speculative ranged
+// read of the object's tail (covering the fixed tail, usually the
+// footer, and for small objects the header too) beside the
+// header-magic read when the window does not reach the object's start,
+// plus one follow-up read when the footer falls outside the window.
+// Tile metadata and relation statistics are then in memory; data
+// blocks load lazily. The Reader does not own the store: closing the
+// Reader drops its cached blocks but leaves the store open. A nil pool
+// gives the Reader a private one of the default capacity.
 func OpenStore(store blockstore.Store, name string, pool *bufpool.Pool) (*Reader, error) {
-	return OpenStoreSized(store, name, pool, 0)
-}
-
-// OpenStoreSized is OpenStore without the Size probe, for callers that
-// know the object's size (the manifest records it; a writer knows what
-// it just put): one round trip. size <= 0 probes; a wrong size reads
-// the wrong tail and fails the open.
-func OpenStoreSized(store blockstore.Store, name string, pool *bufpool.Pool, size int64) (*Reader, error) {
-	start := time.Now()
-	if size <= 0 {
-		var err error
-		if size, err = store.Size(name); err != nil {
-			return nil, err
-		}
+	size, err := store.Size(name)
+	if err != nil {
+		return nil, err
 	}
 	if size < int64(len(Magic))+TailSize {
 		return nil, corruptf("%s: object of %d bytes is smaller than header plus tail", name, size)
 	}
-	win := int64(openTailWindow)
-	if win > size {
-		win = size
-	}
+	win := min(int64(openTailWindow), size)
 	winOff := size - win
 	// The header magic lies inside the window for small objects;
 	// otherwise it is read beside the window, not after it.
@@ -139,19 +126,13 @@ func OpenStoreSized(store blockstore.Store, name string, pool *bufpool.Pool, siz
 	if err := checkRef(footerRef, uint64(size)-TailSize); err != nil {
 		return nil, fmt.Errorf("segment %s: footer: %w", name, err)
 	}
-
-	r := &Reader{
-		store:    store,
-		name:     name,
-		fileSize: uint64(size),
-	}
-
 	if string(head) != Magic {
 		return nil, corruptf("%s: bad header magic %q", name, head)
 	}
 
 	// Footer block: served from the window when it fits, read
 	// separately otherwise (very wide segments).
+	r := &Reader{store: store, name: name}
 	var footerStored []byte
 	if int64(footerRef.Off) >= winOff {
 		footerStored = winBuf[int64(footerRef.Off)-winOff:][:footerRef.StoredLen]
@@ -164,23 +145,47 @@ func OpenStoreSized(store blockstore.Store, name string, pool *bufpool.Pool, siz
 			return nil, fmt.Errorf("footer: %w", err)
 		}
 	}
-	footerRaw, err := r.decompress(footerRef, footerStored)
+	footer, err := r.decompress(footerRef, footerStored)
 	if err != nil {
 		return nil, fmt.Errorf("footer: %w", err)
 	}
-	ftr, err := decodeFooter(footerRaw, uint64(size)-TailSize)
+	d := &footerDecoder{b: footer}
+	tiles, err := decodeTiles(d, uint64(size)-TailSize)
 	if err != nil {
 		return nil, fmt.Errorf("segment %s: %w", name, err)
 	}
-	r.tiles = ftr.tiles
-	r.stats = ftr.stats
+	meta := footer[:len(footer)-len(d.b)]
+	if r.stats, err = decodeStats(footer, meta); err != nil {
+		return nil, fmt.Errorf("segment %s: %w", name, err)
+	}
+	r.init(pool, size, footerRef, tiles, append(appendRef(nil, footerRef), meta...))
+	return r, nil
+}
+
+// OpenIndexed builds a Reader for the named segment object of size
+// bytes from its tile index (Index), with no store request: a table's
+// manifest carries each segment's index, so a cold table opens without
+// touching its segments. The relation statistics load from the footer
+// on the first Stats call. A corrupt or truncated index fails with
+// ErrCorrupt.
+func OpenIndexed(store blockstore.Store, name string, pool *bufpool.Pool, size int64, index []byte) (*Reader, error) {
+	footer, tiles, err := decodeIndex(index, size)
+	if err != nil {
+		return nil, fmt.Errorf("segment %s: tile index: %w", name, err)
+	}
+	r := &Reader{store: store, name: name}
+	r.init(pool, size, footer, tiles, index)
+	return r, nil
+}
+
+// init completes a Reader over its decoded metadata and registers the
+// object with the pool (a private default-capacity pool when nil).
+func (r *Reader) init(pool *bufpool.Pool, size int64, footer BlockRef, tiles []TileMeta, index []byte) {
 	if pool == nil {
 		pool = bufpool.New(0) // private: every read takes the pooled path
 	}
-	r.pool = pool
-	r.fileID = pool.RegisterObject(store.Label() + "/" + name)
-	obs.SegmentOpenSeconds.ObserveSince(start)
-	return r, nil
+	r.pool, r.fileSize, r.footer, r.tiles, r.index = pool, uint64(size), footer, tiles, index
+	r.fileID = pool.RegisterObject(r.store.Label() + "/" + r.name)
 }
 
 // Close drops this object's resident blocks from the shared pool; the
@@ -202,8 +207,32 @@ func (r *Reader) FileSize() int64 { return int64(r.fileSize) }
 // Tile returns the metadata of tile i. Read-only.
 func (r *Reader) Tile(i int) *TileMeta { return &r.tiles[i] }
 
-// Stats returns the relation statistics persisted in the footer.
-func (r *Reader) Stats() *stats.TableStats { return r.stats }
+// Index returns the segment's tile index: what OpenIndexed builds this
+// Reader from. Read-only.
+func (r *Reader) Index() []byte { return r.index }
+
+// Stats returns the relation statistics persisted in the footer,
+// reading the footer block on the first call when the Reader was built
+// from its tile index; a failed read is returned and retried by the
+// next call.
+func (r *Reader) Stats() (*stats.TableStats, error) {
+	r.statsMu.Lock()
+	defer r.statsMu.Unlock()
+	if r.stats != nil {
+		return r.stats, nil
+	}
+	footer, err := r.readStored(r.footer)
+	if err == nil {
+		footer, err = r.decompress(r.footer, footer)
+	}
+	if err == nil {
+		r.stats, err = decodeStats(footer, r.index[blockRefSize:])
+	}
+	if err != nil {
+		return nil, fmt.Errorf("segment %s footer: %w", r.name, err)
+	}
+	return r.stats, nil
+}
 
 // NumRows returns the total row count across all tiles.
 func (r *Reader) NumRows() int {
@@ -276,7 +305,11 @@ func (r *Reader) ColumnT(tenant string, tileIdx, colIdx int) (*column.Column, []
 	if err != nil {
 		return nil, infos, wrap(err)
 	}
-	return v.(*column.Column), infos, nil
+	col, ok := v.(*column.Column)
+	if !ok {
+		return nil, infos, wrap(r.corruptBlock(cm.Block, "block is also a tile's documents"))
+	}
+	return col, infos, nil
 }
 
 // Docs returns tile i's binary-JSON fallback documents: a directory of
@@ -304,7 +337,11 @@ func (r *Reader) DocsT(tenant string, tileIdx int) ([][]byte, ReadInfo, error) {
 	if err != nil {
 		return nil, info, fmt.Errorf("tile %d: %w", tileIdx, err)
 	}
-	return v.([][]byte), info, nil
+	docs, ok := v.([][]byte)
+	if !ok {
+		return nil, info, fmt.Errorf("tile %d: %w", tileIdx, r.corruptBlock(tm.Docs, "block is also a column"))
+	}
+	return docs, info, nil
 }
 
 // FetchRun is one coalesced ranged read of a planned fetch: the byte

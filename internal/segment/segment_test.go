@@ -71,8 +71,12 @@ func TestRoundTrip(t *testing.T) {
 	if r.NumRows() != 128 {
 		t.Errorf("NumRows = %d, want 128", r.NumRows())
 	}
-	if r.Stats().RowCount() != st.RowCount() {
-		t.Errorf("stats rows = %d, want %d", r.Stats().RowCount(), st.RowCount())
+	rst, err := r.Stats()
+	if err != nil {
+		t.Fatalf("Stats: %v", err)
+	}
+	if rst.RowCount() != st.RowCount() {
+		t.Errorf("stats rows = %d, want %d", rst.RowCount(), st.RowCount())
 	}
 
 	for ti, src := range tiles {

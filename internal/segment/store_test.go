@@ -89,50 +89,36 @@ func TestOpenStoreFooterFirst(t *testing.T) {
 	}
 }
 
-// TestOpenStoreRequestShape counts the open's requests and round
-// trips: with the size known (the manifest records it) the tail window
-// and the header magic go out together and nothing probes Size; the
-// un-hinted open adds the probe in front.
+// TestOpenStoreRequestShape counts the footer-first open's requests
+// and round trips: a Size probe, then the tail window and, when the
+// window does not reach the object's start, the header magic beside it.
 func TestOpenStoreRequestShape(t *testing.T) {
 	const latency = 20 * time.Millisecond
 	mem := blockstore.NewMem()
 	writeStoreSegment(t, mem, "small")
-	smallSize, _ := mem.Size("small")
-	wideSize := writeWideStoreSegment(t, mem, "wide")
+	writeWideStoreSegment(t, mem, "wide")
 	for _, tc := range []struct {
-		name         string
-		size         int64 // 0 = un-hinted
-		reads, sizes int64
-		roundTrips   int
+		name  string
+		reads int64
 	}{
-		{"wide", wideSize, 2, 0, 1},
-		{"small", smallSize, 1, 0, 1},
-		{"wide", 0, 2, 1, 2},
-		{"small", 0, 1, 1, 2},
+		{"wide", 2},
+		{"small", 1},
 	} {
 		fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: latency})
 		start := time.Now()
-		r, err := OpenStoreSized(fake, tc.name, bufpool.New(0), tc.size)
+		r, err := OpenStore(fake, tc.name, bufpool.New(0))
 		d := time.Since(start)
 		if err != nil {
-			t.Fatalf("%s (size %d): %v", tc.name, tc.size, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		r.Close()
 		reads, sizes := fake.RangeReadCount(), fake.Requests()-fake.RangeReadCount()
-		if reads != tc.reads || sizes != tc.sizes {
-			t.Errorf("%s (size %d): %d reads, %d size probes; want %d, %d", tc.name, tc.size, reads, sizes, tc.reads, tc.sizes)
+		if reads != tc.reads || sizes != 1 {
+			t.Errorf("%s: %d reads, %d size probes; want %d, 1", tc.name, reads, sizes, tc.reads)
 		}
-		if limit := time.Duration(tc.roundTrips+1) * latency; d >= limit {
-			t.Errorf("%s (size %d): open took %v, want %d round trips (< %v)", tc.name, tc.size, d, tc.roundTrips, limit)
+		if limit := 3 * latency; d >= limit {
+			t.Errorf("%s: open took %v, want 2 round trips (< %v)", tc.name, d, limit)
 		}
-	}
-	// A size that is not the object's reads the wrong tail: the open
-	// fails instead of trusting it.
-	if _, err := OpenStoreSized(mem, "wide", nil, wideSize-1); err == nil {
-		t.Error("open with a wrong size hint succeeded")
-	}
-	if _, err := OpenStoreSized(mem, "wide", nil, wideSize+1); err == nil {
-		t.Error("open with a size hint past the object's end succeeded")
 	}
 }
 
@@ -221,9 +207,9 @@ func TestEncodeIndependentOfWorkers(t *testing.T) {
 	for _, tl := range tiles {
 		st.AddTile(tl)
 	}
-	serial := encode(tiles, st, 1)
+	serial, index := encode(tiles, st, 1)
 	for _, workers := range []int{2, 8} {
-		if got := encode(tiles, st, workers); string(got) != string(serial) {
+		if got, gotIndex := encode(tiles, st, workers); string(got) != string(serial) || string(gotIndex) != string(index) {
 			t.Fatalf("workers=%d: %d-byte stream differs from the serial %d bytes", workers, len(got), len(serial))
 		}
 	}

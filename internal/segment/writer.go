@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/blockstore"
 	"repro/internal/bloom"
+	"repro/internal/bufpool"
 	"repro/internal/column"
 	"repro/internal/keypath"
 	"repro/internal/lz4"
@@ -22,24 +23,38 @@ import (
 // stream is built in memory and atomically published with one Put.
 // Returns the object's size in bytes.
 func WriteStore(store blockstore.Store, name string, tiles []*tile.Tile, st *stats.TableStats) (int64, error) {
-	return putStream(store, name, func() ([]byte, error) { return encode(tiles, st, runtime.GOMAXPROCS(0)), nil })
-}
-
-// putStream builds one segment stream in memory and publishes it under
-// name with a single Put — the store's atomic-publish contract stands
-// in for temp file + rename.
-func putStream(store blockstore.Store, name string, build func() ([]byte, error)) (int64, error) {
-	start := time.Now()
-	seg, err := build()
+	r, err := Write(store, name, tiles, st, nil)
 	if err != nil {
 		return 0, err
 	}
+	r.Close()
+	return r.FileSize(), nil
+}
+
+// Write is WriteStore returning a Reader over the new object, built
+// from what was just encoded — its tile index and st — with no read
+// back. pool is as for OpenStore.
+func Write(store blockstore.Store, name string, tiles []*tile.Tile, st *stats.TableStats, pool *bufpool.Pool) (*Reader, error) {
+	start := time.Now()
+	seg, index := encode(tiles, st, runtime.GOMAXPROCS(0))
+	return publish(store, name, seg, index, st, pool, start)
+}
+
+// publish puts one segment stream under name — the store's
+// atomic-publish contract stands in for temp file + rename — and
+// returns its Reader.
+func publish(store blockstore.Store, name string, seg, index []byte, st *stats.TableStats, pool *bufpool.Pool, start time.Time) (*Reader, error) {
 	if err := store.Put(name, seg); err != nil {
-		return 0, err
+		return nil, err
 	}
 	obs.SegmentWriteSeconds.ObserveSince(start)
 	obs.SegmentWriteBytes.Observe(float64(len(seg)))
-	return int64(len(seg)), nil
+	r, err := OpenIndexed(store, name, pool, int64(len(seg)), index)
+	if err != nil {
+		return nil, err
+	}
+	r.stats = st
+	return r, nil
 }
 
 // encode serializes the tiles and statistics as one segment stream:
@@ -49,7 +64,8 @@ func putStream(store blockstore.Store, name string, build func() ([]byte, error)
 // its own, with offsets relative to that buffer. The writer then only
 // shifts the offsets, concatenates the buffers in tile order and adds
 // the footer, so the stream does not depend on how the morsels ran.
-func encode(tiles []*tile.Tile, st *stats.TableStats, workers int) []byte {
+// It also returns the stream's tile index.
+func encode(tiles []*tile.Tile, st *stats.TableStats, workers int) (seg, index []byte) {
 	parts := make([]blockWriter, len(tiles))
 	metas := make([]TileMeta, len(tiles))
 	sched.For(context.Background(), len(tiles), workers, func(_, i int) {
@@ -61,14 +77,14 @@ func encode(tiles []*tile.Tile, st *stats.TableStats, workers int) []byte {
 		data += len(parts[i].buf)
 	}
 	footer := blockWriter{base: uint64(len(Magic) + data)}
-	tail := footer.footer(metas, st)
+	tail, index := footer.footer(metas, st)
 	out := make([]byte, 0, len(Magic)+data+len(footer.buf)+len(tail))
 	out = append(out, Magic...)
 	for i := range parts {
 		out = append(out, parts[i].buf...)
 	}
 	out = append(out, footer.buf...)
-	return append(out, tail...)
+	return append(out, tail...), index
 }
 
 // blockWriter appends compressed, checksummed blocks to an in-memory
@@ -141,16 +157,19 @@ func (tm *TileMeta) shift(off uint64) {
 }
 
 // footer appends the footer block and returns the fixed tail that
-// follows it.
-func (bw *blockWriter) footer(metas []TileMeta, st *stats.TableStats) []byte {
-	ref := bw.block(encodeFooter(metas, st))
-	tail := make([]byte, TailSize)
+// follows it and the segment's tile index.
+func (bw *blockWriter) footer(metas []TileMeta, st *stats.TableStats) (tail, index []byte) {
+	meta := encodeTiles(metas)
+	sb := st.MarshalBinary()
+	payload := binary.LittleEndian.AppendUint32(meta[:len(meta):len(meta)], uint32(len(sb)))
+	ref := bw.block(append(payload, sb...))
+	tail = make([]byte, TailSize)
 	binary.LittleEndian.PutUint64(tail[0:], ref.Off)
 	binary.LittleEndian.PutUint32(tail[8:], ref.StoredLen)
 	binary.LittleEndian.PutUint32(tail[12:], ref.RawLen)
 	binary.LittleEndian.PutUint64(tail[16:], ref.Sum)
 	copy(tail[24:], MagicFooter)
-	return tail
+	return tail, append(appendRef(nil, ref), meta...)
 }
 
 // block compresses, checksums, and appends one payload, returning its

@@ -55,6 +55,9 @@ type DirTable struct {
 	// during segment file writes.
 	writeMu sync.Mutex
 
+	// collect runs orphan collection before the first segment write.
+	collect sync.Once
+
 	// compactMu serializes compaction work; wg tracks background
 	// compaction goroutines so Close can wait them out.
 	compactMu sync.Mutex
@@ -105,37 +108,31 @@ func (ls *liveSeg) release() {
 
 var errDirTableClosed = errors.New("storage: directory table is closed")
 
-// maxConcurrentOpens bounds the segment opens OpenDirStore has in
-// flight: tables that never compact can hold hundreds of segments.
-const maxConcurrentOpens = 32
-
 // DefaultCompactFanIn is how many same-tier segments trigger (and
 // take part in) one compaction round when no explicit fan-in is set.
 const DefaultCompactFanIn = 4
 
 // OpenDirStore opens (or creates) a multi-segment table over a block
-// store. Recovery runs first: temporaries and segment objects the
-// committed manifest does not reference are garbage-collected, so a
-// crash between segment write and manifest commit leaves no trace
-// beyond this cleanup. fanIn sets the compaction fan-in (0 selects
+// store. The open reads the committed manifest and nothing else — two
+// requests whatever the segment count: each segment's Reader is built
+// from the tile index its manifest entry carries (an entry written
+// before indexes opens its segment footer-first until the next commit
+// writes its index). It neither lists nor deletes (collectOrphans).
+// fanIn sets the compaction fan-in (0 selects
 // DefaultCompactFanIn, values below 2 are raised to 2); auto enables
 // background compaction after appends. All block reads flow through
 // pool (a private default-capacity pool is created when nil). Catalog,
-// recovery, appends, compaction, and scans all speak the store
-// interface; the caller keeps ownership of the store (Close leaves it
-// open).
+// appends, compaction, and scans all speak the store interface; the
+// caller keeps ownership of the store (Close leaves it open).
 func OpenDirStore(name string, store blockstore.Store, pool *bufpool.Pool, cfg LoaderConfig, fanIn int, auto bool) (*DirTable, error) {
-	man, removed, err := manifest.RecoverStore(store)
+	man, err := manifest.LoadStore(store)
 	if err != nil {
 		return nil, err
 	}
-	if removed > 0 {
-		obs.ManifestRecoveries.Add(1)
-	}
-	if man.Version == 0 {
+	if man == nil {
 		// Fresh store: commit the empty first generation so the store
 		// is a recognizable table from here on.
-		man.Version = 1
+		man = &manifest.Manifest{Version: 1}
 		if err := manifest.CommitStore(store, man); err != nil {
 			return nil, err
 		}
@@ -159,38 +156,32 @@ func OpenDirStore(name string, store blockstore.Store, pool *bufpool.Pool, cfg L
 		version: man.Version,
 		nextID:  man.NextID,
 	}
-	// Every segment opens at once — the manifest names them and their
-	// sizes — so the table costs one more round trip, not two per segment.
-	readers := make([]*segment.Reader, len(man.Segments))
-	errs := make([]error, len(man.Segments))
-	sem := make(chan struct{}, maxConcurrentOpens)
-	var wg sync.WaitGroup
-	for i, s := range man.Segments {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			readers[i], errs[i] = segment.OpenStoreSized(store, s.File, pool, s.Bytes)
-			<-sem
-		}()
-	}
-	wg.Wait()
-	for i, s := range man.Segments {
-		if errs[i] != nil {
-			for _, r := range readers {
-				if r != nil {
-					r.Close()
-				}
-			}
-			return nil, fmt.Errorf("segment %s: %w", s.File, errs[i])
+	for _, s := range man.Segments {
+		var r *segment.Reader
+		if len(s.Index) == 0 {
+			r, err = segment.OpenStore(store, s.File, pool)
+		} else {
+			r, err = segment.OpenIndexed(store, s.File, pool, s.Bytes, s.Index)
 		}
-		ls := &liveSeg{r: readers[i], store: store, id: s.ID, file: s.File, rows: s.Rows, bytes: s.Bytes}
-		ls.refs.Store(1)
-		t.segs = append(t.segs, ls)
+		if err != nil {
+			for _, ls := range t.segs {
+				ls.r.Close()
+			}
+			return nil, fmt.Errorf("segment %s: %w", s.File, err)
+		}
+		t.segs = append(t.segs, newLiveSeg(r, store, s.ID))
 	}
 	obs.SegmentsLive.Add(float64(len(t.segs)))
 	t.updateBacklogGauge()
 	return t, nil
+}
+
+// newLiveSeg wraps segment id's Reader as a member of the current
+// generation.
+func newLiveSeg(r *segment.Reader, store blockstore.Store, id uint64) *liveSeg {
+	ls := &liveSeg{r: r, store: store, id: id, file: r.Name(), rows: r.NumRows(), bytes: r.FileSize()}
+	ls.refs.Store(1)
+	return ls
 }
 
 // scanCfgOf derives the scan-core settings from a loader config.
@@ -248,21 +239,42 @@ func (t *DirTable) NumSegments() int {
 func (t *DirTable) Pool() *bufpool.Pool { return t.pool }
 
 // Stats returns the relation statistics: the merged view over every
-// live segment's persisted footer statistics, cached until the
-// segment set changes.
+// live segment's footer statistics, cached until the segment set
+// changes. The first call reads the footers not yet in memory, all at
+// once — one round trip; a failed read is recorded for Err and
+// returns nil, which planners treat as "no statistics".
 func (t *DirTable) Stats() *stats.TableStats {
 	t.statsMu.Lock()
 	defer t.statsMu.Unlock()
-	if t.statsCache == nil {
-		merged := stats.New(0, 0)
-		segs := t.snapshot()
-		for _, ls := range segs {
-			merged.Merge(ls.r.Stats())
-		}
-		releaseSegs(segs)
-		t.statsCache = merged
+	if t.statsCache != nil {
+		return t.statsCache
 	}
-	return t.statsCache
+	segs := t.snapshot()
+	defer releaseSegs(segs)
+	all := make([]*stats.TableStats, len(segs))
+	errs := make([]error, len(segs))
+	sem := make(chan struct{}, 32) // a table that never compacts can hold hundreds
+	var wg sync.WaitGroup
+	for i, ls := range segs {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			all[i], errs[i] = ls.r.Stats()
+			<-sem
+		}()
+	}
+	wg.Wait()
+	merged := stats.New(0, 0)
+	for i, st := range all {
+		if errs[i] != nil {
+			t.recordErr(fmt.Errorf("segment %s statistics: %w", segs[i].file, errs[i]))
+			return nil
+		}
+		merged.Merge(st)
+	}
+	t.statsCache = merged
+	return merged
 }
 
 func (t *DirTable) invalidateStats() {
@@ -390,25 +402,19 @@ func (t *DirTable) AppendTiles(tiles []*tile.Tile, st *stats.TableStats) error {
 	t.nextID++
 	t.mu.Unlock()
 
-	file := manifest.SegmentFileName(id)
-	size, err := segment.WriteStore(t.store, file, tiles, st)
+	t.collectOrphans()
+	r, err := segment.Write(t.store, manifest.SegmentFileName(id), tiles, st, t.pool)
 	if err != nil {
 		return err
 	}
-	r, err := segment.OpenStoreSized(t.store, file, t.pool, size)
-	if err != nil {
-		t.store.Delete(file)
-		return err
-	}
-	ls := &liveSeg{r: r, store: t.store, id: id, file: file, rows: r.NumRows(), bytes: size}
-	ls.refs.Store(1)
+	ls := newLiveSeg(r, t.store, id)
 
 	if err := t.commitGeneration(func(segs []*liveSeg) []*liveSeg {
 		return append(segs, ls)
 	}); err != nil {
 		// Crash-equivalent state: the segment file exists but no
-		// generation references it. Recovery on the next open removes
-		// it; the current generation stays live and consistent.
+		// generation references it. The next writer's orphan collection
+		// removes it; the current generation stays live and consistent.
 		r.Close()
 		return err
 	}
@@ -445,6 +451,27 @@ func (t *DirTable) updateBacklogGauge() {
 	obs.CompactionBacklog.Add(float64(delta))
 }
 
+// collectOrphans runs before this table's first segment write: it
+// deletes the objects the opened generation does not reference — the
+// debris of a writer that crashed between its segment Put and its
+// commit. It cannot take this table's own segments, none of which is
+// written yet, nor another process's, because a store has one writer
+// (DESIGN.md §6.9); a table that never writes never lists or deletes.
+// Collection is best effort: debris it leaves costs space, not answers.
+func (t *DirTable) collectOrphans() {
+	t.collect.Do(func() {
+		t.mu.Lock()
+		live := &manifest.Manifest{}
+		for _, ls := range t.segs {
+			live.Segments = append(live.Segments, manifest.Segment{File: ls.file})
+		}
+		t.mu.Unlock()
+		if removed, _ := manifest.CollectOrphans(t.store, live); removed > 0 {
+			obs.ManifestRecoveries.Add(1)
+		}
+	})
+}
+
 // commitGeneration applies edit to a copy of the current segment
 // list, commits the manifest listing the result durably, and on
 // success swaps the list in — all under the commit lock so generations
@@ -464,7 +491,7 @@ func (t *DirTable) commitGeneration(edit func([]*liveSeg) []*liveSeg) error {
 	t.mu.Unlock()
 	segs = edit(segs)
 	for _, ls := range segs {
-		man.Segments = append(man.Segments, manifest.Segment{ID: ls.id, File: ls.file, Rows: ls.rows, Bytes: ls.bytes})
+		man.Segments = append(man.Segments, manifest.Segment{ID: ls.id, File: ls.file, Rows: ls.rows, Bytes: ls.bytes, Index: ls.r.Index()})
 	}
 	if err := manifest.CommitStore(t.store, man); err != nil {
 		return err
@@ -589,18 +616,12 @@ func (t *DirTable) compactOnce() (bool, error) {
 	for i, ls := range group {
 		readers[i] = ls.r
 	}
-	file := manifest.SegmentFileName(id)
-	n, err := segment.MergeStore(t.store, file, readers)
+	t.collectOrphans()
+	r, err := segment.MergeStore(t.store, manifest.SegmentFileName(id), readers, t.pool)
 	if err != nil {
 		return false, err
 	}
-	r, err := segment.OpenStoreSized(t.store, file, t.pool, n)
-	if err != nil {
-		t.store.Delete(file)
-		return false, err
-	}
-	merged := &liveSeg{r: r, store: t.store, id: id, file: file, rows: r.NumRows(), bytes: n}
-	merged.refs.Store(1)
+	merged := newLiveSeg(r, t.store, id)
 
 	dead := make(map[*liveSeg]bool, len(group))
 	for _, ls := range group {
@@ -626,7 +647,7 @@ func (t *DirTable) compactOnce() (bool, error) {
 		// Failed publish: drop the merged output (it is unreferenced)
 		// and keep serving the sources.
 		r.Close()
-		t.store.Delete(file)
+		t.store.Delete(merged.file)
 		return false, err
 	}
 	// Retire the sources: mark dead so the final release deletes the
@@ -638,7 +659,7 @@ func (t *DirTable) compactOnce() (bool, error) {
 	}
 	obs.SegmentsLive.Add(float64(1 - len(group)))
 	obs.CompactionsRun.Add(1)
-	obs.CompactionBytesRewritten.Add(n)
+	obs.CompactionBytesRewritten.Add(merged.bytes)
 	obs.CompactionSeconds.ObserveSince(start)
 	t.updateBacklogGauge()
 	t.invalidateStats()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -280,18 +281,45 @@ func TestDirTableCrashBeforeManifestRenameRecovers(t *testing.T) {
 		t.Fatalf("%d segment files before recovery, want 2 (1 live + 1 orphan)", orphans)
 	}
 
+	// A crashed writer's temporary, besides its orphan segment.
+	if err := os.WriteFile(filepath.Join(dir, "seg-000007.seg.tmp"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	listDir := func() []string {
+		var names []string
+		entries, _ := os.ReadDir(dir)
+		for _, e := range entries {
+			if e.Name() != manifest.FileName {
+				names = append(names, e.Name())
+			}
+		}
+		return names
+	}
+
 	dt2 := openDirFS(t, dir, cfg, 4, false)
 	defer dt2.Close()
 	if dt2.NumSegments() != 1 || dt2.NumRows() != 32 {
 		t.Fatalf("recovered table: %d segments, %d rows; want 1, 32", dt2.NumSegments(), dt2.NumRows())
 	}
 	sameMultiset(t, "recovered", scanMultiset(dt2, accesses), want)
+	if got := listDir(); len(got) != 3 {
+		t.Fatalf("objects after reopen = %v, want the live segment, the orphan and the temporary", got)
+	}
 
-	entries, _ = os.ReadDir(dir)
-	for _, e := range entries {
-		if manifest.IsSegmentFileName(e.Name()) && e.Name() != manifest.SegmentFileName(0) {
-			t.Fatalf("orphan %s survived recovery", e.Name())
-		}
+	// The first commit collects the debris before it writes.
+	recoveries := obs.ManifestRecoveries.Load()
+	tiles3, st3 := dirTestBatch(t, dirTestLines(2, 32))
+	if err := dt2.AppendTiles(tiles3, st3); err != nil {
+		t.Fatalf("AppendTiles after recovery: %v", err)
+	}
+	if got := obs.ManifestRecoveries.Load() - recoveries; got != 1 {
+		t.Errorf("manifest_recoveries rose by %d over the first commit, want 1", got)
+	}
+	if got, want := listDir(), []string{manifest.SegmentFileName(0), manifest.SegmentFileName(1)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("objects after the first commit = %v, want %v", got, want)
+	}
+	if dt2.NumSegments() != 2 || dt2.NumRows() != 64 {
+		t.Fatalf("after the first commit: %d segments, %d rows; want 2, 64", dt2.NumSegments(), dt2.NumRows())
 	}
 }
 

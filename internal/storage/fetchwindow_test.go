@@ -114,37 +114,6 @@ func TestFetchWindowOneRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpenDirStoreThreeRoundTrips: manifest Size beside List, manifest
-// read, then every segment's tail window (and header magic) at once —
-// whatever the segment count.
-func TestOpenDirStoreThreeRoundTrips(t *testing.T) {
-	const latency, segs = 20 * time.Millisecond, 6
-	mem := blockstore.NewMem()
-	dt := storeConformTable(t, mem, segs, 48)
-	dt.Close()
-	cfg := DefaultLoaderConfig()
-	cfg.Tile.TileSize = 16
-	fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{Latency: latency})
-	start := time.Now()
-	dt, err := OpenDirStore("t", fake, nil, cfg, 4, false)
-	d := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dt.Close()
-	if dt.NumSegments() != segs {
-		t.Fatalf("NumSegments = %d, want %d", dt.NumSegments(), segs)
-	}
-	// Size + read of the manifest, one List, one tail window per (small)
-	// segment; no per-segment Size probe.
-	if got, want := fake.Requests(), int64(3+segs); got != want {
-		t.Errorf("open issued %d requests, want %d", got, want)
-	}
-	if d >= 5*latency {
-		t.Errorf("open took %v, want < %v (three round trips)", d, 5*latency)
-	}
-}
-
 // TestFetchWindowPoolPressure: on pools far smaller than the scan —
 // 1 MiB, and one smaller than a single tile's need — the window makes
 // progress, answers like a roomy pool, leaves nothing pinned, and on

@@ -9,6 +9,7 @@ package jsontiles
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -260,7 +261,10 @@ func TestSegmentCorruptBlockFailsTheQuery(t *testing.T) {
 }
 
 // TestOpenStoreJunkSegment: a manifest naming a segment object that
-// holds junk fails the open with an error naming that segment.
+// holds junk opens, because the open reads only the manifest, and the
+// first query that reads the segment fails with ErrUnreadable, naming
+// it. A manifest entry without a tile index opens its segment
+// footer-first, so there the open itself fails, naming the segment.
 func TestOpenStoreJunkSegment(t *testing.T) {
 	mem, err := Load("reviews", reviewDocs(100), opts())
 	if err != nil {
@@ -272,9 +276,27 @@ func TestOpenStoreJunkSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, err := OpenStore("reviews", store, opts())
+	if err != nil {
+		t.Fatalf("open reads only the manifest, yet failed: %v", err)
+	}
+	_, err = tbl.Query("data->>'review_id'").Run()
+	tbl.Close()
+	if !errors.Is(err, ErrUnreadable) || !strings.Contains(err.Error(), file) {
+		t.Errorf("query over the junk segment: %v; want ErrUnreadable naming %s", err, file)
+	}
+
+	man, err := manifest.LoadStore(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Segments[0].Index = nil
+	if err := manifest.CommitStore(store, man); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err = OpenStore("reviews", store, opts())
 	if err == nil {
 		tbl.Close()
-		t.Fatal("opening a table whose segment holds junk should fail")
+		t.Fatal("opening a table whose unindexed segment holds junk should fail")
 	}
 	if !strings.Contains(err.Error(), "segment "+file+":") {
 		t.Errorf("open error %q does not name segment %s", err, file)
@@ -292,5 +314,66 @@ func TestCloseInMemoryNoOp(t *testing.T) {
 	}
 	if err := tbl.ScanErr(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// failFooters fails every read of a segment's footer block: the block
+// that ends where the fixed tail begins.
+type failFooters struct{ BlockStore }
+
+func (s failFooters) ReadRange(name string, off, n int64) ([]byte, error) {
+	if size, err := s.Size(name); err == nil && manifest.IsSegmentFileName(name) && off+n == size-segment.TailSize {
+		return nil, errors.New("injected footer read failure")
+	}
+	return s.BlockStore.ReadRange(name, off, n)
+}
+
+// TestJoinWithoutStatistics: when the tables' footer statistics cannot
+// be read, the join planner gets none, the failure is recorded for
+// ScanErr, and the join answers as it does over in-memory tables.
+func TestJoinWithoutStatistics(t *testing.T) {
+	reviews, err := Load("reviews", reviewDocs(300), opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bdocs [][]byte
+	for i := 0; i < 10; i++ {
+		bdocs = append(bdocs, []byte(fmt.Sprintf(`{"id":"b%02d","city":"city%d"}`, i, i%3)))
+	}
+	business, err := Load("business", bdocs, opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := func(r, b *Table) string {
+		res, err := r.Query("data->>'business'", "data->>'stars'::BigInt").
+			Join(b, []string{"data->>'id'", "data->>'city'"}, 0, 0).
+			GroupBy(3).
+			Aggregate(CountAll("reviews"), Avg(1, "avg_stars")).
+			OrderBy(0, false).
+			Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.String()
+	}
+	want := join(reviews, business)
+
+	var opened []*Table
+	for _, mem := range []*Table{reviews, business} {
+		_, store := persist(t, mem, opts())
+		tbl, err := OpenStore(mem.Name(), failFooters{store}, opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tbl.Close()
+		opened = append(opened, tbl)
+	}
+	if got := join(opened[0], opened[1]); got != want {
+		t.Errorf("join without statistics answered\n%s\nwant\n%s", got, want)
+	}
+	for _, tbl := range opened {
+		if err := tbl.ScanErr(); err == nil || !strings.Contains(err.Error(), "injected footer read failure") {
+			t.Errorf("%s: ScanErr = %v, want the footer read failure", tbl.Name(), err)
+		}
 	}
 }

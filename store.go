@@ -4,7 +4,7 @@ package jsontiles
 // local filesystem, process memory, or an object store — instead of
 // being tied to a directory path. The storage contract (immutability,
 // atomic Put, read-after-commit visibility) and the remote-scan read
-// path (footer-first opens, coalesced range reads, bounded readahead)
+// path (manifest-only opens, coalesced range reads, bounded readahead)
 // are documented in DESIGN.md §6.9.
 
 import (
@@ -64,7 +64,7 @@ func NewFakeS3Store(inner BlockStore, o FakeS3Options) BlockStore {
 
 // OpenStore opens (or creates) a multi-segment table on a BlockStore —
 // OpenDir generalized from a directory path to any store. Catalog,
-// recovery, flushes, compaction, and scans all go through the store;
+// orphan collection, flushes, compaction, and scans all go through the store;
 // the caller keeps ownership of it (Close leaves the store open, so
 // one store can back several tables).
 func OpenStore(name string, store BlockStore, opts Options) (*Table, error) {
