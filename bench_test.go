@@ -375,10 +375,11 @@ func BenchmarkFig15(b *testing.B) {
 func BenchmarkFig16(b *testing.B) {
 	fixtures(b)
 	var m tile.Metrics
-	l := storage.NewTilesLoader(storage.DefaultLoaderConfig(), &m)
+	cfg := storage.DefaultLoaderConfig()
+	cfg.Metrics = &m
 	b.Run("load-tiles-tpch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := l.Load("tpch", fix.tpchLines, 4); err != nil {
+			if _, err := storage.BuildTilesFromLines("tpch", fix.tpchLines, cfg, 4); err != nil {
 				b.Fatal(err)
 			}
 		}

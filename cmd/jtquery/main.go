@@ -165,7 +165,7 @@ func openTable(name, dir, kind string, latency time.Duration, opts jsontiles.Opt
 		if err != nil {
 			return nil, err
 		}
-		return jsontiles.OpenStore(name, jsontiles.NewFakeS3Store(inner, jsontiles.FakeS3Options{Latency: latency}), opts)
+		return jsontiles.OpenStore(name, jsontiles.NewFakeS3Store(inner, latency), opts)
 	}
 	return nil, fmt.Errorf("unknown -store %q (want fs or fakes3)", kind)
 }

@@ -6,7 +6,6 @@ package jsontiles
 // the context flows into counters and the slow-query log.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -232,10 +231,9 @@ func TestTenantOnContextFlowsToCountersAndStats(t *testing.T) {
 }
 
 func TestSlowQueryLogCarriesTenant(t *testing.T) {
-	var log bytes.Buffer
+	log := captureSlowLog(t)
 	o := opts()
 	o.SlowQueryThreshold = time.Nanosecond // everything is slow
-	o.SlowQueryLog = &log
 	tbl, err := Load("reviews", reviewDocs(100), o)
 	if err != nil {
 		t.Fatal(err)

@@ -3,17 +3,14 @@ package jsontiles
 // The debug HTTP surface: a process-wide server exposing the metric
 // registry in Prometheus text exposition format, the live-query
 // registry as JSON, recent query timelines as Chrome trace-event
-// JSON, and net/http/pprof. Started explicitly with ServeDebug or
-// implicitly through Options.DebugAddr.
+// JSON, and net/http/pprof. Started with ServeDebug.
 
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"strconv"
 	"sync"
 
@@ -74,18 +71,6 @@ func ShutdownDebug(ctx context.Context) error {
 		return nil
 	}
 	return srv.Shutdown(ctx)
-}
-
-// maybeServeDebug starts the debug server for Options.DebugAddr,
-// reporting failure on stderr rather than failing table construction
-// — an occupied debug port should not take the data path down.
-func maybeServeDebug(addr string) {
-	if addr == "" {
-		return
-	}
-	if _, err := ServeDebug(addr); err != nil {
-		fmt.Fprintf(os.Stderr, "jsontiles: debug server: %v\n", err)
-	}
 }
 
 func debugMux() *http.ServeMux {

@@ -79,9 +79,7 @@ func main() {
 	// 2ms-per-request round trip on top, so every saved request is
 	// visible in wall time.
 	inner := jsontiles.NewMemStore()
-	fake := jsontiles.NewFakeS3Store(inner, jsontiles.FakeS3Options{
-		Latency: 2 * time.Millisecond,
-	})
+	fake := jsontiles.NewFakeS3Store(inner, 2*time.Millisecond)
 
 	opts := jsontiles.DefaultOptions()
 	load(fake, opts).Close()

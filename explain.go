@@ -59,16 +59,14 @@ type ScanStats struct {
 	obs.ScanCounts
 }
 
-// QueryStats summarizes one query execution from the query's own plan
-// and timeline: RunAnalyzed returns it, the slow-query log reads it,
-// and Options.OnQueryDone receives it after every Run/RunAnalyzed.
-// Other queries running at the same time do not change it.
+// QueryStats summarizes one analyzed query execution from the query's
+// own plan and timeline: RunAnalyzed returns it and the slow-query log
+// reads it. Other queries running at the same time do not change it.
 type QueryStats struct {
 	// Tenant is the identity the query ran under (obs.WithTenant);
 	// empty for direct library calls.
 	Tenant string
-	// Plan is the executed plan; per-operator stats are filled only
-	// when Analyzed is set (RunAnalyzed).
+	// Plan is the executed plan with per-operator stats.
 	Plan *PlanNode
 	// Wall is the end-to-end query time, PlanTime the optimizer's
 	// share (0 for a one-table query), ExecTime the operator execution
@@ -79,8 +77,6 @@ type QueryStats struct {
 	ExecTime time.Duration
 	// RowsReturned is the final result size.
 	RowsReturned int64
-	// Analyzed reports whether per-operator statistics were collected.
-	Analyzed bool
 	// QueryID is the live-query registry's ID for this execution;
 	// PlanDigest is a stable 64-bit hash of the plan shape (hex), the
 	// key used to correlate slow-query log lines, /debug/queries rows,
@@ -205,8 +201,8 @@ func planChildren(op engine.Operator) []*PlanNode {
 	return out
 }
 
-// describeOperator labels an untraced operator (the plain Run path
-// still reports the plan shape to OnQueryDone).
+// describeOperator labels an untraced operator (a plan built without
+// instrumentation).
 func describeOperator(op engine.Operator) *PlanNode {
 	switch x := op.(type) {
 	case *engine.Scan:

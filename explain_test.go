@@ -119,7 +119,7 @@ func TestRunAnalyzedJoinGroupBy(t *testing.T) {
 	if res.NumRows() != plain.NumRows() || res.NumRows() != 2 {
 		t.Fatalf("analyzed rows = %d, plain rows = %d, want 2", res.NumRows(), plain.NumRows())
 	}
-	if !stats.Analyzed || stats.RowsReturned != 2 {
+	if stats.RowsReturned != 2 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	if stats.Wall <= 0 || stats.ExecTime <= 0 {
@@ -163,57 +163,50 @@ func TestRunAnalyzedJoinGroupBy(t *testing.T) {
 }
 
 func TestTileSkippingAccounting(t *testing.T) {
-	for _, skip := range []bool{true, false} {
-		o := opts()
-		o.SkipTiles = skip
-		tbl, err := Load("logs", mixedDocs(2048), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		numTiles := int64(tbl.StorageInfo().NumTiles)
-		if numTiles < 4 {
-			t.Fatalf("want several tiles, got %d", numTiles)
-		}
+	tbl, err := Load("logs", mixedDocs(2048), opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	numTiles := int64(tbl.StorageInfo().NumTiles)
+	if numTiles < 4 {
+		t.Fatalf("want several tiles, got %d", numTiles)
+	}
 
-		base := obs.Default.Snapshot()
-		_, stats, err := tbl.Query("data->>'status'::BigInt").
-			WhereNotNull(0).
-			GroupBy(0).
-			Aggregate(CountAll("n")).
-			RunAnalyzed()
-		if err != nil {
-			t.Fatal(err)
-		}
-		scan := stats.Plan.Find("Scan")
-		if scan == nil || scan.Scan == nil {
-			t.Fatalf("no scan stats:\n%s", stats.Plan)
-		}
-		s := scan.Scan
+	base := obs.Default.Snapshot()
+	_, stats, err := tbl.Query("data->>'status'::BigInt").
+		WhereNotNull(0).
+		GroupBy(0).
+		Aggregate(CountAll("n")).
+		RunAnalyzed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := stats.Plan.Find("Scan")
+	if scan == nil || scan.Scan == nil {
+		t.Fatalf("no scan stats:\n%s", stats.Plan)
+	}
+	s := scan.Scan
 
-		// Every tile is accounted for, scanned or skipped.
-		if s.TilesScanned+s.TilesSkipped != numTiles || s.NumTiles != numTiles {
-			t.Fatalf("skip=%v: scanned %d + skipped %d != NumTiles %d",
-				skip, s.TilesScanned, s.TilesSkipped, numTiles)
-		}
-		if skip && s.TilesSkipped == 0 {
-			t.Fatalf("SkipTiles=true but no tile was skipped (%d tiles)", numTiles)
-		}
-		if !skip && s.TilesSkipped != 0 {
-			t.Fatalf("SkipTiles=false yet %d tiles skipped", s.TilesSkipped)
-		}
-		if skip && s.SkipRatio() <= 0 {
-			t.Fatalf("skip ratio = %v", s.SkipRatio())
-		}
+	// Every tile is accounted for, scanned or skipped.
+	if s.TilesScanned+s.TilesSkipped != numTiles || s.NumTiles != numTiles {
+		t.Fatalf("scanned %d + skipped %d != NumTiles %d",
+			s.TilesScanned, s.TilesSkipped, numTiles)
+	}
+	if s.TilesSkipped == 0 {
+		t.Fatalf("no tile was skipped (%d tiles)", numTiles)
+	}
+	if s.SkipRatio() <= 0 {
+		t.Fatalf("skip ratio = %v", s.SkipRatio())
+	}
 
-		// The process-wide registry saw the same tile accounting.
-		d := obs.Default.Snapshot().Diff(base)
-		if d.Get("tiles_scanned")+d.Get("tiles_skipped") != numTiles {
-			t.Fatalf("registry delta %d+%d != %d",
-				d.Get("tiles_scanned"), d.Get("tiles_skipped"), numTiles)
-		}
-		if d.Get("queries_run") != 1 {
-			t.Fatalf("queries_run delta = %d", d.Get("queries_run"))
-		}
+	// The process-wide registry saw the same tile accounting.
+	d := obs.Default.Snapshot().Diff(base)
+	if d.Get("tiles_scanned")+d.Get("tiles_skipped") != numTiles {
+		t.Fatalf("registry delta %d+%d != %d",
+			d.Get("tiles_scanned"), d.Get("tiles_skipped"), numTiles)
+	}
+	if d.Get("queries_run") != 1 {
+		t.Fatalf("queries_run delta = %d", d.Get("queries_run"))
 	}
 }
 
@@ -454,39 +447,6 @@ func TestTopKOrderByLimit(t *testing.T) {
 					i, c, topk.Value(i, c), full.Value(i, c))
 			}
 		}
-	}
-}
-
-func TestOnQueryDoneHook(t *testing.T) {
-	o := opts()
-	var got []QueryStats
-	o.OnQueryDone = func(s QueryStats) { got = append(got, s) }
-	tbl, err := Load("reviews", reviewDocs(300), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := tbl.Query("data->>'stars'::BigInt").WhereCmp(0, Ge, 4).Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("hook called %d times", len(got))
-	}
-	if got[0].Analyzed {
-		t.Fatal("plain Run reported analyzed stats")
-	}
-	if got[0].Plan == nil || got[0].Plan.Find("Scan") == nil {
-		t.Fatalf("hook stats lack a plan: %+v", got[0])
-	}
-	if got[0].Wall <= 0 {
-		t.Fatalf("hook stats lack wall time: %+v", got[0])
-	}
-
-	if _, _, err := tbl.Query("data->>'stars'::BigInt").WhereCmp(0, Ge, 4).RunAnalyzed(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || !got[1].Analyzed {
-		t.Fatalf("RunAnalyzed hook: calls=%d stats=%+v", len(got), got[len(got)-1])
 	}
 }
 

@@ -185,8 +185,9 @@ func fig16(w io.Writer, c *Context) error {
 	t := &table{header: []string{"dataset", "Extract", "Mining", "Reordering", "WriteJSONB"}}
 	for _, ds := range datasets {
 		var m tile.Metrics
-		l := storage.NewTilesLoader(c.loaderConfig(), &m)
-		if _, err := l.Load(ds.name, ds.lines, workers); err != nil {
+		cfg := c.loaderConfig()
+		cfg.Metrics = &m
+		if _, err := storage.BuildTilesFromLines(ds.name, ds.lines, cfg, workers); err != nil {
 			return err
 		}
 		ext := float64(m.ExtractNanos.Load())

@@ -81,9 +81,9 @@ func countRead(n int64) {
 // Production code never touches it.
 var Rename = os.Rename
 
-// DefaultReadAttempts bounds ReadRangeRetry: the initial read plus up
+// readAttempts bounds ReadRangeRetry: the initial read plus up
 // to three retries, with exponential backoff starting at retryBaseDelay.
-const DefaultReadAttempts = 4
+const readAttempts = 4
 
 // retryBaseDelay is the first backoff step; it doubles per retry. Kept
 // short because the fake's injected failures are instantaneous and
@@ -92,18 +92,14 @@ const retryBaseDelay = time.Millisecond
 
 // ReadRangeRetry is ReadRange with bounded retry-with-backoff on
 // transient errors. It returns the bytes, the number of retries taken
-// (0 when the first attempt succeeded), and the final error. attempts
-// <= 0 selects DefaultReadAttempts. Every retry increments the global
-// store_retries counter.
-func ReadRangeRetry(s Store, name string, off, n int64, attempts int) ([]byte, int, error) {
-	if attempts <= 0 {
-		attempts = DefaultReadAttempts
-	}
+// (0 when the first attempt succeeded), and the final error. Every
+// retry increments the global store_retries counter.
+func ReadRangeRetry(s Store, name string, off, n int64) ([]byte, int, error) {
 	delay := retryBaseDelay
 	retries := 0
 	for {
 		b, err := s.ReadRange(name, off, n)
-		if err == nil || !IsTransient(err) || retries >= attempts-1 {
+		if err == nil || !IsTransient(err) || retries >= readAttempts-1 {
 			return b, retries, err
 		}
 		retries++
@@ -120,7 +116,7 @@ func ReadAll(s Store, name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, _, err := ReadRangeRetry(s, name, 0, size, 0)
+	b, _, err := ReadRangeRetry(s, name, 0, size)
 	return b, err
 }
 

@@ -225,7 +225,7 @@ func TestReadRangeRetryTransient(t *testing.T) {
 	// Two injected transient failures, then success: the retry loop
 	// absorbs them and reports the retries taken.
 	s.FailNextReads(2)
-	b, retries, err := ReadRangeRetry(s, "obj", 2, 4, 0)
+	b, retries, err := ReadRangeRetry(s, "obj", 2, 4)
 	if err != nil || string(b) != "2345" {
 		t.Fatalf("ReadRangeRetry = %q, %v", b, err)
 	}
@@ -236,15 +236,15 @@ func TestReadRangeRetryTransient(t *testing.T) {
 		t.Fatalf("injected = %d, want 2", s.InjectedFailures())
 	}
 
-	// More failures than attempts: the final error is transient and
-	// carries the object name.
+	// More failures than attempts: after the default limit of three
+	// retries the final error is transient and carries the object name.
 	s.FailNextReads(10)
-	_, retries, err = ReadRangeRetry(s, "obj", 0, 1, 3)
+	_, retries, err = ReadRangeRetry(s, "obj", 0, 1)
 	if !IsTransient(err) {
 		t.Fatalf("exhausted retry error = %v, want transient", err)
 	}
-	if retries != 2 {
-		t.Fatalf("retries = %d, want 2 (attempts=3)", retries)
+	if retries != 3 {
+		t.Fatalf("retries = %d, want 3 (the default limit)", retries)
 	}
 	if !strings.Contains(err.Error(), "obj") {
 		t.Errorf("error %q lacks object name", err)
@@ -255,7 +255,7 @@ func TestReadRangeRetryTransient(t *testing.T) {
 func TestReadRangeRetryPermanentNotRetried(t *testing.T) {
 	s := NewMem()
 	s.Put("obj", []byte("xy"))
-	_, retries, err := ReadRangeRetry(s, "missing", 0, 1, 0)
+	_, retries, err := ReadRangeRetry(s, "missing", 0, 1)
 	if !IsNotExist(err) || retries != 0 {
 		t.Fatalf("ReadRangeRetry(missing) = retries %d, err %v; want 0, not-exist", retries, err)
 	}

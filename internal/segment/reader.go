@@ -89,12 +89,12 @@ func OpenStore(store blockstore.Store, name string, pool *bufpool.Pool) (*Reader
 	if winOff > 0 {
 		go func() {
 			defer close(headDone)
-			head, _, headErr = blockstore.ReadRangeRetry(store, name, 0, int64(len(Magic)), 0)
+			head, _, headErr = blockstore.ReadRangeRetry(store, name, 0, int64(len(Magic)))
 		}()
 	} else {
 		close(headDone)
 	}
-	winBuf, _, err := blockstore.ReadRangeRetry(store, name, winOff, win, 0)
+	winBuf, _, err := blockstore.ReadRangeRetry(store, name, winOff, win)
 	<-headDone
 	if err != nil {
 		return nil, fmt.Errorf("segment %s: open tail [%d,+%d): %w", name, winOff, win, err)
@@ -408,7 +408,7 @@ func (r *Reader) Fetch(tenant string, runs []FetchRun, prefetched bool) obs.Scan
 }
 
 func (r *Reader) fetchRun(tenant string, run FetchRun, prefetched bool) obs.ScanCounts {
-	buf, retries, err := blockstore.ReadRangeRetry(r.store, r.name, run.Off, run.Len, 0)
+	buf, retries, err := blockstore.ReadRangeRetry(r.store, r.name, run.Off, run.Len)
 	fi := obs.ScanCounts{StoreRangeReads: int64(1 + retries), StoreRetries: int64(retries)}
 	if err != nil {
 		return fi
@@ -496,7 +496,7 @@ func (r *Reader) readStored(ref BlockRef) ([]byte, error) {
 }
 
 func (r *Reader) readStoredRetry(ref BlockRef) ([]byte, int, error) {
-	stored, retries, err := blockstore.ReadRangeRetry(r.store, r.name, int64(ref.Off), int64(ref.StoredLen), 0)
+	stored, retries, err := blockstore.ReadRangeRetry(r.store, r.name, int64(ref.Off), int64(ref.StoredLen))
 	if err != nil {
 		if blockstore.IsNotExist(err) || isShortRead(err) {
 			return nil, retries, r.corruptBlock(ref, "truncated or missing: %v", err)

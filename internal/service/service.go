@@ -14,10 +14,10 @@
 //     Beyond that, requests are rejected immediately with 429 and a
 //     Retry-After hint, so overload degrades to fast rejections
 //     instead of a convoy of slow everything.
-//   - Tenant governance: the TenantHeader identifies the tenant, the
-//     identity rides the query context into the engine, and the
-//     tenant's buffer-pool residency, scan bytes, queue waits, and
-//     rejections are accounted in obs.Tenants and exported on
+//   - Tenant governance: the X-JT-Tenant header identifies the
+//     tenant, the identity rides the query context into the engine,
+//     and the tenant's buffer-pool residency, scan bytes, queue waits,
+//     and rejections are accounted in obs.Tenants and exported on
 //     /metrics as labeled series.
 package service
 
@@ -55,13 +55,17 @@ type Config struct {
 	// DefaultTimeout is the per-query deadline when the request does
 	// not set timeout_ms (default 30s).
 	DefaultTimeout time.Duration
-	// TenantHeader names the HTTP header carrying the tenant identity
-	// (default "X-JT-Tenant").
-	TenantHeader string
-	// DefaultTenant is used when the header is absent (default
-	// "default").
-	DefaultTenant string
 }
+
+const (
+	// tenantHeader carries the tenant identity; a request without it
+	// runs as defaultTenant.
+	tenantHeader  = "X-JT-Tenant"
+	defaultTenant = "default"
+	// maxRequestBytes caps a /query request body; a larger one is
+	// answered 413.
+	maxRequestBytes = 1 << 20
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
@@ -75,12 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.TenantHeader == "" {
-		c.TenantHeader = "X-JT-Tenant"
-	}
-	if c.DefaultTenant == "" {
-		c.DefaultTenant = "default"
 	}
 	return c
 }
@@ -276,9 +274,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a query envelope to /query")
 		return
 	}
-	req, err := decodeRequest(r.Body)
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, err.Error())
 		return
 	}
 	tbl := s.table(req.Table)
@@ -288,9 +291,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	tenant := r.Header.Get(s.cfg.TenantHeader)
+	tenant := r.Header.Get(tenantHeader)
 	if tenant == "" {
-		tenant = s.cfg.DefaultTenant
+		tenant = defaultTenant
 	}
 	tc := obs.Tenants.Get(tenant)
 

@@ -202,6 +202,10 @@ func TestNonFiniteFloatsAreServed(t *testing.T) {
 
 func TestQueryEndpointErrors(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
+	// One byte past the 1 MiB body cap, inside a select string so the
+	// decoder must read all of it.
+	head, tail := `{"table": "reviews", "select": ["`, `"]}`
+	oversized := head + strings.Repeat("x", 1<<20+1-len(head)-len(tail)) + tail
 	cases := []struct {
 		name, env string
 		status    int
@@ -214,11 +218,13 @@ func TestQueryEndpointErrors(t *testing.T) {
 		{"like non-string", `{"table": "reviews", "select": ["data->>'x'"], "where": [{"col": 0, "op": "like", "value": 3}]}`, http.StatusBadRequest},
 		{"group without aggs", `{"table": "reviews", "select": ["data->>'x'"], "group_by": [0]}`, http.StatusBadRequest},
 		{"bad column index", `{"table": "reviews", "select": ["data->>'x'"], "where": [{"col": 9, "op": "not_null"}]}`, http.StatusBadRequest},
+		{"negative limit", `{"table": "reviews", "select": ["data->>'stars'"], "limit": -1}`, http.StatusBadRequest},
+		{"body over 1 MiB", oversized, http.StatusRequestEntityTooLarge},
 	}
 	for _, c := range cases {
 		status, _, body := postQuery(t, ts.URL, "", c.env)
 		if status != c.status {
-			t.Errorf("%s: status %d, want %d (%s)", c.name, status, c.status, strings.TrimSpace(body))
+			t.Errorf("%s: status %d, want %d (%.200s)", c.name, status, c.status, strings.TrimSpace(body))
 		}
 		if !strings.Contains(body, `"error"`) {
 			t.Errorf("%s: error body missing: %s", c.name, body)

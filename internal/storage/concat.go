@@ -9,7 +9,7 @@ import "repro/internal/stats"
 // DirTable.AppendTiles.
 func Concat(name string, a, b Relation) Relation {
 	ta, tb := a.(*tilesRelation), b.(*tilesRelation)
-	merged := &tilesRelation{name: name, cfg: ta.cfg, metrics: ta.metrics,
+	merged := &tilesRelation{name: name, cfg: ta.cfg,
 		numRows: ta.numRows + tb.numRows, stats: stats.New(0, 0)}
 	merged.tiles = append(merged.tiles, ta.tiles...)
 	merged.tiles = append(merged.tiles, tb.tiles...)

@@ -31,7 +31,7 @@ func dirTestBatch(t *testing.T, lines []string) ([]*tile.Tile, *stats.TableStats
 	}
 	cfg := DefaultLoaderConfig()
 	cfg.Tile.TileSize = 16
-	rel, err := BuildTilesFromLines("batch", raw, cfg, 2, nil)
+	rel, err := BuildTilesFromLines("batch", raw, cfg, 2)
 	if err != nil {
 		t.Fatalf("BuildTilesFromLines: %v", err)
 	}
@@ -133,7 +133,7 @@ func TestDirTableAppendCompactReopen(t *testing.T) {
 	for i, l := range all {
 		raw[i] = []byte(l)
 	}
-	mem, err := BuildTilesFromLines("mem", raw, cfg, 2, nil)
+	mem, err := BuildTilesFromLines("mem", raw, cfg, 2)
 	if err != nil {
 		t.Fatalf("BuildTilesFromLines: %v", err)
 	}

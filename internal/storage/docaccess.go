@@ -24,7 +24,8 @@ type LoaderConfig struct {
 	SkipTiles bool
 	// Metrics, when non-nil, accumulates the load-time breakdown
 	// (parse/mine/extract/JSONB/reorder nanos — Figure 16) across every
-	// load performed with this config.
+	// Tiles build performed with this config; it is the one route for
+	// a build's metrics.
 	Metrics *tile.Metrics
 }
 

@@ -46,7 +46,7 @@ func fetchTestStore(t *testing.T, nTiles, tileRows, pad int) (blockstore.Store, 
 	for i, l := range lines {
 		raw[i] = []byte(l)
 	}
-	rel, err := BuildTilesFromLines("t", raw, cfg, 2, nil)
+	rel, err := BuildTilesFromLines("t", raw, cfg, 2)
 	if err != nil {
 		t.Fatalf("BuildTilesFromLines: %v", err)
 	}
@@ -252,7 +252,7 @@ func TestColdScanReadsOnlyPlannedBlocks(t *testing.T) {
 	}
 	cfg := DefaultLoaderConfig()
 	cfg.Tile.TileSize = rows
-	rel, err := BuildTilesFromLines("t", raw, cfg, 2, nil)
+	rel, err := BuildTilesFromLines("t", raw, cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

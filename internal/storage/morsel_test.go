@@ -281,7 +281,7 @@ func TestMorselScanConformanceDirTable(t *testing.T) {
 
 	appendBatch := func(start, n int) {
 		t.Helper()
-		rel, err := BuildTilesFromLines("batch", skewedDocs(start, n), cfg, 2, nil)
+		rel, err := BuildTilesFromLines("batch", skewedDocs(start, n), cfg, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func TestStoreConformanceAcrossBackends(t *testing.T) {
 	}
 	cfg := DefaultLoaderConfig()
 	cfg.Tile.TileSize = 16
-	mem, err := BuildTilesFromLines("mem", raw, cfg, 2, nil)
+	mem, err := BuildTilesFromLines("mem", raw, cfg, 2)
 	if err != nil {
 		t.Fatalf("BuildTilesFromLines: %v", err)
 	}

@@ -160,8 +160,8 @@ func TestOverLimitIsIngestError(t *testing.T) {
 	if b.Len() != len(lines)-2 {
 		t.Fatalf("batch holds %d documents, want %d", b.Len(), len(lines)-2)
 	}
-	fromBatch := BuildTilesFromBatch("b", &b, cfg, 2, nil)
-	fromLines, err := BuildTilesFromLines("l", accepted, cfg, 2, nil)
+	fromBatch := BuildTilesFromBatch("b", &b, cfg, 2)
+	fromLines, err := BuildTilesFromLines("l", accepted, cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,10 +227,10 @@ func (b *ParsedBatch) tapes() []*jsontape.Doc {
 // BuildTilesFromBatch builds the batch's documents into a Tiles
 // relation exactly as BuildTilesFromLines builds the same lines, and
 // empties the batch.
-func BuildTilesFromBatch(name string, b *ParsedBatch, cfg LoaderConfig, workers int, metrics *tile.Metrics) Relation {
+func BuildTilesFromBatch(name string, b *ParsedBatch, cfg LoaderConfig, workers int) Relation {
 	defer b.reset()
 	tapes := b.tapes()
-	r := buildPartitions(name, b.Len(), cfg, workers, metrics, func(pb *partBuilder, lo, hi int) []*tile.Tile {
+	r := buildPartitions(name, b.Len(), cfg, workers, func(pb *partBuilder, lo, hi int) []*tile.Tile {
 		return pb.tapes(tapes[lo:hi])
 	})
 	obs.DocsLoaded.Add(int64(b.Len()))
@@ -244,9 +244,9 @@ func BuildTilesFromBatch(name string, b *ParsedBatch, cfg LoaderConfig, workers 
 // from them — documents are never materialized as trees. A malformed
 // or over-limit document fails the load; the error names the lowest
 // failing document.
-func BuildTilesFromLines(name string, lines [][]byte, cfg LoaderConfig, workers int, metrics *tile.Metrics) (Relation, error) {
+func BuildTilesFromLines(name string, lines [][]byte, cfg LoaderConfig, workers int) (Relation, error) {
 	pe := newParseErrs()
-	r := buildPartitions(name, len(lines), cfg, workers, metrics, func(pb *partBuilder, lo, hi int) []*tile.Tile {
+	r := buildPartitions(name, len(lines), cfg, workers, func(pb *partBuilder, lo, hi int) []*tile.Tile {
 		if pe.failedBefore(lo) {
 			return nil
 		}

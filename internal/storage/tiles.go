@@ -23,7 +23,6 @@ type tilesRelation struct {
 	tiles   []*tile.Tile
 	numRows int
 	stats   *stats.TableStats
-	metrics *tile.Metrics
 }
 
 var (
@@ -35,17 +34,8 @@ type tilesLoader struct {
 	cfg LoaderConfig
 }
 
-// NewTilesLoader returns a Tiles loader that records build metrics
-// (Figure 16's insertion breakdown) into m, overriding cfg.Metrics.
-func NewTilesLoader(cfg LoaderConfig, m *tile.Metrics) Loader {
-	if m != nil {
-		cfg.Metrics = m
-	}
-	return tilesLoader{cfg: cfg}
-}
-
 func (l tilesLoader) Load(name string, lines [][]byte, workers int) (Relation, error) {
-	return BuildTilesFromLines(name, lines, l.cfg, workers, l.cfg.Metrics)
+	return BuildTilesFromLines(name, lines, l.cfg, workers)
 }
 
 // partBuilder is what one partition's body of buildPartitions works
@@ -65,11 +55,9 @@ type partBuilder struct {
 // granularity gives the queue its work stealing without splitting the
 // reorder/extraction scope. body builds documents [lo, hi) into tiles
 // (nil when it fails); the tiles are concatenated in partition order.
-func buildPartitions(name string, n int, cfg LoaderConfig, workers int, metrics *tile.Metrics,
+// Build metrics go to cfg.Metrics.
+func buildPartitions(name string, n int, cfg LoaderConfig, workers int,
 	body func(pb *partBuilder, lo, hi int) []*tile.Tile) *tilesRelation {
-	if metrics == nil {
-		metrics = cfg.Metrics
-	}
 	tcfg := cfg.Tile
 	if tcfg.TileSize <= 0 {
 		tcfg = tile.DefaultConfig()
@@ -81,11 +69,11 @@ func buildPartitions(name string, n int, cfg LoaderConfig, workers int, metrics 
 	partTiles := make([][]*tile.Tile, (n+partDocs-1)/partDocs)
 	morselEach(len(partTiles), workers, func(_, p int) {
 		pb := &partBuilder{tcfg: tcfg, reorder: cfg.Reorder && tcfg.PartitionSize > 1,
-			workers: workers, metrics: metrics}
+			workers: workers, metrics: cfg.Metrics}
 		lo := p * partDocs
 		partTiles[p] = body(pb, lo, min(lo+partDocs, n))
 	})
-	r := &tilesRelation{name: name, cfg: cfg, numRows: n, stats: stats.New(0, 0), metrics: metrics}
+	r := &tilesRelation{name: name, cfg: cfg, numRows: n, stats: stats.New(0, 0)}
 	for _, pt := range partTiles {
 		for _, t := range pt {
 			r.tiles = append(r.tiles, t)
@@ -188,7 +176,7 @@ func (r *tilesRelation) RecomputeTiles() int {
 	if tcfg.TileSize <= 0 {
 		tcfg = tile.DefaultConfig()
 	}
-	builder := tile.NewBuilder(tcfg, r.metrics)
+	builder := tile.NewBuilder(tcfg, r.cfg.Metrics)
 	recomputed := 0
 	for i, t := range r.tiles {
 		if !t.NeedsRecompute() {

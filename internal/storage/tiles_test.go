@@ -29,7 +29,7 @@ func TestParallelTileBuildsKeepOrder(t *testing.T) {
 	}
 	cfg := DefaultLoaderConfig()
 	cfg.Tile.TileSize, cfg.Tile.PartitionSize = 16, 4
-	rel, err := BuildTilesFromLines("t", data, cfg, 4, nil)
+	rel, err := BuildTilesFromLines("t", data, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

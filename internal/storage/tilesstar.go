@@ -46,7 +46,7 @@ func BuildTilesStar(name string, lines [][]byte, cfg LoaderConfig, workers int,
 	}
 	obs.IngestDocsTape.Add(int64(len(tapes)))
 	star := &TilesStar{Sides: map[string]Relation{}}
-	star.Main = buildPartitions(name, len(tapes), cfg, workers, nil, func(pb *partBuilder, lo, hi int) []*tile.Tile {
+	star.Main = buildPartitions(name, len(tapes), cfg, workers, func(pb *partBuilder, lo, hi int) []*tile.Tile {
 		return pb.tapes(tapes[lo:hi])
 	})
 
@@ -71,7 +71,7 @@ func BuildTilesStar(name string, lines [][]byte, cfg LoaderConfig, workers int,
 			}
 		}
 		enc := ap.Encode()
-		side, err := BuildTilesFromLines(fmt.Sprintf("%s[%s]", name, enc), sideLines, cfg, workers, nil)
+		side, err := BuildTilesFromLines(fmt.Sprintf("%s[%s]", name, enc), sideLines, cfg, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -52,12 +52,6 @@ type Options struct {
 	// Reorder enables clustering tuples with equal frequent structure
 	// into the same tiles (§3.2).
 	Reorder bool
-	// SkipTiles enables skipping tiles that provably contain no match
-	// (§4.8).
-	SkipTiles bool
-	// DetectDates extracts date-like string columns as timestamps
-	// (§4.9).
-	DetectDates bool
 	// Workers bounds loading and query parallelism (0 = all CPUs).
 	Workers int
 	// CacheBytes bounds the buffer pool of persisted tables (OpenDir,
@@ -71,33 +65,19 @@ type Options struct {
 	// compaction — segments then accumulate one per flush until
 	// Compact is called explicitly.
 	CompactFanIn int
-	// OnQueryDone, when set, receives a QueryStats after every
-	// Run/RunAnalyzed on this table's queries (slow-query logging,
-	// metrics export). Called synchronously before Run returns. On a
-	// multi-table query the hook of the first table (in add order)
-	// that sets one fires, once per query.
-	OnQueryDone func(QueryStats)
 	// SlowQueryThreshold, when positive, instruments every query on
-	// this table like RunAnalyzed and writes one JSON line to
-	// SlowQueryLog for each query whose wall time reaches the
-	// threshold. On a multi-table query the first table (in add
-	// order) with a positive threshold provides both settings.
+	// this table like RunAnalyzed and writes one JSON line to stderr
+	// for each query whose wall time reaches the threshold. Lines are
+	// serialized process-wide, so one never interleaves with another
+	// even across tables. On a multi-table query the first table (in
+	// add order) with a positive threshold provides it.
 	SlowQueryThreshold time.Duration
-	// SlowQueryLog receives slow-query lines (default os.Stderr).
-	// Writes are serialized process-wide, so one line never
-	// interleaves with another even across tables.
-	SlowQueryLog io.Writer
-	// DebugAddr, when non-empty, starts the process-wide debug HTTP
-	// server on that address (once; later tables reuse it) serving
-	// /metrics, /debug/queries, /debug/trace, and net/http/pprof.
-	// Equivalent to calling ServeDebug directly.
-	DebugAddr string
 }
 
 // withDefaults substitutes DefaultOptions for the tile-layout fields
 // when the caller left TileSize zero, while preserving the runtime
-// fields (workers, cache, compaction, hooks, slow-query logging,
-// DebugAddr) the caller may have set without picking a layout.
+// fields (workers, cache, compaction, slow-query threshold) the caller
+// may have set without picking a layout.
 func (o Options) withDefaults() Options {
 	if o.TileSize != 0 {
 		return o
@@ -106,10 +86,7 @@ func (o Options) withDefaults() Options {
 	def.Workers = o.Workers
 	def.CacheBytes = o.CacheBytes
 	def.CompactFanIn = o.CompactFanIn
-	def.OnQueryDone = o.OnQueryDone
 	def.SlowQueryThreshold = o.SlowQueryThreshold
-	def.SlowQueryLog = o.SlowQueryLog
-	def.DebugAddr = o.DebugAddr
 	return def
 }
 
@@ -120,13 +97,15 @@ func DefaultOptions() Options {
 		PartitionSize:       8,
 		ExtractionThreshold: 0.6,
 		Reorder:             true,
-		SkipTiles:           true,
-		DetectDates:         true,
 	}
 }
 
-func (o Options) loaderConfig() storage.LoaderConfig {
+// loaderConfig is the Tiles build configuration of o, recording the
+// build's metrics into m. Tile skipping (§4.8) and date detection
+// (§4.9) stay on: only the Figure 14 ablation turns them off.
+func (o Options) loaderConfig(m *tile.Metrics) storage.LoaderConfig {
 	cfg := storage.DefaultLoaderConfig()
+	cfg.Metrics = m
 	if o.TileSize > 0 {
 		cfg.Tile.TileSize = o.TileSize
 	}
@@ -136,9 +115,7 @@ func (o Options) loaderConfig() storage.LoaderConfig {
 	if o.ExtractionThreshold > 0 {
 		cfg.Tile.Threshold = o.ExtractionThreshold
 	}
-	cfg.Tile.DetectDates = o.DetectDates
 	cfg.Reorder = o.Reorder
-	cfg.SkipTiles = o.SkipTiles
 	return cfg
 }
 
@@ -163,10 +140,8 @@ type Table struct {
 // element) into a new table.
 func Load(name string, docs [][]byte, opts Options) (*Table, error) {
 	opts = opts.withDefaults()
-	maybeServeDebug(opts.DebugAddr)
 	m := &tile.Metrics{}
-	loader := storage.NewTilesLoader(opts.loaderConfig(), m)
-	rel, err := loader.Load(name, docs, opts.workers())
+	rel, err := storage.BuildTilesFromLines(name, docs, opts.loaderConfig(m), opts.workers())
 	if err != nil {
 		return nil, err
 	}
@@ -214,9 +189,8 @@ func isASCIISpace(c byte) bool {
 // Flush to force pending documents into tiles.
 func New(name string, opts Options) *Table {
 	opts = opts.withDefaults()
-	maybeServeDebug(opts.DebugAddr)
 	m := &tile.Metrics{}
-	rel, _ := storage.BuildTilesFromLines(name, nil, opts.loaderConfig(), 1, m) // no documents, no error
+	rel, _ := storage.BuildTilesFromLines(name, nil, opts.loaderConfig(m), 1) // no documents, no error
 	return &Table{name: name, opts: opts, rel: rel, metrics: m}
 }
 
@@ -246,7 +220,7 @@ func (t *Table) Flush() error {
 	if t.pending.Len() == 0 {
 		return nil
 	}
-	newRel := storage.BuildTilesFromBatch(t.name, &t.pending, t.opts.loaderConfig(), t.opts.workers(), t.metrics)
+	newRel := storage.BuildTilesFromBatch(t.name, &t.pending, t.opts.loaderConfig(t.metrics), t.opts.workers())
 	if dt, ok := t.rel.(*storage.DirTable); ok {
 		ti := newRel.(storage.TileIntrospector)
 		return dt.AppendTiles(ti.Tiles(), newRel.Stats())

@@ -37,36 +37,27 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-// Satellite regression: OnQueryDone used to consult only the first
-// table of a multi-table query; a hook registered on a joined table
-// never fired. The rule now: the first table in add order that sets a
-// hook provides it.
-func TestOnQueryDoneHookOnJoinedTable(t *testing.T) {
-	users, err := Load("users", usersDocs(20), opts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hooked := opts()
-	var got []QueryStats
-	hooked.OnQueryDone = func(s QueryStats) { got = append(got, s) }
-	orders, err := Load("orders", ordersDocs(200), hooked)
-	if err != nil {
-		t.Fatal(err)
-	}
+func (s *syncBuffer) Reset() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.b.Reset()
+}
 
-	// users (no hook) is the root table; orders (hooked) is joined in.
-	_, err = users.Query("data->>'uid'", "data->>'plan'").
-		Join(orders, []string{"data->>'user'", "data->>'total'::BigInt"}, 0, 0).
-		Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("hook on joined table fired %d times, want 1", len(got))
-	}
-	if got[0].Plan == nil || got[0].Plan.Find("HashJoin") == nil {
-		t.Fatalf("hook stats lack the join plan: %+v", got[0])
-	}
+// captureSlowLog routes slow-query lines, which go to stderr, into a
+// buffer until the test ends.
+func captureSlowLog(t *testing.T) *syncBuffer {
+	t.Helper()
+	buf := &syncBuffer{}
+	slowLogMu.Lock()
+	prev := slowLog
+	slowLog = buf
+	slowLogMu.Unlock()
+	t.Cleanup(func() {
+		slowLogMu.Lock()
+		slowLog = prev
+		slowLogMu.Unlock()
+	})
+	return buf
 }
 
 func TestQueryStatsCarryIDAndDigest(t *testing.T) {
@@ -105,9 +96,8 @@ func TestQueryStatsCarryIDAndDigest(t *testing.T) {
 
 func TestSlowQueryLogEmitsOneLine(t *testing.T) {
 	o := opts()
-	var log syncBuffer
+	log := captureSlowLog(t)
 	o.SlowQueryThreshold = time.Nanosecond // everything is slow
-	o.SlowQueryLog = &log
 	tbl, err := Load("logs", mixedDocs(1024), o)
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +140,7 @@ func TestSlowQueryLogEmitsOneLine(t *testing.T) {
 	// A fast query (threshold far away) logs nothing.
 	fast := opts()
 	fast.SlowQueryThreshold = time.Hour
-	var quiet syncBuffer
-	fast.SlowQueryLog = &quiet
+	log.Reset()
 	tbl2, err := Load("logs2", mixedDocs(256), fast)
 	if err != nil {
 		t.Fatal(err)
@@ -159,23 +148,18 @@ func TestSlowQueryLogEmitsOneLine(t *testing.T) {
 	if _, err := tbl2.Query("data->>'kind'").Run(); err != nil {
 		t.Fatal(err)
 	}
-	if quiet.String() != "" {
-		t.Fatalf("fast query logged: %q", quiet.String())
+	if log.String() != "" {
+		t.Fatalf("fast query logged: %q", log.String())
 	}
 }
 
 // Zero-valued layout options (TileSize == 0) substitute the paper
 // defaults but must keep caller-set runtime fields — a regression test
 // for options being replaced wholesale, dropping the slow-query
-// settings and the OnQueryDone hook.
+// threshold.
 func TestZeroLayoutOptionsKeepRuntimeFields(t *testing.T) {
-	var log syncBuffer
-	var hooked int
-	tbl := New("t", Options{
-		SlowQueryThreshold: time.Nanosecond,
-		SlowQueryLog:       &log,
-		OnQueryDone:        func(QueryStats) { hooked++ },
-	})
+	log := captureSlowLog(t)
+	tbl := New("t", Options{SlowQueryThreshold: time.Nanosecond})
 	for i := 0; i < 50; i++ {
 		if err := tbl.Insert([]byte(fmt.Sprintf(`{"v": %d}`, i))); err != nil {
 			t.Fatal(err)
@@ -190,9 +174,6 @@ func TestZeroLayoutOptionsKeepRuntimeFields(t *testing.T) {
 	if got := strings.Count(log.String(), "\n"); got != 1 {
 		t.Fatalf("slow-query lines = %d, want 1 (threshold dropped by defaulting?)", got)
 	}
-	if hooked != 1 {
-		t.Fatalf("OnQueryDone fired %d times, want 1", hooked)
-	}
 }
 
 func TestSlowQueryThresholdFromJoinedTable(t *testing.T) {
@@ -201,9 +182,8 @@ func TestSlowQueryThresholdFromJoinedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow := opts()
-	var log syncBuffer
+	log := captureSlowLog(t)
 	slow.SlowQueryThreshold = time.Nanosecond
-	slow.SlowQueryLog = &log
 	orders, err := Load("orders", ordersDocs(200), slow)
 	if err != nil {
 		t.Fatal(err)

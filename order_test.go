@@ -50,7 +50,7 @@ func TestPlainScanOrderMatchesSortRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		seg, _ := persist(t, mem, o)
-		dir, err := OpenStore("dir", NewFakeS3Store(nil, FakeS3Options{}), o)
+		dir, err := OpenStore("dir", NewFakeS3Store(nil, 0), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,11 @@ func TestOrderByNaNKey(t *testing.T) {
 			{true, 3, "[NaN 3 2]"},
 		} {
 			boxed := obs.RowsBoxed.Load()
-			res, _, err := tbl.Query("data->>'x'::Float").OrderBy(0, c.desc).Limit(c.limit).RunAnalyzed()
+			q := tbl.Query("data->>'x'::Float").OrderBy(0, c.desc)
+			if c.limit >= 0 {
+				q = q.Limit(c.limit)
+			}
+			res, _, err := q.RunAnalyzed()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"time"
 
 	"repro/internal/dates"
@@ -296,15 +294,17 @@ func (q *Query) OrderBy(col int, desc bool) *Query {
 	return q
 }
 
-// Limit keeps the first n output rows.
+// Limit keeps the first n output rows. A negative n fails the query.
 func (q *Query) Limit(n int) *Query {
+	if n < 0 {
+		q.fail(fmt.Errorf("jsontiles: negative limit %d", n))
+		return q
+	}
 	q.limit = n
 	return q
 }
 
-// Run executes the query. When Options.OnQueryDone is set, it is
-// invoked with plan-shape statistics (per-operator detail requires
-// RunAnalyzed).
+// Run executes the query.
 func (q *Query) Run() (*Result, error) {
 	res, _, err := q.run(context.Background(), false)
 	return res, err
@@ -488,30 +488,17 @@ func (q *Query) buildPlan(ctx context.Context, instrument bool, rec *planRecord)
 	return root, nil
 }
 
-// resolveHooks resolves the per-query observation options across the
-// query's tables. The rule: the first table — in the order tables
-// were added to the query (the root table, then joined tables in call
-// order) — that sets OnQueryDone provides the hook, and likewise the
-// first table that sets SlowQueryThreshold provides the slow-query
-// configuration. A multi-table query therefore fires a hook set on
-// any of its tables, not just the first.
-func (q *Query) resolveHooks() (hook func(QueryStats), slowThr time.Duration, slowLog io.Writer) {
+// slowThreshold resolves the slow-query threshold across the query's
+// tables: the first table — in the order tables were added to the
+// query (the root table, then joined tables in call order) — that sets
+// a positive SlowQueryThreshold provides it.
+func (q *Query) slowThreshold() time.Duration {
 	for _, qt := range q.tables {
-		if qt.table == nil {
-			continue
-		}
-		if hook == nil && qt.table.opts.OnQueryDone != nil {
-			hook = qt.table.opts.OnQueryDone
-		}
-		if slowThr == 0 && qt.table.opts.SlowQueryThreshold > 0 {
-			slowThr = qt.table.opts.SlowQueryThreshold
-			slowLog = qt.table.opts.SlowQueryLog
+		if qt.table != nil && qt.table.opts.SlowQueryThreshold > 0 {
+			return qt.table.opts.SlowQueryThreshold
 		}
 	}
-	if slowThr > 0 && slowLog == nil {
-		slowLog = os.Stderr
-	}
-	return hook, slowThr, slowLog
+	return 0
 }
 
 // effectiveWorkers resolves the query's parallelism across every
@@ -538,14 +525,14 @@ func (q *Query) effectiveWorkers() int {
 // Every execution — analyzed or not — registers in the live-query
 // registry, folds its wall/plan/exec times into the latency
 // histograms, and leaves its timeline in the trace ring. The
-// QueryStats it builds for RunAnalyzed, the slow-query log and
-// OnQueryDone read only this query's plan and timeline.
+// QueryStats it builds for RunAnalyzed and the slow-query log reads
+// only this query's plan and timeline.
 func (q *Query) run(ctx context.Context, analyze bool) (*Result, *QueryStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	tenant := obs.TenantFrom(ctx)
-	hook, slowThr, slowLog := q.resolveHooks()
+	slowThr := q.slowThreshold()
 	// Slow-query logging needs per-operator wall times for its top-
 	// operator breakdown, so a configured threshold instruments the
 	// plan exactly like RunAnalyzed does.
@@ -606,18 +593,17 @@ func (q *Query) run(ctx context.Context, analyze bool) (*Result, *QueryStats, er
 	obs.QueryRowsReturned.Observe(float64(res.Len))
 	obs.Traces.Add(tr)
 	result := &Result{data: res, order: order}
-	if !instrument && hook == nil {
+	if !instrument {
 		return result, nil, nil
 	}
 
 	stats := &QueryStats{
 		Tenant:       tenant,
-		Plan:         planNode(root, instrument),
+		Plan:         planNode(root, true),
 		Wall:         tr.Wall,
 		PlanTime:     tr.Plan,
 		ExecTime:     tr.Exec,
 		RowsReturned: int64(res.Len),
-		Analyzed:     instrument,
 		QueryID:      qh.ID,
 		PlanDigest:   digest,
 	}
@@ -628,10 +614,7 @@ func (q *Query) run(ctx context.Context, analyze bool) (*Result, *QueryStats, er
 		stats.DictGroupByBatches += gb.DictBatches()
 	}
 	if slowThr > 0 && stats.Wall >= slowThr {
-		writeSlowQueryLog(slowLog, stats)
-	}
-	if hook != nil {
-		hook(*stats)
+		writeSlowQueryLog(stats)
 	}
 	return result, stats, nil
 }

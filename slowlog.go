@@ -1,22 +1,27 @@
 package jsontiles
 
 // Slow-query logging: queries whose wall time reaches
-// Options.SlowQueryThreshold emit one self-contained JSON line. The
-// line carries enough to triage without re-running the query — total
-// times, result size, the plan digest to group recurrences of the
-// same template, and the top operators by exclusive wall time.
+// Options.SlowQueryThreshold emit one self-contained JSON line on
+// stderr. The line carries enough to triage without re-running the
+// query — total times, result size, the plan digest to group
+// recurrences of the same template, and the top operators by
+// exclusive wall time.
 
 import (
 	"encoding/json"
 	"io"
+	"os"
 	"sync"
 	"time"
 )
 
-// slowLogMu serializes slow-query lines process-wide so concurrent
-// queries (possibly on different tables sharing one writer) never
-// interleave partial lines.
-var slowLogMu sync.Mutex
+// slowLog receives slow-query lines; slowLogMu serializes them
+// process-wide so concurrent queries never interleave partial lines.
+// Only tests replace slowLog (under slowLogMu).
+var (
+	slowLogMu sync.Mutex
+	slowLog   io.Writer = os.Stderr
+)
 
 // SlowQueryRecord is the JSON shape of one slow-query log line.
 type SlowQueryRecord struct {
@@ -49,11 +54,8 @@ type SlowQueryOperator struct {
 	Rows   int64   `json:"rows"`
 }
 
-// writeSlowQueryLog emits one JSON line for stats to w.
-func writeSlowQueryLog(w io.Writer, stats *QueryStats) {
-	if w == nil || stats == nil {
-		return
-	}
+// writeSlowQueryLog emits one JSON line for stats to slowLog.
+func writeSlowQueryLog(stats *QueryStats) {
 	rec := SlowQueryRecord{
 		Time:         time.Now().UTC().Format(time.RFC3339Nano),
 		Tenant:       stats.Tenant,
@@ -71,7 +73,7 @@ func writeSlowQueryLog(w io.Writer, stats *QueryStats) {
 	}
 	line = append(line, '\n')
 	slowLogMu.Lock()
-	w.Write(line)
+	slowLog.Write(line)
 	slowLogMu.Unlock()
 }
 

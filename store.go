@@ -19,10 +19,10 @@ import (
 // BlockStore is the segment I/O abstraction every disk-backed table
 // speaks: named immutable objects with ranged reads and atomic
 // whole-object writes. Implementations ship for the local filesystem
-// (NewFSStore), process memory (NewMemStore), and a latency/failure-
-// injecting object-store fake (NewFakeS3Store); any user type
-// satisfying the interface works the same. See DESIGN.md §6.9 for the
-// contract implementations must honor.
+// (NewFSStore), process memory (NewMemStore), and a latency-injecting
+// object-store fake (NewFakeS3Store); any user type satisfying the
+// interface works the same. See DESIGN.md §6.9 for the contract
+// implementations must honor.
 type BlockStore = blockstore.Store
 
 // NewFSStore returns a BlockStore over a local directory (created if
@@ -37,29 +37,12 @@ func NewMemStore() BlockStore {
 	return blockstore.NewMem()
 }
 
-// FakeS3Options configures the simulated object store.
-type FakeS3Options struct {
-	// Latency is added to every request (the per-request round trip).
-	Latency time.Duration
-	// ThroughputBps, when positive, adds n/ThroughputBps of transfer
-	// time to an n-byte read.
-	ThroughputBps int64
-	// FailEveryN, when positive, makes every Nth range read fail with
-	// a transient error (readers retry with backoff).
-	FailEveryN int
-}
-
 // NewFakeS3Store wraps inner (nil selects a fresh in-memory store) in
-// a simulated object store: per-request latency, bounded throughput,
-// and injectable transient range-read failures. It is how the
-// remote-scan path — coalescing, readahead, retry — is exercised and
-// benchmarked without a real object store (see `jtbench blockstore`).
-func NewFakeS3Store(inner BlockStore, o FakeS3Options) BlockStore {
-	return blockstore.NewFakeS3(inner, blockstore.FakeS3Config{
-		Latency:       o.Latency,
-		ThroughputBps: o.ThroughputBps,
-		FailEveryN:    o.FailEveryN,
-	})
+// a simulated object store that adds latency to every request (the
+// per-request round trip). It is how the remote-scan path — coalescing
+// and readahead — is exercised without a real object store.
+func NewFakeS3Store(inner BlockStore, latency time.Duration) BlockStore {
+	return blockstore.NewFakeS3(inner, blockstore.FakeS3Config{Latency: latency})
 }
 
 // OpenStore opens (or creates) a multi-segment table on a BlockStore —
@@ -69,14 +52,13 @@ func NewFakeS3Store(inner BlockStore, o FakeS3Options) BlockStore {
 // one store can back several tables).
 func OpenStore(name string, store BlockStore, opts Options) (*Table, error) {
 	opts = opts.withDefaults()
-	maybeServeDebug(opts.DebugAddr)
 	pool := bufpool.New(opts.CacheBytes)
 	fanIn := opts.CompactFanIn
 	auto := fanIn >= 0
 	if fanIn < 0 {
 		fanIn = 0 // explicit Compact still uses the default fan-in
 	}
-	dt, err := storage.OpenDirStore(name, store, pool, opts.loaderConfig(), fanIn, auto)
+	dt, err := storage.OpenDirStore(name, store, pool, opts.loaderConfig(nil), fanIn, auto)
 	if err != nil {
 		return nil, err
 	}
