@@ -18,7 +18,9 @@
 //     never returned — the writer's orphan collection deletes them.
 //   - ReadRange(name, off, n) returns exactly n bytes or an error; a
 //     range past the object's end is a short read, reported as an
-//     error wrapping io.ErrUnexpectedEOF with the name and range.
+//     error wrapping io.ErrUnexpectedEOF with the name and range. A
+//     negative n reads from off to the object's end (an S3 GET
+//     without Range); an off past the end is then a short read too.
 //   - Missing objects report an error wrapping fs.ErrNotExist.
 //   - Transient errors (throttling, connection resets — injected by
 //     the fake) wrap ErrTransient; callers retry with backoff
@@ -41,9 +43,9 @@ type Store interface {
 	// buffer-pool object IDs are derived from Label()+"/"+name, so two
 	// stores must never share a label unless they serve identical bytes.
 	Label() string
-	// ReadRange returns bytes [off, off+n) of the named object. The
-	// returned slice must not be mutated by the caller (it may alias
-	// store-internal memory).
+	// ReadRange returns bytes [off, off+n) of the named object, or
+	// [off, end) when n < 0. The returned slice must not be mutated by
+	// the caller (it may alias store-internal memory).
 	ReadRange(name string, off, n int64) ([]byte, error)
 	// Size returns the object's length in bytes.
 	Size(name string) (int64, error)
@@ -109,14 +111,10 @@ func ReadRangeRetry(s Store, name string, off, n int64) ([]byte, int, error) {
 	}
 }
 
-// ReadAll returns the named object's full contents (Size + one ranged
-// read, with transient retries).
+// ReadAll returns the named object's full contents: one whole-object
+// read, with transient retries.
 func ReadAll(s Store, name string) ([]byte, error) {
-	size, err := s.Size(name)
-	if err != nil {
-		return nil, err
-	}
-	b, _, err := ReadRangeRetry(s, name, 0, size)
+	b, _, err := ReadRangeRetry(s, name, 0, -1)
 	return b, err
 }
 

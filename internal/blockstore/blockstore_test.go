@@ -48,6 +48,32 @@ func TestStoreContract(t *testing.T) {
 		if err != nil || string(got) != "block" {
 			t.Fatalf("ReadRange = %q, %v; want \"block\"", got, err)
 		}
+		// A negative length reads to the object's end, in one request
+		// booked with the bytes it returned.
+		fake, _ := s.(*FakeS3)
+		var reqs, bytes0 int64
+		if fake != nil {
+			reqs, bytes0 = fake.Requests(), fake.BytesRead()
+		}
+		if got, err := s.ReadRange("obj", 0, -1); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("whole-object ReadRange = %q, %v; want %q", got, err, data)
+		}
+		if fake != nil && (fake.Requests()-reqs != 1 || fake.BytesRead()-bytes0 != int64(len(data))) {
+			t.Errorf("whole-object read booked %d requests and %d bytes, want 1 and %d",
+				fake.Requests()-reqs, fake.BytesRead()-bytes0, len(data))
+		}
+		if got, err := s.ReadRange("obj", 7, -1); err != nil || string(got) != string(data[7:]) {
+			t.Fatalf("ReadRange to the end = %q, %v; want %q", got, err, data[7:])
+		}
+		if got, err := s.ReadRange("obj", int64(len(data)), -1); err != nil || len(got) != 0 {
+			t.Fatalf("ReadRange from the end = %q, %v; want no bytes", got, err)
+		}
+		if _, err := s.ReadRange("obj", int64(len(data))+1, -1); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("ReadRange to the end from past it: err = %v, want io.ErrUnexpectedEOF", err)
+		}
+		if _, err := s.ReadRange("nope", 0, -1); !IsNotExist(err) {
+			t.Fatalf("whole-object ReadRange of a missing object: err = %v, want fs.ErrNotExist", err)
+		}
 		// Put over an existing name replaces the whole object.
 		if err := s.Put("obj", []byte("v2")); err != nil {
 			t.Fatalf("re-Put: %v", err)

@@ -92,10 +92,10 @@ func (s *FakeS3) ReadRange(name string, off, n int64) ([]byte, error) {
 		return nil, fmt.Errorf("blockstore: %s: range [%d,+%d): injected failure: %w",
 			name, off, n, ErrTransient)
 	}
-	s.delay(n)
 	b, err := s.inner.ReadRange(name, off, n)
+	s.delay(int64(len(b)))
 	if err == nil {
-		s.bytesRead.Add(n)
+		s.bytesRead.Add(int64(len(b)))
 	}
 	return b, err
 }

@@ -87,6 +87,16 @@ func (s *FS) ReadRange(name string, off, n int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	if n < 0 {
+		fi, err := f.Stat()
+		if err != nil {
+			return nil, fmt.Errorf("blockstore: %s: %w", name, err)
+		}
+		if n = fi.Size() - off; n < 0 {
+			return nil, fmt.Errorf("blockstore: %s: offset %d past the end of %d bytes: %w",
+				name, off, fi.Size(), io.ErrUnexpectedEOF)
+		}
+	}
 	buf := make([]byte, n)
 	if _, err := f.ReadAt(buf, off); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {

@@ -41,6 +41,9 @@ func (s *Mem) ReadRange(name string, off, n int64) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("blockstore: %s: %w", name, os.ErrNotExist)
 	}
+	if n < 0 {
+		n = max(int64(len(b))-off, 0)
+	}
 	if off < 0 || n < 0 || off+n > int64(len(b)) {
 		return nil, fmt.Errorf("blockstore: %s: range [%d,+%d) outside object of %d bytes: %w",
 			name, off, n, len(b), io.ErrUnexpectedEOF)

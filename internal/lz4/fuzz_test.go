@@ -2,6 +2,8 @@ package lz4
 
 import (
 	"bytes"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -32,18 +34,53 @@ func FuzzRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecompress: arbitrary bytes must never panic or overrun.
+// FuzzDecompress: on arbitrary bytes and destination sizes the
+// decoder never panics or overruns, and returns what the checked
+// reference decoder returns: the same count, the same error, and on
+// success the same bytes. The seeds are compressed blocks longer than
+// the fast path's slack, so mutations reach both the fast path and the
+// checked one.
 func FuzzDecompress(f *testing.F) {
 	f.Add([]byte{0x10, 'x', 0x01, 0x00}, 64)
 	f.Add([]byte{0xF0, 0xFF, 0x01}, 16)
+	text := []byte(strings.Repeat(`{"id":42,"status":"shipped","tags":["a","b"],"n":7}`, 12))
+	runs := append(bytes.Repeat([]byte("ab"), 40), text[:200]...)
+	// A few random literals, then a copy of 4–18 bytes from 4–40
+	// bytes back, over and over: short matches at offsets on both
+	// sides of 16, some overlapping their source.
+	r := rand.New(rand.NewSource(1))
+	lz := make([]byte, 40)
+	r.Read(lz)
+	for len(lz) < 800 {
+		lit := make([]byte, r.Intn(6))
+		r.Read(lit)
+		lz = append(lz, lit...)
+		off, n := 4+r.Intn(37), 4+r.Intn(15)
+		for range n {
+			lz = append(lz, lz[len(lz)-off])
+		}
+	}
+	for _, src := range [][]byte{text, runs, lz, append(text[:100:100], bytes.Repeat([]byte{0}, 300)...)} {
+		comp := Compress(nil, src)
+		f.Add(comp, len(src))
+		f.Add(comp, len(src)/2)
+		f.Add(comp[:len(comp)-7], len(src))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, size int) {
 		if size < 0 || size > 1<<16 {
 			return
 		}
-		dst := make([]byte, size)
+		dst, want := make([]byte, size), make([]byte, size)
 		n, err := Decompress(dst, data)
-		if err == nil && n > size {
+		wn, werr := checkedDecompress(want, data)
+		if n != wn || err != werr {
+			t.Fatalf("decoded %d, %v; the reference %d, %v", n, err, wn, werr)
+		}
+		if n > size {
 			t.Fatalf("wrote %d into %d-byte buffer", n, size)
+		}
+		if err == nil && !bytes.Equal(dst[:n], want[:n]) {
+			t.Fatal("decoded bytes differ from the reference")
 		}
 	})
 }

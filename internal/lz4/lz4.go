@@ -220,9 +220,12 @@ func appendLenExt(dst []byte, v int) []byte {
 }
 
 // Decompress decodes an LZ4 block into dst, which must be exactly the
-// original length. It returns the number of bytes written. Successful
-// decompressions report their output size to the process-wide
-// observability registry (bytes_decompressed).
+// original length, and returns the number of bytes written. Short
+// literal runs and matches move as 16-byte words that may write past
+// their sequence's end, so only the decoded dst[:n] is defined: on
+// error, or past n in a longer dst, the bytes are unspecified.
+// Successful decompressions report their output size to the
+// process-wide observability registry (bytes_decompressed).
 func Decompress(dst, src []byte) (int, error) {
 	n, err := decompress(dst, src)
 	if err == nil {
@@ -243,29 +246,39 @@ func decompress(dst, src []byte) (int, error) {
 		}
 		token := src[s]
 		s++
-		// Literals.
+		// Literals. A short run (nibble < 15) with 16 bytes to spare
+		// in both buffers moves as one 16-byte word; the bytes past
+		// the run are overwritten by what follows it. Such a run
+		// cannot end the block, and its match offset lies within the
+		// 16 bytes read.
 		litLen := int(token >> 4)
-		if litLen == 15 {
-			n, ns, err := readLenExt(src, s)
-			if err != nil {
-				return 0, err
+		if litLen < 15 && len(src)-s >= 16 && len(dst)-d >= 16 {
+			*(*[16]byte)(dst[d : d+16]) = *(*[16]byte)(src[s : s+16])
+			s += litLen
+			d += litLen
+		} else {
+			if litLen == 15 {
+				n, ns, err := readLenExt(src, s)
+				if err != nil {
+					return 0, err
+				}
+				litLen += n
+				s = ns
 			}
-			litLen += n
-			s = ns
-		}
-		if s+litLen > len(src) || d+litLen > len(dst) {
-			return 0, corruptOrShort(d+litLen, len(dst))
-		}
-		copy(dst[d:], src[s:s+litLen])
-		s += litLen
-		d += litLen
-		if s == len(src) {
-			return d, nil // final sequence: literals only
+			if s+litLen > len(src) || d+litLen > len(dst) {
+				return 0, corruptOrShort(d+litLen, len(dst))
+			}
+			copy(dst[d:], src[s:s+litLen])
+			s += litLen
+			d += litLen
+			if s == len(src) {
+				return d, nil // final sequence: literals only
+			}
+			if s+2 > len(src) {
+				return 0, ErrCorrupt
+			}
 		}
 		// Match.
-		if s+2 > len(src) {
-			return 0, ErrCorrupt
-		}
 		offset := int(src[s]) | int(src[s+1])<<8
 		s += 2
 		if offset == 0 || offset > d {
@@ -283,16 +296,21 @@ func decompress(dst, src []byte) (int, error) {
 		if d+matchLen > len(dst) {
 			return 0, ErrShortDst
 		}
-		// Overlapping copy: byte-wise when the regions overlap.
-		if offset >= matchLen {
-			copy(dst[d:], dst[d-offset:d-offset+matchLen])
-			d += matchLen
-		} else {
+		m := d - offset
+		switch {
+		case offset >= 16 && matchLen <= 16 && len(dst)-d >= 16:
+			// One word: the source ends at or before d, so the
+			// move reads only bytes already decoded.
+			*(*[16]byte)(dst[d : d+16]) = *(*[16]byte)(dst[m : m+16])
+		case offset >= matchLen:
+			copy(dst[d:d+matchLen], dst[m:m+matchLen])
+		default:
+			// Overlapping: each byte may repeat one just written.
 			for i := 0; i < matchLen; i++ {
-				dst[d] = dst[d-offset]
-				d++
+				dst[d+i] = dst[m+i]
 			}
 		}
+		d += matchLen
 	}
 }
 

@@ -233,6 +233,71 @@ func freshCompress(dst, src []byte) []byte {
 	return emitLastLiterals(dst, src[anchor:])
 }
 
+// checkedDecompress is the reference decoder: every sequence bounds-
+// checked, literals and non-overlapping matches moved with copy,
+// overlapping ones byte by byte, nothing written past the sequence's
+// end. The decoder's fast path must return what it returns.
+func checkedDecompress(dst, src []byte) (int, error) {
+	if len(src) == 0 {
+		return 0, nil
+	}
+	d, s := 0, 0
+	for {
+		if s >= len(src) {
+			return 0, ErrCorrupt
+		}
+		token := src[s]
+		s++
+		litLen := int(token >> 4)
+		if litLen == 15 {
+			n, ns, err := readLenExt(src, s)
+			if err != nil {
+				return 0, err
+			}
+			litLen += n
+			s = ns
+		}
+		if s+litLen > len(src) || d+litLen > len(dst) {
+			return 0, corruptOrShort(d+litLen, len(dst))
+		}
+		copy(dst[d:], src[s:s+litLen])
+		s += litLen
+		d += litLen
+		if s == len(src) {
+			return d, nil
+		}
+		if s+2 > len(src) {
+			return 0, ErrCorrupt
+		}
+		offset := int(src[s]) | int(src[s+1])<<8
+		s += 2
+		if offset == 0 || offset > d {
+			return 0, ErrCorrupt
+		}
+		matchLen := int(token&0xF) + minMatch
+		if token&0xF == 15 {
+			n, ns, err := readLenExt(src, s)
+			if err != nil {
+				return 0, err
+			}
+			matchLen += n
+			s = ns
+		}
+		if d+matchLen > len(dst) {
+			return 0, ErrShortDst
+		}
+		if offset >= matchLen {
+			copy(dst[d:], dst[d-offset:d-offset+matchLen])
+			d += matchLen
+		} else {
+			for i := 0; i < matchLen; i++ {
+				dst[d] = dst[d-offset]
+				d++
+			}
+		}
+	}
+}
+
 // mixedInputs returns inputs of many sizes and shapes, several sharing
 // content so that stale table entries of one call would find real
 // matches in the next if they were not rejected.

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -58,9 +59,10 @@ type OrderClause struct {
 	Desc bool `json:"desc,omitempty"`
 }
 
-// decodeRequest parses the envelope. Numbers decode as json.Number so
-// integral constants stay int64 (a float64 round-trip would corrupt
-// large BigInt comparisons).
+// decodeRequest parses the envelope: one JSON object, with nothing but
+// whitespace after it. Numbers decode as json.Number so integral
+// constants stay int64 (a float64 round-trip would corrupt large
+// BigInt comparisons).
 func decodeRequest(r io.Reader) (*QueryRequest, error) {
 	dec := json.NewDecoder(r)
 	dec.UseNumber()
@@ -68,6 +70,12 @@ func decodeRequest(r io.Reader) (*QueryRequest, error) {
 	var req QueryRequest
 	if err := dec.Decode(&req); err != nil {
 		return nil, fmt.Errorf("invalid query envelope: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second JSON value")
+		}
+		return nil, fmt.Errorf("invalid query envelope: trailing data after the object: %w", err)
 	}
 	if req.Table == "" {
 		return nil, fmt.Errorf("query envelope: missing \"table\"")

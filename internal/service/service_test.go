@@ -219,6 +219,8 @@ func TestQueryEndpointErrors(t *testing.T) {
 		{"group without aggs", `{"table": "reviews", "select": ["data->>'x'"], "group_by": [0]}`, http.StatusBadRequest},
 		{"bad column index", `{"table": "reviews", "select": ["data->>'x'"], "where": [{"col": 9, "op": "not_null"}]}`, http.StatusBadRequest},
 		{"negative limit", `{"table": "reviews", "select": ["data->>'stars'"], "limit": -1}`, http.StatusBadRequest},
+		{"trailing value", `{"table": "reviews", "select": ["data->>'stars'"], "limit": 1} {"table": "nope"}`, http.StatusBadRequest},
+		{"trailing garbage", `{"table": "reviews", "select": ["data->>'stars'"], "limit": 1} garbage`, http.StatusBadRequest},
 		{"body over 1 MiB", oversized, http.StatusRequestEntityTooLarge},
 	}
 	for _, c := range cases {

@@ -27,10 +27,10 @@ func openTestCfg() LoaderConfig {
 	return cfg
 }
 
-// TestOpenDirStoreTwoRequests: a cold open is the manifest's Size and
-// one read of it, whatever the segment count; no request reaches a
+// TestOpenDirStoreOneRequest: a cold open is one whole-object read of
+// the manifest, whatever the segment count; no request reaches a
 // segment object.
-func TestOpenDirStoreTwoRequests(t *testing.T) {
+func TestOpenDirStoreOneRequest(t *testing.T) {
 	const latency = 20 * time.Millisecond
 	for _, segs := range []int{1, 6} {
 		mem := blockstore.NewMem()
@@ -45,11 +45,11 @@ func TestOpenDirStoreTwoRequests(t *testing.T) {
 		if dt.NumSegments() != segs || dt.NumRows() != segs*48 {
 			t.Fatalf("%d segments, %d rows; want %d, %d", dt.NumSegments(), dt.NumRows(), segs, segs*48)
 		}
-		if reqs, reads := fake.Requests(), fake.RangeReadCount(); reqs != 2 || reads != 1 {
-			t.Errorf("%d segments: open issued %d requests (%d range reads), want 2 (Size, one MANIFEST read)", segs, reqs, reads)
+		if reqs, reads := fake.Requests(), fake.RangeReadCount(); reqs != 1 || reads != 1 {
+			t.Errorf("%d segments: open issued %d requests (%d range reads), want 1 (one MANIFEST read)", segs, reqs, reads)
 		}
-		if d >= 3*latency {
-			t.Errorf("%d segments: open took %v, want two round trips (< %v)", segs, d, 3*latency)
+		if d >= 2*latency {
+			t.Errorf("%d segments: open took %v, want one round trip (< %v)", segs, d, 2*latency)
 		}
 		dt.Close()
 	}
@@ -99,7 +99,8 @@ func TestIndexedReaderMatchesFooter(t *testing.T) {
 	}
 }
 
-// readLog records every ranged read that reaches its store.
+// readLog records every ranged read that reaches its store. A
+// whole-object read (n < 0) is logged with the length it returned.
 type readLog struct {
 	blockstore.Store
 	mu    sync.Mutex
@@ -107,10 +108,14 @@ type readLog struct {
 }
 
 func (s *readLog) ReadRange(name string, off, n int64) ([]byte, error) {
+	b, err := s.Store.ReadRange(name, off, n)
+	if n < 0 {
+		n = int64(len(b))
+	}
 	s.mu.Lock()
 	s.reads[name] = append(s.reads[name], [2]int64{off, n})
 	s.mu.Unlock()
-	return s.Store.ReadRange(name, off, n)
+	return b, err
 }
 
 // footerOffset reads a segment object's footer offset from its tail.

@@ -317,12 +317,13 @@ func TestCloseInMemoryNoOp(t *testing.T) {
 	}
 }
 
-// failFooters fails every read of a segment's footer block: the block
-// that ends where the fixed tail begins.
+// failFooters fails every read of a segment's footer block — the block
+// that ends where the fixed tail begins — and every whole-object read
+// of a segment (n < 0), which covers that block too.
 type failFooters struct{ BlockStore }
 
 func (s failFooters) ReadRange(name string, off, n int64) ([]byte, error) {
-	if size, err := s.Size(name); err == nil && manifest.IsSegmentFileName(name) && off+n == size-segment.TailSize {
+	if size, err := s.Size(name); err == nil && manifest.IsSegmentFileName(name) && (n < 0 || off+n == size-segment.TailSize) {
 		return nil, errors.New("injected footer read failure")
 	}
 	return s.BlockStore.ReadRange(name, off, n)
