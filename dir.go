@@ -21,8 +21,8 @@ import (
 // half-written temporaries and segment files whose manifest commit
 // never happened (a crash between segment write and manifest rename
 // leaves exactly such a file). Queries scan the union of live
-// segments with per-segment zone-map and bloom skipping; Insert +
-// Flush append new segments; Compact (and, unless disabled, a
+// segments, skipping tiles on their headers' extracted paths and
+// bloom filters; Insert + Flush append new segments; Compact (and, unless disabled, a
 // background compactor) keeps the segment count bounded.
 //
 // The returned table holds open file handles; call Close when done.

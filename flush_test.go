@@ -95,9 +95,9 @@ func TestFlushSegmentBytes(t *testing.T) {
 		size int
 		sum  string
 	}{
-		"twitter": {337989, "3884feef80908c323e87c183029766b3347036143ee815f80255ca5c17c1959f"},
-		"tpch":    {312412, "8c0a1960a5987796dcafa995b1a1a616de5191a967e5700a1bf5f0cba525e306"},
-		"yelp":    {178426, "b8d440b90aafba9b46481b2804ebaa6ebc4d64c16e70fd99e98d9ba76b78407a"},
+		"twitter": {337709, "f2ead0d09fce36a5d6ae580455fa37e030fcde1b75efe0a0ee592da0046ff057"},
+		"tpch":    {312081, "ad1b06c15bcb7e61a8d8202b0ddbb8287d953c005f0ab2be44c1c47b2f6c2d5e"},
+		"yelp":    {178309, "bb13229d323a31ea0645ec9abade97b2e4ec529adf4f54be9f25786e8f9e8e3c"},
 	}
 	for _, c := range flushCorpora() {
 		for _, workers := range []int{1, 4} {

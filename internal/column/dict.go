@@ -37,9 +37,6 @@ func (c *Column) DictEntryBytes(k int) []byte {
 	return c.dictBytes[start:c.dictOff[k]]
 }
 
-// DictEntryString returns dictionary entry k as a string.
-func (c *Column) DictEntryString(k int) string { return string(c.DictEntryBytes(k)) }
-
 // Code returns the dictionary code of row i. Null rows carry code 0.
 func (c *Column) Code(i int) uint32 {
 	switch c.codeWidth {

@@ -48,7 +48,7 @@ func TestDictEncodeRoundTrip(t *testing.T) {
 		t.Fatalf("DictLen = %d, want 5", dict.DictLen())
 	}
 	for k := 1; k < dict.DictLen(); k++ {
-		if dict.DictEntryString(k-1) >= dict.DictEntryString(k) {
+		if string(dict.DictEntryBytes(k-1)) >= string(dict.DictEntryBytes(k)) {
 			t.Fatalf("dict not sorted at %d", k)
 		}
 	}

@@ -15,8 +15,8 @@ func FuzzManifest(f *testing.F) {
 	f.Add(testManifest().Encode())
 	enc := testManifest().Encode()
 	f.Add(enc[:len(enc)-3])
-	f.Add(append([]byte("JTMAN001 0000000000000000\n"), []byte("{}")...))
-	// Entries carrying a tile index, beside one written before indexes.
+	f.Add(append([]byte("JTMAN002 0000000000000000\n"), []byte("{}")...))
+	// Entries carrying a longer tile index, and one without (rejected).
 	withIndex := testManifest()
 	withIndex.Segments[0].Index = bytes.Repeat([]byte{0xA5, 0x00, 0x7F}, 40)
 	f.Add(withIndex.Encode())

@@ -8,14 +8,15 @@
 //
 // A manifest is one small text object:
 //
-//	JTMAN001 <xxh64 of body, 16 hex digits>\n
+//	JTMAN002 <xxh64 of body, 16 hex digits>\n
 //	{ ...JSON body: version, next segment id, segment list... }
 //
 // The checksum covers the JSON body, so a torn or bit-flipped
-// manifest is detected before any field is trusted. Commits publish
-// through the store's atomic Put — the same protocol segment objects
-// use — so a crash at any instant leaves either the previous
-// generation or the new one, never a mix.
+// manifest is detected before any field is trusted. Every segment
+// entry carries the segment's tile index, so a table opens from the
+// manifest alone. Commits publish through the store's atomic Put — the
+// same protocol segment objects use — so a crash at any instant leaves
+// either the previous generation or the new one, never a mix.
 package manifest
 
 import (
@@ -35,8 +36,8 @@ const (
 	FileName = "MANIFEST"
 
 	// headerMagic opens the file; the version suffix is bumped on any
-	// incompatible layout change.
-	headerMagic = "JTMAN001"
+	// incompatible layout change, the tile-index layout included.
+	headerMagic = "JTMAN002"
 
 	// segPrefix/segSuffix frame segment file names: seg-%06d.seg.
 	segPrefix = "seg-"
@@ -52,13 +53,11 @@ type Segment struct {
 	ID uint64 `json:"id"`
 	// File is the segment's file name relative to the table directory.
 	File string `json:"file"`
-	// Rows and Bytes mirror the segment's row count and file size so
-	// planning-time summaries need no file access.
-	Rows  int   `json:"rows"`
+	// Bytes is the segment's object size.
 	Bytes int64 `json:"bytes"`
 	// Index is the segment's tile index (segment.Reader.Index), opaque
-	// here; manifests written before tile indexes have none.
-	Index []byte `json:"index,omitempty"`
+	// here and never empty.
+	Index []byte `json:"index"`
 }
 
 // Manifest is one committed generation of a table directory: which
@@ -98,8 +97,9 @@ func (m *Manifest) Encode() []byte {
 
 // Decode parses and validates an encoded manifest. Any structural
 // problem — bad magic, checksum mismatch, malformed JSON, duplicate
-// or ill-formed segment entries — returns an error; a nil error
-// guarantees the manifest is internally consistent.
+// or ill-formed segment entries, an entry without a tile index —
+// returns an error; a nil error guarantees the manifest is internally
+// consistent.
 func Decode(b []byte) (*Manifest, error) {
 	nl := -1
 	for i, c := range b {
@@ -132,8 +132,10 @@ func Decode(b []byte) (*Manifest, error) {
 			return nil, fmt.Errorf("manifest: segment %d named %q, want %q", s.ID, s.File, SegmentFileName(s.ID))
 		case s.ID >= m.NextID:
 			return nil, fmt.Errorf("manifest: segment id %d not below next_id %d", s.ID, m.NextID)
-		case s.Rows < 0 || s.Bytes < 0:
-			return nil, fmt.Errorf("manifest: segment %d with %d rows, %d bytes", s.ID, s.Rows, s.Bytes)
+		case s.Bytes < 0:
+			return nil, fmt.Errorf("manifest: segment %q of %d bytes", s.File, s.Bytes)
+		case len(s.Index) == 0:
+			return nil, fmt.Errorf("manifest: segment %q has no tile index", s.File)
 		case seen[s.File]:
 			return nil, fmt.Errorf("manifest: duplicate segment %q", s.File)
 		}

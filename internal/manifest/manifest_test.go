@@ -2,12 +2,15 @@ package manifest
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/blockstore"
+	"repro/internal/xxhash"
 )
 
 func testManifest() *Manifest {
@@ -15,8 +18,8 @@ func testManifest() *Manifest {
 		Version: 3,
 		NextID:  5,
 		Segments: []Segment{
-			{ID: 1, File: SegmentFileName(1), Rows: 100, Bytes: 4096},
-			{ID: 4, File: SegmentFileName(4), Rows: 25, Bytes: 1024, Index: []byte("\x00tile index\xff")},
+			{ID: 1, File: SegmentFileName(1), Bytes: 4096, Index: []byte("tile index 1")},
+			{ID: 4, File: SegmentFileName(4), Bytes: 1024, Index: []byte("\x00tile index\xff")},
 		},
 	}
 }
@@ -37,35 +40,48 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsCorruption: each corrupt manifest fails Decode with
+// an error naming what it found.
 func TestDecodeRejectsCorruption(t *testing.T) {
 	enc := testManifest().Encode()
-	cases := map[string][]byte{
-		"empty":        nil,
-		"no header":    []byte("{}"),
-		"bad magic":    append([]byte("XXMAN001 0000000000000000\n"), enc[26:]...),
-		"flipped body": append(append([]byte{}, enc[:len(enc)-1]...), enc[len(enc)-1]^1),
-		"truncated":    enc[:len(enc)/2],
+	body := enc[26:]
+	cases := map[string]struct {
+		b    []byte
+		want string
+	}{
+		"empty":        {nil, "missing header"},
+		"no header":    {[]byte("{}"), "missing header"},
+		"bad magic":    {append([]byte("XXMAN001 0000000000000000\n"), body...), `bad header "XXMAN001 `},
+		"JTMAN001":     {fmt.Appendf(nil, "JTMAN001 %016x\n%s", xxhash.Sum64(body), body), `bad header "JTMAN001 `},
+		"flipped body": {append(append([]byte{}, enc[:len(enc)-1]...), enc[len(enc)-1]^1), "checksum"},
+		"truncated":    {enc[:len(enc)/2], "checksum"},
 	}
-	for name, b := range cases {
-		if _, err := Decode(b); err == nil {
-			t.Errorf("%s: Decode accepted corrupt input", name)
+	for name, c := range cases {
+		if _, err := Decode(c.b); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Decode = %v, want an error naming %s", name, err, c.want)
 		}
 	}
 }
 
 func TestDecodeRejectsInconsistentSegments(t *testing.T) {
+	index := []byte("tile index")
 	cases := []*Manifest{
-		{Version: 1, NextID: 1, Segments: []Segment{{ID: 1, File: SegmentFileName(1)}}},           // id >= next_id
-		{Version: 1, NextID: 5, Segments: []Segment{{ID: 1, File: "other.seg"}}},                  // wrong name
-		{Version: 1, NextID: 5, Segments: []Segment{{ID: 1, File: SegmentFileName(1), Rows: -1}}}, // negative rows
+		{Version: 1, NextID: 1, Segments: []Segment{{ID: 1, File: SegmentFileName(1), Index: index}}},    // id >= next_id
+		{Version: 1, NextID: 5, Segments: []Segment{{ID: 1, File: "other.seg", Index: index}}},           // wrong name
+		{Version: 1, NextID: 5, Segments: []Segment{{ID: 1, File: SegmentFileName(1)}}},                  // no tile index
+		{Version: 1, NextID: 5, Segments: []Segment{{ID: 1, File: SegmentFileName(1), Index: []byte{}}}}, // empty tile index
 		{Version: 1, NextID: 5, Segments: []Segment{
-			{ID: 1, File: SegmentFileName(1)}, {ID: 1, File: SegmentFileName(1)},
+			{ID: 1, File: SegmentFileName(1), Index: index}, {ID: 1, File: SegmentFileName(1), Index: index},
 		}}, // duplicate
 	}
 	for i, m := range cases {
 		if _, err := Decode(m.Encode()); err == nil {
 			t.Errorf("case %d: Decode accepted inconsistent manifest", i)
 		}
+	}
+	// An index-less entry fails naming its segment file.
+	if _, err := Decode(cases[2].Encode()); err == nil || !strings.Contains(err.Error(), SegmentFileName(1)) {
+		t.Errorf("index-less entry: Decode = %v, want an error naming %s", err, SegmentFileName(1))
 	}
 }
 
@@ -137,7 +153,7 @@ func TestRecover(t *testing.T) {
 	m := &Manifest{
 		Version:  2,
 		NextID:   3,
-		Segments: []Segment{{ID: 0, File: SegmentFileName(0), Rows: 10, Bytes: 100}},
+		Segments: []Segment{{ID: 0, File: SegmentFileName(0), Bytes: 100, Index: []byte("tile index")}},
 	}
 	if err := CommitStore(s, m); err != nil {
 		t.Fatalf("CommitStore: %v", err)

@@ -2,8 +2,8 @@
 // tiles. A segment is a single file holding a whole relation: every
 // tile's extracted columns and binary-JSON fallback as independently
 // compressed, checksummed blocks, plus a footer with the tile headers
-// (extracted paths, seen-paths bloom filters, zone maps) and the
-// relation statistics.
+// (extracted paths and types, seen-paths bloom filters, block refs)
+// and the relation statistics.
 //
 // The layout mirrors how the paper's host system pages tiles through
 // its buffer manager (§4.2: "JSON tiles are stored in a way that
@@ -16,14 +16,14 @@
 // the query accesses.
 //
 //	┌──────────────────────────────────────────────────────────┐
-//	│ header magic "JTSEG002"                          8 bytes │
+//	│ header magic "JTSEG003"                          8 bytes │
 //	├──────────────────────────────────────────────────────────┤
 //	│ block 0 │ block 1 │ ...            (LZ4 or raw, no gaps) │
 //	│   per tile: one block per extracted column,              │
 //	│   one block for the JSONB fallback documents             │
 //	├──────────────────────────────────────────────────────────┤
-//	│ footer block (LZ4): tile metadata, zone maps,            │
-//	│   bloom filters, block refs, relation statistics         │
+//	│ footer block (LZ4): tile metadata (paths, types,         │
+//	│   block refs, bloom filters), relation statistics        │
 //	├──────────────────────────────────────────────────────────┤
 //	│ tail: footer off u64, stored u32, raw u32, sum u64,      │
 //	│       magic "JTSEGFTR"                          32 bytes │
@@ -38,7 +38,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/bloom"
 	"repro/internal/keypath"
@@ -50,7 +49,7 @@ const (
 	// Magic opens the file; MagicFooter closes it. Both are 8 bytes so
 	// a truncated or misdirected file fails before any length field is
 	// trusted.
-	Magic       = "JTSEG002"
+	Magic       = "JTSEG003"
 	MagicFooter = "JTSEGFTR"
 
 	// TailSize is the fixed-size trailer: footer offset (8), stored
@@ -88,23 +87,6 @@ type BlockRef struct {
 	Sum uint64
 }
 
-// ZoneMap is the per-column min/max/null summary used for tile
-// pruning on numeric predicates. Bounds are stored as float64
-// (timestamp microseconds stay exact below 2^53, beyond any
-// representable date).
-type ZoneMap struct {
-	HasBounds bool
-	Min, Max  float64
-	NullCount uint32
-
-	// String bounds (dictionary columns): the first and last entry
-	// of the sorted dictionary — min/max fall straight out of the
-	// dictionary order, no scan needed.
-	HasStrBounds bool
-	MinStr       string
-	MaxStr       string
-}
-
 // ColumnMeta describes one extracted column of one tile.
 type ColumnMeta struct {
 	Path            string
@@ -112,7 +94,6 @@ type ColumnMeta struct {
 	StorageType     keypath.ValueType
 	HasTypeOutliers bool
 	Block           BlockRef
-	Zone            ZoneMap
 
 	// HasDict marks a dictionary-encoded text column: Block holds
 	// the per-row codes (column.SerializeCodes) and Dict the sorted
@@ -181,18 +162,8 @@ func encodeTiles(tiles []TileMeta) []byte {
 			out = append(out, byte(c.MinedType), byte(c.StorageType))
 			flag(c.HasTypeOutliers)
 			out = appendRef(out, c.Block)
-			flag(c.Zone.HasBounds)
-			pu64(math.Float64bits(c.Zone.Min))
-			pu64(math.Float64bits(c.Zone.Max))
-			pu32(c.Zone.NullCount)
 			if flag(c.HasDict); c.HasDict {
 				out = appendRef(out, c.Dict)
-			}
-			if flag(c.Zone.HasStrBounds); c.Zone.HasStrBounds {
-				pu32(uint32(len(c.Zone.MinStr)))
-				out = append(out, c.Zone.MinStr...)
-				pu32(uint32(len(c.Zone.MaxStr)))
-				out = append(out, c.Zone.MaxStr...)
 			}
 		}
 		bits := tm.seen.Bits()
@@ -238,16 +209,8 @@ func decodeTiles(d *footerDecoder, fileSize uint64) ([]TileMeta, error) {
 			c.StorageType = keypath.ValueType(d.u8())
 			c.HasTypeOutliers = d.u8() != 0
 			c.Block = d.ref()
-			c.Zone.HasBounds = d.u8() != 0
-			c.Zone.Min = math.Float64frombits(d.u64())
-			c.Zone.Max = math.Float64frombits(d.u64())
-			c.Zone.NullCount = d.u32()
 			if c.HasDict = d.u8() != 0; c.HasDict {
 				c.Dict = d.ref()
-			}
-			if c.Zone.HasStrBounds = d.u8() != 0; c.Zone.HasStrBounds {
-				c.Zone.MinStr = d.str()
-				c.Zone.MaxStr = d.str()
 			}
 			if d.err != nil {
 				return nil, corruptf("tile %d column %d: truncated", i, j)

@@ -62,11 +62,13 @@ type ReadInfo struct {
 const openTailWindow = 64 << 10
 
 // OpenStore opens the named segment object footer-first, for a caller
-// without its tile index: a Size probe, then one speculative ranged
-// read of the object's tail (covering the fixed tail, usually the
-// footer, and for small objects the header too) beside the
-// header-magic read when the window does not reach the object's start,
-// plus one follow-up read when the footer falls outside the window.
+// without its tile index. No table open calls it: every manifest entry
+// carries its segment's index, which OpenIndexed reads. The open costs
+// a Size probe, then one speculative ranged read of the object's tail
+// (covering the fixed tail, usually the footer, and for small objects
+// the header too) beside the header-magic read when the window does
+// not reach the object's start, plus one follow-up read when the
+// footer falls outside the window.
 // Tile metadata and relation statistics are then in memory; data
 // blocks load lazily. The Reader does not own the store: closing the
 // Reader drops its cached blocks but leaves the store open. A nil pool

@@ -182,9 +182,6 @@ func TestDictColumnRoundTrip(t *testing.T) {
 	if !cm.HasDict {
 		t.Fatal("level column not dictionary-encoded in footer")
 	}
-	if !cm.Zone.HasStrBounds || cm.Zone.MinStr != "debug" || cm.Zone.MaxStr != "warn" {
-		t.Errorf("string zone = %+v, want [debug,warn]", cm.Zone)
-	}
 
 	// A dictionary column costs two block reads (codes + dict).
 	got, infos, err := r.Column(0, dictIdx)
@@ -208,20 +205,24 @@ func TestDictColumnRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRejectLegacyMagic: a JTSEG001 header — the pre-dictionary
-// layout, no longer read — is an ordinary bad-magic corruption that
-// names the magic it found.
+// TestRejectLegacyMagic: a JTSEG001 header (the pre-dictionary
+// layout) or a JTSEG002 one (tile metadata with zone maps), neither
+// read any more, is an ordinary bad-magic corruption that names the
+// object and the magic it found.
 func TestRejectLegacyMagic(t *testing.T) {
 	store, _, _ := writeTestSegment(t)
 	data, err := blockstore.ReadAll(store, testSeg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(data, "JTSEG001")
-	store.Put("v1.seg", data)
-	_, err = OpenStore(store, "v1.seg", nil)
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "JTSEG001") {
-		t.Fatalf("OpenStore of a JTSEG001 header = %v, want ErrCorrupt naming the magic", err)
+	for _, magic := range []string{"JTSEG001", "JTSEG002"} {
+		legacy := append([]byte(magic), data[len(Magic):]...)
+		name := strings.ToLower(magic) + ".seg"
+		store.Put(name, legacy)
+		_, err = OpenStore(store, name, nil)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), magic) || !strings.Contains(err.Error(), name) {
+			t.Errorf("OpenStore of a %s header = %v, want ErrCorrupt naming %s and the magic", magic, err, name)
+		}
 	}
 }
 
@@ -245,38 +246,6 @@ func TestMayContainPathMatchesSource(t *testing.T) {
 				t.Errorf("tile %d path %q: source says may-contain, footer says skip", ti, p)
 			}
 		}
-	}
-}
-
-func TestZoneMaps(t *testing.T) {
-	store, _, _ := writeTestSegment(t)
-	r, err := OpenStore(store, testSeg, bufpool.New(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	tm := r.Tile(0)
-	byPath := map[string]ColumnMeta{}
-	for _, c := range tm.Columns {
-		byPath[c.Path] = c
-	}
-	id, ok := byPath["id"]
-	if !ok {
-		t.Fatal("column id not extracted")
-	}
-	if !id.Zone.HasBounds || id.Zone.Min != 0 || id.Zone.Max != 63 {
-		t.Errorf("id zone = %+v, want [0,63]", id.Zone)
-	}
-	price, ok := byPath["price"]
-	if !ok {
-		t.Fatal("column price not extracted")
-	}
-	if !price.Zone.HasBounds || price.Zone.Min != 0.25 || price.Zone.Max != 63*1.5+0.25 {
-		t.Errorf("price zone = %+v, want [0.25,94.75]", price.Zone)
-	}
-	name := byPath["name"]
-	if name.Zone.HasBounds {
-		t.Errorf("text column has numeric bounds: %+v", name.Zone)
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 	"repro/internal/blockstore"
 	"repro/internal/bloom"
 	"repro/internal/bufpool"
-	"repro/internal/column"
-	"repro/internal/keypath"
 	"repro/internal/lz4"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -125,16 +123,9 @@ func (bw *blockWriter) tile(t *tile.Tile) TileMeta {
 		cm.MinedType = ci.MinedType
 		cm.StorageType = ci.StorageType
 		cm.HasTypeOutliers = ci.HasTypeOutliers
-		cm.Zone = zoneOf(ci.Col)
 		cm.Block, payloads = bw.block(payloads[0]), payloads[1:]
 		if ci.Col.IsDict() {
 			cm.HasDict = true
-			if dl := ci.Col.DictLen(); dl > 0 {
-				// The dictionary is sorted: min/max are its ends.
-				cm.Zone.HasStrBounds = true
-				cm.Zone.MinStr = ci.Col.DictEntryString(0)
-				cm.Zone.MaxStr = ci.Col.DictEntryString(dl - 1)
-			}
 			cm.Dict, payloads = bw.block(payloads[0]), payloads[1:]
 		}
 	}
@@ -238,42 +229,4 @@ func decodeDocs(b []byte, wantRows int) ([][]byte, error) {
 		return nil, corruptf("%d trailing docs-block bytes", len(b))
 	}
 	return docs, nil
-}
-
-// zoneOf computes the min/max/null zone map for numeric and timestamp
-// columns; other types record only the null count.
-func zoneOf(c *column.Column) ZoneMap {
-	z := ZoneMap{NullCount: uint32(c.NullCount())}
-	n := c.Len()
-	switch c.Type() {
-	case keypath.TypeBigInt, keypath.TypeTimestamp:
-		for i := 0; i < n; i++ {
-			if c.IsNull(i) {
-				continue
-			}
-			v := float64(c.Int(i))
-			if !z.HasBounds || v < z.Min {
-				z.Min = v
-			}
-			if !z.HasBounds || v > z.Max {
-				z.Max = v
-			}
-			z.HasBounds = true
-		}
-	case keypath.TypeDouble:
-		for i := 0; i < n; i++ {
-			if c.IsNull(i) {
-				continue
-			}
-			v := c.Float(i)
-			if !z.HasBounds || v < z.Min {
-				z.Min = v
-			}
-			if !z.HasBounds || v > z.Max {
-				z.Max = v
-			}
-			z.HasBounds = true
-		}
-	}
-	return z
 }

@@ -25,7 +25,7 @@ import (
 // O(new data), never a table rewrite — and a size-tiered compactor
 // folds accumulated small segments into larger ones in the
 // background. Queries scan the union of the live segments through
-// the shared scan core, with per-segment zone-map and bloom skipping.
+// the shared scan core, skipping tiles on their tile headers (§4.8).
 //
 // Concurrency follows an epoch scheme: every scan pins the segment
 // list it starts with (per-segment refcounts), so compaction can
@@ -113,11 +113,10 @@ var errDirTableClosed = errors.New("storage: directory table is closed")
 const DefaultCompactFanIn = 4
 
 // OpenDirStore opens (or creates) a multi-segment table over a block
-// store. The open reads the committed manifest and nothing else — two
-// requests whatever the segment count: each segment's Reader is built
-// from the tile index its manifest entry carries (an entry written
-// before indexes opens its segment footer-first until the next commit
-// writes its index). It neither lists nor deletes (collectOrphans).
+// store. The open reads the committed manifest and nothing else — one
+// request whatever the segment count: each segment's Reader is built
+// from the tile index its manifest entry carries. It neither lists nor
+// deletes (collectOrphans).
 // fanIn sets the compaction fan-in (0 selects
 // DefaultCompactFanIn, values below 2 are raised to 2); auto enables
 // background compaction after appends. All block reads flow through
@@ -157,17 +156,12 @@ func OpenDirStore(name string, store blockstore.Store, pool *bufpool.Pool, cfg L
 		nextID:  man.NextID,
 	}
 	for _, s := range man.Segments {
-		var r *segment.Reader
-		if len(s.Index) == 0 {
-			r, err = segment.OpenStore(store, s.File, pool)
-		} else {
-			r, err = segment.OpenIndexed(store, s.File, pool, s.Bytes, s.Index)
-		}
+		r, err := segment.OpenIndexed(store, s.File, pool, s.Bytes, s.Index)
 		if err != nil {
 			for _, ls := range t.segs {
 				ls.r.Close()
 			}
-			return nil, fmt.Errorf("segment %s: %w", s.File, err)
+			return nil, err
 		}
 		t.segs = append(t.segs, newLiveSeg(r, store, s.ID))
 	}
@@ -491,7 +485,7 @@ func (t *DirTable) commitGeneration(edit func([]*liveSeg) []*liveSeg) error {
 	t.mu.Unlock()
 	segs = edit(segs)
 	for _, ls := range segs {
-		man.Segments = append(man.Segments, manifest.Segment{ID: ls.id, File: ls.file, Rows: ls.rows, Bytes: ls.bytes, Index: ls.r.Index()})
+		man.Segments = append(man.Segments, manifest.Segment{ID: ls.id, File: ls.file, Bytes: ls.bytes, Index: ls.r.Index()})
 	}
 	if err := manifest.CommitStore(t.store, man); err != nil {
 		return err

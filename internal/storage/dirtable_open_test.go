@@ -1,11 +1,12 @@
 package storage
 
 // The cold open: a table opens from its manifest alone, segment
-// statistics load on first use, a manifest written before tile indexes
-// still opens, and an open never deletes another writer's segment.
+// statistics load on first use, a manifest without tile indexes fails
+// the open, and an open never deletes another writer's segment.
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"reflect"
@@ -239,52 +240,54 @@ func TestStatsReadFailure(t *testing.T) {
 	}
 }
 
-// TestLegacyManifestOpens: a manifest written before tile indexes — its
-// entries hand-encoded here without one — opens each segment
-// footer-first and answers exactly as the indexed table does; the next
-// commit writes every entry's index.
-func TestLegacyManifestOpens(t *testing.T) {
+// TestLegacyManifestFails: a manifest whose entry carries no tile
+// index, or one under the JTMAN001 header (tile indexes with zone
+// maps), fails the open with an error naming the entry's segment or the
+// header found; the manifest is hand-encoded here, as its writers are
+// gone.
+func TestLegacyManifestFails(t *testing.T) {
 	mem := blockstore.NewMem()
-	dt := storeConformTable(t, mem, 3, 48)
-	accesses := dirTestAccesses()
-	want := scanMultiset(dt, accesses)
-	wantRows := dt.Stats().RowCount()
-	dt.Close()
-
+	storeConformTable(t, mem, 3, 48).Close()
 	man, err := manifest.LoadStore(mem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var entries []string
-	for _, s := range man.Segments {
-		entries = append(entries, fmt.Sprintf(`{"id":%d,"file":%q,"rows":%d,"bytes":%d}`, s.ID, s.File, s.Rows, s.Bytes))
+	encode := func(magic string, index func(manifest.Segment) string) []byte {
+		var entries []string
+		for _, s := range man.Segments {
+			entries = append(entries, fmt.Sprintf(`{"id":%d,"file":%q,"bytes":%d%s}`, s.ID, s.File, s.Bytes, index(s)))
+		}
+		body := fmt.Sprintf(`{"version":%d,"next_id":%d,"segments":[%s]}`, man.Version, man.NextID, strings.Join(entries, ","))
+		return fmt.Appendf(nil, "%s %016x\n%s", magic, xxhash.Sum64([]byte(body)), body)
 	}
-	body := fmt.Sprintf(`{"version":%d,"next_id":%d,"segments":[%s]}`, man.Version, man.NextID, strings.Join(entries, ","))
-	if err := mem.Put(manifest.FileName, fmt.Appendf(nil, "JTMAN001 %016x\n%s", xxhash.Sum64([]byte(body)), body)); err != nil {
-		t.Fatal(err)
+	withIndex := func(s manifest.Segment) string {
+		return fmt.Sprintf(`,"index":%q`, base64.StdEncoding.EncodeToString(s.Index))
 	}
-
-	legacy, err := OpenDirStore("t", mem, nil, openTestCfg(), 4, false)
-	if err != nil {
-		t.Fatal(err)
+	noIndex := func(s manifest.Segment) string {
+		if s.ID == man.Segments[1].ID {
+			return ""
+		}
+		return withIndex(s)
 	}
-	defer legacy.Close()
-	sameMultiset(t, "legacy manifest", scanMultiset(legacy, accesses), want)
-	if st := legacy.Stats(); st == nil || st.RowCount() != wantRows {
-		t.Fatalf("legacy Stats = %v, want %d rows", st, wantRows)
+	if _, err := manifest.Decode(encode("JTMAN002", withIndex)); err != nil {
+		t.Fatalf("the hand encoding does not decode: %v", err)
 	}
-
-	tiles, st := dirTestBatch(t, dirTestLines(3, 48))
-	if err := legacy.AppendTiles(tiles, st); err != nil {
-		t.Fatal(err)
-	}
-	man, err = manifest.LoadStore(mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range man.Segments {
-		if len(s.Index) == 0 {
-			t.Errorf("%s: no tile index after the next commit", s.File)
+	for _, c := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"index-less entry", man.Segments[1].File, encode("JTMAN002", noIndex)},
+		{"JTMAN001 header", `"JTMAN001 `, encode("JTMAN001", withIndex)},
+	} {
+		if err := mem.Put(manifest.FileName, c.data); err != nil {
+			t.Fatal(err)
+		}
+		dt, err := OpenDirStore("t", mem, nil, openTestCfg(), 4, false)
+		if err == nil {
+			dt.Close()
+			t.Errorf("%s: the open succeeded", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: open error %q does not name %s", c.name, err, c.want)
 		}
 	}
 }

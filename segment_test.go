@@ -263,8 +263,8 @@ func TestSegmentCorruptBlockFailsTheQuery(t *testing.T) {
 // TestOpenStoreJunkSegment: a manifest naming a segment object that
 // holds junk opens, because the open reads only the manifest, and the
 // first query that reads the segment fails with ErrUnreadable, naming
-// it. A manifest entry without a tile index opens its segment
-// footer-first, so there the open itself fails, naming the segment.
+// it. A manifest entry whose tile index is truncated, or that has none,
+// fails the open itself, naming the segment exactly once.
 func TestOpenStoreJunkSegment(t *testing.T) {
 	mem, err := Load("reviews", reviewDocs(100), opts())
 	if err != nil {
@@ -289,17 +289,25 @@ func TestOpenStoreJunkSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	man.Segments[0].Index = nil
-	if err := manifest.CommitStore(store, man); err != nil {
-		t.Fatal(err)
-	}
-	tbl, err = OpenStore("reviews", store, opts())
-	if err == nil {
-		tbl.Close()
-		t.Fatal("opening a table whose unindexed segment holds junk should fail")
-	}
-	if !strings.Contains(err.Error(), "segment "+file+":") {
-		t.Errorf("open error %q does not name segment %s", err, file)
+	index := man.Segments[0].Index
+	for _, c := range []struct {
+		name  string
+		index []byte
+	}{
+		{"truncated tile index", index[:len(index)/2]},
+		{"no tile index", nil},
+	} {
+		man.Segments[0].Index = c.index
+		if err := manifest.CommitStore(store, man); err != nil {
+			t.Fatal(err)
+		}
+		tbl, err = OpenStore("reviews", store, opts())
+		if err == nil {
+			tbl.Close()
+			t.Errorf("%s: the open succeeded", c.name)
+		} else if n := strings.Count(err.Error(), file); n != 1 {
+			t.Errorf("%s: open error %q names %s %d times, want once", c.name, err, file, n)
+		}
 	}
 }
 
