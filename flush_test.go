@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/blockstore"
 	"repro/internal/jsontape"
+	"repro/internal/segment"
 	"repro/internal/storage"
 	"repro/internal/tile"
 	"repro/internal/workload/tpch"
@@ -95,9 +96,9 @@ func TestFlushSegmentBytes(t *testing.T) {
 		size int
 		sum  string
 	}{
-		"twitter": {337709, "f2ead0d09fce36a5d6ae580455fa37e030fcde1b75efe0a0ee592da0046ff057"},
-		"tpch":    {312081, "ad1b06c15bcb7e61a8d8202b0ddbb8287d953c005f0ab2be44c1c47b2f6c2d5e"},
-		"yelp":    {178309, "bb13229d323a31ea0645ec9abade97b2e4ec529adf4f54be9f25786e8f9e8e3c"},
+		"twitter": {310219, "3630b324911f9b7a4c345769d7890d9627466a6e342bdd83b38c269fadd00bd5"},
+		"tpch":    {284189, "ed36d159e3318b6776f9d7568b45db5e035c83a62bed984ce3cd7d61972190f1"},
+		"yelp":    {170423, "4e080370d931bc8de4983d25650b6f26ed7d730bf18abce1a90a9efa222b4c33"},
 	}
 	for _, c := range flushCorpora() {
 		for _, workers := range []int{1, 4} {
@@ -191,5 +192,41 @@ func TestFlushWorkIsDeterministic(t *testing.T) {
 		if again := flushOnce(t, c.lines); again.FPNodes != first.FPNodes || again.SubsetTests != first.SubsetTests {
 			t.Errorf("%s: work %d/%d then %d/%d", c.name, first.FPNodes, first.SubsetTests, again.FPNodes, again.SubsetTests)
 		}
+	}
+}
+
+// TestDocSplitCorpora: a segment stores each tile's documents split by
+// top-level key, and on all three corpora Docs reassembles every
+// document byte for byte from the parts; every tile splits off keys.
+func TestDocSplitCorpora(t *testing.T) {
+	for _, c := range flushCorpora() {
+		rel, err := storage.BuildTilesFromLines(c.name, c.lines, storage.DefaultLoaderConfig(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiles := rel.(storage.TileIntrospector).Tiles()
+		store := blockstore.NewMem()
+		if _, err := segment.WriteStore(store, "s.seg", tiles, rel.Stats()); err != nil {
+			t.Fatal(err)
+		}
+		r, err := segment.OpenStore(store, "s.seg", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ti, tl := range tiles {
+			if len(r.Tile(ti).Docs) == 0 {
+				t.Errorf("%s tile %d splits off no key", c.name, ti)
+			}
+			docs, _, err := r.Docs(ti)
+			if err != nil {
+				t.Fatalf("%s tile %d: %v", c.name, ti, err)
+			}
+			for i, d := range docs {
+				if !bytes.Equal(d, tl.RawBytes(i)) {
+					t.Fatalf("%s tile %d document %d differs after the round trip", c.name, ti, i)
+				}
+			}
+		}
+		r.Close()
 	}
 }

@@ -4,11 +4,12 @@
 //	data->>'l_orderkey'::BigInt
 //	data->'user'->>'id'::BigInt
 //	data->'hashtags'->0->>'text'
+//	data
 //
-// into pushed-down storage accesses. The cast, when present, is folded
-// into the access's result type — this *is* the cast rewriting of
-// §4.3: instead of producing Text and re-parsing, the scan serves the
-// requested type directly.
+// into pushed-down storage accesses; the bare `data` column reads the
+// whole document. The cast, when present, is folded into the access's result
+// type — this *is* the cast rewriting of §4.3: instead of producing
+// Text and re-parsing, the scan serves the requested type directly.
 package exprparse
 
 import (
@@ -82,7 +83,7 @@ func (p *parser) parse() (storage.Access, error) {
 			break // ->> must be the last step
 		}
 	}
-	if !sawArrow {
+	if !sawArrow && col != "data" {
 		return storage.Access{}, p.errf("expected -> or ->> operator")
 	}
 	p.skipSpace()

@@ -25,6 +25,8 @@ func TestParseAccess(t *testing.T) {
 		{`data->>'ok'::Boolean`, "ok", expr.TBool},
 		{`data ->> 'spaced' :: BigInt`, "spaced", expr.TBigInt},
 		{`data->>'it''s'`, "it's", expr.TText},
+		{`data`, "", expr.TJSON}, // the whole document
+		{` data `, "", expr.TJSON},
 	}
 	for _, tt := range tests {
 		a, err := Parse(tt.in)
@@ -44,7 +46,9 @@ func TestParseAccess(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		``,
-		`data`,
+		`data::BigInt`, // cast requires ->>
+		`dat`,          // only the data column reads bare
+		`broken`,
 		`->>'x'`,
 		`data->>'x'::NotAType`,
 		`data->'x'::BigInt`, // cast requires ->>

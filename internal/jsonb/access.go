@@ -207,27 +207,29 @@ func (d Doc) Len() int {
 }
 
 // keyBytesAt returns the encoded key of object slot i, aliasing the
-// buffer. Offsets point at the end of payload i, which is exactly
+// buffer, and the buffer offset just past it, where payload i+1
+// begins. Offsets point at the end of payload i, which is exactly
 // where the length-prefixed key begins. Corrupt offsets or lengths
-// yield nil rather than a panic.
-func (d Doc) keyBytesAt(c container, i int) []byte {
+// yield nil and -1 rather than a panic.
+func (d Doc) keyBytesAt(c container, i int) (key []byte, end int) {
 	off := d.offset(c, i)
 	pos := c.slotBase + off
 	if off < 0 || pos >= len(d.buf) {
-		return nil
+		return nil, -1
 	}
 	klen, n := uint64(d.buf[pos]), 1
 	if klen >= 0x80 { // keys of 128+ bytes: the general varint
 		klen, n = binary.Uvarint(d.buf[pos:])
 		if n <= 0 {
-			return nil
+			return nil, -1
 		}
 	}
 	pos += n
 	if klen > uint64(len(d.buf)-pos) {
-		return nil
+		return nil, -1
 	}
-	return d.buf[pos : pos+int(klen)]
+	end = pos + int(klen)
+	return d.buf[pos:end:end], end
 }
 
 // payloadAt returns a cursor to the payload of slot i. For objects,
@@ -262,7 +264,7 @@ func (d Doc) Get(key string) (Doc, bool) {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		// string(k) in a comparison does not allocate.
-		k := d.keyBytesAt(c, mid)
+		k, _ := d.keyBytesAt(c, mid)
 		switch {
 		case string(k) < key:
 			lo = mid + 1
@@ -516,7 +518,8 @@ func (d Doc) Keys() []string {
 	}
 	keys := make([]string, c.n)
 	for i := range keys {
-		keys[i] = string(d.keyBytesAt(c, i))
+		k, _ := d.keyBytesAt(c, i)
+		keys[i] = string(k)
 	}
 	return keys
 }

@@ -239,16 +239,27 @@ func (e *Encoder) childSlotsSize(idx, n int, ms []jsonvalue.Member) int {
 }
 
 func (e *Encoder) writeContainerHeader(tag byte, n, slots int) {
-	cc := codeForWidth(uint64(n))
-	oc := codeForWidth(uint64(slots))
-	e.buf = append(e.buf, tag<<4|byte(cc<<2)|byte(oc))
-	e.appendUint(uint64(n), widthForCode[cc])
+	e.buf = appendContainerHeader(e.buf, tag, n, slots)
 }
 
-func (e *Encoder) appendUint(v uint64, w int) {
+// appendContainerHeader appends the header byte and element count of a
+// container of n elements whose slots take slots bytes: the count and
+// offset widths are the narrowest that hold n and slots. Every
+// container is written through it, so a container's header follows
+// from its count and slot bytes alone.
+func appendContainerHeader(dst []byte, tag byte, n, slots int) []byte {
+	cc := codeForWidth(uint64(n))
+	oc := codeForWidth(uint64(slots))
+	dst = append(dst, tag<<4|byte(cc<<2)|byte(oc))
+	return appendUint(dst, uint64(n), widthForCode[cc])
+}
+
+func (e *Encoder) appendUint(v uint64, w int) { e.buf = appendUint(e.buf, v, w) }
+
+func appendUint(dst []byte, v uint64, w int) []byte {
 	var tmp [8]byte
 	putUintLE(tmp[:], v, w)
-	e.buf = append(e.buf, tmp[:w]...)
+	return append(dst, tmp[:w]...)
 }
 
 // writeInt emits a header with the int-style low nibble followed by

@@ -1,8 +1,11 @@
 package jsonb
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -471,4 +474,48 @@ func TestNegativeZeroFloat(t *testing.T) {
 	if !ok || math.Signbit(got) != true || got != 0 {
 		t.Errorf("negative zero decoded to %g (signbit %v)", got, math.Signbit(got))
 	}
+}
+
+// TestAppendObjectRebuildsObjects: an object rebuilt from its own
+// members (EachMember, then AppendObject) equals it byte for byte,
+// whatever widths its count and offsets take.
+func TestAppendObjectRebuildsObjects(t *testing.T) {
+	long := strings.Repeat("v", 300)
+	for _, src := range []string{
+		`{}`, `{"a":1}`, `{"a":null,"b":[1,{"c":"x"}],"":true}`,
+		`{"k":"` + long + `","m":{"n":"` + long + `"}}`,
+		largeObjectJSON(300),
+	} {
+		d := NewDoc(Encode(mustParseV(t, src)))
+		var ms []Member
+		ok := d.EachMember(func(k, v []byte) { ms = append(ms, Member{Key: k, Value: v}) })
+		if !ok || len(ms) != d.Len() {
+			t.Fatalf("%.40s: EachMember saw %d members, %v", src, len(ms), ok)
+		}
+		for i, k := range d.Keys() {
+			v, _ := d.Get(k)
+			if string(ms[i].Key) != k || !bytes.Equal(ms[i].Value, v.Bytes()) {
+				t.Fatalf("%.40s: member %d is %q, want %q", src, i, ms[i].Key, k)
+			}
+		}
+		got := AppendObject([]byte("prefix"), ms)
+		if !bytes.Equal(got[6:], d.Bytes()) {
+			t.Errorf("%.40s: rebuilt %x, want %x", src, got[6:], d.Bytes())
+		}
+	}
+	for _, src := range []string{`[1,2]`, `"s"`, `3`, `null`} {
+		if NewDoc(Encode(mustParseV(t, src))).EachMember(func(k, v []byte) {}) {
+			t.Errorf("%s: EachMember reports an object", src)
+		}
+	}
+}
+
+// largeObjectJSON is an object of n members: past 255 members, its
+// count takes two bytes.
+func largeObjectJSON(n int) string {
+	parts := make([]string, n)
+	for i := range parts {
+		parts[i] = fmt.Sprintf(`"k%04d":%d`, i, i)
+	}
+	return "{" + strings.Join(parts, ",") + "}"
 }

@@ -14,15 +14,16 @@ import (
 	"repro/internal/workload/yelp"
 )
 
-// docsBlock is one tile's documents block, raw.
+// docsBlock is one tile's JSONB documents as one block, raw.
 type docsBlock struct {
 	name string // corpus and first document, e.g. "twitter@1024"
 	raw  []byte
 }
 
-// jsonbDocsBlocks returns the documents blocks a flush writes for the
-// 2048-document twitter, TPC-H and Yelp batches of BenchmarkFlush: tiles
-// of 1024 JSONB documents laid out as the segment writer lays them out.
+// jsonbDocsBlocks returns one block per tile of the 2048-document
+// twitter, TPC-H and Yelp batches of BenchmarkFlush: tiles of 1024
+// JSONB documents, a u32 count then each document length-prefixed (the
+// layout of a segment's document parts, here over whole documents).
 func jsonbDocsBlocks(tb testing.TB) []docsBlock {
 	tb.Helper()
 	const batch = 2048
@@ -55,7 +56,7 @@ func jsonbDocsBlocks(tb testing.TB) []docsBlock {
 	return out
 }
 
-// TestCompressJSONBBlocks: on the documents blocks a flush writes, the
+// TestCompressJSONBBlocks: on the JSONB document blocks, the
 // compressor's output is the byte-loop reference's.
 func TestCompressJSONBBlocks(t *testing.T) {
 	for _, b := range jsonbDocsBlocks(t) {
@@ -65,9 +66,9 @@ func TestCompressJSONBBlocks(t *testing.T) {
 	}
 }
 
-// TestDecompressJSONBBlocks: the documents blocks a flush writes
-// decompress to themselves, exactly as the checked reference decoder
-// decompresses them.
+// TestDecompressJSONBBlocks: the JSONB document blocks decompress to
+// themselves, exactly as the checked reference decoder decompresses
+// them.
 func TestDecompressJSONBBlocks(t *testing.T) {
 	for _, b := range jsonbDocsBlocks(t) {
 		comp := lz4.Compress(nil, b.raw)
@@ -82,8 +83,8 @@ func TestDecompressJSONBBlocks(t *testing.T) {
 	}
 }
 
-// BenchmarkDecompressJSONBBlocks decodes every documents block of the
-// three corpora per iteration, with the decoder and with the checked
+// BenchmarkDecompressJSONBBlocks decodes every JSONB document block of
+// the three corpora per iteration, with the decoder and with the checked
 // reference; MB/s counts decompressed bytes.
 func BenchmarkDecompressJSONBBlocks(b *testing.B) {
 	blocks := jsonbDocsBlocks(b)

@@ -15,7 +15,7 @@ func FuzzManifest(f *testing.F) {
 	f.Add(testManifest().Encode())
 	enc := testManifest().Encode()
 	f.Add(enc[:len(enc)-3])
-	f.Add(append([]byte("JTMAN002 0000000000000000\n"), []byte("{}")...))
+	f.Add(append([]byte("JTMAN003 0000000000000000\n"), []byte("{}")...))
 	// Entries carrying a longer tile index, and one without (rejected).
 	withIndex := testManifest()
 	withIndex.Segments[0].Index = bytes.Repeat([]byte{0xA5, 0x00, 0x7F}, 40)

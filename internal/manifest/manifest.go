@@ -8,7 +8,7 @@
 //
 // A manifest is one small text object:
 //
-//	JTMAN002 <xxh64 of body, 16 hex digits>\n
+//	JTMAN003 <xxh64 of body, 16 hex digits>\n
 //	{ ...JSON body: version, next segment id, segment list... }
 //
 // The checksum covers the JSON body, so a torn or bit-flipped
@@ -37,7 +37,7 @@ const (
 
 	// headerMagic opens the file; the version suffix is bumped on any
 	// incompatible layout change, the tile-index layout included.
-	headerMagic = "JTMAN002"
+	headerMagic = "JTMAN003"
 
 	// segPrefix/segSuffix frame segment file names: seg-%06d.seg.
 	segPrefix = "seg-"

@@ -53,6 +53,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		"no header":    {[]byte("{}"), "missing header"},
 		"bad magic":    {append([]byte("XXMAN001 0000000000000000\n"), body...), `bad header "XXMAN001 `},
 		"JTMAN001":     {fmt.Appendf(nil, "JTMAN001 %016x\n%s", xxhash.Sum64(body), body), `bad header "JTMAN001 `},
+		"JTMAN002":     {fmt.Appendf(nil, "JTMAN002 %016x\n%s", xxhash.Sum64(body), body), `bad header "JTMAN002 `},
 		"flipped body": {append(append([]byte{}, enc[:len(enc)-1]...), enc[len(enc)-1]^1), "checksum"},
 		"truncated":    {enc[:len(enc)/2], "checksum"},
 	}

@@ -29,9 +29,11 @@ func readAll(t *testing.T, r *Reader, tenant string) []*column.Column {
 			}
 			cols = append(cols, c)
 		}
-		docs, _, err := r.DocsT(tenant, ti)
-		if err != nil || len(docs) != r.Tile(ti).Rows {
-			t.Fatalf("tile %d docs: %d of %d, err %v", ti, len(docs), r.Tile(ti).Rows, err)
+		for p := 0; p <= len(r.Tile(ti).Docs); p++ {
+			dir, _, err := r.DocPartT(tenant, ti, p)
+			if err != nil || len(dir) != r.Tile(ti).Rows {
+				t.Fatalf("tile %d docs part %d: %d of %d, err %v", ti, p, len(dir), r.Tile(ti).Rows, err)
+			}
 		}
 	}
 	return cols
@@ -50,14 +52,15 @@ func TestColumnDecodedOncePerResidency(t *testing.T) {
 	}
 	defer r.Close()
 
-	blocks := int64(1) // docs
+	parts := int64(len(r.Tile(0).Docs) + 1) // the documents' parts
+	blocks := parts
 	for _, cm := range r.Tile(0).Columns {
 		blocks++
 		if cm.HasDict {
 			blocks++
 		}
 	}
-	decodedBlocks := int64(len(r.Tile(0).Columns) + 1) // a dictionary decodes with its codes
+	decodedBlocks := int64(len(r.Tile(0).Columns)) + parts // a dictionary decodes with its codes
 
 	base := obs.SegmentBlocksDecoded.Load()
 	first := readAll(t, r, "")
@@ -161,10 +164,13 @@ func TestColumnDecodedOncePerResidency(t *testing.T) {
 	}
 }
 
-// tileRefs lists every block of a tile: documents, column codes and
-// dictionaries.
+// tileRefs lists every block of a tile: document parts, column codes
+// and dictionaries.
 func tileRefs(tm *TileMeta) []BlockRef {
-	refs := []BlockRef{tm.Docs}
+	var refs []BlockRef
+	for p := 0; p <= len(tm.Docs); p++ {
+		refs = append(refs, tm.DocRef(p))
+	}
 	for _, cm := range tm.Columns {
 		refs = append(refs, cm.Block)
 		if cm.HasDict {
@@ -175,7 +181,7 @@ func tileRefs(tm *TileMeta) []BlockRef {
 }
 
 // badLZ4Segment returns the bytes of a one-tile dictionary segment
-// whose documents block and dictionary block hold LZ4 streams that do
+// whose residual document part and dictionary block hold LZ4 streams that do
 // not decode, under checksums that match them: corruption only a
 // decompression can see. It also returns the dictionary column's index.
 func badLZ4Segment(t testing.TB) ([]byte, int) {
@@ -192,7 +198,7 @@ func badLZ4Segment(t testing.TB) ([]byte, int) {
 	}
 	tm := &r.tiles[0]
 	dictCol := -1
-	bad := []*BlockRef{&tm.Docs}
+	bad := []*BlockRef{&tm.Rest}
 	for ci := range tm.Columns {
 		if tm.Columns[ci].HasDict {
 			dictCol = ci
@@ -237,7 +243,7 @@ func TestCorruptLZ4BlockFailsAtDecode(t *testing.T) {
 		ref  BlockRef
 		read func() (hit bool, err error)
 	}{
-		{"docs", tm.Docs, func() (bool, error) {
+		{"docs", tm.Rest, func() (bool, error) {
 			_, info, err := r.Docs(0)
 			return info.Hit, err
 		}},

@@ -13,17 +13,24 @@
 // the footer, and its tile part also travels as the tile index a
 // table's manifest carries (OpenIndexed). Data blocks are fetched lazily,
 // only for the tiles that survive skipping and only for the columns
-// the query accesses.
+// and document parts the query accesses.
+//
+// Unlike the paper's in-memory tiles, which keep each tuple's binary
+// JSON whole, a segment splits a tile's documents by top-level key
+// (docsplit.go): an access whose path starts with a key reads that
+// key's part, and only a whole-document read reads every part.
 //
 //	┌──────────────────────────────────────────────────────────┐
-//	│ header magic "JTSEG003"                          8 bytes │
+//	│ header magic "JTSEG004"                          8 bytes │
 //	├──────────────────────────────────────────────────────────┤
 //	│ block 0 │ block 1 │ ...            (LZ4 or raw, no gaps) │
-//	│   per tile: one block per extracted column,              │
-//	│   one block for the JSONB fallback documents             │
+//	│   per tile: one block per split top-level key (in key    │
+//	│   order), one for the residual document members, then    │
+//	│   one block per extracted column (two for a dictionary)  │
 //	├──────────────────────────────────────────────────────────┤
 //	│ footer block (LZ4): tile metadata (paths, types,         │
-//	│   block refs, bloom filters), relation statistics        │
+//	│   document keys, block refs, bloom filters), relation    │
+//	│   statistics                                             │
 //	├──────────────────────────────────────────────────────────┤
 //	│ tail: footer off u64, stored u32, raw u32, sum u64,      │
 //	│       magic "JTSEGFTR"                          32 bytes │
@@ -38,6 +45,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/bloom"
 	"repro/internal/keypath"
@@ -49,7 +58,7 @@ const (
 	// Magic opens the file; MagicFooter closes it. Both are 8 bytes so
 	// a truncated or misdirected file fails before any length field is
 	// trusted.
-	Magic       = "JTSEG003"
+	Magic       = "JTSEG004"
 	MagicFooter = "JTSEGFTR"
 
 	// TailSize is the fixed-size trailer: footer offset (8), stored
@@ -103,11 +112,21 @@ type ColumnMeta struct {
 	Dict    BlockRef
 }
 
+// DocPart is the block holding one split top-level key's values of a
+// tile's documents (docsplit.go).
+type DocPart struct {
+	Key   string
+	Block BlockRef
+}
+
 // TileMeta is the footer's record of one tile: everything needed for
 // tile skipping and column resolution without reading a data block.
 type TileMeta struct {
-	Rows    int
-	Docs    BlockRef
+	Rows int
+	// Docs are the parts of the split keys, sorted by key; Rest is the
+	// residual part, which holds every other member.
+	Docs    []DocPart
+	Rest    BlockRef
 	Columns []ColumnMeta
 
 	seen   *bloom.Filter    // seen-but-not-extracted paths
@@ -127,6 +146,24 @@ func (tm *TileMeta) MayContainPath(path string) bool {
 // ColumnsForPath returns the indexes of all columns extracted for the
 // path.
 func (tm *TileMeta) ColumnsForPath(path string) []int { return tm.byPath[path] }
+
+// DocPart returns the part of the tile's documents that holds top-level
+// key: the index of its own part, or len(Docs) for the residual.
+func (tm *TileMeta) DocPart(key string) int {
+	p, ok := slices.BinarySearchFunc(tm.Docs, key, func(d DocPart, key string) int { return strings.Compare(d.Key, key) })
+	if !ok {
+		return len(tm.Docs)
+	}
+	return p
+}
+
+// DocRef returns the block of part p (len(Docs): the residual).
+func (tm *TileMeta) DocRef(p int) BlockRef {
+	if p == len(tm.Docs) {
+		return tm.Rest
+	}
+	return tm.Docs[p].Block
+}
 
 func (tm *TileMeta) buildIndex() {
 	tm.byPath = make(map[string][]int, len(tm.Columns))
@@ -154,7 +191,13 @@ func encodeTiles(tiles []TileMeta) []byte {
 	for i := range tiles {
 		tm := &tiles[i]
 		pu32(uint32(tm.Rows))
-		out = appendRef(out, tm.Docs)
+		pu32(uint32(len(tm.Docs)))
+		for _, dp := range tm.Docs {
+			pu32(uint32(len(dp.Key)))
+			out = append(out, dp.Key...)
+			out = appendRef(out, dp.Block)
+		}
+		out = appendRef(out, tm.Rest)
 		pu32(uint32(len(tm.Columns)))
 		for _, c := range tm.Columns {
 			pu32(uint32(len(c.Path)))
@@ -196,7 +239,26 @@ func decodeTiles(d *footerDecoder, fileSize uint64) ([]TileMeta, error) {
 	for i := 0; i < nTiles; i++ {
 		var tm TileMeta
 		tm.Rows = int(d.u32())
-		tm.Docs = d.ref()
+		nParts := int(d.u32())
+		if d.err != nil || nParts < 0 || nParts > len(d.b) {
+			return nil, corruptf("tile %d: implausible document part count %d", i, nParts)
+		}
+		tm.Docs = make([]DocPart, nParts)
+		for p := range tm.Docs {
+			dp := &tm.Docs[p]
+			dp.Key = d.str()
+			dp.Block = d.ref()
+			if d.err != nil {
+				return nil, corruptf("tile %d document part %d: truncated", i, p)
+			}
+			if p > 0 && dp.Key <= tm.Docs[p-1].Key {
+				return nil, corruptf("tile %d: document part %q after %q", i, dp.Key, tm.Docs[p-1].Key)
+			}
+			if err := checkRef(dp.Block, fileSize); err != nil {
+				return nil, fmt.Errorf("tile %d docs %q: %w", i, dp.Key, err)
+			}
+		}
+		tm.Rest = d.ref()
 		nCols := int(d.u32())
 		if d.err != nil || nCols < 0 || nCols > len(d.b)+1 {
 			return nil, corruptf("tile %d: implausible column count %d", i, nCols)
@@ -238,7 +300,7 @@ func decodeTiles(d *footerDecoder, fileSize uint64) ([]TileMeta, error) {
 		if d.err != nil {
 			return nil, corruptf("tile %d: truncated metadata", i)
 		}
-		if err := checkRef(tm.Docs, fileSize); err != nil {
+		if err := checkRef(tm.Rest, fileSize); err != nil {
 			return nil, fmt.Errorf("tile %d docs: %w", i, err)
 		}
 		tm.buildIndex()

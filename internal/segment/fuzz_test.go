@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/blockstore"
@@ -34,9 +36,15 @@ func FuzzOpenSegment(f *testing.F) {
 		buildTile(f, `{"a":1,"b":"x"}`, `{"a":2,"b":"y"}`, `{"a":3}`),
 		buildTile(f, `{"c":1.5,"d":true}`, `{"c":2.5}`))
 	validDict := segBytes(buildDictTile(f, 96))
+	// Documents split into key parts and a residual: a big key, small
+	// residual keys, non-object roots, {} and a null beside an absent key.
+	big := strings.Repeat("z", 120)
+	keyed := segBytes(buildTile(f, `{"big":"`+big+`","n":null,"s":1}`, `[1,2]`, `{}`,
+		`{"big":"`+big+`","t":true}`, `"str"`, `{"n":"0123456789"}`))
 
 	f.Add(valid)
 	f.Add(validDict)
+	f.Add(keyed)
 	f.Add(segBytes())
 	// A valid body under the legacy JTSEG001 magic must be rejected.
 	f.Add(append([]byte("JTSEG001"), validDict[len(Magic):]...))
@@ -168,6 +176,23 @@ func FuzzTileIndex(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(valid)-1])
 	f.Add(append(append([]byte(nil), valid...), 0))
+	// Keyed seeds: an index whose document parts are out of key order, a
+	// key's part pointing at the residual (its rows do not reassemble),
+	// and the residual pointing at a key's part. (A block referenced as
+	// a document part and as a column is the corpus entry in testdata.)
+	footer, tiles, err := decodeIndex(valid, size)
+	if err != nil || len(tiles[0].Docs) < 2 {
+		f.Fatalf("seed index: %d split keys, %v", len(tiles[0].Docs), err)
+	}
+	edit := func(change func(tm *TileMeta)) []byte {
+		ts := slices.Clone(tiles)
+		ts[0].Docs = slices.Clone(ts[0].Docs)
+		change(&ts[0])
+		return append(appendRef(nil, footer), encodeTiles(ts)...)
+	}
+	f.Add(edit(func(tm *TileMeta) { tm.Docs[0], tm.Docs[1] = tm.Docs[1], tm.Docs[0] }))
+	f.Add(edit(func(tm *TileMeta) { tm.Docs[0].Block = tm.Rest }))
+	f.Add(edit(func(tm *TileMeta) { tm.Rest = tm.Docs[1].Block }))
 	// Another segment's index: its refs fit this object, but neither its
 	// blocks' checksums nor its footer's tile metadata match.
 	f.Add(indexOf(putSegment(f, buildTile(f, `{"c":1.5,"d":true}`, `{"c":2.5}`))))
@@ -191,6 +216,9 @@ func FuzzTileIndex(f *testing.F) {
 		for ti := 0; ti < r.NumTiles(); ti++ {
 			_ = r.Tile(ti).MayContainPath("a")
 			r.Docs(ti)
+			for p := 0; p <= len(r.Tile(ti).Docs); p++ {
+				r.DocPartT("", ti, p)
+			}
 			for ci := range r.Tile(ti).Columns {
 				r.Column(ti, ci)
 			}

@@ -2,8 +2,10 @@ package segment
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/blockstore"
@@ -119,5 +121,84 @@ func TestMergeFiles(t *testing.T) {
 			}
 			ti++
 		}
+	}
+}
+
+// TestMergeReadsEachSourceOnce: a merge reads each source's data region
+// in one ranged read, plus its footer when its statistics are not yet
+// loaded (a Reader built from its tile index): at most 2k reads for k
+// sources. The merged object reopens with every document intact.
+func TestMergeReadsEachSourceOnce(t *testing.T) {
+	mem := blockstore.NewMem()
+	fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{})
+	var tiles []*tile.Tile
+	for s := 0; s < 3; s++ {
+		var docs []string
+		for i := 0; i < 40; i++ {
+			docs = append(docs, fmt.Sprintf(`{"seg":%d,"id":%d,"user":{"name":"u-%d"},"tags":[%d,%d]}`, s, i, i, s, i))
+		}
+		tiles = append(tiles, buildTile(t, docs...))
+	}
+	var readers []*Reader
+	for s, tl := range tiles {
+		st := stats.New(0, 0)
+		st.AddTile(tl)
+		r, err := Write(mem, fmt.Sprintf("src%d.seg", s), []*tile.Tile{tl}, st, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+		// Rebuilt from its index over the fake: statistics not loaded.
+		if r, err = OpenIndexed(fake, r.Name(), nil, r.FileSize(), r.Index()); err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		readers = append(readers, r)
+	}
+	before := fake.RangeReadCount()
+	mr, err := MergeStore(mem, "merged.seg", readers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mr.Close()
+	if got, k := fake.RangeReadCount()-before, int64(len(readers)); got > 2*k {
+		t.Errorf("merge of %d sources issued %d range reads, want at most %d", k, got, 2*k)
+	}
+	for ti, tl := range tiles {
+		docs, _, err := mr.Docs(ti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range docs {
+			if !bytes.Equal(d, tl.RawBytes(i)) {
+				t.Fatalf("merged tile %d document %d differs from its source", ti, i)
+			}
+		}
+	}
+}
+
+// TestMergeNamesCorruptBlock: a source block whose stored bytes no
+// longer match its checksum fails the merge with ErrCorrupt naming the
+// source, tile and block.
+func TestMergeNamesCorruptBlock(t *testing.T) {
+	store := putSegment(t, buildTile(t, `{"a":1,"b":"x"}`, `{"a":2,"b":"y"}`))
+	r, err := OpenStore(store, testSeg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	data, err := blockstore.ReadAll(store, testSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := r.Tile(0).Columns[0].Block
+	data = append([]byte(nil), data...)
+	data[ref.Off] ^= 0xFF
+	store.Put(testSeg, data)
+	_, err = MergeStore(store, "merged.seg", []*Reader{r}, nil)
+	want := fmt.Sprintf("source 0 tile 0 column %q: segment: corrupt segment file: %s: block [%d,+%d): checksum",
+		r.Tile(0).Columns[0].Path, testSeg, ref.Off, ref.StoredLen)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+		t.Errorf("merge over a corrupt block: %v, want ErrCorrupt naming %q", err, want)
 	}
 }

@@ -314,34 +314,81 @@ func (r *Reader) ColumnT(tenant string, tileIdx, colIdx int) (*column.Column, []
 	return col, infos, nil
 }
 
-// Docs returns tile i's binary-JSON fallback documents: a directory of
-// slices aliasing the block payload, built once per buffer-pool
-// residency and shared by every caller. Read-only, and valid
-// indefinitely (the payload is immutable and garbage-collected), but
-// each scan should re-fetch so the pool sees the access.
+// Docs returns tile i's binary-JSON fallback documents, whole: each is
+// reassembled from every part of the tile's documents (docsplit.go),
+// equal byte for byte to the document the tile was written with. The
+// parts' directories are pool-cached as DocPartT's are, but the
+// documents are built afresh on every call; a scan reads only the parts
+// its accesses name. The ReadInfo sums the parts' accesses: Hit when
+// every part was resident, Decoded when any part was decoded.
 func (r *Reader) Docs(tileIdx int) ([][]byte, ReadInfo, error) {
-	return r.DocsT("", tileIdx)
+	tm := &r.tiles[tileIdx]
+	dirs := make([][][]byte, len(tm.Docs)+1)
+	sum := ReadInfo{Hit: true}
+	size := 0
+	for p := range dirs {
+		dir, info, err := r.DocPartT("", tileIdx, p)
+		sum.Hit = sum.Hit && info.Hit
+		sum.Warmed = sum.Warmed || info.Warmed
+		sum.Prefetched = sum.Prefetched || info.Prefetched
+		sum.Decoded = sum.Decoded || info.Decoded
+		sum.StoredBytes += info.StoredBytes
+		sum.RangeReads += info.RangeReads
+		sum.Retries += info.Retries
+		if err != nil {
+			return nil, sum, err
+		}
+		dirs[p] = dir
+		size += int(tm.DocRef(p).RawLen)
+	}
+	var j Joiner
+	docs := make([][]byte, tm.Rows)
+	buf := make([]byte, 0, size)
+	for i := range docs {
+		at := len(buf)
+		var err error
+		if buf, err = j.Join(buf, tm, dirs, i); err != nil {
+			return nil, sum, fmt.Errorf("segment %s tile %d: %w", r.name, tileIdx, err)
+		}
+		docs[i] = buf[at:len(buf):len(buf)]
+	}
+	return docs, sum, nil
 }
 
-// DocsT is Docs with the loading tenant (see ColumnT).
-func (r *Reader) DocsT(tenant string, tileIdx int) ([][]byte, ReadInfo, error) {
+// DocPartT returns part p of tile i's documents (TileMeta.DocPart): for
+// p < len(Docs), each row's value under that part's key, empty where
+// the row lacks the key; for p == len(Docs), the residual, empty where
+// a row holds nothing but split keys. The directory's slices alias the
+// block payload; it is built once per buffer-pool residency and shared
+// by every caller. Read-only, and valid indefinitely (the payload is
+// immutable and garbage-collected), but each scan should re-fetch so
+// the pool sees the access. Cache misses are charged to tenant (see
+// ColumnT).
+func (r *Reader) DocPartT(tenant string, tileIdx, p int) ([][]byte, ReadInfo, error) {
 	tm := &r.tiles[tileIdx]
-	h, info, err := r.pooledBlock(tenant, tm.Docs)
+	ref := tm.DocRef(p)
+	wrap := func(err error) error {
+		if p == len(tm.Docs) {
+			return fmt.Errorf("tile %d docs: %w", tileIdx, err)
+		}
+		return fmt.Errorf("tile %d docs %q: %w", tileIdx, tm.Docs[p].Key, err)
+	}
+	h, info, err := r.pooledBlock(tenant, ref)
 	if err != nil {
-		return nil, info, fmt.Errorf("tile %d docs: %w", tileIdx, err)
+		return nil, info, wrap(err)
 	}
 	defer h.Release()
-	v, err := r.decoded(h, tm.Docs, &info, func(payload []byte) (any, int64, error) {
+	v, err := r.decoded(h, ref, &info, func(payload []byte) (any, int64, error) {
 		docs, err := decodeDocs(payload, tm.Rows)
 		// The directory aliases the payload: both stay resident.
 		return docs, int64(len(payload) + len(docs)*docDirEntryBytes), err
 	})
 	if err != nil {
-		return nil, info, fmt.Errorf("tile %d: %w", tileIdx, err)
+		return nil, info, wrap(err)
 	}
 	docs, ok := v.([][]byte)
 	if !ok {
-		return nil, info, fmt.Errorf("tile %d: %w", tileIdx, r.corruptBlock(tm.Docs, "block is also a column"))
+		return nil, info, wrap(r.corruptBlock(ref, "block is also a column"))
 	}
 	return docs, info, nil
 }
@@ -490,8 +537,8 @@ func (r *Reader) corruptBlock(ref BlockRef, format string, args ...any) error {
 }
 
 // readStored reads and checksum-verifies one block's stored bytes
-// without decompressing — merges copy blocks verbatim through this.
-// Transient store errors are retried with backoff before failing.
+// without decompressing. Transient store errors are retried with
+// backoff before failing.
 func (r *Reader) readStored(ref BlockRef) ([]byte, error) {
 	b, _, err := r.readStoredRetry(ref)
 	return b, err

@@ -206,16 +206,17 @@ func TestDictColumnRoundTrip(t *testing.T) {
 }
 
 // TestRejectLegacyMagic: a JTSEG001 header (the pre-dictionary
-// layout) or a JTSEG002 one (tile metadata with zone maps), neither
-// read any more, is an ordinary bad-magic corruption that names the
-// object and the magic it found.
+// layout), a JTSEG002 one (tile metadata with zone maps) or a JTSEG003
+// one (whole documents in one block per tile), none read any more, is
+// an ordinary bad-magic corruption that names the object and the magic
+// it found.
 func TestRejectLegacyMagic(t *testing.T) {
 	store, _, _ := writeTestSegment(t)
 	data, err := blockstore.ReadAll(store, testSeg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, magic := range []string{"JTSEG001", "JTSEG002"} {
+	for _, magic := range []string{"JTSEG001", "JTSEG002", "JTSEG003"} {
 		legacy := append([]byte(magic), data[len(Magic):]...)
 		name := strings.ToLower(magic) + ".seg"
 		store.Put(name, legacy)

@@ -157,7 +157,7 @@ func TestOpenStoreErrorContext(t *testing.T) {
 		t.Fatalf("OpenStore: %v", err)
 	}
 	defer r.Close()
-	ref := r.Tile(0).Docs
+	ref := r.Tile(0).Rest
 	fake.FailNextReads(1000)
 	_, _, err = r.readStoredRetry(ref)
 	fake.FailNextReads(-1000)

@@ -92,15 +92,15 @@ type blockWriter struct {
 	buf  []byte
 }
 
-// tile encodes one tile's blocks — documents first, then each column's
+// tile encodes one tile's blocks — its document parts first (each
+// split key's, then the residual; docsplit.go), then each column's
 // block (a dictionary column's codes, then its dictionary) — and
 // returns the tile's metadata. Dictionary-encoded text columns become
 // two blocks so readers fetch, checksum, and pool-cache each
 // independently. buf is sized once from the payloads.
 func (bw *blockWriter) tile(t *tile.Tile) TileMeta {
 	cols := t.Columns()
-	payloads := make([][]byte, 0, 1+2*len(cols))
-	payloads = append(payloads, encodeDocs(t))
+	keys, payloads := splitDocs(t)
 	for j := range cols {
 		if c := cols[j].Col; c.IsDict() {
 			payloads = append(payloads, c.SerializeCodes(), c.SerializeDict())
@@ -114,8 +114,12 @@ func (bw *blockWriter) tile(t *tile.Tile) TileMeta {
 	}
 	bw.buf = make([]byte, 0, size)
 
-	tm := TileMeta{Rows: t.NumRows(), Docs: bw.block(payloads[0]), Columns: make([]ColumnMeta, len(cols))}
-	payloads = payloads[1:]
+	tm := TileMeta{Rows: t.NumRows(), Docs: make([]DocPart, len(keys)), Columns: make([]ColumnMeta, len(cols))}
+	for p, k := range keys {
+		tm.Docs[p] = DocPart{Key: k, Block: bw.block(payloads[p])}
+	}
+	tm.Rest = bw.block(payloads[len(keys)])
+	payloads = payloads[len(keys)+1:]
 	for j := range cols {
 		ci := &cols[j]
 		cm := &tm.Columns[j]
@@ -137,7 +141,10 @@ func (bw *blockWriter) tile(t *tile.Tile) TileMeta {
 
 // shift moves every block ref of the tile by off bytes.
 func (tm *TileMeta) shift(off uint64) {
-	tm.Docs.Off += off
+	for p := range tm.Docs {
+		tm.Docs[p].Block.Off += off
+	}
+	tm.Rest.Off += off
 	for j := range tm.Columns {
 		cm := &tm.Columns[j]
 		cm.Block.Off += off
@@ -180,29 +187,9 @@ func (bw *blockWriter) block(payload []byte) BlockRef {
 	return ref
 }
 
-// encodeDocs flattens a tile's binary-JSON fallback documents into
-// one block payload: u32 count, then u32 length + bytes per document.
-func encodeDocs(t *tile.Tile) []byte {
-	n := t.NumRows()
-	size := 4
-	for i := 0; i < n; i++ {
-		size += 4 + len(t.RawBytes(i))
-	}
-	out := make([]byte, 0, size)
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(n))
-	out = append(out, tmp[:]...)
-	for i := 0; i < n; i++ {
-		d := t.RawBytes(i)
-		binary.LittleEndian.PutUint32(tmp[:], uint32(len(d)))
-		out = append(out, tmp[:]...)
-		out = append(out, d...)
-	}
-	return out
-}
-
-// decodeDocs splits a docs-block payload back into per-document byte
-// slices (aliasing the payload, which lives in the buffer pool).
+// decodeDocs splits a document part's payload back into per-document
+// byte slices (aliasing the payload, which lives in the buffer pool);
+// an empty slice is a document the part holds nothing of.
 func decodeDocs(b []byte, wantRows int) ([][]byte, error) {
 	if len(b) < 4 {
 		return nil, corruptf("docs block of %d bytes", len(b))

@@ -260,7 +260,7 @@ func TestUnreadableBlockAnswers500(t *testing.T) {
 		{"column", "data->>'stars'::BigInt", func(tm *segment.TileMeta) segment.BlockRef {
 			return tm.Columns[tm.ColumnsForPath(stars)[0]].Block
 		}},
-		{"docs", "data->'stars'", func(tm *segment.TileMeta) segment.BlockRef { return tm.Docs }},
+		{"docs", "data->'stars'", func(tm *segment.TileMeta) segment.BlockRef { return tm.DocRef(tm.DocPart("stars")) }},
 	} {
 		bad := corruptTable(t, mem, c.pick)
 		s.Register("bad", bad)

@@ -242,9 +242,9 @@ func TestStatsReadFailure(t *testing.T) {
 
 // TestLegacyManifestFails: a manifest whose entry carries no tile
 // index, or one under the JTMAN001 header (tile indexes with zone
-// maps), fails the open with an error naming the entry's segment or the
-// header found; the manifest is hand-encoded here, as its writers are
-// gone.
+// maps) or the JTMAN002 one (whole-document blocks), fails the open
+// with an error naming the entry's segment or the header found; the
+// manifest is hand-encoded here, as its writers are gone.
 func TestLegacyManifestFails(t *testing.T) {
 	mem := blockstore.NewMem()
 	storeConformTable(t, mem, 3, 48).Close()
@@ -269,15 +269,16 @@ func TestLegacyManifestFails(t *testing.T) {
 		}
 		return withIndex(s)
 	}
-	if _, err := manifest.Decode(encode("JTMAN002", withIndex)); err != nil {
+	if _, err := manifest.Decode(encode("JTMAN003", withIndex)); err != nil {
 		t.Fatalf("the hand encoding does not decode: %v", err)
 	}
 	for _, c := range []struct {
 		name, want string
 		data       []byte
 	}{
-		{"index-less entry", man.Segments[1].File, encode("JTMAN002", noIndex)},
+		{"index-less entry", man.Segments[1].File, encode("JTMAN003", noIndex)},
 		{"JTMAN001 header", `"JTMAN001 `, encode("JTMAN001", withIndex)},
+		{"JTMAN002 header", `"JTMAN002 `, encode("JTMAN002", withIndex)},
 	} {
 		if err := mem.Put(manifest.FileName, c.data); err != nil {
 			t.Fatal(err)

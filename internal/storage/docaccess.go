@@ -85,6 +85,20 @@ func docAccess(d jsonb.Doc, path keypath.Path, want expr.SQLType, cnt *scanCount
 	return docValue(cur, want, cnt)
 }
 
+// rowLookup follows path down row i's document of t; false when a step
+// is absent. A first step that is a key reads the row's member, so a
+// directory table loads only the part of its documents holding it.
+func rowLookup(t scanTile, i int, path []keypath.Segment) (jsonb.Doc, bool) {
+	if len(path) == 0 || path[0].IsIndex {
+		return docLookup(t.Raw(i), path)
+	}
+	d, ok := t.Member(i, path[0].Key)
+	if !ok {
+		return d, false
+	}
+	return docLookup(d, path[1:])
+}
+
 // docLookup follows path down from d; false when a step is absent.
 func docLookup(d jsonb.Doc, path []keypath.Segment) (jsonb.Doc, bool) {
 	for _, seg := range path {

@@ -70,10 +70,13 @@ func compareSteps(a, b keypath.Segment) int {
 
 // docWalk is one worker's walk over the current tile: the accesses the
 // tile serves from documents, as cells in path order, and per depth the
-// value the row's walk reached there (docs[0] is the document).
+// value the row's walk reached there (docs[0] is the document, loaded
+// only for a path that starts at the root or with a slot: a first key
+// step reads the row's member directly, scanTile.Member).
 type docWalk struct {
-	cells []walkCell
-	docs  []jsonb.Doc
+	cells  []walkCell
+	docs   []jsonb.Doc
+	rooted bool // docs[0] holds the current row's document
 }
 
 // walkCell is one document-served access: the writer of the vector the
@@ -118,8 +121,8 @@ func (w *docWalk) activate(wp *walkPaths, plans []accessPlan, accesses []Access,
 // before its slots, so that cell has a step at gap). Either is NULL
 // without a lookup; any other cell looks up only the steps past its
 // shared prefix.
-func (w *docWalk) row(d jsonb.Doc, i int, cnt *scanCounters) {
-	w.docs[0] = d
+func (w *docWalk) row(t scanTile, i int, cnt *scanCounters) {
+	w.rooted = false
 	reached, gap := 0, -1
 	for k := range w.cells {
 		c := &w.cells[k]
@@ -128,7 +131,7 @@ func (w *docWalk) row(d jsonb.Doc, i int, cnt *scanCounters) {
 		}
 		gap = -1
 		for reached = c.shared; reached < len(c.path); reached++ {
-			next, ok := docStep(w.docs[reached], c.path[reached])
+			next, ok := w.step(t, i, reached, c.path[reached])
 			if !ok {
 				break
 			}
@@ -136,9 +139,27 @@ func (w *docWalk) row(d jsonb.Doc, i int, cnt *scanCounters) {
 		}
 		switch {
 		case reached == len(c.path):
-			docPut(c.out, i, w.docs[reached], c.want, cnt)
+			docPut(c.out, i, w.value(t, i, reached), c.want, cnt)
 		case c.path[reached].IsIndex:
 			gap = reached
 		}
 	}
+}
+
+// step follows step k of a path from the value the walk reached at
+// depth k; a first step that is a key reads row i's member.
+func (w *docWalk) step(t scanTile, i, k int, seg keypath.Segment) (jsonb.Doc, bool) {
+	if k == 0 && !seg.IsIndex {
+		return t.Member(i, seg.Key)
+	}
+	return docStep(w.value(t, i, k), seg)
+}
+
+// value is the value the walk reached at depth k, loading row i's
+// document for depth 0.
+func (w *docWalk) value(t scanTile, i, k int) jsonb.Doc {
+	if k == 0 && !w.rooted {
+		w.docs[0], w.rooted = t.Raw(i), true
+	}
+	return w.docs[k]
 }

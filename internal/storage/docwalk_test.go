@@ -316,7 +316,7 @@ func TestPutScanScratchDropsWalkDocs(t *testing.T) {
 		if !s.walk.activate(&tr, plans, accs, s.cells) {
 			t.Fatalf("%d document-served accesses, no step active", served)
 		}
-		s.walk.row(d, 0, &cnt)
+		s.walk.row(docsTile{d}, 0, &cnt)
 		cursors = append(cursors, len(s.walk.docs))
 	}
 	if cursors[1] >= cursors[0] {
@@ -417,6 +417,18 @@ func TestDocWalkSharedPrefixes(t *testing.T) {
 	}
 }
 
+// docsTile serves a walk its rows' documents: row i is docs[i]. A walk
+// reads nothing else of a tile.
+type docsTile []jsonb.Doc
+
+func (d docsTile) NumRows() int                               { return len(d) }
+func (d docsTile) MayContainPath(string) bool                 { return true }
+func (d docsTile) ColumnsForPath(string) []int                { return nil }
+func (d docsTile) ColumnType(int) (keypath.ValueType, bool)   { return keypath.TypeNull, false }
+func (d docsTile) Column(int) *tile.ColumnInfo                { return nil }
+func (d docsTile) Raw(i int) jsonb.Doc                        { return d[i] }
+func (d docsTile) Member(i int, key string) (jsonb.Doc, bool) { return d[i].Get(key) }
+
 // checkWalkedCells walks docs, row i being docs[i], into writers reset
 // for them, and checks every cell against docAccess: a document-served
 // access holds docAccess's value in a typed vector, boxed for ::JSON
@@ -428,8 +440,8 @@ func checkWalkedCells(t *testing.T, label string, w *docWalk, out []vec.Writer, 
 		out[ai].Reset(a.Type, len(docs))
 	}
 	var walked, looked scanCounters
-	for i, d := range docs {
-		w.row(d, i, &walked)
+	for i := range docs {
+		w.row(docsTile(docs), i, &walked)
 	}
 	for ai, a := range accs {
 		v := out[ai].Vector()

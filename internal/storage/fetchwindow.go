@@ -105,19 +105,21 @@ func fetchOrder(morsels []morsel, workers int) []int {
 }
 
 // plan computes tile ti's fetch from metadata and pool lookups: the
-// blocks the accesses' plans may read (planAccess), so the scan reads
-// no block the window did not fetch and the window fetches none the
-// scan will not read. nil means the tile is skipped or fully resident.
+// blocks the accesses' plans may read (planAccess, docParts), so the
+// scan reads no block the window did not fetch and the window fetches
+// none the scan will not read. nil means the tile is skipped or fully
+// resident.
 func (fw *fetchWindow) plan(ti int) *tileFetch {
 	t, ok := fw.src.openScanTile(ti, &fw.planCnt).(*segTileView)
 	if !ok || fw.sp.skippable(t) {
 		return nil
 	}
 	var refs []segment.BlockRef
-	docs := false
-	for ai := range fw.sp.accesses {
+	for ai, a := range fw.sp.accesses {
 		p := fw.sp.plan(t, ai)
-		docs = docs || p.readsDocs()
+		if p.readsDocs() {
+			refs = docParts(refs, t.meta, a)
+		}
 		if p.readsColumn() {
 			cm := &t.meta.Columns[p.col]
 			refs = append(refs, cm.Block)
@@ -125,9 +127,6 @@ func (fw *fetchWindow) plan(ti int) *tileFetch {
 				refs = append(refs, cm.Dict)
 			}
 		}
-	}
-	if docs {
-		refs = append(refs, t.meta.Docs)
 	}
 	runs, bytes := t.r.PlanFetch(refs)
 	if len(runs) == 0 {
@@ -217,4 +216,17 @@ func (fw *fetchWindow) close() {
 	if fw != nil {
 		fw.wg.Wait()
 	}
+}
+
+// docParts appends the document parts access a reads on tile tm to
+// refs: the part holding its first key, or every part for a path that
+// starts at the root or with a slot, which reads whole documents.
+func docParts(refs []segment.BlockRef, tm *segment.TileMeta, a Access) []segment.BlockRef {
+	if segs := a.Path.Segs; len(segs) > 0 && !segs[0].IsIndex {
+		return append(refs, tm.DocRef(tm.DocPart(segs[0].Key)))
+	}
+	for p := 0; p <= len(tm.Docs); p++ {
+		refs = append(refs, tm.DocRef(p))
+	}
+	return refs
 }

@@ -5,6 +5,7 @@ package storage
 // pool pressure, and accounting. Cancellation is in ctxcancel_test.go.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -15,6 +16,8 @@ import (
 	"repro/internal/blockstore"
 	"repro/internal/bufpool"
 	"repro/internal/expr"
+	"repro/internal/jsonb"
+	"repro/internal/jsontext"
 	"repro/internal/keypath"
 	"repro/internal/obs"
 	"repro/internal/vec"
@@ -154,8 +157,8 @@ func TestFetchWindowPoolPressure(t *testing.T) {
 
 // TestFetchWindowBudgetsStoredBytes: fetched blocks stay compressed
 // until their first decode, so the window budgets their stored bytes.
-// On a pool smaller than the table's decompressed documents but larger
-// than their stored bytes, every tile is fetched ahead in one wave and
+// On a pool smaller than the decompressed document part the scan reads
+// (its "pad" values) but larger than its stored bytes, every tile is fetched ahead in one wave and
 // no block is read twice.
 func TestFetchWindowBudgetsStoredBytes(t *testing.T) {
 	const latency = 20 * time.Millisecond
@@ -167,7 +170,8 @@ func TestFetchWindowBudgetsStoredBytes(t *testing.T) {
 	var stored, raw int64
 	for _, ls := range roomy.snapshot() {
 		for ti := 0; ti < ls.r.NumTiles(); ti++ {
-			d := ls.r.Tile(ti).Docs
+			tm := ls.r.Tile(ti)
+			d := tm.DocRef(tm.DocPart("pad"))
 			stored, raw = stored+int64(d.StoredLen), raw+int64(d.RawLen)
 		}
 	}
@@ -361,6 +365,150 @@ func TestRemoteScanCoalescesReads(t *testing.T) {
 		}
 		if reads == 0 || blocks < 3*reads {
 			t.Errorf("workers=%d: %d blocks in %d range reads, want at least 3 blocks per read", workers, blocks, reads)
+		}
+	}
+}
+
+// TestDocAccessReadsItsKeyPart: a document-served access whose path
+// starts with a key reads only that key's part of each tile's
+// documents. data->'geo'->>'lat'::Float over a directory table behind
+// the counting fake reads exactly the stored bytes of the geo parts the
+// window planned, less than a tenth of what the tiles' documents store,
+// and answers as the in-memory relation does.
+func TestDocAccessReadsItsKeyPart(t *testing.T) {
+	cfg := DefaultLoaderConfig()
+	cfg.Tile.TileSize = 64
+	cfg.Reorder = false
+	raw := make([][]byte, 256)
+	for i := range raw {
+		geo := ""
+		if i%5 == 0 { // in a fifth of the documents: never extracted
+			geo = fmt.Sprintf(`,"geo":{"lat":%d.25,"lon":-%d.5}`, i%90, i%180)
+		}
+		raw[i] = fmt.Appendf(nil, `{"id":%d,"text":"tweet %d %x","user":{"name":"u%d","bio":"%x"}%s}`,
+			i, i, i*2654435761, i%17, i*40503, geo)
+	}
+	rel, err := BuildTilesFromLines("t", raw, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := blockstore.NewMem()
+	dt, err := OpenDirStore("t", mem, nil, cfg, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dt.AppendTiles(rel.(TileIntrospector).Tiles(), rel.Stats()); err != nil {
+		t.Fatal(err)
+	}
+	dt.Close()
+
+	acc := []Access{NewAccess(expr.TFloat, "geo", "lat")}
+	want := batchMultiset(rel, acc, 1)
+	fake := blockstore.NewFakeS3(mem, blockstore.FakeS3Config{})
+	dt, err = OpenDirStore("t", fake, nil, cfg, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dt.Close()
+	var planned, docs int64
+	lat := keypath.NewPath("geo", "lat").Encode()
+	for _, ls := range dt.snapshot() {
+		for ti := 0; ti < ls.r.NumTiles(); ti++ {
+			tm := ls.r.Tile(ti)
+			if len(tm.ColumnsForPath(lat)) > 0 {
+				t.Fatalf("tile %d extracts geo.lat: the access would not read documents", ti)
+			}
+			p := tm.DocPart("geo")
+			if p == len(tm.Docs) {
+				t.Fatalf("tile %d keeps geo in its residual", ti)
+			}
+			planned += int64(tm.DocRef(p).StoredLen)
+			for q := 0; q <= len(tm.Docs); q++ {
+				docs += int64(tm.DocRef(q).StoredLen)
+			}
+		}
+	}
+	before := fake.BytesRead()
+	var st obs.ScanStats
+	got := batchMultisetStats(dt, acc, 2, &st)
+	if read := fake.BytesRead() - before; read != planned || st.Counts().StoreBytesRead != planned {
+		t.Errorf("scan read %d bytes (stats %d), want the %d stored bytes of the geo parts", read, st.Counts().StoreBytesRead, planned)
+	}
+	if planned*10 > docs {
+		t.Errorf("geo parts store %d of the documents' %d bytes, want under a tenth", planned, docs)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("directory table answers %v, in-memory relation %v", got, want)
+	}
+}
+
+// TestRootAccessReadsWholeDocuments: the root access (data) reads every
+// part of each tile's documents, and a directory table answers it with
+// the documents the in-memory relation holds, whole.
+func TestRootAccessReadsWholeDocuments(t *testing.T) {
+	mem, cfg := fetchTestStore(t, 3, 32, 40)
+	rel, err := OpenDirStore("t", mem, nil, cfg, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel.Close()
+	var parts, stored int64
+	for _, ls := range rel.snapshot() {
+		for ti := 0; ti < ls.r.NumTiles(); ti++ {
+			tm := ls.r.Tile(ti)
+			for p := 0; p <= len(tm.Docs); p++ {
+				parts++
+				stored += int64(tm.DocRef(p).StoredLen)
+			}
+		}
+	}
+	root := []Access{NewAccessPath(expr.TJSON, keypath.Path{}), {Path: keypath.Path{}, Type: expr.TJSON, NullRejecting: true}}
+	root[1].PathEnc = root[1].Path.Encode()
+	var st obs.ScanStats
+	got := batchMultisetStats(rel, root, 2, &st)
+	if c := st.Counts(); c.StoreBytesRead != stored || c.TilesSkipped != 0 {
+		t.Errorf("root scan read %d bytes and skipped %d tiles, want every part's %d bytes (%d parts) and no skip", c.StoreBytesRead, c.TilesSkipped, stored, parts)
+	}
+	lines := fetchTestLines(96, 40)
+	want := map[string]int{}
+	for _, l := range lines {
+		doc, err := jsontext.Parse([]byte(l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := expr.JSONValue(jsonb.NewDoc(jsonb.Encode(doc))).String()
+		want[v+"\x1f"+v+"\x1f"]++
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("root scan answered %d distinct rows, want the %d documents", len(got), len(want))
+	}
+}
+
+// TestRawJoinsEachRowOnce: a tile view reassembles a row's document on
+// its first Raw and serves every later Raw of the row from what it
+// built, so a scan that reads the whole document for several accesses
+// pays one reassembly per row.
+func TestRawJoinsEachRowOnce(t *testing.T) {
+	mem, cfg := fetchTestStore(t, 1, 32, 40)
+	rel, err := OpenDirStore("t", mem, nil, cfg, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel.Close()
+	r := rel.snapshot()[0].r
+	v := &segTileView{r: r, ti: 0, meta: r.Tile(0), cnt: &scanCounters{}}
+	docs, _, err := r.Docs(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range docs {
+		first := v.Raw(i).Bytes()
+		if !bytes.Equal(first, want) {
+			t.Fatalf("row %d: Raw gives %x, Docs %x", i, first, want)
+		}
+		var again []byte
+		if n := testing.AllocsPerRun(3, func() { again = v.Raw(i).Bytes() }); n != 0 || &again[0] != &first[0] {
+			t.Fatalf("row %d: a second Raw allocated %v times or built a new document", i, n)
 		}
 	}
 }

@@ -45,7 +45,9 @@ type accessPlan struct {
 // without a per-row step.
 func (p accessPlan) vector() bool { return p.serve <= serveWiden }
 
-// readsColumn and readsDocs name the blocks the plan may read.
+// readsColumn and readsDocs name the blocks the plan may read: the
+// column's, and the part of the documents holding the access's first
+// key (docParts).
 func (p accessPlan) readsColumn() bool { return p.serve >= serveZero && p.serve <= serveCast }
 func (p accessPlan) readsDocs() bool   { return p.serve == serveDoc || p.docOnNull }
 
@@ -81,8 +83,11 @@ func headerPaths(accesses []Access, maxSlots int) []headerPath {
 // serves is taken, and its NULLs divert to the document, where the rows
 // another column holds are. It reads tile metadata only: which columns
 // hold the path, their storage types and outlier flags, and whether the
-// path may occur at all.
+// path may occur at all. The root access (data) reads the document.
 func planAccess(t scanTile, a Access, h headerPath) accessPlan {
+	if len(a.Path.Segs) == 0 {
+		return accessPlan{serve: serveDoc} // the root: every row has one
+	}
 	var cols []int
 	if !h.capped && a.Type != expr.TJSON {
 		cols = t.ColumnsForPath(a.PathEnc)
@@ -116,7 +121,11 @@ func (p accessPlan) cell(t scanTile, col *column.Column, i int, a Access, cnt *s
 		return expr.NullValue()
 	case p.serve == serveDoc, p.docOnNull && col.IsNull(i):
 		cnt.JSONBFallbacks++
-		return docAccess(t.Raw(i), a.Path, a.Type, cnt)
+		cur, ok := rowLookup(t, i, a.Path.Segs)
+		if !ok {
+			return expr.NullValue()
+		}
+		return docValue(cur, a.Type, cnt)
 	}
 	cnt.ColumnHits++
 	if col.IsNull(i) {
@@ -132,7 +141,7 @@ func (p accessPlan) put(w *vec.Writer, t scanTile, col *column.Column, i int, a 
 	switch {
 	case p.serve == serveDoc, p.docOnNull && col.IsNull(i):
 		cnt.JSONBFallbacks++
-		if cur, ok := docLookup(t.Raw(i), a.Path.Segs); ok {
+		if cur, ok := rowLookup(t, i, a.Path.Segs); ok {
 			docPut(w, i, cur, a.Type, cnt)
 		}
 		return

@@ -37,8 +37,12 @@ type scanTile interface {
 	// Column may perform lazy I/O; it is only called for the column an
 	// access plan chose.
 	Column(idx int) *tile.ColumnInfo
-	// Raw may lazily load the tile's fallback documents.
+	// Raw returns row i's whole document and Member its value under a
+	// top-level key (false when the document is not an object or lacks
+	// the key). Both may lazily load the tile's fallback documents; a
+	// directory table's Member loads only the part holding the key.
 	Raw(i int) jsonb.Doc
+	Member(i int, key string) (jsonb.Doc, bool)
 }
 
 var _ scanTile = (*tile.Tile)(nil)
@@ -173,14 +177,15 @@ func (sp *scanPlan) plan(t scanTile, ai int) accessPlan {
 
 // skippable reports whether the scan may skip tile t: it provably
 // contains no tuple that can satisfy the query, as some null-rejecting
-// access targets a path absent from the whole tile (§4.8).
+// access targets a path absent from the whole tile (§4.8). The root
+// is in every tile.
 // Metadata-only.
 func (sp *scanPlan) skippable(t scanTile) bool {
 	if !sp.cfg.skipTiles {
 		return false
 	}
 	for ai, a := range sp.accesses {
-		if a.NullRejecting && !t.MayContainPath(sp.headers[ai].enc) {
+		if a.NullRejecting && len(a.Path.Segs) > 0 && !t.MayContainPath(sp.headers[ai].enc) {
 			return true
 		}
 	}
@@ -343,7 +348,7 @@ func (sc *scanScratch) walkDocs(t scanTile, sp *scanPlan, cnt *scanCounters) {
 	}
 	rows := sc.batch.Selected()
 	for _, i := range rows {
-		w.row(t.Raw(int(i)), int(i), cnt)
+		w.row(t, int(i), cnt)
 	}
 	cnt.DocWalks += int64(len(rows))
 	cnt.JSONBFallbacks += int64(len(rows) * len(w.cells))

@@ -5,6 +5,7 @@ package storage
 // pool.
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"repro/internal/bufpool"
@@ -48,8 +49,23 @@ type segTileView struct {
 
 	cols   []tile.ColumnInfo // Col nil until loaded
 	loaded []bool
-	docs   [][]byte
-	docsOK bool
+	parts  [][][]byte // per document part, nil until loaded
+	keyed  []keyPart  // the keys Member has looked up, with their parts
+	join   segment.Joiner
+	rows   [][]byte // per row, its document once Raw reassembled it
+	arena  []byte   // holds the reassembled documents
+	joined []byte   // Raw's scratch: the document being reassembled
+}
+
+// arenaChunk is the least a view allocates at a time to hold the
+// documents Raw reassembles: a tile's rows share a few allocations,
+// each filled to within one document of its end.
+const arenaChunk = 64 << 10
+
+// keyPart is the part of a tile's documents that holds key.
+type keyPart struct {
+	key  string
+	part int
 }
 
 func (v *segTileView) NumRows() int                     { return v.meta.Rows }
@@ -120,16 +136,68 @@ func (v *segTileView) Column(idx int) *tile.ColumnInfo {
 	return &v.cols[idx]
 }
 
-// Raw lazily loads the tile's fallback documents; an unreadable docs
-// block faults the scan (scanFault).
-func (v *segTileView) Raw(i int) jsonb.Doc {
-	if !v.docsOK {
-		docs, info, err := v.r.DocsT(v.cnt.tenant, v.ti)
+// part lazily loads part p of the tile's documents
+// (segment.TileMeta.DocPart); an unreadable block faults the scan
+// (scanFault).
+func (v *segTileView) part(p int) [][]byte {
+	if v.parts == nil {
+		v.parts = make([][][]byte, len(v.meta.Docs)+1)
+	}
+	if v.parts[p] == nil {
+		dir, info, err := v.r.DocPartT(v.cnt.tenant, v.ti, p)
 		v.account(info)
 		if err != nil {
 			panic(scanFault{err})
 		}
-		v.docs, v.docsOK = docs, true
+		v.parts[p] = dir
 	}
-	return jsonb.NewDoc(v.docs[i])
+	return v.parts[p]
+}
+
+// Member reads row i's value under key from the part holding the key:
+// its own, or the residual's object. A scan asks for the same few keys
+// row after row, so the view remembers which part holds each.
+func (v *segTileView) Member(i int, key string) (jsonb.Doc, bool) {
+	p := -1
+	for _, kp := range v.keyed {
+		if kp.key == key {
+			p = kp.part
+			break
+		}
+	}
+	if p < 0 {
+		p = v.meta.DocPart(key)
+		v.keyed = append(v.keyed, keyPart{key, p})
+	}
+	b := v.part(p)[i]
+	if p < len(v.meta.Docs) {
+		return jsonb.NewDoc(b), len(b) > 0
+	}
+	return jsonb.NewDoc(b).Get(key)
+}
+
+// Raw reassembles row i's whole document from every part, once per
+// view: a scan that reads the document for several accesses, or one
+// access after another, rebuilds it a single time. A document whose
+// parts do not fit together faults the scan (scanFault).
+func (v *segTileView) Raw(i int) jsonb.Doc {
+	if v.rows == nil {
+		for p := 0; p <= len(v.meta.Docs); p++ {
+			v.part(p)
+		}
+		v.rows = make([][]byte, v.meta.Rows)
+	}
+	if v.rows[i] == nil {
+		var err error
+		if v.joined, err = v.join.Join(v.joined[:0], v.meta, v.parts, i); err != nil {
+			panic(scanFault{fmt.Errorf("segment %s tile %d: %w", v.r.Name(), v.ti, err)})
+		}
+		if len(v.joined) > cap(v.arena)-len(v.arena) {
+			v.arena = make([]byte, 0, max(arenaChunk, len(v.joined)))
+		}
+		at := len(v.arena)
+		v.arena = append(v.arena, v.joined...)
+		v.rows[i] = v.arena[at:len(v.arena):len(v.arena)]
+	}
+	return jsonb.NewDoc(v.rows[i])
 }

@@ -43,6 +43,8 @@ func (r *sinew) MayContainPath(string) bool      { return true }
 func (r *sinew) Column(idx int) *tile.ColumnInfo { return &r.cols[idx] }
 func (r *sinew) Raw(i int) jsonb.Doc             { return jsonb.NewDoc(r.raw[i]) }
 
+func (r *sinew) Member(i int, key string) (jsonb.Doc, bool) { return r.Raw(i).Get(key) }
+
 func (r *sinew) ColumnsForPath(path string) []int {
 	if ci, ok := r.byPath[path]; ok {
 		return []int{ci}

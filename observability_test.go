@@ -446,7 +446,7 @@ func TestScanCountsMatchProcessSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := corruptSegment(t, loaded, opts(), func(tm *segment.TileMeta) segment.BlockRef { return tm.Docs })
+	bad := corruptSegment(t, loaded, opts(), func(tm *segment.TileMeta) segment.BlockRef { return tm.DocRef(tm.DocPart("note")) })
 	queries := &obs.Tenants.Get(tenant).Queries
 	base, queries0 := obs.Default.Snapshot(), queries.Load()
 	if _, err := bad.Query("data->>'note'::BigInt").RunContext(ctx); !errors.Is(err, ErrUnreadable) {

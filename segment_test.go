@@ -239,7 +239,7 @@ func TestSegmentCorruptBlockFailsTheQuery(t *testing.T) {
 		{"column", "data->>'stars'::BigInt", func(tm *segment.TileMeta) segment.BlockRef {
 			return tm.Columns[tm.ColumnsForPath(stars)[0]].Block
 		}},
-		{"docs", "data->'stars'", func(tm *segment.TileMeta) segment.BlockRef { return tm.Docs }},
+		{"docs", "data->'stars'", func(tm *segment.TileMeta) segment.BlockRef { return tm.DocRef(tm.DocPart("stars")) }},
 	} {
 		seg := corruptSegment(t, mem, o, c.pick)
 		res, err := seg.Query(c.sel).Run()
