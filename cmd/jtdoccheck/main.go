@@ -23,6 +23,10 @@
 //     declaration, method or struct field of some non-test file.
 //  4. Every backticked file path in README.md, DESIGN.md or
 //     EXPERIMENTS.md exists (see missingPath for what counts as one).
+//  5. Every CHANGES.md entry (a line starting "- PR NN:") numbered
+//     firstBudgetedPR or above is at most entryBudget bytes; its
+//     measurements go in results/PR-NN.md. Older entries are not held
+//     to it.
 package main
 
 import (
@@ -36,6 +40,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/bench"
@@ -239,6 +244,15 @@ func missingPath(root string, files map[string]bool, span string) bool {
 	return nested || !files[m[1]]
 }
 
+// entryRE matches a CHANGES.md entry; group 1 is its PR number.
+var entryRE = regexp.MustCompile(`^- PR (\d+):`)
+
+// The CHANGES.md entry budget (rule 5) and the first PR it holds.
+const (
+	entryBudget     = 1500
+	firstBudgetedPR = 48
+)
+
 func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "jtdoccheck:", err)
@@ -338,6 +352,19 @@ func main() {
 			if missingPath(*root, files, span) {
 				problems = append(problems, fmt.Sprintf("%s cites %s, which does not exist", doc, span))
 			}
+		}
+	}
+
+	// 5. New CHANGES.md entries keep to their budget.
+	changes, err := os.ReadFile(filepath.Join(*root, "CHANGES.md"))
+	check(err)
+	for _, line := range strings.Split(string(changes), "\n") {
+		m := entryRE.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		if pr, _ := strconv.Atoi(m[1]); pr >= firstBudgetedPR && len(line) > entryBudget {
+			problems = append(problems, fmt.Sprintf("CHANGES.md's PR %d entry is %d bytes, over its %d-byte budget: move measurements to results/PR-%d.md", pr, len(line), entryBudget, pr))
 		}
 	}
 

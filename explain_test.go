@@ -11,6 +11,10 @@ import (
 	"repro/internal/exprparse"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/vec"
+	"repro/internal/workload/tpch"
+	"repro/internal/workload/twitter"
+	"repro/internal/workload/yelp"
 )
 
 // mixedDocs interleaves two document structures so tuple reordering
@@ -567,5 +571,103 @@ func TestRowsBoxedOnlyAtTheResultBoundary(t *testing.T) {
 	replayed, boxed2 := run(engine.NewValues(engine.Materialize(usersScan(), 1)))
 	if fmt.Sprint(replayed.Rows) != fmt.Sprint(res.Rows) || boxed2 != boxed {
 		t.Fatalf("Values build side: %v (%d boxed), want %v (%d boxed)", replayed.Rows, boxed2, res.Rows, boxed)
+	}
+}
+
+// TestOnlyJSONCellsAreBoxed: every batch every operator emits keeps
+// each column in the backing of the type the operator declares for it,
+// so only ::JSON vectors are boxed. It runs every TPC-H, Yelp and
+// Twitter workload plan (the Tiles-* formulations too) over every
+// format — raw JSON, JSONB, Sinew, Shredded, in-memory tiles and a
+// two-segment directory table behind a simulated object store — at one
+// and three workers.
+func TestOnlyJSONCellsAreBoxed(t *testing.T) {
+	type plan struct {
+		name string
+		run  func(storage.Relation, int) *engine.Result
+	}
+	tpchLines, _ := tpch.Generate(tpch.Config{ScaleFactor: 0.001, Seed: 7})
+	yelpLines, _ := yelp.Generate(yelp.Config{Businesses: 150, Users: 300, Reviews: 1200, Tips: 300, Checkins: 150, Seed: 3})
+	twitterLines := twitter.Generate(twitter.Config{Tweets: 2000, DeleteRatio: 0.4, Seed: 3})
+	var tpchPlans, yelpPlans, twitterPlans []plan
+	for _, q := range tpch.Queries() {
+		tpchPlans = append(tpchPlans, plan{fmt.Sprintf("Q%d", q.Num), q.Run})
+	}
+	for _, q := range yelp.Queries() {
+		yelpPlans = append(yelpPlans, plan{fmt.Sprintf("y%d", q.Num), q.Run})
+	}
+	for _, q := range twitter.Queries() {
+		twitterPlans = append(twitterPlans, plan{fmt.Sprintf("t%d", q.Num), q.Run})
+	}
+
+	var mu sync.Mutex
+	var bad []string
+	defer engine.SetBatchCheck(func(op engine.Operator, b *vec.Batch) {
+		cols := op.Columns()
+		for c := range b.Cols {
+			v := &b.Cols[c]
+			if (v.Boxed != nil && v.Type != expr.TJSON) || v.Type != cols[c].Type {
+				mu.Lock()
+				bad = append(bad, fmt.Sprintf("%T column %d declared %s: a %s vector, boxed %v", op, c, cols[c].Type, v.Type, v.Boxed != nil))
+				mu.Unlock()
+			}
+		}
+	})()
+	check := func(label string) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		if len(bad) > 0 {
+			t.Fatalf("%s: %d batches break the invariant, first: %s", label, len(bad), bad[0])
+		}
+	}
+
+	cfg := storage.DefaultLoaderConfig()
+	cfg.Tile.TileSize = 256
+	for _, w := range []struct {
+		name  string
+		lines [][]byte
+		plans []plan
+	}{{"tpch", tpchLines, tpchPlans}, {"yelp", yelpLines, yelpPlans}, {"twitter", twitterLines, twitterPlans}} {
+		rels := map[string]storage.Relation{}
+		for _, k := range []storage.FormatKind{storage.KindJSON, storage.KindJSONB, storage.KindSinew, storage.KindShredded, storage.KindTiles} {
+			l, err := storage.NewLoader(k, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rels[string(k)], err = l.Load(w.name, w.lines, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		o := opts()
+		o.TileSize, o.CompactFanIn = 256, -1
+		dir, err := OpenStore(w.name, NewFakeS3Store(nil, 0), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dir.Close()
+		flushBatches(t, dir, w.lines, 2)
+		rels["DirTable"] = dir.rel
+		for format, rel := range rels {
+			for _, p := range w.plans {
+				for _, workers := range []int{1, 3} {
+					p.run(rel, workers)
+					check(fmt.Sprintf("%s %s on %s, %d workers", w.name, p.name, format, workers))
+				}
+			}
+		}
+	}
+	star, err := storage.BuildTilesStar("twitter", twitterLines, cfg, 2, twitter.IDPath(), twitter.ArrayPaths()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range twitter.Queries() {
+		if q.RunStar == nil {
+			continue
+		}
+		for _, workers := range []int{1, 3} {
+			q.RunStar(star, workers)
+			check(fmt.Sprintf("twitter t%d on Tiles-*, %d workers", q.Num, workers))
+		}
 	}
 }

@@ -141,7 +141,6 @@ type aggCol struct {
 	cnt  []int64
 	sumI []int64
 	sumF []float64
-	isF  []bool       // a SUM declared BigInt met a float
 	mm   []expr.Value // MIN/MAX so far; a zero Value (TNull) is "none yet"
 }
 
@@ -170,7 +169,7 @@ func (a *aggCol) grow(n int) {
 	case aggCounts:
 		a.cnt = extend(a.cnt, n)
 	case aggSums:
-		a.cnt, a.sumI, a.sumF, a.isF = extend(a.cnt, n), extend(a.sumI, n), extend(a.sumF, n), extend(a.isF, n)
+		a.cnt, a.sumI, a.sumF = extend(a.cnt, n), extend(a.sumI, n), extend(a.sumF, n)
 	default:
 		a.mm = extend(a.mm, n)
 	}
@@ -186,19 +185,19 @@ func (a *aggCol) add(v *vec.Vector, sel []int32, n int, gids []int32) {
 		return
 	case v.AllNull:
 		return
-	case a.kind == aggSums && v.Boxed == nil:
+	case a.kind == aggSums:
 		switch v.Type {
 		case expr.TBigInt:
 			vec.AddInts(v, sel, n, gids, a.cnt, a.sumI, a.sumF)
 		case expr.TFloat:
 			vec.AddFloats(v, sel, n, gids, a.cnt, a.sumF)
-		default: // timestamps, text, booleans are only counted
+		default: // timestamps, text, booleans and documents are only counted
 			vec.AddCounts(v, sel, n, gids, a.cnt)
 		}
 		return
 	}
 	isMin := a.spec.Func == Min
-	if a.kind == aggMinMax && gids == nil && v.Boxed == nil && (a.mm[0].Typ == expr.TNull || a.mm[0].Typ == v.Type) {
+	if gids == nil && (a.mm[0].Typ == expr.TNull || a.mm[0].Typ == v.Type) {
 		// Keyless MIN/MAX over a typed numeric vector: one kernel pass
 		// seeded with the running value.
 		switch cur := &a.mm[0]; {
@@ -223,25 +222,6 @@ func (a *aggCol) add(v *vec.Vector, sel []int32, n int, gids []int32) {
 		}
 		return gids[i]
 	}
-	if a.kind == aggSums {
-		// Boxed cells of a type other than the declared one: fold what
-		// is numeric, count the rest.
-		for _, i := range sel {
-			x, g := &v.Boxed[i], gid(i)
-			switch {
-			case x.Null:
-				continue
-			case x.Typ == expr.TBigInt:
-				a.sumI[g] += x.I
-				a.sumF[g] += float64(x.I)
-			case x.Typ == expr.TFloat:
-				a.isF[g] = true
-				a.sumF[g] += x.F
-			}
-			a.cnt[g]++
-		}
-		return
-	}
 	// MIN/MAX: a strictly better candidate replaces the running value;
 	// ties and incomparable values keep the earlier one.
 	for _, i := range sel {
@@ -251,12 +231,12 @@ func (a *aggCol) add(v *vec.Vector, sel []int32, n int, gids []int32) {
 		cur := &a.mm[gid(i)]
 		switch {
 		case cur.Typ == expr.TNull:
-		case v.Boxed == nil && cur.Typ == v.Type && v.Ints != nil:
+		case cur.Typ == v.Type && v.Ints != nil:
 			if x := v.Ints[i]; x != cur.I && (x < cur.I) == isMin {
 				cur.I = x
 			}
 			continue
-		case v.Boxed == nil && cur.Typ == v.Type && v.Floats != nil:
+		case cur.Typ == v.Type && v.Floats != nil:
 			if x := v.Floats[i]; (isMin && x < cur.F) || (!isMin && x > cur.F) {
 				cur.F = x
 			}
@@ -280,7 +260,6 @@ func (a *aggCol) merge(d int, o *aggCol, s int) {
 		a.cnt[d] += o.cnt[s]
 		a.sumI[d] += o.sumI[s]
 		a.sumF[d] += o.sumF[s]
-		a.isF[d] = a.isF[d] || o.isF[s]
 	case o.mm[s].Typ != expr.TNull:
 		if cur := a.mm[d]; cur.Typ != expr.TNull {
 			c, ok := expr.Compare(o.mm[s], cur)
@@ -302,7 +281,7 @@ func (a *aggCol) result(g int) expr.Value {
 		return expr.NullValue()
 	case a.spec.Func == Avg:
 		return expr.FloatValue(a.sumF[g] / float64(a.cnt[g]))
-	case !a.isF[g] && a.spec.resultType() == expr.TBigInt:
+	case a.spec.resultType() == expr.TBigInt:
 		return expr.IntValue(a.sumI[g])
 	}
 	return expr.FloatValue(a.sumF[g])
@@ -372,7 +351,7 @@ const maxDictCombos = 4096
 func dictCombos(keys []*vec.Vector) int {
 	combos := 1
 	for _, v := range keys {
-		if !v.Dict || v.Boxed != nil {
+		if !v.Dict {
 			return 0
 		}
 		if combos *= v.DictLen() + 1; combos > maxDictCombos {
@@ -476,7 +455,7 @@ func (g *GroupBy) RunBatches(workers int, emit BatchEmitFunc) {
 		return &gbWorker{t: newGroupTable(keyTypes, g.Aggs), keys: newEvaluator(keys), args: newEvaluator(args),
 			gid64: vec.Vector{Type: expr.TBigInt}}
 	})
-	g.In.RunBatches(workers, func(w int, b *vec.Batch) { ws[w].consume(b) })
+	run(g.In, workers, func(w int, b *vec.Batch) { ws[w].consume(b) })
 	var dict int64
 	for _, w := range ws {
 		dict += w.t.dictBatches

@@ -33,7 +33,7 @@ func Collect(op Operator, workers int) *Collected {
 		return bs
 	})
 	counts := perWorker(workers, func() paddedCount { return paddedCount{} })
-	op.RunBatches(workers, func(w int, b *vec.Batch) {
+	run(op, workers, func(w int, b *vec.Batch) {
 		for c, bl := range parts[w] {
 			bl.AppendVector(&b.Cols[c], b.Sel, b.Len)
 		}
@@ -96,25 +96,41 @@ func rowOrder(cols []vec.Vector, desc []bool, n int) func(a, b int32) int {
 }
 
 // cellOrder returns cellsOrder over the n rows of v; typed text is
-// compared first by its leading eight bytes.
+// compared first by its leading eight bytes, and each ::JSON document
+// is rendered to text once, not on every comparison.
 func cellOrder(v *vec.Vector, n int) func(a, b int) int {
-	if v.Boxed != nil || v.AllNull || v.Type != expr.TText {
-		return func(a, b int) int { return cellsOrder(v, a, v, b) }
-	}
-	prefix := make([]uint64, n)
-	for i := range prefix {
-		var head [8]byte
-		if !v.IsNull(i) {
-			copy(head[:], v.StrAt(i))
+	switch {
+	case v.AllNull:
+	case v.Type == expr.TJSON:
+		text := make([]string, n)
+		for i := range text {
+			if !v.IsNull(i) {
+				text[i] = v.Boxed[i].String()
+			}
 		}
-		prefix[i] = binary.BigEndian.Uint64(head[:])
-	}
-	return func(a, b int) int {
-		if x, y := prefix[a], prefix[b]; x != y && !v.IsNull(a) && !v.IsNull(b) {
-			return cmp.Compare(x, y)
+		return func(a, b int) int {
+			if an, bn := v.IsNull(a), v.IsNull(b); an || bn {
+				return valueOrder(expr.Value{Null: an}, expr.Value{Null: bn})
+			}
+			return strings.Compare(text[a], text[b])
 		}
-		return cellsOrder(v, a, v, b)
+	case v.Type == expr.TText:
+		prefix := make([]uint64, n)
+		for i := range prefix {
+			var head [8]byte
+			if !v.IsNull(i) {
+				copy(head[:], v.StrAt(i))
+			}
+			prefix[i] = binary.BigEndian.Uint64(head[:])
+		}
+		return func(a, b int) int {
+			if x, y := prefix[a], prefix[b]; x != y && !v.IsNull(a) && !v.IsNull(b) {
+				return cmp.Compare(x, y)
+			}
+			return cellsOrder(v, a, v, b)
+		}
 	}
+	return func(a, b int) int { return cellsOrder(v, a, v, b) }
 }
 
 // cellsOrder is valueOrder of row i of a and row j of b, compared in
@@ -123,7 +139,7 @@ func cellsOrder(a *vec.Vector, i int, b *vec.Vector, j int) int {
 	if an, bn := a.IsNull(i), b.IsNull(j); an || bn {
 		return valueOrder(expr.Value{Null: an}, expr.Value{Null: bn}) // decided by the NULLs
 	}
-	if a.Boxed == nil && b.Boxed == nil && a.Type == b.Type {
+	if a.Type == b.Type {
 		switch a.Type {
 		case expr.TText:
 			return bytes.Compare(a.StrAt(i), b.StrAt(j))

@@ -7,30 +7,44 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/jsonb"
+	"repro/internal/jsongen"
 	"repro/internal/vec"
 )
 
-// TestSortedOrderMatchesSortRowsOnTies: where the comparator ties rows
-// that render differently — 1, 1.0 and "1" in one mixed column — the
-// permutation still lists them exactly as SortRows lists the boxed
-// rows, because both run one pdqsort with one comparator. The typed
-// columns around it (text with ties, floats with -0 and NaN, NULLs)
-// take the typed comparisons.
+// randomDocs returns n random JSONB documents.
+func randomDocs(r *rand.Rand, n int) []expr.Value {
+	docs := make([]expr.Value, n)
+	for i := range docs {
+		docs[i] = expr.JSONValue(jsonb.NewDoc(jsonb.Encode(jsongen.RandomObject(r, 3))))
+	}
+	return docs
+}
+
+// TestSortedOrderMatchesSortRowsOnTies: the permutation lists the rows
+// exactly as SortRows lists the boxed rows, ties included, because both
+// run one pdqsort with one comparator that orders cells as valueOrder
+// does. The columns hold random JSONB documents with repeats (NULL
+// first, then by their text, which the permutation renders once per
+// sort), text with ties, and floats with -0 and NaN, all with NULLs.
 func TestSortedOrderMatchesSortRowsOnTies(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	mixed := []expr.Value{expr.IntValue(1), expr.FloatValue(1), expr.TextValue("1"),
-		expr.TextValue("2"), expr.IntValue(2), expr.NullValue()}
+	docs := randomDocs(r, 40)
 	floats := []float64{math.Copysign(0, -1), 0, math.NaN(), 1.5, math.Inf(-1)}
 	const n = 2000
-	cols := []ColumnDesc{{"t", expr.TText}, {"m", expr.TText}, {"f", expr.TFloat}}
-	bs := []*vec.Builder{vec.NewBuilder(expr.TText), vec.NewBuilder(expr.TText), vec.NewBuilder(expr.TFloat)}
+	cols := []ColumnDesc{{"j", expr.TJSON}, {"t", expr.TText}, {"f", expr.TFloat}}
+	bs := []*vec.Builder{vec.NewBuilder(expr.TJSON), vec.NewBuilder(expr.TText), vec.NewBuilder(expr.TFloat)}
 	for i := 0; i < n; i++ {
-		if r.Intn(5) == 0 {
+		if r.Intn(8) == 0 {
 			bs[0].AppendNull()
 		} else {
-			bs[0].AppendValue(expr.TextValue(fmt.Sprintf("k%d", r.Intn(4))))
+			bs[0].AppendValue(docs[r.Intn(len(docs))])
 		}
-		bs[1].AppendValue(mixed[r.Intn(len(mixed))])
+		if r.Intn(5) == 0 {
+			bs[1].AppendNull()
+		} else {
+			bs[1].AppendValue(expr.TextValue(fmt.Sprintf("k%d", r.Intn(4))))
+		}
 		bs[2].AppendValue(expr.FloatValue(floats[r.Intn(len(floats))]))
 	}
 	c := &Collected{Cols: cols, Len: n}
@@ -46,5 +60,21 @@ func TestSortedOrderMatchesSortRowsOnTies(t *testing.T) {
 				t.Fatalf("row %d col %d: %v, want %v", i, j, g, w)
 			}
 		}
+	}
+}
+
+// BenchmarkSortedOrderJSON orders 10,000 random ::JSON documents, as a
+// plain scan of a document column orders its result.
+func BenchmarkSortedOrderJSON(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	bl := vec.NewBuilder(expr.TJSON)
+	for _, d := range randomDocs(r, 10000) {
+		bl.AppendValue(d)
+	}
+	c := &Collected{Cols: []ColumnDesc{{"data", expr.TJSON}}, Vecs: []vec.Vector{bl.Vec}, Len: bl.Len()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.SortedOrder()
 	}
 }

@@ -113,9 +113,6 @@ func makeVector(r *rand.Rand, t expr.SQLType, cells []expr.Value, selected []int
 	if allNull && r.Intn(2) == 0 {
 		return vec.NullVector(t, len(cells))
 	}
-	if t == expr.TBool || r.Intn(3) == 0 {
-		return vec.Vector{Type: t, Boxed: cells}
-	}
 	v := vec.Vector{Type: t}
 	setNull := func(i int) {
 		for len(v.Nulls) <= i>>6 {
@@ -146,6 +143,13 @@ func makeVector(r *rand.Rand, t expr.SQLType, cells []expr.Value, selected []int
 			setNull(i)
 		}
 		switch {
+		case t == expr.TBool:
+			for len(v.Bools) <= i>>6 {
+				v.Bools = append(v.Bools, 0)
+			}
+			if c.B {
+				v.Bools[i>>6] |= 1 << (uint(i) & 63)
+			}
 		case t == expr.TFloat:
 			v.Floats = append(v.Floats, c.F)
 		case dict:
@@ -328,30 +332,6 @@ func TestJoinKeysOfDifferentTypesDoNotMatch(t *testing.T) {
 	}
 }
 
-// TestCellsOfAnotherTypeInATypedColumn: a replayed result may carry a
-// float or a text under a column declared BigInt; the column builders
-// fall back to boxed cells and the keys still compare by type + value.
-func TestCellsOfAnotherTypeInATypedColumn(t *testing.T) {
-	res := &Result{Cols: []ColumnDesc{{Name: "k", Type: expr.TBigInt}}}
-	for _, v := range []expr.Value{expr.IntValue(1), expr.TextValue("1"), expr.FloatValue(1), expr.NullValue(), expr.IntValue(1)} {
-		res.Rows = append(res.Rows, []expr.Value{v})
-	}
-	for _, w := range diffWorkers {
-		gb := NewGroupBy(NewValues(res), []expr.Expr{expr.NewCol(0, expr.TBigInt)}, []string{"k"},
-			[]AggSpec{{Func: CountStar, Name: "n"}, {Func: Sum, Arg: expr.NewCol(0, expr.TBigInt), Name: "s"}})
-		sameSequence(t, "group by", rowIDs(Materialize(gb, w).Rows), rowIDs([][]expr.Value{
-			{expr.NullValue(), expr.IntValue(1), expr.NullValue()},
-			{expr.IntValue(1), expr.IntValue(2), expr.IntValue(2)},
-			{expr.FloatValue(1), expr.IntValue(1), expr.FloatValue(1)},
-			{expr.TextValue("1"), expr.IntValue(1), expr.IntValue(0)}, // text is counted, not summed
-		}))
-		join := NewHashJoin(NewValues(res), NewValues(res), []int{0}, []int{0}, InnerJoin)
-		if n := CountRows(join, w); n != 6 { // int 1 twice on both sides, float and text once
-			t.Errorf("workers %d: self join has %d rows, want 6", w, n)
-		}
-	}
-}
-
 // TestCompositeTextKeysDoNotCollide is the regression test for the
 // separator-concatenated string keys: ("a\x00\x04b","c") and
 // ("a","b\x00\x04c") rendered to the same key, so GROUP BY merged the
@@ -512,8 +492,8 @@ func TestGroupOrderIsTypedKeyOrder(t *testing.T) {
 // TestMinMaxFloatsNaN pins the NaN rule of MIN/MAX (ported from the
 // MinMaxFloats kernel's test): a leading NaN is kept, because no strict
 // comparison replaces it, and a later NaN never replaces the running
-// value — what expr.Compare produces row by row. Typed and boxed
-// vectors, with and without a selection vector, grouped and global.
+// value — what expr.Compare produces row by row. With and without a
+// selection vector, grouped and global.
 func TestMinMaxFloatsNaN(t *testing.T) {
 	nan := math.NaN()
 	cases := []struct {
@@ -534,42 +514,30 @@ func TestMinMaxFloatsNaN(t *testing.T) {
 	vf := expr.NewCol(1, expr.TFloat)
 	aggs := []AggSpec{{Func: Min, Arg: vf, Name: "lo"}, {Func: Max, Arg: vf, Name: "hi"}}
 	for _, c := range cases {
-		boxed := make([]expr.Value, len(c.floats))
-		for i, f := range c.floats {
-			boxed[i] = expr.FloatValue(f)
+		v := vec.Vector{Type: expr.TFloat, Floats: c.floats}
+		key := vec.Vector{Type: expr.TBigInt, Ints: make([]int64, len(c.floats))} // one group
+		src := &batchSource{
+			cols:    []ColumnDesc{{Name: "k", Type: expr.TBigInt}, {Name: "v", Type: expr.TFloat}},
+			batches: []*vec.Batch{{Len: len(c.floats), Sel: c.sel, Cols: []vec.Vector{key, v}}},
 		}
-		for shape, v := range map[string]vec.Vector{
-			"typed": {Type: expr.TFloat, Floats: c.floats},
-			"boxed": {Type: expr.TFloat, Boxed: boxed},
-		} {
-			key := vec.Vector{Type: expr.TBigInt, Ints: make([]int64, len(c.floats))} // one group
-			src := &batchSource{
-				cols:    []ColumnDesc{{Name: "k", Type: expr.TBigInt}, {Name: "v", Type: expr.TFloat}},
-				batches: []*vec.Batch{{Len: len(c.floats), Sel: c.sel, Cols: []vec.Vector{key, v}}},
+		if c.sel == nil { // the answer does not depend on where a batch ends
+			head, tail := v, v
+			head.Floats, tail.Floats = v.Floats[:1], v.Floats[1:]
+			src.batches = append(src.batches, &vec.Batch{Len: 1, Cols: []vec.Vector{key, head}},
+				&vec.Batch{Len: len(c.floats) - 1, Cols: []vec.Vector{key, tail}})
+		}
+		for _, batches := range [][]*vec.Batch{src.batches[:1], src.batches[1:]} {
+			if len(batches) == 0 {
+				continue
 			}
-			if c.sel == nil { // the answer does not depend on where a batch ends
-				head, tail := v, v
-				if v.Boxed != nil {
-					head.Boxed, tail.Boxed = v.Boxed[:1], v.Boxed[1:]
-				} else {
-					head.Floats, tail.Floats = v.Floats[:1], v.Floats[1:]
-				}
-				src.batches = append(src.batches, &vec.Batch{Len: 1, Cols: []vec.Vector{key, head}},
-					&vec.Batch{Len: len(c.floats) - 1, Cols: []vec.Vector{key, tail}})
+			in := &batchSource{cols: src.cols, batches: batches}
+			global := Materialize(NewGroupBy(in, nil, nil, aggs), 1).Rows
+			grouped := Materialize(NewGroupBy(in, []expr.Expr{expr.NewCol(0, expr.TBigInt)}, []string{"k"}, aggs), 1).Rows
+			if len(global) != 1 || !same(global[0][0], c.wantMin) || !same(global[0][1], c.wantMax) {
+				t.Errorf("%s, %d batches, global: got %v, want min %v max %v", c.name, len(batches), global, c.wantMin, c.wantMax)
 			}
-			for _, batches := range [][]*vec.Batch{src.batches[:1], src.batches[1:]} {
-				if len(batches) == 0 {
-					continue
-				}
-				in := &batchSource{cols: src.cols, batches: batches}
-				global := Materialize(NewGroupBy(in, nil, nil, aggs), 1).Rows
-				grouped := Materialize(NewGroupBy(in, []expr.Expr{expr.NewCol(0, expr.TBigInt)}, []string{"k"}, aggs), 1).Rows
-				if len(global) != 1 || !same(global[0][0], c.wantMin) || !same(global[0][1], c.wantMax) {
-					t.Errorf("%s, %s, %d batches, global: got %v, want min %v max %v", c.name, shape, len(batches), global, c.wantMin, c.wantMax)
-				}
-				if len(grouped) != 1 || !same(grouped[0][1], c.wantMin) || !same(grouped[0][2], c.wantMax) {
-					t.Errorf("%s, %s, %d batches, grouped: got %v, want min %v max %v", c.name, shape, len(batches), grouped, c.wantMin, c.wantMax)
-				}
+			if len(grouped) != 1 || !same(grouped[0][1], c.wantMin) || !same(grouped[0][2], c.wantMax) {
+				t.Errorf("%s, %d batches, grouped: got %v, want min %v max %v", c.name, len(batches), grouped, c.wantMin, c.wantMax)
 			}
 		}
 	}

@@ -12,6 +12,7 @@ package engine
 import (
 	"context"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -37,6 +38,31 @@ type BatchEmitFunc func(worker int, b *vec.Batch)
 type Operator interface {
 	Columns() []ColumnDesc
 	RunBatches(workers int, emit BatchEmitFunc)
+}
+
+// batchCheck, when set, sees every batch an operator emits (run).
+var batchCheck atomic.Pointer[func(Operator, *vec.Batch)]
+
+// SetBatchCheck has f called with every batch any operator emits, and
+// the operator that emitted it, until restore runs. Tests assert
+// invariants of the batch contract over whole plans with it; f must be
+// safe for concurrent use.
+func SetBatchCheck(f func(Operator, *vec.Batch)) (restore func()) {
+	batchCheck.Store(&f)
+	return func() { batchCheck.Store(nil) }
+}
+
+// run has op emit into emit, through the installed batch check. Every
+// consumer runs its input through it.
+func run(op Operator, workers int, emit BatchEmitFunc) {
+	if f := batchCheck.Load(); f != nil {
+		next := emit
+		emit = func(w int, b *vec.Batch) {
+			(*f)(op, b)
+			next(w, b)
+		}
+	}
+	op.RunBatches(workers, emit)
 }
 
 // perWorker makes one T per worker id.
@@ -231,7 +257,7 @@ func (s *Select) Inputs() []Operator { return []Operator{s.In} }
 // RunBatches implements Operator.
 func (s *Select) RunBatches(workers int, emit BatchEmitFunc) {
 	filtered, shortcuts := filterEmit(s.Pred, len(s.In.Columns()), workers, emit)
-	s.In.RunBatches(workers, filtered)
+	run(s.In, workers, filtered)
 	obs.DictKernelShortcuts.Add(shortcuts())
 }
 
@@ -272,7 +298,7 @@ func (p *Project) RunBatches(workers int, emit BatchEmitFunc) {
 		nb vec.Batch
 	}
 	states := perWorker(workers, func() state { return state{ev: newEvaluator(exprs)} })
-	p.In.RunBatches(workers, func(w int, b *vec.Batch) {
+	run(p.In, workers, func(w int, b *vec.Batch) {
 		st := &states[w]
 		st.nb = vec.Batch{Cols: st.nb.Cols[:0], Len: b.Len, Sel: b.Sel, Base: b.Base}
 		for _, v := range st.ev.eval(b) {
@@ -292,7 +318,7 @@ func Materialize(op Operator, workers int) *Result {
 // vectors, never boxing a cell.
 func CountRows(op Operator, workers int) int64 {
 	counts := perWorker(workers, func() paddedCount { return paddedCount{} })
-	op.RunBatches(workers, func(w int, b *vec.Batch) { counts[w].n += int64(b.Rows()) })
+	run(op, workers, func(w int, b *vec.Batch) { counts[w].n += int64(b.Rows()) })
 	var n int64
 	for i := range counts {
 		n += counts[i].n

@@ -81,7 +81,7 @@ func (j *HashJoin) build(workers int) *joinBuild {
 		}
 		return st
 	})
-	j.Left.RunBatches(workers, func(w int, b *vec.Batch) {
+	run(j.Left, workers, func(w int, b *vec.Batch) {
 		st := &states[w]
 		for k, slot := range j.LeftKeys {
 			st.keys[k] = &b.Cols[slot]
@@ -149,7 +149,7 @@ func (j *HashJoin) RunBatches(workers int, emit BatchEmitFunc) {
 		return state{keys: make([]*vec.Vector, len(j.RightKeys)),
 			gather: make([]vec.Buf, probeWidth+len(jb.cols))}
 	})
-	j.Right.RunBatches(workers, func(w int, b *vec.Batch) {
+	run(j.Right, workers, func(w int, b *vec.Batch) {
 		st := &states[w]
 		sel := b.Selected()
 		for k, slot := range j.RightKeys {

@@ -141,7 +141,7 @@ func (o *OrderBy) RunBatches(workers int, emit BatchEmitFunc) {
 	}
 	inCols := in.Columns()
 	bufs := perWorker(workers, func() *sortBuf { return newSortBuf(inCols, keys, desc, o.Limit) })
-	in.RunBatches(workers, func(w int, b *vec.Batch) { bufs[w].add(b) })
+	run(in, workers, func(w int, b *vec.Batch) { bufs[w].add(b) })
 	all := bufs[0]
 	for _, s := range bufs[1:] {
 		for c, b := range s.cols {
@@ -186,7 +186,7 @@ func (l *Limit) RunBatches(workers int, emit BatchEmitFunc) {
 	var mu sync.Mutex
 	seen := 0
 	cut := perWorker(workers, func() vec.Batch { return vec.Batch{} })
-	l.In.RunBatches(workers, func(w int, b *vec.Batch) {
+	run(l.In, workers, func(w int, b *vec.Batch) {
 		mu.Lock()
 		take := min(l.N-seen, b.Rows())
 		seen += take

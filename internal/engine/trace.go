@@ -53,7 +53,7 @@ type paddedCount struct {
 func (t *Traced) RunBatches(workers int, emit BatchEmitFunc) {
 	counts := perWorker(workers, func() paddedCount { return paddedCount{} })
 	start := time.Now()
-	t.In.RunBatches(workers, func(w int, b *vec.Batch) {
+	run(t.In, workers, func(w int, b *vec.Batch) {
 		counts[w].n += int64(b.Rows())
 		emit(w, b)
 	})

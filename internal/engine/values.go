@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"repro/internal/expr"
-	"repro/internal/vec"
-)
+import "repro/internal/vec"
 
 // Values replays a materialized result as an operator — the bridge
 // for multi-phase queries (scalar subqueries, HAVING over a prior
@@ -18,7 +15,7 @@ func NewValues(res *Result) *Values { return &Values{Res: res} }
 // Columns implements Operator.
 func (v *Values) Columns() []ColumnDesc { return v.Res.Cols }
 
-// RunBatches implements Operator: the rows enter as one batch of boxed
+// RunBatches implements Operator: the rows enter as one batch of typed
 // vectors on worker 0.
 func (v *Values) RunBatches(workers int, emit BatchEmitFunc) {
 	rows := v.Res.Rows
@@ -27,11 +24,11 @@ func (v *Values) RunBatches(workers int, emit BatchEmitFunc) {
 	}
 	b := vec.Batch{Len: len(rows)}
 	for c, col := range v.Res.Cols {
-		cells := make([]expr.Value, len(rows))
-		for i, row := range rows {
-			cells[i] = row[c]
+		bl := vec.NewBuilder(col.Type)
+		for _, row := range rows {
+			bl.AppendValue(row[c])
 		}
-		b.Cols = append(b.Cols, vec.Vector{Type: col.Type, Boxed: cells})
+		b.Cols = append(b.Cols, bl.Vec)
 	}
 	emit(0, &b)
 }

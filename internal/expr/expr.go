@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -122,12 +123,7 @@ func NewArith(op ArithOp, l, r Expr) *Arith { return &Arith{Op: op, L: l, R: r} 
 
 // Eval implements Expr.
 func (a *Arith) Eval(row []Value) Value {
-	return ArithValue(a.Op, a.L.Eval(row), a.R.Eval(row))
-}
-
-// ArithValue computes l op r on two values — shared with the
-// vectorized arithmetic kernels' cell-wise fallback so both agree.
-func ArithValue(op ArithOp, l, r Value) Value {
+	op, l, r := a.Op, a.L.Eval(row), a.R.Eval(row)
 	if l.Null || r.Null {
 		return NullValue()
 	}
@@ -170,7 +166,9 @@ func (a *Arith) Type() SQLType {
 	return TFloat
 }
 
-// And is SQL three-valued conjunction.
+// And is SQL three-valued conjunction. A non-null operand that is not
+// TRUE, a value of another type included, makes it FALSE: such a value
+// reads as FALSE under NOT and in WHERE too.
 type And struct{ L, R Expr }
 
 // NewAnd returns a conjunction.
@@ -179,17 +177,17 @@ func NewAnd(l, r Expr) *And { return &And{L: l, R: r} }
 // Eval implements Expr.
 func (a *And) Eval(row []Value) Value {
 	l := a.L.Eval(row)
-	if !l.Null && l.Typ == TBool && !l.B {
+	if !l.Null && !l.IsTrue() {
 		return BoolValue(false) // short circuit
 	}
 	r := a.R.Eval(row)
 	switch {
-	case !r.Null && r.Typ == TBool && !r.B:
+	case !r.Null && !r.IsTrue():
 		return BoolValue(false)
 	case l.Null || r.Null:
 		return NullValue()
 	default:
-		return BoolValue(l.B && r.B)
+		return BoolValue(true)
 	}
 }
 
@@ -340,13 +338,28 @@ type When struct {
 	Result Expr
 }
 
-// NewCase returns a searched CASE.
+// NewCase returns a searched CASE. Its type is its first non-NULL
+// arm's type, and an arm of another type is cast to it, so every value
+// the CASE yields is NULL or of its type.
 func NewCase(whens []When, els Expr) *Case {
+	whens = slices.Clone(whens)
+	arms := make([]*Expr, 0, len(whens)+1)
+	for i := range whens {
+		arms = append(arms, &whens[i].Result)
+	}
+	if els != nil {
+		arms = append(arms, &els)
+	}
 	t := TNull
-	if len(whens) > 0 {
-		t = whens[0].Result.Type()
-	} else if els != nil {
-		t = els.Type()
+	for _, a := range arms {
+		if t = (*a).Type(); t != TNull {
+			break
+		}
+	}
+	for _, a := range arms {
+		if at := (*a).Type(); at != t && at != TNull {
+			*a = NewCast(*a, t)
+		}
 	}
 	return &Case{Whens: whens, Else: els, resultT: t}
 }

@@ -24,6 +24,8 @@ func TestThreeValuedLogic(t *testing.T) {
 		{"f and null", NewAnd(fa, nu), BoolValue(false)},
 		{"null and f", NewAnd(nu, fa), BoolValue(false)},
 		{"null and null", NewAnd(nu, nu), NullValue()},
+		{"text and null", NewAnd(NewConst(TextValue("x")), nu), BoolValue(false)}, // as NOT and WHERE read it
+		{"null and text", NewAnd(nu, NewConst(TextValue("x"))), BoolValue(false)},
 		{"t or null", NewOr(tr, nu), BoolValue(true)},
 		{"null or t", NewOr(nu, tr), BoolValue(true)},
 		{"f or null", NewOr(fa, nu), NullValue()},
@@ -128,6 +130,20 @@ func TestCaseAndIn(t *testing.T) {
 	}
 	if got := c.Eval(row(NullValue())); got.S != "many" {
 		t.Errorf("case(null) falls to else: %v", got)
+	}
+
+	// The first non-NULL arm types the CASE; other arms cast to it.
+	typed := NewCase([]When{
+		{Cond: NewCmp(EQ, col, NewConst(IntValue(1))), Result: NewConst(NullValue())},
+		{Cond: NewCmp(EQ, col, NewConst(IntValue(2))), Result: NewConst(FloatValue(2.5))},
+	}, NewConst(IntValue(7)))
+	if typed.Type() != TFloat {
+		t.Errorf("CASE typed %s, want Float", typed.Type())
+	}
+	for x, want := range map[int64]string{1: "NULL", 2: "2.5", 3: "7"} {
+		if got := typed.Eval(row(IntValue(x))); got.String() != want || (!got.Null && got.Typ != TFloat) {
+			t.Errorf("case(%d) = %v (%s), want Float %s", x, got, got.Typ, want)
+		}
 	}
 
 	in := NewIn(col, IntValue(1), IntValue(3))

@@ -72,19 +72,6 @@ func castJSON(v expr.Value, want expr.SQLType, cnt *scanCounters) expr.Value {
 	return out
 }
 
-// docAccess reads path from a binary JSON document as want — the typed
-// access expressions of §4.5/§5.4. A tile scan reads its
-// document-served accesses with one walk per row instead (docWalk),
-// which visits them in path order and looks a shared prefix up once;
-// both navigate with docStep, and docPut writes what docValue reads.
-func docAccess(d jsonb.Doc, path keypath.Path, want expr.SQLType, cnt *scanCounters) expr.Value {
-	cur, ok := docLookup(d, path.Segs)
-	if !ok {
-		return expr.NullValue() // absent key or parent: SQL NULL
-	}
-	return docValue(cur, want, cnt)
-}
-
 // rowLookup follows path down row i's document of t; false when a step
 // is absent. A first step that is a key reads the row's member, so a
 // directory table loads only the part of its documents holding it.
@@ -189,8 +176,9 @@ func docValue(cur jsonb.Doc, want expr.SQLType, cnt *scanCounters) expr.Value {
 	return castJSON(v, want, cnt)
 }
 
-// treeAccess is docAccess over a parsed value tree: raw JSON's read,
-// the oracle every conformance test compares with.
+// treeAccess reads path from a parsed value tree as want — the typed
+// access expressions of §4.5/§5.4 in raw JSON's read, the oracle every
+// conformance test compares with.
 func treeAccess(doc jsonvalue.Value, path keypath.Path, want expr.SQLType, cnt *scanCounters) expr.Value {
 	v, ok := keypath.Lookup(doc, path)
 	if !ok {

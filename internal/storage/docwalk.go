@@ -21,9 +21,9 @@ import (
 // following access that shares it NULL without another lookup, and as
 // JSON arrays are dense, a missing slot does the same for the later
 // slots of its array. Each cell is written into its access's typed
-// vector through docPut, as docAccess reads it through docValue, so a
-// walked cell and a looked-up cell cannot differ; a NULL cell is not
-// written at all, since the vector starts all NULL.
+// vector through docPut, as a per-access read (docLookup, then docPut)
+// writes it, so a walked cell and a looked-up cell cannot differ; a
+// NULL cell is not written at all, since the vector starts all NULL.
 
 // walkPaths is a scan's walked accesses in path order, sorted once per
 // scan and shared read-only by its workers: shared[k] is the number of

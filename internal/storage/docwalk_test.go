@@ -101,13 +101,15 @@ func walkAccessSets() map[string][]Access {
 }
 
 // perCellCounts replays the scan of tiles cell by cell with the plans'
-// own per-row read (accessPlan.cell, docAccess for a document), as the
+// own per-row read (accessPlan.put, docLookup and docPut for a
+// document), as the
 // scan core read a document-served access before it walked: the
 // JSONB fallbacks and cast errors the walk must count too, and the walks
 // it must make (the rows of every tile with a document-served access).
 // No access narrows.
 func perCellCounts(tiles []*tile.Tile, accesses []Access, cfg LoaderConfig) (fallbacks, castErrs, walks int64) {
 	hs := headerPaths(accesses, scanCfgOf(cfg).maxSlots)
+	var w vec.Writer
 	for _, t := range tiles {
 		var cnt scanCounters
 		doc := false
@@ -118,8 +120,9 @@ func perCellCounts(tiles []*tile.Tile, accesses []Access, cfg LoaderConfig) (fal
 			if p.readsColumn() {
 				col = t.Column(p.col).Col
 			}
+			w.Reset(a.Type, t.NumRows())
 			for i := 0; i < t.NumRows(); i++ {
-				p.cell(t, col, i, a, &cnt)
+				p.put(&w, i, t, col, i, a, &cnt)
 			}
 		}
 		if doc {
@@ -338,7 +341,8 @@ func TestPutScanScratchDropsWalkDocs(t *testing.T) {
 
 // TestDocWalkSharedPrefixes pins the orders of paths the walk must get
 // right, each case under every mask of document-served accesses: every
-// cell, and the cast errors, equal docAccess's (checkWalkedCells). The
+// cell, and the cast errors, equal a per-access lookup's
+// (checkWalkedCells). The
 // accesses are listed out of path order, and the sort must group them
 // by prefix.
 func TestDocWalkSharedPrefixes(t *testing.T) {
@@ -430,10 +434,12 @@ func (d docsTile) Raw(i int) jsonb.Doc                        { return d[i] }
 func (d docsTile) Member(i int, key string) (jsonb.Doc, bool) { return d[i].Get(key) }
 
 // checkWalkedCells walks docs, row i being docs[i], into writers reset
-// for them, and checks every cell against docAccess: a document-served
-// access holds docAccess's value in a typed vector, boxed for ::JSON
-// alone, and any other is still all NULL. The walk counts the cast
-// errors docAccess does.
+// for them, and checks every cell against an independent per-access
+// read, which looks each path up from the document's root (docLookup)
+// and writes what it reaches (docPut): a document-served access holds
+// that read's value in a typed vector, boxed for ::JSON alone, and any
+// other is still all NULL. The walk counts the cast errors the
+// per-access read does.
 func checkWalkedCells(t *testing.T, label string, w *docWalk, out []vec.Writer, plans []accessPlan, accs []Access, docs []jsonb.Doc) {
 	t.Helper()
 	for ai, a := range accs {
@@ -443,23 +449,27 @@ func checkWalkedCells(t *testing.T, label string, w *docWalk, out []vec.Writer, 
 	for i := range docs {
 		w.row(docsTile(docs), i, &walked)
 	}
+	var ref vec.Writer
 	for ai, a := range accs {
 		v := out[ai].Vector()
 		if (v.Boxed != nil) != (a.Type == expr.TJSON) {
 			t.Fatalf("%s, %s::%s: boxed %v", label, a.Path.Display(), a.Type, v.Boxed != nil)
 		}
+		ref.Reset(a.Type, len(docs))
 		for i, d := range docs {
-			want := expr.NullValue()
-			if plans[ai].serve == serveDoc {
-				want = docAccess(d, a.Path, a.Type, &looked)
+			if cur, ok := docLookup(d, a.Path.Segs); ok && plans[ai].serve == serveDoc {
+				docPut(&ref, i, cur, a.Type, &looked)
 			}
-			if got := v.Value(i); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s, doc %d %s::%s: walk %v, docAccess %v", label, i, a.Path.Display(), a.Type, got, want)
+		}
+		want := ref.Vector()
+		for i := range docs {
+			if got, want := v.Value(i), want.Value(i); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, doc %d %s::%s: walk %v, lookup %v", label, i, a.Path.Display(), a.Type, got, want)
 			}
 		}
 	}
 	if walked.CastErrors != looked.CastErrors {
-		t.Fatalf("%s: walk counted %d cast errors, docAccess %d", label, walked.CastErrors, looked.CastErrors)
+		t.Fatalf("%s: walk counted %d cast errors, the lookup %d", label, walked.CastErrors, looked.CastErrors)
 	}
 }
 
@@ -467,8 +477,8 @@ func checkWalkedCells(t *testing.T, label string, w *docWalk, out []vec.Writer, 
 // of the document, their prefixes, slots past the array's end, a key
 // step on an array and an index step on an object, one path under
 // several types — with a random subset of the accesses document-served,
-// and compares every typed cell, and the cast errors, with docAccess
-// (checkWalkedCells). `go
+// and compares every typed cell, and the cast errors, with a per-access
+// lookup (checkWalkedCells). `go
 // test` runs the seeds; `go test -run '^$' -fuzz FuzzDocWalk
 // ./internal/storage` digs.
 func FuzzDocWalk(f *testing.F) {

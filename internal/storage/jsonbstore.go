@@ -3,10 +3,10 @@ package storage
 import (
 	"context"
 
-	"repro/internal/expr"
 	"repro/internal/jsonb"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/vec"
 )
 
 // jsonbStore keeps one binary JSON document per tuple (§5) — the
@@ -48,12 +48,14 @@ func (r *jsonbStore) SizeBytes() int {
 // per-document binary JSON, so they all count as fallbacks — the
 // baseline the tiles column-hit ratio is compared against.
 func (r *jsonbStore) ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
-	scanCells(ctx, len(r.docs), accesses, workers, emit, st, func(lo, hi int, cols [][]expr.Value, cnt *scanCounters) {
+	scanCells(ctx, len(r.docs), accesses, workers, emit, st, func(lo, hi int, cells []vec.Writer, cnt *scanCounters) {
 		cnt.JSONBFallbacks += int64(hi-lo) * int64(len(accesses))
 		for i := lo; i < hi; i++ {
 			d := jsonb.NewDoc(r.docs[i])
 			for ai, a := range accesses {
-				cols[ai][i-lo] = docAccess(d, a.Path, a.Type, cnt)
+				if cur, ok := docLookup(d, a.Path.Segs); ok {
+					docPut(&cells[ai], i-lo, cur, a.Type, cnt)
+				}
 			}
 		}
 	})

@@ -3,10 +3,10 @@ package storage
 import (
 	"context"
 
-	"repro/internal/expr"
 	"repro/internal/jsontext"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/vec"
 )
 
 // rawJSON stores every document as verbatim JSON text — the baseline
@@ -45,16 +45,17 @@ func (r *rawJSON) SizeBytes() int {
 	return total
 }
 
-// ScanBatches implements BatchScanner with boxed cells only: the text
-// format re-parses every document, there is nothing columnar to hit.
+// ScanBatches implements BatchScanner with every cell read from a
+// parse tree: the text format re-parses every document, there is
+// nothing columnar to hit.
 func (r *rawJSON) ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
-	scanCells(ctx, len(r.lines), accesses, workers, emit, st, func(lo, hi int, cols [][]expr.Value, cnt *scanCounters) {
+	scanCells(ctx, len(r.lines), accesses, workers, emit, st, func(lo, hi int, cells []vec.Writer, cnt *scanCounters) {
 		for i := lo; i < hi; i++ {
 			// Validated at load; were it not, the NULL an error returns
 			// reads NULL at every path.
 			doc, _ := jsontext.Parse(r.lines[i])
 			for ai, a := range accesses {
-				cols[ai][i-lo] = treeAccess(doc, a.Path, a.Type, cnt)
+				cells[ai].Value(i-lo, treeAccess(doc, a.Path, a.Type, cnt))
 			}
 		}
 	})

@@ -113,36 +113,18 @@ func planAccess(t scanTile, a Access, h headerPath) accessPlan {
 	return accessPlan{serve: serveDoc}
 }
 
-// cell returns row i of access a under plan p, where col is the plan's
-// column, loaded (nil when the plan reads none).
-func (p accessPlan) cell(t scanTile, col *column.Column, i int, a Access, cnt *scanCounters) expr.Value {
+// put writes row i of access a under plan p, where col is the plan's
+// column, loaded (nil when the plan reads none), as row k of w. A text
+// column read as text copies its bytes; any other column cell converts
+// through castJSON, and a document cell through docPut.
+func (p accessPlan) put(w *vec.Writer, k int, t scanTile, col *column.Column, i int, a Access, cnt *scanCounters) {
 	switch {
 	case p.serve == serveNull:
-		return expr.NullValue()
-	case p.serve == serveDoc, p.docOnNull && col.IsNull(i):
-		cnt.JSONBFallbacks++
-		cur, ok := rowLookup(t, i, a.Path.Segs)
-		if !ok {
-			return expr.NullValue()
-		}
-		return docValue(cur, a.Type, cnt)
-	}
-	cnt.ColumnHits++
-	if col.IsNull(i) {
-		return expr.NullValue()
-	}
-	return castJSON(columnValue(col, i), a.Type, cnt)
-}
-
-// put writes row i of access a under a plan that is not a vector plan
-// into w: cell's value, typed. A text column read as text copies its
-// bytes; any other cell converts through castJSON.
-func (p accessPlan) put(w *vec.Writer, t scanTile, col *column.Column, i int, a Access, cnt *scanCounters) {
-	switch {
+		return
 	case p.serve == serveDoc, p.docOnNull && col.IsNull(i):
 		cnt.JSONBFallbacks++
 		if cur, ok := rowLookup(t, i, a.Path.Segs); ok {
-			docPut(w, i, cur, a.Type, cnt)
+			docPut(w, k, cur, a.Type, cnt)
 		}
 		return
 	}
@@ -150,9 +132,9 @@ func (p accessPlan) put(w *vec.Writer, t scanTile, col *column.Column, i int, a 
 	switch {
 	case col.IsNull(i):
 	case col.Type() == keypath.TypeString && a.Type == expr.TText:
-		w.Text(i, col.StringBytes(i))
+		w.Text(k, col.StringBytes(i))
 	default:
-		w.Value(i, castJSON(columnValue(col, i), a.Type, cnt))
+		w.Value(k, castJSON(columnValue(col, i), a.Type, cnt))
 	}
 }
 

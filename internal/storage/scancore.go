@@ -130,30 +130,33 @@ func accessPreds(accesses []Access) []*vec.CompiledPred {
 // cellBatchRows is the most rows a scanCells batch holds.
 const cellBatchRows = 1024
 
-// cellFill writes rows [lo, hi) of every access into cols: cols[ai][k]
-// is access ai's cell of row lo+k.
-type cellFill func(lo, hi int, cols [][]expr.Value, cnt *scanCounters)
+// cellFill writes rows [lo, hi) of every access into cells: row lo+k
+// of access ai is row k of cells[ai], a writer reset to the access's
+// type.
+type cellFill func(lo, hi int, cells []vec.Writer, cnt *scanCounters)
 
 // scanCells is the batch scan of a format without tiles: it cuts the
 // rows [0, n) into morsels and each morsel into batches of at most
-// cellBatchRows rows, has fill write every access's boxed cells, then
-// narrows the batch by the accesses' predicates (accessPreds), as the
-// tile scan does. A batch with no live row is not emitted.
+// cellBatchRows rows, has fill write every access's cells into typed
+// vectors, then narrows the batch by the accesses' predicates
+// (accessPreds), as the tile scan does. A batch with no live row is
+// not emitted.
 func scanCells(ctx context.Context, n int, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats, fill cellFill) {
 	preds := accessPreds(accesses)
 	morselRange(ctx, n, workers, func(w, lo, hi int) {
 		sc := getScanScratch(len(accesses), preds)
 		cnt := scanCounters{ScanCounts: obs.ScanCounts{Morsels: 1, RowsScanned: int64(hi - lo)}}
 		defer sc.finish(&cnt, st)
-		cols := make([][]expr.Value, len(accesses))
 		for blo := lo; blo < hi; blo += cellBatchRows {
 			b := &sc.batch
 			b.Len, b.Sel, b.Base = min(cellBatchRows, hi-blo), nil, int64(blo)
 			for ai, a := range accesses {
-				cols[ai] = sc.boxedBuf(ai)
-				b.Cols[ai] = vec.Vector{Type: a.Type, Boxed: cols[ai]}
+				sc.cells[ai].Reset(a.Type, b.Len)
 			}
-			fill(blo, blo+b.Len, cols, &cnt)
+			fill(blo, blo+b.Len, sc.cells, &cnt)
+			for ai := range accesses {
+				b.Cols[ai] = sc.cells[ai].Vector()
+			}
 			for _, p := range preds {
 				if p != nil && !sc.narrow(p) {
 					break
@@ -402,21 +405,7 @@ func (sc *scanScratch) fillCells(t scanTile, ai int, a Access, p accessPlan, cnt
 		col = t.Column(p.col).Col
 	}
 	for _, i := range sc.batch.Selected() {
-		p.put(w, t, col, int(i), a, cnt)
+		p.put(w, int(i), t, col, int(i), a, cnt)
 	}
 	sc.batch.Cols[ai] = w.Vector()
-}
-
-// boxedBuf returns slot ai's boxed buffer, sized to the batch. Its
-// length only grows: putScanScratch clears what was written.
-func (sc *scanScratch) boxedBuf(ai int) []expr.Value {
-	n := sc.batch.Len
-	vals := sc.boxed[ai]
-	if cap(vals) < n {
-		vals = make([]expr.Value, n)
-	} else if len(vals) < n {
-		vals = vals[:n]
-	}
-	sc.boxed[ai] = vals
-	return vals[:n]
 }

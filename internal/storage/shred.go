@@ -10,6 +10,7 @@ import (
 	"repro/internal/keypath"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/vec"
 )
 
 // shredded implements Dremel-style record shredding [42], the stand-in
@@ -188,12 +189,12 @@ func (r *shredded) ScanBatches(ctx context.Context, accesses []Access, workers i
 			stripes[ai] = append(stripes[ai], r.cols[ci])
 		}
 	}
-	scanCells(ctx, r.numRows, accesses, workers, emit, st, func(lo, hi int, cols [][]expr.Value, cnt *scanCounters) {
+	scanCells(ctx, r.numRows, accesses, workers, emit, st, func(lo, hi int, cells []vec.Writer, cnt *scanCounters) {
 		for ai, a := range accesses {
-			out := cols[ai]
+			out := &cells[ai]
 			if reassemble[ai] {
 				for i := lo; i < hi; i++ {
-					out[i-lo] = r.reassembleAccess(i, a, cnt)
+					out.Value(i-lo, r.reassembleAccess(i, a, cnt))
 				}
 				continue
 			}
@@ -218,7 +219,7 @@ func (r *shredded) ScanBatches(ctx context.Context, accesses []Access, workers i
 				if !hit && prefixed[ai] {
 					v = r.reassembleAccess(i, a, cnt)
 				}
-				out[i-lo] = v
+				out.Value(i-lo, v)
 			}
 		}
 	})

@@ -6,13 +6,13 @@ import (
 	"sort"
 
 	"repro/internal/column"
-	"repro/internal/expr"
 	"repro/internal/jsonb"
 	"repro/internal/jsontape"
 	"repro/internal/keypath"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/tile"
+	"repro/internal/vec"
 )
 
 // sinew implements the Sinew [57] baseline: one global schema,
@@ -104,10 +104,10 @@ func (r *sinew) ScanBatches(ctx context.Context, accesses []Access, workers int,
 			cols[i] = r.cols[plans[i].col].Col
 		}
 	}
-	scanCells(ctx, r.numRows, accesses, workers, emit, st, func(lo, hi int, out [][]expr.Value, cnt *scanCounters) {
+	scanCells(ctx, r.numRows, accesses, workers, emit, st, func(lo, hi int, cells []vec.Writer, cnt *scanCounters) {
 		for ai, a := range accesses {
 			for i := lo; i < hi; i++ {
-				out[ai][i-lo] = plans[ai].cell(r, cols[ai], i, a, cnt)
+				plans[ai].put(&cells[ai], i-lo, r, cols[ai], i, a, cnt)
 			}
 		}
 	})

@@ -92,10 +92,10 @@ type BatchEmitFunc func(worker int, b *vec.Batch)
 // counters (tiles scanned/skipped, rows, column hits vs binary-JSON
 // fallbacks) into st when non-nil. Accesses a tile serves from a
 // materialized column are handed out as zero-copy slices; everything
-// else is resolved cell by cell — by the tile formats into typed
-// vectors (boxed for ::JSON alone), by the others into boxed ones — so
-// batch scans are always complete (never a subset of the accesses). A scan applies every
-// access's Filter before it emits a row.
+// else is resolved cell by cell into a vector of the access's type,
+// boxed for ::JSON alone, so batch scans are always complete (never a
+// subset of the accesses). A scan applies every access's Filter before
+// it emits a row.
 type BatchScanner interface {
 	ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats)
 }

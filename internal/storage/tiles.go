@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/expr"
 	"repro/internal/jsontape"
 	"repro/internal/obs"
 	"repro/internal/reorder"
@@ -246,14 +245,13 @@ func (c *scanCounters) flush(st *obs.ScanStats) {
 
 // scanScratch holds what one morsel reuses from tile to tile — the
 // batch, the accesses' plans, the writers of the vectors resolved per
-// row, widened vectors, scanCells' boxed vectors, the narrowing
-// predicates' scratch, which holds the live-row selection, and the
-// document walk's state — pooled across scans.
+// row, widened vectors, the narrowing predicates' scratch, which holds
+// the live-row selection, and the document walk's state — pooled across
+// scans.
 type scanScratch struct {
 	batch vec.Batch
 	plans []accessPlan
 	cells []vec.Writer
-	boxed [][]expr.Value
 	fbuf  [][]float64
 	ps    *vec.Scratch
 	walk  docWalk
@@ -269,7 +267,6 @@ func getScanScratch(n int, preds []*vec.CompiledPred) *scanScratch {
 	s.batch.Cols = resize(s.batch.Cols, n)
 	s.plans = resize(s.plans, n)
 	s.cells = resize(s.cells, n)
-	s.boxed = resize(s.boxed, n)
 	s.fbuf = resize(s.fbuf, n)
 	for _, p := range preds {
 		if p != nil {
@@ -298,19 +295,15 @@ func resize[T any](s []T, n int) []T {
 }
 
 // putScanScratch returns s to the pool holding no reference into
-// buffer-pool memory: vectors, boxed cells — scanCells' and the ::JSON
-// documents of the writers — and the walk's cursors alias documents and
-// columns that an eviction or a dropped segment frees. The writers'
-// typed cells are copies, which the next scan reuses.
+// buffer-pool memory: vectors, the writers' ::JSON documents and the
+// walk's cursors alias documents and columns that an eviction or a
+// dropped segment frees. The writers' typed cells are copies, which the
+// next scan reuses.
 func putScanScratch(s *scanScratch) {
 	clear(s.batch.Cols)
 	cells := s.cells[:cap(s.cells)]
 	for i := range cells {
 		cells[i].Release()
-	}
-	for i, vals := range s.boxed {
-		clear(vals)
-		s.boxed[i] = vals[:0]
 	}
 	s.batch.Sel = nil
 	clear(s.walk.docs[:cap(s.walk.docs)])

@@ -6,9 +6,9 @@ import "repro/internal/expr"
 // of vector cells that must outlive the batch that delivered them —
 // join build sides, group keys, operator output. It stores cells in
 // the layout of its declared type (Ints for BigInt/Timestamp, Floats,
-// a text arena) and demotes itself to boxed values when a cell of
-// another type arrives, so it accepts any input. Vec is the live
-// vector view of the content, valid for the kernels as it grows.
+// a Bools bitmap, a text arena, boxed documents for JSON); every cell
+// appended is NULL or of that type. Vec is the live vector view of the
+// content, valid for the kernels as it grows.
 type Builder struct {
 	Vec Vector
 	n   int
@@ -18,9 +18,10 @@ type Builder struct {
 func NewBuilder(t expr.SQLType) *Builder {
 	b := &Builder{Vec: Vector{Type: t}}
 	switch t {
-	case expr.TBigInt, expr.TTimestamp, expr.TFloat, expr.TText:
-	default:
+	case expr.TJSON:
 		b.Vec.Boxed = []expr.Value{}
+	case expr.TNull:
+		b.Vec.AllNull = true
 	}
 	return b
 }
@@ -32,6 +33,9 @@ func (b *Builder) Len() int { return b.n }
 func (b *Builder) AppendNull() {
 	v := &b.Vec
 	switch {
+	case v.AllNull:
+		b.n++
+		return
 	case v.Boxed != nil:
 		v.Boxed = append(v.Boxed, expr.NullValue())
 		b.n++
@@ -40,6 +44,8 @@ func (b *Builder) AppendNull() {
 		v.Floats = append(v.Floats, 0)
 	case v.Type == expr.TText:
 		v.StrOff = append(v.StrOff, uint32(len(v.StrBytes)))
+	case v.Type == expr.TBool:
+		b.growBools()
 	default:
 		v.Ints = append(v.Ints, 0)
 	}
@@ -50,16 +56,28 @@ func (b *Builder) AppendNull() {
 	b.n++
 }
 
-// AppendValue appends one boxed value.
+// growBools gives the bitmap a word for row n.
+func (b *Builder) growBools() {
+	if b.n>>6 >= len(b.Vec.Bools) {
+		b.Vec.Bools = append(b.Vec.Bools, 0)
+	}
+}
+
+// appendBool appends a non-null boolean.
+func (b *Builder) appendBool(x bool) {
+	b.growBools()
+	if x {
+		b.Vec.Bools[b.n>>6] |= 1 << (uint(b.n) & 63)
+	}
+}
+
+// AppendValue appends one boxed value, NULL or of the builder's type.
 func (b *Builder) AppendValue(x expr.Value) {
 	v := &b.Vec
 	switch {
-	case x.Null:
+	case x.Null, v.AllNull:
 		b.AppendNull()
 		return
-	case v.Boxed == nil && x.Typ != v.Type:
-		b.demote()
-		fallthrough
 	case v.Boxed != nil:
 		v.Boxed = append(v.Boxed, x)
 	case v.Type == expr.TFloat:
@@ -67,36 +85,30 @@ func (b *Builder) AppendValue(x expr.Value) {
 	case v.Type == expr.TText:
 		v.StrBytes = append(v.StrBytes, x.S...)
 		v.StrOff = append(v.StrOff, uint32(len(v.StrBytes)))
+	case v.Type == expr.TBool:
+		b.appendBool(x.B)
 	default:
 		v.Ints = append(v.Ints, x.I)
 	}
 	b.n++
 }
 
-// demote re-stores the typed content as boxed values.
-func (b *Builder) demote() {
-	boxed := make([]expr.Value, b.n, 2*b.n+8)
-	for i := range boxed {
-		boxed[i] = b.Vec.Value(i)
-	}
-	b.Vec = Vector{Type: b.Vec.Type, Boxed: boxed}
-}
-
-// AppendCell appends row i of src.
+// AppendCell appends row i of src, a vector of the builder's type.
 func (b *Builder) AppendCell(src *Vector, i int) {
 	v := &b.Vec
 	switch {
-	case src.IsNull(i):
+	case src.IsNull(i) || v.AllNull:
 		b.AppendNull()
 		return
-	case src.Boxed != nil || v.Boxed != nil || src.Type != v.Type:
-		b.AppendValue(src.Value(i))
-		return
+	case v.Boxed != nil:
+		v.Boxed = append(v.Boxed, src.Boxed[i])
 	case v.Type == expr.TFloat:
 		v.Floats = append(v.Floats, src.Floats[i])
 	case v.Type == expr.TText:
 		v.StrBytes = append(v.StrBytes, src.StrAt(i)...)
 		v.StrOff = append(v.StrOff, uint32(len(v.StrBytes)))
+	case v.Type == expr.TBool:
+		b.appendBool(src.Bool(i))
 	default:
 		v.Ints = append(v.Ints, src.Ints[i])
 	}
@@ -111,7 +123,7 @@ func (b *Builder) AppendVector(src *Vector, sel []int32, n int) {
 	}
 	b.grow(src, sel)
 	v := &b.Vec
-	if src.Nulls == nil && src.Boxed == nil && !src.AllNull && v.Boxed == nil && src.Type == v.Type {
+	if src.Nulls == nil && !src.AllNull {
 		switch v.Type {
 		case expr.TBigInt, expr.TTimestamp:
 			for _, i := range sel {
@@ -139,7 +151,7 @@ func (b *Builder) AppendVector(src *Vector, sel []int32, n int) {
 // the exact count for a dense selection.
 func (b *Builder) grow(src *Vector, sel []int32) {
 	text := 0
-	if n := len(sel); n > 0 && sel[n-1] >= sel[0] && src.Type == expr.TText && src.Boxed == nil && !src.AllNull && !src.Dict && src.StrIdx == nil {
+	if n := len(sel); n > 0 && sel[n-1] >= sel[0] && src.Type == expr.TText && !src.AllNull && !src.Dict && src.StrIdx == nil {
 		text = int(src.StrOff[sel[n-1]])
 		if sel[0] > 0 {
 			text -= int(src.StrOff[sel[0]-1])
@@ -147,6 +159,7 @@ func (b *Builder) grow(src *Vector, sel []int32) {
 		text = text * n / int(sel[n-1]-sel[0]+1)
 	}
 	switch v, n := &b.Vec, len(sel); {
+	case v.AllNull, v.Type == expr.TBool:
 	case v.Boxed != nil:
 		v.Boxed = reserve(v.Boxed, n)
 	case v.Type == expr.TFloat:

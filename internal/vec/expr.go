@@ -4,9 +4,9 @@
 // vector; + - * / over int and float vectors and constants run as
 // typed loops that propagate NULL through the null bitmaps; every
 // other expression shape is evaluated cell by cell with expr.Eval over
-// just the slots it reads, into a boxed vector — so every expression
-// compiles, and the typed kernels decide per batch from the vectors
-// they actually get.
+// just the slots it reads, into a typed vector of the expression's
+// type — so every expression compiles, and the typed kernels decide
+// per batch from the vectors they actually get.
 package vec
 
 import (
@@ -92,7 +92,8 @@ type colVal int
 func (s colVal) eval(b *Batch, _ []int32, _ *Scratch) *Vector { return &b.Cols[s] }
 
 // rowVal is the cell-by-cell fallback: box the slots the expression
-// reads, evaluate, store boxed.
+// reads, evaluate, and write the value into a vector of the
+// expression's type.
 type rowVal struct {
 	e     expr.Expr
 	slots []int
@@ -101,15 +102,14 @@ type rowVal struct {
 
 func (n *rowVal) eval(b *Batch, sel []int32, sc *Scratch) *Vector {
 	buf := &sc.bufs[n.out]
-	buf.boxed = growTo(buf.boxed, max(b.Len, 1))
-	out := buf.boxed[:b.Len]
+	buf.cells.Reset(n.e.Type(), b.Len)
 	for _, i := range sel {
 		for _, s := range n.slots {
 			sc.row[s] = b.Cols[s].Value(int(i))
 		}
-		out[i] = n.e.Eval(sc.row)
+		buf.cells.Value(int(i), n.e.Eval(sc.row))
 	}
-	buf.out = Vector{Type: n.e.Type(), Boxed: out}
+	buf.out = buf.cells.Vector()
 	return &buf.out
 }
 
@@ -135,9 +135,7 @@ type operand struct {
 func vecOperand(v *Vector) operand {
 	switch {
 	case v.AllNull:
-		return operand{null: true}
-	case v.Boxed != nil:
-		return operand{vec: v}
+		return operand{null: true, bigint: v.Type == expr.TBigInt}
 	case v.Type == expr.TBigInt, v.Type == expr.TTimestamp:
 		return operand{ints: v.Ints, mask: -1, bigint: v.Type == expr.TBigInt, vec: v}
 	case v.Type == expr.TFloat:
@@ -178,19 +176,6 @@ func (n *arithVal) eval(b *Batch, sel []int32, sc *Scratch) *Vector {
 	switch {
 	case l.null || r.null:
 		out.AllNull = true
-	case (l.vec != nil && l.vec.Boxed != nil) || (r.vec != nil && r.vec.Boxed != nil):
-		// A side the scan could not type: compute cell by cell.
-		buf.boxed = growTo(buf.boxed, max(b.Len, 1))
-		out.Boxed = buf.boxed[:b.Len]
-		cell := func(o operand, c *expr.Value, i int) expr.Value {
-			if c != nil {
-				return *c
-			}
-			return o.vec.Value(i)
-		}
-		for _, i := range sel {
-			out.Boxed[i] = expr.ArithValue(n.op, cell(l, n.lc, int(i)), cell(r, n.rc, int(i)))
-		}
 	default:
 		var seeds [2][]uint64
 		if l.vec != nil {
@@ -231,7 +216,7 @@ func (n *arithVal) eval(b *Batch, sel []int32, sc *Scratch) *Vector {
 }
 
 // arithFloats is the float arithmetic loop; integer sides widen per
-// element, and division by zero yields NULL, like expr.ArithValue.
+// element, and division by zero yields NULL, as expr.Arith does.
 func arithFloats[L, R int64 | float64](buf *Buf, op expr.ArithOp, l []L, lm int, r []R, rm int, sel []int32, n int, setNull func(int32)) []float64 {
 	buf.floats = growTo(buf.floats, n)
 	dst := buf.floats

@@ -17,8 +17,10 @@ func nullBits(buf []uint64, n int) []uint64 {
 }
 
 // Buf is the reusable backing of one vector a kernel produces per
-// batch (a gathered join column, an arithmetic result): the buffers survive between batches, the vector handed out
-// is rebuilt from them each time and is valid until the next use.
+// batch (a gathered join column, an arithmetic result, an expression
+// evaluated cell by cell): the buffers survive between batches, the
+// vector handed out is rebuilt from them each time and is valid until
+// the next use.
 type Buf struct {
 	ints   []int64
 	floats []float64
@@ -27,6 +29,7 @@ type Buf struct {
 	boxed  []expr.Value
 	idx    []int32
 	codes  []uint32
+	cells  Writer
 	out    Vector
 }
 

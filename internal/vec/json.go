@@ -14,7 +14,7 @@ import (
 // encoding/json writes for the cell's AnyValue, with text read in place
 // from its arena or dictionary — no boxing, no reflection.
 func AppendJSON(dst []byte, v *Vector, i int) []byte {
-	if v.Boxed == nil && v.Type == expr.TText && !v.IsNull(i) {
+	if v.Type == expr.TText && !v.IsNull(i) {
 		return jsontext.AppendQuotedHTML(dst, v.StrAt(i))
 	}
 	x := v.Value(i)

@@ -65,21 +65,19 @@ func dictVector(cells []expr.Value) Vector {
 	return v
 }
 
-// columnVectors returns every layout a column of cells can arrive in:
-// a builder's (typed when the cells share the declared type, boxed
-// otherwise), plain boxed, dictionary-coded for text, and a gather of
-// the typed layout that reverses the rows (a shared text arena read
-// through StrIdx). Each comes with the cells it holds, row for row.
+// columnVectors returns every layout a column of cells of type t can
+// arrive in: a builder's (boxed for ::JSON alone), dictionary-coded for
+// text, and a gather of the builder's layout that reverses the rows (a
+// shared text arena read through StrIdx). Each comes with the cells it
+// holds, row for row.
 func columnVectors(t expr.SQLType, cells []expr.Value) (vecs []Vector, want [][]expr.Value) {
 	b := NewBuilder(t)
-	text := true
 	for _, x := range cells {
 		b.AppendValue(x)
-		text = text && (x.Null || x.Typ == expr.TText)
 	}
-	vecs = append(vecs, b.Vec, Vector{Type: t, Boxed: cells})
-	want = append(want, cells, cells)
-	if t == expr.TText && text {
+	vecs = append(vecs, b.Vec)
+	want = append(want, cells)
+	if t == expr.TText {
 		vecs = append(vecs, dictVector(cells))
 		want = append(want, cells)
 	}
@@ -112,9 +110,9 @@ func encodeAny(t *testing.T, cells []expr.Value) []byte {
 // FuzzNDJSONRow: AppendJSON writes every cell of every vector layout
 // byte for byte as encoding/json writes the cell's AnyValue (the value
 // a library caller gets from Value.Any). Rows come from jsongen
-// documents plus one row of the fuzzed text, float and integer, read
-// as text, float, integer and timestamp columns and, for an all-NULL
-// vector, as nothing.
+// documents, one column per member key and cell type, plus one row of
+// the fuzzed text, float and integer, read as text, float, integer and
+// timestamp columns and, for an all-NULL vector, as nothing.
 func FuzzNDJSONRow(f *testing.F) {
 	f.Add(int64(1), "<>&", 1e-7, int64(math.MinInt64))
 	f.Add(int64(2), "\x00\x01\x1f\b\f\n\r\t\"\\\x7f", 1e21, int64(math.MaxInt64))
@@ -133,27 +131,33 @@ func FuzzNDJSONRow(f *testing.F) {
 		}
 		typed := []expr.SQLType{expr.TText, expr.TFloat, expr.TBigInt, expr.TTimestamp}
 		edge := []expr.Value{expr.TextValue(s), expr.FloatValue(fl), expr.IntValue(n), expr.TimestampValue(n)}
-		cols := make([][]expr.Value, len(keys)+len(edge))
-		types := make([]expr.SQLType, len(cols))
-		for c, k := range keys {
-			types[c] = expr.TText
-			for _, d := range docs {
-				cols[c] = append(cols[c], cellOf(d.Lookup(k)))
-			}
-			cols[c] = append(cols[c], expr.NullValue())
-		}
-		for e, x := range edge {
-			c := len(keys) + e
-			types[c] = typed[e]
-			for range docs {
-				cols[c] = append(cols[c], expr.NullValue())
-			}
-			cols[c] = append(cols[c], x)
-		}
 		rows := len(docs) + 1
 		nulls := make([]expr.Value, rows)
 		for i := range nulls {
 			nulls[i] = expr.NullValue()
+		}
+		var cols [][]expr.Value
+		var types []expr.SQLType
+		for _, k := range keys {
+			// A column holds one type: each type a key's cells take gets
+			// a column of its own, NULL where the cell is another.
+			byType := map[expr.SQLType][]expr.Value{}
+			for i, d := range docs {
+				if x := cellOf(d.Lookup(k)); !x.Null {
+					if byType[x.Typ] == nil {
+						byType[x.Typ] = slices.Clone(nulls)
+						types = append(types, x.Typ)
+					}
+					byType[x.Typ][i] = x
+				}
+			}
+			for _, t := range types[len(cols):] {
+				cols = append(cols, byType[t])
+			}
+		}
+		for e, x := range edge {
+			types = append(types, typed[e])
+			cols = append(cols, append(slices.Clone(nulls[:len(docs)]), x))
 		}
 		for c, cells := range cols {
 			vecs, want := columnVectors(types[c], cells)

@@ -77,6 +77,7 @@ func (sc *Scratch) Release() {
 	for i := range sc.bufs {
 		b := &sc.bufs[i]
 		clear(b.boxed[:cap(b.boxed)])
+		b.cells.Release()
 		b.out = Vector{}
 	}
 }
@@ -361,11 +362,9 @@ func cmpVecConst(v *Vector, op expr.CmpOp, c expr.Value, sel []int32, n int, out
 	return out
 }
 
-func isIntVec(v *Vector) bool {
-	return v.Boxed == nil && (v.Type == expr.TBigInt || v.Type == expr.TTimestamp)
-}
+func isIntVec(v *Vector) bool { return v.Type == expr.TBigInt || v.Type == expr.TTimestamp }
 
-func isFloatVec(v *Vector) bool { return v.Boxed == nil && v.Type == expr.TFloat }
+func isFloatVec(v *Vector) bool { return v.Type == expr.TFloat }
 
 // cmpVecs keeps the selected rows where l op r is TRUE, with
 // expr.Compare's semantics: same-type integers compare exactly, mixed
@@ -396,7 +395,7 @@ func cmpVecs(l, r *Vector, op expr.CmpOp, sel, out []int32) []int32 {
 		return keep(func(i int) (int, bool) { return cmp3Float(l.Floats[i], float64(r.Ints[i])), true })
 	case isFloatVec(l) && isFloatVec(r):
 		return keep(func(i int) (int, bool) { return cmp3Float(l.Floats[i], r.Floats[i]), true })
-	case l.Boxed == nil && r.Boxed == nil && l.Type == expr.TText && r.Type == expr.TText:
+	case l.Type == expr.TText && r.Type == expr.TText:
 		return keep(func(i int) (int, bool) { return bytes.Compare(l.StrAt(i), r.StrAt(i)), true })
 	}
 	return keep(func(i int) (int, bool) { return expr.Compare(l.Value(i), r.Value(i)) })
@@ -574,9 +573,9 @@ func (p *inPred) apply(b *Batch, sel []int32, n int, out []int32, sc *Scratch) [
 	}
 	var member func(i int) bool // of a non-null cell
 	switch {
-	case v.Boxed == nil && v.Type == expr.TText && v.Dict:
+	case v.Type == expr.TText && v.Dict:
 		return p.inDict(v, sel, n, out, sc)
-	case v.Boxed == nil && v.Type == expr.TText:
+	case v.Type == expr.TText:
 		member = func(i int) bool {
 			s := v.StrAt(i)
 			for _, c := range p.strs {
@@ -587,7 +586,7 @@ func (p *inPred) apply(b *Batch, sel []int32, n int, out []int32, sc *Scratch) [
 			return false
 		}
 	default:
-		// Boxed cells, and numeric / bool / timestamp vectors whose
+		// ::JSON documents, and numeric / bool / timestamp vectors whose
 		// cells box without allocating: reuse SQL equality.
 		member = func(i int) bool {
 			x := v.Value(i)
@@ -627,15 +626,14 @@ const (
 // likePred is col [NOT] LIKE pattern over text cells; NULL and
 // non-text cells are never selected.
 type likePred struct {
-	slot    int
-	pattern string
-	kind    likeKind
-	needle  []byte // pattern with the % stripped, pre-converted
-	negate  bool
+	slot   int
+	kind   likeKind
+	needle []byte // pattern with the % stripped, pre-converted
+	negate bool
 }
 
 func newLikePred(slot int, pattern string, negate bool) *likePred {
-	p := &likePred{slot: slot, pattern: pattern, negate: negate}
+	p := &likePred{slot: slot, negate: negate}
 	switch {
 	case strings.HasPrefix(pattern, "%") && strings.HasSuffix(pattern, "%") && len(pattern) >= 2:
 		p.kind, p.needle = likeContains, []byte(pattern[1:len(pattern)-1])
@@ -665,14 +663,7 @@ func (p *likePred) match(s []byte) bool {
 func (p *likePred) apply(b *Batch, sel []int32, n int, out []int32, sc *Scratch) []int32 {
 	v := &b.Cols[p.slot]
 	switch {
-	case v.AllNull:
-		return out
-	case v.Boxed != nil:
-		return selectIf(sel, n, out, func(i int) bool {
-			x := v.Boxed[i]
-			return !x.Null && x.Typ == expr.TText && expr.MatchLike(x.S, p.pattern) != p.negate
-		})
-	case v.Type != expr.TText:
+	case v.AllNull, v.Type != expr.TText:
 		return out // non-text LIKE is NULL row-wise, never TRUE
 	case v.Dict:
 		return p.likeDict(v, sel, n, out, sc)
@@ -682,7 +673,7 @@ func (p *likePred) apply(b *Batch, sel []int32, n int, out []int32, sc *Scratch)
 
 // boolColPred is a bare column as predicate, or NOT of it: expr.Not
 // reads any non-null cell's boolean payload, so NOT selects every
-// non-null cell that is not TRUE.
+// non-null cell that is not TRUE, a ::JSON document included.
 type boolColPred struct {
 	slot   int
 	negate bool
@@ -697,15 +688,6 @@ func (p *boolColPred) apply(b *Batch, sel []int32, n int, out []int32, sc *Scrat
 		if v.IsNull(i) {
 			return false
 		}
-		isTrue := false
-		if v.Boxed != nil {
-			isTrue = v.Boxed[i].B
-		} else if v.Type == expr.TBool {
-			isTrue = v.Bool(i)
-		}
-		if p.negate {
-			return !isTrue
-		}
-		return isTrue && v.cellType(i) == expr.TBool
+		return (v.Type == expr.TBool && v.Bool(i)) != p.negate
 	})
 }

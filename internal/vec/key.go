@@ -1,7 +1,7 @@
 // Key kernels: hashing, identity and ordering of vector cells as join
 // and GROUP BY keys, without boxing. A key's identity is its SQL type
 // plus its payload — integers by value, floats by bit pattern, text by
-// bytes — so keys of different SQL types never match, and NULL equals
+// bytes, ::JSON documents by their text — so keys of different SQL types never match, and NULL equals
 // only NULL (GROUP BY puts NULLs in one group; joins drop NULL keys
 // before they get here).
 package vec
@@ -9,6 +9,7 @@ package vec
 import (
 	"bytes"
 	"math"
+	"strings"
 
 	"repro/internal/expr"
 	"repro/internal/xxhash"
@@ -25,40 +26,23 @@ func mix(h uint64) uint64 {
 
 func typeSeed(t expr.SQLType) uint64 { return uint64(t) * 0x9e3779b97f4a7c15 }
 
-func hashValue(x expr.Value) uint64 {
-	if x.Null {
-		return nullHash
-	}
-	switch x.Typ {
-	case expr.TBigInt, expr.TTimestamp:
-		return mix(uint64(x.I) + typeSeed(x.Typ))
-	case expr.TFloat:
-		return mix(math.Float64bits(x.F) + typeSeed(x.Typ))
-	case expr.TBool:
-		if x.B {
-			return mix(1 + typeSeed(x.Typ))
-		}
-		return mix(typeSeed(x.Typ))
-	case expr.TText:
-		return xxhash.Sum64([]byte(x.S)) + typeSeed(x.Typ)
-	default:
-		return xxhash.Sum64([]byte(x.String())) + typeSeed(x.Typ)
-	}
-}
-
-// HashCell hashes row i of v as a key cell.
+// HashCell hashes row i of v as a key cell; a ::JSON document hashes
+// by its text.
 func HashCell(v *Vector, i int) uint64 {
 	switch {
-	case v.Boxed != nil:
-		return hashValue(v.Boxed[i])
 	case v.IsNull(i):
 		return nullHash
+	case v.Boxed != nil:
+		return xxhash.Sum64([]byte(v.Boxed[i].String())) + typeSeed(v.Type)
 	case v.Type == expr.TText:
 		return xxhash.Sum64(v.StrAt(i)) + typeSeed(v.Type)
 	case v.Type == expr.TFloat:
 		return mix(math.Float64bits(v.Floats[i]) + typeSeed(v.Type))
 	case v.Type == expr.TBool:
-		return hashValue(expr.BoolValue(v.Bool(i)))
+		if v.Bool(i) {
+			return mix(1 + typeSeed(v.Type))
+		}
+		return mix(typeSeed(v.Type))
 	default:
 		return mix(uint64(v.Ints[i]) + typeSeed(v.Type))
 	}
@@ -107,58 +91,6 @@ rows:
 	return out
 }
 
-func (v *Vector) cellType(i int) expr.SQLType {
-	if v.Boxed != nil {
-		return v.Boxed[i].Typ
-	}
-	return v.Type
-}
-
-func (v *Vector) intAt(i int) int64 {
-	if v.Boxed != nil {
-		return v.Boxed[i].I
-	}
-	return v.Ints[i]
-}
-
-func (v *Vector) floatAt(i int) float64 {
-	if v.Boxed != nil {
-		return v.Boxed[i].F
-	}
-	return v.Floats[i]
-}
-
-func (v *Vector) boolAt(i int) bool {
-	if v.Boxed != nil {
-		return v.Boxed[i].B
-	}
-	return v.Bool(i)
-}
-
-// textCmp orders two non-null text cells bytewise.
-func textCmp(a *Vector, i int, b *Vector, j int) int {
-	switch {
-	case a.Boxed != nil && b.Boxed != nil:
-		return cmpStrings(a.Boxed[i].S, b.Boxed[j].S)
-	case a.Boxed != nil:
-		return -cmpBytesString(b.StrAt(j), a.Boxed[i].S)
-	case b.Boxed != nil:
-		return cmpBytesString(a.StrAt(i), b.Boxed[j].S)
-	default:
-		return bytes.Compare(a.StrAt(i), b.StrAt(j))
-	}
-}
-
-func cmpStrings(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
 // cmpBytesString is bytes.Compare(b, []byte(s)) without the copy.
 func cmpBytesString(b []byte, s string) int {
 	switch {
@@ -194,15 +126,14 @@ func CompareKeyCells(a *Vector, i int, b *Vector, j int) int {
 		}
 		return 1
 	}
-	ta, tb := a.cellType(i), b.cellType(j)
-	if ta != tb {
-		return cmp3Int(int64(ta), int64(tb))
+	if a.Type != b.Type {
+		return cmp3Int(int64(a.Type), int64(b.Type))
 	}
-	switch ta {
+	switch a.Type {
 	case expr.TBigInt, expr.TTimestamp:
-		return cmp3Int(a.intAt(i), b.intAt(j))
+		return cmp3Int(a.Ints[i], b.Ints[j])
 	case expr.TFloat:
-		x, y := floatOrder(a.floatAt(i)), floatOrder(b.floatAt(j))
+		x, y := floatOrder(a.Floats[i]), floatOrder(b.Floats[j])
 		switch {
 		case x < y:
 			return -1
@@ -211,9 +142,9 @@ func CompareKeyCells(a *Vector, i int, b *Vector, j int) int {
 		}
 		return 0
 	case expr.TText:
-		return textCmp(a, i, b, j)
+		return bytes.Compare(a.StrAt(i), b.StrAt(j))
 	case expr.TBool:
-		x, y := a.boolAt(i), b.boolAt(j)
+		x, y := a.Bool(i), b.Bool(j)
 		switch {
 		case x == y:
 			return 0
@@ -222,12 +153,12 @@ func CompareKeyCells(a *Vector, i int, b *Vector, j int) int {
 		}
 		return 1
 	default:
-		return cmpStrings(a.Value(i).String(), b.Value(j).String())
+		return strings.Compare(a.Value(i).String(), b.Value(j).String())
 	}
 }
 
 func plainInts(v *Vector) bool {
-	return v.Boxed == nil && !v.AllNull && len(v.Nulls) == 0 && (v.Type == expr.TBigInt || v.Type == expr.TTimestamp)
+	return !v.AllNull && len(v.Nulls) == 0 && (v.Type == expr.TBigInt || v.Type == expr.TTimestamp)
 }
 
 // KeyEq returns a test for "row i of the a vectors is the same key as
@@ -254,15 +185,13 @@ func KeyEq(a, b []*Vector) func(i, j int) bool {
 // compare across types, text bytewise; ok is false for incomparable
 // types.
 func CompareCellValue(v *Vector, i int, x expr.Value) (c int, ok bool) {
-	if v.Boxed == nil {
-		switch {
-		case v.Type == expr.TText && x.Typ == expr.TText:
-			return cmpBytesString(v.StrAt(i), x.S), true
-		case v.Type == expr.TFloat && x.Typ == expr.TFloat:
-			return cmp3Float(v.Floats[i], x.F), true
-		case (v.Type == expr.TBigInt || v.Type == expr.TTimestamp) && x.Typ == v.Type:
-			return cmp3Int(v.Ints[i], x.I), true
-		}
+	switch {
+	case v.Type == expr.TText && x.Typ == expr.TText:
+		return cmpBytesString(v.StrAt(i), x.S), true
+	case v.Type == expr.TFloat && x.Typ == expr.TFloat:
+		return cmp3Float(v.Floats[i], x.F), true
+	case (v.Type == expr.TBigInt || v.Type == expr.TTimestamp) && x.Typ == v.Type:
+		return cmp3Int(v.Ints[i], x.I), true
 	}
 	return expr.Compare(v.Value(i), x)
 }

@@ -7,17 +7,22 @@
 // The layout mirrors the JSON-tiles storage (paper §4): a tile's
 // materialized columns are flat typed slices, so a scan can hand them
 // to the engine zero-copy; accesses the tile cannot serve whole from a
-// column are resolved row by row and written straight into typed
-// vectors by a Writer, boxed only for ::JSON documents. Downstream operators filter by narrowing the selection vector
-// and aggregate by looping directly over the typed slices — the
-// batch-at-a-time design of vectorized analytics engines.
+// column, and every format without tiles, are resolved row by row and
+// written straight into typed vectors by a Writer. A vector's type is
+// its cells' type: only ::JSON documents are boxed. Downstream
+// operators filter by narrowing the selection vector and aggregate by
+// looping directly over the typed slices — the batch-at-a-time design
+// of vectorized analytics engines.
 package vec
 
 import (
 	"repro/internal/expr"
 )
 
-// Vector is one column of a batch. Exactly one backing is populated:
+// Vector is one column of a batch. A vector of a scalar type keeps its
+// cells in that type's backing, and Boxed is set only when Type is
+// TJSON, so every kernel reads a scalar vector's cells typed. Exactly
+// one backing is populated:
 //
 //   - Ints for TBigInt and TTimestamp
 //   - Floats for TFloat
@@ -25,10 +30,9 @@ import (
 //   - StrOff/StrBytes (an offset-indexed arena) for TText; with
 //     StrIdx set, row i reads arena entry StrIdx[i] (a gather that
 //     shares its source's arena instead of copying bytes)
-//   - Boxed for TJSON documents, and for values an expression or a
-//     format without tiles computes cell by cell
+//   - Boxed for TJSON documents
 //
-// AllNull marks a vector whose every row is NULL without any backing
+// A TNull vector has no backing: it is AllNull. AllNull marks a vector whose every row is NULL without any backing
 // (the path provably never occurs in the tile). Nulls is a bitmap
 // (bit i set = row i NULL); nil means no nulls. Fast-path vectors
 // alias storage-owned slices and must be treated as read-only.

@@ -8,11 +8,25 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/jsonb"
+	"repro/internal/jsontext"
 )
 
-// buildVector makes an n-row vector of the given type with ~1/4 NULL
-// rows (boxed when boxed is set, typed otherwise).
-func buildVector(r *rand.Rand, t expr.SQLType, n int, boxed bool) Vector {
+// jsonDocs are the documents a ::JSON cell is drawn from.
+var jsonDocs = func() []expr.Value {
+	var out []expr.Value
+	for _, text := range []string{`{"a":1}`, `[1,"x"]`, `"s"`, `2.5`, `{}`, `{"a":{"b":null}}`} {
+		v, err := jsontext.Parse([]byte(text))
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, expr.JSONValue(jsonb.NewDoc(jsonb.Encode(v))))
+	}
+	return out
+}()
+
+// randCells draws n cells of type t, ~1/4 of them NULL.
+func randCells(r *rand.Rand, t expr.SQLType, n int) []expr.Value {
 	vals := make([]expr.Value, n)
 	for i := range vals {
 		if r.Intn(4) == 0 {
@@ -33,9 +47,18 @@ func buildVector(r *rand.Rand, t expr.SQLType, n int, boxed bool) Vector {
 			vals[i] = expr.BoolValue(r.Intn(2) == 0)
 		case expr.TText:
 			vals[i] = expr.TextValue([]string{"", "a", "ab", "abc", "b", "ba", "zz"}[r.Intn(7)])
+		case expr.TJSON:
+			vals[i] = jsonDocs[r.Intn(len(jsonDocs))]
 		}
 	}
-	if boxed {
+	return vals
+}
+
+// buildVector makes an n-row vector of the given type with ~1/4 NULL
+// rows, typed, or boxed for ::JSON.
+func buildVector(r *rand.Rand, t expr.SQLType, n int) Vector {
+	vals := randCells(r, t, n)
+	if t == expr.TJSON {
 		return Vector{Type: t, Boxed: vals}
 	}
 	v := Vector{Type: t}
@@ -157,19 +180,19 @@ func randConst(r *rand.Rand, t expr.SQLType) expr.Value {
 }
 
 // TestCompiledPredMatchesRowEval is the kernel conformance property:
-// for random batches (typed and boxed vectors, with and without an
-// input selection) and random predicates, the compiled selection must
+// for random batches (typed vectors and boxed ::JSON ones, with and
+// without an input selection) and random predicates, the compiled selection must
 // equal row-at-a-time WHERE evaluation.
 func TestCompiledPredMatchesRowEval(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	types := []expr.SQLType{expr.TBigInt, expr.TFloat, expr.TText, expr.TBool, expr.TTimestamp}
+	types := []expr.SQLType{expr.TBigInt, expr.TFloat, expr.TText, expr.TBool, expr.TTimestamp, expr.TJSON}
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + r.Intn(100)
 		b := &Batch{Len: n}
 		colTypes := make([]expr.SQLType, 2+r.Intn(3))
 		for i := range colTypes {
 			colTypes[i] = types[r.Intn(len(types))]
-			v := buildVector(r, colTypes[i], n, r.Intn(3) == 0)
+			v := buildVector(r, colTypes[i], n)
 			if r.Intn(3) == 0 {
 				v.Nulls = nil // a null-free column: its NULL rows read as zero values
 			}
@@ -248,7 +271,7 @@ func TestCompileRejectsOnlyBadSlots(t *testing.T) {
 // gives for the boxed row — value, type and NULL.
 func TestCompiledExprMatchesRowEval(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
-	types := []expr.SQLType{expr.TBigInt, expr.TFloat, expr.TText, expr.TBool, expr.TTimestamp}
+	types := []expr.SQLType{expr.TBigInt, expr.TFloat, expr.TText, expr.TBool, expr.TTimestamp, expr.TJSON}
 	for trial := 0; trial < 400; trial++ {
 		n := 1 + r.Intn(100)
 		b := &Batch{Len: n}
@@ -258,7 +281,7 @@ func TestCompiledExprMatchesRowEval(t *testing.T) {
 			if r.Intn(8) == 0 {
 				b.Cols = append(b.Cols, NullVector(colTypes[i], n))
 			} else {
-				b.Cols = append(b.Cols, buildVector(r, colTypes[i], n, r.Intn(3) == 0))
+				b.Cols = append(b.Cols, buildVector(r, colTypes[i], n))
 			}
 		}
 		if r.Intn(3) == 0 {
@@ -292,8 +315,8 @@ func TestAggKernelsMatchManual(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + r.Intn(80)
-		iv := buildVector(r, expr.TBigInt, n, false)
-		fv := buildVector(r, expr.TFloat, n, false)
+		iv := buildVector(r, expr.TBigInt, n)
+		fv := buildVector(r, expr.TFloat, n)
 		var sel []int32
 		if r.Intn(2) == 0 {
 			sel = []int32{}

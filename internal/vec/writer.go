@@ -3,10 +3,11 @@ package vec
 import "repro/internal/expr"
 
 // Writer fills an n-row vector position by position: the per-row half
-// of a scan, which resolves cells one at a time, writes each straight
-// into the layout of its type (Ints for BigInt/Timestamp, Floats, a
-// Bools bitmap, a text arena) instead of boxing it. Only TJSON cells,
-// which are documents, stay boxed. Every row starts NULL, so a row
+// of a scan, which resolves cells one at a time, and an expression
+// evaluated cell by cell write each straight into the layout of its
+// type (Ints for BigInt/Timestamp, Floats, a Bools bitmap, a text
+// arena) instead of boxing it. Only TJSON cells, which are documents,
+// stay boxed; a TNull vector is all NULL. Every row starts NULL, so a row
 // never written costs nothing. Rows are written in ascending order,
 // each at most once; a row may be skipped.
 type Writer struct {
@@ -46,6 +47,9 @@ func (w *Writer) Reset(t expr.SQLType, n int) {
 	case expr.TText:
 		w.off = grown(w.off, n)
 		v.StrOff, v.StrBytes = w.off, w.bytes[:0:cap(w.bytes)]
+	case expr.TNull:
+		v.AllNull = true
+		return
 	default:
 		w.boxed = grown(w.boxed, n)
 		for i := range w.boxed {
@@ -133,7 +137,7 @@ func (w *Writer) Value(i int, x expr.Value) {
 	switch {
 	case w.vec.Boxed != nil:
 		w.vec.Boxed[i] = x
-	case x.Null:
+	case x.Null, w.vec.AllNull:
 	case w.vec.Type == expr.TFloat:
 		w.Float(i, x.F)
 	case w.vec.Type == expr.TBool:

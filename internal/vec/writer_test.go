@@ -20,20 +20,14 @@ func TestWriterMatchesValues(t *testing.T) {
 	var w Writer
 	for round := 0; round < 60; round++ {
 		typ, n := types[round%len(types)], r.Intn(200)
-		src := buildVector(r, typ, n, true)
-		if typ == expr.TJSON {
-			src = Vector{Type: typ, Boxed: make([]expr.Value, n)}
-			for i := range src.Boxed {
-				src.Boxed[i] = expr.Value{Typ: expr.TJSON} // a document's stand-in
-			}
-		}
+		cells := randCells(r, typ, n)
 		w.Reset(typ, n)
 		for i := 0; i < n; i++ {
 			if r.Intn(3) == 0 { // never written: stays NULL
-				src.Boxed[i] = expr.NullValue()
+				cells[i] = expr.NullValue()
 				continue
 			}
-			w.Value(i, src.Boxed[i])
+			w.Value(i, cells[i])
 		}
 		v := w.Vector()
 		if (v.Boxed != nil) != (typ == expr.TJSON) {
@@ -50,7 +44,7 @@ func TestWriterMatchesValues(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			// As strings: a NaN is not DeepEqual to itself.
-			if got, want := v.Value(i), src.Boxed[i]; got.Typ != want.Typ || got.String() != want.String() {
+			if got, want := v.Value(i), cells[i]; got.Typ != want.Typ || got.String() != want.String() {
 				t.Fatalf("round %d %s row %d: %v, want %v", round, typ, i, got, want)
 			}
 		}
