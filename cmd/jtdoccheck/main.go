@@ -27,6 +27,9 @@
 //     firstBudgetedPR or above is at most entryBudget bytes; its
 //     measurements go in results/PR-NN.md. Older entries are not held
 //     to it.
+//  6. DESIGN.md and README.md are no larger than their docBudgets
+//     bytes: the documents do not grow, and a change that shrinks one
+//     lowers its budget to the new size.
 package main
 
 import (
@@ -253,6 +256,12 @@ const (
 	firstBudgetedPR = 48
 )
 
+// The byte sizes DESIGN.md and README.md may not grow past (rule 6).
+var docBudgets = []struct {
+	doc   string
+	bytes int64
+}{{"DESIGN.md", 110758}, {"README.md", 39903}}
+
 func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "jtdoccheck:", err)
@@ -365,6 +374,15 @@ func main() {
 		}
 		if pr, _ := strconv.Atoi(m[1]); pr >= firstBudgetedPR && len(line) > entryBudget {
 			problems = append(problems, fmt.Sprintf("CHANGES.md's PR %d entry is %d bytes, over its %d-byte budget: move measurements to results/PR-%d.md", pr, len(line), entryBudget, pr))
+		}
+	}
+
+	// 6. The documents do not grow.
+	for _, b := range docBudgets {
+		fi, err := os.Stat(filepath.Join(*root, b.doc))
+		check(err)
+		if fi.Size() > b.bytes {
+			problems = append(problems, fmt.Sprintf("%s is %d bytes, over its %d-byte budget: cut as much as the change adds", b.doc, fi.Size(), b.bytes))
 		}
 	}
 

@@ -113,11 +113,11 @@ func (s QueryStats) String() string {
 // order, cardinality estimates, pushed-down filters — without
 // executing it.
 func (q *Query) Explain() (*PlanNode, error) {
-	root, err := q.buildPlan(context.Background(), true, &planRecord{})
+	root, err := q.buildPlan(context.Background(), &planRecord{})
 	if err != nil {
 		return nil, err
 	}
-	return planNode(root, false), nil
+	return planNode(root), nil
 }
 
 // planDigest hashes the plan's shape — operator kinds, details, and
@@ -130,27 +130,19 @@ func planDigest(root engine.Operator) string {
 }
 
 func digestWalk(sb *strings.Builder, op engine.Operator) {
-	if tr, ok := op.(*engine.Traced); ok {
-		fmt.Fprintf(sb, "%s(%s)", tr.Label, tr.Detail)
-		sb.WriteByte('[')
-		digestWalk(sb, tr.In)
-		sb.WriteByte(']')
-		return
-	}
-	n := describeOperator(op)
-	fmt.Fprintf(sb, "%s(%s)", n.Op, n.Detail)
-	sb.WriteByte('[')
-	for _, in := range engine.Inputs(op) {
+	tr := op.(*engine.Traced)
+	fmt.Fprintf(sb, "%s(%s)[", tr.Label, tr.Detail)
+	for _, in := range engine.Inputs(tr.In) {
 		digestWalk(sb, in)
 		sb.WriteByte(';')
 	}
 	sb.WriteByte(']')
 }
 
-// RunAnalyzed executes the query with per-operator instrumentation and
-// returns the result together with the analyzed plan: measured wall
-// time and row count per operator, and per-table scan statistics
-// (tiles scanned vs skipped, column hits vs binary-JSON fallbacks).
+// RunAnalyzed executes the query and returns the result together with
+// the analyzed plan: measured wall time and row count per operator,
+// and per-table scan statistics (tiles scanned vs skipped, column hits
+// vs binary-JSON fallbacks).
 func (q *Query) RunAnalyzed() (*Result, *QueryStats, error) {
 	return q.run(context.Background(), true)
 }
@@ -161,68 +153,30 @@ func (q *Query) RunAnalyzedContext(ctx context.Context) (*Result, *QueryStats, e
 	return q.run(ctx, true)
 }
 
-// planNode converts an operator (sub)tree into its plan description.
-func planNode(op engine.Operator, analyzed bool) *PlanNode {
-	if tr, ok := op.(*engine.Traced); ok {
-		n := &PlanNode{Op: tr.Label, Detail: tr.Detail, EstRows: tr.EstRows}
-		if analyzed && tr.Ran() {
-			n.Analyzed = true
-			n.Wall = tr.WallTime()
-			n.Rows = tr.Rows()
-			if gb, ok := tr.In.(*engine.GroupBy); ok {
-				n.AggPartitions = gb.Partitions()
-			}
-			if tr.ScanStats != nil {
-				st := tr.ScanStats
-				s := ScanStats{NumTiles: st.NumTiles, SegmentsLive: st.SegmentsLive, ScanCounts: st.Counts()}
-				if sc, ok := tr.In.(*engine.Scan); ok {
-					s.Table = sc.Rel.Name()
-				}
-				n.Scan = &s
-			}
+// planNode converts a plan (sub)tree built by buildPlan, whose every
+// operator is wrapped in an engine.Traced node, into its plan
+// description; a node whose operator ran carries its measured
+// statistics.
+func planNode(op engine.Operator) *PlanNode {
+	tr := op.(*engine.Traced)
+	n := &PlanNode{Op: tr.Label, Detail: tr.Detail, EstRows: tr.EstRows}
+	if tr.Ran() {
+		n.Analyzed = true
+		n.Wall = tr.WallTime()
+		n.Rows = tr.Rows()
+		switch x := tr.In.(type) {
+		case *engine.GroupBy:
+			n.AggPartitions = x.Partitions()
+		case *engine.Scan:
+			st := x.Stats
+			n.Scan = &ScanStats{Table: x.Rel.Name(), NumTiles: st.NumTiles,
+				SegmentsLive: st.SegmentsLive, ScanCounts: st.Counts()}
 		}
-		n.Children = planChildren(tr.In)
-		return n
 	}
-	n := describeOperator(op)
-	n.Children = planChildren(op)
+	for _, in := range engine.Inputs(tr.In) {
+		n.Children = append(n.Children, planNode(in))
+	}
 	return n
-}
-
-func planChildren(op engine.Operator) []*PlanNode {
-	ins := engine.Inputs(op)
-	if len(ins) == 0 {
-		return nil
-	}
-	out := make([]*PlanNode, len(ins))
-	for i, in := range ins {
-		out[i] = planNode(in, true)
-	}
-	return out
-}
-
-// describeOperator labels an untraced operator (a plan built without
-// instrumentation).
-func describeOperator(op engine.Operator) *PlanNode {
-	switch x := op.(type) {
-	case *engine.Scan:
-		return &PlanNode{Op: "Scan", Detail: x.Rel.Name(), EstRows: -1}
-	case *engine.Select:
-		return &PlanNode{Op: "Select", EstRows: -1}
-	case *engine.Project:
-		return &PlanNode{Op: "Project", Detail: fmt.Sprintf("%d cols", len(x.Exprs)), EstRows: -1}
-	case *engine.HashJoin:
-		return &PlanNode{Op: "HashJoin", Detail: fmt.Sprintf("%d keys", len(x.LeftKeys)), EstRows: -1}
-	case *engine.GroupBy:
-		return &PlanNode{Op: "GroupBy",
-			Detail: fmt.Sprintf("%d groups, %d aggs", len(x.Groups), len(x.Aggs)), EstRows: -1}
-	case *engine.OrderBy:
-		return &PlanNode{Op: "OrderBy", Detail: fmt.Sprintf("%d keys", len(x.Keys)), EstRows: -1}
-	case *engine.Limit:
-		return &PlanNode{Op: "Limit", Detail: fmt.Sprintf("%d", x.N), EstRows: -1}
-	default:
-		return &PlanNode{Op: fmt.Sprintf("%T", op), EstRows: -1}
-	}
 }
 
 // Find returns the first node (pre-order) whose Op matches, or nil —

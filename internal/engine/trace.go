@@ -4,15 +4,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/vec"
 )
 
 // Traced wraps an operator for EXPLAIN ANALYZE: it measures the
-// operator's inclusive wall time and counts emitted rows. Plain Run
-// paths never construct Traced operators, so tracing has zero cost
-// when disabled. Row counting uses cache-line-padded per-worker slots,
-// summed once after the input drains.
+// operator's inclusive wall time and counts emitted rows. The root
+// package wraps every operator of every query's plan, so a plain run
+// and an analyzed run execute, and digest, the same tree. Row counting
+// uses cache-line-padded per-worker slots, summed once after the input
+// drains.
 type Traced struct {
 	// Label names the operator ("Scan", "HashJoin", "GroupBy", ...).
 	Label string
@@ -24,9 +24,6 @@ type Traced struct {
 	EstRows float64
 	// In is the wrapped operator.
 	In Operator
-	// ScanStats is non-nil when In is a Scan: the per-scan tile and
-	// fallback counters the relation fills during execution.
-	ScanStats *obs.ScanStats
 
 	wallNanos atomic.Int64
 	rowCount  atomic.Int64

@@ -50,8 +50,9 @@ type Query struct {
 	Tables []TableSpec
 	Joins  []JoinSpec
 	// Instrument, when non-nil, wraps every scan and join the planner
-	// constructs (the EXPLAIN/ANALYZE path installs tracing operators
-	// here). label names the operator kind, detail describes it, and
+	// constructs (the root package's queries install tracing operators
+	// here on every run; callers that plan without tracing leave it
+	// nil). label names the operator kind, detail describes it, and
 	// est is the planner's cardinality estimate.
 	Instrument func(op engine.Operator, label, detail string, est float64) engine.Operator
 }

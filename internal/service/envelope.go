@@ -31,8 +31,10 @@ type QueryRequest struct {
 	Limit *int `json:"limit,omitempty"`
 	// TimeoutMS overrides the server's default per-query deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Analyze runs with per-operator instrumentation and includes the
-	// analyzed plan in the response trailer.
+	// Analyze includes the analyzed plan, with per-operator wall times,
+	// row counts and scan statistics, in the response trailer. Every
+	// query runs the same traced plan, so the flag changes only what
+	// the trailer carries.
 	Analyze bool `json:"analyze,omitempty"`
 }
 

@@ -148,6 +148,31 @@ func TestQueryEndpointMatchesLibrary(t *testing.T) {
 	}
 }
 
+// TestAnalyzeKeepsPlanDigest: one envelope posted with and without
+// "analyze" runs one plan, so both leave the same digest in the trace
+// ring; the flag changes only the trailer.
+func TestAnalyzeKeepsPlanDigest(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	const env = `{"table":"reviews","select":["data->>'stars'::BigInt"],
+		"where":[{"col":0,"op":">=","value":2}],"group_by":[0],
+		"aggs":[{"fn":"count","name":"n"}],"order_by":[{"col":0}],"limit":3%s}`
+	var digests []string
+	for _, extra := range []string{``, `,"analyze":true`} {
+		status, _, body := postQuery(t, ts.URL, "", fmt.Sprintf(env, extra))
+		if status != http.StatusOK {
+			t.Fatalf("status %d:\n%s", status, body)
+		}
+		_, trailer, _ := ndjsonRows(t, body)
+		if got, want := strings.Contains(trailer, `"plan"`), extra != ""; got != want {
+			t.Fatalf("analyze=%v, trailer carries a plan: %v\n%s", want, got, trailer)
+		}
+		digests = append(digests, obs.Traces.Last(1)[0].Digest)
+	}
+	if digests[0] != digests[1] {
+		t.Fatalf("plain run digest %q, analyzed run digest %q", digests[0], digests[1])
+	}
+}
+
 // TestOrderedQueriesBoxNoRows: a served ORDER BY, with or without a
 // LIMIT and over scanned or grouped rows, is sorted and encoded from
 // column vectors; no row is boxed.

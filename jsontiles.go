@@ -65,9 +65,10 @@ type Options struct {
 	// compaction — segments then accumulate one per flush until
 	// Compact is called explicitly.
 	CompactFanIn int
-	// SlowQueryThreshold, when positive, instruments every query on
-	// this table like RunAnalyzed and writes one JSON line to stderr
-	// for each query whose wall time reaches the threshold. Lines are
+	// SlowQueryThreshold, when positive, writes one JSON line to
+	// stderr for each query on this table whose wall time reaches the
+	// threshold, built from the same traced plan RunAnalyzed reads;
+	// queries under it pay nothing more than any plain Run. Lines are
 	// serialized process-wide, so one never interleaves with another
 	// even across tables. On a multi-table query the first table (in
 	// add order) with a positive threshold provides it.

@@ -92,6 +92,14 @@ func TestQueryStatsCarryIDAndDigest(t *testing.T) {
 	if s3.PlanDigest == s1.PlanDigest {
 		t.Fatalf("different plans share digest %q", s3.PlanDigest)
 	}
+	// A plain Run executes the same plan, so it leaves the analyzed
+	// run's digest in the trace ring.
+	if _, err := build().Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.Traces.Last(1)[0].Digest; got != s1.PlanDigest {
+		t.Fatalf("plain Run traced digest %q, RunAnalyzed returned %q", got, s1.PlanDigest)
+	}
 }
 
 func TestSlowQueryLogEmitsOneLine(t *testing.T) {
@@ -121,6 +129,15 @@ func TestSlowQueryLogEmitsOneLine(t *testing.T) {
 	}
 	if rec.QueryID == 0 || len(rec.PlanDigest) != 16 {
 		t.Fatalf("record lacks identity: %+v", rec)
+	}
+	var traced string
+	for _, tr := range obs.Traces.Last(0) {
+		if tr.ID == rec.QueryID {
+			traced = tr.Digest
+		}
+	}
+	if traced != rec.PlanDigest {
+		t.Fatalf("slow-log plan_digest %q, trace ring %q", rec.PlanDigest, traced)
 	}
 	if rec.WallMS <= 0 || rec.ExecMS <= 0 {
 		t.Fatalf("record lacks timings: %+v", rec)

@@ -332,13 +332,12 @@ type planRecord struct {
 	plan     time.Duration
 }
 
-// buildPlan assembles the operator tree. Scans always receive
-// per-scan statistics (they feed the live-query registry and cost one
-// locked add per morsel). With instrument set, every
-// constructed operator is additionally wrapped in an engine.Traced
-// node measuring wall time and row counts — the plain Run path
-// constructs no wrappers and pays nothing beyond the scan counters.
-func (q *Query) buildPlan(ctx context.Context, instrument bool, rec *planRecord) (engine.Operator, error) {
+// buildPlan assembles the operator tree, every operator wrapped in an
+// engine.Traced node measuring its wall time and row count, so Run,
+// RunAnalyzed, Explain and the slow-query log read one plan and one
+// digest. Scans also receive per-scan statistics (they feed the
+// live-query registry and cost one locked add per morsel).
+func (q *Query) buildPlan(ctx context.Context, rec *planRecord) (engine.Operator, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
@@ -347,11 +346,10 @@ func (q *Query) buildPlan(ctx context.Context, instrument bool, rec *planRecord)
 	}
 
 	wrap := func(op engine.Operator, label, detail string, est float64) engine.Operator {
-		var st *obs.ScanStats
 		switch x := op.(type) {
 		case *engine.Scan:
 			x.Ctx = ctx
-			st = &obs.ScanStats{}
+			st := &obs.ScanStats{}
 			if tc, ok := x.Rel.(storage.TileCounter); ok {
 				st.NumTiles = int64(tc.NumTiles())
 			}
@@ -364,14 +362,9 @@ func (q *Query) buildPlan(ctx context.Context, instrument bool, rec *planRecord)
 		case *engine.GroupBy:
 			rec.groupBys = append(rec.groupBys, x)
 		}
-		if !instrument {
-			return op
-		}
 		// Every operator, scans of every format included, works on
 		// column batches.
-		tr := engine.NewTraced(label, detail+" [vectorized]", est, op)
-		tr.ScanStats = st
-		return tr
+		return engine.NewTraced(label, detail+" [vectorized]", est, op)
 	}
 
 	// Assemble per-table specs.
@@ -521,25 +514,21 @@ func (q *Query) effectiveWorkers() int {
 	return workers
 }
 
-// run executes the query, optionally with per-operator analysis.
-// Every execution — analyzed or not — registers in the live-query
-// registry, folds its wall/plan/exec times into the latency
-// histograms, and leaves its timeline in the trace ring. The
-// QueryStats it builds for RunAnalyzed and the slow-query log reads
-// only this query's plan and timeline.
+// run executes the query. Every execution registers in the live-query
+// registry; one that completes, neither cancelled nor failing on an
+// unreadable block, also folds its wall/plan/exec times into the
+// latency histograms and leaves its timeline in the trace ring. The
+// QueryStats, read from this query's own plan and timeline, is built
+// only when analyze asks for it or the query reached its slow-query
+// threshold.
 func (q *Query) run(ctx context.Context, analyze bool) (*Result, *QueryStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	tenant := obs.TenantFrom(ctx)
-	slowThr := q.slowThreshold()
-	// Slow-query logging needs per-operator wall times for its top-
-	// operator breakdown, so a configured threshold instruments the
-	// plan exactly like RunAnalyzed does.
-	instrument := analyze || slowThr > 0
 	start := time.Now()
 	rec := &planRecord{}
-	root, err := q.buildPlan(ctx, instrument, rec)
+	root, err := q.buildPlan(ctx, rec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -593,13 +582,15 @@ func (q *Query) run(ctx context.Context, analyze bool) (*Result, *QueryStats, er
 	obs.QueryRowsReturned.Observe(float64(res.Len))
 	obs.Traces.Add(tr)
 	result := &Result{data: res, order: order}
-	if !instrument {
+	slowThr := q.slowThreshold()
+	slow := slowThr > 0 && tr.Wall >= slowThr
+	if !analyze && !slow {
 		return result, nil, nil
 	}
 
 	stats := &QueryStats{
 		Tenant:       tenant,
-		Plan:         planNode(root, true),
+		Plan:         planNode(root),
 		Wall:         tr.Wall,
 		PlanTime:     tr.Plan,
 		ExecTime:     tr.Exec,
@@ -613,7 +604,7 @@ func (q *Query) run(ctx context.Context, analyze bool) (*Result, *QueryStats, er
 	for _, gb := range rec.groupBys {
 		stats.DictGroupByBatches += gb.DictBatches()
 	}
-	if slowThr > 0 && stats.Wall >= slowThr {
+	if slow {
 		writeSlowQueryLog(stats)
 	}
 	return result, stats, nil
