@@ -7,6 +7,8 @@ package jsontiles
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"time"
@@ -124,19 +126,18 @@ func (q *Query) Explain() (*PlanNode, error) {
 // tree structure, not runtime statistics — so repeated executions of
 // the same query template share one digest.
 func planDigest(root engine.Operator) string {
-	var sb strings.Builder
-	digestWalk(&sb, root)
-	return fmt.Sprintf("%016x", xxhash.Sum64([]byte(sb.String())))
+	sum := xxhash.Sum64(digestWalk(make([]byte, 0, 256), root))
+	return hex.EncodeToString(binary.BigEndian.AppendUint64(nil, sum))
 }
 
-func digestWalk(sb *strings.Builder, op engine.Operator) {
+// digestWalk appends "Label(Detail)[child;child;]" for op's subtree.
+func digestWalk(b []byte, op engine.Operator) []byte {
 	tr := op.(*engine.Traced)
-	fmt.Fprintf(sb, "%s(%s)[", tr.Label, tr.Detail)
+	b = append(append(append(append(b, tr.Label...), '('), tr.Detail...), ")["...)
 	for _, in := range engine.Inputs(tr.In) {
-		digestWalk(sb, in)
-		sb.WriteByte(';')
+		b = append(digestWalk(b, in), ';')
 	}
-	sb.WriteByte(']')
+	return append(b, ']')
 }
 
 // RunAnalyzed executes the query and returns the result together with

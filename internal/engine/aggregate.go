@@ -156,22 +156,15 @@ func newAggCol(spec AggSpec) aggCol {
 	return a
 }
 
-func extend[T any](s []T, n int) []T {
-	if len(s) >= n {
-		return s
-	}
-	return append(s, make([]T, n-len(s))...)
-}
-
 // grow makes room for n groups.
 func (a *aggCol) grow(n int) {
 	switch a.kind {
 	case aggCounts:
-		a.cnt = extend(a.cnt, n)
+		a.cnt = vec.Extend(a.cnt, n)
 	case aggSums:
-		a.cnt, a.sumI, a.sumF = extend(a.cnt, n), extend(a.sumI, n), extend(a.sumF, n)
+		a.cnt, a.sumI, a.sumF = vec.Extend(a.cnt, n), vec.Extend(a.sumI, n), vec.Extend(a.sumF, n)
 	default:
-		a.mm = extend(a.mm, n)
+		a.mm = vec.Extend(a.mm, n)
 	}
 }
 
@@ -326,6 +319,28 @@ func newGroupTable(keyTypes []expr.SQLType, aggs []AggSpec) *groupTable {
 
 func (t *groupTable) groups() int { return len(t.table.hashes) }
 
+// release hands the table's arrays, its DISTINCT sets' included, to
+// the recycler.
+func (t *groupTable) release() {
+	for _, b := range t.keys {
+		b.Release()
+	}
+	t.table.release()
+	for a := range t.aggs {
+		vec.Recycle(t.aggs[a].cnt)
+		vec.Recycle(t.aggs[a].sumI)
+		vec.Recycle(t.aggs[a].sumF)
+	}
+	for _, set := range t.sets {
+		if set != nil {
+			set.release()
+		}
+	}
+	vec.Recycle(t.hashes)
+	vec.Recycle(t.gids)
+	vec.Recycle(t.codeGids)
+}
+
 // find returns the id of the group whose key is row i of keys (hash
 // h), adding the group when it is new.
 func (t *groupTable) find(keys []*vec.Vector, i int, h uint64, eq func(i, row int) bool) int {
@@ -369,10 +384,8 @@ func dictCombos(keys []*vec.Vector) int {
 // group ids, so the table is consulted once per combination instead
 // of once per row.
 func (t *groupTable) assign(keys []*vec.Vector, sel []int32, n int) []int32 {
-	if cap(t.gids) < n {
-		t.hashes, t.gids = make([]uint64, n), make([]int32, n)
-	}
-	hashes, gids := t.hashes[:n], t.gids[:n]
+	t.hashes, t.gids = vec.Resize(t.hashes, n), vec.Resize(t.gids, n)
+	hashes, gids := t.hashes, t.gids
 	eq := vec.KeyEq(keys, t.keyVecs)
 	combos := dictCombos(keys)
 	if combos == 0 || 2*combos > len(sel) {
@@ -383,7 +396,7 @@ func (t *groupTable) assign(keys []*vec.Vector, sel []int32, n int) []int32 {
 		return gids
 	}
 	t.dictBatches++
-	t.codeGids = extend(t.codeGids[:0], combos) // group id + 1; 0 = not looked up yet
+	t.codeGids = vec.Extend(t.codeGids[:0], combos) // group id + 1; 0 = not looked up yet
 	for _, i := range sel {
 		code := 0
 		for _, v := range keys {
@@ -428,16 +441,24 @@ func (w *gbWorker) consume(b *vec.Batch) {
 			col.add(v, b.Sel, n, gids) // a nil selection keeps the kernels' dense loops
 			continue
 		}
-		w.gid64.Ints = extend(w.gid64.Ints[:0], n)
+		w.gid64.Ints = vec.Extend(w.gid64.Ints[:0], n)
 		if gids != nil {
 			for _, i := range sel {
 				w.gid64.Ints[i] = int64(gids[i])
 			}
 		}
 		w.setKeys = append(w.setKeys[:0], &w.gid64, v)
-		w.setSel = vec.NotNullSel(w.setKeys[1:], sel, w.setSel[:0])
+		w.setSel = vec.NotNullSel(w.setKeys[1:], sel, vec.Resize(w.setSel, len(sel))[:0])
 		w.t.sets[a].assign(w.setKeys, w.setSel, n)
 	}
+}
+
+// release hands the worker's scratch, not its table, to the recycler.
+func (w *gbWorker) release() {
+	w.keys.release()
+	w.args.release()
+	vec.Recycle(w.gid64.Ints)
+	vec.Recycle(w.setSel)
 }
 
 // RunBatches implements Operator.
@@ -459,6 +480,7 @@ func (g *GroupBy) RunBatches(workers int, emit BatchEmitFunc) {
 	var dict int64
 	for _, w := range ws {
 		dict += w.t.dictBatches
+		w.release()
 	}
 	g.lastDictBatches.Store(dict)
 	obs.DictGroupByFastpath.Add(dict)
@@ -473,14 +495,23 @@ func (g *GroupBy) RunBatches(workers int, emit BatchEmitFunc) {
 			P = aggPartitionCount(workers)
 		}
 		parts = make([]*groupTable, P)
-		tables := make([]*groupTable, len(ws))
+		splits := make([]split, len(ws))
 		for i, w := range ws {
-			tables[i] = w.t
+			splits[i] = splitGroups(w.t, P)
 		}
-		runPartitions(P, workers, func(p int) { parts[p] = mergePartition(tables, keyTypes, g.Aggs, p, P) })
+		runPartitions(P, workers, func(p int) { parts[p] = mergePartition(splits, keyTypes, g.Aggs, p) })
+		for i := range splits {
+			splits[i].release()
+			splits[i].t.release()
+		}
 	}
 	g.lastPartitions.Store(int64(len(parts)))
 	g.emitInKeyOrder(parts, emit)
+	// The emitted batch is dead (BatchEmitFunc), and with it every
+	// table.
+	for _, t := range parts {
+		t.release()
+	}
 }
 
 // emitInKeyOrder sorts each partition's groups by key and k-way
@@ -532,6 +563,9 @@ func (g *GroupBy) emitInKeyOrder(parts []*groupTable, emit BatchEmitFunc) {
 		batch.Cols[c] = b.Vec
 	}
 	emit(0, &batch)
+	for _, b := range out {
+		b.Release()
+	}
 }
 
 // compareGroups orders group x of table a against group y of table b
@@ -570,25 +604,57 @@ func runPartitions(P, workers int, fn func(p int)) {
 	obs.AggPartitionedMerges.Inc()
 }
 
-// mergePartition folds the groups of partition p (of P, a power of
-// two, by the top bits of the key hash) from every worker's table into
-// one table. Equal keys hash alike, so partitions merge independently;
-// within a group, states merge worker-ascending, which fixes the order
-// of float additions.
-func mergePartition(tables []*groupTable, keyTypes []expr.SQLType, aggs []AggSpec, p, P int) *groupTable {
-	shift := 64 - bits.TrailingZeros(uint(P))
+// split lists a worker table's groups partition by partition: P
+// partitions (a power of two) by the top bits of the key hash, each
+// partition's groups in group-id order. to maps a group to its id in
+// the merged table of its partition, which only that partition's merge
+// writes.
+type split struct {
+	t     *groupTable
+	shift uint
+	rows  []int32 // group ids, partition-major
+	start []int   // partition p's groups are rows[start[p]:start[p+1]]
+	to    []int32
+}
+
+// splitGroups partitions t's groups in one pass over their hashes.
+func splitGroups(t *groupTable, P int) split {
+	n := t.groups()
+	s := split{t: t, shift: uint(64 - bits.TrailingZeros(uint(P))), start: make([]int, P+2),
+		rows: vec.Resize[int32](nil, n), to: vec.Resize[int32](nil, n)}
+	for _, h := range t.table.hashes {
+		s.start[h>>s.shift+2]++
+	}
+	for p := 2; p < len(s.start); p++ {
+		s.start[p] += s.start[p-1]
+	}
+	for r, h := range t.table.hashes { // start[p+1] runs from p's first slot to p+1's
+		s.rows[s.start[h>>s.shift+1]] = int32(r)
+		s.start[h>>s.shift+1]++
+	}
+	s.start = s.start[:P+1]
+	return s
+}
+
+func (s *split) release() {
+	vec.Recycle(s.rows)
+	vec.Recycle(s.to)
+}
+
+// mergePartition folds the groups of partition p from every worker's
+// table into one table. Equal keys hash alike, so partitions merge
+// independently; within a group, states merge worker-ascending, which
+// fixes the order of float additions.
+func mergePartition(splits []split, keyTypes []expr.SQLType, aggs []AggSpec, p int) *groupTable {
 	m := newGroupTable(keyTypes, aggs)
-	for _, t := range tables {
+	for _, s := range splits {
+		t := s.t
 		eq := vec.KeyEq(t.keyVecs, m.keyVecs)
-		to := make([]int32, t.groups()) // t's group id → m's, -1 outside the partition
-		for r, h := range t.table.hashes {
-			to[r] = -1
-			if int(h>>shift) == p {
-				d := m.find(t.keyVecs, r, h, eq)
-				to[r] = int32(d)
-				for a := range m.aggs {
-					m.aggs[a].merge(d, &t.aggs[a], r)
-				}
+		for _, r := range s.rows[s.start[p]:s.start[p+1]] {
+			d := m.find(t.keyVecs, int(r), t.table.hashes[r], eq)
+			s.to[r] = int32(d)
+			for a := range m.aggs {
+				m.aggs[a].merge(d, &t.aggs[a], int(r))
 			}
 		}
 		for a, set := range t.sets {
@@ -598,14 +664,17 @@ func mergePartition(tables []*groupTable, keyTypes []expr.SQLType, aggs []AggSpe
 			// The set's entries of this partition, re-keyed to the
 			// merged group ids.
 			n := set.groups()
-			gids, sel := vec.Vector{Type: expr.TBigInt, Ints: make([]int64, n)}, make([]int32, 0, n)
+			gids := vec.Vector{Type: expr.TBigInt, Ints: vec.Resize[int64](nil, n)}
+			sel := vec.Resize[int32](nil, n)[:0]
 			for e, gid := range set.keyVecs[0].Ints {
-				if d := to[gid]; d >= 0 {
-					gids.Ints[e] = int64(d)
+				if int(t.table.hashes[gid]>>s.shift) == p {
+					gids.Ints[e] = int64(s.to[gid])
 					sel = append(sel, int32(e))
 				}
 			}
 			m.sets[a].assign([]*vec.Vector{&gids, set.keyVecs[1]}, sel, n)
+			vec.Recycle(gids.Ints)
+			vec.Recycle(sel)
 		}
 	}
 	return m

@@ -36,6 +36,15 @@ func newEvaluator(exprs []*vec.CompiledExpr) *evaluator {
 	return ev
 }
 
+// release hands the evaluator's scratch to the recycler.
+func (ev *evaluator) release() {
+	for _, sc := range ev.sc {
+		if sc != nil {
+			sc.Recycle()
+		}
+	}
+}
+
 // eval returns one vector per expression, valid until the next eval
 // (column references alias the batch).
 func (ev *evaluator) eval(b *vec.Batch) []*vec.Vector {

@@ -22,7 +22,8 @@ type Collected struct {
 }
 
 // Collect runs an operator into per-worker column builders — no lock,
-// no boxing — and concatenates them worker-ascending.
+// no boxing — and concatenates them worker-ascending. The result owns
+// its vectors: they are never handed back to the recycler.
 func Collect(op Operator, workers int) *Collected {
 	out := &Collected{Cols: op.Columns()}
 	parts := perWorker(workers, func() []*vec.Builder {
@@ -42,6 +43,7 @@ func Collect(op Operator, workers int) *Collected {
 	for c, bl := range parts[0] {
 		for _, p := range parts[1:] {
 			bl.AppendVector(&p[c].Vec, nil, p[c].Len())
+			p[c].Release()
 		}
 		out.Vecs = append(out.Vecs, bl.Vec)
 	}

@@ -28,7 +28,10 @@ type ColumnDesc struct {
 
 // BatchEmitFunc consumes operator output. It may be called
 // concurrently with distinct worker ids; the batch and its vectors are
-// reused between calls and must not be retained or written.
+// reused between calls and must not be retained or written. An
+// operator hands the arrays behind its vectors to vec's recycler when
+// its run returns, and a later run, of any query, refills them: a
+// consumer copies what it keeps (Collect's builders, GROUP BY keys).
 type BatchEmitFunc func(worker int, b *vec.Batch)
 
 // Operator is a push-based relational operator over column batches.
@@ -194,21 +197,21 @@ func (s *Scan) Inputs() []Operator { return nil }
 // accesses' filters itself, so only the residual filter narrows its
 // batches' selection vectors here.
 func (s *Scan) RunBatches(workers int, emit BatchEmitFunc) {
-	var shortcuts func() int64
+	var done func() int64
 	if s.residual != nil {
-		emit, shortcuts = filterEmit(s.residual, len(s.Accesses), workers, emit)
+		emit, done = filterEmit(s.residual, len(s.Accesses), workers, emit)
 	}
 	s.Rel.ScanBatches(s.ctx(), s.Accesses, workers, storage.BatchEmitFunc(emit), s.Stats)
-	if shortcuts != nil {
-		s.Stats.Add(&obs.ScanCounts{DictKernelShortcuts: shortcuts()})
+	if done != nil {
+		s.Stats.Add(&obs.ScanCounts{DictKernelShortcuts: done()})
 	}
 }
 
 // filterEmit wraps emit so that it only sees the rows of each batch
-// for which pred is TRUE. shortcuts, called once the input has run,
-// returns how many of the filter's kernels ran in dictionary code
-// space.
-func filterEmit(pred expr.Expr, width, workers int, emit BatchEmitFunc) (filtered BatchEmitFunc, shortcuts func() int64) {
+// for which pred is TRUE. done, called once the input has run, hands
+// the filter's scratch to the recycler and returns how many of the
+// filter's kernels ran in dictionary code space.
+func filterEmit(pred expr.Expr, width, workers int, emit BatchEmitFunc) (filtered BatchEmitFunc, done func() int64) {
 	p, ok := vec.Compile(pred, width)
 	if !ok {
 		panic("engine: predicate reads a column outside its input")
@@ -229,14 +232,15 @@ func filterEmit(pred expr.Expr, width, workers int, emit BatchEmitFunc) (filtere
 		st.nb.Sel = out
 		emit(w, &st.nb)
 	}
-	shortcuts = func() int64 {
+	done = func() int64 {
 		var n int64
 		for _, st := range states {
 			n += st.sc.TakeDictShortcuts()
+			st.sc.Recycle()
 		}
 		return n
 	}
-	return filtered, shortcuts
+	return filtered, done
 }
 
 // Select filters rows by a predicate.
@@ -256,9 +260,9 @@ func (s *Select) Inputs() []Operator { return []Operator{s.In} }
 
 // RunBatches implements Operator.
 func (s *Select) RunBatches(workers int, emit BatchEmitFunc) {
-	filtered, shortcuts := filterEmit(s.Pred, len(s.In.Columns()), workers, emit)
+	filtered, done := filterEmit(s.Pred, len(s.In.Columns()), workers, emit)
 	run(s.In, workers, filtered)
-	obs.DictKernelShortcuts.Add(shortcuts())
+	obs.DictKernelShortcuts.Add(done())
 }
 
 // Project computes output expressions.
@@ -306,6 +310,9 @@ func (p *Project) RunBatches(workers int, emit BatchEmitFunc) {
 		}
 		emit(w, &st.nb)
 	})
+	for _, st := range states {
+		st.ev.release()
+	}
 }
 
 // Materialize runs an operator and boxes all its rows — the terminal

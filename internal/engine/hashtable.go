@@ -1,5 +1,7 @@
 package engine
 
+import "repro/internal/vec"
+
 // keyTable is the open-addressing index shared by the hash join and
 // GROUP BY: it maps a key hash to the id of a stored row, whose key
 // cells live in typed column builders owned by the caller and are
@@ -11,13 +13,21 @@ type keyTable struct {
 	hashes []uint64 // hash of every stored row
 }
 
-// init sizes the table for n rows.
+// init sizes the table for n rows, recycling the slots it outgrows.
 func (t *keyTable) init(n int) {
 	size := 16
 	for size < 2*n {
 		size <<= 1
 	}
-	t.slots = make([]int32, size)
+	t.slots = vec.Resize(t.slots, size)
+	clear(t.slots)
+}
+
+// release hands the table's arrays to the recycler.
+func (t *keyTable) release() {
+	vec.Recycle(t.slots)
+	vec.Recycle(t.hashes)
+	*t = keyTable{}
 }
 
 // lookup finds the stored row with hash h for which eq(i, row) holds.
@@ -41,7 +51,7 @@ func (t *keyTable) lookup(h uint64, i int, eq func(i, row int) bool) (row, slot 
 // appends the row's key cells to its builders.
 func (t *keyTable) add(slot int, h uint64) int {
 	id := len(t.hashes)
-	t.hashes = append(t.hashes, h)
+	t.hashes = vec.Push(t.hashes, h)
 	t.slots[slot] = int32(id + 1)
 	if 2*len(t.hashes) > len(t.slots) {
 		t.init(2 * len(t.hashes))

@@ -86,16 +86,21 @@ func (j *HashJoin) build(workers int) *joinBuild {
 		for k, slot := range j.LeftKeys {
 			st.keys[k] = &b.Cols[slot]
 		}
-		st.sel = vec.NotNullSel(st.keys, b.Selected(), st.sel[:0])
+		sel := b.Selected()
+		st.sel = vec.NotNullSel(st.keys, sel, vec.Resize(st.sel, len(sel))[:0])
 		for c, slot := range keep {
 			st.cols[c].AppendVector(&b.Cols[slot], st.sel, b.Len)
 		}
 	})
 	jb := &joinBuild{cols: states[0].cols, keys: make([]*vec.Vector, len(j.LeftKeys))}
-	for _, st := range states[1:] {
-		for c, col := range st.cols {
-			jb.cols[c].AppendVector(&col.Vec, nil, col.Len())
+	for w, st := range states {
+		if w > 0 {
+			for c, col := range st.cols {
+				jb.cols[c].AppendVector(&col.Vec, nil, col.Len())
+				col.Release()
+			}
 		}
+		vec.Recycle(st.sel)
 	}
 	for k, slot := range j.LeftKeys {
 		if j.emitsBuild() {
@@ -106,8 +111,8 @@ func (j *HashJoin) build(workers int) *joinBuild {
 	}
 	n := jb.cols[0].Len()
 	jb.table.init(n)
-	jb.table.hashes = make([]uint64, n)
-	jb.next = make([]int32, n)
+	jb.table.hashes = vec.Resize[uint64](nil, n)
+	jb.next = vec.Resize[int32](nil, n)
 	vec.HashKeys(jb.keys, vec.Iota(n), jb.table.hashes)
 	eq := vec.KeyEq(jb.keys, jb.keys)
 	// Back to front, each row becoming its key's chain head: chains end
@@ -119,6 +124,15 @@ func (j *HashJoin) build(workers int) *joinBuild {
 		jb.dups = jb.dups || head >= 0
 	}
 	return jb
+}
+
+// release hands the build side's columns and index to the recycler.
+func (jb *joinBuild) release() {
+	for _, col := range jb.cols {
+		col.Release()
+	}
+	jb.table.release()
+	vec.Recycle(jb.next)
 }
 
 // expandChunk bounds the rows of one output batch on the multi-match
@@ -139,27 +153,31 @@ func (j *HashJoin) RunBatches(workers int, emit BatchEmitFunc) {
 		heads  []int32 // per probe row: first matching build row, or -1
 		nn     []int32
 		sel    []int32
-		pi, bi []int32 // multi-match pairs
-		gather []vec.Buf
+		pi, bi []int32   // multi-match pairs
+		gather []vec.Buf // per output column, made on first use
 		out    vec.Batch
 	}
-	probeWidth := len(j.Right.Columns())
+	probeWidth, width := len(j.Right.Columns()), len(j.Columns())
 	mayExpand := j.emitsBuild() && jb.dups
 	states := perWorker(workers, func() state {
 		return state{keys: make([]*vec.Vector, len(j.RightKeys)),
-			gather: make([]vec.Buf, probeWidth+len(jb.cols))}
+			out: vec.Batch{Cols: make([]vec.Vector, 0, width)}}
 	})
+	gather := func(st *state, c int) *vec.Buf {
+		if st.gather == nil {
+			st.gather = make([]vec.Buf, probeWidth+len(jb.cols))
+		}
+		return &st.gather[c]
+	}
 	run(j.Right, workers, func(w int, b *vec.Batch) {
 		st := &states[w]
 		sel := b.Selected()
 		for k, slot := range j.RightKeys {
 			st.keys[k] = &b.Cols[slot]
 		}
-		st.nn = vec.NotNullSel(st.keys, sel, st.nn[:0])
-		if cap(st.hashes) < b.Len {
-			st.hashes, st.heads = make([]uint64, b.Len), make([]int32, b.Len)
-		}
-		hashes, heads := st.hashes[:b.Len], st.heads[:b.Len]
+		st.nn = vec.NotNullSel(st.keys, sel, vec.Resize(st.nn, len(sel))[:0])
+		st.hashes, st.heads = vec.Resize(st.hashes, b.Len), vec.Resize(st.heads, b.Len)
+		hashes, heads := st.hashes, st.heads
 		vec.HashKeys(st.keys, st.nn, hashes)
 		for _, i := range sel {
 			heads[i] = -1
@@ -169,7 +187,7 @@ func (j *HashJoin) RunBatches(workers int, emit BatchEmitFunc) {
 			row, _ := jb.table.lookup(hashes[i], int(i), eq)
 			heads[i] = int32(row)
 		}
-		out, multi := st.sel[:0], false
+		out, multi := vec.Resize(st.sel, len(sel))[:0], false
 		for _, i := range sel {
 			switch h := heads[i]; {
 			case h >= 0 && j.Type != AntiJoin:
@@ -187,7 +205,7 @@ func (j *HashJoin) RunBatches(workers int, emit BatchEmitFunc) {
 			st.out = vec.Batch{Cols: append(st.out.Cols[:0], b.Cols...), Len: b.Len, Sel: out, Base: b.Base}
 			if j.emitsBuild() {
 				for c, col := range jb.cols {
-					st.out.Cols = append(st.out.Cols, *st.gather[probeWidth+c].Gather(&col.Vec, heads, out))
+					st.out.Cols = append(st.out.Cols, *gather(st, probeWidth+c).Gather(&col.Vec, heads, out))
 				}
 			}
 			emit(w, &st.out)
@@ -198,22 +216,35 @@ func (j *HashJoin) RunBatches(workers int, emit BatchEmitFunc) {
 		st.pi, st.bi = st.pi[:0], st.bi[:0]
 		for _, i := range out {
 			r := heads[i]
-			st.pi, st.bi = append(st.pi, i), append(st.bi, r)
+			st.pi, st.bi = vec.Push(st.pi, i), vec.Push(st.bi, r)
 			for r >= 0 && jb.next[r] >= 0 {
 				r = jb.next[r]
-				st.pi, st.bi = append(st.pi, i), append(st.bi, r)
+				st.pi, st.bi = vec.Push(st.pi, i), vec.Push(st.bi, r)
 			}
 		}
 		for lo := 0; lo < len(st.pi); lo += expandChunk {
 			hi := min(lo+expandChunk, len(st.pi))
 			st.out = vec.Batch{Cols: st.out.Cols[:0], Len: hi - lo, Base: b.Base}
 			for c := range b.Cols {
-				st.out.Cols = append(st.out.Cols, *st.gather[c].Gather(&b.Cols[c], st.pi[lo:hi], nil))
+				st.out.Cols = append(st.out.Cols, *gather(st, c).Gather(&b.Cols[c], st.pi[lo:hi], nil))
 			}
 			for c, col := range jb.cols {
-				st.out.Cols = append(st.out.Cols, *st.gather[probeWidth+c].Gather(&col.Vec, st.bi[lo:hi], nil))
+				st.out.Cols = append(st.out.Cols, *gather(st, probeWidth+c).Gather(&col.Vec, st.bi[lo:hi], nil))
 			}
 			emit(w, &st.out)
 		}
 	})
+	// Every batch emitted is dead (BatchEmitFunc), and with it all the
+	// join held.
+	jb.release()
+	for w := range states {
+		st := &states[w]
+		for _, s := range [][]int32{st.heads, st.nn, st.sel, st.pi, st.bi} {
+			vec.Recycle(s)
+		}
+		vec.Recycle(st.hashes)
+		for c := range st.gather {
+			st.gather[c].Release()
+		}
+	}
 }

@@ -111,6 +111,7 @@ func (s *sortBuf) cut() {
 	for c, b := range s.cols {
 		s.cols[c] = vec.NewBuilder(b.Vec.Type)
 		s.cols[c].AppendVector(&b.Vec, perm, 0)
+		b.Release()
 	}
 	s.n, s.last = s.limit, s.limit-1
 }
@@ -146,6 +147,7 @@ func (o *OrderBy) RunBatches(workers int, emit BatchEmitFunc) {
 	for _, s := range bufs[1:] {
 		for c, b := range s.cols {
 			all.cols[c].AppendVector(&b.Vec, nil, s.n)
+			b.Release()
 		}
 		all.n += s.n
 	}
@@ -153,15 +155,25 @@ func (o *OrderBy) RunBatches(workers int, emit BatchEmitFunc) {
 	if o.Limit > 0 && len(perm) > o.Limit {
 		perm = perm[:o.Limit]
 	}
-	if len(perm) == 0 {
-		return
+	if len(perm) > 0 {
+		out := vec.Batch{Len: len(perm), Cols: make([]vec.Vector, len(cols))}
+		gather := make([]vec.Buf, len(cols))
+		for c := range out.Cols {
+			out.Cols[c] = *gather[c].Gather(&all.cols[c].Vec, perm, nil)
+		}
+		emit(0, &out)
+		for c := range gather {
+			gather[c].Release()
+		}
 	}
-	out := vec.Batch{Len: len(perm), Cols: make([]vec.Vector, len(cols))}
-	gather := make([]vec.Buf, len(cols))
-	for c := range out.Cols {
-		out.Cols[c] = *gather[c].Gather(&all.cols[c].Vec, perm, nil)
+	// The sorted batch is dead once emitted (BatchEmitFunc), and with
+	// it every buffer.
+	for _, s := range bufs {
+		vec.Recycle(s.sel)
 	}
-	emit(0, &out)
+	for _, b := range all.cols {
+		b.Release()
+	}
 }
 
 // Limit passes through the first N rows it is handed. A batch that

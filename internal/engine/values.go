@@ -23,12 +23,16 @@ func (v *Values) RunBatches(workers int, emit BatchEmitFunc) {
 		return
 	}
 	b := vec.Batch{Len: len(rows)}
+	bls := make([]*vec.Builder, len(v.Res.Cols))
 	for c, col := range v.Res.Cols {
-		bl := vec.NewBuilder(col.Type)
+		bls[c] = vec.NewBuilder(col.Type)
 		for _, row := range rows {
-			bl.AppendValue(row[c])
+			bls[c].AppendValue(row[c])
 		}
-		b.Cols = append(b.Cols, bl.Vec)
+		b.Cols = append(b.Cols, bls[c].Vec)
 	}
 	emit(0, &b)
+	for _, bl := range bls {
+		bl.Release()
+	}
 }

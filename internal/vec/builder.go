@@ -8,7 +8,10 @@ import "repro/internal/expr"
 // the layout of its declared type (Ints for BigInt/Timestamp, Floats,
 // a Bools bitmap, a text arena, boxed documents for JSON); every cell
 // appended is NULL or of that type. Vec is the live vector view of the
-// content, valid for the kernels as it grows.
+// content, valid for the kernels as it grows: its arrays come from the
+// recycler, and an array the builder outgrows goes back to it, so a
+// copy of Vec is stale after the next append. Release hands the arrays
+// back once the content is dead.
 type Builder struct {
 	Vec Vector
 	n   int
@@ -16,14 +19,33 @@ type Builder struct {
 
 // NewBuilder returns an empty builder for a column declared as t.
 func NewBuilder(t expr.SQLType) *Builder {
-	b := &Builder{Vec: Vector{Type: t}}
+	b := &Builder{}
+	b.reset(t)
+	return b
+}
+
+func (b *Builder) reset(t expr.SQLType) {
+	b.Vec, b.n = Vector{Type: t}, 0
 	switch t {
 	case expr.TJSON:
 		b.Vec.Boxed = []expr.Value{}
 	case expr.TNull:
 		b.Vec.AllNull = true
 	}
-	return b
+}
+
+// Release hands the builder's arrays to the recycler and empties it.
+// Vec, every copy of it and every batch that carries one must not be
+// read after; the builder itself may be appended to again.
+func (b *Builder) Release() {
+	v := &b.Vec
+	Recycle(v.Nulls)
+	Recycle(v.Ints)
+	Recycle(v.Floats)
+	Recycle(v.Bools)
+	Recycle(v.StrOff)
+	Recycle(v.StrBytes)
+	b.reset(v.Type)
 }
 
 // Len returns the number of cells appended.
@@ -41,16 +63,16 @@ func (b *Builder) AppendNull() {
 		b.n++
 		return
 	case v.Type == expr.TFloat:
-		v.Floats = append(v.Floats, 0)
+		v.Floats = Push(v.Floats, 0)
 	case v.Type == expr.TText:
-		v.StrOff = append(v.StrOff, uint32(len(v.StrBytes)))
+		v.StrOff = Push(v.StrOff, uint32(len(v.StrBytes)))
 	case v.Type == expr.TBool:
 		b.growBools()
 	default:
-		v.Ints = append(v.Ints, 0)
+		v.Ints = Push(v.Ints, 0)
 	}
 	for len(v.Nulls) <= b.n>>6 {
-		v.Nulls = append(v.Nulls, 0)
+		v.Nulls = Push(v.Nulls, 0)
 	}
 	v.Nulls[b.n>>6] |= 1 << (uint(b.n) & 63)
 	b.n++
@@ -59,7 +81,7 @@ func (b *Builder) AppendNull() {
 // growBools gives the bitmap a word for row n.
 func (b *Builder) growBools() {
 	if b.n>>6 >= len(b.Vec.Bools) {
-		b.Vec.Bools = append(b.Vec.Bools, 0)
+		b.Vec.Bools = Push(b.Vec.Bools, 0)
 	}
 }
 
@@ -81,14 +103,14 @@ func (b *Builder) AppendValue(x expr.Value) {
 	case v.Boxed != nil:
 		v.Boxed = append(v.Boxed, x)
 	case v.Type == expr.TFloat:
-		v.Floats = append(v.Floats, x.F)
+		v.Floats = Push(v.Floats, x.F)
 	case v.Type == expr.TText:
-		v.StrBytes = append(v.StrBytes, x.S...)
-		v.StrOff = append(v.StrOff, uint32(len(v.StrBytes)))
+		v.StrBytes = append(reserve(v.StrBytes, len(x.S)), x.S...)
+		v.StrOff = Push(v.StrOff, uint32(len(v.StrBytes)))
 	case v.Type == expr.TBool:
 		b.appendBool(x.B)
 	default:
-		v.Ints = append(v.Ints, x.I)
+		v.Ints = Push(v.Ints, x.I)
 	}
 	b.n++
 }
@@ -103,14 +125,15 @@ func (b *Builder) AppendCell(src *Vector, i int) {
 	case v.Boxed != nil:
 		v.Boxed = append(v.Boxed, src.Boxed[i])
 	case v.Type == expr.TFloat:
-		v.Floats = append(v.Floats, src.Floats[i])
+		v.Floats = Push(v.Floats, src.Floats[i])
 	case v.Type == expr.TText:
-		v.StrBytes = append(v.StrBytes, src.StrAt(i)...)
-		v.StrOff = append(v.StrOff, uint32(len(v.StrBytes)))
+		text := src.StrAt(i)
+		v.StrBytes = append(reserve(v.StrBytes, len(text)), text...)
+		v.StrOff = Push(v.StrOff, uint32(len(v.StrBytes)))
 	case v.Type == expr.TBool:
 		b.appendBool(src.Bool(i))
 	default:
-		v.Ints = append(v.Ints, src.Ints[i])
+		v.Ints = Push(v.Ints, src.Ints[i])
 	}
 	b.n++
 }
@@ -170,13 +193,4 @@ func (b *Builder) grow(src *Vector, sel []int32) {
 	default:
 		v.Ints = reserve(v.Ints, n)
 	}
-}
-
-// reserve returns s with room for n more elements, at least doubling
-// its capacity when it grows.
-func reserve[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	return append(make([]T, 0, len(s)+max(n, cap(s))), s...)
 }

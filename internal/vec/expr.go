@@ -102,6 +102,9 @@ type rowVal struct {
 
 func (n *rowVal) eval(b *Batch, sel []int32, sc *Scratch) *Vector {
 	buf := &sc.bufs[n.out]
+	if buf.cells == nil {
+		buf.cells = new(Writer)
+	}
 	buf.cells.Reset(n.e.Type(), b.Len)
 	for _, i := range sel {
 		for _, s := range n.slots {
@@ -187,7 +190,7 @@ func (n *arithVal) eval(b *Batch, sel []int32, sc *Scratch) *Vector {
 		setNull, nulls := buf.nullSetter(b.Len, seeds[:]...)
 		switch {
 		case intOp:
-			buf.ints = growTo(buf.ints, b.Len)
+			buf.ints = Resize(buf.ints, b.Len)
 			out.Ints = buf.ints
 			for _, i := range sel {
 				x, y := l.ints[int(i)&l.mask], r.ints[int(i)&r.mask]
@@ -218,7 +221,7 @@ func (n *arithVal) eval(b *Batch, sel []int32, sc *Scratch) *Vector {
 // arithFloats is the float arithmetic loop; integer sides widen per
 // element, and division by zero yields NULL, as expr.Arith does.
 func arithFloats[L, R int64 | float64](buf *Buf, op expr.ArithOp, l []L, lm int, r []R, rm int, sel []int32, n int, setNull func(int32)) []float64 {
-	buf.floats = growTo(buf.floats, n)
+	buf.floats = Resize(buf.floats, n)
 	dst := buf.floats
 	for _, i := range sel {
 		x, y := float64(l[int(i)&lm]), float64(r[int(i)&rm])

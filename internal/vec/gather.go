@@ -2,16 +2,9 @@ package vec
 
 import "repro/internal/expr"
 
-func growTo[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
-}
-
 // nullBits returns dst's null bitmap zeroed for n rows.
 func nullBits(buf []uint64, n int) []uint64 {
-	buf = growTo(buf, (n+63)>>6)
+	buf = Resize(buf, (n+63)>>6)
 	clear(buf)
 	return buf
 }
@@ -20,7 +13,7 @@ func nullBits(buf []uint64, n int) []uint64 {
 // batch (a gathered join column, an arithmetic result, an expression
 // evaluated cell by cell): the buffers survive between batches, the
 // vector handed out is rebuilt from them each time and is valid until
-// the next use.
+// the next use, or until Release hands the buffers to the recycler.
 type Buf struct {
 	ints   []int64
 	floats []float64
@@ -29,8 +22,20 @@ type Buf struct {
 	boxed  []expr.Value
 	idx    []int32
 	codes  []uint32
-	cells  Writer
+	cells  *Writer // rowVal's, made on first use
 	out    Vector
+}
+
+// Release hands the buffers' arrays to the recycler and empties b;
+// the vector last handed out must not be read after.
+func (b *Buf) Release() {
+	Recycle(b.ints)
+	Recycle(b.floats)
+	Recycle(b.bits)
+	Recycle(b.nulls)
+	Recycle(b.idx)
+	Recycle(b.codes)
+	*b = Buf{}
 }
 
 // nullSetter returns a function that marks a row of an n-row result
@@ -74,7 +79,7 @@ func (b *Buf) Gather(src *Vector, idx, sel []int32) *Vector {
 	case src.AllNull:
 		out.AllNull = true
 	case src.Boxed != nil:
-		b.boxed = growTo(b.boxed, max(n, 1))
+		b.boxed = Resize(b.boxed, max(n, 1))
 		out.Boxed = b.boxed[:n]
 		for _, p := range sel {
 			if r := idx[p]; r >= 0 {
@@ -85,7 +90,7 @@ func (b *Buf) Gather(src *Vector, idx, sel []int32) *Vector {
 		}
 	case src.Type == expr.TText && src.Dict:
 		out.Dict, out.DictOff, out.DictBytes = true, src.DictOff, src.DictBytes
-		b.codes = growTo(b.codes, n)
+		b.codes = Resize(b.codes, n)
 		out.Codes32 = b.codes
 		for _, p := range sel {
 			if r := idx[p]; r < 0 || src.IsNull(int(r)) {
@@ -97,7 +102,7 @@ func (b *Buf) Gather(src *Vector, idx, sel []int32) *Vector {
 		}
 	case src.Type == expr.TText:
 		out.StrOff, out.StrBytes = src.StrOff, src.StrBytes
-		b.idx = growTo(b.idx, max(n, 1))
+		b.idx = Resize(b.idx, max(n, 1))
 		out.StrIdx = b.idx[:n]
 		for _, p := range sel {
 			r := idx[p]
@@ -112,7 +117,7 @@ func (b *Buf) Gather(src *Vector, idx, sel []int32) *Vector {
 			out.StrIdx[p] = r
 		}
 	case src.Type == expr.TFloat:
-		b.floats = growTo(b.floats, n)
+		b.floats = Resize(b.floats, n)
 		out.Floats = b.floats
 		for _, p := range sel {
 			if r := idx[p]; r < 0 || src.IsNull(int(r)) {
@@ -132,7 +137,7 @@ func (b *Buf) Gather(src *Vector, idx, sel []int32) *Vector {
 			}
 		}
 	default:
-		b.ints = growTo(b.ints, n)
+		b.ints = Resize(b.ints, n)
 		out.Ints = b.ints
 		for _, p := range sel {
 			if r := idx[p]; r < 0 || src.IsNull(int(r)) {

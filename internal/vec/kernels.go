@@ -77,8 +77,24 @@ func (sc *Scratch) Release() {
 	for i := range sc.bufs {
 		b := &sc.bufs[i]
 		clear(b.boxed[:cap(b.boxed)])
-		b.cells.Release()
+		if b.cells != nil {
+			b.cells.Release()
+		}
 		b.out = Vector{}
+	}
+}
+
+// Recycle hands every buffer's arrays to the recycler, for a scratch
+// whose predicate or expression has run its last batch.
+func (sc *Scratch) Recycle() {
+	Recycle(sc.main)
+	sc.main = nil
+	for i := range sc.or {
+		Recycle(sc.or[i])
+		sc.or[i] = nil
+	}
+	for i := range sc.bufs {
+		sc.bufs[i].Release()
 	}
 }
 
@@ -94,9 +110,12 @@ func (sc *Scratch) TakeDictShortcuts() int64 {
 	return n
 }
 
+// grow returns an empty selection buffer with room for n rows. It
+// leaves an outgrown buf to the garbage collector, not the recycler:
+// buf may still hold the selection being narrowed.
 func grow(buf []int32, n int) []int32 {
 	if cap(buf) < n {
-		return make([]int32, 0, n)
+		return alloc[int32](n)
 	}
 	return buf[:0]
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/jsontext"
 	"repro/internal/storage"
+	"repro/internal/vec"
 )
 
 func TestGenerateShape(t *testing.T) {
@@ -173,6 +174,30 @@ func TestAllQueriesAgreeAcrossFormats(t *testing.T) {
 			par := resultString(q.Run(rels[storage.KindTiles], 4))
 			if par != want {
 				t.Errorf("parallel Tiles differs:\n got: %s\nwant: %s", par, want)
+			}
+		})
+	}
+}
+
+// TestAllQueriesAgreeUnderPoisonedRecycling runs every query twice on
+// one Tiles table, at 1 and 3 workers, with every array the operators
+// hand back to the recycler filled with a sentinel: state read after
+// its release, or a recycled array taken for a zeroed one, changes an
+// answer. Every run must match the raw-JSON answer, itself computed
+// under the sentinel.
+func TestAllQueriesAgreeUnderPoisonedRecycling(t *testing.T) {
+	lines, _ := Generate(Config{ScaleFactor: 0.002, Seed: 7})
+	rels := loadFormats(t, lines)
+	defer vec.PoisonReleased()()
+	for _, q := range Queries() {
+		t.Run(fmt.Sprintf("Q%d", q.Num), func(t *testing.T) {
+			want := resultString(q.Run(rels[storage.KindJSON], 3))
+			for round := 0; round < 2; round++ {
+				for _, workers := range []int{1, 3} {
+					if got := resultString(q.Run(rels[storage.KindTiles], workers)); got != want {
+						t.Errorf("round %d at %d workers differs from JSON:\n got: %s\nwant: %s", round, workers, got, want)
+					}
+				}
 			}
 		})
 	}

@@ -60,6 +60,31 @@ func captureSlowLog(t *testing.T) *syncBuffer {
 	return buf
 }
 
+// TestPlanDigestValuesArePinned: a digest names a plan shape across
+// releases (slow-log lines, /debug/queries rows), so the bytes hashed
+// and the rendering of the hash stay fixed.
+func TestPlanDigestValuesArePinned(t *testing.T) {
+	tbl, err := Load("logs", mixedDocs(512), opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q    *Query
+		want string
+	}{
+		{tbl.Query("data->>'status'::BigInt").WhereNotNull(0), "66e0b0986319f8ce"},
+		{tbl.Query("data->>'kind'").GroupBy(0).Aggregate(CountAll("n")), "c839a6b34e703dfb"},
+	} {
+		_, st, err := c.q.RunAnalyzed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.PlanDigest != c.want {
+			t.Errorf("plan digest %q, want %q", st.PlanDigest, c.want)
+		}
+	}
+}
+
 func TestQueryStatsCarryIDAndDigest(t *testing.T) {
 	tbl, err := Load("logs", mixedDocs(512), opts())
 	if err != nil {
