@@ -108,7 +108,7 @@ func (t *Table) AppendTable(src *Table) error {
 	if !ok {
 		return fmt.Errorf("jsontiles: AppendTable source %q is not tile-backed", src.name)
 	}
-	return dt.AppendTiles(ti.Tiles(), src.rel.Stats())
+	return dt.AppendTiles(ti.Tiles(), src.rel.Stats(), t.opts.workers())
 }
 
 // Close releases resources held by a persisted table: its cached

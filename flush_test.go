@@ -88,9 +88,9 @@ func BenchmarkFlush(b *testing.B) {
 }
 
 // TestFlushSegmentBytes pins the exact segment a flush of each corpus
-// writes, at one worker and at four: parsing, reordering, mining, tile
-// building and block encoding may move between goroutines or change
-// how often they run, but never what they produce.
+// writes, at one, two, three and eight workers: parsing, reordering,
+// mining, tile building and block encoding may move between goroutines
+// or change how often they run, but never what they produce.
 func TestFlushSegmentBytes(t *testing.T) {
 	want := map[string]struct {
 		size int
@@ -101,7 +101,7 @@ func TestFlushSegmentBytes(t *testing.T) {
 		"yelp":    {170423, "4e080370d931bc8de4983d25650b6f26ed7d730bf18abce1a90a9efa222b4c33"},
 	}
 	for _, c := range flushCorpora() {
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 3, 8} {
 			store := blockstore.NewMem()
 			opts := DefaultOptions()
 			opts.Workers = workers

@@ -143,7 +143,10 @@ func (c *Column) AppendFloat(v float64) {
 }
 
 // AppendString adds a Text row.
-func (c *Column) AppendString(v string) {
+func (c *Column) AppendString(v string) { c.AppendBytes([]byte(v)) }
+
+// AppendBytes adds a Text row holding v.
+func (c *Column) AppendBytes(v []byte) {
 	c.strBytes = append(c.strBytes, v...)
 	c.strOff = append(c.strOff, uint32(len(c.strBytes)))
 	c.n++

@@ -37,13 +37,15 @@ func Parse(s string) (Micros, bool) {
 		return 0, false
 	}
 	// Cheap pre-filter: a date/time string starts with a digit or a
-	// weekday name and contains a separator.
+	// weekday name and contains a separator. A layout starting with
+	// the other class cannot match, and trying it would allocate the
+	// error it fails with.
 	c := s[0]
 	if !(c >= '0' && c <= '9') && !(c >= 'A' && c <= 'Z') {
 		return 0, false
 	}
 	for _, layout := range layouts {
-		if len(layout) > len(s)+6 || len(layout) < len(s)-12 {
+		if len(layout) > len(s)+6 || len(layout) < len(s)-12 || (layout[0] <= '9') != (c <= '9') {
 			continue
 		}
 		if t, err := time.Parse(layout, s); err == nil {

@@ -103,7 +103,7 @@ func memDir(t *testing.T, cfg storage.LoaderConfig, rels ...storage.Relation) *s
 	}
 	t.Cleanup(func() { dt.Close() })
 	for _, rel := range rels {
-		if err := dt.AppendTiles(rel.(storage.TileIntrospector).Tiles(), rel.Stats()); err != nil {
+		if err := dt.AppendTiles(rel.(storage.TileIntrospector).Tiles(), rel.Stats(), 2); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -41,6 +41,10 @@ func (s *Sketch) AddHash(h uint64) {
 // AddString inserts a string item.
 func (s *Sketch) AddString(v string) { s.AddHash(hashString(v)) }
 
+// AddBytes inserts a string item given as bytes: it hashes as the
+// string of those bytes does.
+func (s *Sketch) AddBytes(v []byte) { s.AddHash(hashString(v)) }
+
 // AddInt64 inserts an integer item.
 func (s *Sketch) AddInt64(v int64) { s.AddHash(HashUint64(uint64(v))) }
 
@@ -100,7 +104,7 @@ func FromRegisters(regs []uint8) *Sketch {
 
 // hashString is FNV-1a with a SplitMix64 finalizer; HLL needs good
 // high-bit diffusion because the register index is the top bits.
-func hashString(v string) uint64 {
+func hashString[T string | []byte](v T) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

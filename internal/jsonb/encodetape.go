@@ -27,7 +27,12 @@ type tapeMember struct {
 
 // EncodeTape returns the JSONB encoding of the document. The returned
 // buffer is freshly allocated and owned by the caller.
-func (e *Encoder) EncodeTape(d *jsontape.Doc) []byte {
+func (e *Encoder) EncodeTape(d *jsontape.Doc) []byte { return e.AppendTape(nil, d) }
+
+// AppendTape appends the JSONB encoding of the document to dst, as
+// append does: the write pass writes straight into dst's spare room
+// when it holds the size the measure pass found.
+func (e *Encoder) AppendTape(dst []byte, d *jsontape.Doc) []byte {
 	e.sizes = e.sizes[:0]
 	e.spans = e.spans[:0]
 	e.numeric = e.numeric[:0]
@@ -35,15 +40,11 @@ func (e *Encoder) EncodeTape(d *jsontape.Doc) []byte {
 	e.tmem = e.tmem[:0]
 	e.marena = e.marena[:0]
 	total := e.measureTape(d, 0)
-	if cap(e.buf) < total {
-		e.buf = make([]byte, total)
-	}
-	e.buf = e.buf[:0]
+	e.buf = slices.Grow(dst, total)
 	e.cursor = 0
 	e.writeTape(d, 0)
-	out := make([]byte, len(e.buf))
-	copy(out, e.buf)
-	return out
+	dst, e.buf = e.buf, nil
+	return dst
 }
 
 // measureTape mirrors measure: pre-order size records in the order
@@ -64,6 +65,7 @@ func (e *Encoder) measureTape(d *jsontape.Doc, ti int) int {
 		size = 1
 	case jsontape.KInt:
 		i := n.IntVal()
+		e.numeric[idx].mantissa = i // the write pass takes it from here
 		if i >= 0 && i < 8 {
 			size = 1
 		} else {
@@ -245,7 +247,7 @@ func (e *Encoder) writeTape(d *jsontape.Doc, ti int) {
 	case jsontape.KFalse:
 		e.buf = append(e.buf, tagFalse<<4)
 	case jsontape.KInt:
-		e.writeInt(tagInt, n.IntVal())
+		e.writeInt(tagInt, e.numeric[idx].mantissa)
 	case jsontape.KFloat, jsontape.KFloatPre:
 		e.writeFloat(n.FloatVal())
 	case jsontape.KString, jsontape.KStringEsc:

@@ -216,9 +216,8 @@ func badLZ4Segment(t testing.TB) ([]byte, int) {
 		ref.Codec, ref.Sum = codecLZ4, xxhash.Sum64(stored)
 	}
 	footerOff := binary.LittleEndian.Uint64(data[len(data)-TailSize:])
-	bw := blockWriter{base: footerOff}
-	tail, _ := bw.footer(r.tiles, r.stats)
-	return append(append(data[:footerOff:footerOff], bw.buf...), tail...), dictCol
+	seg, _ := appendFooter(data[:footerOff:footerOff], r.tiles, r.stats.MarshalBinary())
+	return seg, dictCol
 }
 
 // TestCorruptLZ4BlockFailsAtDecode: a block whose checksum matches but

@@ -33,64 +33,89 @@ type docSource interface {
 	RawBytes(i int) []byte
 }
 
-// splitDocs splits a tile's documents into parts: the split keys,
-// sorted, and one payload per key then the residual's. All payloads
-// share one allocation, sized from the first pass: each key's part
-// exactly, the residual's to a bound it cannot pass (a residual object
-// is its document less the split members, whose values and keys the
-// first pass counts, and less some header bytes).
-func splitDocs(docs docSource) (keys []string, payloads [][]byte) {
-	n := docs.NumRows()
-	// Pass 1: each top-level key's value bytes and the key bytes its
-	// members take.
-	stats := map[string]*keyStat{}
+// A docRun splits documents [lo, hi) of a tile: its first pass counts
+// each top-level key's value and key bytes, its second writes one part
+// per split key then the residual's. A tile's part is its runs' joined.
+type docRun struct {
+	lo, hi int
+	stats  map[string]*keyStat
+	total  int // the run's JSONB bytes
+	parts  [][]byte
+}
+
+// count is the run's first pass.
+func (r *docRun) count(docs docSource) {
+	r.stats = map[string]*keyStat{}
 	count := func(key, value []byte) {
-		st := stats[string(key)]
+		st := r.stats[string(key)]
 		if st == nil {
 			st = &keyStat{part: -1}
-			stats[string(key)] = st
+			r.stats[string(key)] = st
 		}
 		st.vals += len(value)
 		st.keys += jsonb.KeySize(key)
 	}
-	total := 0
-	for i := 0; i < n; i++ {
+	for i := r.lo; i < r.hi; i++ {
 		d := docs.RawBytes(i)
-		total += len(d)
+		r.total += len(d)
 		// A document that is no object (or does not parse as one) is
 		// stored whole: its members count for no key.
 		jsonb.NewDoc(d).EachMember(count)
 	}
-	for key, st := range stats {
-		if st.vals*splitFloor >= total {
+}
+
+// splitKeys returns the keys whose values hold at least 1/splitFloor of
+// the runs' bytes together, sorted.
+func splitKeys(runs []docRun) (keys []string) {
+	vals, total := map[string]int{}, 0
+	for _, r := range runs {
+		total += r.total
+		for key, st := range r.stats {
+			vals[key] += st.vals
+		}
+	}
+	for key, v := range vals {
+		if v*splitFloor >= total {
 			keys = append(keys, key)
 		}
 	}
 	slices.Sort(keys)
+	return keys
+}
 
-	size := (len(keys)+1)*(4+4*n) + total
+// write is the run's second pass. All its payloads share one
+// allocation, sized from the first pass: each key's part exactly, the
+// residual's to a bound it cannot pass (a residual object is its
+// document less the split members, whose values and keys the first
+// pass counts, and less some header bytes).
+func (r *docRun) write(docs docSource, keys []string) {
+	n := r.hi - r.lo
+	size := (len(keys)+1)*(4+4*n) + r.total
 	buf := make([]byte, 0, size)
-	payloads = make([][]byte, len(keys)+1)
+	r.parts = make([][]byte, len(keys)+1)
 	for p, key := range keys {
-		st := stats[key]
+		st := r.stats[key]
+		if st == nil {
+			st = new(keyStat) // no document of the run holds the key
+		}
 		st.part = p
-		payloads[p], buf = carve(buf, 4+4*n+st.vals, n)
+		r.parts[p], buf = carve(buf, 4+4*n+st.vals, n)
 		size -= 4 + 4*n + st.vals + st.keys
 	}
 	rest := len(keys)
-	payloads[rest], _ = carve(buf, size, n)
+	r.parts[rest], _ = carve(buf, size, n)
 
-	// Pass 2: write. Pass 1 saw every key a document yields.
+	// The first pass saw every key a document yields.
 	vals := make([][]byte, len(keys))
 	var rm []jsonb.Member
 	route := func(key, value []byte) {
-		if p := stats[string(key)].part; p >= 0 {
+		if p := r.stats[string(key)].part; p >= 0 {
 			vals[p] = value
 		} else {
 			rm = append(rm, jsonb.Member{Key: key, Value: value})
 		}
 	}
-	for i := 0; i < n; i++ {
+	for i := r.lo; i < r.hi; i++ {
 		d := docs.RawBytes(i)
 		clear(vals)
 		rm = rm[:0]
@@ -99,25 +124,24 @@ func splitDocs(docs docSource) (keys []string, payloads [][]byte) {
 			if whole {
 				v = nil // a document that does not parse is stored whole
 			}
-			payloads[p] = appendDoc(payloads[p], v)
+			r.parts[p] = appendDoc(r.parts[p], v)
 		}
 		switch {
 		case whole:
-			payloads[rest] = appendDoc(payloads[rest], d)
+			r.parts[rest] = appendDoc(r.parts[rest], d)
 		case len(rm) == 0:
-			payloads[rest] = appendDoc(payloads[rest], nil)
+			r.parts[rest] = appendDoc(r.parts[rest], nil)
 		default:
-			at := len(payloads[rest])
-			payloads[rest] = jsonb.AppendObject(append(payloads[rest], 0, 0, 0, 0), rm)
-			binary.LittleEndian.PutUint32(payloads[rest][at:], uint32(len(payloads[rest])-at-4))
+			at := len(r.parts[rest])
+			r.parts[rest] = jsonb.AppendObject(append(r.parts[rest], 0, 0, 0, 0), rm)
+			binary.LittleEndian.PutUint32(r.parts[rest][at:], uint32(len(r.parts[rest])-at-4))
 		}
 	}
-	return keys, payloads
 }
 
-// keyStat is what the first pass of splitDocs learns of one top-level
-// key: its values' bytes, the bytes its members' keys take, and its
-// part (-1: the residual).
+// keyStat is what the first pass of a run learns of one top-level key:
+// its values' bytes, the bytes its members' keys take, and its part
+// (-1: the residual).
 type keyStat struct{ vals, keys, part int }
 
 // carve cuts a part payload of capacity size off the front of buf's

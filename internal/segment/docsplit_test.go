@@ -18,6 +18,16 @@ type docList [][]byte
 func (d docList) NumRows() int          { return len(d) }
 func (d docList) RawBytes(i int) []byte { return d[i] }
 
+// splitDocs splits docs as one run: the split keys, sorted, and one
+// payload per key then the residual's.
+func splitDocs(docs docSource) ([]string, [][]byte) {
+	r := []docRun{{hi: docs.NumRows()}}
+	r[0].count(docs)
+	keys := splitKeys(r)
+	r[0].write(docs, keys)
+	return keys, r[0].parts
+}
+
 // splitJoin splits docs and checks every part decodes and every
 // document reassembles to itself byte for byte, and that every key of
 // keys reads from its part (or the residual) what Doc.Get reads from

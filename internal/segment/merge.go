@@ -33,8 +33,7 @@ func MergeStore(store blockstore.Store, name string, srcs []*Reader, pool *bufpo
 	for _, src := range srcs {
 		size += int(src.fileSize)
 	}
-	bw := blockWriter{buf: make([]byte, 0, size)}
-	bw.buf = append(bw.buf, Magic...)
+	buf := append(make([]byte, 0, size), Magic...)
 
 	st := stats.New(0, 0)
 	var metas []TileMeta
@@ -49,8 +48,8 @@ func MergeStore(store blockstore.Store, name string, srcs []*Reader, pool *bufpo
 			return nil, fmt.Errorf("source %d: %w", si, err)
 		}
 		// A block at src offset off lands at base+off-len(Magic).
-		base := uint64(len(bw.buf))
-		bw.buf = append(bw.buf, data...)
+		base := uint64(len(buf))
+		buf = append(buf, data...)
 		check := func(ref BlockRef) error {
 			// checkRef put the block after the header; the index could
 			// still put it past the data region.
@@ -91,8 +90,8 @@ func MergeStore(store blockstore.Store, name string, srcs []*Reader, pool *bufpo
 		}
 	}
 
-	tail, index := bw.footer(metas, st)
-	return publish(store, name, append(bw.buf, tail...), index, st, pool, start)
+	seg, index := appendFooter(buf, metas, st.MarshalBinary())
+	return publish(store, name, seg, index, st, pool, start)
 }
 
 // readData reads the segment's data region — every block but the

@@ -143,7 +143,7 @@ func TestMergeReadsEachSourceOnce(t *testing.T) {
 	for s, tl := range tiles {
 		st := stats.New(0, 0)
 		st.AddTile(tl)
-		r, err := Write(mem, fmt.Sprintf("src%d.seg", s), []*tile.Tile{tl}, st, nil)
+		r, err := Write(mem, fmt.Sprintf("src%d.seg", s), []*tile.Tile{tl}, st, nil, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/blockstore"
@@ -21,7 +22,7 @@ import (
 // stream is built in memory and atomically published with one Put.
 // Returns the object's size in bytes.
 func WriteStore(store blockstore.Store, name string, tiles []*tile.Tile, st *stats.TableStats) (int64, error) {
-	r, err := Write(store, name, tiles, st, nil)
+	r, err := Write(store, name, tiles, st, nil, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return 0, err
 	}
@@ -31,10 +32,11 @@ func WriteStore(store blockstore.Store, name string, tiles []*tile.Tile, st *sta
 
 // Write is WriteStore returning a Reader over the new object, built
 // from what was just encoded — its tile index and st — with no read
-// back. pool is as for OpenStore.
-func Write(store blockstore.Store, name string, tiles []*tile.Tile, st *stats.TableStats, pool *bufpool.Pool) (*Reader, error) {
+// back. pool is as for OpenStore; the encoding runs on up to workers
+// participants.
+func Write(store blockstore.Store, name string, tiles []*tile.Tile, st *stats.TableStats, pool *bufpool.Pool, workers int) (*Reader, error) {
 	start := time.Now()
-	seg, index := encode(tiles, st, runtime.GOMAXPROCS(0))
+	seg, index := encode(tiles, st, workers)
 	return publish(store, name, seg, index, st, pool, start)
 }
 
@@ -55,88 +57,127 @@ func publish(store blockstore.Store, name string, seg, index []byte, st *stats.T
 	return r, nil
 }
 
+// splitRun is the documents one morsel of the document split handles.
+const splitRun = 256
+
+// parallelFor is sched.For; a test counts the morsels of an encoding.
+var parallelFor = sched.For
+
 // encode serializes the tiles and statistics as one segment stream:
-// header, data blocks, footer, tail. Each tile is one morsel on up to
-// `workers` participants (sched.For): its docs, column and dictionary
-// blocks are serialized, compressed and checksummed into a buffer of
-// its own, with offsets relative to that buffer. The writer then only
-// shifts the offsets, concatenates the buffers in tile order and adds
-// the footer, so the stream does not depend on how the morsels ran.
-// It also returns the stream's tile index.
+// header, data blocks — each tile's document parts (each split key's,
+// then the residual), then each column's (a dictionary column's codes,
+// then its dictionary: read and cached apart) — footer, tail, and
+// returns its tile index. On up to `workers` participants, across all
+// tiles: each run of splitRun documents counts its top-level keys
+// (docsplit.go) while each column serializes and the statistics
+// marshal; each run writes its parts; each block, largest first,
+// compresses its payload (a document part its runs join in the
+// worker's scratch) into a region of one buffer, lz4.CompressBound of
+// its length. Closing the regions up in stream order makes the stream
+// independent of how the morsels ran.
 func encode(tiles []*tile.Tile, st *stats.TableStats, workers int) (seg, index []byte) {
-	parts := make([]blockWriter, len(tiles))
+	ctx := context.Background()
+	runs := make([][]docRun, len(tiles))
+	keys := make([][]string, len(tiles))
+	cols := make([][][]byte, len(tiles)) // per tile: its column blocks' payloads
+	var sb []byte
+	count := []func(){func() { sb = st.MarshalBinary() }}
+	var write []func()
+	for k, t := range tiles {
+		for lo := 0; lo == 0 || lo < t.NumRows(); lo += splitRun {
+			runs[k] = append(runs[k], docRun{lo: lo, hi: min(lo+splitRun, t.NumRows())})
+		}
+		for r := range runs[k] {
+			run := &runs[k][r]
+			count = append(count, func() { run.count(t) })
+			write = append(write, func() { run.write(t, keys[k]) })
+		}
+		for _, ci := range t.Columns() {
+			at := len(cols[k])
+			if c := ci.Col; c.IsDict() {
+				cols[k] = append(cols[k], nil, nil)
+				count = append(count, func() { cols[k][at], cols[k][at+1] = c.SerializeCodes(), c.SerializeDict() })
+			} else {
+				cols[k] = append(cols[k], nil)
+				count = append(count, func() { cols[k][at] = c.Serialize() })
+			}
+		}
+	}
+	parallelFor(ctx, len(count), workers, func(_, i int) { count[i]() })
+	for k := range tiles {
+		keys[k] = splitKeys(runs[k])
+	}
+	parallelFor(ctx, len(write), workers, func(_, i int) { write[i]() })
+
+	type block struct {
+		ref     *BlockRef
+		payload []byte   // a column block's
+		runs    []docRun // a document part's runs, and the part
+		part    int
+		size    int // the payload's length
+		at      int // the region's offset
+	}
+	var blocks []block
 	metas := make([]TileMeta, len(tiles))
-	sched.For(context.Background(), len(tiles), workers, func(_, i int) {
-		metas[i] = parts[i].tile(tiles[i])
+	for k, t := range tiles {
+		tc := t.Columns()
+		tm := &metas[k]
+		*tm = TileMeta{Rows: t.NumRows(), Docs: make([]DocPart, len(keys[k])), Columns: make([]ColumnMeta, len(tc))}
+		for p, key := range keys[k] {
+			tm.Docs[p].Key = key
+			blocks = append(blocks, block{ref: &tm.Docs[p].Block, runs: runs[k], part: p})
+		}
+		blocks = append(blocks, block{ref: &tm.Rest, runs: runs[k], part: len(keys[k])})
+		payloads := cols[k]
+		for j := range tc {
+			ci, cm := &tc[j], &tm.Columns[j]
+			cm.Path = ci.Path
+			cm.MinedType = ci.MinedType
+			cm.StorageType = ci.StorageType
+			cm.HasTypeOutliers = ci.HasTypeOutliers
+			blocks, payloads = append(blocks, block{ref: &cm.Block, payload: payloads[0]}), payloads[1:]
+			if cm.HasDict = ci.Col.IsDict(); cm.HasDict {
+				blocks, payloads = append(blocks, block{ref: &cm.Dict, payload: payloads[0]}), payloads[1:]
+			}
+		}
+		if tm.seen = t.SeenFilter(); tm.seen == nil {
+			tm.seen = bloom.New(1, 0.01)
+		}
+	}
+	end := len(Magic)
+	for i := range blocks {
+		b := &blocks[i]
+		if b.size = len(b.payload); b.runs != nil {
+			b.size = 4
+			for _, r := range b.runs {
+				b.size += len(r.parts[b.part]) - 4
+			}
+		}
+		b.at, end = end, end+lz4.CompressBound(b.size)
+	}
+	buf := make([]byte, end)
+	copy(buf, Magic)
+	bySize := slices.Clone(blocks)
+	slices.SortFunc(bySize, func(a, b block) int { return b.size - a.size })
+	scratch := make([][]byte, max(workers, 1))
+	parallelFor(ctx, len(bySize), workers, func(w, i int) {
+		b := &bySize[i]
+		payload := b.payload
+		if b.runs != nil {
+			payload = binary.LittleEndian.AppendUint32(slices.Grow(scratch[w][:0], b.size), uint32(b.runs[len(b.runs)-1].hi))
+			for _, r := range b.runs {
+				payload = append(payload, r.parts[b.part][4:]...)
+			}
+			scratch[w] = payload
+		}
+		_, *b.ref = appendBlock(buf[b.at:b.at:b.at+lz4.CompressBound(b.size)], payload)
 	})
-	data := 0
-	for i := range parts {
-		metas[i].shift(uint64(len(Magic) + data))
-		data += len(parts[i].buf)
+	end = len(Magic)
+	for _, b := range blocks {
+		b.ref.Off = uint64(end)
+		end += copy(buf[end:], buf[b.at:b.at+int(b.ref.StoredLen)])
 	}
-	footer := blockWriter{base: uint64(len(Magic) + data)}
-	tail, index := footer.footer(metas, st)
-	out := make([]byte, 0, len(Magic)+data+len(footer.buf)+len(tail))
-	out = append(out, Magic...)
-	for i := range parts {
-		out = append(out, parts[i].buf...)
-	}
-	out = append(out, footer.buf...)
-	return append(out, tail...), index
-}
-
-// blockWriter appends compressed, checksummed blocks to an in-memory
-// buffer. Block offsets are base plus the position in buf.
-type blockWriter struct {
-	base uint64
-	buf  []byte
-}
-
-// tile encodes one tile's blocks — its document parts first (each
-// split key's, then the residual; docsplit.go), then each column's
-// block (a dictionary column's codes, then its dictionary) — and
-// returns the tile's metadata. Dictionary-encoded text columns become
-// two blocks so readers fetch, checksum, and pool-cache each
-// independently. buf is sized once from the payloads.
-func (bw *blockWriter) tile(t *tile.Tile) TileMeta {
-	cols := t.Columns()
-	keys, payloads := splitDocs(t)
-	for j := range cols {
-		if c := cols[j].Col; c.IsDict() {
-			payloads = append(payloads, c.SerializeCodes(), c.SerializeDict())
-		} else {
-			payloads = append(payloads, c.Serialize())
-		}
-	}
-	size := 0
-	for _, p := range payloads {
-		size += lz4.CompressBound(len(p))
-	}
-	bw.buf = make([]byte, 0, size)
-
-	tm := TileMeta{Rows: t.NumRows(), Docs: make([]DocPart, len(keys)), Columns: make([]ColumnMeta, len(cols))}
-	for p, k := range keys {
-		tm.Docs[p] = DocPart{Key: k, Block: bw.block(payloads[p])}
-	}
-	tm.Rest = bw.block(payloads[len(keys)])
-	payloads = payloads[len(keys)+1:]
-	for j := range cols {
-		ci := &cols[j]
-		cm := &tm.Columns[j]
-		cm.Path = ci.Path
-		cm.MinedType = ci.MinedType
-		cm.StorageType = ci.StorageType
-		cm.HasTypeOutliers = ci.HasTypeOutliers
-		cm.Block, payloads = bw.block(payloads[0]), payloads[1:]
-		if ci.Col.IsDict() {
-			cm.HasDict = true
-			cm.Dict, payloads = bw.block(payloads[0]), payloads[1:]
-		}
-	}
-	if tm.seen = t.SeenFilter(); tm.seen == nil {
-		tm.seen = bloom.New(1, 0.01)
-	}
-	return tm
+	return appendFooter(buf[:end], metas, sb)
 }
 
 // shift moves every block ref of the tile by off bytes.
@@ -154,37 +195,39 @@ func (tm *TileMeta) shift(off uint64) {
 	}
 }
 
-// footer appends the footer block and returns the fixed tail that
-// follows it and the segment's tile index.
-func (bw *blockWriter) footer(metas []TileMeta, st *stats.TableStats) (tail, index []byte) {
+// appendFooter appends the footer block — the tiles' metadata, then
+// sb, the marshalled relation statistics — and the fixed tail that
+// follows it to dst, and returns the extended slice and the segment's
+// tile index.
+func appendFooter(dst []byte, metas []TileMeta, sb []byte) (seg, index []byte) {
 	meta := encodeTiles(metas)
-	sb := st.MarshalBinary()
 	payload := binary.LittleEndian.AppendUint32(meta[:len(meta):len(meta)], uint32(len(sb)))
-	ref := bw.block(append(payload, sb...))
-	tail = make([]byte, TailSize)
+	dst, ref := appendBlock(dst, append(payload, sb...))
+	tail := make([]byte, TailSize)
 	binary.LittleEndian.PutUint64(tail[0:], ref.Off)
 	binary.LittleEndian.PutUint32(tail[8:], ref.StoredLen)
 	binary.LittleEndian.PutUint32(tail[12:], ref.RawLen)
 	binary.LittleEndian.PutUint64(tail[16:], ref.Sum)
 	copy(tail[24:], MagicFooter)
-	return tail, append(appendRef(nil, ref), meta...)
+	return append(dst, tail...), append(appendRef(nil, ref), meta...)
 }
 
-// block compresses, checksums, and appends one payload, returning its
-// ref. Incompressible payloads are stored raw: spending a failed
+// appendBlock compresses and checksums one payload onto dst, returning
+// the extended slice and the block's ref, at offset len(dst).
+// Incompressible payloads are stored raw: spending a failed
 // compression attempt at write time is cheap, skipping a futile
 // decompression on every future read is not.
-func (bw *blockWriter) block(payload []byte) BlockRef {
-	at := len(bw.buf)
-	ref := BlockRef{Off: bw.base + uint64(at), RawLen: uint32(len(payload)), Codec: codecLZ4}
-	if bw.buf = lz4.Compress(bw.buf, payload); len(bw.buf)-at >= len(payload) {
-		bw.buf = append(bw.buf[:at], payload...)
+func appendBlock(dst, payload []byte) ([]byte, BlockRef) {
+	at := len(dst)
+	ref := BlockRef{Off: uint64(at), RawLen: uint32(len(payload)), Codec: codecLZ4}
+	if dst = lz4.Compress(dst, payload); len(dst)-at >= len(payload) {
+		dst = append(dst[:at], payload...)
 		ref.Codec = codecRaw
 	}
-	stored := bw.buf[at:]
+	stored := dst[at:]
 	ref.StoredLen = uint32(len(stored))
 	ref.Sum = xxhash.Sum64(stored)
-	return ref
+	return dst, ref
 }
 
 // decodeDocs splits a document part's payload back into per-document

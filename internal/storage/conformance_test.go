@@ -142,7 +142,7 @@ func memDir(t testing.TB, cfg LoaderConfig, rels ...Relation) *DirTable {
 	}
 	t.Cleanup(func() { dt.Close() })
 	for _, rel := range rels {
-		if err := dt.AppendTiles(rel.(TileIntrospector).Tiles(), rel.Stats()); err != nil {
+		if err := dt.AppendTiles(rel.(TileIntrospector).Tiles(), rel.Stats(), 2); err != nil {
 			t.Fatalf("segment append: %v", err)
 		}
 	}

@@ -383,7 +383,8 @@ func (t *DirTable) ScanBatches(ctx context.Context, accesses []Access, workers i
 // are untouched. If the manifest commit fails, the freshly written
 // segment file is left for recovery to collect, exactly as a crash
 // at that point would; the table keeps serving the prior generation.
-func (t *DirTable) AppendTiles(tiles []*tile.Tile, st *stats.TableStats) error {
+// The segment is encoded on up to workers participants.
+func (t *DirTable) AppendTiles(tiles []*tile.Tile, st *stats.TableStats, workers int) error {
 	if len(tiles) == 0 {
 		return nil
 	}
@@ -397,7 +398,7 @@ func (t *DirTable) AppendTiles(tiles []*tile.Tile, st *stats.TableStats) error {
 	t.mu.Unlock()
 
 	t.collectOrphans()
-	r, err := segment.Write(t.store, manifest.SegmentFileName(id), tiles, st, t.pool)
+	r, err := segment.Write(t.store, manifest.SegmentFileName(id), tiles, st, t.pool, workers)
 	if err != nil {
 		return err
 	}

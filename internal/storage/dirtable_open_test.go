@@ -67,7 +67,7 @@ func TestIndexedReaderMatchesFooter(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiles, st := dirTestBatch(t, dirTestLines(9, 48))
-	if err := written.AppendTiles(tiles, st); err != nil {
+	if err := written.AppendTiles(tiles, st, 2); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := OpenDirStore("t", mem, nil, openTestCfg(), 4, false)
@@ -197,7 +197,7 @@ func TestStatsReadsEachFooterOnce(t *testing.T) {
 		t.Errorf("Stats took %v, want one round trip (< %v)", d, 2*latency)
 	}
 	tiles, bst := dirTestBatch(t, dirTestLines(segs, 48))
-	if err := dt.AppendTiles(tiles, bst); err != nil {
+	if err := dt.AppendTiles(tiles, bst, 2); err != nil {
 		t.Fatal(err)
 	}
 	before = fake.RangeReadCount()
@@ -325,7 +325,7 @@ func TestOpenLeavesUncommittedSegment(t *testing.T) {
 	defer writer.Close()
 	tiles, st := dirTestBatch(t, dirTestLines(1, 48))
 	done := make(chan error, 1)
-	go func() { done <- writer.AppendTiles(tiles, st) }()
+	go func() { done <- writer.AppendTiles(tiles, st, 2) }()
 	<-hold.arrived
 
 	file := manifest.SegmentFileName(1)

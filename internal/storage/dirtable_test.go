@@ -114,7 +114,7 @@ func TestDirTableAppendCompactReopen(t *testing.T) {
 		lines := dirTestLines(b, rows)
 		all = append(all, lines...)
 		tiles, st := dirTestBatch(t, lines)
-		if err := dt.AppendTiles(tiles, st); err != nil {
+		if err := dt.AppendTiles(tiles, st, 2); err != nil {
 			t.Fatalf("AppendTiles %d: %v", b, err)
 		}
 	}
@@ -206,7 +206,7 @@ func TestDirTableScansPinOldGenerationDuringCompact(t *testing.T) {
 		lines := dirTestLines(b, 64)
 		all = append(all, lines...)
 		tiles, st := dirTestBatch(t, lines)
-		if err := dt.AppendTiles(tiles, st); err != nil {
+		if err := dt.AppendTiles(tiles, st, 2); err != nil {
 			t.Fatalf("AppendTiles: %v", err)
 		}
 	}
@@ -247,7 +247,7 @@ func TestDirTableCrashBeforeManifestRenameRecovers(t *testing.T) {
 	cfg.Tile.TileSize = 16
 	dt := openDirFS(t, dir, cfg, 4, false)
 	tiles, st := dirTestBatch(t, dirTestLines(0, 32))
-	if err := dt.AppendTiles(tiles, st); err != nil {
+	if err := dt.AppendTiles(tiles, st, 2); err != nil {
 		t.Fatalf("AppendTiles: %v", err)
 	}
 	accesses := dirTestAccesses()
@@ -263,7 +263,7 @@ func TestDirTableCrashBeforeManifestRenameRecovers(t *testing.T) {
 		return os.Rename(oldpath, newpath)
 	}
 	tiles2, st2 := dirTestBatch(t, dirTestLines(1, 32))
-	err := dt.AppendTiles(tiles2, st2)
+	err := dt.AppendTiles(tiles2, st2, 2)
 	blockstore.Rename = os.Rename
 	if err == nil {
 		t.Fatal("AppendTiles succeeded despite failing rename")
@@ -309,7 +309,7 @@ func TestDirTableCrashBeforeManifestRenameRecovers(t *testing.T) {
 	// The first commit collects the debris before it writes.
 	recoveries := obs.ManifestRecoveries.Load()
 	tiles3, st3 := dirTestBatch(t, dirTestLines(2, 32))
-	if err := dt2.AppendTiles(tiles3, st3); err != nil {
+	if err := dt2.AppendTiles(tiles3, st3, 2); err != nil {
 		t.Fatalf("AppendTiles after recovery: %v", err)
 	}
 	if got := obs.ManifestRecoveries.Load() - recoveries; got != 1 {
@@ -330,7 +330,7 @@ func TestDirTableBackgroundCompaction(t *testing.T) {
 	dt := openDirFS(t, dir, cfg, 2, true)
 	for b := 0; b < 6; b++ {
 		tiles, st := dirTestBatch(t, dirTestLines(b, 32))
-		if err := dt.AppendTiles(tiles, st); err != nil {
+		if err := dt.AppendTiles(tiles, st, 2); err != nil {
 			t.Fatalf("AppendTiles: %v", err)
 		}
 	}
@@ -399,7 +399,7 @@ func TestDirTableConcurrentScansShareDecodedColumns(t *testing.T) {
 	const batches = 6
 	for b := 0; b < batches; b++ {
 		tiles, st := dirTestBatch(t, dirTestLines(b, 64))
-		if err := dt.AppendTiles(tiles, st); err != nil {
+		if err := dt.AppendTiles(tiles, st, 2); err != nil {
 			t.Fatalf("AppendTiles: %v", err)
 		}
 	}
@@ -453,7 +453,7 @@ func TestDirTableConcurrentScansShareDecodedColumns(t *testing.T) {
 		}(g)
 	}
 	tiles, st := dirTestBatch(t, dirTestLines(batches, 64))
-	if err := dt.AppendTiles(tiles, st); err != nil {
+	if err := dt.AppendTiles(tiles, st, 2); err != nil {
 		t.Errorf("AppendTiles beside scans: %v", err)
 	}
 	if _, err := dt.Compact(); err != nil {

@@ -161,7 +161,7 @@ func TestDocWalkMatchesJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dt.Close()
-	if err := dt.AppendTiles(tiles, tilesRel.Stats()); err != nil {
+	if err := dt.AppendTiles(tiles, tilesRel.Stats(), 2); err != nil {
 		t.Fatal(err)
 	}
 	rels := map[string]Relation{"tiles": tilesRel, "dir": dt}

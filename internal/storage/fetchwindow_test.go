@@ -58,7 +58,7 @@ func fetchTestStore(t *testing.T, nTiles, tileRows, pad int) (blockstore.Store, 
 	if err != nil {
 		t.Fatalf("OpenDirStore: %v", err)
 	}
-	if err := dt.AppendTiles(rel.(TileIntrospector).Tiles(), rel.Stats()); err != nil {
+	if err := dt.AppendTiles(rel.(TileIntrospector).Tiles(), rel.Stats(), 2); err != nil {
 		t.Fatalf("AppendTiles: %v", err)
 	}
 	if got := dt.NumTiles(); got != nTiles {
@@ -270,7 +270,7 @@ func TestColdScanReadsOnlyPlannedBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dt.AppendTiles(rel.(TileIntrospector).Tiles(), rel.Stats()); err != nil {
+	if err := dt.AppendTiles(rel.(TileIntrospector).Tiles(), rel.Stats(), 2); err != nil {
 		t.Fatal(err)
 	}
 	dt.Close()
@@ -325,7 +325,7 @@ func TestRemoteScanCoalescesReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dt.AppendTiles(rel.(TileIntrospector).Tiles(), rel.Stats()); err != nil {
+		if err := dt.AppendTiles(rel.(TileIntrospector).Tiles(), rel.Stats(), 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -397,7 +397,7 @@ func TestDocAccessReadsItsKeyPart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dt.AppendTiles(rel.(TileIntrospector).Tiles(), rel.Stats()); err != nil {
+	if err := dt.AppendTiles(rel.(TileIntrospector).Tiles(), rel.Stats(), 2); err != nil {
 		t.Fatal(err)
 	}
 	dt.Close()

@@ -131,18 +131,6 @@ func morselRange(ctx context.Context, n, workers int, fn func(worker, lo, hi int
 	runMorsels(ctx, ms, workers, func(w int, m morsel) { fn(w, m.lo, m.hi) })
 }
 
-// morselEach is the per-item parallel-for: every item of [0, n) is its
-// own morsel, for coarse units such as tile partitions, where one item
-// is already thousands of documents. Load-path loops have no
-// per-request context; they run under Background.
-func morselEach(n, workers int, fn func(worker, i int)) {
-	ms := make([]morsel, n)
-	for i := range ms {
-		ms[i] = morsel{lo: i, hi: i + 1}
-	}
-	runMorsels(context.Background(), ms, workers, func(w int, m morsel) { fn(w, m.lo) })
-}
-
 // buildTileMorsels cuts a tile sequence into morsels of ~target rows:
 // consecutive tiny tiles are batched into one morsel, and a big tile
 // is a morsel of its own. A tile is never split, because a batch

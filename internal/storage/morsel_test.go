@@ -285,7 +285,7 @@ func TestMorselScanConformanceDirTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dt.AppendTiles(rel.(*tilesRelation).Tiles(), rel.Stats()); err != nil {
+		if err := dt.AppendTiles(rel.(*tilesRelation).Tiles(), rel.Stats(), 2); err != nil {
 			t.Fatalf("AppendTiles: %v", err)
 		}
 	}

@@ -29,8 +29,8 @@ func storeConformTable(t *testing.T, store blockstore.Store, batches, rows int) 
 	}
 	for b := 0; b < batches; b++ {
 		tiles, st := dirTestBatch(t, dirTestLines(b, rows))
-		if err := dt.AppendTiles(tiles, st); err != nil {
-			t.Fatalf("AppendTiles(%s) %d: %v", store.Label(), b, err)
+		if err := dt.AppendTiles(tiles, st, 2); err != nil {
+			t.Fatalf("AppendTiles(%s, 2) %d: %v", store.Label(), b, err)
 		}
 	}
 	return dt

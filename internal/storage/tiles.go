@@ -1,12 +1,14 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
 	"repro/internal/jsontape"
 	"repro/internal/obs"
 	"repro/internal/reorder"
+	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/tile"
 	"repro/internal/vec"
@@ -66,7 +68,7 @@ func buildPartitions(name string, n int, cfg LoaderConfig, workers int,
 		partDocs = tcfg.TileSize
 	}
 	partTiles := make([][]*tile.Tile, (n+partDocs-1)/partDocs)
-	morselEach(len(partTiles), workers, func(_, p int) {
+	sched.For(context.Background(), len(partTiles), workers, func(_, p int) {
 		pb := &partBuilder{tcfg: tcfg, reorder: cfg.Reorder && tcfg.PartitionSize > 1,
 			workers: workers, metrics: cfg.Metrics}
 		lo := p * partDocs
@@ -85,30 +87,23 @@ func buildPartitions(name string, n int, cfg LoaderConfig, workers int,
 // tapes reorders one partition of parsed documents (§3.2) and cuts it
 // into tiles. Reordering walks every document and hands the walks on,
 // so each tile builds from its documents' walk instead of walking them
-// again.
+// again. Reordering makes the tiles unequal by design, so the build
+// cuts its work by column and by run of documents across the
+// partition's tiles (tile.Builder.Build), not by tile. Helpers come
+// from the shared pool, and one that has not started by the time the
+// inline drain empties the queue does nothing, so a flush beside busy
+// queries runs serially instead of competing.
 func (pb *partBuilder) tapes(docs []*jsontape.Doc) []*tile.Tile {
 	var walks *reorder.Walks
 	if pb.reorder {
 		_, walks = reorder.PartitionTapesWorkers(docs, pb.tcfg, pb.metrics, pb.workers)
 	}
-	// Once reordered, the tiles of a partition are independent, so each
-	// is one morsel with its own builder: a flush of one partition still
-	// uses every worker. Helpers come from the shared pool, and one that
-	// has not started by the time the inline drain empties the queue
-	// does nothing, so a flush beside busy queries runs serially instead
-	// of competing.
 	size := pb.tcfg.TileSize
-	tiles := make([]*tile.Tile, (len(docs)+size-1)/size)
-	morselEach(len(tiles), pb.workers, func(_, k int) {
-		b := tile.NewBuilder(pb.tcfg, pb.metrics)
-		part := docs[k*size : min((k+1)*size, len(docs))]
-		if w := walks.Tile(k); w != nil {
-			tiles[k] = b.BuildWalk(part, w)
-		} else {
-			tiles[k] = b.BuildTape(part)
-		}
-	})
-	return tiles
+	parts := make([][]*jsontape.Doc, (len(docs)+size-1)/size)
+	for k := range parts {
+		parts[k] = docs[k*size : min((k+1)*size, len(docs))]
+	}
+	return tile.NewBuilder(pb.tcfg, pb.metrics).Build(parts, walks.Tile, pb.workers)
 }
 
 func (r *tilesRelation) Name() string             { return r.name }

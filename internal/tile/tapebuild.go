@@ -1,6 +1,7 @@
 package tile
 
 import (
+	"context"
 	"math"
 	"time"
 
@@ -10,9 +11,11 @@ import (
 	"repro/internal/fpgrowth"
 	"repro/internal/hist"
 	"repro/internal/hll"
+	"repro/internal/jsonb"
 	"repro/internal/jsontape"
 	"repro/internal/keypath"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // Tile construction consumes structural tapes (DESIGN.md §6.8): a
@@ -155,37 +158,93 @@ func Regroup(walks []*Walk, tileSize int, positions []int) *Walk {
 	return out
 }
 
-// BuildTape materializes one tile from parsed tapes: one walk per
-// document, then BuildWalk.
+// docRun is the documents one JSONB morsel of a build encodes, and
+// arenaChunk the size of the chunks a worker carves their JSONB from.
+const (
+	docRun     = 64
+	arenaChunk = 32 << 10
+)
+
+// BuildTape materializes one tile from parsed tapes, walking them.
 func (b *Builder) BuildTape(tapes []*jsontape.Doc) *Tile {
-	start := time.Now()
-	w := WalkTapes(tapes, b.Config.MaxArraySlots, b.Metrics)
-	if b.Metrics != nil {
-		b.Metrics.MineNanos.Add(time.Since(start).Nanoseconds())
-	}
-	return b.BuildWalk(tapes, w)
+	return b.Build([][]*jsontape.Doc{tapes}, func(int) *Walk { return nil }, 1)[0]
 }
 
-// BuildWalk materializes one tile from parsed tapes and their walk
-// (WalkTapes over these tapes, or a Regroup of walks in this order).
-// The extraction set is the tile's frequent items
-// (fpgrowth.FrequentItems): no tree is mined, and the walk's leaves
-// feed the extraction pass.
-func (b *Builder) BuildWalk(tapes []*jsontape.Doc, w *Walk) *Tile {
+// Build materializes one tile per part: parts[k] holds tile k's parsed
+// documents and walk(k) their walk (WalkTapes over them, or a Regroup
+// of walks in this order), or nil to walk them here. On up to workers
+// participants, each tile plans; then every tile's columns and runs of
+// docRun documents' JSONB share one queue, one morsel each, so tiles of
+// unequal cost, as reordering makes them, keep every worker busy; then
+// each tile indexes its columns. A worker keeps one encoder and arena.
+func (b *Builder) Build(parts [][]*jsontape.Doc, walk func(k int) *Walk, workers int) []*Tile {
+	ctx := context.Background()
+	tiles := make([]*Tile, len(parts))
+	cols := make([][]func(*buildScratch), len(parts))
+	finish := make([]func(), len(parts))
+	parallelFor(ctx, len(parts), workers, func(_, k int) {
+		tiles[k], cols[k], finish[k] = b.plan(parts[k], walk(k))
+	})
+	var units []func(*buildScratch)
+	for _, c := range cols {
+		units = append(units, c...)
+	}
+	for k, docs := range parts {
+		for lo := 0; lo < len(docs); lo += docRun {
+			units = append(units, func(s *buildScratch) {
+				start := time.Now()
+				for i, d := range docs[lo:min(lo+docRun, len(docs))] {
+					tiles[k].raw[lo+i] = s.doc(d)
+				}
+				b.Metrics.WriteJSONBNanos.Add(time.Since(start).Nanoseconds())
+			})
+		}
+	}
+	scratch := make([]buildScratch, max(workers, 1))
+	parallelFor(ctx, len(units), workers, func(w, i int) { units[i](&scratch[w]) })
+	for _, f := range finish {
+		f()
+	}
+	return tiles
+}
+
+// parallelFor is sched.For; a test counts the morsels of a build.
+var parallelFor = sched.For
+
+// buildScratch is what a build worker reuses from morsel to morsel.
+type buildScratch struct {
+	enc   jsonb.Encoder
+	arena []byte
+}
+
+// doc returns d's JSONB, carved from the arena. A document the arena
+// has no room for is allocated on its own, and the arena starts afresh.
+func (s *buildScratch) doc(d *jsontape.Doc) []byte {
+	room := s.arena[len(s.arena):]
+	doc := s.enc.AppendTape(room, d)
+	if len(doc) > cap(room) {
+		s.arena = make([]byte, 0, arenaChunk)
+	} else {
+		s.arena = s.arena[:len(s.arena)+len(doc)]
+	}
+	return doc[:len(doc):len(doc)]
+}
+
+// plan walks a tile's documents (unless w is their walk) and finds its
+// frequent items, path frequencies, seen paths and each document's last
+// leaf per extracted path. It returns the tile, a morsel per column to
+// extract, and what indexes the columns once extracted.
+func (b *Builder) plan(tapes []*jsontape.Doc, w *Walk) (*Tile, []func(*buildScratch), func()) {
+	start := time.Now()
+	if w == nil {
+		w = WalkTapes(tapes, b.Config.MaxArraySlots, b.Metrics)
+	}
 	obs.IngestDocsTape.Add(int64(len(tapes)))
-	if b.Metrics != nil {
-		b.Metrics.DocsTape.Add(int64(len(tapes)))
-	}
-	start := time.Now()
+	b.Metrics.DocsTape.Add(int64(len(tapes)))
 	extracted := fpgrowth.FrequentItems(w.IDs, w.DocEnd, len(w.Items), b.Config.MinSupport(len(tapes)), b.Config.Budget)
-	if b.Metrics != nil {
-		b.Metrics.MineNanos.Add(time.Since(start).Nanoseconds())
-	}
-	return b.materializeTape(tapes, w, extracted)
-}
+	b.Metrics.MineNanos.Add(time.Since(start).Nanoseconds())
 
-func (b *Builder) materializeTape(tapes []*jsontape.Doc, w *Walk, extracted []bool) *Tile {
-	start := time.Now()
+	start = time.Now()
 	items, ids, nodes, docEnd := w.Items, w.IDs, w.Nodes, w.DocEnd
 
 	t := &Tile{
@@ -195,6 +254,7 @@ func (b *Builder) materializeTape(tapes []*jsontape.Doc, w *Walk, extracted []bo
 		pathFreq:   map[string]int{},
 		sketches:   map[string]*hll.Sketch{},
 		histograms: map[string]*hist.Histogram{},
+		raw:        make([][]byte, len(tapes)),
 	}
 
 	var orderedIDs []int32
@@ -269,109 +329,113 @@ func (b *Builder) materializeTape(tapes []*jsontape.Doc, w *Walk, extracted []bo
 		}
 		lo = hi
 	}
+	b.Metrics.ExtractNanos.Add(time.Since(start).Nanoseconds())
 
-	for _, id := range orderedIDs {
-		item := items[id]
-		g := int(extGroup[item.Path])
-		info := ColumnInfo{Path: item.Path, MinedType: item.Type, StorageType: item.Type}
+	// Column j's morsel fills t.columns[j], sketches[j] and hists[j].
+	t.columns = make([]ColumnInfo, len(orderedIDs))
+	sketches := make([]*hll.Sketch, len(orderedIDs))
+	hists := make([]*hist.Histogram, len(orderedIDs))
+	cols := make([]func(*buildScratch), len(orderedIDs))
+	for j, id := range orderedIDs {
+		cols[j] = func(*buildScratch) {
+			start := time.Now()
+			item := items[id]
+			g := int(extGroup[item.Path])
+			info := ColumnInfo{Path: item.Path, MinedType: item.Type, StorageType: item.Type}
 
-		if item.Type == keypath.TypeString && b.Config.DetectDates {
-			var sample []string
+			if item.Type == keypath.TypeString && b.Config.DetectDates {
+				var sample []string
+				for i := range tapes {
+					if li := eff[i*G+g]; li >= 0 && ids[li] == id {
+						sample = append(sample, nodes[li].StringVal())
+						if len(sample) >= 64 {
+							break
+						}
+					}
+				}
+				if dates.DetectColumn(sample, 64) {
+					info.StorageType = keypath.TypeTimestamp
+				}
+			}
+
+			col := column.New(info.StorageType)
+			sketch := hll.New()
+			var numeric []float64
 			for i := range tapes {
-				if li := eff[i*G+g]; li >= 0 && ids[li] == id {
-					sample = append(sample, nodes[li].StringVal())
-					if len(sample) >= 64 {
-						break
+				li := eff[i*G+g]
+				if li < 0 {
+					col.AppendNull()
+					continue
+				}
+				if ids[li] != id {
+					col.AppendNull()
+					if items[ids[li]].Type != keypath.TypeNull {
+						info.HasTypeOutliers = true
+					}
+					continue
+				}
+				n := nodes[li]
+				switch info.StorageType {
+				case keypath.TypeBigInt:
+					v := n.IntVal()
+					col.AppendInt(v)
+					sketch.AddInt64(v)
+					numeric = append(numeric, float64(v))
+				case keypath.TypeDouble:
+					v := n.FloatVal()
+					col.AppendFloat(v)
+					sketch.AddHash(hll.HashUint64(math.Float64bits(v)))
+					numeric = append(numeric, v)
+				case keypath.TypeBool:
+					v := n.BoolVal()
+					col.AppendBool(v)
+					if v {
+						sketch.AddInt64(1)
+					} else {
+						sketch.AddInt64(0)
+					}
+				case keypath.TypeString:
+					v := n.ContentBytes()
+					col.AppendBytes(v)
+					sketch.AddBytes(v)
+				case keypath.TypeTimestamp:
+					if ts, ok := dates.Parse(n.StringVal()); ok {
+						col.AppendInt(ts)
+						sketch.AddInt64(ts)
+						numeric = append(numeric, float64(ts))
+					} else {
+						col.AppendNull()
+						info.HasTypeOutliers = true
 					}
 				}
 			}
-			if dates.DetectColumn(sample, 64) {
-				info.StorageType = keypath.TypeTimestamp
+			if info.StorageType == keypath.TypeString {
+				maybeDictEncode(col, sketch)
 			}
-		}
-
-		col := column.New(info.StorageType)
-		sketch := hll.New()
-		var numeric []float64
-		for i := range tapes {
-			li := eff[i*G+g]
-			if li < 0 {
-				col.AppendNull()
-				continue
+			info.Col = col
+			t.columns[j], sketches[j] = info, sketch
+			if len(numeric) > 0 {
+				hists[j] = hist.FromValues(numeric)
 			}
-			if ids[li] != id {
-				col.AppendNull()
-				if items[ids[li]].Type != keypath.TypeNull {
-					info.HasTypeOutliers = true
-				}
-				continue
-			}
-			n := nodes[li]
-			switch info.StorageType {
-			case keypath.TypeBigInt:
-				v := n.IntVal()
-				col.AppendInt(v)
-				sketch.AddInt64(v)
-				numeric = append(numeric, float64(v))
-			case keypath.TypeDouble:
-				v := n.FloatVal()
-				col.AppendFloat(v)
-				sketch.AddHash(hll.HashUint64(math.Float64bits(v)))
-				numeric = append(numeric, v)
-			case keypath.TypeBool:
-				v := n.BoolVal()
-				col.AppendBool(v)
-				if v {
-					sketch.AddInt64(1)
-				} else {
-					sketch.AddInt64(0)
-				}
-			case keypath.TypeString:
-				s := n.StringVal()
-				col.AppendString(s)
-				sketch.AddString(s)
-			case keypath.TypeTimestamp:
-				if ts, ok := dates.Parse(n.StringVal()); ok {
-					col.AppendInt(ts)
-					sketch.AddInt64(ts)
-					numeric = append(numeric, float64(ts))
-				} else {
-					col.AppendNull()
-					info.HasTypeOutliers = true
-				}
-			}
-		}
-		if info.StorageType == keypath.TypeString {
-			maybeDictEncode(col, sketch)
-		}
-		idx := len(t.columns)
-		info.Col = col
-		t.columns = append(t.columns, info)
-		t.byItem[keypath.Item{Path: item.Path, Type: item.Type}] = idx
-		t.byPath[item.Path] = append(t.byPath[item.Path], idx)
-		t.sketches[item.Path] = sketch
-		if len(numeric) > 0 {
-			t.histograms[item.Path] = hist.FromValues(numeric)
+			b.Metrics.ExtractNanos.Add(time.Since(start).Nanoseconds())
 		}
 	}
 
-	t.notExtracted = bloom.New(len(seen)+8, 0.01)
-	for p, asContainer := range seen {
-		t.see(p, asContainer)
-	}
-	if b.Metrics != nil {
-		b.Metrics.ExtractNanos.Add(time.Since(start).Nanoseconds())
-	}
-
-	start = time.Now()
-	t.raw = make([][]byte, len(tapes))
-	for i, d := range tapes {
-		t.raw[i] = b.enc.EncodeTape(d)
-	}
-	if b.Metrics != nil {
-		b.Metrics.WriteJSONBNanos.Add(time.Since(start).Nanoseconds())
+	finish := func() {
+		for j, c := range t.columns {
+			t.byItem[keypath.Item{Path: c.Path, Type: c.MinedType}] = j
+			t.byPath[c.Path] = append(t.byPath[c.Path], j)
+			t.sketches[c.Path] = sketches[j]
+			if hists[j] != nil {
+				t.histograms[c.Path] = hists[j]
+			}
+		}
+		t.notExtracted = bloom.New(len(seen)+8, 0.01)
+		for p, asContainer := range seen {
+			t.see(p, asContainer)
+		}
 		b.Metrics.TilesBuilt.Add(1)
+		obs.TilesBuilt.Inc()
 	}
-	obs.TilesBuilt.Inc()
-	return t
+	return t, cols, finish
 }

@@ -2,6 +2,7 @@ package tile
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
+	"repro/internal/sched"
 )
 
 // tapeCorpus is a mixed corpus exercising every identity-relevant
@@ -296,9 +298,64 @@ func TestRegroupMatchesFreshWalk(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.MaxArraySlots = 2
-		a, b := NewBuilder(cfg, nil).BuildWalk(permuted, got), NewBuilder(cfg, nil).BuildTape(permuted)
+		a := NewBuilder(cfg, nil).Build([][]*jsontape.Doc{permuted}, func(int) *Walk { return got }, 1)[0]
+		b := NewBuilder(cfg, nil).BuildTape(permuted)
 		if !reflect.DeepEqual(a.Columns(), b.Columns()) || !reflect.DeepEqual(a.PathFrequencies(), b.PathFrequencies()) {
 			t.Fatalf("trial %d: the tile built from the regrouped walk differs", trial)
 		}
+	}
+}
+
+// skewedPartition is a reordered partition's two tiles of unequal cost,
+// as a stream of tweets and delete records reorders into: rich
+// documents with many paths, then short ones with few.
+func skewedPartition(t *testing.T, rows int) [][]*jsontape.Doc {
+	parts := make([][]*jsontape.Doc, 2)
+	for i := 0; i < rows; i++ {
+		rich := fmt.Sprintf(`{"created_at":"Mon Jun 0%d 13:45:09 +0000 2020","id":%d,"text":"tweet %d says %s",`+
+			`"user":{"id":%d,"name":"user-%d","followers_count":%d,"verified":%v},"retweet_count":%d,"lang":"en",`+
+			`"entities":{"hashtags":[{"text":"h%d"}],"urls":[]},"geo":null,"score":%d.25}`,
+			i%9+1, i, i, bytes.Repeat([]byte("x"), i%40), i%97, i%97, i*7, i%3 == 0, i%13, i%5, i)
+		short := fmt.Sprintf(`{"delete":{"status":{"id":%d,"user_id":%d}}}`, i, i%97)
+		for k, src := range []string{rich, short} {
+			d := new(jsontape.Doc)
+			if err := jsontape.Parse([]byte(src), d); err != nil {
+				t.Fatal(err)
+			}
+			parts[k] = append(parts[k], d)
+		}
+	}
+	return parts
+}
+
+// TestBuildCutsBelowTiles: at two workers, a build of a skewed partition
+// dispatches its extraction and JSONB encoding in morsels smaller than a
+// tile — a column, or a run of documents — so the heavy tile does not
+// leave the second worker idle, and each tile is what a build of it
+// alone makes.
+func TestBuildCutsBelowTiles(t *testing.T) {
+	parts := skewedPartition(t, DefaultConfig().TileSize)
+	var stages []int
+	parallelFor = func(ctx context.Context, n, workers int, fn func(worker, i int)) int {
+		stages = append(stages, n)
+		return sched.For(ctx, n, workers, fn)
+	}
+	t.Cleanup(func() { parallelFor = sched.For })
+	tiles := NewBuilder(DefaultConfig(), nil).Build(parts, func(int) *Walk { return nil }, 2)
+	if len(stages) != 2 || stages[0] != len(parts) {
+		t.Fatalf("stages dispatched %v morsels, want one per tile then the extraction's", stages)
+	}
+	want := 0
+	for k, tl := range tiles {
+		want += len(tl.Columns()) + (tl.NumRows()+docRun-1)/docRun
+		alone := NewBuilder(DefaultConfig(), nil).BuildTape(parts[k])
+		if !reflect.DeepEqual(tl.Columns(), alone.Columns()) || !reflect.DeepEqual(tl.raw, alone.raw) ||
+			!reflect.DeepEqual(tl.PathFrequencies(), alone.PathFrequencies()) {
+			t.Errorf("tile %d differs from a build of it alone", k)
+		}
+	}
+	if stages[1] != want || want < 4*len(tiles) {
+		t.Errorf("extraction dispatched %d morsels for %d tiles, want %d: one per column and per %d documents",
+			stages[1], len(tiles), want, docRun)
 	}
 }

@@ -230,18 +230,20 @@ type Tile struct {
 	outliers int // updated docs that share nothing with the schema (§4.7)
 }
 
-// Builder constructs tiles. A Builder is not safe for concurrent use;
-// parallel loading uses one Builder per worker sharing a Metrics.
+// Builder constructs tiles with one Config, counting into Metrics.
 type Builder struct {
 	Config  Config
 	Metrics *Metrics
-	enc     jsonb.Encoder
 }
 
-// NewBuilder returns a Builder with the given config.
+// NewBuilder returns a Builder with the given config, counting into m
+// (into a Metrics of its own when m is nil).
 func NewBuilder(cfg Config, m *Metrics) *Builder {
 	if cfg.TileSize <= 0 {
 		cfg = DefaultConfig()
+	}
+	if m == nil {
+		m = new(Metrics)
 	}
 	return &Builder{Config: cfg, Metrics: m}
 }

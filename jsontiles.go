@@ -221,10 +221,11 @@ func (t *Table) Flush() error {
 	if t.pending.Len() == 0 {
 		return nil
 	}
-	newRel := storage.BuildTilesFromBatch(t.name, &t.pending, t.opts.loaderConfig(t.metrics), t.opts.workers())
+	workers := t.opts.workers()
+	newRel := storage.BuildTilesFromBatch(t.name, &t.pending, t.opts.loaderConfig(t.metrics), workers)
 	if dt, ok := t.rel.(*storage.DirTable); ok {
 		ti := newRel.(storage.TileIntrospector)
-		return dt.AppendTiles(ti.Tiles(), newRel.Stats())
+		return dt.AppendTiles(ti.Tiles(), newRel.Stats(), workers)
 	}
 	if t.rel == nil || t.rel.NumRows() == 0 {
 		t.rel = newRel
