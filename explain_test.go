@@ -576,12 +576,56 @@ func TestRowsBoxedOnlyAtTheResultBoundary(t *testing.T) {
 
 // TestOnlyJSONCellsAreBoxed: every batch every operator emits keeps
 // each column in the backing of the type the operator declares for it,
-// so only ::JSON vectors are boxed. It runs every TPC-H, Yelp and
-// Twitter workload plan (the Tiles-* formulations too) over every
-// format — raw JSON, JSONB, Sinew, Shredded, in-memory tiles and a
-// two-segment directory table behind a simulated object store — at one
-// and three workers.
+// so only ::JSON vectors are boxed.
 func TestOnlyJSONCellsAreBoxed(t *testing.T) {
+	checkEveryPlanColumn(t, func(op engine.Operator, c int, v *vec.Vector) string {
+		cols := op.Columns()
+		if (v.Boxed != nil && v.Type != expr.TJSON) || v.Type != cols[c].Type {
+			return fmt.Sprintf("%T column %d declared %s: a %s vector, boxed %v", op, c, cols[c].Type, v.Type, v.Boxed != nil)
+		}
+		return ""
+	})
+}
+
+// TestEveryVectorHasOneBacking: every column of every batch every
+// operator emits is all NULL or has exactly one backing; text holds at
+// most one code slice, codes only beside an arena, and Dict only with
+// both.
+func TestEveryVectorHasOneBacking(t *testing.T) {
+	checkEveryPlanColumn(t, func(op engine.Operator, c int, v *vec.Vector) string {
+		backings, codes := 0, 0
+		for _, set := range []bool{v.AllNull, v.Ints != nil, v.Floats != nil, v.Bools != nil, v.StrOff != nil, v.Boxed != nil} {
+			if set {
+				backings++
+			}
+		}
+		for _, set := range []bool{v.Codes8 != nil, v.Codes16 != nil, v.Codes32 != nil} {
+			if set {
+				codes++
+			}
+		}
+		switch {
+		case backings != 1:
+			return fmt.Sprintf("%T column %d (%s): %d backings", op, c, v.Type, backings)
+		case codes > 1:
+			return fmt.Sprintf("%T column %d (%s): %d code widths", op, c, v.Type, codes)
+		case codes == 1 && v.StrOff == nil:
+			return fmt.Sprintf("%T column %d (%s): codes without an arena", op, c, v.Type)
+		case v.Dict && codes == 0:
+			return fmt.Sprintf("%T column %d (%s): Dict without codes", op, c, v.Type)
+		}
+		return ""
+	})
+}
+
+// checkEveryPlanColumn runs every TPC-H, Yelp and Twitter workload
+// plan (the Tiles-* formulations too) over every format — raw JSON,
+// JSONB, Sinew, Shredded, in-memory tiles and a two-segment directory
+// table behind a simulated object store — at one and three workers,
+// and fails when fault reports a column of any batch any operator
+// emits (a non-empty message).
+func checkEveryPlanColumn(t *testing.T, fault func(op engine.Operator, c int, v *vec.Vector) string) {
+	t.Helper()
 	type plan struct {
 		name string
 		run  func(storage.Relation, int) *engine.Result
@@ -603,12 +647,10 @@ func TestOnlyJSONCellsAreBoxed(t *testing.T) {
 	var mu sync.Mutex
 	var bad []string
 	defer engine.SetBatchCheck(func(op engine.Operator, b *vec.Batch) {
-		cols := op.Columns()
 		for c := range b.Cols {
-			v := &b.Cols[c]
-			if (v.Boxed != nil && v.Type != expr.TJSON) || v.Type != cols[c].Type {
+			if msg := fault(op, c, &b.Cols[c]); msg != "" {
 				mu.Lock()
-				bad = append(bad, fmt.Sprintf("%T column %d declared %s: a %s vector, boxed %v", op, c, cols[c].Type, v.Type, v.Boxed != nil))
+				bad = append(bad, msg)
 				mu.Unlock()
 			}
 		}

@@ -111,7 +111,7 @@ func makeVector(r *rand.Rand, t expr.SQLType, cells []expr.Value, selected []int
 		allNull = allNull && cells[i].Null
 	}
 	if allNull && r.Intn(2) == 0 {
-		return vec.NullVector(t, len(cells))
+		return vec.NullVector(t)
 	}
 	v := vec.Vector{Type: t}
 	setNull := func(i int) {
@@ -133,8 +133,8 @@ func makeVector(r *rand.Rand, t expr.SQLType, cells []expr.Value, selected []int
 		sort.Strings(entries)
 		v.Dict = true
 		for _, e := range entries {
-			v.DictBytes = append(v.DictBytes, e...)
-			v.DictOff = append(v.DictOff, uint32(len(v.DictBytes)))
+			v.StrBytes = append(v.StrBytes, e...)
+			v.StrOff = append(v.StrOff, uint32(len(v.StrBytes)))
 		}
 		v.Codes8 = make([]uint8, len(cells))
 	}

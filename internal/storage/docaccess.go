@@ -110,7 +110,7 @@ func docStep(d jsonb.Doc, seg keypath.Segment) (jsonb.Doc, bool) {
 // w: docValue's cell without boxing it. A number, a boolean or a plain
 // string read as its own type goes straight in, the string's bytes
 // copied from the document; any other value converts through docValue.
-func docPut(w *vec.Writer, i int, cur jsonb.Doc, want expr.SQLType, cnt *scanCounters) {
+func docPut(w *vec.Buf, i int, cur jsonb.Doc, want expr.SQLType, cnt *scanCounters) {
 	switch want {
 	case expr.TBigInt:
 		if x, ok := cur.Int64(); ok {

@@ -79,11 +79,11 @@ type docWalk struct {
 	rooted bool // docs[0] holds the current row's document
 }
 
-// walkCell is one document-served access: the writer of the vector the
+// walkCell is one document-served access: the buffer of the vector the
 // walk fills, the type it reads, its path, and the number of leading
 // steps that path shares with the cell before.
 type walkCell struct {
-	out    *vec.Writer
+	out    *vec.Buf
 	want   expr.SQLType
 	path   []keypath.Segment
 	shared int
@@ -95,7 +95,7 @@ type walkCell struct {
 // shares with its predecessor, so a kept cell takes the running minimum
 // of shared since the last kept one. It reports false when no access is
 // served from documents.
-func (w *docWalk) activate(wp *walkPaths, plans []accessPlan, accesses []Access, out []vec.Writer) bool {
+func (w *docWalk) activate(wp *walkPaths, plans []accessPlan, accesses []Access, out []vec.Buf) bool {
 	w.cells = w.cells[:0]
 	depth, shared := 0, 0
 	for k, ai := range wp.order {

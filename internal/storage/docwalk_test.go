@@ -109,7 +109,7 @@ func walkAccessSets() map[string][]Access {
 // No access narrows.
 func perCellCounts(tiles []*tile.Tile, accesses []Access, cfg LoaderConfig) (fallbacks, castErrs, walks int64) {
 	hs := headerPaths(accesses, scanCfgOf(cfg).maxSlots)
-	var w vec.Writer
+	var w vec.Buf
 	for _, t := range tiles {
 		var cnt scanCounters
 		doc := false
@@ -402,7 +402,7 @@ func TestDocWalkSharedPrefixes(t *testing.T) {
 			}
 		}
 		var w docWalk // reused from mask to mask, as from tile to tile
-		out := make([]vec.Writer, len(accs))
+		out := make([]vec.Buf, len(accs))
 		for mask := 0; mask < 1<<len(accs); mask++ {
 			plans := make([]accessPlan, len(accs))
 			for ai := range accs {
@@ -440,7 +440,7 @@ func (d docsTile) Member(i int, key string) (jsonb.Doc, bool) { return d[i].Get(
 // that read's value in a typed vector, boxed for ::JSON alone, and any
 // other is still all NULL. The walk counts the cast errors the
 // per-access read does.
-func checkWalkedCells(t *testing.T, label string, w *docWalk, out []vec.Writer, plans []accessPlan, accs []Access, docs []jsonb.Doc) {
+func checkWalkedCells(t *testing.T, label string, w *docWalk, out []vec.Buf, plans []accessPlan, accs []Access, docs []jsonb.Doc) {
 	t.Helper()
 	for ai, a := range accs {
 		out[ai].Reset(a.Type, len(docs))
@@ -449,7 +449,7 @@ func checkWalkedCells(t *testing.T, label string, w *docWalk, out []vec.Writer, 
 	for i := range docs {
 		w.row(docsTile(docs), i, &walked)
 	}
-	var ref vec.Writer
+	var ref vec.Buf
 	for ai, a := range accs {
 		v := out[ai].Vector()
 		if (v.Boxed != nil) != (a.Type == expr.TJSON) {
@@ -496,7 +496,7 @@ func FuzzDocWalk(f *testing.F) {
 				plans[ai].serve = serveDoc
 			}
 		}
-		out := make([]vec.Writer, len(accs))
+		out := make([]vec.Buf, len(accs))
 		tr := sortWalkPaths(accs, func(int) bool { return true })
 		var w docWalk
 		if !w.activate(&tr, plans, accs, out) {

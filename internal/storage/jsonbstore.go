@@ -48,7 +48,7 @@ func (r *jsonbStore) SizeBytes() int {
 // per-document binary JSON, so they all count as fallbacks — the
 // baseline the tiles column-hit ratio is compared against.
 func (r *jsonbStore) ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
-	scanCells(ctx, len(r.docs), accesses, workers, emit, st, func(lo, hi int, cells []vec.Writer, cnt *scanCounters) {
+	scanCells(ctx, len(r.docs), accesses, workers, emit, st, func(lo, hi int, cells []vec.Buf, cnt *scanCounters) {
 		cnt.JSONBFallbacks += int64(hi-lo) * int64(len(accesses))
 		for i := lo; i < hi; i++ {
 			d := jsonb.NewDoc(r.docs[i])

@@ -49,7 +49,7 @@ func (r *rawJSON) SizeBytes() int {
 // parse tree: the text format re-parses every document, there is
 // nothing columnar to hit.
 func (r *rawJSON) ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
-	scanCells(ctx, len(r.lines), accesses, workers, emit, st, func(lo, hi int, cells []vec.Writer, cnt *scanCounters) {
+	scanCells(ctx, len(r.lines), accesses, workers, emit, st, func(lo, hi int, cells []vec.Buf, cnt *scanCounters) {
 		for i := lo; i < hi; i++ {
 			// Validated at load; were it not, the NULL an error returns
 			// reads NULL at every path.

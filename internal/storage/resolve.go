@@ -117,7 +117,7 @@ func planAccess(t scanTile, a Access, h headerPath) accessPlan {
 // column, loaded (nil when the plan reads none), as row k of w. A text
 // column read as text copies its bytes; any other column cell converts
 // through castJSON, and a document cell through docPut.
-func (p accessPlan) put(w *vec.Writer, k int, t scanTile, col *column.Column, i int, a Access, cnt *scanCounters) {
+func (p accessPlan) put(w *vec.Buf, k int, t scanTile, col *column.Column, i int, a Access, cnt *scanCounters) {
 	switch {
 	case p.serve == serveNull:
 		return

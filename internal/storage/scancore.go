@@ -131,9 +131,9 @@ func accessPreds(accesses []Access) []*vec.CompiledPred {
 const cellBatchRows = 1024
 
 // cellFill writes rows [lo, hi) of every access into cells: row lo+k
-// of access ai is row k of cells[ai], a writer reset to the access's
+// of access ai is row k of cells[ai], a buffer reset to the access's
 // type.
-type cellFill func(lo, hi int, cells []vec.Writer, cnt *scanCounters)
+type cellFill func(lo, hi int, cells []vec.Buf, cnt *scanCounters)
 
 // scanCells is the batch scan of a format without tiles: it cuts the
 // rows [0, n) into morsels and each morsel into batches of at most
@@ -155,7 +155,7 @@ func scanCells(ctx context.Context, n int, accesses []Access, workers int, emit 
 			}
 			fill(blo, blo+b.Len, sc.cells, &cnt)
 			for ai := range accesses {
-				b.Cols[ai] = sc.cells[ai].Vector()
+				b.Cols[ai] = *sc.cells[ai].Vector()
 			}
 			for _, p := range preds {
 				if p != nil && !sc.narrow(p) {
@@ -334,7 +334,7 @@ func (sc *scanScratch) fillBatch(t scanTile, sp *scanPlan, cnt *scanCounters) (l
 		sc.walkDocs(t, sp, cnt)
 		for ai, p := range sp.preds {
 			if p == nil && sc.plans[ai].serve == serveDoc {
-				sc.batch.Cols[ai] = sc.cells[ai].Vector()
+				sc.batch.Cols[ai] = *sc.cells[ai].Vector()
 			}
 		}
 	}
@@ -374,7 +374,7 @@ func (sc *scanScratch) narrow(p *vec.CompiledPred) bool {
 func (sc *scanScratch) fillVector(t scanTile, ai int, typ expr.SQLType, p accessPlan, cnt *scanCounters) {
 	n := sc.batch.Len
 	if p.serve == serveNull {
-		sc.batch.Cols[ai] = vec.NullVector(typ, n)
+		sc.batch.Cols[ai] = vec.NullVector(typ)
 		return
 	}
 	col := t.Column(p.col).Col
@@ -383,16 +383,7 @@ func (sc *scanScratch) fillVector(t scanTile, ai int, typ expr.SQLType, p access
 		sc.batch.Cols[ai] = zeroVec(col, typ)
 		return
 	}
-	buf := sc.fbuf[ai]
-	if cap(buf) < n {
-		buf = make([]float64, n)
-	}
-	buf = buf[:n]
-	for i, v := range col.IntSlice()[:n] {
-		buf[i] = float64(v)
-	}
-	sc.fbuf[ai] = buf
-	sc.batch.Cols[ai] = vec.Vector{Type: expr.TFloat, Floats: buf, Nulls: col.NullBits()}
+	sc.batch.Cols[ai] = *sc.cells[ai].Widen(col.IntSlice()[:n], col.NullBits())
 }
 
 // fillCells reads access a cell by cell for the live rows, into the
@@ -407,5 +398,5 @@ func (sc *scanScratch) fillCells(t scanTile, ai int, a Access, p accessPlan, cnt
 	for _, i := range sc.batch.Selected() {
 		p.put(w, int(i), t, col, int(i), a, cnt)
 	}
-	sc.batch.Cols[ai] = w.Vector()
+	sc.batch.Cols[ai] = *w.Vector()
 }

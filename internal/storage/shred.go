@@ -189,7 +189,7 @@ func (r *shredded) ScanBatches(ctx context.Context, accesses []Access, workers i
 			stripes[ai] = append(stripes[ai], r.cols[ci])
 		}
 	}
-	scanCells(ctx, r.numRows, accesses, workers, emit, st, func(lo, hi int, cells []vec.Writer, cnt *scanCounters) {
+	scanCells(ctx, r.numRows, accesses, workers, emit, st, func(lo, hi int, cells []vec.Buf, cnt *scanCounters) {
 		for ai, a := range accesses {
 			out := &cells[ai]
 			if reassemble[ai] {

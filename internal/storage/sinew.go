@@ -104,7 +104,7 @@ func (r *sinew) ScanBatches(ctx context.Context, accesses []Access, workers int,
 			cols[i] = r.cols[plans[i].col].Col
 		}
 	}
-	scanCells(ctx, r.numRows, accesses, workers, emit, st, func(lo, hi int, cells []vec.Writer, cnt *scanCounters) {
+	scanCells(ctx, r.numRows, accesses, workers, emit, st, func(lo, hi int, cells []vec.Buf, cnt *scanCounters) {
 		for ai, a := range accesses {
 			for i := lo; i < hi; i++ {
 				plans[ai].put(&cells[ai], i-lo, r, cols[ai], i, a, cnt)

@@ -239,15 +239,14 @@ func (c *scanCounters) flush(st *obs.ScanStats) {
 }
 
 // scanScratch holds what one morsel reuses from tile to tile — the
-// batch, the accesses' plans, the writers of the vectors resolved per
-// row, widened vectors, the narrowing predicates' scratch, which holds
-// the live-row selection, and the document walk's state — pooled across
-// scans.
+// batch, the accesses' plans, one vector buffer per access (its cells
+// resolved per row, or its column widened), the narrowing predicates'
+// scratch, which holds the live-row selection, and the document walk's
+// state — pooled across scans.
 type scanScratch struct {
 	batch vec.Batch
 	plans []accessPlan
-	cells []vec.Writer
-	fbuf  [][]float64
+	cells []vec.Buf
 	ps    *vec.Scratch
 	walk  docWalk
 }
@@ -262,7 +261,6 @@ func getScanScratch(n int, preds []*vec.CompiledPred) *scanScratch {
 	s.batch.Cols = resize(s.batch.Cols, n)
 	s.plans = resize(s.plans, n)
 	s.cells = resize(s.cells, n)
-	s.fbuf = resize(s.fbuf, n)
 	for _, p := range preds {
 		if p != nil {
 			s.ps = p.Fit(s.ps)
@@ -290,15 +288,15 @@ func resize[T any](s []T, n int) []T {
 }
 
 // putScanScratch returns s to the pool holding no reference into
-// buffer-pool memory: vectors, the writers' ::JSON documents and the
+// buffer-pool memory: vectors, the buffers' ::JSON documents and the
 // walk's cursors alias documents and columns that an eviction or a
-// dropped segment frees. The writers' typed cells are copies, which the
+// dropped segment frees. The buffers' typed cells are copies, which the
 // next scan reuses.
 func putScanScratch(s *scanScratch) {
 	clear(s.batch.Cols)
 	cells := s.cells[:cap(s.cells)]
 	for i := range cells {
-		cells[i].Release()
+		cells[i].Drop()
 	}
 	s.batch.Sel = nil
 	clear(s.walk.docs[:cap(s.walk.docs)])

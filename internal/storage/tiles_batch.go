@@ -31,7 +31,7 @@ func zeroVec(c *column.Column, t expr.SQLType) vec.Vector {
 	case keypath.TypeString:
 		if c.IsDict() {
 			v.Dict = true
-			v.DictOff, v.DictBytes = c.DictData()
+			v.StrOff, v.StrBytes = c.DictData()
 			_, v.Codes8, v.Codes16, v.Codes32 = c.Codes()
 		} else {
 			v.StrOff, v.StrBytes = c.StringData()

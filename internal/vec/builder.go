@@ -169,12 +169,13 @@ func (b *Builder) AppendVector(src *Vector, sel []int32, n int) {
 
 // grow makes room for the selected rows of src, at least doubling
 // what is full, so a column appended batch by batch copies each cell a
-// constant number of times. Text from a plain arena reserves the
+// constant number of times. Text without codes reserves the
 // selection's share of the bytes between its first and last entries:
 // the exact count for a dense selection.
 func (b *Builder) grow(src *Vector, sel []int32) {
 	text := 0
-	if n := len(sel); n > 0 && sel[n-1] >= sel[0] && src.Type == expr.TText && !src.AllNull && !src.Dict && src.StrIdx == nil {
+	plain := src.Codes8 == nil && src.Codes16 == nil && src.Codes32 == nil
+	if n := len(sel); n > 0 && sel[n-1] >= sel[0] && src.Type == expr.TText && !src.AllNull && plain {
 		text = int(src.StrOff[sel[n-1]])
 		if sel[0] > 0 {
 			text -= int(src.StrOff[sel[0]-1])

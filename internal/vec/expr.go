@@ -102,18 +102,14 @@ type rowVal struct {
 
 func (n *rowVal) eval(b *Batch, sel []int32, sc *Scratch) *Vector {
 	buf := &sc.bufs[n.out]
-	if buf.cells == nil {
-		buf.cells = new(Writer)
-	}
-	buf.cells.Reset(n.e.Type(), b.Len)
+	buf.Reset(n.e.Type(), b.Len)
 	for _, i := range sel {
 		for _, s := range n.slots {
 			sc.row[s] = b.Cols[s].Value(int(i))
 		}
-		buf.cells.Value(int(i), n.e.Eval(sc.row))
+		buf.Value(int(i), n.e.Eval(sc.row))
 	}
-	buf.out = buf.cells.Vector()
-	return &buf.out
+	return buf.Vector()
 }
 
 type arithVal struct {
@@ -214,8 +210,8 @@ func (n *arithVal) eval(b *Batch, sel []int32, sc *Scratch) *Vector {
 		}
 		out.Nulls = nulls()
 	}
-	buf.out = out
-	return &buf.out
+	buf.vec = out
+	return &buf.vec
 }
 
 // arithFloats is the float arithmetic loop; integer sides widen per

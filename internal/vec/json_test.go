@@ -46,10 +46,10 @@ func dictVector(cells []expr.Value) Vector {
 	}
 	slices.Sort(entries)
 	entries = slices.Compact(entries)
-	v := Vector{Type: expr.TText, Dict: true, DictOff: []uint32{}, Codes16: make([]uint16, len(cells))}
+	v := Vector{Type: expr.TText, Dict: true, StrOff: []uint32{}, Codes16: make([]uint16, len(cells))}
 	for _, e := range entries {
-		v.DictBytes = append(v.DictBytes, e...)
-		v.DictOff = append(v.DictOff, uint32(len(v.DictBytes)))
+		v.StrBytes = append(v.StrBytes, e...)
+		v.StrOff = append(v.StrOff, uint32(len(v.StrBytes)))
 	}
 	for i, x := range cells {
 		if x.Null {
@@ -68,7 +68,7 @@ func dictVector(cells []expr.Value) Vector {
 // columnVectors returns every layout a column of cells of type t can
 // arrive in: a builder's (boxed for ::JSON alone), dictionary-coded for
 // text, and a gather of the builder's layout that reverses the rows (a
-// shared text arena read through StrIdx). Each comes with the cells it
+// shared text arena read through Codes32). Each comes with the cells it
 // holds, row for row.
 func columnVectors(t expr.SQLType, cells []expr.Value) (vecs []Vector, want [][]expr.Value) {
 	b := NewBuilder(t)
@@ -161,7 +161,7 @@ func FuzzNDJSONRow(f *testing.F) {
 		}
 		for c, cells := range cols {
 			vecs, want := columnVectors(types[c], cells)
-			vecs = append(vecs, NullVector(types[c], rows))
+			vecs = append(vecs, NullVector(types[c]))
 			want = append(want, nulls)
 			for l := range vecs {
 				got := []byte{'['}

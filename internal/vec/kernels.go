@@ -75,12 +75,7 @@ func (p *CompiledPred) Fit(sc *Scratch) *Scratch {
 func (sc *Scratch) Release() {
 	clear(sc.row)
 	for i := range sc.bufs {
-		b := &sc.bufs[i]
-		clear(b.boxed[:cap(b.boxed)])
-		if b.cells != nil {
-			b.cells.Release()
-		}
-		b.out = Vector{}
+		sc.bufs[i].Drop()
 	}
 }
 

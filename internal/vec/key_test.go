@@ -20,7 +20,7 @@ func shapeVector(r *rand.Rand, t expr.SQLType, cells []expr.Value) Vector {
 	}
 	switch {
 	case allNull && r.Intn(2) == 0:
-		return NullVector(t, len(cells))
+		return NullVector(t)
 	case t == expr.TJSON:
 		return Vector{Type: t, Boxed: cells}
 	case t != expr.TText || r.Intn(2) == 0:
@@ -41,8 +41,8 @@ func shapeVector(r *rand.Rand, t expr.SQLType, cells []expr.Value) Vector {
 	}
 	sort.Strings(entries)
 	for _, e := range entries {
-		v.DictBytes = append(v.DictBytes, e...)
-		v.DictOff = append(v.DictOff, uint32(len(v.DictBytes)))
+		v.StrBytes = append(v.StrBytes, e...)
+		v.StrOff = append(v.StrOff, uint32(len(v.StrBytes)))
 	}
 	for i, c := range cells {
 		if c.Null {

@@ -8,7 +8,7 @@
 // materialized columns are flat typed slices, so a scan can hand them
 // to the engine zero-copy; accesses the tile cannot serve whole from a
 // column, and every format without tiles, are resolved row by row and
-// written straight into typed vectors by a Writer. A vector's type is
+// written straight into typed vectors by a Buf. A vector's type is
 // its cells' type: only ::JSON documents are boxed. Downstream
 // operators filter by narrowing the selection vector and aggregate by
 // looping directly over the typed slices — the batch-at-a-time design
@@ -27,41 +27,38 @@ import (
 //   - Ints for TBigInt and TTimestamp
 //   - Floats for TFloat
 //   - Bools (a bitmap) for TBool
-//   - StrOff/StrBytes (an offset-indexed arena) for TText; with
-//     StrIdx set, row i reads arena entry StrIdx[i] (a gather that
-//     shares its source's arena instead of copying bytes)
+//   - StrOff/StrBytes (an arena of end offsets and bytes) for TText
 //   - Boxed for TJSON documents
 //
-// A TNull vector has no backing: it is AllNull. AllNull marks a vector whose every row is NULL without any backing
-// (the path provably never occurs in the tile). Nulls is a bitmap
-// (bit i set = row i NULL); nil means no nulls. Fast-path vectors
-// alias storage-owned slices and must be treated as read-only.
+// A text vector may also hold one code slice (Codes8, Codes16 or
+// Codes32) mapping row i to arena entry code i; with none, row i is
+// entry i. Codes let a dictionary column and a gather share their
+// source's arena instead of copying bytes. Dict means the arena is the
+// column's sorted, distinct dictionary (zero-copy from storage), so
+// kernels may evaluate a string predicate once per entry and then
+// filter on the codes. A null row's code is 0.
+//
+// A TNull vector has no backing: it is AllNull. AllNull marks a vector
+// whose every row is NULL without any backing (the path provably never
+// occurs in the tile). Nulls is a bitmap (bit i set = row i NULL); nil
+// means no nulls. Fast-path vectors alias storage-owned slices and
+// must be treated as read-only.
 type Vector struct {
-	Type  expr.SQLType
-	Nulls []uint64
+	Type    expr.SQLType
+	Dict    bool
+	AllNull bool
+	Nulls   []uint64
 
 	Ints     []int64
 	Floats   []float64
 	Bools    []uint64
 	StrOff   []uint32
 	StrBytes []byte
-	StrIdx   []int32
+	Boxed    []expr.Value
 
-	Boxed []expr.Value
-
-	// Dictionary text vectors (Dict true): per-row integer codes into
-	// a sorted distinct-value arena shared with the storage column
-	// (zero-copy). Exactly one code slice matches the column's width.
-	// Null rows carry code 0. Kernels evaluate string predicates once
-	// per dictionary entry and then filter on the codes.
-	Dict      bool
-	DictOff   []uint32
-	DictBytes []byte
-	Codes8    []uint8
-	Codes16   []uint16
-	Codes32   []uint32
-
-	AllNull bool
+	Codes8  []uint8
+	Codes16 []uint16
+	Codes32 []uint32
 }
 
 // IsNull reports whether row i is NULL.
@@ -97,43 +94,34 @@ func (v *Vector) Bool(i int) bool {
 // StrAt returns the text of row i without copying. Callers must not
 // retain or mutate the slice, and must check IsNull first (a null
 // row's bytes are unspecified).
-func (v *Vector) StrAt(i int) []byte {
-	if v.Dict {
-		return v.DictEntry(int(v.CodeAt(i)))
-	}
-	if v.StrIdx != nil {
-		i = int(v.StrIdx[i])
-	}
-	var start uint32
-	if i > 0 {
-		start = v.StrOff[i-1]
-	}
-	return v.StrBytes[start:v.StrOff[i]]
-}
+func (v *Vector) StrAt(i int) []byte { return v.DictEntry(int(v.CodeAt(i))) }
 
-// CodeAt returns the dictionary code of row i (Dict vectors only).
+// CodeAt returns the arena entry of text row i: its code, or i itself
+// when the vector has no code slice.
 func (v *Vector) CodeAt(i int) uint32 {
 	switch {
 	case v.Codes8 != nil:
 		return uint32(v.Codes8[i])
 	case v.Codes16 != nil:
 		return uint32(v.Codes16[i])
-	default:
+	case v.Codes32 != nil:
 		return v.Codes32[i]
 	}
+	return uint32(i)
 }
 
-// DictLen returns the number of dictionary entries (Dict vectors only).
-func (v *Vector) DictLen() int { return len(v.DictOff) }
+// DictLen returns the number of arena entries.
+func (v *Vector) DictLen() int { return len(v.StrOff) }
 
-// DictEntry returns dictionary entry k without copying. Entries are
-// sorted ascending. Callers must not retain or mutate the slice.
+// DictEntry returns arena entry k without copying; a Dict vector's
+// entries are sorted ascending. Callers must not retain or mutate the
+// slice.
 func (v *Vector) DictEntry(k int) []byte {
 	var start uint32
 	if k > 0 {
-		start = v.DictOff[k-1]
+		start = v.StrOff[k-1]
 	}
-	return v.DictBytes[start:v.DictOff[k]]
+	return v.StrBytes[start:v.StrOff[k]]
 }
 
 // Value boxes row i into an engine value.
@@ -159,8 +147,8 @@ func (v *Vector) Value(i int) expr.Value {
 	return expr.NullValue()
 }
 
-// NullVector returns an n-row all-NULL vector of type t.
-func NullVector(t expr.SQLType, n int) Vector {
+// NullVector returns an all-NULL vector of type t, of any row count.
+func NullVector(t expr.SQLType) Vector {
 	return Vector{Type: t, AllNull: true}
 }
 

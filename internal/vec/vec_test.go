@@ -279,7 +279,7 @@ func TestCompiledExprMatchesRowEval(t *testing.T) {
 		for i := range colTypes {
 			colTypes[i] = types[r.Intn(len(types))]
 			if r.Intn(8) == 0 {
-				b.Cols = append(b.Cols, NullVector(colTypes[i], n))
+				b.Cols = append(b.Cols, NullVector(colTypes[i]))
 			} else {
 				b.Cols = append(b.Cols, buildVector(r, colTypes[i], n))
 			}
@@ -420,7 +420,7 @@ func TestBatchRowsAndNullVector(t *testing.T) {
 	if b.Rows() != 2 {
 		t.Errorf("Rows = %d", b.Rows())
 	}
-	nv := NullVector(expr.TBigInt, 4)
+	nv := NullVector(expr.TBigInt)
 	for i := 0; i < 4; i++ {
 		if !nv.IsNull(i) || !nv.Value(i).Null {
 			t.Errorf("row %d not NULL", i)
@@ -433,7 +433,7 @@ func TestBatchRowsAndNullVector(t *testing.T) {
 // vector counts none; TakeDictShortcuts returns the count and resets
 // it.
 func TestScratchCountsDictShortcuts(t *testing.T) {
-	dict := Vector{Type: expr.TText, Dict: true, DictBytes: []byte("ab"), DictOff: []uint32{1, 2}, Codes8: []uint8{0, 1, 1, 0}}
+	dict := Vector{Type: expr.TText, Dict: true, StrBytes: []byte("ab"), StrOff: []uint32{1, 2}, Codes8: []uint8{0, 1, 1, 0}}
 	b := NewBuilder(expr.TText)
 	for _, s := range []string{"a", "b", "b", "a"} {
 		b.AppendValue(expr.TextValue(s))
