@@ -34,7 +34,7 @@ import (
 )
 
 // Key identifies one block: a pool-unique file ID (assigned by
-// RegisterFile) plus the block's offset within the file. Offsets are
+// RegisterObject) plus the block's offset within the file. Offsets are
 // unique per block within a segment, so (file, offset) is a stable
 // identity even across reopens.
 type Key struct {
@@ -135,16 +135,6 @@ func New(capacity int64) *Pool {
 		objIDs:   make(map[string]uint64),
 		tenants:  make(map[string]*tenantAcct),
 	}
-}
-
-// RegisterFile allocates a pool-unique file ID for Key.File. Each
-// opened segment registers once so blocks from different files never
-// collide.
-func (p *Pool) RegisterFile() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.nextFile++
-	return p.nextFile
 }
 
 // RegisterObject returns the pool-unique file ID for a store object

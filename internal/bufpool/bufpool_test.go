@@ -18,7 +18,7 @@ func payload(n int, fill byte) []byte {
 
 func TestGetHitMiss(t *testing.T) {
 	p := New(1 << 20)
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	loads := 0
 	get := func() *Handle {
 		h, err := p.Get(Key{File: f, Off: 0}, func() ([]byte, error) {
@@ -57,7 +57,7 @@ func TestGetHitMiss(t *testing.T) {
 
 func TestLoadErrorNotCached(t *testing.T) {
 	p := New(1 << 20)
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	boom := errors.New("boom")
 	if _, err := p.Get(Key{File: f}, func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -75,7 +75,7 @@ func TestLoadErrorNotCached(t *testing.T) {
 
 func TestEviction(t *testing.T) {
 	p := New(1000)
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	// Fill with 10 blocks of 200 bytes; capacity holds 5.
 	for i := 0; i < 10; i++ {
 		h, err := p.Get(Key{File: f, Off: uint64(i)}, func() ([]byte, error) {
@@ -97,7 +97,7 @@ func TestEviction(t *testing.T) {
 
 func TestPinnedBlocksSurviveEviction(t *testing.T) {
 	p := New(1000)
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	pinned, err := p.Get(Key{File: f, Off: 999}, func() ([]byte, error) {
 		return payload(400, 0xEE), nil
 	})
@@ -133,7 +133,7 @@ func TestPinnedBlocksSurviveEviction(t *testing.T) {
 
 func TestSingleflight(t *testing.T) {
 	p := New(1 << 20)
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	var loads atomic.Int64
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -170,7 +170,7 @@ func TestSingleflight(t *testing.T) {
 
 func TestConcurrentChurn(t *testing.T) {
 	p := New(10_000) // small: forces constant eviction
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -202,7 +202,7 @@ func TestConcurrentChurn(t *testing.T) {
 
 func TestDropFile(t *testing.T) {
 	p := New(1 << 20)
-	f1, f2 := p.RegisterFile(), p.RegisterFile()
+	f1, f2 := p.RegisterObject("a"), p.RegisterObject("b")
 	for _, f := range []uint64{f1, f2} {
 		h, err := p.Get(Key{File: f, Off: 1}, func() ([]byte, error) {
 			return payload(100, byte(f)), nil
@@ -246,7 +246,7 @@ func TestCapacityDefaults(t *testing.T) {
 
 func BenchmarkGetHit(b *testing.B) {
 	p := New(1 << 20)
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	h, _ := p.Get(Key{File: f}, func() ([]byte, error) { return payload(4096, 1), nil })
 	h.Release()
 	b.ResetTimer()
@@ -265,7 +265,7 @@ func BenchmarkGetHit(b *testing.B) {
 // inserts: a block nobody ever reads must not be immortal.
 func TestUnreadFetchedBlocksEvictLast(t *testing.T) {
 	p := New(400)
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	key := func(off uint64) Key { return Key{File: f, Off: off} }
 	read := func(lo, hi uint64) {
 		for off := lo; off < hi; off++ {

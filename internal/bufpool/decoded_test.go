@@ -32,7 +32,7 @@ func getDecoded(t *testing.T, p *Pool, tenant string, key Key, raw int, size int
 
 func TestDecodedOncePerResidency(t *testing.T) {
 	p := New(1000)
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	var decodes atomic.Int64
 	key := Key{File: f, Off: 0}
 
@@ -73,7 +73,7 @@ func TestDecodedChargeIsEnforced(t *testing.T) {
 	// Three 100-byte payloads fit in 350; once each decodes to 150
 	// bytes only two do, and the tenant ledger follows the same sizes.
 	p := New(350)
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	var decodes atomic.Int64
 	for i := 0; i < 3; i++ {
 		getDecoded(t, p, "a", Key{File: f, Off: uint64(i)}, 100, 150, &decodes)
@@ -101,7 +101,7 @@ func TestDecodedChargeIsEnforced(t *testing.T) {
 
 func TestDecodedErrorNotCached(t *testing.T) {
 	p := New(1000)
-	key := Key{File: p.RegisterFile()}
+	key := Key{File: p.RegisterObject("a")}
 	h, _ := p.Get(key, func() ([]byte, error) { return payload(10, 1), nil })
 	defer h.Release()
 	boom := errors.New("boom")
@@ -119,7 +119,7 @@ func TestDecodedErrorNotCached(t *testing.T) {
 
 func TestDecodedConcurrentFirstAccess(t *testing.T) {
 	p := New(1 << 20)
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	var decodes atomic.Int64
 	var wg sync.WaitGroup
 	vals := make([]*decodedForm, 16)

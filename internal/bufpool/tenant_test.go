@@ -20,7 +20,7 @@ func loadAs(t *testing.T, p *Pool, tenant string, f uint64, off uint64, size int
 
 func TestTenantQuotaEnforced(t *testing.T) {
 	p := New(1 << 20)
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	p.SetQuota("small", 300)
 	if got := p.Quota("small"); got != 300 {
 		t.Fatalf("Quota = %d, want 300", got)
@@ -45,7 +45,7 @@ func TestTenantQuotaEnforced(t *testing.T) {
 
 func TestTenantQuotaDoesNotEvictOtherTenants(t *testing.T) {
 	p := New(1 << 20)
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	p.SetQuota("a", 200)
 	loadAs(t, p, "b", f, 100, 100)
 	loadAs(t, p, "b", f, 101, 100)
@@ -66,7 +66,7 @@ func TestCapacityEvictionPrefersHeaviestTenant(t *testing.T) {
 	// overflows capacity and must evict from the hog, not the light
 	// tenant.
 	p := New(1000)
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	for off := uint64(0); off < 8; off++ {
 		loadAs(t, p, "hog", f, off, 100)
 	}
@@ -83,7 +83,7 @@ func TestCapacityEvictionPrefersHeaviestTenant(t *testing.T) {
 
 func TestQuotaShrinkEvictsImmediately(t *testing.T) {
 	p := New(1 << 20)
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	for off := uint64(0); off < 4; off++ {
 		loadAs(t, p, "t", f, off, 100)
 	}
@@ -98,7 +98,7 @@ func TestQuotaShrinkEvictsImmediately(t *testing.T) {
 
 func TestPinnedBlocksSurviveQuota(t *testing.T) {
 	p := New(1 << 20)
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	p.SetQuota("t", 100)
 	h, err := p.GetAs("t", Key{File: f, Off: 0}, func() ([]byte, error) {
 		return payload(100, 1), nil
@@ -129,7 +129,7 @@ func TestPinnedBlocksSurviveQuota(t *testing.T) {
 
 func TestDropFileUnbooksTenant(t *testing.T) {
 	p := New(1 << 20)
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	for off := uint64(0); off < 3; off++ {
 		loadAs(t, p, "t", f, off, 100)
 	}
@@ -144,7 +144,7 @@ func TestDropFileUnbooksTenant(t *testing.T) {
 
 func TestGetDelegatesUnattributed(t *testing.T) {
 	p := New(1 << 20)
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	h, err := p.Get(Key{File: f, Off: 0}, func() ([]byte, error) {
 		return payload(64, 7), nil
 	})
@@ -170,7 +170,7 @@ func TestGetDelegatesUnattributed(t *testing.T) {
 
 func TestReleaseReenforcesQuota(t *testing.T) {
 	p := New(1 << 20)
-	f := p.RegisterFile()
+	f := p.RegisterObject("a")
 	p.SetQuota("t", 100)
 	// Pin two blocks at once: the tenant sits at 200 > quota with
 	// nothing evictable.

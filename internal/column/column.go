@@ -14,33 +14,26 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 
+	"repro/internal/expr"
 	"repro/internal/keypath"
 	"repro/internal/lz4"
+	"repro/internal/vec"
 )
 
-// Column is an append-only typed column with a null bitmap.
+// Column is an append-only typed column with a null bitmap. Its cells
+// are a vec.Vector typed as the column's SQL type (SQLType): a text
+// column is an arena of its rows, or, once DictEncode has run, a
+// sorted dictionary arena and one code slice (Dict). A scan that wants
+// that type reads the column's own vector. Appends and DictEncode grow
+// the Nulls and Bools bitmaps lazily, to the last word holding a set
+// bit, and Serialize writes them as they are.
 type Column struct {
-	typ   keypath.ValueType
-	n     int
-	nulls []uint64 // bit i set = row i is null
+	vec.Vector
 
-	ints     []int64   // BigInt and Timestamp (microseconds since epoch)
-	floats   []float64 // Double
-	bools    []uint64  // Bool bitmap
-	strOff   []uint32  // Text: end offsets into strBytes (start = off[i-1])
-	strBytes []byte
-
-	// Dictionary layout (Text only, see dict.go): when codeWidth != 0
-	// the per-row strings are replaced by codes into a sorted distinct-
-	// value arena and strOff/strBytes are nil.
-	dictOff   []uint32 // dict entry end offsets into dictBytes
-	dictBytes []byte
-	codeWidth uint8 // 0 = arena layout; 1, 2, or 4 byte codes
-	codes8    []uint8
-	codes16   []uint16
-	codes32   []uint32
-
+	typ keypath.ValueType
+	n   int
 	// shared marks a column decoded from a block payload: the segment
 	// reader hands one such column to every scan of a pool residency,
 	// so the in-place setters refuse it.
@@ -48,7 +41,25 @@ type Column struct {
 }
 
 // New returns an empty column of the given storage type.
-func New(t keypath.ValueType) *Column { return &Column{typ: t} }
+func New(t keypath.ValueType) *Column {
+	return &Column{Vector: vec.Vector{Type: SQLType(t)}, typ: t}
+}
+
+// SQLType is the SQL type a column of storage type t holds its values
+// as.
+func SQLType(t keypath.ValueType) expr.SQLType {
+	switch t {
+	case keypath.TypeBigInt:
+		return expr.TBigInt
+	case keypath.TypeDouble:
+		return expr.TFloat
+	case keypath.TypeBool:
+		return expr.TBool
+	case keypath.TypeTimestamp:
+		return expr.TTimestamp
+	}
+	return expr.TText
+}
 
 // Type returns the storage type.
 func (c *Column) Type() keypath.ValueType { return c.typ }
@@ -56,89 +67,54 @@ func (c *Column) Type() keypath.ValueType { return c.typ }
 // Len returns the number of rows.
 func (c *Column) Len() int { return c.n }
 
-func (c *Column) setNull(i int) {
+// setBit sets bit i of a lazily grown bitmap.
+func setBit(bits []uint64, i int) []uint64 {
 	w := i >> 6
-	for len(c.nulls) <= w {
-		c.nulls = append(c.nulls, 0)
+	for len(bits) <= w {
+		bits = append(bits, 0)
 	}
-	c.nulls[w] |= 1 << (uint(i) & 63)
-}
-
-// IsNull reports whether row i is null.
-func (c *Column) IsNull(i int) bool {
-	w := i >> 6
-	if w >= len(c.nulls) {
-		return false
-	}
-	return c.nulls[w]&(1<<(uint(i)&63)) != 0
-}
-
-// HasNulls reports whether any row is null.
-func (c *Column) HasNulls() bool {
-	for _, w := range c.nulls {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
+	bits[w] |= 1 << (uint(i) & 63)
+	return bits
 }
 
 // NullCount returns the number of null rows.
 func (c *Column) NullCount() int {
 	total := 0
-	for _, w := range c.nulls {
-		total += popcount(w)
+	for _, w := range c.Nulls {
+		total += bits.OnesCount64(w)
 	}
 	return total
 }
 
-func popcount(w uint64) int {
-	n := 0
-	for w != 0 {
-		w &= w - 1
-		n++
-	}
-	return n
-}
-
 // AppendNull adds a null row.
 func (c *Column) AppendNull() {
-	c.setNull(c.n)
-	switch c.typ {
-	case keypath.TypeBigInt, keypath.TypeTimestamp:
-		c.ints = append(c.ints, 0)
-	case keypath.TypeDouble:
-		c.floats = append(c.floats, 0)
-	case keypath.TypeString:
-		switch c.codeWidth {
-		case 0:
-			var last uint32
-			if len(c.strOff) > 0 {
-				last = c.strOff[len(c.strOff)-1]
-			}
-			c.strOff = append(c.strOff, last)
-		case 1:
-			c.codes8 = append(c.codes8, 0)
-		case 2:
-			c.codes16 = append(c.codes16, 0)
-		default:
-			c.codes32 = append(c.codes32, 0)
-		}
-	case keypath.TypeBool:
-		// bitmap grows lazily
+	c.Nulls = setBit(c.Nulls, c.n)
+	switch {
+	case c.typ == keypath.TypeBigInt, c.typ == keypath.TypeTimestamp:
+		c.Ints = append(c.Ints, 0)
+	case c.typ == keypath.TypeDouble:
+		c.Floats = append(c.Floats, 0)
+	case c.Codes8 != nil:
+		c.Codes8 = append(c.Codes8, 0)
+	case c.Codes16 != nil:
+		c.Codes16 = append(c.Codes16, 0)
+	case c.Codes32 != nil:
+		c.Codes32 = append(c.Codes32, 0)
+	case c.typ == keypath.TypeString:
+		c.StrOff = append(c.StrOff, uint32(len(c.StrBytes)))
 	}
 	c.n++
 }
 
 // AppendInt adds a BigInt or Timestamp row.
 func (c *Column) AppendInt(v int64) {
-	c.ints = append(c.ints, v)
+	c.Ints = append(c.Ints, v)
 	c.n++
 }
 
 // AppendFloat adds a Double row.
 func (c *Column) AppendFloat(v float64) {
-	c.floats = append(c.floats, v)
+	c.Floats = append(c.Floats, v)
 	c.n++
 }
 
@@ -147,82 +123,17 @@ func (c *Column) AppendString(v string) { c.AppendBytes([]byte(v)) }
 
 // AppendBytes adds a Text row holding v.
 func (c *Column) AppendBytes(v []byte) {
-	c.strBytes = append(c.strBytes, v...)
-	c.strOff = append(c.strOff, uint32(len(c.strBytes)))
+	c.StrBytes = append(c.StrBytes, v...)
+	c.StrOff = append(c.StrOff, uint32(len(c.StrBytes)))
 	c.n++
 }
 
 // AppendBool adds a Bool row.
 func (c *Column) AppendBool(v bool) {
 	if v {
-		w := c.n >> 6
-		for len(c.bools) <= w {
-			c.bools = append(c.bools, 0)
-		}
-		c.bools[w] |= 1 << (uint(c.n) & 63)
+		c.Bools = setBit(c.Bools, c.n)
 	}
 	c.n++
-}
-
-// Int returns the integer value of row i (BigInt or Timestamp).
-func (c *Column) Int(i int) int64 { return c.ints[i] }
-
-// Float returns the double value of row i.
-func (c *Column) Float(i int) float64 { return c.floats[i] }
-
-// Bool returns the boolean value of row i.
-func (c *Column) Bool(i int) bool {
-	w := i >> 6
-	if w >= len(c.bools) {
-		return false
-	}
-	return c.bools[w]&(1<<(uint(i)&63)) != 0
-}
-
-// String returns the text value of row i.
-func (c *Column) String(i int) string {
-	if c.codeWidth != 0 {
-		return string(c.dictEntryOfRow(i))
-	}
-	var start uint32
-	if i > 0 {
-		start = c.strOff[i-1]
-	}
-	return string(c.strBytes[start:c.strOff[i]])
-}
-
-// StringBytes returns the text of row i without copying. Callers must
-// not retain or mutate the slice.
-func (c *Column) StringBytes(i int) []byte {
-	if c.codeWidth != 0 {
-		return c.dictEntryOfRow(i)
-	}
-	var start uint32
-	if i > 0 {
-		start = c.strOff[i-1]
-	}
-	return c.strBytes[start:c.strOff[i]]
-}
-
-// IntSlice exposes the raw int64 backing (BigInt and Timestamp
-// columns) for zero-copy vectorized scans. Read-only.
-func (c *Column) IntSlice() []int64 { return c.ints }
-
-// FloatSlice exposes the raw float64 backing. Read-only.
-func (c *Column) FloatSlice() []float64 { return c.floats }
-
-// BoolBits exposes the boolean bitmap. Read-only.
-func (c *Column) BoolBits() []uint64 { return c.bools }
-
-// NullBits exposes the null bitmap (nil when no row is null).
-// Read-only.
-func (c *Column) NullBits() []uint64 { return c.nulls }
-
-// StringData exposes the text arena: end offsets and the shared byte
-// buffer (row i spans offsets[i-1]..offsets[i]). Read-only. Nil for
-// dictionary columns — use DictData and Codes instead.
-func (c *Column) StringData() (offsets []uint32, bytes []byte) {
-	return c.strOff, c.strBytes
 }
 
 // SetInt updates row i in place (update path, §4.7). Like SetFloat
@@ -230,21 +141,21 @@ func (c *Column) StringData() (offsets []uint32, bytes []byte) {
 // shared between concurrent scans and never updated.
 func (c *Column) SetInt(i int, v int64) {
 	c.mustBeOwned()
-	c.ints[i] = v
+	c.Ints[i] = v
 	c.clearNull(i)
 }
 
 // SetFloat updates row i in place.
 func (c *Column) SetFloat(i int, v float64) {
 	c.mustBeOwned()
-	c.floats[i] = v
+	c.Floats[i] = v
 	c.clearNull(i)
 }
 
 // SetNull marks row i null in place.
 func (c *Column) SetNull(i int) {
 	c.mustBeOwned()
-	c.setNull(i)
+	c.Nulls = setBit(c.Nulls, i)
 }
 
 func (c *Column) mustBeOwned() {
@@ -254,18 +165,16 @@ func (c *Column) mustBeOwned() {
 }
 
 func (c *Column) clearNull(i int) {
-	w := i >> 6
-	if w < len(c.nulls) {
-		c.nulls[w] &^= 1 << (uint(i) & 63)
+	if w := i >> 6; w < len(c.Nulls) {
+		c.Nulls[w] &^= 1 << (uint(i) & 63)
 	}
 }
 
 // SizeBytes returns the in-memory footprint of the column data.
 func (c *Column) SizeBytes() int {
-	return len(c.nulls)*8 + len(c.ints)*8 + len(c.floats)*8 +
-		len(c.bools)*8 + len(c.strOff)*4 + len(c.strBytes) +
-		len(c.dictOff)*4 + len(c.dictBytes) +
-		len(c.codes8) + len(c.codes16)*2 + len(c.codes32)*4
+	return len(c.Nulls)*8 + len(c.Ints)*8 + len(c.Floats)*8 +
+		len(c.Bools)*8 + len(c.StrOff)*4 + len(c.StrBytes) +
+		len(c.Codes8) + len(c.Codes16)*2 + len(c.Codes32)*4
 }
 
 // ErrCorrupt reports an undecodable serialized column.
@@ -283,7 +192,7 @@ var ErrCorrupt = errors.New("column: corrupt serialized column")
 // so Deserialize restores an identical column.
 func (c *Column) Serialize() []byte {
 	out := make([]byte, 0, c.SizeBytes()+32)
-	if c.codeWidth != 0 {
+	if c.Dict {
 		// Dictionary layout: the codes part followed by the dictionary
 		// part, each independently parseable (segments store them as
 		// two blocks; see SerializeCodes/SerializeDict).
@@ -303,26 +212,26 @@ func (c *Column) Serialize() []byte {
 		}
 	}
 	pu32(uint32(c.n))
-	pwords(c.nulls)
+	pwords(c.Nulls)
 	switch c.typ {
 	case keypath.TypeBigInt, keypath.TypeTimestamp:
-		for _, v := range c.ints {
+		for _, v := range c.Ints {
 			binary.LittleEndian.PutUint64(tmp[:], uint64(v))
 			out = append(out, tmp[:]...)
 		}
 	case keypath.TypeDouble:
-		for _, v := range c.floats {
+		for _, v := range c.Floats {
 			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
 			out = append(out, tmp[:]...)
 		}
 	case keypath.TypeBool:
-		pwords(c.bools)
+		pwords(c.Bools)
 	case keypath.TypeString:
-		for _, o := range c.strOff {
+		for _, o := range c.StrOff {
 			pu32(o)
 		}
-		pu32(uint32(len(c.strBytes)))
-		out = append(out, c.strBytes...)
+		pu32(uint32(len(c.StrBytes)))
+		out = append(out, c.StrBytes...)
 	}
 	return out
 }
@@ -365,6 +274,9 @@ func Deserialize(b []byte) (*Column, error) {
 		if w < 0 || w > (n+63)/64 || len(b) < w*8 {
 			return nil, false
 		}
+		if w == 0 {
+			return nil, true // nil, as appends leave it: no NULLs
+		}
 		ws := make([]uint64, w)
 		for i := range ws {
 			ws[i] = binary.LittleEndian.Uint64(b[i*8:])
@@ -372,9 +284,9 @@ func Deserialize(b []byte) (*Column, error) {
 		b = b[w*8:]
 		return ws, true
 	}
-	c := &Column{typ: typ, n: n, shared: true}
+	c := &Column{Vector: vec.Vector{Type: SQLType(typ)}, typ: typ, n: n, shared: true}
 	var ok bool
-	if c.nulls, ok = words(); !ok {
+	if c.Nulls, ok = words(); !ok {
 		return nil, ErrCorrupt
 	}
 	switch typ {
@@ -383,42 +295,42 @@ func Deserialize(b []byte) (*Column, error) {
 			return nil, ErrCorrupt
 		}
 		if typ == keypath.TypeDouble {
-			c.floats = make([]float64, n)
-			for i := range c.floats {
-				c.floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+			c.Floats = make([]float64, n)
+			for i := range c.Floats {
+				c.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 			}
 		} else {
-			c.ints = make([]int64, n)
-			for i := range c.ints {
-				c.ints[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
+			c.Ints = make([]int64, n)
+			for i := range c.Ints {
+				c.Ints[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
 			}
 		}
 		b = b[n*8:]
 	case keypath.TypeBool:
-		if c.bools, ok = words(); !ok {
+		if c.Bools, ok = words(); !ok {
 			return nil, ErrCorrupt
 		}
 	case keypath.TypeString:
 		if len(b) < n*4+4 {
 			return nil, ErrCorrupt
 		}
-		c.strOff = make([]uint32, n)
+		c.StrOff = make([]uint32, n)
 		prev := uint32(0)
-		for i := range c.strOff {
+		for i := range c.StrOff {
 			o := binary.LittleEndian.Uint32(b[i*4:])
 			if o < prev {
 				return nil, ErrCorrupt // offsets must be monotonic
 			}
-			c.strOff[i] = o
+			c.StrOff[i] = o
 			prev = o
 		}
 		b = b[n*4:]
 		bl := int(binary.LittleEndian.Uint32(b))
 		b = b[4:]
-		if bl < 0 || len(b) < bl || (n > 0 && int(c.strOff[n-1]) != bl) {
+		if bl < 0 || len(b) < bl || (n > 0 && int(c.StrOff[n-1]) != bl) {
 			return nil, ErrCorrupt
 		}
-		c.strBytes = append([]byte(nil), b[:bl]...)
+		c.StrBytes = append([]byte(nil), b[:bl]...)
 		b = b[bl:]
 	default:
 		return nil, ErrCorrupt

@@ -13,61 +13,28 @@ import (
 	"encoding/binary"
 	"sort"
 
+	"repro/internal/expr"
 	"repro/internal/keypath"
+	"repro/internal/vec"
 )
 
-// dictMarker flags the dictionary layout in the serialized type byte.
-// Arena-layout serialization is byte-identical to the pre-dictionary
-// format, so v1 segment blocks decode unchanged.
+// dictMarker flags the dictionary layout in the serialized type byte;
+// an arena column's type byte never has it set.
 const dictMarker = 0x80
 
-// IsDict reports whether the column uses the dictionary layout.
-func (c *Column) IsDict() bool { return c.codeWidth != 0 }
-
-// DictLen returns the number of distinct dictionary entries.
-func (c *Column) DictLen() int { return len(c.dictOff) }
-
-// DictEntryBytes returns dictionary entry k without copying. Entries
-// are sorted ascending; callers must not retain or mutate the slice.
-func (c *Column) DictEntryBytes(k int) []byte {
-	var start uint32
-	if k > 0 {
-		start = c.dictOff[k-1]
+// codeWidth is the byte width of a dictionary column's codes, 0 for
+// the arena layout. A dictionary column's code slice is never nil, even
+// with no rows, so its width survives a round trip.
+func (c *Column) codeWidth() uint8 {
+	switch {
+	case !c.Dict:
+		return 0
+	case c.Codes8 != nil:
+		return 1
+	case c.Codes16 != nil:
+		return 2
 	}
-	return c.dictBytes[start:c.dictOff[k]]
-}
-
-// Code returns the dictionary code of row i. Null rows carry code 0.
-func (c *Column) Code(i int) uint32 {
-	switch c.codeWidth {
-	case 1:
-		return uint32(c.codes8[i])
-	case 2:
-		return uint32(c.codes16[i])
-	default:
-		return c.codes32[i]
-	}
-}
-
-// DictData exposes the sorted dictionary arena: end offsets and the
-// shared byte buffer (entry k spans offsets[k-1]..offsets[k]).
-// Read-only.
-func (c *Column) DictData() (offsets []uint32, bytes []byte) {
-	return c.dictOff, c.dictBytes
-}
-
-// Codes exposes the raw code slices for zero-copy vectorized scans:
-// exactly one of c8/c16/c32 is non-nil, matching width. Read-only.
-func (c *Column) Codes() (width uint8, c8 []uint8, c16 []uint16, c32 []uint32) {
-	return c.codeWidth, c.codes8, c.codes16, c.codes32
-}
-
-func (c *Column) dictEntryOfRow(i int) []byte {
-	k := c.Code(i)
-	if k == 0 && c.IsNull(i) {
-		return nil // null rows park on code 0; don't alias entry 0's bytes
-	}
-	return c.DictEntryBytes(int(k))
+	return 4
 }
 
 // DictEncode converts an arena-layout text column to the dictionary
@@ -77,7 +44,7 @@ func (c *Column) dictEntryOfRow(i int) []byte {
 // lossless fallback: HLL estimates that invited the attempt can
 // undershoot).
 func (c *Column) DictEncode(maxNDV int) bool {
-	if c.typ != keypath.TypeString || c.codeWidth != 0 || maxNDV <= 0 {
+	if c.typ != keypath.TypeString || c.Dict || maxNDV <= 0 {
 		return false
 	}
 	distinct := make(map[string]struct{}, 16)
@@ -85,7 +52,7 @@ func (c *Column) DictEncode(maxNDV int) bool {
 		if c.IsNull(i) {
 			continue
 		}
-		b := c.StringBytes(i)
+		b := c.StrAt(i)
 		if _, ok := distinct[string(b)]; !ok {
 			if len(distinct) >= maxNDV {
 				return false
@@ -99,42 +66,37 @@ func (c *Column) DictEncode(maxNDV int) bool {
 	}
 	sort.Strings(entries)
 	codeOf := make(map[string]uint32, len(entries))
-	var dictBytes []byte
-	dictOff := make([]uint32, len(entries))
+	var arena []byte
+	ends := make([]uint32, len(entries))
 	for k, s := range entries {
 		codeOf[s] = uint32(k)
-		dictBytes = append(dictBytes, s...)
-		dictOff[k] = uint32(len(dictBytes))
+		arena = append(arena, s...)
+		ends[k] = uint32(len(arena))
 	}
-	width := codeWidthFor(len(entries))
-	var c8 []uint8
-	var c16 []uint16
-	var c32 []uint32
-	switch width {
+	codes := vec.Vector{Type: expr.TText, Dict: true, Nulls: c.Nulls, StrOff: ends, StrBytes: arena}
+	switch codeWidthFor(len(entries)) {
 	case 1:
-		c8 = make([]uint8, c.n)
+		codes.Codes8 = make([]uint8, c.n)
 	case 2:
-		c16 = make([]uint16, c.n)
+		codes.Codes16 = make([]uint16, c.n)
 	default:
-		c32 = make([]uint32, c.n)
+		codes.Codes32 = make([]uint32, c.n)
 	}
 	for i := 0; i < c.n; i++ {
 		if c.IsNull(i) {
 			continue // null rows keep code 0
 		}
-		k := codeOf[string(c.StringBytes(i))]
-		switch width {
-		case 1:
-			c8[i] = uint8(k)
-		case 2:
-			c16[i] = uint16(k)
+		k := codeOf[string(c.StrAt(i))]
+		switch {
+		case codes.Codes8 != nil:
+			codes.Codes8[i] = uint8(k)
+		case codes.Codes16 != nil:
+			codes.Codes16[i] = uint16(k)
 		default:
-			c32[i] = k
+			codes.Codes32[i] = k
 		}
 	}
-	c.dictOff, c.dictBytes = dictOff, dictBytes
-	c.codeWidth, c.codes8, c.codes16, c.codes32 = width, c8, c16, c32
-	c.strOff, c.strBytes = nil, nil
+	c.Vector = codes
 	return true
 }
 
@@ -157,7 +119,7 @@ func codeWidthFor(ndv int) uint8 {
 // (SerializeDict) so a tile's codes and dictionary are independently
 // checksummed and cached.
 func (c *Column) SerializeCodes() []byte {
-	return c.serializeCodes(make([]byte, 0, 16+len(c.nulls)*8+c.n*int(c.codeWidth)))
+	return c.serializeCodes(make([]byte, 0, 16+len(c.Nulls)*8+c.n*int(c.codeWidth())))
 }
 
 func (c *Column) serializeCodes(out []byte) []byte {
@@ -165,23 +127,24 @@ func (c *Column) serializeCodes(out []byte) []byte {
 	var tmp [8]byte
 	binary.LittleEndian.PutUint32(tmp[:4], uint32(c.n))
 	out = append(out, tmp[:4]...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(c.nulls)))
+	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(c.Nulls)))
 	out = append(out, tmp[:4]...)
-	for _, w := range c.nulls {
+	for _, w := range c.Nulls {
 		binary.LittleEndian.PutUint64(tmp[:], w)
 		out = append(out, tmp[:]...)
 	}
-	out = append(out, c.codeWidth)
-	switch c.codeWidth {
+	width := c.codeWidth()
+	out = append(out, width)
+	switch width {
 	case 1:
-		out = append(out, c.codes8...)
+		out = append(out, c.Codes8...)
 	case 2:
-		for _, v := range c.codes16 {
+		for _, v := range c.Codes16 {
 			binary.LittleEndian.PutUint16(tmp[:2], v)
 			out = append(out, tmp[:2]...)
 		}
 	default:
-		for _, v := range c.codes32 {
+		for _, v := range c.Codes32 {
 			binary.LittleEndian.PutUint32(tmp[:4], v)
 			out = append(out, tmp[:4]...)
 		}
@@ -192,7 +155,7 @@ func (c *Column) serializeCodes(out []byte) []byte {
 // SerializeDict flattens the dictionary half: entry count, sorted
 // entry end offsets, and the length-prefixed entry arena.
 func (c *Column) SerializeDict() []byte {
-	return c.serializeDict(make([]byte, 0, 8+len(c.dictOff)*4+len(c.dictBytes)))
+	return c.serializeDict(make([]byte, 0, 8+len(c.StrOff)*4+len(c.StrBytes)))
 }
 
 func (c *Column) serializeDict(out []byte) []byte {
@@ -201,12 +164,12 @@ func (c *Column) serializeDict(out []byte) []byte {
 		binary.LittleEndian.PutUint32(tmp[:], v)
 		out = append(out, tmp[:]...)
 	}
-	pu32(uint32(len(c.dictOff)))
-	for _, o := range c.dictOff {
+	pu32(uint32(len(c.StrOff)))
+	for _, o := range c.StrOff {
 		pu32(o)
 	}
-	pu32(uint32(len(c.dictBytes)))
-	out = append(out, c.dictBytes...)
+	pu32(uint32(len(c.StrBytes)))
+	out = append(out, c.StrBytes...)
 	return out
 }
 
@@ -228,11 +191,12 @@ func deserializeCodes(b []byte) (*Column, []byte, error) {
 	if w < 0 || w > (n+63)/64 || len(b) < w*8 {
 		return nil, nil, ErrCorrupt
 	}
-	c := &Column{typ: keypath.TypeString, n: n, shared: true}
+	c := New(keypath.TypeString)
+	c.n, c.shared, c.Dict = n, true, true
 	if w > 0 {
-		c.nulls = make([]uint64, w)
-		for i := range c.nulls {
-			c.nulls[i] = binary.LittleEndian.Uint64(b[i*8:])
+		c.Nulls = make([]uint64, w)
+		for i := range c.Nulls {
+			c.Nulls[i] = binary.LittleEndian.Uint64(b[i*8:])
 		}
 		b = b[w*8:]
 	}
@@ -247,21 +211,21 @@ func deserializeCodes(b []byte) (*Column, []byte, error) {
 	if len(b) < n*int(width) {
 		return nil, nil, ErrCorrupt
 	}
-	c.codeWidth = width
 	switch width {
 	case 1:
-		c.codes8 = append([]uint8(nil), b[:n]...)
+		c.Codes8 = make([]uint8, n) // never nil: the code width is the slice set
+		copy(c.Codes8, b)
 		b = b[n:]
 	case 2:
-		c.codes16 = make([]uint16, n)
-		for i := range c.codes16 {
-			c.codes16[i] = binary.LittleEndian.Uint16(b[i*2:])
+		c.Codes16 = make([]uint16, n)
+		for i := range c.Codes16 {
+			c.Codes16[i] = binary.LittleEndian.Uint16(b[i*2:])
 		}
 		b = b[n*2:]
 	default:
-		c.codes32 = make([]uint32, n)
-		for i := range c.codes32 {
-			c.codes32[i] = binary.LittleEndian.Uint32(b[i*4:])
+		c.Codes32 = make([]uint32, n)
+		for i := range c.Codes32 {
+			c.Codes32[i] = binary.LittleEndian.Uint32(b[i*4:])
 		}
 		b = b[n*4:]
 	}
@@ -281,32 +245,32 @@ func (c *Column) deserializeDict(b []byte) ([]byte, error) {
 	if dl < 0 || dl > c.n || len(b) < dl*4+4 {
 		return nil, ErrCorrupt
 	}
-	c.dictOff = make([]uint32, dl)
+	c.StrOff = make([]uint32, dl)
 	prev := uint32(0)
-	for i := range c.dictOff {
+	for i := range c.StrOff {
 		o := binary.LittleEndian.Uint32(b[i*4:])
 		if o < prev {
 			return nil, ErrCorrupt
 		}
-		c.dictOff[i] = o
+		c.StrOff[i] = o
 		prev = o
 	}
 	b = b[dl*4:]
 	bl := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
-	if bl < 0 || len(b) < bl || (dl > 0 && int(c.dictOff[dl-1]) != bl) || (dl == 0 && bl != 0) {
+	if bl < 0 || len(b) < bl || (dl > 0 && int(c.StrOff[dl-1]) != bl) || (dl == 0 && bl != 0) {
 		return nil, ErrCorrupt
 	}
-	c.dictBytes = append([]byte(nil), b[:bl]...)
+	c.StrBytes = append([]byte(nil), b[:bl]...)
 	b = b[bl:]
 	for k := 1; k < dl; k++ {
-		if bytes.Compare(c.DictEntryBytes(k-1), c.DictEntryBytes(k)) >= 0 {
+		if bytes.Compare(c.DictEntry(k-1), c.DictEntry(k)) >= 0 {
 			return nil, ErrCorrupt // must be sorted and duplicate-free
 		}
 	}
 	limit := uint32(dl)
 	for i := 0; i < c.n; i++ {
-		code := c.Code(i)
+		code := c.CodeAt(i)
 		if code >= limit && !(code == 0 && c.IsNull(i)) {
 			return nil, ErrCorrupt
 		}

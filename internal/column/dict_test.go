@@ -28,8 +28,8 @@ func checkSameValues(t *testing.T, want, got *Column) {
 		if got.IsNull(i) != want.IsNull(i) {
 			t.Fatalf("row %d: null = %v, want %v", i, got.IsNull(i), want.IsNull(i))
 		}
-		if !want.IsNull(i) && got.String(i) != want.String(i) {
-			t.Fatalf("row %d: %q, want %q", i, got.String(i), want.String(i))
+		if !want.IsNull(i) && text(got, i) != text(want, i) {
+			t.Fatalf("row %d: %q, want %q", i, text(got, i), text(want, i))
 		}
 	}
 }
@@ -41,14 +41,14 @@ func TestDictEncodeRoundTrip(t *testing.T) {
 	if !dict.DictEncode(len(vals)) {
 		t.Fatal("DictEncode refused")
 	}
-	if !dict.IsDict() || arena.IsDict() {
-		t.Fatal("IsDict mismatch")
+	if !dict.Dict || arena.Dict {
+		t.Fatal("Dict mismatch")
 	}
 	if dict.DictLen() != 5 { // "", debug, error, info, warn
 		t.Fatalf("DictLen = %d, want 5", dict.DictLen())
 	}
 	for k := 1; k < dict.DictLen(); k++ {
-		if string(dict.DictEntryBytes(k-1)) >= string(dict.DictEntryBytes(k)) {
+		if string(dict.DictEntry(k-1)) >= string(dict.DictEntry(k)) {
 			t.Fatalf("dict not sorted at %d", k)
 		}
 	}
@@ -59,7 +59,7 @@ func TestDictEncodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rt.IsDict() {
+	if !rt.Dict {
 		t.Fatal("round trip lost dict layout")
 	}
 	checkSameValues(t, arena, rt)
@@ -81,10 +81,10 @@ func TestDictEncodeFallback(t *testing.T) {
 	if c.DictEncode(50) {
 		t.Fatal("DictEncode should refuse when NDV exceeds the cap")
 	}
-	if c.IsDict() {
+	if c.Dict {
 		t.Fatal("failed encode must leave arena layout")
 	}
-	if c.String(7) != "unique-007" {
+	if text(c, 7) != "unique-007" {
 		t.Fatal("arena damaged by refused encode")
 	}
 	wrongType := New(keypath.TypeBigInt)
@@ -104,7 +104,7 @@ func TestDictCodeWidths(t *testing.T) {
 		if !c.DictEncode(ndv) {
 			t.Fatalf("ndv %d: refused", ndv)
 		}
-		width, _, _, _ := c.Codes()
+		width := c.codeWidth()
 		want := uint8(1)
 		if ndv > 1<<8 {
 			want = 2
@@ -123,8 +123,8 @@ func TestDictCodeWidths(t *testing.T) {
 			t.Fatalf("ndv %d: %v", ndv, err)
 		}
 		for _, i := range []int{0, 1, n / 2, n - 1} {
-			if rt.String(i) != fmt.Sprintf("v%06d", i%ndv) {
-				t.Fatalf("ndv %d row %d: %q", ndv, i, rt.String(i))
+			if text(rt, i) != fmt.Sprintf("v%06d", i%ndv) {
+				t.Fatalf("ndv %d row %d: %q", ndv, i, text(rt, i))
 			}
 		}
 	}
@@ -146,7 +146,7 @@ func TestDictAllNull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if !rt.IsNull(i) || rt.String(i) != "" {
+		if !rt.IsNull(i) || text(rt, i) != "" {
 			t.Fatalf("row %d not null after round trip", i)
 		}
 	}
@@ -172,7 +172,7 @@ func TestDictDeserializeRejectsCorrupt(t *testing.T) {
 			// Accepted mutants must still be fully readable.
 			for r := 0; r < col.Len(); r++ {
 				_ = col.IsNull(r)
-				_ = col.String(r)
+				_ = text(col, r)
 			}
 		}
 	}
@@ -190,7 +190,7 @@ func TestDictAppendNullAfterEncode(t *testing.T) {
 		t.Fatal("encode")
 	}
 	c.AppendNull()
-	if c.Len() != 3 || !c.IsNull(2) || c.String(2) != "" {
+	if c.Len() != 3 || !c.IsNull(2) || text(c, 2) != "" {
 		t.Fatal("AppendNull on dict column broken")
 	}
 	if _, err := Deserialize(c.Serialize()); err != nil {

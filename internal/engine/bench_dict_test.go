@@ -45,7 +45,7 @@ func dictBenchRelation(b *testing.B) storage.Relation {
 		for _, tl := range dictBenchRel.(storage.TileIntrospector).Tiles() {
 			for col, wantDict := range map[string]bool{"level": true, "host": false} {
 				for _, ci := range tl.ColumnsForPath(storage.NewAccess(expr.TText, col).PathEnc) {
-					if tl.Column(ci).Col.IsDict() != wantDict {
+					if tl.Column(ci).Col.Dict != wantDict {
 						panic(fmt.Sprintf("column %q: dictionary layout %v, want %v", col, !wantDict, wantDict))
 					}
 				}

@@ -32,11 +32,7 @@ var utf8Replacement = []byte("�")
 func (n Node) StringVal() string {
 	raw, escaped := n.RawString()
 	if !escaped {
-		s := string(raw)
-		if utf8.ValidString(s) {
-			return s
-		}
-		return strings.ToValidUTF8(s, "�")
+		return string(raw)
 	}
 	s := string(appendUnescaped(make([]byte, 0, len(raw)), raw))
 	if utf8.ValidString(s) {
@@ -50,10 +46,7 @@ func (n Node) StringVal() string {
 func (n Node) AppendString(dst []byte) []byte {
 	raw, escaped := n.RawString()
 	if !escaped {
-		if utf8.Valid(raw) {
-			return append(dst, raw...)
-		}
-		return append(dst, bytes.ToValidUTF8(raw, utf8Replacement)...)
+		return append(dst, raw...)
 	}
 	mark := len(dst)
 	dst = appendUnescaped(dst, raw)
@@ -68,8 +61,7 @@ func (n Node) AppendString(dst []byte) []byte {
 // The result aliases the document's backing data when no decoding is
 // needed, so it must be treated as immutable.
 func (n Node) ContentBytes() []byte {
-	raw, escaped := n.RawString()
-	if !escaped && utf8.Valid(raw) {
+	if raw, escaped := n.RawString(); !escaped {
 		return raw
 	}
 	return n.AppendString(nil)

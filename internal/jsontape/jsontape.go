@@ -27,10 +27,10 @@
 //	KInt        literal len    byte offset of literal (lazy ParseInt)
 //	KFloat      literal len    byte offset of literal (lazy ParseFloat)
 //	KFloatPre   literal len    byte offset; next word = Float64bits
-//	KString     content len    byte offset of content (no escapes)
-//	KStringEsc  content len    byte offset of content (has escapes)
-//	KKey        content len    byte offset of content (no escapes)
-//	KKeyEsc     content len    byte offset of content (has escapes)
+//	KString     content len    byte offset of content (plain)
+//	KStringEsc  content len    byte offset of content (needs decoding)
+//	KKey        content len    byte offset of content (plain)
+//	KKeyEsc     content len    byte offset of content (needs decoding)
 //	KObj        member count   tape index one past the subtree
 //	KArr        element count  tape index one past the subtree
 //
@@ -204,7 +204,9 @@ func (n Node) FloatVal() float64 {
 }
 
 // RawString returns the undecoded content bytes of a string or key
-// node (the span between the quotes) and whether it contains escapes.
+// node (the span between the quotes) and whether they need decoding:
+// a span with an escape or with invalid UTF-8. The raw bytes of a span
+// that needs none are its content.
 func (n Node) RawString() (raw []byte, escaped bool) {
 	k := n.Kind()
 	return n.d.Data[n.pos() : n.pos()+n.aux()], k == KStringEsc || k == KKeyEsc

@@ -1,10 +1,6 @@
 package jsontape
 
-import (
-	"unicode/utf8"
-
-	"repro/internal/jsonvalue"
-)
+import "repro/internal/jsonvalue"
 
 // Materialize builds the jsonvalue tree for the subtree rooted at
 // this node. The result is identical to what jsontext.Parse would
@@ -70,14 +66,7 @@ func (n Node) Member(key string) (Node, bool) {
 func (kn Node) keyEqual(key string) bool {
 	raw, escaped := kn.RawString()
 	if !escaped {
-		// The decoded form of an unescaped key only differs from raw
-		// when raw is invalid UTF-8 (U+FFFD substitution).
-		if bstr(raw) == key {
-			return true
-		}
-		if utf8.Valid(raw) {
-			return false
-		}
+		return bstr(raw) == key // a plain key's raw bytes are its content
 	}
 	return kn.StringVal() == key
 }

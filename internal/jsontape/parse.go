@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/jsontext"
 )
@@ -234,19 +235,26 @@ func (p *tapeParser) parseArray() error {
 // Every escape is checked independently — exactly the checks the tree
 // parser's decode loop applies, so accept/reject matches even though
 // no bytes are produced here (surrogate pairing never rejects in the
-// oracle: an unpaired surrogate decodes to U+FFFD).
+// oracle: an unpaired surrogate decodes to U+FFFD). A span is plain
+// only when its raw bytes are its decoded content: no escapes, and
+// valid UTF-8, checked once here for a span with a byte ≥ 0x80.
 func (p *tapeParser) parseString(plain, escaped Kind) error {
 	p.pos++ // consume '"'
 	start := p.pos
+	var seen byte // the OR of the span's bytes: ≥ 0x80 once any is
 	// Fast path: scan for the closing quote with no escapes.
 	for p.pos < len(p.data) {
 		c := p.data[p.pos]
 		if c == '"' {
+			if seen >= 0x80 && !utf8.Valid(p.data[start:p.pos]) {
+				return p.emitString(escaped, start, p.pos)
+			}
 			return p.emitString(plain, start, p.pos)
 		}
 		if c == '\\' || c < 0x20 {
 			goto slow
 		}
+		seen |= c
 		p.pos++
 	}
 	return p.errf("unterminated string")

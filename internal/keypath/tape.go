@@ -6,7 +6,6 @@ package keypath
 
 import (
 	"strconv"
-	"unicode/utf8"
 
 	"repro/internal/jsontape"
 )
@@ -116,14 +115,14 @@ func (w *tapeWalker) visit(i, depth int, prevWasKey bool) {
 // appendKeySegment renders one object-key segment exactly as
 // Path.Encode does: '.' before it iff the previous segment was a key,
 // '.', '[', ']', '\' escaped with '\', and "\e" for the empty key.
-// Unescaped valid-UTF-8 keys (the common case) are rendered straight
-// from the raw bytes.
+// Plain keys (the common case) are rendered straight from the raw
+// bytes.
 func (w *tapeWalker) appendKeySegment(keyNode jsontape.Node, prevWasKey bool) {
 	if prevWasKey {
 		w.path = append(w.path, '.')
 	}
 	key, escaped := keyNode.RawString()
-	if escaped || !utf8.Valid(key) {
+	if escaped {
 		w.key = keyNode.AppendString(w.key[:0])
 		key = w.key
 	}

@@ -127,7 +127,7 @@ func FuzzOpenSegment(f *testing.F) {
 							continue
 						}
 						if col.Type() == keypath.TypeString {
-							_ = col.StringBytes(row)
+							_ = col.StrAt(row)
 						}
 					}
 				}

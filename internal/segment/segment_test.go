@@ -119,7 +119,7 @@ func TestRoundTrip(t *testing.T) {
 						t.Fatalf("tile %d col %q row %d float mismatch", ti, want.Path, row)
 					}
 				case keypath.TypeString:
-					if got.String(row) != want.Col.String(row) {
+					if string(got.StrAt(row)) != string(want.Col.StrAt(row)) {
 						t.Fatalf("tile %d col %q row %d string mismatch", ti, want.Path, row)
 					}
 				case keypath.TypeBool:
@@ -191,7 +191,7 @@ func TestDictColumnRoundTrip(t *testing.T) {
 	if len(infos) != 2 {
 		t.Errorf("dict column read reported %d blocks, want 2", len(infos))
 	}
-	if !got.IsDict() {
+	if !got.Dict {
 		t.Error("deserialized column lost its dictionary")
 	}
 	want := tl.Column(dictIdx).Col
@@ -199,8 +199,8 @@ func TestDictColumnRoundTrip(t *testing.T) {
 		if got.IsNull(row) != want.IsNull(row) {
 			t.Fatalf("row %d null mismatch", row)
 		}
-		if !got.IsNull(row) && got.String(row) != want.String(row) {
-			t.Fatalf("row %d = %q, want %q", row, got.String(row), want.String(row))
+		if !got.IsNull(row) && string(got.StrAt(row)) != string(want.StrAt(row)) {
+			t.Fatalf("row %d = %q, want %q", row, got.StrAt(row), want.StrAt(row))
 		}
 	}
 }

@@ -94,7 +94,7 @@ func encode(tiles []*tile.Tile, st *stats.TableStats, workers int) (seg, index [
 		}
 		for _, ci := range t.Columns() {
 			at := len(cols[k])
-			if c := ci.Col; c.IsDict() {
+			if c := ci.Col; c.Dict {
 				cols[k] = append(cols[k], nil, nil)
 				count = append(count, func() { cols[k][at], cols[k][at+1] = c.SerializeCodes(), c.SerializeDict() })
 			} else {
@@ -136,7 +136,7 @@ func encode(tiles []*tile.Tile, st *stats.TableStats, workers int) (seg, index [
 			cm.StorageType = ci.StorageType
 			cm.HasTypeOutliers = ci.HasTypeOutliers
 			blocks, payloads = append(blocks, block{ref: &cm.Block, payload: payloads[0]}), payloads[1:]
-			if cm.HasDict = ci.Col.IsDict(); cm.HasDict {
+			if cm.HasDict = ci.Col.Dict; cm.HasDict {
 				blocks, payloads = append(blocks, block{ref: &cm.Dict, payload: payloads[0]}), payloads[1:]
 			}
 		}

@@ -295,7 +295,7 @@ func TestConformanceDictColumns(t *testing.T) {
 	for _, tl := range rel.(TileIntrospector).Tiles() {
 		for col, want := range wantDict {
 			for _, ci := range tl.ColumnsForPath(NewAccess(expr.TText, col).PathEnc) {
-				isDict := tl.Column(ci).Col.IsDict()
+				isDict := tl.Column(ci).Col.Dict
 				if isDict != want {
 					t.Errorf("column %s: dictionary layout %v, want %v", col, isDict, want)
 				}

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/blockstore"
-	"repro/internal/column"
 	"repro/internal/expr"
 	"repro/internal/jsonb"
 	"repro/internal/jsongen"
@@ -116,9 +115,9 @@ func perCellCounts(tiles []*tile.Tile, accesses []Access, cfg LoaderConfig) (fal
 		for ai, a := range accesses {
 			p := planAccess(t, a, hs[ai])
 			doc = doc || p.serve == serveDoc
-			var col *column.Column
+			var col *vec.Vector
 			if p.readsColumn() {
-				col = t.Column(p.col).Col
+				col = &t.Column(p.col).Col.Vector
 			}
 			w.Reset(a.Type, t.NumRows())
 			for i := 0; i < t.NumRows(); i++ {

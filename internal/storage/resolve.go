@@ -100,7 +100,7 @@ func planAccess(t scanTile, a Access, h headerPath) accessPlan {
 		p := accessPlan{serve: serveCast, col: ci, docOnNull: outliers || len(cols) > 1}
 		switch {
 		case p.docOnNull:
-		case sqlTypeOf(storage) == a.Type:
+		case column.SQLType(storage) == a.Type:
 			p.serve = serveZero
 		case storage == keypath.TypeBigInt && a.Type == expr.TFloat:
 			p.serve = serveWiden
@@ -113,11 +113,11 @@ func planAccess(t scanTile, a Access, h headerPath) accessPlan {
 	return accessPlan{serve: serveDoc}
 }
 
-// put writes row i of access a under plan p, where col is the plan's
-// column, loaded (nil when the plan reads none), as row k of w. A text
-// column read as text copies its bytes; any other column cell converts
-// through castJSON, and a document cell through docPut.
-func (p accessPlan) put(w *vec.Buf, k int, t scanTile, col *column.Column, i int, a Access, cnt *scanCounters) {
+// put writes row i of access a under plan p, where col is the cells of
+// the plan's column, loaded (nil when the plan reads none), as row k of
+// w. A text column read as text copies its bytes; any other column cell
+// converts through castJSON, and a document cell through docPut.
+func (p accessPlan) put(w *vec.Buf, k int, t scanTile, col *vec.Vector, i int, a Access, cnt *scanCounters) {
 	switch {
 	case p.serve == serveNull:
 		return
@@ -131,41 +131,9 @@ func (p accessPlan) put(w *vec.Buf, k int, t scanTile, col *column.Column, i int
 	cnt.ColumnHits++
 	switch {
 	case col.IsNull(i):
-	case col.Type() == keypath.TypeString && a.Type == expr.TText:
-		w.Text(k, col.StringBytes(i))
+	case col.Type == expr.TText && a.Type == expr.TText:
+		w.Text(k, col.StrAt(i))
 	default:
-		w.Value(k, castJSON(columnValue(col, i), a.Type, cnt))
+		w.Value(k, castJSON(col.Value(i), a.Type, cnt))
 	}
-}
-
-// sqlTypeOf is the SQL type a column of storage type t holds its
-// values as.
-func sqlTypeOf(t keypath.ValueType) expr.SQLType {
-	switch t {
-	case keypath.TypeBigInt:
-		return expr.TBigInt
-	case keypath.TypeDouble:
-		return expr.TFloat
-	case keypath.TypeBool:
-		return expr.TBool
-	case keypath.TypeTimestamp:
-		return expr.TTimestamp
-	}
-	return expr.TText
-}
-
-// columnValue is the non-NULL cell i of c as the value JSON held: the
-// input castJSON takes.
-func columnValue(c *column.Column, i int) expr.Value {
-	switch c.Type() {
-	case keypath.TypeBigInt:
-		return expr.IntValue(c.Int(i))
-	case keypath.TypeDouble:
-		return expr.FloatValue(c.Float(i))
-	case keypath.TypeBool:
-		return expr.BoolValue(c.Bool(i))
-	case keypath.TypeTimestamp:
-		return expr.TimestampValue(c.Int(i))
-	}
-	return expr.TextValue(c.String(i))
 }

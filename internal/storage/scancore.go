@@ -3,7 +3,6 @@ package storage
 import (
 	"context"
 
-	"repro/internal/column"
 	"repro/internal/expr"
 	"repro/internal/jsonb"
 	"repro/internal/keypath"
@@ -380,10 +379,10 @@ func (sc *scanScratch) fillVector(t scanTile, ai int, typ expr.SQLType, p access
 	col := t.Column(p.col).Col
 	cnt.ColumnHits += int64(n)
 	if p.serve == serveZero {
-		sc.batch.Cols[ai] = zeroVec(col, typ)
+		sc.batch.Cols[ai] = col.Vector
 		return
 	}
-	sc.batch.Cols[ai] = *sc.cells[ai].Widen(col.IntSlice()[:n], col.NullBits())
+	sc.batch.Cols[ai] = *sc.cells[ai].Widen(col.Ints[:n], col.Nulls)
 }
 
 // fillCells reads access a cell by cell for the live rows, into the
@@ -391,9 +390,9 @@ func (sc *scanScratch) fillVector(t scanTile, ai int, typ expr.SQLType, p access
 func (sc *scanScratch) fillCells(t scanTile, ai int, a Access, p accessPlan, cnt *scanCounters) {
 	w := &sc.cells[ai]
 	w.Reset(a.Type, sc.batch.Len)
-	var col *column.Column
+	var col *vec.Vector
 	if p.readsColumn() {
-		col = t.Column(p.col).Col
+		col = &t.Column(p.col).Col.Vector
 	}
 	for _, i := range sc.batch.Selected() {
 		p.put(w, int(i), t, col, int(i), a, cnt)

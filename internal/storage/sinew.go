@@ -96,12 +96,12 @@ func (r *sinew) ExtractedPaths() []string {
 // signal (accesses missing from the single schema always fall back).
 func (r *sinew) ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
 	plans := make([]accessPlan, len(accesses))
-	cols := make([]*column.Column, len(accesses))
+	cols := make([]*vec.Vector, len(accesses))
 	headers := headerPaths(accesses, r.maxSlots)
 	for i, a := range accesses {
 		plans[i] = planAccess(r, a, headers[i])
 		if plans[i].readsColumn() {
-			cols[i] = r.cols[plans[i].col].Col
+			cols[i] = &r.cols[plans[i].col].Col.Vector
 		}
 	}
 	scanCells(ctx, r.numRows, accesses, workers, emit, st, func(lo, hi int, cells []vec.Buf, cnt *scanCounters) {

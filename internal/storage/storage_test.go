@@ -358,7 +358,7 @@ func TestConjunctNarrowingResolvesLiveRowsOnly(t *testing.T) {
 	}
 	a := NewAccess(expr.TBigInt, "a")
 	tl := rels[KindTiles].(TileIntrospector).Tiles()[0]
-	if cols := tl.ColumnsForPath(a.PathEnc); len(cols) != 1 || tl.Column(cols[0]).Col.NullBits() != nil {
+	if cols := tl.ColumnsForPath(a.PathEnc); len(cols) != 1 || tl.Column(cols[0]).Col.Nulls != nil {
 		t.Fatal("want one null-free column for a")
 	}
 	if cols := tl.ColumnsForPath("d"); len(cols) != 1 || tl.Column(cols[0]).StorageType != keypath.TypeTimestamp {

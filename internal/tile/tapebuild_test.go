@@ -166,7 +166,7 @@ func checkAgainstOracle(t *testing.T, tl *Tile, o oracle) {
 				case keypath.TypeBool:
 					got = c.Col.Bool(i)
 				case keypath.TypeString:
-					got = c.Col.String(i)
+					got = string(c.Col.StrAt(i))
 				}
 			}
 			if got != want {

@@ -187,28 +187,18 @@ func (b *Buf) Widen(ints []int64, nulls []uint64) *Vector {
 	return &b.vec
 }
 
-// nullSetter returns a function that marks a row of an n-row result
-// NULL in the buffer's bitmap, which starts as the union of the seed
-// bitmaps; finish gives the bitmap to attach (nil when it is empty,
-// so null-free fast paths still apply).
-func (b *Buf) nullSetter(n int, seeds ...[]uint64) (set func(i int32), finish func() []uint64) {
-	b.nulls = nullBits(b.nulls, n)
-	any := false
-	for _, s := range seeds {
-		for w := 0; w < len(s) && w < len(b.nulls); w++ {
-			b.nulls[w] |= s[w]
+// setNull marks row i NULL in bitmap nulls.
+func setNull(nulls []uint64, i int32) { nulls[i>>6] |= 1 << (uint(i) & 63) }
+
+// anyNull returns nulls, or nil when no bit is set, so that null-free
+// fast paths still apply.
+func anyNull(nulls []uint64) []uint64 {
+	for _, w := range nulls {
+		if w != 0 {
+			return nulls
 		}
-		any = any || len(s) > 0
 	}
-	return func(i int32) {
-			b.nulls[i>>6] |= 1 << (uint(i) & 63)
-			any = true
-		}, func() []uint64 {
-			if any {
-				return b.nulls
-			}
-			return nil
-		}
+	return nil
 }
 
 // Gather returns a vector whose row p reads src row idx[p] for every
@@ -223,7 +213,7 @@ func (b *Buf) Gather(src *Vector, idx, sel []int32) *Vector {
 		sel = Iota(n)
 	}
 	out := Vector{Type: src.Type}
-	setNull, nulls := b.nullSetter(n)
+	b.nulls = nullBits(b.nulls, n)
 	switch {
 	case src.AllNull:
 		out.AllNull = true
@@ -244,7 +234,7 @@ func (b *Buf) Gather(src *Vector, idx, sel []int32) *Vector {
 		for _, p := range sel {
 			if r := idx[p]; r < 0 || src.IsNull(int(r)) {
 				out.Codes32[p] = 0
-				setNull(p)
+				setNull(b.nulls, p)
 			} else {
 				out.Codes32[p] = src.CodeAt(int(r))
 			}
@@ -254,7 +244,7 @@ func (b *Buf) Gather(src *Vector, idx, sel []int32) *Vector {
 		out.Floats = b.floats
 		for _, p := range sel {
 			if r := idx[p]; r < 0 || src.IsNull(int(r)) {
-				setNull(p)
+				setNull(b.nulls, p)
 			} else {
 				out.Floats[p] = src.Floats[r]
 			}
@@ -264,7 +254,7 @@ func (b *Buf) Gather(src *Vector, idx, sel []int32) *Vector {
 		out.Bools = b.bits
 		for _, p := range sel {
 			if r := idx[p]; r < 0 || src.IsNull(int(r)) {
-				setNull(p)
+				setNull(b.nulls, p)
 			} else if src.Bool(int(r)) {
 				out.Bools[p>>6] |= 1 << (uint(p) & 63)
 			}
@@ -274,13 +264,13 @@ func (b *Buf) Gather(src *Vector, idx, sel []int32) *Vector {
 		out.Ints = b.ints
 		for _, p := range sel {
 			if r := idx[p]; r < 0 || src.IsNull(int(r)) {
-				setNull(p)
+				setNull(b.nulls, p)
 			} else {
 				out.Ints[p] = src.Ints[r]
 			}
 		}
 	}
-	out.Nulls = nulls()
+	out.Nulls = anyNull(b.nulls)
 	b.vec = out
 	return &b.vec
 }

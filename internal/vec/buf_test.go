@@ -126,3 +126,42 @@ func TestTextWritesAfterGatherKeepTheSource(t *testing.T) {
 		})
 	}
 }
+
+// TestWarmGatherAndArithAllocateNothing: once its buffers have grown,
+// a Gather and a BigInt+Float arithmetic evaluation write their NULL
+// bits straight into their buffer and allocate nothing.
+func TestWarmGatherAndArithAllocateNothing(t *testing.T) {
+	const n = 200
+	ints, floats := make([]int64, n), make([]float64, n)
+	nulls, idx := make([]uint64, (n+63)>>6), make([]int32, n)
+	for i := range ints {
+		ints[i], floats[i], idx[i] = int64(i), float64(i)/2, int32(n-1-i)
+		if i%7 == 0 {
+			nulls[i>>6] |= 1 << (uint(i) & 63)
+		}
+		if i%5 == 0 {
+			idx[i] = -1
+		}
+	}
+	b := &Batch{Len: n, Cols: []Vector{
+		{Type: expr.TBigInt, Ints: ints, Nulls: nulls},
+		{Type: expr.TFloat, Floats: floats},
+	}}
+	var g Buf
+	if a := testing.AllocsPerRun(20, func() { g.Gather(&b.Cols[0], idx, nil) }); a != 0 {
+		t.Errorf("a warm Gather allocates %v times, want 0", a)
+	}
+	for p, r := range idx {
+		if want := r < 0 || b.Cols[0].IsNull(int(r)); g.Vector().IsNull(p) != want {
+			t.Fatalf("gathered row %d: NULL %v, want %v", p, !want, want)
+		}
+	}
+	c := CompileExpr(expr.NewArith(expr.Add, expr.NewCol(0, expr.TBigInt), expr.NewCol(1, expr.TFloat)))
+	sc := c.NewScratch()
+	if a := testing.AllocsPerRun(20, func() { c.Eval(b, sc) }); a != 0 {
+		t.Errorf("a warm BigInt+Float Eval allocates %v times, want 0", a)
+	}
+	if v := c.Eval(b, sc); !v.IsNull(0) || v.IsNull(1) || v.Floats[1] != 1.5 {
+		t.Fatalf("BigInt+Float: rows 0 and 1 read %v and %v", v.Value(0), v.Value(1))
+	}
+}

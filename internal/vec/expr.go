@@ -176,14 +176,13 @@ func (n *arithVal) eval(b *Batch, sel []int32, sc *Scratch) *Vector {
 	case l.null || r.null:
 		out.AllNull = true
 	default:
-		var seeds [2][]uint64
-		if l.vec != nil {
-			seeds[0] = l.vec.Nulls
+		buf.nulls = nullBits(buf.nulls, b.Len)
+		nulls := buf.nulls
+		for _, v := range [2]*Vector{l.vec, r.vec} {
+			for w := 0; v != nil && w < len(v.Nulls) && w < len(nulls); w++ {
+				nulls[w] |= v.Nulls[w]
+			}
 		}
-		if r.vec != nil {
-			seeds[1] = r.vec.Nulls
-		}
-		setNull, nulls := buf.nullSetter(b.Len, seeds[:]...)
 		switch {
 		case intOp:
 			buf.ints = Resize(buf.ints, b.Len)
@@ -200,15 +199,15 @@ func (n *arithVal) eval(b *Batch, sel []int32, sc *Scratch) *Vector {
 				}
 			}
 		case l.ints != nil && r.ints != nil:
-			out.Floats = arithFloats(buf, n.op, l.ints, l.mask, r.ints, r.mask, sel, b.Len, setNull)
+			out.Floats = arithFloats(buf, n.op, l.ints, l.mask, r.ints, r.mask, sel, b.Len, nulls)
 		case l.ints != nil:
-			out.Floats = arithFloats(buf, n.op, l.ints, l.mask, r.floats, r.mask, sel, b.Len, setNull)
+			out.Floats = arithFloats(buf, n.op, l.ints, l.mask, r.floats, r.mask, sel, b.Len, nulls)
 		case r.ints != nil:
-			out.Floats = arithFloats(buf, n.op, l.floats, l.mask, r.ints, r.mask, sel, b.Len, setNull)
+			out.Floats = arithFloats(buf, n.op, l.floats, l.mask, r.ints, r.mask, sel, b.Len, nulls)
 		default:
-			out.Floats = arithFloats(buf, n.op, l.floats, l.mask, r.floats, r.mask, sel, b.Len, setNull)
+			out.Floats = arithFloats(buf, n.op, l.floats, l.mask, r.floats, r.mask, sel, b.Len, nulls)
 		}
-		out.Nulls = nulls()
+		out.Nulls = anyNull(nulls)
 	}
 	buf.vec = out
 	return &buf.vec
@@ -216,7 +215,7 @@ func (n *arithVal) eval(b *Batch, sel []int32, sc *Scratch) *Vector {
 
 // arithFloats is the float arithmetic loop; integer sides widen per
 // element, and division by zero yields NULL, as expr.Arith does.
-func arithFloats[L, R int64 | float64](buf *Buf, op expr.ArithOp, l []L, lm int, r []R, rm int, sel []int32, n int, setNull func(int32)) []float64 {
+func arithFloats[L, R int64 | float64](buf *Buf, op expr.ArithOp, l []L, lm int, r []R, rm int, sel []int32, n int, nulls []uint64) []float64 {
 	buf.floats = Resize(buf.floats, n)
 	dst := buf.floats
 	for _, i := range sel {
@@ -230,7 +229,7 @@ func arithFloats[L, R int64 | float64](buf *Buf, op expr.ArithOp, l []L, lm int,
 			dst[i] = x * y
 		default:
 			if y == 0 {
-				setNull(i)
+				setNull(nulls, i)
 			} else {
 				dst[i] = x / y
 			}
