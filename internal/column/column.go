@@ -236,16 +236,18 @@ func (c *Column) Serialize() []byte {
 	return out
 }
 
-// Deserialize reconstructs a column serialized by Serialize. Every
-// length field is validated against the remaining buffer and against
-// the row count, so corrupt block payloads yield ErrCorrupt instead of
-// panicking or over-allocating.
-func Deserialize(b []byte) (*Column, error) {
+// Deserialize reconstructs a column of rows rows serialized by
+// Serialize. A payload that claims any other row count is refused
+// before anything is allocated, and every length field is validated
+// against the remaining buffer and against the row count, so corrupt
+// block payloads yield ErrCorrupt instead of panicking or
+// over-allocating.
+func Deserialize(b []byte, rows int) (*Column, error) {
 	if len(b) < 5 {
 		return nil, ErrCorrupt
 	}
 	if b[0]&dictMarker != 0 {
-		c, rest, err := deserializeCodes(b)
+		c, rest, err := deserializeCodes(b, rows)
 		if err != nil {
 			return nil, err
 		}
@@ -260,11 +262,11 @@ func Deserialize(b []byte) (*Column, error) {
 	}
 	typ := keypath.ValueType(b[0])
 	b = b[1:]
-	// The row count is untrusted: every per-row allocation below is
-	// gated on the remaining buffer actually holding that many values,
-	// so a corrupt count cannot over-allocate.
 	n := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
+	if n != rows {
+		return nil, ErrCorrupt
+	}
 	words := func() ([]uint64, bool) {
 		if len(b) < 4 {
 			return nil, false

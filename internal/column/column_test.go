@@ -1,6 +1,7 @@
 package column
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -213,7 +214,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	for name, mk := range build {
 		t.Run(name, func(t *testing.T) {
 			c := mk()
-			got, err := Deserialize(c.Serialize())
+			got, err := Deserialize(c.Serialize(), c.Len())
 			if err != nil {
 				t.Fatalf("deserialize: %v", err)
 			}
@@ -259,19 +260,42 @@ func TestDeserializeCorrupt(t *testing.T) {
 	c.AppendNull()
 	buf := c.Serialize()
 	for cut := 0; cut < len(buf); cut++ {
-		if _, err := Deserialize(buf[:cut]); err == nil {
+		if _, err := Deserialize(buf[:cut], c.Len()); err == nil {
 			t.Fatalf("truncation at %d: want error", cut)
 		}
 	}
 	for i := 0; i < len(buf); i++ {
 		cp := append([]byte(nil), buf...)
 		cp[i] ^= 0xFF
-		col, err := Deserialize(cp) // must not panic
+		col, err := Deserialize(cp, c.Len()) // must not panic
 		if err == nil && col.Len() > 0 {
 			_ = col.IsNull(0)
 		}
 	}
-	if _, err := Deserialize(nil); err == nil {
+	if _, err := Deserialize(nil, 0); err == nil {
 		t.Fatal("nil input: want error")
+	}
+}
+
+// TestDeserializeRefusesRowsItDoesNotExpect: a payload whose row count
+// is not the caller's is corrupt, also when no byte would have to back
+// its rows: 13 bytes (a Bool column of 2^28 rows with two empty
+// bitmaps) are refused, not decoded into a column that size.
+func TestDeserializeRefusesRowsItDoesNotExpect(t *testing.T) {
+	huge := []byte{byte(keypath.TypeBool), 0, 0, 0, 0x10, 0, 0, 0, 0, 0, 0, 0, 0}
+	for _, rows := range []int{0, 2} {
+		if c, err := Deserialize(huge, rows); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("expecting %d rows: decoded %v, error %v", rows, c, err)
+		}
+	}
+	c := buildTextColumn([]string{"a", "b", "a"}, nil)
+	if !c.DictEncode(3) {
+		t.Fatal("encode")
+	}
+	if _, err := Deserialize(c.Serialize(), 4); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a 3-row dictionary column read as 4 rows: error %v", err)
+	}
+	if _, err := DeserializeDict(c.SerializeCodes(), c.SerializeDict(), 2); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a 3-row dictionary column read as 2 rows: error %v", err)
 	}
 }

@@ -176,14 +176,14 @@ func (c *Column) serializeDict(out []byte) []byte {
 // deserializeCodes parses a SerializeCodes payload and returns the
 // partially constructed column (dictionary still empty) plus the
 // unconsumed remainder.
-func deserializeCodes(b []byte) (*Column, []byte, error) {
+func deserializeCodes(b []byte, rows int) (*Column, []byte, error) {
 	if len(b) < 5 || b[0] != dictMarker|byte(keypath.TypeString) {
 		return nil, nil, ErrCorrupt
 	}
 	b = b[1:]
 	n := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
-	if len(b) < 4 {
+	if n != rows || len(b) < 4 {
 		return nil, nil, ErrCorrupt
 	}
 	w := int(binary.LittleEndian.Uint32(b))
@@ -278,10 +278,11 @@ func (c *Column) deserializeDict(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// DeserializeDict reconstructs a dictionary column from its two block
-// payloads: a SerializeCodes buffer and a SerializeDict buffer.
-func DeserializeDict(codes, dict []byte) (*Column, error) {
-	c, rest, err := deserializeCodes(codes)
+// DeserializeDict reconstructs a dictionary column of rows rows from
+// its two block payloads: a SerializeCodes buffer and a SerializeDict
+// buffer. Any other row count is refused before anything is allocated.
+func DeserializeDict(codes, dict []byte, rows int) (*Column, error) {
+	c, rest, err := deserializeCodes(codes, rows)
 	if err != nil {
 		return nil, err
 	}

@@ -55,7 +55,7 @@ func TestDictEncodeRoundTrip(t *testing.T) {
 	checkSameValues(t, arena, dict)
 
 	// Full-buffer round trip.
-	rt, err := Deserialize(dict.Serialize())
+	rt, err := Deserialize(dict.Serialize(), dict.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestDictEncodeRoundTrip(t *testing.T) {
 	checkSameValues(t, arena, rt)
 
 	// Split codes/dict round trip (the segment block layout).
-	rt2, err := DeserializeDict(dict.SerializeCodes(), dict.SerializeDict())
+	rt2, err := DeserializeDict(dict.SerializeCodes(), dict.SerializeDict(), dict.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDictCodeWidths(t *testing.T) {
 		if c.DictLen() != ndv {
 			t.Fatalf("ndv %d: DictLen = %d", ndv, c.DictLen())
 		}
-		rt, err := Deserialize(c.Serialize())
+		rt, err := Deserialize(c.Serialize(), c.Len())
 		if err != nil {
 			t.Fatalf("ndv %d: %v", ndv, err)
 		}
@@ -141,7 +141,7 @@ func TestDictAllNull(t *testing.T) {
 	if c.DictLen() != 0 {
 		t.Fatalf("DictLen = %d, want 0", c.DictLen())
 	}
-	rt, err := Deserialize(c.Serialize())
+	rt, err := Deserialize(c.Serialize(), c.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,14 +158,14 @@ func TestDictDeserializeRejectsCorrupt(t *testing.T) {
 		t.Fatal("encode")
 	}
 	good := c.Serialize()
-	if _, err := Deserialize(good); err != nil {
+	if _, err := Deserialize(good, c.Len()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(good); i++ {
 		for _, delta := range []byte{1, 0x80, 0xff} {
 			mut := append([]byte(nil), good...)
 			mut[i] ^= delta
-			col, err := Deserialize(mut)
+			col, err := Deserialize(mut, c.Len())
 			if err != nil {
 				continue
 			}
@@ -178,7 +178,7 @@ func TestDictDeserializeRejectsCorrupt(t *testing.T) {
 	}
 	// Truncations must never be accepted as the original.
 	for i := 0; i < len(good); i++ {
-		if _, err := Deserialize(good[:i]); err == nil {
+		if _, err := Deserialize(good[:i], c.Len()); err == nil {
 			t.Fatalf("truncation at %d accepted", i)
 		}
 	}
@@ -193,7 +193,7 @@ func TestDictAppendNullAfterEncode(t *testing.T) {
 	if c.Len() != 3 || !c.IsNull(2) || text(c, 2) != "" {
 		t.Fatal("AppendNull on dict column broken")
 	}
-	if _, err := Deserialize(c.Serialize()); err != nil {
+	if _, err := Deserialize(c.Serialize(), c.Len()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,10 +6,11 @@ import (
 	"repro/internal/keypath"
 )
 
-// FuzzDictColumn drives arbitrary bytes through the dictionary codec:
-// any buffer Deserialize accepts must survive a full read of every
-// row, re-serialize, deserialize again, and compare value-for-value —
-// including through the split codes/dict path that segment blocks use.
+// FuzzDictColumn drives arbitrary bytes and an expected row count
+// through the dictionary codec: any buffer Deserialize accepts must
+// survive a full read of every row, re-serialize, deserialize again,
+// and compare value-for-value — including through the split codes/dict
+// path that segment blocks use.
 func FuzzDictColumn(f *testing.F) {
 	dict := buildTextColumn(
 		[]string{"info", "warn", "info", "error", "", "info"},
@@ -17,24 +18,24 @@ func FuzzDictColumn(f *testing.F) {
 	if !dict.DictEncode(6) {
 		f.Fatal("seed encode")
 	}
-	f.Add(dict.Serialize())
+	f.Add(dict.Serialize(), uint16(dict.Len()))
 	arena := buildTextColumn([]string{"a", "bb", "ccc"}, nil)
-	f.Add(arena.Serialize())
+	f.Add(arena.Serialize(), uint16(arena.Len()))
 	allNull := New(keypath.TypeString)
 	allNull.AppendNull()
 	allNull.AppendNull()
 	allNull.DictEncode(2)
-	f.Add(allNull.Serialize())
-	f.Add([]byte{dictMarker | byte(keypath.TypeString), 0, 0, 0, 0})
-	f.Add([]byte{})
+	f.Add(allNull.Serialize(), uint16(allNull.Len()))
+	f.Add([]byte{dictMarker | byte(keypath.TypeString), 0, 0, 0, 0}, uint16(0))
+	f.Add([]byte{}, uint16(0))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := Deserialize(data)
-		if err != nil || c.Len() > 8*len(data) {
-			return // a Bool column's lazy bitmaps may claim rows no byte holds
+	f.Fuzz(func(t *testing.T, data []byte, rows uint16) {
+		c, err := Deserialize(data, int(rows))
+		if err != nil {
+			return
 		}
 		// Serialize → Deserialize must reproduce every row, of any type.
-		rt, err := Deserialize(c.Serialize())
+		rt, err := Deserialize(c.Serialize(), c.Len())
 		if err != nil {
 			t.Fatalf("re-deserialize: %v", err)
 		}
@@ -51,7 +52,7 @@ func FuzzDictColumn(f *testing.F) {
 		}
 		compare("full", rt)
 		if c.Dict {
-			rt2, err := DeserializeDict(c.SerializeCodes(), c.SerializeDict())
+			rt2, err := DeserializeDict(c.SerializeCodes(), c.SerializeDict(), c.Len())
 			if err != nil {
 				t.Fatalf("split round trip: %v", err)
 			}

@@ -1,13 +1,14 @@
 package engine
 
 import (
+	"context"
 	"math/bits"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/vec"
 )
 
@@ -34,11 +35,11 @@ type AggSpec struct {
 }
 
 // GroupBy is a hash aggregation operator. Each worker groups its
-// batches into its own typed hash table (keys in column builders,
+// batches into its own typed hash table (keys in column buffers,
 // aggregate states in flat arrays indexed by group id); the merge
 // phase splits the groups into P partitions by key hash and folds each
-// partition's groups worker-ascending — one goroutine per partition,
-// no shared table (morsel-driven parallelism's partitioned
+// partition's groups worker-ascending, on sched.For — partitions merge
+// independently, no shared table (morsel-driven parallelism's partitioned
 // aggregation). Groups are emitted in key order (NULL first, then by
 // SQL type and value), so output does not depend on the worker count.
 // NULL keys form one group; keys of different SQL types, and floats of
@@ -285,7 +286,7 @@ func (a *aggCol) result(g int) expr.Value {
 // DISTINCT set of an aggregate is a groupTable without aggregates,
 // keyed by (group id, argument).
 type groupTable struct {
-	keys    []*vec.Builder
+	keys    []vec.Buf
 	keyVecs []*vec.Vector
 	table   keyTable
 	aggs    []aggCol
@@ -299,11 +300,12 @@ type groupTable struct {
 }
 
 func newGroupTable(keyTypes []expr.SQLType, aggs []AggSpec) *groupTable {
-	t := &groupTable{aggs: make([]aggCol, len(aggs)), sets: make([]*groupTable, len(aggs))}
+	t := &groupTable{keys: make([]vec.Buf, len(keyTypes)), keyVecs: make([]*vec.Vector, len(keyTypes)),
+		aggs: make([]aggCol, len(aggs)), sets: make([]*groupTable, len(aggs))}
 	t.table.init(0)
-	for _, kt := range keyTypes {
-		b := vec.NewBuilder(kt)
-		t.keys, t.keyVecs = append(t.keys, b), append(t.keyVecs, &b.Vec)
+	for k, kt := range keyTypes {
+		t.keys[k].Reset(kt, 0)
+		t.keyVecs[k] = t.keys[k].Vector()
 	}
 	for i, spec := range aggs {
 		t.aggs[i] = newAggCol(spec)
@@ -322,9 +324,7 @@ func (t *groupTable) groups() int { return len(t.table.hashes) }
 // release hands the table's arrays, its DISTINCT sets' included, to
 // the recycler.
 func (t *groupTable) release() {
-	for _, b := range t.keys {
-		b.Release()
-	}
+	releaseBufs(t.keys)
 	t.table.release()
 	for a := range t.aggs {
 		vec.Recycle(t.aggs[a].cnt)
@@ -347,8 +347,8 @@ func (t *groupTable) find(keys []*vec.Vector, i int, h uint64, eq func(i, row in
 	row, slot := t.table.lookup(h, i, eq)
 	if row < 0 {
 		row = t.table.add(slot, h)
-		for k, b := range t.keys {
-			b.AppendCell(keys[k], i)
+		for k := range t.keys {
+			t.keys[k].AppendCell(keys[k], i)
 		}
 		for a := range t.aggs {
 			t.aggs[a].grow(row + 1)
@@ -499,7 +499,10 @@ func (g *GroupBy) RunBatches(workers int, emit BatchEmitFunc) {
 		for i, w := range ws {
 			splits[i] = splitGroups(w.t, P)
 		}
-		runPartitions(P, workers, func(p int) { parts[p] = mergePartition(splits, keyTypes, g.Aggs, p) })
+		sched.For(context.Background(), P, workers, func(_, p int) { parts[p] = mergePartition(splits, keyTypes, g.Aggs, p) })
+		if P > 1 {
+			obs.AggPartitionedMerges.Inc()
+		}
 		for i := range splits {
 			splits[i].release()
 			splits[i].t.release()
@@ -529,11 +532,7 @@ func (g *GroupBy) emitInKeyOrder(parts []*groupTable, emit BatchEmitFunc) {
 		orders[p] = slices.Clone(vec.Iota(t.groups()))
 		slices.SortFunc(orders[p], func(x, y int32) int { return compareGroups(t, int(x), t, int(y)) })
 	}
-	cols := g.Columns()
-	out := make([]*vec.Builder, len(cols))
-	for c := range cols {
-		out[c] = vec.NewBuilder(cols[c].Type)
-	}
+	out := newBufs(g.Columns())
 	total := 0
 	for next := make([]int, len(parts)); ; total++ {
 		best := -1
@@ -552,20 +551,18 @@ func (g *GroupBy) emitInKeyOrder(parts []*groupTable, emit BatchEmitFunc) {
 			out[k].AppendCell(kv, r)
 		}
 		for a := range t.aggs {
-			out[len(t.keys)+a].AppendValue(t.aggs[a].result(r))
+			out[len(t.keys)+a].Value(total, t.aggs[a].result(r))
 		}
 	}
 	if total == 0 {
 		return
 	}
 	batch := vec.Batch{Cols: make([]vec.Vector, len(out)), Len: total}
-	for c, b := range out {
-		batch.Cols[c] = b.Vec
+	for c := range out {
+		batch.Cols[c] = *out[c].Vector()
 	}
 	emit(0, &batch)
-	for _, b := range out {
-		b.Release()
-	}
+	releaseBufs(out)
 }
 
 // compareGroups orders group x of table a against group y of table b
@@ -577,31 +574,6 @@ func compareGroups(a *groupTable, x int, b *groupTable, y int) int {
 		}
 	}
 	return 0
-}
-
-// runPartitions runs fn(0..P-1), in parallel when both P and workers
-// allow.
-func runPartitions(P, workers int, fn func(p int)) {
-	n := min(P, workers)
-	if n <= 1 {
-		for p := 0; p < P; p++ {
-			fn(p)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer wg.Done()
-			for p := int(next.Add(1)) - 1; p < P; p = int(next.Add(1)) - 1 {
-				fn(p)
-			}
-		}()
-	}
-	wg.Wait()
-	obs.AggPartitionedMerges.Inc()
 }
 
 // split lists a worker table's groups partition by partition: P

@@ -21,36 +21,53 @@ type Collected struct {
 	Len  int
 }
 
-// Collect runs an operator into per-worker column builders — no lock,
+// Collect runs an operator into per-worker column buffers — no lock,
 // no boxing — and concatenates them worker-ascending. The result owns
 // its vectors: they are never handed back to the recycler.
 func Collect(op Operator, workers int) *Collected {
 	out := &Collected{Cols: op.Columns()}
-	parts := perWorker(workers, func() []*vec.Builder {
-		bs := make([]*vec.Builder, len(out.Cols))
-		for c := range bs {
-			bs[c] = vec.NewBuilder(out.Cols[c].Type)
-		}
-		return bs
-	})
+	parts := perWorker(workers, func() []vec.Buf { return newBufs(out.Cols) })
 	counts := perWorker(workers, func() paddedCount { return paddedCount{} })
 	run(op, workers, func(w int, b *vec.Batch) {
-		for c, bl := range parts[w] {
-			bl.AppendVector(&b.Cols[c], b.Sel, b.Len)
+		for c := range parts[w] {
+			parts[w][c].AppendVector(&b.Cols[c], b.Sel, b.Len)
 		}
 		counts[w].n += int64(b.Rows())
 	})
-	for c, bl := range parts[0] {
-		for _, p := range parts[1:] {
-			bl.AppendVector(&p[c].Vec, nil, p[c].Len())
-			p[c].Release()
-		}
-		out.Vecs = append(out.Vecs, bl.Vec)
+	for c := range parts[0] {
+		appendParts(parts, c)
+		out.Vecs = append(out.Vecs, *parts[0][c].Vector())
 	}
 	for i := range counts {
 		out.Len += int(counts[i].n)
 	}
 	return out
+}
+
+// newBufs returns one empty buffer per column of cols, to be appended
+// to.
+func newBufs(cols []ColumnDesc) []vec.Buf {
+	bufs := make([]vec.Buf, len(cols))
+	for c := range bufs {
+		bufs[c].Reset(cols[c].Type, 0)
+	}
+	return bufs
+}
+
+// appendParts appends column c of every later worker's buffers to the
+// first worker's, releasing each as it goes.
+func appendParts(parts [][]vec.Buf, c int) {
+	for _, p := range parts[1:] {
+		parts[0][c].AppendVector(p[c].Vector(), nil, p[c].Len())
+		p[c].Release()
+	}
+}
+
+// releaseBufs hands every buffer's arrays to the recycler.
+func releaseBufs(bufs []vec.Buf) {
+	for c := range bufs {
+		bufs[c].Release()
+	}
 }
 
 // Box boxes every row (counted in obs.RowsBoxed): the one place the

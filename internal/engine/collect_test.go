@@ -33,23 +33,24 @@ func TestSortedOrderMatchesSortRowsOnTies(t *testing.T) {
 	floats := []float64{math.Copysign(0, -1), 0, math.NaN(), 1.5, math.Inf(-1)}
 	const n = 2000
 	cols := []ColumnDesc{{"j", expr.TJSON}, {"t", expr.TText}, {"f", expr.TFloat}}
-	bs := []*vec.Builder{vec.NewBuilder(expr.TJSON), vec.NewBuilder(expr.TText), vec.NewBuilder(expr.TFloat)}
+	bs := make([]vec.Buf, len(cols))
+	for k := range bs {
+		bs[k].Reset(cols[k].Type, n)
+	}
 	for i := 0; i < n; i++ {
 		if r.Intn(8) == 0 {
-			bs[0].AppendNull()
+			bs[0].Value(i, expr.NullValue())
 		} else {
-			bs[0].AppendValue(docs[r.Intn(len(docs))])
+			bs[0].Value(i, docs[r.Intn(len(docs))])
 		}
-		if r.Intn(5) == 0 {
-			bs[1].AppendNull()
-		} else {
-			bs[1].AppendValue(expr.TextValue(fmt.Sprintf("k%d", r.Intn(4))))
+		if r.Intn(5) != 0 { // else never written: NULL
+			bs[1].Value(i, expr.TextValue(fmt.Sprintf("k%d", r.Intn(4))))
 		}
-		bs[2].AppendValue(expr.FloatValue(floats[r.Intn(len(floats))]))
+		bs[2].Value(i, expr.FloatValue(floats[r.Intn(len(floats))]))
 	}
 	c := &Collected{Cols: cols, Len: n}
-	for _, b := range bs {
-		c.Vecs = append(c.Vecs, b.Vec)
+	for k := range bs {
+		c.Vecs = append(c.Vecs, *bs[k].Vector())
 	}
 	want := c.Box()
 	want.SortRows()
@@ -67,11 +68,12 @@ func TestSortedOrderMatchesSortRowsOnTies(t *testing.T) {
 // plain scan of a document column orders its result.
 func BenchmarkSortedOrderJSON(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
-	bl := vec.NewBuilder(expr.TJSON)
-	for _, d := range randomDocs(r, 10000) {
-		bl.AppendValue(d)
+	var bl vec.Buf
+	bl.Reset(expr.TJSON, 0)
+	for i, d := range randomDocs(r, 10000) {
+		bl.Value(i, d)
 	}
-	c := &Collected{Cols: []ColumnDesc{{"data", expr.TJSON}}, Vecs: []vec.Vector{bl.Vec}, Len: bl.Len()}
+	c := &Collected{Cols: []ColumnDesc{{"data", expr.TJSON}}, Vecs: []vec.Vector{*bl.Vector()}, Len: bl.Len()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

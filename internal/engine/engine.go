@@ -31,7 +31,7 @@ type ColumnDesc struct {
 // reused between calls and must not be retained or written. An
 // operator hands the arrays behind its vectors to vec's recycler when
 // its run returns, and a later run, of any query, refills them: a
-// consumer copies what it keeps (Collect's builders, GROUP BY keys).
+// consumer copies what it keeps (Collect's buffers, GROUP BY keys).
 type BatchEmitFunc func(worker int, b *vec.Batch)
 
 // Operator is a push-based relational operator over column batches.

@@ -4,7 +4,7 @@ import "repro/internal/vec"
 
 // keyTable is the open-addressing index shared by the hash join and
 // GROUP BY: it maps a key hash to the id of a stored row, whose key
-// cells live in typed column builders owned by the caller and are
+// cells live in typed column buffers owned by the caller and are
 // compared column-wise through an eq callback (vec.KeyEq) — no key is
 // ever rendered to a string. Linear probing; slots hold id+1, 0 is
 // empty; the table stays at most half full.
@@ -48,7 +48,7 @@ func (t *keyTable) lookup(h uint64, i int, eq func(i, row int) bool) (row, slot 
 
 // add stores a new row with hash h at the free slot a lookup returned
 // and returns its id (ids are dense, in insertion order). The caller
-// appends the row's key cells to its builders.
+// appends the row's key cells to its buffers.
 func (t *keyTable) add(slot int, h uint64) int {
 	id := len(t.hashes)
 	t.hashes = vec.Push(t.hashes, h)

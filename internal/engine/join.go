@@ -50,14 +50,14 @@ func (j *HashJoin) Inputs() []Operator { return []Operator{j.Left, j.Right} }
 // typed columns, indexed by a table over the key columns. Rows with
 // equal keys are chained through next in build order.
 type joinBuild struct {
-	cols  []*vec.Builder // every build column, or just the keys for semi/anti
+	cols  []vec.Buf // every build column, or just the keys for semi/anti
 	keys  []*vec.Vector
 	table keyTable
 	next  []int32
 	dups  bool // some key occurs more than once
 }
 
-// build drains the build side into per-worker column builders (no
+// build drains the build side into per-worker column buffers (no
 // per-row copy, no lock), concatenates them worker-ascending and
 // indexes the result.
 func (j *HashJoin) build(workers int) *joinBuild {
@@ -69,18 +69,16 @@ func (j *HashJoin) build(workers int) *joinBuild {
 			keep[i] = i
 		}
 	}
+	kept := make([]ColumnDesc, len(keep))
+	for c, slot := range keep {
+		kept[c] = desc[slot]
+	}
 	type state struct {
-		cols []*vec.Builder
 		keys []*vec.Vector
 		sel  []int32
 	}
-	states := perWorker(workers, func() state {
-		st := state{cols: make([]*vec.Builder, len(keep)), keys: make([]*vec.Vector, len(j.LeftKeys))}
-		for c, slot := range keep {
-			st.cols[c] = vec.NewBuilder(desc[slot].Type)
-		}
-		return st
-	})
+	cols := perWorker(workers, func() []vec.Buf { return newBufs(kept) })
+	states := perWorker(workers, func() state { return state{keys: make([]*vec.Vector, len(j.LeftKeys))} })
 	run(j.Left, workers, func(w int, b *vec.Batch) {
 		st := &states[w]
 		for k, slot := range j.LeftKeys {
@@ -89,24 +87,21 @@ func (j *HashJoin) build(workers int) *joinBuild {
 		sel := b.Selected()
 		st.sel = vec.NotNullSel(st.keys, sel, vec.Resize(st.sel, len(sel))[:0])
 		for c, slot := range keep {
-			st.cols[c].AppendVector(&b.Cols[slot], st.sel, b.Len)
+			cols[w][c].AppendVector(&b.Cols[slot], st.sel, b.Len)
 		}
 	})
-	jb := &joinBuild{cols: states[0].cols, keys: make([]*vec.Vector, len(j.LeftKeys))}
-	for w, st := range states {
-		if w > 0 {
-			for c, col := range st.cols {
-				jb.cols[c].AppendVector(&col.Vec, nil, col.Len())
-				col.Release()
-			}
-		}
+	for _, st := range states {
 		vec.Recycle(st.sel)
 	}
+	for c := range kept {
+		appendParts(cols, c)
+	}
+	jb := &joinBuild{cols: cols[0], keys: make([]*vec.Vector, len(j.LeftKeys))}
 	for k, slot := range j.LeftKeys {
 		if j.emitsBuild() {
-			jb.keys[k] = &jb.cols[slot].Vec
+			jb.keys[k] = jb.cols[slot].Vector()
 		} else {
-			jb.keys[k] = &jb.cols[k].Vec
+			jb.keys[k] = jb.cols[k].Vector()
 		}
 	}
 	n := jb.cols[0].Len()
@@ -128,9 +123,7 @@ func (j *HashJoin) build(workers int) *joinBuild {
 
 // release hands the build side's columns and index to the recycler.
 func (jb *joinBuild) release() {
-	for _, col := range jb.cols {
-		col.Release()
-	}
+	releaseBufs(jb.cols)
 	jb.table.release()
 	vec.Recycle(jb.next)
 }
@@ -204,8 +197,8 @@ func (j *HashJoin) RunBatches(workers int, emit BatchEmitFunc) {
 		if !multi {
 			st.out = vec.Batch{Cols: append(st.out.Cols[:0], b.Cols...), Len: b.Len, Sel: out, Base: b.Base}
 			if j.emitsBuild() {
-				for c, col := range jb.cols {
-					st.out.Cols = append(st.out.Cols, *gather(st, probeWidth+c).Gather(&col.Vec, heads, out))
+				for c := range jb.cols {
+					st.out.Cols = append(st.out.Cols, *gather(st, probeWidth+c).Gather(jb.cols[c].Vector(), heads, out))
 				}
 			}
 			emit(w, &st.out)
@@ -228,8 +221,8 @@ func (j *HashJoin) RunBatches(workers int, emit BatchEmitFunc) {
 			for c := range b.Cols {
 				st.out.Cols = append(st.out.Cols, *gather(st, c).Gather(&b.Cols[c], st.pi[lo:hi], nil))
 			}
-			for c, col := range jb.cols {
-				st.out.Cols = append(st.out.Cols, *gather(st, probeWidth+c).Gather(&col.Vec, st.bi[lo:hi], nil))
+			for c := range jb.cols {
+				st.out.Cols = append(st.out.Cols, *gather(st, probeWidth+c).Gather(jb.cols[c].Vector(), st.bi[lo:hi], nil))
 			}
 			emit(w, &st.out)
 		}
@@ -243,8 +236,6 @@ func (j *HashJoin) RunBatches(workers int, emit BatchEmitFunc) {
 			vec.Recycle(s)
 		}
 		vec.Recycle(st.hashes)
-		for c := range st.gather {
-			st.gather[c].Release()
-		}
+		releaseBufs(st.gather)
 	}
 }

@@ -35,9 +35,9 @@ func (o *OrderBy) Columns() []ColumnDesc { return o.In.Columns() }
 func (o *OrderBy) Inputs() []Operator { return []Operator{o.In} }
 
 // sortBuf is one worker's share of the rows being sorted, copied into
-// column builders: the input columns, then any computed keys.
+// column buffers: the input columns, then any computed keys.
 type sortBuf struct {
-	cols  []*vec.Builder
+	cols  []vec.Buf
 	keys  []int // the column of each key
 	desc  []bool
 	n     int
@@ -47,11 +47,7 @@ type sortBuf struct {
 }
 
 func newSortBuf(cols []ColumnDesc, keys []int, desc []bool, limit int) *sortBuf {
-	s := &sortBuf{keys: keys, desc: desc, limit: limit, last: -1}
-	for _, c := range cols {
-		s.cols = append(s.cols, vec.NewBuilder(c.Type))
-	}
-	return s
+	return &sortBuf{cols: newBufs(cols), keys: keys, desc: desc, limit: limit, last: -1}
 }
 
 // add appends a batch's rows, cutting as soon as 2*limit rows are held.
@@ -76,8 +72,8 @@ func (s *sortBuf) flush(b *vec.Batch) {
 	if len(s.sel) == 0 {
 		return
 	}
-	for c, bl := range s.cols {
-		bl.AppendVector(&b.Cols[c], s.sel, b.Len)
+	for c := range s.cols {
+		s.cols[c].AppendVector(&b.Cols[c], s.sel, b.Len)
 	}
 	s.n += len(s.sel)
 	s.sel = s.sel[:0]
@@ -87,7 +83,7 @@ func (s *sortBuf) flush(b *vec.Batch) {
 // kept row.
 func (s *sortBuf) before(b *vec.Batch, i int) bool {
 	for k, col := range s.keys {
-		if c := cellsOrder(&b.Cols[col], i, &s.cols[col].Vec, s.last); c != 0 {
+		if c := cellsOrder(&b.Cols[col], i, s.cols[col].Vector(), s.last); c != 0 {
 			return (c < 0) != s.desc[k]
 		}
 	}
@@ -98,7 +94,7 @@ func (s *sortBuf) before(b *vec.Batch, i int) bool {
 func (s *sortBuf) order() []int32 {
 	keys := make([]vec.Vector, len(s.keys))
 	for k, col := range s.keys {
-		keys[k] = s.cols[col].Vec
+		keys[k] = *s.cols[col].Vector()
 	}
 	perm := slices.Clone(vec.Iota(s.n))
 	slices.SortStableFunc(perm, rowOrder(keys, s.desc, s.n))
@@ -108,10 +104,12 @@ func (s *sortBuf) order() []int32 {
 // cut keeps the first limit rows of the sorted order, in that order.
 func (s *sortBuf) cut() {
 	perm := s.order()[:s.limit]
-	for c, b := range s.cols {
-		s.cols[c] = vec.NewBuilder(b.Vec.Type)
-		s.cols[c].AppendVector(&b.Vec, perm, 0)
-		b.Release()
+	for c := range s.cols {
+		var kept vec.Buf
+		kept.Reset(s.cols[c].Vector().Type, 0)
+		kept.AppendVector(s.cols[c].Vector(), perm, 0)
+		s.cols[c].Release()
+		s.cols[c] = kept
 	}
 	s.n, s.last = s.limit, s.limit-1
 }
@@ -145,10 +143,10 @@ func (o *OrderBy) RunBatches(workers int, emit BatchEmitFunc) {
 	run(in, workers, func(w int, b *vec.Batch) { bufs[w].add(b) })
 	all := bufs[0]
 	for _, s := range bufs[1:] {
-		for c, b := range s.cols {
-			all.cols[c].AppendVector(&b.Vec, nil, s.n)
-			b.Release()
+		for c := range s.cols {
+			all.cols[c].AppendVector(s.cols[c].Vector(), nil, s.n)
 		}
+		releaseBufs(s.cols)
 		all.n += s.n
 	}
 	perm := all.order()
@@ -159,21 +157,17 @@ func (o *OrderBy) RunBatches(workers int, emit BatchEmitFunc) {
 		out := vec.Batch{Len: len(perm), Cols: make([]vec.Vector, len(cols))}
 		gather := make([]vec.Buf, len(cols))
 		for c := range out.Cols {
-			out.Cols[c] = *gather[c].Gather(&all.cols[c].Vec, perm, nil)
+			out.Cols[c] = *gather[c].Gather(all.cols[c].Vector(), perm, nil)
 		}
 		emit(0, &out)
-		for c := range gather {
-			gather[c].Release()
-		}
+		releaseBufs(gather)
 	}
 	// The sorted batch is dead once emitted (BatchEmitFunc), and with
 	// it every buffer.
 	for _, s := range bufs {
 		vec.Recycle(s.sel)
 	}
-	for _, b := range all.cols {
-		b.Release()
-	}
+	releaseBufs(all.cols)
 }
 
 // Limit passes through the first N rows it is handed. A batch that

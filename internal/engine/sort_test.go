@@ -11,7 +11,7 @@ import (
 
 // TestSortBufStaysBounded: with a Limit K, a worker's buffer is cut
 // the moment it holds 2K rows, so it holds fewer than 2K after every
-// batch it is handed, and its builders stay in step.
+// batch it is handed, and its column buffers stay in step.
 func TestSortBufStaysBounded(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	src := randSource(r, []expr.SQLType{expr.TBigInt, expr.TText, expr.TBigInt}, 2, 5000, 2)
@@ -96,12 +96,12 @@ func orderBySource() *batchSource {
 	r := rand.New(rand.NewSource(1))
 	src := &batchSource{cols: []ColumnDesc{{"n", expr.TBigInt}, {"s", expr.TText}}}
 	for range 64 {
-		n, s := vec.NewBuilder(expr.TBigInt), vec.NewBuilder(expr.TText)
-		for range 1024 {
-			n.AppendValue(expr.IntValue(r.Int63n(1 << 16)))
-			s.AppendValue(expr.TextValue(fmt.Sprintf("user%06d", r.Intn(1<<16))))
+		bufs := newBufs(src.cols)
+		for i := range 1024 {
+			bufs[0].Int(i, r.Int63n(1<<16))
+			bufs[1].Value(i, expr.TextValue(fmt.Sprintf("user%06d", r.Intn(1<<16))))
 		}
-		src.batches = append(src.batches, &vec.Batch{Len: 1024, Cols: []vec.Vector{n.Vec, s.Vec}})
+		src.batches = append(src.batches, &vec.Batch{Len: 1024, Cols: []vec.Vector{*bufs[0].Vector(), *bufs[1].Vector()}})
 	}
 	return src
 }

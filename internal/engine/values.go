@@ -23,16 +23,13 @@ func (v *Values) RunBatches(workers int, emit BatchEmitFunc) {
 		return
 	}
 	b := vec.Batch{Len: len(rows)}
-	bls := make([]*vec.Builder, len(v.Res.Cols))
-	for c, col := range v.Res.Cols {
-		bls[c] = vec.NewBuilder(col.Type)
-		for _, row := range rows {
-			bls[c].AppendValue(row[c])
+	bufs := newBufs(v.Res.Cols)
+	for c := range bufs {
+		for i, row := range rows {
+			bufs[c].Value(i, row[c])
 		}
-		b.Cols = append(b.Cols, bls[c].Vec)
+		b.Cols = append(b.Cols, *bufs[c].Vector())
 	}
 	emit(0, &b)
-	for _, bl := range bls {
-		bl.Release()
-	}
+	releaseBufs(bufs)
 }

@@ -291,16 +291,16 @@ func (r *Reader) ColumnT(tenant string, tileIdx, colIdx int) (*column.Column, []
 		var col *column.Column
 		var err error
 		if cm.HasDict {
-			col, err = column.DeserializeDict(payload, dict)
+			col, err = column.DeserializeDict(payload, dict, tm.Rows)
 		} else {
-			col, err = column.Deserialize(payload)
+			col, err = column.Deserialize(payload, tm.Rows)
 		}
 		if err != nil {
 			return nil, 0, err
 		}
-		if col.Len() != tm.Rows || col.Type() != cm.StorageType {
-			return nil, 0, corruptf("%s: block [%d,+%d) decodes to %d rows of type %d, footer says %d rows of type %d",
-				r.name, cm.Block.Off, cm.Block.StoredLen, col.Len(), col.Type(), tm.Rows, cm.StorageType)
+		if col.Type() != cm.StorageType {
+			return nil, 0, corruptf("%s: block [%d,+%d) decodes to type %d, footer says %d",
+				r.name, cm.Block.Off, cm.Block.StoredLen, col.Type(), cm.StorageType)
 		}
 		return col, int64(col.SizeBytes()), nil
 	})

@@ -2,23 +2,31 @@ package vec
 
 import "repro/internal/expr"
 
-// Buf is the reusable backing of one vector produced batch after
-// batch: written cell by cell (a scan resolving cells one at a time,
-// an expression evaluated per row), gathered into (a join or sort
-// output column) or computed into (an arithmetic result). The buffers
-// survive between uses; the vector handed out is rebuilt from them
-// each time and is valid until the next use, or until Release hands
-// the buffers to the recycler.
+// Buf is the one writer of vectors: the reusable backing of a vector
+// produced batch after batch, written cell by cell (a scan resolving
+// cells one at a time, an expression evaluated per row), appended to
+// (the rows a join build, a GROUP BY key, a sort or a result keeps),
+// gathered into (a join or sort output column) or computed into (an
+// arithmetic result). The buffers survive between uses and come from
+// the recycler; the vector handed out shares them, so it is valid until
+// the next use, or until Release hands the buffers back.
 //
-// Written cell by cell, after Reset, each cell goes straight into the
-// layout of its type (Ints for BigInt/Timestamp, Floats, a Bools
-// bitmap, a text arena) instead of being boxed. Only TJSON cells,
-// which are documents, stay boxed; a TNull vector is all NULL. Every
-// row starts NULL, so a row never written costs nothing. Rows are
-// written in ascending order, each at most once; a row may be skipped.
+// Written after Reset, each cell goes straight into the layout of its
+// type (Ints for BigInt/Timestamp, Floats, a Bools bitmap, a text
+// arena) instead of being boxed. Only TJSON cells, which are documents,
+// stay boxed; a TNull vector is all NULL. Rows are written in
+// ascending order, each at most once, and an append is a write at Len.
+// A row never written is NULL when it lies below a row written later
+// or below the length Reset set: Buf marks such rows when a write skips
+// past them and when Vector closes the vector off, a bitmap word at a
+// time, so an absent cell costs no write of its own, and Nulls stays
+// nil until some row is NULL. The vector's arrays are kept current as
+// rows are written, so a pointer from Vector reads every row written so
+// far.
 type Buf struct {
 	vec    Vector
-	next   int // text written by cell: the rows below next have their end offsets
+	n      int // rows written or passed over: the length of the vector so far
+	size   int // the length Reset set, which Vector closes the vector off at
 	ints   []int64
 	floats []float64
 	bits   []uint64
@@ -29,7 +37,8 @@ type Buf struct {
 }
 
 // Release hands the buffers' arrays to the recycler and empties b;
-// the vector last handed out must not be read after.
+// the vector last handed out must not be read after, and b must be
+// Reset before it is written again.
 func (b *Buf) Release() {
 	Recycle(b.ints)
 	Recycle(b.floats)
@@ -45,7 +54,13 @@ func (b *Buf) Release() {
 // reuse.
 func (b *Buf) Drop() {
 	clear(b.boxed[:cap(b.boxed)])
-	b.vec = Vector{}
+	b.hold(Vector{})
+}
+
+// hold makes v, a vector not written cell by cell, the one b hands out.
+func (b *Buf) hold(v Vector) *Vector {
+	b.vec, b.n, b.size = v, 0, 0
+	return &b.vec
 }
 
 // sized returns buf with length n through the recycler, never nil, so
@@ -59,68 +74,112 @@ func nullBits(buf []uint64, n int) []uint64 {
 	return buf
 }
 
-// Reset empties b into an n-row all-NULL vector of type t, to be
-// written cell by cell.
+// Reset empties b into an n-row vector of type t, written cell by
+// cell, whose rows read NULL until written; n = 0 starts one to be
+// appended to. NULL rows hold zero values, as in a column.
 func (b *Buf) Reset(t expr.SQLType, n int) {
-	b.vec, b.next = Vector{Type: t}, 0
-	v := &b.vec
-	switch t {
-	case expr.TBigInt, expr.TTimestamp:
-		b.ints = sized(b.ints, n)
-		clear(b.ints) // NULL rows hold 0, as in a column
-		v.Ints = b.ints
-	case expr.TFloat:
-		b.floats = sized(b.floats, n)
-		clear(b.floats)
-		v.Floats = b.floats
-	case expr.TBool:
-		b.bits = nullBits(b.bits, n)
-		v.Bools = b.bits
-	case expr.TText:
-		b.u32, b.bytes = sized(b.u32, n), b.bytes[:0]
-		v.StrOff = b.u32
-	case expr.TNull:
-		v.AllNull = true
-		return
-	default:
-		b.boxed = sized(b.boxed, n)
-		for i := range b.boxed {
-			b.boxed[i] = expr.NullValue()
-		}
-		v.Boxed = b.boxed
-		return
-	}
-	b.nulls = sized(b.nulls, (n+63)>>6)
-	for k := range b.nulls {
-		b.nulls[k] = ^uint64(0)
-	}
-	if r := n & 63; r != 0 {
-		b.nulls[len(b.nulls)-1] = 1<<uint(r) - 1
-	}
-	v.Nulls = b.nulls
+	b.vec, b.n, b.size = Vector{Type: t, AllNull: t == expr.TNull}, 0, n
+	b.ints, b.floats, b.bits = b.ints[:0], b.floats[:0], b.bits[:0]
+	b.u32, b.bytes, b.boxed = b.u32[:0], b.bytes[:0], b.boxed[:0]
+	b.extend(n)
 }
 
-// set marks row i non-NULL.
-func (b *Buf) set(i int) { b.vec.Nulls[i>>6] &^= 1 << (uint(i) & 63) }
+// Len returns the number of rows written or passed over.
+func (b *Buf) Len() int { return b.n }
+
+// at makes row i, at or past Len, the row written next: the rows
+// passed over read NULL, and the backing grows to hold row i. The
+// backing always holds max(Len, size) rows.
+func (b *Buf) at(i int) {
+	if i != b.n || i >= b.size {
+		b.nullRows(b.n, i, i+1)
+	}
+	b.n = i + 1
+}
+
+// nullRows marks rows [lo, hi) NULL, a bitmap word at a time, once the
+// backing holds rows rows.
+func (b *Buf) nullRows(lo, hi, rows int) {
+	if rows > max(b.n, b.size) {
+		b.extend(rows)
+	}
+	v := &b.vec
+	switch {
+	case lo >= hi, v.Type == expr.TNull, v.Type == expr.TJSON:
+		return
+	case v.Type == expr.TText:
+		passed, end := b.u32[lo:hi], uint32(len(b.bytes))
+		for k := range passed {
+			passed[k] = end
+		}
+	}
+	if v.Nulls == nil {
+		b.nulls = nullBits(b.nulls, max(hi, b.size))
+		v.Nulls = b.nulls
+	} else if len(b.nulls) < (hi+63)>>6 {
+		b.nulls = Extend(b.nulls, (hi+63)>>6)
+		v.Nulls = b.nulls
+	}
+	for lo < hi {
+		end := min(hi, (lo|63)+1)
+		b.nulls[lo>>6] |= ^uint64(0) >> uint(64-(end-lo)) << (uint(lo) & 63)
+		lo = end
+	}
+}
+
+// extend grows the vector's backing to hi rows: zero values, NULL
+// documents.
+func (b *Buf) extend(hi int) {
+	switch v := &b.vec; v.Type {
+	case expr.TBigInt, expr.TTimestamp:
+		b.ints = Extend(b.ints, hi)
+		v.Ints = b.ints
+	case expr.TFloat:
+		b.floats = Extend(b.floats, hi)
+		v.Floats = b.floats
+	case expr.TBool:
+		b.bits = Extend(b.bits, (hi+63)>>6)
+		v.Bools = b.bits
+	case expr.TText:
+		b.u32 = Extend(b.u32, hi)
+		v.StrOff = b.u32
+	case expr.TJSON:
+		b.boxed = fill(b.boxed, hi, expr.NullValue())
+		v.Boxed = b.boxed
+	}
+}
+
+// fill returns s extended to n elements with x.
+func fill[T any](s []T, n int, x T) []T {
+	old := len(s)
+	if old >= n {
+		return s
+	}
+	s = reserve(s, n-old)[:n]
+	for k := old; k < n; k++ {
+		s[k] = x
+	}
+	return s
+}
 
 // Int writes row i of a BigInt or Timestamp vector.
 func (b *Buf) Int(i int, x int64) {
-	b.vec.Ints[i] = x
-	b.set(i)
+	b.at(i)
+	b.ints[i] = x
 }
 
 // Float writes row i of a Float vector.
 func (b *Buf) Float(i int, x float64) {
-	b.vec.Floats[i] = x
-	b.set(i)
+	b.at(i)
+	b.floats[i] = x
 }
 
 // Bool writes row i of a Bool vector.
 func (b *Buf) Bool(i int, x bool) {
+	b.at(i)
 	if x {
-		b.vec.Bools[i>>6] |= 1 << (uint(i) & 63)
+		b.bits[i>>6] |= 1 << (uint(i) & 63)
 	}
-	b.set(i)
 }
 
 // Text copies s into the arena as row i of a Text vector.
@@ -128,50 +187,110 @@ func (b *Buf) Text(i int, s []byte) { writeText(b, i, s) }
 
 // writeText is Text for bytes or a string.
 func writeText[S []byte | string](b *Buf, i int, s S) {
-	b.fillOffsets(i)
+	b.at(i) // the rows passed over end where row i starts
 	b.bytes = append(reserve(b.bytes, len(s)), s...)
-	b.vec.StrOff[i] = uint32(len(b.bytes))
-	b.next = i + 1
-	b.set(i)
-}
-
-// fillOffsets gives the rows skipped before row i empty entries.
-func (b *Buf) fillOffsets(i int) {
-	if b.next >= i {
-		return
-	}
-	end := uint32(len(b.bytes))
-	skipped := b.vec.StrOff[b.next:i]
-	for k := range skipped {
-		skipped[k] = end
-	}
-	b.next = i
+	b.u32[i] = uint32(len(b.bytes))
+	b.vec.StrBytes = b.bytes
 }
 
 // Value writes x, NULL or of the vector's type, as row i.
 func (b *Buf) Value(i int, x expr.Value) {
-	switch {
-	case b.vec.Boxed != nil:
-		b.vec.Boxed[i] = x
-	case x.Null, b.vec.AllNull:
-	case b.vec.Type == expr.TFloat:
+	switch v := &b.vec; {
+	case v.Type == expr.TJSON:
+		b.at(i)
+		b.boxed[i] = x
+	case x.Null, v.AllNull:
+		b.nullRows(b.n, i+1, i+1)
+		b.n = i + 1
+	case v.Type == expr.TFloat:
 		b.Float(i, x.F)
-	case b.vec.Type == expr.TBool:
+	case v.Type == expr.TBool:
 		b.Bool(i, x.B)
-	case b.vec.Type == expr.TText:
+	case v.Type == expr.TText:
 		writeText(b, i, x.S)
 	default:
 		b.Int(i, x.I)
 	}
 }
 
-// Vector returns the vector written so far, or the one last gathered
-// or computed. It shares b's buffers, so it is valid until b's next
-// use.
+// AppendCell appends row i of src, a vector of b's type.
+func (b *Buf) AppendCell(src *Vector, i int) {
+	switch v, n := &b.vec, b.n; {
+	case src.IsNull(i) || v.AllNull:
+		b.Value(n, expr.NullValue())
+	case v.Type == expr.TJSON:
+		b.Value(n, src.Boxed[i])
+	case v.Type == expr.TFloat:
+		b.Float(n, src.Floats[i])
+	case v.Type == expr.TText:
+		writeText(b, n, src.StrAt(i))
+	case v.Type == expr.TBool:
+		b.Bool(n, src.Bool(i))
+	default:
+		b.Int(n, src.Ints[i])
+	}
+}
+
+// AppendVector appends the selected rows of src (nil sel: its first n
+// rows) in order. Every array grows at least doubling, so a column
+// appended batch by batch copies each cell a constant number of times.
+func (b *Buf) AppendVector(src *Vector, sel []int32, n int) {
+	if sel == nil {
+		sel = Iota(n)
+	}
+	switch v := &b.vec; {
+	case v.Type == expr.TText:
+		b.growText(src, sel)
+	case src.Nulls != nil || src.AllNull:
+	case v.Type == expr.TBigInt, v.Type == expr.TTimestamp:
+		b.ints = appendSel(b.ints, b.n, src.Ints, sel)
+		v.Ints, b.n = b.ints, b.n+len(sel)
+		return
+	case v.Type == expr.TFloat:
+		b.floats = appendSel(b.floats, b.n, src.Floats, sel)
+		v.Floats, b.n = b.floats, b.n+len(sel)
+		return
+	}
+	for _, i := range sel {
+		b.AppendCell(src, int(i))
+	}
+}
+
+// appendSel returns dst's first n elements followed by the selected
+// elements of src.
+func appendSel[T int64 | float64](dst []T, n int, src []T, sel []int32) []T {
+	dst = Extend(dst, n+len(sel))
+	for k, i := range sel {
+		dst[n+k] = src[i]
+	}
+	return dst
+}
+
+// growText makes room for the selected rows of text vector src. Without
+// codes it reserves the selection's share of the bytes between its
+// first and last entries: the exact count for a dense selection.
+func (b *Buf) growText(src *Vector, sel []int32) {
+	text := 0
+	plain := src.Codes8 == nil && src.Codes16 == nil && src.Codes32 == nil
+	if n := len(sel); n > 0 && sel[n-1] >= sel[0] && !src.AllNull && plain {
+		text = int(src.StrOff[sel[n-1]])
+		if sel[0] > 0 {
+			text -= int(src.StrOff[sel[0]-1])
+		}
+		text = text * n / int(sel[n-1]-sel[0]+1)
+	}
+	b.u32, b.bytes = reserve(b.u32, len(sel)), reserve(b.bytes, text)
+	b.vec.StrOff, b.vec.StrBytes = b.u32, b.bytes
+}
+
+// Vector returns the vector written so far, closed off at the length
+// Reset set, or the one last gathered or computed. It shares b's
+// buffers, so it is valid until b's next use; appending to b keeps the
+// pointer current.
 func (b *Buf) Vector() *Vector {
-	if v := &b.vec; v.Type == expr.TText && !v.AllNull && v.Codes32 == nil {
-		b.fillOffsets(len(v.StrOff))
-		v.StrBytes = b.bytes
+	if b.n < b.size {
+		b.nullRows(b.n, b.size, b.size)
+		b.n = b.size
 	}
 	return &b.vec
 }
@@ -183,8 +302,7 @@ func (b *Buf) Widen(ints []int64, nulls []uint64) *Vector {
 	for i, x := range ints {
 		b.floats[i] = float64(x)
 	}
-	b.vec = Vector{Type: expr.TFloat, Floats: b.floats, Nulls: nulls}
-	return &b.vec
+	return b.hold(Vector{Type: expr.TFloat, Floats: b.floats, Nulls: nulls})
 }
 
 // setNull marks row i NULL in bitmap nulls.
@@ -271,6 +389,5 @@ func (b *Buf) Gather(src *Vector, idx, sel []int32) *Vector {
 		}
 	}
 	out.Nulls = anyNull(b.nulls)
-	b.vec = out
-	return &b.vec
+	return b.hold(out)
 }

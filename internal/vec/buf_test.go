@@ -16,13 +16,113 @@ import (
 // TestVectorLayout pins the size of a vector and of its reusable
 // buffer: text has one layout (an arena and at most one code slice),
 // so a vector is ten slice headers and three small fields, and a Buf
-// is a vector plus one buffer set.
+// is a vector, its length so far, the length Reset set and one buffer
+// set.
 func TestVectorLayout(t *testing.T) {
 	if n := unsafe.Sizeof(Vector{}); n > 248 {
 		t.Errorf("Vector is %d B, want at most 248", n)
 	}
-	if n := unsafe.Sizeof(Buf{}); n > 424 {
-		t.Errorf("Buf is %d B, want at most 424", n)
+	if n := unsafe.Sizeof(Buf{}); n > 432 {
+		t.Errorf("Buf is %d B, want at most 432", n)
+	}
+}
+
+// appendValues returns a vector of type t holding cells, appended to a
+// Buf one by one.
+func appendValues(t expr.SQLType, cells []expr.Value) *Vector {
+	var b Buf
+	b.Reset(t, 0)
+	for _, x := range cells {
+		b.Value(b.Len(), x)
+	}
+	return b.Vector()
+}
+
+// scalarTypes are the types a Buf keeps unboxed, in a bitmap of NULLs.
+var scalarTypes = []expr.SQLType{expr.TBigInt, expr.TFloat, expr.TBool, expr.TText, expr.TTimestamp}
+
+// TestBufWrittenOnEveryRowHasNoNulls: a vector whose every row was
+// written, after Reset or by appends, has no null bitmap, so the
+// kernels' null-free loops apply to it.
+func TestBufWrittenOnEveryRowHasNoNulls(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for _, typ := range scalarTypes {
+		for _, size := range []int{150, 0} {
+			cells := randCells(r, typ, 150)
+			var b Buf
+			b.Reset(typ, size)
+			for i, x := range cells {
+				for x.Null {
+					x = cells[r.Intn(len(cells))]
+				}
+				b.Value(i, x)
+			}
+			if v := b.Vector(); v.Nulls != nil || b.Len() != len(cells) {
+				t.Errorf("%s, Reset to %d rows: %d rows, null bitmap %v", typ, size, b.Len(), v.Nulls)
+			}
+			b.Release()
+		}
+	}
+}
+
+// TestBufUnwrittenRowsReadNull: rows passed over between writes, and
+// rows after the last write up to the length Reset set, read NULL, also
+// across whole bitmap words; a vector is as long as its last row
+// written or the length Reset set, whichever is more. Rows are written
+// at Len plus a gap, by Value and by AppendCell and AppendVector.
+func TestBufUnwrittenRowsReadNull(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, typ := range scalarTypes {
+		for round := 0; round < 20; round++ {
+			size := []int{0, 1 + r.Intn(300)}[round%2]
+			src := randCells(r, typ, 100)
+			srcVec := appendValues(typ, src)
+			want := make([]expr.Value, 0, size)
+			var b Buf
+			b.Reset(typ, size)
+			for step := 0; step < 8; step++ {
+				gap := []int{0, 1, 63, 64, 70}[r.Intn(5)]
+				for range gap {
+					want = append(want, expr.NullValue())
+				}
+				switch k := r.Intn(len(src)); r.Intn(3) {
+				case 0:
+					b.Value(b.Len()+gap, src[k])
+					want = append(want, src[k])
+				case 1:
+					if gap > 0 { // the rows below it passed over, it written NULL
+						b.Value(b.Len()+gap-1, expr.NullValue())
+					}
+					b.AppendCell(srcVec, k)
+					want = append(want, src[k])
+				default:
+					if gap > 0 {
+						b.Value(b.Len()+gap-1, expr.NullValue())
+					}
+					sel := []int32{int32(k), int32(k+1) % 100}
+					b.AppendVector(srcVec, sel, 0)
+					want = append(want, src[sel[0]], src[sel[1]])
+				}
+			}
+			for len(want) < size {
+				want = append(want, expr.NullValue())
+			}
+			v := b.Vector()
+			if b.Len() != len(want) {
+				t.Fatalf("%s round %d: %d rows, want %d", typ, round, b.Len(), len(want))
+			}
+			anyNull := false
+			for i, x := range want {
+				anyNull = anyNull || x.Null
+				if got := v.Value(i); got.Null != x.Null || got.String() != x.String() {
+					t.Fatalf("%s round %d row %d: %v, want %v", typ, round, i, got, x)
+				}
+			}
+			if (v.Nulls != nil) != anyNull {
+				t.Fatalf("%s round %d: null bitmap %v with a NULL row %v", typ, round, v.Nulls != nil, anyNull)
+			}
+			b.Release()
+		}
 	}
 }
 
@@ -87,7 +187,7 @@ func TestBufDropForgetsDocuments(t *testing.T) {
 
 // TestTextWritesAfterGatherKeepTheSource: a text Gather leaves the
 // source's arena in the buffer's vector. Text written after the next
-// Reset goes into the buffer's own arena, so a builder's arena — and a
+// Reset goes into the buffer's own arena, so an appended arena — and a
 // storage column's — stays byte for byte what it was, also when the
 // writes run past its capacity and arrays go through the recycler.
 func TestTextWritesAfterGatherKeepTheSource(t *testing.T) {
@@ -96,20 +196,22 @@ func TestTextWritesAfterGatherKeepTheSource(t *testing.T) {
 			if poisoned {
 				defer PoisonReleased()()
 			}
-			src := NewBuilder(expr.TText)
+			var buf Buf
+			buf.Reset(expr.TText, 0)
 			for i := 0; i < 5; i++ {
-				src.AppendValue(expr.TextValue(fmt.Sprintf("row %d", i)))
+				buf.Value(i, expr.TextValue(fmt.Sprintf("row %d", i)))
 			}
-			defer src.Release()
-			arena := slices.Clone(src.Vec.StrBytes[:cap(src.Vec.StrBytes)])
-			offsets := slices.Clone(src.Vec.StrOff[:cap(src.Vec.StrOff)])
+			defer buf.Release()
+			src := buf.Vector()
+			arena := slices.Clone(src.StrBytes[:cap(src.StrBytes)])
+			offsets := slices.Clone(src.StrOff[:cap(src.StrOff)])
 			var b Buf
 			defer b.Release()
-			g := b.Gather(&src.Vec, []int32{4, -1, 0}, nil)
+			g := b.Gather(src, []int32{4, -1, 0}, nil)
 			if string(g.StrAt(0)) != "row 4" || !g.IsNull(1) || string(g.StrAt(2)) != "row 0" {
 				t.Fatalf("gathered %q, NULL %v, %q", g.StrAt(0), g.IsNull(1), g.StrAt(2))
 			}
-			n := cap(src.Vec.StrBytes) // rows of 3 bytes: past the source's capacity
+			n := cap(src.StrBytes) // rows of 3 bytes: past the source's capacity
 			b.Reset(expr.TText, n)
 			for i := 0; i < n; i++ {
 				b.Text(i, []byte("abc"))
@@ -120,7 +222,7 @@ func TestTextWritesAfterGatherKeepTheSource(t *testing.T) {
 					t.Fatalf("written row %d reads %q", i, v.StrAt(i))
 				}
 			}
-			if !bytes.Equal(src.Vec.StrBytes[:cap(src.Vec.StrBytes)], arena) || !slices.Equal(src.Vec.StrOff[:cap(src.Vec.StrOff)], offsets) {
+			if !bytes.Equal(src.StrBytes[:cap(src.StrBytes)], arena) || !slices.Equal(src.StrOff[:cap(src.StrOff)], offsets) {
 				t.Fatal("text written after a gather changed the source's arena")
 			}
 		})

@@ -209,8 +209,7 @@ func (n *arithVal) eval(b *Batch, sel []int32, sc *Scratch) *Vector {
 		}
 		out.Nulls = anyNull(nulls)
 	}
-	buf.vec = out
-	return &buf.vec
+	return buf.hold(out)
 }
 
 // arithFloats is the float arithmetic loop; integer sides widen per

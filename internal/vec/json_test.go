@@ -66,16 +66,13 @@ func dictVector(cells []expr.Value) Vector {
 }
 
 // columnVectors returns every layout a column of cells of type t can
-// arrive in: a builder's (boxed for ::JSON alone), dictionary-coded for
-// text, and a gather of the builder's layout that reverses the rows (a
-// shared text arena read through Codes32). Each comes with the cells it
-// holds, row for row.
+// arrive in: appended to a Buf (boxed for ::JSON alone),
+// dictionary-coded for text, and a gather of the appended layout that
+// reverses the rows (a shared text arena read through Codes32). Each
+// comes with the cells it holds, row for row.
 func columnVectors(t expr.SQLType, cells []expr.Value) (vecs []Vector, want [][]expr.Value) {
-	b := NewBuilder(t)
-	for _, x := range cells {
-		b.AppendValue(x)
-	}
-	vecs = append(vecs, b.Vec)
+	b := appendValues(t, cells)
+	vecs = append(vecs, *b)
 	want = append(want, cells)
 	if t == expr.TText {
 		vecs = append(vecs, dictVector(cells))
@@ -88,7 +85,7 @@ func columnVectors(t expr.SQLType, cells []expr.Value) (vecs []Vector, want [][]
 		revCells[i] = cells[rev[i]]
 	}
 	var buf Buf
-	vecs = append(vecs, *buf.Gather(&b.Vec, rev, nil))
+	vecs = append(vecs, *buf.Gather(b, rev, nil))
 	want = append(want, revCells)
 	return vecs, want
 }

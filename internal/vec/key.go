@@ -163,7 +163,7 @@ func plainInts(v *Vector) bool {
 
 // KeyEq returns a test for "row i of the a vectors is the same key as
 // row j of the b vectors". The vectors are read at call time, so b may
-// be the live view of builders that grow between calls; the test stays
+// be the live view of Bufs appended to between calls; the test stays
 // valid as long as only cells of the a vectors are appended to them.
 func KeyEq(a, b []*Vector) func(i, j int) bool {
 	if len(a) == 1 && plainInts(a[0]) && plainInts(b[0]) && a[0].Type == b[0].Type {

@@ -24,11 +24,7 @@ func shapeVector(r *rand.Rand, t expr.SQLType, cells []expr.Value) Vector {
 	case t == expr.TJSON:
 		return Vector{Type: t, Boxed: cells}
 	case t != expr.TText || r.Intn(2) == 0:
-		b := NewBuilder(t)
-		for _, c := range cells {
-			b.AppendValue(c)
-		}
-		return b.Vec
+		return *appendValues(t, cells)
 	}
 	v := Vector{Type: t, Dict: true, Codes16: make([]uint16, len(cells))}
 	var entries []string
@@ -147,7 +143,7 @@ func TestKeyKernelsAgreeAcrossShapes(t *testing.T) {
 // TestBuilderGatherRoundTrip: copying cells out of any vector shape
 // with a Builder and gathering them (twice over, so text indirection
 // composes) both preserve every cell.
-func TestBuilderGatherRoundTrip(t *testing.T) {
+func TestBufAppendGatherRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	var gather, again Buf
 	for trial := 0; trial < 300; trial++ {
@@ -168,14 +164,15 @@ func TestBuilderGatherRoundTrip(t *testing.T) {
 				sel = append(sel, int32(i))
 			}
 		}
-		b := NewBuilder(typ)
-		b.AppendNull()
+		var b Buf
+		b.Reset(typ, 0)
+		b.Value(0, expr.NullValue())
 		b.AppendVector(&src, sel, n)
-		if b.Len() != 1+len(sel) || !b.Vec.IsNull(0) {
-			t.Fatalf("trial %d: builder holds %d cells", trial, b.Len())
+		if b.Len() != 1+len(sel) || !b.Vector().IsNull(0) {
+			t.Fatalf("trial %d: appended buffer holds %d cells", trial, b.Len())
 		}
 		for k, i := range sel {
-			same("builder", &b.Vec, 1+k, cells[i])
+			same("appended", b.Vector(), 1+k, cells[i])
 		}
 
 		idx := make([]int32, 1+r.Intn(50))

@@ -8,7 +8,7 @@ import (
 	"unsafe"
 )
 
-// The recycler keeps the typed arrays that builders and Bufs grow into
+// The recycler keeps the typed arrays that Bufs grow into
 // ([]int64, []float64, []uint64, []uint32, []int32, []byte) between
 // the operator runs that use them: an operator's state dies when its
 // run returns, so the next run draws the same arrays instead of

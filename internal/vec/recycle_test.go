@@ -2,6 +2,7 @@ package vec
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/expr"
@@ -62,13 +63,14 @@ func TestExtendZeroesWhatItAdds(t *testing.T) {
 	}
 }
 
-// TestBuilderReleaseEmptiesIt: a released builder is empty and appends
-// again from the recycler.
-func TestBuilderReleaseEmptiesIt(t *testing.T) {
+// TestBufReleaseEmptiesIt: a released buffer is empty and, Reset,
+// appends again from the recycler.
+func TestBufReleaseEmptiesIt(t *testing.T) {
 	defer PoisonReleased()()
 	for _, typ := range []expr.SQLType{expr.TBigInt, expr.TFloat, expr.TText, expr.TBool, expr.TJSON} {
-		b := NewBuilder(typ)
+		var b Buf
 		for round := 0; round < 2; round++ {
+			b.Reset(typ, 0)
 			want := []expr.Value{expr.NullValue()}
 			for i := 0; i < 100; i++ {
 				switch typ {
@@ -85,19 +87,19 @@ func TestBuilderReleaseEmptiesIt(t *testing.T) {
 				}
 			}
 			for _, v := range want {
-				b.AppendValue(v)
+				b.Value(b.Len(), v)
 			}
 			if b.Len() != len(want) {
 				t.Fatalf("%v round %d: %d cells, want %d", typ, round, b.Len(), len(want))
 			}
 			for i, v := range want {
-				if got := b.Vec.Value(i); got.Null != v.Null || (!v.Null && got.String() != v.String()) {
+				if got := b.Vector().Value(i); got.Null != v.Null || (!v.Null && got.String() != v.String()) {
 					t.Fatalf("%v round %d row %d: %v, want %v", typ, round, i, got, v)
 				}
 			}
 			b.Release()
-			if b.Len() != 0 || b.Vec.Type != typ {
-				t.Fatalf("%v: released builder holds %d cells of type %v", typ, b.Len(), b.Vec.Type)
+			if v := b.Vector(); b.Len() != 0 || !reflect.DeepEqual(*v, Vector{}) {
+				t.Fatalf("%v: released buffer holds %d cells, vector %+v", typ, b.Len(), *v)
 			}
 		}
 	}

@@ -434,10 +434,7 @@ func TestBatchRowsAndNullVector(t *testing.T) {
 // it.
 func TestScratchCountsDictShortcuts(t *testing.T) {
 	dict := Vector{Type: expr.TText, Dict: true, StrBytes: []byte("ab"), StrOff: []uint32{1, 2}, Codes8: []uint8{0, 1, 1, 0}}
-	b := NewBuilder(expr.TText)
-	for _, s := range []string{"a", "b", "b", "a"} {
-		b.AppendValue(expr.TextValue(s))
-	}
+	b := appendValues(expr.TText, []expr.Value{expr.TextValue("a"), expr.TextValue("b"), expr.TextValue("b"), expr.TextValue("a")})
 	col := expr.NewCol(0, expr.TText)
 	preds := []expr.Expr{
 		expr.NewCmp(expr.EQ, col, expr.NewConst(expr.TextValue("b"))),
@@ -448,7 +445,7 @@ func TestScratchCountsDictShortcuts(t *testing.T) {
 	if sc.TakeDictShortcuts() != 0 {
 		t.Fatal("a nil scratch reports shortcuts")
 	}
-	for _, v := range []Vector{dict, b.Vec} {
+	for _, v := range []Vector{dict, *b} {
 		for _, e := range preds {
 			p, ok := Compile(e, 1)
 			if !ok {
