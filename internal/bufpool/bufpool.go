@@ -95,12 +95,11 @@ type entry struct {
 	pins     int32
 	ref      bool // second-chance bit: set on access, cleared by sweeps
 	dead     bool // removed from entries; awaiting ring compaction
-	// warmed marks entries inserted by Put (pre-scan fetch or async
-	// readahead) and not yet hit: the first Get on one reports
-	// Handle.Warmed so scans don't double-count the block (the fetch
-	// pass already accounted the miss). prefetched additionally marks
-	// asynchronous readahead inserts: the first Get counts as a
-	// prefetch hit. Both clear on that first Get.
+	// warmed marks entries inserted by Put (a scan's fetch) and not
+	// yet read: the first GetAs on one counts no hit, since the fetch
+	// counted the miss. prefetched additionally marks a fetch that ran
+	// ahead of the scan: that first GetAs counts a prefetch hit. Both
+	// clear on that first GetAs.
 	warmed     bool
 	prefetched bool
 	putAt      int64 // Pool.inserted when Put inserted the entry
@@ -168,9 +167,9 @@ func (p *Pool) Contains(key Key) bool {
 // Put inserts an unpinned payload for key if neither resident nor
 // being loaded, reporting whether it was inserted. This is the
 // readahead insert path: coalesced and prefetched reads publish their
-// blocks for later Gets without counting as hits or misses.
+// blocks for later GetAs calls without counting as hits or misses.
 // prefetched marks the entry for prefetch-hit accounting on its first
-// Get.
+// GetAs.
 func (p *Pool) Put(tenant string, key Key, payload []byte, prefetched bool) bool {
 	p.mu.Lock()
 	if _, ok := p.entries[key]; ok {
@@ -235,18 +234,6 @@ func (p *Pool) acctLocked(tenant string) *tenantAcct {
 type Handle struct {
 	pool *Pool
 	ent  *entry
-	// Hit reports whether the payload was already resident (true) or
-	// was loaded by this Get (false). Scans aggregate this into
-	// per-query pool hit/miss counts.
-	Hit bool
-	// Warmed reports that this hit was the first access to a block a
-	// fetch pass inserted via Put (scans skip hit accounting: the
-	// fetch pass already accounted the miss).
-	Warmed bool
-	// Prefetched reports that this hit was the first access to an
-	// asynchronous-readahead-inserted block (scans count it as a
-	// prefetch hit). Implies Warmed.
-	Prefetched bool
 }
 
 // Bytes returns the cached payload, nil once Decoded has replaced it.
@@ -262,7 +249,7 @@ func (h *Handle) Bytes() []byte {
 // accesses share one decode. decode reports the bytes its value
 // retains, aliased payload memory included: the entry drops its own
 // payload reference and is charged that size from then on (bounds are
-// re-enforced at Release). The value is shared by every later Get, so
+// re-enforced at Release). The value is shared by every later GetAs, so
 // immutable, and may be kept past Release (it is garbage-collected,
 // never reused). A failed decode caches nothing.
 func (h *Handle) Decoded(decode func(payload []byte) (v any, retained int64, err error)) (any, error) {
@@ -310,23 +297,23 @@ func (h *Handle) Release() {
 	h.ent = nil
 }
 
-// Get returns a pinned handle for key, calling load (outside the pool
-// lock) to produce the payload on a miss. Concurrent Gets for the same
-// absent key share one load: the losers block until the winner's load
-// returns. A failed load caches nothing and the error propagates to
-// every waiter. Blocks loaded through Get carry no tenant
-// attribution; tenanted scans use GetAs.
-func (p *Pool) Get(key Key, load func() ([]byte, error)) (*Handle, error) {
-	return p.GetAs("", key, load)
-}
-
-// GetAs is Get with tenant attribution: a loaded block's bytes charge
-// the tenant's ledger, and the insert enforces the tenant's quota by
-// evicting its own unpinned blocks. A hit on a block another tenant
-// loaded stays attributed to the loader — attribution follows who
-// paid the I/O, and a shared hot block should not bounce between
-// ledgers on every access.
-func (p *Pool) GetAs(tenant string, key Key, load func() ([]byte, error)) (*Handle, error) {
+// GetAs returns a pinned handle for key, calling load (outside the pool
+// lock) to produce the payload on a miss. Concurrent GetAs calls for
+// the same absent key share one load: the losers block until the
+// winner's load returns. A failed load caches nothing and the error
+// propagates to every waiter.
+//
+// The access counts into c: a miss as PoolMisses, a hit as PoolHits,
+// except the first access to a block Put inserted, which the fetch that
+// inserted it already counted as a miss: it counts as StorePrefetchHits
+// when the fetch ran ahead of the scan, else nothing.
+//
+// A loaded block's bytes charge tenant's ledger ("" = unattributed),
+// and the insert enforces the tenant's quota by evicting its own
+// unpinned blocks. A hit on a block another tenant loaded stays
+// attributed to the loader — attribution follows who paid the I/O, and
+// a shared hot block should not bounce between ledgers on every access.
+func (p *Pool) GetAs(tenant string, key Key, c *obs.ScanCounts, load func() ([]byte, error)) (*Handle, error) {
 	for {
 		p.mu.Lock()
 		if e, ok := p.entries[key]; ok {
@@ -339,10 +326,14 @@ func (p *Pool) GetAs(tenant string, key Key, load func() ([]byte, error)) (*Hand
 			warmed, pf := e.warmed, e.prefetched
 			e.warmed, e.prefetched = false, false
 			p.mu.Unlock()
-			if pf {
+			switch {
+			case pf:
+				c.StorePrefetchHits++
 				obs.StorePrefetchHits.Add(1)
+			case !warmed:
+				c.PoolHits++
 			}
-			return &Handle{pool: p, ent: e, Hit: true, Warmed: warmed, Prefetched: pf}, nil
+			return &Handle{pool: p, ent: e}, nil
 		}
 		if f, ok := p.flights[key]; ok {
 			// Someone else is loading this block; wait and retry. The
@@ -359,6 +350,7 @@ func (p *Pool) GetAs(tenant string, key Key, load func() ([]byte, error)) (*Hand
 		p.flights[key] = f
 		p.misses++
 		p.mu.Unlock()
+		c.PoolMisses++
 
 		f.bytes, f.err = load()
 
@@ -410,6 +402,7 @@ func (p *Pool) removeLocked(i int) {
 	delete(p.entries, e.key)
 	p.chargeLocked(e, -e.size)
 	p.evictions++
+	obs.BufpoolEvictions.Add(1)
 	last := len(p.ring) - 1
 	p.ring[i] = p.ring[last]
 	p.ring[last] = nil

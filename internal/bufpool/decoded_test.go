@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // decodedForm stands in for a column: it retains `size` bytes.
@@ -12,7 +14,7 @@ type decodedForm struct{ size int64 }
 
 func getDecoded(t *testing.T, p *Pool, tenant string, key Key, raw int, size int64, decodes *atomic.Int64) *decodedForm {
 	t.Helper()
-	h, err := p.GetAs(tenant, key, func() ([]byte, error) { return payload(raw, 1), nil })
+	h, err := p.GetAs(tenant, key, new(obs.ScanCounts), func() ([]byte, error) { return payload(raw, 1), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func TestDecodedOncePerResidency(t *testing.T) {
 	if decodes.Load() != 1 {
 		t.Errorf("decodes = %d, want 1", decodes.Load())
 	}
-	h, _ := p.Get(key, nil)
+	h, _, _ := get(p, key, nil)
 	if h.Bytes() != nil {
 		t.Error("payload still held beside the decoded form")
 	}
@@ -102,7 +104,7 @@ func TestDecodedChargeIsEnforced(t *testing.T) {
 func TestDecodedErrorNotCached(t *testing.T) {
 	p := New(1000)
 	key := Key{File: p.RegisterObject("a")}
-	h, _ := p.Get(key, func() ([]byte, error) { return payload(10, 1), nil })
+	h, _, _ := get(p, key, func() ([]byte, error) { return payload(10, 1), nil })
 	defer h.Release()
 	boom := errors.New("boom")
 	if _, err := h.Decoded(func([]byte) (any, int64, error) { return nil, 0, boom }); !errors.Is(err, boom) {

@@ -3,13 +3,15 @@ package bufpool
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // loadAs fetches a block for a tenant and immediately releases the
 // handle (the scan-path usage pattern).
 func loadAs(t *testing.T, p *Pool, tenant string, f uint64, off uint64, size int) {
 	t.Helper()
-	h, err := p.GetAs(tenant, Key{File: f, Off: off}, func() ([]byte, error) {
+	h, err := p.GetAs(tenant, Key{File: f, Off: off}, new(obs.ScanCounts), func() ([]byte, error) {
 		return payload(size, byte(off)), nil
 	})
 	if err != nil {
@@ -100,7 +102,7 @@ func TestPinnedBlocksSurviveQuota(t *testing.T) {
 	p := New(1 << 20)
 	f := p.RegisterObject("a")
 	p.SetQuota("t", 100)
-	h, err := p.GetAs("t", Key{File: f, Off: 0}, func() ([]byte, error) {
+	h, err := p.GetAs("t", Key{File: f, Off: 0}, new(obs.ScanCounts), func() ([]byte, error) {
 		return payload(100, 1), nil
 	})
 	if err != nil {
@@ -145,7 +147,7 @@ func TestDropFileUnbooksTenant(t *testing.T) {
 func TestGetDelegatesUnattributed(t *testing.T) {
 	p := New(1 << 20)
 	f := p.RegisterObject("a")
-	h, err := p.Get(Key{File: f, Off: 0}, func() ([]byte, error) {
+	h, _, err := get(p, Key{File: f, Off: 0}, func() ([]byte, error) {
 		return payload(64, 7), nil
 	})
 	if err != nil {
@@ -153,13 +155,14 @@ func TestGetDelegatesUnattributed(t *testing.T) {
 	}
 	h.Release()
 	// A tenant hitting the unattributed block is a hit, not a charge.
-	h2, err := p.GetAs("t", Key{File: f, Off: 0}, func() ([]byte, error) {
+	var c obs.ScanCounts
+	h2, err := p.GetAs("t", Key{File: f, Off: 0}, &c, func() ([]byte, error) {
 		return nil, fmt.Errorf("must not reload")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h2.Hit {
+	if c.PoolHits != 1 {
 		t.Fatal("want hit")
 	}
 	h2.Release()
@@ -174,13 +177,13 @@ func TestReleaseReenforcesQuota(t *testing.T) {
 	p.SetQuota("t", 100)
 	// Pin two blocks at once: the tenant sits at 200 > quota with
 	// nothing evictable.
-	h1, err := p.GetAs("t", Key{File: f, Off: 0}, func() ([]byte, error) {
+	h1, err := p.GetAs("t", Key{File: f, Off: 0}, new(obs.ScanCounts), func() ([]byte, error) {
 		return payload(100, 1), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := p.GetAs("t", Key{File: f, Off: 1}, func() ([]byte, error) {
+	h2, err := p.GetAs("t", Key{File: f, Off: 1}, new(obs.ScanCounts), func() ([]byte, error) {
 		return payload(100, 2), nil
 	})
 	if err != nil {

@@ -341,8 +341,8 @@ var (
 	// warm scan adds nothing.
 	SegmentBlocksDecoded = Default.Counter("segment_blocks_decoded")
 	// BufpoolHits and BufpoolMisses count buffer-pool lookups during
-	// scans; BufpoolEvictions counts blocks evicted to stay inside the
-	// pool's capacity.
+	// scans; BufpoolEvictions counts blocks a pool evicts to stay inside
+	// its capacity or a tenant's quota, as it evicts them.
 	BufpoolHits      = Default.Counter("bufpool_hits")
 	BufpoolMisses    = Default.Counter("bufpool_misses")
 	BufpoolEvictions = Default.Counter("bufpool_evictions")
@@ -479,7 +479,8 @@ var (
 	// or not) leaked pins and its blocks can never be evicted.
 	BufpoolPinnedBytes = Default.Gauge("bufpool_pinned_bytes")
 	// BufpoolHitRatio is hits/(hits+misses) over all pool lookups so
-	// far (0 before the first lookup). Refreshed after every scan.
+	// far (0 before the first lookup). Refreshed whenever a scan's hits
+	// and misses are added to their series.
 	BufpoolHitRatio = Default.Gauge("bufpool_hit_ratio")
 	// CompactionBacklog is the number of segments currently eligible
 	// for compaction (members of tiers holding at least fan-in

@@ -96,9 +96,11 @@ func (c *ScanCounts) Add(o *ScanCounts) {
 }
 
 // forward adds the counts that have a process-wide series into
-// Default. The rest are counted process-wide where they happen: morsels
-// by the queue runner, decodes by the segment reader, and store traffic
-// at the store layer, so forwarding those would double-count.
+// Default and refreshes the pool hit-ratio gauge beside the hit and
+// miss series. The rest are counted process-wide where they happen:
+// morsels by the queue runner, decodes by the segment reader, prefetch
+// hits and evictions by the buffer pool, and store traffic at the store
+// layer, so forwarding those would double-count.
 func (c *ScanCounts) forward() {
 	TilesScanned.Add(c.TilesScanned)
 	TilesSkipped.Add(c.TilesSkipped)
@@ -114,8 +116,12 @@ func (c *ScanCounts) forward() {
 	DictKernelShortcuts.Add(c.DictKernelShortcuts)
 	SegmentBlocksRead.Add(c.PoolMisses)
 	SegmentBytesRead.Add(c.StoreBytesRead)
-	BufpoolHits.Add(c.PoolHits)
-	BufpoolMisses.Add(c.PoolMisses)
+	if c.PoolHits+c.PoolMisses > 0 {
+		BufpoolHits.Add(c.PoolHits)
+		BufpoolMisses.Add(c.PoolMisses)
+		hits, misses := BufpoolHits.Load(), BufpoolMisses.Load()
+		BufpoolHitRatio.Set(float64(hits) / float64(hits+misses))
+	}
 }
 
 // SkipRatio returns the fraction of tiles skipped of those considered.

@@ -23,14 +23,14 @@ func readAll(t *testing.T, r *Reader, tenant string) []*column.Column {
 	var cols []*column.Column
 	for ti := 0; ti < r.NumTiles(); ti++ {
 		for ci := range r.Tile(ti).Columns {
-			c, _, err := r.ColumnT(tenant, ti, ci)
+			c, err := r.ColumnT(tenant, ti, ci, new(obs.ScanCounts))
 			if err != nil {
 				t.Fatal(err)
 			}
 			cols = append(cols, c)
 		}
 		for p := 0; p <= len(r.Tile(ti).Docs); p++ {
-			dir, _, err := r.DocPartT(tenant, ti, p)
+			dir, err := r.DocPartT(tenant, ti, p, new(obs.ScanCounts))
 			if err != nil || len(dir) != r.Tile(ti).Rows {
 				t.Fatalf("tile %d docs part %d: %d of %d, err %v", ti, p, len(dir), r.Tile(ti).Rows, err)
 			}
@@ -243,12 +243,12 @@ func TestCorruptLZ4BlockFailsAtDecode(t *testing.T) {
 		read func() (hit bool, err error)
 	}{
 		{"docs", tm.Rest, func() (bool, error) {
-			_, info, err := r.Docs(0)
-			return info.Hit, err
+			_, c, err := r.Docs(0)
+			return c.PoolMisses == 0, err
 		}},
 		{"dict", tm.Columns[dictCol].Dict, func() (bool, error) {
-			_, infos, err := r.Column(0, dictCol)
-			return len(infos) == 2 && infos[1].Hit, err
+			_, c, err := r.Column(0, dictCol)
+			return c.PoolMisses == 0, err
 		}},
 	}
 	for _, fetched := range []bool{false, true} {
@@ -316,6 +316,77 @@ func TestColumnDecodeInTinyPool(t *testing.T) {
 		}
 		if got := obs.SegmentBlocksDecoded.Load() - base; got != n {
 			t.Errorf("pass %d decoded %d blocks of %d accesses", pass, got, n)
+		}
+	}
+}
+
+// TestAccessCounts: each kind of block access counts where it happens,
+// into the reader's counts: the pool counts its hit or miss (a block a
+// fetch made resident counts a prefetch hit on its first read when the
+// fetch ran ahead of the scan, nothing when the scan's claim fetched
+// it), the Reader a miss's store reads, retries and bytes and each
+// block it decodes.
+func TestAccessCounts(t *testing.T) {
+	fake := blockstore.NewFakeS3(putSegment(t, buildDictTile(t, 200)), blockstore.FakeS3Config{})
+	pool := bufpool.New(0)
+	r, err := OpenStore(fake, testSeg, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	tm := r.Tile(0)
+	plain, dict := -1, -1
+	for ci, cm := range tm.Columns {
+		if cm.HasDict {
+			dict = ci
+		} else {
+			plain = ci
+		}
+	}
+	if plain < 0 || dict < 0 {
+		t.Fatal("want a plain and a dictionary column")
+	}
+	block := tm.Columns[plain].Block
+	codes, dictBlock := tm.Columns[dict].Block, tm.Columns[dict].Dict
+	fetch := func(ahead bool) obs.ScanCounts {
+		pool.DropFile(r.fileID)
+		runs, _ := r.PlanFetch([]BlockRef{block})
+		return r.Fetch("", runs, ahead)
+	}
+	fetched := obs.ScanCounts{PoolMisses: 1, StoreRangeReads: 1, StoreBytesRead: int64(block.StoredLen)}
+	for _, tc := range []struct {
+		name   string
+		before func()
+		col    int
+		want   obs.ScanCounts
+	}{
+		{"cold miss after a transient failure, first decode", func() { fake.FailNextReads(1) }, plain,
+			obs.ScanCounts{PoolMisses: 1, StoreRangeReads: 2, StoreRetries: 1, StoreBytesRead: int64(block.StoredLen), BlocksDecoded: 1}},
+		{"warm hit", nil, plain, obs.ScanCounts{PoolHits: 1}},
+		{"dictionary column, cold: codes and dictionary blocks", nil, dict,
+			obs.ScanCounts{PoolMisses: 2, StoreRangeReads: 2, StoreBytesRead: int64(codes.StoredLen + dictBlock.StoredLen), BlocksDecoded: 1}},
+		{"dictionary column, warm", nil, dict, obs.ScanCounts{PoolHits: 2}},
+		{"first read of a window-prefetched block", func() {
+			if c := fetch(true); c != fetched {
+				t.Errorf("fetch ahead counted %+v, want %+v", c, fetched)
+			}
+		}, plain, obs.ScanCounts{StorePrefetchHits: 1, BlocksDecoded: 1}},
+		{"first read of a claim-fetched block", func() {
+			if c := fetch(false); c != fetched {
+				t.Errorf("claim fetch counted %+v, want %+v", c, fetched)
+			}
+		}, plain, obs.ScanCounts{BlocksDecoded: 1}},
+		{"read after a fetch", nil, plain, obs.ScanCounts{PoolHits: 1}},
+	} {
+		if tc.before != nil {
+			tc.before()
+		}
+		_, c, err := r.Column(0, tc.col)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if c != tc.want {
+			t.Errorf("%s: counted %+v, want %+v", tc.name, c, tc.want)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/blockstore"
 	"repro/internal/bufpool"
 	"repro/internal/keypath"
+	"repro/internal/obs"
 	"repro/internal/tile"
 )
 
@@ -217,7 +218,7 @@ func FuzzTileIndex(f *testing.F) {
 			_ = r.Tile(ti).MayContainPath("a")
 			r.Docs(ti)
 			for p := 0; p <= len(r.Tile(ti).Docs); p++ {
-				r.DocPartT("", ti, p)
+				r.DocPartT("", ti, p, new(obs.ScanCounts))
 			}
 			for ci := range r.Tile(ti).Columns {
 				r.Column(ti, ci)

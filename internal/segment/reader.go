@@ -37,25 +37,6 @@ type Reader struct {
 	stats   *stats.TableStats // loaded on first use
 }
 
-// ReadInfo reports what one logical block access cost: whether the
-// buffer pool already had the payload, whether that hit was the first
-// access to a block a fetch pass made resident (Warmed — the fetch
-// already accounted the miss; Prefetched narrows it to asynchronous
-// readahead), and — on a miss — the stored bytes fetched, the ranged
-// read requests issued (retry attempts included), and how many of
-// those were transient-failure retries. Decoded reports that this
-// access turned the payload into its column or document directory
-// (the first access of a pool residency).
-type ReadInfo struct {
-	Hit         bool
-	Warmed      bool
-	Prefetched  bool
-	Decoded     bool
-	StoredBytes int
-	RangeReads  int
-	Retries     int
-}
-
 // openTailWindow is the speculative trailing read OpenStore issues: one
 // ranged read that, for most segments, covers the fixed tail and the
 // whole footer block (and, for small segments, the entire object).
@@ -249,22 +230,26 @@ func (r *Reader) NumRows() int {
 // block payload once per buffer-pool residency and then shared by every
 // caller, so it is read-only (its in-place setters panic) and costs a
 // warm scan no decode and no allocation. A dictionary column costs two
-// block accesses (codes + dictionary), reported as separate ReadInfo
-// entries.
-func (r *Reader) Column(tileIdx, colIdx int) (*column.Column, []ReadInfo, error) {
-	return r.ColumnT("", tileIdx, colIdx)
+// block accesses (codes + dictionary). It also returns what the read
+// counted (see ColumnT).
+func (r *Reader) Column(tileIdx, colIdx int) (*column.Column, obs.ScanCounts, error) {
+	var c obs.ScanCounts
+	col, err := r.ColumnT("", tileIdx, colIdx, &c)
+	return col, c, err
 }
 
-// ColumnT is Column with the loading tenant: cache misses it causes
-// are charged against tenant's buffer-pool quota ("" = unattributed).
-func (r *Reader) ColumnT(tenant string, tileIdx, colIdx int) (*column.Column, []ReadInfo, error) {
+// ColumnT is Column with the loading tenant, counting into c: cache
+// misses it causes are charged against tenant's buffer-pool quota
+// ("" = unattributed). The pool counts each block access's hit or miss
+// (bufpool.Pool.GetAs); the Reader counts the store reads, bytes and
+// retries of a miss and the block it decodes.
+func (r *Reader) ColumnT(tenant string, tileIdx, colIdx int, c *obs.ScanCounts) (*column.Column, error) {
 	tm := &r.tiles[tileIdx]
 	cm := &tm.Columns[colIdx]
 	wrap := func(err error) error { return fmt.Errorf("tile %d column %q: %w", tileIdx, cm.Path, err) }
-	h, info, err := r.pooledBlock(tenant, cm.Block)
-	infos := []ReadInfo{info}
+	h, err := r.pooledBlock(tenant, cm.Block, c)
 	if err != nil {
-		return nil, infos, wrap(err)
+		return nil, wrap(err)
 	}
 	defer h.Release()
 	// The dictionary block is touched on every access, decoded or not,
@@ -272,8 +257,7 @@ func (r *Reader) ColumnT(tenant string, tileIdx, colIdx int) (*column.Column, []
 	// It decodes to its raw bytes, which is no column decode.
 	var dict []byte
 	if cm.HasDict {
-		dh, dinfo, derr := r.pooledBlock(tenant, cm.Dict)
-		infos = append(infos, dinfo)
+		dh, derr := r.pooledBlock(tenant, cm.Dict, c)
 		if derr == nil {
 			var dv any
 			dv, derr = dh.Decoded(func(stored []byte) (any, int64, error) {
@@ -284,10 +268,10 @@ func (r *Reader) ColumnT(tenant string, tileIdx, colIdx int) (*column.Column, []
 			dict, _ = dv.([]byte)
 		}
 		if derr != nil {
-			return nil, infos, fmt.Errorf("tile %d column %q dict: %w", tileIdx, cm.Path, derr)
+			return nil, fmt.Errorf("tile %d column %q dict: %w", tileIdx, cm.Path, derr)
 		}
 	}
-	v, err := r.decoded(h, cm.Block, &infos[0], func(payload []byte) (any, int64, error) {
+	v, err := r.decoded(h, cm.Block, c, func(payload []byte) (any, int64, error) {
 		var col *column.Column
 		var err error
 		if cm.HasDict {
@@ -305,13 +289,13 @@ func (r *Reader) ColumnT(tenant string, tileIdx, colIdx int) (*column.Column, []
 		return col, int64(col.SizeBytes()), nil
 	})
 	if err != nil {
-		return nil, infos, wrap(err)
+		return nil, wrap(err)
 	}
 	col, ok := v.(*column.Column)
 	if !ok {
-		return nil, infos, wrap(r.corruptBlock(cm.Block, "block is also a tile's documents"))
+		return nil, wrap(r.corruptBlock(cm.Block, "block is also a tile's documents"))
 	}
-	return col, infos, nil
+	return col, nil
 }
 
 // Docs returns tile i's binary-JSON fallback documents, whole: each is
@@ -319,24 +303,16 @@ func (r *Reader) ColumnT(tenant string, tileIdx, colIdx int) (*column.Column, []
 // equal byte for byte to the document the tile was written with. The
 // parts' directories are pool-cached as DocPartT's are, but the
 // documents are built afresh on every call; a scan reads only the parts
-// its accesses name. The ReadInfo sums the parts' accesses: Hit when
-// every part was resident, Decoded when any part was decoded.
-func (r *Reader) Docs(tileIdx int) ([][]byte, ReadInfo, error) {
+// its accesses name. The counts sum the parts' accesses.
+func (r *Reader) Docs(tileIdx int) ([][]byte, obs.ScanCounts, error) {
 	tm := &r.tiles[tileIdx]
 	dirs := make([][][]byte, len(tm.Docs)+1)
-	sum := ReadInfo{Hit: true}
+	var c obs.ScanCounts
 	size := 0
 	for p := range dirs {
-		dir, info, err := r.DocPartT("", tileIdx, p)
-		sum.Hit = sum.Hit && info.Hit
-		sum.Warmed = sum.Warmed || info.Warmed
-		sum.Prefetched = sum.Prefetched || info.Prefetched
-		sum.Decoded = sum.Decoded || info.Decoded
-		sum.StoredBytes += info.StoredBytes
-		sum.RangeReads += info.RangeReads
-		sum.Retries += info.Retries
+		dir, err := r.DocPartT("", tileIdx, p, &c)
 		if err != nil {
-			return nil, sum, err
+			return nil, c, err
 		}
 		dirs[p] = dir
 		size += int(tm.DocRef(p).RawLen)
@@ -348,11 +324,11 @@ func (r *Reader) Docs(tileIdx int) ([][]byte, ReadInfo, error) {
 		at := len(buf)
 		var err error
 		if buf, err = j.Join(buf, tm, dirs, i); err != nil {
-			return nil, sum, fmt.Errorf("segment %s tile %d: %w", r.name, tileIdx, err)
+			return nil, c, fmt.Errorf("segment %s tile %d: %w", r.name, tileIdx, err)
 		}
 		docs[i] = buf[at:len(buf):len(buf)]
 	}
-	return docs, sum, nil
+	return docs, c, nil
 }
 
 // DocPartT returns part p of tile i's documents (TileMeta.DocPart): for
@@ -362,9 +338,9 @@ func (r *Reader) Docs(tileIdx int) ([][]byte, ReadInfo, error) {
 // block payload; it is built once per buffer-pool residency and shared
 // by every caller. Read-only, and valid indefinitely (the payload is
 // immutable and garbage-collected), but each scan should re-fetch so
-// the pool sees the access. Cache misses are charged to tenant (see
-// ColumnT).
-func (r *Reader) DocPartT(tenant string, tileIdx, p int) ([][]byte, ReadInfo, error) {
+// the pool sees the access. Cache misses are charged to tenant and the
+// access counts into c (see ColumnT).
+func (r *Reader) DocPartT(tenant string, tileIdx, p int, c *obs.ScanCounts) ([][]byte, error) {
 	tm := &r.tiles[tileIdx]
 	ref := tm.DocRef(p)
 	wrap := func(err error) error {
@@ -373,24 +349,24 @@ func (r *Reader) DocPartT(tenant string, tileIdx, p int) ([][]byte, ReadInfo, er
 		}
 		return fmt.Errorf("tile %d docs %q: %w", tileIdx, tm.Docs[p].Key, err)
 	}
-	h, info, err := r.pooledBlock(tenant, ref)
+	h, err := r.pooledBlock(tenant, ref, c)
 	if err != nil {
-		return nil, info, wrap(err)
+		return nil, wrap(err)
 	}
 	defer h.Release()
-	v, err := r.decoded(h, ref, &info, func(payload []byte) (any, int64, error) {
+	v, err := r.decoded(h, ref, c, func(payload []byte) (any, int64, error) {
 		docs, err := decodeDocs(payload, tm.Rows)
 		// The directory aliases the payload: both stay resident.
 		return docs, int64(len(payload) + len(docs)*docDirEntryBytes), err
 	})
 	if err != nil {
-		return nil, info, wrap(err)
+		return nil, wrap(err)
 	}
 	docs, ok := v.([][]byte)
 	if !ok {
-		return nil, info, wrap(r.corruptBlock(ref, "block is also a column"))
+		return nil, wrap(r.corruptBlock(ref, "block is also a column"))
 	}
-	return docs, info, nil
+	return docs, nil
 }
 
 // FetchRun is one coalesced ranged read of a planned fetch: the byte
@@ -495,10 +471,10 @@ const docDirEntryBytes = 24
 
 // decoded returns a pinned block's decoded form, built on the first
 // access of a pool residency by decompressing ref's stored bytes and
-// running decode on the payload; info.Decoded records that decode ran.
-func (r *Reader) decoded(h *bufpool.Handle, ref BlockRef, info *ReadInfo, decode func(payload []byte) (any, int64, error)) (any, error) {
+// running decode on the payload; a decode that runs counts into c.
+func (r *Reader) decoded(h *bufpool.Handle, ref BlockRef, c *obs.ScanCounts, decode func(payload []byte) (any, int64, error)) (any, error) {
 	return h.Decoded(func(stored []byte) (any, int64, error) {
-		info.Decoded = true
+		c.BlocksDecoded++
 		obs.SegmentBlocksDecoded.Add(1)
 		payload, err := r.decompress(ref, stored)
 		if err != nil {
@@ -509,23 +485,18 @@ func (r *Reader) decoded(h *bufpool.Handle, ref BlockRef, info *ReadInfo, decode
 }
 
 // pooledBlock pins one block in the buffer pool, loading its verified
-// stored bytes on a miss. The caller releases the handle.
-func (r *Reader) pooledBlock(tenant string, ref BlockRef) (*bufpool.Handle, ReadInfo, error) {
-	var retries int
-	h, err := r.pool.GetAs(tenant, bufpool.Key{File: r.fileID, Off: ref.Off}, func() (b []byte, err error) {
-		b, retries, err = r.readStoredRetry(ref)
+// stored bytes on a miss; the pool counts the access into c, the load
+// its store reads, retries and bytes. The caller releases the handle.
+func (r *Reader) pooledBlock(tenant string, ref BlockRef, c *obs.ScanCounts) (*bufpool.Handle, error) {
+	return r.pool.GetAs(tenant, bufpool.Key{File: r.fileID, Off: ref.Off}, c, func() ([]byte, error) {
+		b, retries, err := r.readStoredRetry(ref)
+		c.StoreRangeReads += int64(1 + retries)
+		c.StoreRetries += int64(retries)
+		if err == nil {
+			c.StoreBytesRead += int64(ref.StoredLen)
+		}
 		return b, err
 	})
-	if err != nil {
-		return nil, ReadInfo{}, err
-	}
-	info := ReadInfo{Hit: h.Hit, Warmed: h.Warmed, Prefetched: h.Prefetched}
-	if !h.Hit {
-		info.StoredBytes = int(ref.StoredLen)
-		info.RangeReads = 1 + retries
-		info.Retries = retries
-	}
-	return h, info, nil
 }
 
 // corruptBlock builds an ErrCorrupt with the object name and byte

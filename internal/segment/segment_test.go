@@ -184,12 +184,12 @@ func TestDictColumnRoundTrip(t *testing.T) {
 	}
 
 	// A dictionary column costs two block reads (codes + dict).
-	got, infos, err := r.Column(0, dictIdx)
+	got, c, err := r.Column(0, dictIdx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 2 {
-		t.Errorf("dict column read reported %d blocks, want 2", len(infos))
+	if c.PoolMisses != 2 {
+		t.Errorf("dict column read missed %d blocks, want 2", c.PoolMisses)
 	}
 	if !got.Dict {
 		t.Error("deserialized column lost its dictionary")
@@ -259,23 +259,19 @@ func TestBufpoolIntegration(t *testing.T) {
 	}
 	defer r.Close()
 
-	_, i1, err := r.Column(0, 0)
+	_, c1, err := r.Column(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, info := range i1 {
-		if info.Hit || info.StoredBytes == 0 {
-			t.Errorf("cold read: info = %+v, want miss with bytes", info)
-		}
+	if c1.PoolHits != 0 || c1.PoolMisses == 0 || c1.StoreBytesRead == 0 {
+		t.Errorf("cold read: counts = %+v, want misses with bytes", c1)
 	}
-	_, i2, err := r.Column(0, 0)
+	_, c2, err := r.Column(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, info := range i2 {
-		if !info.Hit || info.StoredBytes != 0 {
-			t.Errorf("warm read: info = %+v, want hit with 0 bytes", info)
-		}
+	if c2.PoolHits == 0 || c2.PoolMisses != 0 || c2.StoreBytesRead != 0 {
+		t.Errorf("warm read: counts = %+v, want hits with 0 bytes", c2)
 	}
 	// Closing drops this file's blocks from the shared pool.
 	r.Close()
@@ -291,8 +287,8 @@ func TestOpenNilPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, infos, err := r.Column(0, 0); err != nil || infos[0].Hit {
-		t.Errorf("pool-less read: infos=%+v err=%v", infos, err)
+	if _, c, err := r.Column(0, 0); err != nil || c.PoolMisses == 0 {
+		t.Errorf("pool-less read: counts=%+v err=%v", c, err)
 	}
 }
 

@@ -80,12 +80,12 @@ func TestOpenStoreFooterFirst(t *testing.T) {
 		t.Fatalf("opened %d tiles / %d rows, want %d / 128", r.NumTiles(), r.NumRows(), len(tiles))
 	}
 	// Data blocks still load on demand and decode correctly.
-	docs, info, err := r.Docs(0)
+	docs, c, err := r.Docs(0)
 	if err != nil {
 		t.Fatalf("Docs: %v", err)
 	}
-	if len(docs) != 64 || info.Hit {
-		t.Fatalf("Docs = %d rows, hit=%v; want 64 cold rows", len(docs), info.Hit)
+	if len(docs) != 64 || c.PoolMisses == 0 {
+		t.Fatalf("Docs = %d rows, %d misses; want 64 cold rows", len(docs), c.PoolMisses)
 	}
 }
 

@@ -9,7 +9,6 @@
 package stats
 
 import (
-	"math"
 	"sort"
 	"sync"
 
@@ -292,16 +291,6 @@ func (s *TableStats) Histogram(path string) *hist.Histogram {
 		return e.hist
 	}
 	return nil
-}
-
-// JoinCardinality estimates |R ⋈ S| on R.path = S.path using the
-// textbook distinct-value formula |R|·|S| / max(dR, dS).
-func JoinCardinality(rRows, sRows float64, rDistinct, sDistinct float64) float64 {
-	d := math.Max(rDistinct, sDistinct)
-	if d < 1 {
-		d = 1
-	}
-	return rRows * sRows / d
 }
 
 // TrackedPaths returns the paths with exact counters, most frequent

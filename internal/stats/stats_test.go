@@ -133,16 +133,6 @@ func TestSelectivityEstimates(t *testing.T) {
 	}
 }
 
-func TestJoinCardinality(t *testing.T) {
-	// |R|=1000 |S|=100, dR=1000 (key), dS=100: |R ⋈ S| = 1000*100/1000.
-	if got := JoinCardinality(1000, 100, 1000, 100); got != 100 {
-		t.Errorf("JoinCardinality = %f", got)
-	}
-	if got := JoinCardinality(10, 10, 0, 0); got != 100 {
-		t.Errorf("degenerate distinct: %f", got)
-	}
-}
-
 func TestTrackedPathsOrdered(t *testing.T) {
 	s := New(0, 0)
 	s.AddTile(buildTile(t,

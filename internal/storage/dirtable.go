@@ -65,7 +65,6 @@ type DirTable struct {
 
 	statsMu     sync.Mutex
 	statsCache  *stats.TableStats
-	evictions   atomic.Int64 // pool evictions already forwarded to the registry
 	backlogMu   sync.Mutex
 	lastBacklog int64
 
@@ -366,15 +365,13 @@ func (t *DirTable) ScanWithStats(ctx context.Context, accesses []Access, workers
 // of live segments. A cancelled ctx or an unreadable block (recorded
 // for Err) stops the scan within one morsel; the deferred release drops
 // the segment pins either way, so compaction is never blocked by
-// abandoned queries. The pool's eviction delta is forwarded here, not
-// per segment, which would multiply-count a pool every segment shares.
+// abandoned queries.
 func (t *DirTable) ScanBatches(ctx context.Context, accesses []Access, workers int, emit BatchEmitFunc, st *obs.ScanStats) {
 	segs := t.snapshot()
 	defer releaseSegs(segs)
 	if err := scanBatchesCore(ctx, t.newMultiSource(segs), accesses, workers, emit, st); err != nil {
 		t.recordErr(err)
 	}
-	flushPoolCounters(t.pool, &t.evictions)
 }
 
 // AppendTiles persists the tiles (with their relation statistics) as

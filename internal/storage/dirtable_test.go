@@ -474,3 +474,43 @@ func TestDirTableConcurrentScansShareDecodedColumns(t *testing.T) {
 		t.Error("the pool never evicted: the test did not exercise decode-after-eviction")
 	}
 }
+
+// TestSharedPoolEvictionsCountedOnce: two tables over one buffer pool,
+// scanned in turn, book the pool's evictions once: the process-wide
+// series rises by exactly what the pool evicted.
+func TestSharedPoolEvictionsCountedOnce(t *testing.T) {
+	cfg := DefaultLoaderConfig()
+	cfg.Tile.TileSize = 16
+	pool := bufpool.New(8 << 10) // smaller than either table
+	var tables []*DirTable
+	for i := range 2 {
+		dt, err := OpenDirStore(fmt.Sprintf("t%d", i), blockstore.NewMem(), pool, cfg, 2, false)
+		if err != nil {
+			t.Fatalf("OpenDirStore: %v", err)
+		}
+		defer dt.Close()
+		for b := range 3 {
+			tiles, st := dirTestBatch(t, dirTestLines(b, 64))
+			if err := dt.AppendTiles(tiles, st, 2); err != nil {
+				t.Fatalf("AppendTiles: %v", err)
+			}
+		}
+		tables = append(tables, dt)
+	}
+	series, evicted := obs.BufpoolEvictions.Load(), pool.Stats().Evictions
+	for range 2 {
+		for _, dt := range tables {
+			dt.ScanBatches(context.Background(), dirTestAccesses(), 2, func(int, *vec.Batch) {}, nil)
+			if err := dt.Err(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got, want := obs.BufpoolEvictions.Load()-series, pool.Stats().Evictions-evicted
+	if want == 0 {
+		t.Fatal("the pool never evicted: the test exercises nothing")
+	}
+	if got != want {
+		t.Errorf("bufpool_evictions rose by %d, the pool evicted %d", got, want)
+	}
+}

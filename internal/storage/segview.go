@@ -6,35 +6,12 @@ package storage
 
 import (
 	"fmt"
-	"sync/atomic"
 
-	"repro/internal/bufpool"
 	"repro/internal/jsonb"
 	"repro/internal/keypath"
-	"repro/internal/obs"
 	"repro/internal/segment"
 	"repro/internal/tile"
 )
-
-// flushPoolCounters forwards pool's eviction count to the global
-// registry once per scan: evictions are a pool property, not a
-// per-scan one, so they are snapshotted rather than accumulated per
-// worker, and the registry, which totals all pools, gets only the
-// delta since *forwarded.
-func flushPoolCounters(pool *bufpool.Pool, forwarded *atomic.Int64) {
-	n := pool.Stats().Evictions
-	obs.BufpoolEvictions.Add(n - forwarded.Swap(n))
-	updateHitRatioGauge()
-}
-
-// updateHitRatioGauge refreshes the process-wide pool hit-ratio gauge
-// from the global hit/miss counters (exact across all pools).
-func updateHitRatioGauge() {
-	hits, misses := obs.BufpoolHits.Load(), obs.BufpoolMisses.Load()
-	if total := hits + misses; total > 0 {
-		obs.BufpoolHitRatio.Set(float64(hits) / float64(total))
-	}
-}
 
 // segTileView is a per-scan lazy view of one tile. Metadata queries
 // (row count, skip checks, access plans) answer from the footer;
@@ -76,34 +53,6 @@ func (v *segTileView) ColumnType(idx int) (keypath.ValueType, bool) {
 	return v.meta.Columns[idx].StorageType, v.meta.Columns[idx].HasTypeOutliers
 }
 
-func (v *segTileView) account(info segment.ReadInfo) {
-	if v.cnt == nil {
-		return
-	}
-	if info.Decoded {
-		v.cnt.BlocksDecoded++
-	}
-	if info.Hit {
-		switch {
-		case info.Prefetched:
-			// First access to a block the window fetched ahead: the
-			// fetch accounted the miss; this is the lookahead paying off.
-			v.cnt.StorePrefetchHits++
-		case info.Warmed:
-			// First access to a block the claim itself fetched: the
-			// fetch accounted the miss, so counting a hit here would
-			// make every cold scan look half-cached.
-		default:
-			v.cnt.PoolHits++
-		}
-	} else {
-		v.cnt.PoolMisses++
-		v.cnt.StoreRangeReads += int64(info.RangeReads)
-		v.cnt.StoreBytesRead += int64(info.StoredBytes)
-		v.cnt.StoreRetries += int64(info.Retries)
-	}
-}
-
 // scanFault carries a block read error from a view to the scan core's
 // morsel loop, which stops the scan: a view fabricates no cell (§4.5).
 type scanFault struct{ err error }
@@ -118,10 +67,7 @@ func (v *segTileView) Column(idx int) *tile.ColumnInfo {
 	if !v.loaded[idx] {
 		v.loaded[idx] = true
 		cm := &v.meta.Columns[idx]
-		col, infos, err := v.r.ColumnT(v.cnt.tenant, v.ti, idx)
-		for _, info := range infos {
-			v.account(info)
-		}
+		col, err := v.r.ColumnT(v.cnt.tenant, v.ti, idx, &v.cnt.ScanCounts)
 		if err != nil {
 			panic(scanFault{err})
 		}
@@ -144,8 +90,7 @@ func (v *segTileView) part(p int) [][]byte {
 		v.parts = make([][][]byte, len(v.meta.Docs)+1)
 	}
 	if v.parts[p] == nil {
-		dir, info, err := v.r.DocPartT(v.cnt.tenant, v.ti, p)
-		v.account(info)
+		dir, err := v.r.DocPartT(v.cnt.tenant, v.ti, p, &v.cnt.ScanCounts)
 		if err != nil {
 			panic(scanFault{err})
 		}

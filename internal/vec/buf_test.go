@@ -267,3 +267,19 @@ func TestWarmGatherAndArithAllocateNothing(t *testing.T) {
 		t.Fatalf("BigInt+Float: rows 0 and 1 read %v and %v", v.Value(0), v.Value(1))
 	}
 }
+
+// BenchmarkBufIntGaps writes 2 rows of every 5 into a 1024-row BigInt
+// vector, as a scan fills an access that some documents lack: every
+// other write passes over three rows.
+func BenchmarkBufIntGaps(b *testing.B) {
+	var buf Buf
+	for range b.N {
+		buf.Reset(expr.TBigInt, 1024)
+		for i := 0; i < 1024; i++ {
+			if i%5 < 2 {
+				buf.Int(i, int64(i))
+			}
+		}
+		buf.Vector()
+	}
+}
