@@ -44,8 +44,6 @@ type Key struct {
 
 // Stats is a snapshot of pool counters.
 type Stats struct {
-	Hits      int64
-	Misses    int64
 	Evictions int64
 	// Resident is the current payload byte total; Capacity the bound.
 	Resident int64
@@ -79,7 +77,7 @@ type Pool struct {
 	objIDs   map[string]uint64 // RegisterObject memo: label → file ID
 	tenants  map[string]*tenantAcct
 
-	hits, misses, evictions int64
+	evictions int64
 }
 
 type entry struct {
@@ -322,7 +320,6 @@ func (p *Pool) GetAs(tenant string, key Key, c *obs.ScanCounts, load func() ([]b
 			}
 			e.pins++
 			e.ref = true
-			p.hits++
 			warmed, pf := e.warmed, e.prefetched
 			e.warmed, e.prefetched = false, false
 			p.mu.Unlock()
@@ -348,7 +345,6 @@ func (p *Pool) GetAs(tenant string, key Key, c *obs.ScanCounts, load func() ([]b
 		}
 		f := &flight{done: make(chan struct{}), tenant: tenant}
 		p.flights[key] = f
-		p.misses++
 		p.mu.Unlock()
 		c.PoolMisses++
 
@@ -531,8 +527,6 @@ func (p *Pool) Stats() Stats {
 		}
 	}
 	return Stats{
-		Hits:        p.hits,
-		Misses:      p.misses,
 		Evictions:   p.evictions,
 		Resident:    p.resident,
 		Capacity:    p.capacity,

@@ -55,11 +55,11 @@ func TestGetHitMiss(t *testing.T) {
 	}
 	h1.Release()
 	h2.Release()
-	st := p.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("stats = %+v, want 1 hit / 1 miss", st)
+	c1.Add(&c2)
+	if c1.PoolHits != 1 || c1.PoolMisses != 1 {
+		t.Errorf("counts = %+v, want 1 hit / 1 miss", c1)
 	}
-	if st.Resident != 100 {
+	if st := p.Stats(); st.Resident != 100 {
 		t.Errorf("resident = %d, want 100", st.Resident)
 	}
 }
@@ -147,11 +147,12 @@ func TestSingleflight(t *testing.T) {
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	const goroutines = 16
+	counts := make([]obs.ScanCounts, goroutines)
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h, _, err := get(p, Key{File: f, Off: 7}, func() ([]byte, error) {
+			h, c, err := get(p, Key{File: f, Off: 7}, func() ([]byte, error) {
 				loads.Add(1)
 				<-release // hold the flight open so everyone piles up
 				return payload(64, 7), nil
@@ -160,6 +161,7 @@ func TestSingleflight(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			counts[i] = c
 			h.Release()
 		}()
 	}
@@ -168,12 +170,15 @@ func TestSingleflight(t *testing.T) {
 	if n := loads.Load(); n != 1 {
 		t.Errorf("loads = %d, want 1 (singleflight)", n)
 	}
-	st := p.Stats()
-	if st.Misses != 1 {
-		t.Errorf("misses = %d, want 1", st.Misses)
+	var st obs.ScanCounts
+	for i := range counts {
+		st.Add(&counts[i])
 	}
-	if st.Hits != goroutines-1 {
-		t.Errorf("hits = %d, want %d", st.Hits, goroutines-1)
+	if st.PoolMisses != 1 {
+		t.Errorf("misses = %d, want 1", st.PoolMisses)
+	}
+	if st.PoolHits != goroutines-1 {
+		t.Errorf("hits = %d, want %d", st.PoolHits, goroutines-1)
 	}
 }
 
@@ -181,13 +186,14 @@ func TestConcurrentChurn(t *testing.T) {
 	p := New(10_000) // small: forces constant eviction
 	f := p.RegisterObject("a")
 	var wg sync.WaitGroup
+	counts := make([]obs.ScanCounts, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				off := uint64((g*31 + i) % 40)
-				h, _, err := get(p, Key{File: f, Off: off}, func() ([]byte, error) {
+				h, c, err := get(p, Key{File: f, Off: off}, func() ([]byte, error) {
 					return payload(512, byte(off)), nil
 				})
 				if err != nil {
@@ -199,13 +205,17 @@ func TestConcurrentChurn(t *testing.T) {
 					t.Errorf("block %d: corrupt payload", off)
 				}
 				h.Release()
+				counts[g].Add(&c)
 			}
 		}(g)
 	}
 	wg.Wait()
-	st := p.Stats()
-	if st.Hits+st.Misses != 8*500 {
-		t.Errorf("hits+misses = %d, want %d", st.Hits+st.Misses, 8*500)
+	var st obs.ScanCounts
+	for g := range counts {
+		st.Add(&counts[g])
+	}
+	if st.PoolHits+st.PoolMisses != 8*500 {
+		t.Errorf("hits+misses = %d, want %d", st.PoolHits+st.PoolMisses, 8*500)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 // decodedForm stands in for a column: it retains `size` bytes.
 type decodedForm struct{ size int64 }
 
-func getDecoded(t *testing.T, p *Pool, tenant string, key Key, raw int, size int64, decodes *atomic.Int64) *decodedForm {
+func getDecoded(t *testing.T, p *Pool, tenant string, key Key, raw int, size int64, decodes *atomic.Int64, c *obs.ScanCounts) *decodedForm {
 	t.Helper()
-	h, err := p.GetAs(tenant, key, new(obs.ScanCounts), func() ([]byte, error) { return payload(raw, 1), nil })
+	h, err := p.GetAs(tenant, key, c, func() ([]byte, error) { return payload(raw, 1), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,23 +38,25 @@ func TestDecodedOncePerResidency(t *testing.T) {
 	var decodes atomic.Int64
 	key := Key{File: f, Off: 0}
 
-	first := getDecoded(t, p, "", key, 100, 140, &decodes)
+	var c obs.ScanCounts
+	first := getDecoded(t, p, "", key, 100, 140, &decodes, &c)
 	if got := p.Stats().Resident; got != 140 {
 		t.Errorf("resident after decode = %d, want the decoded form's 140 (payload replaced)", got)
 	}
-	if again := getDecoded(t, p, "", key, 100, 140, &decodes); again != first {
+	if again := getDecoded(t, p, "", key, 100, 140, &decodes, &c); again != first {
 		t.Error("second access returned a different decoded value")
 	}
 	if decodes.Load() != 1 {
 		t.Errorf("decodes = %d, want 1", decodes.Load())
 	}
-	h, _, _ := get(p, key, nil)
+	h, c3, _ := get(p, key, nil)
 	if h.Bytes() != nil {
 		t.Error("payload still held beside the decoded form")
 	}
 	h.Release()
-	if st := p.Stats(); st.Hits != 2 || st.Misses != 1 || st.PinnedBytes != 0 {
-		t.Errorf("stats = %+v, want 2 hits / 1 miss, nothing pinned", st)
+	c.Add(&c3)
+	if st := p.Stats(); c.PoolHits != 2 || c.PoolMisses != 1 || st.PinnedBytes != 0 {
+		t.Errorf("counts = %+v, stats = %+v, want 2 hits / 1 miss, nothing pinned", c, st)
 	}
 
 	// The decoded form dies with the entry: DropFile, then a new load
@@ -63,7 +65,7 @@ func TestDecodedOncePerResidency(t *testing.T) {
 	if got := p.Stats().Resident; got != 0 {
 		t.Errorf("resident after DropFile = %d, want 0", got)
 	}
-	if again := getDecoded(t, p, "", key, 100, 140, &decodes); again == first {
+	if again := getDecoded(t, p, "", key, 100, 140, &decodes, &c); again == first {
 		t.Error("dropped file's decoded value still reachable from the pool")
 	}
 	if decodes.Load() != 2 {
@@ -78,7 +80,7 @@ func TestDecodedChargeIsEnforced(t *testing.T) {
 	f := p.RegisterObject("a")
 	var decodes atomic.Int64
 	for i := 0; i < 3; i++ {
-		getDecoded(t, p, "a", Key{File: f, Off: uint64(i)}, 100, 150, &decodes)
+		getDecoded(t, p, "a", Key{File: f, Off: uint64(i)}, 100, 150, &decodes, new(obs.ScanCounts))
 		if st := p.Stats(); st.Resident > st.Capacity {
 			t.Errorf("after block %d: resident %d over capacity %d", i, st.Resident, st.Capacity)
 		}
@@ -94,7 +96,7 @@ func TestDecodedChargeIsEnforced(t *testing.T) {
 	// its value, nothing is retained past the release.
 	p.SetQuota("a", 120)
 	for i := 0; i < 3; i++ {
-		getDecoded(t, p, "a", Key{File: f, Off: uint64(10 + i)}, 100, 150, &decodes)
+		getDecoded(t, p, "a", Key{File: f, Off: uint64(10 + i)}, 100, 150, &decodes, new(obs.ScanCounts))
 	}
 	if ts := p.TenantStats("a"); ts.Resident > 120 {
 		t.Errorf("tenant resident = %d over its quota of 120", ts.Resident)
@@ -129,7 +131,7 @@ func TestDecodedConcurrentFirstAccess(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			vals[g] = getDecoded(t, p, "", Key{File: f, Off: 7}, 64, 64, &decodes)
+			vals[g] = getDecoded(t, p, "", Key{File: f, Off: 7}, 64, 64, &decodes, new(obs.ScanCounts))
 		}(g)
 	}
 	wg.Wait()

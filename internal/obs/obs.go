@@ -331,9 +331,6 @@ var (
 
 // Segment persistence counters (disk-backed relations).
 var (
-	// SegmentBlocksRead counts blocks fetched from disk (buffer-pool
-	// misses; hits never reach the disk).
-	SegmentBlocksRead = Default.Counter("segment_blocks_read")
 	// SegmentBytesRead counts stored (compressed) bytes read from disk.
 	SegmentBytesRead = Default.Counter("segment_bytes_read")
 	// SegmentBlocksDecoded counts block payloads turned into a column

@@ -114,7 +114,6 @@ func (c *ScanCounts) forward() {
 	RowsNarrowed.Add(c.RowsNarrowed)
 	DocWalks.Add(c.DocWalks)
 	DictKernelShortcuts.Add(c.DictKernelShortcuts)
-	SegmentBlocksRead.Add(c.PoolMisses)
 	SegmentBytesRead.Add(c.StoreBytesRead)
 	if c.PoolHits+c.PoolMisses > 0 {
 		BufpoolHits.Add(c.PoolHits)

@@ -17,20 +17,21 @@ import (
 )
 
 // readAll reads every column and the documents of every tile and
-// returns the columns in (tile, column) order.
-func readAll(t *testing.T, r *Reader, tenant string) []*column.Column {
+// returns the columns in (tile, column) order, counting its block
+// accesses into cnt.
+func readAll(t *testing.T, r *Reader, tenant string, cnt *obs.ScanCounts) []*column.Column {
 	t.Helper()
 	var cols []*column.Column
 	for ti := 0; ti < r.NumTiles(); ti++ {
 		for ci := range r.Tile(ti).Columns {
-			c, err := r.ColumnT(tenant, ti, ci, new(obs.ScanCounts))
+			c, err := r.ColumnT(tenant, ti, ci, cnt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cols = append(cols, c)
 		}
 		for p := 0; p <= len(r.Tile(ti).Docs); p++ {
-			dir, err := r.DocPartT(tenant, ti, p, new(obs.ScanCounts))
+			dir, err := r.DocPartT(tenant, ti, p, cnt)
 			if err != nil || len(dir) != r.Tile(ti).Rows {
 				t.Fatalf("tile %d docs part %d: %d of %d, err %v", ti, p, len(dir), r.Tile(ti).Rows, err)
 			}
@@ -63,7 +64,7 @@ func TestColumnDecodedOncePerResidency(t *testing.T) {
 	decodedBlocks := int64(len(r.Tile(0).Columns)) + parts // a dictionary decodes with its codes
 
 	base := obs.SegmentBlocksDecoded.Load()
-	first := readAll(t, r, "")
+	first := readAll(t, r, "", new(obs.ScanCounts))
 	if got := obs.SegmentBlocksDecoded.Load() - base; got != decodedBlocks {
 		t.Errorf("first pass decoded %d blocks, want %d", got, decodedBlocks)
 	}
@@ -72,14 +73,14 @@ func TestColumnDecodedOncePerResidency(t *testing.T) {
 	// Concurrent warm readers under two tenants: same columns, no
 	// decode, every block access a hit, residency unchanged.
 	base = obs.SegmentBlocksDecoded.Load()
-	hits := pool.Stats().Hits
+	counts := make([]obs.ScanCounts, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			tenant := []string{"a", "b"}[g%2]
-			for i, c := range readAll(t, r, tenant) {
+			for i, c := range readAll(t, r, tenant, &counts[g]) {
 				if c != first[i] {
 					t.Errorf("reader %d: column %d is a different *Column on a warm read", g, i)
 				}
@@ -90,10 +91,14 @@ func TestColumnDecodedOncePerResidency(t *testing.T) {
 	if got := obs.SegmentBlocksDecoded.Load() - base; got != 0 {
 		t.Errorf("warm passes decoded %d blocks, want 0", got)
 	}
+	var warm obs.ScanCounts
+	for g := range counts {
+		warm.Add(&counts[g])
+	}
 	ps := pool.Stats()
-	if ps.Hits-hits != 8*blocks || ps.Resident != resident || ps.PinnedBytes != 0 {
+	if warm.PoolHits != 8*blocks || ps.Resident != resident || ps.PinnedBytes != 0 {
 		t.Errorf("warm passes: %d hits (want %d), resident %d (want %d), pinned %d",
-			ps.Hits-hits, 8*blocks, ps.Resident, resident, ps.PinnedBytes)
+			warm.PoolHits, 8*blocks, ps.Resident, resident, ps.PinnedBytes)
 	}
 
 	// The columns the reader hands out are shared: in-place updates
@@ -126,7 +131,7 @@ func TestColumnDecodedOncePerResidency(t *testing.T) {
 		t.Errorf("resident after DropFile = %d, want 0", got)
 	}
 	base = obs.SegmentBlocksDecoded.Load()
-	for i, c := range readAll(t, r, "") {
+	for i, c := range readAll(t, r, "", new(obs.ScanCounts)) {
 		if c == first[i] {
 			t.Errorf("column %d survived DropFile in the pool", i)
 		}
@@ -155,7 +160,7 @@ func TestColumnDecodedOncePerResidency(t *testing.T) {
 		t.Errorf("resident after fetch = %d, want the %d stored bytes", got, stored)
 	}
 	base = obs.SegmentBlocksDecoded.Load()
-	readAll(t, r, "")
+	readAll(t, r, "", new(obs.ScanCounts))
 	if got := obs.SegmentBlocksDecoded.Load() - base; got != decodedBlocks {
 		t.Errorf("pass after fetch decoded %d blocks, want %d", got, decodedBlocks)
 	}

@@ -72,18 +72,36 @@ func castJSON(v expr.Value, want expr.SQLType, cnt *scanCounters) expr.Value {
 	return out
 }
 
-// rowLookup follows path down row i's document of t; false when a step
-// is absent. A first step that is a key reads the row's member, so a
-// directory table loads only the part of its documents holding it.
-func rowLookup(t scanTile, i int, path []keypath.Segment) (jsonb.Doc, bool) {
+// docRows is a tile's documents as one access reads them: each row's
+// whole document for a path that starts at the root or with a slot, else
+// the part holding its first key (scanTile.Members), resolved at the
+// first row that reads it, so a tile no row of which reads it loads none.
+type docRows struct {
+	rows  [][]byte // nil until resolved
+	whole bool
+}
+
+// member reads row i's value under key; false when the row lacks it.
+func (d *docRows) member(t scanTile, i int, key string) (jsonb.Doc, bool) {
+	if d.rows == nil {
+		d.rows, d.whole = t.Members(key)
+	}
+	if d.whole {
+		return jsonb.NewDoc(d.rows[i]).Get(key)
+	}
+	return jsonb.NewDoc(d.rows[i]), len(d.rows[i]) > 0
+}
+
+// lookup follows path down row i's document; false when a step is
+// absent.
+func (d *docRows) lookup(t scanTile, i int, path []keypath.Segment) (jsonb.Doc, bool) {
 	if len(path) == 0 || path[0].IsIndex {
 		return docLookup(t.Raw(i), path)
 	}
-	d, ok := t.Member(i, path[0].Key)
-	if !ok {
-		return d, false
+	if cur, ok := d.member(t, i, path[0].Key); ok {
+		return docLookup(cur, path[1:])
 	}
-	return docLookup(d, path[1:])
+	return jsonb.Doc{}, false
 }
 
 // docLookup follows path down from d; false when a step is absent.

@@ -72,7 +72,7 @@ func compareSteps(a, b keypath.Segment) int {
 // tile serves from documents, as cells in path order, and per depth the
 // value the row's walk reached there (docs[0] is the document, loaded
 // only for a path that starts at the root or with a slot: a first key
-// step reads the row's member directly, scanTile.Member).
+// step reads the row's member from its cell's part, docRows).
 type docWalk struct {
 	cells  []walkCell
 	docs   []jsonb.Doc
@@ -80,13 +80,15 @@ type docWalk struct {
 }
 
 // walkCell is one document-served access: the buffer of the vector the
-// walk fills, the type it reads, its path, and the number of leading
-// steps that path shares with the cell before.
+// walk fills, the type it reads, its path, the number of leading steps
+// that path shares with the cell before, and, for a cell whose first
+// step the walk takes, the part holding that key.
 type walkCell struct {
 	out    *vec.Buf
 	want   expr.SQLType
 	path   []keypath.Segment
 	shared int
+	first  docRows
 }
 
 // activate fits the walk to a tile on which plans[ai].serve == serveDoc
@@ -131,7 +133,7 @@ func (w *docWalk) row(t scanTile, i int, cnt *scanCounters) {
 		}
 		gap = -1
 		for reached = c.shared; reached < len(c.path); reached++ {
-			next, ok := w.step(t, i, reached, c.path[reached])
+			next, ok := w.step(t, c, i, reached)
 			if !ok {
 				break
 			}
@@ -146,13 +148,13 @@ func (w *docWalk) row(t scanTile, i int, cnt *scanCounters) {
 	}
 }
 
-// step follows step k of a path from the value the walk reached at
-// depth k; a first step that is a key reads row i's member.
-func (w *docWalk) step(t scanTile, i, k int, seg keypath.Segment) (jsonb.Doc, bool) {
-	if k == 0 && !seg.IsIndex {
-		return t.Member(i, seg.Key)
+// step follows step k of cell c's path from the value the walk reached
+// at depth k; a first step that is a key reads row i's member.
+func (w *docWalk) step(t scanTile, c *walkCell, i, k int) (jsonb.Doc, bool) {
+	if seg := c.path[k]; k > 0 || seg.IsIndex {
+		return docStep(w.value(t, i, k), seg)
 	}
-	return docStep(w.value(t, i, k), seg)
+	return c.first.member(t, i, c.path[0].Key)
 }
 
 // value is the value the walk reached at depth k, loading row i's

@@ -120,8 +120,9 @@ func perCellCounts(tiles []*tile.Tile, accesses []Access, cfg LoaderConfig) (fal
 				col = &t.Column(p.col).Col.Vector
 			}
 			w.Reset(a.Type, t.NumRows())
+			var docs docRows
 			for i := 0; i < t.NumRows(); i++ {
-				p.put(&w, i, t, col, i, a, &cnt)
+				p.put(&w, i, t, &docs, col, i, a, &cnt)
 			}
 		}
 		if doc {
@@ -292,7 +293,7 @@ func TestPlanCappedAccessAllocatesNothing(t *testing.T) {
 // the one before it leaves the earlier cursors past the walk's length, and
 // returning the scratch to the pool must clear those too, since they
 // alias documents the buffer pool may free; so do the ::JSON cells the
-// walk wrote.
+// walk wrote and the document parts its cells resolved.
 func TestPutScanScratchDropsWalkDocs(t *testing.T) {
 	accs := []Access{
 		NewAccess(expr.TBigInt, "a", "b", "c"),
@@ -324,6 +325,9 @@ func TestPutScanScratchDropsWalkDocs(t *testing.T) {
 	if cursors[1] >= cursors[0] {
 		t.Fatalf("second tile walks with %d cursors, want fewer than the first's %d", cursors[1], cursors[0])
 	}
+	if c := s.walk.cells[0]; c.first.rows == nil {
+		t.Fatalf("x::JSON walked without resolving its part")
+	}
 	if v := s.cells[3].Vector(); v.Boxed == nil || v.Boxed[0].Null {
 		t.Fatalf("x::JSON walked into %+v, want its document", v)
 	}
@@ -335,6 +339,11 @@ func TestPutScanScratchDropsWalkDocs(t *testing.T) {
 	}
 	if v := s.cells[3].Vector(); v.Boxed != nil {
 		t.Errorf("pooled writer still holds ::JSON cells %v", v.Boxed)
+	}
+	for i, c := range s.walk.cells[:cap(s.walk.cells)] {
+		if c.first.rows != nil {
+			t.Errorf("pooled walk cell %d still holds its resolved part", i)
+		}
 	}
 }
 
@@ -424,13 +433,20 @@ func TestDocWalkSharedPrefixes(t *testing.T) {
 // reads nothing else of a tile.
 type docsTile []jsonb.Doc
 
-func (d docsTile) NumRows() int                               { return len(d) }
-func (d docsTile) MayContainPath(string) bool                 { return true }
-func (d docsTile) ColumnsForPath(string) []int                { return nil }
-func (d docsTile) ColumnType(int) (keypath.ValueType, bool)   { return keypath.TypeNull, false }
-func (d docsTile) Column(int) *tile.ColumnInfo                { return nil }
-func (d docsTile) Raw(i int) jsonb.Doc                        { return d[i] }
-func (d docsTile) Member(i int, key string) (jsonb.Doc, bool) { return d[i].Get(key) }
+func (d docsTile) NumRows() int                             { return len(d) }
+func (d docsTile) MayContainPath(string) bool               { return true }
+func (d docsTile) ColumnsForPath(string) []int              { return nil }
+func (d docsTile) ColumnType(int) (keypath.ValueType, bool) { return keypath.TypeNull, false }
+func (d docsTile) Column(int) *tile.ColumnInfo              { return nil }
+func (d docsTile) Raw(i int) jsonb.Doc                      { return d[i] }
+
+func (d docsTile) Members(string) ([][]byte, bool) {
+	rows := make([][]byte, len(d))
+	for i, doc := range d {
+		rows[i] = doc.Bytes()
+	}
+	return rows, true
+}
 
 // checkWalkedCells walks docs, row i being docs[i], into writers reset
 // for them, and checks every cell against an independent per-access

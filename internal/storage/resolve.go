@@ -114,16 +114,17 @@ func planAccess(t scanTile, a Access, h headerPath) accessPlan {
 }
 
 // put writes row i of access a under plan p, where col is the cells of
-// the plan's column, loaded (nil when the plan reads none), as row k of
-// w. A text column read as text copies its bytes; any other column cell
-// converts through castJSON, and a document cell through docPut.
-func (p accessPlan) put(w *vec.Buf, k int, t scanTile, col *vec.Vector, i int, a Access, cnt *scanCounters) {
+// the plan's column, loaded (nil when the plan reads none), and docs
+// tile t's documents as a reads them, as row k of w. A text column read
+// as text copies its bytes; any other column cell converts through
+// castJSON, and a document cell through docPut.
+func (p accessPlan) put(w *vec.Buf, k int, t scanTile, docs *docRows, col *vec.Vector, i int, a Access, cnt *scanCounters) {
 	switch {
 	case p.serve == serveNull:
 		return
 	case p.serve == serveDoc, p.docOnNull && col.IsNull(i):
 		cnt.JSONBFallbacks++
-		if cur, ok := rowLookup(t, i, a.Path.Segs); ok {
+		if cur, ok := docs.lookup(t, i, a.Path.Segs); ok {
 			docPut(w, k, cur, a.Type, cnt)
 		}
 		return

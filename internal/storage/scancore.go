@@ -36,12 +36,12 @@ type scanTile interface {
 	// Column may perform lazy I/O; it is only called for the column an
 	// access plan chose.
 	Column(idx int) *tile.ColumnInfo
-	// Raw returns row i's whole document and Member its value under a
-	// top-level key (false when the document is not an object or lacks
-	// the key). Both may lazily load the tile's fallback documents; a
-	// directory table's Member loads only the part holding the key.
+	// Raw returns row i's whole document; Members, once per tile, each
+	// row's part of the documents under a top-level key: its value (empty
+	// if absent), or when whole an object holding it (docRows). Both may
+	// load lazily; a directory table's Members loads only that part.
 	Raw(i int) jsonb.Doc
-	Member(i int, key string) (jsonb.Doc, bool)
+	Members(key string) (rows [][]byte, whole bool)
 }
 
 var _ scanTile = (*tile.Tile)(nil)
@@ -394,8 +394,9 @@ func (sc *scanScratch) fillCells(t scanTile, ai int, a Access, p accessPlan, cnt
 	if p.readsColumn() {
 		col = &t.Column(p.col).Col.Vector
 	}
+	var docs docRows
 	for _, i := range sc.batch.Selected() {
-		p.put(w, int(i), t, col, int(i), a, cnt)
+		p.put(w, int(i), t, &docs, col, int(i), a, cnt)
 	}
 	sc.batch.Cols[ai] = *w.Vector()
 }

@@ -9,7 +9,10 @@ import (
 
 	"repro/internal/blockstore"
 	"repro/internal/expr"
+	"repro/internal/jsontape"
 	"repro/internal/keypath"
+	"repro/internal/obs"
+	"repro/internal/segment"
 	"repro/internal/vec"
 )
 
@@ -179,4 +182,93 @@ func typedScan(rel Relation, accs []Access) (rows map[int64][]string, boxedJSON 
 		}
 	}, nil)
 	return rows, boxedJSON, wrong
+}
+
+// TestCastWithoutNullsReadsNoDocuments: a cast access whose tiles may
+// divert its column's NULLs to the documents (docOnNull), but whose
+// column holds no NULL, resolves no document part. On a pool that
+// already holds every tile's documents, fetched and not yet decoded,
+// the cast scan misses and decodes exactly the blocks a column-only
+// scan of another column does: the column's, one per tile.
+func TestCastWithoutNullsReadsNoDocuments(t *testing.T) {
+	const tiles, rows = 4, 64
+	line := func(i int, o string) []byte {
+		return []byte(fmt.Sprintf(`{"id":%d,"o":%s,"note":"n%d"}`, i, o, i))
+	}
+	lines := make([][]byte, tiles*rows)
+	for i := range lines {
+		o := fmt.Sprint(i)
+		if i%rows == 5 {
+			o = fmt.Sprintf(`"%d"`, i) // a type outlier in every tile
+		}
+		lines[i] = line(i, o)
+	}
+	cfg := DefaultLoaderConfig()
+	cfg.Tile.TileSize = rows
+	cfg.Reorder = false
+	rel, err := BuildTilesFromLines("t", lines, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each outlier becomes an integer: the column then holds every row,
+	// and the tile still flags its outliers.
+	for ti := 0; ti < tiles; ti++ {
+		i := ti*rows + 5
+		var d jsontape.Doc
+		if err := jsontape.Parse(line(i, fmt.Sprint(i)), &d); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rel.(*tilesRelation).UpdateRow(i, &d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cast, byID := NewAccess(expr.TBigInt, "o"), NewAccess(expr.TBigInt, "id")
+	hs := headerPaths([]Access{cast}, scanCfgOf(cfg).maxSlots)
+	for ti, tl := range rel.(TileIntrospector).Tiles() {
+		p := planAccess(tl, cast, hs[0])
+		if p.serve != serveCast || !p.docOnNull {
+			t.Fatalf("tile %d plans o::BigInt %+v, want a cast with docOnNull", ti, p)
+		}
+		for i := 0; i < rows; i++ {
+			if tl.Column(p.col).Col.IsNull(i) {
+				t.Fatalf("tile %d: o is NULL in row %d", ti, i)
+			}
+		}
+	}
+	dt, err := OpenDirStore("t", blockstore.NewMem(), nil, cfg, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dt.Close()
+	if err := dt.AppendTiles(rel.(TileIntrospector).Tiles(), rel.Stats(), 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range dt.segs {
+		for ti := 0; ti < s.r.NumTiles(); ti++ {
+			tm := s.r.Tile(ti)
+			var refs []segment.BlockRef
+			for p := 0; p <= len(tm.Docs); p++ {
+				refs = append(refs, tm.DocRef(p))
+			}
+			runs, _ := s.r.PlanFetch(refs)
+			s.r.Fetch("", runs, false)
+		}
+	}
+
+	scan := func(a Access) obs.ScanCounts {
+		var st obs.ScanStats
+		got := collectScanStats(dt, []Access{a}, 2, &st)
+		if len(got) != tiles*rows || dt.Err() != nil {
+			t.Fatalf("%s: %d rows, err %v", a.Path.Display(), len(got), dt.Err())
+		}
+		return st.Counts()
+	}
+	col, c := scan(byID), scan(cast)
+	if c.JSONBFallbacks != 0 || c.ColumnHits != tiles*rows {
+		t.Errorf("o::BigInt: %d JSONB fallbacks, %d column hits; want 0 and %d", c.JSONBFallbacks, c.ColumnHits, tiles*rows)
+	}
+	if col.BlocksDecoded != tiles || c.BlocksDecoded != col.BlocksDecoded || c.PoolMisses != col.PoolMisses {
+		t.Errorf("o::BigInt decoded %d blocks with %d pool misses, id::BigInt %d with %d; want %d and equal",
+			c.BlocksDecoded, c.PoolMisses, col.BlocksDecoded, col.PoolMisses, tiles)
+	}
 }

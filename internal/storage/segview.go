@@ -25,9 +25,7 @@ type segTileView struct {
 	cnt  *scanCounters
 
 	cols   []tile.ColumnInfo // Col nil until loaded
-	loaded []bool
-	parts  [][][]byte // per document part, nil until loaded
-	keyed  []keyPart  // the keys Member has looked up, with their parts
+	parts  [][][]byte        // per document part, nil until loaded
 	join   segment.Joiner
 	rows   [][]byte // per row, its document once Raw reassembled it
 	arena  []byte   // holds the reassembled documents
@@ -38,12 +36,6 @@ type segTileView struct {
 // documents Raw reassembles: a tile's rows share a few allocations,
 // each filled to within one document of its end.
 const arenaChunk = 64 << 10
-
-// keyPart is the part of a tile's documents that holds key.
-type keyPart struct {
-	key  string
-	part int
-}
 
 func (v *segTileView) NumRows() int                     { return v.meta.Rows }
 func (v *segTileView) MayContainPath(path string) bool  { return v.meta.MayContainPath(path) }
@@ -62,10 +54,8 @@ type scanFault struct{ err error }
 func (v *segTileView) Column(idx int) *tile.ColumnInfo {
 	if v.cols == nil {
 		v.cols = make([]tile.ColumnInfo, len(v.meta.Columns))
-		v.loaded = make([]bool, len(v.meta.Columns))
 	}
-	if !v.loaded[idx] {
-		v.loaded[idx] = true
+	if v.cols[idx].Col == nil {
 		cm := &v.meta.Columns[idx]
 		col, err := v.r.ColumnT(v.cnt.tenant, v.ti, idx, &v.cnt.ScanCounts)
 		if err != nil {
@@ -99,26 +89,11 @@ func (v *segTileView) part(p int) [][]byte {
 	return v.parts[p]
 }
 
-// Member reads row i's value under key from the part holding the key:
-// its own, or the residual's object. A scan asks for the same few keys
-// row after row, so the view remembers which part holds each.
-func (v *segTileView) Member(i int, key string) (jsonb.Doc, bool) {
-	p := -1
-	for _, kp := range v.keyed {
-		if kp.key == key {
-			p = kp.part
-			break
-		}
-	}
-	if p < 0 {
-		p = v.meta.DocPart(key)
-		v.keyed = append(v.keyed, keyPart{key, p})
-	}
-	b := v.part(p)[i]
-	if p < len(v.meta.Docs) {
-		return jsonb.NewDoc(b), len(b) > 0
-	}
-	return jsonb.NewDoc(b).Get(key)
+// Members loads the part of the documents holding key: its own, of
+// key's values, or the residual (whole), of objects holding the rest.
+func (v *segTileView) Members(key string) ([][]byte, bool) {
+	p := v.meta.DocPart(key)
+	return v.part(p), p == len(v.meta.Docs)
 }
 
 // Raw reassembles row i's whole document from every part, once per

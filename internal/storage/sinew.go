@@ -42,8 +42,7 @@ var _ scanTile = (*sinew)(nil)
 func (r *sinew) MayContainPath(string) bool      { return true }
 func (r *sinew) Column(idx int) *tile.ColumnInfo { return &r.cols[idx] }
 func (r *sinew) Raw(i int) jsonb.Doc             { return jsonb.NewDoc(r.raw[i]) }
-
-func (r *sinew) Member(i int, key string) (jsonb.Doc, bool) { return r.Raw(i).Get(key) }
+func (r *sinew) Members(string) ([][]byte, bool) { return r.raw, true }
 
 func (r *sinew) ColumnsForPath(path string) []int {
 	if ci, ok := r.byPath[path]; ok {
@@ -106,8 +105,9 @@ func (r *sinew) ScanBatches(ctx context.Context, accesses []Access, workers int,
 	}
 	scanCells(ctx, r.numRows, accesses, workers, emit, st, func(lo, hi int, cells []vec.Buf, cnt *scanCounters) {
 		for ai, a := range accesses {
+			var docs docRows
 			for i := lo; i < hi; i++ {
-				plans[ai].put(&cells[ai], i-lo, r, cols[ai], i, a, cnt)
+				plans[ai].put(&cells[ai], i-lo, r, &docs, cols[ai], i, a, cnt)
 			}
 		}
 	})

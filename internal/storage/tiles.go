@@ -288,10 +288,10 @@ func resize[T any](s []T, n int) []T {
 }
 
 // putScanScratch returns s to the pool holding no reference into
-// buffer-pool memory: vectors, the buffers' ::JSON documents and the
-// walk's cursors alias documents and columns that an eviction or a
-// dropped segment frees. The buffers' typed cells are copies, which the
-// next scan reuses.
+// buffer-pool memory: vectors, the buffers' ::JSON documents, the
+// walk's cursors and the parts its cells resolved alias documents and
+// columns that an eviction or a dropped segment frees. The buffers'
+// typed cells are copies, which the next scan reuses.
 func putScanScratch(s *scanScratch) {
 	clear(s.batch.Cols)
 	cells := s.cells[:cap(s.cells)]
@@ -300,6 +300,7 @@ func putScanScratch(s *scanScratch) {
 	}
 	s.batch.Sel = nil
 	clear(s.walk.docs[:cap(s.walk.docs)])
+	clear(s.walk.cells[:cap(s.walk.cells)])
 	if s.ps != nil {
 		s.ps.Release()
 	}

@@ -289,9 +289,9 @@ func (t *Tile) Columns() []ColumnInfo { return t.columns }
 // Raw returns the binary JSON document of row i.
 func (t *Tile) Raw(i int) jsonb.Doc { return jsonb.NewDoc(t.raw[i]) }
 
-// Member returns row i's value under top-level key: false when the
-// row's document is not an object or lacks the key.
-func (t *Tile) Member(i int, key string) (jsonb.Doc, bool) { return t.Raw(i).Get(key) }
+// Members returns every row's whole document, which holds each
+// top-level key the row has (the scan's per-tile document accessor).
+func (t *Tile) Members(string) ([][]byte, bool) { return t.raw, true }
 
 // RawBytes returns the encoded buffer of row i.
 func (t *Tile) RawBytes(i int) []byte { return t.raw[i] }

@@ -448,7 +448,6 @@ func TestScanCountsMatchProcessSeries(t *testing.T) {
 		{"rows_vectorized", func(s *ScanStats) int64 { return s.RowsVectorized }},
 		{"rows_batch_fallback", func(s *ScanStats) int64 { return s.RowsFallback }},
 		{"rows_narrowed", func(s *ScanStats) int64 { return s.RowsNarrowed }},
-		{"segment_blocks_read", func(s *ScanStats) int64 { return s.PoolMisses }},
 		{"segment_bytes_read", func(s *ScanStats) int64 { return s.StoreBytesRead }},
 		{"bufpool_hits", func(s *ScanStats) int64 { return s.PoolHits }},
 		{"bufpool_misses", func(s *ScanStats) int64 { return s.PoolMisses }},
